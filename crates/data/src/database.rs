@@ -120,7 +120,7 @@ impl Database {
                     if delta.is_empty() {
                         // Net no-op: contents are back to exactly what they
                         // were under the previous epoch.
-                        rel.restore_epoch(prev_epoch);
+                        rel.revert_to(prev_rel);
                     } else {
                         log.record(name.clone(), RelationChange::Delta(delta));
                     }
@@ -128,16 +128,13 @@ impl Database {
                 // History lost (wholesale replacement).  A content compare
                 // keeps a replace-with-equal-contents from re-stamping the
                 // epoch and invalidating downstream caches — but the O(|R|)
-                // set comparison runs only when cheaper evidence is
-                // inconclusive: shared tuple storage proves equality and a
-                // length mismatch proves inequality, each in O(1).
+                // tuple comparison runs only when cheaper evidence is
+                // inconclusive: a length mismatch proves inequality in O(1)
+                // and pointer-equal chunks prove equality in O(#chunks)
+                // (both inside `Relation::eq`).
                 _ => {
-                    let same_schema = rel.schema() == prev_rel.schema();
-                    let equal = same_schema
-                        && (rel.shares_storage(prev_rel)
-                            || (rel.len() == prev_rel.len() && rel == prev_rel));
-                    if equal {
-                        rel.restore_epoch(prev_epoch);
+                    if rel == prev_rel {
+                        rel.revert_to(prev_rel);
                     } else {
                         log.record(name.clone(), RelationChange::Unknown);
                     }
@@ -153,9 +150,9 @@ impl Database {
     /// written after the capture with [`Database::rollback_to`].  Only
     /// meaningful between [`Database::begin_delta_tracking`] and
     /// [`Database::take_delta`]; batched mutation uses it to isolate one
-    /// failing closure without cloning relation contents (a full
-    /// [`Database::clone`] checkpoint would keep every tuple `Arc` shared,
-    /// forcing the next write to copy the whole relation).
+    /// failing closure without an `O(#chunks)` [`Database::clone`] per
+    /// closure (which would also keep every chunk shared, so each closure's
+    /// writes would fork their chunks anew).
     pub fn delta_checkpoint(&self) -> DeltaCheckpoint {
         DeltaCheckpoint {
             states: self
@@ -501,10 +498,11 @@ mod tests {
         let mut db = previous.clone();
         db.begin_delta_tracking();
         // A replacement that shares tuple storage with the previous
-        // instance but presents a different epoch: the Arc pointer proves
-        // content equality without the O(|R|) set compare.
+        // instance but presents a different epoch: pointer-equal chunks
+        // prove content equality without comparing a tuple.
         let mut replacement = previous.relation("rating").unwrap().clone();
-        replacement.restore_epoch(u64::MAX);
+        replacement.restamp();
+        assert!(replacement.shares_storage(previous.relation("rating").unwrap()));
         *db.relation_mut("rating").unwrap() = replacement;
         let log = db.take_delta(&previous);
         assert!(log.is_empty(), "shared storage proves equality");

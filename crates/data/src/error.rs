@@ -34,6 +34,10 @@ pub enum DataError {
     /// was lost since the checkpoint (wholesale replacement while tracking),
     /// so the writes cannot be inverted.
     RollbackHistoryLost(String),
+    /// An exact write delta removes a tuple of the named relation that the
+    /// access index it is being patched into never indexed: the delta does
+    /// not lead from that index's contents.  The index must be rebuilt.
+    IndexDeltaMismatch(String),
 }
 
 impl fmt::Display for DataError {
@@ -75,6 +79,12 @@ impl fmt::Display for DataError {
                 write!(
                     f,
                     "cannot roll back relation `{relation}`: its write history was lost since the checkpoint"
+                )
+            }
+            DataError::IndexDeltaMismatch(relation) => {
+                write!(
+                    f,
+                    "write delta on relation `{relation}` removes a tuple its access index never indexed"
                 )
             }
         }
@@ -123,6 +133,7 @@ mod tests {
                 DataError::FaultInjected("data.index.build".into()),
                 "data.index.build",
             ),
+            (DataError::IndexDeltaMismatch("calls".into()), "calls"),
         ];
         for (err, needle) in cases {
             assert!(

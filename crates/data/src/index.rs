@@ -9,16 +9,70 @@
 
 use crate::access::{AccessConstraint, AccessSchema};
 use crate::database::Database;
-use crate::delta::{DeltaLog, RelationDelta};
+use crate::delta::{DeltaLog, RelationChange, RelationDelta};
 use crate::error::DataError;
 use crate::intern::ValueId;
-use crate::snapshot::{patched_snapshot_of, snapshot_of, InternedSnapshot};
+use crate::snapshot::patched_snapshot_of;
 use crate::stats::FetchStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
+
+/// Fan-out of the sharded group maps: every index holds this many shards,
+/// however small the relation, so a key's shard never moves between
+/// versions.
+const SHARDS: usize = 256;
+
+/// The shard a key lives in.  Deterministic, so an index and every version
+/// patched from it agree on the placement.
+fn shard_of<T: Hash>(key: &[T]) -> usize {
+    let mut hasher = ShardHasher(0);
+    key.hash(&mut hasher);
+    (hasher.0 >> 32) as usize % SHARDS
+}
+
+/// A multiply-rotate hash: a few cycles per word where the maps' own SipHash
+/// takes tens of nanoseconds, which would double the cost of a probe.  It
+/// only spreads keys over shards — a skewed spread costs sharing, never
+/// correctness — so it need not resist crafted keys.
+struct ShardHasher(u64);
+
+impl Hasher for ShardHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(byte.into());
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// How many same-position shards of two sharded maps are the same allocation.
+fn count_shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
+    a.iter().zip(b).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
+}
+
+/// One shard of an [`AccessIndex`]: `X`-key → group.  Groups sit behind
+/// their own `Arc` so forking a shard copies pointers, not groups.
+type GroupShard = HashMap<Vec<Value>, Arc<Group>>;
 
 /// A hash index on `X` for `X ∪ Y`, backing one access constraint.
 #[derive(Debug, Clone)]
@@ -27,22 +81,29 @@ pub struct AccessIndex {
     /// Attribute names of the tuples returned by [`AccessIndex::probe`]
     /// (the constraint's `X ∪ Y`, in that order).
     xy_attributes: Vec<String>,
-    /// Group storage is `Arc`-shared so [`AccessIndex::with_delta`] can
-    /// copy the whole index in `O(#groups)` *pointer* clones and fork only
-    /// the groups the delta actually lands in (`Arc::make_mut`).
-    map: HashMap<Vec<Value>, Arc<Group>>,
-    /// The id-native sibling, built lazily on first interned probe.  The
-    /// index is immutable after construction, so the lazily built sibling
-    /// can never go stale.
+    /// The group map, cut into [`SHARDS`] copy-on-write shards by the hash
+    /// of the `X`-key: [`AccessIndex::with_delta`] copies the shard
+    /// *pointers* and forks only the shards (and, inside them, the groups)
+    /// the delta lands in.
+    shards: Vec<Arc<GroupShard>>,
+    /// Number of distinct `X`-values across all shards.
+    keys: usize,
+    /// The id-native sibling, built lazily on first interned probe — or, for
+    /// a version made by [`AccessIndex::with_delta`] from a predecessor that
+    /// had one, patched from the predecessor's.  The index is immutable
+    /// after construction, so the sibling can never go stale.
     interned: OnceLock<InternedAccessIndex>,
 }
 
-/// One key's group: the deduplicated `X ∪ Y` projections, plus a source
-/// multiplicity per projection.  The multiplicities are what make removals
-/// patchable: several source tuples can project to the same group entry, so
-/// a removed tuple decrements its entry's count and the entry only leaves
-/// the group when the count reaches zero — no rebuild needed to decide
-/// whether another source tuple still supports it.
+/// One key's group: the deduplicated `X ∪ Y` projections in sorted order,
+/// plus a source multiplicity per projection.  The multiplicities are what
+/// make removals patchable: several source tuples can project to the same
+/// group entry, so a removed tuple decrements its entry's count and the
+/// entry only leaves the group when the count reaches zero — no rebuild
+/// needed to decide whether another source tuple still supports it.  The
+/// sorted order is what makes a patched group *bit-identical* to a rebuilt
+/// one: it depends on the group's contents only, not on the order the
+/// writes arrived in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Group {
     rows: Vec<Tuple>,
@@ -53,64 +114,97 @@ struct Group {
 impl Group {
     /// Record one more source tuple projecting to `row`.
     fn add_source(&mut self, row: Tuple) {
-        match self.rows.iter().position(|r| *r == row) {
-            Some(i) => self.sources[i] += 1,
-            None => {
-                self.rows.push(row);
-                self.sources.push(1);
+        match self.rows.binary_search(&row) {
+            Ok(i) => self.sources[i] += 1,
+            Err(i) => {
+                self.rows.insert(i, row);
+                self.sources.insert(i, 1);
             }
         }
     }
 
-    /// Drop one source tuple projecting to `row`; returns `true` when the
-    /// projection lost its last source and was removed from the group.
+    /// Drop one source tuple projecting to `row`; `false` when the group
+    /// holds no such projection (the delta does not describe this index).
     fn remove_source(&mut self, row: &Tuple) -> bool {
-        let Some(i) = self.rows.iter().position(|r| r == row) else {
-            debug_assert!(false, "exact delta removed a tuple the index never saw");
+        let Ok(i) = self.rows.binary_search(row) else {
             return false;
         };
         self.sources[i] -= 1;
         if self.sources[i] == 0 {
             self.rows.remove(i);
             self.sources.remove(i);
-            return true;
         }
-        false
+        true
     }
 }
 
-/// The id-native form of an [`AccessIndex`]: groups are stored contiguously
-/// in one flat row-major `Vec<ValueId>`, and probing with an interned key
-/// returns the whole group `D_{R:XY}(X = ā)` as a flat id slice.  This is
-/// the index the compiled plan executor fetches through — the hot loop never
-/// touches a [`Value`], yet every probe still accounts `|D_ξ|` tuple by
-/// tuple (the group's row count) exactly like the `Value`-keyed path.
+/// One shard of an [`InternedAccessIndex`]: interned `X`-key → the group's
+/// rows, flat and row-major.
+type IdShard = HashMap<Vec<ValueId>, Box<[ValueId]>>;
+
+/// The id-native form of an [`AccessIndex`]: probing with an interned key
+/// returns the whole group `D_{R:XY}(X = ā)` as a flat row-major id slice.
+/// This is the index the compiled plan executor fetches through — the hot
+/// loop never touches a [`Value`], yet every probe still accounts `|D_ξ|`
+/// tuple by tuple (the group's row count) exactly like the `Value`-keyed
+/// path.  Sharded like its sibling (by the hash of the *interned* key), so
+/// a successor version shares every shard its delta did not touch.
 #[derive(Debug, Clone)]
 pub struct InternedAccessIndex {
     /// `|X ∪ Y|` — always ≥ 1 (constraints require a non-empty `Y`).
     arity: usize,
-    /// Flattened groups, row-major; each key's group is contiguous.
-    rows: Vec<ValueId>,
-    /// Key → (first row, row count) into `rows`.
-    map: HashMap<Vec<ValueId>, (u32, u32)>,
+    shards: Vec<Arc<IdShard>>,
+    /// Number of distinct keys, and of indexed tuples, across all shards —
+    /// maintained as counters so patching never has to re-count.
+    keys: usize,
+    rows: usize,
+}
+
+fn intern_key(key: &[Value]) -> Vec<ValueId> {
+    key.iter().map(ValueId::intern).collect()
+}
+
+/// A group's rows, interned, flat and row-major.
+fn intern_rows(group: &Group, arity: usize) -> Box<[ValueId]> {
+    let mut ids = Vec::with_capacity(group.rows.len() * arity);
+    ids.extend(group.rows.iter().flatten().map(ValueId::intern));
+    ids.into()
 }
 
 impl InternedAccessIndex {
     fn build(index: &AccessIndex) -> Self {
         let arity = index.xy_attributes.len();
-        let mut rows = Vec::new();
-        let mut map = HashMap::with_capacity(index.map.len());
-        for (key, group) in &index.map {
-            let key_ids: Vec<ValueId> = key.iter().map(ValueId::intern).collect();
-            let first = (rows.len() / arity) as u32;
-            for t in &group.rows {
-                for v in t.iter() {
-                    rows.push(ValueId::intern(v));
-                }
-            }
-            map.insert(key_ids, (first, group.rows.len() as u32));
+        let per_shard = index.keys / SHARDS;
+        let mut shards: Vec<IdShard> = (0..SHARDS)
+            .map(|_| IdShard::with_capacity(per_shard))
+            .collect();
+        let mut rows = 0;
+        for (key, group) in index.shards.iter().flat_map(|s| s.iter()) {
+            let key = intern_key(key);
+            rows += group.rows.len();
+            shards[shard_of(&key)].insert(key, intern_rows(group, arity));
         }
-        InternedAccessIndex { arity, rows, map }
+        InternedAccessIndex {
+            arity,
+            shards: shards.into_iter().map(Arc::new).collect(),
+            keys: index.keys,
+            rows,
+        }
+    }
+
+    /// Replace (or, with `None`, drop) the group under `key` with the
+    /// interned rows of `group`, forking the one shard it lives in if that
+    /// shard is still shared.
+    fn set_group(&mut self, key: &[Value], group: Option<&Arc<Group>>) {
+        let key = intern_key(key);
+        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
+        let old = match group {
+            Some(group) => shard.insert(key, intern_rows(group, self.arity)),
+            None => shard.remove(&key),
+        };
+        let old_rows = old.as_ref().map_or(0, |rows| rows.len() / self.arity);
+        self.rows = self.rows + group.map_or(0, |g| g.rows.len()) - old_rows;
+        self.keys = self.keys + usize::from(group.is_some()) - usize::from(old.is_some());
     }
 
     /// Arity of the returned rows (`|X ∪ Y|`).
@@ -122,36 +216,44 @@ impl InternedAccessIndex {
     /// `n · arity()` ids (`n` tuples, in the same deterministic group order
     /// as [`AccessIndex::probe`]).  Empty for absent keys.
     pub fn probe(&self, key: &[ValueId]) -> &[ValueId] {
-        match self.map.get(key) {
-            Some(&(first, count)) => {
-                let start = first as usize * self.arity;
-                &self.rows[start..start + count as usize * self.arity]
-            }
+        match self.shards[shard_of(key)].get(key) {
+            Some(rows) => rows,
             None => &[],
         }
     }
 
     /// Number of tuples a probe result holds.
     pub fn probe_len(&self, key: &[ValueId]) -> usize {
-        self.map.get(key).map(|&(_, n)| n as usize).unwrap_or(0)
+        self.probe(key).len() / self.arity
     }
 
     /// Number of distinct `X`-values indexed.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.keys
     }
 
     /// Total number of indexed tuples (across all groups).
     pub fn total_rows(&self) -> usize {
-        self.rows.len() / self.arity
+        self.rows
     }
 
     /// The mean group size, rounded up and never below 1 — the
     /// cardinality statistic the executor's cost heuristics consume
     /// (expected `|D_{R:XY}(X = ā)|` for a random indexed key).
     pub fn avg_group_len(&self) -> usize {
-        let keys = self.map.len().max(1);
-        self.total_rows().div_ceil(keys).max(1)
+        self.rows.div_ceil(self.keys.max(1)).max(1)
+    }
+
+    /// How many shards are the same allocation as `other`'s shard in the
+    /// same position (out of [`InternedAccessIndex::shard_count`]): what a
+    /// patched version still shares with its predecessor.
+    pub fn shared_shards(&self, other: &InternedAccessIndex) -> usize {
+        count_shared(&self.shards, &other.shards)
+    }
+
+    /// The fixed number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// Vectorised probe: look up a whole batch of keys (`n_keys` keys stored
@@ -196,25 +298,43 @@ impl AccessIndex {
     /// Build the index for `constraint` over the current contents of `db`.
     pub fn build(constraint: &AccessConstraint, db: &Database) -> Result<Self> {
         let rel = db.expect_relation(constraint.relation())?;
-        let x_pos = rel.schema().positions(constraint.x())?;
-        let xy_attrs = constraint.xy();
-        let xy_pos = rel
-            .schema()
-            .positions(&xy_attrs.iter().map(String::as_str).collect::<Vec<_>>())?;
-        let mut map: HashMap<Vec<Value>, Arc<Group>> = HashMap::new();
+        let mut index = AccessIndex {
+            constraint: constraint.clone(),
+            xy_attributes: constraint.xy(),
+            shards: vec![Arc::default(); SHARDS],
+            keys: 0,
+            interned: OnceLock::new(),
+        };
+        let (x_pos, xy_pos) = index.positions(rel)?;
         for t in rel.iter() {
-            let key: Vec<Value> = x_pos.iter().map(|&p| t[p].clone()).collect();
-            let entry = Arc::make_mut(map.entry(key).or_default());
             // Deduplicate: the index returns the *set* D_{R:XY}(X = ā), but
             // the per-projection source count is kept so removals can patch.
-            entry.add_source(t.project(&xy_pos));
+            index.add_source(t.project(&x_pos).into_values(), t.project(&xy_pos));
         }
-        Ok(AccessIndex {
-            constraint: constraint.clone(),
-            xy_attributes: xy_attrs,
-            map,
-            interned: OnceLock::new(),
-        })
+        Ok(index)
+    }
+
+    /// Positions of `X` and of `X ∪ Y` in `rel`'s schema.
+    fn positions(&self, rel: &crate::Relation) -> Result<(Vec<usize>, Vec<usize>)> {
+        let xy: Vec<&str> = self.xy_attributes.iter().map(String::as_str).collect();
+        Ok((
+            rel.schema().positions(self.constraint.x())?,
+            rel.schema().positions(&xy)?,
+        ))
+    }
+
+    /// Count one more source tuple projecting to `row` under `key`, forking
+    /// the shard and the group it lands in if they are still shared.
+    fn add_source(&mut self, key: Vec<Value>, row: Tuple) {
+        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
+        let group = match shard.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.keys += 1;
+                e.insert(Arc::default())
+            }
+        };
+        Arc::make_mut(group).add_source(row);
     }
 
     /// The id-native form of the index, built (and its values interned) on
@@ -236,77 +356,115 @@ impl AccessIndex {
 
     /// Number of distinct `X`-values indexed.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.keys
     }
 
-    /// Retrieve `D_{R:XY}(X = ā)`.  Returns an empty slice for `X`-values not
-    /// present in the data.
+    fn group(&self, key: &[Value]) -> Option<&Arc<Group>> {
+        self.shards[shard_of(key)].get(key)
+    }
+
+    /// Retrieve `D_{R:XY}(X = ā)`, in sorted order.  Returns an empty slice
+    /// for `X`-values not present in the data.
     pub fn probe(&self, key: &[Value]) -> &[Tuple] {
-        self.map.get(key).map(|g| g.rows.as_slice()).unwrap_or(&[])
+        self.group(key).map(|g| g.rows.as_slice()).unwrap_or(&[])
     }
 
     /// The number of source tuples supporting the group entry `row` under
     /// `key` (zero when absent) — exposes the multiplicity bookkeeping that
     /// makes removals patchable, for the differential tests.
     pub fn source_multiplicity(&self, key: &[Value], row: &Tuple) -> u32 {
-        self.map
-            .get(key)
-            .and_then(|g| g.rows.iter().position(|r| r == row).map(|i| g.sources[i]))
+        self.group(key)
+            .and_then(|g| g.rows.binary_search(row).ok().map(|i| g.sources[i]))
             .unwrap_or(0)
     }
 
     /// The largest group size in the index — useful for verifying that the
     /// cardinality bound holds on the indexed data.
     pub fn max_group_size(&self) -> usize {
-        self.map.values().map(|g| g.rows.len()).max().unwrap_or(0)
+        let groups = self.shards.iter().flat_map(|s| s.values());
+        groups.map(|g| g.rows.len()).max().unwrap_or(0)
+    }
+
+    /// How many shards are the same allocation as `other`'s shard in the
+    /// same position (out of [`AccessIndex::shard_count`]): what a patched
+    /// version still shares with its predecessor.
+    pub fn shared_shards(&self, other: &AccessIndex) -> usize {
+        count_shared(&self.shards, &other.shards)
+    }
+
+    /// The fixed number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The id-native sibling if it exists already, without building it.
+    pub fn interned_if_built(&self) -> Option<&InternedAccessIndex> {
+        self.interned.get()
     }
 
     /// A copy of this index with an exact write delta patched into the
-    /// groups — `O(#groups)` `Arc` clones plus `O(|Δ|)` forked-group work,
-    /// instead of the `O(|R|)` of a full rebuild.  Removals are as cheap as
-    /// inserts: the per-projection source multiplicities decide whether a
-    /// removed tuple's projection is still supported by another source
-    /// tuple, so the last rebuild-on-removal path is gone.
+    /// groups.  Cost: `#shards` pointer copies, one forked shard (a copy of
+    /// its `|groups| / #shards` entries, keys and group pointers) per shard
+    /// the delta lands in, and `O(log N)` work in each forked group — so
+    /// `O(#shards + |Δ| · (|groups| / #shards + N))`, against the `O(|R|)`
+    /// of a full rebuild.  Removals are as cheap as inserts: the
+    /// per-projection source multiplicities decide whether a removed
+    /// tuple's projection is still supported by another source tuple.
+    ///
+    /// When this index's id-native sibling has been built, the successor's
+    /// is patched from it the same way — only the touched groups are
+    /// re-interned (`O(|Δ| · N · arity)` values), every other shard is
+    /// carried over by pointer — so the first probe of the new version finds
+    /// it ready.  When it has not, the successor's stays lazy too.
+    ///
+    /// Fails with [`DataError::IndexDeltaMismatch`] when the delta removes a
+    /// tuple this index never saw: the delta does not describe the step
+    /// from this index's contents, and patching on would yield an index
+    /// that disagrees with its relation.  Callers rebuild instead.
     pub fn with_delta(&self, delta: &RelationDelta, rel: &crate::Relation) -> Result<Self> {
-        let x_pos = rel.schema().positions(self.constraint.x())?;
-        let xy_pos = rel.schema().positions(
-            &self
-                .xy_attributes
-                .iter()
-                .map(String::as_str)
-                .collect::<Vec<_>>(),
-        )?;
-        let mut map = self.map.clone();
-        // The net delta's inserted/removed sets are disjoint, so the order
-        // of application is immaterial; either way, only the groups the
-        // delta lands in are forked — every other group stays shared with
-        // the predecessor index.
-        for t in &delta.removed {
-            let key: Vec<Value> = x_pos.iter().map(|&p| t[p].clone()).collect();
-            let Some(group) = map.get_mut(&key) else {
-                debug_assert!(false, "exact delta removed a tuple from an unindexed key");
-                continue;
-            };
-            Arc::make_mut(group).remove_source(&t.project(&xy_pos));
-            if group.rows.is_empty() {
-                // Keys with no surviving projection leave the map entirely,
-                // keeping distinct-key statistics identical to a rebuild.
-                map.remove(&key);
-            }
-        }
-        for t in &delta.inserted {
-            let key: Vec<Value> = x_pos.iter().map(|&p| t[p].clone()).collect();
-            let entry = Arc::make_mut(map.entry(key).or_default());
-            entry.add_source(t.project(&xy_pos));
-        }
-        Ok(AccessIndex {
+        let (x_pos, xy_pos) = self.positions(rel)?;
+        let mut next = AccessIndex {
             constraint: self.constraint.clone(),
             xy_attributes: self.xy_attributes.clone(),
-            map,
-            // The patched index has new contents: its id-native sibling is
-            // re-interned lazily on first probe.
+            shards: self.shards.clone(),
+            keys: self.keys,
             interned: OnceLock::new(),
-        })
+        };
+        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
+        // The net delta's inserted/removed sets are disjoint, so the order
+        // of application is immaterial; either way, only the shards and
+        // groups the delta lands in are forked — everything else stays
+        // shared with the predecessor index.
+        for t in &delta.removed {
+            let key = t.project(&x_pos).into_values();
+            let shard = Arc::make_mut(&mut next.shards[shard_of(&key)]);
+            let removed = shard
+                .get_mut(&key)
+                .is_some_and(|g| Arc::make_mut(g).remove_source(&t.project(&xy_pos)));
+            if !removed {
+                return Err(DataError::IndexDeltaMismatch(rel.name().to_string()));
+            }
+            if shard[&key].rows.is_empty() {
+                // Keys with no surviving projection leave the map entirely,
+                // keeping distinct-key statistics identical to a rebuild.
+                shard.remove(&key);
+                next.keys -= 1;
+            }
+            touched.insert(key);
+        }
+        for t in &delta.inserted {
+            let key = t.project(&x_pos).into_values();
+            touched.insert(key.clone());
+            next.add_source(key, t.project(&xy_pos));
+        }
+        if let Some(prev) = self.interned.get() {
+            let mut interned = prev.clone();
+            for key in &touched {
+                interned.set_group(key, next.group(key));
+            }
+            next.interned = OnceLock::from(interned);
+        }
+        Ok(next)
     }
 }
 
@@ -322,16 +480,6 @@ pub struct IndexedDatabase {
     /// Behind `Arc` so successive versions share the indexes of untouched
     /// relations — including their lazily interned id-native siblings.
     indexes: Vec<Arc<AccessIndex>>,
-    /// Strong per-relation anchors into the process-global snapshot
-    /// registry, filled by [`IndexedDatabase::apply_delta`].  The registry
-    /// itself only holds `Weak` references, so without an anchor every
-    /// snapshot dies with the last per-evaluation cache that held it and
-    /// the next mutation re-interns `O(|R|)` values from scratch.  Anchored
-    /// here, an untouched relation's snapshot stays warm across versions
-    /// (the successor carries the same `Arc` forward) and a touched
-    /// relation's snapshot is derived from its anchored predecessor in
-    /// `O(|Δ|)` via [`crate::snapshot::patched_snapshot_of`].
-    snapshots: HashMap<String, Arc<InternedSnapshot>>,
 }
 
 impl IndexedDatabase {
@@ -352,10 +500,6 @@ impl IndexedDatabase {
             db,
             access,
             indexes,
-            // Snapshots are anchored lazily by the first `apply_delta`, so
-            // attach (and the Rebuild maintenance mode) pays no interning
-            // cost for relations nothing ever snapshots.
-            snapshots: HashMap::new(),
         })
     }
 
@@ -363,16 +507,20 @@ impl IndexedDatabase {
     /// write delta, touching only the indexes of changed relations:
     /// untouched constraints share this instance's [`AccessIndex`] (and its
     /// interned sibling) by `Arc`; exact deltas — inserts *and* removals,
-    /// thanks to the per-projection source multiplicities — are patched in
-    /// `O(#groups + |Δ|)`; only unknown (wholesale-replacement) changes
-    /// rebuild that relation's index.
+    /// thanks to the per-projection source multiplicities — are patched
+    /// shard by shard ([`AccessIndex::with_delta`]: `#shards` pointer copies
+    /// plus the shards the delta lands in, never `O(|R|)`); only unknown
+    /// (wholesale-replacement) changes, or a delta that turns out not to
+    /// describe the index it is applied to, rebuild that relation's index.
     ///
-    /// Interned snapshots follow the same discipline: every relation's
-    /// snapshot is anchored on the successor, carried forward by `Arc` when
-    /// untouched, patched from the anchored predecessor in `O(|Δ|)` for
-    /// exact deltas ([`patched_snapshot_of`]), and re-interned from scratch
-    /// only for unknown (wholesale-replacement) changes or on the first
-    /// delta application after an attach.
+    /// Interned snapshots are the relations' own (see
+    /// [`crate::snapshot_of`]): an untouched relation is the same version in
+    /// `db`, snapshot included; a touched relation whose predecessor
+    /// snapshot exists gets its successor patched from it here
+    /// ([`patched_snapshot_of`]), so relations that view maintenance reads
+    /// stay warm across writes; a relation nobody ever snapshotted — a fact
+    /// table reached only through `fetch` — is not snapshotted by a write
+    /// either.
     pub fn apply_delta(&self, db: Database, delta: &DeltaLog) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
         let indexes = self
@@ -384,49 +532,28 @@ impl IndexedDatabase {
                 if !delta.touches(name) {
                     return Ok(Arc::clone(old));
                 }
-                match delta.exact(name) {
-                    Some(d) => old.with_delta(d, db.expect_relation(name)?).map(Arc::new),
-                    None => AccessIndex::build(c, &db).map(Arc::new),
+                let patched = match delta.exact(name) {
+                    Some(d) => old.with_delta(d, db.expect_relation(name)?),
+                    None => AccessIndex::build(c, &db),
+                };
+                match patched {
+                    Err(DataError::IndexDeltaMismatch(_)) => AccessIndex::build(c, &db),
+                    other => other,
                 }
+                .map(Arc::new)
             })
             .collect::<Result<Vec<_>>>()?;
-        let mut snapshots = HashMap::with_capacity(self.snapshots.len().max(1));
-        for rel in db.relations() {
-            let name = rel.name();
-            // An anchor is only usable if it really is the predecessor's
-            // snapshot; epochs are globally unique, so comparing against the
-            // predecessor relation's epoch proves it.
-            let anchored = self.snapshots.get(name).filter(|prev| {
-                self.db
-                    .relation(name)
-                    .is_some_and(|r| r.epoch() == prev.epoch())
-            });
-            let snap = if !delta.touches(name) {
-                match anchored {
-                    // Untouched relation, warm anchor: same epoch, same Arc.
-                    Some(prev) => Arc::clone(prev),
-                    None => snapshot_of(rel),
-                }
-            } else {
-                match (delta.exact(name), anchored) {
-                    (Some(d), Some(prev)) => patched_snapshot_of(rel, prev, d),
-                    _ => snapshot_of(rel),
-                }
-            };
-            snapshots.insert(name.to_string(), snap);
+        for (name, change) in delta.iter() {
+            let prev = self.db.relation(name).and_then(|r| r.snapshot_cell().get());
+            if let (Some(prev), RelationChange::Delta(d)) = (prev, change) {
+                patched_snapshot_of(db.expect_relation(name)?, prev, d);
+            }
         }
         Ok(IndexedDatabase {
             db,
             access: self.access.clone(),
             indexes,
-            snapshots,
         })
-    }
-
-    /// The anchored snapshot of `relation`, if this version holds one (only
-    /// versions produced by [`IndexedDatabase::apply_delta`] do).
-    pub fn snapshot(&self, relation: &str) -> Option<&Arc<InternedSnapshot>> {
-        self.snapshots.get(relation)
     }
 
     /// True when the `idx`-th constraint's index is the same shared object
@@ -900,7 +1027,7 @@ mod tests {
                 rebuilt.fetch(1, &key, &mut b).unwrap()
             );
             assert_eq!(a, b);
-            // The interned siblings agree too (both rebuilt lazily).
+            // The interned siblings agree too.
             let id_key = [ValueId::intern(&Value::int(mid))];
             let (mut ia, mut ib) = (FetchStats::new(), FetchStats::new());
             assert_eq!(
@@ -913,45 +1040,80 @@ mod tests {
 
     #[test]
     fn apply_delta_anchors_and_patches_snapshots() {
+        use crate::snapshot::snapshot_of;
         let (db, access) = movie_db();
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
-        assert!(idb.snapshot("rating").is_none(), "build anchors lazily");
+        // Someone (view maintenance, say) reads `rating`; nobody reads `movie`.
+        let rating0 = snapshot_of(db.relation("rating").unwrap());
 
-        // First delta application anchors every relation's snapshot.
         let mut v1 = db.clone();
         v1.begin_delta_tracking();
         v1.insert("rating", tuple![4, 2]).unwrap();
+        v1.remove("rating", &tuple![1, 5]).unwrap();
+        v1.insert("movie", tuple![4, "Nope", "Universal", "2022"])
+            .unwrap();
         let log = v1.take_delta(&db);
-        let idb1 = idb.apply_delta(v1.clone(), &log).unwrap();
-        for name in ["movie", "rating"] {
-            let snap = idb1.snapshot(name).expect("anchored");
-            let rel = v1.relation(name).unwrap();
-            assert_eq!(snap.epoch(), rel.epoch());
-            assert_eq!(snap.len(), rel.len());
-        }
-
-        // Second application: the untouched relation carries the same Arc
-        // forward, the touched one is patched to its new epoch and shared
-        // with the registry.
-        let mut v2 = v1.clone();
-        v2.begin_delta_tracking();
-        v2.insert("rating", tuple![5, 1]).unwrap();
-        v2.remove("rating", &tuple![1, 5]).unwrap();
-        let log = v2.take_delta(&v1);
-        let idb2 = idb1.apply_delta(v2.clone(), &log).unwrap();
-        assert!(Arc::ptr_eq(
-            idb2.snapshot("movie").unwrap(),
-            idb1.snapshot("movie").unwrap()
-        ));
-        let patched = idb2.snapshot("rating").unwrap();
-        assert_eq!(patched.epoch(), v2.relation("rating").unwrap().epoch());
-        assert_eq!(patched.len(), 4);
-        let shared = crate::snapshot::snapshot_of(v2.relation("rating").unwrap());
-        assert!(Arc::ptr_eq(patched, &shared), "registry serves the patch");
-        // Patched statistics are exact even under the removal.
+        let idb1 = idb.apply_delta(v1, &log).unwrap();
+        let (rating, movie) = (
+            idb1.database().relation("rating").unwrap(),
+            idb1.database().relation("movie").unwrap(),
+        );
+        // The warm relation's successor is anchored in the new version,
+        // patched from its predecessor: survivors first, inserts appended.
+        assert!(rating.has_snapshot(), "patched during apply_delta");
+        let patched = snapshot_of(rating);
+        assert_eq!(patched.epoch(), rating.epoch());
+        assert_eq!(patched.row(0), rating0.row(1), "survivor order, not sorted");
+        assert_eq!(patched.len(), 3);
         let rebuilt_stats =
-            crate::stats::RelationStats::of_rows(patched.len(), patched.arity(), shared.id_rows());
-        assert_eq!(patched.stats(), &rebuilt_stats);
+            crate::stats::RelationStats::of_rows(3, patched.arity(), patched.id_rows());
+        assert_eq!(patched.stats(), &rebuilt_stats, "exact under the removal");
+        // The relation nobody snapshotted is not snapshotted by a write.
+        assert!(!movie.has_snapshot(), "cold stays cold");
+        assert!(!idb.database().relation("movie").unwrap().has_snapshot());
+
+        // Untouched relations are the same version in the successor, so the
+        // same snapshot serves both.
+        let mut v2 = idb1.database().clone();
+        v2.begin_delta_tracking();
+        v2.insert("movie", tuple![5, "Tar", "Focus", "2022"])
+            .unwrap();
+        let log = v2.take_delta(idb1.database());
+        let idb2 = idb1.apply_delta(v2, &log).unwrap();
+        let carried = snapshot_of(idb2.database().relation("rating").unwrap());
+        assert!(Arc::ptr_eq(&carried, &patched));
+    }
+
+    #[test]
+    fn a_delta_the_index_never_saw_is_a_typed_error_and_rebuilds() {
+        let (db, access) = movie_db();
+        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let mut bogus = RelationDelta::default();
+        bogus.removed.insert(tuple![42, 1]); // never in `rating`
+        let rating = db.relation("rating").unwrap();
+        assert_eq!(
+            idb.index(1)
+                .unwrap()
+                .with_delta(&bogus, rating)
+                .unwrap_err(),
+            DataError::IndexDeltaMismatch("rating".into())
+        );
+        // Same key as a live tuple, different projection: also caught.
+        let mut bogus = RelationDelta::default();
+        bogus.removed.insert(tuple![1, 4]);
+        assert!(idb.index(1).unwrap().with_delta(&bogus, rating).is_err());
+        // `apply_delta` falls back to rebuilding that one index from the
+        // relation it is handed, so index and relation cannot disagree.
+        let mut log = DeltaLog::new();
+        log.record("rating", RelationChange::Delta(bogus));
+        let rebuilt = idb.apply_delta(db.clone(), &log).unwrap();
+        assert!(rebuilt.shares_index(&idb, 0), "movie untouched");
+        assert!(!rebuilt.shares_index(&idb, 1));
+        let mut stats = FetchStats::new();
+        assert_eq!(
+            rebuilt.fetch(1, &[Value::int(1)], &mut stats).unwrap(),
+            &[tuple![1, 5]]
+        );
     }
 
     #[test]

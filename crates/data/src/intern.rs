@@ -44,6 +44,16 @@ impl ValueId {
         pool().lookup(value)
     }
 
+    /// How many distinct values the process-global pool holds.  It only
+    /// grows, so the difference across a piece of work is the number of
+    /// values that work interned for the first time.
+    pub fn pool_len() -> usize {
+        let values = pool().values.read();
+        values
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .len()
+    }
+
     /// Resolve the id back to its value (clones out of the pool; `Value`
     /// clones are `Copy`-or-`Arc`, so this is cheap).
     pub fn value(self) -> Value {

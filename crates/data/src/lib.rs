@@ -20,8 +20,8 @@
 //!   automatically on mutation via [`Relation::epoch`]);
 //! * [`ValueId`] ([`intern`]), [`InternedSnapshot`] ([`snapshot`]) — dense
 //!   `u32` value interning and immutable per-epoch relation snapshots,
-//!   shared process-wide so the join engine's hot loop never touches a
-//!   [`Value`];
+//!   owned by the relation version they freeze and shared by its clones, so
+//!   the join engine's hot loop never touches a [`Value`];
 //! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
 //!   captured during a mutation, the currency of `O(|Δ|)` view maintenance,
 //!   in-place index patching and per-relation cache invalidation upstream;
@@ -60,10 +60,7 @@ pub use index_cache::{IndexCache, InternedIndex, RelationIndex};
 pub use intern::ValueId;
 pub use relation::Relation;
 pub use schema::{DatabaseSchema, RelationSchema};
-pub use snapshot::{
-    live_snapshot_epochs, patched_snapshot_of, shard_ranges, snapshot_of, InternedSnapshot,
-    SnapshotShard,
-};
+pub use snapshot::{patched_snapshot_of, shard_ranges, snapshot_of, InternedSnapshot};
 pub use stats::{FetchStats, RelationStats};
 pub use tuple::Tuple;
 pub use value::Value;

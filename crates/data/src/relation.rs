@@ -3,13 +3,14 @@
 use crate::delta::RelationDelta;
 use crate::error::DataError;
 use crate::schema::RelationSchema;
+use crate::snapshot::InternedSnapshot;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Global epoch counter: every stamp is issued exactly once, so two
 /// relations share an epoch only when one is an unmutated clone of the
@@ -21,6 +22,150 @@ fn fresh_epoch() -> u64 {
     NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Most tuples one storage chunk holds; an insert into a full chunk splits
+/// it in two.
+const CHUNK_MAX: usize = 512;
+
+/// A chunk that shrinks below this is folded into a neighbour when the pair
+/// fits one chunk.  A quarter of [`CHUNK_MAX`], so a freshly split chunk is
+/// far from merging again and a freshly merged one far from splitting.
+const CHUNK_MIN: usize = CHUNK_MAX / 4;
+
+/// One run of consecutive tuples, sorted, never empty.
+type Chunk = Arc<Vec<Tuple>>;
+
+/// The tuple set of a [`Relation`]: sorted runs of at most [`CHUNK_MAX`]
+/// tuples, each behind its own `Arc`.  Cloning copies one pointer per chunk,
+/// a write forks only the chunk it lands in (plus a neighbour when chunks
+/// merge), and dropping a version frees only the chunks no other version
+/// still shares.
+#[derive(Debug, Clone, Default)]
+struct Chunks {
+    chunks: Vec<Chunk>,
+    len: usize,
+}
+
+impl Chunks {
+    /// The chunk `tuple` belongs to, and its position in that chunk: `Ok`
+    /// when present, `Err` with the insertion point when absent.
+    fn locate(&self, tuple: &Tuple) -> (usize, std::result::Result<usize, usize>) {
+        // The last chunk starting at or before the tuple (the first chunk
+        // for a tuple smaller than everything stored).
+        let ci = self
+            .chunks
+            .partition_point(|c| c[0] <= *tuple)
+            .saturating_sub(1);
+        match self.chunks.get(ci) {
+            Some(chunk) => (ci, chunk.binary_search(tuple)),
+            None => (0, Err(0)),
+        }
+    }
+
+    /// Insert an absent tuple at the position [`Chunks::locate`] reported.
+    fn insert_at(&mut self, ci: usize, pos: usize, tuple: Tuple) {
+        self.len += 1;
+        // Appending past a full last chunk (or into no chunk at all) starts
+        // a new one instead of splitting, so sorted loads fill their chunks
+        // completely.
+        let past_full = |chunk: &Chunk| pos == chunk.len() && pos >= CHUNK_MAX;
+        if ci + 1 >= self.chunks.len() && self.chunks.last().is_none_or(past_full) {
+            self.chunks.push(Arc::new(vec![tuple]));
+            return;
+        }
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.insert(pos, tuple);
+        if chunk.len() > CHUNK_MAX {
+            let tail = chunk.split_off(chunk.len() / 2);
+            chunk.shrink_to(CHUNK_MAX);
+            self.chunks.insert(ci + 1, Arc::new(tail));
+        }
+    }
+
+    /// Remove the tuple at a position [`Chunks::locate`] reported as `Ok`.
+    fn remove_at(&mut self, ci: usize, pos: usize) {
+        self.len -= 1;
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.remove(pos);
+        if chunk.is_empty() {
+            self.chunks.remove(ci);
+            return;
+        }
+        if chunk.len() >= CHUNK_MIN {
+            return;
+        }
+        let neighbour = if ci + 1 < self.chunks.len() {
+            ci + 1
+        } else if ci > 0 {
+            ci - 1
+        } else {
+            return;
+        };
+        if self.chunks[ci].len() + self.chunks[neighbour].len() > CHUNK_MAX {
+            return;
+        }
+        let tail = self.chunks.remove(ci.max(neighbour));
+        let head = Arc::make_mut(&mut self.chunks[ci.min(neighbour)]);
+        match Arc::try_unwrap(tail) {
+            Ok(tuples) => head.extend(tuples),
+            Err(shared) => head.extend(shared.iter().cloned()),
+        }
+    }
+
+    fn iter(&self) -> Iter<'_> {
+        Iter {
+            chunks: self.chunks.iter(),
+            current: [].iter(),
+            remaining: self.len,
+        }
+    }
+
+    /// True when both sets are the very same chunks, pointer for pointer.
+    fn same_chunks(&self, other: &Chunks) -> bool {
+        self.chunks.len() == other.chunks.len()
+            && self
+                .chunks
+                .iter()
+                .zip(&other.chunks)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+}
+
+impl PartialEq for Chunks {
+    /// By content: equal sets compare equal however their insert histories
+    /// happened to cut them into chunks.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && (self.same_chunks(other) || self.iter().eq(other.iter()))
+    }
+}
+
+/// Iterator over a relation's tuples in sorted order.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
+    current: std::slice::Iter<'a, Tuple>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        loop {
+            if let Some(tuple) = self.current.next() {
+                self.remaining -= 1;
+                return Some(tuple);
+            }
+            self.current = self.chunks.next()?.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
 /// A relation instance `D` of a single relation schema `R`, with set
 /// semantics and deterministic (sorted) iteration order.
 ///
@@ -31,17 +176,28 @@ fn fresh_epoch() -> u64 {
 /// sound, because a clone has identical contents until it is itself mutated
 /// (which re-stamps it).
 ///
-/// Tuple storage is behind an [`Arc`]: cloning a relation (and hence a whole
-/// [`crate::Database`]) is `O(1)` per relation, and the underlying set is
-/// copied lazily on the first genuine write to a shared instance.
+/// Tuple storage is structurally shared: the sorted set is cut into chunks
+/// of at most 512 tuples, each behind its own [`Arc`].  Cloning a relation
+/// (and hence a whole [`crate::Database`]) copies `O(#chunks)` pointers and
+/// no tuple; a genuine write to a shared instance copies the one chunk it
+/// lands in (`O(log |R|)` to find it, at most two chunks when an underfull
+/// chunk merges with its neighbour), never the relation; dropping a version
+/// frees only the chunks it did not share.
+///
+/// A relation also owns its lazily built [`InternedSnapshot`] (see
+/// [`crate::snapshot_of`]): unmutated clones share the one cell, a mutation
+/// gives the mutated instance an empty cell of its own.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
-    tuples: Arc<BTreeSet<Tuple>>,
+    tuples: Chunks,
     epoch: u64,
     /// Present only between `begin_delta_tracking` / `end_delta_tracking`:
     /// the net write set accumulated since tracking began.
     tracking: Option<Box<DeltaState>>,
+    /// The interned snapshot of exactly these contents, once someone asked
+    /// for it.  Shared by unmutated clones, replaced on mutation.
+    snapshot: Arc<OnceLock<Arc<InternedSnapshot>>>,
 }
 
 #[derive(Debug, Clone)]
@@ -66,9 +222,10 @@ impl Relation {
     pub fn empty(schema: RelationSchema) -> Self {
         Relation {
             schema,
-            tuples: Arc::new(BTreeSet::new()),
+            tuples: Chunks::default(),
             epoch: fresh_epoch(),
             tracking: None,
+            snapshot: Arc::default(),
         }
     }
 
@@ -103,12 +260,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.tuples.len
     }
 
     /// True if the instance is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.tuples.len == 0
     }
 
     /// Insert a tuple; returns `true` if it was not already present.
@@ -116,9 +273,9 @@ impl Relation {
         self.check_arity(&tuple)?;
         // The membership test comes first so a no-op insert neither copies
         // shared storage nor re-stamps the epoch.
-        if self.tuples.contains(&tuple) {
+        let (chunk, Err(pos)) = self.tuples.locate(&tuple) else {
             return Ok(false);
-        }
+        };
         if let Some(state) = self.tracking.as_deref_mut() {
             // An insert that undoes a tracked removal cancels out: the net
             // delta always satisfies inserted = new∖old, removed = old∖new.
@@ -126,25 +283,35 @@ impl Relation {
                 state.delta.inserted.insert(tuple.clone());
             }
         }
-        Arc::make_mut(&mut self.tuples).insert(tuple);
-        self.epoch = fresh_epoch();
+        self.tuples.insert_at(chunk, pos, tuple);
+        self.contents_changed();
         Ok(true)
     }
 
     /// Remove a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         self.check_arity(tuple)?;
-        if !self.tuples.contains(tuple) {
+        let (chunk, Ok(pos)) = self.tuples.locate(tuple) else {
             return Ok(false);
-        }
+        };
         if let Some(state) = self.tracking.as_deref_mut() {
             if !state.delta.inserted.remove(tuple) {
                 state.delta.removed.insert(tuple.clone());
             }
         }
-        Arc::make_mut(&mut self.tuples).remove(tuple);
-        self.epoch = fresh_epoch();
+        self.tuples.remove_at(chunk, pos);
+        self.contents_changed();
         Ok(true)
+    }
+
+    /// Re-stamp the epoch and detach from the snapshot of the old contents
+    /// (clones of the old version keep theirs).
+    fn contents_changed(&mut self) {
+        self.epoch = fresh_epoch();
+        match Arc::get_mut(&mut self.snapshot) {
+            Some(cell) => drop(cell.take()),
+            None => self.snapshot = Arc::default(),
+        }
     }
 
     fn check_arity(&self, tuple: &Tuple) -> Result<()> {
@@ -184,18 +351,56 @@ impl Relation {
         self.tracking.as_deref().map(|s| (s.base_epoch, &s.delta))
     }
 
-    /// Restore a previously issued epoch.  Only sound when the caller can
-    /// prove the contents are identical to what they were under that epoch —
-    /// e.g. after a tracked mutation whose net delta came out empty.
-    pub(crate) fn restore_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+    /// Become `previous` again — its epoch, its storage, its snapshot — with
+    /// tracking off.  Only sound when the caller can prove the contents are
+    /// identical to `previous`'s, e.g. after a tracked mutation whose net
+    /// delta came out empty; re-sharing the storage also frees whatever
+    /// chunks the cancelled writes forked.
+    pub(crate) fn revert_to(&mut self, previous: &Relation) {
+        *self = previous.clone();
+        self.tracking = None;
     }
 
-    /// True when `self` and `other` share the same underlying tuple storage
-    /// (copy-on-write has not forked them apart).  Shared storage implies
-    /// identical contents; the converse does not hold.
+    /// True when `self` and `other` are the very same storage: every chunk
+    /// pointer-equal (copy-on-write has not forked a single one apart).
+    /// Shared storage implies identical contents; the converse does not
+    /// hold.  `O(#chunks)`, no tuple is compared.
     pub fn shares_storage(&self, other: &Relation) -> bool {
-        Arc::ptr_eq(&self.tuples, &other.tuples)
+        self.tuples.same_chunks(&other.tuples)
+    }
+
+    /// Number of storage chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.tuples.chunks.len()
+    }
+
+    /// How many of this relation's chunks are the same allocation as a
+    /// chunk of `other` — [`Relation::shares_storage`] generalised to
+    /// partial sharing: `chunk_count() - shared_chunks(&previous)` is the
+    /// number of chunks the writes since `previous` forked or created.
+    pub fn shared_chunks(&self, other: &Relation) -> usize {
+        let theirs: HashSet<*const Vec<Tuple>> =
+            other.tuples.chunks.iter().map(Arc::as_ptr).collect();
+        let shared = |c: &&Chunk| theirs.contains(&Arc::as_ptr(c));
+        self.tuples.chunks.iter().filter(shared).count()
+    }
+
+    /// The cell holding this version's interned snapshot.
+    pub(crate) fn snapshot_cell(&self) -> &OnceLock<Arc<InternedSnapshot>> {
+        &self.snapshot
+    }
+
+    /// True when this version's interned snapshot has been built (or carried
+    /// over from its predecessor) — nothing builds one until a consumer
+    /// calls [`crate::snapshot_of`].
+    pub fn has_snapshot(&self) -> bool {
+        self.snapshot.get().is_some()
+    }
+
+    /// A fresh epoch over unchanged contents and storage.
+    #[cfg(test)]
+    pub(crate) fn restamp(&mut self) {
+        self.epoch = fresh_epoch();
     }
 
     /// Insert a tuple built from values convertible into [`Value`].
@@ -205,11 +410,11 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.contains(tuple)
+        self.tuples.locate(tuple).1.is_ok()
     }
 
     /// Iterate over tuples in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
+    pub fn iter(&self) -> Iter<'_> {
         self.tuples.iter()
     }
 
@@ -217,7 +422,7 @@ impl Relation {
     pub fn project(&self, attributes: &[&str]) -> Result<Vec<Tuple>> {
         let positions = self.schema.positions(attributes)?;
         let mut out = BTreeSet::new();
-        for t in self.tuples.iter() {
+        for t in self.iter() {
             out.insert(t.project(&positions));
         }
         Ok(out.into_iter().collect())
@@ -227,22 +432,21 @@ impl Relation {
     /// positions.  Linear scan; the indexed access path lives in
     /// [`crate::index::AccessIndex`].
     pub fn select_eq(&self, positions: &[usize], key: &[Value]) -> Vec<&Tuple> {
-        self.tuples
-            .iter()
+        self.iter()
             .filter(|t| positions.iter().zip(key).all(|(&p, v)| &t[p] == v))
             .collect()
     }
 
     /// Distinct values of the attribute at `position`.
     pub fn distinct_values(&self, position: usize) -> BTreeSet<Value> {
-        self.tuples.iter().map(|t| t[position].clone()).collect()
+        self.iter().map(|t| t[position].clone()).collect()
     }
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} [{} tuples]", self.schema, self.tuples.len())?;
-        for t in self.tuples.iter() {
+        writeln!(f, "{} [{} tuples]", self.schema, self.len())?;
+        for t in self.iter() {
             writeln!(f, "  {t}")?;
         }
         Ok(())
@@ -251,9 +455,9 @@ impl fmt::Display for Relation {
 
 impl<'a> IntoIterator for &'a Relation {
     type Item = &'a Tuple;
-    type IntoIter = std::collections::btree_set::Iter<'a, Tuple>;
+    type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.tuples.iter()
+        self.iter()
     }
 }
 
@@ -399,6 +603,85 @@ mod tests {
         assert!(!r.shares_storage(&c));
         assert_eq!(r.len(), 3);
         assert_eq!(c.len(), 4);
+    }
+
+    fn numbers(values: impl IntoIterator<Item = i64>) -> Relation {
+        let schema = RelationSchema::new("n", &["v"]).unwrap();
+        Relation::from_tuples(schema, values.into_iter().map(|v| tuple![v])).unwrap()
+    }
+
+    /// Chunks are sorted, non-empty, within bounds, and add up to `len`.
+    fn check_chunks(r: &Relation) {
+        let chunks = &r.tuples.chunks;
+        assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK_MAX));
+        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), r.len());
+        assert!(r.iter().zip(r.iter().skip(1)).all(|(a, b)| a < b));
+        assert_eq!(r.iter().len(), r.len());
+    }
+
+    #[test]
+    fn equality_compares_contents_not_chunk_layout() {
+        // Ascending loads fill chunks completely, descending loads split
+        // them in half: same set, different chunk boundaries.
+        let up = numbers(0..3000);
+        let down = numbers((0..3000).rev());
+        assert_ne!(up.chunk_count(), down.chunk_count());
+        assert_eq!(up.shared_chunks(&down), 0);
+        assert_eq!(up, down);
+        assert!(up.iter().eq(down.iter()));
+        let mut other = down.clone();
+        other.remove(&tuple![1500]).unwrap();
+        other.insert(tuple![9999]).unwrap();
+        assert_eq!(other.len(), up.len());
+        assert_ne!(up, other);
+    }
+
+    #[test]
+    fn chunk_edges_split_merge_and_empty_out() {
+        let mut r = numbers((0..2 * CHUNK_MAX as i64).map(|v| v * 2));
+        assert_eq!(r.chunk_count(), 2, "a sorted load fills its chunks");
+        // Past the full last chunk: a new chunk.  Then on both sides of the
+        // inner boundary, into full chunks: two splits.  Then before the
+        // first tuple, into a chunk with room.
+        let edge = 2 * CHUNK_MAX as i64;
+        for (v, chunks) in [(2 * edge, 3), (edge - 1, 4), (edge + 1, 5), (-1, 5)] {
+            assert!(r.insert(tuple![v]).unwrap());
+            assert!(r.contains(&tuple![v]));
+            check_chunks(&r);
+            assert_eq!(r.chunk_count(), chunks, "after inserting {v}");
+        }
+        // Drain from the front: chunks underflow, merge, and disappear.
+        let all: Vec<Tuple> = r.iter().cloned().collect();
+        let mut most = 0;
+        for (i, t) in all.iter().enumerate() {
+            assert!(r.remove(t).unwrap());
+            assert!(!r.contains(t));
+            assert_eq!(r.len(), all.len() - i - 1);
+            check_chunks(&r);
+            most = most.max(r.chunk_count());
+        }
+        assert!(most <= 5, "removals never add chunks");
+        assert!(r.is_empty() && r.chunk_count() == 0 && r.iter().next().is_none());
+        // An emptied relation takes inserts again.
+        assert!(r.insert(tuple![7]).unwrap());
+        assert_eq!(r.iter().collect::<Vec<_>>(), [&tuple![7]]);
+    }
+
+    #[test]
+    fn a_write_forks_only_the_chunk_it_lands_in() {
+        let base = numbers((0..20_000).map(|v| v * 2));
+        let frozen: Vec<Tuple> = base.iter().cloned().collect();
+        let mut next = base.clone();
+        assert_eq!(next.shared_chunks(&base), base.chunk_count());
+        next.insert(tuple![10_001]).unwrap();
+        assert!(!next.shares_storage(&base));
+        assert!(next.chunk_count() - next.shared_chunks(&base) <= 2, "split");
+        next.remove(&tuple![30_000]).unwrap();
+        assert!(next.chunk_count() - next.shared_chunks(&base) <= 4);
+        // The predecessor reads exactly as before.
+        assert!(base.iter().eq(frozen.iter()));
+        assert!(!base.contains(&tuple![10_001]) && base.contains(&tuple![30_000]));
+        check_chunks(&next);
     }
 
     #[test]

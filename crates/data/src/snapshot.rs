@@ -1,31 +1,34 @@
-//! Interned, immutable relation snapshots, shared process-wide per epoch.
+//! Interned, immutable relation snapshots, owned by the relation version
+//! they freeze.
 //!
 //! An [`InternedSnapshot`] freezes one relation epoch as a flat, row-major
 //! `Vec<ValueId>` (see [`crate::intern`]) plus its [`RelationStats`].  It is
 //! the storage format the slot-based homomorphism engine executes over: the
 //! inner search loop touches only dense `u32` ids, never `Value`s.
 //!
-//! Snapshots are **shared across [`crate::IndexCache`] instances** through a
-//! process-global registry keyed by relation epoch and holding `Weak`
-//! references: two caches (or two threads) snapshotting the same unmutated
-//! relation receive the same `Arc`, so the tuple data and statistics are
-//! interned and materialised exactly once per epoch.  The registry piggybacks
-//! on the epoch discipline of [`crate::Relation`] for invalidation: a mutated
-//! relation presents a fresh epoch, its old snapshot entry simply goes stale
-//! and is swept out once the last cache drops its `Arc`.
+//! Every [`Relation`] owns a cell for the snapshot of its contents, filled
+//! on the first [`snapshot_of`] call and shared by unmutated clones: any
+//! number of [`crate::IndexCache`]s, threads and data versions holding the
+//! same relation version receive the same `Arc`, so the tuple data and
+//! statistics are interned exactly once per epoch.  A mutation gives the
+//! mutated instance an empty cell; the old snapshot lives exactly as long
+//! as some clone of the old version (or a consumer's `Arc`) does.  Nothing
+//! is built for a relation no one snapshots — a fact table reached only
+//! through its access indexes never pays for one.
 //!
 //! Successive epochs of the same relation need not rebuild from scratch:
 //! given the predecessor snapshot and the exact [`RelationDelta`] of the
-//! mutation, [`patched_snapshot_of`] derives the successor in `O(|Δ|)` by
-//! patching the flat row array and the occurrence-count statistics in place
-//! — the write-path counterpart of `AccessIndex::with_delta`.
+//! mutation, [`patched_snapshot_of`] derives the successor by copying the
+//! predecessor's flat id array and occurrence counts and patching the delta
+//! in — `O(|R|)` id copies but only `O(|Δ|)` interning and hashing, against
+//! the `O(|R| · arity)` of a cold build.
 
 use crate::delta::RelationDelta;
 use crate::intern::ValueId;
 use crate::relation::Relation;
 use crate::stats::RelationStats;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 /// An immutable, interned copy of one relation epoch.  Rows appear in
 /// deterministic *first-seen* order: a from-scratch build interns in the
@@ -83,12 +86,17 @@ impl InternedSnapshot {
     }
 
     /// The successor snapshot for `relation = predecessor + delta`, built by
-    /// patching this snapshot instead of re-interning `|R|` tuples: removed
-    /// rows are filtered out of the flat row array, interned inserted rows
-    /// are appended (in their sorted delta order), and the per-position
+    /// patching a copy of this snapshot instead of re-interning `|R|` tuples:
+    /// removed rows are filtered out of the flat row array, interned inserted
+    /// rows are appended (in their sorted delta order), and the per-position
     /// occurrence counts — and through them the [`RelationStats`] distinct
-    /// counts — are adjusted incrementally.  Only the `O(|Δ| · arity)`
-    /// delta values are interned; the surviving rows are copied as ids.
+    /// counts — are adjusted incrementally.
+    ///
+    /// Cost: only the `O(|Δ| · arity)` delta values are interned, but the
+    /// copy is `O(|R|)` — the id array is memcpy'd (or, with removals,
+    /// re-scanned row by row against the hashed removed set) and the
+    /// occurrence maps are cloned.  That is paid only for relations whose
+    /// predecessor snapshot someone built (see [`patched_snapshot_of`]).
     ///
     /// Returns `None` when the inputs do not reconcile (the delta applied
     /// to this snapshot does not yield exactly `relation`'s cardinality, a
@@ -207,70 +215,6 @@ impl InternedSnapshot {
     pub fn batch(&self, range: std::ops::Range<usize>) -> &[ValueId] {
         &self.data[range.start * self.arity..range.end * self.arity]
     }
-
-    /// Split the snapshot into at most `shards` contiguous, near-equal row
-    /// ranges — [`shard_ranges`] packaged as borrowing views for data-layer
-    /// consumers (the snapshot is `Send + Sync`, so shards can be handed to
-    /// scoped threads).  The plan executor in `bqr-plan` drives the same
-    /// partition through [`shard_ranges`] directly; either way the ranges
-    /// depend only on `(len, shards)`, so evaluations that merge shard
-    /// outputs in shard order are deterministic.
-    pub fn shards(&self, shards: usize) -> Vec<SnapshotShard<'_>> {
-        shard_ranges(self.rows, shards)
-            .into_iter()
-            .map(|(start, end)| SnapshotShard {
-                snapshot: self,
-                start: start as u32,
-                end: end as u32,
-            })
-            .collect()
-    }
-}
-
-/// A contiguous row range of an [`InternedSnapshot`].
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotShard<'a> {
-    snapshot: &'a InternedSnapshot,
-    start: u32,
-    end: u32,
-}
-
-impl<'a> SnapshotShard<'a> {
-    /// Number of rows in the shard.
-    pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    /// True when the shard holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// The shard's `[start, end)` row range within the snapshot.
-    pub fn row_range(&self) -> (u32, u32) {
-        (self.start, self.end)
-    }
-
-    /// Iterate over the shard's rows (slices into the snapshot).
-    pub fn rows(&self) -> impl Iterator<Item = &'a [ValueId]> + '_ {
-        let snapshot = self.snapshot;
-        (self.start..self.end).map(move |i| snapshot.row(i))
-    }
-
-    /// The shard's flat row-major data.
-    pub fn data(&self) -> &'a [ValueId] {
-        let arity = self.snapshot.arity;
-        &self.snapshot.data[self.start as usize * arity..self.end as usize * arity]
-    }
-
-    /// The shard's rows in fixed-size batches of at most `batch_rows` rows,
-    /// each a flat row-major slice — the unit vectorised kernels consume.
-    /// Concatenating the batches in order reproduces [`SnapshotShard::data`],
-    /// so batch-at-a-time evaluation preserves the deterministic row order.
-    pub fn batches(&self, batch_rows: usize) -> impl Iterator<Item = &'a [ValueId]> + '_ {
-        let arity = self.snapshot.arity.max(1);
-        self.data().chunks(batch_rows.max(1) * arity)
-    }
 }
 
 /// Split `rows` into at most `shards` contiguous, near-equal `[start, end)`
@@ -292,47 +236,34 @@ pub fn shard_ranges(rows: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Registry of live snapshots, keyed by epoch.  `Weak` entries keep the
-/// registry from pinning snapshots nobody uses; the sweep below bounds the
-/// dead-entry backlog.
-static REGISTRY: OnceLock<Mutex<HashMap<u64, Weak<InternedSnapshot>>>> = OnceLock::new();
-
-/// Sweep threshold: when the registry holds this many entries, dead `Weak`s
-/// are dropped before inserting the next snapshot.
-const SWEEP_AT: usize = 1024;
-
-/// The shared snapshot of `relation`'s current epoch, building (and
-/// registering) it on first request.  All callers — every [`crate::IndexCache`]
-/// on every thread — receive the same `Arc` for the same epoch.
-///
-/// The registry lock is never held across a build: the `O(|R| · arity)`
-/// interning work happens unlocked, so a thread looking up an
-/// already-registered snapshot never waits behind another thread's build.
-/// Two threads racing to build the same epoch both do the work; the loser's
-/// copy is discarded in favour of the registered one, which is benign (the
-/// builds are content-identical) and keeps `Arc::ptr_eq` sharing intact.
+/// The shared snapshot of `relation`'s current contents, built on first
+/// request and kept in the relation's own cell: every caller — every
+/// [`crate::IndexCache`] on every thread, through any unmutated clone —
+/// receives the same `Arc`.  Concurrent first requests build once; the
+/// others wait for that build.
 pub fn snapshot_of(relation: &Relation) -> Arc<InternedSnapshot> {
-    if let Some(live) = lookup(relation.epoch()) {
-        return live;
-    }
+    Arc::clone(relation.snapshot_cell().get_or_init(|| build(relation)))
+}
+
+fn build(relation: &Relation) -> Arc<InternedSnapshot> {
     // Interning is infallible, so this failpoint is panic-only: an injected
-    // `Error` kind also surfaces as a panic here, outside the registry lock.
+    // `Error` kind also surfaces as a panic here (the cell stays empty).
     if let Err(e) = crate::faults::check(crate::faults::sites::SNAPSHOT_INTERN) {
         panic!("{e}");
     }
-    register(
-        relation.epoch(),
-        Arc::new(InternedSnapshot::build(relation)),
-    )
+    Arc::new(InternedSnapshot::build(relation))
 }
 
-/// The shared snapshot of `relation`'s current epoch, built by patching
-/// `prev` — the snapshot of the predecessor contents — with the exact
-/// `delta` separating the two versions: `O(|Δ|)` interning instead of the
-/// `O(|R| · arity)` re-intern of a cold [`snapshot_of`].  The patched
-/// snapshot is registered like any other, so lazily interning siblings
-/// (per-maintenance index caches, concurrent sessions) receive the same
-/// `Arc` and the epoch stays content-precise.
+/// The shared snapshot of `relation`'s current contents, built — unless the
+/// relation already holds one — by patching `prev`, the snapshot of the
+/// predecessor contents, with the exact `delta` separating the two
+/// versions ([`InternedSnapshot::apply_delta`]: `O(|Δ|)` interning on top of
+/// an `O(|R|)` id copy, instead of the `O(|R| · arity)` re-intern of a cold
+/// [`snapshot_of`]).  The result lands in the relation's cell like any
+/// other, so every later [`snapshot_of`] serves the same `Arc`.
+/// [`crate::IndexedDatabase::apply_delta`] calls this for exactly the
+/// touched relations whose predecessor snapshot exists: a relation nobody
+/// snapshots is never patched either.
 ///
 /// Falls back to the from-scratch build — identical contents, identical
 /// statistics — whenever the patch cannot be applied: inconsistent inputs,
@@ -342,63 +273,15 @@ pub fn patched_snapshot_of(
     prev: &InternedSnapshot,
     delta: &RelationDelta,
 ) -> Arc<InternedSnapshot> {
-    if let Some(live) = lookup(relation.epoch()) {
-        return live;
-    }
-    if crate::faults::check(crate::faults::sites::SNAPSHOT_PATCH).is_err() {
-        return snapshot_of(relation);
-    }
-    match prev.apply_delta(relation, delta) {
-        Some(patched) => register(relation.epoch(), Arc::new(patched)),
-        None => snapshot_of(relation),
-    }
-}
-
-/// The live registered snapshot for `epoch`, if any.
-fn lookup(epoch: u64) -> Option<Arc<InternedSnapshot>> {
-    REGISTRY
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&epoch)
-        .and_then(Weak::upgrade)
-}
-
-/// Register `built` under `epoch` with the standard double-check: a racing
-/// registration wins (keeping `Arc::ptr_eq` sharing intact), and dead
-/// `Weak` entries are swept once the registry crosses [`SWEEP_AT`].
-fn register(epoch: u64, built: Arc<InternedSnapshot>) -> Arc<InternedSnapshot> {
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = registry
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(live) = map.get(&epoch).and_then(Weak::upgrade) {
-        return live;
-    }
-    if map.len() >= SWEEP_AT {
-        map.retain(|_, w| w.strong_count() > 0);
-    }
-    map.insert(epoch, Arc::downgrade(&built));
-    built
-}
-
-/// The epochs whose snapshots are currently live (registered and still held
-/// by at least one `Arc`), in ascending order.  Introspection for cache
-/// diagnostics and tests: a *warm* epoch appears here, so a prepared-plan
-/// executor about to re-use a pipeline can tell whether its view snapshots
-/// are still shared or would have to be re-interned (the cold-path cost
-/// tracked in ROADMAP).  Dead `Weak` entries are not reported (nor swept).
-pub fn live_snapshot_epochs() -> Vec<u64> {
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut live: Vec<u64> = registry
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .filter(|(_, w)| w.strong_count() > 0)
-        .map(|(&epoch, _)| epoch)
-        .collect();
-    live.sort_unstable();
-    live
+    Arc::clone(relation.snapshot_cell().get_or_init(|| {
+        if crate::faults::check(crate::faults::sites::SNAPSHOT_PATCH).is_err() {
+            return build(relation);
+        }
+        match prev.apply_delta(relation, delta) {
+            Some(patched) => Arc::new(patched),
+            None => build(relation),
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -451,16 +334,23 @@ mod tests {
     }
 
     #[test]
-    fn dropped_snapshots_are_rebuilt_on_demand() {
+    fn snapshot_lives_exactly_as_long_as_its_relation_version() {
         let r = rating();
+        assert!(!r.has_snapshot(), "nothing is built until someone asks");
         let first = snapshot_of(&r);
-        let epoch = first.epoch();
+        let weak = Arc::downgrade(&first);
         drop(first);
-        // The registry only holds a Weak: after the last Arc is gone the
-        // snapshot is rebuilt (fresh allocation) for the same epoch.
-        let again = snapshot_of(&r);
-        assert_eq!(again.epoch(), epoch);
-        assert_eq!(again.len(), 3);
+        // The relation version owns its snapshot: a consumer dropping its
+        // handle frees nothing, and the next request is the same object.
+        assert!(r.has_snapshot());
+        assert!(Arc::ptr_eq(&snapshot_of(&r), &weak.upgrade().unwrap()));
+        // A mutated clone starts cold; the old version keeps its snapshot.
+        let mut next = r.clone();
+        next.insert(tuple![4, 4]).unwrap();
+        assert!(!next.has_snapshot() && r.has_snapshot());
+        // The snapshot dies with the last clone of its version.
+        drop(r);
+        assert!(weak.upgrade().is_none(), "freed with its relation version");
     }
 
     /// Mutate `rel` under delta tracking and return the recorded delta.
@@ -533,12 +423,15 @@ mod tests {
         let patched = patched_snapshot_of(&r, &before, &delta);
         assert_eq!(patched.epoch(), r.epoch());
         assert_eq!(patched.len(), 4);
-        // Siblings resolving the same epoch share the patched Arc.
-        let again = snapshot_of(&r);
+        // Siblings resolving the same version share the patched Arc.
+        let again = snapshot_of(&r.clone());
         assert!(Arc::ptr_eq(&patched, &again));
-        // A repeat request for the same epoch never re-patches.
+        // A repeat request for the same version never re-patches.
         let fresh = patched_snapshot_of(&r, &before, &RelationDelta::default());
-        assert!(Arc::ptr_eq(&fresh, &patched), "registry hit short-circuits");
+        assert!(
+            Arc::ptr_eq(&fresh, &patched),
+            "a filled cell short-circuits"
+        );
     }
 
     #[test]
@@ -564,60 +457,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_shards_cover_every_row() {
-        let r = rating();
-        let snap = snapshot_of(&r);
-        assert_eq!(snap.id_rows().len(), snap.len() * snap.arity());
-        let shards = snap.shards(2);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards.iter().map(SnapshotShard::len).sum::<usize>(), 3);
-        assert!(!shards[0].is_empty());
-        assert_eq!(shards[0].row_range().0, 0);
-        // Concatenating shard data in shard order reproduces the snapshot.
-        let mut data = Vec::new();
-        let mut rows = 0usize;
-        for s in &shards {
-            data.extend_from_slice(s.data());
-            rows += s.rows().count();
-        }
-        assert_eq!(data, snap.id_rows());
-        assert_eq!(rows, snap.len());
-        // More shards than rows: one shard per row.
-        assert_eq!(snap.shards(16).len(), 3);
-    }
-
-    #[test]
     fn batch_views_tile_the_snapshot() {
         let r = rating();
         let snap = snapshot_of(&r);
         assert_eq!(snap.batch(0..3), snap.id_rows());
         assert_eq!(snap.batch(1..2), snap.row(1));
         assert!(snap.batch(2..2).is_empty());
-        // Shard batches of 2 rows: concatenation reproduces the shard data.
-        let shards = snap.shards(1);
-        let batches: Vec<_> = shards[0].batches(2).collect();
-        assert_eq!(batches.len(), 2, "3 rows in batches of 2");
-        assert_eq!(batches[0].len(), 4);
-        assert_eq!(batches[1].len(), 2);
-        let joined: Vec<_> = batches.concat();
-        assert_eq!(joined, shards[0].data());
-    }
-
-    #[test]
-    fn live_epochs_track_snapshot_lifetimes() {
-        let r = rating();
-        let epoch = r.epoch();
-        assert!(
-            !live_snapshot_epochs().contains(&epoch),
-            "nothing snapshotted this epoch yet"
-        );
-        let snap = snapshot_of(&r);
-        assert!(live_snapshot_epochs().contains(&epoch), "live while held");
-        drop(snap);
-        assert!(
-            !live_snapshot_epochs().contains(&epoch),
-            "dead once the last Arc is gone"
-        );
     }
 
     #[test]

@@ -83,8 +83,9 @@ impl<T: IntoQuery + Clone> IntoQuery for &T {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceMode {
     /// Maintain view extents semi-naively from the captured write delta and
-    /// patch/share access indexes per relation — `O(|Δ|)` for exact deltas.
-    /// Untouched relations and unchanged extents keep their epochs, so only
+    /// patch/share access indexes per relation — for exact deltas, work in
+    /// `|Δ|` plus per-chunk and per-shard pointer copies (the complexities
+    /// are spelled out on [`Engine::mutate`]).  Untouched relations and unchanged extents keep their epochs, so only
     /// pipelines reading a changed input are invalidated.
     #[default]
     Delta,
@@ -369,11 +370,15 @@ impl Engine {
 
     /// Mutate the current instance through a closure and publish the result
     /// as a fresh version.  The closure sees a copy-on-write clone of the
-    /// live instance (no per-relation copying until its first genuine
-    /// write), and its per-relation write delta is captured as it runs;
-    /// under the default [`MaintenanceMode::Delta`] the next version is then
-    /// built in `O(|Δ|)`: view extents are maintained semi-naively, access
-    /// indexes are patched or shared per relation, and only the relations
+    /// live instance (`O(#chunks)` pointer copies; a write copies the one
+    /// ≤ 512-tuple chunk it lands in), and its per-relation write delta is
+    /// captured as it runs; under the default [`MaintenanceMode::Delta`] the
+    /// next version is then built without an `O(|R|)` step for any relation
+    /// reached only through its access indexes: view extents are maintained
+    /// semi-naively, access indexes are patched shard by shard or shared
+    /// whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per touched
+    /// index), and only a touched relation whose interned snapshot someone
+    /// built pays an `O(|R|)` id copy to carry it forward.  Only the relations
     /// (and view extents) whose contents actually changed get fresh epochs —
     /// so a write to relation `R` invalidates exactly the cached pipelines
     /// whose epoch vector mentions `R`.  A closure whose net delta is empty
@@ -393,8 +398,8 @@ impl Engine {
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> bqr_data::Result<R>) -> Result<R> {
         let _serialised = self.writers.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner));
-        // O(#relations), not O(|D|): relations share tuple storage with the
-        // live version until the closure's first genuine write forks them.
+        // O(#chunks), not O(|D|): relations share tuple storage with the
+        // live version; a genuine write forks the chunk it lands in.
         let mut db = prev.database().clone();
         db.begin_delta_tracking();
         // Contain closure panics: `db` is a scratch clone, so abandoning it
@@ -464,11 +469,9 @@ impl Engine {
         let mut outcomes = Vec::new();
         for f in closures {
             // Checkpoint before each closure: an O(|Δ|) capture of the
-            // tracked write state, NOT a `Database::clone` — a clone would
-            // keep every tuple `Arc` shared, forcing the closure's first
-            // write to copy the whole relation and costing the batch its
-            // one-publish advantage.  A failing closure's writes are undone
-            // by inverse operations; if that closure also replaced a
+            // tracked write state, NOT an O(#chunks) `Database::clone` per
+            // closure.  A failing closure's writes are undone by inverse
+            // operations; if that closure also replaced a
             // relation wholesale (history lost, not invertible), the whole
             // batch fails and nothing is published.
             let checkpoint = db.delta_checkpoint();

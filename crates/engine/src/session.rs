@@ -42,10 +42,10 @@ impl DataVersion {
         delta: &bqr_data::DeltaLog,
         setting: &RewritingSetting,
     ) -> Result<DataVersion> {
-        // Indexes and snapshots first: `apply_delta` anchors the patched
-        // per-relation snapshots in the process-global registry, so the
-        // residual evaluations inside `maintain` resolve every relation —
-        // touched or not — to a warm snapshot instead of re-interning it.
+        // Indexes and snapshots first: `apply_delta` patches the snapshot of
+        // every touched relation that had one into its successor, so the
+        // residual evaluations inside `maintain` find the relations views
+        // read warm — touched or not — instead of re-interning them.
         let idb = prev.idb.apply_delta(db, delta)?;
         let views = bqr_query::maintain::maintain(
             &setting.views,

@@ -97,7 +97,20 @@
 //! cost is proportional to the *delta*, not the database.  The relation
 //! mutators record the net write set (inserts and removes cancel; a
 //! do-undo closure leaves no trace), and version construction dispatches on
-//! what the delta looks like, per relation and per view:
+//! what the delta looks like, per relation and per view.  What each step
+//! costs, for a relation `R` with `G` index groups of at most `N` entries
+//! (chunks hold ≤ 512 tuples, indexes have 256 shards):
+//!
+//! | step | cost |
+//! |---|---|
+//! | clone the instance for the closure | `O(#chunks)` pointer copies, no tuple |
+//! | one `insert` / `remove` | `O(log \|R\|)` to find the chunk, one chunk copied on its first write (two when chunks merge) |
+//! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
+//! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)` |
+//! | its id-native sibling, if built | same shape; re-interns only the touched groups (`≤ N · arity` values each) |
+//! | snapshot of a relation **someone snapshotted** (views read it) | `O(\|R\|)` id memcpy + `O(\|Δ\|)` interning |
+//! | snapshot of a relation nobody snapshotted (a fact table behind `fetch`) | nothing — it is never built |
+//! | CQ / UCQ view extents | semi-naive in the delta, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
 //!   `remove`): CQ view extents are maintained semi-naively (insertions
@@ -106,22 +119,28 @@
 //!   disjunct** — an untouched disjunct keeps its extent without any
 //!   evaluation, and the union extent is patched from the disjunct changes,
 //!   with a cross-disjunct check so a tuple one disjunct lost survives
-//!   while another still derives it — and each touched relation's interned
-//!   snapshot is **patched in place** from its predecessor
-//!   ([`data::patched_snapshot_of`]): surviving rows keep their slots,
-//!   insertions are appended, and the per-position distinct counts are
-//!   adjusted incrementally, all in `O(|Δ|)`.
+//!   while another still derives it.  A relation owns the interned snapshot
+//!   of its contents; when a touched relation's predecessor has one, the
+//!   successor's is **patched** from it ([`data::patched_snapshot_of`]):
+//!   surviving rows keep their order, insertions are appended, and the
+//!   per-position distinct counts are adjusted incrementally — only the
+//!   delta is interned, though the id array itself is copied.
 //! * **Access indexes patch under exact deltas** — inserts *and* removals:
-//!   `O(#groups)` `Arc` clones plus the forked groups the delta lands in,
-//!   instead of a rebuild.  Each group entry carries a per-projection
-//!   *source multiplicity*, so a removed tuple decrements its entry and the
-//!   entry only disappears when no source tuple supports it any more.
+//!   the group map is cut into shards by the hash of the key, a successor
+//!   shares every shard its delta does not land in, and groups are kept in
+//!   sorted order so a patched index is bit-identical to a rebuilt one.
+//!   Each group entry carries a per-projection *source multiplicity*, so a
+//!   removed tuple decrements its entry and the entry only disappears when
+//!   no source tuple supports it any more.  A delta that does not fit the
+//!   index it is applied to is a typed error inside the data layer and
+//!   rebuilds that one index.
 //! * **Wholesale replacement** (the closure *assigned* a relation, losing
 //!   tracking): the delta degrades to "unknown" for that relation —
 //!   affected views re-materialise (reusing the previous extent object when
 //!   the contents come out unchanged), its index and snapshot rebuild.
-//!   Replacing a relation with equal contents is detected cheaply (shared
-//!   storage or equal-length compare) and short-circuits to a no-op.
+//!   Replacing a relation with equal contents is detected (unequal lengths
+//!   and pointer-equal storage answer without comparing a tuple) and
+//!   short-circuits to a no-op.
 //! * **Non-CQ FO views** always re-materialise — only CQ/UCQ definitions
 //!   have a sound semi-naive path.
 //!

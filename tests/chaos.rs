@@ -7,7 +7,7 @@
 //! registry is process-global, so every test serialises on [`CHAOS`].
 
 use bqr::data::faults::{self, sites, FaultKind};
-use bqr::data::{tuple, DataError, Database};
+use bqr::data::{tuple, DataError, Database, Tuple};
 use bqr::plan::ExecOptions;
 use bqr::query::parser::parse_cq;
 use bqr::workload::movies::{self, MovieScale};
@@ -490,7 +490,7 @@ fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
         assert_eq!(a.execute("fig1").unwrap(), b.execute("fig1").unwrap());
     };
 
-    // Warm both engines' snapshot anchors so the patch path is live.
+    // One ordinary write on both engines first.
     for engine in [&faulty, &clean] {
         engine
             .mutate(|db| db.insert("rating", tuple![800, 1]).map(drop))
@@ -512,12 +512,14 @@ fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
     clean.mutate(mutation).unwrap();
     agree(&faulty, &clean);
 
-    // Panic at the site: contained by the engine, nothing published.
+    // Panic at the site: contained by the engine, nothing published.  The
+    // write must touch a relation some view reads (`like`, under V1): only
+    // those hold a snapshot, so only those are ever patched.
     let before = faulty.database();
     let epochs = faulty.session().epochs();
     faults::inject_times(sites::SNAPSHOT_PATCH, FaultKind::Panic, 1);
     let err = faulty
-        .mutate(|db| db.insert("rating", tuple![801, 2]))
+        .mutate(|db| db.insert("like", tuple![1, 801, "page"]))
         .unwrap_err();
     assert!(matches!(err, Error::MutationPanicked { .. }), "{err:?}");
     assert_eq!(faulty.database(), before, "no partial commit");
@@ -528,7 +530,7 @@ fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
     assert!(!faults::is_active(sites::SNAPSHOT_PATCH));
     for engine in [&faulty, &clean] {
         engine
-            .mutate(|db| db.insert("rating", tuple![801, 2]).map(drop))
+            .mutate(|db| db.insert("like", tuple![1, 801, "page"]).map(drop))
             .unwrap();
     }
     agree(&faulty, &clean);
@@ -608,6 +610,82 @@ fn pinned_sessions_never_observe_a_half_applied_delta() {
         vec![tuple![10]]
     );
     assert!(!faults::is_active(sites::VIEW_MAINTAIN));
+}
+
+/// ISSUE 13: versions share storage chunk by chunk and index shard by
+/// shard, so a write that dies half-way — after its closure forked chunks,
+/// inside index patching, inside snapshot patching, inside maintenance —
+/// must publish nothing *and* leave the version it forked from reading
+/// exactly as before, through a session pinned before the write.
+#[test]
+fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
+    let _chaos = chaos_lock();
+    let engine = fig1_engine();
+    // Several storage chunks of ratings, keys in most index shards.
+    engine
+        .mutate(|db| {
+            for mid in 1_000..4_000i64 {
+                db.insert("rating", tuple![mid, mid % 5])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    let pinned = engine.session();
+    let contents = |db: &Database| -> Vec<Vec<Tuple>> {
+        db.relations()
+            .map(|r| r.iter().cloned().collect())
+            .collect()
+    };
+    let (before, epochs) = (contents(pinned.database()), pinned.epochs());
+    let golden = pinned.execute("fig1").unwrap();
+    assert!(pinned.database().relation("rating").unwrap().chunk_count() > 4);
+
+    // Writes landing in different chunks and shards, removals included.
+    let write = |db: &mut Database| {
+        for mid in [1_001i64, 2_500, 3_999] {
+            db.remove("rating", &tuple![mid, mid % 5])?;
+            db.insert("rating", tuple![mid, 9])?;
+        }
+        db.insert("like", tuple![1, 12, "movie"]).map(drop)
+    };
+    for (site, kind) in [
+        (sites::INDEX_BUILD, FaultKind::Error),
+        (sites::INDEX_BUILD, FaultKind::Panic),
+        (sites::SNAPSHOT_PATCH, FaultKind::Panic),
+        (sites::VIEW_MAINTAIN, FaultKind::Error),
+    ] {
+        faults::inject_times(site, kind, 1);
+        assert!(engine.mutate(write).is_err(), "{site} {kind:?}");
+        assert!(!faults::is_active(site), "{site} was reached");
+        let live = engine.session();
+        assert_eq!(live.epochs(), epochs, "{site}: something was published");
+        for (a, b) in live
+            .database()
+            .relations()
+            .zip(pinned.database().relations())
+        {
+            assert!(a.shares_storage(b), "{site}: `{}` was forked", a.name());
+        }
+        assert_eq!(contents(pinned.database()), before, "{site}");
+        assert_eq!(pinned.execute("fig1").unwrap(), golden, "{site}");
+    }
+
+    // A patch that degrades (Error) still commits — and still only into the
+    // successor: the pinned predecessor keeps every tuple it had.
+    {
+        let _fp = faults::inject_guard(sites::SNAPSHOT_PATCH, FaultKind::Error);
+        engine.mutate(write).unwrap();
+    }
+    let live = engine.session();
+    assert_ne!(live.epochs(), epochs);
+    assert!(live
+        .database()
+        .relation("rating")
+        .unwrap()
+        .contains(&tuple![2_500, 9]));
+    assert_eq!(contents(pinned.database()), before);
+    assert_eq!(pinned.execute("fig1").unwrap(), golden);
+    assert_eq!(pinned.epochs(), epochs, "the pin moved");
 }
 
 // ---------------------------------------------------------------------------

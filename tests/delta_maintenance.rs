@@ -403,8 +403,57 @@ fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
         .contains(&tuple![10]));
 }
 
+/// Closures that replace a relation wholesale with the same contents —
+/// the very same storage, storage cut into different chunks, or a fresh
+/// empty instance over an empty one — lose their write history but must
+/// still publish nothing: no epoch moves, no cached pipeline is invalidated.
+#[test]
+fn replacing_a_relation_with_equal_contents_publishes_nothing() {
+    use bqr::data::Relation;
+
+    let engine = engine(MaintenanceMode::Delta);
+    let mut db = Database::empty(movies::schema());
+    db.insert("movie", tuple![10, "Lucy", "Universal", "2014"])
+        .unwrap();
+    // Enough ratings for several storage chunks; `like` stays empty.
+    for mid in 0..3_000i64 {
+        db.insert("rating", tuple![mid, mid % 5]).unwrap();
+    }
+    assert!(db.relation("rating").unwrap().chunk_count() > 4);
+    engine.attach(db).unwrap();
+    engine.execute("qxi").unwrap();
+    let epochs = engine.session().epochs();
+    let misses = engine.cache_stats().misses;
+
+    type Replace = fn(&Relation) -> Relation;
+    let replacements: [(&str, Replace); 3] = [
+        // Shared storage: every chunk pointer-equal, nothing to compare.
+        ("rating", |r| r.clone()),
+        // Same set, loaded in reverse: other chunk boundaries.
+        ("rating", |r| {
+            let tuples: Vec<Tuple> = r.iter().cloned().collect();
+            Relation::from_tuples(r.schema().clone(), tuples.into_iter().rev()).unwrap()
+        }),
+        // A new empty instance (a fresh epoch) over an empty relation.
+        ("like", |r| Relation::empty(r.schema().clone())),
+    ];
+    for (name, replace) in replacements {
+        engine
+            .mutate(|db| {
+                let replacement = replace(db.relation(name).unwrap());
+                assert_eq!(replacement.len(), db.relation(name).unwrap().len());
+                *db.relation_mut(name)? = replacement;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(engine.session().epochs(), epochs, "`{name}` was re-stamped");
+    }
+    engine.execute("qxi").unwrap();
+    assert_eq!(engine.cache_stats().misses, misses, "nothing recompiled");
+}
+
 /// Differential check of in-place snapshot patching: after every exact-delta
-/// mutation, the registered [`InternedSnapshot`] of every relation must
+/// mutation, the [`InternedSnapshot`] every relation carries must
 /// agree with a from-scratch recomputation — same rows (as a set), same
 /// per-position distinct counts — and keep the *first-seen* row order:
 /// surviving predecessor rows first (in predecessor order), insertions
@@ -422,10 +471,11 @@ fn patched_snapshots_match_from_scratch_recomputation() {
             db.insert(rel, random_tuple(&mut rng, rel)).unwrap();
         }
         engine.attach(db).unwrap();
-        // One warmup write anchors every relation's snapshot in the indexed
-        // database; from here on, exact deltas take the patch path.  The
-        // tuple lies outside `random_tuple`'s domain so the insert can never
-        // be a (publish-eliding) no-op.
+        // `order_of` snapshots every relation of the version it looks at, so
+        // every exact delta from here on takes the patch path; the warmup
+        // write makes the first such version one the engine built itself.
+        // The tuple lies outside `random_tuple`'s domain so the insert can
+        // never be a (publish-eliding) no-op.
         engine
             .mutate(|db| db.insert("rating", tuple![999, 1]).map(drop))
             .unwrap();

@@ -1,0 +1,324 @@
+//! Differential harness for the structurally shared storage (ISSUE 13).
+//!
+//! A relation spanning several storage chunks, indexed by constraints whose
+//! groups span many shards, is driven through random write sequences —
+//! inserts, removals of live and of absent tuples, do-undo pairs, whole-group
+//! removals, multi-relation closures.  After every write the successor
+//! version built by `IndexedDatabase::apply_delta` must read **bit for bit**
+//! like an `IndexedDatabase::build` over freshly stored copies of the same
+//! contents: iteration order, every probe (tuples *and* group order),
+//! `fetch_ids`/`fetch_ids_batch` rows and `FetchStats`, the index statistics,
+//! source multiplicities, and — wherever a snapshot exists — its rows and
+//! statistics.  And the predecessor version must still read exactly as it
+//! did before the write: copy-on-write may share, never leak.
+//!
+//! Half the steps leave the successor's id-native side cold, so both the
+//! patched-from-warm and the stays-lazy paths are walked.
+
+use bqr::data::{
+    snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
+    IndexedDatabase, Relation, RelationStats, Tuple, Value, ValueId,
+};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+/// `fact` keys: 650 of them, four tuples each — five or more chunks, and
+/// groups in most of the 256 shards.
+const KEYS: i64 = 650;
+const DAYS: i64 = 40;
+
+fn schema() -> DatabaseSchema {
+    DatabaseSchema::with_relations(&[("fact", &["k", "d", "v"]), ("dim", &["k", "name"])]).unwrap()
+}
+
+fn access() -> AccessSchema {
+    AccessSchema::new(vec![
+        AccessConstraint::new("fact", &["k"], &["d", "v"], 64).unwrap(),
+        // Projects `v` away and lists `d` before `k`: several source tuples
+        // per group entry, and a group order that is not the relation's.
+        AccessConstraint::new("fact", &["d"], &["k"], 1000).unwrap(),
+        AccessConstraint::new("dim", &["k"], &["name"], 4).unwrap(),
+    ])
+}
+
+/// The contents of a version, kept outside the storage under test.
+type Model = BTreeMap<&'static str, BTreeSet<Tuple>>;
+
+fn base_model() -> Model {
+    let mut model = Model::new();
+    let fact = model.entry("fact").or_default();
+    for k in 0..KEYS {
+        for j in 0..4 {
+            fact.insert(tuple![k, (k + 7 * j) % DAYS, j]);
+        }
+    }
+    let dim = model.entry("dim").or_default();
+    for k in 0..60 {
+        dim.insert(tuple![k, format!("n{k}")]);
+    }
+    model
+}
+
+/// A database over storage of its own: every tuple inserted afresh.
+fn store(model: &Model) -> Database {
+    let mut db = Database::empty(schema());
+    for (name, tuples) in model {
+        let rel = schema().relation(name).unwrap().clone();
+        *db.relation_mut(name).unwrap() =
+            Relation::from_tuples(rel, tuples.iter().cloned()).unwrap();
+    }
+    db
+}
+
+fn base() -> &'static (Model, IndexedDatabase) {
+    static BASE: OnceLock<(Model, IndexedDatabase)> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let model = base_model();
+        let idb = IndexedDatabase::build(store(&model), access()).unwrap();
+        assert!(idb.database().relation("fact").unwrap().chunk_count() >= 4);
+        (model, idb)
+    })
+}
+
+/// Everything a reader can see of one index through `Value` keys.
+#[derive(Debug, PartialEq)]
+struct IndexView {
+    distinct_keys: usize,
+    max_group_size: usize,
+    /// Per probed key: the group in order, and each entry's multiplicity.
+    groups: Vec<(Vec<Tuple>, Vec<u32>)>,
+}
+
+/// …and through interned keys.
+#[derive(Debug, PartialEq)]
+struct IdView {
+    counters: (usize, usize, usize),
+    scalar: (Vec<ValueId>, FetchStats),
+    batch: (Vec<ValueId>, FetchStats),
+}
+
+#[derive(Debug, PartialEq)]
+struct Observation {
+    relations: Vec<Vec<Tuple>>,
+    indexes: Vec<IndexView>,
+    ids: Option<Vec<IdView>>,
+}
+
+/// The keys probed on the `idx`-th index: every key any version can hold,
+/// and some none does.
+fn probe_keys(idx: usize) -> Vec<Vec<Value>> {
+    let range = [0..KEYS + 30, 0..DAYS + 5, 0..70][idx].clone();
+    range.map(|k| vec![Value::int(k)]).collect()
+}
+
+fn observe(idb: &IndexedDatabase, with_ids: bool) -> Observation {
+    let relations = idb
+        .database()
+        .relations()
+        .map(|r| r.iter().cloned().collect())
+        .collect();
+    let indexes = (0..3)
+        .map(|i| {
+            let index = idb.index(i).unwrap();
+            let groups = probe_keys(i)
+                .iter()
+                .map(|key| {
+                    let rows = index.probe(key).to_vec();
+                    let sources = rows
+                        .iter()
+                        .map(|r| index.source_multiplicity(key, r))
+                        .collect();
+                    (rows, sources)
+                })
+                .collect();
+            IndexView {
+                distinct_keys: index.distinct_keys(),
+                max_group_size: index.max_group_size(),
+                groups,
+            }
+        })
+        .collect();
+    let ids = with_ids.then(|| {
+        (0..3)
+            .map(|i| {
+                let keys: Vec<ValueId> = probe_keys(i)
+                    .iter()
+                    .map(|k| ValueId::intern(&k[0]))
+                    .collect();
+                let mut scalar = (Vec::new(), FetchStats::new());
+                for key in &keys {
+                    let (rows, _) = idb.fetch_ids(i, &[*key], &mut scalar.1).unwrap();
+                    scalar.0.extend_from_slice(rows);
+                }
+                let mut batch = (Vec::new(), FetchStats::new());
+                idb.fetch_ids_batch(i, &keys, keys.len(), &mut batch.0, &mut batch.1)
+                    .unwrap();
+                let interned = idb.interned_access_index(i).unwrap();
+                IdView {
+                    counters: (
+                        interned.distinct_keys(),
+                        interned.total_rows(),
+                        interned.avg_group_len(),
+                    ),
+                    scalar,
+                    batch,
+                }
+            })
+            .collect()
+    });
+    Observation {
+        relations,
+        indexes,
+        ids,
+    }
+}
+
+/// Wherever `idb` holds a snapshot, it is the relation: same rows, and
+/// statistics equal to a recount.  Returns which relations hold one.
+fn check_snapshots(idb: &IndexedDatabase) -> Vec<bool> {
+    idb.database()
+        .relations()
+        .map(|rel| {
+            if !rel.has_snapshot() {
+                return false;
+            }
+            let snap = snapshot_of(rel);
+            assert_eq!(snap.epoch(), rel.epoch());
+            let rows: BTreeSet<Tuple> = (0..snap.len() as u32)
+                .map(|i| snap.row(i).iter().map(|id| id.value()).collect())
+                .collect();
+            assert!(
+                rows.iter().eq(rel.iter()),
+                "snapshot rows of {}",
+                rel.name()
+            );
+            assert_eq!(rows.len(), snap.len(), "no duplicate rows");
+            assert_eq!(
+                *snap.stats(),
+                RelationStats::of_rows(snap.len(), snap.arity(), snap.id_rows())
+            );
+            true
+        })
+        .collect()
+}
+
+/// One generated write: `(kind, a, b, c)`, decoded against the live model.
+type Op = (u32, i64, i64, i64);
+
+fn apply(op: Op, db: &mut Database, model: &mut Model) {
+    let (kind, a, b, c) = op;
+    let insert = |db: &mut Database, model: &mut Model, rel: &'static str, t: Tuple| {
+        let fresh = db.insert(rel, t.clone()).unwrap();
+        assert_eq!(fresh, model.get_mut(rel).unwrap().insert(t));
+    };
+    let remove = |db: &mut Database, model: &mut Model, rel: &'static str, t: &Tuple| {
+        let present = db.remove(rel, t).unwrap();
+        assert_eq!(present, model.get_mut(rel).unwrap().remove(t));
+    };
+    match kind {
+        // A random fact: new key, new entry of a live group, or a duplicate.
+        0 | 1 => insert(db, model, "fact", tuple![a % (KEYS + 20), b % DAYS, c % 5]),
+        // A live fact, by rank.
+        2 | 3 => {
+            let live = &model["fact"];
+            let victim = live.iter().nth(a as usize % live.len().max(1)).cloned();
+            if let Some(t) = victim {
+                remove(db, model, "fact", &t);
+            }
+        }
+        // A fact that is (almost surely) absent.
+        4 => remove(db, model, "fact", &tuple![a, b + DAYS, c]),
+        // Do and undo.
+        5 => {
+            let t = tuple![a % KEYS, DAYS + 1, 99];
+            insert(db, model, "fact", t.clone());
+            remove(db, model, "fact", &t);
+        }
+        // A whole group: its last entry goes, and the key with it.
+        6 => {
+            let key = Value::int(a % KEYS);
+            let group: Vec<Tuple> = model["fact"]
+                .iter()
+                .filter(|t| t[0] == key)
+                .cloned()
+                .collect();
+            for t in &group {
+                remove(db, model, "fact", t);
+            }
+        }
+        // Both relations in one closure.
+        _ => {
+            insert(db, model, "dim", tuple![a % 70, format!("n{}", b % 3)]);
+            insert(db, model, "fact", tuple![a % KEYS, b % DAYS, 7]);
+            let live = &model["dim"];
+            let victim = live.iter().nth(c as usize % live.len().max(1)).cloned();
+            if let Some(t) = victim {
+                remove(db, model, "dim", &t);
+            }
+        }
+    }
+}
+
+fn steps() -> impl Strategy<Value = Vec<(Vec<Op>, bool)>> {
+    let op = (0u32..8, 0i64..100_000, 0i64..1_000, 0i64..1_000);
+    let step = (prop::collection::vec(op, 1..5), 0u32..2);
+    prop::collection::vec(step, 1..6)
+        .prop_map(|steps| steps.into_iter().map(|(ops, w)| (ops, w == 1)).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn successors_read_like_rebuilds_and_predecessors_like_before(script in steps()) {
+        let (model, idb) = base();
+        let (mut model, mut current) = (model.clone(), idb.clone());
+        let mut expected = observe(&IndexedDatabase::build(store(&model), access()).unwrap(), true);
+        for (ops, touch_ids) in script {
+            let cold_indexes: Vec<bool> = (0..3)
+                .map(|i| current.index(i).unwrap().interned_if_built().is_none())
+                .collect();
+            let snapshots_before = check_snapshots(&current);
+
+            let mut next = current.database().clone();
+            next.begin_delta_tracking();
+            for op in ops {
+                apply(op, &mut next, &mut model);
+            }
+            let log = next.take_delta(current.database());
+            let successor = current.apply_delta(next, &log).unwrap();
+
+            // A cold id-native sibling stays cold (nothing re-interns
+            // behind the write's back), a warm one is carried or patched.
+            for (i, cold) in cold_indexes.iter().enumerate() {
+                let built = successor.index(i).unwrap().interned_if_built().is_some();
+                prop_assert_eq!(built, !cold, "index {} after the write", i);
+            }
+            // Snapshots likewise: exactly the relations that had one.
+            prop_assert_eq!(&check_snapshots(&successor), &snapshots_before);
+
+            let oracle = IndexedDatabase::build(store(&model), access()).unwrap();
+            let mut oracle_view = observe(&oracle, true);
+            if !touch_ids {
+                oracle_view.ids = None;
+            }
+            prop_assert_eq!(&observe(&successor, touch_ids), &oracle_view);
+            prop_assert_eq!(successor.database(), oracle.database());
+            if touch_ids {
+                // Snapshot them too, so the next write has some to patch.
+                successor.database().relations().for_each(|r| drop(snapshot_of(r)));
+                check_snapshots(&successor);
+            }
+
+            // The predecessor still reads as it did before the write (its
+            // id-native side, if cold, is built now — over shards it shares
+            // with the successor).
+            prop_assert_eq!(&observe(&current, true), &expected);
+            check_snapshots(&current);
+
+            expected = observe(&oracle, true);
+            current = successor;
+        }
+    }
+}
