@@ -25,7 +25,7 @@
 //! client threads submitting, waiting, and resubmitting), plus the CDR write
 //! burst (`Engine::mutate_batch` vs serial `mutate`).  It writes
 //! `BENCH_serve.json` (`BENCH_SERVE_JSON` to override) and **exits non-zero**
-//! when p99 exceeds 10× p50 on a warm prepared read-only row, or when the
+//! when a row's p99 exceeds its absolute gate (`p99_gate_us`), or when the
 //! batched write burst is not ≥ 2× faster than serial single-mutate commits.
 
 use bqr_bench::{checker_with_annotations, compare, plan_for, prepare};
@@ -303,9 +303,9 @@ fn plan_executor() {
 
 /// `serve` — the closed-loop serving harness: three concurrent-client
 /// workloads over `bqr-server` plus the CDR write burst.  Emits
-/// `BENCH_serve.json` and fails (exit 1) when a warm prepared read-only
-/// row's p99 exceeds [`serve_bench::SERVE_P99_MAX_RATIO`]× its p50, or when
-/// the batched write burst is not
+/// `BENCH_serve.json` and fails (exit 1) when a row's p99 exceeds its
+/// `p99_gate_us` (see [`serve_bench::CDR_MIXED_P99_GATE_US`]), or when the
+/// batched write burst is not
 /// [`serve_bench::BATCHED_WRITE_MIN_SPEEDUP`]× faster than serial commits.
 fn serve_front() {
     use bqr_bench::serve_bench;
@@ -325,11 +325,11 @@ fn serve_front() {
         "p50-us",
         "p99-us",
         "max-us",
-        "p99/p50"
+        "p99-gate"
     );
     for r in &results {
         println!(
-            "{:<22} {:>7} {:>9} {:>7} {:>10} {:>11.0} {:>8} {:>8} {:>8} {:>8.1}x",
+            "{:<22} {:>7} {:>9} {:>7} {:>10} {:>11.0} {:>8} {:>8} {:>8} {:>9}",
             r.name,
             r.clients,
             r.requests,
@@ -339,7 +339,7 @@ fn serve_front() {
             r.p50_us,
             r.p99_us,
             r.max_us,
-            r.tail_ratio()
+            r.p99_gate_us
         );
     }
     println!(
@@ -356,13 +356,10 @@ fn serve_front() {
     println!("wrote {path}");
 
     for r in &results {
-        if r.gated && r.tail_ratio() > serve_bench::SERVE_P99_MAX_RATIO {
+        if r.p99_us > r.p99_gate_us {
             eprintln!(
-                "REGRESSION: p99 latency ({} us) exceeds {}x p50 ({} us) on the warm prepared read workload {}",
-                r.p99_us,
-                serve_bench::SERVE_P99_MAX_RATIO,
-                r.p50_us,
-                r.name
+                "REGRESSION: p99 latency ({} us) exceeds its gate ({} us) on the serving workload {}",
+                r.p99_us, r.p99_gate_us, r.name
             );
             std::process::exit(1);
         }

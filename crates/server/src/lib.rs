@@ -15,23 +15,28 @@
 //!   still run under the engine's guard limits
 //!   ([`ServerConfig::options`]), so deadlines and row/fetch budgets trip
 //!   cooperatively inside the pipeline.
-//! * **Read coalescing**: requests for the same prepared statement within
-//!   [`ServerConfig::batch_window`] share **one** pipeline execution —
-//!   whose fetch operators dedup probe keys and drive
-//!   `InternedAccessIndex::probe_batch` in one vectorised pass — and every
-//!   request receives that execution's exact tuples and
-//!   [`FetchStats`](bqr_data::FetchStats), bit-identical to an unbatched
-//!   [`Session`](bqr_engine::Session) execution on the same version.
-//! * **Write batching**: mutation closures arriving within the window are
-//!   applied through [`Engine::mutate_batch`](bqr_engine::Engine::mutate_batch)
-//!   in a single delta-tracked version publish, amortising the
-//!   copy-on-write fork, index/snapshot patching and view maintenance over
-//!   the burst, with per-closure isolation inside the batch.
+//! * **Read coalescing**, with no window to wait out: a read that finds its
+//!   statement idle is executed at once; reads for the same prepared
+//!   statement that arrive while an execution of it is in flight or queued
+//!   share the next **one** pipeline execution — whose fetch operators
+//!   dedup probe keys and drive `InternedAccessIndex::probe_batch` in one
+//!   vectorised pass — and every request receives that execution's exact
+//!   tuples and [`FetchStats`](bqr_data::FetchStats), bit-identical to an
+//!   unbatched [`Session`](bqr_engine::Session) execution on the same
+//!   version.  Batches are size one when the server is idle and grow
+//!   exactly when it is busy.
+//! * **Write batching** (group commit): mutation closures that arrive
+//!   while the previous publish runs are applied together, in arrival
+//!   order, through
+//!   [`Engine::mutate_batch`](bqr_engine::Engine::mutate_batch) in a single
+//!   delta-tracked version publish, amortising the copy-on-write fork,
+//!   index/snapshot patching and view maintenance over the burst, with
+//!   per-closure isolation inside the batch.
 //! * **Dual sync/async entry**: [`Server::execute`]/[`Server::mutate`]
 //!   block; [`Server::submit`]/[`Server::submit_mutate`] return a
-//!   [`Pending`] that is a plain `Future`, driven by the crate's
-//!   hand-rolled executor (task queue + waker slots + worker pool — the
-//!   container is offline, so no tokio) or any foreign runtime.
+//!   [`Pending`] that is a plain `Future`, pollable from any runtime.
+//!   Either way the work runs on the server's own worker pool (a job
+//!   queue, a condvar and a few threads); `execute` is `submit(..).wait()`.
 //!
 //! Failure injection: the serving front exposes two failpoint sites
 //! (`bqr_data::faults::sites::{SERVER_ACCEPT, BATCH_FLUSH}`).  An injected
@@ -43,7 +48,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod error;
-mod executor;
+mod pool;
 mod server;
 mod slot;
 mod stats;
@@ -53,13 +58,25 @@ pub use server::{Response, Server, ServerConfig};
 pub use slot::Pending;
 pub use stats::ServerStats;
 
+/// Lock `mutex`, recovering the guard if a panicking thread poisoned it:
+/// every critical section in this crate leaves its data valid at each step.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bqr_data::tuple;
     use bqr_engine::Engine;
     use bqr_workload::movies;
-    use std::time::Duration;
+    use std::future::Future;
+    use std::pin::pin;
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::task::{Context, Poll, Wake, Waker};
 
     const Q_XI: &str = "Q(mid) :- movie(mid, ym, 'Universal', '2014'), V1(mid), rating(mid, 5)";
 
@@ -75,17 +92,50 @@ mod tests {
         Server::with_config(engine, config)
     }
 
-    fn tight_config() -> ServerConfig {
+    fn workers(workers: usize) -> ServerConfig {
         ServerConfig {
-            batch_window: Duration::from_micros(50),
-            workers: 2,
+            workers,
             ..ServerConfig::default()
+        }
+    }
+
+    /// Hold one pool worker inside a write closure until the returned
+    /// sender is used (or dropped).  Returns once the closure is running,
+    /// with the write's `Pending`.
+    fn hold_a_worker(server: &Server) -> (mpsc::Sender<()>, Pending<()>) {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let held = server.submit_mutate(move |_db| {
+            started_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+            Ok(())
+        });
+        started_rx.recv().unwrap();
+        (release_tx, held)
+    }
+
+    /// A minimal foreign executor: poll on this thread, park until woken.
+    fn block_on<F: Future>(future: F) -> F::Output {
+        struct Unpark(std::thread::Thread);
+        impl Wake for Unpark {
+            fn wake(self: Arc<Self>) {
+                self.0.unpark();
+            }
+        }
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        let mut cx = Context::from_waker(&waker);
+        let mut future = pin!(future);
+        loop {
+            if let Poll::Ready(output) = future.as_mut().poll(&mut cx) {
+                return output;
+            }
+            std::thread::park();
         }
     }
 
     #[test]
     fn serves_prepared_statements_bit_identically_to_sessions() {
-        let server = movie_server(tight_config());
+        let server = movie_server(workers(2));
         let cost = server.prepare("fig1", Q_XI).unwrap();
         assert!(cost >= 1, "fetch-bound cost class");
         assert_eq!(server.cost_class("fig1"), Some(cost));
@@ -93,10 +143,9 @@ mod tests {
         let direct = server.engine().session().execute("fig1").unwrap();
         let served = server.execute("fig1").unwrap();
         assert_eq!(served.output, direct, "tuples AND FetchStats");
-        assert!(served.coalesced >= 1);
+        assert_eq!(served.coalesced, 1, "an idle server flushes a lone request");
 
-        // Async entry: same slot machinery, polled to completion here via
-        // the blocking wait of a second submission.
+        // The async entry's blocking adapter: same slot, same answer.
         let pending = server.submit("fig1");
         assert_eq!(pending.wait().unwrap().output, direct);
 
@@ -105,13 +154,48 @@ mod tests {
         assert_eq!(stats.admitted, 2);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.rejected, 0);
-        assert!(stats.read_batches >= 1);
+        assert_eq!((stats.read_batches, stats.coalesced_reads), (2, 0));
         assert!(stats.p50_us <= stats.p99_us && stats.p99_us <= stats.max_us);
+    }
+
+    /// The async entry driven by a foreign executor: reads and writes
+    /// resolve to exactly what the blocking entry returns, and a write's
+    /// effect is visible to a read submitted after its future resolved.
+    #[test]
+    fn pendings_resolve_under_a_foreign_executor() {
+        let server = movie_server(workers(2));
+        server.prepare("fig1", Q_XI).unwrap();
+        server
+            .prepare("ranks", "Q(r) :- rating(424242, r)")
+            .unwrap();
+
+        let waited = server.execute("fig1").unwrap();
+        let polled = block_on(server.submit("fig1")).unwrap();
+        assert_eq!(polled, waited, "bit-identical to wait()");
+
+        assert!(server.execute("ranks").unwrap().output.tuples.is_empty());
+        block_on(server.submit_mutate(|db| db.insert("rating", tuple![424242, 3]).map(drop)))
+            .unwrap();
+        let after = block_on(async {
+            // Two in flight on one task, awaited in turn.
+            let (a, b) = (server.submit("ranks"), server.submit("ranks"));
+            (a.await.unwrap(), b.await.unwrap())
+        });
+        assert_eq!(after.0.output.tuples, vec![tuple![3]]);
+        assert_eq!(after.1.output, after.0.output);
+
+        // Typed failures travel the same channel.
+        match block_on(server.submit("no_such_statement")) {
+            Err(ServerError::UnknownStatement(name)) => assert_eq!(name, "no_such_statement"),
+            other => panic!("expected UnknownStatement, got {other:?}"),
+        }
+        let failed = block_on(server.submit_mutate(|db| db.insert("nowhere", tuple![1]).map(drop)));
+        assert!(matches!(failed, Err(ServerError::Engine(_))), "{failed:?}");
     }
 
     #[test]
     fn statements_registered_lazily_and_unknown_names_are_typed() {
-        let server = movie_server(tight_config());
+        let server = movie_server(workers(2));
         server.engine().prepare("fig1", Q_XI).unwrap();
         // Not registered on the server yet: first submission registers it.
         assert_eq!(server.cost_class("fig1"), None);
@@ -131,7 +215,7 @@ mod tests {
             // rejected, deterministically.
             max_outstanding_cost: 0,
             retry_after_ms: 7,
-            ..tight_config()
+            ..workers(2)
         };
         let server = movie_server(config);
         server.prepare("fig1", Q_XI).unwrap();
@@ -142,6 +226,8 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.admitted, 0);
+        // A rejection holds no slot: there is nothing to drain.
+        server.drain();
         // Writes don't consume fetch budget; they still go through.
         server
             .mutate(|db| db.insert("rating", tuple![999_999, 5]).map(drop))
@@ -150,7 +236,7 @@ mod tests {
 
     #[test]
     fn writes_batch_and_publish() {
-        let server = movie_server(tight_config());
+        let server = movie_server(workers(2));
         server.prepare("fig1", Q_XI).unwrap();
         let before = server.engine().database().size();
         let pendings: Vec<_> = (0..8)
@@ -167,28 +253,102 @@ mod tests {
         server.drain();
         let stats = server.stats();
         assert_eq!(stats.writes, 8);
-        assert!(stats.write_batches >= 1);
+        assert!((1..=8).contains(&stats.write_batches));
+    }
+
+    /// Single-flight batching, deterministically: with the only worker held
+    /// inside a publish, everything that arrives meanwhile — five reads of
+    /// one statement, three writes — is served by one flush each.
+    #[test]
+    fn requests_arriving_while_the_server_is_busy_share_one_flush() {
+        let server = movie_server(workers(1));
+        server.prepare("fig1", Q_XI).unwrap();
+        let golden = server.engine().session().execute("fig1").unwrap();
+
+        let (release, held) = hold_a_worker(&server);
+        let reads: Vec<_> = (0..5).map(|_| server.submit("fig1")).collect();
+        let writes: Vec<_> = (0..3)
+            .map(|i| {
+                server.submit_mutate(move |db| {
+                    db.insert("rating", tuple![3_000_000 + i, 1]).map(drop)
+                })
+            })
+            .collect();
+        release.send(()).unwrap();
+        held.wait().unwrap();
+        for read in reads {
+            let response = read.wait().unwrap();
+            assert_eq!(response.output, golden);
+            assert_eq!(response.coalesced, 5);
+        }
+        for write in writes {
+            write.wait().unwrap();
+        }
+        server.drain();
+        let stats = server.stats();
+        assert_eq!((stats.read_batches, stats.coalesced_reads), (1, 5));
+        assert_eq!((stats.write_batches, stats.writes), (2, 4));
+        assert_eq!(stats.completed, 9);
+    }
+
+    /// A flush job that panics outside its `catch_unwind`s — here in a
+    /// foreign waker, while fulfilling — must not strand its queue with
+    /// `scheduled` set and nothing scheduled: the next request is served.
+    #[test]
+    fn a_flush_job_that_panics_leaves_its_queue_serviceable() {
+        struct PanickingWaker;
+        impl Wake for PanickingWaker {
+            fn wake(self: Arc<Self>) {
+                panic!("waker panic (expected by this test)");
+            }
+        }
+
+        let server = movie_server(workers(1));
+        server.prepare("fig1", Q_XI).unwrap();
+        let golden = server.engine().session().execute("fig1").unwrap();
+
+        // Park the panicking waker before the flush can run.
+        let (release, held) = hold_a_worker(&server);
+        let mut doomed = pin!(server.submit("fig1"));
+        let waker = Waker::from(Arc::new(PanickingWaker));
+        assert!(doomed
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        release.send(()).unwrap();
+        held.wait().unwrap();
+
+        // The answer was stored before the waker ran …
+        assert_eq!(block_on(doomed).unwrap().output, golden);
+        // … and the statement's queue still serves, as do writes.
+        assert_eq!(server.execute("fig1").unwrap().output, golden);
+        server
+            .mutate(|db| db.insert("rating", tuple![999_998, 5]).map(drop))
+            .unwrap();
+        server.drain();
+        assert_eq!(server.stats().completed, 4);
     }
 
     #[test]
     fn dropping_the_server_fails_queued_work_with_typed_errors() {
-        let server = movie_server(ServerConfig {
-            // A long window so queued requests are still pending at drop.
-            batch_window: Duration::from_millis(300),
-            workers: 1,
-            ..ServerConfig::default()
-        });
+        let server = movie_server(workers(1));
         server.prepare("fig1", Q_XI).unwrap();
-        let golden = server.engine().session().execute("fig1").unwrap();
-        let pending = server.submit("fig1");
-        drop(server);
-        // Teardown either lets the in-flight flush finish (a full-fidelity
-        // answer) or fails the queued request with a typed error — it never
-        // hangs the waiter or hands back a partial answer.
-        match pending.wait() {
-            Ok(response) => assert_eq!(response.output, golden),
-            Err(ServerError::ShuttingDown) | Err(ServerError::Internal(_)) => {}
-            Err(other) => panic!("expected a typed teardown error, got {other:?}"),
-        }
+        // The single worker is inside a publish: the read and the second
+        // write stay queued.
+        let (release, held) = hold_a_worker(&server);
+        let read = server.submit("fig1");
+        let write = server.submit_mutate(|db| db.insert("rating", tuple![999_997, 5]).map(drop));
+        std::thread::scope(|scope| {
+            // Teardown fails the queued requests at once, then waits for
+            // the publish that is running.
+            scope.spawn(move || drop(server));
+            // The worker is still held, so only teardown can have answered
+            // these: typed errors, not hangs, and not partial answers.
+            assert_eq!(read.wait(), Err(ServerError::ShuttingDown));
+            assert_eq!(write.wait(), Err(ServerError::ShuttingDown));
+            release.send(()).unwrap();
+        });
+        // The publish that was in flight completed.
+        held.wait().unwrap();
     }
 }

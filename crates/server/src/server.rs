@@ -1,17 +1,18 @@
 //! The serving front: admission control, read coalescing, write batching.
 
 use crate::error::{ServerError, ServerResult};
-use crate::executor::Executor;
+use crate::lock;
+use crate::pool::Pool;
 use crate::slot::{ready, slot, Pending, Promise};
 use crate::stats::{Metrics, ServerStats};
 use bqr_data::{faults, Database};
-use bqr_engine::{Engine, IntoQuery};
+use bqr_engine::{Analysis, Engine, IntoQuery};
 use bqr_plan::{ExecOptions, ExecOutput};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Tuning knobs for a [`Server`].  The defaults suit the test and bench
 /// workloads; production embedders size them from their own SLOs.
@@ -26,11 +27,7 @@ pub struct ServerConfig {
     /// bound on how many tuples the plan can touch — so this budget caps
     /// worst-case outstanding I/O, not request count.
     pub max_outstanding_cost: usize,
-    /// How long a batch leader waits for same-statement stragglers before
-    /// flushing.  Zero flushes immediately (coalescing then only catches
-    /// requests that queued while a flush was already in flight).
-    pub batch_window: Duration,
-    /// Worker threads in the hand-rolled executor pool.
+    /// Worker threads in the pool that runs the flush jobs.
     pub workers: usize,
     /// Back-off hint attached to [`ServerError::Overloaded`].
     pub retry_after_ms: u64,
@@ -45,7 +42,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_concurrent: 1024,
             max_outstanding_cost: 1 << 20,
-            batch_window: Duration::from_micros(200),
             workers: 4,
             retry_after_ms: 1,
             options: ExecOptions::serial(),
@@ -65,15 +61,66 @@ pub struct Response {
     pub coalesced: usize,
 }
 
+/// A single-flight batching queue.  Requests accumulate in `pending`; at
+/// most one flush job per queue is queued or running (`scheduled`), and
+/// each job serves everything that accumulated before it started.  So a
+/// request arriving at an idle queue is flushed at once, alone, and
+/// requests arriving while a flush of their queue is in flight — or waiting
+/// behind other jobs — share the next one: batches grow exactly when the
+/// server is busy.
+struct Batcher<T> {
+    state: Mutex<BatcherState<T>>,
+}
+
+struct BatcherState<T> {
+    pending: Vec<T>,
+    scheduled: bool,
+}
+
+impl<T> Batcher<T> {
+    fn new() -> Self {
+        Batcher {
+            state: Mutex::new(BatcherState {
+                pending: Vec::new(),
+                scheduled: false,
+            }),
+        }
+    }
+
+    /// Queue `request`; `true` iff the caller must schedule the flush job.
+    fn push(&self, request: T) -> bool {
+        let mut state = lock(&self.state);
+        state.pending.push(request);
+        !std::mem::replace(&mut state.scheduled, true)
+    }
+
+    /// Everything queued so far, in arrival order.
+    fn take(&self) -> Vec<T> {
+        std::mem::take(&mut lock(&self.state).pending)
+    }
+
+    /// The end of a flush job's turn: `true` iff requests queued meanwhile
+    /// (`scheduled` stays set, the caller schedules the next job), else the
+    /// queue goes idle.
+    fn end_turn(&self) -> bool {
+        let mut state = lock(&self.state);
+        state.scheduled = !state.pending.is_empty();
+        state.scheduled
+    }
+}
+
 struct ReadRequest {
     promise: Promise<Response>,
     cost: usize,
     start: Instant,
 }
 
-struct ReadQueue {
+/// A statement's registry entry: its admission cost class (the plan's
+/// fetch bound) and its coalescing queue, found with one map lookup.
+struct Statement {
     name: Arc<str>,
-    pending: Mutex<Vec<ReadRequest>>,
+    cost: AtomicUsize,
+    reads: Batcher<ReadRequest>,
 }
 
 type WriteOp = Box<dyn FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static>;
@@ -87,35 +134,39 @@ struct WriteRequest {
 struct Inner {
     engine: Arc<Engine>,
     config: ServerConfig,
-    executor: Executor,
-    /// Per-statement coalescing queues, created on first submission.
-    reads: Mutex<HashMap<Arc<str>, Arc<ReadQueue>>>,
-    /// Per-statement admission cost classes (the plan's fetch bound).
-    costs: Mutex<HashMap<String, usize>>,
-    writes: Mutex<Vec<WriteRequest>>,
+    pool: Pool,
+    /// Registered statements; an entry is created by `prepare`/`register`
+    /// or lazily on first submission.
+    statements: Mutex<HashMap<Arc<str>, Arc<Statement>>>,
+    writes: Batcher<WriteRequest>,
     in_flight: AtomicUsize,
     outstanding_cost: AtomicUsize,
-    draining: AtomicBool,
+    /// Signalled, under `idle_lock`, when `in_flight` reaches zero.
+    idle: Condvar,
+    idle_lock: Mutex<()>,
     metrics: Metrics,
 }
 
 /// An async, batched serving front over one [`Engine`].
 ///
 /// The server multiplexes any number of logical client sessions over the
-/// engine's epoch-pinned snapshot machinery: reads for the same prepared
-/// statement arriving within [`ServerConfig::batch_window`] are coalesced
-/// into **one** pipeline execution (whose fetch operators already dedup
-/// probe keys and drive [`InternedAccessIndex::probe_batch`]
+/// engine's epoch-pinned snapshot machinery.  Batching is *natural*: there
+/// is no window to wait out.  A read that finds its statement idle is
+/// executed at once; reads for the same prepared statement that arrive
+/// while an execution of it is in flight or queued are coalesced into
+/// **one** pipeline execution (whose fetch operators already dedup probe
+/// keys and drive [`InternedAccessIndex::probe_batch`]
 /// (bqr_data::InternedAccessIndex::probe_batch) in one vectorised pass), and
 /// every coalesced request receives that execution's exact tuples and
-/// `FetchStats`.  Writes are coalesced into one
-/// [`Engine::mutate_batch`] publish.  Admission control rejects over-budget
-/// traffic with a typed [`ServerError::Overloaded`] before any work queues.
+/// `FetchStats`.  Writes that arrive while a publish runs are committed
+/// together by the next [`Engine::mutate_batch`] (group commit), in arrival
+/// order.  Admission control rejects over-budget traffic with a typed
+/// [`ServerError::Overloaded`] before any work queues.
 ///
 /// Entry points are dual sync/async: [`Server::execute`]/[`Server::mutate`]
 /// block, [`Server::submit`]/[`Server::submit_mutate`] return a
-/// [`Pending`] future servable by the built-in pool or any foreign
-/// executor.
+/// [`Pending`] that any executor can poll; either way the work runs on the
+/// server's own worker pool.
 pub struct Server {
     inner: Arc<Inner>,
 }
@@ -130,14 +181,14 @@ impl Server {
     pub fn with_config(engine: impl Into<Arc<Engine>>, config: ServerConfig) -> Self {
         let inner = Arc::new(Inner {
             engine: engine.into(),
-            executor: Executor::new(config.workers),
+            pool: Pool::new(config.workers),
             config,
-            reads: Mutex::new(HashMap::new()),
-            costs: Mutex::new(HashMap::new()),
-            writes: Mutex::new(Vec::new()),
+            statements: Mutex::new(HashMap::new()),
+            writes: Batcher::new(),
             in_flight: AtomicUsize::new(0),
             outstanding_cost: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
+            idle: Condvar::new(),
+            idle_lock: Mutex::new(()),
             metrics: Metrics::default(),
         });
         Server { inner }
@@ -159,13 +210,7 @@ impl Server {
     pub fn prepare<Q: IntoQuery>(&self, name: &str, query: Q) -> ServerResult<usize> {
         let analysis = self.inner.engine.analyze(query)?;
         self.inner.engine.prepare_from(name, &analysis)?;
-        let cost = analysis.fetch_bound().unwrap_or(1).max(1);
-        self.inner
-            .costs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.to_string(), cost);
-        Ok(cost)
+        Ok(self.inner.enrol(name, &analysis).cost())
     }
 
     /// Register an admission cost class for a statement already prepared on
@@ -173,77 +218,39 @@ impl Server {
     /// the cost class.  Statements submitted without prior registration are
     /// registered lazily on first use.
     pub fn register(&self, name: &str) -> ServerResult<usize> {
-        let statement = self
-            .inner
-            .engine
-            .statement(name)
-            .map_err(|_| ServerError::UnknownStatement(name.to_string()))?;
-        let analysis = self.inner.engine.analyze(statement.query().clone())?;
-        let cost = analysis.fetch_bound().unwrap_or(1).max(1);
-        self.inner
-            .costs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.to_string(), cost);
-        Ok(cost)
+        self.inner.register(name).map(|statement| statement.cost())
     }
 
     /// The registered admission cost class of `name`, if any.
     pub fn cost_class(&self, name: &str) -> Option<usize> {
-        self.inner
-            .costs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .copied()
+        self.inner.statement(name).map(|statement| statement.cost())
     }
 
     /// Submit a read of prepared statement `name` (async entry).  Admission
-    /// happens now — an overloaded or draining server yields an
-    /// already-fulfilled typed error — and the answer arrives through the
-    /// returned [`Pending`].
+    /// happens now — an overloaded server yields an already-fulfilled typed
+    /// error — and the answer arrives through the returned [`Pending`].
     pub fn submit(&self, name: &str) -> Pending<Response> {
-        let inner = &self.inner;
-        if inner.draining.load(Ordering::Acquire) {
-            return ready(Err(ServerError::ShuttingDown));
-        }
-        match accept_gate() {
-            Ok(()) => {}
-            Err(e) => {
-                inner.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return ready(Err(e));
-            }
-        }
-        let cost = match self.cost_class(name) {
-            Some(cost) => cost,
-            None => match self.register(name) {
-                Ok(cost) => cost,
-                Err(e) => return ready(Err(e)),
-            },
-        };
-        if let Err(e) = inner.admit(cost) {
-            return ready(Err(e));
-        }
-        let (promise, pending) = slot();
-        let queue = inner.read_queue(name);
-        let leader = {
-            let mut pending_reads = queue.pending.lock().unwrap_or_else(PoisonError::into_inner);
-            pending_reads.push(ReadRequest {
+        let admitted = || {
+            let inner = &self.inner;
+            inner.accept()?;
+            let statement = match inner.statement(name) {
+                Some(statement) => statement,
+                None => inner.register(name)?,
+            };
+            let cost = statement.cost();
+            inner.admit(cost)?;
+            let (promise, pending) = slot();
+            let request = ReadRequest {
                 promise,
                 cost,
                 start: Instant::now(),
-            });
-            pending_reads.len() == 1
+            };
+            if statement.reads.push(request) {
+                schedule(inner, Flush::Reads(statement));
+            }
+            Ok(pending)
         };
-        if leader {
-            let inner = Arc::clone(&self.inner);
-            let queue_for_task = Arc::clone(&queue);
-            self.inner.executor.spawn(async move {
-                flush_reads(&inner, &queue_for_task);
-            });
-        }
-        pending
+        admitted().unwrap_or_else(|e| ready(Err(e)))
     }
 
     /// Execute prepared statement `name` (sync entry): submit and block.
@@ -252,47 +259,31 @@ impl Server {
     }
 
     /// Submit a mutation closure (async entry).  The closure is applied —
-    /// together with every other write arriving within the batch window —
-    /// in a single [`Engine::mutate_batch`] version publish; its slot in
-    /// the batch is isolated (an erroring or panicking neighbour cannot
-    /// fail it) and its effect is visible to every read admitted after the
-    /// returned [`Pending`] resolves.
+    /// together with every other write that queued while the previous
+    /// publish ran — in a single [`Engine::mutate_batch`] version publish,
+    /// in arrival order; its slot in the batch is isolated (an erroring or
+    /// panicking neighbour cannot fail it) and its effect is visible to
+    /// every read admitted after the returned [`Pending`] resolves.
     pub fn submit_mutate<F>(&self, op: F) -> Pending<()>
     where
         F: FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static,
     {
-        let inner = &self.inner;
-        if inner.draining.load(Ordering::Acquire) {
-            return ready(Err(ServerError::ShuttingDown));
-        }
-        match accept_gate() {
-            Ok(()) => {}
-            Err(e) => {
-                inner.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                inner.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return ready(Err(e));
-            }
-        }
-        if let Err(e) = inner.admit(0) {
-            return ready(Err(e));
-        }
-        let (promise, pending) = slot();
-        let leader = {
-            let mut writes = inner.writes.lock().unwrap_or_else(PoisonError::into_inner);
-            writes.push(WriteRequest {
+        let admitted = || {
+            let inner = &self.inner;
+            inner.accept()?;
+            inner.admit(0)?;
+            let (promise, pending) = slot();
+            let request = WriteRequest {
                 op: Box::new(op),
                 promise,
                 start: Instant::now(),
-            });
-            writes.len() == 1
+            };
+            if inner.writes.push(request) {
+                schedule(inner, Flush::Writes);
+            }
+            Ok(pending)
         };
-        if leader {
-            let inner = Arc::clone(&self.inner);
-            self.inner.executor.spawn(async move {
-                flush_writes(&inner);
-            });
-        }
-        pending
+        admitted().unwrap_or_else(|e| ready(Err(e)))
     }
 
     /// Apply a mutation closure (sync entry): submit and block.
@@ -305,208 +296,256 @@ impl Server {
 
     /// Block until every admitted request has been fulfilled.
     pub fn drain(&self) {
-        while self.inner.in_flight.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_micros(200));
+        let inner = &self.inner;
+        let mut idle = lock(&inner.idle_lock);
+        while inner.in_flight.load(Ordering::Acquire) > 0 {
+            idle = inner
+                .idle
+                .wait(idle)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // Refuse new work, finish in-flight flushes, then fail anything
-        // still queued with a typed error — never leave a waiter hanging.
-        self.inner.draining.store(true, Ordering::Release);
-        self.inner.executor.shutdown();
-        let queues: Vec<Arc<ReadQueue>> = self
-            .inner
-            .reads
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .cloned()
-            .collect();
-        for queue in queues {
-            let orphans =
-                std::mem::take(&mut *queue.pending.lock().unwrap_or_else(PoisonError::into_inner));
-            for req in orphans {
-                self.inner.release(req.cost);
-                req.promise.fulfil(Err(ServerError::ShuttingDown));
+        // Stop the pool taking jobs, fail every request still in a queue
+        // with a typed error — never leave a waiter hanging — and wait for
+        // the flush jobs that were already running to serve theirs.
+        let inner = &self.inner;
+        inner.pool.close();
+        let statements: Vec<Arc<Statement>> = lock(&inner.statements).values().cloned().collect();
+        for statement in statements {
+            for request in statement.reads.take() {
+                inner.release(request.cost);
+                request.promise.fulfil(Err(ServerError::ShuttingDown));
             }
         }
-        let writes = std::mem::take(
-            &mut *self
-                .inner
-                .writes
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for req in writes {
-            self.inner.release(0);
-            req.promise.fulfil(Err(ServerError::ShuttingDown));
+        for request in inner.writes.take() {
+            inner.release(0);
+            request.promise.fulfil(Err(ServerError::ShuttingDown));
         }
+        inner.pool.join();
     }
 }
 
-/// The `SERVER_ACCEPT` failpoint, panic-contained: an injected fault sheds
-/// the submission with a typed error before anything queues.
-fn accept_gate() -> ServerResult<()> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        faults::check(faults::sites::SERVER_ACCEPT)
-    })) {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(e)) => Err(e.into()),
-        Err(_) => Err(ServerError::Internal(
-            "panic injected at server.accept".to_string(),
-        )),
+/// A failpoint check, panic-contained: `Ok(Err(_))` is an injected error,
+/// `Err(_)` an injected panic.
+fn failpoint(site: &'static str) -> std::thread::Result<bqr_data::Result<()>> {
+    catch_unwind(AssertUnwindSafe(|| faults::check(site)))
+}
+
+/// Run an engine call with a panic contained as a typed error.
+fn contained<T>(what: &str, call: impl FnOnce() -> bqr_engine::Result<T>) -> ServerResult<T> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(result) => result.map_err(ServerError::Engine),
+        Err(_) => Err(ServerError::Internal(format!("panic while {what}"))),
+    }
+}
+
+impl Statement {
+    fn cost(&self) -> usize {
+        // A plain number: it publishes no other data.
+        self.cost.load(Ordering::Relaxed)
     }
 }
 
 impl Inner {
+    fn statement(&self, name: &str) -> Option<Arc<Statement>> {
+        lock(&self.statements).get(name).cloned()
+    }
+
+    /// Create or update `name`'s registry entry from its analysis.
+    fn enrol(&self, name: &str, analysis: &Analysis) -> Arc<Statement> {
+        // The cost class: the plan's fetch bound `|D_ξ|`, at least 1.
+        let cost = analysis.fetch_bound().unwrap_or(1).max(1);
+        let mut statements = lock(&self.statements);
+        if let Some(statement) = statements.get(name) {
+            statement.cost.store(cost, Ordering::Relaxed);
+            return Arc::clone(statement);
+        }
+        let name: Arc<str> = Arc::from(name);
+        let statement = Arc::new(Statement {
+            name: Arc::clone(&name),
+            cost: AtomicUsize::new(cost),
+            reads: Batcher::new(),
+        });
+        statements.insert(name, Arc::clone(&statement));
+        statement
+    }
+
+    fn register(&self, name: &str) -> ServerResult<Arc<Statement>> {
+        let prepared = self
+            .engine
+            .statement(name)
+            .map_err(|_| ServerError::UnknownStatement(name.to_string()))?;
+        let analysis = self.engine.analyze(prepared.query().clone())?;
+        Ok(self.enrol(name, &analysis))
+    }
+
+    /// The `SERVER_ACCEPT` failpoint: an injected fault sheds the
+    /// submission with a typed error before anything queues.
+    fn accept(&self) -> ServerResult<()> {
+        let shed = match failpoint(faults::sites::SERVER_ACCEPT) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => e.into(),
+            Err(_) => ServerError::Internal("panic injected at server.accept".to_string()),
+        };
+        self.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        Err(shed)
+    }
+
     /// Admission control: a request slot plus `cost` units of fetch budget,
     /// both released on fulfilment.  Exact under concurrency (fetch-add
     /// then check): the caps are never exceeded by admitted requests.
     fn admit(&self, cost: usize) -> ServerResult<()> {
-        let slots = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if slots >= self.config.max_concurrent {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServerError::Overloaded {
-                retry_after_ms: self.config.retry_after_ms,
-            });
+        if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.config.max_concurrent {
+            self.release(0);
+            return Err(self.overloaded());
         }
         let used = self.outstanding_cost.fetch_add(cost, Ordering::AcqRel);
         if used + cost > self.config.max_outstanding_cost {
-            self.outstanding_cost.fetch_sub(cost, Ordering::AcqRel);
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServerError::Overloaded {
-                retry_after_ms: self.config.retry_after_ms,
-            });
+            self.release(cost);
+            return Err(self.overloaded());
         }
         self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
+    fn overloaded(&self) -> ServerError {
+        self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        ServerError::Overloaded {
+            retry_after_ms: self.config.retry_after_ms,
+        }
+    }
+
     fn release(&self, cost: usize) {
         self.outstanding_cost.fetch_sub(cost, Ordering::AcqRel);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    fn read_queue(&self, name: &str) -> Arc<ReadQueue> {
-        let mut reads = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(queue) = reads.get(name) {
-            return Arc::clone(queue);
+        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the lock `drain` holds between its check and its wait,
+            // so it cannot miss this.
+            let _idle = lock(&self.idle_lock);
+            self.idle.notify_all();
         }
-        let name: Arc<str> = Arc::from(name);
-        let queue = Arc::new(ReadQueue {
-            name: Arc::clone(&name),
-            pending: Mutex::new(Vec::new()),
-        });
-        reads.insert(name, Arc::clone(&queue));
-        queue
     }
 
-    fn finish_read(&self, req: ReadRequest, result: ServerResult<Response>) {
-        self.release(req.cost);
+    /// A request is done: free its admission, count it, time it.
+    fn finish(&self, cost: usize, start: Instant) {
+        self.release(cost);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .record_latency(req.start.elapsed().as_micros() as u64);
-        req.promise.fulfil(result);
+        let micros = start.elapsed().as_micros() as u64;
+        self.metrics.latencies.record(micros);
+    }
+
+    fn finish_read(&self, request: ReadRequest, result: ServerResult<Response>) {
+        self.finish(request.cost, request.start);
+        request.promise.fulfil(result);
     }
 
     fn finish_write(&self, promise: Promise<()>, start: Instant, result: ServerResult<()>) {
-        self.release(0);
-        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .record_latency(start.elapsed().as_micros() as u64);
+        if result.is_ok() {
+            self.metrics.writes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.finish(0, start);
         promise.fulfil(result);
+    }
+
+    /// Hand every request of `batch` the same result: cloned for all but
+    /// the last, which takes the original (a batch of one clones nothing).
+    fn finish_reads(&self, mut batch: Vec<ReadRequest>, result: ServerResult<Response>) {
+        let last = batch.pop();
+        for request in batch {
+            self.finish_read(request, result.clone());
+        }
+        if let Some(request) = last {
+            self.finish_read(request, result);
+        }
     }
 }
 
-/// Flush one read batch: wait out the window, drain the queue, execute the
-/// statement **once**, and hand every coalesced request the same exact
-/// `ExecOutput`.  The execution is deterministic (prepared statements are
-/// parameterless and the session pins one version), so each request's
-/// tuples and `FetchStats` are bit-identical to what its own unbatched
-/// `Session` execution on that version would produce — the differential
-/// stress test holds the server to exactly that.
-fn flush_reads(inner: &Inner, queue: &ReadQueue) {
-    if !inner.config.batch_window.is_zero() {
-        std::thread::sleep(inner.config.batch_window);
+/// What a flush job serves.
+#[derive(Clone)]
+enum Flush {
+    Reads(Arc<Statement>),
+    Writes,
+}
+
+/// Enqueue, at the tail of the run queue, the one flush job `target`'s
+/// queue may have outstanding.  The job serves one batch and then ends its
+/// turn ([`Turn`]): a hot queue goes back behind the other jobs, so it
+/// cannot monopolise a worker.
+fn schedule(inner: &Arc<Inner>, target: Flush) {
+    let job_inner = Arc::clone(inner);
+    inner.pool.spawn(move || {
+        let _turn = Turn {
+            inner: &job_inner,
+            target: &target,
+        };
+        match &target {
+            Flush::Reads(statement) => flush_reads(&job_inner, statement),
+            Flush::Writes => flush_writes(&job_inner),
+        }
+    });
+}
+
+/// Ends a flush job's turn when it returns **or unwinds**: the queue goes
+/// idle, or — if requests arrived meanwhile — gets its next job.  A job
+/// that panics outside its `catch_unwind`s therefore cannot leave
+/// `scheduled` set with nothing scheduled.
+struct Turn<'a> {
+    inner: &'a Arc<Inner>,
+    target: &'a Flush,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let more = match self.target {
+            Flush::Reads(statement) => statement.reads.end_turn(),
+            Flush::Writes => self.inner.writes.end_turn(),
+        };
+        if more {
+            schedule(self.inner, self.target.clone());
+        }
     }
-    let batch = std::mem::take(&mut *queue.pending.lock().unwrap_or_else(PoisonError::into_inner));
-    if batch.is_empty() {
-        return;
-    }
+}
+
+/// Flush one read batch: take everything queued for the statement, *then*
+/// pin a session, execute **once**, and hand every coalesced request the
+/// same exact `ExecOutput`.  The order matters: a request admitted after a
+/// write was acknowledged is either in this batch — taken before the pin,
+/// so the pinned version includes that write — or in a later one; it can
+/// never ride a version pinned before it arrived.  The execution is
+/// deterministic (prepared statements are parameterless and the session
+/// pins one version), so each request's tuples and `FetchStats` are
+/// bit-identical to what its own unbatched `Session` execution on that
+/// version would produce — the stress test's history checker holds the
+/// server to exactly that.
+fn flush_reads(inner: &Inner, statement: &Statement) {
+    let batch = statement.reads.take();
+    let coalesced = batch.len();
     inner.metrics.read_batches.fetch_add(1, Ordering::Relaxed);
-    if batch.len() > 1 {
+    if coalesced > 1 {
         inner
             .metrics
             .coalesced_reads
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            .fetch_add(coalesced as u64, Ordering::Relaxed);
     }
-    match catch_unwind(AssertUnwindSafe(|| {
-        faults::check(faults::sites::BATCH_FLUSH)
-    })) {
-        Ok(Ok(())) => {
-            let coalesced = batch.len();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                inner
-                    .engine
-                    .session()
-                    .execute_with(&queue.name, &inner.config.options)
-            }));
-            match outcome {
-                Ok(Ok(output)) => {
-                    for req in batch {
-                        inner.finish_read(
-                            req,
-                            Ok(Response {
-                                output: output.clone(),
-                                coalesced,
-                            }),
-                        );
-                    }
-                }
-                Ok(Err(e)) => {
-                    for req in batch {
-                        inner.finish_read(req, Err(ServerError::Engine(e.clone())));
-                    }
-                }
-                Err(_) => {
-                    for req in batch {
-                        inner.finish_read(
-                            req,
-                            Err(ServerError::Internal(
-                                "panic while serving a read batch".to_string(),
-                            )),
-                        );
-                    }
-                }
-            }
-        }
+    let execute = |coalesced| {
+        contained("serving a read", || {
+            let session = inner.engine.session();
+            session.execute_with(&statement.name, &inner.config.options)
+        })
+        .map(|output| Response { output, coalesced })
+    };
+    match failpoint(faults::sites::BATCH_FLUSH) {
+        Ok(Ok(())) => inner.finish_reads(batch, execute(coalesced)),
         // Injected flush fault: degrade the batch to serialised per-request
         // execution.  Every request is still answered (exactly once) by its
         // own full-fidelity session execution.
         Ok(Err(_)) => {
-            for req in batch {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    inner
-                        .engine
-                        .session()
-                        .execute_with(&queue.name, &inner.config.options)
-                }));
-                let result = match outcome {
-                    Ok(Ok(output)) => Ok(Response {
-                        output,
-                        coalesced: 1,
-                    }),
-                    Ok(Err(e)) => Err(ServerError::Engine(e)),
-                    Err(_) => Err(ServerError::Internal(
-                        "panic while serving a serialised read".to_string(),
-                    )),
-                };
-                inner.finish_read(req, result);
+            for request in batch {
+                inner.finish_read(request, execute(1));
             }
         }
         // Injected flush panic: shed the whole batch with typed errors.
@@ -514,110 +553,59 @@ fn flush_reads(inner: &Inner, queue: &ReadQueue) {
             inner
                 .metrics
                 .shed
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            for req in batch {
-                inner.finish_read(
-                    req,
-                    Err(ServerError::Internal(
-                        "panic injected at server.batch.flush".to_string(),
-                    )),
-                );
-            }
+                .fetch_add(coalesced as u64, Ordering::Relaxed);
+            inner.finish_reads(batch, Err(flush_panic()));
         }
     }
 }
 
-/// Flush one write batch through [`Engine::mutate_batch`]: one delta-tracked
-/// version publish for the whole burst, per-closure isolation inside it.
+fn flush_panic() -> ServerError {
+    ServerError::Internal("panic injected at server.batch.flush".to_string())
+}
+
+/// Flush one write batch — whatever queued while the previous publish ran
+/// — through [`Engine::mutate_batch`]: one delta-tracked version publish
+/// for the whole batch, closures applied in arrival order, per-closure
+/// isolation inside it.
 fn flush_writes(inner: &Inner) {
-    if !inner.config.batch_window.is_zero() {
-        std::thread::sleep(inner.config.batch_window);
-    }
-    let batch = std::mem::take(&mut *inner.writes.lock().unwrap_or_else(PoisonError::into_inner));
-    if batch.is_empty() {
-        return;
-    }
+    let (ops, waiters): (Vec<WriteOp>, Vec<_>) = inner
+        .writes
+        .take()
+        .into_iter()
+        .map(|request| (request.op, (request.promise, request.start)))
+        .unzip();
     inner.metrics.write_batches.fetch_add(1, Ordering::Relaxed);
-    match catch_unwind(AssertUnwindSafe(|| {
-        faults::check(faults::sites::BATCH_FLUSH)
-    })) {
+    let all = |error: ServerError| vec![Err(error); waiters.len()];
+    let results = match failpoint(faults::sites::BATCH_FLUSH) {
         Ok(Ok(())) => {
-            let mut ops = Vec::with_capacity(batch.len());
-            let mut waiters = Vec::with_capacity(batch.len());
-            for req in batch {
-                ops.push(req.op);
-                waiters.push((req.promise, req.start));
-            }
-            let outcome = catch_unwind(AssertUnwindSafe(|| inner.engine.mutate_batch(ops)));
-            match outcome {
-                Ok(Ok(results)) => {
-                    debug_assert_eq!(results.len(), waiters.len());
-                    for ((promise, start), result) in waiters.into_iter().zip(results) {
-                        let result = match result {
-                            Ok(()) => {
-                                inner.metrics.writes.fetch_add(1, Ordering::Relaxed);
-                                Ok(())
-                            }
-                            Err(e) => Err(ServerError::Engine(e)),
-                        };
-                        inner.finish_write(promise, start, result);
-                    }
-                }
-                Ok(Err(e)) => {
-                    // Version construction failed: nothing was published,
-                    // every write in the batch reports the same typed error.
-                    for (promise, start) in waiters {
-                        inner.finish_write(promise, start, Err(ServerError::Engine(e.clone())));
-                    }
-                }
-                Err(_) => {
-                    for (promise, start) in waiters {
-                        inner.finish_write(
-                            promise,
-                            start,
-                            Err(ServerError::Internal(
-                                "panic while publishing a write batch".to_string(),
-                            )),
-                        );
-                    }
-                }
+            match contained("publishing a write batch", || {
+                inner.engine.mutate_batch(ops)
+            }) {
+                Ok(results) => results
+                    .into_iter()
+                    .map(|result| result.map_err(ServerError::Engine))
+                    .collect(),
+                // Version construction failed: nothing was published,
+                // every write in the batch reports the same typed error.
+                Err(e) => all(e),
             }
         }
         // Injected flush fault: serialise — each closure becomes its own
         // `Engine::mutate`, applied exactly once, in arrival order.
-        Ok(Err(_)) => {
-            for req in batch {
-                let WriteRequest { op, promise, start } = req;
-                let outcome = catch_unwind(AssertUnwindSafe(|| inner.engine.mutate(op)));
-                let result = match outcome {
-                    Ok(Ok(())) => {
-                        inner.metrics.writes.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    }
-                    Ok(Err(e)) => Err(ServerError::Engine(e)),
-                    Err(_) => Err(ServerError::Internal(
-                        "panic while applying a serialised write".to_string(),
-                    )),
-                };
-                inner.finish_write(promise, start, result);
-            }
-        }
+        Ok(Err(_)) => ops
+            .into_iter()
+            .map(|op| contained("applying a serialised write", || inner.engine.mutate(op)))
+            .collect(),
         // Injected flush panic: shed the batch with typed errors; nothing
         // was applied (the engine never saw the closures).
         Err(_) => {
-            inner
-                .metrics
-                .shed
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            for req in batch {
-                inner.finish_write(
-                    req.promise,
-                    req.start,
-                    Err(ServerError::Internal(
-                        "panic injected at server.batch.flush".to_string(),
-                    )),
-                );
-            }
+            let shed = waiters.len() as u64;
+            inner.metrics.shed.fetch_add(shed, Ordering::Relaxed);
+            all(flush_panic())
         }
+    };
+    debug_assert_eq!(results.len(), waiters.len());
+    for ((promise, start), result) in waiters.into_iter().zip(results) {
+        inner.finish_write(promise, start, result);
     }
 }

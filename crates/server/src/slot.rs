@@ -1,4 +1,5 @@
-//! One-shot completion slots: the waker half of the hand-rolled reactor.
+//! One-shot completion slots: how a flush job on the worker pool hands a
+//! response to whoever is waiting for it.
 //!
 //! A [`Slot`] is a single-producer/single-consumer rendezvous for one value.
 //! The producer side ([`Promise`]) is held by the server's batch flushers;
@@ -15,6 +16,7 @@
 //! convention in every flusher.
 
 use crate::error::{ServerError, ServerResult};
+use crate::lock;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -36,7 +38,7 @@ struct Slot<T> {
 
 impl<T> Slot<T> {
     fn fulfil(&self, value: ServerResult<T>) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = lock(&self.state);
         let waker = match &mut *state {
             State::Waiting(w) => w.take(),
             // Double-fulfil is unreachable (Promise consumes itself); keep
@@ -52,7 +54,7 @@ impl<T> Slot<T> {
     }
 
     fn abandon(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = lock(&self.state);
         if let State::Waiting(w) = &mut *state {
             let waker = w.take();
             *state = State::Abandoned;
@@ -126,11 +128,7 @@ fn abandoned() -> ServerError {
 impl<T> Pending<T> {
     /// Block the calling thread until the response arrives.
     pub fn wait(self) -> ServerResult<T> {
-        let mut state = self
-            .slot
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = lock(&self.slot.state);
         loop {
             match &mut *state {
                 State::Done(value) => return value.take().unwrap_or_else(|| Err(abandoned())),
@@ -151,11 +149,7 @@ impl<T> Future for Pending<T> {
     type Output = ServerResult<T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut state = self
-            .slot
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut state = lock(&self.slot.state);
         match &mut *state {
             State::Done(value) => Poll::Ready(value.take().unwrap_or_else(|| Err(abandoned()))),
             State::Abandoned => Poll::Ready(Err(abandoned())),
@@ -164,5 +158,83 @@ impl<T> Future for Pending<T> {
                 Poll::Pending
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::pin::pin;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::task::Wake;
+
+    #[derive(Default)]
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    impl CountingWaker {
+        fn woken(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn a_parked_waker_is_woken_exactly_once_on_fulfilment() {
+        let (promise, pending) = slot::<u32>();
+        let mut pending = pin!(pending);
+        let counter = Arc::new(CountingWaker::default());
+        let waker = Waker::from(Arc::clone(&counter));
+        let mut cx = Context::from_waker(&waker);
+        assert!(pending.as_mut().poll(&mut cx).is_pending());
+        assert!(pending.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(counter.woken(), 0, "not before fulfilment");
+        promise.fulfil(Ok(5));
+        assert_eq!(counter.woken(), 1);
+        assert_eq!(pending.as_mut().poll(&mut cx), Poll::Ready(Ok(5)));
+        assert_eq!(counter.woken(), 1, "and never again");
+    }
+
+    #[test]
+    fn a_repoll_with_another_waker_replaces_the_parked_one() {
+        let (promise, pending) = slot::<u32>();
+        let mut pending = pin!(pending);
+        let (first, second) = (
+            Arc::new(CountingWaker::default()),
+            Arc::new(CountingWaker::default()),
+        );
+        for counter in [&first, &second] {
+            let waker = Waker::from(Arc::clone(counter));
+            assert!(pending
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_pending());
+        }
+        promise.fulfil(Ok(6));
+        assert_eq!((first.woken(), second.woken()), (0, 1));
+    }
+
+    #[test]
+    fn an_abandoned_promise_wakes_and_resolves_to_a_typed_error() {
+        let (promise, pending) = slot::<u32>();
+        let mut pending = pin!(pending);
+        let counter = Arc::new(CountingWaker::default());
+        let waker = Waker::from(Arc::clone(&counter));
+        let mut cx = Context::from_waker(&waker);
+        assert!(pending.as_mut().poll(&mut cx).is_pending());
+        drop(promise);
+        assert_eq!(counter.woken(), 1, "a waiter is woken, not left to hang");
+        match pending.as_mut().poll(&mut cx) {
+            Poll::Ready(Err(ServerError::Internal(_))) => {}
+            other => panic!("expected an abandoned slot, got {other:?}"),
+        }
+        // The blocking entry sees the same.
+        let (promise, pending) = slot::<u32>();
+        drop(promise);
+        assert!(matches!(pending.wait(), Err(ServerError::Internal(_))));
     }
 }

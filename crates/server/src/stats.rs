@@ -1,12 +1,16 @@
-//! Serving-side counters and the latency reservoir behind
+//! Serving-side counters and the latency histogram behind
 //! [`Server::stats`](crate::Server::stats).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-/// Keep the most recent `LATENCY_CAP` request latencies (a ring, so a
-/// long-running server reports recent behaviour, not its cold start).
-const LATENCY_CAP: usize = 1 << 16;
+/// log2 of the sub-buckets per power of two.
+const SUB_BITS: u32 = 4;
+/// Sub-buckets per power of two: a bucket is at most 1/16 (6.25 %) of its
+/// lower bound wide.
+const SUB_BUCKETS: u64 = 1 << SUB_BITS;
+/// Values below `SUB_BUCKETS` get a bucket each; every power of two from
+/// 2^4 to 2^63 gets `SUB_BUCKETS` more.
+const BUCKETS: usize = (SUB_BUCKETS as usize) * (64 - SUB_BITS as usize + 1);
 
 #[derive(Default)]
 pub(crate) struct Metrics {
@@ -18,38 +22,80 @@ pub(crate) struct Metrics {
     pub(crate) writes: AtomicU64,
     pub(crate) write_batches: AtomicU64,
     pub(crate) shed: AtomicU64,
-    latencies: Mutex<Ring>,
+    pub(crate) latencies: Histogram,
 }
 
-#[derive(Default)]
-struct Ring {
-    samples: Vec<u64>,
-    next: usize,
+/// Request latencies in log-spaced buckets: recording is two relaxed atomic
+/// updates, a snapshot reads the counts — no lock, no sample copy.
+pub(crate) struct Histogram {
+    buckets: [AtomicU64; BUCKETS],
+    max: AtomicU64,
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+/// The bucket `micros` falls in: its own below 16, then the exponent and
+/// the four bits under the leading one.
+fn bucket_of(micros: u64) -> usize {
+    if micros < SUB_BUCKETS {
+        return micros as usize;
+    }
+    let exponent = 63 - micros.leading_zeros();
+    let sub = (micros >> (exponent - SUB_BITS)) & (SUB_BUCKETS - 1);
+    ((exponent - SUB_BITS + 1) as u64 * SUB_BUCKETS + sub) as usize
+}
+
+/// The largest value that falls in `bucket`.
+fn upper_bound(bucket: usize) -> u64 {
+    let bucket = bucket as u64;
+    if bucket < SUB_BUCKETS {
+        return bucket;
+    }
+    let shift = (bucket / SUB_BUCKETS - 1) as u32;
+    let lower = (SUB_BUCKETS + bucket % SUB_BUCKETS) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
+impl Histogram {
+    pub(crate) fn record(&self, micros: u64) {
+        self.buckets[bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
+        self.max.fetch_max(micros, Ordering::Relaxed);
+    }
+
+    /// `(p50, p99, max)`.  A percentile is the nearest-rank sample's bucket
+    /// bound — never below that sample, at most 6.25 % above it, and never
+    /// above the exact maximum; 0 when nothing was recorded.
+    fn summary(&self) -> (u64, u64, u64) {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|bucket| bucket.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        let max = self.max.load(Ordering::Relaxed);
+        let percentile = |pct: u64| {
+            let rank = (total * pct).div_ceil(100).max(1);
+            let mut seen = 0;
+            let bucket = counts.iter().position(|count| {
+                seen += count;
+                seen >= rank
+            });
+            bucket.map_or(0, |bucket| upper_bound(bucket).min(max))
+        };
+        (percentile(50), percentile(99), max)
+    }
 }
 
 impl Metrics {
-    pub(crate) fn record_latency(&self, micros: u64) {
-        let mut ring = self
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if ring.samples.len() < LATENCY_CAP {
-            ring.samples.push(micros);
-        } else {
-            let at = ring.next % LATENCY_CAP;
-            ring.samples[at] = micros;
-        }
-        ring.next = (ring.next + 1) % LATENCY_CAP;
-    }
-
     pub(crate) fn snapshot(&self) -> ServerStats {
-        let mut samples = self
-            .latencies
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .samples
-            .clone();
-        samples.sort_unstable();
+        let (p50_us, p99_us, max_us) = self.latencies.summary();
         ServerStats {
             admitted: self.admitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -59,26 +105,18 @@ impl Metrics {
             writes: self.writes.load(Ordering::Relaxed),
             write_batches: self.write_batches.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            p50_us: percentile(&samples, 50),
-            p99_us: percentile(&samples, 99),
-            max_us: samples.last().copied().unwrap_or(0),
+            p50_us,
+            p99_us,
+            max_us,
         }
     }
 }
 
-/// Nearest-rank percentile over sorted samples; 0 when empty.
-fn percentile(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() as u64 * pct).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 /// A point-in-time snapshot of a server's counters and latency profile.
-/// Latencies cover completed requests (reads and writes), measured from
-/// admission to fulfilment, over the most recent window of up to 65 536
-/// requests.
+/// Latencies cover every request completed since the server started (reads
+/// and writes), measured from admission to fulfilment; the percentiles are
+/// histogram bucket bounds — at most 6.25 % above the true sample, exact
+/// below 16 µs, never above `max_us`, which is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Requests accepted past admission control.
@@ -110,26 +148,59 @@ pub struct ServerStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        assert_eq!(percentile(&[], 50), 0);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[7], 99), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50), 50);
-        assert_eq!(percentile(&v, 99), 99);
-        assert_eq!(percentile(&v, 100), 100);
+    fn stats_of(samples: impl IntoIterator<Item = u64>) -> ServerStats {
+        let m = Metrics::default();
+        for micros in samples {
+            m.latencies.record(micros);
+        }
+        m.snapshot()
     }
 
     #[test]
-    fn ring_keeps_recent_samples() {
-        let m = Metrics::default();
-        for i in 0..(LATENCY_CAP + 10) {
-            m.record_latency(i as u64);
+    fn percentiles_are_nearest_rank_bucket_bounds() {
+        let empty = stats_of([]);
+        assert_eq!((empty.p50_us, empty.p99_us, empty.max_us), (0, 0, 0));
+        let one = stats_of([7]);
+        assert_eq!((one.p50_us, one.p99_us, one.max_us), (7, 7, 7));
+        // Ranks 50 and 99 of 1..=100 are the samples 50 and 99; their
+        // buckets are [50, 51] and [96, 99].
+        let hundred = stats_of(1..=100);
+        assert_eq!(
+            (hundred.p50_us, hundred.p99_us, hundred.max_us),
+            (51, 99, 100)
+        );
+        // A bucket bound never exceeds the exact maximum.
+        let clamped = stats_of([1_000]);
+        assert_eq!((clamped.p50_us, clamped.p99_us), (1_000, 1_000));
+        // Unlike a ring of recent samples, nothing is forgotten: the count
+        // behind the percentiles is every request ever recorded.
+        let many = stats_of((0..200_000).map(|i| if i < 150_000 { 10 } else { 5_000 }));
+        assert_eq!((many.p50_us, many.p99_us, many.max_us), (10, 5_000, 5_000));
+    }
+
+    #[test]
+    fn buckets_are_exact_below_16_and_within_a_sixteenth_above() {
+        for v in 0..SUB_BUCKETS {
+            assert_eq!(upper_bound(bucket_of(v)), v);
         }
-        let snap = m.snapshot();
-        assert_eq!(snap.max_us, (LATENCY_CAP + 9) as u64);
-        // The ring overwrote the ten oldest samples.
-        assert!(snap.p50_us >= 5);
+        let probes = (4..64).flat_map(|e| {
+            let base = 1u64 << e;
+            [base, base + 1, base + base / 3, (base - 1) * 2 + 1]
+        });
+        for v in probes.chain([16, 17, 31, 32, 33, 1_000_000, u64::MAX]) {
+            let bucket = bucket_of(v);
+            assert!(bucket < BUCKETS, "{v} → {bucket}");
+            let upper = upper_bound(bucket);
+            assert!(upper >= v, "{v} above its bucket's bound {upper}");
+            assert!(
+                upper - v <= v / SUB_BUCKETS,
+                "{v} reported as {upper}: more than 1/16 off"
+            );
+            // Buckets tile the range: the next value starts the next bucket.
+            if upper < u64::MAX {
+                assert_eq!(bucket_of(upper + 1), bucket + 1);
+            }
+        }
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 }

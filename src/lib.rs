@@ -297,19 +297,20 @@
 //! admission control priced by each statement's fetch bound `|D_ξ|`
 //! (over-budget submissions fail fast with a typed
 //! [`server::ServerError::Overloaded`], never a wrong answer), read
-//! coalescing (same-statement requests inside a batch window share one
-//! vectorised execution and each receive its exact tuples and
+//! coalescing (a request that finds its statement idle executes at once;
+//! same-statement requests that arrive while an execution is in flight
+//! share the next one, and each receive its exact tuples and
 //! [`FetchStats`](data::FetchStats)), and write batching through
-//! [`Engine::mutate_batch`] (one delta-tracked publish per burst, with
-//! per-closure isolation).  [`server::Server::execute`] blocks;
+//! [`Engine::mutate_batch`] (writes that arrive during a publish commit
+//! together in the next, in arrival order, with per-closure isolation).
+//! There is no batch window to tune.  [`server::Server::execute`] blocks;
 //! [`server::Server::submit`] returns a [`server::Pending`] that is a plain
-//! `Future`, driven by the crate's own worker-pool executor:
+//! `Future`; either way the work runs on the server's worker pool:
 //!
 //! ```
 //! use bqr::{tuple, Engine};
 //! use bqr::data::{AccessConstraint, AccessSchema, Database, DatabaseSchema};
 //! use bqr::server::{Server, ServerConfig};
-//! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let schema = DatabaseSchema::with_relations(&[("rating", &["mid", "rank"])])
@@ -327,7 +328,6 @@
 //! let server = Server::with_config(
 //!     engine,
 //!     ServerConfig {
-//!         batch_window: Duration::from_micros(50),
 //!         workers: 2,
 //!         ..ServerConfig::default()
 //!     },

@@ -696,7 +696,6 @@ fn fig1_server() -> bqr::server::Server {
     bqr::server::Server::with_config(
         fig1_engine(),
         bqr::server::ServerConfig {
-            batch_window: std::time::Duration::from_micros(200),
             workers: 2,
             ..bqr::server::ServerConfig::default()
         },

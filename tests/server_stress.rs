@@ -23,7 +23,6 @@ use bqr::workload::movies::{self, MovieScale};
 use bqr::Engine;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 const Q_XI: &str = "Q(mid) :- movie(mid, ym, 'Universal', '2014'), V1(mid), rating(mid, 5)";
 /// A point lookup whose answer grows under the stress writers (movie 10 is
@@ -55,7 +54,6 @@ fn movie_engine() -> Engine {
 
 fn stress_config() -> ServerConfig {
     ServerConfig {
-        batch_window: Duration::from_micros(100),
         workers: 4,
         ..ServerConfig::default()
     }
@@ -219,9 +217,13 @@ fn check_history(
                 let seen: Vec<usize> = (0..chain.len())
                     .filter(|&k| chain[k] == read.answer)
                     .collect();
+                let found = if seen.is_empty() {
+                    "equals no golden: a torn or foreign answer".to_string()
+                } else {
+                    format!("is golden {seen:?}: stale, or from the future")
+                };
                 return Err(format!(
-                    "{what}: the answer must be golden k for {lower} <= k <= {upper} \
-                     but equals golden {seen:?} (none: a torn or foreign answer)"
+                    "{what}: the answer must be golden k for {lower} <= k <= {upper} but {found}"
                 ));
             };
             let Some(k) = (first.max(previous)..=upper).find(|&k| chain[k] == read.answer) else {
@@ -258,8 +260,8 @@ fn stress_write(id: usize) -> impl FnOnce(&mut Database) -> bqr::data::Result<()
 #[test]
 fn readers_under_a_concurrent_writer_serve_prefix_consistent_answers() {
     const CLIENTS: usize = 8;
-    const ITERS: usize = 30;
-    const WRITES_PER_WRITER: usize = 6;
+    const ITERS: usize = 60;
+    const WRITES_PER_WRITER: usize = 12;
     const WRITES: usize = 2 * WRITES_PER_WRITER;
 
     let server = Server::with_config(movie_engine(), stress_config());
