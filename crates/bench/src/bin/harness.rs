@@ -277,6 +277,7 @@ fn plan_executor() {
         }
         let ceiling_ms = match w.name {
             "cdr_insert_premium_10k" => plan_bench::CDR_WRITE_MAX_MS,
+            "movies_like_under_v1_20k" => plan_bench::MOVIES_VIEW_WRITE_MAX_MS,
             name if plan_bench::CDR_FACT_WRITE_ROWS.contains(&name) => {
                 plan_bench::CDR_FACT_WRITE_MAX_MS
             }

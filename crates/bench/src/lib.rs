@@ -1167,7 +1167,15 @@ pub mod plan_bench {
     /// [`WRITE_MIN_SPEEDUP`] gate alone cannot catch a regression that slows
     /// delta and rebuild alike (e.g. an accidental `O(|D|)` re-interning on
     /// the write path) — this pins the absolute cost of a write.
-    pub const CDR_WRITE_MAX_MS: f64 = 8.0;
+    pub const CDR_WRITE_MAX_MS: f64 = 2.0;
+
+    /// Absolute ceiling on the join-view row (`movies_like_under_v1_20k`):
+    /// one delta-maintained `like` write of a NASA person under the
+    /// three-way join view `V1`, averaged over insert and removal — so 2 ms
+    /// for the pair.  Maintenance is a handful of keyed probes; any step
+    /// that re-indexes or re-interns a relation `V1` reads costs tens of
+    /// milliseconds at this scale.
+    pub const MOVIES_VIEW_WRITE_MAX_MS: f64 = 1.0;
 
     /// Absolute ceiling on the fact-table rows (`cdr_insert_calls_10k`,
     /// `cdr_remove_calls_10k`): one delta-maintained single-tuple write to
@@ -1289,20 +1297,39 @@ pub mod plan_bench {
     }
 
     /// The write-path rows, delta vs rebuild: a single-tuple insert into the
-    /// 8k-person movies instance; into the 10k-customer CDR instance's
-    /// `customer` relation (under a view); and a single-tuple insert into,
-    /// and removal from, that instance's `calls` fact table, each followed
-    /// by the first read of the written group.
+    /// 8k-person movies instance's `rating`, which no view reads; a `like`
+    /// tuple of a NASA person taken out of and put back into the 20k-person
+    /// instance, under the join view `V1`; a single-tuple insert into the
+    /// 10k-customer CDR instance's `customer` relation (under a single-atom
+    /// view); and a single-tuple insert into, and removal from, that
+    /// instance's `calls` fact table, each followed by the first read of the
+    /// written group.
     pub fn run_write_path() -> Vec<WritePathResult> {
         use bqr_engine::Engine;
 
         let mut out = Vec::new();
 
+        // An engine per maintenance mode over one generated movies instance.
+        let movies_engines = |scale: movies::MovieScale| {
+            let (setting, db) = (movies::setting(scale.n0, 40), movies::generate(scale));
+            let attached = db.clone();
+            let mk_engine = move |mode| {
+                let engine = Engine::builder()
+                    .setting(setting.clone())
+                    .cache_capacity(16)
+                    .maintenance(mode)
+                    .build()
+                    .expect("movies engine");
+                engine.attach(attached.clone()).expect("attach movies");
+                engine
+            };
+            (db, mk_engine)
+        };
+
         // Movies: insert one fresh rating per mutation.  Touches the
         // `rating` constraint index (patched in place) and leaves `V1`
         // untouched — its extent and epoch are shared into the new version.
-        let setting = movies::setting(100, 40);
-        let db = movies::generate(movies::MovieScale {
+        let (_, mk_engine) = movies_engines(movies::MovieScale {
             persons: 8_000,
             movies: 2_000,
             n0: 100,
@@ -1311,18 +1338,44 @@ pub mod plan_bench {
         let ratings = (0..21).map(|i| bqr_data::tuple![900_000 + i as i64, 1]);
         out.extend(run_write_case(
             &["movies_insert_rating_8k"],
-            &move |mode| {
-                let engine = Engine::builder()
-                    .setting(setting.clone())
-                    .cache_capacity(16)
-                    .maintenance(mode)
-                    .build()
-                    .expect("movies engine");
-                engine.attach(db.clone()).expect("attach movies");
-                engine
-            },
+            &mk_engine,
             &movies::q_xi(),
             &timed_inserts("rating", ratings.collect()),
+            false,
+        ));
+
+        // Movies under `V1`: a NASA person stops and starts liking a movie.
+        // Every write joins `person`, `movie` and `like`; the removal also
+        // re-derives the movie through `like` by `id`.  The first pair is a
+        // warmup (its removal builds that index, once).
+        let (db, mk_engine) = movies_engines(movies::MovieScale {
+            persons: 20_000,
+            movies: 5_000,
+            n0: 250,
+            seed: 1,
+        });
+        let person = db.relation("person").expect("movies has person");
+        let at_nasa = |pid: &bqr_data::Value| {
+            let mut found = person.prefix_range(std::slice::from_ref(pid));
+            found.any(|t| t[2] == bqr_data::Value::str("NASA"))
+        };
+        let like = db.relation("like").expect("movies has like");
+        let liked = like.iter().find(|t| at_nasa(&t[0]));
+        let liked = liked.expect("someone at NASA likes something");
+        let pairs = (0..11).flat_map(|i| [false, true].map(|insert| (i, insert)));
+        let ops: Vec<WriteOp> = pairs
+            .map(|(i, insert)| WriteOp {
+                relation: "like",
+                tuple: liked.clone(),
+                insert,
+                row: (i > 0).then_some(0),
+            })
+            .collect();
+        out.extend(run_write_case(
+            &["movies_like_under_v1_20k"],
+            &mk_engine,
+            &movies::q_xi(),
+            &ops,
             false,
         ));
 

@@ -39,12 +39,14 @@ pub mod sites {
     /// the interning path is infallible, so an injected `Error` also
     /// surfaces as a panic at the site).
     pub const SNAPSHOT_INTERN: &str = "data.snapshot.intern";
-    /// [`crate::snapshot::patched_snapshot_of`] — patching a predecessor
-    /// snapshot in place from an exact write delta.  An injected `Error`
-    /// degrades the patch to a from-scratch intern with identical contents
-    /// (the fallback the chaos suite pins down); a `Panic` propagates and
-    /// is contained by the engine's all-or-nothing mutate.
-    pub const SNAPSHOT_PATCH: &str = "data.snapshot.patch";
+    /// [`crate::Relation::insert`] / [`crate::Relation::remove`] — carrying
+    /// the relation's keyed indexes across a write, checked only when the
+    /// written version holds one.  An injected `Error` degrades the carry to
+    /// dropping them (the next request rebuilds, with identical contents —
+    /// the fallback the chaos suite pins down); a `Panic` propagates before
+    /// the write has changed anything and is contained by the engine's
+    /// all-or-nothing mutate.
+    pub const KEYED_CARRY: &str = "data.keyed.carry";
     /// `bqr-plan`'s `PipelineCache` — registering a freshly compiled
     /// pipeline, with the cache lock held.
     pub const CACHE_INSERT: &str = "plan.cache.insert";

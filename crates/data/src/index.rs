@@ -9,10 +9,10 @@
 
 use crate::access::{AccessConstraint, AccessSchema};
 use crate::database::Database;
-use crate::delta::{DeltaLog, RelationChange, RelationDelta};
+use crate::delta::{DeltaLog, RelationDelta};
 use crate::error::DataError;
 use crate::intern::ValueId;
-use crate::snapshot::patched_snapshot_of;
+use crate::relation::Relation;
 use crate::stats::FetchStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -138,20 +138,33 @@ impl Group {
     }
 }
 
-/// One shard of an [`InternedAccessIndex`]: interned `X`-key → the group's
+/// One shard of an [`InternedAccessIndex`]: interned key → the group's
 /// rows, flat and row-major.
 type IdShard = HashMap<Vec<ValueId>, Box<[ValueId]>>;
 
-/// The id-native form of an [`AccessIndex`]: probing with an interned key
-/// returns the whole group `D_{R:XY}(X = ā)` as a flat row-major id slice.
-/// This is the index the compiled plan executor fetches through — the hot
-/// loop never touches a [`Value`], yet every probe still accounts `|D_ξ|`
-/// tuple by tuple (the group's row count) exactly like the `Value`-keyed
-/// path.  Sharded like its sibling (by the hash of the *interned* key), so
-/// a successor version shares every shard its delta did not touch.
-#[derive(Debug, Clone)]
+/// An id-native hash index: probing with an interned key returns the whole
+/// group under it as a flat row-major id slice.  Two things are indexed
+/// this way, by the same structure:
+///
+/// * an [`AccessIndex`]'s groups ([`AccessIndex::interned`]): the key is the
+///   constraint's `X`, a group is `D_{R:XY}(X = ā)`.  This is the index the
+///   compiled plan executor fetches through — the hot loop never touches a
+///   [`Value`], yet every probe still accounts `|D_ξ|` tuple by tuple (the
+///   group's row count) exactly like the `Value`-keyed path;
+/// * a relation's tuples on arbitrary key positions
+///   ([`Relation::keyed_index`]): a group is the set of whole tuples
+///   agreeing with the key, in ascending id order — a canonical order, so a
+///   patched index equals a rebuilt one.  This is what view maintenance
+///   probes.  Tuples of a relation are a set, so — unlike the `X ∪ Y`
+///   projections of the first kind — they need no source multiplicities to
+///   be removable.
+///
+/// Sharded by the hash of the interned key, so a successor version shares
+/// every shard its delta did not touch.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedAccessIndex {
-    /// `|X ∪ Y|` — always ≥ 1 (constraints require a non-empty `Y`).
+    /// Ids per row — always ≥ 1 (constraints require a non-empty `Y`, keyed
+    /// indexes a non-empty key).
     arity: usize,
     shards: Vec<Arc<IdShard>>,
     /// Number of distinct keys, and of indexed tuples, across all shards —
@@ -160,7 +173,7 @@ pub struct InternedAccessIndex {
     rows: usize,
 }
 
-fn intern_key(key: &[Value]) -> Vec<ValueId> {
+pub(crate) fn intern_key(key: &[Value]) -> Vec<ValueId> {
     key.iter().map(ValueId::intern).collect()
 }
 
@@ -192,29 +205,74 @@ impl InternedAccessIndex {
         }
     }
 
-    /// Replace (or, with `None`, drop) the group under `key` with the
-    /// interned rows of `group`, forking the one shard it lives in if that
-    /// shard is still shared.
-    fn set_group(&mut self, key: &[Value], group: Option<&Arc<Group>>) {
-        let key = intern_key(key);
-        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
-        let old = match group {
-            Some(group) => shard.insert(key, intern_rows(group, self.arity)),
-            None => shard.remove(&key),
+    /// Index the tuples of `relation` on `key_positions`, interning every
+    /// value ([`Relation::keyed_index`]).
+    pub(crate) fn keyed(relation: &Relation, key_positions: &[usize]) -> Self {
+        let mut groups: HashMap<Vec<ValueId>, Vec<Vec<ValueId>>> = HashMap::new();
+        for tuple in relation.iter() {
+            let row = intern_key(tuple.values());
+            let key = key_positions.iter().map(|&p| row[p]).collect();
+            groups.entry(key).or_default().push(row);
+        }
+        let mut index = InternedAccessIndex {
+            arity: relation.schema().arity(),
+            shards: vec![Arc::default(); SHARDS],
+            keys: 0,
+            rows: 0,
         };
-        let old_rows = old.as_ref().map_or(0, |rows| rows.len() / self.arity);
-        self.rows = self.rows + group.map_or(0, |g| g.rows.len()) - old_rows;
-        self.keys = self.keys + usize::from(group.is_some()) - usize::from(old.is_some());
+        for (key, mut rows) in groups {
+            // Tuples arrived in value order; groups are kept in id order.
+            rows.sort_unstable();
+            index.replace_group(key, Some(rows.concat().into()));
+        }
+        index
     }
 
-    /// Arity of the returned rows (`|X ∪ Y|`).
+    /// Replace (or, with `None`, drop) the group under `key`, forking the
+    /// one shard it lives in if that shard is still shared.
+    fn replace_group(&mut self, key: Vec<ValueId>, group: Option<Box<[ValueId]>>) {
+        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
+        let new_rows = group.as_ref().map(|rows| rows.len() / self.arity);
+        let old = match group {
+            Some(rows) => shard.insert(key, rows),
+            None => shard.remove(&key),
+        };
+        let old_rows = old.as_ref().map(|rows| rows.len() / self.arity);
+        self.rows = self.rows + new_rows.unwrap_or(0) - old_rows.unwrap_or(0);
+        self.keys = self.keys + usize::from(new_rows.is_some()) - usize::from(old_rows.is_some());
+    }
+
+    /// Replace (or, with `None`, drop) the group under `key` with the
+    /// interned rows of `group`.
+    fn set_group(&mut self, key: &[Value], group: Option<&Arc<Group>>) {
+        let rows = group.map(|group| intern_rows(group, self.arity));
+        self.replace_group(intern_key(key), rows);
+    }
+
+    /// Make `row` present in — or absent from — the group under `key` of a
+    /// keyed index, keeping the group in id order; the key leaves with its
+    /// last row.  A row already as asked changes nothing.  Forks one shard;
+    /// `O(|group|)`.
+    pub(crate) fn set_row(&mut self, key: &[ValueId], row: &[ValueId], present: bool) {
+        let group = self.probe(key);
+        let rows: Vec<&[ValueId]> = group.chunks_exact(self.arity).collect();
+        let rows = match (rows.binary_search(&row), present) {
+            (Err(at), true) => [&rows[..at], &[row], &rows[at..]].concat(),
+            (Ok(at), false) => [&rows[..at], &rows[at + 1..]].concat(),
+            _ => return,
+        };
+        let group = (!rows.is_empty()).then(|| rows.concat().into());
+        self.replace_group(key.to_vec(), group);
+    }
+
+    /// Arity of the returned rows (`|X ∪ Y|`, or the relation's arity).
     pub fn arity(&self) -> usize {
         self.arity
     }
 
-    /// Retrieve `D_{R:XY}(X = ā)` as a flat id slice of
-    /// `n · arity()` ids (`n` tuples, in the same deterministic group order
-    /// as [`AccessIndex::probe`]).  Empty for absent keys.
+    /// Retrieve the group under `key` as a flat id slice of `n · arity()`
+    /// ids (`n` tuples; for a constraint's index in the same deterministic
+    /// group order as [`AccessIndex::probe`]).  Empty for absent keys.
     pub fn probe(&self, key: &[ValueId]) -> &[ValueId] {
         match self.shards[shard_of(key)].get(key) {
             Some(rows) => rows,
@@ -227,7 +285,7 @@ impl InternedAccessIndex {
         self.probe(key).len() / self.arity
     }
 
-    /// Number of distinct `X`-values indexed.
+    /// Number of distinct keys indexed.
     pub fn distinct_keys(&self) -> usize {
         self.keys
     }
@@ -315,7 +373,7 @@ impl AccessIndex {
     }
 
     /// Positions of `X` and of `X ∪ Y` in `rel`'s schema.
-    fn positions(&self, rel: &crate::Relation) -> Result<(Vec<usize>, Vec<usize>)> {
+    fn positions(&self, rel: &Relation) -> Result<(Vec<usize>, Vec<usize>)> {
         let xy: Vec<&str> = self.xy_attributes.iter().map(String::as_str).collect();
         Ok((
             rel.schema().positions(self.constraint.x())?,
@@ -421,7 +479,7 @@ impl AccessIndex {
     /// tuple this index never saw: the delta does not describe the step
     /// from this index's contents, and patching on would yield an index
     /// that disagrees with its relation.  Callers rebuild instead.
-    pub fn with_delta(&self, delta: &RelationDelta, rel: &crate::Relation) -> Result<Self> {
+    pub fn with_delta(&self, delta: &RelationDelta, rel: &Relation) -> Result<Self> {
         let (x_pos, xy_pos) = self.positions(rel)?;
         let mut next = AccessIndex {
             constraint: self.constraint.clone(),
@@ -513,14 +571,14 @@ impl IndexedDatabase {
     /// (wholesale-replacement) changes, or a delta that turns out not to
     /// describe the index it is applied to, rebuild that relation's index.
     ///
-    /// Interned snapshots are the relations' own (see
-    /// [`crate::snapshot_of`]): an untouched relation is the same version in
-    /// `db`, snapshot included; a touched relation whose predecessor
-    /// snapshot exists gets its successor patched from it here
-    /// ([`patched_snapshot_of`]), so relations that view maintenance reads
-    /// stay warm across writes; a relation nobody ever snapshotted — a fact
-    /// table reached only through `fetch` — is not snapshotted by a write
-    /// either.
+    /// Nothing else is derived here.  What a relation version owns travels
+    /// with it: an untouched relation is the same version in `db`, interned
+    /// snapshot ([`crate::snapshot_of`]) and keyed indexes
+    /// ([`Relation::keyed_index`]) included; a touched relation's successor
+    /// already carries its keyed indexes, patched by the writes themselves,
+    /// and has no snapshot until a scan of it asks for one — nothing on the
+    /// write path reads snapshots, so nothing on it pays `O(|R|)` to keep
+    /// one warm.
     pub fn apply_delta(&self, db: Database, delta: &DeltaLog) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
         let indexes = self
@@ -543,12 +601,6 @@ impl IndexedDatabase {
                 .map(Arc::new)
             })
             .collect::<Result<Vec<_>>>()?;
-        for (name, change) in delta.iter() {
-            let prev = self.db.relation(name).and_then(|r| r.snapshot_cell().get());
-            if let (Some(prev), RelationChange::Delta(d)) = (prev, change) {
-                patched_snapshot_of(db.expect_relation(name)?, prev, d);
-            }
-        }
         Ok(IndexedDatabase {
             db,
             access: self.access.clone(),
@@ -654,6 +706,7 @@ impl IndexedDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::RelationChange;
     use crate::schema::DatabaseSchema;
     use crate::tuple;
 
@@ -1039,12 +1092,16 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_anchors_and_patches_snapshots() {
+    fn writes_carry_keyed_indexes_and_leave_snapshots_cold() {
         use crate::snapshot::snapshot_of;
         let (db, access) = movie_db();
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
-        // Someone (view maintenance, say) reads `rating`; nobody reads `movie`.
+        // Someone (view maintenance, say) probes `rating` by rank and scans
+        // it; nobody touches `movie`.
+        let by_rank = db.relation("rating").unwrap().keyed_index(&[1]);
         let rating0 = snapshot_of(db.relation("rating").unwrap());
+        let ids = |t: &Tuple| t.iter().map(ValueId::intern).collect::<Vec<_>>();
+        assert_eq!(by_rank.probe(&ids(&tuple![5])).len(), 2 * 2);
 
         let mut v1 = db.clone();
         v1.begin_delta_tracking();
@@ -1058,30 +1115,86 @@ mod tests {
             idb1.database().relation("rating").unwrap(),
             idb1.database().relation("movie").unwrap(),
         );
-        // The warm relation's successor is anchored in the new version,
-        // patched from its predecessor: survivors first, inserts appended.
-        assert!(rating.has_snapshot(), "patched during apply_delta");
-        let patched = snapshot_of(rating);
-        assert_eq!(patched.epoch(), rating.epoch());
-        assert_eq!(patched.row(0), rating0.row(1), "survivor order, not sorted");
-        assert_eq!(patched.len(), 3);
-        let rebuilt_stats =
-            crate::stats::RelationStats::of_rows(3, patched.arity(), patched.id_rows());
-        assert_eq!(patched.stats(), &rebuilt_stats, "exact under the removal");
-        // The relation nobody snapshotted is not snapshotted by a write.
-        assert!(!movie.has_snapshot(), "cold stays cold");
-        assert!(!idb.database().relation("movie").unwrap().has_snapshot());
+        // The written relation took its keyed index along, patched — equal
+        // to one built from scratch — and the predecessor's still reads as
+        // before.
+        let carried = rating.keyed_index_if_built(&[1]).expect("carried");
+        assert_eq!(*carried, InternedAccessIndex::keyed(rating, &[1]));
+        assert_eq!(carried.probe(&ids(&tuple![5])), ids(&tuple![3, 5]));
+        assert_eq!(carried.probe(&ids(&tuple![2])), ids(&tuple![4, 2]));
+        assert_eq!((carried.distinct_keys(), carried.total_rows()), (3, 3));
+        assert_eq!(by_rank.probe(&ids(&tuple![5])).len(), 2 * 2);
+        assert!(by_rank.probe(&ids(&tuple![2])).is_empty());
+        // Its snapshot is not carried: nothing on the write path reads one.
+        assert!(!rating.has_snapshot(), "built again when a scan asks");
+        assert_eq!(snapshot_of(rating).len(), 3);
+        assert_eq!(rating0.len(), 3, "the predecessor's is frozen");
+        // The relation nobody indexed or snapshotted stays bare.
+        assert!(!movie.has_snapshot() && movie.keyed_index_if_built(&[2]).is_none());
 
         // Untouched relations are the same version in the successor, so the
-        // same snapshot serves both.
+        // same snapshot and the same index serve both.
         let mut v2 = idb1.database().clone();
         v2.begin_delta_tracking();
         v2.insert("movie", tuple![5, "Tar", "Focus", "2022"])
             .unwrap();
         let log = v2.take_delta(idb1.database());
         let idb2 = idb1.apply_delta(v2, &log).unwrap();
-        let carried = snapshot_of(idb2.database().relation("rating").unwrap());
-        assert!(Arc::ptr_eq(&carried, &patched));
+        let rating2 = idb2.database().relation("rating").unwrap();
+        assert!(Arc::ptr_eq(&snapshot_of(rating2), &snapshot_of(rating)));
+        assert!(Arc::ptr_eq(&rating2.keyed_index(&[1]), &carried));
+    }
+
+    #[test]
+    fn keyed_index_groups_whole_tuples_and_patches_like_a_rebuild() {
+        let schema = DatabaseSchema::with_relations(&[("like", &["pid", "id", "type"])]).unwrap();
+        let mut db = Database::empty(schema);
+        for (pid, id) in [(1, 10), (2, 10), (3, 11), (1, 11)] {
+            db.insert("like", tuple![pid, id, "movie"]).unwrap();
+        }
+        db.insert("like", tuple![1, 10, "page"]).unwrap();
+        let like = db.relation("like").unwrap();
+        let ids = |t: &Tuple| t.iter().map(ValueId::intern).collect::<Vec<_>>();
+        let by_id_type = like.keyed_index(&[1, 2]);
+        assert_eq!(by_id_type.arity(), 3, "whole tuples");
+        assert_eq!(
+            (by_id_type.distinct_keys(), by_id_type.total_rows()),
+            (3, 5)
+        );
+        let group = by_id_type.probe(&ids(&tuple![10, "movie"]));
+        let mut expected = [ids(&tuple![1, 10, "movie"]), ids(&tuple![2, 10, "movie"])];
+        expected.sort();
+        assert_eq!(group, expected.concat(), "ascending id order");
+        assert!(by_id_type.probe(&ids(&tuple![12, "movie"])).is_empty());
+        // One request, one index: clones of the version share it.
+        assert!(Arc::ptr_eq(&by_id_type, &like.clone().keyed_index(&[1, 2])));
+        // Every write carries it: inserts into new and live groups, removals
+        // that shrink and that empty a group, no-ops.  After each, the
+        // carried index equals a rebuild and forked at most one shard.
+        let mut next = like.clone();
+        let writes = [
+            (true, tuple![4, 12, "movie"]),
+            (true, tuple![4, 10, "movie"]),
+            (true, tuple![4, 10, "movie"]),
+            (false, tuple![1, 10, "movie"]),
+            (false, tuple![1, 10, "page"]),
+            (false, tuple![9, 9, "page"]),
+        ];
+        for (insert, t) in writes {
+            let before = next.keyed_index_if_built(&[1, 2]).unwrap();
+            match insert {
+                true => next.insert(t.clone()).unwrap(),
+                false => next.remove(&t).unwrap(),
+            };
+            let carried = next.keyed_index_if_built(&[1, 2]).expect("carried");
+            assert_eq!(*carried, InternedAccessIndex::keyed(&next, &[1, 2]), "{t}");
+            assert!(carried.shared_shards(&before) >= carried.shard_count() - 1);
+        }
+        assert_eq!(
+            *by_id_type,
+            InternedAccessIndex::keyed(like, &[1, 2]),
+            "frozen"
+        );
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`RelationSchema`], [`DatabaseSchema`] — relational schemas `R = (R_1,
 //!   ..., R_n)` with named attributes;
 //! * [`Relation`], [`Database`] — set-semantics instances `D` of a schema;
+//!   a relation version also answers sorted-prefix ranges and owns its
+//!   lazily built keyed indexes ([`Relation::keyed_index`]), which every
+//!   write to it carries forward — what view maintenance probes;
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
 //!   `R(X → Y, N)`: a cardinality bound combined with an index on `X` for
 //!   `XY`;
@@ -60,7 +63,7 @@ pub use index_cache::{IndexCache, InternedIndex, RelationIndex};
 pub use intern::ValueId;
 pub use relation::Relation;
 pub use schema::{DatabaseSchema, RelationSchema};
-pub use snapshot::{patched_snapshot_of, shard_ranges, snapshot_of, InternedSnapshot};
+pub use snapshot::{snapshot_of, InternedSnapshot};
 pub use stats::{FetchStats, RelationStats};
 pub use tuple::Tuple;
 pub use value::Value;

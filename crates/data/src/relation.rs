@@ -2,6 +2,7 @@
 
 use crate::delta::RelationDelta;
 use crate::error::DataError;
+use crate::index::InternedAccessIndex;
 use crate::schema::RelationSchema;
 use crate::snapshot::InternedSnapshot;
 use crate::tuple::Tuple;
@@ -10,7 +11,7 @@ use crate::Result;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Global epoch counter: every stamp is issued exactly once, so two
 /// relations share an epoch only when one is an unmutated clone of the
@@ -59,6 +60,21 @@ impl Chunks {
             Some(chunk) => (ci, chunk.binary_search(tuple)),
             None => (0, Err(0)),
         }
+    }
+
+    /// The position of the first tuple whose leading fields are not below
+    /// `prefix` — where the run of tuples starting with `prefix` begins, if
+    /// there is one.  Two binary searches, like [`Chunks::locate`].
+    fn lower_bound(&self, prefix: &[Value]) -> (usize, usize) {
+        let below = |t: &Tuple| t.values().iter().take(prefix.len()).lt(prefix);
+        // The run may start in the tail of the last chunk whose head is
+        // still below the prefix.
+        let ci = self
+            .chunks
+            .partition_point(|c| below(&c[0]))
+            .saturating_sub(1);
+        let pos = self.chunks.get(ci).map_or(0, |c| c.partition_point(below));
+        (ci, pos)
     }
 
     /// Insert an absent tuple at the position [`Chunks::locate`] reported.
@@ -187,6 +203,12 @@ impl ExactSizeIterator for Iter<'_> {}
 /// A relation also owns its lazily built [`InternedSnapshot`] (see
 /// [`crate::snapshot_of`]): unmutated clones share the one cell, a mutation
 /// gives the mutated instance an empty cell of its own.
+///
+/// And it owns its *keyed indexes* ([`Relation::keyed_index`]): hash indexes
+/// on arbitrary key positions, built on first request, shared by unmutated
+/// clones like the snapshot — but, unlike the snapshot, carried forward by
+/// every write: [`Relation::insert`] and [`Relation::remove`] patch each
+/// index the written version inherited, forking one shard of it.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
@@ -198,7 +220,13 @@ pub struct Relation {
     /// The interned snapshot of exactly these contents, once someone asked
     /// for it.  Shared by unmutated clones, replaced on mutation.
     snapshot: Arc<OnceLock<Arc<InternedSnapshot>>>,
+    /// The keyed indexes of exactly these contents, by key positions, each
+    /// present once someone asked for it.  Shared by unmutated clones; a
+    /// mutation takes a patched copy along.
+    keyed: Arc<RwLock<KeyedIndexes>>,
 }
+
+type KeyedIndexes = Vec<(Vec<usize>, Arc<InternedAccessIndex>)>;
 
 #[derive(Debug, Clone)]
 struct DeltaState {
@@ -226,6 +254,7 @@ impl Relation {
             epoch: fresh_epoch(),
             tracking: None,
             snapshot: Arc::default(),
+            keyed: Arc::default(),
         }
     }
 
@@ -276,6 +305,7 @@ impl Relation {
         let (chunk, Err(pos)) = self.tuples.locate(&tuple) else {
             return Ok(false);
         };
+        self.carry_keyed(&tuple, true);
         if let Some(state) = self.tracking.as_deref_mut() {
             // An insert that undoes a tracked removal cancels out: the net
             // delta always satisfies inserted = new∖old, removed = old∖new.
@@ -294,6 +324,7 @@ impl Relation {
         let (chunk, Ok(pos)) = self.tuples.locate(tuple) else {
             return Ok(false);
         };
+        self.carry_keyed(tuple, false);
         if let Some(state) = self.tracking.as_deref_mut() {
             if !state.delta.inserted.remove(tuple) {
                 state.delta.removed.insert(tuple.clone());
@@ -311,6 +342,44 @@ impl Relation {
         match Arc::get_mut(&mut self.snapshot) {
             Some(cell) => drop(cell.take()),
             None => self.snapshot = Arc::default(),
+        }
+    }
+
+    /// Take the keyed indexes along across a write of `tuple`: it is made
+    /// `present` in, or absent from, every index this version inherited —
+    /// one forked shard each, so `O(#shards + |groups| / #shards)` per index,
+    /// whether or not anything is about to probe it.  Runs before the write
+    /// touches anything else, so a fault here leaves the instance as it was.
+    ///
+    /// An active [`crate::faults::sites::KEYED_CARRY`] `Error` fault drops
+    /// the indexes instead: the next request rebuilds them from the
+    /// relation, with identical contents.
+    fn carry_keyed(&mut self, tuple: &Tuple, present: bool) {
+        if Arc::get_mut(&mut self.keyed).is_none() {
+            // The first write since the clone: part from the predecessor's
+            // cell, keeping its indexes by pointer.
+            let cell = self
+                .keyed
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            self.keyed = Arc::new(RwLock::new(cell));
+        }
+        let indexes = Arc::get_mut(&mut self.keyed)
+            .expect("the cell was just made this instance's own")
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if indexes.is_empty() {
+            return;
+        }
+        if crate::faults::check(crate::faults::sites::KEYED_CARRY).is_err() {
+            indexes.clear();
+            return;
+        }
+        let row = crate::index::intern_key(tuple.values());
+        for (positions, index) in indexes {
+            let key: Vec<_> = positions.iter().map(|&p| row[p]).collect();
+            Arc::make_mut(index).set_row(&key, &row, present);
         }
     }
 
@@ -397,6 +466,41 @@ impl Relation {
         self.snapshot.get().is_some()
     }
 
+    /// The hash index of this version's tuples on `positions`: probing it
+    /// with the interned values of those positions returns every matching
+    /// tuple, whole, as flat id rows.  Built on the first request — one
+    /// `O(|R|)` pass, which interns the relation's values — and kept in the
+    /// version's own cell: every unmutated clone serves the same `Arc`, and
+    /// a mutated clone takes a patched copy along (see [`Relation`]), so a
+    /// relation is indexed once per key, not once per version.
+    ///
+    /// # Panics
+    /// Panics if a position is outside the schema (or, on a nullary
+    /// relation, in any case); callers take positions from atoms validated
+    /// against it.
+    pub fn keyed_index(&self, positions: &[usize]) -> Arc<InternedAccessIndex> {
+        if let Some(index) = self.keyed_index_if_built(positions) {
+            return index;
+        }
+        let mut indexes = self.keyed.write().unwrap_or_else(PoisonError::into_inner);
+        // Re-check under the write lock: a concurrent first request may
+        // have built it meanwhile.
+        if let Some((_, index)) = indexes.iter().find(|(p, _)| p == positions) {
+            return Arc::clone(index);
+        }
+        let index = Arc::new(InternedAccessIndex::keyed(self, positions));
+        indexes.push((positions.to_vec(), Arc::clone(&index)));
+        index
+    }
+
+    /// The keyed index on `positions` if this version holds one — built
+    /// here or carried over from its predecessor — without building it.
+    pub fn keyed_index_if_built(&self, positions: &[usize]) -> Option<Arc<InternedAccessIndex>> {
+        let indexes = self.keyed.read().unwrap_or_else(PoisonError::into_inner);
+        let found = indexes.iter().find(|(p, _)| p == positions);
+        found.map(|(_, index)| Arc::clone(index))
+    }
+
     /// A fresh epoch over unchanged contents and storage.
     #[cfg(test)]
     pub(crate) fn restamp(&mut self) {
@@ -416,6 +520,23 @@ impl Relation {
     /// Iterate over tuples in sorted order.
     pub fn iter(&self) -> Iter<'_> {
         self.tuples.iter()
+    }
+
+    /// The tuples whose first `prefix.len()` fields equal `prefix`, in
+    /// sorted order: a contiguous run of the sorted storage, found by binary
+    /// search (`O(log |R|)`) and walked (`O(matches)`) — an index on every
+    /// leading run of attributes that costs no memory and no maintenance.
+    /// The empty prefix yields the whole relation; a prefix longer than the
+    /// arity yields nothing.
+    pub fn prefix_range<'r: 'p, 'p>(
+        &'r self,
+        prefix: &'p [Value],
+    ) -> impl Iterator<Item = &'r Tuple> + 'p {
+        let (ci, pos) = self.tuples.lower_bound(prefix);
+        let chunks = self.tuples.chunks.get(ci..).unwrap_or_default();
+        let skip = move |(i, chunk): (usize, &'r Chunk)| &chunk[if i == 0 { pos } else { 0 }..];
+        let from_bound = chunks.iter().enumerate().flat_map(skip);
+        from_bound.take_while(move |t| t.values().starts_with(prefix))
     }
 
     /// Project every tuple onto the given attribute names, deduplicating.

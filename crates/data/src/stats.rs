@@ -49,16 +49,6 @@ impl RelationStats {
         RelationStats { tuples, distinct }
     }
 
-    /// Assemble statistics from already-computed parts.  Used by the
-    /// delta-patched snapshot path, which maintains exact per-position
-    /// occurrence counts across mutations and derives `distinct` from them
-    /// — the result must be bit-identical to what
-    /// [`RelationStats::of_rows`] computes over the same contents (the
-    /// snapshot differential tests enforce this).
-    pub(crate) fn from_parts(tuples: usize, distinct: Vec<usize>) -> Self {
-        RelationStats { tuples, distinct }
-    }
-
     /// Number of tuples in the snapshot.
     pub fn tuples(&self) -> usize {
         self.tuples

@@ -373,12 +373,15 @@ impl Engine {
     /// live instance (`O(#chunks)` pointer copies; a write copies the one
     /// ≤ 512-tuple chunk it lands in), and its per-relation write delta is
     /// captured as it runs; under the default [`MaintenanceMode::Delta`] the
-    /// next version is then built without an `O(|R|)` step for any relation
-    /// reached only through its access indexes: view extents are maintained
-    /// semi-naively, access indexes are patched shard by shard or shared
-    /// whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per touched
-    /// index), and only a touched relation whose interned snapshot someone
-    /// built pays an `O(|R|)` id copy to carry it forward.  Only the relations
+    /// next version is then built without an `O(|R|)` step: view extents are
+    /// maintained semi-naively — each Δ tuple joined to the rest of its view
+    /// by a fixed chain of keyed probes into the relations' sorted storage
+    /// and keyed indexes, which the writes themselves carry forward
+    /// ([`bqr_query::maintain`]; only the first write ever to need a keyed
+    /// index builds it) — and access indexes are patched shard by shard or
+    /// shared whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per
+    /// touched index).  Interned snapshots are not carried: a written
+    /// relation is snapshotted again when something scans it.  Only the relations
     /// (and view extents) whose contents actually changed get fresh epochs —
     /// so a write to relation `R` invalidates exactly the cached pipelines
     /// whose epoch vector mentions `R`.  A closure whose net delta is empty
@@ -436,7 +439,7 @@ impl Engine {
 
     /// Apply a burst of mutation closures in **one** delta-tracked version
     /// publish: the copy-on-write relation fork, the net-delta extraction,
-    /// the index/snapshot patching and the semi-naive view maintenance all
+    /// the index patching and the semi-naive view maintenance all
     /// run once for the whole batch instead of once per closure — the
     /// amortisation the serving front's write batching rides on.
     ///

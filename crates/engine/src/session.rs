@@ -32,7 +32,9 @@ impl DataVersion {
 
     /// Build the successor of `prev` for `db = prev.database() + delta`
     /// without paying `O(|D|)`: view extents are maintained semi-naively
-    /// from the delta and access indexes are patched or shared per relation.
+    /// from the delta — by keyed probes into the two instances' relations,
+    /// whose keyed indexes the writes that made `db` already carried over —
+    /// and access indexes are patched or shared per relation.
     /// Relations and extents whose contents did not change keep their epochs
     /// — so epoch-keyed pipeline caches are invalidated only for pipelines
     /// that actually read a changed input.
@@ -42,10 +44,6 @@ impl DataVersion {
         delta: &bqr_data::DeltaLog,
         setting: &RewritingSetting,
     ) -> Result<DataVersion> {
-        // Indexes and snapshots first: `apply_delta` patches the snapshot of
-        // every touched relation that had one into its successor, so the
-        // residual evaluations inside `maintain` find the relations views
-        // read warm — touched or not — instead of re-interning them.
         let idb = prev.idb.apply_delta(db, delta)?;
         let views = bqr_query::maintain::maintain(
             &setting.views,

@@ -8,16 +8,46 @@
 //! derivation using a changed base tuple:
 //!
 //! * **Insertions** — for every inserted tuple `t` and every atom of the
-//!   view body over `t`'s relation, unify the atom with `t` and evaluate
-//!   the resulting *residual query* over the new instance.  Everything it
-//!   derives is `ΔV⁺`; nothing else can be new, because any derivation of a
-//!   genuinely new view tuple must use at least one inserted base tuple.
+//!   view body over `t`'s relation, bind the atom to `t` and join the rest
+//!   of the body to it over the new instance.  Everything that derives is
+//!   `ΔV⁺`; nothing else can be new, because any derivation of a genuinely
+//!   new view tuple must use at least one inserted base tuple.
 //! * **Deletions** — the DRed over-delete/re-derive split: binding removed
 //!   tuples the same way *over the old instance* yields the candidate set
 //!   (every extent tuple that had a derivation through a removed base
 //!   tuple); each candidate still in the extent is then re-checked for an
-//!   alternative derivation over the new instance with a boolean residual
-//!   query capped at one answer, and deleted only when none exists.
+//!   alternative derivation over the new instance — the body with the head
+//!   bound to the candidate, stopped at its first match — and deleted only
+//!   when none exists.
+//!
+//! # What a delta tuple costs
+//!
+//! Each of those joins runs a [`DeltaPlan`]: a chain of probes whose order
+//! is fixed by the view's syntax alone — after the seed (the Δ tuple, or the
+//! candidate) is bound, the remaining atoms are visited most-bound-first,
+//! and each step looks up one relation on the positions bound so far and
+//! binds the rest.  No planner runs, no statistics are read, nothing is
+//! compiled per tuple.  A step is served by the relation version itself:
+//!
+//! * bound positions that lead the schema (`pid` of `person`, `mid` of
+//!   `movie`, `pid` of `like`), any further bound position being a constant
+//!   of the view, walk a [`Relation::prefix_range`] of the sorted storage:
+//!   `O(log |R| + matches)`, no memory, nothing to maintain;
+//! * any other bound positions (`like` by `id`, to re-derive a movie) probe
+//!   a [`Relation::keyed_index`]: `O(1 + matches)`.  The index is built by
+//!   the first write that needs it — one `O(|R|)` pass, paid once per
+//!   relation and key, the way the first read pays first-touch interning —
+//!   and from then on every write to the relation carries it forward in
+//!   `O(#shards + |groups| / #shards)`, whether or not that write's plans
+//!   probed it;
+//! * a step with **no** bound position — an atom sharing no variable with
+//!   anything bound before it, i.e. a cross product in the view — degrades
+//!   to a scan of its relation, once per binding reaching it.  That is
+//!   inherent: the view's own output is that large.
+//!
+//! So a delta tuple costs `O(Σ matches)` along its chain, independent of
+//! `|D|` — for an acyclic body like `V1`'s, a handful of rows.
+//! [`maintain_counting`] reports the probes and rows as [`FetchStats`].
 //!
 //! UCQ views are maintained one CQ disjunct at a time against the
 //! per-disjunct extents tracked in [`MaterializedViews`]: a disjunct whose
@@ -30,22 +60,21 @@
 //!
 //! Views whose definitions are genuinely non-CQ/UCQ (FO), or that read a
 //! relation whose delta was lost ([`bqr_data::RelationChange::Unknown`]),
-//! fall back to full re-materialisation *of that view only* — and even then
-//! the previous extent relation (with its epoch) is reused whenever the
-//! recomputed contents come out identical, so epoch-keyed pipeline caches
-//! upstream are invalidated only by genuine content changes.
+//! fall back to full re-materialisation *of that view only*, through the
+//! naive evaluator — and even then the previous extent relation (with its
+//! epoch) is reused whenever the recomputed contents come out identical, so
+//! epoch-keyed pipeline caches upstream are invalidated only by genuine
+//! content changes.
 //!
 //! Untouched extents are returned as clones of the previous ones: same
 //! contents, same epoch, shared storage.
 
 use crate::atom::{Atom, Term};
 use crate::cq::ConjunctiveQuery;
-use crate::error::QueryError;
-use crate::eval::Evaluator;
 use crate::views::{MaterializedViews, ViewDefinition, ViewSet};
 use crate::Result;
-use bqr_data::delta::DeltaLog;
-use bqr_data::{Database, Relation, RelationSchema, Tuple};
+use bqr_data::delta::{DeltaLog, RelationDelta};
+use bqr_data::{Database, FetchStats, Relation, RelationSchema, Tuple, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maintain every extent of `views` across one mutation: `previous` are the
@@ -59,6 +88,23 @@ pub fn maintain(
     old_db: &Database,
     new_db: &Database,
     delta: &DeltaLog,
+) -> Result<MaterializedViews> {
+    let mut uncounted = FetchStats::new();
+    maintain_counting(views, previous, old_db, new_db, delta, &mut uncounted)
+}
+
+/// [`maintain`], accounting the work of the exact-delta path in `stats`:
+/// every keyed or prefix probe a [`DeltaPlan`] issues is one `fetch_call`,
+/// every row it goes on to visit one fetched tuple, and every row visited by
+/// a step that had to scan one scanned tuple.  (Re-materialisations are not
+/// counted: they evaluate the whole view.)
+pub fn maintain_counting(
+    views: &ViewSet,
+    previous: &MaterializedViews,
+    old_db: &Database,
+    new_db: &Database,
+    delta: &DeltaLog,
+    stats: &mut FetchStats,
 ) -> Result<MaterializedViews> {
     bqr_data::faults::check(bqr_data::faults::sites::VIEW_MAINTAIN)?;
     let mut out = MaterializedViews::empty();
@@ -77,31 +123,54 @@ pub fn maintain(
                 None => out.insert(name, prev.clone()),
             },
             (ViewDefinition::Cq(cq), Some(prev)) if exact => {
-                out.insert(
-                    name,
-                    maintain_cq_tracked(cq, prev, old_db, new_db, delta)?.extent,
-                );
+                let change = maintain_cq_tracked(cq, prev, old_db, new_db, delta, stats)?;
+                out.insert(name, change.extent);
             }
             (ViewDefinition::Ucq(ucq), Some(prev)) if exact => {
-                let (extent, parts) =
-                    maintain_ucq(ucq, prev, previous.disjuncts(name), old_db, new_db, delta)?;
+                let parts = previous.disjuncts(name);
+                let (extent, parts) = maintain_ucq(ucq, prev, parts, old_db, new_db, delta, stats)?;
                 out.insert_with_disjuncts(name, extent, parts);
             }
-            // Lost (wholesale-replacement) delta, or no previous extent to
-            // start from: re-evaluate this one view per disjunct, so exact
-            // deltas can resume per-disjunct maintenance afterwards.
-            (ViewDefinition::Ucq(ucq), prev) => {
-                let (extent, parts) =
-                    rematerialize_ucq(name, ucq, new_db, prev, previous.disjuncts(name))?;
-                out.insert_with_disjuncts(name, extent, parts);
+            // Genuinely non-CQ FO view, a lost (wholesale-replacement)
+            // delta, or no previous extent to start from: re-evaluate this
+            // one view from scratch.
+            (_, prev) => {
+                let parts = previous.disjuncts(name);
+                rematerialize_into(&mut out, name, def, new_db, prev, parts)?;
             }
-            // Genuinely non-CQ FO view, a CQ view over a lost delta, or no
-            // previous extent: re-evaluate from scratch, reusing the
-            // previous extent relation when the contents are unchanged.
-            (_, prev) => out.insert(name, rematerialize(name, def, new_db, prev)?),
         }
     }
     Ok(out)
+}
+
+/// Evaluate one view from scratch over `db` into `out`, reusing the previous
+/// extent relations — the view's, and a UCQ view's per-disjunct ones —
+/// whose contents come out unchanged.  UCQ views are evaluated per disjunct,
+/// so exact deltas can resume per-disjunct maintenance afterwards.  With no
+/// previous extents this is how a view is first materialised.
+pub(crate) fn rematerialize_into(
+    out: &mut MaterializedViews,
+    name: &str,
+    def: &ViewDefinition,
+    db: &Database,
+    prev: Option<&Relation>,
+    prev_disjuncts: Option<&[Relation]>,
+) -> Result<()> {
+    match def {
+        ViewDefinition::Ucq(ucq) => {
+            let (extent, parts) = rematerialize_ucq(name, ucq, db, prev, prev_disjuncts)?;
+            out.insert_with_disjuncts(name, extent, parts);
+        }
+        _ => out.insert(name, rematerialize(name, def, db, prev)?),
+    }
+    Ok(())
+}
+
+/// The schema extents of the view `name` are stored under.
+fn extent_schema(name: &str, arity: usize) -> Result<RelationSchema> {
+    let attrs: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
+    let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
+    Ok(RelationSchema::new(name, &attr_refs)?)
 }
 
 /// The outcome of one semi-naive CQ maintenance: the new extent plus the
@@ -113,6 +182,214 @@ struct CqChange {
     inserted: Vec<Tuple>,
 }
 
+/// One argument position of an atom (or head), as a [`DeltaPlan`] meets it.
+#[derive(Debug)]
+enum Arg {
+    /// A constant of the view: the field must equal it.
+    Const(Value),
+    /// A variable, by slot.  `bound`: some earlier position — of the seed,
+    /// of an earlier step, or of this same atom — has given the slot its
+    /// value, which the field must equal; otherwise the field gives it one.
+    Var { slot: usize, bound: bool },
+}
+
+impl Arg {
+    /// The value a constant or bound position stands for.
+    fn value<'a>(&'a self, slots: &'a [Value]) -> &'a Value {
+        match self {
+            Arg::Const(value) => value,
+            Arg::Var { slot, .. } => &slots[*slot],
+        }
+    }
+}
+
+/// Match `row` against `args`: constants and bound variables must agree —
+/// what `row` cannot join with is `false` — and unbound variables take
+/// their values from it.
+fn unify(args: &[Arg], row: &[Value], slots: &mut [Value]) -> bool {
+    args.iter().zip(row).all(|(arg, field)| match arg {
+        Arg::Var { slot, bound: false } => {
+            slots[*slot] = field.clone();
+            true
+        }
+        arg => arg.value(slots) == field,
+    })
+}
+
+/// How a step finds the rows agreeing with what is bound so far.
+#[derive(Debug)]
+enum Access {
+    /// The first `k` positions are bound: walk that run of the relation's
+    /// sorted storage.  `k = 0` — nothing bound at all — is a scan.
+    Prefix(usize),
+    /// Probe the relation's keyed index on these (bound) positions.
+    Keyed(Vec<usize>),
+}
+
+/// One probe of a [`DeltaPlan`]: an atom of the body, joined to the
+/// bindings made before it.
+#[derive(Debug)]
+struct Step {
+    relation: String,
+    args: Vec<Arg>,
+    access: Access,
+}
+
+/// A view body with one *seed* bound — an atom to a Δ tuple, or the head to
+/// a candidate — compiled to a fixed left-deep chain of probes over the
+/// remaining atoms.  Pure syntax: building one reads no data.
+#[derive(Debug)]
+struct DeltaPlan {
+    seed: Vec<Arg>,
+    steps: Vec<Step>,
+    head: Vec<Arg>,
+    slots: usize,
+}
+
+impl DeltaPlan {
+    /// The plan joining `rest` — atoms of `cq` — to a tuple matched against
+    /// `seed`: an atom's arguments (`rest` being the other atoms), or the
+    /// head's terms (`rest` being the whole body).
+    fn new(cq: &ConjunctiveQuery, seed: &[Term], mut rest: Vec<&Atom>) -> DeltaPlan {
+        // Variable → slot, in order of first binding: a variable is bound
+        // exactly when it is in the map.
+        let mut slots: BTreeMap<&str, usize> = BTreeMap::new();
+        fn compile<'q>(terms: &'q [Term], slots: &mut BTreeMap<&'q str, usize>) -> Vec<Arg> {
+            let arg = |term: &'q Term| match term {
+                Term::Const(value) => Arg::Const(value.clone()),
+                Term::Var(name) => {
+                    let fresh = slots.len();
+                    let slot = *slots.entry(name).or_insert(fresh);
+                    let bound = slot != fresh;
+                    Arg::Var { slot, bound }
+                }
+            };
+            terms.iter().map(arg).collect()
+        }
+        let seed = compile(seed, &mut slots);
+        let mut steps = Vec::with_capacity(rest.len());
+        while !rest.is_empty() {
+            // Most-bound-first; the earliest atom among equals.
+            let bound = |atom: &Atom| -> Vec<usize> {
+                let is_bound = |t: &Term| t.as_var().is_none_or(|v| slots.contains_key(v));
+                let positions = 0..atom.arity();
+                positions.filter(|&p| is_bound(&atom.args()[p])).collect()
+            };
+            let most = |i: &usize| (bound(rest[*i]).len(), std::cmp::Reverse(*i));
+            let atom = rest.remove((0..rest.len()).max_by_key(most).unwrap_or(0));
+            let bound = bound(atom);
+            // The sorted storage serves a bound run of leading positions,
+            // when whatever else is bound is a constant to filter on;
+            // anything else takes a keyed index on all bound positions.
+            let lead = bound.iter().zip(0..).take_while(|(&p, i)| p == *i).count();
+            let filtered = bound[lead..].iter().all(|&p| !atom.args()[p].is_var());
+            let access = match bound.is_empty() || (lead > 0 && filtered) {
+                true => Access::Prefix(lead),
+                false => Access::Keyed(bound),
+            };
+            steps.push(Step {
+                relation: atom.relation().to_string(),
+                args: compile(atom.args(), &mut slots),
+                access,
+            });
+        }
+        // Safe queries: every head variable is bound by now.
+        DeltaPlan {
+            seed,
+            steps,
+            head: compile(cq.head(), &mut slots),
+            slots: slots.len(),
+        }
+    }
+
+    /// Have `db`'s relations hold the keyed indexes this plan probes.  Asked
+    /// of the new instance before the plan runs over the old one: an index
+    /// first built on an old version that this very write superseded (a
+    /// self-join) stays behind with it, and only what the new version holds
+    /// is carried on — to the next write's old version, among others.
+    fn index(&self, db: &Database) -> Result<()> {
+        for step in &self.steps {
+            if let Access::Keyed(positions) = &step.access {
+                db.expect_relation(&step.relation)?.keyed_index(positions);
+            }
+        }
+        Ok(())
+    }
+
+    /// Join the body to `seed` over `db` and hand every head tuple that
+    /// derives to `emit`, until it returns `false`.
+    fn run(
+        &self,
+        db: &Database,
+        seed: &Tuple,
+        stats: &mut FetchStats,
+        emit: &mut dyn FnMut(Tuple) -> Result<bool>,
+    ) -> Result<()> {
+        let mut slots = vec![Value::Bool(false); self.slots];
+        if unify(&self.seed, seed.values(), &mut slots) {
+            self.search(db, 0, &mut slots, stats, emit)?;
+        }
+        Ok(())
+    }
+
+    /// Depth-first over the steps from `depth` on; `false` once `emit` has
+    /// asked to stop.
+    fn search(
+        &self,
+        db: &Database,
+        depth: usize,
+        slots: &mut [Value],
+        stats: &mut FetchStats,
+        emit: &mut dyn FnMut(Tuple) -> Result<bool>,
+    ) -> Result<bool> {
+        let Some(step) = self.steps.get(depth) else {
+            let head = self.head.iter().map(|arg| arg.value(slots).clone());
+            return emit(Tuple::new(head.collect()));
+        };
+        let relation = db.expect_relation(&step.relation)?;
+        let bound = |p: usize| step.args[p].value(slots);
+        match &step.access {
+            Access::Prefix(lead) => {
+                let prefix: Vec<Value> = (0..*lead).map(|p| bound(p).clone()).collect();
+                stats.fetch_calls += usize::from(*lead > 0);
+                for row in relation.prefix_range(&prefix) {
+                    match lead {
+                        0 => stats.scanned_tuples += 1,
+                        _ => stats.fetched_tuples += 1,
+                    }
+                    if unify(&step.args, row.values(), slots)
+                        && !self.search(db, depth + 1, slots, stats, emit)?
+                    {
+                        return Ok(false);
+                    }
+                }
+            }
+            Access::Keyed(positions) => {
+                stats.fetch_calls += 1;
+                // Held by the relation version: built by the first probe
+                // ever, carried by every write since.  It has interned every
+                // value of the relation, so a bound value the pool has never
+                // seen matches no row.
+                let index = relation.keyed_index(positions);
+                let key = positions.iter().map(|&p| ValueId::lookup(bound(p)));
+                let Some(key) = key.collect::<Option<Vec<_>>>() else {
+                    return Ok(true);
+                };
+                for ids in index.probe(&key).chunks_exact(index.arity()) {
+                    stats.fetched_tuples += 1;
+                    let row: Vec<Value> = ids.iter().map(|id| id.value()).collect();
+                    if unify(&step.args, &row, slots)
+                        && !self.search(db, depth + 1, slots, stats, emit)?
+                    {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
 /// Exact semi-naive maintenance of one CQ view extent.
 fn maintain_cq_tracked(
     cq: &ConjunctiveQuery,
@@ -120,48 +397,68 @@ fn maintain_cq_tracked(
     old_db: &Database,
     new_db: &Database,
     delta: &DeltaLog,
+    stats: &mut FetchStats,
 ) -> Result<CqChange> {
+    cq.validate(new_db.schema(), &BTreeMap::new())?;
     // Clones share storage and epoch; a net no-op maintenance returns the
     // extent with its epoch intact.
     let mut extent = prev.clone();
     let mut removed = Vec::new();
     let mut inserted = Vec::new();
-    let residual = Evaluator::new();
+    // One plan per atom position a Δ tuple can take: that atom is the seed,
+    // the other atoms are joined to it.
+    let plan = |(i, atom): (usize, &Atom)| {
+        let exact = delta.exact(atom.relation())?;
+        let others = cq.atoms().iter().enumerate().filter(|(j, _)| *j != i);
+        let others = others.map(|(_, other)| other).collect();
+        Some((DeltaPlan::new(cq, atom.args(), others), exact))
+    };
+    let plans: Vec<(DeltaPlan, &RelationDelta)> =
+        cq.atoms().iter().enumerate().filter_map(plan).collect();
 
     // DRed phase 1+2: over-delete candidates (derivations through a removed
-    // tuple, found over the OLD instance), then re-derive over the new one.
+    // tuple, found over the OLD instance), then re-derive over the new one:
+    // the whole body joined to the candidate as the head, and the first
+    // derivation found settles it.
     let mut candidates: BTreeSet<Tuple> = BTreeSet::new();
-    for atom in cq.atoms() {
-        if let Some(d) = delta.exact(atom.relation()) {
-            for t in &d.removed {
-                if let Some(binding) = bind_atom(atom, t) {
-                    candidates.extend(residual.eval_cq(&cq.substitute(&binding), old_db, None)?);
-                }
-            }
+    for (plan, exact) in &plans {
+        if !exact.removed.is_empty() {
+            plan.index(new_db)?;
+        }
+        for t in &exact.removed {
+            plan.run(old_db, t, stats, &mut |head| {
+                candidates.insert(head);
+                Ok(true)
+            })?;
         }
     }
-    let probe = Evaluator::new().with_max_results(1);
-    for candidate in &candidates {
-        if extent.contains(candidate) && !derivable(&probe, cq, candidate, new_db)? {
-            extent.remove(candidate)?;
-            removed.push(candidate.clone());
+    let rederive = DeltaPlan::new(cq, cq.head(), cq.atoms().iter().collect());
+    for candidate in candidates {
+        if !extent.contains(&candidate) {
+            continue;
+        }
+        let mut derivable = false;
+        rederive.run(new_db, &candidate, stats, &mut |_| {
+            derivable = true;
+            Ok(false)
+        })?;
+        if !derivable {
+            extent.remove(&candidate)?;
+            removed.push(candidate);
         }
     }
 
     // Insertion phase: every genuinely new view tuple has a derivation
-    // through at least one inserted base tuple, so evaluating each residual
-    // query over the new instance covers exactly `ΔV⁺`.
-    for atom in cq.atoms() {
-        if let Some(d) = delta.exact(atom.relation()) {
-            for t in &d.inserted {
-                if let Some(binding) = bind_atom(atom, t) {
-                    for answer in residual.eval_cq(&cq.substitute(&binding), new_db, None)? {
-                        if extent.insert(answer.clone())? {
-                            inserted.push(answer);
-                        }
-                    }
+    // through at least one inserted base tuple, so joining the body to each
+    // of them over the new instance covers exactly `ΔV⁺`.
+    for (plan, exact) in &plans {
+        for t in &exact.inserted {
+            plan.run(new_db, t, stats, &mut |head| {
+                if extent.insert(head.clone())? {
+                    inserted.push(head);
                 }
-            }
+                Ok(true)
+            })?;
         }
     }
     Ok(CqChange {
@@ -182,6 +479,7 @@ fn maintain_ucq(
     old_db: &Database,
     new_db: &Database,
     delta: &DeltaLog,
+    stats: &mut FetchStats,
 ) -> Result<(Relation, Vec<Relation>)> {
     let disjuncts = ucq.disjuncts();
     let Some(prev_parts) = prev_disjuncts.filter(|p| p.len() == disjuncts.len()) else {
@@ -198,7 +496,7 @@ fn maintain_ucq(
             parts.push(prev_part.clone());
             continue;
         }
-        let change = maintain_cq_tracked(cq, prev_part, old_db, new_db, delta)?;
+        let change = maintain_cq_tracked(cq, prev_part, old_db, new_db, delta, stats)?;
         parts.push(change.extent);
         changes.push((change.removed, change.inserted));
     }
@@ -234,9 +532,7 @@ fn rematerialize_ucq(
     prev: Option<&Relation>,
     prev_disjuncts: Option<&[Relation]>,
 ) -> Result<(Relation, Vec<Relation>)> {
-    let attrs: Vec<String> = (0..ucq.arity()).map(|i| format!("c{i}")).collect();
-    let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-    let schema = RelationSchema::new(name, &attr_refs)?;
+    let schema = extent_schema(name, ucq.arity())?;
     let mut parts = Vec::with_capacity(ucq.disjuncts().len());
     let mut union: BTreeSet<Tuple> = BTreeSet::new();
     for (i, cq) in ucq.disjuncts().iter().enumerate() {
@@ -262,62 +558,6 @@ fn rematerialize_ucq(
     Ok((extent, parts))
 }
 
-/// Unify `atom` with the concrete tuple `t`: constants must match, repeated
-/// variables must agree, and every variable maps to the corresponding
-/// constant.  `None` means `t` cannot participate in this atom position.
-fn bind_atom(atom: &Atom, t: &Tuple) -> Option<BTreeMap<String, Term>> {
-    let mut binding: BTreeMap<String, Term> = BTreeMap::new();
-    for (term, value) in atom.args().iter().zip(t.iter()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    return None;
-                }
-            }
-            Term::Var(v) => match binding.get(v) {
-                Some(Term::Const(prev)) if prev != value => return None,
-                _ => {
-                    binding.insert(v.clone(), Term::cnst(value.clone()));
-                }
-            },
-        }
-    }
-    Some(binding)
-}
-
-/// Does `candidate` still have a derivation under `cq` over `db`?  The
-/// fully bound head turns the view body into a boolean residual query; the
-/// evaluator is capped at one answer, so a budget overflow ("more than one
-/// homomorphism") is itself proof of derivability.
-fn derivable(
-    probe: &Evaluator,
-    cq: &ConjunctiveQuery,
-    candidate: &Tuple,
-    db: &Database,
-) -> Result<bool> {
-    let mut binding: BTreeMap<String, Term> = BTreeMap::new();
-    for (term, value) in cq.head().iter().zip(candidate.iter()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    return Ok(false);
-                }
-            }
-            Term::Var(v) => match binding.get(v) {
-                Some(Term::Const(prev)) if prev != value => return Ok(false),
-                _ => {
-                    binding.insert(v.clone(), Term::cnst(value.clone()));
-                }
-            },
-        }
-    }
-    match probe.eval_cq(&cq.substitute(&binding), db, None) {
-        Ok(answers) => Ok(!answers.is_empty()),
-        Err(QueryError::BudgetExceeded(_)) => Ok(true),
-        Err(e) => Err(e),
-    }
-}
-
 /// Evaluate `def` from scratch over `db`.  When `prev` is given and the
 /// recomputed contents are identical, the previous extent relation is
 /// returned instead — preserving its epoch so downstream epoch-keyed caches
@@ -338,10 +578,10 @@ fn rematerialize(
             return Ok(prev.clone());
         }
     }
-    let attrs: Vec<String> = (0..def.arity()).map(|i| format!("c{i}")).collect();
-    let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-    let schema = RelationSchema::new(name, &attr_refs)?;
-    Ok(Relation::from_tuples(schema, tuples)?)
+    Ok(Relation::from_tuples(
+        extent_schema(name, def.arity())?,
+        tuples,
+    )?)
 }
 
 #[cfg(test)]
@@ -516,6 +756,29 @@ mod tests {
         let log = new.take_delta(&old);
         assert!(log.is_unknown("rating"));
         check_against_full(&old, &new, &log);
+    }
+
+    #[test]
+    fn an_index_probed_on_a_superseded_version_is_held_by_its_successor() {
+        // Over-deleting under a self-join probes `like` by (`id`, `type`)
+        // over the old instance — a version of `like` this write superseded.
+        let mut v = ViewSet::empty();
+        let vs = parse_cq("VS(a, c) :- like(a, m, t), like(c, m, t)").unwrap();
+        v.add_cq("VS", vs).unwrap();
+        let (old, new, log) = mutated(|db| db.remove("like", &tuple![1, 10, "movie"]).map(drop));
+        let previous = v.materialize(&old).unwrap();
+        let maintained = maintain(&v, &previous, &old, &new, &log).unwrap();
+        let reference = v.materialize(&new).unwrap();
+        assert_eq!(maintained.extent("VS"), reference.extent("VS"));
+        assert_eq!(maintained.extent("VS").unwrap().len(), 1);
+        // The next removal finds it carried, not left behind with `old`.
+        let held = |db: &Database| {
+            let like = db.relation("like").unwrap();
+            like.keyed_index_if_built(&[1, 2]).is_some()
+        };
+        let mut next = new.clone();
+        next.remove("like", &tuple![2, 12, "movie"]).unwrap();
+        assert!(held(&old) && held(&new) && held(&next));
     }
 
     #[test]

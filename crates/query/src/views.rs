@@ -10,7 +10,7 @@ use crate::error::QueryError;
 use crate::fo::{FoQuery, QueryLanguage};
 use crate::ucq::UnionQuery;
 use crate::Result;
-use bqr_data::{Database, DatabaseSchema, Relation, RelationSchema, Tuple};
+use bqr_data::{Database, DatabaseSchema, Relation};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -156,33 +156,7 @@ impl ViewSet {
     pub fn materialize(&self, db: &Database) -> Result<MaterializedViews> {
         let mut out = MaterializedViews::empty();
         for (name, def) in &self.views {
-            let attrs: Vec<String> = (0..def.arity()).map(|i| format!("c{i}")).collect();
-            let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            let schema = RelationSchema::new(name.clone(), &attr_refs)?;
-            match def {
-                ViewDefinition::Ucq(q) => {
-                    let mut parts = Vec::with_capacity(q.disjuncts().len());
-                    let mut union: BTreeSet<Tuple> = BTreeSet::new();
-                    for cq in q.disjuncts() {
-                        let tuples = crate::eval::eval_cq(cq, db, None)?;
-                        union.extend(tuples.iter().cloned());
-                        parts.push(Relation::from_tuples(schema.clone(), tuples)?);
-                    }
-                    out.insert_with_disjuncts(
-                        name.clone(),
-                        Relation::from_tuples(schema, union)?,
-                        parts,
-                    );
-                }
-                _ => {
-                    let tuples: Vec<Tuple> = match def {
-                        ViewDefinition::Cq(q) => crate::eval::eval_cq(q, db, None)?,
-                        ViewDefinition::Ucq(_) => unreachable!("handled above"),
-                        ViewDefinition::Fo(q) => crate::eval::eval_fo(q, db, None)?,
-                    };
-                    out.insert(name.clone(), Relation::from_tuples(schema, tuples)?);
-                }
-            }
+            crate::maintain::rematerialize_into(&mut out, name, def, db, None, None)?;
         }
         Ok(out)
     }
@@ -497,7 +471,7 @@ mod tests {
     fn materialized_views_insert() {
         let mut cache = MaterializedViews::empty();
         assert_eq!(cache.total_tuples(), 0);
-        let schema = RelationSchema::new("V", &["c0"]).unwrap();
+        let schema = bqr_data::RelationSchema::new("V", &["c0"]).unwrap();
         let rel = Relation::from_tuples(schema, vec![tuple![1], tuple![2]]).unwrap();
         cache.insert("V", rel);
         assert_eq!(cache.total_tuples(), 2);

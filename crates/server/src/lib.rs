@@ -30,7 +30,7 @@
 //!   order, through
 //!   [`Engine::mutate_batch`](bqr_engine::Engine::mutate_batch) in a single
 //!   delta-tracked version publish, amortising the copy-on-write fork,
-//!   index/snapshot patching and view maintenance over the burst, with
+//!   index patching and view maintenance over the burst, with
 //!   per-closure isolation inside the batch.
 //! * **Dual sync/async entry**: [`Server::execute`]/[`Server::mutate`]
 //!   block; [`Server::submit`]/[`Server::submit_mutate`] return a
@@ -292,8 +292,11 @@ mod tests {
     }
 
     /// A flush job that panics outside its `catch_unwind`s — here in a
-    /// foreign waker, while fulfilling — must not strand its queue with
-    /// `scheduled` set and nothing scheduled: the next request is served.
+    /// foreign waker, while fulfilling the first request of a batch of three
+    /// — must not strand its queue with `scheduled` set and nothing
+    /// scheduled, nor the two requests it had not reached yet with their
+    /// admission slots held: they resolve to a typed error, `drain()`
+    /// returns, and the next request is served.
     #[test]
     fn a_flush_job_that_panics_leaves_its_queue_serviceable() {
         struct PanickingWaker;
@@ -307,7 +310,8 @@ mod tests {
         server.prepare("fig1", Q_XI).unwrap();
         let golden = server.engine().session().execute("fig1").unwrap();
 
-        // Park the panicking waker before the flush can run.
+        // Park the panicking waker before the flush can run, two more
+        // requests of the same statement queued behind it.
         let (release, held) = hold_a_worker(&server);
         let mut doomed = pin!(server.submit("fig1"));
         let waker = Waker::from(Arc::new(PanickingWaker));
@@ -315,18 +319,33 @@ mod tests {
             .as_mut()
             .poll(&mut Context::from_waker(&waker))
             .is_pending());
+        let behind = [server.submit("fig1"), server.submit("fig1")];
         release.send(()).unwrap();
         held.wait().unwrap();
 
-        // The answer was stored before the waker ran …
+        // The requests behind the panic were abandoned, not left hanging.
+        // (Waiting for them first also keeps this thread from re-polling
+        // `doomed` — and replacing the parked waker — before the flush.)
+        for pending in behind {
+            assert!(matches!(pending.wait(), Err(ServerError::Internal(_))));
+        }
+        // The doomed request's answer was stored before the waker ran …
         assert_eq!(block_on(doomed).unwrap().output, golden);
-        // … and the statement's queue still serves, as do writes.
+        // … and every admission was released: nothing is in flight.
+        server.drain();
+        assert_eq!(
+            server.stats().completed,
+            2,
+            "the held write, the doomed read"
+        );
+        // And the statement's queue still serves, as do writes.
         assert_eq!(server.execute("fig1").unwrap().output, golden);
         server
             .mutate(|db| db.insert("rating", tuple![999_998, 5]).map(drop))
             .unwrap();
         server.drain();
-        assert_eq!(server.stats().completed, 4);
+        let stats = server.stats();
+        assert_eq!((stats.admitted, stats.completed), (6, 4));
     }
 
     #[test]

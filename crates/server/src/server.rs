@@ -111,7 +111,7 @@ impl<T> Batcher<T> {
 
 struct ReadRequest {
     promise: Promise<Response>,
-    cost: usize,
+    admission: Admission,
     start: Instant,
 }
 
@@ -125,10 +125,51 @@ struct Statement {
 
 type WriteOp = Box<dyn FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static>;
 
+/// What is left of a write request once its closure went to the engine.
+type Waiter = (Promise<()>, Admission, Instant);
+
 struct WriteRequest {
     op: WriteOp,
     promise: Promise<()>,
+    admission: Admission,
     start: Instant,
+}
+
+/// The admission counters, and the wake-up of whoever waits for them to
+/// reach zero.
+#[derive(Default)]
+struct Gate {
+    in_flight: AtomicUsize,
+    outstanding_cost: AtomicUsize,
+    /// Signalled, under `idle_lock`, when `in_flight` reaches zero.
+    idle: Condvar,
+    idle_lock: Mutex<()>,
+}
+
+impl Gate {
+    fn release(&self, cost: usize) {
+        self.outstanding_cost.fetch_sub(cost, Ordering::AcqRel);
+        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Under the lock `drain` holds between its check and its wait,
+            // so it cannot miss this.
+            let _idle = lock(&self.idle_lock);
+            self.idle.notify_all();
+        }
+    }
+}
+
+/// An admitted request's hold on the gate: one request slot plus `cost`
+/// units of fetch budget, given back when the guard drops — wherever the
+/// request ends up, a flush job unwinding past it included.
+struct Admission {
+    gate: Arc<Gate>,
+    cost: usize,
+}
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.gate.release(self.cost);
+    }
 }
 
 struct Inner {
@@ -139,11 +180,7 @@ struct Inner {
     /// or lazily on first submission.
     statements: Mutex<HashMap<Arc<str>, Arc<Statement>>>,
     writes: Batcher<WriteRequest>,
-    in_flight: AtomicUsize,
-    outstanding_cost: AtomicUsize,
-    /// Signalled, under `idle_lock`, when `in_flight` reaches zero.
-    idle: Condvar,
-    idle_lock: Mutex<()>,
+    gate: Arc<Gate>,
     metrics: Metrics,
 }
 
@@ -185,10 +222,7 @@ impl Server {
             config,
             statements: Mutex::new(HashMap::new()),
             writes: Batcher::new(),
-            in_flight: AtomicUsize::new(0),
-            outstanding_cost: AtomicUsize::new(0),
-            idle: Condvar::new(),
-            idle_lock: Mutex::new(()),
+            gate: Arc::default(),
             metrics: Metrics::default(),
         });
         Server { inner }
@@ -237,12 +271,11 @@ impl Server {
                 Some(statement) => statement,
                 None => inner.register(name)?,
             };
-            let cost = statement.cost();
-            inner.admit(cost)?;
+            let admission = inner.admit(statement.cost())?;
             let (promise, pending) = slot();
             let request = ReadRequest {
                 promise,
-                cost,
+                admission,
                 start: Instant::now(),
             };
             if statement.reads.push(request) {
@@ -271,11 +304,12 @@ impl Server {
         let admitted = || {
             let inner = &self.inner;
             inner.accept()?;
-            inner.admit(0)?;
+            let admission = inner.admit(0)?;
             let (promise, pending) = slot();
             let request = WriteRequest {
                 op: Box::new(op),
                 promise,
+                admission,
                 start: Instant::now(),
             };
             if inner.writes.push(request) {
@@ -296,13 +330,10 @@ impl Server {
 
     /// Block until every admitted request has been fulfilled.
     pub fn drain(&self) {
-        let inner = &self.inner;
-        let mut idle = lock(&inner.idle_lock);
-        while inner.in_flight.load(Ordering::Acquire) > 0 {
-            idle = inner
-                .idle
-                .wait(idle)
-                .unwrap_or_else(PoisonError::into_inner);
+        let gate = &self.inner.gate;
+        let mut idle = lock(&gate.idle_lock);
+        while gate.in_flight.load(Ordering::Acquire) > 0 {
+            idle = gate.idle.wait(idle).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -317,12 +348,12 @@ impl Drop for Server {
         let statements: Vec<Arc<Statement>> = lock(&inner.statements).values().cloned().collect();
         for statement in statements {
             for request in statement.reads.take() {
-                inner.release(request.cost);
+                drop(request.admission);
                 request.promise.fulfil(Err(ServerError::ShuttingDown));
             }
         }
         for request in inner.writes.take() {
-            inner.release(0);
+            drop(request.admission);
             request.promise.fulfil(Err(ServerError::ShuttingDown));
         }
         inner.pool.join();
@@ -397,20 +428,26 @@ impl Inner {
     }
 
     /// Admission control: a request slot plus `cost` units of fetch budget,
-    /// both released on fulfilment.  Exact under concurrency (fetch-add
-    /// then check): the caps are never exceeded by admitted requests.
-    fn admit(&self, cost: usize) -> ServerResult<()> {
-        if self.in_flight.fetch_add(1, Ordering::AcqRel) >= self.config.max_concurrent {
-            self.release(0);
+    /// both held by the returned guard and released when it drops.  Exact
+    /// under concurrency (fetch-add then check): the caps are never
+    /// exceeded by admitted requests.
+    fn admit(&self, cost: usize) -> ServerResult<Admission> {
+        // Whatever has been taken so far, dropping the guard gives back.
+        let taken = self.gate.in_flight.fetch_add(1, Ordering::AcqRel);
+        let mut admission = Admission {
+            gate: Arc::clone(&self.gate),
+            cost: 0,
+        };
+        if taken >= self.config.max_concurrent {
             return Err(self.overloaded());
         }
-        let used = self.outstanding_cost.fetch_add(cost, Ordering::AcqRel);
+        let used = self.gate.outstanding_cost.fetch_add(cost, Ordering::AcqRel);
+        admission.cost = cost;
         if used + cost > self.config.max_outstanding_cost {
-            self.release(cost);
             return Err(self.overloaded());
         }
         self.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(admission)
     }
 
     fn overloaded(&self) -> ServerError {
@@ -420,39 +457,33 @@ impl Inner {
         }
     }
 
-    fn release(&self, cost: usize) {
-        self.outstanding_cost.fetch_sub(cost, Ordering::AcqRel);
-        if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Under the lock `drain` holds between its check and its wait,
-            // so it cannot miss this.
-            let _idle = lock(&self.idle_lock);
-            self.idle.notify_all();
-        }
-    }
-
     /// A request is done: free its admission, count it, time it.
-    fn finish(&self, cost: usize, start: Instant) {
-        self.release(cost);
+    fn finish(&self, admission: Admission, start: Instant) {
+        drop(admission);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
         let micros = start.elapsed().as_micros() as u64;
         self.metrics.latencies.record(micros);
     }
 
     fn finish_read(&self, request: ReadRequest, result: ServerResult<Response>) {
-        self.finish(request.cost, request.start);
+        self.finish(request.admission, request.start);
         request.promise.fulfil(result);
     }
 
-    fn finish_write(&self, promise: Promise<()>, start: Instant, result: ServerResult<()>) {
+    fn finish_write(&self, waiter: Waiter, result: ServerResult<()>) {
         if result.is_ok() {
             self.metrics.writes.fetch_add(1, Ordering::Relaxed);
         }
-        self.finish(0, start);
+        let (promise, admission, start) = waiter;
+        self.finish(admission, start);
         promise.fulfil(result);
     }
 
     /// Hand every request of `batch` the same result: cloned for all but
     /// the last, which takes the original (a batch of one clones nothing).
+    /// Should a fulfilment panic (a foreign waker), the unwind drops the
+    /// requests not yet answered: each gives its admission back and its
+    /// waiter a typed error.
     fn finish_reads(&self, mut batch: Vec<ReadRequest>, result: ServerResult<Response>) {
         let last = batch.pop();
         for request in batch {
@@ -568,11 +599,11 @@ fn flush_panic() -> ServerError {
 /// for the whole batch, closures applied in arrival order, per-closure
 /// isolation inside it.
 fn flush_writes(inner: &Inner) {
-    let (ops, waiters): (Vec<WriteOp>, Vec<_>) = inner
+    let (ops, waiters): (Vec<WriteOp>, Vec<Waiter>) = inner
         .writes
         .take()
         .into_iter()
-        .map(|request| (request.op, (request.promise, request.start)))
+        .map(|r| (r.op, (r.promise, r.admission, r.start)))
         .unzip();
     inner.metrics.write_batches.fetch_add(1, Ordering::Relaxed);
     let all = |error: ServerError| vec![Err(error); waiters.len()];
@@ -605,7 +636,7 @@ fn flush_writes(inner: &Inner) {
         }
     };
     debug_assert_eq!(results.len(), waiters.len());
-    for ((promise, start), result) in waiters.into_iter().zip(results) {
-        inner.finish_write(promise, start, result);
+    for (waiter, result) in waiters.into_iter().zip(results) {
+        inner.finish_write(waiter, result);
     }
 }

@@ -108,9 +108,9 @@
 //! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
 //! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)` |
 //! | its id-native sibling, if built | same shape; re-interns only the touched groups (`≤ N · arity` values each) |
-//! | snapshot of a relation **someone snapshotted** (views read it) | `O(\|R\|)` id memcpy + `O(\|Δ\|)` interning |
-//! | snapshot of a relation nobody snapshotted (a fact table behind `fetch`) | nothing — it is never built |
-//! | CQ / UCQ view extents | semi-naive in the delta, see below |
+//! | a keyed index the relation holds (view maintenance asked for it once) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
+//! | the interned snapshot of a written relation | nothing — no write carries one forward; the next scan of the relation builds it |
+//! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
 //!   `remove`): CQ view extents are maintained semi-naively (insertions
@@ -119,12 +119,15 @@
 //!   disjunct** — an untouched disjunct keeps its extent without any
 //!   evaluation, and the union extent is patched from the disjunct changes,
 //!   with a cross-disjunct check so a tuple one disjunct lost survives
-//!   while another still derives it.  A relation owns the interned snapshot
-//!   of its contents; when a touched relation's predecessor has one, the
-//!   successor's is **patched** from it ([`data::patched_snapshot_of`]):
-//!   surviving rows keep their order, insertions are appended, and the
-//!   per-position distinct counts are adjusted incrementally — only the
-//!   delta is interned, though the id array itself is copied.
+//!   while another still derives it.  Each Δ tuple is joined to the rest
+//!   of the view body by a *delta plan* ([`query::maintain`]): a chain of
+//!   probes in an order fixed by the view's syntax, each served by the
+//!   relation version itself — a binary-searched run of its sorted storage
+//!   when the bound positions lead the schema
+//!   ([`data::Relation::prefix_range`]), otherwise a keyed hash index
+//!   ([`data::Relation::keyed_index`]) that the first write to need it
+//!   builds (`O(|R|)`, once) and every later write to the relation carries
+//!   forward.  Nothing is planned, compiled, interned or indexed per write.
 //! * **Access indexes patch under exact deltas** — inserts *and* removals:
 //!   the group map is cut into shards by the hash of the key, a successor
 //!   shares every shard its delta does not land in, and groups are kept in
@@ -137,15 +140,16 @@
 //! * **Wholesale replacement** (the closure *assigned* a relation, losing
 //!   tracking): the delta degrades to "unknown" for that relation —
 //!   affected views re-materialise (reusing the previous extent object when
-//!   the contents come out unchanged), its index and snapshot rebuild.
+//!   the contents come out unchanged), its access index rebuilds, and its
+//!   snapshot and keyed indexes are built again by whoever next asks.
 //!   Replacing a relation with equal contents is detected (unequal lengths
 //!   and pointer-equal storage answer without comparing a tuple) and
 //!   short-circuits to a no-op.
 //! * **Non-CQ FO views** always re-materialise — only CQ/UCQ definitions
 //!   have a sound semi-naive path.
 //!
-//! Untouched relations share their epochs, indexes, and snapshots into the
-//! new version, so the `(plan, options, epochs)`-keyed pipeline cache
+//! Untouched relations share their epochs, indexes (access and keyed), and
+//! snapshots into the new version, so the `(plan, options, epochs)`-keyed pipeline cache
 //! invalidates only pipelines that actually read a changed input.  A net
 //! no-op mutation publishes nothing at all: no epoch moves, no cache entry
 //! is touched.  [`MaintenanceMode::Rebuild`] restores the from-scratch

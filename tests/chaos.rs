@@ -468,14 +468,32 @@ fn engine_mutate_fails(
     engine.mutate(|db| mutation(db)).is_err()
 }
 
-/// PR 9: a fault at the snapshot-patch site degrades the write to
-/// from-scratch interning — the mutation still commits, and database
-/// contents, view extents, and served answers stay bit-identical to an
-/// un-faulted twin engine's.  A panic at the site is contained by the
-/// all-or-nothing mutate.  Once the fault clears, patched writes agree
-/// again.
+/// The `like` relation of `engine`'s live version, and whether it holds the
+/// keyed index V1's re-derivation probes (`like` by `id`, `type`).
+fn like_index_is_built(engine: &Engine) -> bool {
+    let session = engine.session();
+    let like = session.database().relation("like").unwrap();
+    like.keyed_index_if_built(&[1, 2]).is_some()
+}
+
+/// Take one of V1's derivations out and put it back: the removal re-derives
+/// through `like` by `id`, so from here on `like` holds that keyed index and
+/// every write to it reaches the carry site.
+fn build_the_like_index(engine: &Engine) {
+    let fan = tuple![2, 12, "movie"];
+    engine.mutate(|db| db.remove("like", &fan)).unwrap();
+    engine.mutate(|db| db.insert("like", fan.clone())).unwrap();
+    assert!(like_index_is_built(engine));
+}
+
+/// ISSUE 19: a fault at the keyed-index carry degrades the write to
+/// dropping the index — the mutation still commits, the next maintenance
+/// that needs the index rebuilds it, and database contents, view extents,
+/// and served answers stay bit-identical to an un-faulted twin engine's.  A
+/// panic at the site is contained by the all-or-nothing mutate.  Once the
+/// fault clears, carried writes agree again.
 #[test]
-fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
+fn keyed_carry_faults_degrade_to_a_rebuild_on_next_use() {
     let _chaos = chaos_lock();
     let faulty = fig1_engine();
     let clean = fig1_engine();
@@ -490,34 +508,40 @@ fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
         assert_eq!(a.execute("fig1").unwrap(), b.execute("fig1").unwrap());
     };
 
-    // One ordinary write on both engines first.
     for engine in [&faulty, &clean] {
-        engine
-            .mutate(|db| db.insert("rating", tuple![800, 1]).map(drop))
-            .unwrap();
+        build_the_like_index(engine);
     }
     agree(&faulty, &clean);
 
-    // Error at the site while only the faulty engine writes: the patch
-    // degrades to a from-scratch intern, the commit still lands.
+    // Error at the site while only the faulty engine writes: the carry
+    // degrades to dropping the index, the commit still lands.  (An insert
+    // into `like` probes `person` and `movie` only, so nothing rebuilds the
+    // index behind the assertion's back.)
     let mutation = |db: &mut Database| {
         db.insert("rating", tuple![12, 4])?;
-        db.remove("like", &tuple![2, 12, "movie"])?;
+        db.insert("like", tuple![1, 12, "movie"])?;
         Ok(())
     };
     {
-        let _fp = faults::inject_guard(sites::SNAPSHOT_PATCH, FaultKind::Error);
+        let _fp = faults::inject_guard(sites::KEYED_CARRY, FaultKind::Error);
         faulty.mutate(mutation).unwrap();
     }
     clean.mutate(mutation).unwrap();
+    assert!(!like_index_is_built(&faulty) && like_index_is_built(&clean));
+    agree(&faulty, &clean);
+    // The next removal re-derives over a rebuilt index: same extents.
+    for engine in [&faulty, &clean] {
+        engine
+            .mutate(|db| db.remove("like", &tuple![2, 12, "movie"]))
+            .unwrap();
+    }
+    assert!(like_index_is_built(&faulty));
     agree(&faulty, &clean);
 
-    // Panic at the site: contained by the engine, nothing published.  The
-    // write must touch a relation some view reads (`like`, under V1): only
-    // those hold a snapshot, so only those are ever patched.
+    // Panic at the site: contained by the engine, nothing published.
     let before = faulty.database();
     let epochs = faulty.session().epochs();
-    faults::inject_times(sites::SNAPSHOT_PATCH, FaultKind::Panic, 1);
+    faults::inject_times(sites::KEYED_CARRY, FaultKind::Panic, 1);
     let err = faulty
         .mutate(|db| db.insert("like", tuple![1, 801, "page"]))
         .unwrap_err();
@@ -525,14 +549,15 @@ fn snapshot_patch_faults_degrade_to_from_scratch_interning() {
     assert_eq!(faulty.database(), before, "no partial commit");
     assert_eq!(faulty.session().epochs(), epochs, "epochs did not move");
 
-    // Registry drained: the same write patches normally on both engines
+    // Registry drained: the same write carries normally on both engines
     // and they still agree bit for bit.
-    assert!(!faults::is_active(sites::SNAPSHOT_PATCH));
+    assert!(!faults::is_active(sites::KEYED_CARRY));
     for engine in [&faulty, &clean] {
         engine
             .mutate(|db| db.insert("like", tuple![1, 801, "page"]).map(drop))
             .unwrap();
     }
+    assert!(like_index_is_built(&faulty));
     agree(&faulty, &clean);
 }
 
@@ -614,13 +639,14 @@ fn pinned_sessions_never_observe_a_half_applied_delta() {
 
 /// ISSUE 13: versions share storage chunk by chunk and index shard by
 /// shard, so a write that dies half-way — after its closure forked chunks,
-/// inside index patching, inside snapshot patching, inside maintenance —
+/// inside the keyed-index carry, inside index patching, inside maintenance —
 /// must publish nothing *and* leave the version it forked from reading
 /// exactly as before, through a session pinned before the write.
 #[test]
 fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
     let _chaos = chaos_lock();
     let engine = fig1_engine();
+    build_the_like_index(&engine);
     // Several storage chunks of ratings, keys in most index shards.
     engine
         .mutate(|db| {
@@ -639,6 +665,9 @@ fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
     let (before, epochs) = (contents(pinned.database()), pinned.epochs());
     let golden = pinned.execute("fig1").unwrap();
     assert!(pinned.database().relation("rating").unwrap().chunk_count() > 4);
+    let pinned_like = pinned.database().relation("like").unwrap();
+    let like_index = pinned_like.keyed_index_if_built(&[1, 2]).unwrap();
+    let like_rows = like_index.total_rows();
 
     // Writes landing in different chunks and shards, removals included.
     let write = |db: &mut Database| {
@@ -651,7 +680,7 @@ fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
     for (site, kind) in [
         (sites::INDEX_BUILD, FaultKind::Error),
         (sites::INDEX_BUILD, FaultKind::Panic),
-        (sites::SNAPSHOT_PATCH, FaultKind::Panic),
+        (sites::KEYED_CARRY, FaultKind::Panic),
         (sites::VIEW_MAINTAIN, FaultKind::Error),
     ] {
         faults::inject_times(site, kind, 1);
@@ -670,10 +699,10 @@ fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
         assert_eq!(pinned.execute("fig1").unwrap(), golden, "{site}");
     }
 
-    // A patch that degrades (Error) still commits — and still only into the
+    // A carry that degrades (Error) still commits — and still only into the
     // successor: the pinned predecessor keeps every tuple it had.
     {
-        let _fp = faults::inject_guard(sites::SNAPSHOT_PATCH, FaultKind::Error);
+        let _fp = faults::inject_guard(sites::KEYED_CARRY, FaultKind::Error);
         engine.mutate(write).unwrap();
     }
     let live = engine.session();
@@ -686,6 +715,14 @@ fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
     assert_eq!(contents(pinned.database()), before);
     assert_eq!(pinned.execute("fig1").unwrap(), golden);
     assert_eq!(pinned.epochs(), epochs, "the pin moved");
+    // Nor did any carry, faulted or not, write through to the index the
+    // pinned version holds.
+    let still = pinned_like.keyed_index_if_built(&[1, 2]).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&still, &like_index));
+    assert_eq!(
+        (still.total_rows(), pinned_like.len()),
+        (like_rows, like_rows)
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@
 //! contents, every materialised view extent, and the served answers *and*
 //! `FetchStats` of a prepared statement.
 //!
+//! The views cover the shapes a chain of keyed probes can get wrong: a
+//! three-way join (`V1`), single atoms, unions with shared derivations, a
+//! self-join (one Δ tuple takes two atom positions and joins with itself), a
+//! constant and a repeated variable away from the sorted prefix, a cross
+//! product (a step with nothing bound, which must scan), and a constant in
+//! the head.
+//!
 //! On top of the cross-engine agreement, the delta engine must uphold the
 //! epoch contract: any relation or view extent whose *contents* a mutation
 //! left unchanged keeps its epoch (so epoch-keyed pipeline caches are
@@ -44,6 +51,18 @@ fn views() -> ViewSet {
         parse_ucq("VO(m) :- rating(m, 5); VO(m) :- like(p, m, 'movie')").unwrap(),
     )
     .unwrap();
+    for (name, text) in [
+        // A self-join: fans of the same thing.
+        ("VS", "VS(a, c) :- like(a, m, t), like(c, m, t)"),
+        // A constant and a repeated variable in non-prefix positions.
+        ("VC", "VC(p, m) :- like(p, m, 'movie'), rating(m, m)"),
+        // A cross product: `person` shares no variable with `rating`.
+        ("VX", "VX(m, a) :- rating(m, 5), person(a, n, f)"),
+        // A constant in the head.
+        ("VH", "VH(m, 'liked') :- like(p, m, 'movie')"),
+    ] {
+        v.add_cq(name, parse_cq(text).unwrap()).unwrap();
+    }
     v
 }
 
@@ -81,7 +100,12 @@ fn random_tuple(rng: &mut StdRng, relation: &str) -> Tuple {
             let release = if rng.gen_bool(0.5) { "2014" } else { "2013" };
             tuple![mid, format!("m{mid}"), studio, release]
         }
-        "rating" => tuple![rng.gen_range(10..18i64), rng.gen_range(1..6i64)],
+        "rating" => {
+            // Now and then a movie ranked by its own id, for `VC`.
+            let mid = rng.gen_range(10..18i64);
+            let rank = rng.gen_range(1..6i64);
+            tuple![mid, if rng.gen_bool(0.15) { mid } else { rank }]
+        }
         "like" => {
             let ty = if rng.gen_bool(0.8) { "movie" } else { "page" };
             tuple![rng.gen_range(1..9i64), rng.gen_range(10..18i64), ty]
@@ -247,6 +271,9 @@ fn randomized_mutation_sequences_agree_with_full_rebuild() {
 
     let delta = engine(MaintenanceMode::Delta);
     let rebuild = engine(MaintenanceMode::Rebuild);
+    // How often each extent genuinely changed: the agreement below must not
+    // hold vacuously for any view.
+    let mut changes: std::collections::BTreeMap<String, usize> = Default::default();
 
     for seed in 0..SEQUENCES {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -272,7 +299,19 @@ fn randomized_mutation_sequences_agree_with_full_rebuild() {
             mutate_both(&mut rng, &delta, &rebuild);
             check_agreement(&delta, &rebuild);
             check_epoch_contract(&before_db, &before_views, &delta);
+            let session = delta.session();
+            for (name, prev) in &before_views {
+                let moved = session.views().extent(name).unwrap() != prev;
+                *changes.entry(name.clone()).or_default() += usize::from(moved);
+            }
         }
+    }
+    for name in views().names() {
+        assert!(
+            changes[name] >= 10,
+            "`{name}` changed {} times",
+            changes[name]
+        );
     }
 }
 
@@ -305,17 +344,120 @@ fn deterministic_trajectory_with_shared_derivations() {
         Box::new(|db| db.remove("person", &tuple![2, "Bob", "NASA"]).map(drop)),
     ];
     for (i, step) in steps.iter().enumerate() {
+        let epoch_before = delta.session().views().extent("V1").unwrap().epoch();
         delta.mutate(|db| step(db)).unwrap();
         rebuild.mutate(|db| step(db)).unwrap();
         check_agreement(&delta, &rebuild);
-        let has_v1 = delta
-            .session()
-            .views()
-            .extent("V1")
-            .unwrap()
-            .contains(&tuple![10]);
-        assert_eq!(has_v1, i == 0 || i == 2, "step {i}");
+        let session = delta.session();
+        let v1 = session.views().extent("V1").unwrap();
+        assert_eq!(v1.contains(&tuple![10]), i == 0 || i == 2, "step {i}");
+        // While another NASA person still likes the movie, neither V1's
+        // contents nor its epoch move; every other step changes both.
+        assert_eq!(v1.epoch() == epoch_before, i == 0, "step {i}");
     }
+}
+
+/// Alternative derivations created and destroyed together: one 64-closure
+/// `mutate_batch` whose single net delta inserts and removes join partners
+/// — fans, their `person` tuples, the `movie` tuple itself — of the same
+/// `V1` tuples, some closures failing and being rolled back on the way.
+#[test]
+fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
+    let delta = engine(MaintenanceMode::Delta);
+    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut db = Database::empty(movies::schema());
+    for pid in 1..=6i64 {
+        let aff = if pid % 3 == 0 { "ESA" } else { "NASA" };
+        db.insert("person", tuple![pid, format!("p{pid}"), aff])
+            .unwrap();
+    }
+    for mid in [10i64, 11] {
+        db.insert("movie", tuple![mid, format!("m{mid}"), "Universal", "2014"])
+            .unwrap();
+        db.insert("rating", tuple![mid, 5]).unwrap();
+    }
+    // V1(10) through fans 1 and 2; V1(11) through fan 4 alone.
+    for (pid, mid) in [(1i64, 10i64), (2, 10), (3, 10), (4, 11)] {
+        db.insert("like", tuple![pid, mid, "movie"]).unwrap();
+    }
+    delta.attach(db.clone()).unwrap();
+    rebuild.attach(db).unwrap();
+
+    type Closure = Box<dyn FnOnce(&mut Database) -> bqr::data::Result<()>>;
+    let script = || -> Vec<Closure> {
+        let mut closures: Vec<Closure> = Vec::new();
+        for round in 0..16i64 {
+            let fan = 1 + round % 6;
+            // Drop one derivation of V1(10) …
+            closures.push(Box::new(move |db| {
+                db.remove("like", &tuple![fan, 10, "movie"]).map(drop)
+            }));
+            // … add another through the next person, whatever they are …
+            closures.push(Box::new(move |db| {
+                db.insert("like", tuple![1 + (fan + 1) % 6, 10, "movie"])
+                    .map(drop)
+            }));
+            // … flip a person between NASA and ESA (a remove and an insert
+            // on `person` in the same delta) …
+            closures.push(Box::new(move |db| {
+                let (was, now) = if round % 2 == 0 {
+                    ("NASA", "ESA")
+                } else {
+                    ("ESA", "NASA")
+                };
+                let name = format!("p{fan}");
+                if db.remove("person", &tuple![fan, name.clone(), was])? {
+                    db.insert("person", tuple![fan, name, now])?;
+                }
+                Ok(())
+            }));
+            // … and every fourth round fail after a write (rolled back), or
+            // take V1(11)'s movie away and bring it back renamed.
+            closures.push(Box::new(move |db| match round % 4 {
+                0 => {
+                    db.insert("like", tuple![5, 11, "movie"])?;
+                    Err(DataError::UnknownRelation("injected".into()))
+                }
+                1 => db
+                    .remove("movie", &tuple![11, "m11", "Universal", "2014"])
+                    .map(drop),
+                2 => db
+                    .insert("movie", tuple![11, "again", "Universal", "2014"])
+                    .map(drop),
+                _ => db.remove("like", &tuple![4, 11, "movie"]).map(drop),
+            }));
+        }
+        closures
+    };
+    assert_eq!(script().len(), 64);
+    let before_db = delta.database();
+    let before_views: Vec<_> = {
+        let s = delta.session();
+        let names = s.views().names();
+        names
+            .map(|n| (n.to_string(), s.views().extent(n).unwrap().clone()))
+            .collect()
+    };
+    for engine in [&delta, &rebuild] {
+        let outcomes = engine.mutate_batch(script()).unwrap();
+        let failed = outcomes.iter().filter(|o| o.is_err()).count();
+        assert_eq!(failed, 4, "the injected failures, and only they");
+    }
+    check_agreement(&delta, &rebuild);
+    check_epoch_contract(&before_db, &before_views, &delta);
+    // The batch was not a net no-op on the view it targets.
+    let session = delta.session();
+    assert_ne!(session.database(), &before_db);
+    let v1: Vec<Tuple> = session
+        .views()
+        .extent("V1")
+        .unwrap()
+        .iter()
+        .cloned()
+        .collect();
+    let reference = views().materialize(session.database()).unwrap();
+    let expected: Vec<Tuple> = reference.extent("V1").unwrap().iter().cloned().collect();
+    assert_eq!(v1, expected);
 }
 
 #[test]
@@ -452,17 +594,34 @@ fn replacing_a_relation_with_equal_contents_publishes_nothing() {
     assert_eq!(engine.cache_stats().misses, misses, "nothing recompiled");
 }
 
-/// Differential check of in-place snapshot patching: after every exact-delta
-/// mutation, the [`InternedSnapshot`] every relation carries must
-/// agree with a from-scratch recomputation — same rows (as a set), same
-/// per-position distinct counts — and keep the *first-seen* row order:
-/// surviving predecessor rows first (in predecessor order), insertions
-/// appended.  Exercises the removal path heavily.
+/// Differential check of the keyed-index carry: after every exact-delta
+/// mutation, every keyed index a relation of the published version holds —
+/// the ones maintenance built for itself, and ones requested here on other
+/// key positions — must equal an index built from scratch over a freshly
+/// stored copy of the same relation, and must have forked at most one shard
+/// per written tuple.  A written relation's successor holds no interned
+/// snapshot: nothing on the write path builds or patches one.  Exercises
+/// the removal path heavily.
 #[test]
-fn patched_snapshots_match_from_scratch_recomputation() {
-    use bqr::data::{snapshot_of, RelationStats};
+fn carried_keyed_indexes_match_from_scratch_recomputation() {
+    use bqr::data::Relation;
+
+    /// Key positions requested by the test, beside whatever maintenance
+    /// builds for itself (`like` by `id`, `type` among them).
+    const REQUESTED: [(&str, &[usize]); 4] = [
+        ("like", &[1]),
+        ("person", &[2]),
+        ("rating", &[1]),
+        ("movie", &[2, 3]),
+    ];
+    /// Every key an index may be held on: ascending position subsets.
+    fn subsets(arity: usize) -> Vec<Vec<usize>> {
+        let pick = |mask: usize| (0..arity).filter(|p| mask >> p & 1 == 1).collect();
+        (1..1usize << arity).map(pick).collect()
+    }
 
     let engine = engine(MaintenanceMode::Delta);
+    let mut maintenance_built_one = false;
     for seed in 1000..1060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut db = Database::empty(movies::schema());
@@ -471,47 +630,16 @@ fn patched_snapshots_match_from_scratch_recomputation() {
             db.insert(rel, random_tuple(&mut rng, rel)).unwrap();
         }
         engine.attach(db).unwrap();
-        // `order_of` snapshots every relation of the version it looks at, so
-        // every exact delta from here on takes the patch path; the warmup
-        // write makes the first such version one the engine built itself.
-        // The tuple lies outside `random_tuple`'s domain so the insert can
-        // never be a (publish-eliding) no-op.
-        engine
-            .mutate(|db| db.insert("rating", tuple![999, 1]).map(drop))
-            .unwrap();
-
-        let order_of = |engine: &Engine| -> Vec<(String, Vec<Tuple>)> {
+        for (name, positions) in REQUESTED {
             let session = engine.session();
-            session
-                .database()
-                .relations()
-                .map(|rel| {
-                    let snap = snapshot_of(rel);
-                    assert_eq!(snap.epoch(), rel.epoch());
-                    let rows: Vec<Tuple> = (0..snap.len() as u32)
-                        .map(|i| Tuple::new(snap.row(i).iter().map(|id| id.value()).collect()))
-                        .collect();
-                    // Contents: the snapshot rows are exactly the relation.
-                    assert_eq!(rows.len(), rel.len());
-                    assert!(rows.iter().all(|t| rel.contains(t)));
-                    // Stats: bit-identical to a from-scratch recomputation
-                    // over the same rows.
-                    assert_eq!(
-                        *snap.stats(),
-                        RelationStats::of_rows(snap.len(), snap.arity(), snap.id_rows()),
-                        "patched stats diverged for `{}`",
-                        rel.name()
-                    );
-                    (rel.name().to_string(), rows)
-                })
-                .collect()
-        };
+            let rel = session.database().relation(name).unwrap();
+            rel.keyed_index(positions);
+        }
 
-        let mut before = order_of(&engine);
         for _ in 0..6 {
             // Exact-delta script only: random inserts and live-tuple
-            // removals (no wholesale replacement), so every mutation is
-            // patchable.
+            // removals (no wholesale replacement), so every index is
+            // carried, never rebuilt.
             let current = engine.database();
             let mut script: Vec<(u8, &'static str, Tuple)> = Vec::new();
             for _ in 0..rng.gen_range(1..4usize) {
@@ -522,6 +650,18 @@ fn patched_snapshots_match_from_scratch_recomputation() {
                     script.push((1, rel, present_tuple(&mut rng, &current, rel)));
                 }
             }
+            // What each relation holds going into the write (maintenance may
+            // add to the outgoing version's indexes while it runs).
+            let before = engine.session();
+            let held_before: Vec<_> = before
+                .database()
+                .relations()
+                .flat_map(|rel| {
+                    let held = move |p: Vec<usize>| Some((rel, rel.keyed_index_if_built(&p)?, p));
+                    subsets(rel.schema().arity()).into_iter().filter_map(held)
+                })
+                .collect();
+            maintenance_built_one |= held_before.len() > REQUESTED.len();
             engine
                 .mutate(move |db| {
                     for (op, rel, t) in &script {
@@ -538,22 +678,27 @@ fn patched_snapshots_match_from_scratch_recomputation() {
                 })
                 .unwrap();
 
-            let after = order_of(&engine);
-            for ((name, prev_rows), (_, new_rows)) in before.iter().zip(&after) {
-                // First-seen order: the new snapshot starts with the
-                // predecessor's surviving rows, in predecessor order.
-                let new_set: std::collections::BTreeSet<&Tuple> = new_rows.iter().collect();
-                let survivors: Vec<&Tuple> =
-                    prev_rows.iter().filter(|t| new_set.contains(t)).collect();
-                assert!(
-                    survivors
-                        .iter()
-                        .zip(new_rows.iter())
-                        .all(|(a, b)| **a == *b),
-                    "surviving rows of `{name}` were reordered by the patch"
-                );
+            let after = engine.session();
+            for rel in after.database().relations() {
+                let prev = before.database().relation(rel.name()).unwrap();
+                let written = rel.epoch() != prev.epoch();
+                assert!(!(written && rel.has_snapshot()), "`{}`", rel.name());
             }
-            before = after;
+            for (prev, was, positions) in held_before {
+                let rel = after.database().relation(prev.name()).unwrap();
+                let label = format!("`{}` by {positions:?}", rel.name());
+                let carried = rel.keyed_index_if_built(&positions);
+                let carried = carried.unwrap_or_else(|| panic!("{label} was dropped"));
+                let fresh = Relation::from_tuples(rel.schema().clone(), rel.iter().cloned());
+                let rebuilt = fresh.unwrap().keyed_index(&positions);
+                assert_eq!(*carried, *rebuilt, "{label}");
+                // At most three tuples were written, one shard each; an
+                // unwritten relation is the same version, index and all.
+                let forked = carried.shard_count() - carried.shared_shards(&was);
+                assert!(forked <= 3, "{label} forked {forked} shards");
+                assert!(forked == 0 || rel.epoch() != prev.epoch(), "{label}");
+            }
         }
     }
+    assert!(maintenance_built_one, "no write ever needed a keyed index");
 }

@@ -8,12 +8,16 @@
 //! like an `IndexedDatabase::build` over freshly stored copies of the same
 //! contents: iteration order, every probe (tuples *and* group order),
 //! `fetch_ids`/`fetch_ids_batch` rows and `FetchStats`, the index statistics,
-//! source multiplicities, and — wherever a snapshot exists — its rows and
-//! statistics.  And the predecessor version must still read exactly as it
-//! did before the write: copy-on-write may share, never leak.
+//! source multiplicities, every keyed index the written relations carried
+//! along, and — wherever a snapshot exists — its rows and statistics.  And
+//! the predecessor version must still read exactly as it did before the
+//! write: copy-on-write may share, never leak.
 //!
 //! Half the steps leave the successor's id-native side cold, so both the
 //! patched-from-warm and the stays-lazy paths are walked.
+//!
+//! The sorted-prefix ranges view maintenance probes are held to a filter
+//! over the whole relation at every chunk edge.
 
 use bqr::data::{
     snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
@@ -203,6 +207,27 @@ fn check_snapshots(idb: &IndexedDatabase) -> Vec<bool> {
         .collect()
 }
 
+/// The keyed indexes this test asks for: by one position, by a trailing
+/// position before a leading one, and on the small relation.
+const KEYED: [(&str, &[usize]); 3] = [("fact", &[1]), ("fact", &[2, 0]), ("dim", &[1])];
+
+/// Wherever `idb` holds one of [`KEYED`], it equals the index built from
+/// scratch over `fresh`, a separately stored copy of the same contents.
+/// Returns which ones it holds.
+fn check_keyed(idb: &IndexedDatabase, fresh: &Database) -> Vec<bool> {
+    let held = |(name, positions): &(&str, &[usize])| {
+        let rel = idb.database().relation(name).unwrap();
+        let Some(carried) = rel.keyed_index_if_built(positions) else {
+            return false;
+        };
+        let rebuilt = fresh.relation(name).unwrap().keyed_index(positions);
+        assert_eq!(*carried, *rebuilt, "{name} by {positions:?}");
+        assert_eq!(carried.total_rows(), rel.len());
+        true
+    };
+    KEYED.iter().map(held).collect()
+}
+
 /// One generated write: `(kind, a, b, c)`, decoded against the live model.
 type Op = (u32, i64, i64, i64);
 
@@ -275,11 +300,13 @@ proptest! {
         let (model, idb) = base();
         let (mut model, mut current) = (model.clone(), idb.clone());
         let mut expected = observe(&IndexedDatabase::build(store(&model), access()).unwrap(), true);
+        let mut expected_db = store(&model);
         for (ops, touch_ids) in script {
             let cold_indexes: Vec<bool> = (0..3)
                 .map(|i| current.index(i).unwrap().interned_if_built().is_none())
                 .collect();
             let snapshots_before = check_snapshots(&current);
+            let keyed_before = check_keyed(&current, &store(&model));
 
             let mut next = current.database().clone();
             next.begin_delta_tracking();
@@ -295,10 +322,20 @@ proptest! {
                 let built = successor.index(i).unwrap().interned_if_built().is_some();
                 prop_assert_eq!(built, !cold, "index {} after the write", i);
             }
-            // Snapshots likewise: exactly the relations that had one.
-            prop_assert_eq!(&check_snapshots(&successor), &snapshots_before);
+            // Snapshots are kept by exactly the relations that had one and
+            // were not written: no write carries one forward.
+            let kept: Vec<bool> = successor
+                .database()
+                .relations()
+                .zip(&snapshots_before)
+                .map(|(rel, had)| *had && !log.touches(rel.name()))
+                .collect();
+            prop_assert_eq!(&check_snapshots(&successor), &kept);
 
             let oracle = IndexedDatabase::build(store(&model), access()).unwrap();
+            // Keyed indexes are carried by every write: exactly the ones the
+            // predecessor held, each equal to a from-scratch build.
+            prop_assert_eq!(&check_keyed(&successor, oracle.database()), &keyed_before);
             let mut oracle_view = observe(&oracle, true);
             if !touch_ids {
                 oracle_view.ids = None;
@@ -306,9 +343,14 @@ proptest! {
             prop_assert_eq!(&observe(&successor, touch_ids), &oracle_view);
             prop_assert_eq!(successor.database(), oracle.database());
             if touch_ids {
-                // Snapshot them too, so the next write has some to patch.
+                // Snapshot and key them too, so the next write has some to
+                // drop and some to carry.
                 successor.database().relations().for_each(|r| drop(snapshot_of(r)));
                 check_snapshots(&successor);
+                for (name, positions) in KEYED {
+                    let rel = successor.database().relation(name).unwrap();
+                    rel.keyed_index(positions);
+                }
             }
 
             // The predecessor still reads as it did before the write (its
@@ -316,9 +358,77 @@ proptest! {
             // with the successor).
             prop_assert_eq!(&observe(&current, true), &expected);
             check_snapshots(&current);
+            check_keyed(&current, &expected_db);
 
             expected = observe(&oracle, true);
+            expected_db = oracle.database().clone();
             current = successor;
         }
     }
+}
+
+/// `Relation::prefix_range` reads like a filter over the whole relation, for
+/// every prefix length and wherever the run falls against the chunk edges.
+#[test]
+fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
+    let schema = DatabaseSchema::with_relations(&[("r", &["a", "b"])]).unwrap();
+    let rel = schema.relation("r").unwrap().clone();
+    // Even keys only (odd ones are absent), `1 + a % 7` tuples each, then
+    // one run long enough to cover whole chunks.  A sorted load fills every
+    // chunk to 512 tuples, so chunk `i` starts at offset `512 · i`.
+    let sizes = |a: i64| if a == 1_398 { 1_300 } else { 1 + a % 7 };
+    let keys = (0..700).map(|a| 2 * a);
+    let tuples = keys.flat_map(|a| (0..sizes(a)).map(move |b| tuple![a, b]));
+    let r = Relation::from_tuples(rel.clone(), tuples).unwrap();
+    assert_eq!(r.chunk_count(), r.len().div_ceil(512));
+
+    let filtered = |prefix: &[Value]| -> Vec<&Tuple> {
+        let fits = |t: &&Tuple| t.values().starts_with(prefix);
+        r.iter().filter(fits).collect()
+    };
+    let ranged = |prefix: &[Value]| r.prefix_range(prefix).collect::<Vec<_>>();
+    // Which edge cases the data actually walks.
+    let (mut at_head, mut straddling, mut covering, mut offset) = (0, 0, 0, 0usize);
+    for a in -2..1_402i64 {
+        let prefix = [Value::int(a)];
+        let run = ranged(&prefix);
+        assert_eq!(run, filtered(&prefix), "a = {a}");
+        if run.is_empty() {
+            assert!(a < 0 || a % 2 == 1 || a > 1_398, "absent keys only");
+            continue;
+        }
+        let (first, last) = (offset / 512, (offset + run.len() - 1) / 512);
+        at_head += usize::from(offset % 512 == 0);
+        straddling += usize::from(last == first + 1);
+        covering += usize::from(last > first + 1);
+        offset += run.len();
+        // `k` = arity: a membership test, present and absent.
+        let present = [Value::int(a), Value::int(0)];
+        assert_eq!(ranged(&present), [&tuple![a, 0]]);
+        assert!(ranged(&[Value::int(a), Value::int(-1)]).is_empty());
+    }
+    assert_eq!(offset, r.len(), "every tuple is in exactly one run");
+    assert!(at_head > 1, "runs starting at a chunk head: {at_head}");
+    assert!(straddling > 1 && covering == 1, "{straddling} {covering}");
+    // The first and the last chunk, the empty prefix, a prefix too long.
+    assert_eq!(ranged(&[Value::int(0)]), [&tuple![0, 0]]);
+    assert_eq!(ranged(&[Value::int(1_398)]).len(), 1_300);
+    assert!(ranged(&[]).into_iter().eq(r.iter()));
+    assert!(ranged(&[Value::int(0), Value::int(0), Value::int(0)]).is_empty());
+    // Chunks that writes have split and merged.
+    let mut written = r.clone();
+    for a in (0..1_400).step_by(3) {
+        written.remove(&tuple![a, 0]).unwrap();
+        written.insert(tuple![a + 1, 0]).unwrap();
+    }
+    for a in -2..1_402i64 {
+        let prefix = [Value::int(a)];
+        let fits = |t: &&Tuple| t.values().starts_with(&prefix);
+        let filtered: Vec<&Tuple> = written.iter().filter(fits).collect();
+        assert_eq!(written.prefix_range(&prefix).collect::<Vec<_>>(), filtered);
+    }
+    // The empty relation.
+    let empty = Relation::empty(rel);
+    assert_eq!(empty.prefix_range(&[Value::int(0)]).count(), 0);
+    assert_eq!(empty.prefix_range(&[]).count(), 0);
 }

@@ -1,15 +1,24 @@
-//! How much a one-tuple write to a large indexed relation *does*, counted,
-//! not timed (ISSUE 13): chunks and shards forked, values interned.  The
-//! counts must be small and must not depend on `|R|` — the same at 10 k and
-//! at 100 k tuples.
+//! How much a one-tuple write *does*, counted, not timed: chunks and shards
+//! forked, values interned (ISSUE 13: a write to a large indexed relation);
+//! probes issued and rows visited by view maintenance (ISSUE 19: a write
+//! under a three-way join view).  The counts must be small and must not
+//! depend on `|R|` — the same at 10 k and at 100 k tuples, at 2 k and at
+//! 20 k persons.
 //!
-//! One test, so nothing else in the process interns values while the
-//! pool-size deltas are taken.
+//! The tests take turns ([`ALONE`]), so nothing else in the process interns
+//! values while the pool-size deltas are taken.
 
 use bqr::data::{
     tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats, IndexedDatabase,
-    Tuple, ValueId,
+    Tuple, Value, ValueId,
 };
+use bqr::query::maintain::maintain_counting;
+use bqr::query::{MaterializedViews, ViewSet};
+use bqr::workload::movies::{self, MovieScale};
+use std::sync::{Mutex, PoisonError};
+
+/// Held by each test for its whole run.
+static ALONE: Mutex<()> = Mutex::new(());
 
 /// Calls per `(caller, day)` group: the constraint's bound `N`.
 const N: usize = 8;
@@ -84,6 +93,7 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
 
 #[test]
 fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let mut per_size = Vec::new();
     for tuples in [10_000usize, 100_000] {
         let v0 = calls(tuples);
@@ -113,4 +123,153 @@ fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
         per_size.push((inserted, removed));
     }
     assert_eq!(per_size[0], per_size[1], "work depends on |Δ|, not on |R|");
+}
+
+/// What one `like` write under `V1` cost, maintenance included.
+#[derive(Debug, PartialEq)]
+struct ViewWork {
+    probes: usize,
+    rows: usize,
+    scanned: usize,
+    chunks_forked: usize,
+    /// Shards of `like` by (`id`, `type`) the write forked; `None` when the
+    /// version written to did not hold that index.
+    keyed_shards_forked: Option<usize>,
+    v1_moved: bool,
+}
+
+/// One version of the movies instance: indexed data and extents.
+struct Version {
+    idb: IndexedDatabase,
+    views: MaterializedViews,
+}
+
+/// The key V1's re-derivation probes `like` on: `id` and `type`.
+const LIKE_BY_ID: [usize; 2] = [1, 2];
+
+/// Apply one tracked `like` write the way `Engine::mutate` does — fork,
+/// delta, re-index, maintain — counting maintenance's probes.
+fn write_like(views: &ViewSet, prev: &Version, t: &Tuple, insert: bool) -> (Version, ViewWork) {
+    let mut db = prev.idb.database().clone();
+    db.begin_delta_tracking();
+    let changed = match insert {
+        true => db.insert("like", t.clone()).unwrap(),
+        false => db.remove("like", t).unwrap(),
+    };
+    assert!(changed);
+    let log = db.take_delta(prev.idb.database());
+    let idb = prev.idb.apply_delta(db, &log).unwrap();
+    let mut stats = FetchStats::new();
+    let (old_db, new_db) = (prev.idb.database(), idb.database());
+    let maintained = maintain_counting(views, &prev.views, old_db, new_db, &log, &mut stats);
+    let next = Version {
+        views: maintained.unwrap(),
+        idb,
+    };
+
+    let (old, new) = (
+        old_db.relation("like").unwrap(),
+        next.idb.database().relation("like").unwrap(),
+    );
+    assert!(!new.has_snapshot(), "no write carries a snapshot forward");
+    for untouched in ["person", "movie", "rating"] {
+        let rel = |v: &Version| v.idb.database().relation(untouched).unwrap().epoch();
+        assert_eq!(rel(prev), rel(&next));
+    }
+    let keyed_shards_forked = old.keyed_index_if_built(&LIKE_BY_ID).map(|was| {
+        let carried = new.keyed_index_if_built(&LIKE_BY_ID).expect("carried");
+        assert_eq!(carried.total_rows(), new.len());
+        carried.shard_count() - carried.shared_shards(&was)
+    });
+    let extent = |v: &Version| v.views.extent("V1").unwrap().epoch();
+    let work = ViewWork {
+        probes: stats.fetch_calls,
+        rows: stats.fetched_tuples,
+        scanned: stats.scanned_tuples,
+        chunks_forked: new.chunk_count() - new.shared_chunks(old),
+        keyed_shards_forked,
+        v1_moved: extent(prev) != extent(&next),
+    };
+    (next, work)
+}
+
+#[test]
+fn a_like_write_under_v1_probes_the_same_few_rows_at_any_size() {
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
+    let views = movies::views();
+    let mut per_size = Vec::new();
+    for persons in [2_000usize, 20_000] {
+        // `n0` leaves the 24 (studio, release) groups room for every movie.
+        let mut db = movies::generate(MovieScale {
+            persons,
+            movies: persons / 4,
+            n0: 250,
+            seed: 7,
+        });
+        // A movie nobody likes yet, and two NASA people to like it.
+        let fresh = persons as i64;
+        db.insert("movie", tuple![fresh, "fresh", "Universal", "2014"])
+            .unwrap();
+        let nasa: Vec<Value> = {
+            let person = db.relation("person").unwrap();
+            let at_nasa = person.iter().filter(|t| t[2] == Value::str("NASA"));
+            at_nasa.map(|t| t[0].clone()).take(2).collect()
+        };
+        let like = |who: usize| Tuple::new(vec![nasa[who].clone(), fresh.into(), "movie".into()]);
+        assert!(db.relation("like").unwrap().len() > 2 * persons);
+        let v0 = Version {
+            views: views.materialize(&db).unwrap(),
+            idb: IndexedDatabase::build(db, movies::access_schema(250)).unwrap(),
+        };
+        assert!(v0.idb.database().relation("like").unwrap().has_snapshot());
+
+        // The first removal under V1 builds `like` by `id` (once per
+        // relation, like first-touch interning): take that off the counts.
+        let (v, first_insert) = write_like(&views, &v0, &like(0), true);
+        let (v, first_removal) = write_like(&views, &v, &like(0), false);
+        assert_eq!(
+            first_insert.keyed_shards_forked, None,
+            "nothing to carry yet"
+        );
+        assert_eq!(
+            first_removal.keyed_shards_forked, None,
+            "built by this write"
+        );
+        let held = |v: &Version| {
+            let like = v.idb.database().relation("like").unwrap();
+            like.keyed_index_if_built(&LIKE_BY_ID).is_some()
+        };
+        assert!(held(&v) && !held(&v0));
+
+        // The sole derivation of V1(fresh) comes and goes …
+        let (v, sole_in) = write_like(&views, &v, &like(0), true);
+        let (v, sole_out) = write_like(&views, &v, &like(0), false);
+        // … then, with another NASA fan in place, one of two.
+        let (v, _) = write_like(&views, &v, &like(1), true);
+        let (v, second_in) = write_like(&views, &v, &like(0), true);
+        let (v, second_out) = write_like(&views, &v, &like(0), false);
+        assert!(v.views.extent("V1").unwrap().contains(&tuple![fresh]));
+
+        for work in [&sole_in, &sole_out, &second_in, &second_out] {
+            assert!(work.chunks_forked <= 2, "{work:?}");
+            // Carried by the insert, which never probes it, and found
+            // carried — not rebuilt — by the removal right after.
+            assert!(work.keyed_shards_forked.is_some_and(|n| n <= 1), "{work:?}");
+            assert_eq!(work.scanned, 0, "{work:?}");
+        }
+        // An insert probes `person` by `pid`, then `movie` by `mid`: one row
+        // each.  A removal does the same over the old instance, then
+        // re-derives: `like` by `id` (nobody left / the other fan), and for
+        // the other fan `person` and `movie` again.
+        assert_eq!((sole_in.probes, sole_in.rows), (2, 2));
+        assert_eq!((sole_out.probes, sole_out.rows), (3, 2));
+        assert_eq!((second_in.probes, second_in.rows), (2, 2));
+        assert_eq!((second_out.probes, second_out.rows), (5, 5));
+        // V1 moves with its sole derivation, and not at all while another
+        // NASA person still likes the movie.
+        let moved = [&sole_in, &sole_out, &second_in, &second_out].map(|w| w.v1_moved);
+        assert_eq!(moved, [true, true, false, false]);
+        per_size.push([sole_in, sole_out, second_in, second_out]);
+    }
+    assert_eq!(per_size[0], per_size[1], "work depends on |Δ|, not on |D|");
 }
