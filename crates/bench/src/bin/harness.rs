@@ -15,8 +15,10 @@
 //! loaded instance vs warm pipeline-cache-hit execution), writes
 //! `BENCH_plan.json` (`BENCH_PLAN_JSON` to override), and **exits non-zero**
 //! if the compiled executor is slower than the reference on the movies
-//! workload, or if a warm cache-hit execution is not at least 3× faster
-//! than a cold compile+exec there — CI runs it as a regression gate.
+//! workload, if a warm cache-hit execution is not at least 3× faster
+//! than a cold compile+exec there, or if an ad-hoc query of a seen shape
+//! costs more than half of one of a never-seen shape on CDR — CI runs it
+//! as a regression gate.
 //! `prepared` is an alias for `plan` (the prepared rows are part of the same
 //! report file).
 //!
@@ -126,6 +128,8 @@ fn hom_engine() {
 /// faster than a cold compile+exec there, when *any* prepared row comes
 /// out warm-slower-than-cold (a warm run is a strict subset of a cold
 /// one — such a row is a measurement or caching bug, never a fact), when
+/// an ad-hoc CDR query of a seen shape costs more than half of one of a
+/// never-seen shape (`cdr_adhoc_seen_shape_10k`), when
 /// a delta-maintained single-tuple insert is not ≥ 5× faster than a full
 /// version rebuild on either write-path workload, or when guarded
 /// execution exceeds the unguarded baseline by more than 5%.
@@ -250,6 +254,20 @@ fn plan_executor() {
             );
             std::process::exit(1);
         }
+    }
+    let adhoc = prepared
+        .iter()
+        .find(|p| p.name == plan_bench::ADHOC_SEEN_SHAPE_ROW)
+        .expect("the ad-hoc seen-shape row exists");
+    if adhoc.warm_ms > plan_bench::ADHOC_SEEN_SHAPE_MAX_RATIO * adhoc.cold_ms {
+        eprintln!(
+            "REGRESSION: an ad-hoc query of a seen shape ({:.4} ms) costs more than {}x one of a never-seen shape ({:.4} ms) on {} — a per-request checker run, compile or plan rebuild is back on the hit path",
+            adhoc.warm_ms,
+            plan_bench::ADHOC_SEEN_SHAPE_MAX_RATIO,
+            adhoc.cold_ms,
+            adhoc.name
+        );
+        std::process::exit(1);
     }
     let movies_prepared = prepared
         .iter()

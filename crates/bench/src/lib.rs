@@ -1133,6 +1133,87 @@ pub mod plan_bench {
         }
     }
 
+    /// The name of the row [`run_adhoc_seen_shape`] produces.
+    pub const ADHOC_SEEN_SHAPE_ROW: &str = "cdr_adhoc_seen_shape_10k";
+
+    /// The threshold the harness enforces on [`ADHOC_SEEN_SHAPE_ROW`]: an
+    /// ad-hoc query of a seen shape may cost at most this fraction of one of
+    /// a never-seen shape.
+    pub const ADHOC_SEEN_SHAPE_MAX_RATIO: f64 = 0.5;
+
+    /// `Session::query` on never-seen texts, CDR 10k: texts of a **seen
+    /// shape** (the nine topped templates at bindings not asked before — the
+    /// row's warm side: parse, memo hit, pipeline-cache hit, bind, execute)
+    /// against the same questions as **never-seen shapes** (every variable
+    /// renamed per text — the cold side, the miss path: parse, checker run,
+    /// memo insert, execute; the *plan* shape underneath is seen, so no
+    /// compile).  Same bindings on both sides, answers compared outside the
+    /// clocks.  `cold_rounds` / `warm_repeats` are the query counts.
+    pub fn run_adhoc_seen_shape() -> PreparedResult {
+        const QUERIES: usize = 2_000;
+        let scale = cdr::CdrScale {
+            customers: 10_000,
+            days: 14,
+            ..cdr::CdrScale::default()
+        };
+        let mut builder = bqr_engine::Engine::builder().setting(cdr::setting(&scale, 120));
+        for (view, bound) in cdr::view_bounds() {
+            builder = builder.annotate_view_bound(view, bound);
+        }
+        let engine = builder.build().expect("CDR engine");
+        engine.attach(cdr::generate(scale)).expect("attach CDR");
+        let session = engine.session();
+        // First touch (lazy interning, one compile per plan shape) and one
+        // analysis per query shape, merged binding included: off the clock.
+        // (The first nine templates of the workload are the topped ones.)
+        for (cid, day) in [(17, 3), (3, 3)] {
+            for q in cdr::workload(cid, day).into_iter().take(9) {
+                session.query(q.query).expect("warm-up query");
+            }
+        }
+        let questions: Vec<bqr_query::ConjunctiveQuery> = (0..QUERIES)
+            .map(|k| {
+                let (cid, day) = (100 + 4 * k as i64, (k % 14) as i64);
+                cdr::workload(cid, day).swap_remove(k % 9).query
+            })
+            .collect();
+        let seen: Vec<String> = questions.iter().map(|q| q.to_string()).collect();
+        let unseen: Vec<String> = questions
+            .iter()
+            .enumerate()
+            .map(|(k, q)| q.rename_apart(&format!("_{k}")).to_string())
+            .collect();
+        let timed = |texts: &[String]| {
+            let t = Instant::now();
+            let outputs: Vec<bqr_plan::ExecOutput> = texts
+                .iter()
+                .map(|text| session.query(text.as_str()).expect("ad-hoc query"))
+                .collect();
+            (
+                t.elapsed().as_secs_f64() * 1_000.0 / texts.len() as f64,
+                outputs,
+            )
+        };
+        let shapes = engine.analysed_shapes();
+        let (warm_ms, seen_outputs) = timed(&seen);
+        assert_eq!(engine.analysed_shapes(), shapes, "every shape was seen");
+        let (cold_ms, unseen_outputs) = timed(&unseen);
+        assert_eq!(
+            seen_outputs, unseen_outputs,
+            "a renamed variable moved an answer"
+        );
+        let cache = engine.cache_stats();
+        assert_eq!((cache.evictions, engine.cache().len()), (0, 9), "{cache:?}");
+        PreparedResult {
+            name: ADHOC_SEEN_SHAPE_ROW,
+            cold_rounds: QUERIES,
+            warm_repeats: QUERIES,
+            cold_ms,
+            warm_ms,
+            cache,
+        }
+    }
+
     /// One write-path row: the same single-tuple inserts committed through
     /// delta maintenance ([`bqr_engine::MaintenanceMode::Delta`]) and through
     /// a from-scratch version rebuild ([`bqr_engine::MaintenanceMode::Rebuild`]),
@@ -1521,10 +1602,11 @@ pub mod plan_bench {
             .iter()
             .find(|c| c.name == "cdr_heaviest_topped_10k")
             .map(|c| c.plan.clone());
-        let prepared: Vec<PreparedResult> = prepared_cases_with(cdr_plan)
+        let mut prepared: Vec<PreparedResult> = prepared_cases_with(cdr_plan)
             .iter()
             .map(run_prepared)
             .collect();
+        prepared.push(run_adhoc_seen_shape());
         json.push_str("  ],\n  \"prepared\": [\n");
         for (i, p) in prepared.iter().enumerate() {
             json.push_str(&format!(

@@ -34,6 +34,7 @@ use bqr_plan::builder::Plan;
 use bqr_plan::{QueryPlan, SelectCondition};
 use bqr_query::{Atom, ConjunctiveQuery, Fo, FoQuery, Term, ViewSet};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The result of analysing one query.
 #[derive(Debug, Clone)]
@@ -69,8 +70,9 @@ impl ToppedAnalysis {
     /// execution against `idb` and `views`.  This is the serving path: the
     /// checker constructs the plan once, and the pipeline is obtained through
     /// the process-wide [`bqr_plan::PipelineCache`] — compiled at most once
-    /// per `(plan, epoch)` pair, shared with every other prepared consumer of
-    /// the same plan, and every query execution runs over interned ids.
+    /// per `(plan shape, epoch)` pair, shared with every other prepared
+    /// consumer of a plan of that shape, and every query execution runs over
+    /// interned ids.
     ///
     /// The returned pipeline is also *retained* in that cache (bounded by its
     /// LRU capacity), which is what a serving process wants; a one-shot
@@ -84,7 +86,7 @@ impl ToppedAnalysis {
         &self,
         idb: &bqr_data::IndexedDatabase,
         views: &bqr_query::MaterializedViews,
-    ) -> crate::Result<Option<std::sync::Arc<bqr_plan::Pipeline>>> {
+    ) -> crate::Result<Option<bqr_plan::Pipeline>> {
         match self.prepare_plan()? {
             Some(p) => Ok(Some(p.pipeline(
                 idb,
@@ -156,7 +158,7 @@ impl Fragment {
 /// The topped-query checker / bounded-plan generator for one setting.
 pub struct ToppedChecker<'a> {
     setting: &'a RewritingSetting,
-    oracle: BoundedOutputOracle,
+    oracle: Arc<BoundedOutputOracle>,
 }
 
 impl<'a> ToppedChecker<'a> {
@@ -167,13 +169,20 @@ impl<'a> ToppedChecker<'a> {
             setting.access.clone(),
             setting.budget,
         );
-        ToppedChecker { setting, oracle }
+        ToppedChecker::with_oracle(setting, oracle)
     }
 
     /// Create a checker with a custom oracle (e.g. carrying view-bound
-    /// annotations).
-    pub fn with_oracle(setting: &'a RewritingSetting, oracle: BoundedOutputOracle) -> Self {
-        ToppedChecker { setting, oracle }
+    /// annotations) — owned, or an `Arc` of one built once and lent to many
+    /// checkers.
+    pub fn with_oracle(
+        setting: &'a RewritingSetting,
+        oracle: impl Into<Arc<BoundedOutputOracle>>,
+    ) -> Self {
+        ToppedChecker {
+            setting,
+            oracle: oracle.into(),
+        }
     }
 
     /// The views of the setting.

@@ -1,11 +1,11 @@
 //! The result of [`Engine::analyze`](crate::Engine::analyze).
 
+use crate::engine::{Engine, Resolved};
 use crate::error::{Error, Result};
 use crate::session::DataVersion;
-use bqr_core::{Query, ToppedAnalysis};
+use bqr_core::Query;
 use bqr_plan::{
-    CancellationToken, ExecOptions, ExecOutput, Guard, GuardMetrics, PipelineCache, PreparedPlan,
-    QueryPlan,
+    CancellationToken, ExecOptions, ExecOutput, Guard, GuardMetrics, PreparedPlan, QueryPlan,
 };
 use std::sync::Arc;
 
@@ -22,9 +22,14 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Analysis {
     query: Query,
-    inner: ToppedAnalysis,
+    topped: bool,
+    plan_size: Option<usize>,
+    fetch_bound: Option<usize>,
+    reason: Option<String>,
+    /// The constructed plan — this query's own, with its own constants — as
+    /// a handle on the engine's pipeline cache.
+    prepared: Option<PreparedPlan>,
     version: Arc<DataVersion>,
-    cache: Arc<PipelineCache>,
     options: ExecOptions,
     guard_metrics: Arc<GuardMetrics>,
 }
@@ -32,19 +37,38 @@ pub struct Analysis {
 impl Analysis {
     pub(crate) fn new(
         query: Query,
-        inner: ToppedAnalysis,
+        resolved: Resolved,
         version: Arc<DataVersion>,
-        cache: Arc<PipelineCache>,
-        options: ExecOptions,
-        guard_metrics: Arc<GuardMetrics>,
+        engine: &Engine,
     ) -> Analysis {
+        let (topped, plan_size, fetch_bound, reason, prepared) = match resolved {
+            Resolved::Shape(shape, params) => (
+                true,
+                Some(shape.plan_size),
+                Some(shape.fetch_bound),
+                None,
+                Some(shape.bind(&params)),
+            ),
+            Resolved::Checked(checked) => (
+                checked.topped,
+                checked.plan_size,
+                checked.fetch_bound,
+                checked.reason,
+                checked
+                    .plan
+                    .map(|plan| PreparedPlan::with_cache(plan, Arc::clone(engine.cache()))),
+            ),
+        };
         Analysis {
             query,
-            inner,
+            topped,
+            plan_size,
+            fetch_bound,
+            reason,
+            prepared,
             version,
-            cache,
-            options,
-            guard_metrics,
+            options: engine.exec_options(),
+            guard_metrics: Arc::clone(engine.guard_metrics()),
         }
     }
 
@@ -56,7 +80,7 @@ impl Analysis {
     /// Is the query topped by the engine's `(R, V, A, M)` — i.e. does it
     /// have an `M`-bounded rewriting this engine can construct and serve?
     pub fn bounded(&self) -> bool {
-        self.inner.topped
+        self.topped
     }
 
     /// The constructed bounded plan.  Present whenever the constructive
@@ -64,28 +88,23 @@ impl Analysis {
     /// ([`bounded`](Analysis::bounded) is then `false`), so callers can see
     /// how far over budget the query is.
     pub fn plan(&self) -> Option<&QueryPlan> {
-        self.inner.plan.as_ref()
+        self.prepared.as_ref().map(PreparedPlan::plan)
     }
 
     /// The size of the constructed plan (the paper's `size(Q_ε, Q)`).
     pub fn plan_size(&self) -> Option<usize> {
-        self.inner.plan_size
+        self.plan_size
     }
 
     /// Worst-case bound on the base tuples the plan fetches (`|D_ξ|`).
     pub fn fetch_bound(&self) -> Option<usize> {
-        self.inner.fetch_bound
+        self.fetch_bound
     }
 
     /// Why the query was rejected (or why the plan exceeds `M`), when it
     /// was.
     pub fn reason(&self) -> Option<&str> {
-        self.inner.reason.as_deref()
-    }
-
-    /// The underlying checker output.
-    pub fn topped_analysis(&self) -> &ToppedAnalysis {
-        &self.inner
+        self.reason.as_deref()
     }
 
     /// The constructed plan when the query is bounded, or the typed
@@ -97,11 +116,17 @@ impl Analysis {
     /// exceeds `M` is *not* served — inspect it via
     /// [`plan`](Analysis::plan).
     pub fn bounded_plan(&self) -> Result<&QueryPlan> {
-        match (self.bounded(), self.plan()) {
-            (true, Some(plan)) => Ok(plan),
+        self.prepared_plan().map(PreparedPlan::plan)
+    }
+
+    /// [`bounded_plan`](Analysis::bounded_plan) as a prepared handle on the
+    /// engine's cache.
+    pub(crate) fn prepared_plan(&self) -> Result<&PreparedPlan> {
+        match &self.prepared {
+            Some(prepared) if self.topped => Ok(prepared),
             _ => Err(Error::NoRewriting {
                 query: self.query.to_string(),
-                reason: self.reason().map(str::to_string),
+                reason: self.reason.clone(),
             }),
         }
     }
@@ -112,8 +137,8 @@ impl Analysis {
     /// engine's pipeline cache, so explaining a statement the engine already
     /// serves is free — and executing an explained plan is warm.
     pub fn explain(&self) -> Result<String> {
-        let prepared = self.prepared_plan()?;
-        let pipeline = prepared
+        let pipeline = self
+            .prepared_plan()?
             .pipeline(self.version.idb(), self.version.views(), &self.options)
             .map_err(|e| Error::execution(&self.query.to_string(), e))?;
         Ok(pipeline.describe())
@@ -142,19 +167,10 @@ impl Analysis {
         options: &ExecOptions,
         token: CancellationToken,
     ) -> Result<ExecOutput> {
-        let prepared = self.prepared_plan()?;
         let guard =
             Guard::with_token(&options.limits, token).with_metrics(Arc::clone(&self.guard_metrics));
-        prepared
+        self.prepared_plan()?
             .execute_guarded(self.version.idb(), self.version.views(), options, &guard)
             .map_err(|e| Error::execution(&self.query.to_string(), e))
-    }
-
-    /// The bounded plan as a prepared handle on the engine's cache.
-    fn prepared_plan(&self) -> Result<PreparedPlan> {
-        Ok(PreparedPlan::with_cache(
-            self.bounded_plan()?.clone(),
-            Arc::clone(&self.cache),
-        ))
     }
 }

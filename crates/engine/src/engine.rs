@@ -3,18 +3,19 @@
 use crate::analysis::Analysis;
 use crate::error::{Error, Result};
 use crate::session::{DataVersion, PreparedStatement, Session};
+use crate::shape::{AnalysedShape, QueryShape};
 use bqr_core::{
-    decide_vbrp, BoundedOutputOracle, DecisionOutcome, Query, RewritingSetting, ToppedChecker,
-    VbrpInstance,
+    decide_vbrp, BoundedOutputOracle, DecisionOutcome, Query, RewritingSetting, ToppedAnalysis,
+    ToppedChecker, VbrpInstance,
 };
-use bqr_data::{AccessSchema, Database, DatabaseSchema};
+use bqr_data::{AccessSchema, Database, DatabaseSchema, Value};
 use bqr_plan::{
     panic_message, CacheStats, ExecOptions, GuardLimits, GuardMetrics, GuardStats, PipelineCache,
     PlanLanguage, PreparedPlan,
 };
 use bqr_query::parser::parse_ucq;
 use bqr_query::{Budget, ConjunctiveQuery, FoQuery, PlannerConfig, UnionQuery, ViewSet};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -76,6 +77,16 @@ impl<T: IntoQuery + Clone> IntoQuery for &T {
     fn into_query(self) -> Result<Query> {
         self.clone().into_query()
     }
+}
+
+/// What [`Engine::resolve`] knows about a query.
+pub(crate) enum Resolved {
+    /// A topped CQ or UCQ: its shape's analysis (memoised) and the constants
+    /// this query has where the shape has parameters.
+    Shape(Arc<AnalysedShape>, Vec<Value>),
+    /// The checker's own verdict on this very query, not memoised: a
+    /// rejection, a plan over `M`, or any FO query.
+    Checked(ToppedAnalysis),
 }
 
 /// How [`Engine::mutate`] turns a committed closure into the next published
@@ -198,7 +209,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Replace the capacity of the engine's [`PipelineCache`].
+    /// Replace the capacity of the engine's [`PipelineCache`] — and of its
+    /// memo of analysed query shapes, which holds as many entries.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
         self
@@ -247,10 +259,20 @@ impl EngineBuilder {
             .map_err(|e| Error::analysis("<engine configuration>", e))?;
         let empty = Database::empty(setting.schema.clone());
         let version = DataVersion::build(empty, &setting)?;
+        let mut oracle = BoundedOutputOracle::new(
+            setting.schema.clone(),
+            setting.access.clone(),
+            setting.budget,
+        );
+        for (view, bound) in self.view_bounds {
+            oracle.annotate_view(view, bound);
+        }
         Ok(Engine {
+            view_constants: setting.views.constants(),
             setting,
             options: self.options,
-            view_bounds: self.view_bounds,
+            oracle: Arc::new(oracle),
+            shapes: RwLock::new(HashMap::new()),
             maintenance: self.maintenance,
             cache: Arc::new(PipelineCache::new(self.cache_capacity)),
             guard_metrics: Arc::new(GuardMetrics::new()),
@@ -278,7 +300,16 @@ impl EngineBuilder {
 pub struct Engine {
     setting: RewritingSetting,
     options: ExecOptions,
-    view_bounds: Vec<(String, usize)>,
+    /// The topped checker's bounded-output oracle, with the configured
+    /// view-bound annotations: built once, lent to every checker.
+    oracle: Arc<BoundedOutputOracle>,
+    /// Every constant of a view definition: what a query shape keeps literal.
+    view_constants: BTreeSet<Value>,
+    /// The first successful analysis of every query shape seen, by shape
+    /// key: at most as many as the pipeline cache holds entries (the memo
+    /// starts over when full).  The setting never changes, so nothing
+    /// invalidates an entry.
+    shapes: RwLock<HashMap<Vec<u8>, Arc<AnalysedShape>>>,
     maintenance: MaintenanceMode,
     cache: Arc<PipelineCache>,
     /// Engine-lifetime guardrail counters, shared into every guarded
@@ -347,6 +378,13 @@ impl Engine {
 
     pub(crate) fn guard_metrics(&self) -> &Arc<GuardMetrics> {
         &self.guard_metrics
+    }
+
+    /// How many query shapes the engine holds an analysis for (at most the
+    /// configured [`cache_capacity`](EngineBuilder::cache_capacity)).
+    pub fn analysed_shapes(&self) -> usize {
+        let shapes = self.shapes.read();
+        shapes.unwrap_or_else(PoisonError::into_inner).len()
     }
 
     // ------------------------------------------------------------------
@@ -520,37 +558,16 @@ impl Engine {
     /// same snapshot, no matter how many [`mutate`](Engine::mutate)s land
     /// concurrently.  Sessions are cheap (one `Arc` clone).
     pub fn session(&self) -> Session<'_> {
-        Session::new(
-            self,
-            Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner)),
-        )
+        Session::new(self, self.current_version())
     }
 
     // ------------------------------------------------------------------
     // Analysis.
 
-    /// The topped checker for this engine's setting, with the configured
-    /// view-bound annotations.
-    fn checker(&self) -> ToppedChecker<'_> {
-        let mut oracle = BoundedOutputOracle::new(
-            self.setting.schema.clone(),
-            self.setting.access.clone(),
-            self.setting.budget,
-        );
-        for (view, bound) in &self.view_bounds {
-            oracle.annotate_view(view, *bound);
-        }
-        ToppedChecker::with_oracle(&self.setting, oracle)
-    }
-
-    /// Analyse a query: run the PTIME effective-syntax checker and return an
-    /// [`Analysis`] exposing the boundedness decision, the constructed plan,
-    /// and [`explain`](Analysis::explain) / [`execute`](Analysis::execute)
-    /// against the data version current at this call.
-    pub fn analyze<Q: IntoQuery>(&self, query: Q) -> Result<Analysis> {
-        let query = query.into_query()?;
-        let checker = self.checker();
-        let topped = match &query {
+    /// Run the topped checker on `query`.
+    fn check(&self, query: &Query) -> Result<ToppedAnalysis> {
+        let checker = ToppedChecker::with_oracle(&self.setting, Arc::clone(&self.oracle));
+        match query {
             Query::Cq(cq) => checker.analyze_cq(cq),
             other => {
                 let fo = other
@@ -559,15 +576,71 @@ impl Engine {
                 checker.analyze(&fo)
             }
         }
-        .map_err(|e| Error::analysis(&query, e))?;
-        Ok(Analysis::new(
-            query,
-            topped,
-            Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner)),
-            Arc::clone(&self.cache),
-            self.options,
-            Arc::clone(&self.guard_metrics),
-        ))
+        .map_err(|e| Error::analysis(query, e))
+    }
+
+    /// The topped analysis of `query`, through the shape memo: a CQ or UCQ
+    /// whose shape was analysed before (and found topped) is answered from
+    /// that analysis without running the checker; a new shape is checked
+    /// and, when topped, remembered.  Rejections are not remembered (their
+    /// reasons quote the query), and FO queries have no shape.
+    pub(crate) fn resolve(&self, query: &Query) -> Result<Resolved> {
+        let Some(shape) = QueryShape::of(query, &self.view_constants) else {
+            return Ok(Resolved::Checked(self.check(query)?));
+        };
+        let shapes = self.shapes.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(analysed) = shapes.get(&shape.key) {
+            return Ok(Resolved::Shape(Arc::clone(analysed), shape.params));
+        }
+        drop(shapes);
+        match self.check(query)? {
+            ToppedAnalysis {
+                topped: true,
+                plan: Some(plan),
+                plan_size: Some(plan_size),
+                fetch_bound: Some(fetch_bound),
+                ..
+            } => {
+                let prepared = PreparedPlan::with_cache(plan, Arc::clone(&self.cache));
+                let analysed = AnalysedShape::new(&prepared, &shape.params, plan_size, fetch_bound);
+                let mut shapes = self.shapes.write().unwrap_or_else(PoisonError::into_inner);
+                if shapes.len() >= self.cache.capacity() {
+                    shapes.clear();
+                }
+                // If another thread analysed the shape meanwhile, its entry
+                // stands: it is as good.
+                let analysed = shapes
+                    .entry(shape.key)
+                    .or_insert_with(|| Arc::new(analysed));
+                Ok(Resolved::Shape(Arc::clone(analysed), shape.params))
+            }
+            checked => Ok(Resolved::Checked(checked)),
+        }
+    }
+
+    pub(crate) fn current_version(&self) -> Arc<DataVersion> {
+        Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Analyse a query: run the PTIME effective-syntax checker and return an
+    /// [`Analysis`] exposing the boundedness decision, the constructed plan,
+    /// and [`explain`](Analysis::explain) / [`execute`](Analysis::execute)
+    /// against the data version current at this call.
+    ///
+    /// The checker runs once per query *shape*, not per query: toppedness is
+    /// a property of the query's syntax in which a constant matters only
+    /// through where it sits and which constants of the query or of the
+    /// views it equals, so a CQ or UCQ that differs from an earlier topped
+    /// one only in constants that occur in no view definition (and in no new
+    /// equality among themselves) gets that one's analysis with its own
+    /// constants substituted — same `bounded`, `plan_size` and
+    /// `fetch_bound`, the same plan up to the constants.  Never cached: a
+    /// rejected query (each rejection is analysed, and worded, afresh) and a
+    /// query handed in as an FO AST.
+    pub fn analyze<Q: IntoQuery>(&self, query: Q) -> Result<Analysis> {
+        let query = query.into_query()?;
+        let resolved = self.resolve(&query)?;
+        Ok(Analysis::new(query, resolved, self.current_version(), self))
     }
 
     /// Run the exact (worst-case exponential, budgeted) decision procedure
@@ -608,6 +681,12 @@ impl Engine {
     /// [`Error::NoRewriting`] when the query is not topped by the setting
     /// (use [`analyze`](Engine::analyze) first to inspect why).
     ///
+    /// Like [`analyze`](Engine::analyze), this runs the checker only for a
+    /// query shape not seen before; statements of one shape share its
+    /// analysis and its compiled pipeline and differ in the constants they
+    /// bind, so preparing "the same question about another customer" costs a
+    /// parse and a plan-sized substitution.
+    ///
     /// Re-preparing an existing name replaces the statement; sessions always
     /// resolve names at execution time.  When an [`Analysis`] is already in
     /// hand, [`prepare_from`](Engine::prepare_from) registers it without
@@ -621,11 +700,10 @@ impl Engine {
     /// the analyse-once half of the `analyze` → `prepare` flow (no second
     /// checker run).
     pub fn prepare_from(&self, name: &str, analysis: &Analysis) -> Result<PreparedStatement> {
-        let plan = analysis.bounded_plan()?.clone();
         let statement = PreparedStatement::new(
             name,
             analysis.query().clone(),
-            PreparedPlan::with_cache(plan, Arc::clone(&self.cache)),
+            analysis.prepared_plan()?.clone(),
         );
         self.statements
             .write()
@@ -634,7 +712,8 @@ impl Engine {
         Ok(statement)
     }
 
-    /// The prepared statement registered under `name`.
+    /// The prepared statement registered under `name` (a handle: five
+    /// pointer copies, the plan and its shape are shared).
     pub fn statement(&self, name: &str) -> Result<PreparedStatement> {
         self.statements
             .read()

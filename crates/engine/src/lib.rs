@@ -17,6 +17,11 @@
 //! * [`Engine::prepare`] — registers a **named prepared statement** backed
 //!   by the epoch-validated [`bqr_plan::PipelineCache`], with
 //!   [`Engine::cache_stats`] surfacing hit/miss/invalidation counters;
+//! * **query shapes** — the checker runs once per *shape* of CQ/UCQ (the
+//!   query as written, minus the constants no view definition uses), and a
+//!   pipeline compiles once per plan shape: statements and ad-hoc texts
+//!   that ask one question about different constants share both, so
+//!   [`Session::query`] on a seen shape is a parse and an execution;
 //! * [`Engine::session`] — an **epoch-pinned [`Session`]** whose reads are
 //!   snapshot-consistent across any number of `execute` calls, even while
 //!   concurrent mutations bump relation epochs;
@@ -71,6 +76,7 @@ mod analysis;
 mod engine;
 mod error;
 mod session;
+mod shape;
 
 pub use analysis::Analysis;
 pub use engine::{Engine, EngineBuilder, IntoQuery, MaintenanceMode};

@@ -1,6 +1,7 @@
 //! Epoch-pinned sessions and named prepared statements.
 
-use crate::engine::{Engine, IntoQuery};
+use crate::analysis::Analysis;
+use crate::engine::{Engine, IntoQuery, Resolved};
 use crate::error::{Error, Result};
 use bqr_core::{Query, RewritingSetting};
 use bqr_data::{Database, FetchStats, IndexedDatabase, Tuple};
@@ -70,8 +71,11 @@ impl DataVersion {
 }
 
 /// A named prepared statement: a bounded rewriting registered on the
-/// engine's pipeline cache under a name.  The handle is cheap to clone and
-/// `Sync`; executions go through [`Session`]s (or the [`Engine`] one-shot
+/// engine's pipeline cache under a name.  The handle is five pointers — the
+/// name, the query, and the plan, its constants and its shape behind
+/// `Arc`s (the shape shared with every statement that differs from this one
+/// only in constants) — so cloning one, as every lookup by name does, copies
+/// nothing.  Executions go through [`Session`]s (or the [`Engine`] one-shot
 /// helpers), which re-validate the relation/view epochs on every call and
 /// recompile only when the data version actually changed.
 #[derive(Debug, Clone)]
@@ -105,8 +109,9 @@ impl PreparedStatement {
         self.plan.plan()
     }
 
-    /// The plan's canonical structural fingerprint (the plan half of the
-    /// pipeline-cache key).
+    /// The canonical fingerprint of the plan's shape (the plan half of the
+    /// pipeline-cache key; statements that differ only in constants share
+    /// it).
     pub fn fingerprint(&self) -> bqr_plan::PlanFingerprint {
         self.plan.fingerprint()
     }
@@ -132,7 +137,7 @@ pub struct EvalOutput {
 /// [`Engine::session`] was called: every execution and evaluation through it
 /// reads exactly that snapshot, even while concurrent [`Engine::mutate`]s
 /// bump relation epochs and publish newer versions.  The
-/// `(fingerprint, options, epoch-vector)` cache key cannot change under a
+/// `(shape fingerprint, options, epoch-vector)` cache key cannot change under a
 /// pinned version, so repeated executions are typically warm as well — but
 /// warmth is best-effort, not guaranteed: a *newer* version's first
 /// execution sweeps the superseded entry, after which the pinned session's
@@ -240,16 +245,36 @@ impl<'e> Session<'e> {
     /// Analyse an ad-hoc query and execute its bounded plan against the
     /// pinned version, without registering a statement.  Fails with
     /// [`Error::NoRewriting`] when the query is not topped by the setting.
+    ///
+    /// A CQ or UCQ whose *shape* the engine has analysed before (see
+    /// [`Engine::analyze`] for what a shape is) costs a parse and an
+    /// execution: the shape's memoised analysis stands in for the checker
+    /// run, its compiled pipeline is a pipeline-cache hit, and the query's
+    /// constants are interned and bound to the pipeline's slots — no plan
+    /// tree is built for it.  A new shape pays the checker and one compile,
+    /// once.  Never cached: rejections, and queries handed in as FO ASTs.
     pub fn query<Q: IntoQuery>(&self, query: Q) -> Result<ExecOutput> {
-        let analysis = self.engine.analyze(query)?;
-        let plan = analysis.bounded_plan()?.clone();
-        let prepared = PreparedPlan::with_cache(plan, Arc::clone(self.engine.cache()));
-        let options = self.engine.exec_options();
-        let guard =
-            Guard::new(&options.limits).with_metrics(Arc::clone(self.engine.guard_metrics()));
-        prepared
-            .execute_guarded(self.version.idb(), self.version.views(), &options, &guard)
-            .map_err(|e| Error::execution(&analysis.query().to_string(), e))
+        let query = query.into_query()?;
+        match self.engine.resolve(&query)? {
+            Resolved::Shape(shape, params) => {
+                let options = self.engine.exec_options();
+                let guard = Guard::new(&options.limits)
+                    .with_metrics(Arc::clone(self.engine.guard_metrics()));
+                shape
+                    .prepared
+                    .execute_guarded(
+                        self.version.idb(),
+                        self.version.views(),
+                        &options,
+                        &guard,
+                        &shape.bindings(&params),
+                    )
+                    .map_err(|e| Error::execution(&query.to_string(), e))
+            }
+            checked => {
+                Analysis::new(query, checked, Arc::clone(&self.version), self.engine).execute()
+            }
+        }
     }
 
     /// Naively evaluate a query against the pinned version: base relations

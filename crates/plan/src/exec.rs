@@ -24,6 +24,12 @@
 //! * the σ-over-× join pattern compiles to a hash join whose build side is
 //!   the smaller input (the PR 2 lesson — actual cardinalities are the best
 //!   statistics, and at pipeline time they are exact);
+//! * a constant is a *slot*, not a value: compilation numbers the plan's
+//!   constant occurrences ([`PlanNode::constant_slots`] order) and never
+//!   looks at them, and an execution runs the operators with one interned id
+//!   bound per slot — so the compiled operators serve every plan of the
+//!   same shape, and a [`Pipeline`] is those shared operators plus one
+//!   plan's ids;
 //! * `Tuple`s (and `Value`s) are materialised only at the root.
 //!
 //! # `FetchStats` semantics (pinned)
@@ -74,7 +80,6 @@ use crate::Result;
 use bqr_data::{snapshot_of, FetchStats, IndexedDatabase, InternedSnapshot, Tuple, Value, ValueId};
 use bqr_query::MaterializedViews;
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -258,56 +263,67 @@ pub fn execute_with(
     Pipeline::compile(plan, idb, views)?.execute(idb, options)
 }
 
-/// A selection condition over interned ids.  Constants are interned at
-/// compile time: a constant absent from the pool would have minted a fresh
-/// id, which by construction matches no id occurring in any table — so
-/// equality against it is always false and inequality always true, exactly
-/// the `Value` semantics.
+/// A selection condition over interned ids.  A constant is a *slot*: an
+/// index into the ids bound for this execution, never a value — so one
+/// compiled condition serves every plan of the shape.  (A bound constant
+/// that occurs nowhere in the data has an id no table holds: equality
+/// against it is always false and inequality always true, exactly the
+/// `Value` semantics.)
 #[derive(Debug, Clone)]
 pub(crate) enum IdCond {
-    EqConst(usize, ValueId),
-    NeConst(usize, ValueId),
+    EqConst(usize, usize),
+    NeConst(usize, usize),
     EqCol(usize, usize),
     NeCol(usize, usize),
 }
 
 impl IdCond {
-    fn compile(cond: &SelectCondition) -> IdCond {
+    /// Compile `cond`, giving a constant the next slot.
+    fn compile(cond: &SelectCondition, next_slot: &mut usize) -> IdCond {
+        let mut slot = || {
+            *next_slot += 1;
+            *next_slot - 1
+        };
         match cond {
-            SelectCondition::ColEqConst(c, v) => IdCond::EqConst(*c, ValueId::intern(v)),
-            SelectCondition::ColNeConst(c, v) => IdCond::NeConst(*c, ValueId::intern(v)),
+            SelectCondition::ColEqConst(c, _) => IdCond::EqConst(*c, slot()),
+            SelectCondition::ColNeConst(c, _) => IdCond::NeConst(*c, slot()),
             SelectCondition::ColEqCol(a, b) => IdCond::EqCol(*a, *b),
             SelectCondition::ColNeCol(a, b) => IdCond::NeCol(*a, *b),
         }
     }
 
-    pub(crate) fn holds(&self, row: &[ValueId]) -> bool {
+    pub(crate) fn holds(&self, row: &[ValueId], consts: &[ValueId]) -> bool {
         match self {
-            IdCond::EqConst(c, v) => row[*c] == *v,
-            IdCond::NeConst(c, v) => row[*c] != *v,
+            IdCond::EqConst(c, s) => row[*c] == consts[*s],
+            IdCond::NeConst(c, s) => row[*c] != consts[*s],
             IdCond::EqCol(a, b) => row[*a] == row[*b],
             IdCond::NeCol(a, b) => row[*a] != row[*b],
         }
     }
-}
 
-impl fmt::Display for IdCond {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Render the condition with its slots resolved against `consts`.
+    fn describe(&self, consts: &[ValueId]) -> String {
         match self {
-            IdCond::EqConst(c, v) => write!(f, "#{c} = id:{}", v.as_u32()),
-            IdCond::NeConst(c, v) => write!(f, "#{c} ≠ id:{}", v.as_u32()),
-            IdCond::EqCol(a, b) => write!(f, "#{a} = #{b}"),
-            IdCond::NeCol(a, b) => write!(f, "#{a} ≠ #{b}"),
+            IdCond::EqConst(c, s) => format!("#{c} = id:{}", consts[*s].as_u32()),
+            IdCond::NeConst(c, s) => format!("#{c} ≠ id:{}", consts[*s].as_u32()),
+            IdCond::EqCol(a, b) => format!("#{a} = #{b}"),
+            IdCond::NeCol(a, b) => format!("#{a} ≠ #{b}"),
         }
     }
+}
+
+fn describe_conds(conds: &[IdCond], consts: &[ValueId]) -> String {
+    let conds: Vec<String> = conds.iter().map(|c| c.describe(consts)).collect();
+    conds.join(" ∧ ")
 }
 
 /// One operator of the compiled pipeline.  Operands are indexes of earlier
 /// operators (the pipeline is in dependency order by construction).
 #[derive(Debug)]
 enum Op {
-    /// A constant single-row table.
-    Const { ids: Vec<ValueId>, arity: usize },
+    /// A constant single-row table: slots `first_slot..first_slot + arity`
+    /// of the bound ids.
+    Const { first_slot: usize, arity: usize },
     /// Scan of a cached view extent through its interned snapshot.
     ViewScan {
         name: String,
@@ -356,18 +372,42 @@ enum Op {
     Dedup { input: usize },
 }
 
-/// A `QueryPlan` compiled to a flat operator pipeline over interned ids.
+/// A plan *shape* compiled to a flat operator pipeline: everything
+/// [`Pipeline::compile`] resolves — views (snapshots), fetch constraints
+/// (index positions), join strategy — and no constant.  Constants are slots
+/// (numbered in [`PlanNode::constant_slots`] order) filled per execution, so
+/// the [`crate::prepared::PipelineCache`] keeps one of these per shape, not
+/// one per constant.
+#[derive(Debug)]
+pub(crate) struct CompiledShape {
+    ops: Vec<Op>,
+    root: usize,
+    arity: usize,
+    /// How many constant slots the operators reference.
+    slots: usize,
+}
+
+/// A `QueryPlan` compiled to a flat operator pipeline over interned ids: a
+/// compiled shape (shared with every plan that differs from this
+/// one only in its constants) plus this plan's constants as interned ids.
 ///
 /// Compile once with [`Pipeline::compile`], inspect with
 /// [`Pipeline::describe`], run with [`Pipeline::execute`].  The pipeline
 /// resolves views (snapshots) and fetch constraints (index positions)
 /// against the `idb`/`views` it was compiled for; execute it against the
 /// same `idb`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Pipeline {
-    ops: Vec<Op>,
-    root: usize,
-    arity: usize,
+    pub(crate) shape: Arc<CompiledShape>,
+    pub(crate) consts: Arc<[ValueId]>,
+}
+
+/// A plan's constants as interned ids, in slot order.
+pub(crate) fn intern_constants(plan: &QueryPlan) -> Arc<[ValueId]> {
+    plan.constant_slots()
+        .into_iter()
+        .map(ValueId::intern)
+        .collect()
 }
 
 impl Pipeline {
@@ -380,37 +420,35 @@ impl Pipeline {
         idb: &IndexedDatabase,
         views: &MaterializedViews,
     ) -> Result<Pipeline> {
-        let mut ops = Vec::new();
-        let root = compile_node(plan.root(), idb, views, &mut ops)?;
         Ok(Pipeline {
-            ops,
-            root,
-            arity: plan.arity(),
+            shape: Arc::new(CompiledShape::compile(plan, idb, views)?),
+            consts: intern_constants(plan),
         })
     }
 
     /// Number of operators in the pipeline.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.shape.ops.len()
     }
 
     /// True when the pipeline holds no operators (never the case for a
     /// compiled plan; present for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.shape.ops.is_empty()
     }
 
     /// Output arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.shape.arity
     }
 
     /// A human-readable rendering of the compiled pipeline, one operator per
     /// line — the plan-level counterpart of the homomorphism engine's
     /// `plan_summary()`.
     pub fn describe(&self) -> String {
+        let consts = &self.consts;
         let mut out = String::new();
-        for (i, op) in self.ops.iter().enumerate() {
+        for (i, op) in self.shape.ops.iter().enumerate() {
             let line = match op {
                 Op::Const { arity, .. } => format!("const/{arity}"),
                 Op::ViewScan { name, snapshot } => {
@@ -420,14 +458,11 @@ impl Pipeline {
                     name,
                     snapshot,
                     conds,
-                } => {
-                    let conds: Vec<String> = conds.iter().map(|c| c.to_string()).collect();
-                    format!(
-                        "view-filter {name} [{} rows] σ[{}]",
-                        snapshot.len(),
-                        conds.join(" ∧ ")
-                    )
-                }
+                } => format!(
+                    "view-filter {name} [{} rows] σ[{}]",
+                    snapshot.len(),
+                    describe_conds(conds, consts)
+                ),
                 Op::Fetch {
                     input,
                     constraint_display,
@@ -436,8 +471,7 @@ impl Pipeline {
                 } => format!("fetch[{constraint_display}] keys {key_cols:?} of %{input}"),
                 Op::Project { input, cols } => format!("π{cols:?} %{input}"),
                 Op::Select { input, conds } => {
-                    let conds: Vec<String> = conds.iter().map(|c| c.to_string()).collect();
-                    format!("σ[{}] %{input}", conds.join(" ∧ "))
+                    format!("σ[{}] %{input}", describe_conds(conds, consts))
                 }
                 Op::HashJoin {
                     left, right, pairs, ..
@@ -449,7 +483,10 @@ impl Pipeline {
             };
             out.push_str(&format!("%{i} = {line}\n"));
         }
-        out.push_str(&format!("root: %{} (arity {})", self.root, self.arity));
+        out.push_str(&format!(
+            "root: %{} (arity {})",
+            self.shape.root, self.shape.arity
+        ));
         out
     }
 
@@ -471,7 +508,45 @@ impl Pipeline {
         options: &ExecOptions,
         guard: &Guard,
     ) -> Result<ExecOutput> {
-        let result = self.run(idb, options, guard);
+        self.shape
+            .execute_guarded(idb, options, guard, &self.consts)
+    }
+}
+
+impl CompiledShape {
+    /// Compile the shape of `plan`: its constants' values are not looked at.
+    pub(crate) fn compile(
+        plan: &QueryPlan,
+        idb: &IndexedDatabase,
+        views: &MaterializedViews,
+    ) -> Result<CompiledShape> {
+        let mut ops = Vec::new();
+        let mut slots = 0;
+        let root = compile_node(plan.root(), idb, views, &mut ops, &mut slots)?;
+        Ok(CompiledShape {
+            ops,
+            root,
+            arity: plan.arity(),
+            slots,
+        })
+    }
+
+    /// Evaluate the shape with `consts` bound to its slots (one id per slot,
+    /// in [`PlanNode::constant_slots`] order).  Guardrail trips are recorded
+    /// in the guard's metrics exactly once per execution.
+    pub(crate) fn execute_guarded(
+        &self,
+        idb: &IndexedDatabase,
+        options: &ExecOptions,
+        guard: &Guard,
+        consts: &[ValueId],
+    ) -> Result<ExecOutput> {
+        assert_eq!(
+            consts.len(),
+            self.slots,
+            "a pipeline is executed with one constant per slot"
+        );
+        let result = self.run(idb, options, guard, consts);
         if let Err(PlanError::Exec(e)) = &result {
             guard.record_trip(e);
         }
@@ -483,6 +558,7 @@ impl Pipeline {
         idb: &IndexedDatabase,
         options: &ExecOptions,
         guard: &Guard,
+        consts: &[ValueId],
     ) -> Result<ExecOutput> {
         let mut stats = FetchStats::new();
         // Each operator's inputs are dropped after their final consumer so
@@ -493,12 +569,12 @@ impl Pipeline {
         for (op_idx, op) in self.ops.iter().enumerate() {
             guard.check()?;
             let table = match op {
-                Op::Const { ids, arity } => {
+                Op::Const { first_slot, arity } => {
                     guard.charge_rows(1)?;
                     IdTable {
                         arity: *arity,
                         rows: 1,
-                        data: ids.clone(),
+                        data: consts[*first_slot..first_slot + arity].to_vec(),
                     }
                 }
                 Op::ViewScan { snapshot, .. } => {
@@ -512,7 +588,7 @@ impl Pipeline {
                 }
                 Op::ViewFilter {
                     snapshot, conds, ..
-                } => eval_view_filter(snapshot, conds, &mut stats, options, guard)?,
+                } => eval_view_filter(snapshot, conds, consts, &mut stats, options, guard)?,
                 Op::Fetch {
                     input,
                     constraint_idx,
@@ -532,7 +608,9 @@ impl Pipeline {
                     guard,
                 )?,
                 Op::Project { input, cols } => eval_project(&tables[*input], cols, options, guard)?,
-                Op::Select { input, conds } => eval_select(&tables[*input], conds, options, guard)?,
+                Op::Select { input, conds } => {
+                    eval_select(&tables[*input], conds, consts, options, guard)?
+                }
                 Op::HashJoin {
                     left,
                     right,
@@ -543,6 +621,7 @@ impl Pipeline {
                     &tables[*right],
                     pairs,
                     residual,
+                    consts,
                     options,
                     guard,
                 )?,
@@ -595,39 +674,36 @@ impl Pipeline {
 }
 
 /// Compile one plan node, appending its operators to `ops` and returning the
-/// index of the operator producing the node's output.
+/// index of the operator producing the node's output.  `slots` counts the
+/// constant slots handed out so far: a node takes the slots of its own
+/// constants on entry, before its children are compiled — the pre-order of
+/// [`PlanNode::constant_slots`], whatever order the operators come out in.
 fn compile_node(
     node: &PlanNode,
     idb: &IndexedDatabase,
     views: &MaterializedViews,
     ops: &mut Vec<Op>,
+    slots: &mut usize,
 ) -> Result<usize> {
     let idx = match node {
         PlanNode::Const(t) => {
-            let ids = t.iter().map(ValueId::intern).collect();
+            let first_slot = *slots;
+            *slots += t.arity();
             push(
                 ops,
                 Op::Const {
-                    ids,
+                    first_slot,
                     arity: t.arity(),
                 },
             )
         }
         PlanNode::View { name, arity } => {
-            let extent = views
-                .extent(name)
-                .ok_or_else(|| PlanError::UnknownView(name.clone()))?;
-            if extent.schema().arity() != *arity {
-                return Err(PlanError::ArityMismatch {
-                    left: *arity,
-                    right: extent.schema().arity(),
-                });
-            }
+            let snapshot = view_snapshot(views, name, *arity)?;
             push(
                 ops,
                 Op::ViewScan {
                     name: name.clone(),
-                    snapshot: snapshot_of(extent),
+                    snapshot,
                 },
             )
         }
@@ -636,13 +712,13 @@ fn compile_node(
             constraint,
             key_columns,
         } => {
-            let input = compile_node(input, idb, views, ops)?;
+            let input = compile_node(input, idb, views, ops, slots)?;
             let position = idb
                 .constraint_position(constraint)
                 .ok_or_else(|| PlanError::ConstraintNotInSchema(constraint.to_string()))?;
             // Force the id-native index (and the interning of its values)
-            // into existence now, so select-constant interning below always
-            // sees a fully populated pool for this database.
+            // into existence now, so that is compile's cost and not the
+            // first execution's.
             let _ = idb.interned_access_index(position)?;
             push(
                 ops,
@@ -657,7 +733,7 @@ fn compile_node(
             )
         }
         PlanNode::Project { input, columns } => {
-            let input = compile_node(input, idb, views, ops)?;
+            let input = compile_node(input, idb, views, ops, slots)?;
             let project = push(
                 ops,
                 Op::Project {
@@ -669,42 +745,37 @@ fn compile_node(
             push(ops, Op::Dedup { input: project })
         }
         PlanNode::Select { input, conditions } => {
+            let mut conds: Vec<IdCond> = conditions
+                .iter()
+                .map(|c| IdCond::compile(c, slots))
+                .collect();
             // The σ-over-× pattern is how plans express joins (the plan
             // grammar has no join operator).  Materialising the product
             // first would make joins quadratic, so equi-joins across the
             // product boundary are compiled to hash joins.
             if let PlanNode::Product(a, b) = input.as_ref() {
                 let left_arity = a.arity();
-                let pairs: Vec<(usize, usize)> = conditions
+                let crosses = |i: usize, j: usize| (i < left_arity) != (j < left_arity);
+                let pairs: Vec<(usize, usize)> = conds
                     .iter()
-                    .filter_map(|c| match c {
-                        SelectCondition::ColEqCol(i, j) if *i < left_arity && *j >= left_arity => {
-                            Some((*i, *j - left_arity))
-                        }
-                        SelectCondition::ColEqCol(i, j) if *j < left_arity && *i >= left_arity => {
-                            Some((*j, *i - left_arity))
+                    .filter_map(|c| match *c {
+                        IdCond::EqCol(i, j) if crosses(i, j) => {
+                            Some((i.min(j), i.max(j) - left_arity))
                         }
                         _ => None,
                     })
                     .collect();
                 if !pairs.is_empty() {
-                    let left = compile_node(a, idb, views, ops)?;
-                    let right = compile_node(b, idb, views, ops)?;
-                    let residual: Vec<IdCond> = conditions
-                        .iter()
-                        .filter(|c| {
-                            !matches!(c, SelectCondition::ColEqCol(i, j)
-                                if (*i < left_arity) != (*j < left_arity))
-                        })
-                        .map(IdCond::compile)
-                        .collect();
+                    let left = compile_node(a, idb, views, ops, slots)?;
+                    let right = compile_node(b, idb, views, ops, slots)?;
+                    conds.retain(|c| !matches!(*c, IdCond::EqCol(i, j) if crosses(i, j)));
                     return Ok(push(
                         ops,
                         Op::HashJoin {
                             left,
                             right,
                             pairs,
-                            residual,
+                            residual: conds,
                         },
                     ));
                 }
@@ -714,52 +785,57 @@ fn compile_node(
             // materialised, and under a parallel driver the filter runs
             // over the snapshot's morsels.
             if let PlanNode::View { name, arity } = input.as_ref() {
-                let extent = views
-                    .extent(name)
-                    .ok_or_else(|| PlanError::UnknownView(name.clone()))?;
-                if extent.schema().arity() != *arity {
-                    return Err(PlanError::ArityMismatch {
-                        left: *arity,
-                        right: extent.schema().arity(),
-                    });
-                }
+                let snapshot = view_snapshot(views, name, *arity)?;
                 return Ok(push(
                     ops,
                     Op::ViewFilter {
                         name: name.clone(),
-                        snapshot: snapshot_of(extent),
-                        conds: conditions.iter().map(IdCond::compile).collect(),
+                        snapshot,
+                        conds,
                     },
                 ));
             }
-            let input = compile_node(input, idb, views, ops)?;
-            push(
-                ops,
-                Op::Select {
-                    input,
-                    conds: conditions.iter().map(IdCond::compile).collect(),
-                },
-            )
+            let input = compile_node(input, idb, views, ops, slots)?;
+            push(ops, Op::Select { input, conds })
         }
-        PlanNode::Rename { input } => compile_node(input, idb, views, ops)?,
+        PlanNode::Rename { input } => compile_node(input, idb, views, ops, slots)?,
         PlanNode::Product(a, b) => {
-            let left = compile_node(a, idb, views, ops)?;
-            let right = compile_node(b, idb, views, ops)?;
+            let left = compile_node(a, idb, views, ops, slots)?;
+            let right = compile_node(b, idb, views, ops, slots)?;
             push(ops, Op::Product { left, right })
         }
         PlanNode::Union(a, b) => {
-            let left = compile_node(a, idb, views, ops)?;
-            let right = compile_node(b, idb, views, ops)?;
+            let left = compile_node(a, idb, views, ops, slots)?;
+            let right = compile_node(b, idb, views, ops, slots)?;
             let union = push(ops, Op::Union { left, right });
             push(ops, Op::Dedup { input: union })
         }
         PlanNode::Difference(a, b) => {
-            let left = compile_node(a, idb, views, ops)?;
-            let right = compile_node(b, idb, views, ops)?;
+            let left = compile_node(a, idb, views, ops, slots)?;
+            let right = compile_node(b, idb, views, ops, slots)?;
             push(ops, Op::Difference { left, right })
         }
     };
     Ok(idx)
+}
+
+/// The interned snapshot of view `name`'s extent, checked against the arity
+/// the plan recorded for it.
+fn view_snapshot(
+    views: &MaterializedViews,
+    name: &str,
+    arity: usize,
+) -> Result<Arc<InternedSnapshot>> {
+    let extent = views
+        .extent(name)
+        .ok_or_else(|| PlanError::UnknownView(name.to_string()))?;
+    if extent.schema().arity() != arity {
+        return Err(PlanError::ArityMismatch {
+            left: arity,
+            right: extent.schema().arity(),
+        });
+    }
+    Ok(snapshot_of(extent))
 }
 
 fn push(ops: &mut Vec<Op>, op: Op) -> usize {
@@ -949,6 +1025,7 @@ fn eval_project(
 fn eval_select(
     input: &IdTable,
     conds: &[IdCond],
+    consts: &[ValueId],
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
@@ -967,7 +1044,7 @@ fn eval_select(
             guard.check()?;
             let end = (start + kernel::BATCH_ROWS).min(range.end);
             let batch = &input.data[start * arity..end * arity];
-            kernel::filter(conds, batch, arity, end - start, &mut sel);
+            kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
             guard.charge_rows(sel.len())?;
             kernel::gather(batch, arity, end - start, &sel, &mut data);
             start = end;
@@ -986,6 +1063,7 @@ fn eval_select(
 fn eval_view_filter(
     snapshot: &InternedSnapshot,
     conds: &[IdCond],
+    consts: &[ValueId],
     stats: &mut FetchStats,
     options: &ExecOptions,
     guard: &Guard,
@@ -1010,7 +1088,7 @@ fn eval_view_filter(
             guard.check()?;
             let end = (start + kernel::BATCH_ROWS).min(range.end);
             let batch = snapshot.batch(start..end);
-            kernel::filter(conds, batch, arity, end - start, &mut sel);
+            kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
             guard.charge_rows(sel.len())?;
             kernel::gather(batch, arity, end - start, &sel, &mut data);
             start = end;
@@ -1025,6 +1103,7 @@ fn eval_hash_join(
     right: &IdTable,
     pairs: &[(usize, usize)],
     residual: &[IdCond],
+    consts: &[ValueId],
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
@@ -1060,7 +1139,7 @@ fn eval_hash_join(
         let start = data.len();
         data.extend_from_slice(l_row);
         data.extend_from_slice(r_row);
-        if !residual.iter().all(|c| c.holds(&data[start..])) {
+        if !residual.iter().all(|c| c.holds(&data[start..], consts)) {
             data.truncate(start);
         }
     };

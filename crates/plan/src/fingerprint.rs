@@ -1,11 +1,24 @@
 //! Canonical structural fingerprints for query plans.
 //!
-//! A [`PlanFingerprint`] is a 128-bit digest of a plan's *executable*
-//! structure: node shapes, column indices, constants (by value), view names
-//! and access constraints.  It is the plan half of the
-//! [`crate::prepared::PipelineCache`] key — two plans with equal fingerprints
-//! compile to pipelines with identical observable behaviour (answer tuples
-//! *and* `FetchStats`), so a cached pipeline may serve either.
+//! A [`PlanFingerprint`] is a 128-bit digest of a plan's **shape**: its
+//! executable structure — node kinds, column indices, view names and access
+//! constraints — with every constant replaced by a slot marker.  It is the
+//! plan half of the [`crate::prepared::PipelineCache`] key: two plans with
+//! equal fingerprints differ at most in their constants (and in `ρ`
+//! placement), compile to the same operators, and share one cached pipeline,
+//! each executing it with its own constants bound to the slots.
+//!
+//! Why leaving the constants out needs no argument at this layer: a constant
+//! reaches a compiled pipeline in exactly two places, a `Const` leaf and a
+//! `Col{Eq,Ne}Const` selection condition, and compilation never looks at its
+//! value — it resolves views, constraint positions and join strategy from
+//! everything else.  So slots are per *occurrence* (two occurrences of `3`
+//! are two slots that happen to be bound alike), numbered in
+//! [`crate::node::PlanNode::constant_slots`] order, and any binding of them
+//! is a plan the compiled operators evaluate correctly.  Contrast the
+//! engine's analysis memo (`bqr-engine`), whose key must preserve which
+//! constants are equal to each other and to the views' constants, because the
+//! *checker* does look.
 //!
 //! Canonicalisation rules:
 //!
@@ -18,21 +31,22 @@
 //!   one fingerprint — and therefore one cached pipeline.  (A `ρ` can block
 //!   the σ-over-view fusion, yielding a *differently shaped* pipeline, but
 //!   the two shapes are execution-equivalent down to the pinned `FetchStats`
-//!   accounting, which `tests/prepared_cache.rs` holds them to.)
+//!   accounting, which `tests/prepared_cache.rs` holds them to; `ρ` holds no
+//!   constant, so the slot numbering is the same either way.)
 //! * everything else is hashed positionally, in a prefix-free encoding
 //!   (every variable-length field is preceded by its length), so distinct
 //!   structures cannot collide by concatenation ambiguity.
 //!
 //! The digest itself is FNV-1a/128 — not cryptographic, but 128 bits of a
 //! well-dispersed hash make accidental collisions between the handful of
-//! distinct plans a process ever prepares astronomically unlikely, with no
+//! distinct shapes a process ever prepares astronomically unlikely, with no
 //! dependencies and deterministic output across platforms and runs.
 
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
-use bqr_data::Value;
 use std::fmt;
 
-/// A canonical 128-bit structural fingerprint of a [`QueryPlan`].
+/// A canonical 128-bit fingerprint of a [`QueryPlan`]'s shape (its structure
+/// with the constants left out).
 ///
 /// Obtain one with [`fingerprint`]; use it as a cache key (it is `Copy`,
 /// `Eq`, `Hash` and `Ord`) or render it with `Display` (32 hex digits).
@@ -52,8 +66,8 @@ impl fmt::Display for PlanFingerprint {
     }
 }
 
-/// Compute the canonical structural fingerprint of a plan.  Pure function of
-/// the plan tree (see the module docs for the canonicalisation rules).
+/// Compute the canonical shape fingerprint of a plan.  Pure function of the
+/// plan tree minus its constants (see the module docs for the rules).
 pub fn fingerprint(plan: &QueryPlan) -> PlanFingerprint {
     let mut h = Fnv128::new();
     hash_node(plan.root(), &mut h);
@@ -115,39 +129,22 @@ mod tag {
     pub const COND_NE_CONST: u8 = 17;
     pub const COND_EQ_COL: u8 = 18;
     pub const COND_NE_COL: u8 = 19;
-    pub const VAL_BOOL: u8 = 24;
-    pub const VAL_INT: u8 = 25;
-    pub const VAL_STR: u8 = 26;
-}
-
-fn hash_value(v: &Value, h: &mut Fnv128) {
-    match v {
-        Value::Bool(b) => {
-            h.write_u8(tag::VAL_BOOL);
-            h.write_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            h.write_u8(tag::VAL_INT);
-            h.write(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            h.write_u8(tag::VAL_STR);
-            h.write_str(s);
-        }
-    }
+    /// Stands where a constant's value would: the value is not part of the
+    /// shape.
+    pub const SLOT: u8 = 24;
 }
 
 fn hash_condition(c: &SelectCondition, h: &mut Fnv128) {
     match c {
-        SelectCondition::ColEqConst(col, v) => {
+        SelectCondition::ColEqConst(col, _) => {
             h.write_u8(tag::COND_EQ_CONST);
             h.write_usize(*col);
-            hash_value(v, h);
+            h.write_u8(tag::SLOT);
         }
-        SelectCondition::ColNeConst(col, v) => {
+        SelectCondition::ColNeConst(col, _) => {
             h.write_u8(tag::COND_NE_CONST);
             h.write_usize(*col);
-            hash_value(v, h);
+            h.write_u8(tag::SLOT);
         }
         SelectCondition::ColEqCol(a, b) => {
             h.write_u8(tag::COND_EQ_COL);
@@ -167,8 +164,8 @@ fn hash_node(node: &PlanNode, h: &mut Fnv128) {
         PlanNode::Const(t) => {
             h.write_u8(tag::CONST);
             h.write_usize(t.arity());
-            for v in t.iter() {
-                hash_value(v, h);
+            for _ in t.iter() {
+                h.write_u8(tag::SLOT);
             }
         }
         PlanNode::View { name, arity } => {
@@ -241,7 +238,7 @@ fn hash_node(node: &PlanNode, h: &mut Fnv128) {
 mod tests {
     use super::*;
     use crate::builder::Plan;
-    use bqr_data::AccessConstraint;
+    use bqr_data::{AccessConstraint, Value};
 
     fn phi() -> AccessConstraint {
         AccessConstraint::new("movie", &["studio", "release"], &["mid"], 100).unwrap()
@@ -270,10 +267,21 @@ mod tests {
     #[test]
     fn structural_differences_change_the_fingerprint() {
         let base = fingerprint(&sample());
-        // A different constant.
-        let other = Plan::constant(vec![Value::str("Universal"), Value::str("2015")])
+        // One constant more is a different shape.
+        let other = Plan::constant(vec![Value::str("Universal"), Value::str("2014")])
             .fetch(phi(), vec![0, 1])
-            .select_eq_const(2, 10)
+            .select(vec![
+                SelectCondition::ColEqConst(2, Value::int(10)),
+                SelectCondition::ColEqConst(2, Value::int(10)),
+            ])
+            .project(vec![2])
+            .build()
+            .unwrap();
+        assert_ne!(base, fingerprint(&other));
+        // Equality against a constant and inequality against it differ.
+        let other = Plan::constant(vec![Value::str("Universal"), Value::str("2014")])
+            .fetch(phi(), vec![0, 1])
+            .select(vec![SelectCondition::ColNeConst(2, Value::int(10))])
             .project(vec![2])
             .build()
             .unwrap();
@@ -295,14 +303,29 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(base, fingerprint(&other));
-        // Value sorts are tagged: int 1 ≠ str "1" ≠ bool true even where
-        // renderings collide.
+    }
+
+    /// Constants are not part of the shape: whatever their values or sorts,
+    /// and however many of them coincide, plans that differ in nothing else
+    /// share one fingerprint.
+    #[test]
+    fn constants_are_not_part_of_the_fingerprint() {
+        let base = fingerprint(&sample());
+        let other = Plan::constant(vec![Value::str("WB"), Value::int(2015)])
+            .fetch(phi(), vec![0, 1])
+            .select_eq_const(2, "WB")
+            .project(vec![2])
+            .build()
+            .unwrap();
+        assert_eq!(base, fingerprint(&other));
         let int1 = Plan::constant(vec![Value::int(1)]).build().unwrap();
-        let str1 = Plan::constant(vec![Value::str("1")]).build().unwrap();
         let bool1 = Plan::constant(vec![Value::bool(true)]).build().unwrap();
-        assert_ne!(fingerprint(&int1), fingerprint(&str1));
-        assert_ne!(fingerprint(&int1), fingerprint(&bool1));
-        assert_ne!(fingerprint(&str1), fingerprint(&bool1));
+        assert_eq!(fingerprint(&int1), fingerprint(&bool1));
+        // The number of constants is.
+        let pair = Plan::constant(vec![Value::int(1), Value::int(1)])
+            .build()
+            .unwrap();
+        assert_ne!(fingerprint(&int1), fingerprint(&pair));
     }
 
     #[test]

@@ -35,11 +35,13 @@ use std::collections::HashMap;
 /// cancellation cadence (and its ≤5% overhead gate).
 pub(crate) const BATCH_ROWS: usize = 1024;
 
-/// Evaluate `conds` over a batch of `rows` rows (flat row-major `data` of
-/// `rows * arity` ids), leaving the batch-relative indices of the surviving
-/// rows in `sel` (cleared first, ascending order).
+/// Evaluate `conds` (constant slots resolved against `consts`) over a batch
+/// of `rows` rows (flat row-major `data` of `rows * arity` ids), leaving the
+/// batch-relative indices of the surviving rows in `sel` (cleared first,
+/// ascending order).
 pub(crate) fn filter(
     conds: &[IdCond],
+    consts: &[ValueId],
     data: &[ValueId],
     arity: usize,
     rows: usize,
@@ -52,8 +54,8 @@ pub(crate) fn filter(
     };
     // First condition: one strided pass over the column(s) it touches.
     match *first {
-        IdCond::EqConst(c, v) => {
-            let mut p = c;
+        IdCond::EqConst(c, s) => {
+            let (mut p, v) = (c, consts[s]);
             for i in 0..rows as u32 {
                 if data[p] == v {
                     sel.push(i);
@@ -61,8 +63,8 @@ pub(crate) fn filter(
                 p += arity;
             }
         }
-        IdCond::NeConst(c, v) => {
-            let mut p = c;
+        IdCond::NeConst(c, s) => {
+            let (mut p, v) = (c, consts[s]);
             for i in 0..rows as u32 {
                 if data[p] != v {
                     sel.push(i);
@@ -97,7 +99,7 @@ pub(crate) fn filter(
         let mut k = 0;
         for idx in 0..sel.len() {
             let i = sel[idx] as usize * arity;
-            if cond.holds(&data[i..i + arity]) {
+            if cond.holds(&data[i..i + arity], consts) {
                 sel[k] = sel[idx];
                 k += 1;
             }
@@ -239,11 +241,17 @@ mod tests {
     }
 
     /// Reference semantics: row-at-a-time `IdCond::holds` over every row.
-    fn filter_reference(conds: &[IdCond], data: &[ValueId], arity: usize, rows: usize) -> Vec<u32> {
+    fn filter_reference(
+        conds: &[IdCond],
+        consts: &[ValueId],
+        data: &[ValueId],
+        arity: usize,
+        rows: usize,
+    ) -> Vec<u32> {
         (0..rows as u32)
             .filter(|&i| {
                 let s = i as usize * arity;
-                conds.iter().all(|c| c.holds(&data[s..s + arity]))
+                conds.iter().all(|c| c.holds(&data[s..s + arity], consts))
             })
             .collect()
     }
@@ -254,25 +262,27 @@ mod tests {
         let data = ids(&[1, 1, 2, 3, 1, 5, 4, 4, 9, 9, 1, 2]);
         let arity = 2;
         let rows = 6;
+        // Slots 0, 1, 2 hold the constants 1, 2, 4.
+        let consts = ids(&[1, 2, 4]);
         let cond_sets: Vec<Vec<IdCond>> = vec![
             vec![],
-            vec![IdCond::EqConst(0, id(1))],
-            vec![IdCond::NeConst(0, id(1))],
+            vec![IdCond::EqConst(0, 0)],
+            vec![IdCond::NeConst(0, 0)],
             vec![IdCond::EqCol(0, 1)],
             vec![IdCond::NeCol(0, 1)],
-            vec![IdCond::EqConst(0, id(1)), IdCond::NeCol(0, 1)],
+            vec![IdCond::EqConst(0, 0), IdCond::NeCol(0, 1)],
             vec![
                 IdCond::NeCol(0, 1),
-                IdCond::EqConst(1, id(2)),
-                IdCond::NeConst(0, id(4)),
+                IdCond::EqConst(1, 1),
+                IdCond::NeConst(0, 2),
             ],
         ];
         let mut sel = Vec::new();
         for conds in &cond_sets {
-            filter(conds, &data, arity, rows, &mut sel);
+            filter(conds, &consts, &data, arity, rows, &mut sel);
             assert_eq!(
                 sel,
-                filter_reference(conds, &data, arity, rows),
+                filter_reference(conds, &consts, &data, arity, rows),
                 "{conds:?}"
             );
         }
@@ -281,15 +291,16 @@ mod tests {
     #[test]
     fn filter_all_pass_and_all_fail_extremes() {
         let data = ids(&[7, 7, 7, 7]);
+        let seven = ids(&[7]);
         let mut sel = vec![99];
         // All-pass: every index, ascending.
-        filter(&[IdCond::EqConst(0, id(7))], &data, 1, 4, &mut sel);
+        filter(&[IdCond::EqConst(0, 0)], &seven, &data, 1, 4, &mut sel);
         assert_eq!(sel, vec![0, 1, 2, 3]);
         // All-fail: empty selection (and the previous contents are cleared).
-        filter(&[IdCond::NeConst(0, id(7))], &data, 1, 4, &mut sel);
+        filter(&[IdCond::NeConst(0, 0)], &seven, &data, 1, 4, &mut sel);
         assert!(sel.is_empty());
         // Empty batch: nothing selected regardless of conditions.
-        filter(&[IdCond::EqConst(0, id(7))], &[], 1, 0, &mut sel);
+        filter(&[IdCond::EqConst(0, 0)], &seven, &[], 1, 0, &mut sel);
         assert!(sel.is_empty());
     }
 

@@ -38,6 +38,14 @@ impl SelectCondition {
         }
     }
 
+    /// The constant the condition compares a column against, if any.
+    pub fn constant(&self) -> Option<&Value> {
+        match self {
+            SelectCondition::ColEqConst(_, v) | SelectCondition::ColNeConst(_, v) => Some(v),
+            SelectCondition::ColEqCol(..) | SelectCondition::ColNeCol(..) => None,
+        }
+    }
+
     /// True if the condition only uses equality (allowed in CQ/UCQ/∃FO+
     /// plans; inequalities force the FO classification).
     pub fn is_equality(&self) -> bool {
@@ -244,29 +252,70 @@ impl PlanNode {
         out
     }
 
-    /// Constants used anywhere in the subtree (in `Const` leaves or selection
-    /// conditions) — bounded rewritings may only use constants from the query.
-    pub fn constants(&self) -> Vec<Value> {
+    /// Every constant *occurrence* of the subtree, in **slot order**: nodes
+    /// in pre-order, and within a node a `Const` leaf's values left to right
+    /// or a selection's `Col{Eq,Ne}Const` constants in condition order.  This
+    /// is the one order in which a plan's constants are numbered: the
+    /// compiled pipeline's constant slots ([`crate::exec`]), the ids a
+    /// [`crate::prepared::PreparedPlan`] binds to them, and
+    /// [`PlanNode::map_constants`] all follow it (`ρ` holds no constants, so
+    /// the numbering is the same wherever renames sit).
+    pub fn constant_slots(&self) -> Vec<&Value> {
         let mut out = Vec::new();
         self.visit(&mut |n| match n {
-            PlanNode::Const(t) => {
-                for v in t.iter() {
-                    if !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-            }
+            PlanNode::Const(t) => out.extend(t.iter()),
             PlanNode::Select { conditions, .. } => {
-                for c in conditions {
-                    if let SelectCondition::ColEqConst(_, v) | SelectCondition::ColNeConst(_, v) = c
-                    {
-                        if !out.contains(v) {
-                            out.push(v.clone());
-                        }
-                    }
-                }
+                out.extend(conditions.iter().filter_map(SelectCondition::constant));
             }
             _ => {}
+        });
+        out
+    }
+
+    /// Constants used anywhere in the subtree (in `Const` leaves or selection
+    /// conditions), each once — bounded rewritings may only use constants
+    /// from the query.
+    pub fn constants(&self) -> Vec<Value> {
+        let mut out: Vec<Value> = Vec::new();
+        for v in self.constant_slots() {
+            if !out.contains(v) {
+                out.push(v.clone());
+            }
+        }
+        out
+    }
+
+    /// The same tree with the constant in slot `k` replaced by
+    /// `f(k, current)` — slots numbered as in [`PlanNode::constant_slots`].
+    /// Nothing but constants changes, so a valid plan stays valid.
+    pub fn map_constants(&self, f: &mut impl FnMut(usize, &Value) -> Value) -> PlanNode {
+        fn walk(node: &mut PlanNode, slot: &mut impl FnMut(&Value) -> Value) {
+            match node {
+                PlanNode::Const(t) => *t = t.iter().map(&mut *slot).collect(),
+                PlanNode::View { .. } => {}
+                PlanNode::Select { input, conditions } => {
+                    for c in conditions.iter_mut() {
+                        if let SelectCondition::ColEqConst(_, v)
+                        | SelectCondition::ColNeConst(_, v) = c
+                        {
+                            *v = slot(v);
+                        }
+                    }
+                    walk(input, slot);
+                }
+                PlanNode::Fetch { input, .. }
+                | PlanNode::Project { input, .. }
+                | PlanNode::Rename { input } => walk(input, slot),
+                PlanNode::Product(a, b) | PlanNode::Union(a, b) | PlanNode::Difference(a, b) => {
+                    walk(a, slot);
+                    walk(b, slot);
+                }
+            }
+        }
+        let (mut out, mut next) = (self.clone(), 0);
+        walk(&mut out, &mut |v| {
+            next += 1;
+            f(next - 1, v)
         });
         out
     }
@@ -413,9 +462,23 @@ impl QueryPlan {
         self.root.view_names()
     }
 
-    /// Constants used by the plan.
+    /// Constants used by the plan, each once.
     pub fn constants(&self) -> Vec<Value> {
         self.root.constants()
+    }
+
+    /// Every constant occurrence of the plan in slot order
+    /// ([`PlanNode::constant_slots`]).
+    pub fn constant_slots(&self) -> Vec<&Value> {
+        self.root.constant_slots()
+    }
+
+    /// The plan with the constant in slot `k` replaced by `f(k, current)`
+    /// ([`PlanNode::map_constants`]): same shape, other constants.
+    pub fn map_constants(&self, mut f: impl FnMut(usize, &Value) -> Value) -> QueryPlan {
+        QueryPlan {
+            root: self.root.map_constants(&mut f),
+        }
     }
 
     /// Fetch nodes of the plan.
@@ -582,6 +645,49 @@ mod tests {
         assert!(text.contains("σ["));
         assert!(text.contains("fetch["));
         assert!(text.contains("const"));
+    }
+
+    /// Slot order is pre-order, a node's own constants before its
+    /// children's, and `map_constants` numbers them the same way.
+    #[test]
+    fn constant_slots_and_map_constants_agree_on_the_order() {
+        let select = |input: PlanNode, v: i64| PlanNode::Select {
+            input: Box::new(input),
+            conditions: vec![
+                SelectCondition::ColEqCol(0, 0),
+                SelectCondition::ColNeConst(0, Value::int(v)),
+                SelectCondition::ColEqConst(0, Value::int(v + 1)),
+            ],
+        };
+        let rename = |input: PlanNode| PlanNode::Rename {
+            input: Box::new(input),
+        };
+        let plan = QueryPlan::new(select(
+            PlanNode::Union(
+                Box::new(rename(PlanNode::Const(tuple![30]))),
+                Box::new(select(PlanNode::Const(tuple![10]), 20)),
+            ),
+            1,
+        ))
+        .unwrap();
+        let ints = |plan: &QueryPlan| -> Vec<i64> {
+            let slots = plan.constant_slots();
+            slots.iter().map(|v| v.as_int().unwrap()).collect()
+        };
+        assert_eq!(ints(&plan), vec![1, 2, 30, 20, 21, 10]);
+        assert_eq!(plan.constants().len(), 6);
+        let mut seen = Vec::new();
+        let numbered = plan.map_constants(|slot, v| {
+            seen.push(v.clone());
+            Value::int(slot as i64)
+        });
+        assert_eq!(seen.iter().collect::<Vec<_>>(), plan.constant_slots());
+        assert_eq!(ints(&numbered), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(plan.map_constants(|_, v| v.clone()), plan);
+        // Repeats are separate slots, one constant.
+        let twice = QueryPlan::new(PlanNode::Const(tuple![7, 7])).unwrap();
+        assert_eq!(twice.constant_slots().len(), 2);
+        assert_eq!(twice.constants(), vec![Value::int(7)]);
     }
 
     #[test]

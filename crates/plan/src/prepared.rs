@@ -2,43 +2,53 @@
 //! prepared-statement handle built on it.
 //!
 //! PR 3 compiles every plan into a flat [`Pipeline`], but a serving workload
-//! re-executes the *same* plan against a *slowly changing* instance — the
-//! paper's bounded-rewriting shape (decide once, construct the topped plan
-//! once, answer many queries).  Recompiling per execution re-does view
-//! resolution, snapshot interning and constant interning on every call.  This
-//! module amortises it:
+//! re-executes the *same few plan shapes* against a *slowly changing*
+//! instance — the paper's bounded-rewriting shape (decide once, construct
+//! the topped plan once, answer many queries that differ in a constant).
+//! Recompiling per execution re-does view resolution and snapshot interning
+//! on every call.  This module amortises it:
 //!
 //! * [`PipelineCache`] — a bounded, thread-safe map from
 //!   `(`[`PlanFingerprint`]`, `[`ExecOptions`]`, `[`EpochVector`]`)` to
-//!   compiled [`Pipeline`]s, with LRU eviction and observable hit / miss /
-//!   invalidation / eviction counters;
+//!   compiled pipeline shapes, with LRU eviction and observable hit / miss /
+//!   invalidation / eviction counters.  The fingerprint is of the plan's
+//!   **shape** — its structure with the constants left out (see
+//!   [`crate::fingerprint`] for why that is sound with no further argument)
+//!   — so every plan of a shape, whatever its constants, shares one entry;
 //! * [`EpochVector`] — the data half of the key: the epochs of the base
 //!   relations reachable through the plan's fetch constraints plus the
 //!   epochs of the view extents the plan reads, together with a digest of
 //!   the access schema (constraint *positions* are resolved at compile time,
 //!   so a pipeline may only be re-used under a content-identical schema);
-//! * [`PreparedPlan`] — the handle: fingerprints its plan once, re-validates
-//!   the epoch vector on every [`execute`](PreparedPlan::execute), and
-//!   recompiles **only** when the key misses (a mutated relation or view
-//!   presents fresh epochs; the stale entry is swept and counted as an
-//!   invalidation on the next insert).
+//! * [`PreparedShape`] — everything a plan needs to execute except its
+//!   constants: the shape fingerprint, the names whose epochs gate re-use,
+//!   the cache, and a template plan to compile from.  It executes with any
+//!   binding of its constant slots, which is how an ad-hoc query of a known
+//!   shape runs without a plan tree of its own;
+//! * [`PreparedPlan`] — the handle for one closed plan: a shared
+//!   [`PreparedShape`] plus that plan's constants, interned once at
+//!   construction.  It re-validates the epoch vector on every
+//!   [`execute`](PreparedPlan::execute) and recompiles **only** when the key
+//!   misses (a mutated relation or view presents fresh epochs; the stale
+//!   entry is swept and counted as an invalidation on the next insert).
 //!
 //! Correctness contract, held by `tests/prepared_cache.rs`: a cached
 //! execution is **bit-identical** — answer tuples *and* [`FetchStats`] — to
 //! compiling a fresh [`Pipeline`] at that moment.  This falls out of the
 //! design: epochs are globally unique stamps (equal epochs ⟹ equal
-//! contents), compilation is a pure function of `(plan, schema contents,
-//! extent contents)` up to the shared value interner (append-only, so ids
-//! never change meaning), and execution-time statistics are recorded per
-//! run, never baked into the pipeline.
+//! contents), compilation is a pure function of `(plan shape, schema
+//! contents, extent contents)`, constants enter only as the ids bound at
+//! execution (the shared value interner is append-only, so ids never change
+//! meaning), and execution-time statistics are recorded per run, never baked
+//! into the pipeline.
 //!
 //! [`FetchStats`]: bqr_data::FetchStats
 
-use crate::exec::{ExecOptions, ExecOutput, Pipeline};
+use crate::exec::{intern_constants, CompiledShape, ExecOptions, ExecOutput, Pipeline};
 use crate::fingerprint::{fingerprint, PlanFingerprint};
 use crate::node::{PlanNode, QueryPlan};
 use crate::Result;
-use bqr_data::{AccessSchema, IndexedDatabase};
+use bqr_data::{AccessSchema, IndexedDatabase, Value, ValueId};
 use bqr_query::MaterializedViews;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -128,7 +138,7 @@ struct CacheKey {
 }
 
 struct Entry {
-    pipeline: Arc<Pipeline>,
+    shape: Arc<CompiledShape>,
     last_used: u64,
 }
 
@@ -158,8 +168,8 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A bounded, thread-safe cache of compiled [`Pipeline`]s keyed by
-/// `(fingerprint, options, epoch vector)`.
+/// A bounded, thread-safe cache of compiled pipeline shapes keyed by
+/// `(shape fingerprint, options, epoch vector)`.
 ///
 /// One cache instance can safely serve any number of [`PreparedPlan`]s and
 /// threads; [`PipelineCache::global`] is the process-wide default.
@@ -263,13 +273,13 @@ impl PipelineCache {
         self.lock_inner().entries.clear();
     }
 
-    /// The cached pipeline for `key`, or `compile` it, register it, and sweep
+    /// The cached shape for `key`, or `compile` it, register it, and sweep
     /// entries the fresh epochs invalidate.  Errors are never cached.
     fn get_or_compile(
         &self,
         key: CacheKey,
-        compile: impl FnOnce() -> Result<Pipeline>,
-    ) -> Result<Arc<Pipeline>> {
+        compile: impl FnOnce() -> Result<CompiledShape>,
+    ) -> Result<Arc<CompiledShape>> {
         {
             let mut inner = self.lock_inner();
             inner.tick += 1;
@@ -278,22 +288,22 @@ impl PipelineCache {
             if let Some(entry) = inner.entries.get_mut(&key) {
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 entry.last_used = tick;
-                return Ok(Arc::clone(&entry.pipeline));
+                return Ok(Arc::clone(&entry.shape));
             }
             self.misses.fetch_add(1, Ordering::SeqCst);
         }
         // Compile unlocked — see the type-level docs.
-        let pipeline = Arc::new(compile()?);
+        let shape = Arc::new(compile()?);
         let mut inner = self.lock_inner();
         // Failpoint inside the critical section: a Panic kind injected here
         // poisons this lock, which `lock_inner` must then recover from; an
         // Error kind verifies a failed registration is never cached.
         bqr_data::faults::check(bqr_data::faults::sites::CACHE_INSERT)?;
         if let Some(existing) = inner.entries.get(&key) {
-            // Lost a benign compile race; share the registered pipeline.
-            return Ok(Arc::clone(&existing.pipeline));
+            // Lost a benign compile race; share the registered shape.
+            return Ok(Arc::clone(&existing.shape));
         }
-        // Sweep entries this insert supersedes: same plan (any options —
+        // Sweep entries this insert supersedes: same shape (any options —
         // options never change what a pipeline computes), strictly older
         // epochs.  That is the cache-level face of epoch invalidation.
         // Entries for a *coexisting* newer-or-incomparable version are kept,
@@ -312,7 +322,7 @@ impl PipelineCache {
         inner.entries.insert(
             key,
             Entry {
-                pipeline: Arc::clone(&pipeline),
+                shape: Arc::clone(&shape),
                 last_used: tick,
             },
         );
@@ -329,26 +339,21 @@ impl PipelineCache {
             inner.entries.remove(&oldest);
             self.evictions.fetch_add(1, Ordering::SeqCst);
         }
-        Ok(pipeline)
+        Ok(shape)
     }
 }
 
-/// A prepared plan: fingerprinted once, compiled on demand, re-validated by
-/// epoch on every execution.
-///
-/// ```text
-/// let prepared = PreparedPlan::new(plan);          // fingerprint once
-/// prepared.execute(&idb, &views)?;                 // miss: compile + run
-/// prepared.execute(&idb, &views)?;                 // hit: run only
-/// /* mutate a relation the plan reads … rebuild idb/views … */
-/// prepared.execute(&idb2, &views2)?;               // fresh epochs: recompile
-/// ```
-///
-/// The handle is immutable and `Sync`; clone it freely or share it across
-/// threads — all compiled state lives in the (shared) [`PipelineCache`].
-#[derive(Debug, Clone)]
-pub struct PreparedPlan {
-    plan: QueryPlan,
+/// A prepared plan *shape*: fingerprinted once, compiled on demand,
+/// re-validated by epoch on every execution — and executable with any
+/// constants bound to its slots.  Every [`PreparedPlan`] is one of these plus
+/// a binding; plans (and ad-hoc queries) that differ only in constants share
+/// one `Arc<PreparedShape>`, or at least one cache entry.
+#[derive(Debug)]
+pub struct PreparedShape {
+    /// A plan of this shape, the one compilation reads (shared with the
+    /// [`PreparedPlan`] it was first prepared as).  Compilation does not look
+    /// at its constants.
+    template: Arc<QueryPlan>,
     fingerprint: PlanFingerprint,
     /// Base relations reachable through the plan's fetch constraints
     /// (sorted, deduplicated) — the relations whose epochs gate re-use.
@@ -356,6 +361,108 @@ pub struct PreparedPlan {
     /// Views the plan reads (sorted).
     views: Vec<String>,
     cache: Arc<PipelineCache>,
+}
+
+impl PreparedShape {
+    /// Prepare the shape of `template` against `cache`.
+    fn new(template: Arc<QueryPlan>, cache: Arc<PipelineCache>) -> Self {
+        let mut base_relations: Vec<String> = template
+            .fetches()
+            .iter()
+            .filter_map(|n| match n {
+                PlanNode::Fetch { constraint, .. } => Some(constraint.relation().to_string()),
+                _ => None,
+            })
+            .collect();
+        base_relations.sort_unstable();
+        base_relations.dedup();
+        let mut views = template.view_names();
+        views.sort_unstable();
+        PreparedShape {
+            fingerprint: fingerprint(&template),
+            template,
+            base_relations,
+            views,
+            cache,
+        }
+    }
+
+    /// The closed plan with `constant(k, template's)` in slot `k`, as a
+    /// handle on this shape: no fingerprinting, and the plan has the shape
+    /// by construction.
+    pub fn bind(self: &Arc<Self>, constant: impl FnMut(usize, &Value) -> Value) -> PreparedPlan {
+        let plan = self.template.map_constants(constant);
+        PreparedPlan {
+            constants: intern_constants(&plan),
+            plan: Arc::new(plan),
+            shape: Arc::clone(self),
+        }
+    }
+
+    /// The compiled shape to execute with right now — from the cache when
+    /// the epoch vector still matches, freshly compiled (and registered)
+    /// otherwise.
+    fn compiled(
+        &self,
+        idb: &IndexedDatabase,
+        views: &MaterializedViews,
+        options: &ExecOptions,
+    ) -> Result<Arc<CompiledShape>> {
+        match EpochVector::capture(&self.base_relations, &self.views, idb, views) {
+            Some(epochs) => self.cache.get_or_compile(
+                CacheKey {
+                    fingerprint: self.fingerprint,
+                    // Guard limits are runtime-only: strip them so the same
+                    // plan under different deadlines shares one pipeline.
+                    options: options.cache_key(),
+                    epochs,
+                },
+                || CompiledShape::compile(&self.template, idb, views),
+            ),
+            // An unresolvable view or relation: compile uncached so the
+            // error surfaces exactly as it would without preparation.
+            None => CompiledShape::compile(&self.template, idb, views).map(Arc::new),
+        }
+    }
+
+    /// Execute the shape with `constants` in its slots (one interned id per
+    /// slot, in [`PlanNode::constant_slots`] order) under an externally
+    /// constructed [`Guard`](crate::guard::Guard): re-validates the epoch
+    /// vector, compiles on miss, and runs — bit-identical (tuples and stats)
+    /// to compiling and executing the closed plan those constants make.
+    pub fn execute_guarded(
+        &self,
+        idb: &IndexedDatabase,
+        views: &MaterializedViews,
+        options: &ExecOptions,
+        guard: &crate::guard::Guard,
+        constants: &[ValueId],
+    ) -> Result<ExecOutput> {
+        self.compiled(idb, views, options)?
+            .execute_guarded(idb, options, guard, constants)
+    }
+}
+
+/// A prepared plan: a shared [`PreparedShape`] plus this plan's constants,
+/// interned once here and bound on every execution.
+///
+/// ```text
+/// let prepared = PreparedPlan::new(plan);          // fingerprint once
+/// prepared.execute(&idb, &views)?;                 // miss: compile + run
+/// prepared.execute(&idb, &views)?;                 // hit: run only
+/// PreparedPlan::new(same_plan_other_constants)     // same shape:
+///     .execute(&idb, &views)?;                     // hit: run only
+/// /* mutate a relation the plan reads … rebuild idb/views … */
+/// prepared.execute(&idb2, &views2)?;               // fresh epochs: recompile
+/// ```
+///
+/// The handle is immutable and `Sync`; cloning it copies three pointers, and
+/// all compiled state lives in the (shared) [`PipelineCache`].
+#[derive(Debug, Clone)]
+pub struct PreparedPlan {
+    shape: Arc<PreparedShape>,
+    plan: Arc<QueryPlan>,
+    constants: Arc<[ValueId]>,
 }
 
 impl PreparedPlan {
@@ -367,25 +474,11 @@ impl PreparedPlan {
     /// Prepare `plan` against a caller-owned cache (isolated counters; used
     /// by the tests and by embedders that want per-tenant budgets).
     pub fn with_cache(plan: QueryPlan, cache: Arc<PipelineCache>) -> Self {
-        let fingerprint = fingerprint(&plan);
-        let mut base_relations: Vec<String> = plan
-            .fetches()
-            .iter()
-            .filter_map(|n| match n {
-                PlanNode::Fetch { constraint, .. } => Some(constraint.relation().to_string()),
-                _ => None,
-            })
-            .collect();
-        base_relations.sort_unstable();
-        base_relations.dedup();
-        let mut views = plan.view_names();
-        views.sort_unstable();
+        let plan = Arc::new(plan);
         PreparedPlan {
+            constants: intern_constants(&plan),
+            shape: Arc::new(PreparedShape::new(Arc::clone(&plan), cache)),
             plan,
-            fingerprint,
-            base_relations,
-            views,
-            cache,
         }
     }
 
@@ -394,41 +487,38 @@ impl PreparedPlan {
         &self.plan
     }
 
-    /// The plan's canonical structural fingerprint.
+    /// The shape this plan executes through.
+    pub fn shape(&self) -> &Arc<PreparedShape> {
+        &self.shape
+    }
+
+    /// The fingerprint of the plan's shape (the plan half of the
+    /// pipeline-cache key).
     pub fn fingerprint(&self) -> PlanFingerprint {
-        self.fingerprint
+        self.shape.fingerprint
     }
 
     /// The cache this handle compiles into.
     pub fn cache(&self) -> &PipelineCache {
-        &self.cache
+        &self.shape.cache
     }
 
-    /// The pipeline this plan would execute with right now — from the cache
-    /// when the epoch vector still matches, freshly compiled (and registered)
-    /// otherwise.  Exposed for introspection ([`Pipeline::describe`]); the
-    /// execution path uses it internally.
+    /// The pipeline this plan would execute with right now: the shape's
+    /// compiled operators — from the cache when the epoch vector still
+    /// matches, freshly compiled (and registered) otherwise — with this
+    /// plan's constants bound.  Exposed for introspection
+    /// ([`Pipeline::describe`]); the execution path does the same without
+    /// the handle.
     pub fn pipeline(
         &self,
         idb: &IndexedDatabase,
         views: &MaterializedViews,
         options: &ExecOptions,
-    ) -> Result<Arc<Pipeline>> {
-        match EpochVector::capture(&self.base_relations, &self.views, idb, views) {
-            Some(epochs) => self.cache.get_or_compile(
-                CacheKey {
-                    fingerprint: self.fingerprint,
-                    // Guard limits are runtime-only: strip them so the same
-                    // plan under different deadlines shares one pipeline.
-                    options: options.cache_key(),
-                    epochs,
-                },
-                || Pipeline::compile(&self.plan, idb, views),
-            ),
-            // An unresolvable view or relation: compile uncached so the
-            // error surfaces exactly as it would without preparation.
-            None => Pipeline::compile(&self.plan, idb, views).map(Arc::new),
-        }
+    ) -> Result<Pipeline> {
+        Ok(Pipeline {
+            shape: self.shape.compiled(idb, views, options)?,
+            consts: Arc::clone(&self.constants),
+        })
     }
 
     /// Execute serially (the prepared counterpart of [`crate::execute`]).
@@ -446,7 +536,8 @@ impl PreparedPlan {
         views: &MaterializedViews,
         options: &ExecOptions,
     ) -> Result<ExecOutput> {
-        self.pipeline(idb, views, options)?.execute(idb, options)
+        let guard = crate::guard::Guard::new(&options.limits);
+        self.execute_guarded(idb, views, options, &guard)
     }
 
     /// [`PreparedPlan::execute_with`] under an externally constructed
@@ -460,8 +551,8 @@ impl PreparedPlan {
         options: &ExecOptions,
         guard: &crate::guard::Guard,
     ) -> Result<ExecOutput> {
-        self.pipeline(idb, views, options)?
-            .execute_guarded(idb, options, guard)
+        self.shape
+            .execute_guarded(idb, views, options, guard, &self.constants)
     }
 }
 
@@ -533,6 +624,44 @@ mod tests {
         assert_eq!(twin.fingerprint(), prepared.fingerprint());
         assert_eq!(twin.execute(&idb, &views).unwrap(), fresh);
         assert_eq!(cache.stats().hits, 2);
+    }
+
+    /// Plans that differ only in their constants are one shape: one cache
+    /// entry, one compile — and each still answers for its own constants,
+    /// whether prepared on its own or bound onto the other's shape.
+    #[test]
+    fn plans_differing_in_constants_share_one_pipeline() {
+        let cache = Arc::new(PipelineCache::new(8));
+        let (idb, views) = instance(-1);
+        let with_key = |k: i64| {
+            Plan::constant(vec![Value::int(k)])
+                .fetch(constraint(), vec![0])
+                .join_eq(Plan::view("S", 2), &[(1, 0)])
+                .select_eq_const(3, 10 + k)
+                .project(vec![1, 3])
+                .build()
+                .unwrap()
+        };
+        let zero = PreparedPlan::with_cache(with_key(0), Arc::clone(&cache));
+        let mut answers = Vec::new();
+        for k in 0..3i64 {
+            let plan = with_key(k);
+            let fresh = crate::execute(&plan, &idb, &views).unwrap();
+            let own = PreparedPlan::with_cache(plan.clone(), Arc::clone(&cache));
+            assert_eq!(own.fingerprint(), zero.fingerprint());
+            assert_eq!(own.execute(&idb, &views).unwrap(), fresh, "key {k}");
+            // Pre-order: the σ above the join comes before the leaf under it.
+            let slots = [Value::int(10 + k), Value::int(k)];
+            assert_eq!(plan.constant_slots(), slots.iter().collect::<Vec<_>>());
+            let bound = zero.shape().bind(|slot, _| slots[slot].clone());
+            assert_eq!(bound.plan(), &plan);
+            assert_eq!(bound.execute(&idb, &views).unwrap(), fresh, "key {k}");
+            answers.push(fresh.tuples);
+        }
+        assert_ne!(answers[0], answers[1], "the constants matter");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 5), "{stats:?}");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -609,10 +738,17 @@ mod tests {
     fn lru_eviction_at_capacity() {
         let cache = Arc::new(PipelineCache::new(2));
         let (idb, views) = instance(-1);
-        let plans: Vec<PreparedPlan> = (0..3i64)
-            .map(|i| {
+        // Three shapes (constants would share one entry): σ on column 0,
+        // on column 1, and on both.
+        let plans: Vec<PreparedPlan> = [vec![0], vec![1], vec![0, 1]]
+            .into_iter()
+            .map(|cols| {
+                let conds = cols
+                    .into_iter()
+                    .map(|c| crate::SelectCondition::ColEqConst(c, Value::int(1)))
+                    .collect();
                 PreparedPlan::with_cache(
-                    Plan::view("S", 2).select_eq_const(0, i).build().unwrap(),
+                    Plan::view("S", 2).select(conds).build().unwrap(),
                     Arc::clone(&cache),
                 )
             })
@@ -666,7 +802,7 @@ mod tests {
     fn global_cache_is_shared() {
         let a = PreparedPlan::new(plan());
         let b = PreparedPlan::new(plan());
-        assert!(Arc::ptr_eq(&a.cache, &b.cache));
+        assert!(Arc::ptr_eq(&a.shape.cache, &b.shape.cache));
         let (idb, views) = instance(-1);
         let hits = a.cache().stats().hits;
         a.execute(&idb, &views).unwrap();

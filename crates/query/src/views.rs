@@ -10,7 +10,7 @@ use crate::error::QueryError;
 use crate::fo::{FoQuery, QueryLanguage};
 use crate::ucq::UnionQuery;
 use crate::Result;
-use bqr_data::{Database, DatabaseSchema, Relation};
+use bqr_data::{Database, DatabaseSchema, Relation, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -50,6 +50,19 @@ impl ViewDefinition {
             ViewDefinition::Cq(q) => q.relation_names(),
             ViewDefinition::Ucq(q) => q.relation_names(),
             ViewDefinition::Fo(q) => q.body().relation_names(),
+        }
+    }
+
+    /// Constants mentioned by the definition (head or body).
+    pub fn constants(&self) -> BTreeSet<Value> {
+        match self {
+            ViewDefinition::Cq(q) => q.constants(),
+            ViewDefinition::Ucq(q) => q.constants(),
+            ViewDefinition::Fo(q) => {
+                let mut constants = q.body().constants();
+                constants.extend(q.head().iter().filter_map(|t| t.as_const().cloned()));
+                constants
+            }
         }
     }
 
@@ -129,6 +142,17 @@ impl ViewSet {
     /// Iterate over `(name, definition)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ViewDefinition)> {
         self.views.iter().map(|(n, d)| (n.as_str(), d))
+    }
+
+    /// Every constant occurring in some view definition — the constants a
+    /// query's own may *not* be abstracted over when its analysis is shared
+    /// between queries (a query atom `customer(c, n, 'premium', r)` matches
+    /// `V_premium` because of that constant, not despite it).
+    pub fn constants(&self) -> BTreeSet<Value> {
+        self.views
+            .values()
+            .flat_map(ViewDefinition::constants)
+            .collect()
     }
 
     /// Map of view name → arity, as needed by query validation.

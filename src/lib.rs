@@ -149,8 +149,8 @@
 //!   have a sound semi-naive path.
 //!
 //! Untouched relations share their epochs, indexes (access and keyed), and
-//! snapshots into the new version, so the `(plan, options, epochs)`-keyed pipeline cache
-//! invalidates only pipelines that actually read a changed input.  A net
+//! snapshots into the new version, so the `(plan shape, options, epochs)`-keyed
+//! pipeline cache invalidates only pipelines that actually read a changed input.  A net
 //! no-op mutation publishes nothing at all: no epoch moves, no cache entry
 //! is touched.  [`MaintenanceMode::Rebuild`] restores the from-scratch
 //! behaviour engine-wide (the differential baseline: same contents, same
@@ -295,6 +295,70 @@
 //! # }
 //! ```
 //!
+//! # Query shapes: analyse and compile a question once
+//!
+//! The paper's effective syntax decides boundedness from a query's
+//! *syntax*, in which a constant matters only through where it sits and
+//! which other constants — of the query or of a view definition — it
+//! equals.  Its running examples ("movies of studio *s* released in *y*")
+//! are families that share one analysis and one plan, and the engine treats
+//! them so, with no placeholder syntax to learn:
+//!
+//! * the **pipeline cache** is keyed by the plan's *shape* — its structure
+//!   with the constants left out ([`plan::fingerprint`](mod@plan::fingerprint)).
+//!   Compiled operators hold constant *slots*; a statement executes the
+//!   shared operators with its own constants, interned once, bound to them.
+//!   Sixty-four statements asking one question about sixty-four customers
+//!   compile once, and recompile once after a write moves what they read;
+//! * in front of [`Engine::analyze`] (and so [`Engine::prepare`] and
+//!   [`Session::query`]) sits a bounded memo from query shape to the first
+//!   topped analysis of that shape.  A shape is the CQ or UCQ as written
+//!   with each constant that occurs in *no view definition* replaced by a
+//!   parameter, numbered by distinct value — so which constants coincide is
+//!   part of the shape, and a constant a view also uses stays itself
+//!   (`V(x, 'premium')` and `V(x, 'basic')` are analysed separately: the
+//!   checker may well tell them apart).  `tests/shape_diff.rs` holds the
+//!   checker to the uniformity this relies on.
+//!
+//! An ad-hoc text of a seen shape therefore costs a parse and an execution —
+//! no checker run, no compile, no plan tree, nothing left behind in any
+//! cache.  Rejected queries are analysed (and their reasons worded) afresh
+//! every time, as are queries handed in as FO ASTs.
+//!
+//! ```
+//! use bqr::{tuple, Engine};
+//! use bqr::data::{AccessConstraint, AccessSchema, Database, DatabaseSchema};
+//!
+//! # fn main() -> bqr::Result<()> {
+//! # let schema = DatabaseSchema::with_relations(&[("rating", &["mid", "rank"])])
+//! #     .map_err(bqr::Error::Data)?;
+//! # let engine = Engine::builder()
+//! #     .schema(schema.clone())
+//! #     .access(AccessSchema::new(vec![
+//! #         AccessConstraint::new("rating", &["mid"], &["rank"], 1).unwrap(),
+//! #     ]))
+//! #     .bound(8)
+//! #     .build()?;
+//! # let mut db = Database::empty(schema);
+//! # db.insert("rating", tuple![42, 5]).map_err(bqr::Error::Data)?;
+//! # db.insert("rating", tuple![7, 3]).map_err(bqr::Error::Data)?;
+//! # engine.attach(db)?;
+//! let session = engine.session();
+//! // A new shape: one checker run, one compile.
+//! assert_eq!(session.query("Q(r) :- rating(42, r)")?.tuples, vec![tuple![5]]);
+//! // The same question about another movie: neither.
+//! assert_eq!(session.query("Q(r) :- rating(7, r)")?.tuples, vec![tuple![3]]);
+//! assert!(session.query("Q(r) :- rating(1234, r)")?.tuples.is_empty());
+//! assert_eq!(engine.analysed_shapes(), 1);
+//! let stats = engine.cache_stats();
+//! assert_eq!((stats.misses, stats.hits, stats.evictions), (1, 2, 0));
+//! // An analysis of the shape still reports this query's own closed plan.
+//! let analysis = engine.analyze("Q(r) :- rating(7, r)")?;
+//! assert!(analysis.plan().unwrap().to_string().contains('7'));
+//! # Ok(())
+//! # }
+//! ```
+//!
 //! # Serving
 //!
 //! [`server::Server`] wraps one engine in an async, batched serving front:
@@ -373,8 +437,8 @@
 //! * [`bqr_query`] (as [`query`]) — CQ/UCQ/FO ASTs, homomorphisms,
 //!   containment, `A`-equivalence, the chase, the cost-based join planner;
 //! * [`bqr_plan`] (as [`plan`]) — bounded query plans, the compiled operator
-//!   [`Pipeline`](plan::Pipeline), conformance, plan fingerprints and the
-//!   `(plan, options, epochs)`-keyed [`PipelineCache`](plan::PipelineCache),
+//!   [`Pipeline`](plan::Pipeline), conformance, plan-shape fingerprints and
+//!   the `(shape, options, epochs)`-keyed [`PipelineCache`](plan::PipelineCache),
 //!   plus the runtime [`Guard`](plan::Guard) machinery;
 //! * [`bqr_core`] (as [`core`]) — the topped-query checker (effective
 //!   syntax) and the exact decision procedures for `VBRP`;

@@ -310,6 +310,57 @@ fn prepared_executions_match_fresh_compiles_under_mutation() {
     assert_eq!(stats.lookups, stats.hits + stats.misses, "{stats:?}");
 }
 
+/// The plan-level twin of `tests/shape_diff.rs`: random plans that differ
+/// only in their constants are one shape — one fingerprint, one compile per
+/// (options, version) whichever variant comes first — and every variant
+/// still executes bit-identically to a fresh compile of *itself* and to the
+/// reference interpreter, before and after a mutation.  (The interpreter
+/// reads constants off the plan tree, so this also pins that the compiled
+/// slots are numbered in `constant_slots` order.)
+#[test]
+fn constants_share_one_compiled_shape() {
+    let mut rng = StdRng::seed_from_u64(0x0005_1075);
+    let mut world = World::random(&mut rng);
+    let mut shapes = 0usize;
+    let mut slots = 0usize;
+    while shapes < 60 {
+        let Ok(plan) = gen_plan(&mut rng, 3).build() else {
+            continue;
+        };
+        if plan.constant_slots().is_empty() {
+            continue;
+        }
+        shapes += 1;
+        slots += plan.constant_slots().len();
+        let cache = Arc::new(PipelineCache::new(8));
+        let variants: Vec<PreparedPlan> = (0..4)
+            .map(|i| {
+                let variant = match i {
+                    0 => plan.clone(),
+                    _ => plan.map_constants(|_, _| rand_value(&mut rng)),
+                };
+                PreparedPlan::with_cache(variant, Arc::clone(&cache))
+            })
+            .collect();
+        for round in 0..2 {
+            let misses = cache.stats().misses;
+            for variant in &variants {
+                assert_eq!(variant.fingerprint(), variants[0].fingerprint());
+                check(variant, &world);
+            }
+            // `check` executes under two option sets: two entries, both
+            // compiled for the first variant and hit by the other three.  (A
+            // plan that reads no relation has no epoch to move: round 1 is
+            // then all hits.)
+            let compiled = cache.stats().misses - misses;
+            assert!(compiled == 2 || (round == 1 && compiled == 0), "{compiled}");
+            assert_eq!(cache.len(), 2, "on\n{plan}");
+            world = world.mutate(&mut rng);
+        }
+    }
+    assert!(slots >= 2 * shapes, "plans with several constants: {slots}");
+}
+
 /// Deterministic invalidation scenario: a mutation to a relation the plan
 /// reads forces a recompile (observable via the counters), and the recompiled
 /// execution sees the new data.
