@@ -929,7 +929,7 @@ pub mod plan_bench {
         pub rebuild: Box<dyn Fn() -> (IndexedDatabase, MaterializedViews)>,
         /// How many cold rounds (each on a freshly loaded instance).
         pub cold_rounds: usize,
-        /// How many warm (cache-hit) executions on the last instance.
+        /// How many warm executions on the last instance.
         pub warm_repeats: usize,
     }
 
@@ -940,16 +940,18 @@ pub mod plan_bench {
         pub cold_rounds: usize,
         pub warm_repeats: usize,
         /// Milliseconds per *cold* prepared execution: first execution on a
-        /// freshly loaded instance — pipeline compile, snapshot interning,
-        /// lazy constraint-index interning, then the run itself.
+        /// freshly loaded instance — snapshot interning and lazy
+        /// constraint-index interning, then the run itself.  Only the first
+        /// round also compiles the pipeline (a few µs): a compiled shape
+        /// holds no data, so a reloaded instance is a cache hit like any
+        /// other and "cold" means the *data* is cold.
         pub cold_ms: f64,
-        /// Milliseconds per *warm* prepared execution: pipeline-cache hit,
-        /// run only.
+        /// Milliseconds per *warm* prepared execution: everything the run
+        /// reads is already interned.
         pub warm_ms: f64,
         /// The pipeline cache's counters at the end of the run, so bench
-        /// output shows the cache behaviour behind the timings (every cold
-        /// round is a miss, every warm repeat a hit, and each fresh-epoch
-        /// reload invalidates its predecessor's entry).
+        /// output shows the cache behaviour behind the timings (one miss —
+        /// the first cold round — and a hit for every other execution).
         pub cache: bqr_plan::CacheStats,
     }
 
@@ -961,8 +963,9 @@ pub mod plan_bench {
     }
 
     /// The threshold the harness enforces on the movies workload: a warm
-    /// cache-hit execution must be at least this much faster than a cold
-    /// compile+exec, or the `plan` mode exits non-zero.
+    /// execution must be at least this much faster than the first one on a
+    /// freshly loaded instance (interning the extent and the indexes is what
+    /// that one pays), or the `plan` mode exits non-zero.
     pub const PREPARED_MIN_SPEEDUP: f64 = 3.0;
 
     /// The prepared-execution cases: the same three workloads as the
@@ -1056,18 +1059,18 @@ pub mod plan_bench {
     }
 
     /// How many timed warm batches [`run_prepared`] runs; the fastest batch
-    /// is reported.  Warm executions are pure cache hits, so their true cost
+    /// is reported.  Warm executions repeat one computation, so their true cost
     /// is the *minimum* — any excess over it is scheduler noise, which a
     /// single mean happily books against the warm side (the source of a
     /// nonsense warm-slower-than-cold row this report once committed).
     pub const WARM_BATCHES: usize = 3;
 
     /// Run one prepared case: `cold_rounds` first-executions on freshly
-    /// loaded instances (each verified against the reference interpreter,
-    /// each a cache miss by construction — fresh epochs), then
-    /// `warm_repeats` cache-hit executions on the last instance.  The
-    /// cache counters are asserted, so "warm" provably means *no
-    /// recompilation*.
+    /// loaded instances (each verified against the reference interpreter;
+    /// the first compiles the shape, the others re-use it on data nothing
+    /// has interned yet), then `warm_repeats` executions on the last
+    /// instance.  The cache counters are asserted: one compile per case,
+    /// however many instances it is executed on.
     pub fn run_prepared(case: &PreparedCase) -> PreparedResult {
         use bqr_plan::{PipelineCache, PreparedPlan};
         use std::sync::Arc;
@@ -1086,12 +1089,6 @@ pub mod plan_bench {
             last = Some((idb, views, out));
         }
         let (idb, views, expected) = last.expect("at least one cold round");
-        assert_eq!(
-            cache.stats().misses,
-            case.cold_rounds as u64,
-            "every cold round must miss (fresh epochs) on {}",
-            case.name
-        );
 
         // Timed warm loop: cardinality check only, mirroring the cold rounds
         // (which verify against the oracle *outside* their timer), so the
@@ -1116,9 +1113,12 @@ pub mod plan_bench {
         assert_eq!(verify, expected, "warm run diverged on {}", case.name);
         let stats = cache.stats();
         assert_eq!(
-            stats.hits,
-            (WARM_BATCHES * case.warm_repeats) as u64 + 1,
-            "every warm repeat (and the verification) must hit the pipeline cache on {}",
+            (stats.misses, stats.hits),
+            (
+                1,
+                (case.cold_rounds + WARM_BATCHES * case.warm_repeats) as u64
+            ),
+            "only the first cold round compiles on {}",
             case.name
         );
         assert_eq!(stats.lookups, stats.hits + stats.misses);
@@ -1610,7 +1610,7 @@ pub mod plan_bench {
         json.push_str("  ],\n  \"prepared\": [\n");
         for (i, p) in prepared.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"cold_rounds\": {}, \"warm_repeats\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.4}, \"speedup\": {:.1}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"invalidations\": {}}}}}{}\n",
+                "    {{\"name\": \"{}\", \"cold_rounds\": {}, \"warm_repeats\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.4}, \"speedup\": {:.1}, \"cache\": {{\"hits\": {}, \"misses\": {}}}}}{}\n",
                 p.name,
                 p.cold_rounds,
                 p.warm_repeats,
@@ -1619,7 +1619,6 @@ pub mod plan_bench {
                 p.speedup(),
                 p.cache.hits,
                 p.cache.misses,
-                p.cache.invalidations,
                 if i + 1 < prepared.len() { "," } else { "" }
             ));
         }

@@ -5,9 +5,9 @@
 //! [`RelationDelta`] (the net inserted and removed tuple sets, disjoint by
 //! construction) or [`RelationChange::Unknown`] when the relation was
 //! replaced wholesale and the per-tuple history is lost.  Downstream
-//! consumers — semi-naive view maintenance, in-place index patching,
-//! per-relation epoch-keyed cache invalidation — pay `O(|Δ|)` for exact
-//! deltas and fall back to `O(|R|)` re-derivation only for `Unknown` ones.
+//! consumers — semi-naive view maintenance, in-place index patching — pay
+//! `O(|Δ|)` for exact deltas and fall back to `O(|R|)` re-derivation only
+//! for `Unknown` ones.
 
 use crate::tuple::Tuple;
 use std::collections::{BTreeMap, BTreeSet};

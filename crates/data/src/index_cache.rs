@@ -8,101 +8,32 @@
 //! of repeated containment checks paid index construction thousands of times
 //! over.
 //!
-//! [`IndexCache`] memoises [`RelationIndex`]es under the key
+//! [`IndexCache`] memoises [`InternedIndex`]es under the key
 //! `(relation epoch, key positions)`.  The epoch (see [`Relation::epoch`])
 //! is a globally unique stamp refreshed on every mutation, which gives
 //! invalidation for free: a mutated relation presents a new epoch, its stale
-//! indexes are simply never looked up again.  Tuple snapshots are shared
-//! across the indexes of one epoch, so indexing the same relation under
-//! several access patterns clones its tuples once.
+//! indexes are simply never looked up again.  The indexes of one epoch share
+//! the relation's interned snapshot ([`snapshot_of`]), so indexing the same
+//! relation under several access patterns interns its tuples once.
 //!
 //! The cache uses `Rc`/`RefCell` interior mutability: callers share an
-//! `&IndexCache` and receive `Rc<RelationIndex>` handles that stay valid
+//! `&IndexCache` and receive `Rc<InternedIndex>` handles that stay valid
 //! across further cache activity.  It is single-threaded by design, like the
 //! rest of the decision procedures.
 
 use crate::intern::ValueId;
 use crate::relation::Relation;
 use crate::snapshot::{snapshot_of, InternedSnapshot};
-use crate::tuple::Tuple;
-use crate::value::Value;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// A hash index over one relation snapshot, keyed on a fixed list of
-/// attribute positions.  Probing with a key returns the positions (into the
-/// snapshot) of all tuples whose projection onto `key_positions` equals the
-/// key.
-#[derive(Debug)]
-pub struct RelationIndex {
-    key_positions: Vec<usize>,
-    /// Snapshot of the relation's tuples in its (sorted) iteration order,
-    /// shared across all indexes built for the same epoch.
-    tuples: Rc<Vec<Tuple>>,
-    map: HashMap<Vec<Value>, Vec<u32>>,
-}
-
-impl RelationIndex {
-    /// Build an index over `snapshot` keyed on `key_positions`.
-    fn build(snapshot: Rc<Vec<Tuple>>, key_positions: &[usize]) -> Self {
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        for (i, t) in snapshot.iter().enumerate() {
-            let key: Vec<Value> = key_positions.iter().map(|&p| t[p].clone()).collect();
-            map.entry(key).or_default().push(i as u32);
-        }
-        RelationIndex {
-            key_positions: key_positions.to_vec(),
-            tuples: snapshot,
-            map,
-        }
-    }
-
-    /// Build a standalone (uncached) index over the current contents of
-    /// `relation`.
-    pub fn over(relation: &Relation, key_positions: &[usize]) -> Self {
-        RelationIndex::build(Rc::new(relation.iter().cloned().collect()), key_positions)
-    }
-
-    /// The positions this index is keyed on.
-    pub fn key_positions(&self) -> &[usize] {
-        &self.key_positions
-    }
-
-    /// Positions (for [`RelationIndex::tuple`]) of the tuples matching `key`.
-    ///
-    /// Accepts a borrowed slice so callers can reuse a scratch buffer for the
-    /// probe key instead of allocating per probe.
-    pub fn probe(&self, key: &[Value]) -> &[u32] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The tuple at snapshot position `i` (as returned by `probe`).
-    pub fn tuple(&self, i: u32) -> &Tuple {
-        &self.tuples[i as usize]
-    }
-
-    /// Number of tuples in the snapshot.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True when the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-}
-
 /// A hash index over an [`InternedSnapshot`], keyed on a fixed list of
 /// attribute positions.  This is the index shape the slot-based homomorphism
 /// engine probes: keys and payloads are dense `u32` ids, so hashing an
-/// integer key and comparing candidates never touches a [`Value`].
+/// integer key and comparing candidates never touches a
+/// [`Value`](crate::Value).
 #[derive(Debug)]
 pub struct InternedIndex {
     key_positions: Vec<usize>,
@@ -164,15 +95,12 @@ impl InternedIndex {
 /// Cache key: a relation epoch plus the indexed key positions.
 type IndexKey = (u64, Vec<usize>);
 
-/// Memoisation of [`RelationIndex`]es and [`InternedIndex`]es keyed by
-/// `(epoch, key positions)`.  Interned snapshots themselves come from the
-/// process-global registry (see [`crate::snapshot`]), so they are shared
-/// *across* cache instances; the per-cache maps below only memoise the
-/// indexes built over them.
+/// Memoisation of [`InternedIndex`]es keyed by `(epoch, key positions)`.
+/// Interned snapshots themselves belong to the relation version they freeze
+/// (see [`crate::snapshot`]), so they are shared *across* cache instances;
+/// the per-cache map below only memoises the indexes built over them.
 #[derive(Debug, Default)]
 pub struct IndexCache {
-    snapshots: RefCell<HashMap<u64, Rc<Vec<Tuple>>>>,
-    indexes: RefCell<HashMap<IndexKey, Rc<RelationIndex>>>,
     interned: RefCell<HashMap<IndexKey, Rc<InternedIndex>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -187,33 +115,6 @@ impl IndexCache {
     /// An empty cache.
     pub fn new() -> Self {
         IndexCache::default()
-    }
-
-    /// The index for `relation` keyed on `key_positions`, built at most once
-    /// per (content-identical) relation and access pattern.
-    pub fn index_for(&self, relation: &Relation, key_positions: &[usize]) -> Rc<RelationIndex> {
-        let epoch = relation.epoch();
-        if let Some(idx) = self.indexes.borrow().get(&(epoch, key_positions.to_vec())) {
-            self.hits.set(self.hits.get() + 1);
-            return Rc::clone(idx);
-        }
-        self.misses.set(self.misses.get() + 1);
-        if self.indexes.borrow().len() >= MAX_CACHED_INDEXES {
-            self.clear();
-        }
-        let snapshot = {
-            let mut snapshots = self.snapshots.borrow_mut();
-            Rc::clone(
-                snapshots
-                    .entry(epoch)
-                    .or_insert_with(|| Rc::new(relation.iter().cloned().collect())),
-            )
-        };
-        let idx = Rc::new(RelationIndex::build(snapshot, key_positions));
-        self.indexes
-            .borrow_mut()
-            .insert((epoch, key_positions.to_vec()), Rc::clone(&idx));
-        idx
     }
 
     /// The shared interned snapshot of `relation`'s current epoch (built at
@@ -237,7 +138,7 @@ impl IndexCache {
         }
         self.misses.set(self.misses.get() + 1);
         if self.interned.borrow().len() >= MAX_CACHED_INDEXES {
-            self.interned.borrow_mut().clear();
+            self.clear();
         }
         let idx = Rc::new(InternedIndex::build(snapshot_of(relation), key_positions));
         self.interned
@@ -256,20 +157,18 @@ impl IndexCache {
         self.misses.get()
     }
 
-    /// Number of indexes currently cached (value-keyed and interned).
+    /// Number of indexes currently cached.
     pub fn len(&self) -> usize {
-        self.indexes.borrow().len() + self.interned.borrow().len()
+        self.interned.borrow().len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.indexes.borrow().is_empty() && self.interned.borrow().is_empty()
+        self.interned.borrow().is_empty()
     }
 
-    /// Drop every cached snapshot and index (statistics are kept).
+    /// Drop every cached index (statistics are kept).
     pub fn clear(&self) {
-        self.snapshots.borrow_mut().clear();
-        self.indexes.borrow_mut().clear();
         self.interned.borrow_mut().clear();
     }
 }
@@ -279,32 +178,39 @@ mod tests {
     use super::*;
     use crate::schema::RelationSchema;
     use crate::tuple;
+    use crate::value::Value;
 
     fn rating() -> Relation {
         let schema = RelationSchema::new("rating", &["mid", "rank"]).unwrap();
         Relation::from_tuples(schema, vec![tuple![1, 5], tuple![2, 4], tuple![3, 5]]).unwrap()
     }
 
+    fn id(v: i64) -> ValueId {
+        ValueId::intern(&Value::int(v))
+    }
+
     #[test]
     fn probe_groups_by_key() {
+        let cache = IndexCache::new();
         let r = rating();
-        let idx = RelationIndex::over(&r, &[1]);
+        let idx = cache.interned_index_for(&r, &[1]);
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.distinct_keys(), 2);
-        let hits = idx.probe(&[Value::int(5)]);
-        assert_eq!(hits.len(), 2);
-        let mids: Vec<i64> = hits
-            .iter()
-            .map(|&i| idx.tuple(i)[0].as_int().unwrap())
-            .collect();
-        assert_eq!(mids, vec![1, 3]);
-        assert!(idx.probe(&[Value::int(9)]).is_empty());
+        let hits = idx.probe(&[id(5)]);
+        let mids: Vec<ValueId> = hits.iter().map(|&i| idx.row(i)[0]).collect();
+        assert_eq!(mids, vec![id(1), id(3)]);
+        assert!(idx.probe(&[id(9)]).is_empty());
+        // A composite key groups by the pair, in key-position order.
+        let pair = cache.interned_index_for(&r, &[1, 0]);
+        assert_eq!(pair.distinct_keys(), 3);
+        assert_eq!(pair.probe(&[id(5), id(3)]), &[2]);
+        assert!(pair.probe(&[id(3), id(5)]).is_empty());
     }
 
     #[test]
     fn empty_key_positions_index_everything_under_the_unit_key() {
         let r = rating();
-        let idx = RelationIndex::over(&r, &[]);
+        let idx = IndexCache::new().interned_index_for(&r, &[]);
         assert_eq!(idx.probe(&[]).len(), 3);
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -313,16 +219,15 @@ mod tests {
     fn cache_hits_on_repeated_lookups() {
         let cache = IndexCache::new();
         let r = rating();
-        let a = cache.index_for(&r, &[0]);
-        let b = cache.index_for(&r, &[0]);
+        let a = cache.interned_index_for(&r, &[0]);
+        let b = cache.interned_index_for(&r, &[0]);
         assert!(
             Rc::ptr_eq(&a, &b),
             "second lookup must reuse the built index"
         );
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // A different access pattern is a different index but shares the
-        // tuple snapshot.
-        let c = cache.index_for(&r, &[1]);
+        // A different access pattern is a different index.
+        let c = cache.interned_index_for(&r, &[1]);
         assert!(!Rc::ptr_eq(&a, &c));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
@@ -332,28 +237,28 @@ mod tests {
     fn mutation_invalidates_via_epoch() {
         let cache = IndexCache::new();
         let mut r = rating();
-        let before = cache.index_for(&r, &[1]);
-        assert_eq!(before.probe(&[Value::int(5)]).len(), 2);
+        let before = cache.interned_index_for(&r, &[1]);
+        assert_eq!(before.probe(&[id(5)]).len(), 2);
 
         r.insert(tuple![4, 5]).unwrap();
-        let after = cache.index_for(&r, &[1]);
+        let after = cache.interned_index_for(&r, &[1]);
         assert!(!Rc::ptr_eq(&before, &after), "mutation must miss the cache");
         assert_eq!(
-            after.probe(&[Value::int(5)]).len(),
+            after.probe(&[id(5)]).len(),
             3,
             "fresh index sees the new tuple"
         );
         // The stale index is untouched (snapshot semantics).
-        assert_eq!(before.probe(&[Value::int(5)]).len(), 2);
+        assert_eq!(before.probe(&[id(5)]).len(), 2);
     }
 
     #[test]
     fn unmutated_clone_shares_cached_index() {
         let cache = IndexCache::new();
         let r = rating();
-        let a = cache.index_for(&r, &[0]);
+        let a = cache.interned_index_for(&r, &[0]);
         let clone = r.clone();
-        let b = cache.index_for(&clone, &[0]);
+        let b = cache.interned_index_for(&clone, &[0]);
         assert!(
             Rc::ptr_eq(&a, &b),
             "clone with identical contents may share the index"
@@ -407,11 +312,11 @@ mod tests {
     fn clear_resets_entries() {
         let cache = IndexCache::new();
         let r = rating();
-        let _ = cache.index_for(&r, &[0]);
+        let _ = cache.interned_index_for(&r, &[0]);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        let _ = cache.index_for(&r, &[0]);
+        let _ = cache.interned_index_for(&r, &[0]);
         assert_eq!(cache.misses(), 2);
     }
 }

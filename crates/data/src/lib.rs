@@ -17,7 +17,7 @@
 //!   `XY`;
 //! * [`AccessIndex`], [`IndexedDatabase`] — the indices associated with an
 //!   access schema, supporting the `fetch` primitive of bounded query plans;
-//! * [`IndexCache`], [`RelationIndex`], [`InternedIndex`] — epoch-keyed
+//! * [`IndexCache`], [`InternedIndex`] — epoch-keyed
 //!   memoisation of per-access-pattern hash indexes, shared by the
 //!   homomorphism engine and the evaluators in `bqr-query` (invalidated
 //!   automatically on mutation via [`Relation::epoch`]);
@@ -26,8 +26,8 @@
 //!   owned by the relation version they freeze and shared by its clones, so
 //!   the join engine's hot loop never touches a [`Value`];
 //! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
-//!   captured during a mutation, the currency of `O(|Δ|)` view maintenance,
-//!   in-place index patching and per-relation cache invalidation upstream;
+//!   captured during a mutation, the currency of `O(|Δ|)` view maintenance
+//!   and in-place index patching;
 //! * [`FetchStats`] — I/O accounting: how many base tuples a plan fetched
 //!   (`|D_ξ|` in the paper) versus how many a full scan would touch — and
 //!   [`RelationStats`], the per-snapshot cardinality statistics consumed by
@@ -59,7 +59,7 @@ pub use database::{Database, DeltaCheckpoint};
 pub use delta::{DeltaLog, RelationChange, RelationDelta};
 pub use error::DataError;
 pub use index::{AccessIndex, IndexedDatabase, InternedAccessIndex};
-pub use index_cache::{IndexCache, InternedIndex, RelationIndex};
+pub use index_cache::{IndexCache, InternedIndex};
 pub use intern::ValueId;
 pub use relation::Relation;
 pub use schema::{DatabaseSchema, RelationSchema};

@@ -96,8 +96,9 @@ pub enum MaintenanceMode {
     /// Maintain view extents semi-naively from the captured write delta and
     /// patch/share access indexes per relation — for exact deltas, work in
     /// `|Δ|` plus per-chunk and per-shard pointer copies (the complexities
-    /// are spelled out on [`Engine::mutate`]).  Untouched relations and unchanged extents keep their epochs, so only
-    /// pipelines reading a changed input are invalidated.
+    /// are spelled out on [`Engine::mutate`]).  Untouched relations and
+    /// unchanged extents keep their epochs — and with them their interned
+    /// snapshots — so the next read re-interns only what the write changed.
     #[default]
     Delta,
     /// Rebuild the whole version from scratch (re-materialise every view,
@@ -290,7 +291,8 @@ impl EngineBuilder {
 /// * [`analyze`](Engine::analyze) — is this query boundedly rewritable here,
 ///   and with what plan?
 /// * [`prepare`](Engine::prepare) — register the rewriting as a named
-///   statement served through the epoch-validated [`PipelineCache`];
+///   statement served through the [`PipelineCache`], compiled once however
+///   often the data changes;
 /// * [`session`](Engine::session) — an epoch-pinned snapshot to execute
 ///   against, consistent across calls even under concurrent
 ///   [`mutate`](Engine::mutate)s.
@@ -363,7 +365,7 @@ impl Engine {
     }
 
     /// A point-in-time snapshot of the pipeline cache's counters
-    /// (hits / misses / lookups / invalidations / evictions).
+    /// (hits / misses / lookups / evictions).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -420,11 +422,13 @@ impl Engine {
     /// shared whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per
     /// touched index).  Interned snapshots are not carried: a written
     /// relation is snapshotted again when something scans it.  Only the relations
-    /// (and view extents) whose contents actually changed get fresh epochs —
-    /// so a write to relation `R` invalidates exactly the cached pipelines
-    /// whose epoch vector mentions `R`.  A closure whose net delta is empty
-    /// (read-only, re-inserting present tuples, do-undo pairs) publishes
-    /// nothing at all: no epoch moves, no pipeline is invalidated.
+    /// (and view extents) whose contents actually changed get fresh epochs.
+    /// No publish touches the pipeline cache: a compiled pipeline names the
+    /// extents and constraints it reads and every execution resolves them
+    /// in the version it is pinned to, so the first read after a write is a
+    /// cache hit that pays only for re-interning what the write moved.  A
+    /// closure whose net delta is empty (read-only, re-inserting present
+    /// tuples, do-undo pairs) publishes nothing at all: no epoch moves.
     ///
     /// The publish is **all-or-nothing**: when the closure fails — or
     /// *panics*; the panic is contained and surfaces as

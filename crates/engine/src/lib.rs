@@ -15,8 +15,8 @@
 //!   decision, the constructed plan, and `explain()` built on
 //!   [`bqr_plan::Pipeline::describe`];
 //! * [`Engine::prepare`] — registers a **named prepared statement** backed
-//!   by the epoch-validated [`bqr_plan::PipelineCache`], with
-//!   [`Engine::cache_stats`] surfacing hit/miss/invalidation counters;
+//!   by the shape-keyed [`bqr_plan::PipelineCache`], with
+//!   [`Engine::cache_stats`] surfacing hit/miss/eviction counters;
 //! * **query shapes** — the checker runs once per *shape* of CQ/UCQ (the
 //!   query as written, minus the constants no view definition uses), and a
 //!   pipeline compiles once per plan shape: statements and ad-hoc texts

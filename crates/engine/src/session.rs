@@ -37,8 +37,7 @@ impl DataVersion {
     /// whose keyed indexes the writes that made `db` already carried over —
     /// and access indexes are patched or shared per relation.
     /// Relations and extents whose contents did not change keep their epochs
-    /// — so epoch-keyed pipeline caches are invalidated only for pipelines
-    /// that actually read a changed input.
+    /// — and the interned snapshots and keyed indexes that go with them.
     pub(crate) fn apply_delta(
         prev: &DataVersion,
         db: Database,
@@ -76,8 +75,8 @@ impl DataVersion {
 /// `Arc`s (the shape shared with every statement that differs from this one
 /// only in constants) — so cloning one, as every lookup by name does, copies
 /// nothing.  Executions go through [`Session`]s (or the [`Engine`] one-shot
-/// helpers), which re-validate the relation/view epochs on every call and
-/// recompile only when the data version actually changed.
+/// helpers), which bind the pinned version's extents and indexes to the
+/// shape's compiled pipeline on every call; no data change recompiles it.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     name: Arc<str>,
@@ -136,12 +135,11 @@ pub struct EvalOutput {
 /// A session pins the data version that was current when
 /// [`Engine::session`] was called: every execution and evaluation through it
 /// reads exactly that snapshot, even while concurrent [`Engine::mutate`]s
-/// bump relation epochs and publish newer versions.  The
-/// `(shape fingerprint, options, epoch-vector)` cache key cannot change under a
-/// pinned version, so repeated executions are typically warm as well — but
-/// warmth is best-effort, not guaranteed: a *newer* version's first
-/// execution sweeps the superseded entry, after which the pinned session's
-/// next execution transparently recompiles (same answer, one extra miss).
+/// bump relation epochs and publish newer versions.  Repeated executions
+/// are warm as well, and stay warm whatever other sessions do: the pipeline
+/// cache is keyed by the plan's shape alone, so sessions pinned to
+/// different versions share one compiled pipeline and each binds its own
+/// version's extents and indexes to it.
 ///
 /// Statement *names* resolve against the engine at call time (a re-prepared
 /// statement is picked up); the *data* never moves.  Drop the session and

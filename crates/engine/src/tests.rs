@@ -378,7 +378,7 @@ fn noop_mutations_publish_nothing() {
     engine.attach(movie_instance()).unwrap();
     engine.prepare("fig1", Q_XI).unwrap();
 
-    // Warm the pipeline so any spurious invalidation would be observable.
+    // Warm the pipeline so any spurious recompile would be observable.
     let warm = engine.session();
     let golden = warm.execute("fig1").unwrap();
     assert_eq!(warm.execute("fig1").unwrap(), golden);
@@ -405,14 +405,10 @@ fn noop_mutations_publish_nothing() {
         .unwrap();
 
     // Nothing was published: same epochs, and the warm pipeline is still
-    // warm — zero invalidations, zero recompiles.
+    // warm — zero recompiles.
     assert_eq!(engine.session().epochs(), epochs0);
     assert_eq!(engine.session().execute("fig1").unwrap(), golden);
     let stats1 = engine.cache_stats();
-    assert_eq!(
-        stats1.invalidations, stats0.invalidations,
-        "no-op mutations must invalidate nothing: {stats1:?}"
-    );
     assert_eq!(
         stats1.misses, stats0.misses,
         "no-op mutations must not force recompiles: {stats1:?}"
@@ -480,8 +476,19 @@ fn error_closures_on_large_instances_copy_no_relation() {
         .unwrap();
 }
 
+/// What `statement` answers on the version `session` pins, by the
+/// unprepared route: `bqr_plan::execute`, a fresh `Pipeline::compile` +
+/// `execute` over that version's own instance and extents.
+fn fresh_compile(session: &crate::Session<'_>, statement: &str) -> bqr_plan::ExecOutput {
+    let engine = session.engine();
+    let access = engine.setting().access.clone();
+    let idb = bqr_data::IndexedDatabase::build(session.database().clone(), access).unwrap();
+    let statement = engine.statement(statement).unwrap();
+    bqr_plan::execute(statement.plan(), &idb, session.views()).unwrap()
+}
+
 #[test]
-fn writes_invalidate_only_pipelines_reading_the_touched_relations() {
+fn a_write_recompiles_nothing_and_every_statement_reads_the_new_version() {
     let engine = movie_engine();
     engine.attach(movie_instance()).unwrap();
     // `fig1` reads movie, rating and V1; `no_rating` only movie and V1.
@@ -493,29 +500,63 @@ fn writes_invalidate_only_pipelines_reading_the_touched_relations() {
         )
         .unwrap();
     let warm = engine.session();
-    warm.execute("fig1").unwrap();
+    let rated_five = warm.execute("fig1").unwrap();
     warm.execute("no_rating").unwrap();
-    let misses0 = engine.cache_stats().misses;
+    let stats0 = engine.cache_stats();
 
-    // Insert a rating for a movie nobody likes: `rating` gets a fresh epoch
-    // but V1's extent (person ⋈ movie ⋈ like) is untouched.
+    // Ouija (liked by Cat, who is not at NASA) is re-rated 5 and liked by
+    // Bob, who is: `rating`, `like` and V1's extent all move.
     engine
-        .mutate(|db| db.insert("rating", tuple![11, 4]).map(drop))
+        .mutate(|db| {
+            db.remove("rating", &tuple![11, 3])?;
+            db.insert("rating", tuple![11, 5])?;
+            db.insert("like", tuple![2, 11, "movie"]).map(drop)
+        })
         .unwrap();
 
     let fresh = engine.session();
-    fresh.execute("no_rating").unwrap();
+    for name in ["no_rating", "fig1"] {
+        let out = fresh.execute(name).unwrap();
+        assert_eq!(out, fresh_compile(&fresh, name), "{name}");
+        assert!(out.tuples.contains(&tuple![11]), "{name} sees the write");
+    }
+    assert_ne!(fresh.execute("fig1").unwrap(), rated_five);
+    let stats1 = engine.cache_stats();
     assert_eq!(
-        engine.cache_stats().misses,
-        misses0,
-        "a write to `rating` must not evict a pipeline that never reads it"
+        stats1.misses, stats0.misses,
+        "nothing recompiled: {stats1:?}"
     );
-    fresh.execute("fig1").unwrap();
-    assert_eq!(
-        engine.cache_stats().misses,
-        misses0 + 1,
-        "the pipeline reading `rating` must recompile exactly once"
-    );
+    assert_eq!(engine.cache().len(), 2);
+}
+
+/// A session pinned before a `V1`-moving write and one opened after it,
+/// executed alternately: both run the one pipeline compiled before the
+/// write, each reads its *own* version's extent, and neither costs the other
+/// a compile.
+#[test]
+fn sessions_pinned_to_different_versions_share_one_warm_pipeline() {
+    let engine = movie_engine();
+    engine.attach(movie_instance()).unwrap();
+    engine.prepare("fig1", Q_XI).unwrap();
+    let old = engine.session();
+    engine
+        .mutate(|db| {
+            db.insert("rating", tuple![11, 5])?;
+            db.insert("like", tuple![2, 11, "movie"]).map(drop)
+        })
+        .unwrap();
+    let new = engine.session();
+    assert_ne!(old.views().extent("V1"), new.views().extent("V1"));
+    let (on_old, on_new) = (fresh_compile(&old, "fig1"), fresh_compile(&new, "fig1"));
+    assert_eq!(on_old.tuples, vec![tuple![10]]);
+    assert_eq!(on_new.tuples, vec![tuple![10], tuple![11]]);
+    assert_ne!(on_old.stats, on_new.stats, "the extents differ in size");
+    for _ in 0..3 {
+        assert_eq!(old.execute("fig1").unwrap(), on_old);
+        assert_eq!(new.execute("fig1").unwrap(), on_new);
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.misses, stats.hits), (1, 5), "{stats:?}");
 }
 
 #[test]

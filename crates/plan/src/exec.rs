@@ -14,13 +14,21 @@
 //! difference, dedup) and evaluates them in dependency order over columns of
 //! dense [`ValueId`]s:
 //!
-//! * view extents are read through the process-wide interned snapshots of
-//!   `bqr-data` (one `memcpy` per scan, shared across executions of the same
-//!   epoch);
+//! * view extents are read through the interned snapshots of `bqr-data`
+//!   (one `memcpy` per scan, shared across executions of the same epoch);
 //! * fetches go through the id-native constraint indexes
 //!   ([`bqr_data::InternedAccessIndex`]), with `X`-keys deduplicated globally
 //!   so `fetch_calls` counts distinct probes exactly as the set-semantics
 //!   interpreter did;
+//! * an extent and a constraint index are *slots*, as a constant is (below):
+//!   compilation reads the plan and nothing else, numbering the views and
+//!   constraints it names, and every execution binds those numbers first —
+//!   a view to the snapshot of its extent in the `views` it runs on, a
+//!   constraint, by content, to its index in the `idb` it runs on.  That
+//!   step is where an unknown view, an extent of the wrong arity or a
+//!   constraint outside the access schema is reported.  So compiled
+//!   operators hold no data, and a data version, a reordered access schema
+//!   or an option set is nothing a compiled shape could be stale for;
 //! * the σ-over-× join pattern compiles to a hash join whose build side is
 //!   the smaller input (the PR 2 lesson — actual cardinalities are the best
 //!   statistics, and at pipeline time they are exact);
@@ -77,7 +85,10 @@ use crate::kernel;
 use crate::morsel::run_morsels;
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
-use bqr_data::{snapshot_of, FetchStats, IndexedDatabase, InternedSnapshot, Tuple, Value, ValueId};
+use bqr_data::{
+    snapshot_of, AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex,
+    InternedSnapshot, Tuple, Value, ValueId,
+};
 use bqr_query::MaterializedViews;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -99,10 +110,10 @@ impl ExecOutput {
     }
 }
 
-/// Options controlling pipeline execution.  `Hash` so the options can be
-/// part of a [`crate::prepared::PipelineCache`] key (which strips the
-/// runtime-only [`GuardLimits`] via [`ExecOptions::cache_key`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Options controlling pipeline execution.  They say how operators are
+/// driven, never what a pipeline computes, so no cache looks at them: every
+/// option set executes the one compiled shape of a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// How many contiguous row ranges data-parallel operators split their
     /// inputs into.  Meaningful only with `parallel`; clamped to ≥ 1.
@@ -220,16 +231,6 @@ impl ExecOptions {
         self.limits.max_fetched_tuples = Some(max_fetched_tuples);
         self
     }
-
-    /// These options with limits stripped: [`GuardLimits`] are runtime-only,
-    /// so the pipeline cache keys on this normal form — two executions of
-    /// the same plan under different deadlines share one compiled pipeline.
-    pub fn cache_key(&self) -> ExecOptions {
-        ExecOptions {
-            limits: GuardLimits::none(),
-            ..*self
-        }
-    }
 }
 
 /// The hardware thread count, resolved once per process (the cap for
@@ -324,29 +325,20 @@ enum Op {
     /// A constant single-row table: slots `first_slot..first_slot + arity`
     /// of the bound ids.
     Const { first_slot: usize, arity: usize },
-    /// Scan of a cached view extent through its interned snapshot.
-    ViewScan {
-        name: String,
-        snapshot: Arc<InternedSnapshot>,
-    },
+    /// Scan of a cached view extent through its interned snapshot; `extent`
+    /// is a slot of [`CompiledShape::views`], bound per execution.
+    ViewScan { extent: usize },
     /// Selection fused directly over a view extent: filters the interned
     /// snapshot's rows (morsel-partitioned under a parallel driver) without
     /// materialising the unfiltered scan first.
-    ViewFilter {
-        name: String,
-        snapshot: Arc<InternedSnapshot>,
-        conds: Vec<IdCond>,
-    },
-    /// `fetch(X ∈ input, R, Y)` through the id-native constraint index.
-    /// `bound` is the constraint's `N`, the per-key output ceiling — used to
-    /// estimate the operator's work for the parallel driver.
+    ViewFilter { extent: usize, conds: Vec<IdCond> },
+    /// `fetch(X ∈ input, R, Y)` through the id-native constraint index;
+    /// `constraint` is a slot of [`CompiledShape::constraints`], bound per
+    /// execution to that constraint's index in the database executed on.
     Fetch {
         input: usize,
-        constraint_idx: usize,
-        constraint_display: String,
+        constraint: usize,
         key_cols: Vec<usize>,
-        arity: usize,
-        bound: usize,
     },
     /// Projection onto columns.
     Project { input: usize, cols: Vec<usize> },
@@ -372,12 +364,13 @@ enum Op {
     Dedup { input: usize },
 }
 
-/// A plan *shape* compiled to a flat operator pipeline: everything
-/// [`Pipeline::compile`] resolves — views (snapshots), fetch constraints
-/// (index positions), join strategy — and no constant.  Constants are slots
-/// (numbered in [`PlanNode::constant_slots`] order) filled per execution, so
-/// the [`crate::prepared::PipelineCache`] keeps one of these per shape, not
-/// one per constant.
+/// A plan *shape* compiled to a flat operator pipeline: plan syntax and
+/// nothing else.  Whatever an execution supplies is a slot — the constants
+/// (numbered in [`PlanNode::constant_slots`] order), the view extents the
+/// plan names, the access constraints it fetches through — so compilation
+/// reads the plan alone, and the [`crate::prepared::PipelineCache`] keeps
+/// one of these per shape whatever the constants, the data version, the
+/// order an access schema lists its constraints in, or the options.
 #[derive(Debug)]
 pub(crate) struct CompiledShape {
     ops: Vec<Op>,
@@ -385,21 +378,39 @@ pub(crate) struct CompiledShape {
     arity: usize,
     /// How many constant slots the operators reference.
     slots: usize,
+    /// The extent slots: every view the plan reads, with the arity the plan
+    /// recorded for it.
+    views: Vec<(String, usize)>,
+    /// The constraint slots: every constraint the plan fetches through.
+    constraints: Vec<AccessConstraint>,
+    /// Per operator, the inputs it is the last consumer of.  Each is dropped
+    /// as soon as that operator has run, so peak memory follows the live
+    /// path, not the sum of every intermediate (the tree interpreter freed
+    /// child sets the same way).
+    drops: Vec<Vec<usize>>,
+}
+
+/// What one execution binds a shape's extent and constraint slots to.
+struct Bound<'a> {
+    extents: &'a [Arc<InternedSnapshot>],
+    indexes: Vec<&'a InternedAccessIndex>,
 }
 
 /// A `QueryPlan` compiled to a flat operator pipeline over interned ids: a
-/// compiled shape (shared with every plan that differs from this
-/// one only in its constants) plus this plan's constants as interned ids.
+/// compiled shape (shared with every plan that differs from this one only
+/// in its constants), this plan's constants as interned ids, and the view
+/// extents of the `views` it was made against.
 ///
 /// Compile once with [`Pipeline::compile`], inspect with
-/// [`Pipeline::describe`], run with [`Pipeline::execute`].  The pipeline
-/// resolves views (snapshots) and fetch constraints (index positions)
-/// against the `idb`/`views` it was compiled for; execute it against the
-/// same `idb`.
+/// [`Pipeline::describe`], run with [`Pipeline::execute`].  A pipeline reads
+/// the extents it was made with; its fetches are resolved, by constraint
+/// content, against whichever `idb` an execution names — any database whose
+/// access schema has the plan's constraints will do.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
-    pub(crate) shape: Arc<CompiledShape>,
-    pub(crate) consts: Arc<[ValueId]>,
+    shape: Arc<CompiledShape>,
+    consts: Arc<[ValueId]>,
+    extents: Vec<Arc<InternedSnapshot>>,
 }
 
 /// A plan's constants as interned ids, in slot order.
@@ -411,18 +422,36 @@ pub(crate) fn intern_constants(plan: &QueryPlan) -> Arc<[ValueId]> {
 }
 
 impl Pipeline {
-    /// Compile `plan` against an indexed database and materialised views.
-    /// Resolution errors (unknown views, view arity mismatches, fetches
-    /// through constraints outside the access schema) surface here, exactly
-    /// as the interpreter reported them during evaluation.
+    /// Compile `plan` and bind it to an indexed database and materialised
+    /// views.  Resolution errors (unknown views, view arity mismatches,
+    /// fetches through constraints outside the access schema) surface here,
+    /// exactly as the interpreter reported them during evaluation.
     pub fn compile(
         plan: &QueryPlan,
         idb: &IndexedDatabase,
         views: &MaterializedViews,
     ) -> Result<Pipeline> {
+        let shape = Arc::new(CompiledShape::compile(plan));
+        Pipeline::bind(shape, intern_constants(plan), idb, views)
+    }
+
+    /// `shape` with `consts` in its constant slots and the extents of
+    /// `views` in its extent slots.  The fetches are resolved against `idb`
+    /// here as well: a constraint outside its schema is this call's error,
+    /// and forcing the id-native indexes (and the interning of their values)
+    /// into existence is this call's cost, not the first execution's.
+    pub(crate) fn bind(
+        shape: Arc<CompiledShape>,
+        consts: Arc<[ValueId]>,
+        idb: &IndexedDatabase,
+        views: &MaterializedViews,
+    ) -> Result<Pipeline> {
+        let extents = shape.bind_extents(views)?;
+        shape.bind(idb, &extents)?;
         Ok(Pipeline {
-            shape: Arc::new(CompiledShape::compile(plan, idb, views)?),
-            consts: intern_constants(plan),
+            shape,
+            consts,
+            extents,
         })
     }
 
@@ -447,28 +476,31 @@ impl Pipeline {
     /// `plan_summary()`.
     pub fn describe(&self) -> String {
         let consts = &self.consts;
+        let extent = |slot: usize| {
+            let rows = self.extents[slot].len();
+            format!("{} [{rows} rows]", self.shape.views[slot].0)
+        };
         let mut out = String::new();
         for (i, op) in self.shape.ops.iter().enumerate() {
             let line = match op {
                 Op::Const { arity, .. } => format!("const/{arity}"),
-                Op::ViewScan { name, snapshot } => {
-                    format!("view-scan {name} [{} rows]", snapshot.len())
-                }
+                Op::ViewScan { extent: slot } => format!("view-scan {}", extent(*slot)),
                 Op::ViewFilter {
-                    name,
-                    snapshot,
+                    extent: slot,
                     conds,
                 } => format!(
-                    "view-filter {name} [{} rows] σ[{}]",
-                    snapshot.len(),
+                    "view-filter {} σ[{}]",
+                    extent(*slot),
                     describe_conds(conds, consts)
                 ),
                 Op::Fetch {
                     input,
-                    constraint_display,
+                    constraint,
                     key_cols,
-                    ..
-                } => format!("fetch[{constraint_display}] keys {key_cols:?} of %{input}"),
+                } => format!(
+                    "fetch[{}] keys {key_cols:?} of %{input}",
+                    self.shape.constraints[*constraint]
+                ),
                 Op::Project { input, cols } => format!("π{cols:?} %{input}"),
                 Op::Select { input, conds } => {
                     format!("σ[{}] %{input}", describe_conds(conds, consts))
@@ -490,10 +522,9 @@ impl Pipeline {
         out
     }
 
-    /// Evaluate the pipeline.  `idb` must be the database the pipeline was
-    /// compiled against (fetches are resolved by constraint position).
-    /// Guardrails come from `options.limits`; to share a cancellation token
-    /// or engine metrics, use [`Pipeline::execute_guarded`].
+    /// Evaluate the pipeline, fetching from `idb`.  Guardrails come from
+    /// `options.limits`; to share a cancellation token or engine metrics,
+    /// use [`Pipeline::execute_guarded`].
     pub fn execute(&self, idb: &IndexedDatabase, options: &ExecOptions) -> Result<ExecOutput> {
         self.execute_guarded(idb, options, &Guard::new(&options.limits))
     }
@@ -509,44 +540,93 @@ impl Pipeline {
         guard: &Guard,
     ) -> Result<ExecOutput> {
         self.shape
-            .execute_guarded(idb, options, guard, &self.consts)
+            .execute_guarded(idb, options, guard, &self.consts, &self.extents)
     }
 }
 
 impl CompiledShape {
-    /// Compile the shape of `plan`: its constants' values are not looked at.
-    pub(crate) fn compile(
-        plan: &QueryPlan,
-        idb: &IndexedDatabase,
-        views: &MaterializedViews,
-    ) -> Result<CompiledShape> {
-        let mut ops = Vec::new();
-        let mut slots = 0;
-        let root = compile_node(plan.root(), idb, views, &mut ops, &mut slots)?;
-        Ok(CompiledShape {
-            ops,
-            root,
+    /// Compile the shape of `plan`.  Nothing can fail and nothing outside
+    /// the plan is read: its constants' values are not looked at, and the
+    /// views and constraints it names are only numbered.
+    pub(crate) fn compile(plan: &QueryPlan) -> CompiledShape {
+        let mut shape = CompiledShape {
+            ops: Vec::new(),
+            root: 0,
             arity: plan.arity(),
-            slots,
-        })
+            slots: 0,
+            views: Vec::new(),
+            constraints: Vec::new(),
+            drops: Vec::new(),
+        };
+        shape.root = shape.compile_node(plan.root());
+        shape.drops = shape.last_consumers();
+        shape
     }
 
-    /// Evaluate the shape with `consts` bound to its slots (one id per slot,
-    /// in [`PlanNode::constant_slots`] order).  Guardrail trips are recorded
-    /// in the guard's metrics exactly once per execution.
+    /// The interned snapshot of every extent slot, out of `views` — the one
+    /// place an unknown view or an extent of another arity than the plan
+    /// recorded is reported, on every call, cached shape or not.
+    pub(crate) fn bind_extents(
+        &self,
+        views: &MaterializedViews,
+    ) -> Result<Vec<Arc<InternedSnapshot>>> {
+        let mut extents = Vec::with_capacity(self.views.len());
+        for (name, arity) in &self.views {
+            let extent = views
+                .extent(name)
+                .ok_or_else(|| PlanError::UnknownView(name.clone()))?;
+            if extent.schema().arity() != *arity {
+                return Err(PlanError::ArityMismatch {
+                    left: *arity,
+                    right: extent.schema().arity(),
+                });
+            }
+            extents.push(snapshot_of(extent));
+        }
+        Ok(extents)
+    }
+
+    /// The environment of one execution: `extents` (from
+    /// [`CompiledShape::bind_extents`]) and the id-native index of every
+    /// constraint slot, located in `idb`'s access schema by content — so the
+    /// position a schema lists a constraint at never matters, and a
+    /// constraint the schema lacks is reported here, on every call.
+    fn bind<'a>(
+        &self,
+        idb: &'a IndexedDatabase,
+        extents: &'a [Arc<InternedSnapshot>],
+    ) -> Result<Bound<'a>> {
+        debug_assert_eq!(extents.len(), self.views.len());
+        let mut indexes = Vec::with_capacity(self.constraints.len());
+        for constraint in &self.constraints {
+            let position = idb
+                .constraint_position(constraint)
+                .ok_or_else(|| PlanError::ConstraintNotInSchema(constraint.to_string()))?;
+            indexes.push(idb.interned_access_index(position)?);
+        }
+        Ok(Bound { extents, indexes })
+    }
+
+    /// Evaluate the shape over `idb` with `consts` bound to its constant
+    /// slots (one id per slot, in [`PlanNode::constant_slots`] order) and
+    /// `extents` to its extent slots.  Guardrail trips are recorded in the
+    /// guard's metrics exactly once per execution.
     pub(crate) fn execute_guarded(
         &self,
         idb: &IndexedDatabase,
         options: &ExecOptions,
         guard: &Guard,
         consts: &[ValueId],
+        extents: &[Arc<InternedSnapshot>],
     ) -> Result<ExecOutput> {
         assert_eq!(
             consts.len(),
             self.slots,
             "a pipeline is executed with one constant per slot"
         );
-        let result = self.run(idb, options, guard, consts);
+        let result = self
+            .bind(idb, extents)
+            .and_then(|bound| self.run(options, guard, consts, &bound));
         if let Err(PlanError::Exec(e)) = &result {
             guard.record_trip(e);
         }
@@ -555,18 +635,14 @@ impl CompiledShape {
 
     fn run(
         &self,
-        idb: &IndexedDatabase,
         options: &ExecOptions,
         guard: &Guard,
         consts: &[ValueId],
+        bound: &Bound,
     ) -> Result<ExecOutput> {
         let mut stats = FetchStats::new();
-        // Each operator's inputs are dropped after their final consumer so
-        // peak memory follows the live path, not the sum of every
-        // intermediate (the tree interpreter freed child sets the same way).
-        let last_use = self.last_use();
         let mut tables: Vec<IdTable> = Vec::with_capacity(self.ops.len());
-        for (op_idx, op) in self.ops.iter().enumerate() {
+        for (op, drops) in self.ops.iter().zip(&self.drops) {
             guard.check()?;
             let table = match op {
                 Op::Const { first_slot, arity } => {
@@ -577,7 +653,8 @@ impl CompiledShape {
                         data: consts[*first_slot..first_slot + arity].to_vec(),
                     }
                 }
-                Op::ViewScan { snapshot, .. } => {
+                Op::ViewScan { extent } => {
+                    let snapshot = &bound.extents[*extent];
                     stats.record_view_read(snapshot.len());
                     guard.charge_rows(snapshot.len())?;
                     IdTable {
@@ -586,23 +663,23 @@ impl CompiledShape {
                         data: snapshot.id_rows().to_vec(),
                     }
                 }
-                Op::ViewFilter {
-                    snapshot, conds, ..
-                } => eval_view_filter(snapshot, conds, consts, &mut stats, options, guard)?,
+                Op::ViewFilter { extent, conds } => eval_view_filter(
+                    &bound.extents[*extent],
+                    conds,
+                    consts,
+                    &mut stats,
+                    options,
+                    guard,
+                )?,
                 Op::Fetch {
                     input,
-                    constraint_idx,
+                    constraint,
                     key_cols,
-                    arity,
-                    bound,
-                    ..
                 } => eval_fetch(
                     &tables[*input],
-                    idb,
-                    *constraint_idx,
+                    bound.indexes[*constraint],
                     key_cols,
-                    *arity,
-                    *bound,
+                    self.constraints[*constraint].n(),
                     &mut stats,
                     options,
                     guard,
@@ -635,10 +712,8 @@ impl CompiledShape {
                 Op::Dedup { input } => dedup_table(&tables[*input], guard)?,
             };
             tables.push(table);
-            for (input, &last) in last_use.iter().enumerate() {
-                if last == op_idx && input != self.root {
-                    tables[input] = IdTable::default();
-                }
+            for &input in drops {
+                tables[input] = IdTable::default();
             }
         }
         Ok(ExecOutput {
@@ -647,10 +722,11 @@ impl CompiledShape {
         })
     }
 
-    /// For every operator, the index of the last operator consuming its
-    /// output (its own index when nothing does; the root is exempted from
-    /// dropping in `execute`, which materialises it at the end).
-    fn last_use(&self) -> Vec<usize> {
+    /// For every operator, the inputs whose last consumer it is (an output
+    /// nothing consumes is its own; the root is exempt — `run` materialises
+    /// it at the end).  A function of the operators alone, computed once at
+    /// compile time.
+    fn last_consumers(&self) -> Vec<Vec<usize>> {
         let mut last: Vec<usize> = (0..self.ops.len()).collect();
         for (i, op) in self.ops.iter().enumerate() {
             let mut mark = |input: usize| last[input] = i;
@@ -669,178 +745,133 @@ impl CompiledShape {
                 }
             }
         }
-        last
+        let mut drops = vec![Vec::new(); self.ops.len()];
+        for (input, &consumer) in last.iter().enumerate() {
+            if input != self.root {
+                drops[consumer].push(input);
+            }
+        }
+        drops
     }
-}
 
-/// Compile one plan node, appending its operators to `ops` and returning the
-/// index of the operator producing the node's output.  `slots` counts the
-/// constant slots handed out so far: a node takes the slots of its own
-/// constants on entry, before its children are compiled — the pre-order of
-/// [`PlanNode::constant_slots`], whatever order the operators come out in.
-fn compile_node(
-    node: &PlanNode,
-    idb: &IndexedDatabase,
-    views: &MaterializedViews,
-    ops: &mut Vec<Op>,
-    slots: &mut usize,
-) -> Result<usize> {
-    let idx = match node {
-        PlanNode::Const(t) => {
-            let first_slot = *slots;
-            *slots += t.arity();
-            push(
-                ops,
+    /// Compile one plan node, appending its operators and returning the
+    /// index of the operator producing the node's output.  A node takes the
+    /// slots of its own constants on entry, before its children are
+    /// compiled — the pre-order of [`PlanNode::constant_slots`], whatever
+    /// order the operators come out in.  A view or a constraint takes the
+    /// slot of its first mention.
+    fn compile_node(&mut self, node: &PlanNode) -> usize {
+        let op = match node {
+            PlanNode::Const(t) => {
+                let first_slot = self.slots;
+                self.slots += t.arity();
                 Op::Const {
                     first_slot,
                     arity: t.arity(),
-                },
-            )
-        }
-        PlanNode::View { name, arity } => {
-            let snapshot = view_snapshot(views, name, *arity)?;
-            push(
-                ops,
-                Op::ViewScan {
-                    name: name.clone(),
-                    snapshot,
-                },
-            )
-        }
-        PlanNode::Fetch {
-            input,
-            constraint,
-            key_columns,
-        } => {
-            let input = compile_node(input, idb, views, ops, slots)?;
-            let position = idb
-                .constraint_position(constraint)
-                .ok_or_else(|| PlanError::ConstraintNotInSchema(constraint.to_string()))?;
-            // Force the id-native index (and the interning of its values)
-            // into existence now, so that is compile's cost and not the
-            // first execution's.
-            let _ = idb.interned_access_index(position)?;
-            push(
-                ops,
-                Op::Fetch {
-                    input,
-                    constraint_idx: position,
-                    constraint_display: constraint.to_string(),
-                    key_cols: key_columns.clone(),
-                    arity: constraint.xy().len(),
-                    bound: constraint.n(),
-                },
-            )
-        }
-        PlanNode::Project { input, columns } => {
-            let input = compile_node(input, idb, views, ops, slots)?;
-            let project = push(
-                ops,
-                Op::Project {
-                    input,
-                    cols: columns.clone(),
-                },
-            );
-            // Projection introduces duplicates; keep the table set-like.
-            push(ops, Op::Dedup { input: project })
-        }
-        PlanNode::Select { input, conditions } => {
-            let mut conds: Vec<IdCond> = conditions
-                .iter()
-                .map(|c| IdCond::compile(c, slots))
-                .collect();
-            // The σ-over-× pattern is how plans express joins (the plan
-            // grammar has no join operator).  Materialising the product
-            // first would make joins quadratic, so equi-joins across the
-            // product boundary are compiled to hash joins.
-            if let PlanNode::Product(a, b) = input.as_ref() {
-                let left_arity = a.arity();
-                let crosses = |i: usize, j: usize| (i < left_arity) != (j < left_arity);
-                let pairs: Vec<(usize, usize)> = conds
+                }
+            }
+            PlanNode::View { name, arity } => Op::ViewScan {
+                extent: self.extent_slot(name, *arity),
+            },
+            PlanNode::Fetch {
+                input,
+                constraint,
+                key_columns,
+            } => Op::Fetch {
+                input: self.compile_node(input),
+                constraint: slot_of(&mut self.constraints, constraint),
+                key_cols: key_columns.clone(),
+            },
+            PlanNode::Project { input, columns } => {
+                let input = self.compile_node(input);
+                let cols = columns.clone();
+                let project = push(&mut self.ops, Op::Project { input, cols });
+                // Projection introduces duplicates; keep the table set-like.
+                Op::Dedup { input: project }
+            }
+            PlanNode::Select { input, conditions } => {
+                let mut conds: Vec<IdCond> = conditions
                     .iter()
-                    .filter_map(|c| match *c {
-                        IdCond::EqCol(i, j) if crosses(i, j) => {
-                            Some((i.min(j), i.max(j) - left_arity))
-                        }
-                        _ => None,
-                    })
+                    .map(|c| IdCond::compile(c, &mut self.slots))
                     .collect();
-                if !pairs.is_empty() {
-                    let left = compile_node(a, idb, views, ops, slots)?;
-                    let right = compile_node(b, idb, views, ops, slots)?;
-                    conds.retain(|c| !matches!(*c, IdCond::EqCol(i, j) if crosses(i, j)));
-                    return Ok(push(
-                        ops,
-                        Op::HashJoin {
+                // The σ-over-× pattern is how plans express joins (the plan
+                // grammar has no join operator).  Materialising the product
+                // first would make joins quadratic, so equi-joins across the
+                // product boundary are compiled to hash joins.
+                if let PlanNode::Product(a, b) = input.as_ref() {
+                    let left_arity = a.arity();
+                    let crosses = |i: usize, j: usize| (i < left_arity) != (j < left_arity);
+                    let pairs: Vec<(usize, usize)> = conds
+                        .iter()
+                        .filter_map(|c| match *c {
+                            IdCond::EqCol(i, j) if crosses(i, j) => {
+                                Some((i.min(j), i.max(j) - left_arity))
+                            }
+                            _ => None,
+                        })
+                        .collect();
+                    if !pairs.is_empty() {
+                        let left = self.compile_node(a);
+                        let right = self.compile_node(b);
+                        conds.retain(|c| !matches!(*c, IdCond::EqCol(i, j) if crosses(i, j)));
+                        let join = Op::HashJoin {
                             left,
                             right,
                             pairs,
                             residual: conds,
-                        },
-                    ));
+                        };
+                        return push(&mut self.ops, join);
+                    }
+                }
+                // A selection directly over a view leaf fuses into one
+                // snapshot-filtering operator: the unfiltered scan is never
+                // materialised, and under a parallel driver the filter runs
+                // over the snapshot's morsels.
+                if let PlanNode::View { name, arity } = input.as_ref() {
+                    Op::ViewFilter {
+                        extent: self.extent_slot(name, *arity),
+                        conds,
+                    }
+                } else {
+                    Op::Select {
+                        input: self.compile_node(input),
+                        conds,
+                    }
                 }
             }
-            // A selection directly over a view leaf fuses into one
-            // snapshot-filtering operator: the unfiltered scan is never
-            // materialised, and under a parallel driver the filter runs
-            // over the snapshot's morsels.
-            if let PlanNode::View { name, arity } = input.as_ref() {
-                let snapshot = view_snapshot(views, name, *arity)?;
-                return Ok(push(
-                    ops,
-                    Op::ViewFilter {
-                        name: name.clone(),
-                        snapshot,
-                        conds,
-                    },
-                ));
+            PlanNode::Rename { input } => return self.compile_node(input),
+            PlanNode::Product(a, b) => Op::Product {
+                left: self.compile_node(a),
+                right: self.compile_node(b),
+            },
+            PlanNode::Union(a, b) => {
+                let left = self.compile_node(a);
+                let right = self.compile_node(b);
+                let union = push(&mut self.ops, Op::Union { left, right });
+                Op::Dedup { input: union }
             }
-            let input = compile_node(input, idb, views, ops, slots)?;
-            push(ops, Op::Select { input, conds })
-        }
-        PlanNode::Rename { input } => compile_node(input, idb, views, ops, slots)?,
-        PlanNode::Product(a, b) => {
-            let left = compile_node(a, idb, views, ops, slots)?;
-            let right = compile_node(b, idb, views, ops, slots)?;
-            push(ops, Op::Product { left, right })
-        }
-        PlanNode::Union(a, b) => {
-            let left = compile_node(a, idb, views, ops, slots)?;
-            let right = compile_node(b, idb, views, ops, slots)?;
-            let union = push(ops, Op::Union { left, right });
-            push(ops, Op::Dedup { input: union })
-        }
-        PlanNode::Difference(a, b) => {
-            let left = compile_node(a, idb, views, ops, slots)?;
-            let right = compile_node(b, idb, views, ops, slots)?;
-            push(ops, Op::Difference { left, right })
-        }
-    };
-    Ok(idx)
-}
-
-/// The interned snapshot of view `name`'s extent, checked against the arity
-/// the plan recorded for it.
-fn view_snapshot(
-    views: &MaterializedViews,
-    name: &str,
-    arity: usize,
-) -> Result<Arc<InternedSnapshot>> {
-    let extent = views
-        .extent(name)
-        .ok_or_else(|| PlanError::UnknownView(name.to_string()))?;
-    if extent.schema().arity() != arity {
-        return Err(PlanError::ArityMismatch {
-            left: arity,
-            right: extent.schema().arity(),
-        });
+            PlanNode::Difference(a, b) => Op::Difference {
+                left: self.compile_node(a),
+                right: self.compile_node(b),
+            },
+        };
+        push(&mut self.ops, op)
     }
-    Ok(snapshot_of(extent))
+
+    fn extent_slot(&mut self, name: &str, arity: usize) -> usize {
+        slot_of(&mut self.views, &(name.to_string(), arity))
+    }
 }
 
-fn push(ops: &mut Vec<Op>, op: Op) -> usize {
-    ops.push(op);
-    ops.len() - 1
+/// The slot of `item` in `list`, appended when it is not there yet.
+fn slot_of<T: PartialEq + Clone>(list: &mut Vec<T>, item: &T) -> usize {
+    let slot = list.iter().position(|known| known == item);
+    slot.unwrap_or_else(|| push(list, item.clone()))
+}
+
+fn push<T>(list: &mut Vec<T>, item: T) -> usize {
+    list.push(item);
+    list.len() - 1
 }
 
 /// An intermediate result: `rows` rows of `arity` interned ids, row-major.
@@ -885,22 +916,20 @@ fn merge_flat(shards: Vec<Vec<ValueId>>) -> Vec<ValueId> {
     data
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `fetch(X ∈ input, R, Y)` through `index`, the id-native index this
+/// execution bound the constraint to.  `bound` is the constraint's `N`, the
+/// per-key output ceiling — used to estimate the operator's work for the
+/// parallel driver.
 fn eval_fetch(
     input: &IdTable,
-    idb: &IndexedDatabase,
-    constraint_idx: usize,
+    index: &InternedAccessIndex,
     key_cols: &[usize],
-    arity: usize,
     bound: usize,
     stats: &mut FetchStats,
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
-    // Resolve the index up front: a missing constraint errors before any
-    // probing (and before any threads spawn).
-    let index = idb.interned_access_index(constraint_idx)?;
-    debug_assert_eq!(index.arity(), arity);
+    let arity = index.arity();
     // Global key dedup in first-seen order: each distinct X-value is fetched
     // (and counted) exactly once, matching the interpreter — and making the
     // accounting independent of morsel boundaries.  Keys are kept flat

@@ -3,7 +3,7 @@
 //! A [`PlanFingerprint`] is a 128-bit digest of a plan's **shape**: its
 //! executable structure — node kinds, column indices, view names and access
 //! constraints — with every constant replaced by a slot marker.  It is the
-//! plan half of the [`crate::prepared::PipelineCache`] key: two plans with
+//! whole of the [`crate::prepared::PipelineCache`] key: two plans with
 //! equal fingerprints differ at most in their constants (and in `ρ`
 //! placement), compile to the same operators, and share one cached pipeline,
 //! each executing it with its own constants bound to the slots.
@@ -11,9 +11,9 @@
 //! Why leaving the constants out needs no argument at this layer: a constant
 //! reaches a compiled pipeline in exactly two places, a `Const` leaf and a
 //! `Col{Eq,Ne}Const` selection condition, and compilation never looks at its
-//! value — it resolves views, constraint positions and join strategy from
-//! everything else.  So slots are per *occurrence* (two occurrences of `3`
-//! are two slots that happen to be bound alike), numbered in
+//! value — it numbers the views and constraints named and picks the join
+//! strategy from everything else.  So slots are per *occurrence* (two
+//! occurrences of `3` are two slots that happen to be bound alike), numbered in
 //! [`crate::node::PlanNode::constant_slots`] order, and any binding of them
 //! is a plan the compiled operators evaluate correctly.  Contrast the
 //! engine's analysis memo (`bqr-engine`), whose key must preserve which

@@ -65,14 +65,14 @@ impl CancellationToken {
     }
 }
 
-/// Declarative, hashable runtime limits carried on
+/// Declarative runtime limits carried on
 /// [`ExecOptions`](crate::ExecOptions).  All `None` (the default) disables
 /// every check except cancellation-token polling.
 ///
-/// Limits are *runtime-only*: the pipeline cache strips them from its key
-/// (see `ExecOptions::cache_key`), so two executions of the same plan with
-/// different deadlines share one compiled pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Limits are *runtime-only*: like every other option they stay out of the
+/// pipeline cache's key, so two executions of the same plan with different
+/// deadlines share one compiled pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuardLimits {
     /// Wall-clock deadline in milliseconds, resolved against `Instant::now()`
     /// when execution starts.

@@ -17,13 +17,13 @@
 //!   tree-walking interpreter is retained as [`exec::reference`] for
 //!   differential testing;
 //! * [`fingerprint`] — canonical [`PlanFingerprint`]s of a plan's *shape*
-//!   (its structure, constants left out), the plan half of the
-//!   prepared-execution cache key;
+//!   (its structure, constants left out), the prepared-execution cache key;
 //! * [`prepared`] — the prepared-statement layer: a process-wide
-//!   [`PipelineCache`] keyed by `(shape fingerprint, options, epoch vector)`
-//!   — plans that differ only in constants share one compiled pipeline —
-//!   and the [`PreparedPlan`] handle that binds a plan's constants,
-//!   re-validates epochs per execution and recompiles only on invalidation;
+//!   [`PipelineCache`] keyed by shape fingerprint alone — a compiled
+//!   pipeline is plan syntax, so plans that differ only in constants, data
+//!   versions, option sets and access schemas listing the same constraints
+//!   all share one — and the [`PreparedPlan`] handle that binds a plan's
+//!   constants and, per execution, the extents and indexes it is run on;
 //! * [`to_query`] — the query `Q_ξ` expressed by a plan (unfolding into the
 //!   calculus), used by the equivalence checks of `bqr-core`;
 //! * [`conform`] — conformance to an access schema: every fetch is justified
@@ -56,7 +56,7 @@ pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline};
 pub use fingerprint::{fingerprint as plan_fingerprint, PlanFingerprint};
 pub use guard::{panic_message, CancellationToken, Guard, GuardLimits, GuardMetrics, GuardStats};
 pub use node::{PlanLanguage, PlanNode, QueryPlan, SelectCondition};
-pub use prepared::{CacheStats, EpochVector, PipelineCache, PreparedPlan, PreparedShape};
+pub use prepared::{CacheStats, PipelineCache, PreparedPlan, PreparedShape};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, PlanError>;

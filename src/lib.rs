@@ -80,7 +80,7 @@
 //! engine.mutate(|db| db.insert("rating", tuple![42, 4]))?;
 //!
 //! // ...the pinned session still reads its snapshot; a fresh one sees the
-//! // write (served through a recompile — never a stale cache entry).
+//! // write (through the same compiled pipeline, bound to the new version).
 //! assert_eq!(pinned.execute("ranks")?.tuples, vec![tuple![5]]);
 //! assert_eq!(
 //!     engine.session().execute("ranks")?.tuples,
@@ -149,10 +149,11 @@
 //!   have a sound semi-naive path.
 //!
 //! Untouched relations share their epochs, indexes (access and keyed), and
-//! snapshots into the new version, so the `(plan shape, options, epochs)`-keyed
-//! pipeline cache invalidates only pipelines that actually read a changed input.  A net
-//! no-op mutation publishes nothing at all: no epoch moves, no cache entry
-//! is touched.  [`MaintenanceMode::Rebuild`] restores the from-scratch
+//! snapshots into the new version, and the pipeline cache is keyed by plan
+//! shape alone — a compiled pipeline holds no data, so no write invalidates
+//! one, and the first read after a write pays only for re-interning what the
+//! write changed.  A net no-op mutation publishes nothing at all: no epoch
+//! moves.  [`MaintenanceMode::Rebuild`] restores the from-scratch
 //! behaviour engine-wide (the differential baseline: same contents, same
 //! epoch contract, bit-identical answers).  Failures anywhere — closure
 //! error, closure panic, or a fault inside maintenance — are
@@ -309,7 +310,7 @@
 //!   Compiled operators hold constant *slots*; a statement executes the
 //!   shared operators with its own constants, interned once, bound to them.
 //!   Sixty-four statements asking one question about sixty-four customers
-//!   compile once, and recompile once after a write moves what they read;
+//!   compile once, and no write ever makes them compile again;
 //! * in front of [`Engine::analyze`] (and so [`Engine::prepare`] and
 //!   [`Session::query`]) sits a bounded memo from query shape to the first
 //!   topped analysis of that shape.  A shape is the CQ or UCQ as written
@@ -438,7 +439,7 @@
 //!   containment, `A`-equivalence, the chase, the cost-based join planner;
 //! * [`bqr_plan`] (as [`plan`]) — bounded query plans, the compiled operator
 //!   [`Pipeline`](plan::Pipeline), conformance, plan-shape fingerprints and
-//!   the `(shape, options, epochs)`-keyed [`PipelineCache`](plan::PipelineCache),
+//!   the shape-keyed [`PipelineCache`](plan::PipelineCache),
 //!   plus the runtime [`Guard`](plan::Guard) machinery;
 //! * [`bqr_core`] (as [`core`]) — the topped-query checker (effective
 //!   syntax) and the exact decision procedures for `VBRP`;

@@ -4,7 +4,7 @@
 //! conjunctive queries and instances, and the cached-index path must stay
 //! coherent under relation mutation.
 
-use bqr_data::{Database, DatabaseSchema, IndexCache, Relation, Value};
+use bqr_data::{Database, DatabaseSchema, IndexCache, Relation, Value, ValueId};
 use bqr_query::eval::{eval_cq, Evaluator};
 use bqr_query::hom::{
     enumerate_homomorphisms_cached, has_homomorphism_cached, reference, Assignment, MatchLimit,
@@ -158,19 +158,22 @@ fn index_cache_invalidation_on_mutation() {
     let mut db = random_db(7, 6);
     {
         let r = db.relation("r").unwrap();
-        let before = cache.index_for(r, &[0]);
+        let before = cache.interned_index_for(r, &[0]);
         assert_eq!(before.len(), r.len());
-        assert!(std::rc::Rc::ptr_eq(&before, &cache.index_for(r, &[0])));
+        assert!(std::rc::Rc::ptr_eq(
+            &before,
+            &cache.interned_index_for(r, &[0])
+        ));
     }
     let misses_before = cache.misses();
     db.insert("r", bqr_data::tuple![99, 99]).unwrap();
     let r = db.relation("r").unwrap();
-    let after = cache.index_for(r, &[0]);
+    let after = cache.interned_index_for(r, &[0]);
     assert_eq!(
         cache.misses(),
         misses_before + 1,
         "mutation must force a rebuild"
     );
     assert_eq!(after.len(), r.len());
-    assert_eq!(after.probe(&[Value::int(99)]).len(), 1);
+    assert_eq!(after.probe(&[ValueId::intern(&Value::int(99))]).len(), 1);
 }

@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 const Q_XI: &str = "Q(mid) :- movie(mid, ym, 'Universal', '2014'), V1(mid), rating(mid, 5)";
 /// A point lookup whose answer grows under the stress writers (movie 10 is
 /// rated 5 in the generated instance; the writers add ranks ≥ 11, so
-/// `fig1`'s answer never changes while `ranks_of_10` gains one tuple per
-/// committed write).
+/// `ranks_of_10` gains one tuple per committed write — as `fig1` does,
+/// through a new row of `V1`'s extent).
 const RANKS_OF_10: &str = "Q(r) :- rating(10, r)";
 /// A product over the two relations every stress write inserts into: after
 /// `k` writes it holds `k × (k + 1)` tuples, and an answer that saw one of a
@@ -241,12 +241,19 @@ fn check_history(
 /// The stress writers' closure: write `id` inserts one tuple into `movie`
 /// and one into `rating`, so `pairs` (a product of the two) tells a torn
 /// application apart from every golden, and `ranks_of_10` grows by one
-/// tuple per write.  `fig1`'s answer never changes.
+/// tuple per write.  It also lands a Universal/2014 movie rated 5 and liked
+/// by a new NASA person, so `V1`'s extent moves with every write and `fig1`
+/// gains a tuple: the one compiled pipeline all versions share must read
+/// the extent of the version each request is pinned to.
 fn stress_write(id: usize) -> impl FnOnce(&mut Database) -> bqr::data::Result<()> + Send + 'static {
     move |db| {
         let id = id as i64;
         db.insert("movie", tuple![9_000 + id, "stress", "Stress", "2099"])?;
         db.insert("rating", tuple![10, 11 + id])?;
+        db.insert("movie", tuple![19_000 + id, "liked", "Universal", "2014"])?;
+        db.insert("rating", tuple![19_000 + id, 5])?;
+        db.insert("person", tuple![29_000 + id, "stress", "NASA"])?;
+        db.insert("like", tuple![29_000 + id, 19_000 + id, "movie"])?;
         Ok(())
     }
 }
@@ -372,9 +379,15 @@ fn readers_under_a_concurrent_writer_serve_prefix_consistent_answers() {
         twin.prepare(name, query).unwrap();
     }
     let snapshot = |chain: &mut Vec<Vec<ExecOutput>>| {
+        let session = twin.session();
         for (s, name) in STATEMENTS.iter().enumerate() {
-            chain[s].push(twin.session().execute(name).unwrap());
+            chain[s].push(session.execute(name).unwrap());
         }
+        // The twin serves `fig1` through the same kind of cached pipeline
+        // the server does, so hold every link to the naive evaluation of
+        // `Q0` over the base relations: each version reads its own `V1`.
+        let naive = session.evaluate(movies::q0()).unwrap();
+        assert_eq!(chain[0].last().unwrap().tuples, naive.tuples);
     };
     let mut goldens = vec![Vec::new(); STATEMENTS.len()];
     snapshot(&mut goldens);
@@ -382,11 +395,13 @@ fn readers_under_a_concurrent_writer_serve_prefix_consistent_answers() {
         twin.mutate(stress_write(id)).unwrap();
         snapshot(&mut goldens);
     }
-    for chain in &goldens[1..] {
+    for chain in &goldens {
         for pair in chain.windows(2) {
-            assert_ne!(pair[0], pair[1], "every write moves this statement");
+            assert_ne!(pair[0], pair[1], "every write moves every statement");
         }
     }
+    let liked = |k: usize| goldens[0][k].tuples.len();
+    assert_eq!(liked(WRITES), liked(0) + WRITES, "one liked movie a write");
 
     if let Err(violation) = check_history(&goldens, &order, &writes, &clients) {
         panic!("inconsistent history: {violation}\n  application order: {order:?}");
