@@ -836,7 +836,8 @@ pub mod plan_bench {
 
     /// Measure [`GuardOverhead`] on `movies_qxi_8k`.  Both configurations
     /// are run in alternating rounds and the best batch per configuration is
-    /// kept, so scheduler noise cannot charge one side only.
+    /// kept, so scheduler noise cannot charge one side only (nine rounds of
+    /// the ~1.5 ms batches the plan takes now that it probes `V1`).
     pub fn run_guard_overhead() -> GuardOverhead {
         let case = movies_case();
         let pipeline = Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
@@ -852,7 +853,7 @@ pub mod plan_bench {
             "guards must never change the answer"
         );
         let mut best = [f64::INFINITY; 2];
-        for _round in 0..3 {
+        for _round in 0..9 {
             for (slot, options) in [(0usize, &disabled), (1, &enabled)] {
                 let t = Instant::now();
                 for _ in 0..case.repeats {

@@ -39,6 +39,10 @@ pub mod sites {
     /// the interning path is infallible, so an injected `Error` also
     /// surfaces as a panic at the site).
     pub const SNAPSHOT_INTERN: &str = "data.snapshot.intern";
+    /// [`crate::Relation::keyed_index`] — the first build of a keyed index,
+    /// with the relation version's index cell locked for writing (panic-only,
+    /// like [`SNAPSHOT_INTERN`]: nothing was built, nothing is kept).
+    pub const KEYED_BUILD: &str = "data.keyed.build";
     /// [`crate::Relation::insert`] / [`crate::Relation::remove`] — carrying
     /// the relation's keyed indexes across a write, checked only when the
     /// written version holds one.  An injected `Error` degrades the carry to

@@ -472,12 +472,16 @@ impl Relation {
     /// `O(|R|)` pass, which interns the relation's values — and kept in the
     /// version's own cell: every unmutated clone serves the same `Arc`, and
     /// a mutated clone takes a patched copy along (see [`Relation`]), so a
-    /// relation is indexed once per key, not once per version.
+    /// relation is indexed once per key, not once per version.  View
+    /// maintenance probes base relations this way, and the plan executor a
+    /// view extent under an equi-join — its build side, kept instead of
+    /// rebuilt per read.  An index costs memory of the order of the relation
+    /// for as long as a version holds it, and one forked shard per write.
     ///
     /// # Panics
     /// Panics if a position is outside the schema (or, on a nullary
     /// relation, in any case); callers take positions from atoms validated
-    /// against it.
+    /// against it, or from a plan bound to an extent of the arity it names.
     pub fn keyed_index(&self, positions: &[usize]) -> Arc<InternedAccessIndex> {
         if let Some(index) = self.keyed_index_if_built(positions) {
             return index;
@@ -487,6 +491,9 @@ impl Relation {
         // have built it meanwhile.
         if let Some((_, index)) = indexes.iter().find(|(p, _)| p == positions) {
             return Arc::clone(index);
+        }
+        if let Err(e) = crate::faults::check(crate::faults::sites::KEYED_BUILD) {
+            panic!("{e}");
         }
         let index = Arc::new(InternedAccessIndex::keyed(self, positions));
         indexes.push((positions.to_vec(), Arc::clone(&index)));

@@ -81,8 +81,8 @@ impl InternedSnapshot {
         &self.data[start..start + self.arity]
     }
 
-    /// The flat row-major id data: `len() * arity()` ids.  This is the view
-    /// the plan executor copies from (one `memcpy`, no per-row work).
+    /// The flat row-major id data: `len() * arity()` ids.  This is what a
+    /// plan's scan copies (one `memcpy`) and its fused filter reads in batches.
     pub fn id_rows(&self) -> &[ValueId] {
         &self.data
     }
@@ -90,13 +90,6 @@ impl InternedSnapshot {
     /// The snapshot's cardinality statistics.
     pub fn stats(&self) -> &RelationStats {
         &self.stats
-    }
-
-    /// The flat id data of rows `range.start .. range.end` — the batch view
-    /// vectorised kernels scan (`(range.end - range.start) * arity()` ids,
-    /// no per-row indirection).
-    pub fn batch(&self, range: std::ops::Range<usize>) -> &[ValueId] {
-        &self.data[range.start * self.arity..range.end * self.arity]
     }
 }
 
@@ -185,15 +178,6 @@ mod tests {
         // The snapshot dies with the last clone of its version.
         drop(r);
         assert!(weak.upgrade().is_none(), "freed with its relation version");
-    }
-
-    #[test]
-    fn batch_views_tile_the_snapshot() {
-        let r = rating();
-        let snap = snapshot_of(&r);
-        assert_eq!(snap.batch(0..3), snap.id_rows());
-        assert_eq!(snap.batch(1..2), snap.row(1));
-        assert!(snap.batch(2..2).is_empty());
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub struct FetchStats {
     pub fetched_tuples: usize,
     /// Number of `fetch` invocations (index probes).
     pub fetch_calls: usize,
-    /// Tuples read from cached / materialised views.  These do not count as
-    /// base-data I/O.
+    /// Rows read from cached / materialised view extents: the whole extent
+    /// by a scan or a filter of it, only the rows its probes return by a join
+    /// that probes it.  These do not count as base-data I/O.
     pub view_tuples: usize,
     /// Base tuples scanned by operators that read a relation directly
     /// (only the *naive* baseline does this; bounded plans never do).

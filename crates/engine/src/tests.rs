@@ -478,13 +478,17 @@ fn error_closures_on_large_instances_copy_no_relation() {
 
 /// What `statement` answers on the version `session` pins, by the
 /// unprepared route: `bqr_plan::execute`, a fresh `Pipeline::compile` +
-/// `execute` over that version's own instance and extents.
+/// `execute` over that version's own instance and extents — which the
+/// interpreter, on that version, agrees with, `view_tuples` included.
 fn fresh_compile(session: &crate::Session<'_>, statement: &str) -> bqr_plan::ExecOutput {
     let engine = session.engine();
     let access = engine.setting().access.clone();
     let idb = bqr_data::IndexedDatabase::build(session.database().clone(), access).unwrap();
     let statement = engine.statement(statement).unwrap();
-    bqr_plan::execute(statement.plan(), &idb, session.views()).unwrap()
+    let out = bqr_plan::execute(statement.plan(), &idb, session.views()).unwrap();
+    let interpreted = bqr_plan::exec::reference::execute(statement.plan(), &idb, session.views());
+    assert_eq!(out, interpreted.unwrap(), "on the version the session pins");
+    out
 }
 
 #[test]
@@ -531,8 +535,9 @@ fn a_write_recompiles_nothing_and_every_statement_reads_the_new_version() {
 
 /// A session pinned before a `V1`-moving write and one opened after it,
 /// executed alternately: both run the one pipeline compiled before the
-/// write, each reads its *own* version's extent, and neither costs the other
-/// a compile.
+/// write, each probes its *own* version's extent (and reads of it what the
+/// interpreter reads of it on that version), and neither costs the other a
+/// compile.
 #[test]
 fn sessions_pinned_to_different_versions_share_one_warm_pipeline() {
     let engine = movie_engine();
@@ -550,7 +555,9 @@ fn sessions_pinned_to_different_versions_share_one_warm_pipeline() {
     let (on_old, on_new) = (fresh_compile(&old, "fig1"), fresh_compile(&new, "fig1"));
     assert_eq!(on_old.tuples, vec![tuple![10]]);
     assert_eq!(on_new.tuples, vec![tuple![10], tuple![11]]);
-    assert_ne!(on_old.stats, on_new.stats, "the extents differ in size");
+    // Of the two fetched movies, 10 is in the old V1 and both are in the new.
+    let read_of_v1 = (on_old.stats.view_tuples, on_new.stats.view_tuples);
+    assert_eq!(read_of_v1, (1, 2), "each probes the extent it pinned");
     for _ in 0..3 {
         assert_eq!(old.execute("fig1").unwrap(), on_old);
         assert_eq!(new.execute("fig1").unwrap(), on_new);

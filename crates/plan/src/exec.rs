@@ -10,11 +10,18 @@
 //! # Execution model
 //!
 //! [`execute`] compiles the plan tree into a flat [`Pipeline`] of operators
-//! (fetch, view scan, hash join, select, project, product, union,
-//! difference, dedup) and evaluates them in dependency order over columns of
-//! dense [`ValueId`]s:
+//! (fetch, view scan, view probe, hash join, select, project, product,
+//! union, difference, dedup) and evaluates them in dependency order over
+//! columns of dense [`ValueId`]s:
 //!
-//! * view extents are read through the interned snapshots of `bqr-data`
+//! * a view extent under an equi-join is never read whole: the other
+//!   operand's rows probe the keyed index the extent itself holds on the
+//!   joined columns ([`Relation::keyed_index`]: built by the first read,
+//!   patched by each write that moves the view, shared by every execution
+//!   and version in between) — no extent copy, no per-execution hash-join
+//!   build, no re-interning after a write, at the price of one index per
+//!   (view, join columns) kept as long as the extent.  A bare or merely
+//!   filtered view leaf is scanned through the extent's interned snapshot
 //!   (one `memcpy` per scan, shared across executions of the same epoch);
 //! * fetches go through the id-native constraint indexes
 //!   ([`bqr_data::InternedAccessIndex`]), with `X`-keys deduplicated globally
@@ -23,15 +30,19 @@
 //! * an extent and a constraint index are *slots*, as a constant is (below):
 //!   compilation reads the plan and nothing else, numbering the views and
 //!   constraints it names, and every execution binds those numbers first —
-//!   a view to the snapshot of its extent in the `views` it runs on, a
-//!   constraint, by content, to its index in the `idb` it runs on.  That
-//!   step is where an unknown view, an extent of the wrong arity or a
-//!   constraint outside the access schema is reported.  So compiled
-//!   operators hold no data, and a data version, a reordered access schema
-//!   or an option set is nothing a compiled shape could be stale for;
-//! * the σ-over-× join pattern compiles to a hash join whose build side is
-//!   the smaller input (the PR 2 lesson — actual cardinalities are the best
-//!   statistics, and at pipeline time they are exact);
+//!   a view to its extent in the `views` it runs on (nothing is interned or
+//!   indexed until an operator asks), a constraint, by content, to its index
+//!   in the `idb` it runs on.  That step is where an unknown view, an extent
+//!   of the wrong arity or a constraint outside the access schema is
+//!   reported.  So compiled operators hold no data, and a data version, a
+//!   reordered access schema or an option set is nothing a compiled shape
+//!   could be stale for;
+//! * the σ-over-× join pattern compiles to a view probe when an operand is
+//!   a view leaf (the right one if it is, else the left; no cardinality
+//!   rule — probing a kept index is a hash join's probe without its build,
+//!   whichever side is larger) and otherwise to a hash join whose build side
+//!   is the smaller input (the PR 2 lesson — actual cardinalities are the
+//!   best statistics, and at pipeline time they are exact);
 //! * a constant is a *slot*, not a value: compilation numbers the plan's
 //!   constant occurrences ([`PlanNode::constant_slots`] order) and never
 //!   looks at them, and an execution runs the operators with one interned id
@@ -43,19 +54,22 @@
 //! # `FetchStats` semantics (pinned)
 //!
 //! `fetched_tuples` is the paper's `|D_ξ|`, counted as a bag over distinct
-//! `X`-keys per fetch operator.  `view_tuples` counts the **full cached
-//! extent** once per view leaf, *before* any selection above it: reading the
-//! cache is the I/O, filtering happens afterwards in memory.  Both engines
-//! (this pipeline and [`mod@reference`]) implement exactly these semantics and
+//! `X`-keys per fetch operator.  `view_tuples` counts the **rows read from
+//! extents**: a scanned or filtered view leaf reads the full cached extent,
+//! *before* any selection above it (reading the cache is the I/O, filtering
+//! happens afterwards in memory); a probed one reads the rows its probes
+//! return — the (input row, extent row) pairs agreeing on every join
+//! equality, *before* the join's other conditions.  Both engines (this
+//! pipeline and [`mod@reference`], which counts those pairs in its own join
+//! loop, index-free) implement exactly these semantics and
 //! `tests/exec_diff.rs` holds them equal on randomized plans.
 //!
 //! # Vectorised kernels
 //!
-//! The hot operators — selection, view filtering, projection, hash-join
-//! build/probe, fetch probing, dedup — run as batch kernels
+//! The hot operators — selection, view filtering and probing, projection,
+//! hash-join build/probe, fetch probing, dedup — run as batch kernels
 //! (the crate-private `kernel` module, `BATCH_ROWS` = 1024 rows at a time)
-//! with
-//! selection-vector passing: a filter never copies a row until every
+//! with selection-vector passing: a filter never copies a row until every
 //! condition has voted, probes hash bare `ValueId`s for single-column join
 //! keys, and guard checks/row-budget charges happen once per batch (the
 //! same cadence as the former per-row checkpoint mask, preserving PR 6's
@@ -64,16 +78,16 @@
 //! # Parallelism
 //!
 //! [`execute_with`] takes [`ExecOptions`]: with `parallel` set,
-//! data-parallel operators (select, project, hash-join probe, fetch probe,
-//! product) are driven by the morsel scheduler (the crate-private `morsel`
-//! module): worker
-//! threads pull fixed-size morsels of the input from a shared queue and
-//! results merge *in morsel order*.  Because morsel boundaries are a pure
-//! function of `(rows, workers)` and every kernel is order-preserving,
-//! parallel execution produces bit-identical tables (and identical
-//! `FetchStats`) to serial execution.  [`ExecOptions::parallel_auto`]
-//! additionally picks the worker count per operator from its input
-//! cardinalities (see [`ExecOptions::auto_worker_count`]).
+//! data-parallel operators (select, project, view and hash-join probe,
+//! fetch probe, product) are driven by the morsel scheduler (the
+//! crate-private `morsel` module): worker threads pull fixed-size morsels of
+//! the input from a shared queue and results merge *in morsel order*.
+//! Because morsel boundaries are a pure function of `(rows, workers)` and
+//! every kernel is order-preserving, parallel execution produces
+//! bit-identical tables (and identical `FetchStats`) to serial execution.
+//! [`ExecOptions::parallel_auto`] additionally picks the worker count per
+//! operator from its input cardinalities (see
+//! [`ExecOptions::auto_worker_count`]).
 //!
 //! The original tree-walking interpreter (`BTreeSet<Tuple>` at every node)
 //! is retained verbatim as [`mod@reference`]: it is the oracle for the
@@ -86,8 +100,8 @@ use crate::morsel::run_morsels;
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
 use bqr_data::{
-    snapshot_of, AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex,
-    InternedSnapshot, Tuple, Value, ValueId,
+    snapshot_of, AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, Relation,
+    Tuple, Value, ValueId,
 };
 use bqr_query::MaterializedViews;
 use std::collections::{HashMap, HashSet};
@@ -344,8 +358,10 @@ enum Op {
     Project { input: usize, cols: Vec<usize> },
     /// Selection by a conjunction of conditions.
     Select { input: usize, conds: Vec<IdCond> },
-    /// Equi-join (compiled from the σ-over-× pattern); `residual` holds the
-    /// non-join conditions, applied to the concatenated row.
+    /// Equi-join with a view extent, which is probed, never scanned.
+    ViewProbe(ViewProbe),
+    /// Equi-join (compiled from the σ-over-× pattern) of two non-views;
+    /// `residual` holds the non-join conditions, applied to the joined row.
     HashJoin {
         left: usize,
         right: usize,
@@ -362,6 +378,20 @@ enum Op {
     /// intermediate table stays set-like (matching the interpreter's
     /// `BTreeSet` semantics without its per-tuple cost).
     Dedup { input: usize },
+}
+
+/// [`Op::ViewProbe`], the σ-over-× pattern with a view leaf as an operand:
+/// every row of `input` probes the extent's own keyed index on the joined
+/// view columns — a hash join's build side, kept across executions and
+/// versions.  `pairs`, `residual` and the `left ++ right` output are as for
+/// [`Op::HashJoin`]; the view is the left operand iff `view_left`.
+#[derive(Debug)]
+struct ViewProbe {
+    input: usize,
+    extent: usize,
+    pairs: Vec<(usize, usize)>,
+    view_left: bool,
+    residual: Vec<IdCond>,
 }
 
 /// A plan *shape* compiled to a flat operator pipeline: plan syntax and
@@ -390,9 +420,11 @@ pub(crate) struct CompiledShape {
     drops: Vec<Vec<usize>>,
 }
 
-/// What one execution binds a shape's extent and constraint slots to.
+/// What one execution binds a shape's extent and constraint slots to.  An
+/// operator asks an extent for the snapshot or keyed index it reads when it
+/// runs, so binding interns nothing.
 struct Bound<'a> {
-    extents: &'a [Arc<InternedSnapshot>],
+    extents: &'a [&'a Relation],
     indexes: Vec<&'a InternedAccessIndex>,
 }
 
@@ -403,14 +435,15 @@ struct Bound<'a> {
 ///
 /// Compile once with [`Pipeline::compile`], inspect with
 /// [`Pipeline::describe`], run with [`Pipeline::execute`].  A pipeline reads
-/// the extents it was made with; its fetches are resolved, by constraint
-/// content, against whichever `idb` an execution names — any database whose
-/// access schema has the plan's constraints will do.
+/// the extents it was made with (clones — chunk pointers — that share the
+/// version's snapshot and keyed indexes); its fetches are resolved, by
+/// constraint content, against whichever `idb` an execution names — any
+/// database whose access schema has the plan's constraints will do.
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     shape: Arc<CompiledShape>,
     consts: Arc<[ValueId]>,
-    extents: Vec<Arc<InternedSnapshot>>,
+    extents: Vec<Relation>,
 }
 
 /// A plan's constants as interned ids, in slot order.
@@ -438,8 +471,9 @@ impl Pipeline {
     /// `shape` with `consts` in its constant slots and the extents of
     /// `views` in its extent slots.  The fetches are resolved against `idb`
     /// here as well: a constraint outside its schema is this call's error,
-    /// and forcing the id-native indexes (and the interning of their values)
-    /// into existence is this call's cost, not the first execution's.
+    /// and forcing the constraints' id-native indexes (and the interning of
+    /// their values) into existence is this call's cost, not the first
+    /// execution's — which still builds whatever it reads of an extent.
     pub(crate) fn bind(
         shape: Arc<CompiledShape>,
         consts: Arc<[ValueId]>,
@@ -448,6 +482,7 @@ impl Pipeline {
     ) -> Result<Pipeline> {
         let extents = shape.bind_extents(views)?;
         shape.bind(idb, &extents)?;
+        let extents = extents.into_iter().cloned().collect();
         Ok(Pipeline {
             shape,
             consts,
@@ -505,6 +540,10 @@ impl Pipeline {
                 Op::Select { input, conds } => {
                     format!("σ[{}] %{input}", describe_conds(conds, consts))
                 }
+                Op::ViewProbe(p) => {
+                    let (view, pairs, input) = (extent(p.extent), &p.pairs, p.input);
+                    format!("view-probe {view} on {pairs:?} of %{input}")
+                }
                 Op::HashJoin {
                     left, right, pairs, ..
                 } => format!("hash-join %{left} ⋈ %{right} on {pairs:?}"),
@@ -539,8 +578,9 @@ impl Pipeline {
         options: &ExecOptions,
         guard: &Guard,
     ) -> Result<ExecOutput> {
+        let extents: Vec<&Relation> = self.extents.iter().collect();
         self.shape
-            .execute_guarded(idb, options, guard, &self.consts, &self.extents)
+            .execute_guarded(idb, options, guard, &self.consts, &extents)
     }
 }
 
@@ -563,13 +603,14 @@ impl CompiledShape {
         shape
     }
 
-    /// The interned snapshot of every extent slot, out of `views` — the one
-    /// place an unknown view or an extent of another arity than the plan
-    /// recorded is reported, on every call, cached shape or not.
-    pub(crate) fn bind_extents(
+    /// The extent of every extent slot, out of `views` — the one place an
+    /// unknown view or an extent of another arity than the plan recorded is
+    /// reported, on every call, cached shape or not; the arity check also
+    /// keeps a probe's key positions inside the extent's schema.
+    pub(crate) fn bind_extents<'v>(
         &self,
-        views: &MaterializedViews,
-    ) -> Result<Vec<Arc<InternedSnapshot>>> {
+        views: &'v MaterializedViews,
+    ) -> Result<Vec<&'v Relation>> {
         let mut extents = Vec::with_capacity(self.views.len());
         for (name, arity) in &self.views {
             let extent = views
@@ -581,7 +622,7 @@ impl CompiledShape {
                     right: extent.schema().arity(),
                 });
             }
-            extents.push(snapshot_of(extent));
+            extents.push(extent);
         }
         Ok(extents)
     }
@@ -591,11 +632,7 @@ impl CompiledShape {
     /// constraint slot, located in `idb`'s access schema by content — so the
     /// position a schema lists a constraint at never matters, and a
     /// constraint the schema lacks is reported here, on every call.
-    fn bind<'a>(
-        &self,
-        idb: &'a IndexedDatabase,
-        extents: &'a [Arc<InternedSnapshot>],
-    ) -> Result<Bound<'a>> {
+    fn bind<'a>(&self, idb: &'a IndexedDatabase, extents: &'a [&'a Relation]) -> Result<Bound<'a>> {
         debug_assert_eq!(extents.len(), self.views.len());
         let mut indexes = Vec::with_capacity(self.constraints.len());
         for constraint in &self.constraints {
@@ -617,7 +654,7 @@ impl CompiledShape {
         options: &ExecOptions,
         guard: &Guard,
         consts: &[ValueId],
-        extents: &[Arc<InternedSnapshot>],
+        extents: &[&Relation],
     ) -> Result<ExecOutput> {
         assert_eq!(
             consts.len(),
@@ -654,23 +691,20 @@ impl CompiledShape {
                     }
                 }
                 Op::ViewScan { extent } => {
-                    let snapshot = &bound.extents[*extent];
+                    let snapshot = snapshot_of(bound.extents[*extent]);
                     stats.record_view_read(snapshot.len());
                     guard.charge_rows(snapshot.len())?;
-                    IdTable {
-                        arity: snapshot.arity(),
-                        rows: snapshot.len(),
-                        data: snapshot.id_rows().to_vec(),
-                    }
+                    let data = snapshot.id_rows().to_vec();
+                    IdTable::from_data(snapshot.arity(), snapshot.len(), data)
                 }
-                Op::ViewFilter { extent, conds } => eval_view_filter(
-                    &bound.extents[*extent],
-                    conds,
-                    consts,
-                    &mut stats,
-                    options,
-                    guard,
-                )?,
+                Op::ViewFilter { extent, conds } => {
+                    let snapshot = snapshot_of(bound.extents[*extent]);
+                    // Pinned semantics: the full extent counts as read, then
+                    // the filter runs over the snapshot's rows.
+                    stats.record_view_read(snapshot.len());
+                    let rows = (snapshot.arity(), snapshot.len(), snapshot.id_rows());
+                    eval_select(rows, conds, consts, options, guard)?
+                }
                 Op::Fetch {
                     input,
                     constraint,
@@ -686,8 +720,19 @@ impl CompiledShape {
                 )?,
                 Op::Project { input, cols } => eval_project(&tables[*input], cols, options, guard)?,
                 Op::Select { input, conds } => {
-                    eval_select(&tables[*input], conds, consts, options, guard)?
+                    let input = &tables[*input];
+                    let rows = (input.arity, input.rows, &input.data[..]);
+                    eval_select(rows, conds, consts, options, guard)?
                 }
+                Op::ViewProbe(probe) => eval_view_probe(
+                    probe,
+                    &tables[probe.input],
+                    bound.extents[probe.extent],
+                    consts,
+                    &mut stats,
+                    options,
+                    guard,
+                )?,
                 Op::HashJoin {
                     left,
                     right,
@@ -735,6 +780,7 @@ impl CompiledShape {
                 Op::Fetch { input, .. }
                 | Op::Project { input, .. }
                 | Op::Select { input, .. }
+                | Op::ViewProbe(ViewProbe { input, .. })
                 | Op::Dedup { input } => mark(*input),
                 Op::HashJoin { left, right, .. }
                 | Op::Product { left, right }
@@ -811,14 +857,25 @@ impl CompiledShape {
                         })
                         .collect();
                     if !pairs.is_empty() {
-                        let left = self.compile_node(a);
-                        let right = self.compile_node(b);
                         conds.retain(|c| !matches!(*c, IdCond::EqCol(i, j) if crosses(i, j)));
-                        let join = Op::HashJoin {
-                            left,
-                            right,
-                            pairs,
-                            residual: conds,
+                        // A view leaf under the join is probed, not scanned:
+                        // the right operand if it is one, else the left.
+                        let view_left = view_leaf(b).is_none();
+                        let (view, other) = if view_left { (a, b) } else { (b, a) };
+                        let join = match view_leaf(view) {
+                            Some((name, arity)) => Op::ViewProbe(ViewProbe {
+                                input: self.compile_node(other),
+                                extent: self.extent_slot(name, arity),
+                                pairs,
+                                view_left,
+                                residual: conds,
+                            }),
+                            None => Op::HashJoin {
+                                left: self.compile_node(a),
+                                right: self.compile_node(b),
+                                pairs,
+                                residual: conds,
+                            },
                         };
                         return push(&mut self.ops, join);
                     }
@@ -860,6 +917,15 @@ impl CompiledShape {
 
     fn extent_slot(&mut self, name: &str, arity: usize) -> usize {
         slot_of(&mut self.views, &(name.to_string(), arity))
+    }
+}
+
+/// `node` as a view leaf — its name and arity — looking through renames.
+fn view_leaf(node: &PlanNode) -> Option<(&str, usize)> {
+    match node {
+        PlanNode::View { name, arity } => Some((name, *arity)),
+        PlanNode::Rename { input } => view_leaf(input),
+        _ => None,
     }
 }
 
@@ -1051,80 +1117,131 @@ fn eval_project(
     Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
 }
 
+/// Selection over `rows` rows of `arity` ids, flat and row-major — an
+/// intermediate table's, or (σ fused over a view leaf) an extent snapshot's,
+/// filtered in place of materialising the unfiltered scan first.
 fn eval_select(
-    input: &IdTable,
+    (arity, rows, data): (usize, usize, &[ValueId]),
     conds: &[IdCond],
     consts: &[ValueId],
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
-    if input.arity == 0 {
+    if arity == 0 {
         // Conditions reference columns, so a nullary select has none and
         // passes everything through.
-        guard.charge_rows(input.rows)?;
-        return Ok(input.clone());
+        guard.charge_rows(rows)?;
+        return Ok(IdTable::from_data(0, rows, Vec::new()));
     }
-    let arity = input.arity;
-    let shard_results = run_morsels(input.rows, input.rows, options, guard, |range| {
-        let mut data = Vec::new();
+    let shard_results = run_morsels(rows, rows, options, guard, |range| {
+        let mut out = Vec::new();
         let mut sel: Vec<u32> = Vec::with_capacity(kernel::BATCH_ROWS);
         let mut start = range.start;
         while start < range.end {
             guard.check()?;
             let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let batch = &input.data[start * arity..end * arity];
+            let batch = &data[start * arity..end * arity];
             kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
             guard.charge_rows(sel.len())?;
-            kernel::gather(batch, arity, end - start, &sel, &mut data);
+            kernel::gather(batch, arity, end - start, &sel, &mut out);
             start = end;
         }
-        Ok(data)
+        Ok(out)
     })?;
     Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
 }
 
-/// Fused σ-over-view: filter the snapshot's rows directly — the same
-/// contiguous batches [`bqr_data::InternedSnapshot::batch`] exposes (and
-/// [`bqr_data::SnapshotShard::batches`] tiles for data-layer consumers),
-/// threaded here through the executor's shared morsel driver.  The pinned
-/// `FetchStats` semantics hold: the **full** extent counts as read before
-/// filtering.
-fn eval_view_filter(
-    snapshot: &InternedSnapshot,
-    conds: &[IdCond],
+/// The probe phase of an equi-join, whatever holds the build side: `lookup`
+/// yields the build rows matching one row of `probe` (it is lent a key
+/// buffer) and a joined row is `left ++ right` whichever side probes.
+/// Returns the table and the matches looked up, before the residuals.
+fn probe_phase<'a, M: Iterator<Item = &'a [ValueId]>>(
+    probe: &IdTable,
+    (build_arity, probe_left): (usize, bool),
+    (residual, consts): (&[IdCond], &[ValueId]),
+    work_hint: usize,
+    options: &ExecOptions,
+    guard: &Guard,
+    lookup: impl Fn(&[ValueId], &mut Vec<ValueId>) -> M + Sync,
+) -> Result<(IdTable, usize)> {
+    let out_arity = probe.arity + build_arity;
+    let shard_results = run_morsels(probe.rows, work_hint, options, guard, |range| {
+        let (mut data, mut matches) = (Vec::new(), 0);
+        let mut key: Vec<ValueId> = Vec::new();
+        let mut start = range.start;
+        while start < range.end {
+            guard.check()?;
+            let end = (start + kernel::BATCH_ROWS).min(range.end);
+            let before = data.len();
+            for i in start..end {
+                let row = probe.row(i);
+                for build_row in lookup(row, &mut key) {
+                    matches += 1;
+                    let (l_row, r_row) = match probe_left {
+                        true => (row, build_row),
+                        false => (build_row, row),
+                    };
+                    // Residual conditions roll back the append.
+                    let at = data.len();
+                    data.extend_from_slice(l_row);
+                    data.extend_from_slice(r_row);
+                    if !residual.iter().all(|c| c.holds(&data[at..], consts)) {
+                        data.truncate(at);
+                    }
+                }
+            }
+            guard.charge_rows((data.len() - before) / out_arity)?;
+            start = end;
+        }
+        Ok((data, matches))
+    })?;
+    let (data, matches): (Vec<_>, Vec<usize>) = shard_results.into_iter().unzip();
+    let table = IdTable::from_data(out_arity, 0, merge_flat(data));
+    Ok((table, matches.iter().sum()))
+}
+
+/// `input ⋈ extent` without reading the extent: a probe phase over the build
+/// side the extent already holds; the rows it returns are the tuples read.
+fn eval_view_probe(
+    probe: &ViewProbe,
+    input: &IdTable,
+    extent: &Relation,
     consts: &[ValueId],
     stats: &mut FetchStats,
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
-    stats.record_view_read(snapshot.len());
-    if snapshot.arity() == 0 {
-        // Conditions reference columns, so a nullary filter has none and
-        // passes the (at most one-row) extent through.
-        guard.charge_rows(snapshot.len())?;
-        return Ok(IdTable {
-            arity: 0,
-            rows: snapshot.len(),
-            data: Vec::new(),
-        });
-    }
-    let arity = snapshot.arity();
-    let shard_results = run_morsels(snapshot.len(), snapshot.len(), options, guard, |range| {
-        let mut data = Vec::new();
-        let mut sel: Vec<u32> = Vec::with_capacity(kernel::BATCH_ROWS);
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let batch = snapshot.batch(start..end);
-            kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
-            guard.charge_rows(sel.len())?;
-            kernel::gather(batch, arity, end - start, &sel, &mut data);
-            start = end;
+    let view_arity = extent.schema().arity();
+    // One key position per distinct view column, ascending, so every join on
+    // the same columns shares one index; a further input column equated with
+    // the same view column must agree with the first, or the row has no match.
+    let mut key_cols: Vec<(usize, usize)> = Vec::new();
+    let mut agree: Vec<(usize, usize)> = Vec::new();
+    for &(l, r) in &probe.pairs {
+        let (v, c) = if probe.view_left { (l, r) } else { (r, l) };
+        match key_cols.iter().find(|k| k.0 == v) {
+            Some(&(_, first)) => agree.push((first, c)),
+            None => key_cols.push((v, c)),
         }
-        Ok(data)
-    })?;
-    Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
+    }
+    key_cols.sort_unstable();
+    let positions: Vec<usize> = key_cols.iter().map(|k| k.0).collect();
+    let index = extent.keyed_index(&positions);
+    let work_hint = input.rows.saturating_mul(index.avg_group_len());
+    let sides = (view_arity, !probe.view_left);
+    let conds = (&probe.residual[..], consts);
+    let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
+        let mut group: &[ValueId] = &[];
+        if agree.iter().all(|&(a, b)| row[a] == row[b]) {
+            key.clear();
+            key.extend(key_cols.iter().map(|&(_, c)| row[c]));
+            group = index.probe(key);
+        }
+        group.chunks_exact(view_arity)
+    };
+    let (table, read) = probe_phase(input, sides, conds, work_hint, options, guard, lookup)?;
+    stats.record_view_read(read);
+    Ok(table)
 }
 
 fn eval_hash_join(
@@ -1136,9 +1253,8 @@ fn eval_hash_join(
     options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
-    let out_arity = left.arity + right.arity;
     if left.rows == 0 || right.rows == 0 {
-        return Ok(IdTable::empty(out_arity));
+        return Ok(IdTable::empty(left.arity + right.arity));
     }
     // Cost model: build on the smaller input, probe the larger — with exact
     // cardinalities in hand the textbook rule is exact, not an estimate.
@@ -1148,75 +1264,30 @@ fn eval_hash_join(
     } else {
         (right, left)
     };
-    let build_cols: Vec<usize> = pairs
-        .iter()
-        .map(|&(l, r)| if build_left { l } else { r })
-        .collect();
-    let probe_cols: Vec<usize> = pairs
-        .iter()
-        .map(|&(l, r)| if build_left { r } else { l })
-        .collect();
+    let cols = |&(l, r): &(usize, usize)| if build_left { (l, r) } else { (r, l) };
+    let (build_cols, probe_cols): (Vec<usize>, Vec<usize>) = pairs.iter().map(cols).unzip();
     let table = kernel::JoinTable::build(&build.data, build.arity, build.rows, &build_cols, guard)?;
-    // Emit one joined row; residual conditions roll back the append.
-    let emit = |data: &mut Vec<ValueId>, b: u32, probe_row: &[ValueId]| {
-        let build_row = build.row(b as usize);
-        let (l_row, r_row) = if build_left {
-            (build_row, probe_row)
-        } else {
-            (probe_row, build_row)
-        };
-        let start = data.len();
-        data.extend_from_slice(l_row);
-        data.extend_from_slice(r_row);
-        if !residual.iter().all(|c| c.holds(&data[start..], consts)) {
-            data.truncate(start);
-        }
-    };
     // Work hint: probing is at least one lookup per probe row, plus the
     // output rows a fanning-out build side produces.
     let avg_group = (build.rows / table.groups().max(1)).max(1);
     let work_hint = probe.rows.saturating_mul(avg_group);
-    let shard_results = run_morsels(probe.rows, work_hint, options, guard, |range| {
-        let mut data = Vec::new();
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let before = data.len();
-            match &table {
-                kernel::JoinTable::Single(map) => {
-                    // Single-column key: probe the map with a bare id —
-                    // no per-row key vector, the dominant join shape.
-                    let pc = probe_cols[0];
-                    for i in start..end {
-                        let probe_row = probe.row(i);
-                        if let Some(matches) = map.get(&probe_row[pc]) {
-                            for &b in matches {
-                                emit(&mut data, b, probe_row);
-                            }
-                        }
-                    }
-                }
-                kernel::JoinTable::Multi(map) => {
-                    let mut key: Vec<ValueId> = Vec::with_capacity(probe_cols.len());
-                    for i in start..end {
-                        let probe_row = probe.row(i);
-                        key.clear();
-                        key.extend(probe_cols.iter().map(|&c| probe_row[c]));
-                        if let Some(matches) = map.get(&key) {
-                            for &b in matches {
-                                emit(&mut data, b, probe_row);
-                            }
-                        }
-                    }
-                }
+    let sides = (build.arity, !build_left);
+    let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
+        let matches = match &table {
+            // Single-column key: probe the map with a bare id — no key
+            // vector, the dominant join shape.
+            kernel::JoinTable::Single(map) => map.get(&row[probe_cols[0]]),
+            kernel::JoinTable::Multi(map) => {
+                key.clear();
+                key.extend(probe_cols.iter().map(|&c| row[c]));
+                map.get(key)
             }
-            guard.charge_rows((data.len() - before) / out_arity)?;
-            start = end;
-        }
-        Ok(data)
-    })?;
-    Ok(IdTable::from_data(out_arity, 0, merge_flat(shard_results)))
+        };
+        let matches = matches.into_iter().flatten();
+        matches.map(|&b| build.row(b as usize))
+    };
+    let conds = (residual, consts);
+    Ok(probe_phase(probe, sides, conds, work_hint, options, guard, lookup)?.0)
 }
 
 fn eval_product(
@@ -1434,8 +1505,22 @@ pub mod reference {
                         })
                         .collect();
                     if !cross_eq.is_empty() {
-                        let left = eval(a, idb, views, stats)?;
-                        let right = eval(b, idb, views, stats)?;
+                        let (mut l_stats, mut r_stats) = (FetchStats::new(), FetchStats::new());
+                        let left = eval(a, idb, views, &mut l_stats)?;
+                        let right = eval(b, idb, views, &mut r_stats)?;
+                        // Pinned semantics: a view leaf under the join (the
+                        // right operand if it is one, else the left) is
+                        // probed, not read — its scan goes uncounted; what
+                        // counts is the rows agreeing with the other operand
+                        // on every join equality, `matches` below.
+                        let probe_right = super::view_leaf(b).is_some();
+                        let probe_left = !probe_right && super::view_leaf(a).is_some();
+                        if !probe_left {
+                            stats.merge(&l_stats);
+                        }
+                        if !probe_right {
+                            stats.merge(&r_stats);
+                        }
                         let mut index: std::collections::HashMap<Vec<Value>, Vec<&Tuple>> =
                             std::collections::HashMap::new();
                         for r in &right {
@@ -1448,6 +1533,9 @@ pub mod reference {
                             let key: Vec<Value> =
                                 cross_eq.iter().map(|&(i, _)| l[i].clone()).collect();
                             if let Some(matches) = index.get(&key) {
+                                if probe_left || probe_right {
+                                    stats.record_view_read(matches.len());
+                                }
                                 for r in matches {
                                     let joined = l.concat(r);
                                     if conditions.iter().all(|c| c.holds(&joined)) {
@@ -1593,20 +1681,34 @@ mod tests {
         assert_eq!(pipeline.arity(), 1);
         let text = pipeline.describe();
         assert!(text.contains("fetch["), "{text}");
-        assert!(text.contains("view-scan V1"), "{text}");
-        assert!(text.contains("hash-join"), "{text}");
         assert!(text.contains("π"), "{text}");
         assert!(text.contains("root: %"), "{text}");
-        // Fig. 1's σ-over-× join compiled into a hash join; the only
-        // surviving bare product is the const × const key constructor.
-        assert_eq!(text.matches("hash-join").count(), 1, "{text}");
+        // Fig. 1's σ-over-× join has V1 as an operand: it compiled into one
+        // probe of V1's keyed index by the fetched movies — no scan of the
+        // extent, no hash join; the only surviving bare product is the
+        // const × const key constructor.
+        assert!(
+            text.contains("view-probe V1 [2 rows] on [(0, 0)] of %"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("view-scan") && !text.contains("hash-join"),
+            "{text}"
+        );
         assert_eq!(text.matches("× %").count(), 1, "{text}");
+        // A join of two non-views still compiles into a hash join.
+        let mids = || Plan::constant(vec![10]).union(Plan::constant(vec![12]));
+        let plan = mids().join_eq(mids(), &[(0, 0)]).build().unwrap();
+        let text = Pipeline::compile(&plan, &idb, &cache).unwrap().describe();
+        assert_eq!(text.matches("hash-join").count(), 1, "{text}");
     }
 
-    /// Pinned `FetchStats` semantics: a view leaf records its full cached
-    /// extent — reading the cache is the I/O — even when a selection above
-    /// it keeps nothing; fetches count every retrieved tuple even when a
-    /// selection above the fetch drops them all.  Both engines agree.
+    /// Pinned `FetchStats` semantics: a scanned or filtered view leaf records
+    /// its full cached extent — reading the cache is the I/O — even when a
+    /// selection above it keeps nothing; a probed one records the rows its
+    /// probes return, even when a residual condition drops them; fetches
+    /// count every retrieved tuple even when a selection above the fetch
+    /// drops them all.  Both engines agree.
     #[test]
     fn view_and_fetch_reads_are_counted_before_selection() {
         let (idb, cache) = setup();
@@ -1625,6 +1727,31 @@ mod tests {
                 out.stats.view_tuples, extent_len,
                 "the full extent counts as read"
             );
+        }
+
+        // V1 = {10, 12} probed with {10, 11}: one probe returns a row, and
+        // the residual `≠` then drops it.  With the view on the left too.
+        let mids = || Plan::constant(vec![10]).union(Plan::constant(vec![11]));
+        for plan in [
+            mids().product(Plan::view("V1", 1)),
+            Plan::view("V1", 1).rename().product(mids()),
+        ] {
+            let plan = plan
+                .select(vec![
+                    SelectCondition::ColEqCol(0, 1),
+                    SelectCondition::ColNeConst(0, Value::int(10)),
+                ])
+                .build()
+                .unwrap();
+            let text = Pipeline::compile(&plan, &idb, &cache).unwrap().describe();
+            assert!(text.contains("view-probe V1"), "{text}");
+            for out in [
+                execute(&plan, &idb, &cache).unwrap(),
+                reference::execute(&plan, &idb, &cache).unwrap(),
+            ] {
+                assert!(out.tuples.is_empty(), "the residual keeps nothing");
+                assert_eq!(out.stats.view_tuples, 1, "the probed row counts as read");
+            }
         }
 
         let plan = Plan::constant(vec![Value::str("Universal"), Value::str("2014")])

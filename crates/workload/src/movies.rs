@@ -100,6 +100,13 @@ pub fn generate(scale: MovieScale) -> Database {
     // Movies: spread over studios and years so that each (studio, release)
     // group stays within n0.
     let years = ["2012", "2013", "2014", "2015"];
+    // All the room `A_0` leaves; past it the rejection loop below never ends.
+    let (movies, room) = (scale.movies, STUDIOS.len() * years.len() * scale.n0);
+    let limit = "6 studios × 4 years × n0, all the room A_0 leaves";
+    assert!(
+        movies <= room,
+        "{movies} movies do not fit {room} = {limit}"
+    );
     let mut group_counts: std::collections::BTreeMap<(usize, usize), usize> =
         std::collections::BTreeMap::new();
     let mut mid = 0usize;
@@ -154,6 +161,19 @@ mod tests {
             assert_eq!(db.relation("rating").unwrap().len(), 200);
             assert!(db.relation("like").unwrap().len() <= 3 * persons);
         }
+    }
+
+    /// `A_0` leaves room for 24 · n0 movies; asking for more used to spin
+    /// forever in the rejection loop.
+    #[test]
+    #[should_panic(expected = "961 movies do not fit 960")]
+    fn more_movies_than_a0_has_room_for_is_refused() {
+        generate(MovieScale {
+            persons: 1,
+            movies: 961,
+            n0: 40,
+            seed: 1,
+        });
     }
 
     #[test]

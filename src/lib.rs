@@ -108,7 +108,7 @@
 //! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
 //! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)` |
 //! | its id-native sibling, if built | same shape; re-interns only the touched groups (`≤ N · arity` values each) |
-//! | a keyed index the relation holds (view maintenance asked for it once) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
+//! | a keyed index the relation holds (view maintenance asked for it once — or, for a view extent, a read that joins the view) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
 //! | the interned snapshot of a written relation | nothing — no write carries one forward; the next scan of the relation builds it |
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
@@ -244,9 +244,12 @@
 //! # Execution
 //!
 //! Prepared statements compile to a flat operator pipeline over interned
-//! ids, and the pipeline's hot operators — selection, view filtering,
-//! projection, hash-join build/probe, fetch probing, dedup — run as
-//! **vectorised batch kernels**: 1024-row batches, with a filter first
+//! ids.  A view under an equi-join is not scanned: the rows fetched so far
+//! probe the keyed index its extent carries from version to version, so a
+//! read is bounded in `|V(D)|` as it is in `|D|` (`FetchStats::view_tuples`
+//! counts the rows those probes return).  The pipeline's hot operators —
+//! selection, view filtering and probing, projection, hash-join build/probe,
+//! fetch probing, dedup — run as **vectorised batch kernels**: 1024-row batches, with a filter first
 //! voting every condition into a *selection vector* (row indices) and only
 //! then copying the survivors out in one pass.  Guard checks and row-budget
 //! charges happen once per batch, so the guardrails above cost the same as

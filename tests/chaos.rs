@@ -88,29 +88,43 @@ fn index_build_faults_never_unpublish_the_serving_version() {
     assert_eq!(engine.session().execute("fig1").unwrap(), golden);
 }
 
-#[test]
-fn snapshot_intern_panics_do_not_wedge_compilation() {
+/// A view extent's lazily built read structure fails its first build, by a
+/// panic at `site` injected once under the first execution of `statement`:
+/// the panic surfaces, nothing wrong is cached or kept, no lock stays
+/// poisoned, and the same session then serves `tuples`.
+fn first_build_panic_wedges_nothing(site: &'static str, statement: &str, tuples: Vec<Tuple>) {
     let _chaos = chaos_lock();
     let engine = fig1_engine();
+    engine.prepare("scan", "Q(mid) :- V1(mid)").unwrap();
 
-    // First-ever execution interns the pinned epoch's snapshots; the
-    // injected panic aborts that compile mid-flight.
-    faults::inject_times(sites::SNAPSHOT_INTERN, FaultKind::Panic, 1);
+    faults::inject_times(site, FaultKind::Panic, 1);
     let session = engine.session();
-    let panicked = catch_unwind(AssertUnwindSafe(|| session.execute("fig1"))).is_err();
+    let panicked = catch_unwind(AssertUnwindSafe(|| session.execute(statement))).is_err();
     assert!(panicked, "the injected panic must surface");
-    assert!(!faults::is_active(sites::SNAPSHOT_INTERN), "consumed");
+    assert!(!faults::is_active(site), "consumed");
 
-    // Nothing was cached for the aborted compile and no lock stayed
-    // poisoned: the same session serves the correct answer immediately.
-    let out = session.execute("fig1").unwrap();
-    assert_eq!(out.tuples, vec![tuple![10]]);
-    assert_eq!(session.execute("fig1").unwrap(), out);
+    let out = session.execute(statement).unwrap();
+    assert_eq!(out.tuples, tuples);
+    assert_eq!(session.execute(statement).unwrap(), out);
     let stats = engine.cache_stats();
     assert_eq!(stats.lookups, stats.hits + stats.misses, "{stats:?}");
     engine
         .mutate(|db| db.insert("rating", tuple![99, 1]))
         .unwrap();
+}
+
+/// The interned snapshot a *scan* of `V1` takes — a bare `V1` leaf; `fig1`
+/// joins `V1` and no longer scans it.
+#[test]
+fn snapshot_intern_panics_do_not_wedge_compilation() {
+    first_build_panic_wedges_nothing(sites::SNAPSHOT_INTERN, "scan", vec![tuple![10], tuple![12]]);
+}
+
+/// The keyed index `fig1`'s join probes `V1` through, whose first build runs
+/// with the extent's index cell locked for writing.
+#[test]
+fn keyed_build_panics_do_not_wedge_the_extent() {
+    first_build_panic_wedges_nothing(sites::KEYED_BUILD, "fig1", vec![tuple![10]]);
 }
 
 #[test]
@@ -476,6 +490,14 @@ fn like_index_is_built(engine: &Engine) -> bool {
     like.keyed_index_if_built(&[1, 2]).is_some()
 }
 
+/// Whether `V1`'s extent in `engine`'s live version holds the keyed index
+/// `fig1`'s join probes it through.
+fn v1_index_is_built(engine: &Engine) -> bool {
+    let session = engine.session();
+    let v1 = session.views().extent("V1").unwrap();
+    v1.keyed_index_if_built(&[0]).is_some()
+}
+
 /// Take one of V1's derivations out and put it back: the removal re-derives
 /// through `like` by `id`, so from here on `like` holds that keyed index and
 /// every write to it reaches the carry site.
@@ -559,6 +581,27 @@ fn keyed_carry_faults_degrade_to_a_rebuild_on_next_use() {
     }
     assert!(like_index_is_built(&faulty));
     agree(&faulty, &clean);
+
+    // The same for a view extent, which `fig1` has indexed on both engines
+    // by now: a faulted write that moves V1 drops the extent's index, and
+    // the next read rebuilds it — identical answer and `FetchStats`.
+    assert!(v1_index_is_built(&faulty) && v1_index_is_built(&clean));
+    let grow_v1 = |db: &mut Database| {
+        db.insert("movie", tuple![13, "Vice", "Universal", "2014"])?;
+        db.insert("rating", tuple![13, 5])?;
+        db.insert("like", tuple![1, 13, "movie"])?;
+        Ok(())
+    };
+    {
+        let _fp = faults::inject_guard(sites::KEYED_CARRY, FaultKind::Error);
+        faulty.mutate(grow_v1).unwrap();
+    }
+    clean.mutate(grow_v1).unwrap();
+    assert!(!v1_index_is_built(&faulty) && v1_index_is_built(&clean));
+    agree(&faulty, &clean);
+    assert!(v1_index_is_built(&faulty));
+    let served = faulty.session().execute("fig1").unwrap();
+    assert!(served.tuples.contains(&tuple![13]), "{served:?}");
 }
 
 /// PR 7: pinned readers never observe a half-applied delta.  Readers pin

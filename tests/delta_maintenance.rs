@@ -702,3 +702,81 @@ fn carried_keyed_indexes_match_from_scratch_recomputation() {
     }
     assert!(maintenance_built_one, "no write ever needed a keyed index");
 }
+
+/// The keyed index reads probe `V1` through is maintained with the extent,
+/// not rebuilt per version: after 64 maintained `like` writes that each move
+/// `V1`, the current extent holds the index the first read built, patched —
+/// equal to the index of a relation rebuilt from the final extent's tuples —
+/// while a session pinned before the writes still probes, through its own
+/// `views()`, the contents it pinned.
+#[test]
+fn v1_carries_the_index_reads_probe_and_a_pinned_session_keeps_its_own() {
+    use bqr::data::{IndexedDatabase, Relation};
+    use bqr::plan::exec::reference;
+    use std::sync::Arc;
+
+    let engine = engine(MaintenanceMode::Delta);
+    let db = movies::generate(movies::MovieScale {
+        persons: 300,
+        movies: 240,
+        n0: 100,
+        seed: 3,
+    });
+    let mut persons = db.relation("person").unwrap().iter();
+    let nasa = persons.find(|p| p[2] == "NASA".into()).unwrap()[0].clone();
+    engine.attach(db).unwrap();
+    let pinned = engine.session();
+    let v1_of = |session: &bqr::Session<'_>| session.views().extent("V1").unwrap().clone();
+    // What the interpreter answers (and reads) on the version a session pins.
+    let interpreted = |session: &bqr::Session<'_>| {
+        let access = engine.setting().access.clone();
+        let idb = IndexedDatabase::build(session.database().clone(), access).unwrap();
+        let plan = engine.statement("qxi").unwrap().plan().clone();
+        reference::execute(&plan, &idb, session.views()).unwrap()
+    };
+    let before = pinned.execute("qxi").unwrap();
+    assert_eq!(before, interpreted(&pinned));
+    let built = v1_of(&pinned).keyed_index_if_built(&[0]);
+    let built = built.expect("the first read indexed V1 on the join column");
+
+    // Movies nobody at NASA likes yet: each `like` below adds one to V1, and
+    // every fourth write takes the previous one back out.
+    let unliked = pinned.database().relation("movie").unwrap().iter();
+    let unliked: Vec<Tuple> = unliked
+        .map(|m| tuple![nasa.clone(), m[0].clone(), "movie"])
+        .filter(|like| !v1_of(&pinned).contains(&tuple![like[1].clone()]))
+        .take(64)
+        .collect();
+    assert_eq!(unliked.len(), 64);
+    for (i, like) in unliked.iter().enumerate() {
+        let epoch = v1_of(&engine.session()).epoch();
+        let write = match i % 4 {
+            3 => engine.mutate(|db| db.remove("like", &unliked[i - 1])),
+            _ => engine.mutate(|db| db.insert("like", like.clone())),
+        };
+        assert!(write.unwrap());
+        assert_ne!(
+            v1_of(&engine.session()).epoch(),
+            epoch,
+            "write {i} moves V1"
+        );
+    }
+
+    let current = engine.session();
+    let extent = v1_of(&current);
+    let carried = extent.keyed_index_if_built(&[0]).expect("carried along");
+    let rebuilt = Relation::from_tuples(extent.schema().clone(), extent.iter().cloned());
+    assert_eq!(*carried, *rebuilt.unwrap().keyed_index(&[0]));
+    let shared = carried.shared_shards(&built);
+    assert!(
+        shared >= carried.shard_count() - 64,
+        "patched: {shared} shared"
+    );
+    assert_eq!(current.execute("qxi").unwrap(), interpreted(&current));
+
+    // The pinned version: the very index its first read built, same answer.
+    assert!(Arc::ptr_eq(&v1_of(&pinned).keyed_index(&[0]), &built));
+    assert_ne!(v1_of(&pinned), extent);
+    assert_eq!(pinned.execute("qxi").unwrap(), before);
+    assert_eq!(before, interpreted(&pinned));
+}

@@ -10,8 +10,8 @@ use bqr_data::{
     tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase, Value,
 };
 use bqr_plan::builder::Plan;
-use bqr_plan::exec::{execute_with, reference, ExecOptions};
-use bqr_plan::QueryPlan;
+use bqr_plan::exec::{execute_with, reference, ExecOptions, Pipeline};
+use bqr_plan::{PlanNode, QueryPlan, SelectCondition};
 use bqr_query::parser::parse_cq;
 use bqr_query::{MaterializedViews, ViewSet};
 use rand::rngs::StdRng;
@@ -34,16 +34,22 @@ fn constraints() -> Vec<AccessConstraint> {
 }
 
 /// A random instance over a small value domain, so joins and fetches hit.
+/// One instance in eight has no `r` tuple, one in eight no `s` tuple, so the
+/// extents of `Vr` and `W` are sometimes empty.
 fn random_instance(rng: &mut StdRng) -> (IndexedDatabase, MaterializedViews) {
     let mut db = Database::empty(schema());
-    for _ in 0..rng.gen_range(10..40usize) {
+    let rows = |rng: &mut StdRng| match rng.gen_range(0..8u32) {
+        0 => 0,
+        _ => rng.gen_range(10..40usize),
+    };
+    for _ in 0..rows(rng) {
         db.insert(
             "r",
             tuple![rng.gen_range(0..12i64), rng.gen_range(0..12i64)],
         )
         .unwrap();
     }
-    for _ in 0..rng.gen_range(10..40usize) {
+    for _ in 0..rows(rng) {
         db.insert(
             "s",
             tuple![rng.gen_range(0..12i64), rng.gen_range(0..12i64)],
@@ -98,8 +104,7 @@ fn align(rng: &mut StdRng, left: Plan, right: Plan) -> (Plan, Plan) {
     (shrink(rng, left), shrink(rng, right))
 }
 
-fn random_conditions(rng: &mut StdRng, arity: usize) -> Vec<bqr_plan::SelectCondition> {
-    use bqr_plan::SelectCondition;
+fn random_conditions(rng: &mut StdRng, arity: usize) -> Vec<SelectCondition> {
     let mut conds = Vec::new();
     for _ in 0..rng.gen_range(1..3usize) {
         let c = rng.gen_range(0..arity);
@@ -113,16 +118,124 @@ fn random_conditions(rng: &mut StdRng, arity: usize) -> Vec<bqr_plan::SelectCond
     conds
 }
 
-fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
+/// How often each shape of a join with a view leaf as an operand (what
+/// compiles to the executor's view probe) was produced, by name.
+type ProbeShapes = std::collections::BTreeMap<&'static str, usize>;
+
+const PROBE_SHAPES: [&str; 9] = [
+    "view left",
+    "view right",
+    "view on both sides",
+    "two-column key",
+    "view column equated twice",
+    "non-prefix key",
+    "≠ residual",
+    "empty input",
+    "empty extent",
+];
+
+fn seen(shapes: &mut ProbeShapes, shape: &'static str) {
+    *shapes.entry(shape).or_default() += 1;
+}
+
+fn is_view_leaf(plan: &Plan) -> bool {
+    let mut node = plan.node();
+    while let PlanNode::Rename { input } = node {
+        node = input;
+    }
+    matches!(node, PlanNode::View { .. })
+}
+
+/// A σ-over-× equi-join with a view leaf (sometimes behind a rename) as an
+/// operand: on either side or both, keyed on one or two view columns, on a
+/// non-prefix column, with one view column equated with two columns of the
+/// other operand, with `≠` residuals, against an always-empty operand.
+fn gen_view_join(rng: &mut StdRng, depth: usize, shapes: &mut ProbeShapes) -> Plan {
+    let view = |rng: &mut StdRng| {
+        let view = match rng.gen_range(0..2u32) {
+            0 => Plan::view("Vr", 2),
+            _ => Plan::view("W", 1),
+        };
+        match rng.gen_range(0..4u32) {
+            0 => view.rename(),
+            _ => view,
+        }
+    };
+    let other = match rng.gen_range(0..6u32) {
+        0 => view(rng),
+        1 => {
+            seen(shapes, "empty input");
+            Plan::constant(vec![rand_value(rng)]).select(vec![SelectCondition::ColNeCol(0, 0)])
+        }
+        _ => gen_plan(rng, depth - 1, shapes),
+    };
+    if other.arity() == 0 || other.arity() + 2 > MAX_ARITY {
+        return other;
+    }
+    let probed = view(rng);
+    let view_left = rng.gen_range(0..2u32) == 0;
+    match (is_view_leaf(&other), view_left) {
+        (true, _) => seen(shapes, "view on both sides"),
+        (false, true) => seen(shapes, "view left"),
+        (false, false) => seen(shapes, "view right"),
+    }
+    let (view_arity, other_arity) = (probed.arity(), other.arity());
+    // (view column, other column) pairs.
+    let mut pairs = vec![(rng.gen_range(0..view_arity), rng.gen_range(0..other_arity))];
+    match rng.gen_range(0..3u32) {
+        0 if view_arity == 2 => {
+            seen(shapes, "two-column key");
+            pairs.push((1 - pairs[0].0, rng.gen_range(0..other_arity)));
+        }
+        1 => {
+            seen(shapes, "view column equated twice");
+            pairs.push((pairs[0].0, rng.gen_range(0..other_arity)));
+        }
+        _ => {}
+    }
+    if pairs.iter().all(|p| p.0 != 0) {
+        seen(shapes, "non-prefix key");
+    }
+    let (left, right) = if view_left {
+        (probed, other)
+    } else {
+        (other, probed)
+    };
+    let left_arity = left.arity();
+    let mut conds: Vec<SelectCondition> = pairs
+        .iter()
+        .map(|&(v, o)| match view_left {
+            true => SelectCondition::ColEqCol(v, left_arity + o),
+            false => SelectCondition::ColEqCol(left_arity + v, o),
+        })
+        .collect();
+    let arity = left_arity + right.arity();
+    match rng.gen_range(0..4u32) {
+        0 => conds.push(SelectCondition::ColNeCol(
+            rng.gen_range(0..arity),
+            rng.gen_range(0..arity),
+        )),
+        1 => conds.push(SelectCondition::ColNeConst(
+            rng.gen_range(0..arity),
+            rand_value(rng),
+        )),
+        _ => return left.product(right).select(conds),
+    }
+    seen(shapes, "≠ residual");
+    left.product(right).select(conds)
+}
+
+fn gen_plan(rng: &mut StdRng, depth: usize, shapes: &mut ProbeShapes) -> Plan {
     if depth == 0 {
         return leaf(rng);
     }
-    match rng.gen_range(0..12u32) {
+    match rng.gen_range(0..13u32) {
+        12 => gen_view_join(rng, depth, shapes),
         0 | 1 => leaf(rng),
         2 | 3 => {
             // Projection (possibly widening by repeating columns, possibly
             // onto the empty column list).
-            let child = gen_plan(rng, depth - 1);
+            let child = gen_plan(rng, depth - 1, shapes);
             if child.arity() == 0 {
                 return child;
             }
@@ -131,20 +244,20 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
             child.project(cols)
         }
         4 => {
-            let child = gen_plan(rng, depth - 1);
+            let child = gen_plan(rng, depth - 1, shapes);
             if child.arity() == 0 {
                 return child;
             }
             let conds = random_conditions(rng, child.arity());
             child.select(conds)
         }
-        5 => gen_plan(rng, depth - 1).rename(),
+        5 => gen_plan(rng, depth - 1, shapes).rename(),
         6 | 7 => {
             // A fetch through a random constraint, padding the input with
             // constant columns when it is too narrow for the key.
             let constraint = constraints()[rng.gen_range(0..3usize)].clone();
             let key_len = constraint.x().len();
-            let mut child = gen_plan(rng, depth - 1);
+            let mut child = gen_plan(rng, depth - 1, shapes);
             while child.arity() < key_len {
                 child = child.product(Plan::constant(vec![rand_value(rng)]));
             }
@@ -156,8 +269,8 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
             child.fetch(constraint, cols)
         }
         8 => {
-            let left = gen_plan(rng, depth - 1);
-            let right = gen_plan(rng, depth - 1);
+            let left = gen_plan(rng, depth - 1, shapes);
+            let right = gen_plan(rng, depth - 1, shapes);
             if left.arity() + right.arity() > MAX_ARITY {
                 return left;
             }
@@ -165,8 +278,8 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
         }
         9 => {
             // The σ-over-× join pattern (compiles to a hash join).
-            let left = gen_plan(rng, depth - 1);
-            let right = gen_plan(rng, depth - 1);
+            let left = gen_plan(rng, depth - 1, shapes);
+            let right = gen_plan(rng, depth - 1, shapes);
             if left.arity() == 0 || right.arity() == 0 || left.arity() + right.arity() > MAX_ARITY {
                 return left;
             }
@@ -178,16 +291,16 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
         }
         10 => {
             let (left, right) = {
-                let l = gen_plan(rng, depth - 1);
-                let r = gen_plan(rng, depth - 1);
+                let l = gen_plan(rng, depth - 1, shapes);
+                let r = gen_plan(rng, depth - 1, shapes);
                 align(rng, l, r)
             };
             left.union(right)
         }
         _ => {
             let (left, right) = {
-                let l = gen_plan(rng, depth - 1);
-                let r = gen_plan(rng, depth - 1);
+                let l = gen_plan(rng, depth - 1, shapes);
+                let r = gen_plan(rng, depth - 1, shapes);
                 align(rng, l, r)
             };
             left.difference(right)
@@ -227,16 +340,22 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
     let mut executed = 0usize;
     let mut with_fetch = 0usize;
     let mut with_join = 0usize;
+    let mut shapes = ProbeShapes::default();
     let mut attempts = 0usize;
-    while executed < 250 {
+    while executed < 400 {
         attempts += 1;
         assert!(attempts < 5_000, "generator degenerated");
         let (idb, views) = random_instance(&mut rng);
-        let Ok(plan) = gen_plan(&mut rng, 3).build() else {
+        let Ok(plan) = gen_plan(&mut rng, 3, &mut shapes).build() else {
             continue;
         };
         assert_equivalent(&plan, &idb, &views);
         executed += 1;
+        let text = Pipeline::compile(&plan, &idb, &views).unwrap().describe();
+        let probes_empty = |line: &str| line.contains("view-probe") && line.contains("[0 rows]");
+        if text.lines().any(probes_empty) {
+            seen(&mut shapes, "empty extent");
+        }
         if !plan.fetches().is_empty() {
             with_fetch += 1;
         }
@@ -247,6 +366,11 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
     // The generator must actually exercise the interesting operators.
     assert!(with_fetch >= 30, "only {with_fetch} plans fetched");
     assert!(with_join >= 30, "only {with_join} plans joined");
+    // … and every shape of the view probe, several times each.
+    for shape in PROBE_SHAPES {
+        let times = shapes.get(shape).copied().unwrap_or(0);
+        assert!(times >= 5, "{shape}: only {times} plans in {shapes:?}");
+    }
 }
 
 /// A deterministic case large enough to cross the parallel threshold, so the
@@ -267,7 +391,7 @@ fn sharded_parallel_path_is_exercised_and_identical() {
     let idb = IndexedDatabase::build(db, AccessSchema::empty()).unwrap();
     let plan = Plan::view("E", 2)
         .join_eq(Plan::view("E", 2), &[(0, 0)])
-        .select(vec![bqr_plan::SelectCondition::ColNeCol(1, 3)])
+        .select(vec![SelectCondition::ColNeCol(1, 3)])
         .project(vec![1, 3])
         .build()
         .unwrap();

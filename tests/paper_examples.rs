@@ -59,6 +59,39 @@ fn example_2_2_figure1_plan_is_11_bounded() {
     assert!(out.stats.fetched_tuples <= 2 * n0);
 }
 
+/// Scale independence, stated for the view as Example 1.1 states it for the
+/// base data: ξ0 asks `V1` only about the movies its first fetch returned, so
+/// what it reads of `V1(D)` is bounded by `N0` — not by `|V1(D)|`, which
+/// grows with the instance (40-fold more persons below).  A count, no timing.
+#[test]
+fn figure1_plan_reads_of_v1_what_it_fetched_not_the_extent() {
+    let n0 = 250;
+    let plan = figure1_plan(&phi1(n0), &phi2()).unwrap();
+    let setting = movies::setting(n0, 11);
+    let mut extents = Vec::new();
+    for persons in [500, 20_000] {
+        let db = movies::generate(movies::MovieScale {
+            persons,
+            movies: 5_000,
+            n0,
+            seed: 4,
+        });
+        let universal_2014 =
+            |m: &&bqr_data::Tuple| m[2] == "Universal".into() && m[3] == "2014".into();
+        let movies = db.relation("movie").unwrap().iter();
+        let fetched_movies = movies.filter(universal_2014).count();
+        let cache = setting.views.materialize(&db).unwrap();
+        let extent = cache.extent("V1").unwrap().len();
+        let idb = IndexedDatabase::build(db, setting.access.clone()).unwrap();
+        let stats = bqr_plan::execute(&plan, &idb, &cache).unwrap().stats;
+        assert!(stats.view_tuples > 0, "the instance exercises the probe");
+        assert!(stats.view_tuples <= fetched_movies && fetched_movies <= n0);
+        assert!(stats.view_tuples < extent, "{stats} of {extent}");
+        extents.push(extent);
+    }
+    assert!(extents[1] > 10 * extents[0], "the extent grew: {extents:?}");
+}
+
 /// Example 2.3: the query expressed by ξ0 is the rewriting Qξ, and Qξ is
 /// A0-equivalent to Q0 (after unfolding V1).
 #[test]
