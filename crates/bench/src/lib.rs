@@ -941,8 +941,9 @@ pub mod plan_bench {
         pub cold_rounds: usize,
         pub warm_repeats: usize,
         /// Milliseconds per *cold* prepared execution: first execution on a
-        /// freshly loaded instance — snapshot interning and lazy
-        /// constraint-index interning, then the run itself.  Only the first
+        /// freshly loaded instance — snapshot interning and the keyed index
+        /// of a probed extent (the constraint indexes come built with the
+        /// instance), then the run itself.  Only the first
         /// round also compiles the pipeline (a few µs): a compiled shape
         /// holds no data, so a reloaded instance is a cache hit like any
         /// other and "cold" means the *data* is cold.
@@ -965,8 +966,8 @@ pub mod plan_bench {
 
     /// The threshold the harness enforces on the movies workload: a warm
     /// execution must be at least this much faster than the first one on a
-    /// freshly loaded instance (interning the extent and the indexes is what
-    /// that one pays), or the `plan` mode exits non-zero.
+    /// freshly loaded instance (interning the extent and building its keyed
+    /// index is what that one pays), or the `plan` mode exits non-zero.
     pub const PREPARED_MIN_SPEEDUP: f64 = 3.0;
 
     /// The prepared-execution cases: the same three workloads as the
@@ -1263,7 +1264,7 @@ pub mod plan_bench {
     /// `cdr_remove_calls_10k`): one delta-maintained single-tuple write to
     /// `calls` — the large relation, which no view reads — *plus* the first
     /// read of the written group on the new version.  Both are `O(|Δ|)`
-    /// (one storage chunk, one index shard, one re-interned group), some
+    /// (one storage chunk, one index shard, one patched group), some
     /// tens of microseconds; any `O(|R|)` step that creeps back in (a
     /// whole-relation fork, a re-interned index, a snapshot nobody reads)
     /// costs tens of milliseconds at this scale and trips the ceiling.

@@ -188,13 +188,12 @@ impl Database {
                 // relation (contents and tracking) is untouched.
                 continue;
             }
-            let now = match (rel.tracking_state(), saved) {
-                (Some((base_now, delta)), Some((base_then, _))) if base_now == *base_then => {
-                    delta.clone()
-                }
-                _ => return Err(DataError::RollbackHistoryLost(name.clone())),
+            let Some(((_, now), (_, then))) = (rel.tracking_state().zip(saved.as_ref()))
+                .filter(|((base_now, _), (base_then, _))| base_now == base_then)
+            else {
+                return Err(DataError::RollbackHistoryLost(name.clone()));
             };
-            let then = &saved.as_ref().expect("matched Some above").1;
+            let now = now.clone();
             // The four ways a tuple's net-delta membership can have changed,
             // each inverted through the ordinary mutators — whose
             // cancellation arithmetic restores the tracked delta as a side

@@ -2,10 +2,12 @@
 //!
 //! Each access constraint `R(X → Y, N)` comes with an index that, given an
 //! `X`-value `ā`, returns `D_{R:XY}(X = ā)` — the `X∪Y` projections of the
-//! tuples of `R` matching `ā` — in time `O(N)`.  [`AccessIndex`] is a hash
-//! index realising exactly that contract, and [`IndexedDatabase`] bundles a
-//! [`Database`] with one index per constraint of an [`AccessSchema`], which is
-//! what bounded query plans execute against.
+//! tuples of `R` matching `ā` — in time `O(N)`.  [`InternedAccessIndex`] is
+//! the one hash index realising that contract, keyed and valued by interned
+//! ids only, and [`IndexedDatabase`] bundles a [`Database`] with one such
+//! index per constraint of an [`AccessSchema`], which is what bounded query
+//! plans execute against.  The same structure, built by the same function,
+//! is what a relation keeps per key ([`Relation::keyed_index`]).
 
 use crate::access::{AccessConstraint, AccessSchema};
 use crate::database::Database;
@@ -13,14 +15,14 @@ use crate::delta::{DeltaLog, RelationDelta};
 use crate::error::DataError;
 use crate::intern::ValueId;
 use crate::relation::Relation;
+use crate::schema::RelationSchema;
 use crate::stats::FetchStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Fan-out of the sharded group maps: every index holds this many shards,
 /// however small the relation, so a key's shard never moves between
@@ -65,109 +67,52 @@ impl Hasher for ShardHasher {
     }
 }
 
-/// How many same-position shards of two sharded maps are the same allocation.
-fn count_shared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> usize {
-    a.iter().zip(b).filter(|(x, y)| Arc::ptr_eq(x, y)).count()
-}
-
-/// One shard of an [`AccessIndex`]: `X`-key → group.  Groups sit behind
-/// their own `Arc` so forking a shard copies pointers, not groups.
-type GroupShard = HashMap<Vec<Value>, Arc<Group>>;
-
-/// A hash index on `X` for `X ∪ Y`, backing one access constraint.
-#[derive(Debug, Clone)]
-pub struct AccessIndex {
-    constraint: AccessConstraint,
-    /// Attribute names of the tuples returned by [`AccessIndex::probe`]
-    /// (the constraint's `X ∪ Y`, in that order).
-    xy_attributes: Vec<String>,
-    /// The group map, cut into [`SHARDS`] copy-on-write shards by the hash
-    /// of the `X`-key: [`AccessIndex::with_delta`] copies the shard
-    /// *pointers* and forks only the shards (and, inside them, the groups)
-    /// the delta lands in.
-    shards: Vec<Arc<GroupShard>>,
-    /// Number of distinct `X`-values across all shards.
-    keys: usize,
-    /// The id-native sibling, built lazily on first interned probe — or, for
-    /// a version made by [`AccessIndex::with_delta`] from a predecessor that
-    /// had one, patched from the predecessor's.  The index is immutable
-    /// after construction, so the sibling can never go stale.
-    interned: OnceLock<InternedAccessIndex>,
-}
-
-/// One key's group: the deduplicated `X ∪ Y` projections in sorted order,
-/// plus a source multiplicity per projection.  The multiplicities are what
-/// make removals patchable: several source tuples can project to the same
-/// group entry, so a removed tuple decrements its entry's count and the
-/// entry only leaves the group when the count reaches zero — no rebuild
-/// needed to decide whether another source tuple still supports it.  The
-/// sorted order is what makes a patched group *bit-identical* to a rebuilt
-/// one: it depends on the group's contents only, not on the order the
-/// writes arrived in.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Group {
-    rows: Vec<Tuple>,
-    /// `sources[i]` = number of source tuples projecting to `rows[i]`.
-    sources: Vec<u32>,
-}
-
-impl Group {
-    /// Record one more source tuple projecting to `row`.
-    fn add_source(&mut self, row: Tuple) {
-        match self.rows.binary_search(&row) {
-            Ok(i) => self.sources[i] += 1,
-            Err(i) => {
-                self.rows.insert(i, row);
-                self.sources.insert(i, 1);
-            }
-        }
-    }
-
-    /// Drop one source tuple projecting to `row`; `false` when the group
-    /// holds no such projection (the delta does not describe this index).
-    fn remove_source(&mut self, row: &Tuple) -> bool {
-        let Ok(i) = self.rows.binary_search(row) else {
-            return false;
-        };
-        self.sources[i] -= 1;
-        if self.sources[i] == 0 {
-            self.rows.remove(i);
-            self.sources.remove(i);
-        }
-        true
-    }
-}
-
 /// One shard of an [`InternedAccessIndex`]: interned key → the group's
 /// rows, flat and row-major.
 type IdShard = HashMap<Vec<ValueId>, Box<[ValueId]>>;
 
+/// The source counts beside one [`IdShard`]: each row of its groups that
+/// more than one source tuple projects to, with that number (≥ 2).  A row a
+/// group holds and this map does not has exactly one source.
+type SourceShard = HashMap<Box<[ValueId]>, usize>;
+
 /// An id-native hash index: probing with an interned key returns the whole
-/// group under it as a flat row-major id slice.  Two things are indexed
-/// this way, by the same structure:
+/// group under it as a flat row-major id slice, rows in ascending id order —
+/// a canonical order, so a patched index equals a rebuilt one.  One
+/// structure and one builder ([`InternedAccessIndex::from_relation`]) serve
+/// both things indexed this way:
 ///
-/// * an [`AccessIndex`]'s groups ([`AccessIndex::interned`]): the key is the
-///   constraint's `X`, a group is `D_{R:XY}(X = ā)`.  This is the index the
-///   compiled plan executor fetches through — the hot loop never touches a
-///   [`Value`], yet every probe still accounts `|D_ξ|` tuple by tuple (the
-///   group's row count) exactly like the `Value`-keyed path;
+/// * an access constraint ([`IndexedDatabase::index`]): a row is a tuple's
+///   `X ∪ Y` projection, its key the row's first `|X|` ids, a group
+///   `D_{R:XY}(X = ā)`.  This is what the compiled plan executor fetches
+///   through — the hot loop never touches a [`Value`], yet every probe
+///   accounts `|D_ξ|` tuple by tuple (the group's row count);
 /// * a relation's tuples on arbitrary key positions
-///   ([`Relation::keyed_index`]): a group is the set of whole tuples
-///   agreeing with the key, in ascending id order — a canonical order, so a
-///   patched index equals a rebuilt one.  This is what view maintenance
-///   probes.  Tuples of a relation are a set, so — unlike the `X ∪ Y`
-///   projections of the first kind — they need no source multiplicities to
-///   be removable.
+///   ([`Relation::keyed_index`]): a row is the whole tuple.  This is what
+///   view maintenance probes, and the executor on a view extent.
+///
+/// A group holds each projection once, however many source tuples project
+/// to it.  What keeps removals patchable is counted *beside* the groups, in
+/// a map sharded like them: a projection with several sources has an entry
+/// there, a removal decrements it, and only the last source's removal takes
+/// the row out of its group.  A probe reads the groups alone, so a read
+/// never sees the counts; and the map is empty wherever `X ∪ Y` covers the
+/// relation — every keyed index, since a relation's tuples are a set.
 ///
 /// Sharded by the hash of the interned key, so a successor version shares
 /// every shard its delta did not touch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedAccessIndex {
     /// Ids per row — always ≥ 1 (constraints require a non-empty `Y`, keyed
-    /// indexes a non-empty key).
+    /// indexes a non-nullary relation).
     arity: usize,
     shards: Vec<Arc<IdShard>>,
-    /// Number of distinct keys, and of indexed tuples, across all shards —
+    /// The source counts of `shards[i]`'s groups, copy-on-write like them —
+    /// and behind one more `Arc`, so cloning an index whose counts no write
+    /// moves (every keyed index, every constraint whose `X ∪ Y` covers its
+    /// relation) copies one pointer for them, not one per shard.
+    sources: Arc<Vec<Arc<SourceShard>>>,
+    /// Number of distinct keys, and of indexed rows, across all shards —
     /// maintained as counters so patching never has to re-count.
     keys: usize,
     rows: usize,
@@ -177,55 +122,69 @@ pub(crate) fn intern_key(key: &[Value]) -> Vec<ValueId> {
     key.iter().map(ValueId::intern).collect()
 }
 
-/// A group's rows, interned, flat and row-major.
-fn intern_rows(group: &Group, arity: usize) -> Box<[ValueId]> {
-    let mut ids = Vec::with_capacity(group.rows.len() * arity);
-    ids.extend(group.rows.iter().flatten().map(ValueId::intern));
-    ids.into()
+/// The ids of `row` at `positions`.
+fn key_of<'a>(row: &'a [ValueId], positions: &'a [usize]) -> impl Iterator<Item = ValueId> + 'a {
+    positions.iter().map(|&p| row[p])
 }
 
 impl InternedAccessIndex {
-    fn build(index: &AccessIndex) -> Self {
-        let arity = index.xy_attributes.len();
-        let per_shard = index.keys / SHARDS;
+    /// Index the tuples of `relation`: each projects to the row of its ids
+    /// at `row_positions`, keyed by that row's ids at `key_in_row`.  One pass
+    /// interns every row into a flat buffer; sorting the rows by key, then
+    /// by row, cuts the buffer into key groups in ascending id order with
+    /// duplicate projections adjacent, so each key costs one key and one
+    /// group allocation, a row none, and a projection with several sources
+    /// one count.
+    pub(crate) fn from_relation(
+        relation: &Relation,
+        row_positions: &[usize],
+        key_in_row: &[usize],
+    ) -> Self {
+        let arity = row_positions.len();
+        let mut flat = Vec::with_capacity(relation.len() * arity);
+        for tuple in relation.iter() {
+            flat.extend(row_positions.iter().map(|&p| ValueId::intern(&tuple[p])));
+        }
+        let mut rows: Vec<&[ValueId]> = flat.chunks_exact(arity).collect();
+        rows.sort_unstable_by(|a, b| {
+            let by_key = key_of(a, key_in_row).cmp(key_of(b, key_in_row));
+            by_key.then_with(|| a.cmp(b))
+        });
+        let same_key =
+            |a: &&[ValueId], b: &&[ValueId]| key_of(a, key_in_row).eq(key_of(b, key_in_row));
+        let keys = rows.chunk_by(same_key).count();
         let mut shards: Vec<IdShard> = (0..SHARDS)
-            .map(|_| IdShard::with_capacity(per_shard))
+            .map(|_| IdShard::with_capacity(keys / SHARDS))
             .collect();
-        let mut rows = 0;
-        for (key, group) in index.shards.iter().flat_map(|s| s.iter()) {
-            let key = intern_key(key);
-            rows += group.rows.len();
-            shards[shard_of(&key)].insert(key, intern_rows(group, arity));
+        let mut sources = vec![SourceShard::new(); SHARDS];
+        let mut total = 0;
+        for group in rows.chunk_by(same_key) {
+            let key: Vec<ValueId> = key_of(group[0], key_in_row).collect();
+            let shard = shard_of(&key);
+            let mut ids = Vec::with_capacity(group.len() * arity);
+            for copies in group.chunk_by(|a, b| a == b) {
+                ids.extend_from_slice(copies[0]);
+                if copies.len() > 1 {
+                    sources[shard].insert(copies[0].into(), copies.len());
+                }
+            }
+            total += ids.len() / arity;
+            shards[shard].insert(key, ids.into());
         }
         InternedAccessIndex {
             arity,
             shards: shards.into_iter().map(Arc::new).collect(),
-            keys: index.keys,
-            rows,
+            sources: Arc::new(sources.into_iter().map(Arc::new).collect()),
+            keys,
+            rows: total,
         }
     }
 
-    /// Index the tuples of `relation` on `key_positions`, interning every
-    /// value ([`Relation::keyed_index`]).
+    /// Index the tuples of `relation`, whole, on `key_positions`
+    /// ([`Relation::keyed_index`]).
     pub(crate) fn keyed(relation: &Relation, key_positions: &[usize]) -> Self {
-        let mut groups: HashMap<Vec<ValueId>, Vec<Vec<ValueId>>> = HashMap::new();
-        for tuple in relation.iter() {
-            let row = intern_key(tuple.values());
-            let key = key_positions.iter().map(|&p| row[p]).collect();
-            groups.entry(key).or_default().push(row);
-        }
-        let mut index = InternedAccessIndex {
-            arity: relation.schema().arity(),
-            shards: vec![Arc::default(); SHARDS],
-            keys: 0,
-            rows: 0,
-        };
-        for (key, mut rows) in groups {
-            // Tuples arrived in value order; groups are kept in id order.
-            rows.sort_unstable();
-            index.replace_group(key, Some(rows.concat().into()));
-        }
-        index
+        let whole: Vec<usize> = (0..relation.schema().arity()).collect();
+        Self::from_relation(relation, &whole, key_positions)
     }
 
     /// Replace (or, with `None`, drop) the group under `key`, forking the
@@ -242,27 +201,34 @@ impl InternedAccessIndex {
         self.keys = self.keys + usize::from(new_rows.is_some()) - usize::from(old_rows.is_some());
     }
 
-    /// Replace (or, with `None`, drop) the group under `key` with the
-    /// interned rows of `group`.
-    fn set_group(&mut self, key: &[Value], group: Option<&Arc<Group>>) {
-        let rows = group.map(|group| intern_rows(group, self.arity));
-        self.replace_group(intern_key(key), rows);
-    }
-
-    /// Make `row` present in — or absent from — the group under `key` of a
-    /// keyed index, keeping the group in id order; the key leaves with its
-    /// last row.  A row already as asked changes nothing.  Forks one shard;
-    /// `O(|group|)`.
-    pub(crate) fn set_row(&mut self, key: &[ValueId], row: &[ValueId], present: bool) {
-        let group = self.probe(key);
-        let rows: Vec<&[ValueId]> = group.chunks_exact(self.arity).collect();
-        let rows = match (rows.binary_search(&row), present) {
-            (Err(at), true) => [&rows[..at], &[row], &rows[at..]].concat(),
-            (Ok(at), false) => [&rows[..at], &rows[at + 1..]].concat(),
-            _ => return,
+    /// Count one more (`insert`) or one fewer source tuple projecting to
+    /// `row` under `key`.  The row enters its group, in id order, with its
+    /// first source and leaves with its last — the key with its last row;
+    /// in between only its count beside the group moves.  `false`, and
+    /// nothing changed, for a removal of a row the group does not hold.
+    /// Forks at most one shard of the groups or of the counts; `O(|group|)`.
+    pub(crate) fn patch(&mut self, key: Vec<ValueId>, row: &[ValueId], insert: bool) -> bool {
+        let shard = shard_of(&key);
+        let group: Vec<&[ValueId]> = self.probe(&key).chunks_exact(self.arity).collect();
+        let count = self.sources[shard].get(row).copied().unwrap_or(1);
+        let rows = match (group.binary_search(&row), insert) {
+            (Err(_), false) => return false,
+            (Err(at), true) => [&group[..at], &[row], &group[at..]].concat(),
+            (Ok(at), false) if count == 1 => [&group[..at], &group[at + 1..]].concat(),
+            (Ok(_), _) => {
+                // Another source projects to the row too: it stays put.
+                let count = if insert { count + 1 } else { count - 1 };
+                let counts = Arc::make_mut(&mut Arc::make_mut(&mut self.sources)[shard]);
+                match count {
+                    1 => counts.remove(row),
+                    _ => counts.insert(row.into(), count),
+                };
+                return true;
+            }
         };
         let group = (!rows.is_empty()).then(|| rows.concat().into());
-        self.replace_group(key.to_vec(), group);
+        self.replace_group(key, group);
+        true
     }
 
     /// Arity of the returned rows (`|X ∪ Y|`, or the relation's arity).
@@ -271,8 +237,7 @@ impl InternedAccessIndex {
     }
 
     /// Retrieve the group under `key` as a flat id slice of `n · arity()`
-    /// ids (`n` tuples; for a constraint's index in the same deterministic
-    /// group order as [`AccessIndex::probe`]).  Empty for absent keys.
+    /// ids (`n` tuples, in ascending id order).  Empty for absent keys.
     pub fn probe(&self, key: &[ValueId]) -> &[ValueId] {
         match self.shards[shard_of(key)].get(key) {
             Some(rows) => rows,
@@ -283,6 +248,14 @@ impl InternedAccessIndex {
     /// Number of tuples a probe result holds.
     pub fn probe_len(&self, key: &[ValueId]) -> usize {
         self.probe(key).len() / self.arity
+    }
+
+    /// The rows more than one source tuple projects to, each with its
+    /// number of sources (≥ 2), in no particular order — the bookkeeping
+    /// that makes removals patchable, exposed for the differential tests.
+    pub fn multiplicities(&self) -> impl Iterator<Item = (&[ValueId], usize)> {
+        let counts = self.sources.iter().flat_map(|shard| shard.iter());
+        counts.map(|(row, &count)| (&**row, count))
     }
 
     /// Number of distinct keys indexed.
@@ -302,11 +275,16 @@ impl InternedAccessIndex {
         self.rows.div_ceil(self.keys.max(1)).max(1)
     }
 
-    /// How many shards are the same allocation as `other`'s shard in the
-    /// same position (out of [`InternedAccessIndex::shard_count`]): what a
-    /// patched version still shares with its predecessor.
+    /// How many shards — groups and counts alike — are the same allocation
+    /// as `other`'s in the same position (out of
+    /// [`InternedAccessIndex::shard_count`]): what a patched version still
+    /// shares with its predecessor.
     pub fn shared_shards(&self, other: &InternedAccessIndex) -> usize {
-        count_shared(&self.shards, &other.shards)
+        let shared = |i: &usize| {
+            Arc::ptr_eq(&self.shards[*i], &other.shards[*i])
+                && Arc::ptr_eq(&self.sources[*i], &other.sources[*i])
+        };
+        (0..SHARDS).filter(shared).count()
     }
 
     /// The fixed number of shards.
@@ -352,196 +330,70 @@ impl InternedAccessIndex {
     }
 }
 
-impl AccessIndex {
-    /// Build the index for `constraint` over the current contents of `db`.
-    pub fn build(constraint: &AccessConstraint, db: &Database) -> Result<Self> {
-        let rel = db.expect_relation(constraint.relation())?;
-        let mut index = AccessIndex {
-            constraint: constraint.clone(),
-            xy_attributes: constraint.xy(),
-            shards: vec![Arc::default(); SHARDS],
-            keys: 0,
-            interned: OnceLock::new(),
-        };
-        let (x_pos, xy_pos) = index.positions(rel)?;
-        for t in rel.iter() {
-            // Deduplicate: the index returns the *set* D_{R:XY}(X = ā), but
-            // the per-projection source count is kept so removals can patch.
-            index.add_source(t.project(&x_pos).into_values(), t.project(&xy_pos));
+/// Where a constraint's index rows come from: the positions of its `X ∪ Y`
+/// in the relation, and of the key in a row — the first `|X|`.
+fn constraint_layout(
+    constraint: &AccessConstraint,
+    schema: &RelationSchema,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let key = (0..constraint.x().len()).collect();
+    Ok((schema.positions(&constraint.xy())?, key))
+}
+
+/// Build the index of `constraint` over the current contents of `db`.
+fn build_index(constraint: &AccessConstraint, db: &Database) -> Result<InternedAccessIndex> {
+    let rel = db.expect_relation(constraint.relation())?;
+    let (row, key) = constraint_layout(constraint, rel.schema())?;
+    Ok(InternedAccessIndex::from_relation(rel, &row, &key))
+}
+
+/// `index`, of `constraint` over a relation of `schema`, with an exact delta
+/// of that relation patched in: one fewer source per removed tuple, one
+/// more per inserted one.  Fails with [`DataError::IndexDeltaMismatch`] when
+/// the delta removes a projection the index does not hold: the delta does
+/// not lead from this index's contents, and patching on would yield an
+/// index that disagrees with its relation.
+fn patched(
+    index: &InternedAccessIndex,
+    constraint: &AccessConstraint,
+    schema: &RelationSchema,
+    delta: &RelationDelta,
+) -> Result<InternedAccessIndex> {
+    let (row_positions, key_in_row) = constraint_layout(constraint, schema)?;
+    let mut next = index.clone();
+    // The net delta's inserted/removed sets are disjoint, so the order of
+    // application is immaterial.
+    let removed = delta.removed.iter().map(|t| (t, false));
+    for (tuple, insert) in removed.chain(delta.inserted.iter().map(|t| (t, true))) {
+        let row: Vec<ValueId> = row_positions
+            .iter()
+            .map(|&p| ValueId::intern(&tuple[p]))
+            .collect();
+        if !next.patch(key_of(&row, &key_in_row).collect(), &row, insert) {
+            return Err(DataError::IndexDeltaMismatch(schema.name().to_string()));
         }
-        Ok(index)
     }
-
-    /// Positions of `X` and of `X ∪ Y` in `rel`'s schema.
-    fn positions(&self, rel: &Relation) -> Result<(Vec<usize>, Vec<usize>)> {
-        let xy: Vec<&str> = self.xy_attributes.iter().map(String::as_str).collect();
-        Ok((
-            rel.schema().positions(self.constraint.x())?,
-            rel.schema().positions(&xy)?,
-        ))
-    }
-
-    /// Count one more source tuple projecting to `row` under `key`, forking
-    /// the shard and the group it lands in if they are still shared.
-    fn add_source(&mut self, key: Vec<Value>, row: Tuple) {
-        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
-        let group = match shard.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.keys += 1;
-                e.insert(Arc::default())
-            }
-        };
-        Arc::make_mut(group).add_source(row);
-    }
-
-    /// The id-native form of the index, built (and its values interned) on
-    /// first use and cached for the lifetime of the index.
-    pub fn interned(&self) -> &InternedAccessIndex {
-        self.interned
-            .get_or_init(|| InternedAccessIndex::build(self))
-    }
-
-    /// The constraint this index backs.
-    pub fn constraint(&self) -> &AccessConstraint {
-        &self.constraint
-    }
-
-    /// Attribute names of the returned tuples (`X ∪ Y`).
-    pub fn xy_attributes(&self) -> &[String] {
-        &self.xy_attributes
-    }
-
-    /// Number of distinct `X`-values indexed.
-    pub fn distinct_keys(&self) -> usize {
-        self.keys
-    }
-
-    fn group(&self, key: &[Value]) -> Option<&Arc<Group>> {
-        self.shards[shard_of(key)].get(key)
-    }
-
-    /// Retrieve `D_{R:XY}(X = ā)`, in sorted order.  Returns an empty slice
-    /// for `X`-values not present in the data.
-    pub fn probe(&self, key: &[Value]) -> &[Tuple] {
-        self.group(key).map(|g| g.rows.as_slice()).unwrap_or(&[])
-    }
-
-    /// The number of source tuples supporting the group entry `row` under
-    /// `key` (zero when absent) — exposes the multiplicity bookkeeping that
-    /// makes removals patchable, for the differential tests.
-    pub fn source_multiplicity(&self, key: &[Value], row: &Tuple) -> u32 {
-        self.group(key)
-            .and_then(|g| g.rows.binary_search(row).ok().map(|i| g.sources[i]))
-            .unwrap_or(0)
-    }
-
-    /// The largest group size in the index — useful for verifying that the
-    /// cardinality bound holds on the indexed data.
-    pub fn max_group_size(&self) -> usize {
-        let groups = self.shards.iter().flat_map(|s| s.values());
-        groups.map(|g| g.rows.len()).max().unwrap_or(0)
-    }
-
-    /// How many shards are the same allocation as `other`'s shard in the
-    /// same position (out of [`AccessIndex::shard_count`]): what a patched
-    /// version still shares with its predecessor.
-    pub fn shared_shards(&self, other: &AccessIndex) -> usize {
-        count_shared(&self.shards, &other.shards)
-    }
-
-    /// The fixed number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The id-native sibling if it exists already, without building it.
-    pub fn interned_if_built(&self) -> Option<&InternedAccessIndex> {
-        self.interned.get()
-    }
-
-    /// A copy of this index with an exact write delta patched into the
-    /// groups.  Cost: `#shards` pointer copies, one forked shard (a copy of
-    /// its `|groups| / #shards` entries, keys and group pointers) per shard
-    /// the delta lands in, and `O(log N)` work in each forked group — so
-    /// `O(#shards + |Δ| · (|groups| / #shards + N))`, against the `O(|R|)`
-    /// of a full rebuild.  Removals are as cheap as inserts: the
-    /// per-projection source multiplicities decide whether a removed
-    /// tuple's projection is still supported by another source tuple.
-    ///
-    /// When this index's id-native sibling has been built, the successor's
-    /// is patched from it the same way — only the touched groups are
-    /// re-interned (`O(|Δ| · N · arity)` values), every other shard is
-    /// carried over by pointer — so the first probe of the new version finds
-    /// it ready.  When it has not, the successor's stays lazy too.
-    ///
-    /// Fails with [`DataError::IndexDeltaMismatch`] when the delta removes a
-    /// tuple this index never saw: the delta does not describe the step
-    /// from this index's contents, and patching on would yield an index
-    /// that disagrees with its relation.  Callers rebuild instead.
-    pub fn with_delta(&self, delta: &RelationDelta, rel: &Relation) -> Result<Self> {
-        let (x_pos, xy_pos) = self.positions(rel)?;
-        let mut next = AccessIndex {
-            constraint: self.constraint.clone(),
-            xy_attributes: self.xy_attributes.clone(),
-            shards: self.shards.clone(),
-            keys: self.keys,
-            interned: OnceLock::new(),
-        };
-        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
-        // The net delta's inserted/removed sets are disjoint, so the order
-        // of application is immaterial; either way, only the shards and
-        // groups the delta lands in are forked — everything else stays
-        // shared with the predecessor index.
-        for t in &delta.removed {
-            let key = t.project(&x_pos).into_values();
-            let shard = Arc::make_mut(&mut next.shards[shard_of(&key)]);
-            let removed = shard
-                .get_mut(&key)
-                .is_some_and(|g| Arc::make_mut(g).remove_source(&t.project(&xy_pos)));
-            if !removed {
-                return Err(DataError::IndexDeltaMismatch(rel.name().to_string()));
-            }
-            if shard[&key].rows.is_empty() {
-                // Keys with no surviving projection leave the map entirely,
-                // keeping distinct-key statistics identical to a rebuild.
-                shard.remove(&key);
-                next.keys -= 1;
-            }
-            touched.insert(key);
-        }
-        for t in &delta.inserted {
-            let key = t.project(&x_pos).into_values();
-            touched.insert(key.clone());
-            next.add_source(key, t.project(&xy_pos));
-        }
-        if let Some(prev) = self.interned.get() {
-            let mut interned = prev.clone();
-            for key in &touched {
-                interned.set_group(key, next.group(key));
-            }
-            next.interned = OnceLock::from(interned);
-        }
-        Ok(next)
-    }
+    Ok(next)
 }
 
 /// A database together with the indices of an access schema.  This is the
 /// runtime object bounded query plans execute against: views are cached
 /// separately (see `bqr-plan`), and base data is reachable *only* through
-/// [`IndexedDatabase::fetch`].
+/// [`IndexedDatabase::fetch_ids`] and its batched and `Value` forms.
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     db: Database,
     access: AccessSchema,
     /// One index per constraint, in the order of `access.constraints()`.
     /// Behind `Arc` so successive versions share the indexes of untouched
-    /// relations — including their lazily interned id-native siblings.
-    indexes: Vec<Arc<AccessIndex>>,
+    /// relations.
+    indexes: Vec<Arc<InternedAccessIndex>>,
 }
 
 impl IndexedDatabase {
-    /// Build all indices for `access` over `db`.
+    /// Build all indices for `access` over `db`, eagerly and in full: every
+    /// value they hold is interned here, so no read builds or interns a
+    /// constraint index.
     ///
     /// This does *not* require `db |= access`; callers that need the
     /// cardinality guarantee should check
@@ -552,7 +404,7 @@ impl IndexedDatabase {
         access.validate(db.schema())?;
         let indexes = access
             .constraints()
-            .map(|c| AccessIndex::build(c, &db).map(Arc::new))
+            .map(|c| build_index(c, &db).map(Arc::new))
             .collect::<Result<Vec<_>>>()?;
         Ok(IndexedDatabase {
             db,
@@ -563,13 +415,17 @@ impl IndexedDatabase {
 
     /// Re-index `db` (the successor of this instance's database) from a
     /// write delta, touching only the indexes of changed relations:
-    /// untouched constraints share this instance's [`AccessIndex`] (and its
-    /// interned sibling) by `Arc`; exact deltas — inserts *and* removals,
-    /// thanks to the per-projection source multiplicities — are patched
-    /// shard by shard ([`AccessIndex::with_delta`]: `#shards` pointer copies
-    /// plus the shards the delta lands in, never `O(|R|)`); only unknown
-    /// (wholesale-replacement) changes, or a delta that turns out not to
-    /// describe the index it is applied to, rebuild that relation's index.
+    /// untouched constraints share this instance's index by `Arc`; exact
+    /// deltas — inserts *and* removals, thanks to the source counts beside
+    /// the groups — are patched into a copy that forks only the shards they
+    /// land in ([`InternedAccessIndex::patch`]: `#shards` pointer copies
+    /// plus one shard per tuple, never `O(|R|)`), and the successor's index
+    /// is complete when this returns, like [`IndexedDatabase::build`]'s.
+    /// Only unknown (wholesale-replacement) changes, or a delta that turns
+    /// out not to describe the index it is applied to
+    /// ([`DataError::IndexDeltaMismatch`]: it removes a projection the index
+    /// does not hold), rebuild that relation's index — so index and
+    /// relation cannot disagree.
     ///
     /// Nothing else is derived here.  What a relation version owns travels
     /// with it: an untouched relation is the same version in `db`, interned
@@ -581,21 +437,18 @@ impl IndexedDatabase {
     /// one warm.
     pub fn apply_delta(&self, db: Database, delta: &DeltaLog) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
-        let indexes = self
-            .access
-            .constraints()
-            .zip(&self.indexes)
+        let indexes = (self.access.constraints().zip(&self.indexes))
             .map(|(c, old)| {
                 let name = c.relation();
                 if !delta.touches(name) {
                     return Ok(Arc::clone(old));
                 }
                 let patched = match delta.exact(name) {
-                    Some(d) => old.with_delta(d, db.expect_relation(name)?),
-                    None => AccessIndex::build(c, &db),
+                    Some(d) => patched(old, c, db.expect_relation(name)?.schema(), d),
+                    None => build_index(c, &db),
                 };
                 match patched {
-                    Err(DataError::IndexDeltaMismatch(_)) => AccessIndex::build(c, &db),
+                    Err(DataError::IndexDeltaMismatch(_)) => build_index(c, &db),
                     other => other,
                 }
                 .map(Arc::new)
@@ -627,9 +480,14 @@ impl IndexedDatabase {
         &self.access
     }
 
-    /// The index for the `idx`-th constraint of the access schema.
-    pub fn index(&self, idx: usize) -> Option<&AccessIndex> {
-        self.indexes.get(idx).map(Arc::as_ref)
+    /// The index of the `idx`-th constraint of the access schema.  Callers
+    /// that record their own [`FetchStats`] — e.g. the executor's probe
+    /// loops — probe it directly.
+    pub fn index(&self, idx: usize) -> Result<&InternedAccessIndex> {
+        self.indexes
+            .get(idx)
+            .map(Arc::as_ref)
+            .ok_or_else(|| DataError::NoIndexForConstraint(format!("constraint #{idx}")))
     }
 
     /// Locate a constraint (by content) and return its position, if indexed.
@@ -637,34 +495,36 @@ impl IndexedDatabase {
         self.access.constraints().position(|c| c == constraint)
     }
 
-    /// Execute a `fetch(X ∈ S, R, Y)` for a single `X`-value through the index
-    /// of the constraint at `constraint_idx`, recording the I/O in `stats`.
+    /// The `Value` form of [`IndexedDatabase::fetch_ids`], for callers
+    /// outside the executor (`exec::reference`, tests): the key is looked
+    /// up in the value pool — a value it never saw is in no group — and
+    /// the group's rows are resolved, in the group's id order.  The same
+    /// `|D_ξ|` accounting, to the tuple.
     pub fn fetch(
         &self,
         constraint_idx: usize,
         key: &[Value],
         stats: &mut FetchStats,
-    ) -> Result<&[Tuple]> {
-        let index = self.indexes.get(constraint_idx).ok_or_else(|| {
-            DataError::NoIndexForConstraint(format!("constraint #{constraint_idx}"))
-        })?;
-        let tuples = index.probe(key);
-        stats.record_fetch(tuples.len());
-        Ok(tuples)
+    ) -> Result<Vec<Tuple>> {
+        let index = self.index(constraint_idx)?;
+        let key: Option<Vec<ValueId>> = key.iter().map(ValueId::lookup).collect();
+        let rows = key.map_or(&[][..], |key| index.probe(&key));
+        stats.record_fetch(rows.len() / index.arity());
+        let resolve = |row: &[ValueId]| row.iter().map(|id| id.value()).collect();
+        Ok(rows.chunks_exact(index.arity()).map(resolve).collect())
     }
 
-    /// The id-native path of [`IndexedDatabase::fetch`]: probe the constraint
-    /// index with an interned key and return the matching `X ∪ Y` rows as a
-    /// flat slice of `n · arity` ids, recording `n` fetched tuples in
-    /// `stats` — the same `|D_ξ|` accounting as the `Value`-keyed path,
-    /// preserved to the tuple.
+    /// Execute a `fetch(X ∈ S, R, Y)` for a single interned `X`-value
+    /// through the index of the constraint at `constraint_idx`: the
+    /// matching `X ∪ Y` rows as a flat slice of `n · arity` ids, recording
+    /// `n` fetched tuples in `stats`.
     pub fn fetch_ids(
         &self,
         constraint_idx: usize,
         key: &[ValueId],
         stats: &mut FetchStats,
     ) -> Result<(&[ValueId], usize)> {
-        let index = self.interned_access_index(constraint_idx)?;
+        let index = self.index(constraint_idx)?;
         let rows = index.probe(key);
         stats.record_fetch(rows.len() / index.arity());
         Ok((rows, index.arity()))
@@ -682,19 +542,9 @@ impl IndexedDatabase {
         out: &mut Vec<ValueId>,
         stats: &mut FetchStats,
     ) -> Result<(usize, usize)> {
-        let index = self.interned_access_index(constraint_idx)?;
+        let index = self.index(constraint_idx)?;
         let appended = index.probe_batch(keys_flat, n_keys, out, stats);
         Ok((appended, index.arity()))
-    }
-
-    /// The id-native index of the `idx`-th constraint (built lazily; callers
-    /// that record their own [`FetchStats`] — e.g. sharded probe loops —
-    /// probe it directly).
-    pub fn interned_access_index(&self, idx: usize) -> Result<&InternedAccessIndex> {
-        self.indexes
-            .get(idx)
-            .map(|index| index.interned())
-            .ok_or_else(|| DataError::NoIndexForConstraint(format!("constraint #{idx}")))
     }
 
     /// Whether the wrapped instance satisfies the access schema.
@@ -732,33 +582,75 @@ mod tests {
         (db, access)
     }
 
-    #[test]
-    fn index_groups_by_key() {
-        let (db, access) = movie_db();
-        let idx = AccessIndex::build(access.constraint(0).unwrap(), &db).unwrap();
-        assert_eq!(idx.distinct_keys(), 2);
-        assert_eq!(idx.max_group_size(), 2);
-        assert_eq!(idx.xy_attributes(), &["studio", "release", "mid"]);
-        let hits = idx.probe(&[Value::str("Universal"), Value::str("2014")]);
-        assert_eq!(hits.len(), 2);
-        assert!(hits.contains(&tuple!["Universal", "2014", 1]));
-        assert!(hits.contains(&tuple!["Universal", "2014", 2]));
-        assert!(idx
-            .probe(&[Value::str("MGM"), Value::str("1999")])
-            .is_empty());
+    fn ids(t: &Tuple) -> Vec<ValueId> {
+        intern_key(t.values())
     }
 
-    #[test]
-    fn index_deduplicates_projections() {
+    /// The `like(pid, id, type)` instance whose `pid → id` projections have
+    /// two sources for `(1, 10)`.
+    fn likes() -> (Database, AccessSchema) {
         let schema = DatabaseSchema::with_relations(&[("like", &["pid", "id", "type"])]).unwrap();
         let mut db = Database::empty(schema);
         db.insert("like", tuple![1, 10, "movie"]).unwrap();
         db.insert("like", tuple![1, 10, "page"]).unwrap();
-        let c = AccessConstraint::new("like", &["pid"], &["id"], 5).unwrap();
-        let idx = AccessIndex::build(&c, &db).unwrap();
-        // Both tuples project to (pid=1, id=10); the set semantics of the
-        // index must collapse them.
-        assert_eq!(idx.probe(&[Value::int(1)]).len(), 1);
+        db.insert("like", tuple![1, 11, "movie"]).unwrap();
+        let access = AccessSchema::new(vec![
+            AccessConstraint::new("like", &["pid"], &["id"], 5).unwrap()
+        ]);
+        (db, access)
+    }
+
+    /// The rows with several sources, with their counts, sorted.
+    fn multiplicities(index: &InternedAccessIndex) -> Vec<(Vec<ValueId>, usize)> {
+        let mut counts: Vec<_> = index
+            .multiplicities()
+            .map(|(r, n)| (r.to_vec(), n))
+            .collect();
+        counts.sort();
+        counts
+    }
+
+    #[test]
+    fn index_groups_by_key() {
+        let (db, access) = movie_db();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let idx = idb.index(0).unwrap();
+        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(
+            (idx.arity(), idx.total_rows()),
+            (3, 3),
+            "studio, release, mid"
+        );
+        let mut stats = FetchStats::new();
+        let hits = idb
+            .fetch(
+                0,
+                &[Value::str("Universal"), Value::str("2014")],
+                &mut stats,
+            )
+            .unwrap();
+        assert_eq!(hits.len(), 2);
+        assert!(hits.contains(&tuple!["Universal", "2014", 1]));
+        assert!(hits.contains(&tuple!["Universal", "2014", 2]));
+        assert!(idb
+            .fetch(0, &[Value::str("MGM"), Value::str("1999")], &mut stats)
+            .unwrap()
+            .is_empty());
+        assert_eq!(idx.multiplicities().count(), 0, "X ∪ Y is a key");
+    }
+
+    #[test]
+    fn index_deduplicates_projections() {
+        let (db, access) = likes();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        // Two tuples project to (pid=1, id=10); the set semantics of the
+        // index must collapse them, and count the two sources beside it.
+        let mut stats = FetchStats::new();
+        let hits = idb.fetch(0, &[Value::int(1)], &mut stats).unwrap();
+        assert_eq!(hits, [tuple![1, 10], tuple![1, 11]]);
+        let index = idb.index(0).unwrap();
+        assert_eq!(index.total_rows(), 2);
+        assert_eq!(multiplicities(index), [(ids(&tuple![1, 10]), 2)]);
     }
 
     #[test]
@@ -788,9 +680,9 @@ mod tests {
         let idb = IndexedDatabase::build(db, access).unwrap();
         let mut stats = FetchStats::new();
         let key = [Value::str("Universal"), Value::str("2014")];
-        let tuples: Vec<Tuple> = idb.fetch(0, &key, &mut stats).unwrap().to_vec();
+        let tuples = idb.fetch(0, &key, &mut stats).unwrap();
 
-        let id_key: Vec<ValueId> = key.iter().map(ValueId::intern).collect();
+        let id_key = intern_key(&key);
         let mut id_stats = FetchStats::new();
         let (rows, arity) = idb.fetch_ids(0, &id_key, &mut id_stats).unwrap();
         assert_eq!(arity, 3, "studio, release, mid");
@@ -803,20 +695,23 @@ mod tests {
         // Identical |D_ξ| accounting, preserved to the tuple.
         assert_eq!(id_stats, stats);
 
-        // Absent keys fetch zero tuples but still count the probe.
-        let ghost: Vec<ValueId> = [Value::str("MGM"), Value::str("1950")]
-            .iter()
-            .map(ValueId::intern)
-            .collect();
-        let (rows, _) = idb.fetch_ids(0, &ghost, &mut id_stats).unwrap();
+        // Absent keys fetch zero tuples but still count the probe — on both
+        // faces, also for a value the pool never saw.
+        let ghost = [Value::str("MGM"), Value::str("never-interned-9c1e")];
+        let (rows, _) = idb
+            .fetch_ids(0, &intern_key(&ghost[..1]), &mut id_stats)
+            .unwrap();
         assert!(rows.is_empty());
         assert_eq!(id_stats.fetch_calls, 2);
         assert_eq!(id_stats.fetched_tuples, 2);
+        assert!(idb.fetch(0, &ghost, &mut stats).unwrap().is_empty());
+        assert_eq!(ValueId::lookup(&ghost[1]), None, "fetch mints no id");
+        assert_eq!((stats.fetch_calls, stats.fetched_tuples), (2, 2));
 
-        let interned = idb.interned_access_index(0).unwrap();
-        assert_eq!(interned.distinct_keys(), 2);
-        assert_eq!(interned.probe_len(&id_key), 2);
-        assert!(idb.interned_access_index(9).is_err());
+        let index = idb.index(0).unwrap();
+        assert_eq!(index.distinct_keys(), 2);
+        assert_eq!(index.probe_len(&id_key), 2);
+        assert!(idb.index(9).is_err());
         assert!(matches!(
             idb.fetch_ids(9, &[], &mut id_stats),
             Err(DataError::NoIndexForConstraint(_))
@@ -833,7 +728,7 @@ mod tests {
             [Value::str("WB"), Value::str("2013")],
         ]
         .iter()
-        .map(|k| k.iter().map(ValueId::intern).collect())
+        .map(|k| intern_key(k))
         .collect();
 
         // Scalar reference: one fetch_ids per key, concatenated.
@@ -884,9 +779,9 @@ mod tests {
         assert_eq!((rows, arity), (2, 1));
         assert_eq!(stats.fetch_calls, 1);
         assert_eq!(stats.fetched_tuples, 2);
-        let interned = idb.interned_access_index(0).unwrap();
-        assert_eq!(interned.total_rows(), 2);
-        assert_eq!(interned.avg_group_len(), 2);
+        let index = idb.index(0).unwrap();
+        assert_eq!(index.total_rows(), 2);
+        assert_eq!(index.avg_group_len(), 2);
     }
 
     #[test]
@@ -921,8 +816,8 @@ mod tests {
         assert_eq!(idb.constraint_position(&c0), Some(0));
         let other = AccessConstraint::new("rating", &["rank"], &["mid"], 1).unwrap();
         assert_eq!(idb.constraint_position(&other), None);
-        assert!(idb.index(0).is_some());
-        assert!(idb.index(5).is_none());
+        assert!(idb.index(0).is_ok());
+        assert!(idb.index(5).is_err());
         assert_eq!(idb.database().size(), 6);
         assert_eq!(idb.access_schema().len(), 2);
     }
@@ -942,24 +837,18 @@ mod tests {
         assert!(patched.shares_index(&idb, 0), "movie untouched");
         assert!(!patched.shares_index(&idb, 1), "rating patched");
         let rebuilt = IndexedDatabase::build(next.clone(), idb.access_schema().clone()).unwrap();
-        for idx in 0..2 {
-            let mut a = FetchStats::new();
-            let mut b = FetchStats::new();
-            for key in [vec![Value::int(4)], vec![Value::int(1)]] {
-                if idx == 0 {
-                    continue;
-                }
-                assert_eq!(
-                    patched.fetch(idx, &key, &mut a).unwrap(),
-                    rebuilt.fetch(idx, &key, &mut b).unwrap()
-                );
-            }
-            assert_eq!(a, b);
+        let (mut a, mut b) = (FetchStats::new(), FetchStats::new());
+        for key in [vec![Value::int(4)], vec![Value::int(1)]] {
+            assert_eq!(
+                patched.fetch(1, &key, &mut a).unwrap(),
+                rebuilt.fetch(1, &key, &mut b).unwrap()
+            );
         }
+        assert_eq!(a, b);
 
-        // A delta with removals patches that index too (multiplicity
-        // bookkeeping, no rebuild): the removed key's group disappears, the
-        // untouched constraint still shares its index.
+        // A delta with removals patches that index too (source counts, no
+        // rebuild): the removed key's group disappears, the untouched
+        // constraint still shares its index.
         let mut shrunk = next.clone();
         shrunk.begin_delta_tracking();
         shrunk.remove("rating", &tuple![1, 5]).unwrap();
@@ -975,16 +864,10 @@ mod tests {
             after.fetch(1, &[Value::int(4)], &mut stats).unwrap().len(),
             1
         );
-        // Patched-index statistics match a rebuild exactly.
+        // The patched index, statistics included, equals a rebuild.
         let rebuilt = IndexedDatabase::build(shrunk.clone(), idb.access_schema().clone()).unwrap();
-        assert_eq!(
-            after.index(1).unwrap().distinct_keys(),
-            rebuilt.index(1).unwrap().distinct_keys()
-        );
-        assert_eq!(
-            after.index(1).unwrap().max_group_size(),
-            rebuilt.index(1).unwrap().max_group_size()
-        );
+        assert_eq!(after.index(1).unwrap(), rebuilt.index(1).unwrap());
+        assert_eq!(after.index(1).unwrap().distinct_keys(), 3);
     }
 
     #[test]
@@ -992,42 +875,26 @@ mod tests {
         // Two source tuples project to the same (pid, id) entry; removing
         // one must keep the entry alive, removing the second must drop it —
         // exactly what a rebuild over the shrunken relation would produce.
-        let schema = DatabaseSchema::with_relations(&[("like", &["pid", "id", "type"])]).unwrap();
-        let mut db = Database::empty(schema);
-        db.insert("like", tuple![1, 10, "movie"]).unwrap();
-        db.insert("like", tuple![1, 10, "page"]).unwrap();
-        db.insert("like", tuple![1, 11, "movie"]).unwrap();
-        let access = AccessSchema::new(vec![
-            AccessConstraint::new("like", &["pid"], &["id"], 5).unwrap()
-        ]);
+        let (db, access) = likes();
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
         let key = [Value::int(1)];
-        assert_eq!(
-            idb.index(0)
-                .unwrap()
-                .source_multiplicity(&key, &tuple![1, 10]),
-            2
-        );
+        let shared = ids(&tuple![1, 10]);
+        assert_eq!(multiplicities(idb.index(0).unwrap()), [(shared.clone(), 2)]);
 
-        // Drop the first supporting source: the entry survives.
+        // Drop the first supporting source: the entry survives, uncounted.
         let mut v1 = db.clone();
         v1.begin_delta_tracking();
         v1.remove("like", &tuple![1, 10, "movie"]).unwrap();
         let log = v1.take_delta(&db);
         let idb1 = idb.apply_delta(v1.clone(), &log).unwrap();
         let rebuilt1 = IndexedDatabase::build(v1.clone(), idb.access_schema().clone()).unwrap();
-        let (mut a, mut b) = (FetchStats::new(), FetchStats::new());
+        assert_eq!(idb1.index(0).unwrap(), rebuilt1.index(0).unwrap());
+        let mut stats = FetchStats::new();
         assert_eq!(
-            idb1.fetch(0, &key, &mut a).unwrap(),
-            rebuilt1.fetch(0, &key, &mut b).unwrap()
+            idb1.fetch(0, &key, &mut stats).unwrap(),
+            [tuple![1, 10], tuple![1, 11]]
         );
-        assert_eq!(a, b);
-        assert_eq!(
-            idb1.index(0)
-                .unwrap()
-                .source_multiplicity(&key, &tuple![1, 10]),
-            1
-        );
+        assert!(multiplicities(idb1.index(0).unwrap()).is_empty());
 
         // Drop the last supporting source: the entry goes, bit-identically
         // to the rebuild.
@@ -1037,26 +904,27 @@ mod tests {
         let log = v2.take_delta(&v1);
         let idb2 = idb1.apply_delta(v2.clone(), &log).unwrap();
         let rebuilt2 = IndexedDatabase::build(v2.clone(), idb.access_schema().clone()).unwrap();
-        let (mut a, mut b) = (FetchStats::new(), FetchStats::new());
-        assert_eq!(
-            idb2.fetch(0, &key, &mut a).unwrap(),
-            rebuilt2.fetch(0, &key, &mut b).unwrap()
-        );
-        assert_eq!(a, b);
-        assert_eq!(idb2.fetch(0, &key, &mut a).unwrap(), &[tuple![1, 11]]);
-        assert_eq!(
-            idb2.index(0)
-                .unwrap()
-                .source_multiplicity(&key, &tuple![1, 10]),
-            0
-        );
+        assert_eq!(idb2.index(0).unwrap(), rebuilt2.index(0).unwrap());
+        assert_eq!(idb2.fetch(0, &key, &mut stats).unwrap(), [tuple![1, 11]]);
+
+        // And a second source arriving counts again, without a new row.
+        let mut v3 = v2.clone();
+        v3.begin_delta_tracking();
+        v3.insert("like", tuple![1, 11, "page"]).unwrap();
+        let log = v3.take_delta(&v2);
+        let idb3 = idb2.apply_delta(v3.clone(), &log).unwrap();
+        let index = idb3.index(0).unwrap();
+        assert_eq!(multiplicities(index), [(ids(&tuple![1, 11]), 2)]);
+        assert_eq!(index.total_rows(), 1);
+        let rebuilt3 = IndexedDatabase::build(v3, idb.access_schema().clone()).unwrap();
+        assert_eq!(index, rebuilt3.index(0).unwrap());
     }
 
     #[test]
     fn removal_patch_drops_emptied_keys_like_a_rebuild() {
         // A mixed delta (remove the whole group of one key, insert a new
         // key) patched in one pass agrees with a rebuild on every probe,
-        // every statistic, and the interned sibling's accounting.
+        // both faces of it, and every statistic.
         let (db, access) = movie_db();
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
         let mut next = db.clone();
@@ -1068,10 +936,8 @@ mod tests {
         assert!(log.exact("rating").is_some(), "tracked mutation is exact");
         let patched = idb.apply_delta(next.clone(), &log).unwrap();
         let rebuilt = IndexedDatabase::build(next.clone(), idb.access_schema().clone()).unwrap();
-        assert_eq!(
-            patched.index(1).unwrap().distinct_keys(),
-            rebuilt.index(1).unwrap().distinct_keys()
-        );
+        assert_eq!(patched.index(1).unwrap(), rebuilt.index(1).unwrap());
+        assert_eq!(patched.index(1).unwrap().distinct_keys(), 2);
         for mid in 1..=7 {
             let key = [Value::int(mid)];
             let (mut a, mut b) = (FetchStats::new(), FetchStats::new());
@@ -1080,8 +946,7 @@ mod tests {
                 rebuilt.fetch(1, &key, &mut b).unwrap()
             );
             assert_eq!(a, b);
-            // The interned siblings agree too.
-            let id_key = [ValueId::intern(&Value::int(mid))];
+            let id_key = intern_key(&key);
             let (mut ia, mut ib) = (FetchStats::new(), FetchStats::new());
             assert_eq!(
                 patched.fetch_ids(1, &id_key, &mut ia).unwrap(),
@@ -1200,21 +1065,19 @@ mod tests {
     #[test]
     fn a_delta_the_index_never_saw_is_a_typed_error_and_rebuilds() {
         let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let idb = IndexedDatabase::build(db.clone(), access.clone()).unwrap();
+        let (index, constraint) = (idb.index(1).unwrap(), access.constraint(1).unwrap());
+        let rating = db.relation("rating").unwrap().schema();
         let mut bogus = RelationDelta::default();
         bogus.removed.insert(tuple![42, 1]); // never in `rating`
-        let rating = db.relation("rating").unwrap();
         assert_eq!(
-            idb.index(1)
-                .unwrap()
-                .with_delta(&bogus, rating)
-                .unwrap_err(),
+            patched(index, constraint, rating, &bogus).unwrap_err(),
             DataError::IndexDeltaMismatch("rating".into())
         );
         // Same key as a live tuple, different projection: also caught.
         let mut bogus = RelationDelta::default();
         bogus.removed.insert(tuple![1, 4]);
-        assert!(idb.index(1).unwrap().with_delta(&bogus, rating).is_err());
+        assert!(patched(index, constraint, rating, &bogus).is_err());
         // `apply_delta` falls back to rebuilding that one index from the
         // relation it is handed, so index and relation cannot disagree.
         let mut log = DeltaLog::new();
@@ -1225,7 +1088,7 @@ mod tests {
         let mut stats = FetchStats::new();
         assert_eq!(
             rebuilt.fetch(1, &[Value::int(1)], &mut stats).unwrap(),
-            &[tuple![1, 5]]
+            [tuple![1, 5]]
         );
     }
 
@@ -1236,10 +1099,11 @@ mod tests {
         db.insert("r01", tuple![0]).unwrap();
         db.insert("r01", tuple![1]).unwrap();
         let c = AccessConstraint::new("r01", &[], &["a"], 2).unwrap();
-        let idx = AccessIndex::build(&c, &db).unwrap();
+        let idb = IndexedDatabase::build(db, AccessSchema::new(vec![c])).unwrap();
         // With X = ∅ the single key is the empty tuple and probing it returns
         // the whole (bounded) relation.
-        assert_eq!(idx.probe(&[]).len(), 2);
-        assert_eq!(idx.distinct_keys(), 1);
+        let index = idb.index(0).unwrap();
+        assert_eq!(index.probe_len(&[]), 2);
+        assert_eq!(index.distinct_keys(), 1);
     }
 }

@@ -15,8 +15,9 @@
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
 //!   `R(X → Y, N)`: a cardinality bound combined with an index on `X` for
 //!   `XY`;
-//! * [`AccessIndex`], [`IndexedDatabase`] — the indices associated with an
-//!   access schema, supporting the `fetch` primitive of bounded query plans;
+//! * [`InternedAccessIndex`], [`IndexedDatabase`] — the id-native index of
+//!   each constraint of an access schema (the structure keyed indexes use
+//!   too), supporting the `fetch` primitive of bounded query plans;
 //! * [`IndexCache`], [`InternedIndex`] — epoch-keyed
 //!   memoisation of per-access-pattern hash indexes, shared by the
 //!   homomorphism engine and the evaluators in `bqr-query` (invalidated
@@ -39,6 +40,9 @@
 //! The crate is deliberately free of query-language concepts; those live in
 //! `bqr-query` and `bqr-plan`.
 
+#![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
 pub mod access;
 pub mod database;
 pub mod delta;
@@ -58,7 +62,7 @@ pub use access::{AccessConstraint, AccessSchema, ConstraintViolation};
 pub use database::{Database, DeltaCheckpoint};
 pub use delta::{DeltaLog, RelationChange, RelationDelta};
 pub use error::DataError;
-pub use index::{AccessIndex, IndexedDatabase, InternedAccessIndex};
+pub use index::{IndexedDatabase, InternedAccessIndex};
 pub use index_cache::{IndexCache, InternedIndex};
 pub use intern::ValueId;
 pub use relation::Relation;

@@ -378,8 +378,10 @@ impl Relation {
         }
         let row = crate::index::intern_key(tuple.values());
         for (positions, index) in indexes {
-            let key: Vec<_> = positions.iter().map(|&p| row[p]).collect();
-            Arc::make_mut(index).set_row(&key, &row, present);
+            let key = positions.iter().map(|&p| row[p]).collect();
+            // A genuine write: an insert is new to every index, a removal
+            // held by each, so the patch cannot miss.
+            Arc::make_mut(index).patch(key, &row, present);
         }
     }
 
@@ -557,8 +559,8 @@ impl Relation {
     }
 
     /// All tuples `t` with `t[X] = key` where `X` is given by attribute
-    /// positions.  Linear scan; the indexed access path lives in
-    /// [`crate::index::AccessIndex`].
+    /// positions.  Linear scan; the indexed access paths are
+    /// [`Relation::keyed_index`] and [`crate::IndexedDatabase::fetch`].
     pub fn select_eq(&self, positions: &[usize], key: &[Value]) -> Vec<&Tuple> {
         self.iter()
             .filter(|t| positions.iter().zip(key).all(|(&p, v)| &t[p] == v))

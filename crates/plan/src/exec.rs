@@ -639,7 +639,7 @@ impl CompiledShape {
             let position = idb
                 .constraint_position(constraint)
                 .ok_or_else(|| PlanError::ConstraintNotInSchema(constraint.to_string()))?;
-            indexes.push(idb.interned_access_index(position)?);
+            indexes.push(idb.index(position)?);
         }
         Ok(Bound { extents, indexes })
     }
@@ -1471,9 +1471,7 @@ pub mod reference {
                     if !seen_keys.insert(key.clone()) {
                         continue;
                     }
-                    for fetched in idb.fetch(position, &key, stats)? {
-                        out.insert(fetched.clone());
-                    }
+                    out.extend(idb.fetch(position, &key, stats)?);
                 }
                 Ok(out)
             }

@@ -1,27 +1,30 @@
-//! Differential harness for the structurally shared storage (ISSUE 13).
+//! Differential harness for the structurally shared storage (ISSUE 13) and
+//! the one index per access constraint (ISSUE 25).
 //!
 //! A relation spanning several storage chunks, indexed by constraints whose
 //! groups span many shards, is driven through random write sequences —
 //! inserts, removals of live and of absent tuples, do-undo pairs, whole-group
-//! removals, multi-relation closures.  After every write the successor
-//! version built by `IndexedDatabase::apply_delta` must read **bit for bit**
-//! like an `IndexedDatabase::build` over freshly stored copies of the same
-//! contents: iteration order, every probe (tuples *and* group order),
-//! `fetch_ids`/`fetch_ids_batch` rows and `FetchStats`, the index statistics,
-//! source multiplicities, every keyed index the written relations carried
-//! along, and — wherever a snapshot exists — its rows and statistics.  And
-//! the predecessor version must still read exactly as it did before the
-//! write: copy-on-write may share, never leak.
+//! removals, second sources of live projections and their removal,
+//! multi-relation closures.  After every write the successor version built
+//! by `IndexedDatabase::apply_delta` must read **bit for bit** like an
+//! `IndexedDatabase::build` over freshly stored copies of the same contents:
+//! iteration order, every index (groups, their order, source counts and
+//! statistics), every `fetch` / `fetch_ids` / `fetch_ids_batch` answer and
+//! its `FetchStats`, every keyed index the written relations carried along,
+//! and — wherever a snapshot exists — its rows and statistics.  And the
+//! predecessor version must still read exactly as it did before the write:
+//! copy-on-write may share, never leak.
 //!
-//! Half the steps leave the successor's id-native side cold, so both the
-//! patched-from-warm and the stays-lazy paths are walked.
+//! Patched and rebuilt indexes come from the same builder, so both are also
+//! held to the test's own model: every probe is `D_{R:XY}(X = ā)` computed
+//! from the model's tuples, and the source counts are the model's.
 //!
 //! The sorted-prefix ranges view maintenance probes are held to a filter
 //! over the whole relation at every chunk edge.
 
 use bqr::data::{
     snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
-    IndexedDatabase, Relation, RelationStats, Tuple, Value, ValueId,
+    IndexedDatabase, InternedAccessIndex, Relation, RelationStats, Tuple, Value, ValueId,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -81,23 +84,20 @@ fn base() -> &'static (Model, IndexedDatabase) {
         let model = base_model();
         let idb = IndexedDatabase::build(store(&model), access()).unwrap();
         assert!(idb.database().relation("fact").unwrap().chunk_count() >= 4);
+        check_against_model(&idb, &model);
         (model, idb)
     })
 }
 
-/// Everything a reader can see of one index through `Value` keys.
+/// Everything a reader can see of one constraint index.
 #[derive(Debug, PartialEq)]
 struct IndexView {
-    distinct_keys: usize,
-    max_group_size: usize,
-    /// Per probed key: the group in order, and each entry's multiplicity.
-    groups: Vec<(Vec<Tuple>, Vec<u32>)>,
-}
-
-/// …and through interned keys.
-#[derive(Debug, PartialEq)]
-struct IdView {
+    index: InternedAccessIndex,
+    /// Distinct keys, rows, mean group length.
     counters: (usize, usize, usize),
+    /// Every probed key through `fetch`, through `fetch_ids` one key at a
+    /// time, and through `fetch_ids_batch`.
+    values: (Vec<Vec<Tuple>>, FetchStats),
     scalar: (Vec<ValueId>, FetchStats),
     batch: (Vec<ValueId>, FetchStats),
 }
@@ -106,7 +106,6 @@ struct IdView {
 struct Observation {
     relations: Vec<Vec<Tuple>>,
     indexes: Vec<IndexView>,
-    ids: Option<Vec<IdView>>,
 }
 
 /// The keys probed on the `idx`-th index: every key any version can hold,
@@ -116,7 +115,7 @@ fn probe_keys(idx: usize) -> Vec<Vec<Value>> {
     range.map(|k| vec![Value::int(k)]).collect()
 }
 
-fn observe(idb: &IndexedDatabase, with_ids: bool) -> Observation {
+fn observe(idb: &IndexedDatabase) -> Observation {
     let relations = idb
         .database()
         .relations()
@@ -125,56 +124,74 @@ fn observe(idb: &IndexedDatabase, with_ids: bool) -> Observation {
     let indexes = (0..3)
         .map(|i| {
             let index = idb.index(i).unwrap();
-            let groups = probe_keys(i)
+            let mut values = (Vec::new(), FetchStats::new());
+            for key in probe_keys(i) {
+                values.0.push(idb.fetch(i, &key, &mut values.1).unwrap());
+            }
+            let keys: Vec<ValueId> = probe_keys(i)
                 .iter()
-                .map(|key| {
-                    let rows = index.probe(key).to_vec();
-                    let sources = rows
-                        .iter()
-                        .map(|r| index.source_multiplicity(key, r))
-                        .collect();
-                    (rows, sources)
-                })
+                .map(|k| ValueId::intern(&k[0]))
                 .collect();
+            let mut scalar = (Vec::new(), FetchStats::new());
+            for key in &keys {
+                let (rows, _) = idb.fetch_ids(i, &[*key], &mut scalar.1).unwrap();
+                scalar.0.extend_from_slice(rows);
+            }
+            let mut batch = (Vec::new(), FetchStats::new());
+            idb.fetch_ids_batch(i, &keys, keys.len(), &mut batch.0, &mut batch.1)
+                .unwrap();
             IndexView {
-                distinct_keys: index.distinct_keys(),
-                max_group_size: index.max_group_size(),
-                groups,
+                index: index.clone(),
+                counters: (
+                    index.distinct_keys(),
+                    index.total_rows(),
+                    index.avg_group_len(),
+                ),
+                values,
+                scalar,
+                batch,
             }
         })
         .collect();
-    let ids = with_ids.then(|| {
-        (0..3)
-            .map(|i| {
-                let keys: Vec<ValueId> = probe_keys(i)
-                    .iter()
-                    .map(|k| ValueId::intern(&k[0]))
-                    .collect();
-                let mut scalar = (Vec::new(), FetchStats::new());
-                for key in &keys {
-                    let (rows, _) = idb.fetch_ids(i, &[*key], &mut scalar.1).unwrap();
-                    scalar.0.extend_from_slice(rows);
-                }
-                let mut batch = (Vec::new(), FetchStats::new());
-                idb.fetch_ids_batch(i, &keys, keys.len(), &mut batch.0, &mut batch.1)
-                    .unwrap();
-                let interned = idb.interned_access_index(i).unwrap();
-                IdView {
-                    counters: (
-                        interned.distinct_keys(),
-                        interned.total_rows(),
-                        interned.avg_group_len(),
-                    ),
-                    scalar,
-                    batch,
-                }
-            })
-            .collect()
-    });
-    Observation {
-        relations,
-        indexes,
-        ids,
+    Observation { relations, indexes }
+}
+
+/// Every constraint index of `idb` against `model`, not against another
+/// index: the probe of every key is `D_{R:XY}(X = ā)` — the model's tuples
+/// matching `ā`, projected on `X ∪ Y`, deduplicated, in ascending id order —
+/// the index holds no other key, and its source counts are the model's
+/// counts above one.
+fn check_against_model(idb: &IndexedDatabase, model: &Model) {
+    for (i, c) in access().constraints().enumerate() {
+        let schema = schema();
+        let xy = schema
+            .relation(c.relation())
+            .unwrap()
+            .positions(&c.xy())
+            .unwrap();
+        let mut sources: BTreeMap<Vec<ValueId>, usize> = BTreeMap::new();
+        for t in &model[c.relation()] {
+            let row = xy.iter().map(|&p| ValueId::intern(&t[p])).collect();
+            *sources.entry(row).or_default() += 1;
+        }
+        let mut groups: BTreeMap<&[ValueId], Vec<ValueId>> = BTreeMap::new();
+        for row in sources.keys() {
+            groups.entry(&row[..c.x().len()]).or_default().extend(row);
+        }
+        let index = idb.index(i).unwrap();
+        for key in probe_keys(i) {
+            let key = [ValueId::intern(&key[0])];
+            let expected = groups.get(&key[..]).map_or(&[][..], Vec::as_slice);
+            assert_eq!(index.probe(&key), expected, "index {i}, key {key:?}");
+        }
+        assert_eq!(index.distinct_keys(), groups.len(), "index {i}");
+        assert_eq!(index.total_rows(), sources.len(), "index {i}");
+        let counted: BTreeMap<Vec<ValueId>, usize> = index
+            .multiplicities()
+            .map(|(row, n)| (row.to_vec(), n))
+            .collect();
+        sources.retain(|_, n| *n > 1);
+        assert_eq!(counted, sources, "source counts of index {i}");
     }
 }
 
@@ -241,14 +258,16 @@ fn apply(op: Op, db: &mut Database, model: &mut Model) {
         let present = db.remove(rel, t).unwrap();
         assert_eq!(present, model.get_mut(rel).unwrap().remove(t));
     };
+    let nth_live = |model: &Model, rel: &str, rank: i64| {
+        let live = &model[rel];
+        live.iter().nth(rank as usize % live.len().max(1)).cloned()
+    };
     match kind {
         // A random fact: new key, new entry of a live group, or a duplicate.
         0 | 1 => insert(db, model, "fact", tuple![a % (KEYS + 20), b % DAYS, c % 5]),
         // A live fact, by rank.
         2 | 3 => {
-            let live = &model["fact"];
-            let victim = live.iter().nth(a as usize % live.len().max(1)).cloned();
-            if let Some(t) = victim {
+            if let Some(t) = nth_live(model, "fact", a) {
                 remove(db, model, "fact", &t);
             }
         }
@@ -272,13 +291,40 @@ fn apply(op: Op, db: &mut Database, model: &mut Model) {
                 remove(db, model, "fact", t);
             }
         }
+        // Another source of a live `(d, k)` projection: the same `k` and
+        // `d`, a `v` no base fact has.
+        7 => {
+            if let Some(t) = nth_live(model, "fact", a) {
+                insert(
+                    db,
+                    model,
+                    "fact",
+                    tuple![t[0].clone(), t[1].clone(), 5 + c % 3],
+                );
+            }
+        }
+        // One source of a projection that has several: the row must stay
+        // until its last source goes.
+        8 => {
+            let mut by_projection: BTreeMap<(Value, Value), Vec<Tuple>> = BTreeMap::new();
+            for t in &model["fact"] {
+                let projection = (t[0].clone(), t[1].clone());
+                by_projection.entry(projection).or_default().push(t.clone());
+            }
+            let shared: Vec<Vec<Tuple>> = by_projection
+                .into_values()
+                .filter(|sources| sources.len() > 1)
+                .collect();
+            if !shared.is_empty() {
+                let sources = &shared[a as usize % shared.len()];
+                remove(db, model, "fact", &sources[c as usize % sources.len()]);
+            }
+        }
         // Both relations in one closure.
         _ => {
             insert(db, model, "dim", tuple![a % 70, format!("n{}", b % 3)]);
             insert(db, model, "fact", tuple![a % KEYS, b % DAYS, 7]);
-            let live = &model["dim"];
-            let victim = live.iter().nth(c as usize % live.len().max(1)).cloned();
-            if let Some(t) = victim {
+            if let Some(t) = nth_live(model, "dim", c) {
                 remove(db, model, "dim", &t);
             }
         }
@@ -286,7 +332,7 @@ fn apply(op: Op, db: &mut Database, model: &mut Model) {
 }
 
 fn steps() -> impl Strategy<Value = Vec<(Vec<Op>, bool)>> {
-    let op = (0u32..8, 0i64..100_000, 0i64..1_000, 0i64..1_000);
+    let op = (0u32..10, 0i64..100_000, 0i64..1_000, 0i64..1_000);
     let step = (prop::collection::vec(op, 1..5), 0u32..2);
     prop::collection::vec(step, 1..6)
         .prop_map(|steps| steps.into_iter().map(|(ops, w)| (ops, w == 1)).collect())
@@ -296,15 +342,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn successors_read_like_rebuilds_and_predecessors_like_before(script in steps()) {
+    fn successors_read_like_the_model_and_rebuilds_and_predecessors_like_before(
+        script in steps()
+    ) {
         let (model, idb) = base();
         let (mut model, mut current) = (model.clone(), idb.clone());
-        let mut expected = observe(&IndexedDatabase::build(store(&model), access()).unwrap(), true);
+        let mut expected = observe(&IndexedDatabase::build(store(&model), access()).unwrap());
         let mut expected_db = store(&model);
-        for (ops, touch_ids) in script {
-            let cold_indexes: Vec<bool> = (0..3)
-                .map(|i| current.index(i).unwrap().interned_if_built().is_none())
-                .collect();
+        for (ops, touch) in script {
             let snapshots_before = check_snapshots(&current);
             let keyed_before = check_keyed(&current, &store(&model));
 
@@ -315,13 +360,8 @@ proptest! {
             }
             let log = next.take_delta(current.database());
             let successor = current.apply_delta(next, &log).unwrap();
+            check_against_model(&successor, &model);
 
-            // A cold id-native sibling stays cold (nothing re-interns
-            // behind the write's back), a warm one is carried or patched.
-            for (i, cold) in cold_indexes.iter().enumerate() {
-                let built = successor.index(i).unwrap().interned_if_built().is_some();
-                prop_assert_eq!(built, !cold, "index {} after the write", i);
-            }
             // Snapshots are kept by exactly the relations that had one and
             // were not written: no write carries one forward.
             let kept: Vec<bool> = successor
@@ -336,13 +376,10 @@ proptest! {
             // Keyed indexes are carried by every write: exactly the ones the
             // predecessor held, each equal to a from-scratch build.
             prop_assert_eq!(&check_keyed(&successor, oracle.database()), &keyed_before);
-            let mut oracle_view = observe(&oracle, true);
-            if !touch_ids {
-                oracle_view.ids = None;
-            }
-            prop_assert_eq!(&observe(&successor, touch_ids), &oracle_view);
+            let oracle_view = observe(&oracle);
+            prop_assert_eq!(&observe(&successor), &oracle_view);
             prop_assert_eq!(successor.database(), oracle.database());
-            if touch_ids {
+            if touch {
                 // Snapshot and key them too, so the next write has some to
                 // drop and some to carry.
                 successor.database().relations().for_each(|r| drop(snapshot_of(r)));
@@ -353,14 +390,13 @@ proptest! {
                 }
             }
 
-            // The predecessor still reads as it did before the write (its
-            // id-native side, if cold, is built now — over shards it shares
-            // with the successor).
-            prop_assert_eq!(&observe(&current, true), &expected);
+            // The predecessor still reads as it did before the write, over
+            // shards it shares with the successor.
+            prop_assert_eq!(&observe(&current), &expected);
             check_snapshots(&current);
             check_keyed(&current, &expected_db);
 
-            expected = observe(&oracle, true);
+            expected = oracle_view;
             expected_db = oracle.database().clone();
             current = successor;
         }

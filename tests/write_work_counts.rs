@@ -24,12 +24,12 @@ static ALONE: Mutex<()> = Mutex::new(());
 const N: usize = 8;
 const ARITY: usize = 4;
 
-/// What one write (and the first id-native fetch after it) cost.
+/// What one write (and the first fetch after it) cost.
 #[derive(Debug, PartialEq)]
 struct Work {
     chunks_forked: usize,
+    /// Of the one `calls` index: groups and source counts alike.
     shards_forked: usize,
-    id_shards_forked: usize,
     values_interned: usize,
     fetched: usize,
 }
@@ -52,9 +52,7 @@ fn calls(tuples: usize) -> IndexedDatabase {
         N + 1,
     )
     .unwrap()]);
-    let idb = IndexedDatabase::build(db, access).unwrap();
-    idb.interned_access_index(0).unwrap(); // the first read's one-time cost
-    idb
+    IndexedDatabase::build(db, access).unwrap()
 }
 
 /// Apply one tracked write, re-index, fetch the written group once.
@@ -83,8 +81,6 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     let work = Work {
         chunks_forked: new.chunk_count() - new.shared_chunks(old),
         shards_forked: new_index.shard_count() - new_index.shared_shards(old_index),
-        id_shards_forked: new_index.interned().shard_count()
-            - new_index.interned().shared_shards(old_index.interned()),
         values_interned: ValueId::pool_len() - pool,
         fetched: stats.fetched_tuples,
     };
@@ -113,8 +109,7 @@ fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
 
         for work in [&inserted, &removed] {
             assert!(work.chunks_forked <= 2, "{work:?}");
-            assert!(work.shards_forked <= 1, "{work:?}");
-            assert!(work.id_shards_forked <= 1, "{work:?}");
+            assert_eq!(work.shards_forked, 1, "{work:?}");
             assert!(work.values_interned <= N * ARITY, "{work:?}");
         }
         assert_eq!((inserted.fetched, removed.fetched), (N + 1, N));
