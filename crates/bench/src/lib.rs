@@ -516,8 +516,11 @@ pub mod hom_bench {
         let copies: Vec<Vec<Relation>> = (0..repeats)
             .map(|_| {
                 let copy = |r: &Relation| {
-                    Relation::from_tuples(r.schema().clone(), r.iter().cloned())
-                        .expect("copying a relation cannot fail")
+                    Relation::from_tuples(
+                        r.schema().clone(),
+                        r.iter().map(bqr_data::TupleRef::to_tuple),
+                    )
+                    .expect("copying a relation cannot fail")
                 };
                 db.relations().map(copy).collect()
             })
@@ -1438,13 +1441,14 @@ pub mod plan_bench {
             seed: 1,
         });
         let person = db.relation("person").expect("movies has person");
-        let at_nasa = |pid: &bqr_data::Value| {
-            let mut found = person.prefix_range(std::slice::from_ref(pid));
+        let at_nasa = |pid: bqr_data::ValueId| {
+            let at = [pid];
+            let mut found = person.prefix_range(&at);
             found.any(|t| t[2] == bqr_data::Value::str("NASA"))
         };
         let like = db.relation("like").expect("movies has like");
-        let liked = like.iter().find(|t| at_nasa(&t[0]));
-        let liked = liked.expect("someone at NASA likes something");
+        let liked = like.iter().find(|t| at_nasa(t.ids()[0]));
+        let liked = liked.expect("someone at NASA likes something").to_tuple();
         let pairs = (0..11).flat_map(|i| [false, true].map(|insert| (i, insert)));
         let ops: Vec<WriteOp> = pairs
             .map(|(i, insert)| WriteOp {

@@ -259,7 +259,7 @@ impl Database {
     pub fn union_in_place(&mut self, other: &Database) -> Result<()> {
         for rel in other.relations() {
             for t in rel.iter() {
-                self.insert(rel.name(), t.clone())?;
+                self.insert(rel.name(), t.to_tuple())?;
             }
         }
         Ok(())

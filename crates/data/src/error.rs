@@ -38,6 +38,10 @@ pub enum DataError {
     /// access index it is being patched into never indexed: the delta does
     /// not lead from that index's contents.  The index must be rebuilt.
     IndexDeltaMismatch(String),
+    /// The process-global value pool holds as many distinct values as a
+    /// [`crate::ValueId`] can name: a value it has never seen cannot be
+    /// interned, so it cannot be stored.
+    ValuePoolExhausted,
 }
 
 impl fmt::Display for DataError {
@@ -87,6 +91,9 @@ impl fmt::Display for DataError {
                     "write delta on relation `{relation}` removes a tuple its access index never indexed"
                 )
             }
+            DataError::ValuePoolExhausted => {
+                write!(f, "the value pool is full: no new value can be interned")
+            }
         }
     }
 }
@@ -134,6 +141,7 @@ mod tests {
                 "data.index.build",
             ),
             (DataError::IndexDeltaMismatch("calls".into()), "calls"),
+            (DataError::ValuePoolExhausted, "value pool"),
         ];
         for (err, needle) in cases {
             assert!(

@@ -118,10 +118,6 @@ pub struct InternedAccessIndex {
     rows: usize,
 }
 
-pub(crate) fn intern_key(key: &[Value]) -> Vec<ValueId> {
-    key.iter().map(ValueId::intern).collect()
-}
-
 /// The ids of `row` at `positions`.
 fn key_of<'a>(row: &'a [ValueId], positions: &'a [usize]) -> impl Iterator<Item = ValueId> + 'a {
     positions.iter().map(|&p| row[p])
@@ -130,7 +126,9 @@ fn key_of<'a>(row: &'a [ValueId], positions: &'a [usize]) -> impl Iterator<Item 
 impl InternedAccessIndex {
     /// Index the tuples of `relation`: each projects to the row of its ids
     /// at `row_positions`, keyed by that row's ids at `key_in_row`.  One pass
-    /// interns every row into a flat buffer; sorting the rows by key, then
+    /// copies every projection of the stored id rows — interned when they
+    /// were inserted, so nothing is interned here — into a flat buffer;
+    /// sorting the rows by key, then
     /// by row, cuts the buffer into key groups in ascending id order with
     /// duplicate projections adjacent, so each key costs one key and one
     /// group allocation, a row none, and a projection with several sources
@@ -143,7 +141,7 @@ impl InternedAccessIndex {
         let arity = row_positions.len();
         let mut flat = Vec::with_capacity(relation.len() * arity);
         for tuple in relation.iter() {
-            flat.extend(row_positions.iter().map(|&p| ValueId::intern(&tuple[p])));
+            flat.extend(row_positions.iter().map(|&p| tuple.ids()[p]));
         }
         let mut rows: Vec<&[ValueId]> = flat.chunks_exact(arity).collect();
         rows.sort_unstable_by(|a, b| {
@@ -349,8 +347,10 @@ fn build_index(constraint: &AccessConstraint, db: &Database) -> Result<InternedA
 
 /// `index`, of `constraint` over a relation of `schema`, with an exact delta
 /// of that relation patched in: one fewer source per removed tuple, one
-/// more per inserted one.  Fails with [`DataError::IndexDeltaMismatch`] when
-/// the delta removes a projection the index does not hold: the delta does
+/// more per inserted one.  A delta tuple's values were interned when it was
+/// stored, so they are looked up, not interned.  Fails with
+/// [`DataError::IndexDeltaMismatch`] when the delta removes a projection the
+/// index does not hold, or holds a value no relation stores: the delta does
 /// not lead from this index's contents, and patching on would yield an
 /// index that disagrees with its relation.
 fn patched(
@@ -364,13 +364,12 @@ fn patched(
     // The net delta's inserted/removed sets are disjoint, so the order of
     // application is immaterial.
     let removed = delta.removed.iter().map(|t| (t, false));
+    let mismatch = || DataError::IndexDeltaMismatch(schema.name().to_string());
     for (tuple, insert) in removed.chain(delta.inserted.iter().map(|t| (t, true))) {
-        let row: Vec<ValueId> = row_positions
-            .iter()
-            .map(|&p| ValueId::intern(&tuple[p]))
-            .collect();
+        let row = row_positions.iter().map(|&p| ValueId::lookup(&tuple[p]));
+        let row: Vec<ValueId> = row.collect::<Option<_>>().ok_or_else(mismatch)?;
         if !next.patch(key_of(&row, &key_in_row).collect(), &row, insert) {
-            return Err(DataError::IndexDeltaMismatch(schema.name().to_string()));
+            return Err(mismatch());
         }
     }
     Ok(next)
@@ -391,9 +390,9 @@ pub struct IndexedDatabase {
 }
 
 impl IndexedDatabase {
-    /// Build all indices for `access` over `db`, eagerly and in full: every
-    /// value they hold is interned here, so no read builds or interns a
-    /// constraint index.
+    /// Build all indices for `access` over `db`, eagerly and in full, from
+    /// the id rows the relations store — nothing is interned here, and no
+    /// read builds a constraint index.
     ///
     /// This does *not* require `db |= access`; callers that need the
     /// cardinality guarantee should check
@@ -428,7 +427,7 @@ impl IndexedDatabase {
     /// relation cannot disagree.
     ///
     /// Nothing else is derived here.  What a relation version owns travels
-    /// with it: an untouched relation is the same version in `db`, interned
+    /// with it: an untouched relation is the same version in `db`, its
     /// snapshot ([`crate::snapshot_of`]) and keyed indexes
     /// ([`Relation::keyed_index`]) included; a touched relation's successor
     /// already carries its keyed indexes, patched by the writes themselves,
@@ -580,6 +579,10 @@ mod tests {
             AccessConstraint::new("rating", &["mid"], &["rank"], 1).unwrap(),
         ]);
         (db, access)
+    }
+
+    fn intern_key(key: &[Value]) -> Vec<ValueId> {
+        key.iter().map(ValueId::intern).collect()
     }
 
     fn ids(t: &Tuple) -> Vec<ValueId> {

@@ -1,28 +1,53 @@
-//! Global value interning: dense `u32` ids for [`Value`]s.
+//! Global value interning: dense `u32` ids for [`Value`]s, and the one copy
+//! of every stored value.
 //!
-//! The slot-based homomorphism engine compares and hashes values in its
-//! innermost loop.  [`Value`]s are cheap to clone but still carry an enum
-//! tag, a 64-bit payload and (for strings) an `Arc` — comparing two of them
-//! is branchy, and hashing one walks the string.  Interning maps every value
-//! to a dense [`ValueId`] once, at snapshot-build time, so the engine's hot
-//! loop works on plain `u32`s: equality is one integer compare, probe-key
-//! hashing is integer hashing, and slot arrays are flat `u32` vectors.
+//! A relation stores its tuples as rows of [`ValueId`]s, not of [`Value`]s
+//! (see [`crate::Relation`]): [`crate::Relation::insert`] is where a stored
+//! value is interned, once, and from then on every structure derived from
+//! the relation — access and keyed indexes, snapshots, plan batches — copies
+//! ids and never interns again.  A [`Value`] is held in exactly one place,
+//! this pool, and exists anywhere else only at the boundaries: a parsed
+//! query's constants, a tuple handed to `insert` (and the write delta that
+//! records it), an answer materialised for a caller.  Comparing two ids is one integer compare, hashing one is
+//! integer hashing, and a row of four ids is 16 bytes where four `Value`s
+//! are 96.
 //!
-//! The pool is **process-global** and append-only.  This is what makes ids
-//! from different relations comparable: a join between `r` and `s` compares
-//! ids minted by the same pool, so `id(a) == id(b) ⇔ a == b` holds across
-//! snapshots, caches and threads.  Ids are never recycled; the working set
-//! is bounded by the number of *distinct* values ever interned, which for
-//! the decision procedures is bounded by the active domains of the canonical
-//! instances and workload databases in play.
+//! **Resolution is lock-free.**  The values live in an append-only arena of
+//! doubling buckets, each slot set once; an id is published — entered in
+//! the reverse map every lookup goes through — only after its slot is set.
+//! So [`ValueId::get`] is two atomic loads and an index, never a lock, and
+//! cannot miss: it hands out `&'static Value`, which is what lets a stored
+//! row index to `&Value` ([`crate::TupleRef`]) without owning one.  Minting
+//! takes the reverse map's write lock; a lookup its read lock.
+//!
+//! **The pool is process-global, append-only and never reclaimed.**  This
+//! is a decision, not an accident of implementation:
+//!
+//! * one pool makes ids from every relation, snapshot, index and thread
+//!   comparable: `id(a) == id(b) ⇔ a == b` holds across all of them, which
+//!   is what lets a join compare ids minted for different relations;
+//! * `&'static` resolution is what makes a stored row cheap to read by
+//!   value — and a slot that could be freed could not be handed out for the
+//!   life of the process;
+//! * the pool's size is the number of *distinct* values ever interned — 20 k
+//!   for the 1 M-tuple CDR instance — not the number of tuples, so it is a
+//!   small fraction of what the relations themselves hold.
+//!
+//! What it costs: a process that interns an unbounded stream of never-seen
+//! values grows without bound.  When the pool is full (`2³² − 1` values)
+//! minting fails with [`DataError::ValuePoolExhausted`] through
+//! [`ValueId::try_intern`], which is how every write path interns; an
+//! engine-scoped or epoch-reclaimed pool is the alternative this design
+//! declines.
 
+use crate::error::DataError;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// A dense id for an interned [`Value`].  Ids are process-global: two equal
 /// values always intern to the same id, and two distinct values never share
-/// one.
+/// one.  Every id was minted by the pool, so every id resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(u32);
 
@@ -32,14 +57,35 @@ impl ValueId {
         self.0
     }
 
-    /// Intern `value`, returning its id (minting one on first sight).
-    pub fn intern(value: &Value) -> ValueId {
+    /// Intern `value`, returning its id (minting one on first sight), or
+    /// [`DataError::ValuePoolExhausted`] when minting would overflow the
+    /// pool.  What every write path calls: a stored tuple's values, a
+    /// query's bound constants.
+    ///
+    /// The [`crate::faults::sites::VALUE_INTERN`] failpoint is checked only
+    /// when the value is not in the pool yet, so an injected fault fails
+    /// exactly the work that would mint a new id.
+    pub fn try_intern(value: &Value) -> Result<ValueId, DataError> {
+        if let Some(id) = Self::lookup(value) {
+            return Ok(id);
+        }
+        crate::faults::check(crate::faults::sites::VALUE_INTERN)?;
         pool().intern(value)
     }
 
+    /// [`ValueId::try_intern`] for callers that cannot report an error and
+    /// whose values are bounded by something far smaller than the pool — a
+    /// query text's constants, a canonical instance's domain.
+    ///
+    /// # Panics
+    /// Panics when the pool is full.
+    pub fn intern(value: &Value) -> ValueId {
+        pool().intern(value).unwrap_or_else(|full| panic!("{full}"))
+    }
+
     /// The id of `value` if it has been interned before; `None` otherwise.
-    /// A value that was never interned occurs in no snapshot, so a probe for
-    /// it can be answered (negatively) without touching the pool.
+    /// A value that was never interned occurs in no relation, so a probe for
+    /// it can be answered (negatively) without minting anything.
     pub fn lookup(value: &Value) -> Option<ValueId> {
         pool().lookup(value)
     }
@@ -48,48 +94,70 @@ impl ValueId {
     /// grows, so the difference across a piece of work is the number of
     /// values that work interned for the first time.
     pub fn pool_len() -> usize {
-        let values = pool().values.read();
-        values
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        pool().read().len()
     }
 
-    /// Resolve the id back to its value (clones out of the pool; `Value`
-    /// clones are `Copy`-or-`Arc`, so this is cheap).
+    /// The value this id stands for: the pool's own copy, lock-free.
+    pub fn get(self) -> &'static Value {
+        let (bucket, slot) = locate(self.0);
+        pool().buckets[bucket]
+            .get()
+            .and_then(|slots| slots[slot].get())
+            // A slot is set before its id enters `by_value`, and ids come
+            // only from `by_value`: a minted id always finds its value.
+            .expect("a published id's slot is set")
+    }
+
+    /// The value this id stands for, cloned out of the pool (`Value` clones
+    /// are `Copy`-or-`Arc`, so this is cheap).
     pub fn value(self) -> Value {
-        pool().resolve(self)
+        self.get().clone()
     }
 }
 
-/// The process-wide pool.  `values` is append-only; `by_value` is the
-/// reverse map.  Reads (resolve, lookup) take the read lock only.
+/// Buckets of the arena: bucket `b` holds `2^b` slots, so 32 of them hold
+/// every id a `u32` can name but the last.
+const BUCKETS: usize = 32;
+
+/// Bucket and slot of id `id`: ids `2^b − 1 .. 2^(b+1) − 1` fill bucket `b`.
+fn locate(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + 1;
+    let bucket = 63 - n.leading_zeros() as usize;
+    (bucket, (n - (1 << bucket)) as usize)
+}
+
+/// The process-wide pool.  `buckets` is the append-only arena that owns
+/// every value; `by_value` maps a value — borrowed from its arena slot, so
+/// not a second copy — to its id.
 struct ValuePool {
-    by_value: RwLock<HashMap<Value, u32>>,
-    values: RwLock<Vec<Value>>,
+    buckets: [OnceLock<Box<[OnceLock<Value>]>>; BUCKETS],
+    by_value: RwLock<HashMap<&'static Value, u32>>,
 }
 
 static POOL: OnceLock<ValuePool> = OnceLock::new();
 
 fn pool() -> &'static ValuePool {
     POOL.get_or_init(|| ValuePool {
+        buckets: std::array::from_fn(|_| OnceLock::new()),
         by_value: RwLock::new(HashMap::new()),
-        values: RwLock::new(Vec::new()),
     })
 }
 
 impl ValuePool {
-    // The pool maps are only ever mutated append-style with both write locks
-    // held, so a panicking holder cannot leave them torn: poisoned locks are
-    // recovered rather than propagated.
-    fn intern(&self, value: &Value) -> ValueId {
-        use std::sync::PoisonError;
-        if let Some(&id) = self
-            .by_value
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(value)
-        {
-            return ValueId(id);
+    // `by_value` is only ever mutated append-style under its write lock, and
+    // a slot is written once before its entry: a panicking holder cannot
+    // leave either torn, so a poisoned lock is recovered, not propagated.
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<&'static Value, u32>> {
+        self.by_value.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lookup(&self, value: &Value) -> Option<ValueId> {
+        self.read().get(value).copied().map(ValueId)
+    }
+
+    fn intern(&'static self, value: &Value) -> Result<ValueId, DataError> {
+        if let Some(id) = self.lookup(value) {
+            return Ok(id);
         }
         let mut by_value = self
             .by_value
@@ -97,29 +165,18 @@ impl ValuePool {
             .unwrap_or_else(PoisonError::into_inner);
         // Re-check under the write lock: another thread may have won the race.
         if let Some(&id) = by_value.get(value) {
-            return ValueId(id);
+            return Ok(ValueId(id));
         }
-        let mut values = self.values.write().unwrap_or_else(PoisonError::into_inner);
-        let id = u32::try_from(values.len()).expect("value pool overflow");
-        values.push(value.clone());
-        by_value.insert(value.clone(), id);
-        ValueId(id)
-    }
-
-    fn lookup(&self, value: &Value) -> Option<ValueId> {
-        self.by_value
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(value)
-            .copied()
-            .map(ValueId)
-    }
-
-    fn resolve(&self, id: ValueId) -> Value {
-        self.values
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)[id.0 as usize]
-            .clone()
+        let id = u32::try_from(by_value.len())
+            .ok()
+            .filter(|&id| id < u32::MAX)
+            .ok_or(DataError::ValuePoolExhausted)?;
+        let (bucket, slot) = locate(id);
+        let slots = self.buckets[bucket]
+            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect());
+        let stored: &'static Value = slots[slot].get_or_init(|| value.clone());
+        by_value.insert(stored, id);
+        Ok(ValueId(id))
     }
 }
 
@@ -138,6 +195,8 @@ mod tests {
         ] {
             let id = ValueId::intern(&v);
             assert_eq!(id.value(), v, "Value → id → Value must round-trip");
+            assert_eq!(id.get(), &v);
+            assert!(std::ptr::eq(id.get(), id.get()), "one copy, one address");
         }
     }
 
@@ -158,8 +217,19 @@ mod tests {
     fn lookup_does_not_mint() {
         let novel = Value::str("never-interned-by-any-other-test-7f3a9c");
         assert_eq!(ValueId::lookup(&novel), None);
-        let id = ValueId::intern(&novel);
+        let id = ValueId::try_intern(&novel).unwrap();
         assert_eq!(ValueId::lookup(&novel), Some(id));
+    }
+
+    #[test]
+    fn buckets_double_and_cover_every_id_but_the_last() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1), (1, 0));
+        assert_eq!(locate(2), (1, 1));
+        assert_eq!(locate(3), (2, 0));
+        assert_eq!(locate(6), (2, 3));
+        assert_eq!(locate(7), (3, 0));
+        assert_eq!(locate(u32::MAX - 1), (BUCKETS - 1, (1 << 31) - 1));
     }
 
     #[test]

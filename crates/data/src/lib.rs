@@ -5,11 +5,13 @@
 //! TODS'18):
 //!
 //! * [`Value`], [`Tuple`] — the data model (a countably infinite domain `U`
-//!   of constants, instantiated here with integers, strings and booleans);
+//!   of constants, instantiated here with integers, strings and booleans) —
+//!   and [`TupleRef`], a stored tuple read in place;
 //! * [`RelationSchema`], [`DatabaseSchema`] — relational schemas `R = (R_1,
 //!   ..., R_n)` with named attributes;
-//! * [`Relation`], [`Database`] — set-semantics instances `D` of a schema;
-//!   a relation version also answers sorted-prefix ranges and owns its
+//! * [`Relation`], [`Database`] — set-semantics instances `D` of a schema,
+//!   each relation storing its tuples as rows of interned ids in value
+//!   order; a relation version also answers sorted-prefix ranges and owns its
 //!   lazily built keyed indexes ([`Relation::keyed_index`]), which every
 //!   write to it carries forward — what view maintenance probes;
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
@@ -23,9 +25,11 @@
 //!   homomorphism engine and the evaluators in `bqr-query` (invalidated
 //!   automatically on mutation via [`Relation::epoch`]);
 //! * [`ValueId`] ([`intern`]), [`InternedSnapshot`] ([`snapshot`]) — dense
-//!   `u32` value interning and immutable per-epoch relation snapshots,
-//!   owned by the relation version they freeze and shared by its clones, so
-//!   the join engine's hot loop never touches a [`Value`];
+//!   `u32` value ids, minted when a value is first stored, over the
+//!   process-global pool that holds the one copy of every value; and
+//!   immutable per-epoch copies of a relation's id rows, owned by the
+//!   relation version they freeze and shared by its clones, so the join
+//!   engine's hot loop never touches a [`Value`];
 //! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
 //!   captured during a mutation, the currency of `O(|Δ|)` view maintenance
 //!   and in-place index patching;
@@ -69,7 +73,7 @@ pub use relation::Relation;
 pub use schema::{DatabaseSchema, RelationSchema};
 pub use snapshot::{snapshot_of, InternedSnapshot};
 pub use stats::{FetchStats, RelationStats};
-pub use tuple::Tuple;
+pub use tuple::{Tuple, TupleRef};
 pub use value::Value;
 
 /// Convenience result alias used across the crate.

@@ -3,9 +3,10 @@
 use crate::delta::RelationDelta;
 use crate::error::DataError;
 use crate::index::InternedAccessIndex;
+use crate::intern::ValueId;
 use crate::schema::RelationSchema;
 use crate::snapshot::InternedSnapshot;
-use crate::tuple::Tuple;
+use crate::tuple::{cmp_rows, Tuple, TupleRef};
 use crate::value::Value;
 use crate::Result;
 use std::collections::{BTreeSet, HashSet};
@@ -32,81 +33,134 @@ const CHUNK_MAX: usize = 512;
 /// far from merging again and a freshly merged one far from splitting.
 const CHUNK_MIN: usize = CHUNK_MAX / 4;
 
-/// One run of consecutive tuples, sorted, never empty.
-type Chunk = Arc<Vec<Tuple>>;
+/// One run of consecutive tuples, sorted, never empty: row-major, `arity`
+/// interned ids per tuple.
+type Chunk = Arc<Vec<ValueId>>;
 
 /// The tuple set of a [`Relation`]: sorted runs of at most [`CHUNK_MAX`]
-/// tuples, each behind its own `Arc`.  Cloning copies one pointer per chunk,
-/// a write forks only the chunk it lands in (plus a neighbour when chunks
-/// merge), and dropping a version frees only the chunks no other version
-/// still shares.
-#[derive(Debug, Clone, Default)]
+/// id rows, each behind its own `Arc`.  Cloning copies one pointer per
+/// chunk, a write forks only the chunk it lands in (plus a neighbour when
+/// chunks merge), and dropping a version frees only the chunks no other
+/// version still shares.
+///
+/// Rows are kept in the lexicographic order of their *values*, compared
+/// through the pool ([`cmp_rows`]), not of their ids: the order a relation
+/// iterates in is the order of its tuples, whatever order their values
+/// happened to be interned in.
+#[derive(Debug, Clone)]
 struct Chunks {
     chunks: Vec<Chunk>,
     len: usize,
+    arity: usize,
+}
+
+/// Rows in a chunk of `arity`-wide rows.  A nullary relation holds at most
+/// the empty tuple, in a chunk of no ids.
+fn rows_in(arity: usize, chunk: &[ValueId]) -> usize {
+    chunk.len().checked_div(arity).unwrap_or(1)
 }
 
 impl Chunks {
-    /// The chunk `tuple` belongs to, and its position in that chunk: `Ok`
-    /// when present, `Err` with the insertion point when absent.
-    fn locate(&self, tuple: &Tuple) -> (usize, std::result::Result<usize, usize>) {
-        // The last chunk starting at or before the tuple (the first chunk
-        // for a tuple smaller than everything stored).
-        let ci = self
-            .chunks
-            .partition_point(|c| c[0] <= *tuple)
-            .saturating_sub(1);
-        match self.chunks.get(ci) {
-            Some(chunk) => (ci, chunk.binary_search(tuple)),
-            None => (0, Err(0)),
+    fn new(arity: usize) -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            len: 0,
+            arity,
         }
     }
 
-    /// The position of the first tuple whose leading fields are not below
-    /// `prefix` — where the run of tuples starting with `prefix` begins, if
+    fn rows(&self, chunk: &[ValueId]) -> usize {
+        rows_in(self.arity, chunk)
+    }
+
+    /// Row `i` of `chunk`.
+    fn row<'c>(&self, chunk: &'c [ValueId], i: usize) -> &'c [ValueId] {
+        &chunk[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// The first row of `chunk` for which `below` is false — `below` being
+    /// true on a prefix of the rows.
+    fn partition_rows(&self, chunk: &[ValueId], below: impl Fn(&[ValueId]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.rows(chunk));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match below(self.row(chunk, mid)) {
+                true => lo = mid + 1,
+                false => hi = mid,
+            }
+        }
+        lo
+    }
+
+    /// The chunk `row` belongs to, and its position in that chunk: `Ok`
+    /// when present, `Err` with the insertion point when absent.
+    fn locate(&self, row: &[ValueId]) -> (usize, std::result::Result<usize, usize>) {
+        // The last chunk starting at or before the row (the first chunk for
+        // a row smaller than everything stored).
+        let ci = self
+            .chunks
+            .partition_point(|c| cmp_rows(self.row(c, 0), row).is_le())
+            .saturating_sub(1);
+        let Some(chunk) = self.chunks.get(ci) else {
+            return (0, Err(0));
+        };
+        let pos = self.partition_rows(chunk, |r| cmp_rows(r, row).is_lt());
+        let found = pos < self.rows(chunk) && self.row(chunk, pos) == row;
+        (ci, if found { Ok(pos) } else { Err(pos) })
+    }
+
+    /// The position of the first row whose leading ids are not below
+    /// `prefix` — where the run of rows starting with `prefix` begins, if
     /// there is one.  Two binary searches, like [`Chunks::locate`].
-    fn lower_bound(&self, prefix: &[Value]) -> (usize, usize) {
-        let below = |t: &Tuple| t.values().iter().take(prefix.len()).lt(prefix);
+    fn lower_bound(&self, prefix: &[ValueId]) -> (usize, usize) {
+        let below = |r: &[ValueId]| cmp_rows(&r[..prefix.len()], prefix).is_lt();
         // The run may start in the tail of the last chunk whose head is
         // still below the prefix.
         let ci = self
             .chunks
-            .partition_point(|c| below(&c[0]))
+            .partition_point(|c| below(self.row(c, 0)))
             .saturating_sub(1);
-        let pos = self.chunks.get(ci).map_or(0, |c| c.partition_point(below));
+        let pos = self
+            .chunks
+            .get(ci)
+            .map_or(0, |c| self.partition_rows(c, below));
         (ci, pos)
     }
 
-    /// Insert an absent tuple at the position [`Chunks::locate`] reported.
-    fn insert_at(&mut self, ci: usize, pos: usize, tuple: Tuple) {
+    /// Insert an absent row at the position [`Chunks::locate`] reported.
+    fn insert_at(&mut self, ci: usize, pos: usize, row: &[ValueId]) {
         self.len += 1;
+        let arity = self.arity;
         // Appending past a full last chunk (or into no chunk at all) starts
         // a new one instead of splitting, so sorted loads fill their chunks
         // completely.
-        let past_full = |chunk: &Chunk| pos == chunk.len() && pos >= CHUNK_MAX;
+        let past_full = |chunk: &Chunk| pos == rows_in(arity, chunk) && pos >= CHUNK_MAX;
         if ci + 1 >= self.chunks.len() && self.chunks.last().is_none_or(past_full) {
-            self.chunks.push(Arc::new(vec![tuple]));
+            self.chunks.push(Arc::new(row.to_vec()));
             return;
         }
         let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk.insert(pos, tuple);
-        if chunk.len() > CHUNK_MAX {
-            let tail = chunk.split_off(chunk.len() / 2);
-            chunk.shrink_to(CHUNK_MAX);
+        chunk.extend_from_slice(row);
+        chunk[pos * arity..].rotate_right(arity);
+        let rows = rows_in(arity, chunk);
+        if rows > CHUNK_MAX {
+            let tail = chunk.split_off(rows / 2 * arity);
+            chunk.shrink_to(CHUNK_MAX * arity);
             self.chunks.insert(ci + 1, Arc::new(tail));
         }
     }
 
-    /// Remove the tuple at a position [`Chunks::locate`] reported as `Ok`.
+    /// Remove the row at a position [`Chunks::locate`] reported as `Ok`.
     fn remove_at(&mut self, ci: usize, pos: usize) {
         self.len -= 1;
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk.remove(pos);
-        if chunk.is_empty() {
+        let arity = self.arity;
+        if self.rows(&self.chunks[ci]) == 1 {
             self.chunks.remove(ci);
             return;
         }
-        if chunk.len() >= CHUNK_MIN {
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.drain(pos * arity..(pos + 1) * arity);
+        if rows_in(arity, chunk) >= CHUNK_MIN {
             return;
         }
         let neighbour = if ci + 1 < self.chunks.len() {
@@ -116,23 +170,25 @@ impl Chunks {
         } else {
             return;
         };
-        if self.chunks[ci].len() + self.chunks[neighbour].len() > CHUNK_MAX {
+        if self.rows(&self.chunks[ci]) + self.rows(&self.chunks[neighbour]) > CHUNK_MAX {
             return;
         }
         let tail = self.chunks.remove(ci.max(neighbour));
-        let head = Arc::make_mut(&mut self.chunks[ci.min(neighbour)]);
-        match Arc::try_unwrap(tail) {
-            Ok(tuples) => head.extend(tuples),
-            Err(shared) => head.extend(shared.iter().cloned()),
-        }
+        Arc::make_mut(&mut self.chunks[ci.min(neighbour)]).extend_from_slice(&tail);
     }
 
     fn iter(&self) -> Iter<'_> {
         Iter {
             chunks: self.chunks.iter(),
-            current: [].iter(),
+            current: &[],
+            arity: self.arity,
             remaining: self.len,
         }
+    }
+
+    /// Every stored id, row-major and in order.
+    fn ids(&self) -> impl Iterator<Item = &ValueId> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
     }
 
     /// True when both sets are the very same chunks, pointer for pointer.
@@ -148,9 +204,9 @@ impl Chunks {
 
 impl PartialEq for Chunks {
     /// By content: equal sets compare equal however their insert histories
-    /// happened to cut them into chunks.
+    /// happened to cut them into chunks.  Ids compare as their values do.
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && (self.same_chunks(other) || self.iter().eq(other.iter()))
+        self.len == other.len && (self.same_chunks(other) || self.ids().eq(other.ids()))
     }
 }
 
@@ -158,21 +214,28 @@ impl PartialEq for Chunks {
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
     chunks: std::slice::Iter<'a, Chunk>,
-    current: std::slice::Iter<'a, Tuple>,
+    /// The rows of the current chunk not yet yielded.
+    current: &'a [ValueId],
+    arity: usize,
     remaining: usize,
 }
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Tuple;
+    type Item = TupleRef<'a>;
 
-    fn next(&mut self) -> Option<&'a Tuple> {
-        loop {
-            if let Some(tuple) = self.current.next() {
-                self.remaining -= 1;
-                return Some(tuple);
-            }
-            self.current = self.chunks.next()?.iter();
+    fn next(&mut self) -> Option<TupleRef<'a>> {
+        if self.remaining == 0 {
+            return None;
         }
+        // Chunks are never empty, and a nullary relation's one tuple is
+        // the empty row, which needs no chunk to read from.
+        if self.current.is_empty() && self.arity > 0 {
+            self.current = self.chunks.next()?.as_slice();
+        }
+        self.remaining -= 1;
+        let (row, rest) = self.current.split_at(self.arity);
+        self.current = rest;
+        Some(TupleRef::new(row))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -192,8 +255,17 @@ impl ExactSizeIterator for Iter<'_> {}
 /// sound, because a clone has identical contents until it is itself mutated
 /// (which re-stamps it).
 ///
+/// Tuples are stored as rows of interned [`ValueId`]s, not as [`Tuple`]s:
+/// [`Relation::insert`] interns a tuple's values once, and the same id row
+/// is what the storage, the keyed indexes, the constraint indexes built
+/// from the relation and its snapshot hold — none of them interns again.
+/// The rows are still kept in the tuples' value order, so iteration order,
+/// `Display` and every answer read off a relation are what a set of
+/// [`Tuple`]s would give; reading them yields [`TupleRef`]s, which index
+/// to `&Value` through the pool.
+///
 /// Tuple storage is structurally shared: the sorted set is cut into chunks
-/// of at most 512 tuples, each behind its own [`Arc`].  Cloning a relation
+/// of at most 512 rows, each behind its own [`Arc`].  Cloning a relation
 /// (and hence a whole [`crate::Database`]) copies `O(#chunks)` pointers and
 /// no tuple; a genuine write to a shared instance copies the one chunk it
 /// lands in (`O(log |R|)` to find it, at most two chunks when an underfull
@@ -249,8 +321,8 @@ impl Relation {
     /// An empty instance of the given schema.
     pub fn empty(schema: RelationSchema) -> Self {
         Relation {
+            tuples: Chunks::new(schema.arity()),
             schema,
-            tuples: Chunks::default(),
             epoch: fresh_epoch(),
             tracking: None,
             snapshot: Arc::default(),
@@ -297,15 +369,22 @@ impl Relation {
         self.tuples.len == 0
     }
 
-    /// Insert a tuple; returns `true` if it was not already present.
+    /// Insert a tuple; returns `true` if it was not already present.  This
+    /// is where a stored value is interned: a value the pool has never seen
+    /// is minted an id here, or the insert fails with
+    /// [`DataError::ValuePoolExhausted`] and changes nothing.
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool> {
         self.check_arity(&tuple)?;
+        let row = tuple
+            .iter()
+            .map(ValueId::try_intern)
+            .collect::<Result<Vec<_>>>()?;
         // The membership test comes first so a no-op insert neither copies
         // shared storage nor re-stamps the epoch.
-        let (chunk, Err(pos)) = self.tuples.locate(&tuple) else {
+        let (chunk, Err(pos)) = self.tuples.locate(&row) else {
             return Ok(false);
         };
-        self.carry_keyed(&tuple, true);
+        self.carry_keyed(&row, true);
         if let Some(state) = self.tracking.as_deref_mut() {
             // An insert that undoes a tracked removal cancels out: the net
             // delta always satisfies inserted = new∖old, removed = old∖new.
@@ -313,7 +392,7 @@ impl Relation {
                 state.delta.inserted.insert(tuple.clone());
             }
         }
-        self.tuples.insert_at(chunk, pos, tuple);
+        self.tuples.insert_at(chunk, pos, &row);
         self.contents_changed();
         Ok(true)
     }
@@ -321,10 +400,13 @@ impl Relation {
     /// Remove a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         self.check_arity(tuple)?;
-        let (chunk, Ok(pos)) = self.tuples.locate(tuple) else {
+        let Some(row) = self.lookup_row(tuple) else {
             return Ok(false);
         };
-        self.carry_keyed(tuple, false);
+        let (chunk, Ok(pos)) = self.tuples.locate(&row) else {
+            return Ok(false);
+        };
+        self.carry_keyed(&row, false);
         if let Some(state) = self.tracking.as_deref_mut() {
             if !state.delta.inserted.remove(tuple) {
                 state.delta.removed.insert(tuple.clone());
@@ -333,6 +415,14 @@ impl Relation {
         self.tuples.remove_at(chunk, pos);
         self.contents_changed();
         Ok(true)
+    }
+
+    /// The id row `tuple` would be stored as, if every one of its values is
+    /// interned and its arity is this relation's; `None` proves it absent.
+    /// Mints nothing.
+    fn lookup_row(&self, tuple: &Tuple) -> Option<Vec<ValueId>> {
+        let fits = tuple.arity() == self.schema.arity();
+        fits.then(|| tuple.iter().map(ValueId::lookup).collect())?
     }
 
     /// Re-stamp the epoch and detach from the snapshot of the old contents
@@ -345,7 +435,7 @@ impl Relation {
         }
     }
 
-    /// Take the keyed indexes along across a write of `tuple`: it is made
+    /// Take the keyed indexes along across a write of `row`: it is made
     /// `present` in, or absent from, every index this version inherited —
     /// one forked shard each, so `O(#shards + |groups| / #shards)` per index,
     /// whether or not anything is about to probe it.  Runs before the write
@@ -354,7 +444,7 @@ impl Relation {
     /// An active [`crate::faults::sites::KEYED_CARRY`] `Error` fault drops
     /// the indexes instead: the next request rebuilds them from the
     /// relation, with identical contents.
-    fn carry_keyed(&mut self, tuple: &Tuple, present: bool) {
+    fn carry_keyed(&mut self, row: &[ValueId], present: bool) {
         if Arc::get_mut(&mut self.keyed).is_none() {
             // The first write since the clone: part from the predecessor's
             // cell, keeping its indexes by pointer.
@@ -376,12 +466,11 @@ impl Relation {
             indexes.clear();
             return;
         }
-        let row = crate::index::intern_key(tuple.values());
         for (positions, index) in indexes {
             let key = positions.iter().map(|&p| row[p]).collect();
             // A genuine write: an insert is new to every index, a removal
             // held by each, so the patch cannot miss.
-            Arc::make_mut(index).patch(key, &row, present);
+            Arc::make_mut(index).patch(key, row, present);
         }
     }
 
@@ -450,7 +539,7 @@ impl Relation {
     /// partial sharing: `chunk_count() - shared_chunks(&previous)` is the
     /// number of chunks the writes since `previous` forked or created.
     pub fn shared_chunks(&self, other: &Relation) -> usize {
-        let theirs: HashSet<*const Vec<Tuple>> =
+        let theirs: HashSet<*const Vec<ValueId>> =
             other.tuples.chunks.iter().map(Arc::as_ptr).collect();
         let shared = |c: &&Chunk| theirs.contains(&Arc::as_ptr(c));
         self.tuples.chunks.iter().filter(shared).count()
@@ -471,7 +560,7 @@ impl Relation {
     /// The hash index of this version's tuples on `positions`: probing it
     /// with the interned values of those positions returns every matching
     /// tuple, whole, as flat id rows.  Built on the first request — one
-    /// `O(|R|)` pass, which interns the relation's values — and kept in the
+    /// `O(|R|)` pass over the stored id rows, interning nothing — and kept in the
     /// version's own cell: every unmutated clone serves the same `Arc`, and
     /// a mutated clone takes a patched copy along (see [`Relation`]), so a
     /// relation is indexed once per key, not once per version.  View
@@ -521,31 +610,49 @@ impl Relation {
         self.insert(Tuple::new(values.into_iter().map(Into::into).collect()))
     }
 
-    /// Membership test.
+    /// Membership test.  Looks `tuple`'s values up without interning them:
+    /// a value the pool has never seen is in no relation.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples.locate(tuple).1.is_ok()
+        let row = self.lookup_row(tuple);
+        row.is_some_and(|row| self.tuples.locate(&row).1.is_ok())
     }
 
-    /// Iterate over tuples in sorted order.
+    /// Iterate over the tuples in sorted (value) order, each a [`TupleRef`]
+    /// borrowing its stored id row.
     pub fn iter(&self) -> Iter<'_> {
         self.tuples.iter()
     }
 
-    /// The tuples whose first `prefix.len()` fields equal `prefix`, in
-    /// sorted order: a contiguous run of the sorted storage, found by binary
-    /// search (`O(log |R|)`) and walked (`O(matches)`) — an index on every
-    /// leading run of attributes that costs no memory and no maintenance.
-    /// The empty prefix yields the whole relation; a prefix longer than the
-    /// arity yields nothing.
+    /// The stored id rows chunk by chunk, row-major and in iteration order.
+    pub(crate) fn id_chunks(&self) -> impl Iterator<Item = &[ValueId]> {
+        self.tuples.chunks.iter().map(|chunk| chunk.as_slice())
+    }
+
+    /// The tuples whose first `prefix.len()` fields are the interned values
+    /// `prefix`, in sorted order: a contiguous run of the sorted storage,
+    /// found by binary search (`O(log |R|)`) and walked (`O(matches)`) — an
+    /// index on every leading run of attributes that costs no memory and no
+    /// maintenance.  The empty prefix yields the whole relation; a prefix
+    /// longer than the arity yields nothing.
     pub fn prefix_range<'r: 'p, 'p>(
         &'r self,
-        prefix: &'p [Value],
-    ) -> impl Iterator<Item = &'r Tuple> + 'p {
-        let (ci, pos) = self.tuples.lower_bound(prefix);
+        prefix: &'p [ValueId],
+    ) -> impl Iterator<Item = TupleRef<'r>> + 'p {
+        let (ci, pos) = match prefix.len() <= self.schema.arity() {
+            true => self.tuples.lower_bound(prefix),
+            false => (self.tuples.chunks.len(), 0),
+        };
+        let arity = self.tuples.arity;
         let chunks = self.tuples.chunks.get(ci..).unwrap_or_default();
-        let skip = move |(i, chunk): (usize, &'r Chunk)| &chunk[if i == 0 { pos } else { 0 }..];
+        let skip = move |(i, chunk): (usize, &'r Chunk)| {
+            let from = if i == 0 { pos * arity } else { 0 };
+            let rows = chunk[from..].chunks_exact(arity.max(1));
+            // A nullary relation's one tuple is the empty row.
+            let empty = (arity == 0).then_some(&[][..]);
+            rows.chain(empty).map(TupleRef::new)
+        };
         let from_bound = chunks.iter().enumerate().flat_map(skip);
-        from_bound.take_while(move |t| t.values().starts_with(prefix))
+        from_bound.take_while(move |t| t.ids().starts_with(prefix))
     }
 
     /// Project every tuple onto the given attribute names, deduplicating.
@@ -553,18 +660,21 @@ impl Relation {
         let positions = self.schema.positions(attributes)?;
         let mut out = BTreeSet::new();
         for t in self.iter() {
-            out.insert(t.project(&positions));
+            out.insert(positions.iter().map(|&p| t[p].clone()).collect::<Tuple>());
         }
         Ok(out.into_iter().collect())
     }
 
     /// All tuples `t` with `t[X] = key` where `X` is given by attribute
-    /// positions.  Linear scan; the indexed access paths are
+    /// positions, in sorted order.  Linear scan, comparing ids — a key value
+    /// the pool has never seen matches nothing; the indexed access paths are
     /// [`Relation::keyed_index`] and [`crate::IndexedDatabase::fetch`].
-    pub fn select_eq(&self, positions: &[usize], key: &[Value]) -> Vec<&Tuple> {
-        self.iter()
-            .filter(|t| positions.iter().zip(key).all(|(&p, v)| &t[p] == v))
-            .collect()
+    pub fn select_eq(&self, positions: &[usize], key: &[Value]) -> Vec<TupleRef<'_>> {
+        let Some(key) = key.iter().map(ValueId::lookup).collect::<Option<Vec<_>>>() else {
+            return Vec::new();
+        };
+        let matches = |t: &TupleRef| positions.iter().zip(&key).all(|(&p, id)| t.ids()[p] == *id);
+        self.iter().filter(matches).collect()
     }
 
     /// Distinct values of the attribute at `position`.
@@ -584,7 +694,7 @@ impl fmt::Display for Relation {
 }
 
 impl<'a> IntoIterator for &'a Relation {
-    type Item = &'a Tuple;
+    type Item = TupleRef<'a>;
     type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -742,9 +852,10 @@ mod tests {
 
     /// Chunks are sorted, non-empty, within bounds, and add up to `len`.
     fn check_chunks(r: &Relation) {
+        let rows = |c: &Chunk| r.tuples.rows(c);
         let chunks = &r.tuples.chunks;
-        assert!(chunks.iter().all(|c| !c.is_empty() && c.len() <= CHUNK_MAX));
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), r.len());
+        assert!(chunks.iter().all(|c| !c.is_empty() && rows(c) <= CHUNK_MAX));
+        assert_eq!(chunks.iter().map(rows).sum::<usize>(), r.len());
         assert!(r.iter().zip(r.iter().skip(1)).all(|(a, b)| a < b));
         assert_eq!(r.iter().len(), r.len());
     }
@@ -781,7 +892,7 @@ mod tests {
             assert_eq!(r.chunk_count(), chunks, "after inserting {v}");
         }
         // Drain from the front: chunks underflow, merge, and disappear.
-        let all: Vec<Tuple> = r.iter().cloned().collect();
+        let all: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
         let mut most = 0;
         for (i, t) in all.iter().enumerate() {
             assert!(r.remove(t).unwrap());
@@ -794,13 +905,13 @@ mod tests {
         assert!(r.is_empty() && r.chunk_count() == 0 && r.iter().next().is_none());
         // An emptied relation takes inserts again.
         assert!(r.insert(tuple![7]).unwrap());
-        assert_eq!(r.iter().collect::<Vec<_>>(), [&tuple![7]]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [tuple![7]]);
     }
 
     #[test]
     fn a_write_forks_only_the_chunk_it_lands_in() {
         let base = numbers((0..20_000).map(|v| v * 2));
-        let frozen: Vec<Tuple> = base.iter().cloned().collect();
+        let frozen: Vec<Tuple> = base.iter().map(|t| t.to_tuple()).collect();
         let mut next = base.clone();
         assert_eq!(next.shared_chunks(&base), base.chunk_count());
         next.insert(tuple![10_001]).unwrap();
@@ -809,7 +920,7 @@ mod tests {
         next.remove(&tuple![30_000]).unwrap();
         assert!(next.chunk_count() - next.shared_chunks(&base) <= 4);
         // The predecessor reads exactly as before.
-        assert!(base.iter().eq(frozen.iter()));
+        assert!(base.iter().map(TupleRef::to_tuple).eq(frozen));
         assert!(!base.contains(&tuple![10_001]) && base.contains(&tuple![30_000]));
         check_chunks(&next);
     }
@@ -831,6 +942,58 @@ mod tests {
         assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![9, 9]]);
         assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
         assert!(r.end_delta_tracking().is_none(), "tracking is one-shot");
+    }
+
+    #[test]
+    fn rows_are_stored_in_value_order_whatever_the_id_order() {
+        // Mint the ids in descending value order, then store ascending.
+        let words = ["zeta-7c1", "mu-7c1", "alpha-7c1"];
+        let ids: Vec<ValueId> = words
+            .iter()
+            .map(|w| ValueId::intern(&Value::str(w)))
+            .collect();
+        assert!(ids.is_sorted(), "minted in this order");
+        let schema = RelationSchema::new("w", &["word", "n"]).unwrap();
+        let tuples = words.iter().map(|w| tuple![*w, 1]);
+        let r = Relation::from_tuples(schema, tuples.chain([tuple!["mu-7c1", 0]])).unwrap();
+        let read: Vec<Tuple> = r.iter().map(TupleRef::to_tuple).collect();
+        let expected = [
+            tuple!["alpha-7c1", 1],
+            tuple!["mu-7c1", 0],
+            tuple!["mu-7c1", 1],
+            tuple!["zeta-7c1", 1],
+        ];
+        assert_eq!(read, expected);
+        assert!(r.iter().zip(r.iter().skip(1)).all(|(a, b)| a < b));
+        assert_eq!(r.iter().nth(1).unwrap()[0], Value::str("mu-7c1"));
+        assert!(r.contains(&tuple!["mu-7c1", 0]) && !r.contains(&tuple!["mu-7c1", 2]));
+    }
+
+    #[test]
+    fn looking_up_a_never_interned_value_mints_nothing() {
+        let mut r = rating();
+        let ghost = Value::str("relation-test-ghost-5d2e");
+        let absent = Tuple::new(vec![ghost.clone(), Value::int(5)]);
+        assert!(!r.contains(&absent));
+        assert!(!r.remove(&absent).unwrap());
+        assert!(r.select_eq(&[0], std::slice::from_ref(&ghost)).is_empty());
+        assert_eq!(ValueId::lookup(&ghost), None);
+        assert!(r.insert(absent.clone()).unwrap(), "an insert interns");
+        assert!(ValueId::lookup(&ghost).is_some() && r.contains(&absent));
+    }
+
+    #[test]
+    fn a_nullary_relation_holds_the_empty_tuple_once() {
+        let mut r = Relation::empty(RelationSchema::new("b", &[]).unwrap());
+        assert!(!r.contains(&Tuple::unit()) && r.iter().next().is_none());
+        assert!(r.insert(Tuple::unit()).unwrap());
+        assert!(!r.insert(Tuple::unit()).unwrap());
+        assert_eq!((r.len(), r.chunk_count()), (1, 1));
+        assert_eq!(r.iter().collect::<Vec<_>>(), [Tuple::unit()]);
+        assert_eq!(r.prefix_range(&[]).count(), 1);
+        assert_eq!(r.to_string(), "b() [1 tuples]\n  ()\n");
+        assert!(r.remove(&Tuple::unit()).unwrap());
+        assert!(r.is_empty() && r.chunk_count() == 0 && r.iter().next().is_none());
     }
 
     #[test]

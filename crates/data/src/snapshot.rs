@@ -1,16 +1,18 @@
-//! Interned, immutable relation snapshots, owned by the relation version
-//! they freeze.
+//! Immutable relation snapshots, owned by the relation version they freeze.
 //!
 //! An [`InternedSnapshot`] freezes one relation epoch as a flat, row-major
 //! `Vec<ValueId>` (see [`crate::intern`]) plus its [`RelationStats`].  It is
 //! the storage format the slot-based homomorphism engine executes over: the
 //! inner search loop touches only dense `u32` ids, never `Value`s.
 //!
-//! Every [`Relation`] owns a cell for the snapshot of its contents, filled
-//! on the first [`snapshot_of`] call and shared by unmutated clones: any
-//! number of [`crate::IndexCache`]s, threads and data versions holding the
-//! same relation version receive the same `Arc`, so the tuple data and
-//! statistics are interned exactly once per epoch.  A mutation gives the
+//! The relation already stores its tuples as id rows, interned when they
+//! were inserted, so a snapshot is the concatenation of its chunks: copied,
+//! never interned.  Every [`Relation`] owns a cell for the snapshot of its
+//! contents, filled on the first [`snapshot_of`] call and shared by
+//! unmutated clones: any number of [`crate::IndexCache`]s, threads and data
+//! versions holding the same relation version receive the same `Arc`, so
+//! the rows are copied and the statistics counted once per epoch.  A
+//! mutation gives the
 //! mutated instance an empty cell; the old snapshot lives exactly as long
 //! as some clone of the old version (or a consumer's `Arc`) does.  Nothing
 //! is built for a relation no one snapshots — a fact table reached only
@@ -25,8 +27,8 @@ use crate::relation::Relation;
 use crate::stats::RelationStats;
 use std::sync::Arc;
 
-/// An immutable, interned copy of one relation epoch, rows in the
-/// relation's sorted iteration order.
+/// An immutable copy of one relation epoch's id rows, in the relation's
+/// sorted iteration order.
 #[derive(Debug)]
 pub struct InternedSnapshot {
     epoch: u64,
@@ -40,12 +42,7 @@ pub struct InternedSnapshot {
 impl InternedSnapshot {
     fn build(relation: &Relation) -> Self {
         let arity = relation.schema().arity();
-        let mut data = Vec::with_capacity(relation.len() * arity);
-        for tuple in relation.iter() {
-            for value in tuple.iter() {
-                data.push(ValueId::intern(value));
-            }
-        }
+        let data = relation.id_chunks().collect::<Vec<_>>().concat();
         InternedSnapshot {
             epoch: relation.epoch(),
             arity,
@@ -103,7 +100,7 @@ pub fn snapshot_of(relation: &Relation) -> Arc<InternedSnapshot> {
 }
 
 fn build(relation: &Relation) -> Arc<InternedSnapshot> {
-    // Interning is infallible, so this failpoint is panic-only: an injected
+    // The copy is infallible, so this failpoint is panic-only: an injected
     // `Error` kind also surfaces as a panic here (the cell stays empty).
     if let Err(e) = crate::faults::check(crate::faults::sites::SNAPSHOT_INTERN) {
         panic!("{e}");

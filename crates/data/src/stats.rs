@@ -10,8 +10,8 @@
 //! cached views (free of base-data I/O), and tuples a full scan would touch.
 //!
 //! [`RelationStats`] is the other half of this module: per-snapshot
-//! cardinality and per-position distinct-value counts, computed once when an
-//! interned snapshot is built (see [`crate::snapshot::InternedSnapshot`]) and
+//! cardinality and per-position distinct-value counts, computed once when a
+//! snapshot is built (see [`crate::snapshot::InternedSnapshot`]) and
 //! consumed by the join planner in `bqr-query::hom` to estimate per-atom
 //! selectivity.
 

@@ -1,6 +1,9 @@
-//! Tuples: ordered sequences of values.
+//! Tuples: ordered sequences of values — owned ([`Tuple`]) or borrowed from
+//! a relation's id storage ([`TupleRef`]).
 
+use crate::intern::ValueId;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Index;
 
@@ -79,14 +82,7 @@ impl Index<usize> for Tuple {
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, v) in self.values.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", v.render())?;
-        }
-        write!(f, ")")
+        write_fields(f, self.values.iter())
     }
 }
 
@@ -102,6 +98,116 @@ impl<'a> IntoIterator for &'a Tuple {
     fn into_iter(self) -> Self::IntoIter {
         self.values.iter()
     }
+}
+
+/// A stored row, borrowed: the interned ids of one tuple of a
+/// [`Relation`](crate::Relation), read by value through the pool.  This is
+/// what a relation's iterators and lookups yield — the storage holds ids,
+/// not [`Tuple`]s — and it reads like a `&Tuple`: `row[i]` is the `i`-th
+/// field's [`Value`], its order is the tuples' value order and it prints
+/// as the tuple does.  `Copy`, and nothing is resolved until a field is
+/// read; [`TupleRef::to_tuple`] makes an owned copy.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TupleRef<'a> {
+    ids: &'a [ValueId],
+}
+
+impl<'a> TupleRef<'a> {
+    /// A row of interned ids, read as a tuple.
+    pub fn new(ids: &'a [ValueId]) -> Self {
+        TupleRef { ids }
+    }
+
+    /// The row's interned ids.
+    pub fn ids(self) -> &'a [ValueId] {
+        self.ids
+    }
+
+    /// Number of fields.
+    pub fn arity(self) -> usize {
+        self.ids.len()
+    }
+
+    /// The fields' values, resolved one at a time.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'static Value> + 'a {
+        self.ids.iter().map(|id| id.get())
+    }
+
+    /// An owned copy of the row.
+    pub fn to_tuple(self) -> Tuple {
+        self.iter().cloned().collect()
+    }
+
+    /// The row projected onto the given positions (in the given order), as
+    /// an owned tuple — [`Tuple::project`] of [`TupleRef::to_tuple`].
+    ///
+    /// # Panics
+    /// Panics if any position is out of range.
+    pub fn project(self, positions: &[usize]) -> Tuple {
+        positions.iter().map(|&i| self[i].clone()).collect()
+    }
+}
+
+/// Lexicographic [`Value`] order of two id rows, the order relations store
+/// and iterate their tuples in: a field whose ids agree is equal without
+/// being resolved, and the first that differs decides by value.
+pub(crate) fn cmp_rows(a: &[ValueId], b: &[ValueId]) -> Ordering {
+    let differ = a.iter().zip(b).find(|(x, y)| x != y);
+    let by_field = differ.map_or(Ordering::Equal, |(x, y)| x.get().cmp(y.get()));
+    by_field.then(a.len().cmp(&b.len()))
+}
+
+impl Ord for TupleRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_rows(self.ids, other.ids)
+    }
+}
+
+impl PartialOrd for TupleRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Index<usize> for TupleRef<'_> {
+    type Output = Value;
+    fn index(&self, i: usize) -> &Value {
+        self.ids[i].get()
+    }
+}
+
+impl PartialEq<Tuple> for TupleRef<'_> {
+    fn eq(&self, other: &Tuple) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for TupleRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl fmt::Display for TupleRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_fields(f, self.iter())
+    }
+}
+
+/// `(a, b, …)`, each field rendered bare — [`Tuple`]'s and [`TupleRef`]'s
+/// shared `Display`.
+fn write_fields<'v>(
+    f: &mut fmt::Formatter<'_>,
+    fields: impl Iterator<Item = &'v Value>,
+) -> fmt::Result {
+    write!(f, "(")?;
+    for (i, v) in fields.enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{}", v.render())?;
+    }
+    write!(f, ")")
 }
 
 /// Build a tuple from anything convertible into values.
@@ -154,6 +260,25 @@ mod tests {
     fn display_is_compact() {
         assert_eq!(tuple![1, "NASA"].to_string(), "(1, NASA)");
         assert_eq!(Tuple::unit().to_string(), "()");
+    }
+
+    #[test]
+    fn a_borrowed_row_reads_like_its_tuple() {
+        let t = tuple![3, "row-ref", true];
+        let ids: Vec<ValueId> = t.iter().map(ValueId::intern).collect();
+        let row = TupleRef::new(&ids);
+        assert_eq!((row.arity(), &row[1]), (3, &Value::str("row-ref")));
+        assert_eq!(row.to_string(), t.to_string());
+        assert_eq!(row.to_tuple(), t);
+        assert!(row == t);
+        assert_eq!(row.project(&[2, 0]), tuple![true, 3]);
+        // Value order, whichever ids the values drew.
+        let low: Vec<ValueId> = tuple![3, "row-ref", false]
+            .iter()
+            .map(ValueId::intern)
+            .collect();
+        assert!(TupleRef::new(&low) < row);
+        assert!(TupleRef::new(&ids[..2]) < row, "a prefix sorts first");
     }
 
     #[test]

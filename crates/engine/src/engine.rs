@@ -97,8 +97,8 @@ pub enum MaintenanceMode {
     /// patch/share access indexes per relation — for exact deltas, work in
     /// `|Δ|` plus per-chunk and per-shard pointer copies (the complexities
     /// are spelled out on [`Engine::mutate`]).  Untouched relations and
-    /// unchanged extents keep their epochs — and with them their interned
-    /// snapshots — so the next read re-interns only what the write changed.
+    /// unchanged extents keep their epochs — and with them their snapshots —
+    /// so the next read re-copies only what the write changed.
     #[default]
     Delta,
     /// Rebuild the whole version from scratch (re-materialise every view,
@@ -426,7 +426,7 @@ impl Engine {
     /// No publish touches the pipeline cache: a compiled pipeline names the
     /// extents and constraints it reads and every execution resolves them
     /// in the version it is pinned to, so the first read after a write is a
-    /// cache hit that pays only for re-interning what the write moved.  A
+    /// cache hit that pays only for re-snapshotting what the write moved.  A
     /// closure whose net delta is empty (read-only, re-inserting present
     /// tuples, do-undo pairs) publishes nothing at all: no epoch moves.
     ///
@@ -606,7 +606,8 @@ impl Engine {
                 ..
             } => {
                 let prepared = PreparedPlan::with_cache(plan, Arc::clone(&self.cache));
-                let analysed = AnalysedShape::new(&prepared, &shape.params, plan_size, fetch_bound);
+                let analysed =
+                    AnalysedShape::new(&prepared, &shape.params, plan_size, fetch_bound)?;
                 let mut shapes = self.shapes.write().unwrap_or_else(PoisonError::into_inner);
                 if shapes.len() >= self.cache.capacity() {
                     shapes.clear();

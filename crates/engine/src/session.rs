@@ -258,6 +258,7 @@ impl<'e> Session<'e> {
                 let options = self.engine.exec_options();
                 let guard = Guard::new(&options.limits)
                     .with_metrics(Arc::clone(self.engine.guard_metrics()));
+                let bindings = shape.bindings(&params)?;
                 shape
                     .prepared
                     .execute_guarded(
@@ -265,7 +266,7 @@ impl<'e> Session<'e> {
                         self.version.views(),
                         &options,
                         &guard,
-                        &shape.bindings(&params),
+                        &bindings,
                     )
                     .map_err(|e| Error::execution(&query.to_string(), e))
             }

@@ -142,38 +142,41 @@ impl AnalysedShape {
     /// Record the analysis of a representative: `prepared` is its topped
     /// plan, `params` its lifted constants.  Every constant of the plan was
     /// copied from the query, so it is one of `params` or a kept literal
-    /// (which no parameter equals, by construction of the key).
+    /// (which no parameter equals, by construction of the key).  Kept
+    /// literals are interned here, which fails on a full pool.
     pub(crate) fn new(
         prepared: &PreparedPlan,
         params: &[Value],
         plan_size: usize,
         fetch_bound: usize,
-    ) -> AnalysedShape {
+    ) -> bqr_data::Result<AnalysedShape> {
         let sources = prepared
             .plan()
             .constant_slots()
             .into_iter()
             .map(|c| match params.iter().position(|p| p == c) {
-                Some(i) => SlotSource::Param(i),
-                None => SlotSource::Literal(ValueId::intern(c)),
+                Some(i) => Ok(SlotSource::Param(i)),
+                None => ValueId::try_intern(c).map(SlotSource::Literal),
             })
-            .collect();
-        AnalysedShape {
+            .collect::<bqr_data::Result<_>>()?;
+        Ok(AnalysedShape {
             prepared: Arc::clone(prepared.shape()),
             sources,
             plan_size,
             fetch_bound,
-        }
+        })
     }
 
     /// The interned constants of the query of this shape whose lifted
-    /// constants are `params`, one per pipeline slot.
-    pub(crate) fn bindings(&self, params: &[Value]) -> Vec<ValueId> {
+    /// constants are `params`, one per pipeline slot.  A constant the pool
+    /// has never seen is minted an id here, so this fails with
+    /// [`bqr_data::DataError::ValuePoolExhausted`] on a full pool.
+    pub(crate) fn bindings(&self, params: &[Value]) -> bqr_data::Result<Vec<ValueId>> {
         self.sources
             .iter()
             .map(|source| match *source {
-                SlotSource::Param(i) => ValueId::intern(&params[i]),
-                SlotSource::Literal(id) => id,
+                SlotSource::Param(i) => ValueId::try_intern(&params[i]),
+                SlotSource::Literal(id) => Ok(id),
             })
             .collect()
     }

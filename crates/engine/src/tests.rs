@@ -449,7 +449,7 @@ fn error_closures_on_large_instances_copy_no_relation() {
                 .iter()
                 .next()
                 .unwrap()
-                .clone();
+                .to_tuple();
             assert!(!db.insert("rating", present)?);
             for rel in snapshot.relations() {
                 assert!(db.relation(rel.name()).unwrap().shares_storage(rel));

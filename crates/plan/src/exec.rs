@@ -19,9 +19,9 @@
 //!   joined columns ([`Relation::keyed_index`]: built by the first read,
 //!   patched by each write that moves the view, shared by every execution
 //!   and version in between) — no extent copy, no per-execution hash-join
-//!   build, no re-interning after a write, at the price of one index per
+//!   build, no rebuild after a write, at the price of one index per
 //!   (view, join columns) kept as long as the extent.  A bare or merely
-//!   filtered view leaf is scanned through the extent's interned snapshot
+//!   filtered view leaf is scanned through the extent's id snapshot
 //!   (one `memcpy` per scan, shared across executions of the same epoch);
 //! * fetches go through the id-native constraint indexes
 //!   ([`bqr_data::InternedAccessIndex`]), with `X`-keys deduplicated globally
@@ -446,7 +446,12 @@ pub struct Pipeline {
     extents: Vec<Relation>,
 }
 
-/// A plan's constants as interned ids, in slot order.
+/// A plan's constants as interned ids, in slot order.  These are the
+/// constants written into a plan a caller compiles, prepares or analyses, a
+/// handful per plan: filling the pool's `2³² − 1` ids with them would take
+/// billions of plans, so `intern`'s panic on a full pool is out of reach
+/// here.  (`Session::query` binds an ad-hoc query's constants through
+/// `ValueId::try_intern`, and builds no plan.)
 pub(crate) fn intern_constants(plan: &QueryPlan) -> Arc<[ValueId]> {
     plan.constant_slots()
         .into_iter()
@@ -471,9 +476,9 @@ impl Pipeline {
     /// `shape` with `consts` in its constant slots and the extents of
     /// `views` in its extent slots.  The fetches are resolved against `idb`
     /// here as well: a constraint outside its schema is this call's error,
-    /// and forcing the constraints' id-native indexes (and the interning of
-    /// their values) into existence is this call's cost, not the first
-    /// execution's — which still builds whatever it reads of an extent.
+    /// and forcing the constraints' id-native indexes into existence is this
+    /// call's cost, not the first execution's — which still builds whatever
+    /// it reads of an extent.
     pub(crate) fn bind(
         shape: Arc<CompiledShape>,
         consts: Arc<[ValueId]>,
@@ -1450,7 +1455,7 @@ pub mod reference {
                         right: extent.schema().arity(),
                     });
                 }
-                Ok(extent.iter().cloned().collect())
+                Ok(extent.iter().map(bqr_data::TupleRef::to_tuple).collect())
             }
             PlanNode::Fetch {
                 input,

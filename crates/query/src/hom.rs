@@ -12,10 +12,11 @@
 //!   indexed by slot.  No string comparison or `BTreeMap` traffic happens
 //!   inside the search.
 //! * **Interned values** — relations are executed over per-epoch
-//!   [`bqr_data::InternedSnapshot`]s: every [`Value`] is interned to a dense
-//!   [`ValueId`] once at snapshot-build time, so the inner loop compares and
-//!   hashes plain `u32`s.  Snapshots (and their [`bqr_data::RelationStats`])
-//!   are shared process-wide across [`IndexCache`] instances.
+//!   [`bqr_data::InternedSnapshot`]s: copies of the dense [`ValueId`] rows
+//!   the relations store (every [`Value`] is interned once, when it is
+//!   inserted), so the inner loop compares and hashes plain `u32`s.
+//!   Snapshots (and their [`bqr_data::RelationStats`]) are shared
+//!   process-wide across [`IndexCache`] instances.
 //! * **Planned execution** — the planner picks between two compiled shapes.
 //!   For acyclic probe structure, a greedy *cost-based atom order* (estimated
 //!   probe fan-out `|R| / Π d_p` from the snapshot statistics, bushy in
@@ -305,7 +306,7 @@ impl HomSearch {
         let mut vars = VarTable::default();
         let mut initial_slots = Vec::with_capacity(initial.len());
         for (name, value) in initial {
-            initial_slots.push((vars.intern(name), ValueId::intern(value)));
+            initial_slots.push((vars.intern(name), ValueId::try_intern(value)?));
         }
         let initial_len = initial_slots.len();
 
@@ -611,10 +612,10 @@ fn compile_atom_order(
         for (pos, term) in atom.args().iter().enumerate() {
             match term {
                 Term::Const(c) => {
-                    // Every snapshot of this query's relations is already
-                    // built (and interned) by `compile_with`, so a constant
-                    // the pool has never seen occurs in no probed relation:
-                    // the search is unsatisfiable and needs no pool entry.
+                    // A stored value was interned when it was inserted, so
+                    // a constant the pool has never seen occurs in no probed
+                    // relation: the search is unsatisfiable and needs no
+                    // pool entry.
                     key_positions.push(pos);
                     key.push(KeyPart::Const(ValueId::lookup(c)?));
                 }
@@ -693,8 +694,8 @@ fn compile_generic_join(
             .map(|&s| level_of(s).expect("free slots appear in the variable order"))
             .collect();
 
-        // A constant the pool has never seen occurs in no snapshot (all of
-        // this query's snapshots are interned by now): unsatisfiable.
+        // A constant the pool has never seen occurs in no relation, so in no
+        // snapshot: unsatisfiable.
         let base_part = |pos: usize| -> Option<KeyPart> {
             match &atom.args()[pos] {
                 Term::Const(c) => Some(KeyPart::Const(ValueId::lookup(c)?)),
@@ -868,7 +869,7 @@ pub mod reference {
     use crate::atom::{Atom, Term};
     use crate::error::QueryError;
     use crate::Result;
-    use bqr_data::{Relation, Tuple, Value};
+    use bqr_data::{Relation, TupleRef, Value};
     use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     /// Enumerate homomorphisms with the naive engine.
@@ -932,7 +933,7 @@ pub mod reference {
     /// bound when the atom is reached in the join order.  Rebuilt per call.
     struct AtomIndex<'a> {
         key_positions: Vec<usize>,
-        map: HashMap<Vec<Value>, Vec<&'a Tuple>>,
+        map: HashMap<Vec<Value>, Vec<TupleRef<'a>>>,
     }
 
     impl<'a> AtomIndex<'a> {
@@ -947,7 +948,7 @@ pub mod reference {
                 })
                 .map(|(i, _)| i)
                 .collect();
-            let mut map: HashMap<Vec<Value>, Vec<&'a Tuple>> = HashMap::new();
+            let mut map: HashMap<Vec<Value>, Vec<TupleRef<'a>>> = HashMap::new();
             for tuple in relation.iter() {
                 let key: Vec<Value> = key_positions.iter().map(|&p| tuple[p].clone()).collect();
                 map.entry(key).or_default().push(tuple);
@@ -955,7 +956,7 @@ pub mod reference {
             AtomIndex { key_positions, map }
         }
 
-        fn probe(&self, key: &[Value]) -> &[&'a Tuple] {
+        fn probe(&self, key: &[Value]) -> &[TupleRef<'a>] {
             self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
         }
     }

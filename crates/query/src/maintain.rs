@@ -35,15 +35,20 @@
 //!   `O(log |R| + matches)`, no memory, nothing to maintain;
 //! * any other bound positions (`like` by `id`, to re-derive a movie) probe
 //!   a [`Relation::keyed_index`]: `O(1 + matches)`.  The index is built by
-//!   the first write that needs it — one `O(|R|)` pass, paid once per
-//!   relation and key, the way the first read pays first-touch interning —
-//!   and from then on every write to the relation carries it forward in
-//!   `O(#shards + |groups| / #shards)`, whether or not that write's plans
-//!   probed it;
+//!   the first write that needs it — one `O(|R|)` pass over the stored id
+//!   rows, paid once per relation and key — and from then on every write to
+//!   the relation carries it forward in `O(#shards + |groups| / #shards)`,
+//!   whether or not that write's plans probed it;
 //! * a step with **no** bound position — an atom sharing no variable with
 //!   anything bound before it, i.e. a cross product in the view — degrades
 //!   to a scan of its relation, once per binding reaching it.  That is
 //!   inherent: the view's own output is that large.
+//!
+//! A plan runs on interned ids, as the relations store them: the view's
+//! constants are interned once, when the plan is built; its slots hold
+//! [`ValueId`]s; a prefix walk and a keyed probe hand their stored id rows
+//! straight to unification, which compares integers.  A value is resolved
+//! only when a head tuple is emitted.
 //!
 //! So a delta tuple costs `O(Σ matches)` along its chain, independent of
 //! `|D|` — for an acyclic body like `V1`'s, a handful of rows.
@@ -74,7 +79,7 @@ use crate::cq::ConjunctiveQuery;
 use crate::views::{MaterializedViews, ViewDefinition, ViewSet};
 use crate::Result;
 use bqr_data::delta::{DeltaLog, RelationDelta};
-use bqr_data::{Database, FetchStats, Relation, RelationSchema, Tuple, Value, ValueId};
+use bqr_data::{Database, FetchStats, Relation, RelationSchema, Tuple, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maintain every extent of `views` across one mutation: `previous` are the
@@ -185,8 +190,9 @@ struct CqChange {
 /// One argument position of an atom (or head), as a [`DeltaPlan`] meets it.
 #[derive(Debug)]
 enum Arg {
-    /// A constant of the view: the field must equal it.
-    Const(Value),
+    /// A constant of the view, interned when the plan was built: the field
+    /// must be it.
+    Const(ValueId),
     /// A variable, by slot.  `bound`: some earlier position — of the seed,
     /// of an earlier step, or of this same atom — has given the slot its
     /// value, which the field must equal; otherwise the field gives it one.
@@ -194,25 +200,30 @@ enum Arg {
 }
 
 impl Arg {
-    /// The value a constant or bound position stands for.
-    fn value<'a>(&'a self, slots: &'a [Value]) -> &'a Value {
-        match self {
-            Arg::Const(value) => value,
-            Arg::Var { slot, .. } => &slots[*slot],
+    /// The id a constant or bound position stands for.
+    fn id(&self, slots: &[ValueId]) -> ValueId {
+        match *self {
+            Arg::Const(id) => id,
+            Arg::Var { slot, .. } => slots[slot],
         }
     }
 }
 
 /// Match `row` against `args`: constants and bound variables must agree —
 /// what `row` cannot join with is `false` — and unbound variables take
-/// their values from it.
-fn unify(args: &[Arg], row: &[Value], slots: &mut [Value]) -> bool {
-    args.iter().zip(row).all(|(arg, field)| match arg {
+/// their ids from it.  `slots` holds the bindings in slot order.  A plan
+/// numbers its variables in the order it binds them, so every slot below an
+/// unbound variable's is bound on the current path and whatever lies at or
+/// above it was left by a path since abandoned: binding truncates to the
+/// slot and pushes.
+fn unify(args: &[Arg], row: &[ValueId], slots: &mut Vec<ValueId>) -> bool {
+    args.iter().zip(row).all(|(arg, &field)| match *arg {
         Arg::Var { slot, bound: false } => {
-            slots[*slot] = field.clone();
+            slots.truncate(slot);
+            slots.push(field);
             true
         }
-        arg => arg.value(slots) == field,
+        ref arg => arg.id(slots) == field,
     })
 }
 
@@ -250,23 +261,26 @@ impl DeltaPlan {
     /// The plan joining `rest` — atoms of `cq` — to a tuple matched against
     /// `seed`: an atom's arguments (`rest` being the other atoms), or the
     /// head's terms (`rest` being the whole body).
-    fn new(cq: &ConjunctiveQuery, seed: &[Term], mut rest: Vec<&Atom>) -> DeltaPlan {
+    fn new(cq: &ConjunctiveQuery, seed: &[Term], mut rest: Vec<&Atom>) -> Result<DeltaPlan> {
         // Variable → slot, in order of first binding: a variable is bound
         // exactly when it is in the map.
         let mut slots: BTreeMap<&str, usize> = BTreeMap::new();
-        fn compile<'q>(terms: &'q [Term], slots: &mut BTreeMap<&'q str, usize>) -> Vec<Arg> {
+        fn compile<'q>(
+            terms: &'q [Term],
+            slots: &mut BTreeMap<&'q str, usize>,
+        ) -> Result<Vec<Arg>> {
             let arg = |term: &'q Term| match term {
-                Term::Const(value) => Arg::Const(value.clone()),
+                Term::Const(value) => Ok(Arg::Const(ValueId::try_intern(value)?)),
                 Term::Var(name) => {
                     let fresh = slots.len();
                     let slot = *slots.entry(name).or_insert(fresh);
                     let bound = slot != fresh;
-                    Arg::Var { slot, bound }
+                    Ok(Arg::Var { slot, bound })
                 }
             };
             terms.iter().map(arg).collect()
         }
-        let seed = compile(seed, &mut slots);
+        let seed = compile(seed, &mut slots)?;
         let mut steps = Vec::with_capacity(rest.len());
         while !rest.is_empty() {
             // Most-bound-first; the earliest atom among equals.
@@ -289,17 +303,17 @@ impl DeltaPlan {
             };
             steps.push(Step {
                 relation: atom.relation().to_string(),
-                args: compile(atom.args(), &mut slots),
+                args: compile(atom.args(), &mut slots)?,
                 access,
             });
         }
         // Safe queries: every head variable is bound by now.
-        DeltaPlan {
+        Ok(DeltaPlan {
             seed,
             steps,
-            head: compile(cq.head(), &mut slots),
+            head: compile(cq.head(), &mut slots)?,
             slots: slots.len(),
-        }
+        })
     }
 
     /// Have `db`'s relations hold the keyed indexes this plan probes.  Asked
@@ -325,8 +339,13 @@ impl DeltaPlan {
         stats: &mut FetchStats,
         emit: &mut dyn FnMut(Tuple) -> Result<bool>,
     ) -> Result<()> {
-        let mut slots = vec![Value::Bool(false); self.slots];
-        if unify(&self.seed, seed.values(), &mut slots) {
+        // A Δ tuple was stored and a candidate derived from stored ones, so
+        // their values are interned; one that is not joins nothing stored.
+        let Some(seed) = seed.iter().map(ValueId::lookup).collect::<Option<Vec<_>>>() else {
+            return Ok(());
+        };
+        let mut slots = Vec::with_capacity(self.slots);
+        if unify(&self.seed, &seed, &mut slots) {
             self.search(db, 0, &mut slots, stats, emit)?;
         }
         Ok(())
@@ -338,26 +357,25 @@ impl DeltaPlan {
         &self,
         db: &Database,
         depth: usize,
-        slots: &mut [Value],
+        slots: &mut Vec<ValueId>,
         stats: &mut FetchStats,
         emit: &mut dyn FnMut(Tuple) -> Result<bool>,
     ) -> Result<bool> {
         let Some(step) = self.steps.get(depth) else {
-            let head = self.head.iter().map(|arg| arg.value(slots).clone());
-            return emit(Tuple::new(head.collect()));
+            let head = self.head.iter().map(|arg| arg.id(slots).value());
+            return emit(head.collect());
         };
         let relation = db.expect_relation(&step.relation)?;
-        let bound = |p: usize| step.args[p].value(slots);
         match &step.access {
             Access::Prefix(lead) => {
-                let prefix: Vec<Value> = (0..*lead).map(|p| bound(p).clone()).collect();
+                let prefix: Vec<ValueId> = (0..*lead).map(|p| step.args[p].id(slots)).collect();
                 stats.fetch_calls += usize::from(*lead > 0);
                 for row in relation.prefix_range(&prefix) {
                     match lead {
                         0 => stats.scanned_tuples += 1,
                         _ => stats.fetched_tuples += 1,
                     }
-                    if unify(&step.args, row.values(), slots)
+                    if unify(&step.args, row.ids(), slots)
                         && !self.search(db, depth + 1, slots, stats, emit)?
                     {
                         return Ok(false);
@@ -367,18 +385,12 @@ impl DeltaPlan {
             Access::Keyed(positions) => {
                 stats.fetch_calls += 1;
                 // Held by the relation version: built by the first probe
-                // ever, carried by every write since.  It has interned every
-                // value of the relation, so a bound value the pool has never
-                // seen matches no row.
+                // ever, carried by every write since.
                 let index = relation.keyed_index(positions);
-                let key = positions.iter().map(|&p| ValueId::lookup(bound(p)));
-                let Some(key) = key.collect::<Option<Vec<_>>>() else {
-                    return Ok(true);
-                };
-                for ids in index.probe(&key).chunks_exact(index.arity()) {
+                let key: Vec<ValueId> = positions.iter().map(|&p| step.args[p].id(slots)).collect();
+                for row in index.probe(&key).chunks_exact(index.arity()) {
                     stats.fetched_tuples += 1;
-                    let row: Vec<Value> = ids.iter().map(|id| id.value()).collect();
-                    if unify(&step.args, &row, slots)
+                    if unify(&step.args, row, slots)
                         && !self.search(db, depth + 1, slots, stats, emit)?
                     {
                         return Ok(false);
@@ -407,14 +419,15 @@ fn maintain_cq_tracked(
     let mut inserted = Vec::new();
     // One plan per atom position a Δ tuple can take: that atom is the seed,
     // the other atoms are joined to it.
-    let plan = |(i, atom): (usize, &Atom)| {
-        let exact = delta.exact(atom.relation())?;
+    let mut plans: Vec<(DeltaPlan, &RelationDelta)> = Vec::new();
+    for (i, atom) in cq.atoms().iter().enumerate() {
+        let Some(exact) = delta.exact(atom.relation()) else {
+            continue;
+        };
         let others = cq.atoms().iter().enumerate().filter(|(j, _)| *j != i);
         let others = others.map(|(_, other)| other).collect();
-        Some((DeltaPlan::new(cq, atom.args(), others), exact))
-    };
-    let plans: Vec<(DeltaPlan, &RelationDelta)> =
-        cq.atoms().iter().enumerate().filter_map(plan).collect();
+        plans.push((DeltaPlan::new(cq, atom.args(), others)?, exact));
+    }
 
     // DRed phase 1+2: over-delete candidates (derivations through a removed
     // tuple, found over the OLD instance), then re-derive over the new one:
@@ -432,7 +445,7 @@ fn maintain_cq_tracked(
             })?;
         }
     }
-    let rederive = DeltaPlan::new(cq, cq.head(), cq.atoms().iter().collect());
+    let rederive = DeltaPlan::new(cq, cq.head(), cq.atoms().iter().collect())?;
     for candidate in candidates {
         if !extent.contains(&candidate) {
             continue;

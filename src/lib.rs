@@ -104,12 +104,11 @@
 //! | step | cost |
 //! |---|---|
 //! | clone the instance for the closure | `O(#chunks)` pointer copies, no tuple |
-//! | one `insert` / `remove` | `O(log \|R\|)` to find the chunk, one chunk copied on its first write (two when chunks merge) |
+//! | one `insert` / `remove` | one pool lookup per value (an insert mints an id for a value never seen, the only interning a write does), `O(log \|R\|)` to find the chunk, one chunk of ids copied on its first write (two when chunks merge) |
 //! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
-//! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)` |
-//! | its id-native sibling, if built | same shape; re-interns only the touched groups (`≤ N · arity` values each) |
+//! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)`; the Δ tuples' ids are looked up, nothing is interned |
 //! | a keyed index the relation holds (view maintenance asked for it once — or, for a view extent, a read that joins the view) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
-//! | the interned snapshot of a written relation | nothing — no write carries one forward; the next scan of the relation builds it |
+//! | the snapshot of a written relation | nothing — no write carries one forward; the next scan of the relation builds it |
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
@@ -151,8 +150,8 @@
 //! Untouched relations share their epochs, indexes (access and keyed), and
 //! snapshots into the new version, and the pipeline cache is keyed by plan
 //! shape alone — a compiled pipeline holds no data, so no write invalidates
-//! one, and the first read after a write pays only for re-interning what the
-//! write changed.  A net no-op mutation publishes nothing at all: no epoch
+//! one, and the first read after a write pays only for re-snapshotting what
+//! the write changed.  A net no-op mutation publishes nothing at all: no epoch
 //! moves.  [`MaintenanceMode::Rebuild`] restores the from-scratch
 //! behaviour engine-wide (the differential baseline: same contents, same
 //! epoch contract, bit-identical answers).  Failures anywhere — closure

@@ -304,6 +304,69 @@ fn mutate_closure_faults_are_all_or_nothing() {
     assert_eq!(engine.database().size(), before.size() + 1);
 }
 
+/// A write that would mint a value the pool has never seen fails typed when
+/// minting fails — the way a full pool does — and publishes nothing: same
+/// contents, same epochs, the very same keyed indexes, and no id minted.
+/// Work over known values never reaches the site: the same insert of a
+/// known value commits under the fault, maintenance and reads included.
+#[test]
+fn value_intern_faults_fail_the_write_that_would_grow_the_pool() {
+    let _chaos = chaos_lock();
+    let engine = fig1_engine();
+    build_the_like_index(&engine);
+    let golden = engine.session().execute("fig1").unwrap();
+    assert!(like_index_is_built(&engine) && v1_index_is_built(&engine));
+    let keyed = |engine: &Engine| {
+        let session = engine.session();
+        let like = session.database().relation("like").unwrap();
+        let v1 = session.views().extent("V1").unwrap();
+        (like.keyed_index(&[1, 2]), v1.keyed_index(&[0]))
+    };
+    let (before, epochs, (like_index, v1_index)) =
+        (engine.database(), engine.session().epochs(), keyed(&engine));
+
+    let ghost = bqr::data::Value::str("a value only the value-intern fault test inserts");
+    let unseen = Tuple::new(vec![1.into(), 10.into(), ghost.clone()]);
+    let known = tuple![1, 12, "movie"];
+    {
+        let _fp = faults::inject_guard(sites::VALUE_INTERN, FaultKind::Error);
+        let err = engine
+            .mutate(|db| db.insert("like", unseen.clone()))
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Data(DataError::FaultInjected(site)) if site == sites::VALUE_INTERN),
+            "{err:?}"
+        );
+        assert_eq!(engine.database(), before, "no partial commit");
+        assert_eq!(engine.session().epochs(), epochs, "nothing was published");
+        let (like_now, v1_now) = keyed(&engine);
+        assert!(std::sync::Arc::ptr_eq(&like_now, &like_index));
+        assert!(std::sync::Arc::ptr_eq(&v1_now, &v1_index));
+        assert_eq!(bqr::data::ValueId::lookup(&ghost), None, "nothing minted");
+        assert_eq!(engine.session().execute("fig1").unwrap(), golden);
+
+        // Known values mint nothing, so the fault never fires.
+        engine
+            .mutate(|db| db.insert("like", known.clone()))
+            .unwrap();
+        assert!(faults::is_active(sites::VALUE_INTERN));
+    }
+    let session = engine.session();
+    assert_ne!(session.epochs(), epochs);
+    assert!(session
+        .database()
+        .relation("like")
+        .unwrap()
+        .contains(&known));
+    assert_eq!(session.execute("fig1").unwrap(), golden);
+
+    // Fault cleared: the unseen value is interned and stored.
+    engine
+        .mutate(|db| db.insert("like", unseen.clone()))
+        .unwrap();
+    assert!(bqr::data::ValueId::lookup(&ghost).is_some());
+}
+
 /// The headline scenario: four concurrent pinned sessions keep reading
 /// bit-identically while the writer side is bombarded with injected
 /// faults — failed mutations interleaved with successful ones.
@@ -702,7 +765,7 @@ fn faulted_writes_leave_the_structurally_shared_predecessor_intact() {
     let pinned = engine.session();
     let contents = |db: &Database| -> Vec<Vec<Tuple>> {
         db.relations()
-            .map(|r| r.iter().cloned().collect())
+            .map(|r| r.iter().map(|t| t.to_tuple()).collect())
             .collect()
     };
     let (before, epochs) = (contents(pinned.database()), pinned.epochs());

@@ -121,7 +121,7 @@ fn present_tuple(rng: &mut StdRng, db: &Database, relation: &str) -> Tuple {
         return random_tuple(rng, relation);
     }
     let idx = rng.gen_range(0..rel.len());
-    rel.iter().nth(idx).unwrap().clone()
+    rel.iter().nth(idx).unwrap().to_tuple()
 }
 
 /// One randomized mutation step, applied identically to both engines.
@@ -197,8 +197,12 @@ fn mutate_both(rng: &mut StdRng, delta: &Engine, rebuild: &Engine) {
                         // Rebuild the relation from scratch through
                         // `relation_mut` assignment: tracking is lost.
                         let schema = db.relation(rel).unwrap().schema().clone();
-                        let mut tuples: Vec<Tuple> =
-                            db.relation(rel).unwrap().iter().cloned().collect();
+                        let mut tuples: Vec<Tuple> = db
+                            .relation(rel)
+                            .unwrap()
+                            .iter()
+                            .map(|t| t.to_tuple())
+                            .collect();
                         tuples.push(t.clone());
                         *db.relation_mut(rel)? = bqr::data::Relation::from_tuples(schema, tuples)?;
                     }
@@ -453,10 +457,15 @@ fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
         .extent("V1")
         .unwrap()
         .iter()
-        .cloned()
+        .map(|t| t.to_tuple())
         .collect();
     let reference = views().materialize(session.database()).unwrap();
-    let expected: Vec<Tuple> = reference.extent("V1").unwrap().iter().cloned().collect();
+    let expected: Vec<Tuple> = reference
+        .extent("V1")
+        .unwrap()
+        .iter()
+        .map(|t| t.to_tuple())
+        .collect();
     assert_eq!(v1, expected);
 }
 
@@ -573,7 +582,7 @@ fn replacing_a_relation_with_equal_contents_publishes_nothing() {
         ("rating", |r| r.clone()),
         // Same set, loaded in reverse: other chunk boundaries.
         ("rating", |r| {
-            let tuples: Vec<Tuple> = r.iter().cloned().collect();
+            let tuples: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
             Relation::from_tuples(r.schema().clone(), tuples.into_iter().rev()).unwrap()
         }),
         // A new empty instance (a fresh epoch) over an empty relation.
@@ -689,7 +698,8 @@ fn carried_keyed_indexes_match_from_scratch_recomputation() {
                 let label = format!("`{}` by {positions:?}", rel.name());
                 let carried = rel.keyed_index_if_built(&positions);
                 let carried = carried.unwrap_or_else(|| panic!("{label} was dropped"));
-                let fresh = Relation::from_tuples(rel.schema().clone(), rel.iter().cloned());
+                let fresh =
+                    Relation::from_tuples(rel.schema().clone(), rel.iter().map(|t| t.to_tuple()));
                 let rebuilt = fresh.unwrap().keyed_index(&positions);
                 assert_eq!(*carried, *rebuilt, "{label}");
                 // At most three tuples were written, one shard each; an
@@ -765,7 +775,8 @@ fn v1_carries_the_index_reads_probe_and_a_pinned_session_keeps_its_own() {
     let current = engine.session();
     let extent = v1_of(&current);
     let carried = extent.keyed_index_if_built(&[0]).expect("carried along");
-    let rebuilt = Relation::from_tuples(extent.schema().clone(), extent.iter().cloned());
+    let rebuilt =
+        Relation::from_tuples(extent.schema().clone(), extent.iter().map(|t| t.to_tuple()));
     assert_eq!(*carried, *rebuilt.unwrap().keyed_index(&[0]));
     let shared = carried.shared_shards(&built);
     assert!(

@@ -77,7 +77,7 @@ fn figure1_plan_reads_of_v1_what_it_fetched_not_the_extent() {
             seed: 4,
         });
         let universal_2014 =
-            |m: &&bqr_data::Tuple| m[2] == "Universal".into() && m[3] == "2014".into();
+            |m: &bqr_data::TupleRef| m[2] == "Universal".into() && m[3] == "2014".into();
         let movies = db.relation("movie").unwrap().iter();
         let fetched_movies = movies.filter(universal_2014).count();
         let cache = setting.views.materialize(&db).unwrap();

@@ -1,5 +1,5 @@
-//! Differential harness for the structurally shared storage (ISSUE 13) and
-//! the one index per access constraint (ISSUE 25).
+//! Differential harness for the structurally shared storage, the one index
+//! per access constraint and the id-native rows both are built from.
 //!
 //! A relation spanning several storage chunks, indexed by constraints whose
 //! groups span many shards, is driven through random write sequences —
@@ -19,12 +19,22 @@
 //! held to the test's own model: every probe is `D_{R:XY}(X = ā)` computed
 //! from the model's tuples, and the source counts are the model's.
 //!
-//! The sorted-prefix ranges view maintenance probes are held to a filter
-//! over the whole relation at every chunk edge.
+//! The storage itself is held to the model too, after every write: a
+//! relation iterates exactly the model's tuples, in the model's (value)
+//! order; every sorted-prefix range and every `select_eq` reads like a
+//! filter over the model; a snapshot's id rows are the ids iteration
+//! yields; and looking for a value the pool never saw finds nothing and
+//! mints nothing.  The sorted-prefix ranges view maintenance probes are also
+//! held to a filter over the whole relation at every chunk edge.
+//!
+//! Relations store interned ids but order rows by value.  So that the two
+//! orders disagree here — otherwise a storage sorted by id would pass — the
+//! binary mints every value it uses before anything else runs ([`minted`]),
+//! integers in descending order and strings shuffled.
 
 use bqr::data::{
     snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
-    IndexedDatabase, InternedAccessIndex, Relation, RelationStats, Tuple, Value, ValueId,
+    IndexedDatabase, InternedAccessIndex, Relation, RelationStats, Tuple, TupleRef, Value, ValueId,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,6 +57,32 @@ fn access() -> AccessSchema {
         AccessConstraint::new("fact", &["d"], &["k"], 1000).unwrap(),
         AccessConstraint::new("dim", &["k"], &["name"], 4).unwrap(),
     ])
+}
+
+/// Mint every value this binary stores or probes, once and before anything
+/// else interns one, in an order that is not value order: integers
+/// descending, the `dim` names shuffled.  Each test calls this first; no
+/// value is minted after it returns, so the pool's size holds still.
+fn minted() {
+    static MINTED: OnceLock<()> = OnceLock::new();
+    MINTED.get_or_init(|| {
+        for v in (-5..2_000i64).rev() {
+            ValueId::intern(&Value::int(v));
+        }
+        for k in 0..70 {
+            ValueId::intern(&Value::str(format!("n{}", (k * 37) % 70)));
+        }
+        // Values in value order, by id: neither run may be ascending.
+        let ids = |values: BTreeSet<Value>| -> Vec<ValueId> {
+            values.iter().map(|v| ValueId::lookup(v).unwrap()).collect()
+        };
+        let ints = ids((0..10).map(Value::int).collect());
+        let names = ids((0..70).map(|k| Value::str(format!("n{k}"))).collect());
+        assert!(
+            !ints.is_sorted() && !names.is_sorted(),
+            "id order is not value order"
+        );
+    });
 }
 
 /// The contents of a version, kept outside the storage under test.
@@ -80,11 +116,13 @@ fn store(model: &Model) -> Database {
 
 fn base() -> &'static (Model, IndexedDatabase) {
     static BASE: OnceLock<(Model, IndexedDatabase)> = OnceLock::new();
+    minted();
     BASE.get_or_init(|| {
         let model = base_model();
         let idb = IndexedDatabase::build(store(&model), access()).unwrap();
         assert!(idb.database().relation("fact").unwrap().chunk_count() >= 4);
         check_against_model(&idb, &model);
+        check_storage(idb.database(), &model);
         (model, idb)
     })
 }
@@ -119,7 +157,7 @@ fn observe(idb: &IndexedDatabase) -> Observation {
     let relations = idb
         .database()
         .relations()
-        .map(|r| r.iter().cloned().collect())
+        .map(|r| r.iter().map(TupleRef::to_tuple).collect())
         .collect();
     let indexes = (0..3)
         .map(|i| {
@@ -195,8 +233,76 @@ fn check_against_model(idb: &IndexedDatabase, model: &Model) {
     }
 }
 
-/// Wherever `idb` holds a snapshot, it is the relation: same rows, and
-/// statistics equal to a recount.  Returns which relations hold one.
+/// The tuples of `model` whose fields at `positions` are `key`.
+fn filter<'m>(model: &'m BTreeSet<Tuple>, positions: &[usize], key: &[Value]) -> Vec<&'m Tuple> {
+    let fits = |t: &&Tuple| positions.iter().zip(key).all(|(&p, v)| t[p] == *v);
+    model.iter().filter(fits).collect()
+}
+
+/// Every relation of `db` read through its storage against `model`: the
+/// tuples, in order; sorted-prefix ranges of every length (and one too
+/// long) and `select_eq` on a non-leading and on two out-of-order
+/// positions, each against a filter of the model; and membership of a value
+/// the pool never saw, which must mint nothing.
+fn check_storage(db: &Database, model: &Model) {
+    for rel in db.relations() {
+        let model = &model[rel.name()];
+        assert_eq!(rel.len(), model.len(), "{}", rel.name());
+        let stored = rel.iter().map(TupleRef::to_tuple);
+        assert!(stored.eq(model.iter().cloned()), "{} in order", rel.name());
+
+        // Prefixes: every live first field (and some dead ones), every live
+        // (first, second), every tuple whole, one field too many.
+        let mut prefixes: Vec<Vec<Value>> = vec![vec![]];
+        for t in model.iter().step_by(5) {
+            let fields = t.values();
+            prefixes.extend((1..=fields.len() + 1).map(|n| {
+                let mut prefix = fields[..n.min(fields.len())].to_vec();
+                prefix.resize(n, Value::int(0));
+                prefix
+            }));
+        }
+        prefixes.extend((KEYS..KEYS + 5).map(|k| vec![Value::int(k)]));
+        for prefix in &prefixes {
+            let ids: Vec<ValueId> = prefix.iter().map(|v| ValueId::lookup(v).unwrap()).collect();
+            let ranged: Vec<Tuple> = rel.prefix_range(&ids).map(TupleRef::to_tuple).collect();
+            let positions: Vec<usize> = (0..prefix.len()).collect();
+            let expected = match prefix.len() <= rel.schema().arity() {
+                true => filter(model, &positions, prefix),
+                false => Vec::new(),
+            };
+            assert!(ranged.iter().eq(expected), "{} from {prefix:?}", rel.name());
+        }
+
+        let days = (0..DAYS + 2)
+            .step_by(3)
+            .map(|d| (vec![1], vec![Value::int(d)]));
+        let names = (0..5).map(|k| (vec![1], vec![Value::str(format!("n{k}"))]));
+        let facts = (0..KEYS).step_by(50);
+        let facts = facts.map(|k| (vec![1, 0], vec![Value::int(k % DAYS), Value::int(k)]));
+        for (positions, key) in days.chain(names).chain(facts) {
+            let selected = rel.select_eq(&positions, &key);
+            let expected = filter(model, &positions, &key);
+            assert!(
+                selected.iter().eq(expected),
+                "{} where {positions:?} = {key:?}",
+                rel.name()
+            );
+        }
+
+        let pool = ValueId::pool_len();
+        let ghost = Value::str("a value no test of this binary interns");
+        let probe = Tuple::new(vec![ghost.clone(); rel.schema().arity()]);
+        assert!(!rel.contains(&probe), "{}", rel.name());
+        assert!(rel.select_eq(&[0], std::slice::from_ref(&ghost)).is_empty());
+        assert_eq!(ValueId::lookup(&ghost), None, "looking is not minting");
+        assert_eq!(ValueId::pool_len(), pool, "nothing was interned");
+    }
+}
+
+/// Wherever `idb` holds a snapshot, it is the relation: same rows, its id
+/// rows the ids iteration yields, and statistics equal to a recount.
+/// Returns which relations hold one.
 fn check_snapshots(idb: &IndexedDatabase) -> Vec<bool> {
     idb.database()
         .relations()
@@ -210,11 +316,17 @@ fn check_snapshots(idb: &IndexedDatabase) -> Vec<bool> {
                 .map(|i| snap.row(i).iter().map(|id| id.value()).collect())
                 .collect();
             assert!(
-                rows.iter().eq(rel.iter()),
+                rows.iter().cloned().eq(rel.iter().map(TupleRef::to_tuple)),
                 "snapshot rows of {}",
                 rel.name()
             );
             assert_eq!(rows.len(), snap.len(), "no duplicate rows");
+            let ids = rel.iter().flat_map(TupleRef::ids).copied();
+            assert!(
+                snap.id_rows().iter().copied().eq(ids),
+                "id rows of {}",
+                rel.name()
+            );
             assert_eq!(
                 *snap.stats(),
                 RelationStats::of_rows(snap.len(), snap.arity(), snap.id_rows())
@@ -361,6 +473,7 @@ proptest! {
             let log = next.take_delta(current.database());
             let successor = current.apply_delta(next, &log).unwrap();
             check_against_model(&successor, &model);
+            check_storage(successor.database(), &model);
 
             // Snapshots are kept by exactly the relations that had one and
             // were not written: no write carries one forward.
@@ -407,6 +520,7 @@ proptest! {
 /// every prefix length and wherever the run falls against the chunk edges.
 #[test]
 fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
+    minted();
     let schema = DatabaseSchema::with_relations(&[("r", &["a", "b"])]).unwrap();
     let rel = schema.relation("r").unwrap().clone();
     // Even keys only (odd ones are absent), `1 + a % 7` tuples each, then
@@ -418,11 +532,14 @@ fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
     let r = Relation::from_tuples(rel.clone(), tuples).unwrap();
     assert_eq!(r.chunk_count(), r.len().div_ceil(512));
 
-    let filtered = |prefix: &[Value]| -> Vec<&Tuple> {
-        let fits = |t: &&Tuple| t.values().starts_with(prefix);
-        r.iter().filter(fits).collect()
+    let ids = |prefix: &[Value]| -> Vec<ValueId> {
+        prefix.iter().map(|v| ValueId::lookup(v).unwrap()).collect()
     };
-    let ranged = |prefix: &[Value]| r.prefix_range(prefix).collect::<Vec<_>>();
+    let starts_with = |t: &TupleRef, prefix: &[Value]| t.to_tuple().values().starts_with(prefix);
+    let filtered = |prefix: &[Value]| -> Vec<TupleRef> {
+        r.iter().filter(|t| starts_with(t, prefix)).collect()
+    };
+    let ranged = |prefix: &[Value]| r.prefix_range(&ids(prefix)).collect::<Vec<_>>();
     // Which edge cases the data actually walks.
     let (mut at_head, mut straddling, mut covering, mut offset) = (0, 0, 0, 0usize);
     for a in -2..1_402i64 {
@@ -440,14 +557,14 @@ fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
         offset += run.len();
         // `k` = arity: a membership test, present and absent.
         let present = [Value::int(a), Value::int(0)];
-        assert_eq!(ranged(&present), [&tuple![a, 0]]);
+        assert_eq!(ranged(&present), [tuple![a, 0]]);
         assert!(ranged(&[Value::int(a), Value::int(-1)]).is_empty());
     }
     assert_eq!(offset, r.len(), "every tuple is in exactly one run");
     assert!(at_head > 1, "runs starting at a chunk head: {at_head}");
     assert!(straddling > 1 && covering == 1, "{straddling} {covering}");
     // The first and the last chunk, the empty prefix, a prefix too long.
-    assert_eq!(ranged(&[Value::int(0)]), [&tuple![0, 0]]);
+    assert_eq!(ranged(&[Value::int(0)]), [tuple![0, 0]]);
     assert_eq!(ranged(&[Value::int(1_398)]).len(), 1_300);
     assert!(ranged(&[]).into_iter().eq(r.iter()));
     assert!(ranged(&[Value::int(0), Value::int(0), Value::int(0)]).is_empty());
@@ -459,12 +576,12 @@ fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
     }
     for a in -2..1_402i64 {
         let prefix = [Value::int(a)];
-        let fits = |t: &&Tuple| t.values().starts_with(&prefix);
-        let filtered: Vec<&Tuple> = written.iter().filter(fits).collect();
-        assert_eq!(written.prefix_range(&prefix).collect::<Vec<_>>(), filtered);
+        let filtered: Vec<TupleRef> = written.iter().filter(|t| starts_with(t, &prefix)).collect();
+        let ranged: Vec<TupleRef> = written.prefix_range(&ids(&prefix)).collect();
+        assert_eq!(ranged, filtered);
     }
     // The empty relation.
     let empty = Relation::empty(rel);
-    assert_eq!(empty.prefix_range(&[Value::int(0)]).count(), 0);
+    assert_eq!(empty.prefix_range(&ids(&[Value::int(0)])).count(), 0);
     assert_eq!(empty.prefix_range(&[]).count(), 0);
 }

@@ -1,20 +1,23 @@
 //! How much a one-tuple write *does*, counted, not timed: chunks and shards
-//! forked, values interned (ISSUE 13: a write to a large indexed relation);
-//! probes issued and rows visited by view maintenance (ISSUE 19: a write
-//! under a three-way join view).  The counts must be small and must not
-//! depend on `|R|` — the same at 10 k and at 100 k tuples, at 2 k and at
-//! 20 k persons.
+//! forked, values interned (a write to a large indexed relation); probes
+//! issued and rows visited by view maintenance (a write under a three-way
+//! join view).  The counts must be small and must not depend on `|R|` — the
+//! same at 10 k and at 100 k tuples, at 2 k and at 20 k persons.  And what
+//! deriving read structures from stored rows interns: nothing, because a
+//! relation stores the ids its inserts interned.
 //!
 //! The tests take turns ([`ALONE`]), so nothing else in the process interns
 //! values while the pool-size deltas are taken.
 
 use bqr::data::{
-    tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats, IndexedDatabase,
-    Tuple, Value, ValueId,
+    snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
+    IndexedDatabase, Tuple, Value, ValueId,
 };
 use bqr::query::maintain::maintain_counting;
 use bqr::query::{MaterializedViews, ViewSet};
+use bqr::workload::cdr::{self, CdrScale};
 use bqr::workload::movies::{self, MovieScale};
+use bqr::Engine;
 use std::sync::{Mutex, PoisonError};
 
 /// Held by each test for its whole run.
@@ -267,4 +270,54 @@ fn a_like_write_under_v1_probes_the_same_few_rows_at_any_size() {
         per_size.push([sole_in, sole_out, second_in, second_out]);
     }
     assert_eq!(per_size[0], per_size[1], "work depends on |Δ|, not on |D|");
+}
+
+/// On an instance attached to an engine, nothing derived from the stored
+/// rows interns a value: not the constraint indexes
+/// (`IndexedDatabase::build`), not a keyed index, not a snapshot — they
+/// copy the ids `Relation::insert` interned — and not a write of a tuple
+/// whose values the pool already holds, maintenance included.
+#[test]
+fn derived_structures_and_known_writes_intern_nothing() {
+    let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
+    let scale = CdrScale {
+        customers: 400,
+        days: 7,
+        ..CdrScale::default()
+    };
+    let engine = Engine::builder()
+        .setting(cdr::setting(&scale, 20))
+        .build()
+        .unwrap();
+    engine.attach(cdr::generate(scale)).unwrap();
+    let pool = ValueId::pool_len();
+
+    let session = engine.session();
+    let db = session.database();
+    IndexedDatabase::build(db.clone(), cdr::access_schema(&scale)).unwrap();
+    assert_eq!(ValueId::pool_len(), pool, "constraint indexes");
+    for rel in db.relations() {
+        let arity = rel.schema().arity();
+        rel.keyed_index(&[arity - 1, 0]);
+        assert_eq!(snapshot_of(rel).len(), rel.len());
+    }
+    assert_eq!(ValueId::pool_len(), pool, "keyed indexes and snapshots");
+
+    // A call of a customer to itself, at a duration some call has: every
+    // value is known, the tuple is not.
+    let calls = db.relation("calls").unwrap();
+    let some = calls.iter().next().unwrap();
+    let known = Tuple::new(vec![
+        some[0].clone(),
+        some[1].clone(),
+        some[0].clone(),
+        some[3].clone(),
+    ]);
+    assert!(!calls.contains(&known));
+    drop(session);
+    assert!(engine
+        .mutate(|db| db.insert("calls", known.clone()))
+        .unwrap());
+    assert!(engine.mutate(|db| db.remove("calls", &known)).unwrap());
+    assert_eq!(ValueId::pool_len(), pool, "a write of known values");
 }
