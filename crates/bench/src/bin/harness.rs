@@ -101,7 +101,7 @@ fn hom_engine() {
     println!("wrote {path}");
 
     // The cold-path pin (ROADMAP "known cost"): a cold single-shot
-    // enumeration pays snapshot interning once; it may not silently grow
+    // enumeration builds each index it probes once; it may not silently grow
     // past the pinned multiple of the reference engine.
     let cold = results
         .iter()

@@ -473,18 +473,18 @@ pub mod hom_bench {
 
     /// How much slower than the reference engine a *cold* single-shot slot
     /// enumeration may be before the harness's `hom` mode fails.  The cost
-    /// pinned here is the one-time snapshot interning ROADMAP records as the
-    /// "known cost" of the slot engine (~2.9–4.0× on the in-container
-    /// machine at PR 4); the headroom absorbs run-to-run noise while still
-    /// catching a silently growing cold path.
+    /// pinned here is the one-time index build per (relation, access
+    /// pattern) ROADMAP records as the "known cost" of the slot engine; the
+    /// headroom absorbs run-to-run noise while still catching a silently
+    /// growing cold path.
     pub const COLD_ENUMERATION_MAX_RATIO: f64 = 5.0;
 
     /// The cold-path guard: one-shot homomorphism enumeration over a movies
     /// instance, slot engine vs reference engine, **cold caches on every
-    /// call** — each slot call runs over a freshly stored copy of the
-    /// instance (a relation keeps the snapshot of its contents, so re-using
-    /// one instance would be warm from the second call on) and pays the full
-    /// per-epoch interning cost that every repeated workload amortises away.  Reported as `baseline_ms` =
+    /// call** — each slot call builds its indexes into a transient cache (a
+    /// relation keeps nothing the search derives from it) and pays the full
+    /// per-epoch build cost that every repeated workload amortises away.
+    /// Reported as `baseline_ms` =
     /// reference engine, `slot_cached_ms` = cold slot engine (so the row's
     /// `speedup` is *below* 1 by design — it is a cost pin, not a win).
     pub fn run_cold_enumeration(repeats: usize) -> CaseResult {
@@ -511,24 +511,8 @@ pub mod hom_bench {
         }
         let baseline_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
-        // Content-identical copies with epochs (and snapshot cells) of their
-        // own, stored before the clock starts.
-        let copies: Vec<Vec<Relation>> = (0..repeats)
-            .map(|_| {
-                let copy = |r: &Relation| {
-                    Relation::from_tuples(
-                        r.schema().clone(),
-                        r.iter().map(bqr_data::TupleRef::to_tuple),
-                    )
-                    .expect("copying a relation cannot fail")
-                };
-                db.relations().map(copy).collect()
-            })
-            .collect();
         let t = Instant::now();
-        for copy in &copies {
-            let rels: BTreeMap<String, &Relation> =
-                copy.iter().map(|r| (r.name().to_string(), r)).collect();
+        for _ in 0..repeats {
             let matches = enumerate_homomorphisms(&atoms, &rels, &Assignment::new(), limit)
                 .expect("slot enumeration succeeds")
                 .len();
@@ -922,7 +906,7 @@ pub mod plan_bench {
     }
 
     /// One prepared-execution case: a plan plus a `rebuild` closure that
-    /// loads a *fresh* instance (fresh relation epochs, cold snapshots and
+    /// loads a *fresh* instance (fresh relation epochs, cold keyed and
     /// constraint indexes) — the serving-process shape: data loads cold,
     /// then the same prepared statement is executed over and over.
     pub struct PreparedCase {
@@ -944,8 +928,7 @@ pub mod plan_bench {
         pub cold_rounds: usize,
         pub warm_repeats: usize,
         /// Milliseconds per *cold* prepared execution: first execution on a
-        /// freshly loaded instance — snapshot interning and the keyed index
-        /// of a probed extent (the constraint indexes come built with the
+        /// freshly loaded instance — the keyed index of a probed extent (the constraint indexes come built with the
         /// instance), then the run itself.  Only the first
         /// round also compiles the pipeline (a few µs): a compiled shape
         /// holds no data, so a reloaded instance is a cache hit like any
@@ -1269,7 +1252,7 @@ pub mod plan_bench {
     /// read of the written group on the new version.  Both are `O(|Δ|)`
     /// (one storage chunk, one index shard, one patched group), some
     /// tens of microseconds; any `O(|R|)` step that creeps back in (a
-    /// whole-relation fork, a re-interned index, a snapshot nobody reads)
+    /// whole-relation fork, a rebuilt index)
     /// costs tens of milliseconds at this scale and trips the ceiling.
     pub const CDR_FACT_WRITE_MAX_MS: f64 = 5.0;
 

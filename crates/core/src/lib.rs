@@ -20,6 +20,9 @@
 //!   [Fan et al. 2015], used by the experiments for comparison);
 //! * [`cross`] — `L1`-to-`L2` bounded rewriting, `VBRP+` (Section 6).
 
+#![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
 pub mod bounded_eval;
 pub mod cross;
 pub mod decide;

@@ -232,7 +232,7 @@ impl Database {
     /// *epoch vector*.  Two databases with equal epoch vectors are guaranteed
     /// to have identical contents (epochs are globally unique stamps, see
     /// [`Relation::epoch`]), which is what lets derived artifacts — cached
-    /// indexes, interned snapshots, compiled plan pipelines — be keyed by
+    /// indexes, relation statistics, compiled plan pipelines — be keyed by
     /// epochs alone and re-validated in `O(#relations)` instead of `O(|D|)`.
     pub fn epochs(&self) -> impl Iterator<Item = (&str, u64)> {
         self.relations.values().map(|r| (r.name(), r.epoch()))

@@ -1,8 +1,8 @@
 //! A vendored-shim-style failpoint facility for chaos testing.
 //!
 //! Production code marks *injection sites* — points where the real world can
-//! fail (value interning, index build, snapshot build, cache insert, thread spawn, mutate
-//! closures) — by calling [`check`] with a site name from [`sites`].  Tests
+//! fail (value interning, index build, keyed index build, cache insert,
+//! thread spawn, mutate closures) — by calling [`check`] with a site name from [`sites`].  Tests
 //! compiled with the `failpoints` cargo feature activate faults at those
 //! sites through a process-global registry ([`inject`] / [`inject_times`] /
 //! [`clear`]); `tests/chaos.rs` in the umbrella crate drives the full matrix
@@ -35,18 +35,15 @@ pub mod sites {
     /// [`crate::IndexedDatabase::build`] — rebuilding access indexes while
     /// attaching or mutating an instance.
     pub const INDEX_BUILD: &str = "data.index.build";
-    /// [`crate::snapshot_of`] — copying a relation's id rows into its
-    /// snapshot (panic-only: the copy is infallible, so an injected `Error`
-    /// also surfaces as a panic at the site).
-    pub const SNAPSHOT_INTERN: &str = "data.snapshot.intern";
     /// [`crate::ValueId::try_intern`] — minting the id of a value the pool
     /// has never seen, checked only then: an injected `Error` fails the
     /// write (or the read binding a constant) that would have grown the
     /// pool, the way a full pool does, while work over known values passes.
     pub const VALUE_INTERN: &str = "data.value.intern";
     /// [`crate::Relation::keyed_index`] — the first build of a keyed index,
-    /// with the relation version's index cell locked for writing (panic-only,
-    /// like [`SNAPSHOT_INTERN`]: nothing was built, nothing is kept).
+    /// with the relation version's index cell locked for writing (panic-only:
+    /// the build is infallible, so an injected `Error` also surfaces as a
+    /// panic at the site; nothing was built, nothing is kept).
     pub const KEYED_BUILD: &str = "data.keyed.build";
     /// [`crate::Relation::insert`] / [`crate::Relation::remove`] — carrying
     /// the relation's keyed indexes across a write, checked only when the

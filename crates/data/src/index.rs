@@ -24,9 +24,9 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Fan-out of the sharded group maps: every index holds this many shards,
-/// however small the relation, so a key's shard never moves between
-/// versions.
+/// Fan-out of the sharded group maps: every index has this many shard
+/// slots, however small the relation, so a key's shard never moves between
+/// versions.  Only the slots some key lands in hold a map.
 const SHARDS: usize = 256;
 
 /// The shard a key lives in.  Deterministic, so an index and every version
@@ -106,16 +106,38 @@ pub struct InternedAccessIndex {
     /// Ids per row — always ≥ 1 (constraints require a non-empty `Y`, keyed
     /// indexes a non-nullary relation).
     arity: usize,
-    shards: Vec<Arc<IdShard>>,
-    /// The source counts of `shards[i]`'s groups, copy-on-write like them —
-    /// and behind one more `Arc`, so cloning an index whose counts no write
-    /// moves (every keyed index, every constraint whose `X ∪ Y` covers its
-    /// relation) copies one pointer for them, not one per shard.
-    sources: Arc<Vec<Arc<SourceShard>>>,
+    /// `None` for a shard holding no group: a small relation's index
+    /// allocates only the shards its keys land in.  A shard a patch empties
+    /// goes back to `None`, so a patched index equals a rebuilt one.
+    shards: Vec<Option<Arc<IdShard>>>,
+    /// The source counts of `shards[i]`'s groups, copy-on-write like them,
+    /// `None` where there are none — and behind one more `Arc`, so cloning
+    /// an index whose counts no write moves (every keyed index, every
+    /// constraint whose `X ∪ Y` covers its relation) copies one pointer for
+    /// them, not one per shard.
+    sources: Arc<Vec<Option<Arc<SourceShard>>>>,
     /// Number of distinct keys, and of indexed rows, across all shards —
     /// maintained as counters so patching never has to re-count.
     keys: usize,
     rows: usize,
+}
+
+/// The map in `slot`, allocated (empty) if the slot holds none and forked
+/// if it is shared.
+fn make_mut<T: Clone + Default>(slot: &mut Option<Arc<T>>) -> &mut T {
+    Arc::make_mut(slot.get_or_insert_with(Arc::default))
+}
+
+/// Give back a slot whose map a removal emptied.
+fn release_if_empty<K, V>(slot: &mut Option<Arc<HashMap<K, V>>>) {
+    if slot.as_ref().is_some_and(|map| map.is_empty()) {
+        *slot = None;
+    }
+}
+
+/// True when two slots are the same allocation, or both unallocated.
+fn same_slot<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+    a.as_ref().map(Arc::as_ptr) == b.as_ref().map(Arc::as_ptr)
 }
 
 /// The ids of `row` at `positions`.
@@ -151,10 +173,8 @@ impl InternedAccessIndex {
         let same_key =
             |a: &&[ValueId], b: &&[ValueId]| key_of(a, key_in_row).eq(key_of(b, key_in_row));
         let keys = rows.chunk_by(same_key).count();
-        let mut shards: Vec<IdShard> = (0..SHARDS)
-            .map(|_| IdShard::with_capacity(keys / SHARDS))
-            .collect();
-        let mut sources = vec![SourceShard::new(); SHARDS];
+        let mut shards: Vec<Option<IdShard>> = vec![None; SHARDS];
+        let mut sources: Vec<Option<SourceShard>> = vec![None; SHARDS];
         let mut total = 0;
         for group in rows.chunk_by(same_key) {
             let key: Vec<ValueId> = key_of(group[0], key_in_row).collect();
@@ -163,16 +183,18 @@ impl InternedAccessIndex {
             for copies in group.chunk_by(|a, b| a == b) {
                 ids.extend_from_slice(copies[0]);
                 if copies.len() > 1 {
-                    sources[shard].insert(copies[0].into(), copies.len());
+                    let counts = sources[shard].get_or_insert_with(SourceShard::new);
+                    counts.insert(copies[0].into(), copies.len());
                 }
             }
             total += ids.len() / arity;
-            shards[shard].insert(key, ids.into());
+            let groups = shards[shard].get_or_insert_with(|| IdShard::with_capacity(keys / SHARDS));
+            groups.insert(key, ids.into());
         }
         InternedAccessIndex {
             arity,
-            shards: shards.into_iter().map(Arc::new).collect(),
-            sources: Arc::new(sources.into_iter().map(Arc::new).collect()),
+            shards: shards.into_iter().map(|s| s.map(Arc::new)).collect(),
+            sources: Arc::new(sources.into_iter().map(|s| s.map(Arc::new)).collect()),
             keys,
             rows: total,
         }
@@ -188,11 +210,15 @@ impl InternedAccessIndex {
     /// Replace (or, with `None`, drop) the group under `key`, forking the
     /// one shard it lives in if that shard is still shared.
     fn replace_group(&mut self, key: Vec<ValueId>, group: Option<Box<[ValueId]>>) {
-        let shard = Arc::make_mut(&mut self.shards[shard_of(&key)]);
+        let slot = &mut self.shards[shard_of(&key)];
         let new_rows = group.as_ref().map(|rows| rows.len() / self.arity);
         let old = match group {
-            Some(rows) => shard.insert(key, rows),
-            None => shard.remove(&key),
+            Some(rows) => make_mut(slot).insert(key, rows),
+            None => {
+                let old = make_mut(slot).remove(&key);
+                release_if_empty(slot);
+                old
+            }
         };
         let old_rows = old.as_ref().map(|rows| rows.len() / self.arity);
         self.rows = self.rows + new_rows.unwrap_or(0) - old_rows.unwrap_or(0);
@@ -208,7 +234,8 @@ impl InternedAccessIndex {
     pub(crate) fn patch(&mut self, key: Vec<ValueId>, row: &[ValueId], insert: bool) -> bool {
         let shard = shard_of(&key);
         let group: Vec<&[ValueId]> = self.probe(&key).chunks_exact(self.arity).collect();
-        let count = self.sources[shard].get(row).copied().unwrap_or(1);
+        let counts = self.sources[shard].as_deref();
+        let count = counts.and_then(|c| c.get(row)).copied().unwrap_or(1);
         let rows = match (group.binary_search(&row), insert) {
             (Err(_), false) => return false,
             (Err(at), true) => [&group[..at], &[row], &group[at..]].concat(),
@@ -216,11 +243,12 @@ impl InternedAccessIndex {
             (Ok(_), _) => {
                 // Another source projects to the row too: it stays put.
                 let count = if insert { count + 1 } else { count - 1 };
-                let counts = Arc::make_mut(&mut Arc::make_mut(&mut self.sources)[shard]);
+                let slot = &mut Arc::make_mut(&mut self.sources)[shard];
                 match count {
-                    1 => counts.remove(row),
-                    _ => counts.insert(row.into(), count),
+                    1 => make_mut(slot).remove(row),
+                    _ => make_mut(slot).insert(row.into(), count),
                 };
+                release_if_empty(slot);
                 return true;
             }
         };
@@ -237,7 +265,10 @@ impl InternedAccessIndex {
     /// Retrieve the group under `key` as a flat id slice of `n · arity()`
     /// ids (`n` tuples, in ascending id order).  Empty for absent keys.
     pub fn probe(&self, key: &[ValueId]) -> &[ValueId] {
-        match self.shards[shard_of(key)].get(key) {
+        match self.shards[shard_of(key)]
+            .as_deref()
+            .and_then(|s| s.get(key))
+        {
             Some(rows) => rows,
             None => &[],
         }
@@ -252,7 +283,7 @@ impl InternedAccessIndex {
     /// number of sources (≥ 2), in no particular order — the bookkeeping
     /// that makes removals patchable, exposed for the differential tests.
     pub fn multiplicities(&self) -> impl Iterator<Item = (&[ValueId], usize)> {
-        let counts = self.sources.iter().flat_map(|shard| shard.iter());
+        let counts = self.sources.iter().flatten().flat_map(|shard| shard.iter());
         counts.map(|(row, &count)| (&**row, count))
     }
 
@@ -274,13 +305,13 @@ impl InternedAccessIndex {
     }
 
     /// How many shards — groups and counts alike — are the same allocation
-    /// as `other`'s in the same position (out of
+    /// as `other`'s in the same position, or unallocated in both (out of
     /// [`InternedAccessIndex::shard_count`]): what a patched version still
     /// shares with its predecessor.
     pub fn shared_shards(&self, other: &InternedAccessIndex) -> usize {
         let shared = |i: &usize| {
-            Arc::ptr_eq(&self.shards[*i], &other.shards[*i])
-                && Arc::ptr_eq(&self.sources[*i], &other.sources[*i])
+            same_slot(&self.shards[*i], &other.shards[*i])
+                && same_slot(&self.sources[*i], &other.sources[*i])
         };
         (0..SHARDS).filter(shared).count()
     }
@@ -427,13 +458,10 @@ impl IndexedDatabase {
     /// relation cannot disagree.
     ///
     /// Nothing else is derived here.  What a relation version owns travels
-    /// with it: an untouched relation is the same version in `db`, its
-    /// snapshot ([`crate::snapshot_of`]) and keyed indexes
-    /// ([`Relation::keyed_index`]) included; a touched relation's successor
-    /// already carries its keyed indexes, patched by the writes themselves,
-    /// and has no snapshot until a scan of it asks for one — nothing on the
-    /// write path reads snapshots, so nothing on it pays `O(|R|)` to keep
-    /// one warm.
+    /// with it: an untouched relation is the same version in `db`, its keyed
+    /// indexes ([`Relation::keyed_index`]) included; a touched relation's
+    /// successor already carries its keyed indexes, patched by the writes
+    /// themselves.
     pub fn apply_delta(&self, db: Database, delta: &DeltaLog) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
         let indexes = (self.access.constraints().zip(&self.indexes))
@@ -960,14 +988,12 @@ mod tests {
     }
 
     #[test]
-    fn writes_carry_keyed_indexes_and_leave_snapshots_cold() {
-        use crate::snapshot::snapshot_of;
+    fn writes_carry_keyed_indexes() {
         let (db, access) = movie_db();
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
-        // Someone (view maintenance, say) probes `rating` by rank and scans
-        // it; nobody touches `movie`.
+        // Someone (view maintenance, say) probes `rating` by rank; nobody
+        // touches `movie`.
         let by_rank = db.relation("rating").unwrap().keyed_index(&[1]);
-        let rating0 = snapshot_of(db.relation("rating").unwrap());
         let ids = |t: &Tuple| t.iter().map(ValueId::intern).collect::<Vec<_>>();
         assert_eq!(by_rank.probe(&ids(&tuple![5])).len(), 2 * 2);
 
@@ -993,15 +1019,11 @@ mod tests {
         assert_eq!((carried.distinct_keys(), carried.total_rows()), (3, 3));
         assert_eq!(by_rank.probe(&ids(&tuple![5])).len(), 2 * 2);
         assert!(by_rank.probe(&ids(&tuple![2])).is_empty());
-        // Its snapshot is not carried: nothing on the write path reads one.
-        assert!(!rating.has_snapshot(), "built again when a scan asks");
-        assert_eq!(snapshot_of(rating).len(), 3);
-        assert_eq!(rating0.len(), 3, "the predecessor's is frozen");
-        // The relation nobody indexed or snapshotted stays bare.
-        assert!(!movie.has_snapshot() && movie.keyed_index_if_built(&[2]).is_none());
+        // The relation nobody indexed stays bare.
+        assert!(movie.keyed_index_if_built(&[2]).is_none());
 
         // Untouched relations are the same version in the successor, so the
-        // same snapshot and the same index serve both.
+        // same index serves both.
         let mut v2 = idb1.database().clone();
         v2.begin_delta_tracking();
         v2.insert("movie", tuple![5, "Tar", "Focus", "2022"])
@@ -1009,7 +1031,7 @@ mod tests {
         let log = v2.take_delta(idb1.database());
         let idb2 = idb1.apply_delta(v2, &log).unwrap();
         let rating2 = idb2.database().relation("rating").unwrap();
-        assert!(Arc::ptr_eq(&snapshot_of(rating2), &snapshot_of(rating)));
+        assert!(rating2.shares_storage(rating));
         assert!(Arc::ptr_eq(&rating2.keyed_index(&[1]), &carried));
     }
 

@@ -4,7 +4,7 @@
 //! A relation stores its tuples as rows of [`ValueId`]s, not of [`Value`]s
 //! (see [`crate::Relation`]): [`crate::Relation::insert`] is where a stored
 //! value is interned, once, and from then on every structure derived from
-//! the relation — access and keyed indexes, snapshots, plan batches — copies
+//! the relation — access, keyed and cached indexes, plan batches — copies
 //! ids and never interns again.  A [`Value`] is held in exactly one place,
 //! this pool, and exists anywhere else only at the boundaries: a parsed
 //! query's constants, a tuple handed to `insert` (and the write delta that
@@ -23,7 +23,7 @@
 //! **The pool is process-global, append-only and never reclaimed.**  This
 //! is a decision, not an accident of implementation:
 //!
-//! * one pool makes ids from every relation, snapshot, index and thread
+//! * one pool makes ids from every relation, index and thread
 //!   comparable: `id(a) == id(b) ⇔ a == b` holds across all of them, which
 //!   is what lets a join compare ids minted for different relations;
 //! * `&'static` resolution is what makes a stored row cheap to read by

@@ -17,25 +17,23 @@
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
 //!   `R(X → Y, N)`: a cardinality bound combined with an index on `X` for
 //!   `XY`;
-//! * [`InternedAccessIndex`], [`IndexedDatabase`] — the id-native index of
-//!   each constraint of an access schema (the structure keyed indexes use
-//!   too), supporting the `fetch` primitive of bounded query plans;
-//! * [`IndexCache`], [`InternedIndex`] — epoch-keyed
-//!   memoisation of per-access-pattern hash indexes, shared by the
-//!   homomorphism engine and the evaluators in `bqr-query` (invalidated
-//!   automatically on mutation via [`Relation::epoch`]);
-//! * [`ValueId`] ([`intern`]), [`InternedSnapshot`] ([`snapshot`]) — dense
-//!   `u32` value ids, minted when a value is first stored, over the
-//!   process-global pool that holds the one copy of every value; and
-//!   immutable per-epoch copies of a relation's id rows, owned by the
-//!   relation version they freeze and shared by its clones, so the join
-//!   engine's hot loop never touches a [`Value`];
+//! * [`InternedAccessIndex`], [`IndexedDatabase`] — the one index type: the
+//!   id-native index of each constraint of an access schema, supporting the
+//!   `fetch` primitive of bounded query plans, and the structure keyed
+//!   indexes and [`IndexCache`] use too;
+//! * [`IndexCache`] — epoch-keyed memoisation of per-access-pattern indexes
+//!   and per-relation statistics, shared by the homomorphism engine and the
+//!   evaluators in `bqr-query` (invalidated automatically on mutation via
+//!   [`Relation::epoch`]);
+//! * [`ValueId`] ([`intern`]) — dense `u32` value ids, minted when a value
+//!   is first stored, over the process-global pool that holds the one copy
+//!   of every value, so the join engines' hot loops never touch a [`Value`];
 //! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
 //!   captured during a mutation, the currency of `O(|Δ|)` view maintenance
 //!   and in-place index patching;
 //! * [`FetchStats`] — I/O accounting: how many base tuples a plan fetched
 //!   (`|D_ξ|` in the paper) versus how many a full scan would touch — and
-//!   [`RelationStats`], the per-snapshot cardinality statistics consumed by
+//!   [`RelationStats`], the per-relation cardinality statistics consumed by
 //!   the cost-based join planner in `bqr-query`;
 //! * [`faults`] — a registry-activated failpoint facility (compiled to
 //!   no-ops unless the `failpoints` cargo feature is on) whose injection
@@ -57,7 +55,6 @@ pub mod index_cache;
 pub mod intern;
 pub mod relation;
 pub mod schema;
-pub mod snapshot;
 pub mod stats;
 pub mod tuple;
 pub mod value;
@@ -67,11 +64,10 @@ pub use database::{Database, DeltaCheckpoint};
 pub use delta::{DeltaLog, RelationChange, RelationDelta};
 pub use error::DataError;
 pub use index::{IndexedDatabase, InternedAccessIndex};
-pub use index_cache::{IndexCache, InternedIndex};
+pub use index_cache::IndexCache;
 pub use intern::ValueId;
 pub use relation::Relation;
 pub use schema::{DatabaseSchema, RelationSchema};
-pub use snapshot::{snapshot_of, InternedSnapshot};
 pub use stats::{FetchStats, RelationStats};
 pub use tuple::{Tuple, TupleRef};
 pub use value::Value;

@@ -5,14 +5,13 @@ use crate::error::DataError;
 use crate::index::InternedAccessIndex;
 use crate::intern::ValueId;
 use crate::schema::RelationSchema;
-use crate::snapshot::InternedSnapshot;
 use crate::tuple::{cmp_rows, Tuple, TupleRef};
 use crate::value::Value;
 use crate::Result;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Global epoch counter: every stamp is issued exactly once, so two
 /// relations share an epoch only when one is an unmutated clone of the
@@ -249,7 +248,7 @@ impl ExactSizeIterator for Iter<'_> {}
 /// semantics and deterministic (sorted) iteration order.
 ///
 /// Each instance carries an *epoch*: a globally unique stamp refreshed on
-/// every content mutation.  Derived structures (hash indexes, snapshots) can
+/// every content mutation.  Derived structures (hash indexes, statistics) can
 /// therefore be cached under the epoch and are implicitly invalidated the
 /// moment the relation changes.  Clones share the epoch of their source —
 /// sound, because a clone has identical contents until it is itself mutated
@@ -257,8 +256,8 @@ impl ExactSizeIterator for Iter<'_> {}
 ///
 /// Tuples are stored as rows of interned [`ValueId`]s, not as [`Tuple`]s:
 /// [`Relation::insert`] interns a tuple's values once, and the same id row
-/// is what the storage, the keyed indexes, the constraint indexes built
-/// from the relation and its snapshot hold — none of them interns again.
+/// is what the storage, the keyed indexes and the constraint indexes built
+/// from the relation hold — none of them interns again.
 /// The rows are still kept in the tuples' value order, so iteration order,
 /// `Display` and every answer read off a relation are what a set of
 /// [`Tuple`]s would give; reading them yields [`TupleRef`]s, which index
@@ -272,15 +271,13 @@ impl ExactSizeIterator for Iter<'_> {}
 /// chunk merges with its neighbour), never the relation; dropping a version
 /// frees only the chunks it did not share.
 ///
-/// A relation also owns its lazily built [`InternedSnapshot`] (see
-/// [`crate::snapshot_of`]): unmutated clones share the one cell, a mutation
-/// gives the mutated instance an empty cell of its own.
-///
-/// And it owns its *keyed indexes* ([`Relation::keyed_index`]): hash indexes
-/// on arbitrary key positions, built on first request, shared by unmutated
-/// clones like the snapshot — but, unlike the snapshot, carried forward by
-/// every write: [`Relation::insert`] and [`Relation::remove`] patch each
-/// index the written version inherited, forking one shard of it.
+/// A relation also owns its *keyed indexes* ([`Relation::keyed_index`]):
+/// hash indexes on arbitrary key positions, built on first request, shared
+/// by unmutated clones and carried forward by every write:
+/// [`Relation::insert`] and [`Relation::remove`] patch each index the
+/// written version inherited, forking one shard of it.  Nothing else copies
+/// a relation: a reader that wants its rows reads the chunks
+/// ([`Relation::id_chunks`]).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
@@ -289,9 +286,6 @@ pub struct Relation {
     /// Present only between `begin_delta_tracking` / `end_delta_tracking`:
     /// the net write set accumulated since tracking began.
     tracking: Option<Box<DeltaState>>,
-    /// The interned snapshot of exactly these contents, once someone asked
-    /// for it.  Shared by unmutated clones, replaced on mutation.
-    snapshot: Arc<OnceLock<Arc<InternedSnapshot>>>,
     /// The keyed indexes of exactly these contents, by key positions, each
     /// present once someone asked for it.  Shared by unmutated clones; a
     /// mutation takes a patched copy along.
@@ -325,7 +319,6 @@ impl Relation {
             schema,
             epoch: fresh_epoch(),
             tracking: None,
-            snapshot: Arc::default(),
             keyed: Arc::default(),
         }
     }
@@ -393,7 +386,7 @@ impl Relation {
             }
         }
         self.tuples.insert_at(chunk, pos, &row);
-        self.contents_changed();
+        self.epoch = fresh_epoch();
         Ok(true)
     }
 
@@ -413,7 +406,7 @@ impl Relation {
             }
         }
         self.tuples.remove_at(chunk, pos);
-        self.contents_changed();
+        self.epoch = fresh_epoch();
         Ok(true)
     }
 
@@ -423,16 +416,6 @@ impl Relation {
     fn lookup_row(&self, tuple: &Tuple) -> Option<Vec<ValueId>> {
         let fits = tuple.arity() == self.schema.arity();
         fits.then(|| tuple.iter().map(ValueId::lookup).collect())?
-    }
-
-    /// Re-stamp the epoch and detach from the snapshot of the old contents
-    /// (clones of the old version keep theirs).
-    fn contents_changed(&mut self) {
-        self.epoch = fresh_epoch();
-        match Arc::get_mut(&mut self.snapshot) {
-            Some(cell) => drop(cell.take()),
-            None => self.snapshot = Arc::default(),
-        }
     }
 
     /// Take the keyed indexes along across a write of `row`: it is made
@@ -511,8 +494,8 @@ impl Relation {
         self.tracking.as_deref().map(|s| (s.base_epoch, &s.delta))
     }
 
-    /// Become `previous` again — its epoch, its storage, its snapshot — with
-    /// tracking off.  Only sound when the caller can prove the contents are
+    /// Become `previous` again — its epoch, its storage, its keyed indexes —
+    /// with tracking off.  Only sound when the caller can prove the contents are
     /// identical to `previous`'s, e.g. after a tracked mutation whose net
     /// delta came out empty; re-sharing the storage also frees whatever
     /// chunks the cancelled writes forked.
@@ -543,18 +526,6 @@ impl Relation {
             other.tuples.chunks.iter().map(Arc::as_ptr).collect();
         let shared = |c: &&Chunk| theirs.contains(&Arc::as_ptr(c));
         self.tuples.chunks.iter().filter(shared).count()
-    }
-
-    /// The cell holding this version's interned snapshot.
-    pub(crate) fn snapshot_cell(&self) -> &OnceLock<Arc<InternedSnapshot>> {
-        &self.snapshot
-    }
-
-    /// True when this version's interned snapshot has been built (or carried
-    /// over from its predecessor) — nothing builds one until a consumer
-    /// calls [`crate::snapshot_of`].
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.get().is_some()
     }
 
     /// The hash index of this version's tuples on `positions`: probing it
@@ -623,8 +594,11 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// The stored id rows chunk by chunk, row-major and in iteration order.
-    pub(crate) fn id_chunks(&self) -> impl Iterator<Item = &[ValueId]> {
+    /// The stored id rows chunk by chunk, row-major and in iteration order —
+    /// the relation's own storage, read in place.  A nullary relation holding
+    /// the empty tuple has one chunk of no ids, so count rows with
+    /// [`Relation::len`], not from the ids.
+    pub fn id_chunks(&self) -> impl Iterator<Item = &[ValueId]> {
         self.tuples.chunks.iter().map(|chunk| chunk.as_slice())
     }
 

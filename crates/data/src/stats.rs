@@ -9,19 +9,20 @@
 //! `|D_ξ|` as a bag), the number of `fetch` invocations, tuples read from
 //! cached views (free of base-data I/O), and tuples a full scan would touch.
 //!
-//! [`RelationStats`] is the other half of this module: per-snapshot
-//! cardinality and per-position distinct-value counts, computed once when a
-//! snapshot is built (see [`crate::snapshot::InternedSnapshot`]) and
+//! [`RelationStats`] is the other half of this module: a relation version's
+//! cardinality and per-position distinct-value counts, computed from its
+//! stored rows once per epoch (memoised by [`crate::IndexCache`]) and
 //! consumed by the join planner in `bqr-query::hom` to estimate per-atom
 //! selectivity.
 
 use crate::intern::ValueId;
+use crate::relation::Relation;
 use std::collections::HashSet;
 use std::fmt;
 
-/// Cardinality statistics of one relation snapshot: total tuple count plus
+/// Cardinality statistics of one relation version: total tuple count plus
 /// the number of distinct values at every attribute position.  Computed
-/// exactly (the snapshots the decision procedures index are small); on a
+/// exactly (the relations the decision procedures index are small); on a
 /// production ingest path the same shape would be fed by sketches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationStats {
@@ -30,26 +31,24 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Compute the statistics of a flattened row-major snapshot of `tuples`
-    /// rows with the given arity (`data.len() == tuples * arity`).  The row
-    /// count is passed explicitly rather than derived from `data.len()`
-    /// because a nullary relation has `data.len() == 0` regardless of
-    /// whether it holds zero rows or one.
-    pub fn of_rows(tuples: usize, arity: usize, data: &[ValueId]) -> Self {
-        debug_assert_eq!(data.len(), tuples * arity);
-        let mut distinct = vec![0usize; arity];
+    /// Compute the statistics of `relation`'s stored id rows, read in place.
+    pub fn of_rows(relation: &Relation) -> Self {
+        let arity = relation.schema().arity();
         let mut seen: HashSet<ValueId> = HashSet::new();
-        for (pos, d) in distinct.iter_mut().enumerate() {
+        let distinct = (0..arity).map(|pos| {
             seen.clear();
-            for row in 0..tuples {
-                seen.insert(data[row * arity + pos]);
+            for chunk in relation.id_chunks() {
+                seen.extend(chunk.iter().skip(pos).step_by(arity));
             }
-            *d = seen.len();
+            seen.len()
+        });
+        RelationStats {
+            tuples: relation.len(),
+            distinct: distinct.collect(),
         }
-        RelationStats { tuples, distinct }
     }
 
-    /// Number of tuples in the snapshot.
+    /// Number of tuples in the relation.
     pub fn tuples(&self) -> usize {
         self.tuples
     }
@@ -188,18 +187,12 @@ mod tests {
 
     #[test]
     fn relation_stats_count_distinct_per_position() {
-        use crate::value::Value;
-        let ids: Vec<ValueId> = [
-            // (1, 5), (2, 5), (3, 4) — 3 distinct at position 0, 2 at 1.
-            (1, 5),
-            (2, 5),
-            (3, 4),
-        ]
-        .iter()
-        .flat_map(|&(a, b)| [Value::int(a), Value::int(b)])
-        .map(|v| ValueId::intern(&v))
-        .collect();
-        let stats = RelationStats::of_rows(3, 2, &ids);
+        use crate::schema::RelationSchema;
+        use crate::tuple;
+        // (1, 5), (2, 5), (3, 4) — 3 distinct at position 0, 2 at 1.
+        let schema = RelationSchema::new("r", &["a", "b"]).unwrap();
+        let tuples = [tuple![1, 5], tuple![2, 5], tuple![3, 4]];
+        let stats = RelationStats::of_rows(&Relation::from_tuples(schema, tuples).unwrap());
         assert_eq!(stats.tuples(), 3);
         assert_eq!(stats.distinct(0), 3);
         assert_eq!(stats.distinct(1), 2);
@@ -211,15 +204,20 @@ mod tests {
 
     #[test]
     fn relation_stats_of_empty_and_nullary_snapshots() {
-        let stats = RelationStats::of_rows(0, 2, &[]);
+        use crate::schema::RelationSchema;
+        use crate::tuple::Tuple;
+        let empty = Relation::empty(RelationSchema::new("r", &["a", "b"]).unwrap());
+        let stats = RelationStats::of_rows(&empty);
         assert_eq!(stats.tuples(), 0);
         assert_eq!(stats.distinct(0), 0);
         assert_eq!(stats.estimated_matches(&[0]), 0.0);
         // A nullary relation holding the empty tuple has one row even
-        // though its flattened data is empty.
-        let nullary = RelationStats::of_rows(1, 0, &[]);
-        assert_eq!(nullary.tuples(), 1);
-        assert_eq!(nullary.estimated_matches(&[]), 1.0);
-        assert_eq!(RelationStats::of_rows(0, 0, &[]).tuples(), 0);
+        // though it stores no ids.
+        let mut nullary = Relation::empty(RelationSchema::new("t", &[]).unwrap());
+        assert_eq!(RelationStats::of_rows(&nullary).tuples(), 0);
+        nullary.insert(Tuple::new(vec![])).unwrap();
+        let stats = RelationStats::of_rows(&nullary);
+        assert_eq!(stats.tuples(), 1);
+        assert_eq!(stats.estimated_matches(&[]), 1.0);
     }
 }

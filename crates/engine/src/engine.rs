@@ -97,8 +97,8 @@ pub enum MaintenanceMode {
     /// patch/share access indexes per relation — for exact deltas, work in
     /// `|Δ|` plus per-chunk and per-shard pointer copies (the complexities
     /// are spelled out on [`Engine::mutate`]).  Untouched relations and
-    /// unchanged extents keep their epochs — and with them their snapshots —
-    /// so the next read re-copies only what the write changed.
+    /// unchanged extents keep their epochs — and with them their keyed
+    /// indexes — so the next read rebuilds nothing the write did not touch.
     #[default]
     Delta,
     /// Rebuild the whole version from scratch (re-materialise every view,
@@ -420,15 +420,15 @@ impl Engine {
     /// ([`bqr_query::maintain`]; only the first write ever to need a keyed
     /// index builds it) — and access indexes are patched shard by shard or
     /// shared whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per
-    /// touched index).  Interned snapshots are not carried: a written
-    /// relation is snapshotted again when something scans it.  Only the relations
-    /// (and view extents) whose contents actually changed get fresh epochs.
+    /// touched index).  Nothing else is derived from a relation's rows on
+    /// the write path.  Only the relations (and view extents) whose contents
+    /// actually changed get fresh epochs.
     /// No publish touches the pipeline cache: a compiled pipeline names the
     /// extents and constraints it reads and every execution resolves them
     /// in the version it is pinned to, so the first read after a write is a
-    /// cache hit that pays only for re-snapshotting what the write moved.  A
-    /// closure whose net delta is empty (read-only, re-inserting present
-    /// tuples, do-undo pairs) publishes nothing at all: no epoch moves.
+    /// cache hit.  A closure whose net delta is empty (read-only,
+    /// re-inserting present tuples, do-undo pairs) publishes nothing at all:
+    /// no epoch moves.
     ///
     /// The publish is **all-or-nothing**: when the closure fails — or
     /// *panics*; the panic is contained and surfaces as
@@ -460,7 +460,7 @@ impl Engine {
         let delta = db.take_delta(prev.database());
         if delta.is_empty() {
             // No-op elision: nothing changed, so the current version — and
-            // every epoch, snapshot, index and cached pipeline keyed off it
+            // every epoch, index and cached pipeline keyed off it
             // — is still exact.  Publish nothing.
             return Ok(out);
         }

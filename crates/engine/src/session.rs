@@ -37,7 +37,7 @@ impl DataVersion {
     /// whose keyed indexes the writes that made `db` already carried over —
     /// and access indexes are patched or shared per relation.
     /// Relations and extents whose contents did not change keep their epochs
-    /// — and the interned snapshots and keyed indexes that go with them.
+    /// — and the keyed indexes that go with them.
     pub(crate) fn apply_delta(
         prev: &DataVersion,
         db: Database,

@@ -21,8 +21,8 @@
 //!   and version in between) — no extent copy, no per-execution hash-join
 //!   build, no rebuild after a write, at the price of one index per
 //!   (view, join columns) kept as long as the extent.  A bare or merely
-//!   filtered view leaf is scanned through the extent's id snapshot
-//!   (one `memcpy` per scan, shared across executions of the same epoch);
+//!   filtered view leaf is scanned from the extent's own id rows
+//!   ([`Relation::id_chunks`]: one copy per scan);
 //! * fetches go through the id-native constraint indexes
 //!   ([`bqr_data::InternedAccessIndex`]), with `X`-keys deduplicated globally
 //!   so `fetch_calls` counts distinct probes exactly as the set-semantics
@@ -100,11 +100,10 @@ use crate::morsel::run_morsels;
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
 use bqr_data::{
-    snapshot_of, AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, Relation,
-    Tuple, Value, ValueId,
+    AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, Relation, Tuple, ValueId,
 };
 use bqr_query::MaterializedViews;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -339,12 +338,12 @@ enum Op {
     /// A constant single-row table: slots `first_slot..first_slot + arity`
     /// of the bound ids.
     Const { first_slot: usize, arity: usize },
-    /// Scan of a cached view extent through its interned snapshot; `extent`
+    /// Scan of a cached view extent, copying its stored id rows; `extent`
     /// is a slot of [`CompiledShape::views`], bound per execution.
     ViewScan { extent: usize },
-    /// Selection fused directly over a view extent: filters the interned
-    /// snapshot's rows (morsel-partitioned under a parallel driver) without
-    /// materialising the unfiltered scan first.
+    /// Selection fused directly over a view extent: filters a flat copy of
+    /// the extent's id rows (morsel-partitioned under a parallel driver)
+    /// without building the unfiltered scan's table first.
     ViewFilter { extent: usize, conds: Vec<IdCond> },
     /// `fetch(X ∈ input, R, Y)` through the id-native constraint index;
     /// `constraint` is a slot of [`CompiledShape::constraints`], bound per
@@ -421,8 +420,8 @@ pub(crate) struct CompiledShape {
 }
 
 /// What one execution binds a shape's extent and constraint slots to.  An
-/// operator asks an extent for the snapshot or keyed index it reads when it
-/// runs, so binding interns nothing.
+/// operator reads an extent's rows or asks it for the keyed index it probes
+/// when it runs, so binding interns nothing.
 struct Bound<'a> {
     extents: &'a [&'a Relation],
     indexes: Vec<&'a InternedAccessIndex>,
@@ -436,7 +435,7 @@ struct Bound<'a> {
 /// Compile once with [`Pipeline::compile`], inspect with
 /// [`Pipeline::describe`], run with [`Pipeline::execute`].  A pipeline reads
 /// the extents it was made with (clones — chunk pointers — that share the
-/// version's snapshot and keyed indexes); its fetches are resolved, by
+/// version's rows and keyed indexes); its fetches are resolved, by
 /// constraint content, against whichever `idb` an execution names — any
 /// database whose access schema has the plan's constraints will do.
 #[derive(Debug, Clone)]
@@ -696,18 +695,18 @@ impl CompiledShape {
                     }
                 }
                 Op::ViewScan { extent } => {
-                    let snapshot = snapshot_of(bound.extents[*extent]);
-                    stats.record_view_read(snapshot.len());
-                    guard.charge_rows(snapshot.len())?;
-                    let data = snapshot.id_rows().to_vec();
-                    IdTable::from_data(snapshot.arity(), snapshot.len(), data)
+                    let extent = bound.extents[*extent];
+                    stats.record_view_read(extent.len());
+                    guard.charge_rows(extent.len())?;
+                    IdTable::from_data(extent.schema().arity(), extent.len(), id_rows(extent))
                 }
                 Op::ViewFilter { extent, conds } => {
-                    let snapshot = snapshot_of(bound.extents[*extent]);
+                    let extent = bound.extents[*extent];
                     // Pinned semantics: the full extent counts as read, then
-                    // the filter runs over the snapshot's rows.
-                    stats.record_view_read(snapshot.len());
-                    let rows = (snapshot.arity(), snapshot.len(), snapshot.id_rows());
+                    // the filter runs over its rows.
+                    stats.record_view_read(extent.len());
+                    let data = id_rows(extent);
+                    let rows = (extent.schema().arity(), extent.len(), &data[..]);
                     eval_select(rows, conds, consts, options, guard)?
                 }
                 Op::Fetch {
@@ -886,9 +885,9 @@ impl CompiledShape {
                     }
                 }
                 // A selection directly over a view leaf fuses into one
-                // snapshot-filtering operator: the unfiltered scan is never
-                // materialised, and under a parallel driver the filter runs
-                // over the snapshot's morsels.
+                // extent-filtering operator: no table of the unfiltered scan
+                // is built or charged, and under a parallel driver the
+                // filter runs over the extent's morsels.
                 if let PlanNode::View { name, arity } = input.as_ref() {
                     Op::ViewFilter {
                         extent: self.extent_slot(name, *arity),
@@ -1122,9 +1121,18 @@ fn eval_project(
     Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
 }
 
+/// A relation's stored id rows, copied flat and row-major.
+fn id_rows(relation: &Relation) -> Vec<ValueId> {
+    let mut data = Vec::with_capacity(relation.len() * relation.schema().arity());
+    relation
+        .id_chunks()
+        .for_each(|chunk| data.extend_from_slice(chunk));
+    data
+}
+
 /// Selection over `rows` rows of `arity` ids, flat and row-major — an
-/// intermediate table's, or (σ fused over a view leaf) an extent snapshot's,
-/// filtered in place of materialising the unfiltered scan first.
+/// intermediate table's, or (σ fused over a view leaf) an extent's rows
+/// copied flat, filtered in place of building the unfiltered scan first.
 fn eval_select(
     (arity, rows, data): (usize, usize, &[ValueId]),
     conds: &[IdCond],
@@ -1390,17 +1398,13 @@ fn dedup_table(input: &IdTable, guard: &Guard) -> Result<IdTable> {
 }
 
 /// Resolve the root table back to sorted, duplicate-free `Tuple`s — the only
-/// point where the executor touches `Value`s.
+/// point where the executor touches `Value`s, each read out of the pool.
 fn materialize(root: &IdTable, guard: &Guard) -> Result<Vec<Tuple>> {
-    let mut memo: HashMap<ValueId, Value> = HashMap::new();
     let mut tuples: Vec<Tuple> = Vec::with_capacity(root.rows);
     for i in 0..root.rows {
         guard.checkpoint(i)?;
         tuples.push(Tuple::new(
-            root.row(i)
-                .iter()
-                .map(|id| memo.entry(*id).or_insert_with(|| id.value()).clone())
-                .collect(),
+            root.row(i).iter().map(|id| id.get().clone()).collect(),
         ));
     }
     tuples.sort_unstable();
@@ -1587,7 +1591,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::builder::{figure1_plan, Plan};
-    use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema};
+    use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, Value};
     use bqr_query::parser::parse_cq;
     use bqr_query::ViewSet;
 
@@ -1772,7 +1776,7 @@ mod tests {
         }
     }
 
-    /// σ directly over a view leaf fuses into one snapshot-filtering
+    /// σ directly over a view leaf fuses into one extent-filtering
     /// operator (no intermediate scan), with unchanged semantics and the
     /// pinned view-read accounting.
     #[test]
@@ -1914,6 +1918,33 @@ mod tests {
             .unwrap();
         let out = execute(&product, &idb, &cache).unwrap();
         assert_eq!(out.tuples, vec![tuple![1]]);
+
+        // Scans and filters of extents that store no ids: nullary ones (one
+        // holding the empty tuple, one not) and an empty unary one.  Rows
+        // are counted from the extent, not from its ids.
+        let mut views = cache.clone();
+        let nullary = bqr_data::RelationSchema::new("B", &[]).unwrap();
+        let unary = bqr_data::RelationSchema::new("E", &["a"]).unwrap();
+        let holds = Relation::from_tuples(nullary.clone(), [Tuple::unit()]).unwrap();
+        views.insert("B1", holds);
+        views.insert("B0", Relation::empty(nullary));
+        views.insert("E", Relation::empty(unary));
+        for (view, arity, rows) in [("B1", 0, 1), ("B0", 0, 0), ("E", 1, 0)] {
+            let conds = match arity {
+                0 => vec![],
+                _ => vec![SelectCondition::ColNeConst(0, Value::int(7))],
+            };
+            let scan = Plan::view(view, arity).build().unwrap();
+            let filter = Plan::view(view, arity).select(conds).build().unwrap();
+            for (plan, op) in [(scan, "view-scan"), (filter, "view-filter")] {
+                let pipeline = Pipeline::compile(&plan, &idb, &views).unwrap();
+                assert!(pipeline.describe().contains(op), "{}", pipeline.describe());
+                let out = pipeline.execute(&idb, &ExecOptions::serial()).unwrap();
+                assert_eq!(out.tuples.len(), rows, "{view} {op}");
+                assert_eq!(out.stats.view_tuples, rows, "{view} {op}");
+                assert_eq!(out, reference::execute(&plan, &idb, &views).unwrap());
+            }
+        }
     }
 
     #[test]

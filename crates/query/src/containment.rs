@@ -102,7 +102,7 @@ impl<'s> ContainmentChecker<'s> {
     /// are pure caches, so clearing is always sound — it only bounds memory
     /// when a long-running search (e.g. the exact VBRP enumeration) streams
     /// thousands of distinct query pairs through one checker.  Clearing
-    /// `searches` also releases the `Rc<InternedIndex>` handles the
+    /// `searches` also releases the `Rc<InternedAccessIndex>` handles the
     /// compiled machines pin, which the [`IndexCache`]'s own bound cannot
     /// free on its own.
     const MAX_MEMO_ENTRIES: usize = 4096;

@@ -641,7 +641,8 @@ fn pad(rel: &VarRelation, vars: &[String], domain: &[Value]) -> VarRelation {
     let missing: Vec<&String> = vars.iter().filter(|v| !rel.vars.contains(v)).collect();
     if missing.is_empty() {
         // Re-order columns to `vars`.
-        let positions: Vec<usize> = vars.iter().map(|v| rel.position(v).unwrap()).collect();
+        let position = |v: &String| rel.position(v).expect("`rel` misses no variable");
+        let positions: Vec<usize> = vars.iter().map(position).collect();
         let rows = rel
             .rows
             .iter()
@@ -672,8 +673,8 @@ fn pad(rel: &VarRelation, vars: &[String], domain: &[Value]) -> VarRelation {
                 .map(|v| match rel.position(v) {
                     Some(p) => row[p].clone(),
                     None => {
-                        let k = missing.iter().position(|m| *m == v).unwrap();
-                        extension[k].clone()
+                        let k = missing.iter().position(|m| *m == v);
+                        extension[k.expect("`v` is in `missing`")].clone()
                     }
                 })
                 .collect();

@@ -11,15 +11,12 @@
 //!   dense `u32` slot; the partial assignment is a flat `Vec<Option<ValueId>>`
 //!   indexed by slot.  No string comparison or `BTreeMap` traffic happens
 //!   inside the search.
-//! * **Interned values** — relations are executed over per-epoch
-//!   [`bqr_data::InternedSnapshot`]s: copies of the dense [`ValueId`] rows
-//!   the relations store (every [`Value`] is interned once, when it is
-//!   inserted), so the inner loop compares and hashes plain `u32`s.
-//!   Snapshots (and their [`bqr_data::RelationStats`]) are shared
-//!   process-wide across [`IndexCache`] instances.
+//! * **Interned values** — every [`Value`] is interned once, when it is
+//!   inserted, and a relation stores dense [`ValueId`] rows, so the inner
+//!   loop compares and hashes plain `u32`s.
 //! * **Planned execution** — the planner picks between two compiled shapes.
 //!   For acyclic probe structure, a greedy *cost-based atom order* (estimated
-//!   probe fan-out `|R| / Π d_p` from the snapshot statistics, bushy in
+//!   probe fan-out `|R| / Π d_p` from the relation statistics, bushy in
 //!   effect because disconnected cheap atoms may be interleaved); for cyclic
 //!   structure (triangles, k-cycles — detected by the GYO reduction over
 //!   free slots), a *generic join*: variables are eliminated one at a time
@@ -28,11 +25,15 @@
 //!   order degenerates.  See [`crate::planner`] for the cost model and the
 //!   exact trigger conditions; [`JoinStrategy::Heuristic`] keeps the PR 1
 //!   "most bound positions first" order as the benchmark baseline.
-//! * **Cached indexes** — the per-access-pattern hash indexes come from a
+//! * **Cached indexes** — each atom probes an
+//!   [`InternedAccessIndex`] of its relation's whole tuples, keyed on the
+//!   positions bound when the atom is reached; the indexes (and the
+//!   planner's [`bqr_data::RelationStats`]) come from a
 //!   [`bqr_data::IndexCache`], so a workload that repeatedly matches into
 //!   the same relation (the dominant cost of repeated containment checks)
 //!   builds each `(relation, access pattern)` index once instead of once per
-//!   call.
+//!   call.  A nullary atom has no index: it holds exactly when its relation
+//!   is non-empty, which compilation decides.
 //! * **Visitor-driven search** — [`HomSearch::run`] reports matches through a
 //!   callback borrowing the slot array; nothing is materialised unless the
 //!   caller asks for it.  `has_homomorphism` allocates no result vectors at
@@ -48,7 +49,7 @@ use crate::atom::{Atom, Term};
 use crate::error::QueryError;
 use crate::planner::{self, AtomShape, JoinStrategy, PlannedExecution, PlannerConfig, TermShape};
 use crate::Result;
-use bqr_data::{IndexCache, InternedIndex, Relation, Value, ValueId};
+use bqr_data::{IndexCache, InternedAccessIndex, Relation, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 use std::rc::Rc;
@@ -139,7 +140,7 @@ struct CompiledAtom {
     ops: Vec<PosOp>,
     /// Slots bound by this atom, for backtracking.
     bind_slots: Vec<u32>,
-    index: Rc<InternedIndex>,
+    index: Rc<InternedAccessIndex>,
 }
 
 /// One atom's access paths at one generic-join level (one per atom that
@@ -148,14 +149,14 @@ struct CompiledAtom {
 struct GjAtomAccess {
     /// Index keyed on the context positions (constants, initially bound
     /// variables, variables eliminated earlier): enumerates matching rows.
-    enum_index: Rc<InternedIndex>,
+    enum_index: Rc<InternedAccessIndex>,
     enum_key: Vec<KeyPart>,
     /// First position of the level's variable in the atom: where candidate
     /// values are projected from.
     value_pos: usize,
     /// Index keyed on context positions *plus every position of the level's
     /// variable*: a non-empty probe certifies the atom admits the candidate.
-    check_index: Rc<InternedIndex>,
+    check_index: Rc<InternedAccessIndex>,
     check_key: Vec<CheckPart>,
     /// The variable occurs more than once in the atom, so even the
     /// enumerating atom must re-check its own candidates.
@@ -173,7 +174,7 @@ struct GjLevel {
 /// variable elimination starts.
 #[derive(Debug)]
 struct GjFilter {
-    index: Rc<InternedIndex>,
+    index: Rc<InternedAccessIndex>,
     key: Vec<KeyPart>,
 }
 
@@ -190,7 +191,8 @@ enum Exec {
     AtomOrder(Vec<CompiledAtom>),
     GenericJoin(GjPlan),
     /// Compilation proved the search empty: some query constant has never
-    /// been interned, so it occurs in no snapshot and no probe can match.
+    /// been interned, so it occurs in no relation and no probe can match, or
+    /// a nullary atom's relation is empty.
     Unsat,
 }
 
@@ -312,7 +314,7 @@ impl HomSearch {
 
         let mut shapes: Vec<AtomShape> = Vec::with_capacity(atoms.len());
         for atom in atoms {
-            let stats = cache.snapshot(relations[atom.relation()]).stats().clone();
+            let stats = cache.stats(relations[atom.relation()]);
             let terms = atom
                 .args()
                 .iter()
@@ -447,8 +449,7 @@ impl HomSearch {
         // by deeper levels as soon as the probe below returns.
         build_key(&atom.key, slots, key_buf);
 
-        'candidates: for &ti in atom.index.probe(key_buf) {
-            let row = atom.index.row(ti);
+        'candidates: for row in atom.index.probe(key_buf).chunks_exact(atom.index.arity()) {
             for op in &atom.ops {
                 match op {
                     PosOp::Bind { pos, slot } => {
@@ -498,7 +499,7 @@ impl HomSearch {
         let mut best_len = usize::MAX;
         for (i, a) in lv.atoms.iter().enumerate() {
             build_key(&a.enum_key, slots, &mut scratch.key_buf);
-            let n = a.enum_index.probe(&scratch.key_buf).len();
+            let n = a.enum_index.probe_len(&scratch.key_buf);
             if n < best_len {
                 best_len = n;
                 best = i;
@@ -515,13 +516,9 @@ impl HomSearch {
         // per level.
         let mut candidates = std::mem::take(&mut scratch.candidates[level]);
         candidates.clear();
-        candidates.extend(
-            driver
-                .enum_index
-                .probe(&scratch.key_buf)
-                .iter()
-                .map(|&r| driver.enum_index.row(r)[driver.value_pos]),
-        );
+        let rows = driver.enum_index.probe(&scratch.key_buf);
+        let rows = rows.chunks_exact(driver.enum_index.arity());
+        candidates.extend(rows.map(|row| row[driver.value_pos]));
         candidates.sort_unstable();
         candidates.dedup();
 
@@ -605,6 +602,14 @@ fn compile_atom_order(
     let mut key_positions: Vec<usize> = Vec::new();
     for &atom_idx in order {
         let atom = &atoms[atom_idx];
+        if atom.arity() == 0 {
+            // Matches once, binding nothing, if its relation holds the empty
+            // tuple; never otherwise.
+            if relations[atom.relation()].is_empty() {
+                return None;
+            }
+            continue;
+        }
         key_positions.clear();
         let mut key = Vec::new();
         let mut ops = Vec::new();
@@ -676,6 +681,13 @@ fn compile_generic_join(
 
     for atom in atoms {
         let rel = relations[atom.relation()];
+        if atom.arity() == 0 {
+            // A nullary atom holds exactly when its relation is non-empty.
+            if rel.is_empty() {
+                return None;
+            }
+            continue;
+        }
         // Slot of each position, if it is a free variable.
         let pos_slot: Vec<Option<u32>> = atom
             .args()
@@ -694,8 +706,8 @@ fn compile_generic_join(
             .map(|&s| level_of(s).expect("free slots appear in the variable order"))
             .collect();
 
-        // A constant the pool has never seen occurs in no relation, so in no
-        // snapshot: unsatisfiable.
+        // A constant the pool has never seen occurs in no relation:
+        // unsatisfiable.
         let base_part = |pos: usize| -> Option<KeyPart> {
             match &atom.args()[pos] {
                 Term::Const(c) => Some(KeyPart::Const(ValueId::lookup(c)?)),
@@ -1349,7 +1361,7 @@ mod tests {
     fn never_interned_constants_compile_to_an_unsatisfiable_search() {
         let db = graph_db();
         let rels = relations(&db);
-        // A constant value no snapshot (or other code path) has ever
+        // A constant value no relation (or other code path) has ever
         // interned: compilation proves emptiness without running a search,
         // and without minting a pool id for the constant.
         let ghost = Value::str("hom-test-never-interned-constant-3b1f");

@@ -24,6 +24,9 @@
 //! * a small text [`parser`] for conjunctive queries, used by examples and
 //!   tests.
 
+#![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
+
 pub mod acyclic;
 pub mod aequiv;
 pub mod atom;

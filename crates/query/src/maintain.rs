@@ -68,8 +68,8 @@
 //! fall back to full re-materialisation *of that view only*, through the
 //! naive evaluator — and even then the previous extent relation (with its
 //! epoch) is reused whenever the recomputed contents come out identical, so
-//! what is kept per epoch upstream — the extent's interned snapshot, its
-//! keyed indexes — is rebuilt only after genuine content changes.
+//! what is kept per epoch upstream — the extent's keyed indexes, the
+//! searches' cached indexes — is rebuilt only after genuine content changes.
 //!
 //! Untouched extents are returned as clones of the previous ones: same
 //! contents, same epoch, shared storage.

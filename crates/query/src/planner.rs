@@ -18,7 +18,7 @@
 //!
 //! # Cost model
 //!
-//! Per-snapshot statistics ([`RelationStats`]) provide `|R|` and the number
+//! Per-relation statistics ([`RelationStats`]) provide `|R|` and the number
 //! of distinct values `d_p` at each attribute position.  The estimated
 //! fan-out of probing atom `R(t̄)` when the positions `B ⊆ pos(t̄)` are bound
 //! is the textbook uniformity-and-independence estimate
@@ -96,7 +96,7 @@ pub(crate) enum TermShape {
 }
 
 /// The planner's view of one atom: its term shapes plus the statistics of
-/// the snapshot it will probe.
+/// the relation it will probe.
 #[derive(Debug, Clone)]
 pub(crate) struct AtomShape {
     pub terms: Vec<TermShape>,
@@ -222,7 +222,7 @@ pub(crate) fn cost_based_order(atoms: &[AtomShape], slot_count: usize) -> Vec<us
 ///    remaining variables have two bound neighbours and every candidate is
 ///    intersected from both sides.
 ///
-/// The order is a pure function of the query shape and the snapshot
+/// The order is a pure function of the query shape and the relation
 /// statistics — never of hash-map iteration order.
 pub(crate) fn variable_order(atoms: &[AtomShape]) -> Vec<u32> {
     let all: BTreeSet<u32> = atoms.iter().flat_map(|a| a.free_slots()).collect();
@@ -301,21 +301,23 @@ fn candidate_estimate(atoms: &[AtomShape], slot: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqr_data::intern::ValueId;
-    use bqr_data::Value;
+    use bqr_data::{Relation, RelationSchema, Tuple, Value};
 
-    /// Build stats for a synthetic snapshot: `rows` tuples where position
-    /// `p` cycles through `distinct[p]` values.
+    /// Build stats for a synthetic relation: `rows` tuples where position
+    /// `p` cycles through `distinct[p]` values.  A trailing row-number
+    /// column, which no atom reads, keeps the tuples distinct.
     fn stats(rows: usize, distinct: &[usize]) -> RelationStats {
-        let arity = distinct.len();
-        let mut data = Vec::with_capacity(rows * arity);
-        for r in 0..rows {
-            for (p, &d) in distinct.iter().enumerate() {
-                let v = Value::str(format!("planner-test-{p}-{}", r % d.max(1)));
-                data.push(ValueId::intern(&v));
-            }
-        }
-        RelationStats::of_rows(rows, arity, &data)
+        let names: Vec<String> = (0..=distinct.len()).map(|p| format!("a{p}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let schema = RelationSchema::new("planner_test", &names).unwrap();
+        let tuples = (0..rows).map(|r| {
+            let cycling = distinct
+                .iter()
+                .enumerate()
+                .map(|(p, &d)| Value::str(format!("planner-test-{p}-{}", r % d.max(1))));
+            Tuple::new(cycling.chain([Value::int(r as i64)]).collect())
+        });
+        RelationStats::of_rows(&Relation::from_tuples(schema, tuples).unwrap())
     }
 
     fn free(slots: &[u32], stats_: RelationStats) -> AtomShape {

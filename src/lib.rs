@@ -108,7 +108,6 @@
 //! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
 //! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)`; the Δ tuples' ids are looked up, nothing is interned |
 //! | a keyed index the relation holds (view maintenance asked for it once — or, for a view extent, a read that joins the view) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
-//! | the snapshot of a written relation | nothing — no write carries one forward; the next scan of the relation builds it |
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
@@ -140,18 +139,17 @@
 //!   tracking): the delta degrades to "unknown" for that relation —
 //!   affected views re-materialise (reusing the previous extent object when
 //!   the contents come out unchanged), its access index rebuilds, and its
-//!   snapshot and keyed indexes are built again by whoever next asks.
+//!   keyed indexes are built again by whoever next asks.
 //!   Replacing a relation with equal contents is detected (unequal lengths
 //!   and pointer-equal storage answer without comparing a tuple) and
 //!   short-circuits to a no-op.
 //! * **Non-CQ FO views** always re-materialise — only CQ/UCQ definitions
 //!   have a sound semi-naive path.
 //!
-//! Untouched relations share their epochs, indexes (access and keyed), and
-//! snapshots into the new version, and the pipeline cache is keyed by plan
-//! shape alone — a compiled pipeline holds no data, so no write invalidates
-//! one, and the first read after a write pays only for re-snapshotting what
-//! the write changed.  A net no-op mutation publishes nothing at all: no epoch
+//! Untouched relations share their epochs and indexes (access and keyed)
+//! into the new version, and the pipeline cache is keyed by plan shape
+//! alone — a compiled pipeline holds no data, so no write invalidates one,
+//! and the first read after a write is a cache hit.  A net no-op mutation publishes nothing at all: no epoch
 //! moves.  [`MaintenanceMode::Rebuild`] restores the from-scratch
 //! behaviour engine-wide (the differential baseline: same contents, same
 //! epoch contract, bit-identical answers).  Failures anywhere — closure
@@ -436,7 +434,7 @@
 //! example walks the low-level API):
 //!
 //! * [`bqr_data`] (as [`data`]) — values, tuples, relations, access schemas,
-//!   epoch-stamped instances, interned snapshots, indices;
+//!   epoch-stamped instances of interned id rows, indices;
 //! * [`bqr_query`] (as [`query`]) — CQ/UCQ/FO ASTs, homomorphisms,
 //!   containment, `A`-equivalence, the chase, the cost-based join planner;
 //! * [`bqr_plan`] (as [`plan`]) — bounded query plans, the compiled operator

@@ -9,7 +9,7 @@ use bqr_query::eval::{eval_cq, Evaluator};
 use bqr_query::hom::{
     enumerate_homomorphisms_cached, has_homomorphism_cached, reference, Assignment, MatchLimit,
 };
-use bqr_query::ConjunctiveQuery;
+use bqr_query::{Atom, ConjunctiveQuery, Term};
 use bqr_workload::random::{generate_queries, RandomQueryConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,6 +53,41 @@ fn random_queries(seed: u64, atoms: usize, count: usize) -> Vec<ConjunctiveQuery
 
 fn relation_map(db: &Database) -> BTreeMap<String, &Relation> {
     db.relations().map(|r| (r.name().to_string(), r)).collect()
+}
+
+/// `small_schema` plus a relation no tuple is ever inserted into and a
+/// nullary one, which holds the empty tuple iff `unit_holds`.
+fn empty_and_nullary_db(seed: u64, unit_holds: bool) -> Database {
+    let schema = DatabaseSchema::with_relations(&[
+        ("r", &["a", "b"]),
+        ("s", &["a", "b", "c"]),
+        ("t", &["a"]),
+        ("e", &["a", "b"]),
+        ("u", &[]),
+    ])
+    .unwrap();
+    let mut db = Database::empty(schema);
+    for rel in ["r", "s", "t"] {
+        *db.relation_mut(rel).unwrap() = random_db(seed, 10).relation(rel).unwrap().clone();
+    }
+    if unit_holds {
+        db.insert("u", bqr_data::Tuple::unit()).unwrap();
+    }
+    db
+}
+
+/// Both engines' answer sets of `atoms` over `rels`, from no initial
+/// assignment, the slot engine's through `cache`.
+fn both_engines(
+    atoms: &[Atom],
+    rels: &BTreeMap<String, &Relation>,
+    cache: &IndexCache,
+) -> (BTreeSet<Assignment>, BTreeSet<Assignment>) {
+    let none = Assignment::new();
+    let slot =
+        enumerate_homomorphisms_cached(atoms, rels, &none, MatchLimit::AtMost(100_000), cache);
+    let naive = reference::enumerate_homomorphisms(atoms, rels, &none, MatchLimit::AtMost(100_000));
+    (answer_set(slot.unwrap()), answer_set(naive.unwrap()))
 }
 
 /// Answer set of an engine run, as comparable name→value maps.
@@ -147,6 +182,68 @@ proptest! {
             );
         }
     }
+
+    /// Random CQs that may name an empty relation or a nullary one (which
+    /// the slot engine indexes nowhere: a nullary atom holds exactly when
+    /// its relation is non-empty) agree with the reference engine.
+    #[test]
+    fn empty_and_nullary_relations_match_reference(
+        db_seed in 0u64..30,
+        query_seed in 0u64..30,
+        atoms in 1usize..5,
+        unit_holds in 0u32..2,
+    ) {
+        let db = empty_and_nullary_db(db_seed, unit_holds == 1);
+        let rels = relation_map(&db);
+        let cache = IndexCache::new();
+        let queries = generate_queries(
+            db.schema(),
+            &RandomQueryConfig {
+                atoms,
+                constant_probability: 0.35,
+                constants: (0..5).map(Value::int).collect(),
+                head_variables: 2,
+                seed: query_seed,
+            },
+            6,
+        );
+        for q in queries {
+            let (slot, naive) = both_engines(q.atoms(), &rels, &cache);
+            prop_assert_eq!(slot, naive, "engines disagree on {}", q);
+        }
+    }
+}
+
+/// A nullary atom and an empty relation on both compiled shapes: beside a
+/// triangle (generic join) and beside a chain (atom order), alone, and with
+/// the nullary relation holding the empty tuple and not.
+#[test]
+fn nullary_and_empty_atoms_agree_with_reference_on_both_shapes() {
+    let var = |names: [&str; 2]| names.map(Term::var).to_vec();
+    let triangle = [["x", "y"], ["y", "z"], ["z", "x"]].map(|p| Atom::new("r", var(p)));
+    let chain = [["x", "y"], ["y", "z"]].map(|p| Atom::new("r", var(p)));
+    let unit = Atom::new("u", vec![]);
+    let empty = Atom::new("e", var(["y", "w"]));
+    for unit_holds in [false, true] {
+        let db = empty_and_nullary_db(3, unit_holds);
+        let rels = relation_map(&db);
+        let cache = IndexCache::new();
+        let mut found = 0;
+        for shape in [&triangle[..], &chain[..], &[]] {
+            for extra in [
+                vec![],
+                vec![unit.clone()],
+                vec![empty.clone()],
+                vec![unit.clone(), empty.clone()],
+            ] {
+                let atoms: Vec<Atom> = shape.iter().cloned().chain(extra.iter().cloned()).collect();
+                let (slot, naive) = both_engines(&atoms, &rels, &cache);
+                assert_eq!(slot, naive, "engines disagree on {atoms:?}");
+                found += slot.len();
+            }
+        }
+        assert!(found > 0, "some query matches");
+    }
 }
 
 /// Deterministic (non-property) check of the invalidation contract at the
@@ -159,7 +256,7 @@ fn index_cache_invalidation_on_mutation() {
     {
         let r = db.relation("r").unwrap();
         let before = cache.interned_index_for(r, &[0]);
-        assert_eq!(before.len(), r.len());
+        assert_eq!(before.total_rows(), r.len());
         assert!(std::rc::Rc::ptr_eq(
             &before,
             &cache.interned_index_for(r, &[0])
@@ -174,6 +271,6 @@ fn index_cache_invalidation_on_mutation() {
         misses_before + 1,
         "mutation must force a rebuild"
     );
-    assert_eq!(after.len(), r.len());
-    assert_eq!(after.probe(&[ValueId::intern(&Value::int(99))]).len(), 1);
+    assert_eq!(after.total_rows(), r.len());
+    assert_eq!(after.probe_len(&[ValueId::intern(&Value::int(99))]), 1);
 }

@@ -4,7 +4,7 @@
 //! this suite used to be exposed to: with a fixed proptest seed, a plan or
 //! result ordering that depended on hash-map iteration order could make the
 //! same case pass and fail across runs.  Plans are now a pure function of
-//! the query and the snapshot statistics, and every evaluation result is
+//! the query and the relation statistics, and every evaluation result is
 //! sorted, so a fixed seed pins the whole execution.
 
 use bqr_core::topped::ToppedChecker;

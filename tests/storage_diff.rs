@@ -10,10 +10,12 @@
 //! `IndexedDatabase::build` over freshly stored copies of the same contents:
 //! iteration order, every index (groups, their order, source counts and
 //! statistics), every `fetch` / `fetch_ids` / `fetch_ids_batch` answer and
-//! its `FetchStats`, every keyed index the written relations carried along,
-//! and — wherever a snapshot exists — its rows and statistics.  And the
-//! predecessor version must still read exactly as it did before the write:
-//! copy-on-write may share, never leak.
+//! its `FetchStats`, and every keyed index the written relations carried
+//! along.  And the predecessor version must still read exactly as it did
+//! before the write: copy-on-write may share, never leak.  Keyed indexes
+//! are also grown from an empty and a one-tuple relation and shrunk back,
+//! one write at a time: the path where an index allocates the shards its
+//! keys land in and gives back the ones it empties.
 //!
 //! Patched and rebuilt indexes come from the same builder, so both are also
 //! held to the test's own model: every probe is `D_{R:XY}(X = ā)` computed
@@ -22,9 +24,8 @@
 //! The storage itself is held to the model too, after every write: a
 //! relation iterates exactly the model's tuples, in the model's (value)
 //! order; every sorted-prefix range and every `select_eq` reads like a
-//! filter over the model; a snapshot's id rows are the ids iteration
-//! yields; and looking for a value the pool never saw finds nothing and
-//! mints nothing.  The sorted-prefix ranges view maintenance probes are also
+//! filter over the model; and looking for a value the pool never saw finds
+//! nothing and mints nothing.  The sorted-prefix ranges view maintenance probes are also
 //! held to a filter over the whole relation at every chunk edge.
 //!
 //! Relations store interned ids but order rows by value.  So that the two
@@ -33,8 +34,8 @@
 //! integers in descending order and strings shuffled.
 
 use bqr::data::{
-    snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
-    IndexedDatabase, InternedAccessIndex, Relation, RelationStats, Tuple, TupleRef, Value, ValueId,
+    tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats, IndexedDatabase,
+    InternedAccessIndex, Relation, Tuple, TupleRef, Value, ValueId,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -300,42 +301,6 @@ fn check_storage(db: &Database, model: &Model) {
     }
 }
 
-/// Wherever `idb` holds a snapshot, it is the relation: same rows, its id
-/// rows the ids iteration yields, and statistics equal to a recount.
-/// Returns which relations hold one.
-fn check_snapshots(idb: &IndexedDatabase) -> Vec<bool> {
-    idb.database()
-        .relations()
-        .map(|rel| {
-            if !rel.has_snapshot() {
-                return false;
-            }
-            let snap = snapshot_of(rel);
-            assert_eq!(snap.epoch(), rel.epoch());
-            let rows: BTreeSet<Tuple> = (0..snap.len() as u32)
-                .map(|i| snap.row(i).iter().map(|id| id.value()).collect())
-                .collect();
-            assert!(
-                rows.iter().cloned().eq(rel.iter().map(TupleRef::to_tuple)),
-                "snapshot rows of {}",
-                rel.name()
-            );
-            assert_eq!(rows.len(), snap.len(), "no duplicate rows");
-            let ids = rel.iter().flat_map(TupleRef::ids).copied();
-            assert!(
-                snap.id_rows().iter().copied().eq(ids),
-                "id rows of {}",
-                rel.name()
-            );
-            assert_eq!(
-                *snap.stats(),
-                RelationStats::of_rows(snap.len(), snap.arity(), snap.id_rows())
-            );
-            true
-        })
-        .collect()
-}
-
 /// The keyed indexes this test asks for: by one position, by a trailing
 /// position before a leading one, and on the small relation.
 const KEYED: [(&str, &[usize]); 3] = [("fact", &[1]), ("fact", &[2, 0]), ("dim", &[1])];
@@ -462,7 +427,6 @@ proptest! {
         let mut expected = observe(&IndexedDatabase::build(store(&model), access()).unwrap());
         let mut expected_db = store(&model);
         for (ops, touch) in script {
-            let snapshots_before = check_snapshots(&current);
             let keyed_before = check_keyed(&current, &store(&model));
 
             let mut next = current.database().clone();
@@ -475,16 +439,6 @@ proptest! {
             check_against_model(&successor, &model);
             check_storage(successor.database(), &model);
 
-            // Snapshots are kept by exactly the relations that had one and
-            // were not written: no write carries one forward.
-            let kept: Vec<bool> = successor
-                .database()
-                .relations()
-                .zip(&snapshots_before)
-                .map(|(rel, had)| *had && !log.touches(rel.name()))
-                .collect();
-            prop_assert_eq!(&check_snapshots(&successor), &kept);
-
             let oracle = IndexedDatabase::build(store(&model), access()).unwrap();
             // Keyed indexes are carried by every write: exactly the ones the
             // predecessor held, each equal to a from-scratch build.
@@ -493,10 +447,7 @@ proptest! {
             prop_assert_eq!(&observe(&successor), &oracle_view);
             prop_assert_eq!(successor.database(), oracle.database());
             if touch {
-                // Snapshot and key them too, so the next write has some to
-                // drop and some to carry.
-                successor.database().relations().for_each(|r| drop(snapshot_of(r)));
-                check_snapshots(&successor);
+                // Key them too, so the next write has some to carry.
                 for (name, positions) in KEYED {
                     let rel = successor.database().relation(name).unwrap();
                     rel.keyed_index(positions);
@@ -506,12 +457,92 @@ proptest! {
             // The predecessor still reads as it did before the write, over
             // shards it shares with the successor.
             prop_assert_eq!(&observe(&current), &expected);
-            check_snapshots(&current);
             check_keyed(&current, &expected_db);
 
             expected = oracle_view;
             expected_db = oracle.database().clone();
             current = successor;
+        }
+    }
+}
+
+/// The keys [`keyed_indexes_grown_from_nothing_read_like_rebuilds`] asks
+/// for, on the `fact` schema.
+const SMALL_KEYED: [&[usize]; 3] = [&[0], &[1], &[2, 0]];
+
+/// Every index of [`SMALL_KEYED`] `rel` carries against a rebuild over a
+/// freshly stored copy of `model`, and against `model` itself: each key's
+/// group is its tuples, whole, in ascending id order, and no other key is
+/// held.
+fn check_small_keyed(rel: &Relation, model: &BTreeSet<Tuple>) {
+    let fresh = Relation::from_tuples(rel.schema().clone(), model.iter().cloned()).unwrap();
+    for positions in SMALL_KEYED {
+        let carried = rel.keyed_index_if_built(positions).expect("carried");
+        assert_eq!(*carried, *fresh.keyed_index(positions), "by {positions:?}");
+        let mut groups: BTreeMap<Vec<ValueId>, BTreeSet<Vec<ValueId>>> = BTreeMap::new();
+        for t in model {
+            let row: Vec<ValueId> = t
+                .values()
+                .iter()
+                .map(|v| ValueId::lookup(v).unwrap())
+                .collect();
+            let key = positions.iter().map(|&p| row[p]).collect();
+            groups.entry(key).or_default().insert(row);
+        }
+        for (key, rows) in &groups {
+            let expected: Vec<ValueId> = rows.iter().flatten().copied().collect();
+            assert_eq!(carried.probe(key), expected, "by {positions:?} at {key:?}");
+        }
+        assert_eq!(carried.distinct_keys(), groups.len(), "by {positions:?}");
+        assert_eq!(carried.total_rows(), model.len(), "by {positions:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Keyed indexes built on a relation with no tuples and on one with a
+    /// single tuple, then carried through inserts and removals of one tuple
+    /// each — over few keys, so most writes allocate a shard or give one
+    /// back — equal a rebuild and the model after every write, and each
+    /// write forks at most two shards of each.
+    #[test]
+    fn keyed_indexes_grown_from_nothing_read_like_rebuilds(
+        writes in prop::collection::vec((0u32..2, 0i64..8, 0i64..3, 0i64..3), 1..40)
+    ) {
+        minted();
+        let schema = schema().relation("fact").unwrap().clone();
+        let one = tuple![0, 0, 0];
+        let mut small = [
+            (Relation::empty(schema.clone()), BTreeSet::new()),
+            (Relation::from_tuples(schema, [one.clone()]).unwrap(), BTreeSet::from([one])),
+        ];
+        for (rel, model) in &small {
+            SMALL_KEYED.iter().for_each(|positions| drop(rel.keyed_index(positions)));
+            check_small_keyed(rel, model);
+        }
+        for (kind, k, d, v) in writes {
+            for (rel, model) in &mut small {
+                let before: Vec<_> = SMALL_KEYED
+                    .iter()
+                    .map(|positions| rel.keyed_index_if_built(positions).expect("carried"))
+                    .collect();
+                let live = model.iter().nth(k as usize % model.len().max(1)).cloned();
+                match (kind, live) {
+                    (0, _) | (_, None) => {
+                        let t = tuple![k, d, v];
+                        prop_assert_eq!(rel.insert(t.clone()).unwrap(), model.insert(t));
+                    }
+                    (_, Some(t)) => {
+                        prop_assert!(rel.remove(&t).unwrap() && model.remove(&t));
+                    }
+                }
+                check_small_keyed(rel, model);
+                for (positions, was) in SMALL_KEYED.iter().zip(&before) {
+                    let now = rel.keyed_index_if_built(positions).expect("carried");
+                    prop_assert!(now.shared_shards(was) >= now.shard_count() - 2);
+                }
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 //! values while the pool-size deltas are taken.
 
 use bqr::data::{
-    snapshot_of, tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats,
+    tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats, IndexCache,
     IndexedDatabase, Tuple, Value, ValueId,
 };
 use bqr::query::maintain::maintain_counting;
@@ -79,7 +79,6 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
         prev.database().relation("calls").unwrap(),
         next.database().relation("calls").unwrap(),
     );
-    assert!(!old.has_snapshot() && !new.has_snapshot(), "never scanned");
     let (old_index, new_index) = (prev.index(0).unwrap(), next.index(0).unwrap());
     let work = Work {
         chunks_forked: new.chunk_count() - new.shared_chunks(old),
@@ -169,7 +168,6 @@ fn write_like(views: &ViewSet, prev: &Version, t: &Tuple, insert: bool) -> (Vers
         old_db.relation("like").unwrap(),
         next.idb.database().relation("like").unwrap(),
     );
-    assert!(!new.has_snapshot(), "no write carries a snapshot forward");
     for untouched in ["person", "movie", "rating"] {
         let rel = |v: &Version| v.idb.database().relation(untouched).unwrap().epoch();
         assert_eq!(rel(prev), rel(&next));
@@ -219,7 +217,6 @@ fn a_like_write_under_v1_probes_the_same_few_rows_at_any_size() {
             views: views.materialize(&db).unwrap(),
             idb: IndexedDatabase::build(db, movies::access_schema(250)).unwrap(),
         };
-        assert!(v0.idb.database().relation("like").unwrap().has_snapshot());
 
         // The first removal under V1 builds `like` by `id` (once per
         // relation, like first-touch interning): take that off the counts.
@@ -274,8 +271,8 @@ fn a_like_write_under_v1_probes_the_same_few_rows_at_any_size() {
 
 /// On an instance attached to an engine, nothing derived from the stored
 /// rows interns a value: not the constraint indexes
-/// (`IndexedDatabase::build`), not a keyed index, not a snapshot — they
-/// copy the ids `Relation::insert` interned — and not a write of a tuple
+/// (`IndexedDatabase::build`), not a keyed index, not the search's cached
+/// indexes — they copy the ids `Relation::insert` interned — and not a write of a tuple
 /// whose values the pool already holds, maintenance included.
 #[test]
 fn derived_structures_and_known_writes_intern_nothing() {
@@ -299,9 +296,10 @@ fn derived_structures_and_known_writes_intern_nothing() {
     for rel in db.relations() {
         let arity = rel.schema().arity();
         rel.keyed_index(&[arity - 1, 0]);
-        assert_eq!(snapshot_of(rel).len(), rel.len());
+        let searched = IndexCache::new().interned_index_for(rel, &[0]);
+        assert_eq!(searched.total_rows(), rel.len());
     }
-    assert_eq!(ValueId::pool_len(), pool, "keyed indexes and snapshots");
+    assert_eq!(ValueId::pool_len(), pool, "keyed and cached indexes");
 
     // A call of a customer to itself, at a duration some call has: every
     // value is known, the tuple is not.
