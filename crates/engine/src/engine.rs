@@ -440,43 +440,16 @@ impl Engine {
     /// runs outside the read path's lock: concurrent reads (sessions,
     /// analyses) proceed against the previous version throughout, and
     /// closures may freely call the engine's read methods.
+    ///
+    /// This is [`mutate_batch`](Engine::mutate_batch) with one closure, so a
+    /// failing closure has its writes undone before the (then empty) delta
+    /// is taken.  A closure that replaced a relation wholesale and then
+    /// failed cannot be undone: it reports
+    /// [`bqr_data::DataError::RollbackHistoryLost`] instead of its own error,
+    /// and publishes nothing either.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> bqr_data::Result<R>) -> Result<R> {
-        let _serialised = self.writers.lock().unwrap_or_else(PoisonError::into_inner);
-        let prev = Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner));
-        // O(#chunks), not O(|D|): relations share tuple storage with the
-        // live version; a genuine write forks the chunk it lands in.
-        let mut db = prev.database().clone();
-        db.begin_delta_tracking();
-        // Contain closure panics: `db` is a scratch clone, so abandoning it
-        // mid-mutation is safe, and nothing has been published yet.
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            bqr_data::faults::check(bqr_data::faults::sites::MUTATE_CLOSURE)?;
-            f(&mut db)
-        }))
-        .map_err(|payload| Error::MutationPanicked {
-            message: panic_message(payload.as_ref()),
-        })?
-        .map_err(Error::Data)?;
-        let delta = db.take_delta(prev.database());
-        if delta.is_empty() {
-            // No-op elision: nothing changed, so the current version — and
-            // every epoch, index and cached pipeline keyed off it
-            // — is still exact.  Publish nothing.
-            return Ok(out);
-        }
-        // Version construction is panic-contained like the closure: an
-        // injected (or genuine) panic inside delta application must surface
-        // as a typed error with nothing published, never as a half-applied
-        // version or a wedged writer.
-        let version = catch_unwind(AssertUnwindSafe(|| match self.maintenance {
-            MaintenanceMode::Delta => DataVersion::apply_delta(&prev, db, &delta, &self.setting),
-            MaintenanceMode::Rebuild => DataVersion::build(db, &self.setting),
-        }))
-        .map_err(|payload| Error::MutationPanicked {
-            message: panic_message(payload.as_ref()),
-        })??;
-        *self.data.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(version);
-        Ok(out)
+        let outcome = self.mutate_batch([f])?.pop();
+        outcome.expect("mutate_batch returns one outcome per closure")
     }
 
     /// Apply a burst of mutation closures in **one** delta-tracked version
@@ -497,9 +470,11 @@ impl Engine {
     ///
     /// The outer `Result` fails only when nothing was published at all:
     /// version construction failed (index rebuild or view maintenance
-    /// error/panic), or a *failing* closure had also replaced a relation
-    /// wholesale — losing the write history a rollback needs
-    /// ([`bqr_data::DataError::RollbackHistoryLost`]).
+    /// error/panic — contained like a closure's, so it surfaces typed and
+    /// never as a half-applied version or a wedged writer), or a *failing*
+    /// closure had also replaced a relation wholesale — losing the write
+    /// history a rollback needs ([`bqr_data::DataError::RollbackHistoryLost`]).
+    /// [`mutate`](Engine::mutate) is this with one closure.
     pub fn mutate_batch<R, F>(
         &self,
         closures: impl IntoIterator<Item = F>,
@@ -535,6 +510,8 @@ impl Engine {
         }
         let delta = db.take_delta(prev.database());
         if delta.is_empty() {
+            // No-op elision: nothing changed, so the current version — and
+            // every epoch and index keyed off it — is still exact.
             return Ok(outcomes);
         }
         let version = catch_unwind(AssertUnwindSafe(|| match self.maintenance {

@@ -24,7 +24,8 @@ pub(crate) struct DataVersion {
 }
 
 impl DataVersion {
-    /// Materialise the views and build the access indexes for `db`.
+    /// Materialise the views — a CQ or UCQ view by the delta plans that
+    /// maintain it afterwards — and build the access indexes for `db`.
     pub(crate) fn build(db: Database, setting: &RewritingSetting) -> Result<DataVersion> {
         let views = setting.views.materialize(&db)?;
         let idb = IndexedDatabase::build(db, setting.access.clone())?;

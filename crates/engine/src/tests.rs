@@ -685,6 +685,29 @@ fn mutate_batch_isolates_failing_closures() {
     assert!(!rating.contains(&tuple![22, 1]));
 }
 
+/// `mutate` is `mutate_batch` of one closure: a closure that replaced a
+/// relation wholesale and then failed cannot be rolled back, reports the
+/// lost history instead of its own error, and publishes nothing.
+#[test]
+fn a_failing_mutate_that_replaced_a_relation_reports_lost_history() {
+    let engine = movie_engine();
+    engine.attach(movie_instance()).unwrap();
+    let (before, epochs) = (engine.database(), engine.session().epochs());
+    let err = engine
+        .mutate(|db| {
+            let rating = db.relation_mut("rating")?;
+            *rating = bqr_data::Relation::empty(rating.schema().clone());
+            db.insert("no_such_relation", tuple![0])
+        })
+        .unwrap_err();
+    assert!(
+        matches!(&err, Error::Data(bqr_data::DataError::RollbackHistoryLost(r)) if r == "rating"),
+        "{err:?}"
+    );
+    assert_eq!(engine.database(), before, "nothing published");
+    assert_eq!(engine.session().epochs(), epochs);
+}
+
 #[test]
 fn empty_or_noop_batches_publish_nothing() {
     let engine = movie_engine();

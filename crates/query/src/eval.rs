@@ -33,10 +33,8 @@ use crate::ucq::UnionQuery;
 use crate::views::MaterializedViews;
 use crate::Result;
 use bqr_data::{Database, FetchStats, IndexCache, Relation, Tuple, Value};
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::rc::Rc;
 
 /// Default cap on the number of homomorphisms enumerated per CQ evaluation;
 /// override it with [`Evaluator::with_max_results`].
@@ -99,41 +97,15 @@ impl Evaluator {
         views: Option<&MaterializedViews>,
     ) -> Result<Vec<Tuple>> {
         let relations = relation_map(cq.relation_names(), db, views)?;
-        let search = self.compile_search(cq, &relations)?;
-        let head = resolve_head(cq, &search);
-        run_search(&search, &head, self.max_results())
-    }
-
-    /// Prepare a CQ for repeated evaluation: the compiled [`HomSearch`]
-    /// (join plan, probe indexes, head resolution) is cached inside the
-    /// handle, keyed by the epochs of the relations the query reads, and
-    /// re-validated on every [`PreparedCq::eval`] — the homomorphism-engine
-    /// counterpart of `bqr-plan`'s `PreparedPlan`.  Repeated `eval_cq`
-    /// workloads over an unmutated instance skip planning and compilation
-    /// entirely; a mutation recompiles exactly once.
-    pub fn prepare(&self, cq: ConjunctiveQuery) -> PreparedCq<'_> {
-        PreparedCq {
-            evaluator: self,
-            cq,
-            compiled: RefCell::new(None),
-            compiles: Cell::new(0),
-            hits: Cell::new(0),
-        }
-    }
-
-    /// Compile the slot-engine search for `cq` over resolved relations.
-    fn compile_search(
-        &self,
-        cq: &ConjunctiveQuery,
-        relations: &BTreeMap<String, &Relation>,
-    ) -> Result<HomSearch> {
-        HomSearch::compile_with(
+        let search = HomSearch::compile_with(
             cq.atoms(),
-            relations,
+            &relations,
             &Assignment::new(),
             &self.cache,
             &self.planner,
-        )
+        )?;
+        let head = resolve_head(cq, &search);
+        run_search(&search, &head, self.max_results())
     }
 
     /// Evaluate a CQ and record the base tuples a scan-based engine touches.
@@ -223,81 +195,6 @@ fn run_search(search: &HomSearch, head: &[HeadPart], max_results: usize) -> Resu
         Ok(ControlFlow::Continue(()))
     })?;
     Ok(out.into_iter().collect())
-}
-
-/// The compiled state of a [`PreparedCq`], valid for one epoch vector.
-struct CompiledCq {
-    /// Epochs of the referenced relations, in `relation_names` order.
-    epochs: Vec<u64>,
-    search: Rc<HomSearch>,
-    head: Rc<Vec<HeadPart>>,
-}
-
-/// A conjunctive query prepared on an [`Evaluator`] for repeated
-/// evaluation — see [`Evaluator::prepare`].
-///
-/// Like the [`Evaluator`] (and the `Rc`-based [`bqr_data::IndexCache`] under
-/// it) the handle is single-threaded; the multi-threaded prepared path is
-/// `bqr-plan`'s `PreparedPlan`/`PipelineCache`, which serve compiled plan
-/// pipelines process-wide.
-pub struct PreparedCq<'e> {
-    evaluator: &'e Evaluator,
-    cq: ConjunctiveQuery,
-    compiled: RefCell<Option<CompiledCq>>,
-    compiles: Cell<u64>,
-    hits: Cell<u64>,
-}
-
-impl PreparedCq<'_> {
-    /// The prepared query.
-    pub fn query(&self) -> &ConjunctiveQuery {
-        &self.cq
-    }
-
-    /// How many times the search was (re)compiled: `1` after the first
-    /// evaluation, `+1` per epoch change observed since.
-    pub fn compiles(&self) -> u64 {
-        self.compiles.get()
-    }
-
-    /// How many evaluations re-used the compiled search.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Evaluate against `db` (and optional view extents), re-using the
-    /// compiled search when every referenced relation still presents the
-    /// epoch it was compiled at; answers are always identical to a fresh
-    /// [`Evaluator::eval_cq`] on the same arguments.
-    pub fn eval(&self, db: &Database, views: Option<&MaterializedViews>) -> Result<Vec<Tuple>> {
-        let relations = relation_map(self.cq.relation_names(), db, views)?;
-        // Epochs are globally unique stamps (equal epochs ⟹ identical
-        // contents), so this vector re-validates everything compilation
-        // looked at: relation contents, their statistics, and the planner
-        // decisions derived from both.
-        let epochs: Vec<u64> = relations.values().map(|r| r.epoch()).collect();
-        let (search, head) = {
-            let mut guard = self.compiled.borrow_mut();
-            match guard.as_ref() {
-                Some(c) if c.epochs == epochs => {
-                    self.hits.set(self.hits.get() + 1);
-                    (Rc::clone(&c.search), Rc::clone(&c.head))
-                }
-                _ => {
-                    let search = Rc::new(self.evaluator.compile_search(&self.cq, &relations)?);
-                    let head = Rc::new(resolve_head(&self.cq, &search));
-                    self.compiles.set(self.compiles.get() + 1);
-                    *guard = Some(CompiledCq {
-                        epochs,
-                        search: Rc::clone(&search),
-                        head: Rc::clone(&head),
-                    });
-                    (search, head)
-                }
-            }
-        };
-        run_search(&search, &head, self.evaluator.max_results())
-    }
 }
 
 /// Resolve a relation name against the base instance and the cached views.
@@ -965,75 +862,6 @@ mod tests {
         );
         assert!(evaluator.cache().hits() > 0);
         assert_eq!(first, vec![tuple![10]]);
-    }
-
-    /// A prepared CQ skips recompilation on unmutated instances, recompiles
-    /// exactly once per epoch change, and always answers like a fresh
-    /// evaluation.
-    #[test]
-    fn prepared_cq_revalidates_epochs() {
-        let mut db = movie_instance();
-        let evaluator = Evaluator::new();
-        let prepared = evaluator.prepare(q0());
-        assert_eq!(prepared.query(), &q0());
-
-        let first = prepared.eval(&db, None).unwrap();
-        assert_eq!(first, vec![tuple![10]]);
-        for _ in 0..3 {
-            assert_eq!(prepared.eval(&db, None).unwrap(), first);
-        }
-        assert_eq!(prepared.compiles(), 1, "one compile serves the warm path");
-        assert_eq!(prepared.cache_hits(), 3);
-
-        // Mutating referenced relations bumps their epochs: one recompile,
-        // and the answer reflects the new instance (Ouija gets a 5-rating
-        // and a NASA fan, so it now qualifies).
-        db.insert("rating", tuple![11, 5]).unwrap();
-        db.insert("like", tuple![1, 11, "movie"]).unwrap();
-        let updated = prepared.eval(&db, None).unwrap();
-        assert_eq!(updated, eval_cq(&q0(), &db, None).unwrap());
-        assert_eq!(updated, vec![tuple![10], tuple![11]], "Ouija now qualifies");
-        assert_eq!(prepared.compiles(), 2);
-        assert_eq!(prepared.eval(&db, None).unwrap(), updated);
-        assert_eq!(prepared.compiles(), 2, "warm again after the recompile");
-
-        // Mutating an *unreferenced* relation also re-keys (the vector is
-        // per referenced relation, and `person` is referenced by Q0) — use a
-        // clone to check the opposite: clones share epochs, so a clone of
-        // the instance stays warm.
-        let clone = db.clone();
-        assert_eq!(prepared.eval(&clone, None).unwrap(), updated);
-        assert_eq!(prepared.compiles(), 2, "unmutated clones share epochs");
-    }
-
-    /// Prepared evaluation resolves view extents and tracks their epochs.
-    #[test]
-    fn prepared_cq_over_views() {
-        let db = movie_instance();
-        let mut views = ViewSet::empty();
-        views.add_cq("V1", v1()).unwrap();
-        let cache = views.materialize(&db).unwrap();
-        let q = ConjunctiveQuery::new(
-            vec![Term::var("mid")],
-            vec![
-                crate::atom::Atom::new("V1", vec![Term::var("mid")]),
-                crate::atom::Atom::new("rating", vec![Term::var("mid"), Term::cnst(5)]),
-            ],
-        )
-        .unwrap();
-        let evaluator = Evaluator::new();
-        let prepared = evaluator.prepare(q.clone());
-        let expected = evaluator.eval_cq(&q, &db, Some(&cache)).unwrap();
-        assert_eq!(prepared.eval(&db, Some(&cache)).unwrap(), expected);
-        assert_eq!(prepared.eval(&db, Some(&cache)).unwrap(), expected);
-        assert_eq!(prepared.compiles(), 1);
-        assert_eq!(prepared.cache_hits(), 1);
-        // A re-materialised extent presents fresh epochs → one recompile.
-        let cache2 = views.materialize(&db).unwrap();
-        assert_eq!(prepared.eval(&db, Some(&cache2)).unwrap(), expected);
-        assert_eq!(prepared.compiles(), 2);
-        // Missing views error exactly like the unprepared path.
-        assert!(prepared.eval(&db, None).is_err());
     }
 
     #[test]

@@ -1,48 +1,56 @@
-//! Delta-driven (semi-naive) maintenance of materialised view extents.
+//! Materialisation and delta-driven (semi-naive) maintenance of view
+//! extents.
 //!
-//! Given the extents materialised over the previous instance and the exact
-//! per-relation write delta of a mutation ([`DeltaLog`]), [`maintain`]
-//! produces the extents of the new instance without re-evaluating views
-//! whose input relations did not change — and for CQ views it re-derives
-//! only the tuples that have at least one *delta-atom binding*, i.e. a
-//! derivation using a changed base tuple:
+//! A CQ or UCQ view is a list of CQ *rules* — the query of a CQ view, the
+//! disjuncts of a UCQ view — and its extent is the union of what its rules
+//! derive.  Every job on such an extent is one [`DeltaPlan`] per rule, the
+//! rule body with one *seed* bound; the jobs differ only in the seed:
 //!
-//! * **Insertions** — for every inserted tuple `t` and every atom of the
-//!   view body over `t`'s relation, bind the atom to `t` and join the rest
-//!   of the body to it over the new instance.  Everything that derives is
-//!   `ΔV⁺`; nothing else can be new, because any derivation of a genuinely
-//!   new view tuple must use at least one inserted base tuple.
+//! * **Materialisation** — no seed at all: the chain starts with a scan, and
+//!   the extent is every head tuple the rules emit.  This is how a view is
+//!   first materialised ([`ViewSet::materialize`]) and how the fallbacks
+//!   below re-derive one.
+//! * **Insertions** — for every inserted tuple `t` and every atom of a rule
+//!   over `t`'s relation, bind the atom to `t` and join the rest of the body
+//!   to it over the new instance.  Everything that derives is `ΔV⁺`; nothing
+//!   else can be new, because any derivation of a genuinely new view tuple
+//!   must use at least one inserted base tuple.
 //! * **Deletions** — the DRed over-delete/re-derive split: binding removed
 //!   tuples the same way *over the old instance* yields the candidate set
 //!   (every extent tuple that had a derivation through a removed base
 //!   tuple); each candidate still in the extent is then re-checked for an
-//!   alternative derivation over the new instance — the body with the head
-//!   bound to the candidate, stopped at its first match — and deleted only
-//!   when none exists.
+//!   alternative derivation over the new instance — a rule body with the
+//!   head bound to the candidate, stopped at its first match — and deleted
+//!   only when *no* rule finds one.  So a UCQ tuple one disjunct lost
+//!   survives while another still derives it, and nothing is kept per
+//!   disjunct.
 //!
 //! # What a delta tuple costs
 //!
 //! Each of those joins runs a [`DeltaPlan`]: a chain of probes whose order
-//! is fixed by the view's syntax alone — after the seed (the Δ tuple, or the
-//! candidate) is bound, the remaining atoms are visited most-bound-first,
-//! and each step looks up one relation on the positions bound so far and
-//! binds the rest.  No planner runs, no statistics are read, nothing is
-//! compiled per tuple.  A step is served by the relation version itself:
+//! is fixed by the rule's syntax alone — after the seed (the Δ tuple, the
+//! candidate, or nothing) is bound, the remaining atoms are visited
+//! most-bound-first, and each step looks up one relation on the positions
+//! bound so far and binds the rest.  No planner runs, no statistics are
+//! read, nothing is compiled per tuple.  A step is served by the relation
+//! version itself:
 //!
 //! * bound positions that lead the schema (`pid` of `person`, `mid` of
 //!   `movie`, `pid` of `like`), any further bound position being a constant
 //!   of the view, walk a [`Relation::prefix_range`] of the sorted storage:
-//!   `O(log |R| + matches)`, no memory, nothing to maintain;
+//!   `O(log |R| + matches)`, no memory, nothing to maintain.  With no
+//!   leading position bound that is a scan filtered on the constants — how
+//!   a seedless plan starts (`V1` scans `person` for `'NASA'`), and what a
+//!   cross product in the view costs per binding reaching it, which is
+//!   inherent: the view's own output is that large;
 //! * any other bound positions (`like` by `id`, to re-derive a movie) probe
 //!   a [`Relation::keyed_index`]: `O(1 + matches)`.  The index is built by
-//!   the first write that needs it — one `O(|R|)` pass over the stored id
+//!   the first plan that needs it — one `O(|R|)` pass over the stored id
 //!   rows, paid once per relation and key — and from then on every write to
 //!   the relation carries it forward in `O(#shards + |groups| / #shards)`,
-//!   whether or not that write's plans probed it;
-//! * a step with **no** bound position — an atom sharing no variable with
-//!   anything bound before it, i.e. a cross product in the view — degrades
-//!   to a scan of its relation, once per binding reaching it.  That is
-//!   inherent: the view's own output is that large.
+//!   whether or not that write's plans probed it.  Under that rule a plan
+//!   never indexes a relation on constants alone, so materialising `V1` or
+//!   a CDR view builds no keyed index.
 //!
 //! A plan runs on interned ids, as the relations store them: the view's
 //! constants are interned once, when the plan is built; its slots hold
@@ -54,22 +62,14 @@
 //! `|D|` — for an acyclic body like `V1`'s, a handful of rows.
 //! [`maintain_counting`] reports the probes and rows as [`FetchStats`].
 //!
-//! UCQ views are maintained one CQ disjunct at a time against the
-//! per-disjunct extents tracked in [`MaterializedViews`]: a disjunct whose
-//! atoms mention no touched relation is carried over as a clone (same
-//! contents, same storage — no evaluation at all), touched disjuncts run
-//! the semi-naive CQ maintenance above, and the union extent is then
-//! patched from the per-disjunct changes — an insert joins the union
-//! outright, a removal leaves it only when no other disjunct still derives
-//! the tuple.
-//!
-//! Views whose definitions are genuinely non-CQ/UCQ (FO), or that read a
-//! relation whose delta was lost ([`bqr_data::RelationChange::Unknown`]),
-//! fall back to full re-materialisation *of that view only*, through the
-//! naive evaluator — and even then the previous extent relation (with its
-//! epoch) is reused whenever the recomputed contents come out identical, so
-//! what is kept per epoch upstream — the extent's keyed indexes, the
-//! searches' cached indexes — is rebuilt only after genuine content changes.
+//! Views whose definitions are genuinely FO, that read a relation whose
+//! delta was lost ([`bqr_data::RelationChange::Unknown`]), or that have no
+//! previous extent are re-materialised — *that view only*, a CQ or UCQ view
+//! by its seedless plans, an FO view through [`crate::eval::eval_fo`] — and
+//! even then the previous extent relation (with its epoch) is reused
+//! whenever the recomputed contents come out identical, so what is kept per
+//! epoch upstream — the extent's keyed indexes, the searches' cached
+//! indexes — is rebuilt only after genuine content changes.
 //!
 //! Untouched extents are returned as clones of the previous ones: same
 //! contents, same epoch, shared storage.
@@ -86,7 +86,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// extents over `old_db`, and `new_db = old_db + delta`.  The result is
 /// bit-identical (contents *and*, for unchanged extents, epochs) to what
 /// `views.materialize(new_db)` would produce content-wise, at `O(|Δ|)` cost
-/// for exact deltas over CQ views.
+/// for exact deltas over CQ and UCQ views.
 pub fn maintain(
     views: &ViewSet,
     previous: &MaterializedViews,
@@ -102,7 +102,7 @@ pub fn maintain(
 /// every keyed or prefix probe a [`DeltaPlan`] issues is one `fetch_call`,
 /// every row it goes on to visit one fetched tuple, and every row visited by
 /// a step that had to scan one scanned tuple.  (Re-materialisations are not
-/// counted: they evaluate the whole view.)
+/// counted: they derive the whole view.)
 pub fn maintain_counting(
     views: &ViewSet,
     previous: &MaterializedViews,
@@ -119,56 +119,31 @@ pub fn maintain_counting(
             .relation_names()
             .iter()
             .all(|r| !delta.touches(r) || delta.exact(r).is_some());
-        match (def, previous.extent(name)) {
+        let extent = match (rules(def), previous.extent(name)) {
             // Delta-relevance pre-check, shared by every definition kind:
             // a view reading only untouched relations keeps its extent
-            // object (and disjunct extents) without any evaluation.
-            (_, Some(prev)) if !touched => match previous.disjuncts(name) {
-                Some(parts) => out.insert_with_disjuncts(name, prev.clone(), parts.to_vec()),
-                None => out.insert(name, prev.clone()),
-            },
-            (ViewDefinition::Cq(cq), Some(prev)) if exact => {
-                let change = maintain_cq_tracked(cq, prev, old_db, new_db, delta, stats)?;
-                out.insert(name, change.extent);
+            // object without any evaluation.
+            (_, Some(prev)) if !touched => prev.clone(),
+            (Some(rules), Some(prev)) if exact => {
+                maintain_rules(rules, prev, old_db, new_db, delta, stats)?
             }
-            (ViewDefinition::Ucq(ucq), Some(prev)) if exact => {
-                let parts = previous.disjuncts(name);
-                let (extent, parts) = maintain_ucq(ucq, prev, parts, old_db, new_db, delta, stats)?;
-                out.insert_with_disjuncts(name, extent, parts);
-            }
-            // Genuinely non-CQ FO view, a lost (wholesale-replacement)
-            // delta, or no previous extent to start from: re-evaluate this
-            // one view from scratch.
-            (_, prev) => {
-                let parts = previous.disjuncts(name);
-                rematerialize_into(&mut out, name, def, new_db, prev, parts)?;
-            }
-        }
+            // An FO view, a lost (wholesale-replacement) delta, or no
+            // previous extent to start from: re-derive this one view.
+            (_, prev) => rematerialize(name, def, new_db, prev)?,
+        };
+        out.insert(name, extent);
     }
     Ok(out)
 }
 
-/// Evaluate one view from scratch over `db` into `out`, reusing the previous
-/// extent relations — the view's, and a UCQ view's per-disjunct ones —
-/// whose contents come out unchanged.  UCQ views are evaluated per disjunct,
-/// so exact deltas can resume per-disjunct maintenance afterwards.  With no
-/// previous extents this is how a view is first materialised.
-pub(crate) fn rematerialize_into(
-    out: &mut MaterializedViews,
-    name: &str,
-    def: &ViewDefinition,
-    db: &Database,
-    prev: Option<&Relation>,
-    prev_disjuncts: Option<&[Relation]>,
-) -> Result<()> {
+/// The CQ rules whose union a view's extent is: the query of a CQ view, the
+/// disjuncts of a UCQ view.  `None` for an FO view.
+fn rules(def: &ViewDefinition) -> Option<&[ConjunctiveQuery]> {
     match def {
-        ViewDefinition::Ucq(ucq) => {
-            let (extent, parts) = rematerialize_ucq(name, ucq, db, prev, prev_disjuncts)?;
-            out.insert_with_disjuncts(name, extent, parts);
-        }
-        _ => out.insert(name, rematerialize(name, def, db, prev)?),
+        ViewDefinition::Cq(cq) => Some(std::slice::from_ref(cq)),
+        ViewDefinition::Ucq(ucq) => Some(ucq.disjuncts()),
+        ViewDefinition::Fo(_) => None,
     }
-    Ok(())
 }
 
 /// The schema extents of the view `name` are stored under.
@@ -176,15 +151,6 @@ fn extent_schema(name: &str, arity: usize) -> Result<RelationSchema> {
     let attrs: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
     let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
     Ok(RelationSchema::new(name, &attr_refs)?)
-}
-
-/// The outcome of one semi-naive CQ maintenance: the new extent plus the
-/// tuples that genuinely left and joined it — the per-disjunct change feed
-/// UCQ union maintenance consumes.
-struct CqChange {
-    extent: Relation,
-    removed: Vec<Tuple>,
-    inserted: Vec<Tuple>,
 }
 
 /// One argument position of an atom (or head), as a [`DeltaPlan`] meets it.
@@ -230,8 +196,9 @@ fn unify(args: &[Arg], row: &[ValueId], slots: &mut Vec<ValueId>) -> bool {
 /// How a step finds the rows agreeing with what is bound so far.
 #[derive(Debug)]
 enum Access {
-    /// The first `k` positions are bound: walk that run of the relation's
-    /// sorted storage.  `k = 0` — nothing bound at all — is a scan.
+    /// The first `k` positions are bound, and any other bound position is a
+    /// constant: walk that run of the relation's sorted storage, filtering
+    /// on the constants.  `k = 0` is a scan.
     Prefix(usize),
     /// Probe the relation's keyed index on these (bound) positions.
     Keyed(Vec<usize>),
@@ -246,9 +213,10 @@ struct Step {
     access: Access,
 }
 
-/// A view body with one *seed* bound — an atom to a Δ tuple, or the head to
-/// a candidate — compiled to a fixed left-deep chain of probes over the
-/// remaining atoms.  Pure syntax: building one reads no data.
+/// A rule body with one *seed* bound — an atom to a Δ tuple, the head to a
+/// candidate, or nothing, to materialise — compiled to a fixed left-deep
+/// chain of probes over the remaining atoms.  Pure syntax: building one
+/// reads no data.
 #[derive(Debug)]
 struct DeltaPlan {
     seed: Vec<Arg>,
@@ -259,8 +227,8 @@ struct DeltaPlan {
 
 impl DeltaPlan {
     /// The plan joining `rest` — atoms of `cq` — to a tuple matched against
-    /// `seed`: an atom's arguments (`rest` being the other atoms), or the
-    /// head's terms (`rest` being the whole body).
+    /// `seed`: an atom's arguments (`rest` being the other atoms), the
+    /// head's terms, or no terms at all (`rest` being the whole body).
     fn new(cq: &ConjunctiveQuery, seed: &[Term], mut rest: Vec<&Atom>) -> Result<DeltaPlan> {
         // Variable → slot, in order of first binding: a variable is bound
         // exactly when it is in the map.
@@ -292,12 +260,12 @@ impl DeltaPlan {
             let most = |i: &usize| (bound(rest[*i]).len(), std::cmp::Reverse(*i));
             let atom = rest.remove((0..rest.len()).max_by_key(most).unwrap_or(0));
             let bound = bound(atom);
-            // The sorted storage serves a bound run of leading positions,
-            // when whatever else is bound is a constant to filter on;
-            // anything else takes a keyed index on all bound positions.
+            // The sorted storage serves a bound run of leading positions —
+            // none at all being a scan — when whatever else is bound is a
+            // constant to filter on; anything else takes a keyed index on
+            // all bound positions.
             let lead = bound.iter().zip(0..).take_while(|(&p, i)| p == *i).count();
-            let filtered = bound[lead..].iter().all(|&p| !atom.args()[p].is_var());
-            let access = match bound.is_empty() || (lead > 0 && filtered) {
+            let access = match bound[lead..].iter().all(|&p| !atom.args()[p].is_var()) {
                 true => Access::Prefix(lead),
                 false => Access::Keyed(bound),
             };
@@ -402,37 +370,38 @@ impl DeltaPlan {
     }
 }
 
-/// Exact semi-naive maintenance of one CQ view extent.
-fn maintain_cq_tracked(
-    cq: &ConjunctiveQuery,
+/// Exact semi-naive maintenance of the extent of a CQ or UCQ view, given as
+/// its rules: DRed through every rule, then insertion through every rule.
+fn maintain_rules(
+    rules: &[ConjunctiveQuery],
     prev: &Relation,
     old_db: &Database,
     new_db: &Database,
     delta: &DeltaLog,
     stats: &mut FetchStats,
-) -> Result<CqChange> {
-    cq.validate(new_db.schema(), &BTreeMap::new())?;
+) -> Result<Relation> {
     // Clones share storage and epoch; a net no-op maintenance returns the
     // extent with its epoch intact.
     let mut extent = prev.clone();
-    let mut removed = Vec::new();
-    let mut inserted = Vec::new();
-    // One plan per atom position a Δ tuple can take: that atom is the seed,
-    // the other atoms are joined to it.
+    // One plan per rule and atom position a Δ tuple can take: that atom is
+    // the seed, the rule's other atoms are joined to it.
     let mut plans: Vec<(DeltaPlan, &RelationDelta)> = Vec::new();
-    for (i, atom) in cq.atoms().iter().enumerate() {
-        let Some(exact) = delta.exact(atom.relation()) else {
-            continue;
-        };
-        let others = cq.atoms().iter().enumerate().filter(|(j, _)| *j != i);
-        let others = others.map(|(_, other)| other).collect();
-        plans.push((DeltaPlan::new(cq, atom.args(), others)?, exact));
+    for rule in rules {
+        rule.validate(new_db.schema(), &BTreeMap::new())?;
+        for (i, atom) in rule.atoms().iter().enumerate() {
+            let Some(exact) = delta.exact(atom.relation()) else {
+                continue;
+            };
+            let others = rule.atoms().iter().enumerate().filter(|(j, _)| *j != i);
+            let others = others.map(|(_, other)| other).collect();
+            plans.push((DeltaPlan::new(rule, atom.args(), others)?, exact));
+        }
     }
 
     // DRed phase 1+2: over-delete candidates (derivations through a removed
     // tuple, found over the OLD instance), then re-derive over the new one:
-    // the whole body joined to the candidate as the head, and the first
-    // derivation found settles it.
+    // each rule's whole body joined to the candidate as the head, and the
+    // first derivation any rule finds settles it.
     let mut candidates: BTreeSet<Tuple> = BTreeSet::new();
     for (plan, exact) in &plans {
         if !exact.removed.is_empty() {
@@ -445,146 +414,71 @@ fn maintain_cq_tracked(
             })?;
         }
     }
-    let rederive = DeltaPlan::new(cq, cq.head(), cq.atoms().iter().collect())?;
+    let rederive = rules
+        .iter()
+        .map(|rule| DeltaPlan::new(rule, rule.head(), rule.atoms().iter().collect()));
+    let rederive = rederive.collect::<Result<Vec<_>>>()?;
     for candidate in candidates {
         if !extent.contains(&candidate) {
             continue;
         }
         let mut derivable = false;
-        rederive.run(new_db, &candidate, stats, &mut |_| {
-            derivable = true;
-            Ok(false)
-        })?;
+        for plan in &rederive {
+            plan.run(new_db, &candidate, stats, &mut |_| {
+                derivable = true;
+                Ok(false)
+            })?;
+            if derivable {
+                break;
+            }
+        }
         if !derivable {
             extent.remove(&candidate)?;
-            removed.push(candidate);
         }
     }
 
     // Insertion phase: every genuinely new view tuple has a derivation
-    // through at least one inserted base tuple, so joining the body to each
-    // of them over the new instance covers exactly `ΔV⁺`.
+    // through at least one inserted base tuple, so joining each rule's body
+    // to each of them over the new instance covers exactly `ΔV⁺`.
     for (plan, exact) in &plans {
         for t in &exact.inserted {
             plan.run(new_db, t, stats, &mut |head| {
-                if extent.insert(head.clone())? {
-                    inserted.push(head);
-                }
+                extent.insert(head)?;
                 Ok(true)
             })?;
         }
     }
-    Ok(CqChange {
-        extent,
-        removed,
-        inserted,
-    })
+    Ok(extent)
 }
 
-/// Exact per-disjunct maintenance of one UCQ view: untouched disjuncts are
-/// carried over without evaluation, touched ones run the semi-naive CQ
-/// maintenance, and the union extent is patched from the disjunct changes —
-/// `O(|ΔV| · #disjuncts)` rather than a re-evaluation of the whole union.
-fn maintain_ucq(
-    ucq: &crate::ucq::UnionQuery,
-    prev: &Relation,
-    prev_disjuncts: Option<&[Relation]>,
-    old_db: &Database,
-    new_db: &Database,
-    delta: &DeltaLog,
-    stats: &mut FetchStats,
-) -> Result<(Relation, Vec<Relation>)> {
-    let disjuncts = ucq.disjuncts();
-    let Some(prev_parts) = prev_disjuncts.filter(|p| p.len() == disjuncts.len()) else {
-        // No per-disjunct state to resume from (extent inserted without
-        // tracking): rebuild it, reusing unchanged relations.
-        return rematerialize_ucq(prev.name(), ucq, new_db, Some(prev), None);
-    };
-    let mut parts = Vec::with_capacity(disjuncts.len());
-    let mut changes: Vec<(Vec<Tuple>, Vec<Tuple>)> = Vec::new();
-    for (cq, prev_part) in disjuncts.iter().zip(prev_parts) {
-        // Per-disjunct delta-relevance pre-check: a disjunct over untouched
-        // relations keeps its extent (shared storage, no eval).
-        if !cq.relation_names().iter().any(|r| delta.touches(r)) {
-            parts.push(prev_part.clone());
-            continue;
-        }
-        let change = maintain_cq_tracked(cq, prev_part, old_db, new_db, delta, stats)?;
-        parts.push(change.extent);
-        changes.push((change.removed, change.inserted));
-    }
-    // Union maintenance.  Inserts first (a tuple already derived elsewhere
-    // is a no-op), then removals guarded by a cross-disjunct derivability
-    // check — a tuple one disjunct lost survives while any other disjunct
-    // still derives it.  Content-unchanged unions perform no operation at
-    // all, so the previous extent's epoch is preserved.
-    let mut extent = prev.clone();
-    for (_, inserted) in &changes {
-        for t in inserted {
-            extent.insert(t.clone())?;
-        }
-    }
-    for (removed, _) in &changes {
-        for t in removed {
-            if parts.iter().all(|p| !p.contains(t)) {
-                extent.remove(t)?;
-            }
-        }
-    }
-    Ok((extent, parts))
-}
-
-/// Evaluate a UCQ view from scratch, one disjunct at a time, reusing the
-/// previous union extent — and any previous disjunct extents — whose
-/// contents come out unchanged, so their epochs (and shared storage)
-/// survive the rebuild.
-fn rematerialize_ucq(
-    name: &str,
-    ucq: &crate::ucq::UnionQuery,
-    db: &Database,
-    prev: Option<&Relation>,
-    prev_disjuncts: Option<&[Relation]>,
-) -> Result<(Relation, Vec<Relation>)> {
-    let schema = extent_schema(name, ucq.arity())?;
-    let mut parts = Vec::with_capacity(ucq.disjuncts().len());
-    let mut union: BTreeSet<Tuple> = BTreeSet::new();
-    for (i, cq) in ucq.disjuncts().iter().enumerate() {
-        let tuples = crate::eval::eval_cq(cq, db, None)?;
-        union.extend(tuples.iter().cloned());
-        let part = match prev_disjuncts.and_then(|p| p.get(i)) {
-            Some(prev_part)
-                if prev_part.len() == tuples.len()
-                    && tuples.iter().all(|t| prev_part.contains(t)) =>
-            {
-                prev_part.clone()
-            }
-            _ => Relation::from_tuples(schema.clone(), tuples)?,
-        };
-        parts.push(part);
-    }
-    let extent = match prev {
-        Some(prev) if prev.len() == union.len() && union.iter().all(|t| prev.contains(t)) => {
-            prev.clone()
-        }
-        _ => Relation::from_tuples(schema, union)?,
-    };
-    Ok((extent, parts))
-}
-
-/// Evaluate `def` from scratch over `db`.  When `prev` is given and the
-/// recomputed contents are identical, the previous extent relation is
-/// returned instead — preserving its epoch so downstream epoch-keyed caches
-/// stay warm.
-fn rematerialize(
+/// Derive the extent of `def` over `db` from scratch: a CQ or UCQ view by
+/// running every rule's seedless [`DeltaPlan`] once, after validating the
+/// rule against `db`'s schema; an FO view through the naive evaluator.
+/// When `prev` is given and the contents come out identical, the previous
+/// extent relation is returned instead — preserving its epoch so
+/// downstream epoch-keyed caches stay warm.
+pub(crate) fn rematerialize(
     name: &str,
     def: &ViewDefinition,
     db: &Database,
     prev: Option<&Relation>,
 ) -> Result<Relation> {
     let tuples: Vec<Tuple> = match def {
-        ViewDefinition::Cq(q) => crate::eval::eval_cq(q, db, None)?,
-        ViewDefinition::Ucq(q) => crate::eval::eval_ucq(q, db, None)?,
         ViewDefinition::Fo(q) => crate::eval::eval_fo(q, db, None)?,
+        _ => {
+            let mut tuples = BTreeSet::new();
+            // A materialisation is no write's work: it goes uncounted.
+            let mut uncounted = FetchStats::new();
+            for rule in rules(def).into_iter().flatten() {
+                rule.validate(db.schema(), &BTreeMap::new())?;
+                let plan = DeltaPlan::new(rule, &[], rule.atoms().iter().collect())?;
+                plan.run(db, &Tuple::unit(), &mut uncounted, &mut |head| {
+                    tuples.insert(head);
+                    Ok(true)
+                })?;
+            }
+            tuples.into_iter().collect()
+        }
     };
     if let Some(prev) = prev {
         if prev.len() == tuples.len() && tuples.iter().all(|t| prev.contains(t)) {
@@ -600,6 +494,7 @@ fn rematerialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::QueryError;
     use crate::parser::{parse_cq, parse_ucq};
     use bqr_data::{tuple, DatabaseSchema};
 
@@ -659,18 +554,31 @@ mod tests {
         (old, new, log)
     }
 
+    /// What the naive evaluator derives for `def` over `db`.
+    fn evaluated(def: &ViewDefinition, db: &Database) -> Vec<Tuple> {
+        let tuples = match def {
+            ViewDefinition::Cq(q) => crate::eval::eval_cq(q, db, None),
+            ViewDefinition::Ucq(q) => crate::eval::eval_ucq(q, db, None),
+            ViewDefinition::Fo(q) => crate::eval::eval_fo(q, db, None),
+        };
+        tuples.unwrap()
+    }
+
+    /// Hold every extent of `extents` to the naive evaluator over `db`.
+    fn check_against_eval(views: &ViewSet, extents: &MaterializedViews, db: &Database) {
+        for (name, def) in views.iter() {
+            let extent = extents.extent(name).unwrap();
+            let extent: Vec<Tuple> = extent.iter().map(|t| t.to_tuple()).collect();
+            assert_eq!(extent, evaluated(def, db), "extent `{name}` diverged");
+        }
+    }
+
     fn check_against_full(old: &Database, new: &Database, log: &DeltaLog) {
         let views = views();
         let previous = views.materialize(old).unwrap();
+        check_against_eval(&views, &previous, old);
         let maintained = maintain(&views, &previous, old, new, log).unwrap();
-        let reference = views.materialize(new).unwrap();
-        for name in views.names() {
-            assert_eq!(
-                maintained.extent(name).unwrap(),
-                reference.extent(name).unwrap(),
-                "extent `{name}` diverged"
-            );
-        }
+        check_against_eval(&views, &maintained, new);
     }
 
     #[test]
@@ -714,10 +622,7 @@ mod tests {
         let previous = views.materialize(&old).unwrap();
         let maintained = maintain(&views, &previous, &old, &new, &log).unwrap();
         assert!(maintained.extent("V1").unwrap().contains(&tuple![10]));
-        assert_eq!(
-            maintained.extent("V1").unwrap(),
-            views.materialize(&new).unwrap().extent("V1").unwrap()
-        );
+        check_against_eval(&views, &maintained, &new);
     }
 
     #[test]
@@ -753,7 +658,7 @@ mod tests {
         assert_eq!(
             maintained.extent("VU").unwrap().epoch(),
             previous.extent("VU").unwrap().epoch(),
-            "UCQ fallback must reuse the previous extent when contents are unchanged"
+            "a UCQ extent whose contents did not change keeps its epoch"
         );
         check_against_full(&old, &new, &log);
     }
@@ -781,8 +686,7 @@ mod tests {
         let (old, new, log) = mutated(|db| db.remove("like", &tuple![1, 10, "movie"]).map(drop));
         let previous = v.materialize(&old).unwrap();
         let maintained = maintain(&v, &previous, &old, &new, &log).unwrap();
-        let reference = v.materialize(&new).unwrap();
-        assert_eq!(maintained.extent("VS"), reference.extent("VS"));
+        check_against_eval(&v, &maintained, &new);
         assert_eq!(maintained.extent("VS").unwrap().len(), 1);
         // The next removal finds it carried, not left behind with `old`.
         let held = |db: &Database| {
@@ -810,12 +714,94 @@ mod tests {
         new.remove("rating", &tuple![5, 5]).unwrap();
         let log = new.take_delta(&old);
         let previous = v.materialize(&old).unwrap();
+        check_against_eval(&v, &previous, &old);
         let maintained = maintain(&v, &previous, &old, &new, &log).unwrap();
-        assert_eq!(
-            maintained.extent("VS").unwrap(),
-            v.materialize(&new).unwrap().extent("VS").unwrap()
-        );
+        check_against_eval(&v, &maintained, &new);
         assert!(maintained.extent("VS").unwrap().contains(&tuple![7]));
         assert!(!maintained.extent("VS").unwrap().contains(&tuple![5]));
+    }
+
+    /// A nullary atom is a guard: the view holds every rating while `open()`
+    /// holds and nothing while it does not, materialised or maintained.
+    #[test]
+    fn a_nullary_atom_holding_and_not_holding() {
+        let mut v = ViewSet::empty();
+        v.add_cq("VN", parse_cq("VN(m) :- rating(m, r), open()").unwrap())
+            .unwrap();
+        v.add_cq("VB", parse_cq("VB() :- open()").unwrap()).unwrap();
+        let sch =
+            DatabaseSchema::with_relations(&[("rating", &["mid", "rank"]), ("open", &[])]).unwrap();
+        let mut closed = Database::empty(sch);
+        closed.insert("rating", tuple![10, 5]).unwrap();
+        closed.insert("rating", tuple![12, 4]).unwrap();
+        let shut = v.materialize(&closed).unwrap();
+        check_against_eval(&v, &shut, &closed);
+        assert_eq!(shut.total_tuples(), 0);
+
+        let mut open = closed.clone();
+        open.begin_delta_tracking();
+        open.insert("open", Tuple::unit()).unwrap();
+        let log = open.take_delta(&closed);
+        let opened = maintain(&v, &shut, &closed, &open, &log).unwrap();
+        check_against_eval(&v, &opened, &open);
+        assert_eq!(opened.extent("VN").unwrap().len(), 2);
+        assert!(opened.extent("VB").unwrap().contains(&Tuple::unit()));
+        assert_eq!(v.materialize(&open).unwrap(), opened);
+
+        let mut shut_again = open.clone();
+        shut_again.begin_delta_tracking();
+        shut_again.remove("open", &Tuple::unit()).unwrap();
+        let log = shut_again.take_delta(&open);
+        let closed_again = maintain(&v, &opened, &open, &shut_again, &log).unwrap();
+        check_against_eval(&v, &closed_again, &shut_again);
+        assert_eq!(closed_again.total_tuples(), 0);
+    }
+
+    /// A view over an empty relation materialises empty, and its first
+    /// tuples arrive through maintenance.
+    #[test]
+    fn a_view_over_an_empty_relation() {
+        let empty = Database::empty(schema());
+        let views = views();
+        let extents = views.materialize(&empty).unwrap();
+        check_against_eval(&views, &extents, &empty);
+        assert_eq!(extents.total_tuples(), 0);
+        let mut rated = empty.clone();
+        rated.begin_delta_tracking();
+        rated.insert("rating", tuple![10, 5]).unwrap();
+        let log = rated.take_delta(&empty);
+        let maintained = maintain(&views, &extents, &empty, &rated, &log).unwrap();
+        check_against_eval(&views, &maintained, &rated);
+        assert_eq!(maintained.total_tuples(), 2, "VR and VU");
+    }
+
+    /// Materialising over a schema that lacks a view's relation, or gives it
+    /// another arity, is a typed error for a CQ view and a UCQ view alike.
+    #[test]
+    fn materialising_over_a_mismatched_schema_is_a_typed_error() {
+        let mut cq = ViewSet::empty();
+        cq.add_cq("VR", parse_cq("VR(m, r) :- rating(m, r)").unwrap())
+            .unwrap();
+        let mut ucq = ViewSet::empty();
+        let union = parse_ucq("VU(m) :- rating(m, 5); VU(m) :- rating(m, 4)").unwrap();
+        ucq.add_ucq("VU", union).unwrap();
+        let missing = DatabaseSchema::with_relations(&[("movie", &["mid"])]).unwrap();
+        let narrow = DatabaseSchema::with_relations(&[("rating", &["mid"])]).unwrap();
+        for views in [&cq, &ucq] {
+            let err = views.materialize(&Database::empty(missing.clone()));
+            assert!(
+                matches!(err, Err(QueryError::UnknownRelation(ref r)) if r == "rating"),
+                "{err:?}"
+            );
+            let err = views.materialize(&Database::empty(narrow.clone()));
+            assert!(
+                matches!(
+                    err,
+                    Err(QueryError::AtomArity { ref relation, expected: 1, actual: 2 })
+                        if relation == "rating"
+                ),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -172,15 +172,15 @@ impl ViewSet {
             .unwrap_or(QueryLanguage::Cq)
     }
 
-    /// Materialise every view over `db` using the naive evaluator.  UCQ
-    /// views are evaluated one CQ disjunct at a time and the per-disjunct
-    /// extents are kept alongside the union — the starting point the
-    /// semi-naive maintenance in [`crate::maintain`] resumes from, so that a
-    /// later mutation touching only some disjuncts re-derives only those.
+    /// Materialise every view over `db`, one extent per view: a CQ or UCQ
+    /// view through the seedless delta plans of its rules — the engine that
+    /// maintains the extent afterwards ([`crate::maintain`]) — and an FO view
+    /// through the naive evaluator.  A rule over a relation `db` lacks, or
+    /// at another arity, is a typed error.
     pub fn materialize(&self, db: &Database) -> Result<MaterializedViews> {
         let mut out = MaterializedViews::empty();
         for (name, def) in &self.views {
-            crate::maintain::rematerialize_into(&mut out, name, def, db, None, None)?;
+            out.insert(name, crate::maintain::rematerialize(name, def, db, None)?);
         }
         Ok(out)
     }
@@ -288,19 +288,13 @@ impl fmt::Display for ViewSet {
     }
 }
 
-/// Materialised view extents for one database instance.
-///
-/// For UCQ views the cache additionally tracks one extent per CQ disjunct
-/// (in definition order): the union extent is what plans read, while the
-/// disjunct extents carry the derivation state semi-naive maintenance needs
-/// to keep a mutation `O(|Δ|)` — an untouched disjunct's extent is shared
-/// by `Arc` into the next version, and a tuple removed from one disjunct
-/// survives in the union as long as another disjunct still derives it.
+/// Materialised view extents for one database instance: one relation per
+/// view, which is all maintenance resumes from — a UCQ view's extent is the
+/// union of what its disjuncts derive, and [`crate::maintain`] re-derives a
+/// removal candidate through every disjunct.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MaterializedViews {
     extents: BTreeMap<String, Relation>,
-    /// Per-disjunct extents of UCQ views, keyed by view name.
-    disjunct_extents: BTreeMap<String, Vec<Relation>>,
 }
 
 impl MaterializedViews {
@@ -314,13 +308,7 @@ impl MaterializedViews {
         self.extents.get(name)
     }
 
-    /// The per-disjunct extents of a UCQ view, in disjunct order.  `None`
-    /// for non-UCQ views (or extents inserted without disjunct tracking).
-    pub fn disjuncts(&self, name: &str) -> Option<&[Relation]> {
-        self.disjunct_extents.get(name).map(Vec::as_slice)
-    }
-
-    /// Total number of cached tuples (`Σ |V(D)|`, union extents only).
+    /// Total number of cached tuples (`Σ |V(D)|`).
     pub fn total_tuples(&self) -> usize {
         self.extents.values().map(Relation::len).sum()
     }
@@ -330,25 +318,9 @@ impl MaterializedViews {
         self.extents.keys().map(String::as_str)
     }
 
-    /// Insert or replace an extent directly (used by tests and by incremental
-    /// maintenance experiments).  Clears any disjunct tracking under `name`.
+    /// Insert or replace an extent.
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) {
-        let name = name.into();
-        self.disjunct_extents.remove(&name);
-        self.extents.insert(name, relation);
-    }
-
-    /// Insert or replace a UCQ extent together with its per-disjunct
-    /// extents (whose union must equal `relation`'s contents).
-    pub fn insert_with_disjuncts(
-        &mut self,
-        name: impl Into<String>,
-        relation: Relation,
-        disjuncts: Vec<Relation>,
-    ) {
-        let name = name.into();
-        self.disjunct_extents.insert(name.clone(), disjuncts);
-        self.extents.insert(name, relation);
+        self.extents.insert(name.into(), relation);
     }
 }
 

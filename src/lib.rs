@@ -111,21 +111,21 @@
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
-//!   `remove`): CQ view extents are maintained semi-naively (insertions
-//!   re-derive only tuples with a delta-atom binding; deletions over-delete
-//!   candidates and re-derive survivors), UCQ views are maintained **per
-//!   disjunct** — an untouched disjunct keeps its extent without any
-//!   evaluation, and the union extent is patched from the disjunct changes,
-//!   with a cross-disjunct check so a tuple one disjunct lost survives
-//!   while another still derives it.  Each Δ tuple is joined to the rest
-//!   of the view body by a *delta plan* ([`query::maintain`]): a chain of
-//!   probes in an order fixed by the view's syntax, each served by the
-//!   relation version itself — a binary-searched run of its sorted storage
-//!   when the bound positions lead the schema
-//!   ([`data::Relation::prefix_range`]), otherwise a keyed hash index
-//!   ([`data::Relation::keyed_index`]) that the first write to need it
-//!   builds (`O(|R|)`, once) and every later write to the relation carries
-//!   forward.  Nothing is planned, compiled, interned or indexed per write.
+//!   `remove`): a CQ or UCQ view is the list of its CQ rules (the query,
+//!   or the disjuncts), and its extent is maintained semi-naively through
+//!   every rule — insertions re-derive only tuples with a delta-atom
+//!   binding; deletions over-delete candidates and keep those that *any*
+//!   rule still derives, so a UCQ tuple one disjunct lost survives while
+//!   another derives it.  Each Δ tuple is joined to the rest of a rule body
+//!   by a *delta plan* ([`query::maintain`]): a chain of probes in an order
+//!   fixed by the view's syntax, each served by the relation version itself
+//!   — a binary-searched run of its sorted storage when the bound positions
+//!   lead the schema ([`data::Relation::prefix_range`]), otherwise a keyed
+//!   hash index ([`data::Relation::keyed_index`]) that the first write to
+//!   need it builds (`O(|R|)`, once) and every later write to the relation
+//!   carries forward.  Nothing is planned, compiled, interned or indexed per
+//!   write.  The same plans with no seed — a filtered scan, then probes —
+//!   materialise a view on attach.
 //! * **Access indexes patch under exact deltas** — inserts *and* removals:
 //!   the group map is cut into shards by the hash of the key, a successor
 //!   shares every shard its delta does not land in, and groups are kept in
@@ -137,14 +137,15 @@
 //!   rebuilds that one index.
 //! * **Wholesale replacement** (the closure *assigned* a relation, losing
 //!   tracking): the delta degrades to "unknown" for that relation —
-//!   affected views re-materialise (reusing the previous extent object when
-//!   the contents come out unchanged), its access index rebuilds, and its
+//!   affected views re-materialise through their seedless delta plans
+//!   (reusing the previous extent object when the contents come out
+//!   unchanged), its access index rebuilds, and its
 //!   keyed indexes are built again by whoever next asks.
 //!   Replacing a relation with equal contents is detected (unequal lengths
 //!   and pointer-equal storage answer without comparing a tuple) and
 //!   short-circuits to a no-op.
-//! * **Non-CQ FO views** always re-materialise — only CQ/UCQ definitions
-//!   have a sound semi-naive path.
+//! * **Non-CQ FO views** always re-materialise, through the naive
+//!   evaluator — only CQ/UCQ definitions have a sound semi-naive path.
 //!
 //! Untouched relations share their epochs and indexes (access and keyed)
 //! into the new version, and the pipeline cache is keyed by plan shape

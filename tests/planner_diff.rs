@@ -14,7 +14,10 @@ use bqr_query::containment::ContainmentChecker;
 use bqr_query::element::element_queries;
 use bqr_query::eval::Evaluator;
 use bqr_query::hom::{reference, Assignment, MatchLimit};
-use bqr_query::{Budget, ConjunctiveQuery, JoinStrategy, PlannerConfig, Term};
+use bqr_query::{
+    Budget, ConjunctiveQuery, JoinStrategy, PlannerConfig, Term, UnionQuery, ViewDefinition,
+    ViewSet,
+};
 use bqr_workload::random::{
     generate_cyclic_queries, generate_database, generate_queries, CyclicQueryConfig,
     RandomDatabaseConfig, RandomQueryConfig,
@@ -143,6 +146,27 @@ fn evaluation_agrees_with_reference_on_randomized_cases() {
                 assert_eq!(planned, naive, "eval mismatch ({strategy:?}) on {q}");
                 cases += 1;
             }
+        }
+    }
+    // The view path, which plans nothing: each pool query as a one-view
+    // set, and each with its successor as a two-rule UCQ view, must
+    // materialise to the reference.
+    let materialized = |def: ViewDefinition, db: &Database| -> BTreeSet<Tuple> {
+        let mut views = ViewSet::empty();
+        views.add("V", def).unwrap();
+        let extent = views.materialize(db).unwrap().extent("V").unwrap().clone();
+        extent.iter().map(|t| t.to_tuple()).collect()
+    };
+    for db in &dbs {
+        for (q, next) in pool.iter().zip(pool.iter().cycle().skip(1)) {
+            let naive = reference_eval(q, db);
+            let one = materialized(ViewDefinition::Cq(q.clone()), db);
+            assert_eq!(one, naive, "materialised view {q}");
+            let union = UnionQuery::new(vec![q.clone(), next.clone()]).unwrap();
+            let both = naive.union(&reference_eval(next, db)).cloned().collect();
+            let two = materialized(ViewDefinition::Ucq(union), db);
+            assert_eq!(two, both, "materialised view {q} ∪ {next}");
+            cases += 2;
         }
     }
     assert!(cases >= 200, "only {cases} evaluation cases ran");
