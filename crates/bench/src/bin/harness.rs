@@ -322,9 +322,9 @@ fn plan_executor() {
 /// `serve` — the closed-loop serving harness: three concurrent-client
 /// workloads over `bqr-server` plus the CDR write burst.  Emits
 /// `BENCH_serve.json` and fails (exit 1) when a row's p99 exceeds its
-/// `p99_gate_us` (see [`serve_bench::CDR_MIXED_P99_GATE_US`]), or when the
+/// `p99_gate_us` (see [`bqr_bench::serve_bench::CDR_MIXED_P99_GATE_US`]), or when the
 /// batched write burst is not
-/// [`serve_bench::BATCHED_WRITE_MIN_SPEEDUP`]× faster than serial commits.
+/// [`bqr_bench::serve_bench::BATCHED_WRITE_MIN_SPEEDUP`]× faster than serial commits.
 fn serve_front() {
     use bqr_bench::serve_bench;
 

@@ -12,7 +12,7 @@
 //! This module implements the **constructive form** of that definition: the
 //! checker walks the query exactly along the paper's cases (1)–(7) and,
 //! instead of merely returning `true`, materialises the sub-plan each case
-//! describes.  `covq(Q_s, Q)` corresponds to [`ToppedChecker::build`]
+//! describes.  `covq(Q_s, Q)` corresponds to `ToppedChecker::build`
 //! succeeding with context `Q_s`, and `size(Q_s, Q)` to the size of the plan
 //! it returns.  The correspondence with the paper's cases is noted inline.
 //!

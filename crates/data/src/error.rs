@@ -34,10 +34,9 @@ pub enum DataError {
     /// was lost since the checkpoint (wholesale replacement while tracking),
     /// so the writes cannot be inverted.
     RollbackHistoryLost(String),
-    /// An exact write delta removes a tuple of the named relation that the
-    /// access index it is being patched into never indexed: the delta does
-    /// not lead from that index's contents.  The index must be rebuilt.
-    IndexDeltaMismatch(String),
+    /// An index was asked for on positions the named relation does not
+    /// have, or on a nullary relation, whose rows no index holds.
+    IndexPositions(String, Vec<usize>),
     /// The process-global value pool holds as many distinct values as a
     /// [`crate::ValueId`] can name: a value it has never seen cannot be
     /// interned, so it cannot be stored.
@@ -85,10 +84,10 @@ impl fmt::Display for DataError {
                     "cannot roll back relation `{relation}`: its write history was lost since the checkpoint"
                 )
             }
-            DataError::IndexDeltaMismatch(relation) => {
+            DataError::IndexPositions(relation, positions) => {
                 write!(
                     f,
-                    "write delta on relation `{relation}` removes a tuple its access index never indexed"
+                    "relation `{relation}` has no index on positions {positions:?}"
                 )
             }
             DataError::ValuePoolExhausted => {
@@ -140,7 +139,7 @@ mod tests {
                 DataError::FaultInjected("data.index.build".into()),
                 "data.index.build",
             ),
-            (DataError::IndexDeltaMismatch("calls".into()), "calls"),
+            (DataError::IndexPositions("calls".into(), vec![7]), "[7]"),
             (DataError::ValuePoolExhausted, "value pool"),
         ];
         for (err, needle) in cases {

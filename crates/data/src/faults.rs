@@ -4,8 +4,8 @@
 //! fail (value interning, index build, keyed index build, cache insert,
 //! thread spawn, mutate closures) — by calling [`check`] with a site name from [`sites`].  Tests
 //! compiled with the `failpoints` cargo feature activate faults at those
-//! sites through a process-global registry ([`inject`] / [`inject_times`] /
-//! [`clear`]); `tests/chaos.rs` in the umbrella crate drives the full matrix
+//! sites through a process-global registry (`inject` / `inject_times` /
+//! `clear`); `tests/chaos.rs` in the umbrella crate drives the full matrix
 //! under concurrent sessions.
 //!
 //! Without the feature (the default, and every production build) the whole
@@ -23,7 +23,7 @@
 //!
 //! Because the registry is process-global, tests that activate faults must
 //! serialise themselves (the chaos suite holds one test-local mutex) and
-//! should use the RAII [`FaultGuard`] so a failing assertion cannot leak an
+//! should use the RAII `FaultGuard` so a failing assertion cannot leak an
 //! active fault into the next test.
 
 use crate::error::DataError;
@@ -40,14 +40,13 @@ pub mod sites {
     /// write (or the read binding a constant) that would have grown the
     /// pool, the way a full pool does, while work over known values passes.
     pub const VALUE_INTERN: &str = "data.value.intern";
-    /// [`crate::Relation::keyed_index`] — the first build of a keyed index,
-    /// with the relation version's index cell locked for writing (panic-only:
-    /// the build is infallible, so an injected `Error` also surfaces as a
-    /// panic at the site; nothing was built, nothing is kept).
+    /// [`crate::Relation::keyed_index`] and [`crate::IndexedDatabase`] —
+    /// building one of a relation's indexes from its rows, with its cell
+    /// locked for writing.  An `Error` fails the build typed; nothing is kept.
     pub const KEYED_BUILD: &str = "data.keyed.build";
     /// [`crate::Relation::insert`] / [`crate::Relation::remove`] — carrying
-    /// the relation's keyed indexes across a write, checked only when the
-    /// written version holds one.  An injected `Error` degrades the carry to
+    /// the relation's indexes (constraint indexes too) across a write, checked
+    /// only when the written version holds one.  An `Error` degrades it to
     /// dropping them (the next request rebuilds, with identical contents —
     /// the fallback the chaos suite pins down); a `Panic` propagates before
     /// the write has changed anything and is contained by the engine's

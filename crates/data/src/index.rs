@@ -6,12 +6,12 @@
 //! the one hash index realising that contract, keyed and valued by interned
 //! ids only, and [`IndexedDatabase`] bundles a [`Database`] with one such
 //! index per constraint of an [`AccessSchema`], which is what bounded query
-//! plans execute against.  The same structure, built by the same function,
-//! is what a relation keeps per key ([`Relation::keyed_index`]).
+//! plans execute against.  Each is one more index its [`Relation`] carries
+//! through every write, built like a keyed one ([`Relation::keyed_index`]).
 
 use crate::access::{AccessConstraint, AccessSchema};
 use crate::database::Database;
-use crate::delta::{DeltaLog, RelationDelta};
+use crate::delta::DeltaLog;
 use crate::error::DataError;
 use crate::intern::ValueId;
 use crate::relation::Relation;
@@ -79,8 +79,8 @@ type SourceShard = HashMap<Box<[ValueId]>, usize>;
 /// An id-native hash index: probing with an interned key returns the whole
 /// group under it as a flat row-major id slice, rows in ascending id order —
 /// a canonical order, so a patched index equals a rebuilt one.  One
-/// structure and one builder ([`InternedAccessIndex::from_relation`]) serve
-/// both things indexed this way:
+/// structure and one builder, over a layout, serve both things indexed
+/// this way:
 ///
 /// * an access constraint ([`IndexedDatabase::index`]): a row is a tuple's
 ///   `X ∪ Y` projection, its key the row's first `|X|` ids, a group
@@ -145,25 +145,60 @@ fn key_of<'a>(row: &'a [ValueId], positions: &'a [usize]) -> impl Iterator<Item 
     positions.iter().map(|&p| row[p])
 }
 
+/// What an index holds and keys on: the relation's positions a row keeps,
+/// and the key's positions in that row.  A keyed index holds whole tuples; a
+/// constraint's holds `X ∪ Y` projections keyed on their first `|X|` ids —
+/// the same layout when `X ∪ Y` lists every position in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Layout {
+    row: Vec<usize>,
+    key: Vec<usize>,
+}
+
+impl Layout {
+    /// Whole tuples of a relation of `schema`, keyed on `positions`.  Fails
+    /// with [`DataError::IndexPositions`] for a position outside the schema,
+    /// or any positions on a nullary relation, whose rows no index holds.
+    pub(crate) fn keyed(schema: &RelationSchema, positions: &[usize]) -> Result<Self> {
+        let (arity, key) = (schema.arity(), positions.to_vec());
+        if arity == 0 || key.iter().any(|&p| p >= arity) {
+            return Err(DataError::IndexPositions(schema.name().to_string(), key));
+        }
+        let row = (0..arity).collect();
+        Ok(Layout { row, key })
+    }
+
+    /// The `X ∪ Y` projections of constraint `c` over `schema`, keyed on `X`.
+    pub(crate) fn constraint(c: &AccessConstraint, schema: &RelationSchema) -> Result<Self> {
+        let (row, key) = (schema.positions(&c.xy())?, (0..c.x().len()).collect());
+        Ok(Layout { row, key })
+    }
+
+    /// True for whole tuples of a relation of `arity`, keyed on `positions`.
+    pub(crate) fn is_keyed(&self, arity: usize, positions: &[usize]) -> bool {
+        self.key == positions && self.row.iter().copied().eq(0..arity)
+    }
+
+    /// The key and the row a stored tuple projects to.
+    pub(crate) fn project(&self, tuple: &[ValueId]) -> (Vec<ValueId>, Vec<ValueId>) {
+        let row: Vec<ValueId> = key_of(tuple, &self.row).collect();
+        (key_of(&row, &self.key).collect(), row)
+    }
+}
+
 impl InternedAccessIndex {
-    /// Index the tuples of `relation`: each projects to the row of its ids
-    /// at `row_positions`, keyed by that row's ids at `key_in_row`.  One pass
-    /// copies every projection of the stored id rows — interned when they
-    /// were inserted, so nothing is interned here — into a flat buffer;
-    /// sorting the rows by key, then
-    /// by row, cuts the buffer into key groups in ascending id order with
-    /// duplicate projections adjacent, so each key costs one key and one
-    /// group allocation, a row none, and a projection with several sources
-    /// one count.
-    pub(crate) fn from_relation(
-        relation: &Relation,
-        row_positions: &[usize],
-        key_in_row: &[usize],
-    ) -> Self {
-        let arity = row_positions.len();
+    /// Index the tuples of `relation` under `layout`.  One pass copies the
+    /// row of every stored id tuple — interned when it was inserted, so
+    /// nothing is interned here — into a flat buffer; sorting the rows by
+    /// key, then by row, cuts the buffer into key groups in ascending id
+    /// order with duplicate projections adjacent, so each key costs one key
+    /// and one group allocation, a row none, and a projection with several
+    /// sources one count.
+    pub(crate) fn from_relation(relation: &Relation, layout: &Layout) -> Self {
+        let (arity, key_in_row) = (layout.row.len(), &layout.key[..]);
         let mut flat = Vec::with_capacity(relation.len() * arity);
         for tuple in relation.iter() {
-            flat.extend(row_positions.iter().map(|&p| tuple.ids()[p]));
+            flat.extend(layout.row.iter().map(|&p| tuple.ids()[p]));
         }
         let mut rows: Vec<&[ValueId]> = flat.chunks_exact(arity).collect();
         rows.sort_unstable_by(|a, b| {
@@ -200,13 +235,6 @@ impl InternedAccessIndex {
         }
     }
 
-    /// Index the tuples of `relation`, whole, on `key_positions`
-    /// ([`Relation::keyed_index`]).
-    pub(crate) fn keyed(relation: &Relation, key_positions: &[usize]) -> Self {
-        let whole: Vec<usize> = (0..relation.schema().arity()).collect();
-        Self::from_relation(relation, &whole, key_positions)
-    }
-
     /// Replace (or, with `None`, drop) the group under `key`, forking the
     /// one shard it lives in if that shard is still shared.
     fn replace_group(&mut self, key: Vec<ValueId>, group: Option<Box<[ValueId]>>) {
@@ -228,16 +256,16 @@ impl InternedAccessIndex {
     /// Count one more (`insert`) or one fewer source tuple projecting to
     /// `row` under `key`.  The row enters its group, in id order, with its
     /// first source and leaves with its last — the key with its last row;
-    /// in between only its count beside the group moves.  `false`, and
-    /// nothing changed, for a removal of a row the group does not hold.
-    /// Forks at most one shard of the groups or of the counts; `O(|group|)`.
-    pub(crate) fn patch(&mut self, key: Vec<ValueId>, row: &[ValueId], insert: bool) -> bool {
+    /// in between only its count beside the group moves; a removal of a row
+    /// the group does not hold changes nothing.  Forks at most one shard of
+    /// the groups or of the counts; `O(|group|)`.
+    pub(crate) fn patch(&mut self, key: Vec<ValueId>, row: &[ValueId], insert: bool) {
         let shard = shard_of(&key);
         let group: Vec<&[ValueId]> = self.probe(&key).chunks_exact(self.arity).collect();
         let counts = self.sources[shard].as_deref();
         let count = counts.and_then(|c| c.get(row)).copied().unwrap_or(1);
         let rows = match (group.binary_search(&row), insert) {
-            (Err(_), false) => return false,
+            (Err(_), false) => return,
             (Err(at), true) => [&group[..at], &[row], &group[at..]].concat(),
             (Ok(at), false) if count == 1 => [&group[..at], &group[at + 1..]].concat(),
             (Ok(_), _) => {
@@ -249,12 +277,11 @@ impl InternedAccessIndex {
                     _ => make_mut(slot).insert(row.into(), count),
                 };
                 release_if_empty(slot);
-                return true;
+                return;
             }
         };
         let group = (!rows.is_empty()).then(|| rows.concat().into());
         self.replace_group(key, group);
-        true
     }
 
     /// Arity of the returned rows (`|X ∪ Y|`, or the relation's arity).
@@ -359,53 +386,6 @@ impl InternedAccessIndex {
     }
 }
 
-/// Where a constraint's index rows come from: the positions of its `X ∪ Y`
-/// in the relation, and of the key in a row — the first `|X|`.
-fn constraint_layout(
-    constraint: &AccessConstraint,
-    schema: &RelationSchema,
-) -> Result<(Vec<usize>, Vec<usize>)> {
-    let key = (0..constraint.x().len()).collect();
-    Ok((schema.positions(&constraint.xy())?, key))
-}
-
-/// Build the index of `constraint` over the current contents of `db`.
-fn build_index(constraint: &AccessConstraint, db: &Database) -> Result<InternedAccessIndex> {
-    let rel = db.expect_relation(constraint.relation())?;
-    let (row, key) = constraint_layout(constraint, rel.schema())?;
-    Ok(InternedAccessIndex::from_relation(rel, &row, &key))
-}
-
-/// `index`, of `constraint` over a relation of `schema`, with an exact delta
-/// of that relation patched in: one fewer source per removed tuple, one
-/// more per inserted one.  A delta tuple's values were interned when it was
-/// stored, so they are looked up, not interned.  Fails with
-/// [`DataError::IndexDeltaMismatch`] when the delta removes a projection the
-/// index does not hold, or holds a value no relation stores: the delta does
-/// not lead from this index's contents, and patching on would yield an
-/// index that disagrees with its relation.
-fn patched(
-    index: &InternedAccessIndex,
-    constraint: &AccessConstraint,
-    schema: &RelationSchema,
-    delta: &RelationDelta,
-) -> Result<InternedAccessIndex> {
-    let (row_positions, key_in_row) = constraint_layout(constraint, schema)?;
-    let mut next = index.clone();
-    // The net delta's inserted/removed sets are disjoint, so the order of
-    // application is immaterial.
-    let removed = delta.removed.iter().map(|t| (t, false));
-    let mismatch = || DataError::IndexDeltaMismatch(schema.name().to_string());
-    for (tuple, insert) in removed.chain(delta.inserted.iter().map(|t| (t, true))) {
-        let row = row_positions.iter().map(|&p| ValueId::lookup(&tuple[p]));
-        let row: Vec<ValueId> = row.collect::<Option<_>>().ok_or_else(mismatch)?;
-        if !next.patch(key_of(&row, &key_in_row).collect(), &row, insert) {
-            return Err(mismatch());
-        }
-    }
-    Ok(next)
-}
-
 /// A database together with the indices of an access schema.  This is the
 /// runtime object bounded query plans execute against: views are cached
 /// separately (see `bqr-plan`), and base data is reachable *only* through
@@ -414,27 +394,33 @@ fn patched(
 pub struct IndexedDatabase {
     db: Database,
     access: AccessSchema,
-    /// One index per constraint, in the order of `access.constraints()`.
-    /// Behind `Arc` so successive versions share the indexes of untouched
-    /// relations.
+    /// One index per constraint, in the order of `access.constraints()`:
+    /// the handles of the indexes `db`'s relations carry, resolved once so
+    /// a fetch takes no lock.
     indexes: Vec<Arc<InternedAccessIndex>>,
 }
 
 impl IndexedDatabase {
     /// Build all indices for `access` over `db`, eagerly and in full, from
     /// the id rows the relations store — nothing is interned here, and no
-    /// read builds a constraint index.
+    /// read builds a constraint index.  Each is built afresh into its
+    /// relation's own cell, parted first from its clones' cells.
     ///
     /// This does *not* require `db |= access`; callers that need the
     /// cardinality guarantee should check
     /// [`AccessSchema::satisfied_by`] first (the decision procedures only
     /// promise bounded fetches on satisfying instances).
-    pub fn build(db: Database, access: AccessSchema) -> Result<Self> {
+    pub fn build(mut db: Database, access: AccessSchema) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
         access.validate(db.schema())?;
         let indexes = access
             .constraints()
-            .map(|c| build_index(c, &db).map(Arc::new))
+            .map(|c| {
+                let relation = db.relation_mut(c.relation())?;
+                let layout = Layout::constraint(c, relation.schema())?;
+                relation.own_indexes().retain(|(l, _)| *l != layout);
+                relation.index(layout)
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(IndexedDatabase {
             db,
@@ -443,42 +429,18 @@ impl IndexedDatabase {
         })
     }
 
-    /// Re-index `db` (the successor of this instance's database) from a
-    /// write delta, touching only the indexes of changed relations:
-    /// untouched constraints share this instance's index by `Arc`; exact
-    /// deltas — inserts *and* removals, thanks to the source counts beside
-    /// the groups — are patched into a copy that forks only the shards they
-    /// land in ([`InternedAccessIndex::patch`]: `#shards` pointer copies
-    /// plus one shard per tuple, never `O(|R|)`), and the successor's index
-    /// is complete when this returns, like [`IndexedDatabase::build`]'s.
-    /// Only unknown (wholesale-replacement) changes, or a delta that turns
-    /// out not to describe the index it is applied to
-    /// ([`DataError::IndexDeltaMismatch`]: it removes a projection the index
-    /// does not hold), rebuild that relation's index — so index and
-    /// relation cannot disagree.
-    ///
-    /// Nothing else is derived here.  What a relation version owns travels
-    /// with it: an untouched relation is the same version in `db`, its keyed
-    /// indexes ([`Relation::keyed_index`]) included; a touched relation's
-    /// successor already carries its keyed indexes, patched by the writes
-    /// themselves.
-    pub fn apply_delta(&self, db: Database, delta: &DeltaLog) -> Result<Self> {
+    /// Index `db`, the successor of this instance's database, with the
+    /// indexes its relations carry ([`Relation::insert`] patched them); only
+    /// one a relation lacks — replaced wholesale, or its carry dropped by a
+    /// fault — is built from the rows.  The delta is not read.
+    pub fn apply_delta(&self, db: Database, _delta: &DeltaLog) -> Result<Self> {
         crate::faults::check(crate::faults::sites::INDEX_BUILD)?;
-        let indexes = (self.access.constraints().zip(&self.indexes))
-            .map(|(c, old)| {
-                let name = c.relation();
-                if !delta.touches(name) {
-                    return Ok(Arc::clone(old));
-                }
-                let patched = match delta.exact(name) {
-                    Some(d) => patched(old, c, db.expect_relation(name)?.schema(), d),
-                    None => build_index(c, &db),
-                };
-                match patched {
-                    Err(DataError::IndexDeltaMismatch(_)) => build_index(c, &db),
-                    other => other,
-                }
-                .map(Arc::new)
+        let indexes = self
+            .access
+            .constraints()
+            .map(|c| {
+                let relation = db.expect_relation(c.relation())?;
+                relation.index(Layout::constraint(c, relation.schema())?)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(IndexedDatabase {
@@ -486,15 +448,6 @@ impl IndexedDatabase {
             access: self.access.clone(),
             indexes,
         })
-    }
-
-    /// True when the `idx`-th constraint's index is the same shared object
-    /// as `other`'s (no rebuild or patch happened between the two versions).
-    pub fn shares_index(&self, other: &IndexedDatabase, idx: usize) -> bool {
-        match (self.indexes.get(idx), other.indexes.get(idx)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
     }
 
     /// The underlying database.
@@ -573,17 +526,11 @@ impl IndexedDatabase {
         let appended = index.probe_batch(keys_flat, n_keys, out, stats);
         Ok((appended, index.arity()))
     }
-
-    /// Whether the wrapped instance satisfies the access schema.
-    pub fn satisfies_access_schema(&self) -> Result<bool> {
-        self.access.satisfied_by(&self.db)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::RelationChange;
     use crate::schema::DatabaseSchema;
     use crate::tuple;
 
@@ -629,6 +576,17 @@ mod tests {
             AccessConstraint::new("like", &["pid"], &["id"], 5).unwrap()
         ]);
         (db, access)
+    }
+
+    /// `relation`'s tuples, whole, on `positions`, built afresh.
+    fn fresh_keyed(relation: &Relation, positions: &[usize]) -> InternedAccessIndex {
+        let layout = Layout::keyed(relation.schema(), positions).unwrap();
+        InternedAccessIndex::from_relation(relation, &layout)
+    }
+
+    /// Whether two versions hold the `idx`-th constraint's very same index.
+    fn same_index(a: &IndexedDatabase, b: &IndexedDatabase, idx: usize) -> bool {
+        std::ptr::eq(a.index(idx).unwrap(), b.index(idx).unwrap())
     }
 
     /// The rows with several sources, with their counts, sorted.
@@ -688,7 +646,7 @@ mod tests {
     fn fetch_records_stats() {
         let (db, access) = movie_db();
         let idb = IndexedDatabase::build(db, access).unwrap();
-        assert!(idb.satisfies_access_schema().unwrap());
+        assert!(idb.access_schema().satisfied_by(idb.database()).unwrap());
         let mut stats = FetchStats::new();
         let hits = idb
             .fetch(
@@ -856,7 +814,8 @@ mod tests {
     #[test]
     fn apply_delta_patches_touched_indexes_and_shares_the_rest() {
         let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let db = idb.database().clone();
 
         // Insert-only delta on `rating`: its index is patched, movie's is
         // the identical shared object.
@@ -865,8 +824,8 @@ mod tests {
         next.insert("rating", tuple![4, 2]).unwrap();
         let log = next.take_delta(&db);
         let patched = idb.apply_delta(next.clone(), &log).unwrap();
-        assert!(patched.shares_index(&idb, 0), "movie untouched");
-        assert!(!patched.shares_index(&idb, 1), "rating patched");
+        assert!(same_index(&patched, &idb, 0), "movie untouched");
+        assert!(!same_index(&patched, &idb, 1), "rating patched");
         let rebuilt = IndexedDatabase::build(next.clone(), idb.access_schema().clone()).unwrap();
         let (mut a, mut b) = (FetchStats::new(), FetchStats::new());
         for key in [vec![Value::int(4)], vec![Value::int(1)]] {
@@ -885,7 +844,7 @@ mod tests {
         shrunk.remove("rating", &tuple![1, 5]).unwrap();
         let log = shrunk.take_delta(&next);
         let after = patched.apply_delta(shrunk.clone(), &log).unwrap();
-        assert!(after.shares_index(&patched, 0));
+        assert!(same_index(&after, &patched, 0));
         let mut stats = FetchStats::new();
         assert!(after
             .fetch(1, &[Value::int(1)], &mut stats)
@@ -907,7 +866,8 @@ mod tests {
         // one must keep the entry alive, removing the second must drop it —
         // exactly what a rebuild over the shrunken relation would produce.
         let (db, access) = likes();
-        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let db = idb.database().clone();
         let key = [Value::int(1)];
         let shared = ids(&tuple![1, 10]);
         assert_eq!(multiplicities(idb.index(0).unwrap()), [(shared.clone(), 2)]);
@@ -957,7 +917,8 @@ mod tests {
         // key) patched in one pass agrees with a rebuild on every probe,
         // both faces of it, and every statistic.
         let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let db = idb.database().clone();
         let mut next = db.clone();
         next.begin_delta_tracking();
         next.remove("rating", &tuple![2, 3]).unwrap();
@@ -990,10 +951,11 @@ mod tests {
     #[test]
     fn writes_carry_keyed_indexes() {
         let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db.clone(), access).unwrap();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let db = idb.database().clone();
         // Someone (view maintenance, say) probes `rating` by rank; nobody
         // touches `movie`.
-        let by_rank = db.relation("rating").unwrap().keyed_index(&[1]);
+        let by_rank = db.relation("rating").unwrap().keyed_index(&[1]).unwrap();
         let ids = |t: &Tuple| t.iter().map(ValueId::intern).collect::<Vec<_>>();
         assert_eq!(by_rank.probe(&ids(&tuple![5])).len(), 2 * 2);
 
@@ -1013,7 +975,7 @@ mod tests {
         // to one built from scratch — and the predecessor's still reads as
         // before.
         let carried = rating.keyed_index_if_built(&[1]).expect("carried");
-        assert_eq!(*carried, InternedAccessIndex::keyed(rating, &[1]));
+        assert_eq!(*carried, fresh_keyed(rating, &[1]));
         assert_eq!(carried.probe(&ids(&tuple![5])), ids(&tuple![3, 5]));
         assert_eq!(carried.probe(&ids(&tuple![2])), ids(&tuple![4, 2]));
         assert_eq!((carried.distinct_keys(), carried.total_rows()), (3, 3));
@@ -1032,7 +994,7 @@ mod tests {
         let idb2 = idb1.apply_delta(v2, &log).unwrap();
         let rating2 = idb2.database().relation("rating").unwrap();
         assert!(rating2.shares_storage(rating));
-        assert!(Arc::ptr_eq(&rating2.keyed_index(&[1]), &carried));
+        assert!(Arc::ptr_eq(&rating2.keyed_index(&[1]).unwrap(), &carried));
     }
 
     #[test]
@@ -1045,7 +1007,7 @@ mod tests {
         db.insert("like", tuple![1, 10, "page"]).unwrap();
         let like = db.relation("like").unwrap();
         let ids = |t: &Tuple| t.iter().map(ValueId::intern).collect::<Vec<_>>();
-        let by_id_type = like.keyed_index(&[1, 2]);
+        let by_id_type = like.keyed_index(&[1, 2]).unwrap();
         assert_eq!(by_id_type.arity(), 3, "whole tuples");
         assert_eq!(
             (by_id_type.distinct_keys(), by_id_type.total_rows()),
@@ -1057,7 +1019,10 @@ mod tests {
         assert_eq!(group, expected.concat(), "ascending id order");
         assert!(by_id_type.probe(&ids(&tuple![12, "movie"])).is_empty());
         // One request, one index: clones of the version share it.
-        assert!(Arc::ptr_eq(&by_id_type, &like.clone().keyed_index(&[1, 2])));
+        assert!(Arc::ptr_eq(
+            &by_id_type,
+            &like.clone().keyed_index(&[1, 2]).unwrap()
+        ));
         // Every write carries it: inserts into new and live groups, removals
         // that shrink and that empty a group, no-ops.  After each, the
         // carried index equals a rebuild and forked at most one shard.
@@ -1077,44 +1042,32 @@ mod tests {
                 false => next.remove(&t).unwrap(),
             };
             let carried = next.keyed_index_if_built(&[1, 2]).expect("carried");
-            assert_eq!(*carried, InternedAccessIndex::keyed(&next, &[1, 2]), "{t}");
+            assert_eq!(*carried, fresh_keyed(&next, &[1, 2]), "{t}");
             assert!(carried.shared_shards(&before) >= carried.shard_count() - 1);
         }
-        assert_eq!(
-            *by_id_type,
-            InternedAccessIndex::keyed(like, &[1, 2]),
-            "frozen"
-        );
+        assert_eq!(*by_id_type, fresh_keyed(like, &[1, 2]), "frozen");
     }
 
     #[test]
-    fn a_delta_the_index_never_saw_is_a_typed_error_and_rebuilds() {
+    fn apply_delta_builds_only_the_indexes_a_relation_lacks() {
         let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db.clone(), access.clone()).unwrap();
-        let (index, constraint) = (idb.index(1).unwrap(), access.constraint(1).unwrap());
-        let rating = db.relation("rating").unwrap().schema();
-        let mut bogus = RelationDelta::default();
-        bogus.removed.insert(tuple![42, 1]); // never in `rating`
-        assert_eq!(
-            patched(index, constraint, rating, &bogus).unwrap_err(),
-            DataError::IndexDeltaMismatch("rating".into())
-        );
-        // Same key as a live tuple, different projection: also caught.
-        let mut bogus = RelationDelta::default();
-        bogus.removed.insert(tuple![1, 4]);
-        assert!(patched(index, constraint, rating, &bogus).is_err());
-        // `apply_delta` falls back to rebuilding that one index from the
-        // relation it is handed, so index and relation cannot disagree.
-        let mut log = DeltaLog::new();
-        log.record("rating", RelationChange::Delta(bogus));
-        let rebuilt = idb.apply_delta(db.clone(), &log).unwrap();
-        assert!(rebuilt.shares_index(&idb, 0), "movie untouched");
-        assert!(!rebuilt.shares_index(&idb, 1));
-        let mut stats = FetchStats::new();
-        assert_eq!(
-            rebuilt.fetch(1, &[Value::int(1)], &mut stats).unwrap(),
-            [tuple![1, 5]]
-        );
+        let idb = IndexedDatabase::build(db, access.clone()).unwrap();
+        // `rating` replaced wholesale: a relation built from tuples carries
+        // nothing, so its index is built from its rows; `movie` is carried.
+        let mut next = idb.database().clone();
+        let schema = next.schema().relation("rating").unwrap().clone();
+        *next.relation_mut("rating").unwrap() =
+            Relation::from_tuples(schema, [tuple![1, 2], tuple![8, 5]]).unwrap();
+        let log = next.take_delta(idb.database());
+        let replaced = idb.apply_delta(next.clone(), &log).unwrap();
+        assert!(same_index(&replaced, &idb, 0));
+        let rebuilt = IndexedDatabase::build(next, access).unwrap();
+        assert_eq!(replaced.index(1).unwrap(), rebuilt.index(1).unwrap());
+        // Once built, the relation carries it: the next version shares it.
+        let again = replaced
+            .apply_delta(replaced.database().clone(), &log)
+            .unwrap();
+        assert!(same_index(&again, &replaced, 1));
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //! valid across further cache activity.  It is single-threaded by design,
 //! like the rest of the decision procedures.
 
-use crate::index::InternedAccessIndex;
+use crate::index::{InternedAccessIndex, Layout};
 use crate::relation::Relation;
 use crate::stats::RelationStats;
+use crate::Result;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -78,30 +79,28 @@ impl IndexCache {
     /// The index of `relation`'s tuples, whole, keyed on `key_positions`:
     /// probing it with the interned values of those positions returns the
     /// matching tuples as flat id rows.  Built at most once per (epoch,
-    /// access pattern) in this cache.
-    ///
-    /// # Panics
-    /// Panics on a nullary relation, whose zero-width rows no index holds;
-    /// the search decides a nullary atom from [`Relation::is_empty`].
+    /// access pattern) in this cache.  On a nullary relation, whose rows no
+    /// index holds, or a position outside the schema: `IndexPositions`.
     pub fn interned_index_for(
         &self,
         relation: &Relation,
         key_positions: &[usize],
-    ) -> Rc<InternedAccessIndex> {
+    ) -> Result<Rc<InternedAccessIndex>> {
         let epoch = relation.epoch();
         if let Some(idx) = self.indexes.borrow().get(&(epoch, key_positions.to_vec())) {
             self.hits.set(self.hits.get() + 1);
-            return Rc::clone(idx);
+            return Ok(Rc::clone(idx));
         }
+        let layout = Layout::keyed(relation.schema(), key_positions)?;
         self.misses.set(self.misses.get() + 1);
         if self.indexes.borrow().len() >= MAX_CACHED_INDEXES {
             self.clear();
         }
-        let idx = Rc::new(InternedAccessIndex::keyed(relation, key_positions));
+        let idx = Rc::new(InternedAccessIndex::from_relation(relation, &layout));
         self.indexes
             .borrow_mut()
             .insert((epoch, key_positions.to_vec()), Rc::clone(&idx));
-        idx
+        Ok(idx)
     }
 
     /// Cache hits so far (index served without building).
@@ -159,7 +158,7 @@ mod tests {
     fn probe_groups_by_key() {
         let cache = IndexCache::new();
         let r = rating();
-        let idx = cache.interned_index_for(&r, &[1]);
+        let idx = cache.interned_index_for(&r, &[1]).unwrap();
         assert_eq!(idx.total_rows(), 3);
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(
@@ -168,7 +167,7 @@ mod tests {
         );
         assert!(idx.probe(&[id(9)]).is_empty());
         // A composite key groups by the pair, in key-position order.
-        let pair = cache.interned_index_for(&r, &[1, 0]);
+        let pair = cache.interned_index_for(&r, &[1, 0]).unwrap();
         assert_eq!(pair.distinct_keys(), 3);
         assert_eq!(pair.probe(&[id(5), id(3)]), &[id(3), id(5)]);
         assert!(pair.probe(&[id(3), id(5)]).is_empty());
@@ -177,7 +176,7 @@ mod tests {
     #[test]
     fn empty_key_positions_index_everything_under_the_unit_key() {
         let r = rating();
-        let idx = IndexCache::new().interned_index_for(&r, &[]);
+        let idx = IndexCache::new().interned_index_for(&r, &[]).unwrap();
         assert_eq!(idx.probe_len(&[]), 3);
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -186,15 +185,15 @@ mod tests {
     fn cache_hits_on_repeated_lookups() {
         let cache = IndexCache::new();
         let r = rating();
-        let a = cache.interned_index_for(&r, &[0]);
-        let b = cache.interned_index_for(&r, &[0]);
+        let a = cache.interned_index_for(&r, &[0]).unwrap();
+        let b = cache.interned_index_for(&r, &[0]).unwrap();
         assert!(
             Rc::ptr_eq(&a, &b),
             "second lookup must reuse the built index"
         );
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // A different access pattern is a different index.
-        let c = cache.interned_index_for(&r, &[1]);
+        let c = cache.interned_index_for(&r, &[1]).unwrap();
         assert!(!Rc::ptr_eq(&a, &c));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
@@ -204,12 +203,12 @@ mod tests {
     fn mutation_invalidates_via_epoch() {
         let cache = IndexCache::new();
         let mut r = rating();
-        let before = cache.interned_index_for(&r, &[1]);
+        let before = cache.interned_index_for(&r, &[1]).unwrap();
         assert_eq!(before.probe_len(&[id(5)]), 2);
         assert_eq!(cache.stats(&r).tuples(), 3);
 
         r.insert(tuple![4, 5]).unwrap();
-        let after = cache.interned_index_for(&r, &[1]);
+        let after = cache.interned_index_for(&r, &[1]).unwrap();
         assert!(!Rc::ptr_eq(&before, &after), "mutation must miss the cache");
         assert_eq!(
             after.probe_len(&[id(5)]),
@@ -225,9 +224,9 @@ mod tests {
     fn unmutated_clone_shares_cached_index() {
         let cache = IndexCache::new();
         let r = rating();
-        let a = cache.interned_index_for(&r, &[0]);
+        let a = cache.interned_index_for(&r, &[0]).unwrap();
         let clone = r.clone();
-        let b = cache.interned_index_for(&clone, &[0]);
+        let b = cache.interned_index_for(&clone, &[0]).unwrap();
         assert!(
             Rc::ptr_eq(&a, &b),
             "clone with identical contents may share the index"
@@ -238,7 +237,7 @@ mod tests {
     fn interned_index_probes_by_id() {
         let cache = IndexCache::new();
         let r = rating();
-        let idx = cache.interned_index_for(&r, &[1]);
+        let idx = cache.interned_index_for(&r, &[1]).unwrap();
         assert_eq!(idx.arity(), 2, "whole tuples");
         assert_eq!(idx.distinct_keys(), 2);
         let hits = idx.probe(&[id(5)]);
@@ -248,7 +247,7 @@ mod tests {
         assert!(idx.probe(&[nine]).is_empty());
         // The same contents as the relation's own keyed index, one built
         // by the same function.
-        assert_eq!(*idx, *r.keyed_index(&[1]));
+        assert_eq!(*idx, *r.keyed_index(&[1]).unwrap());
     }
 
     #[test]
@@ -256,19 +255,19 @@ mod tests {
         let cache = IndexCache::new();
         let other_cache = IndexCache::new();
         let mut r = rating();
-        let a = cache.interned_index_for(&r, &[0]);
-        let c = other_cache.interned_index_for(&r, &[0]);
+        let a = cache.interned_index_for(&r, &[0]).unwrap();
+        let c = other_cache.interned_index_for(&r, &[0]).unwrap();
         assert!(!Rc::ptr_eq(&a, &c), "each cache builds its own");
         assert_eq!(a, c);
         assert!(
             r.keyed_index_if_built(&[0]).is_none(),
             "the relation keeps none"
         );
-        let again = cache.interned_index_for(&r, &[0]);
+        let again = cache.interned_index_for(&r, &[0]).unwrap();
         assert!(Rc::ptr_eq(&a, &again), "repeat lookups hit the cache");
 
         r.insert(tuple![4, 5]).unwrap();
-        let fresh = cache.interned_index_for(&r, &[0]);
+        let fresh = cache.interned_index_for(&r, &[0]).unwrap();
         assert!(!Rc::ptr_eq(&a, &fresh), "mutation must miss the cache");
         assert_eq!(fresh.total_rows(), 4);
         assert_eq!(a.total_rows(), 3, "the stale index is frozen");
@@ -278,11 +277,11 @@ mod tests {
     fn clear_resets_entries() {
         let cache = IndexCache::new();
         let r = rating();
-        let _ = cache.interned_index_for(&r, &[0]);
+        let _ = cache.interned_index_for(&r, &[0]).unwrap();
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
-        let _ = cache.interned_index_for(&r, &[0]);
+        let _ = cache.interned_index_for(&r, &[0]).unwrap();
         assert_eq!(cache.misses(), 2);
     }
 }

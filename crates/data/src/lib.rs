@@ -12,15 +12,15 @@
 //! * [`Relation`], [`Database`] — set-semantics instances `D` of a schema,
 //!   each relation storing its tuples as rows of interned ids in value
 //!   order; a relation version also answers sorted-prefix ranges and owns its
-//!   lazily built keyed indexes ([`Relation::keyed_index`]), which every
-//!   write to it carries forward — what view maintenance probes;
+//!   indexes — keyed ([`Relation::keyed_index`]) and access-constraint ones
+//!   alike — which every write to it patches: the one route a write takes;
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
 //!   `R(X → Y, N)`: a cardinality bound combined with an index on `X` for
 //!   `XY`;
 //! * [`InternedAccessIndex`], [`IndexedDatabase`] — the one index type: the
-//!   id-native index of each constraint of an access schema, supporting the
-//!   `fetch` primitive of bounded query plans, and the structure keyed
-//!   indexes and [`IndexCache`] use too;
+//!   id-native index of each constraint of an access schema, held by its
+//!   relation and supporting the `fetch` primitive of bounded query plans,
+//!   and the structure keyed indexes and [`IndexCache`] use too;
 //! * [`IndexCache`] — epoch-keyed memoisation of per-access-pattern indexes
 //!   and per-relation statistics, shared by the homomorphism engine and the
 //!   evaluators in `bqr-query` (invalidated automatically on mutation via
@@ -29,8 +29,7 @@
 //!   is first stored, over the process-global pool that holds the one copy
 //!   of every value, so the join engines' hot loops never touch a [`Value`];
 //! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
-//!   captured during a mutation, the currency of `O(|Δ|)` view maintenance
-//!   and in-place index patching;
+//!   captured during a mutation, the currency of `O(|Δ|)` view maintenance;
 //! * [`FetchStats`] — I/O accounting: how many base tuples a plan fetched
 //!   (`|D_ξ|` in the paper) versus how many a full scan would touch — and
 //!   [`RelationStats`], the per-relation cardinality statistics consumed by

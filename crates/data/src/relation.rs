@@ -1,8 +1,8 @@
-//! Relation instances: sets of tuples over a relation schema.
+//! Relation instances: sets of tuples over a relation schema, with indexes.
 
 use crate::delta::RelationDelta;
 use crate::error::DataError;
-use crate::index::InternedAccessIndex;
+use crate::index::{InternedAccessIndex, Layout};
 use crate::intern::ValueId;
 use crate::schema::RelationSchema;
 use crate::tuple::{cmp_rows, Tuple, TupleRef};
@@ -271,13 +271,15 @@ impl ExactSizeIterator for Iter<'_> {}
 /// chunk merges with its neighbour), never the relation; dropping a version
 /// frees only the chunks it did not share.
 ///
-/// A relation also owns its *keyed indexes* ([`Relation::keyed_index`]):
-/// hash indexes on arbitrary key positions, built on first request, shared
-/// by unmutated clones and carried forward by every write:
-/// [`Relation::insert`] and [`Relation::remove`] patch each index the
-/// written version inherited, forking one shard of it.  Nothing else copies
-/// a relation: a reader that wants its rows reads the chunks
-/// ([`Relation::id_chunks`]).
+/// A relation owns its indexes, one per layout: keyed indexes
+/// ([`Relation::keyed_index`]) and the access-constraint indexes
+/// [`crate::IndexedDatabase::build`] put there.  **A relation's cell holds
+/// indexes of exactly its contents:** [`Relation::insert`] / `remove` patch
+/// every index the written version inherited (the one place a write reaches
+/// an index); a net no-op write re-shares its predecessor's cell; a relation
+/// replaced wholesale brings its own; a `KEYED_CARRY` `Error` empties it.
+/// Unmutated clones share the cell.  Nothing else copies a relation: a
+/// reader that wants its rows reads the chunks ([`Relation::id_chunks`]).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
@@ -286,13 +288,13 @@ pub struct Relation {
     /// Present only between `begin_delta_tracking` / `end_delta_tracking`:
     /// the net write set accumulated since tracking began.
     tracking: Option<Box<DeltaState>>,
-    /// The keyed indexes of exactly these contents, by key positions, each
-    /// present once someone asked for it.  Shared by unmutated clones; a
-    /// mutation takes a patched copy along.
-    keyed: Arc<RwLock<KeyedIndexes>>,
+    /// The indexes of exactly these contents, by layout, each present once
+    /// someone asked for it.  Shared by unmutated clones; a mutation takes a
+    /// patched copy along.
+    indexes: Arc<RwLock<Indexes>>,
 }
 
-type KeyedIndexes = Vec<(Vec<usize>, Arc<InternedAccessIndex>)>;
+pub(crate) type Indexes = Vec<(Layout, Arc<InternedAccessIndex>)>;
 
 #[derive(Debug, Clone)]
 struct DeltaState {
@@ -319,7 +321,7 @@ impl Relation {
             schema,
             epoch: fresh_epoch(),
             tracking: None,
-            keyed: Arc::default(),
+            indexes: Arc::default(),
         }
     }
 
@@ -377,7 +379,7 @@ impl Relation {
         let (chunk, Err(pos)) = self.tuples.locate(&row) else {
             return Ok(false);
         };
-        self.carry_keyed(&row, true);
+        self.carry_indexes(&row, true);
         if let Some(state) = self.tracking.as_deref_mut() {
             // An insert that undoes a tracked removal cancels out: the net
             // delta always satisfies inserted = new∖old, removed = old∖new.
@@ -399,7 +401,7 @@ impl Relation {
         let (chunk, Ok(pos)) = self.tuples.locate(&row) else {
             return Ok(false);
         };
-        self.carry_keyed(&row, false);
+        self.carry_indexes(&row, false);
         if let Some(state) = self.tracking.as_deref_mut() {
             if !state.delta.inserted.remove(tuple) {
                 state.delta.removed.insert(tuple.clone());
@@ -418,30 +420,17 @@ impl Relation {
         fits.then(|| tuple.iter().map(ValueId::lookup).collect())?
     }
 
-    /// Take the keyed indexes along across a write of `row`: it is made
-    /// `present` in, or absent from, every index this version inherited —
-    /// one forked shard each, so `O(#shards + |groups| / #shards)` per index,
-    /// whether or not anything is about to probe it.  Runs before the write
-    /// touches anything else, so a fault here leaves the instance as it was.
+    /// Take the indexes along across a write of `row`: it is made `present`
+    /// in, or absent from, every index this version inherited — one forked
+    /// shard each, so `O(#shards + |groups| / #shards)` per index, whether
+    /// or not anything is about to probe it.  Runs before the write touches
+    /// anything else, so a fault here leaves the instance as it was.
     ///
     /// An active [`crate::faults::sites::KEYED_CARRY`] `Error` fault drops
     /// the indexes instead: the next request rebuilds them from the
     /// relation, with identical contents.
-    fn carry_keyed(&mut self, row: &[ValueId], present: bool) {
-        if Arc::get_mut(&mut self.keyed).is_none() {
-            // The first write since the clone: part from the predecessor's
-            // cell, keeping its indexes by pointer.
-            let cell = self
-                .keyed
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            self.keyed = Arc::new(RwLock::new(cell));
-        }
-        let indexes = Arc::get_mut(&mut self.keyed)
-            .expect("the cell was just made this instance's own")
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+    fn carry_indexes(&mut self, row: &[ValueId], present: bool) {
+        let indexes = self.own_indexes();
         if indexes.is_empty() {
             return;
         }
@@ -449,12 +438,29 @@ impl Relation {
             indexes.clear();
             return;
         }
-        for (positions, index) in indexes {
-            let key = positions.iter().map(|&p| row[p]).collect();
-            // A genuine write: an insert is new to every index, a removal
-            // held by each, so the patch cannot miss.
-            Arc::make_mut(index).patch(key, row, present);
+        for (layout, index) in indexes {
+            let (key, projected) = layout.project(row);
+            // A genuine write: an insert adds a source to every index, a
+            // removal takes one each holds, so the patch cannot miss.
+            Arc::make_mut(index).patch(key, &projected, present);
         }
+    }
+
+    /// This version's index cell, parted from its clones' on first use:
+    /// the predecessor's indexes are kept by pointer.
+    pub(crate) fn own_indexes(&mut self) -> &mut Indexes {
+        if Arc::get_mut(&mut self.indexes).is_none() {
+            let cell = self
+                .indexes
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            self.indexes = Arc::new(RwLock::new(cell));
+        }
+        Arc::get_mut(&mut self.indexes)
+            .expect("the cell was just made this instance's own")
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn check_arity(&self, tuple: &Tuple) -> Result<()> {
@@ -494,7 +500,7 @@ impl Relation {
         self.tracking.as_deref().map(|s| (s.base_epoch, &s.delta))
     }
 
-    /// Become `previous` again — its epoch, its storage, its keyed indexes —
+    /// Become `previous` again — its epoch, its storage, its indexes —
     /// with tracking off.  Only sound when the caller can prove the contents are
     /// identical to `previous`'s, e.g. after a tracked mutation whose net
     /// delta came out empty; re-sharing the storage also frees whatever
@@ -540,34 +546,37 @@ impl Relation {
     /// rebuilt per read.  An index costs memory of the order of the relation
     /// for as long as a version holds it, and one forked shard per write.
     ///
-    /// # Panics
-    /// Panics if a position is outside the schema (or, on a nullary
-    /// relation, in any case); callers take positions from atoms validated
-    /// against it, or from a plan bound to an extent of the arity it names.
-    pub fn keyed_index(&self, positions: &[usize]) -> Arc<InternedAccessIndex> {
-        if let Some(index) = self.keyed_index_if_built(positions) {
-            return index;
+    /// Fails with [`DataError::IndexPositions`] for a position outside the
+    /// schema, or any positions on a nullary relation; and with an injected
+    /// [`crate::faults::sites::KEYED_BUILD`] `Error`.
+    pub fn keyed_index(&self, positions: &[usize]) -> Result<Arc<InternedAccessIndex>> {
+        match self.keyed_index_if_built(positions) {
+            Some(index) => Ok(index),
+            None => self.index(Layout::keyed(&self.schema, positions)?),
         }
-        let mut indexes = self.keyed.write().unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write lock: a concurrent first request may
-        // have built it meanwhile.
-        if let Some((_, index)) = indexes.iter().find(|(p, _)| p == positions) {
-            return Arc::clone(index);
-        }
-        if let Err(e) = crate::faults::check(crate::faults::sites::KEYED_BUILD) {
-            panic!("{e}");
-        }
-        let index = Arc::new(InternedAccessIndex::keyed(self, positions));
-        indexes.push((positions.to_vec(), Arc::clone(&index)));
-        index
     }
 
     /// The keyed index on `positions` if this version holds one — built
     /// here or carried over from its predecessor — without building it.
     pub fn keyed_index_if_built(&self, positions: &[usize]) -> Option<Arc<InternedAccessIndex>> {
-        let indexes = self.keyed.read().unwrap_or_else(PoisonError::into_inner);
-        let found = indexes.iter().find(|(p, _)| p == positions);
+        let indexes = self.indexes.read().unwrap_or_else(PoisonError::into_inner);
+        let arity = self.schema.arity();
+        let found = indexes.iter().find(|(l, _)| l.is_keyed(arity, positions));
         found.map(|(_, index)| Arc::clone(index))
+    }
+
+    /// The index of `layout` this version holds, built from the stored rows
+    /// into its cell — shared with its unmutated clones — if it holds none.
+    pub(crate) fn index(&self, layout: Layout) -> Result<Arc<InternedAccessIndex>> {
+        let mut indexes = self.indexes.write().unwrap_or_else(PoisonError::into_inner);
+        // Under the write lock, so two first requests build it once.
+        if let Some((_, index)) = indexes.iter().find(|(l, _)| *l == layout) {
+            return Ok(Arc::clone(index));
+        }
+        crate::faults::check(crate::faults::sites::KEYED_BUILD)?;
+        let index = Arc::new(InternedAccessIndex::from_relation(self, &layout));
+        indexes.push((layout, Arc::clone(&index)));
+        Ok(index)
     }
 
     /// A fresh epoch over unchanged contents and storage.
@@ -968,6 +977,46 @@ mod tests {
         assert_eq!(r.to_string(), "b() [1 tuples]\n  ()\n");
         assert!(r.remove(&Tuple::unit()).unwrap());
         assert!(r.is_empty() && r.chunk_count() == 0 && r.iter().next().is_none());
+    }
+
+    #[test]
+    fn keyed_index_positions_outside_the_schema_are_typed_errors() {
+        let r = rating();
+        let err = r.keyed_index(&[0, 2]).unwrap_err();
+        assert_eq!(err, DataError::IndexPositions("rating".into(), vec![0, 2]));
+        let unit = Relation::empty(RelationSchema::new("b", &[]).unwrap());
+        assert!(unit.keyed_index(&[]).is_err(), "a nullary relation");
+        assert!(r.keyed_index(&[1]).is_ok());
+    }
+
+    #[test]
+    fn a_clone_kept_across_an_index_build_carries_no_constraint_index() {
+        use crate::{AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase};
+        let schema = DatabaseSchema::with_relations(&[("rating", &["mid", "rank"])]).unwrap();
+        let mut db = Database::empty(schema);
+        *db.relation_mut("rating").unwrap() = rating();
+        db.relation("rating").unwrap().keyed_index(&[1]).unwrap();
+        let kept = db.clone();
+        // `rank → mid` projects and reorders: not a whole-tuple layout.
+        let by_rank = AccessConstraint::new("rating", &["rank"], &["mid"], 2).unwrap();
+        let idb = IndexedDatabase::build(db, AccessSchema::new(vec![by_rank])).unwrap();
+        let layouts = |db: &Database| {
+            let cell = &db.relation("rating").unwrap().indexes;
+            cell.read().unwrap().len()
+        };
+        assert_eq!(layouts(&kept), 1, "the keyed index only");
+        assert_eq!(layouts(idb.database()), 2, "and the constraint's");
+        // A write to the indexed version carries the constraint index.
+        let mut next = idb.database().clone();
+        next.insert("rating", tuple![4, 4]).unwrap();
+        let carried = &next.relation("rating").unwrap().indexes.read().unwrap()[1].1;
+        let key = [ValueId::lookup(&Value::int(4)).unwrap()];
+        assert_eq!(carried.probe_len(&key), 2);
+        assert_eq!(
+            idb.index(0).unwrap().probe_len(&key),
+            1,
+            "the predecessor's"
+        );
     }
 
     #[test]

@@ -90,20 +90,20 @@ pub(crate) enum Resolved {
 }
 
 /// How [`Engine::mutate`] turns a committed closure into the next published
-/// [`DataVersion`].
+/// `DataVersion`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaintenanceMode {
     /// Maintain view extents semi-naively from the captured write delta and
-    /// patch/share access indexes per relation — for exact deltas, work in
-    /// `|Δ|` plus per-chunk and per-shard pointer copies (the complexities
-    /// are spelled out on [`Engine::mutate`]).  Untouched relations and
-    /// unchanged extents keep their epochs — and with them their keyed
-    /// indexes — so the next read rebuilds nothing the write did not touch.
+    /// take the access indexes the writes carried — work in `|Δ|` plus
+    /// per-chunk and per-shard pointer copies (the complexities are spelled
+    /// out on [`Engine::mutate`]).  Untouched relations and unchanged extents
+    /// keep their epochs — and with them their indexes — so the next read
+    /// rebuilds nothing the write did not touch.
     #[default]
     Delta,
-    /// Rebuild the whole version from scratch (re-materialise every view,
-    /// rebuild every index) — the pre-delta behaviour, kept as the
-    /// differential-testing and benchmarking baseline.
+    /// Rebuild the whole version from scratch (build every access index from
+    /// the rows, re-materialise every view) — the pre-delta behaviour, kept
+    /// as the differential-testing and benchmarking baseline.
     Rebuild,
 }
 
@@ -416,12 +416,11 @@ impl Engine {
     /// next version is then built without an `O(|R|)` step: view extents are
     /// maintained semi-naively — each Δ tuple joined to the rest of its view
     /// by a fixed chain of keyed probes into the relations' sorted storage
-    /// and keyed indexes, which the writes themselves carry forward
-    /// ([`bqr_query::maintain`]; only the first write ever to need a keyed
-    /// index builds it) — and access indexes are patched shard by shard or
-    /// shared whole (`O(#shards + |Δ| · (|groups| / #shards + N))` per
-    /// touched index).  Nothing else is derived from a relation's rows on
-    /// the write path.  Only the relations (and view extents) whose contents
+    /// and keyed indexes ([`bqr_query::maintain`]; only the first write ever
+    /// to need a keyed index builds it) — and the access indexes are the
+    /// ones the writes carried (`O(#shards + |groups| / #shards)` per index
+    /// and write).  Nothing else is derived from a relation's rows on the
+    /// write path.  Only the relations (and view extents) whose contents
     /// actually changed get fresh epochs.
     /// No publish touches the pipeline cache: a compiled pipeline names the
     /// extents and constraints it reads and every execution resolves them

@@ -24,19 +24,19 @@ pub(crate) struct DataVersion {
 }
 
 impl DataVersion {
-    /// Materialise the views — a CQ or UCQ view by the delta plans that
-    /// maintain it afterwards — and build the access indexes for `db`.
+    /// Build the access indexes for `db` from its rows, then materialise the
+    /// views — a CQ or UCQ view by the delta plans that maintain it later.
     pub(crate) fn build(db: Database, setting: &RewritingSetting) -> Result<DataVersion> {
-        let views = setting.views.materialize(&db)?;
         let idb = IndexedDatabase::build(db, setting.access.clone())?;
+        let views = setting.views.materialize(idb.database())?;
         Ok(DataVersion { idb, views })
     }
 
     /// Build the successor of `prev` for `db = prev.database() + delta`
-    /// without paying `O(|D|)`: view extents are maintained semi-naively
-    /// from the delta — by keyed probes into the two instances' relations,
-    /// whose keyed indexes the writes that made `db` already carried over —
-    /// and access indexes are patched or shared per relation.
+    /// without paying `O(|D|)`: the access indexes are the ones `db`'s
+    /// relations carry, patched by the writes that made it, and view extents
+    /// are maintained semi-naively from the delta — by keyed probes into the
+    /// two instances' relations, whose keyed indexes those writes carried too.
     /// Relations and extents whose contents did not change keep their epochs
     /// — and the keyed indexes that go with them.
     pub(crate) fn apply_delta(

@@ -1239,7 +1239,7 @@ fn eval_view_probe(
     }
     key_cols.sort_unstable();
     let positions: Vec<usize> = key_cols.iter().map(|k| k.0).collect();
-    let index = extent.keyed_index(&positions);
+    let index = extent.keyed_index(&positions)?;
     let work_hint = input.rows.saturating_mul(index.avg_group_len());
     let sides = (view_arity, !probe.view_left);
     let conds = (&probe.residual[..], consts);

@@ -21,7 +21,7 @@
 //!
 //! The executor checks the guard at operator boundaries and every
 //! [`CHECK_INTERVAL`] rows inside hot loops ([`Guard::checkpoint`]), so an
-//! exceeded limit surfaces as a typed [`ExecError`](crate::ExecError) within
+//! exceeded limit surfaces as a typed [`ExecError`] within
 //! microseconds rather than minutes.  Limits are configured per execution on
 //! [`ExecOptions::limits`](crate::ExecOptions) — all disabled by default, in
 //! which case every check is a couple of relaxed atomic loads.
@@ -107,7 +107,7 @@ impl GuardLimits {
 /// counters are atomics).
 ///
 /// Construction resolves the deadline once; `check()` only reads the clock
-/// when a deadline is actually set, and then on one call in [`CLOCK_STRIDE`]:
+/// when a deadline is actually set, and then on one call in `CLOCK_STRIDE`:
 /// checks are at most a batch of rows apart and deadlines are milliseconds,
 /// while clock reads were most of the guard's cost on a microsecond plan.
 #[derive(Debug)]

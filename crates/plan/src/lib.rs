@@ -8,8 +8,8 @@
 //!
 //! * [`PlanNode`] / [`QueryPlan`] — the tree representation, size measure,
 //!   Fig.-1-style pretty printing and the CQ/UCQ/∃FO+/FO plan classification;
-//! * [`exec`] — executing a plan over an [`IndexedDatabase`] plus
-//!   materialised views, with [`FetchStats`] accounting of `|D_ξ|`: plans are
+//! * [`exec`] — executing a plan over an [`IndexedDatabase`](bqr_data::IndexedDatabase) plus
+//!   materialised views, with [`FetchStats`](bqr_data::FetchStats) accounting of `|D_ξ|`: plans are
 //!   compiled to a flat operator [`Pipeline`] over interned ids whose hot
 //!   operators run as vectorised batch kernels (selection vectors, batched
 //!   index probes, hash joins for the σ-over-× pattern), optionally spread

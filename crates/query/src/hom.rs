@@ -42,7 +42,7 @@
 //!   at match emission, for callers that need materialised name→value maps.
 //!
 //! The original `BTreeMap`-driven engine is retained verbatim in
-//! [`reference`]: it is the oracle for the engine-equivalence property tests
+//! [`reference`](mod@reference): it is the oracle for the engine-equivalence property tests
 //! and the baseline of the `hom` microbenchmarks.
 
 use crate::atom::{Atom, Term};
@@ -583,6 +583,10 @@ fn build_check_key(
     }
 }
 
+/// Every atom passed [`HomSearch::compile_with`]'s arity check, and a
+/// nullary one is decided from [`Relation::is_empty`] without an index.
+const VALIDATED: &str = "a compiled atom's positions are its relation's";
+
 /// Compile atoms for atom-at-a-time execution in the given order.
 fn compile_atom_order(
     atoms: &[Atom],
@@ -647,6 +651,7 @@ fn compile_atom_order(
             bound[slot as usize] = true;
         }
         let index = cache.interned_index_for(relations[atom.relation()], &key_positions);
+        let index = index.expect(VALIDATED);
         compiled.push(CompiledAtom {
             key,
             ops,
@@ -719,7 +724,7 @@ fn compile_generic_join(
             // No free variables: one existence probe over all positions.
             let all: Vec<usize> = (0..atom.arity()).collect();
             filters.push(GjFilter {
-                index: cache.interned_index_for(rel, &all),
+                index: cache.interned_index_for(rel, &all).expect(VALIDATED),
                 key: all.iter().map(|&p| base_part(p)).collect::<Option<_>>()?,
             });
             continue;
@@ -755,13 +760,15 @@ fn compile_generic_join(
                 })
                 .collect::<Option<_>>()?;
             levels[level].atoms.push(GjAtomAccess {
-                enum_index: cache.interned_index_for(rel, &context),
+                enum_index: cache.interned_index_for(rel, &context).expect(VALIDATED),
                 enum_key: context
                     .iter()
                     .map(|&p| base_part(p))
                     .collect::<Option<_>>()?,
                 value_pos: v_positions[0],
-                check_index: cache.interned_index_for(rel, &check_positions),
+                check_index: cache
+                    .interned_index_for(rel, &check_positions)
+                    .expect(VALIDATED),
                 check_key,
                 self_check: v_positions.len() > 1,
             });

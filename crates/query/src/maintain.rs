@@ -3,7 +3,7 @@
 //!
 //! A CQ or UCQ view is a list of CQ *rules* — the query of a CQ view, the
 //! disjuncts of a UCQ view — and its extent is the union of what its rules
-//! derive.  Every job on such an extent is one [`DeltaPlan`] per rule, the
+//! derive.  Every job on such an extent is one `DeltaPlan` per rule, the
 //! rule body with one *seed* bound; the jobs differ only in the seed:
 //!
 //! * **Materialisation** — no seed at all: the chain starts with a scan, and
@@ -27,7 +27,7 @@
 //!
 //! # What a delta tuple costs
 //!
-//! Each of those joins runs a [`DeltaPlan`]: a chain of probes whose order
+//! Each of those joins runs a `DeltaPlan`: a chain of probes whose order
 //! is fixed by the rule's syntax alone — after the seed (the Δ tuple, the
 //! candidate, or nothing) is bound, the remaining atoms are visited
 //! most-bound-first, and each step looks up one relation on the positions
@@ -99,7 +99,7 @@ pub fn maintain(
 }
 
 /// [`maintain`], accounting the work of the exact-delta path in `stats`:
-/// every keyed or prefix probe a [`DeltaPlan`] issues is one `fetch_call`,
+/// every keyed or prefix probe a `DeltaPlan` issues is one `fetch_call`,
 /// every row it goes on to visit one fetched tuple, and every row visited by
 /// a step that had to scan one scanned tuple.  (Re-materialisations are not
 /// counted: they derive the whole view.)
@@ -292,7 +292,7 @@ impl DeltaPlan {
     fn index(&self, db: &Database) -> Result<()> {
         for step in &self.steps {
             if let Access::Keyed(positions) = &step.access {
-                db.expect_relation(&step.relation)?.keyed_index(positions);
+                db.expect_relation(&step.relation)?.keyed_index(positions)?;
             }
         }
         Ok(())
@@ -354,7 +354,7 @@ impl DeltaPlan {
                 stats.fetch_calls += 1;
                 // Held by the relation version: built by the first probe
                 // ever, carried by every write since.
-                let index = relation.keyed_index(positions);
+                let index = relation.keyed_index(positions)?;
                 let key: Vec<ValueId> = positions.iter().map(|&p| step.args[p].id(slots)).collect();
                 for row in index.probe(&key).chunks_exact(index.arity()) {
                     stats.fetched_tuples += 1;

@@ -192,8 +192,8 @@ struct Inner {
 /// executed at once; reads for the same prepared statement that arrive
 /// while an execution of it is in flight or queued are coalesced into
 /// **one** pipeline execution (whose fetch operators already dedup probe
-/// keys and drive [`InternedAccessIndex::probe_batch`]
-/// (bqr_data::InternedAccessIndex::probe_batch) in one vectorised pass), and
+/// keys and drive [`bqr_data::InternedAccessIndex::probe_batch`] in one
+/// vectorised pass), and
 /// every coalesced request receives that execution's exact tuples and
 /// `FetchStats`.  Writes that arrive while a publish runs are committed
 /// together by the next [`Engine::mutate_batch`] (group commit), in arrival

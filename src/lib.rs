@@ -106,8 +106,7 @@
 //! | clone the instance for the closure | `O(#chunks)` pointer copies, no tuple |
 //! | one `insert` / `remove` | one pool lookup per value (an insert mints an id for a value never seen, the only interning a write does), `O(log \|R\|)` to find the chunk, one chunk of ids copied on its first write (two when chunks merge) |
 //! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
-//! | patch an access index | `256` pointer copies + per touched shard `O(G / 256)` + per touched group `O(log N)`; the Δ tuples' ids are looked up, nothing is interned |
-//! | a keyed index the relation holds (view maintenance asked for it once — or, for a view extent, a read that joins the view) | carried by the `insert` / `remove` itself: one forked shard, `O(256 + G / 256)`, plus the written group |
+//! | every index the relation holds — its access constraints' (built on attach) and its keyed ones (built by the first view maintenance, or for a view extent the first read joining the view, to ask) | carried by the `insert` / `remove` itself, per index: `256` pointer copies on the version's first write, one forked shard, `O(G / 256)`, plus the written group; nothing is looked up again or interned |
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!
 //! * **Exact delta** (the normal case — the closure only called `insert` /
@@ -126,21 +125,22 @@
 //!   carries forward.  Nothing is planned, compiled, interned or indexed per
 //!   write.  The same plans with no seed — a filtered scan, then probes —
 //!   materialise a view on attach.
-//! * **Access indexes patch under exact deltas** — inserts *and* removals:
-//!   the group map is cut into shards by the hash of the key, a successor
-//!   shares every shard its delta does not land in, and groups are kept in
+//! * **Indexes belong to their relation.**  An access constraint's index is
+//!   one more index the relation carries, beside its keyed ones, and every
+//!   `insert` / `remove` patches all of them — inserts *and* removals: the
+//!   group map is cut into shards by the hash of the key, a successor
+//!   shares every shard its writes do not land in, and groups are kept in
 //!   sorted order so a patched index is bit-identical to a rebuilt one.
 //!   Each group entry carries a per-projection *source multiplicity*, so a
 //!   removed tuple decrements its entry and the entry only disappears when
-//!   no source tuple supports it any more.  A delta that does not fit the
-//!   index it is applied to is a typed error inside the data layer and
-//!   rebuilds that one index.
+//!   no source tuple supports it any more.  Publishing a version takes the
+//!   indexes its relations carry; it patches nothing.
 //! * **Wholesale replacement** (the closure *assigned* a relation, losing
 //!   tracking): the delta degrades to "unknown" for that relation —
 //!   affected views re-materialise through their seedless delta plans
 //!   (reusing the previous extent object when the contents come out
-//!   unchanged), its access index rebuilds, and its
-//!   keyed indexes are built again by whoever next asks.
+//!   unchanged), the publish builds its access indexes from its rows, and
+//!   its keyed indexes are built again by whoever next asks.
 //!   Replacing a relation with equal contents is detected (unequal lengths
 //!   and pointer-equal storage answer without comparing a tuple) and
 //!   short-circuits to a no-op.
@@ -199,7 +199,7 @@
 //! [`Error::Execution`] — reachable via [`Error::exec_error`](engine::Error::exec_error) —
 //! and are counted per engine in [`Engine::guard_stats`].  A panicking
 //! shard worker aborts its query, not the process; a panicking mutate
-//! closure returns [`Error::MutationPanicked`](engine::Error::MutationPanicked)
+//! closure returns [`Error::MutationPanicked`]
 //! and publishes nothing.  On success the [`FetchStats`](data::FetchStats)
 //! accounting is unchanged — guards only ever turn answers into errors,
 //! never alter answers.
@@ -449,7 +449,7 @@
 //!   control, read coalescing, write batching);
 //! * [`bqr_workload`] (as [`workload`]) — synthetic workloads (movies,
 //!   social, CDR, random);
-//! * [`bqr_bench`] (as [`bench`]) — the experiment harness.
+//! * [`bqr_bench`] (as [`bench`](mod@bench)) — the experiment harness.
 
 pub use bqr_bench as bench;
 pub use bqr_core as core;

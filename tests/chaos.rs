@@ -7,9 +7,10 @@
 //! registry is process-global, so every test serialises on [`CHAOS`].
 
 use bqr::data::faults::{self, sites, FaultKind};
-use bqr::data::{tuple, DataError, Database, Tuple};
+use bqr::data::{tuple, DataError, Database, Relation, Tuple};
 use bqr::plan::ExecOptions;
 use bqr::query::parser::parse_cq;
+use bqr::workload::cdr::{self, CdrScale};
 use bqr::workload::movies::{self, MovieScale};
 use bqr::{Engine, Error};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -307,7 +308,10 @@ fn value_intern_faults_fail_the_write_that_would_grow_the_pool() {
         let session = engine.session();
         let like = session.database().relation("like").unwrap();
         let v1 = session.views().extent("V1").unwrap();
-        (like.keyed_index(&[1, 2]), v1.keyed_index(&[0]))
+        (
+            like.keyed_index(&[1, 2]).unwrap(),
+            v1.keyed_index(&[0]).unwrap(),
+        )
     };
     let (before, epochs, (like_index, v1_index)) =
         (engine.database(), engine.session().epochs(), keyed(&engine));
@@ -652,6 +656,157 @@ fn keyed_carry_faults_degrade_to_a_rebuild_on_next_use() {
     assert!(v1_index_is_built(&faulty));
     let served = faulty.session().execute("fig1").unwrap();
     assert!(served.tuples.contains(&tuple![13]), "{served:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Constraint indexes: carried by the writes, built by attach
+// ---------------------------------------------------------------------------
+
+const CDR_SCALE: CdrScale = CdrScale {
+    customers: 60,
+    days: 3,
+    max_calls_per_day: 4,
+    max_attach_per_day: 2,
+    towers: 10,
+    seed: 5,
+};
+
+/// A CDR engine with every bounded template prepared for the caller and day
+/// of the first stored call, as `t0`, `t1`, …; and the statement names.
+fn cdr_engine() -> (Engine, Vec<String>) {
+    let mut builder = Engine::builder().setting(cdr::setting(&CDR_SCALE, 120));
+    for (view, bound) in cdr::view_bounds() {
+        builder = builder.annotate_view_bound(view, bound);
+    }
+    let engine = builder.build().unwrap();
+    let db = cdr::generate(CDR_SCALE);
+    let first = db
+        .relation("calls")
+        .unwrap()
+        .iter()
+        .next()
+        .unwrap()
+        .to_tuple();
+    let (cid, day) = (first[0].as_int().unwrap(), first[1].as_int().unwrap());
+    engine.attach(db).unwrap();
+    let bounded = cdr::workload(cid, day)
+        .into_iter()
+        .filter(|q| q.expected_bounded);
+    let names = (bounded.enumerate())
+        .map(|(k, q)| {
+            let name = format!("t{k}");
+            engine.prepare(&name, q.query).unwrap();
+            name
+        })
+        .collect();
+    (engine, names)
+}
+
+/// Every statement's answer — tuples and `FetchStats` — on the live version.
+fn answers(engine: &Engine, names: &[String]) -> Vec<bqr::plan::ExecOutput> {
+    let session = engine.session();
+    names.iter().map(|n| session.execute(n).unwrap()).collect()
+}
+
+/// Whether `calls` carries the index of its constraint `calls(caller, day →
+/// callee, duration)`: its whole tuples keyed on the first two positions.
+fn carries_calls_index(db: &Database) -> bool {
+    let calls = db.relation("calls").unwrap();
+    calls.keyed_index_if_built(&[0, 1]).is_some()
+}
+
+/// A `KEYED_CARRY` `Error` during a `calls` write drops the constraint index
+/// `calls` carries along with everything else in its cell; the publish
+/// builds it from the rows, and every statement answers bit-identically to
+/// an un-faulted twin's — tuples and `FetchStats` — before and after.
+#[test]
+fn keyed_carry_errors_drop_constraint_indexes_and_the_publish_rebuilds_them() {
+    let _chaos = chaos_lock();
+    let ((faulty, names), (clean, _)) = (cdr_engine(), cdr_engine());
+    assert_eq!(answers(&faulty, &names), answers(&clean, &names));
+    assert!(carries_calls_index(faulty.session().database()));
+    let calls = faulty.database().relation("calls").unwrap().clone();
+    let first = calls.iter().next().unwrap().to_tuple();
+    let extra = tuple![first[0].clone(), first[1].clone(), first[0].clone(), 9_999];
+    let write = |db: &mut Database| {
+        db.remove("calls", &first)?;
+        db.insert("calls", extra.clone())?;
+        Ok(carries_calls_index(db))
+    };
+    {
+        let _fp = faults::inject_guard(sites::KEYED_CARRY, FaultKind::Error);
+        assert!(!faulty.mutate(write).unwrap(), "the carry dropped it");
+    }
+    assert!(clean.mutate(write).unwrap(), "the carry patched it");
+    let live = faulty.session();
+    let calls = live.database().relation("calls").unwrap();
+    let rows = Relation::from_tuples(calls.schema().clone(), calls.iter().map(|t| t.to_tuple()));
+    let rebuilt = rows.unwrap().keyed_index(&[0, 1]).unwrap();
+    assert_eq!(*calls.keyed_index_if_built(&[0, 1]).unwrap(), *rebuilt);
+    assert_eq!(answers(&faulty, &names), answers(&clean, &names));
+    // And the rebuilt index is carried by the next write like any other.
+    let undo = |db: &mut Database| {
+        db.remove("calls", &extra)?;
+        db.insert("calls", first.clone())?;
+        Ok(carries_calls_index(db))
+    };
+    assert!(faulty.mutate(undo).unwrap() && clean.mutate(undo).unwrap());
+    assert_eq!(answers(&faulty, &names), answers(&clean, &names));
+}
+
+/// Attach builds every constraint index into its relation's cell through
+/// the one index builder: a `KEYED_BUILD` `Error` there fails the attach as
+/// `Error::Data`, and the version attached before keeps serving.
+#[test]
+fn keyed_build_errors_fail_attach_typed_and_keep_the_served_version() {
+    let _chaos = chaos_lock();
+    let (engine, names) = cdr_engine();
+    let (golden, epochs) = (answers(&engine, &names), engine.session().epochs());
+    {
+        let _fp = faults::inject_guard(sites::KEYED_BUILD, FaultKind::Error);
+        let err = engine.attach(cdr::generate(CDR_SCALE)).unwrap_err();
+        assert!(
+            matches!(err, Error::Data(DataError::FaultInjected(_))),
+            "{err:?}"
+        );
+    }
+    assert_eq!(engine.session().epochs(), epochs, "nothing was published");
+    assert_eq!(answers(&engine, &names), golden);
+    engine.attach(cdr::generate(CDR_SCALE)).unwrap();
+    assert_eq!(answers(&engine, &names), golden);
+}
+
+/// A write that replaces `calls` wholesale leaves the successor without its
+/// constraint index, so the publish builds one — and a `KEYED_BUILD` `Error`
+/// there fails the mutation typed and publishes nothing.  Once the fault
+/// clears, the same write publishes what an un-faulted twin does.
+#[test]
+fn keyed_build_errors_fail_mutate_and_publish_nothing() {
+    let _chaos = chaos_lock();
+    let ((engine, names), (twin, _)) = (cdr_engine(), cdr_engine());
+    let (golden, epochs) = (answers(&engine, &names), engine.session().epochs());
+    let replace = |db: &mut Database| {
+        let calls = db.relation("calls").unwrap();
+        let mut tuples: Vec<Tuple> = calls.iter().map(|t| t.to_tuple()).collect();
+        tuples.pop();
+        let replacement = Relation::from_tuples(calls.schema().clone(), tuples)?;
+        *db.relation_mut("calls")? = replacement;
+        Ok(())
+    };
+    {
+        let _fp = faults::inject_guard(sites::KEYED_BUILD, FaultKind::Error);
+        let err = engine.mutate(replace).unwrap_err();
+        assert!(
+            matches!(err, Error::Data(DataError::FaultInjected(_))),
+            "{err:?}"
+        );
+    }
+    assert_eq!(engine.session().epochs(), epochs, "nothing was published");
+    assert_eq!(answers(&engine, &names), golden);
+    engine.mutate(replace).unwrap();
+    twin.mutate(replace).unwrap();
+    assert!(carries_calls_index(engine.session().database()));
+    assert_eq!(answers(&engine, &names), answers(&twin, &names));
 }
 
 /// PR 7: pinned readers never observe a half-applied delta.  Readers pin

@@ -11,7 +11,10 @@
 //! contents, every materialised view extent, and the served answers *and*
 //! `FetchStats` of a prepared statement.  Both engines materialise views
 //! with the delta plans that maintain them, so every extent of each is also
-//! held to the naive evaluator over the same database.
+//! held to the naive evaluator over the same database; and every access
+//! constraint's index a served relation carries — patched by the writes on
+//! the delta engine, built from the rows on the rebuild one — is held to an
+//! index built from that relation's rows.
 //!
 //! The views cover the shapes a chain of keyed probes can get wrong: a
 //! three-way join (`V1`), single atoms, unions with shared derivations, a
@@ -26,7 +29,7 @@
 //! invalidated only by genuine changes), and a net no-op mutation publishes
 //! nothing at all.
 
-use bqr::data::{tuple, DataError, Database, Tuple};
+use bqr::data::{tuple, DataError, Database, DeltaLog, IndexedDatabase, Tuple};
 use bqr::query::eval::{eval_cq, eval_ucq};
 use bqr::query::parser::{parse_cq, parse_ucq};
 use bqr::query::{ViewDefinition, ViewSet};
@@ -280,6 +283,23 @@ fn check_agreement(delta: &Engine, rebuild: &Engine) {
         b.execute("qxi").unwrap(),
         "served tuples / FetchStats diverged"
     );
+    for (engine, session) in [("delta", &a), ("rebuild", &b)] {
+        // `build` parts the clone's cells and builds every index from the
+        // rows; `apply_delta` reads each index from the served relation's
+        // own cell, building only one the cell lacks.
+        let access = session.engine().setting().access.clone();
+        let rebuilt = IndexedDatabase::build(session.database().clone(), access.clone()).unwrap();
+        let carried = rebuilt
+            .apply_delta(session.database().clone(), &DeltaLog::new())
+            .unwrap();
+        for i in 0..access.len() {
+            let (carried, rebuilt) = (carried.index(i).unwrap(), rebuilt.index(i).unwrap());
+            assert_eq!(
+                carried, rebuilt,
+                "{engine}: constraint #{i}'s carried index"
+            );
+        }
+    }
 }
 
 #[test]
@@ -661,7 +681,7 @@ fn carried_keyed_indexes_match_from_scratch_recomputation() {
         for (name, positions) in REQUESTED {
             let session = engine.session();
             let rel = session.database().relation(name).unwrap();
-            rel.keyed_index(positions);
+            rel.keyed_index(positions).unwrap();
         }
 
         for _ in 0..6 {
@@ -714,7 +734,7 @@ fn carried_keyed_indexes_match_from_scratch_recomputation() {
                 let carried = carried.unwrap_or_else(|| panic!("{label} was dropped"));
                 let fresh =
                     Relation::from_tuples(rel.schema().clone(), rel.iter().map(|t| t.to_tuple()));
-                let rebuilt = fresh.unwrap().keyed_index(&positions);
+                let rebuilt = fresh.unwrap().keyed_index(&positions).unwrap();
                 assert_eq!(*carried, *rebuilt, "{label}");
                 // At most three tuples were written, one shard each; an
                 // unwritten relation is the same version, index and all.
@@ -791,7 +811,7 @@ fn v1_carries_the_index_reads_probe_and_a_pinned_session_keeps_its_own() {
     let carried = extent.keyed_index_if_built(&[0]).expect("carried along");
     let rebuilt =
         Relation::from_tuples(extent.schema().clone(), extent.iter().map(|t| t.to_tuple()));
-    assert_eq!(*carried, *rebuilt.unwrap().keyed_index(&[0]));
+    assert_eq!(*carried, *rebuilt.unwrap().keyed_index(&[0]).unwrap());
     let shared = carried.shared_shards(&built);
     assert!(
         shared >= carried.shard_count() - 64,
@@ -800,7 +820,10 @@ fn v1_carries_the_index_reads_probe_and_a_pinned_session_keeps_its_own() {
     assert_eq!(current.execute("qxi").unwrap(), interpreted(&current));
 
     // The pinned version: the very index its first read built, same answer.
-    assert!(Arc::ptr_eq(&v1_of(&pinned).keyed_index(&[0]), &built));
+    assert!(Arc::ptr_eq(
+        &v1_of(&pinned).keyed_index(&[0]).unwrap(),
+        &built
+    ));
     assert_ne!(v1_of(&pinned), extent);
     assert_eq!(pinned.execute("qxi").unwrap(), before);
     assert_eq!(before, interpreted(&pinned));

@@ -9,6 +9,11 @@
 //! * `pinned_sessions_never_observe_concurrent_mutations` races writer and
 //!   reader threads and asserts that a pinned session's reads are
 //!   bit-for-bit stable across a mutation storm.
+//!
+//! Every execution over an instance that satisfies its access schema is
+//! also held to the paper's bound: fetched tuples ≤ `Analysis::fetch_bound()`.
+
+mod common;
 
 use bqr::core::{RewritingSetting, ToppedChecker};
 use bqr::data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase};
@@ -16,6 +21,7 @@ use bqr::plan::ExecOptions;
 use bqr::query::parser::parse_cq;
 use bqr::query::{ConjunctiveQuery, ViewSet};
 use bqr::{Engine, Error};
+use common::FetchBound;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -98,6 +104,7 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
     let mut rng = StdRng::seed_from_u64(0xb9_e2_26);
     let mut settings = 0usize;
     let mut executed = 0usize;
+    let bound = FetchBound::default();
     while settings < 110 {
         settings += 1;
         let domain = rng.gen_range(4..10i64);
@@ -158,11 +165,14 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
             let expected = bqr::plan::execute_with(&plan, &idb, &views, &options).unwrap();
             let got = session.execute_with("q", &options).unwrap();
             assert_eq!(got, expected, "answers/stats diverged on {query}");
+            bound.check(&got.stats, high.fetch_bound(), &access, &db);
             executed += 1;
         }
         // Ad-hoc (unnamed) execution takes the same path.
+        let adhoc = session.query(&query).unwrap();
+        bound.check(&adhoc.stats, high.fetch_bound(), &access, &db);
         assert_eq!(
-            session.query(&query).unwrap().tuples,
+            adhoc.tuples,
             bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::serial())
                 .unwrap()
                 .tuples
@@ -176,18 +186,18 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
             engine.mutate(|db| db.insert(rel, t.clone())).unwrap();
             let db2 = engine.database();
             let views2 = setting.views.materialize(&db2).unwrap();
-            let idb2 = IndexedDatabase::build(db2, access).unwrap();
+            let idb2 = IndexedDatabase::build(db2, access.clone()).unwrap();
             let expected =
                 bqr::plan::execute_with(&plan, &idb2, &views2, &ExecOptions::serial()).unwrap();
             let fresh = engine.session();
-            assert_eq!(
-                fresh.execute("q").unwrap(),
-                expected,
-                "post-mutation divergence on {query}"
-            );
+            let got = fresh.execute("q").unwrap();
+            assert_eq!(got, expected, "post-mutation divergence on {query}");
+            bound.check(&got.stats, high.fetch_bound(), &access, fresh.database());
             // The pre-mutation session still serves the pre-mutation answer.
             let old = bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::serial()).unwrap();
-            assert_eq!(session.execute("q").unwrap(), old);
+            let got = session.execute("q").unwrap();
+            assert_eq!(got, old);
+            bound.check(&got.stats, high.fetch_bound(), &access, session.database());
             executed += 2;
         }
 
@@ -196,6 +206,7 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
     }
     assert!(settings >= 100, "at least 100 randomized settings");
     assert!(executed >= 120, "a healthy share had executable rewritings");
+    bound.report("engine_agrees_with_the_low_level_stack_on_randomized_settings");
 }
 
 /// A pinned session must never observe a concurrent mutation mid-session:
@@ -225,13 +236,25 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
     // Compile before the storm: readers racing on the first execution may
     // each count a (benign) miss, and the count below is exact.
     engine.execute("fan_out").unwrap();
+    let (bound, fan_out) = (
+        FetchBound::default(),
+        engine.analyze("Q(y) :- r(1, y)").unwrap(),
+    );
+    let held = |out: &bqr::plan::ExecOutput, session: &bqr::Session| {
+        let access = &engine.setting().access;
+        bound.check(
+            &out.stats,
+            fan_out.fetch_bound(),
+            access,
+            session.database(),
+        );
+    };
 
     const WRITES: i64 = 40;
     const READERS: usize = 3;
     let barrier = std::sync::Barrier::new(READERS + 1);
     std::thread::scope(|scope| {
-        let engine = &engine;
-        let barrier = &barrier;
+        let (engine, barrier, held) = (&engine, &barrier, &held);
         scope.spawn(move || {
             barrier.wait();
             for k in 1..=WRITES {
@@ -246,6 +269,7 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
                     let session = engine.session();
                     let pinned_epochs = session.epochs();
                     let first = session.execute("fan_out").unwrap();
+                    held(&first, &session);
                     // The pinned answer is internally consistent: exactly the
                     // r(1, ·) tuples of the pinned snapshot.
                     let expected: Vec<_> = session
@@ -259,6 +283,7 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
                     assert_eq!(first.tuples.len(), expected.len());
                     for repeat in 0..5 {
                         let again = session.execute("fan_out").unwrap();
+                        held(&again, &session);
                         assert_eq!(
                             again, first,
                             "repeat {repeat} observed a concurrent mutation"
@@ -296,6 +321,8 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
         "the write recompiled nothing"
     );
     assert_eq!(pinned.execute("fan_out").unwrap(), before, "still pinned");
+    held(&before, &pinned);
+    bound.report("pinned_sessions_never_observe_concurrent_mutations");
 }
 
 /// `EngineBuilder::parallel_auto` makes auto-sized morsel parallelism the
@@ -333,12 +360,23 @@ fn builder_parallel_auto_sets_the_default_options() {
     }
     engine.attach(db.clone()).unwrap();
     serial.attach(db).unwrap();
+    let bound = FetchBound::default();
+    let mut outputs = Vec::new();
     for e in [&engine, &serial] {
         e.prepare("q", "Q(y) :- r(1, y)").unwrap();
+        let (session, analysis) = (e.session(), e.analyze("Q(y) :- r(1, y)").unwrap());
+        let out = session.execute("q").unwrap();
+        bound.check(
+            &out.stats,
+            analysis.fetch_bound(),
+            &access,
+            session.database(),
+        );
+        outputs.push(out);
     }
     assert_eq!(
-        engine.session().execute("q").unwrap(),
-        serial.session().execute("q").unwrap(),
+        outputs[0], outputs[1],
         "auto-parallel default changed an answer"
     );
+    bound.report("builder_parallel_auto_sets_the_default_options");
 }

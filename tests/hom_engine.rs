@@ -255,17 +255,17 @@ fn index_cache_invalidation_on_mutation() {
     let mut db = random_db(7, 6);
     {
         let r = db.relation("r").unwrap();
-        let before = cache.interned_index_for(r, &[0]);
+        let before = cache.interned_index_for(r, &[0]).unwrap();
         assert_eq!(before.total_rows(), r.len());
         assert!(std::rc::Rc::ptr_eq(
             &before,
-            &cache.interned_index_for(r, &[0])
+            &cache.interned_index_for(r, &[0]).unwrap()
         ));
     }
     let misses_before = cache.misses();
     db.insert("r", bqr_data::tuple![99, 99]).unwrap();
     let r = db.relation("r").unwrap();
-    let after = cache.interned_index_for(r, &[0]);
+    let after = cache.interned_index_for(r, &[0]).unwrap();
     assert_eq!(
         cache.misses(),
         misses_before + 1,

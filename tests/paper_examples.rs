@@ -1,4 +1,9 @@
 //! Tests that replay the paper's worked examples end to end.
+//!
+//! Every plan execution over an instance that satisfies the access schema
+//! is also held to the paper's bound: fetched tuples ≤ the plan's `|D_ξ|`.
+
+mod common;
 
 use bqr_core::decide::decide_vbrp;
 use bqr_core::problem::{RewritingSetting, VbrpInstance};
@@ -11,6 +16,7 @@ use bqr_query::bounded_output::{cq_output, OutputBound};
 use bqr_query::parser::parse_cq;
 use bqr_query::{Budget, ViewSet};
 use bqr_workload::movies;
+use common::FetchBound;
 
 fn phi1(n0: usize) -> AccessConstraint {
     AccessConstraint::new("movie", &["studio", "release"], &["mid"], n0).unwrap()
@@ -57,6 +63,9 @@ fn example_2_2_figure1_plan_is_11_bounded() {
     let naive = bqr_query::eval::eval_cq(&movies::q0(), &db, None).unwrap();
     assert_eq!(out.tuples, naive);
     assert!(out.stats.fetched_tuples <= 2 * n0);
+    let bound = FetchBound::default();
+    bound.check(&out.stats, Some(2 * n0), &setting.access, &db);
+    bound.report("example_2_2_figure1_plan_is_11_bounded");
 }
 
 /// Scale independence, stated for the view as Example 1.1 states it for the
@@ -68,7 +77,7 @@ fn figure1_plan_reads_of_v1_what_it_fetched_not_the_extent() {
     let n0 = 250;
     let plan = figure1_plan(&phi1(n0), &phi2()).unwrap();
     let setting = movies::setting(n0, 11);
-    let mut extents = Vec::new();
+    let (mut extents, bound) = (Vec::new(), FetchBound::default());
     for persons in [500, 20_000] {
         let db = movies::generate(movies::MovieScale {
             persons,
@@ -84,12 +93,15 @@ fn figure1_plan_reads_of_v1_what_it_fetched_not_the_extent() {
         let extent = cache.extent("V1").unwrap().len();
         let idb = IndexedDatabase::build(db, setting.access.clone()).unwrap();
         let stats = bqr_plan::execute(&plan, &idb, &cache).unwrap().stats;
+        // ξ0's bound, `2 · N0` (Example 2.2).
+        bound.check(&stats, Some(2 * n0), &setting.access, idb.database());
         assert!(stats.view_tuples > 0, "the instance exercises the probe");
         assert!(stats.view_tuples <= fetched_movies && fetched_movies <= n0);
         assert!(stats.view_tuples < extent, "{stats} of {extent}");
         extents.push(extent);
     }
     assert!(extents[1] > 10 * extents[0], "the extent grew: {extents:?}");
+    bound.report("figure1_plan_reads_of_v1_what_it_fetched_not_the_extent");
 }
 
 /// Example 2.3: the query expressed by ξ0 is the rewriting Qξ, and Qξ is
@@ -305,10 +317,13 @@ fn golden_movie_answers_through_the_prepared_path() {
 
     let views = setting.views.materialize(&db).unwrap();
     let idb = IndexedDatabase::build(db.clone(), setting.access.clone()).unwrap();
+    // ξ0's bound, `2 · N0` (Example 2.2).
+    let (bound, fig1_bound) = (FetchBound::default(), Some(2 * n0));
     for _ in 0..2 {
         let out = prepared.execute(&idb, &views).unwrap();
         assert_eq!(out.tuples, vec![tuple![10]], "only Lucy qualifies");
         assert!(out.stats.fetched_tuples <= 2 * n0);
+        bound.check(&out.stats, fig1_bound, &setting.access, &db);
         assert_eq!(out.stats.scanned_tuples, 0, "bounded plans never scan");
     }
     let warm = cache_handle.stats();
@@ -326,6 +341,7 @@ fn golden_movie_answers_through_the_prepared_path() {
     let views = setting.views.materialize(&db).unwrap();
     let idb = IndexedDatabase::build(db.clone(), setting.access.clone()).unwrap();
     let out = prepared.execute(&idb, &views).unwrap();
+    bound.check(&out.stats, fig1_bound, &setting.access, &db);
     assert_eq!(out.tuples, vec![tuple![10], tuple![13]], "Vice joined");
     assert_eq!(
         out.tuples,
@@ -343,6 +359,7 @@ fn golden_movie_answers_through_the_prepared_path() {
         vec![tuple![10], tuple![13]]
     );
     assert_eq!(cache_handle.stats().hits, 3);
+    bound.report("golden_movie_answers_through_the_prepared_path");
 }
 
 /// Golden test: every topped CDR template of the pinned fixed-scale instance
@@ -368,7 +385,7 @@ fn golden_cdr_workload_through_the_prepared_path() {
     let checker = checker_with_annotations(&setting, &cdr::view_bounds());
     let cache_handle = Arc::new(PipelineCache::new(32));
 
-    let mut topped = 0usize;
+    let (mut topped, bound) = (0usize, FetchBound::default());
     for q in &cdr::workload(17, 3) {
         let analysis = checker.analyze_cq(&q.query).unwrap();
         if !analysis.topped {
@@ -381,6 +398,7 @@ fn golden_cdr_workload_through_the_prepared_path() {
         for _ in 0..2 {
             let out = prepared.execute(&idb, &cache).unwrap();
             assert_eq!(out.tuples, expected, "{} drifted", q.name);
+            bound.check(&out.stats, analysis.fetch_bound, &setting.access, &db);
         }
     }
     assert_eq!(topped, 9, "the pinned workload has 9 topped templates");
@@ -391,6 +409,7 @@ fn golden_cdr_workload_through_the_prepared_path() {
         "every repeat was warm: {stats:?}"
     );
     assert_eq!(stats.lookups, stats.hits + stats.misses);
+    bound.report("golden_cdr_workload_through_the_prepared_path");
 }
 
 /// The paper's movie example (Fig. 1 / Examples 1.1, 2.2, 2.3) served
@@ -436,10 +455,21 @@ fn golden_movie_answers_through_the_engine_facade() {
 
     engine.prepare("fig1", movies::q_xi()).unwrap();
     let session = engine.session();
+    let bound = FetchBound::default();
+    let held = |out: &bqr_plan::ExecOutput, session: &bqr_engine::Session| {
+        let access = &engine.setting().access;
+        bound.check(
+            &out.stats,
+            analysis.fetch_bound(),
+            access,
+            session.database(),
+        );
+    };
     for _ in 0..2 {
         let out = session.execute("fig1").unwrap();
         assert_eq!(out.tuples, vec![tuple![10]], "only Lucy qualifies");
         assert!(out.stats.fetched_tuples <= 2 * n0);
+        held(&out, &session);
         assert_eq!(out.stats.scanned_tuples, 0, "bounded plans never scan");
     }
     // The explain above compiled the pipeline, so both executions were warm.
@@ -464,6 +494,7 @@ fn golden_movie_answers_through_the_engine_facade() {
         .unwrap();
     let fresh = engine.session();
     let out = fresh.execute("fig1").unwrap();
+    held(&out, &fresh);
     assert_eq!(out.tuples, vec![tuple![10], tuple![13]], "Vice joined");
     assert_eq!(out.tuples, fresh.evaluate(movies::q0()).unwrap().tuples);
     let updated = engine.cache_stats();
@@ -476,6 +507,7 @@ fn golden_movie_answers_through_the_engine_facade() {
         vec![tuple![10], tuple![13]]
     );
     assert_eq!(engine.cache_stats().misses, 1);
+    bound.report("golden_movie_answers_through_the_engine_facade");
 }
 
 /// Every topped CDR template of the pinned fixed-scale instance served
@@ -502,7 +534,7 @@ fn golden_cdr_workload_through_the_engine_facade() {
     engine.attach(cdr::generate(scale)).unwrap();
     let session = engine.session();
 
-    let mut topped = 0usize;
+    let (mut topped, bound) = (0usize, FetchBound::default());
     for q in &cdr::workload(17, 3) {
         match engine.prepare(q.name, &q.query) {
             Ok(statement) => {
@@ -512,6 +544,9 @@ fn golden_cdr_workload_through_the_engine_facade() {
                 for _ in 0..2 {
                     let out = session.execute(q.name).unwrap();
                     assert_eq!(out.tuples, expected.tuples, "{} drifted", q.name);
+                    let fetch_bound = engine.analyze(&q.query).unwrap().fetch_bound();
+                    let access = &engine.setting().access;
+                    bound.check(&out.stats, fetch_bound, access, session.database());
                 }
             }
             Err(bqr_engine::Error::NoRewriting { query, .. }) => {
@@ -534,6 +569,7 @@ fn golden_cdr_workload_through_the_engine_facade() {
     );
     assert_eq!(stats.lookups, stats.hits + stats.misses);
     assert_eq!(engine.cache().len(), topped);
+    bound.report("golden_cdr_workload_through_the_engine_facade");
 }
 
 /// The exact decision procedure agrees with the effective syntax on the

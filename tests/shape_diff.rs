@@ -24,9 +24,14 @@
 //!   against a concurrent mutator: every answer is the answer on a version
 //!   live between its submit and its response.
 //!
+//! Every engine execution over an instance that satisfies the access schema
+//! is also held to the paper's bound: fetched tuples ≤ `fetch_bound()`.
+//!
 //! The plan-level twin (plans differing only in constants share a compiled
 //! pipeline) is `constants_share_one_compiled_shape` in
 //! `tests/prepared_cache.rs`.
+
+mod common;
 
 use bqr::bench::checker_with_annotations;
 use bqr::core::{RewritingSetting, ToppedAnalysis, ToppedChecker};
@@ -37,7 +42,8 @@ use bqr::query::{Atom, ConjunctiveQuery, FoQuery, MaterializedViews, Term, Union
 use bqr::workload::cdr::{self, CdrScale};
 use bqr::workload::movies;
 use bqr::workload::random::{generate_queries, RandomQueryConfig};
-use bqr::{Engine, Error};
+use bqr::{Engine, Error, Session};
+use common::FetchBound;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -350,13 +356,38 @@ impl Replica {
 
 /// `Session::query(text)` must be what the direct path gives: the same
 /// output, or `NoRewriting` exactly when the checker rejects.
-fn assert_matches_direct(engine: &Engine, checker: &ToppedChecker, replica: &Replica, text: &str) {
+fn assert_matches_direct(
+    engine: &Engine,
+    checker: &ToppedChecker,
+    replica: &Replica,
+    text: &str,
+    bound: &FetchBound,
+) {
     let cq = parse_cq(text).unwrap();
-    match (engine.session().query(text), replica.direct(checker, &cq)) {
+    match (
+        query(bound, &engine.session(), text),
+        replica.direct(checker, &cq),
+    ) {
         (Ok(got), Some(expected)) => assert_eq!(got, expected, "{text}"),
         (Err(Error::NoRewriting { query, .. }), None) => assert_eq!(query, cq.to_string()),
         (got, expected) => panic!("{text}: engine {got:?}, direct {expected:?}"),
     }
+}
+
+/// `session.query(text)`, its answer held to the fetch bound of the query's
+/// analysis over the session's instance.
+fn query(bound: &FetchBound, session: &Session, text: &str) -> bqr::Result<ExecOutput> {
+    let out = session.query(text)?;
+    let engine = session.engine();
+    let analysis = engine.analyze(text)?;
+    let access = &engine.setting().access;
+    bound.check(
+        &out.stats,
+        analysis.fetch_bound(),
+        access,
+        session.database(),
+    );
+    Ok(out)
 }
 
 /// Write `k` of the tests' write sequence: customer `1000 + k` joins on the
@@ -380,6 +411,7 @@ fn write(engine: &Engine, k: i64) {
 /// random queries' own.
 #[test]
 fn adhoc_queries_through_a_warm_memo_match_the_direct_path_under_mutation() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let setting = cdr_setting();
     let checker = cdr_checker(&setting);
@@ -407,7 +439,8 @@ fn adhoc_queries_through_a_warm_memo_match_the_direct_path_under_mutation() {
             (cid, day)
         };
         let template = &cdr::workload(cid, day)[rng.gen_range(0..10usize)];
-        assert_matches_direct(&engine, &checker, &replica, &template.query.to_string());
+        let text = template.query.to_string();
+        assert_matches_direct(&engine, &checker, &replica, &text, &bound);
     }
     assert!(
         engine.analysed_shapes() <= 18,
@@ -418,9 +451,10 @@ fn adhoc_queries_through_a_warm_memo_match_the_direct_path_under_mutation() {
 
     for seed in 0..30 {
         for cq in random_cqs(&cdr_vocabulary(), seed, 1 + seed as usize % 3) {
-            assert_matches_direct(&engine, &checker, &replica, &cq.to_string());
+            assert_matches_direct(&engine, &checker, &replica, &cq.to_string(), &bound);
         }
     }
+    bound.report("adhoc_queries_through_a_warm_memo_match_the_direct_path_under_mutation");
 }
 
 // ---------------------------------------------------------------------
@@ -454,10 +488,11 @@ fn truth(engine: &Engine, text: &str) -> Vec<bqr::data::Tuple> {
 /// fetch past its own bound of 0).
 #[test]
 fn trap_a_view_constant_is_not_a_parameter_premium_then_basic() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let ask = |plan: &str| {
         let text = format!("Q(c, t) :- V_plan(c, '{plan}'), attach(c, 2, t)");
-        (engine.session().query(text.as_str()), text)
+        (query(&bound, &engine.session(), text.as_str()), text)
     };
     for _ in 0..2 {
         let (premium, text) = ask("premium");
@@ -481,19 +516,21 @@ fn trap_a_view_constant_is_not_a_parameter_premium_then_basic() {
     // way, and each constant gets its own right answer.
     for plan in ["premium", "basic", "premium"] {
         let text = format!("Q(n) :- customer(37, n, '{plan}', r)");
-        let got = engine.session().query(text.as_str()).unwrap();
+        let got = query(&bound, &engine.session(), text.as_str()).unwrap();
         assert_eq!(got.tuples, truth(&engine, &text), "{text}");
         assert_eq!(got.tuples.is_empty(), plan == "basic", "37 is premium");
     }
+    bound.report("trap_a_view_constant_is_not_a_parameter_premium_then_basic");
 }
 
 /// The same trap on the other view constant.
 #[test]
 fn trap_a_view_constant_is_not_a_parameter_north_then_south() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     for region in ["north", "south", "north", "south"] {
         let text = format!("Q(t, cap) :- V_region(t, '{region}'), tower(t, r, cap)");
-        match (region, engine.session().query(text.as_str())) {
+        match (region, query(&bound, &engine.session(), text.as_str())) {
             ("north", Err(Error::NoRewriting { query, .. })) => assert!(query.contains("north")),
             ("south", Ok(out)) => {
                 assert!(out.tuples.is_empty());
@@ -504,92 +541,105 @@ fn trap_a_view_constant_is_not_a_parameter_north_then_south() {
     }
     for region in ["north", "south"] {
         let text = format!("Q(t) :- attach(7, 2, t), tower(t, '{region}', cap)");
-        let got = engine.session().query(text.as_str()).unwrap();
+        let got = query(&bound, &engine.session(), text.as_str()).unwrap();
         assert_eq!(got.tuples, truth(&engine, &text), "{text}");
     }
+    bound.report("trap_a_view_constant_is_not_a_parameter_north_then_south");
 }
 
 /// `cid == day` is one parameter where `cid != day` is two: two shapes, and
 /// each binds its own.
 #[test]
 fn trap_merged_parameters_are_another_shape() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let callees = |cid: i64, day: i64| format!("Q(x) :- calls({cid}, {day}, x, d)");
     let session = engine.session();
     for (cid, day) in [(3, 4), (3, 3), (4, 3), (4, 4), (5, 5), (2, 3)] {
         let text = callees(cid, day);
-        let got = session.query(text.as_str()).unwrap();
+        let got = query(&bound, &session, text.as_str()).unwrap();
         assert_eq!(got.tuples, truth(&engine, &text), "{text}");
     }
     assert_eq!(engine.analysed_shapes(), 2);
+    bound.report("trap_merged_parameters_are_another_shape");
 }
 
 /// A head constant is bound like any other: the value reaches the output.
 #[test]
 fn trap_a_head_constant_reaches_the_output() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let session = engine.session();
     for (cid, day) in busy_groups(&engine, 3) {
         let text = format!("Q(x, {cid}) :- calls({cid}, {day}, x, d)");
-        let got = session.query(text.as_str()).unwrap();
+        let got = query(&bound, &session, text.as_str()).unwrap();
         assert_eq!(got.tuples, truth(&engine, &text), "{text}");
         assert!(!got.tuples.is_empty());
         assert!(got.tuples.iter().all(|t| t[1] == Value::int(cid)));
     }
     assert_eq!(engine.analysed_shapes(), 1);
+    bound.report("trap_a_head_constant_reaches_the_output");
 }
 
 /// One constant in two atoms, and in two disjuncts of a union, is one
 /// parameter bound in both places.
 #[test]
 fn trap_a_constant_repeated_across_atoms_and_disjuncts() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let session = engine.session();
     let mut bindings = busy_groups(&engine, 2);
     bindings.push((2, 2));
     for (cid, day) in bindings {
         let second_hop = format!("Q(c2) :- calls({cid}, {day}, c1, d1), calls(c1, {day}, c2, d2)");
-        let got = session.query(second_hop.as_str()).unwrap();
+        let got = query(&bound, &session, second_hop.as_str()).unwrap();
         assert_eq!(got.tuples, truth(&engine, &second_hop), "{second_hop}");
 
         let union = format!(
             "Q(x) :- calls({cid}, {day}, x, d); Q(x) :- attach({cid}, {day}, t), tower(t, x, cap)"
         );
-        let got = session.query(union.as_str()).unwrap();
+        let got = query(&bound, &session, union.as_str()).unwrap();
         let ucq = parse_ucq(&union).unwrap();
         assert_eq!(got.tuples, engine.evaluate(ucq).unwrap().tuples, "{union}");
         assert!(!got.tuples.is_empty() || cid == day);
     }
     // Two templates, each seen unmerged twice and merged once.
     assert_eq!(engine.analysed_shapes(), 4);
+    bound.report("trap_a_constant_repeated_across_atoms_and_disjuncts");
 }
 
 /// A constant that occurs nowhere in the data: an empty answer from a probe
 /// that finds nothing — no scan, no error.
 #[test]
 fn trap_a_never_seen_constant_answers_empty() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let session = engine.session();
     let (cid, day) = busy_groups(&engine, 1)[0];
     let seen = format!("Q(x) :- calls({cid}, {day}, x, d)");
-    assert!(!session.query(seen.as_str()).unwrap().tuples.is_empty());
-    let out = session.query("Q(x) :- calls(987654321, 2, x, d)").unwrap();
+    assert!(!query(&bound, &session, seen.as_str())
+        .unwrap()
+        .tuples
+        .is_empty());
+    let out = query(&bound, &session, "Q(x) :- calls(987654321, 2, x, d)").unwrap();
     assert!(out.tuples.is_empty());
     assert_eq!(out.stats.scanned_tuples, 0);
     assert_eq!(out.stats.fetched_tuples, 0);
     assert_eq!(out.stats.fetch_calls, 1);
     assert_eq!(engine.analysed_shapes(), 1);
+    bound.report("trap_a_never_seen_constant_answers_empty");
 }
 
 /// A rejected shape is not remembered: asked again with other constants it
 /// is analysed again, and each error quotes its own query and reason.
 #[test]
 fn trap_a_rejected_shape_is_analysed_every_time() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let session = engine.session();
     for (cid, day) in [(7, 2), (8, 3)] {
         let text = format!("Q(caller) :- calls(caller, {day}, {cid}, dur)");
-        match session.query(text.as_str()) {
+        match query(&bound, &session, text.as_str()) {
             Err(Error::NoRewriting { query, reason }) => {
                 assert_eq!(query, parse_cq(&text).unwrap().to_string());
                 assert!(reason.is_some_and(|r| r.contains("calls")));
@@ -606,16 +656,16 @@ fn trap_a_rejected_shape_is_analysed_every_time() {
 /// second entry, with the same answer.
 #[test]
 fn trap_renamed_variables_are_a_second_entry() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let session = engine.session();
-    let a = session.query("Q(x) :- calls(7, 2, x, d)").unwrap();
-    let b = session
-        .query("Q(callee) :- calls(7, 2, callee, d)")
-        .unwrap();
+    let a = query(&bound, &session, "Q(x) :- calls(7, 2, x, d)").unwrap();
+    let b = query(&bound, &session, "Q(callee) :- calls(7, 2, callee, d)").unwrap();
     assert_eq!(a, b);
     assert_eq!(engine.analysed_shapes(), 2);
     // One plan shape under both: one compiled pipeline.
     assert_eq!(engine.cache().len(), 1);
+    bound.report("trap_renamed_variables_are_a_second_entry");
 }
 
 /// `Engine::analyze` through the memo reports what the checker would, with
@@ -623,6 +673,7 @@ fn trap_renamed_variables_are_a_second_entry() {
 /// the shape.
 #[test]
 fn analyses_and_statements_of_a_seen_shape_carry_their_own_constants() {
+    let bound = FetchBound::default();
     let engine = cdr_engine();
     let setting = cdr_setting();
     let checker = cdr_checker(&setting);
@@ -639,14 +690,21 @@ fn analyses_and_statements_of_a_seen_shape_carry_their_own_constants() {
         let name = format!("s{i}");
         let statement = engine.prepare_from(&name, &analysis).unwrap();
         assert_eq!(statement.plan(), direct.plan.as_ref().unwrap());
-        assert_eq!(
-            engine.session().execute(&name).unwrap().tuples,
-            truth(&engine, &template(cid, day).to_string())
+        let session = engine.session();
+        let out = session.execute(&name).unwrap();
+        let access = &engine.setting().access;
+        bound.check(
+            &out.stats,
+            analysis.fetch_bound(),
+            access,
+            session.database(),
         );
+        assert_eq!(out.tuples, truth(&engine, &template(cid, day).to_string()));
     }
     assert_eq!(engine.analysed_shapes(), 2);
     // Merged or not, the plan is one shape (its slots are per occurrence).
     assert_eq!(engine.cache().len(), 1);
+    bound.report("analyses_and_statements_of_a_seen_shape_carry_their_own_constants");
 }
 
 // ---------------------------------------------------------------------
@@ -658,6 +716,7 @@ fn analyses_and_statements_of_a_seen_shape_carry_their_own_constants() {
 /// never reads backwards — the rule of `tests/server_stress.rs`.
 #[test]
 fn concurrent_adhoc_reads_are_answered_from_a_live_version() {
+    let bound = FetchBound::default();
     const READERS: usize = 8;
     const ITERS: usize = 120;
     const WRITES: i64 = 16;
@@ -687,13 +746,14 @@ fn concurrent_adhoc_reads_are_answered_from_a_live_version() {
         });
         let readers: Vec<_> = (0..READERS)
             .map(|reader| {
-                let (engine, texts, tick) = (&engine, &texts, &tick);
+                let (engine, texts, tick, bound) = (&engine, &texts, &tick, &bound);
                 scope.spawn(move || {
                     (0..ITERS)
                         .map(|round| {
                             let text = (reader + round) % texts.len();
                             let submit = tick();
-                            let answer = engine.session().query(texts[text].as_str()).unwrap();
+                            let answer = query(bound, &engine.session(), texts[text].as_str());
+                            let answer = answer.unwrap();
                             (text, submit, tick(), answer)
                         })
                         .collect::<Vec<_>>()
@@ -750,4 +810,5 @@ fn concurrent_adhoc_reads_are_answered_from_a_live_version() {
         "four templates, merged or not"
     );
     assert_eq!(engine.cache_stats().evictions, 0);
+    bound.report("concurrent_adhoc_reads_are_answered_from_a_live_version");
 }

@@ -314,7 +314,11 @@ fn check_keyed(idb: &IndexedDatabase, fresh: &Database) -> Vec<bool> {
         let Some(carried) = rel.keyed_index_if_built(positions) else {
             return false;
         };
-        let rebuilt = fresh.relation(name).unwrap().keyed_index(positions);
+        let rebuilt = fresh
+            .relation(name)
+            .unwrap()
+            .keyed_index(positions)
+            .unwrap();
         assert_eq!(*carried, *rebuilt, "{name} by {positions:?}");
         assert_eq!(carried.total_rows(), rel.len());
         true
@@ -450,7 +454,7 @@ proptest! {
                 // Key them too, so the next write has some to carry.
                 for (name, positions) in KEYED {
                     let rel = successor.database().relation(name).unwrap();
-                    rel.keyed_index(positions);
+                    rel.keyed_index(positions).unwrap();
                 }
             }
 
@@ -478,7 +482,11 @@ fn check_small_keyed(rel: &Relation, model: &BTreeSet<Tuple>) {
     let fresh = Relation::from_tuples(rel.schema().clone(), model.iter().cloned()).unwrap();
     for positions in SMALL_KEYED {
         let carried = rel.keyed_index_if_built(positions).expect("carried");
-        assert_eq!(*carried, *fresh.keyed_index(positions), "by {positions:?}");
+        assert_eq!(
+            *carried,
+            *fresh.keyed_index(positions).unwrap(),
+            "by {positions:?}"
+        );
         let mut groups: BTreeMap<Vec<ValueId>, BTreeSet<Vec<ValueId>>> = BTreeMap::new();
         for t in model {
             let row: Vec<ValueId> = t
@@ -518,7 +526,7 @@ proptest! {
             (Relation::from_tuples(schema, [one.clone()]).unwrap(), BTreeSet::from([one])),
         ];
         for (rel, model) in &small {
-            SMALL_KEYED.iter().for_each(|positions| drop(rel.keyed_index(positions)));
+            SMALL_KEYED.iter().for_each(|positions| drop(rel.keyed_index(positions).unwrap()));
             check_small_keyed(rel, model);
         }
         for (kind, k, d, v) in writes {

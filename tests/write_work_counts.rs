@@ -295,8 +295,8 @@ fn derived_structures_and_known_writes_intern_nothing() {
     assert_eq!(ValueId::pool_len(), pool, "constraint indexes");
     for rel in db.relations() {
         let arity = rel.schema().arity();
-        rel.keyed_index(&[arity - 1, 0]);
-        let searched = IndexCache::new().interned_index_for(rel, &[0]);
+        rel.keyed_index(&[arity - 1, 0]).unwrap();
+        let searched = IndexCache::new().interned_index_for(rel, &[0]).unwrap();
         assert_eq!(searched.total_rows(), rel.len());
     }
     assert_eq!(ValueId::pool_len(), pool, "keyed and cached indexes");
