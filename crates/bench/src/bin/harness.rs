@@ -1,6 +1,8 @@
-//! The experiment harness: regenerates every table of EXPERIMENTS.md.
+//! The experiment harness: prints the experiment tables, writes the
+//! committed `BENCH_hom.json`, `BENCH_plan.json` and `BENCH_serve.json`
+//! reports (the figures the ROADMAP tables quote), and gates them.
 //!
-//! Usage: `cargo run -p bqr-bench --bin harness --release -- [e1|e4|e5|e6|e7|hom|plan|all]`
+//! Usage: `cargo run -p bqr-bench --bin harness --release -- [e1|e4|e5|e6|e7|hom|plan|prepared|serve|all]`
 //!
 //! The `hom` mode benchmarks the slot-based homomorphism engine against the
 //! retained pre-refactor engine on repeated containment checks and writes

@@ -1,8 +1,10 @@
 //! # bqr-bench — experiment harness
 //!
 //! The library half of the benchmark crate: shared measurement helpers used
-//! both by the `harness` binary (which prints the tables recorded in
-//! EXPERIMENTS.md) and by the Criterion benches.
+//! both by the `harness` binary (which prints the experiment tables, writes
+//! the committed `BENCH_hom.json`, `BENCH_plan.json` and `BENCH_serve.json`
+//! reports, and whose figures the ROADMAP tables quote) and by the
+//! Criterion benches.
 
 use bqr_core::problem::RewritingSetting;
 use bqr_core::size_bounded::BoundedOutputOracle;
@@ -1202,10 +1204,12 @@ pub mod plan_bench {
         }
     }
 
-    /// One write-path row: the same single-tuple inserts committed through
-    /// delta maintenance ([`bqr_engine::MaintenanceMode::Delta`]) and through
-    /// a from-scratch version rebuild ([`bqr_engine::MaintenanceMode::Rebuild`]),
-    /// with the two engines verified bit-identical afterwards.
+    /// One write-path row: the same single-tuple writes committed through
+    /// delta maintenance ([`bqr_engine::Engine::mutate`]) and through a
+    /// from-scratch version rebuild (the write applied to a clone of
+    /// [`bqr_engine::Engine::database`], published by
+    /// [`bqr_engine::Engine::attach`]), with the two engines verified
+    /// bit-identical afterwards.
     #[derive(Debug, Clone)]
     pub struct WritePathResult {
         pub name: &'static str,
@@ -1269,45 +1273,47 @@ pub mod plan_bench {
         row: Option<usize>,
     }
 
-    /// Run `ops` through both maintenance modes, charging each timed
-    /// mutation (followed, with `read_after`, by one execution of the
-    /// prepared statement on the new version) to its row, and verify the
-    /// engines agree bit-identically (database, every view extent, and the
-    /// served answers of the prepared statement) once the clocks stop.
+    /// Run `ops` through delta maintenance on one engine and through
+    /// from-scratch rebuilds on another, charging each timed mutation
+    /// (followed, with `read_after`, by one execution of the prepared
+    /// statement on the new version) to its row, and verify the engines
+    /// agree bit-identically (database, every view extent, and the served
+    /// answers of the prepared statement) once the clocks stop.
     fn run_write_case(
         rows: &[&'static str],
-        mk_engine: &dyn Fn(bqr_engine::MaintenanceMode) -> bqr_engine::Engine,
+        mk_engine: &dyn Fn() -> bqr_engine::Engine,
         statement: &bqr_query::ConjunctiveQuery,
         ops: &[WriteOp],
         read_after: bool,
     ) -> Vec<WritePathResult> {
-        use bqr_engine::MaintenanceMode;
-
+        let write = |op: &WriteOp, db: &mut Database| match op.insert {
+            true => db.insert(op.relation, op.tuple.clone()),
+            false => db.remove(op.relation, &op.tuple),
+        };
         // Build, warm up, and time each engine to completion before touching
         // the next one: a full-rebuild warmup churns through hundreds of
         // megabytes, and interleaving it with the other engine's timed
         // section shows up as a one-off page-fault spike in *that* engine's
         // first timed mutation.  The untimed leading mutations (the same on
-        // both modes) take lazy interning off the clock.
+        // both engines) take lazy interning off the clock.
         let mut ms = vec![[0.0f64; 2]; rows.len()];
         let mut engines = Vec::new();
-        for (slot, mode) in [MaintenanceMode::Delta, MaintenanceMode::Rebuild]
-            .into_iter()
-            .enumerate()
-        {
-            let engine = mk_engine(mode);
+        for (slot, rebuild) in [false, true].into_iter().enumerate() {
+            let engine = mk_engine();
             engine
                 .prepare("w", statement.clone())
                 .expect("write-path statement is topped");
             engine.execute("w").expect("warm serve");
             for op in ops {
                 let t = Instant::now();
-                engine
-                    .mutate(|db| match op.insert {
-                        true => db.insert(op.relation, op.tuple.clone()),
-                        false => db.remove(op.relation, &op.tuple),
-                    })
-                    .expect("write-path mutation");
+                let published = if rebuild {
+                    let mut db = engine.database();
+                    let written = write(op, &mut db).map_err(bqr_engine::Error::Data);
+                    written.and_then(|_| engine.attach(db))
+                } else {
+                    engine.mutate(|db| write(op, db)).map(drop)
+                };
+                published.expect("write-path mutation");
                 if read_after {
                     engine.execute("w").expect("read after write");
                 }
@@ -1378,15 +1384,14 @@ pub mod plan_bench {
 
         let mut out = Vec::new();
 
-        // An engine per maintenance mode over one generated movies instance.
+        // An engine over one generated movies instance, built afresh per call.
         let movies_engines = |scale: movies::MovieScale| {
             let (setting, db) = (movies::setting(scale.n0, 40), movies::generate(scale));
             let attached = db.clone();
-            let mk_engine = move |mode| {
+            let mk_engine = move || {
                 let engine = Engine::builder()
                     .setting(setting.clone())
                     .cache_capacity(16)
-                    .maintenance(mode)
                     .build()
                     .expect("movies engine");
                 engine.attach(attached.clone()).expect("attach movies");
@@ -1472,11 +1477,10 @@ pub mod plan_bench {
                 calls.select_eq(&[0, 1], &group).len() < scale.max_calls_per_day
             })
             .expect("customer 17 has a day with room for one more call");
-        let mk_engine = move |mode| {
+        let mk_engine = move || {
             let mut builder = Engine::builder()
                 .setting(setting.clone())
-                .cache_capacity(16)
-                .maintenance(mode);
+                .cache_capacity(16);
             for (view, bound) in cdr::view_bounds() {
                 builder = builder.annotate_view_bound(view, bound);
             }

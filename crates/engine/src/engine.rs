@@ -89,24 +89,6 @@ pub(crate) enum Resolved {
     Checked(ToppedAnalysis),
 }
 
-/// How [`Engine::mutate`] turns a committed closure into the next published
-/// `DataVersion`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MaintenanceMode {
-    /// Maintain view extents semi-naively from the captured write delta and
-    /// take the access indexes the writes carried — work in `|Δ|` plus
-    /// per-chunk and per-shard pointer copies (the complexities are spelled
-    /// out on [`Engine::mutate`]).  Untouched relations and unchanged extents
-    /// keep their epochs — and with them their indexes — so the next read
-    /// rebuilds nothing the write did not touch.
-    #[default]
-    Delta,
-    /// Rebuild the whole version from scratch (build every access index from
-    /// the rows, re-materialise every view) — the pre-delta behaviour, kept
-    /// as the differential-testing and benchmarking baseline.
-    Rebuild,
-}
-
 /// Builder for an [`Engine`]; start from [`Engine::builder`].
 ///
 /// The rewriting parameters `(R, V, A, M)` plus the analysis budget and the
@@ -125,7 +107,6 @@ pub struct EngineBuilder {
     options: ExecOptions,
     cache_capacity: usize,
     view_bounds: Vec<(String, usize)>,
-    maintenance: MaintenanceMode,
 }
 
 impl Default for EngineBuilder {
@@ -140,7 +121,6 @@ impl Default for EngineBuilder {
             options: ExecOptions::serial(),
             cache_capacity: bqr_plan::prepared::DEFAULT_CACHE_CAPACITY,
             view_bounds: Vec::new(),
-            maintenance: MaintenanceMode::default(),
         }
     }
 }
@@ -176,28 +156,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Replace the join-planner configuration used by every homomorphism
-    /// search (containment, `A`-equivalence, naive evaluation).
-    pub fn planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = planner;
-        self
-    }
-
     /// Replace the default [`ExecOptions`] every execution runs under
     /// (override per call with the `*_with` methods).
     pub fn exec_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Default to morsel-parallel execution with the worker count chosen
-    /// per operator from its input cardinalities — shorthand for
-    /// `exec_options(ExecOptions::parallel_auto())`, keeping any
-    /// previously-set [`GuardLimits`].
-    pub fn parallel_auto(mut self) -> Self {
-        let limits = self.options.limits;
-        self.options = ExecOptions::parallel_auto();
-        self.options.limits = limits;
         self
     }
 
@@ -214,13 +176,6 @@ impl EngineBuilder {
     /// memo of analysed query shapes, which holds as many entries.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Choose how mutations publish new versions (defaults to
-    /// [`MaintenanceMode::Delta`]).
-    pub fn maintenance(mut self, mode: MaintenanceMode) -> Self {
-        self.maintenance = mode;
         self
     }
 
@@ -274,7 +229,6 @@ impl EngineBuilder {
             options: self.options,
             oracle: Arc::new(oracle),
             shapes: RwLock::new(HashMap::new()),
-            maintenance: self.maintenance,
             cache: Arc::new(PipelineCache::new(self.cache_capacity)),
             guard_metrics: Arc::new(GuardMetrics::new()),
             data: RwLock::new(Arc::new(version)),
@@ -312,7 +266,6 @@ pub struct Engine {
     /// starts over when full).  The setting never changes, so nothing
     /// invalidates an entry.
     shapes: RwLock<HashMap<Vec<u8>, Arc<AnalysedShape>>>,
-    maintenance: MaintenanceMode,
     cache: Arc<PipelineCache>,
     /// Engine-lifetime guardrail counters, shared into every guarded
     /// execution; snapshot with [`Engine::guard_stats`].
@@ -341,12 +294,6 @@ impl Engine {
     /// Start building an engine.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// An engine adopting every parameter of a [`RewritingSetting`], with
-    /// default serving options.
-    pub fn for_setting(setting: RewritingSetting) -> Result<Engine> {
-        EngineBuilder::default().setting(setting).build()
     }
 
     /// The rewriting setting `(R, V, A, M)` plus budget and planner.
@@ -393,8 +340,10 @@ impl Engine {
     // Data lifecycle.
 
     /// Attach a database instance, replacing the current one.  Views are
-    /// re-materialised and access indexes rebuilt; sessions pinned to the
-    /// previous version keep reading it unchanged.
+    /// re-materialised and access indexes built from the rows; sessions
+    /// pinned to the previous version keep reading it unchanged.  Attaching
+    /// a clone of [`database`](Engine::database) publishes the from-scratch
+    /// version a [`mutate`](Engine::mutate) must agree with.
     pub fn attach(&self, db: Database) -> Result<()> {
         if db.schema() != &self.setting.schema {
             return Err(Error::SchemaMismatch(format!(
@@ -412,15 +361,14 @@ impl Engine {
     /// as a fresh version.  The closure sees a copy-on-write clone of the
     /// live instance (`O(#chunks)` pointer copies; a write copies the one
     /// ≤ 512-tuple chunk it lands in), and its per-relation write delta is
-    /// captured as it runs; under the default [`MaintenanceMode::Delta`] the
-    /// next version is then built without an `O(|R|)` step: view extents are
-    /// maintained semi-naively — each Δ tuple joined to the rest of its view
-    /// by a fixed chain of keyed probes into the relations' sorted storage
-    /// and keyed indexes ([`bqr_query::maintain`]; only the first write ever
-    /// to need a keyed index builds it) — and the access indexes are the
-    /// ones the writes carried (`O(#shards + |groups| / #shards)` per index
-    /// and write).  Nothing else is derived from a relation's rows on the
-    /// write path.  Only the relations (and view extents) whose contents
+    /// captured as it runs; the next version is then built from it without
+    /// an `O(|R|)` step: view extents are maintained semi-naively — each Δ
+    /// tuple joined to the rest of its view by a fixed chain of keyed
+    /// probes into the relations' sorted storage and keyed indexes
+    /// ([`bqr_query::maintain`]; only the first write ever to need a keyed
+    /// index builds it) — and the access indexes are the ones the writes
+    /// carried (`O(#shards + |groups| / #shards)` per index and write).
+    /// Nothing else is derived from a relation's rows on the write path.  Only the relations (and view extents) whose contents
     /// actually changed get fresh epochs.
     /// No publish touches the pipeline cache: a compiled pipeline names the
     /// extents and constraints it reads and every execution resolves them
@@ -468,7 +416,7 @@ impl Engine {
     /// (the usual no-op elision).
     ///
     /// The outer `Result` fails only when nothing was published at all:
-    /// version construction failed (index rebuild or view maintenance
+    /// version construction failed (an index build or view maintenance
     /// error/panic — contained like a closure's, so it surfaces typed and
     /// never as a half-applied version or a wedged writer), or a *failing*
     /// closure had also replaced a relation wholesale — losing the write
@@ -513,9 +461,8 @@ impl Engine {
             // every epoch and index keyed off it — is still exact.
             return Ok(outcomes);
         }
-        let version = catch_unwind(AssertUnwindSafe(|| match self.maintenance {
-            MaintenanceMode::Delta => DataVersion::apply_delta(&prev, db, &delta, &self.setting),
-            MaintenanceMode::Rebuild => DataVersion::build(db, &self.setting),
+        let version = catch_unwind(AssertUnwindSafe(|| {
+            DataVersion::apply_delta(&prev, db, &delta, &self.setting)
         }))
         .map_err(|payload| Error::MutationPanicked {
             message: panic_message(payload.as_ref()),
@@ -534,7 +481,7 @@ impl Engine {
     }
 
     /// An epoch-pinned session over the current version: every read through
-    /// it — prepared statements, ad-hoc queries, naive evaluation — sees the
+    /// it — prepared statements, ad-hoc queries, analyses — sees the
     /// same snapshot, no matter how many [`mutate`](Engine::mutate)s land
     /// concurrently.  Sessions are cheap (one `Arc` clone).
     pub fn session(&self) -> Session<'_> {
@@ -730,12 +677,5 @@ impl Engine {
     /// Execute a named prepared statement against the current data version.
     pub fn execute(&self, name: &str) -> Result<bqr_plan::ExecOutput> {
         self.session().execute(name)
-    }
-
-    /// Naively evaluate a query against the current data version (the
-    /// "commercial engine" baseline: scans base relations, reads view
-    /// extents) — the oracle bounded plans are compared against.
-    pub fn evaluate<Q: IntoQuery>(&self, query: Q) -> Result<crate::session::EvalOutput> {
-        self.session().evaluate(query)
     }
 }

@@ -79,9 +79,9 @@ mod session;
 mod shape;
 
 pub use analysis::Analysis;
-pub use engine::{Engine, EngineBuilder, IntoQuery, MaintenanceMode};
+pub use engine::{Engine, EngineBuilder, IntoQuery};
 pub use error::{Error, Result};
-pub use session::{EvalOutput, PreparedStatement, Session};
+pub use session::{PreparedStatement, Session};
 
 #[cfg(test)]
 mod tests;

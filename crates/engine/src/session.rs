@@ -4,9 +4,8 @@ use crate::analysis::Analysis;
 use crate::engine::{Engine, IntoQuery, Resolved};
 use crate::error::{Error, Result};
 use bqr_core::{Query, RewritingSetting};
-use bqr_data::{Database, FetchStats, IndexedDatabase, Tuple};
+use bqr_data::{Database, IndexedDatabase};
 use bqr_plan::{CancellationToken, ExecOptions, ExecOutput, Guard, PreparedPlan};
-use bqr_query::eval::{eval_fo_counting, Evaluator};
 use bqr_query::MaterializedViews;
 use std::sync::Arc;
 
@@ -121,20 +120,10 @@ impl PreparedStatement {
     }
 }
 
-/// The answers and I/O accounting of one naive evaluation — the facade's
-/// counterpart of [`ExecOutput`] for the scan-based baseline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalOutput {
-    /// The answer tuples (sorted, duplicate-free).
-    pub tuples: Vec<Tuple>,
-    /// Base tuples scanned / view tuples read.
-    pub stats: FetchStats,
-}
-
 /// An epoch-pinned read session.
 ///
 /// A session pins the data version that was current when
-/// [`Engine::session`] was called: every execution and evaluation through it
+/// [`Engine::session`] was called: every execution through it
 /// reads exactly that snapshot, even while concurrent [`Engine::mutate`]s
 /// bump relation epochs and publish newer versions.  Repeated executions
 /// are warm as well, and stay warm whatever other sessions do: the pipeline
@@ -275,24 +264,5 @@ impl<'e> Session<'e> {
                 Analysis::new(query, checked, Arc::clone(&self.version), self.engine).execute()
             }
         }
-    }
-
-    /// Naively evaluate a query against the pinned version: base relations
-    /// are scanned, view extents read — the paper's "no bounded rewriting"
-    /// baseline, with the same [`FetchStats`] accounting the bounded plans
-    /// report, so the two are directly comparable.
-    pub fn evaluate<Q: IntoQuery>(&self, query: Q) -> Result<EvalOutput> {
-        let query = query.into_query()?;
-        let db = self.version.database();
-        let views = Some(self.version.views());
-        let mut stats = FetchStats::new();
-        let evaluator = Evaluator::new().with_planner(self.engine.setting().planner);
-        let tuples = match &query {
-            Query::Cq(cq) => evaluator.eval_cq_counting(cq, db, views, &mut stats),
-            Query::Ucq(ucq) => evaluator.eval_ucq_counting(ucq, db, views, &mut stats),
-            Query::Fo(fo) => eval_fo_counting(fo, db, views, &mut stats),
-        }
-        .map_err(Error::Query)?;
-        Ok(EvalOutput { tuples, stats })
     }
 }

@@ -77,7 +77,7 @@
 //!
 //! # Parallelism
 //!
-//! [`execute_with`] takes [`ExecOptions`]: with `parallel` set,
+//! [`execute_with`] takes [`ExecOptions`]: with more than one worker,
 //! data-parallel operators (select, project, view and hash-join probe,
 //! fetch probe, product) are driven by the morsel scheduler (the
 //! crate-private `morsel` module): worker threads pull fixed-size morsels of
@@ -85,8 +85,8 @@
 //! Because morsel boundaries are a pure function of `(rows, workers)` and
 //! every kernel is order-preserving, parallel execution produces
 //! bit-identical tables (and identical `FetchStats`) to serial execution.
-//! [`ExecOptions::parallel_auto`] additionally picks the worker count per
-//! operator from its input cardinalities (see
+//! [`ExecOptions::parallel_auto`] picks the worker count per operator from
+//! its input cardinalities instead (see
 //! [`ExecOptions::auto_worker_count`]).
 //!
 //! The original tree-walking interpreter (`BTreeSet<Tuple>` at every node)
@@ -123,24 +123,27 @@ impl ExecOutput {
     }
 }
 
+/// How many morsel workers a data-parallel operator runs on.  Operators
+/// with fewer than [`ExecOptions::PARALLEL_MIN_ROWS`] rows of estimated work
+/// run serially whatever this says — thread startup would dominate.  Output
+/// is bit-identical for every worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workers {
+    /// This many workers (clamped to ≥ 1); one is serial execution.
+    Fixed(usize),
+    /// As many as each operator's input cardinalities warrant
+    /// ([`ExecOptions::auto_worker_count`] over its work hint), capped at
+    /// the hardware thread count.
+    Auto,
+}
+
 /// Options controlling pipeline execution.  They say how operators are
 /// driven, never what a pipeline computes, so no cache looks at them: every
 /// option set executes the one compiled shape of a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// How many contiguous row ranges data-parallel operators split their
-    /// inputs into.  Meaningful only with `parallel`; clamped to ≥ 1.
-    pub shards: usize,
-    /// Evaluate data-parallel operators on `shards` scoped threads.  Inputs
-    /// below [`ExecOptions::PARALLEL_MIN_ROWS`] rows stay serial — thread
-    /// startup would dominate.  Output is bit-identical to serial execution.
-    pub parallel: bool,
-    /// With `parallel`, ignore `shards` and pick the morsel worker count per
-    /// operator from its input cardinalities
-    /// ([`ExecOptions::auto_worker_count`] over the operator's work hint,
-    /// capped at the hardware thread count).  Output is bit-identical for
-    /// every worker count, so auto-selection never changes answers.
-    pub auto: bool,
+    /// How many morsel workers data-parallel operators run on.
+    pub workers: Workers,
     /// Runtime guardrails (deadline, intermediate-row budget, fetch cap).
     /// All disabled by default; see [`crate::guard`] for semantics.
     pub limits: GuardLimits,
@@ -149,17 +152,16 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            shards: 1,
-            parallel: false,
-            auto: false,
+            workers: Workers::Fixed(1),
             limits: GuardLimits::none(),
         }
     }
 }
 
 impl ExecOptions {
-    /// Operators with fewer input rows than this run serially even under
-    /// `parallel` (spawning threads costs more than the work saved).
+    /// Operators with less estimated work than this many rows run serially
+    /// under every [`Workers`] setting (spawning threads costs more than the
+    /// work saved).
     pub const PARALLEL_MIN_ROWS: usize = 4096;
 
     /// Serial execution (the default).
@@ -167,13 +169,11 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// Parallel execution over `shards` morsel-pulling workers.
-    pub fn parallel(shards: usize) -> Self {
+    /// Parallel execution over `workers` morsel-pulling workers.
+    pub fn parallel(workers: usize) -> Self {
         ExecOptions {
-            shards: shards.max(1),
-            parallel: true,
-            auto: false,
-            limits: GuardLimits::none(),
+            workers: Workers::Fixed(workers.max(1)),
+            ..ExecOptions::default()
         }
     }
 
@@ -182,41 +182,37 @@ impl ExecOptions {
     /// cardinalities (row counts, index group statistics) via
     /// [`ExecOptions::auto_worker_count`], so small inputs stay serial and
     /// large ones scale up to the hardware thread count without the caller
-    /// guessing a shard number.
+    /// guessing a worker count.
     pub fn parallel_auto() -> Self {
         ExecOptions {
-            shards: 1,
-            parallel: true,
-            auto: true,
-            limits: GuardLimits::none(),
+            workers: Workers::Auto,
+            ..ExecOptions::default()
         }
     }
 
-    /// The cost heuristic behind [`ExecOptions::parallel_auto`], as a pure
-    /// function so its choices are deterministic and unit-testable: one
-    /// worker per [`ExecOptions::PARALLEL_MIN_ROWS`] units of estimated
-    /// work (the cardinality-derived work hint operators already compute —
-    /// input rows for filters/projections, `probe_rows · avg_group` for
-    /// joins, `keys · expected_group` for fetches), clamped to
-    /// `[1, max_workers]`.  A hint below the threshold therefore always
-    /// yields 1 (serial), matching the work-hint gate of fixed shard counts.
+    /// The cost heuristic behind [`Workers::Auto`], as a pure function so
+    /// its choices are deterministic and unit-testable: one worker per
+    /// [`ExecOptions::PARALLEL_MIN_ROWS`] units of estimated work (the
+    /// cardinality-derived work hint operators already compute — input rows
+    /// for filters/projections, `probe_rows · avg_group` for joins,
+    /// `keys · expected_group` for fetches), clamped to `[1, max_workers]`.
+    /// A hint below the threshold therefore always yields 1 (serial),
+    /// matching the work-hint gate of fixed worker counts.
     pub fn auto_worker_count(work_hint: usize, max_workers: usize) -> usize {
         (work_hint / Self::PARALLEL_MIN_ROWS).clamp(1, max_workers.max(1))
     }
 
     /// How many morsel workers an operator with this estimated `work_hint`
-    /// should use under these options: 1 (serial) unless `parallel` is set
-    /// and the hint clears [`ExecOptions::PARALLEL_MIN_ROWS`]; then the
-    /// fixed `shards` count, or the cardinality heuristic capped at the
-    /// hardware thread count when `auto` is set.
+    /// should use under these options: 1 (serial) while the hint is below
+    /// [`ExecOptions::PARALLEL_MIN_ROWS`]; then the fixed count, or the
+    /// cardinality heuristic capped at the hardware thread count.
     pub fn workers_for(&self, work_hint: usize) -> usize {
-        if !self.parallel || work_hint < Self::PARALLEL_MIN_ROWS {
+        if work_hint < Self::PARALLEL_MIN_ROWS {
             return 1;
         }
-        if self.auto {
-            Self::auto_worker_count(work_hint, hardware_workers())
-        } else {
-            self.shards.max(1)
+        match self.workers {
+            Workers::Fixed(workers) => workers.max(1),
+            Workers::Auto => Self::auto_worker_count(work_hint, hardware_workers()),
         }
     }
 
@@ -247,7 +243,7 @@ impl ExecOptions {
 }
 
 /// The hardware thread count, resolved once per process (the cap for
-/// [`ExecOptions::parallel_auto`]'s per-operator worker counts).
+/// [`Workers::Auto`]'s per-operator worker counts).
 fn hardware_workers() -> usize {
     static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *N.get_or_init(|| {
@@ -1978,13 +1974,35 @@ mod tests {
     #[test]
     fn exec_options_constructors() {
         assert_eq!(ExecOptions::default(), ExecOptions::serial());
-        let p = ExecOptions::parallel(4);
-        assert!(p.parallel);
-        assert!(!p.auto);
-        assert_eq!(p.shards, 4);
-        assert_eq!(ExecOptions::parallel(0).shards, 1, "shards clamp to ≥ 1");
-        let a = ExecOptions::parallel_auto();
-        assert!(a.parallel && a.auto);
+        assert_eq!(ExecOptions::parallel(4).workers, Workers::Fixed(4));
+        assert_eq!(
+            ExecOptions::parallel(0),
+            ExecOptions::serial(),
+            "clamped to ≥ 1"
+        );
+        assert_eq!(ExecOptions::parallel(1), ExecOptions::serial());
+        assert_eq!(ExecOptions::parallel_auto().workers, Workers::Auto);
+    }
+
+    /// The worker count per work hint, one row per constructor: below
+    /// `PARALLEL_MIN_ROWS` everything is serial, above it a fixed count is
+    /// that count and auto is one worker per `PARALLEL_MIN_ROWS` of work,
+    /// capped at the machine.
+    #[test]
+    fn workers_for_is_serial_below_the_threshold_and_the_chosen_count_above() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let hints = [0, 4_095, 4_096, 1_000_000];
+        let table = [
+            (ExecOptions::serial(), [1, 1, 1, 1]),
+            (ExecOptions::parallel(1), [1, 1, 1, 1]),
+            (ExecOptions::parallel(2), [1, 1, 2, 2]),
+            (ExecOptions::parallel(4), [1, 1, 4, 4]),
+            (ExecOptions::parallel_auto(), [1, 1, 1, 244.min(machine)]),
+        ];
+        for (options, expected) in table {
+            let got = hints.map(|hint| options.workers_for(hint));
+            assert_eq!(got, expected, "{options:?}");
+        }
     }
 
     /// The auto heuristic is a pure function of `(work_hint, max_workers)`:
@@ -2001,14 +2019,6 @@ mod tests {
         assert_eq!(w(1 << 20, 8), 8, "clamped to the machine");
         assert_eq!(w(1 << 20, 1), 1);
         assert_eq!(w(usize::MAX, 0), 1, "zero max still yields one worker");
-
-        // Below the threshold no operator parallelises at all, auto or not.
-        let auto = ExecOptions::parallel_auto();
-        assert_eq!(auto.workers_for(100), 1);
-        let fixed = ExecOptions::parallel(4);
-        assert_eq!(fixed.workers_for(100), 1);
-        assert_eq!(fixed.workers_for(1 << 20), 4, "fixed counts stay fixed");
-        assert_eq!(ExecOptions::serial().workers_for(1 << 20), 1);
     }
 
     /// Sharded-parallel execution over an input large enough to cross the

@@ -93,13 +93,6 @@ impl GuardLimits {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// Are all limits disabled?
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_ms.is_none()
-            && self.max_intermediate_rows.is_none()
-            && self.max_fetched_tuples.is_none()
-    }
 }
 
 /// The per-execution governor: checked cooperatively inside the hot operator

@@ -52,7 +52,7 @@ pub mod to_query;
 
 pub use conform::{check_conformance, Conformance};
 pub use error::{ExecError, PlanError};
-pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline};
+pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline, Workers};
 pub use fingerprint::{fingerprint as plan_fingerprint, PlanFingerprint};
 pub use guard::{panic_message, CancellationToken, Guard, GuardLimits, GuardMetrics, GuardStats};
 pub use node::{PlanLanguage, PlanNode, QueryPlan, SelectCondition};

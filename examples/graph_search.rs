@@ -10,6 +10,8 @@
 //!
 //! Run with `cargo run --example graph_search --release`.
 
+use bqr::data::FetchStats;
+use bqr::query::eval::eval_cq_counting;
 use bqr::workload::social;
 use bqr::Engine;
 use std::time::Instant;
@@ -51,17 +53,20 @@ fn main() -> bqr::Result<()> {
         let bounded_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
         let t = Instant::now();
-        let naive = session.evaluate(&query)?;
+        let mut naive = FetchStats::new();
+        let (db, views) = (session.database(), Some(session.views()));
+        let expected =
+            eval_cq_counting(&query, db, views, &mut naive).map_err(bqr::Error::Query)?;
         let naive_ms = t.elapsed().as_secs_f64() * 1_000.0;
 
-        assert_eq!(bounded.tuples, naive.tuples);
+        assert_eq!(bounded.tuples, expected);
         println!(
             "{:>10} {:>10} | {:>14} {:>12.3} | {:>14} {:>12.3}",
             persons,
             size,
             bounded.stats.base_tuples_accessed(),
             bounded_ms,
-            naive.stats.base_tuples_accessed(),
+            naive.base_tuples_accessed(),
             naive_ms
         );
     }

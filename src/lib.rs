@@ -150,12 +150,14 @@
 //! Untouched relations share their epochs and indexes (access and keyed)
 //! into the new version, and the pipeline cache is keyed by plan shape
 //! alone — a compiled pipeline holds no data, so no write invalidates one,
-//! and the first read after a write is a cache hit.  A net no-op mutation publishes nothing at all: no epoch
-//! moves.  [`MaintenanceMode::Rebuild`] restores the from-scratch
-//! behaviour engine-wide (the differential baseline: same contents, same
-//! epoch contract, bit-identical answers).  Failures anywhere — closure
-//! error, closure panic, or a fault inside maintenance — are
-//! all-or-nothing: the serving version never moves.
+//! and the first read after a write is a cache hit.  A net no-op mutation
+//! publishes nothing at all: no epoch moves.  This is the only way a
+//! mutation publishes; the from-scratch version it must agree with (same
+//! contents, same extents, bit-identical answers) is what
+//! [`Engine::attach`] builds from a clone of the same database, which is how
+//! the differential tests check it.  Failures anywhere — closure error,
+//! closure panic, or a fault inside maintenance — are all-or-nothing: the
+//! serving version never moves.
 //!
 //! ```
 //! use bqr::{tuple, Engine};
@@ -255,8 +257,8 @@
 //!
 //! With [`ExecOptions::parallel`](plan::ExecOptions::parallel) (or
 //! [`parallel_auto`](plan::ExecOptions::parallel_auto), which sizes the
-//! worker pool per operator from its input cardinalities — also an
-//! [`EngineBuilder::parallel_auto`] engine default), data-parallel
+//! worker pool per operator from its input cardinalities — either one also
+//! an engine default through [`EngineBuilder::exec_options`]), data-parallel
 //! operators are **morsel-driven**: worker threads pull fixed-size morsels
 //! of the input from a shared queue, so a slow morsel never idles the
 //! other workers behind a barrier.  Results always merge *in morsel
@@ -462,6 +464,5 @@ pub use bqr_workload as workload;
 
 pub use bqr_data::tuple;
 pub use bqr_engine::{
-    Analysis, Engine, EngineBuilder, Error, EvalOutput, IntoQuery, MaintenanceMode,
-    PreparedStatement, Result, Session,
+    Analysis, Engine, EngineBuilder, Error, IntoQuery, PreparedStatement, Result, Session,
 };

@@ -9,6 +9,8 @@
 //! `ValueId::pool_len()` is process-wide, so the two tests take turns.
 
 use bqr::data::ValueId;
+use bqr::query::eval::eval_cq;
+use bqr::query::parser::parse_cq;
 use bqr::workload::cdr::{self, CdrScale};
 use bqr::Engine;
 use std::sync::Mutex;
@@ -82,8 +84,8 @@ fn seen_shapes_leave_nothing_behind() {
         let out = session.query(q.query.to_string().as_str()).unwrap();
         assert_eq!(out.stats.scanned_tuples, 0);
         if k % 500 == 0 {
-            let naive = engine.evaluate(q.query).unwrap();
-            assert_eq!(out.tuples, naive.tuples, "{}", q.name);
+            let naive = eval_cq(&q.query, session.database(), Some(session.views()));
+            assert_eq!(out.tuples, naive.unwrap(), "{}", q.name);
         }
     }
 
@@ -123,8 +125,9 @@ fn never_seen_shapes_stop_at_the_cap() {
             }
         }
         let out = session.query(text.as_str()).unwrap();
-        let naive = engine.evaluate(text.as_str()).unwrap();
-        assert_eq!(out.tuples, naive.tuples, "{text}");
+        let naive = parse_cq(&text).unwrap();
+        let naive = eval_cq(&naive, session.database(), Some(session.views()));
+        assert_eq!(out.tuples, naive.unwrap(), "{text}");
         assert!(engine.analysed_shapes() <= CAP);
     }
     assert!(engine.cache().len() <= 4, "{}", engine.cache().len());

@@ -1,20 +1,21 @@
-//! Randomized differential harness for delta-driven mutation (PR 7).
+//! Randomized differential harness for delta-driven mutation.
 //!
-//! Two engines over the same setting — one publishing versions via
-//! semi-naive delta maintenance ([`MaintenanceMode::Delta`], the default),
-//! one rebuilding every version from scratch ([`MaintenanceMode::Rebuild`],
-//! the pre-delta behaviour) — are driven through hundreds of randomized
-//! mutation sequences: single inserts, deletions of live tuples, no-op
-//! writes, do-undo pairs, multi-relation closures, failing closures, and
-//! wholesale relation replacement (the `Unknown`-delta fallback).  After
-//! every mutation the two must agree **bit-identically**: database
-//! contents, every materialised view extent, and the served answers *and*
-//! `FetchStats` of a prepared statement.  Both engines materialise views
-//! with the delta plans that maintain them, so every extent of each is also
-//! held to the naive evaluator over the same database; and every access
-//! constraint's index a served relation carries — patched by the writes on
-//! the delta engine, built from the rows on the rebuild one — is held to an
-//! index built from that relation's rows.
+//! An engine publishing every version through `Engine::mutate` (semi-naive
+//! delta maintenance, carried indexes) is driven through hundreds of
+//! randomized mutation sequences: single inserts, deletions of live tuples,
+//! no-op writes, do-undo pairs, multi-relation closures, failing closures,
+//! and wholesale relation replacement (the `Unknown`-delta fallback).  Each
+//! script is replayed on a plain `Database` the test owns — the model, kept
+//! only where the closure succeeds — and a second engine attaches a clone
+//! of the model: `Engine::attach` builds the version from scratch, every
+//! access index from the rows and every view re-materialised.  After every
+//! mutation the engine's database must equal the model, and its every
+//! materialised view extent, the served answers *and* `FetchStats` of a
+//! prepared statement, and every access constraint's index its relations
+//! carry must equal the attached twin's **bit-identically**.  Both engines
+//! materialise views with the delta plans that maintain them, so every
+//! extent is also held to the naive evaluator over the model, and so are
+//! the served answers.
 //!
 //! The views cover the shapes a chain of keyed probes can get wrong: a
 //! three-way join (`V1`), single atoms, unions with shared derivations, a
@@ -34,7 +35,7 @@ use bqr::query::eval::{eval_cq, eval_ucq};
 use bqr::query::parser::{parse_cq, parse_ucq};
 use bqr::query::{ViewDefinition, ViewSet};
 use bqr::workload::movies;
-use bqr::{Engine, MaintenanceMode};
+use bqr::Engine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,7 +74,7 @@ fn views() -> ViewSet {
     v
 }
 
-fn engine(mode: MaintenanceMode) -> Engine {
+fn engine() -> Engine {
     let setting = bqr::core::RewritingSetting::new(
         movies::schema(),
         movies::access_schema(100),
@@ -83,11 +84,48 @@ fn engine(mode: MaintenanceMode) -> Engine {
     let engine = Engine::builder()
         .setting(setting)
         .cache_capacity(32)
-        .maintenance(mode)
         .build()
         .unwrap();
     engine.prepare("qxi", Q_XI).unwrap();
     engine
+}
+
+/// The engine under test, the model every mutation is replayed on, and
+/// the twin engine the model is attached to for each comparison.
+struct Harness {
+    engine: Engine,
+    model: Database,
+    twin: Engine,
+}
+
+impl Harness {
+    fn new() -> Harness {
+        let model = Database::empty(movies::schema());
+        Harness {
+            engine: engine(),
+            model,
+            twin: engine(),
+        }
+    }
+
+    fn attach(&mut self, db: Database) {
+        self.engine.attach(db.clone()).unwrap();
+        self.model = db;
+    }
+
+    /// `Engine::mutate` the engine, and run the same closure on a copy of
+    /// the model that replaces it only if the closure succeeds — a failing
+    /// closure publishes nothing.
+    fn mutate<R>(&mut self, f: impl Fn(&mut Database) -> bqr::data::Result<R>) -> bqr::Result<R> {
+        let served = self.engine.mutate(&f);
+        let mut next = self.model.clone();
+        let modelled = f(&mut next);
+        assert_eq!(served.is_ok(), modelled.is_ok(), "engine and model");
+        if modelled.is_ok() {
+            self.model = next;
+        }
+        served
+    }
 }
 
 const RELATIONS: [&str; 4] = ["person", "movie", "rating", "like"];
@@ -131,12 +169,12 @@ fn present_tuple(rng: &mut StdRng, db: &Database, relation: &str) -> Tuple {
     rel.iter().nth(idx).unwrap().to_tuple()
 }
 
-/// One randomized mutation step, applied identically to both engines.
-/// Returns whether the closure was expected to fail.
-fn mutate_both(rng: &mut StdRng, delta: &Engine, rebuild: &Engine) {
+/// One randomized mutation step, applied identically to the engine and the
+/// model.
+fn mutate_both(rng: &mut StdRng, h: &mut Harness) {
     let kind = rng.gen_range(0..10u64);
-    let current = delta.database();
-    // Build the op script once, replay it on both engines.
+    let current = h.engine.database();
+    // Build the op script once, replay it on the engine and the model.
     let mut script: Vec<(u8, &'static str, Tuple)> = Vec::new();
     let mut fails = false;
     match kind {
@@ -189,37 +227,34 @@ fn mutate_both(rng: &mut StdRng, delta: &Engine, rebuild: &Engine) {
         }
     }
 
-    for engine in [delta, rebuild] {
-        let script = script.clone();
-        let out = engine.mutate(move |db| {
-            for (op, rel, t) in &script {
-                match op {
-                    0 => {
-                        db.insert(rel, t.clone())?;
-                    }
-                    1 => {
-                        db.remove(rel, t)?;
-                    }
-                    2 => {
-                        // Rebuild the relation from scratch through
-                        // `relation_mut` assignment: tracking is lost.
-                        let schema = db.relation(rel).unwrap().schema().clone();
-                        let mut tuples: Vec<Tuple> = db
-                            .relation(rel)
-                            .unwrap()
-                            .iter()
-                            .map(|t| t.to_tuple())
-                            .collect();
-                        tuples.push(t.clone());
-                        *db.relation_mut(rel)? = bqr::data::Relation::from_tuples(schema, tuples)?;
-                    }
-                    _ => return Err(DataError::UnknownRelation("injected".into())),
+    let out = h.mutate(|db| {
+        for (op, rel, t) in &script {
+            match op {
+                0 => {
+                    db.insert(rel, t.clone())?;
                 }
+                1 => {
+                    db.remove(rel, t)?;
+                }
+                2 => {
+                    // Rebuild the relation from scratch through
+                    // `relation_mut` assignment: tracking is lost.
+                    let schema = db.relation(rel).unwrap().schema().clone();
+                    let mut tuples: Vec<Tuple> = db
+                        .relation(rel)
+                        .unwrap()
+                        .iter()
+                        .map(|t| t.to_tuple())
+                        .collect();
+                    tuples.push(t.clone());
+                    *db.relation_mut(rel)? = bqr::data::Relation::from_tuples(schema, tuples)?;
+                }
+                _ => return Err(DataError::UnknownRelation("injected".into())),
             }
-            Ok(())
-        });
-        assert_eq!(out.is_err(), fails, "unexpected mutate outcome: {out:?}");
-    }
+        }
+        Ok(())
+    });
+    assert_eq!(out.is_err(), fails, "unexpected mutate outcome: {out:?}");
 }
 
 /// Every relation or extent whose contents did not change must keep its
@@ -257,48 +292,58 @@ fn check_epoch_contract(
     }
 }
 
-/// Both engines hold the same database, every extent of either is what the
-/// naive evaluator derives over it — the rebuild engine materialises with
-/// the same delta plans, so agreeing with each other alone would not check
-/// the join — and the served tuples and `FetchStats` agree.
-fn check_agreement(delta: &Engine, rebuild: &Engine) {
-    let a = delta.session();
-    let b = rebuild.session();
-    assert_eq!(a.database(), b.database(), "database contents diverged");
+/// The engine holds the model; every extent of the engine is the twin's,
+/// and the twin's is what the naive evaluator derives over the model — the
+/// twin materialises with the same delta plans, so agreeing with each other
+/// alone would not check the join; the served tuples and `FetchStats` are
+/// the twin's, and the tuples the naive evaluator's; and every access
+/// constraint's index the engine's relations carry is the twin's, which is
+/// built from the rows.  Attaches the model to the twin first.
+fn check_agreement(h: &Harness) {
+    h.twin.attach(h.model.clone()).unwrap();
+    let a = h.engine.session();
+    let b = h.twin.session();
+    assert_eq!(a.database(), &h.model, "database contents diverged");
     for (name, def) in views().iter() {
+        let extent = |session: &bqr::Session<'_>| -> Vec<Tuple> {
+            let extent = session.views().extent(name).unwrap().iter();
+            extent.map(|t| t.to_tuple()).collect()
+        };
+        assert_eq!(extent(&a), extent(&b), "extent `{name}` is not the twin's");
         let evaluated = match def {
-            ViewDefinition::Cq(q) => eval_cq(q, a.database(), None),
-            ViewDefinition::Ucq(q) => eval_ucq(q, a.database(), None),
+            ViewDefinition::Cq(q) => eval_cq(q, &h.model, None),
+            ViewDefinition::Ucq(q) => eval_ucq(q, &h.model, None),
             ViewDefinition::Fo(_) => unreachable!("no FO view here"),
         };
-        let evaluated = evaluated.unwrap();
-        for (engine, session) in [("delta", &a), ("rebuild", &b)] {
-            let extent = session.views().extent(name).unwrap().iter();
-            let extent: Vec<Tuple> = extent.map(|t| t.to_tuple()).collect();
-            assert_eq!(extent, evaluated, "{engine} extent `{name}` is not eval's");
-        }
+        assert_eq!(
+            extent(&b),
+            evaluated.unwrap(),
+            "extent `{name}` is not eval's"
+        );
     }
+    let served = a.execute("qxi").unwrap();
     assert_eq!(
-        a.execute("qxi").unwrap(),
+        served,
         b.execute("qxi").unwrap(),
         "served tuples / FetchStats diverged"
     );
-    for (engine, session) in [("delta", &a), ("rebuild", &b)] {
-        // `build` parts the clone's cells and builds every index from the
-        // rows; `apply_delta` reads each index from the served relation's
-        // own cell, building only one the cell lacks.
-        let access = session.engine().setting().access.clone();
-        let rebuilt = IndexedDatabase::build(session.database().clone(), access.clone()).unwrap();
-        let carried = rebuilt
-            .apply_delta(session.database().clone(), &DeltaLog::new())
-            .unwrap();
-        for i in 0..access.len() {
-            let (carried, rebuilt) = (carried.index(i).unwrap(), rebuilt.index(i).unwrap());
-            assert_eq!(
-                carried, rebuilt,
-                "{engine}: constraint #{i}'s carried index"
-            );
-        }
+    let q_xi = parse_cq(Q_XI).unwrap();
+    let evaluated = eval_cq(&q_xi, &h.model, Some(b.views())).unwrap();
+    assert_eq!(served.tuples, evaluated, "served tuples are not eval's");
+    // `build` parts a clone's cells and builds every index from the rows;
+    // `apply_delta` reads each index from the served relation's own cell,
+    // building only one the cell lacks.
+    let access = h.engine.setting().access.clone();
+    let rebuilt = IndexedDatabase::build(h.model.clone(), access.clone()).unwrap();
+    let carried = |session: &bqr::Session<'_>| {
+        let db = session.database().clone();
+        rebuilt.apply_delta(db, &DeltaLog::new()).unwrap()
+    };
+    let (carried, twins) = (carried(&a), carried(&b));
+    for i in 0..access.len() {
+        let (carried, twins) = (carried.index(i).unwrap(), twins.index(i).unwrap());
+        assert_eq!(carried, twins, "constraint #{i}'s carried index");
+        assert_eq!(twins, rebuilt.index(i).unwrap(), "constraint #{i}'s index");
     }
 }
 
@@ -307,37 +352,35 @@ fn randomized_mutation_sequences_agree_with_full_rebuild() {
     const SEQUENCES: u64 = 220;
     const MUTATIONS_PER_SEQUENCE: usize = 4;
 
-    let delta = engine(MaintenanceMode::Delta);
-    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut h = Harness::new();
     // How often each extent genuinely changed: the agreement below must not
     // hold vacuously for any view.
     let mut changes: std::collections::BTreeMap<String, usize> = Default::default();
 
     for seed in 0..SEQUENCES {
         let mut rng = StdRng::seed_from_u64(seed);
-        // Fresh random starting instance for the sequence, on both engines.
+        // Fresh random starting instance for the sequence.
         let mut db = Database::empty(movies::schema());
         for _ in 0..rng.gen_range(10..30usize) {
             let rel = RELATIONS[rng.gen_range(0..RELATIONS.len())];
             db.insert(rel, random_tuple(&mut rng, rel)).unwrap();
         }
-        delta.attach(db.clone()).unwrap();
-        rebuild.attach(db).unwrap();
-        check_agreement(&delta, &rebuild);
+        h.attach(db);
+        check_agreement(&h);
 
         for _ in 0..MUTATIONS_PER_SEQUENCE {
-            let before_db = delta.database();
+            let before_db = h.engine.database();
             let before_views: Vec<_> = {
-                let s = delta.session();
+                let s = h.engine.session();
                 s.views()
                     .names()
                     .map(|n| (n.to_string(), s.views().extent(n).unwrap().clone()))
                     .collect()
             };
-            mutate_both(&mut rng, &delta, &rebuild);
-            check_agreement(&delta, &rebuild);
-            check_epoch_contract(&before_db, &before_views, &delta);
-            let session = delta.session();
+            mutate_both(&mut rng, &mut h);
+            check_agreement(&h);
+            check_epoch_contract(&before_db, &before_views, &h.engine);
+            let session = h.engine.session();
             for (name, prev) in &before_views {
                 let moved = session.views().extent(name).unwrap() != prev;
                 *changes.entry(name.clone()).or_default() += usize::from(moved);
@@ -357,8 +400,7 @@ fn randomized_mutation_sequences_agree_with_full_rebuild() {
 /// that strip a view tuple of one derivation but not the other.
 #[test]
 fn deterministic_trajectory_with_shared_derivations() {
-    let delta = engine(MaintenanceMode::Delta);
-    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut h = Harness::new();
     let mut db = Database::empty(movies::schema());
     db.insert("person", tuple![1, "Ann", "NASA"]).unwrap();
     db.insert("person", tuple![2, "Bob", "NASA"]).unwrap();
@@ -367,8 +409,7 @@ fn deterministic_trajectory_with_shared_derivations() {
     db.insert("rating", tuple![10, 5]).unwrap();
     db.insert("like", tuple![1, 10, "movie"]).unwrap();
     db.insert("like", tuple![2, 10, "movie"]).unwrap();
-    delta.attach(db.clone()).unwrap();
-    rebuild.attach(db).unwrap();
+    h.attach(db);
 
     type Step = Box<dyn Fn(&mut Database) -> bqr::data::Result<()>>;
     let steps: Vec<Step> = vec![
@@ -382,11 +423,10 @@ fn deterministic_trajectory_with_shared_derivations() {
         Box::new(|db| db.remove("person", &tuple![2, "Bob", "NASA"]).map(drop)),
     ];
     for (i, step) in steps.iter().enumerate() {
-        let epoch_before = delta.session().views().extent("V1").unwrap().epoch();
-        delta.mutate(|db| step(db)).unwrap();
-        rebuild.mutate(|db| step(db)).unwrap();
-        check_agreement(&delta, &rebuild);
-        let session = delta.session();
+        let epoch_before = h.engine.session().views().extent("V1").unwrap().epoch();
+        h.mutate(step).unwrap();
+        check_agreement(&h);
+        let session = h.engine.session();
         let v1 = session.views().extent("V1").unwrap();
         assert_eq!(v1.contains(&tuple![10]), i == 0 || i == 2, "step {i}");
         // While another NASA person still likes the movie, neither V1's
@@ -401,8 +441,7 @@ fn deterministic_trajectory_with_shared_derivations() {
 /// `V1` tuples, some closures failing and being rolled back on the way.
 #[test]
 fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
-    let delta = engine(MaintenanceMode::Delta);
-    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut h = Harness::new();
     let mut db = Database::empty(movies::schema());
     for pid in 1..=6i64 {
         let aff = if pid % 3 == 0 { "ESA" } else { "NASA" };
@@ -418,8 +457,7 @@ fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
     for (pid, mid) in [(1i64, 10i64), (2, 10), (3, 10), (4, 11)] {
         db.insert("like", tuple![pid, mid, "movie"]).unwrap();
     }
-    delta.attach(db.clone()).unwrap();
-    rebuild.attach(db).unwrap();
+    h.attach(db);
 
     type Closure = Box<dyn FnOnce(&mut Database) -> bqr::data::Result<()>>;
     let script = || -> Vec<Closure> {
@@ -468,23 +506,31 @@ fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
         closures
     };
     assert_eq!(script().len(), 64);
-    let before_db = delta.database();
+    let before_db = h.engine.database();
     let before_views: Vec<_> = {
-        let s = delta.session();
+        let s = h.engine.session();
         let names = s.views().names();
         names
             .map(|n| (n.to_string(), s.views().extent(n).unwrap().clone()))
             .collect()
     };
-    for engine in [&delta, &rebuild] {
-        let outcomes = engine.mutate_batch(script()).unwrap();
-        let failed = outcomes.iter().filter(|o| o.is_err()).count();
-        assert_eq!(failed, 4, "the injected failures, and only they");
+    let outcomes = h.engine.mutate_batch(script()).unwrap();
+    let failed = outcomes.iter().filter(|o| o.is_err()).count();
+    assert_eq!(failed, 4, "the injected failures, and only they");
+    // The model takes each closure whole or not at all, as the batch does.
+    let mut failed = 0;
+    for closure in script() {
+        let mut next = h.model.clone();
+        match closure(&mut next) {
+            Ok(()) => h.model = next,
+            Err(_) => failed += 1,
+        }
     }
-    check_agreement(&delta, &rebuild);
-    check_epoch_contract(&before_db, &before_views, &delta);
+    assert_eq!(failed, 4, "the model's failures");
+    check_agreement(&h);
+    check_epoch_contract(&before_db, &before_views, &h.engine);
     // The batch was not a net no-op on the view it targets.
-    let session = delta.session();
+    let session = h.engine.session();
     assert_ne!(session.database(), &before_db);
     let v1: Vec<Tuple> = session
         .views()
@@ -505,8 +551,7 @@ fn a_batch_inserting_and_removing_partners_of_one_view_tuple_agrees() {
 
 #[test]
 fn served_answers_track_deletions_of_answer_tuples() {
-    let delta = engine(MaintenanceMode::Delta);
-    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut h = Harness::new();
     let mut db = Database::empty(movies::schema());
     db.insert("person", tuple![1, "Ann", "NASA"]).unwrap();
     for mid in [10i64, 11, 12] {
@@ -515,23 +560,19 @@ fn served_answers_track_deletions_of_answer_tuples() {
         db.insert("rating", tuple![mid, 5]).unwrap();
         db.insert("like", tuple![1, mid, "movie"]).unwrap();
     }
-    delta.attach(db.clone()).unwrap();
-    rebuild.attach(db).unwrap();
+    h.attach(db);
     assert_eq!(
-        delta.execute("qxi").unwrap().tuples,
+        h.engine.execute("qxi").unwrap().tuples,
         vec![tuple![10], tuple![11], tuple![12]]
     );
 
-    for engine in [&delta, &rebuild] {
-        engine
-            .mutate(|db| {
-                db.remove("rating", &tuple![11, 5])?;
-                db.remove("like", &tuple![1, 12, "movie"]).map(drop)
-            })
-            .unwrap();
-    }
-    check_agreement(&delta, &rebuild);
-    assert_eq!(delta.execute("qxi").unwrap().tuples, vec![tuple![10]]);
+    h.mutate(|db| {
+        db.remove("rating", &tuple![11, 5])?;
+        db.remove("like", &tuple![1, 12, "movie"]).map(drop)
+    })
+    .unwrap();
+    check_agreement(&h);
+    assert_eq!(h.engine.execute("qxi").unwrap().tuples, vec![tuple![10]]);
 }
 
 /// A UCQ union tuple derivable by two disjuncts must survive the deletion
@@ -539,16 +580,15 @@ fn served_answers_track_deletions_of_answer_tuples() {
 /// extent must keep its epoch (no spurious cache invalidation).
 #[test]
 fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
-    let delta = engine(MaintenanceMode::Delta);
-    let rebuild = engine(MaintenanceMode::Rebuild);
+    let mut h = Harness::new();
     let mut db = Database::empty(movies::schema());
     db.insert("movie", tuple![10, "Lucy", "Universal", "2014"])
         .unwrap();
     db.insert("rating", tuple![10, 5]).unwrap();
     db.insert("like", tuple![1, 10, "movie"]).unwrap();
-    delta.attach(db.clone()).unwrap();
-    rebuild.attach(db).unwrap();
-    assert!(delta
+    h.attach(db);
+    assert!(h
+        .engine
         .session()
         .views()
         .extent("VO")
@@ -558,7 +598,7 @@ fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
     // Drop either derivation — the first disjunct's, then (once it is back)
     // the second's: VO(10) still holds through the other, the union
     // contents are unchanged, and the extent keeps its epoch.
-    let epoch_before = delta.session().views().extent("VO").unwrap().epoch();
+    let epoch_before = h.engine.session().views().extent("VO").unwrap().epoch();
     type Step = fn(&mut Database) -> bqr::data::Result<bool>;
     let steps: [Step; 3] = [
         |db| db.remove("rating", &tuple![10, 5]),
@@ -566,11 +606,9 @@ fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
         |db| db.remove("like", &tuple![1, 10, "movie"]),
     ];
     for step in steps {
-        for engine in [&delta, &rebuild] {
-            assert!(engine.mutate(step).unwrap());
-        }
-        check_agreement(&delta, &rebuild);
-        let vo = delta.session();
+        assert!(h.mutate(step).unwrap());
+        check_agreement(&h);
+        let vo = h.engine.session();
         let vo = vo.views().extent("VO").unwrap();
         assert!(vo.contains(&tuple![10]));
         assert_eq!(
@@ -580,14 +618,12 @@ fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
         );
     }
 
-    // Drop the last derivation: VO(10) disappears on both engines.
-    for engine in [&delta, &rebuild] {
-        engine
-            .mutate(|db| db.remove("rating", &tuple![10, 5]).map(drop))
-            .unwrap();
-    }
-    check_agreement(&delta, &rebuild);
-    assert!(!delta
+    // Drop the last derivation: VO(10) disappears.
+    h.mutate(|db| db.remove("rating", &tuple![10, 5]).map(drop))
+        .unwrap();
+    check_agreement(&h);
+    assert!(!h
+        .engine
         .session()
         .views()
         .extent("VO")
@@ -603,7 +639,7 @@ fn ucq_tuple_survives_losing_one_of_two_disjunct_derivations() {
 fn replacing_a_relation_with_equal_contents_publishes_nothing() {
     use bqr::data::Relation;
 
-    let engine = engine(MaintenanceMode::Delta);
+    let engine = engine();
     let mut db = Database::empty(movies::schema());
     db.insert("movie", tuple![10, "Lucy", "Universal", "2014"])
         .unwrap();
@@ -668,7 +704,7 @@ fn carried_keyed_indexes_match_from_scratch_recomputation() {
         (1..1usize << arity).map(pick).collect()
     }
 
-    let engine = engine(MaintenanceMode::Delta);
+    let engine = engine();
     let mut maintenance_built_one = false;
     for seed in 1000..1060u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -759,7 +795,7 @@ fn v1_carries_the_index_reads_probe_and_a_pinned_session_keeps_its_own() {
     use bqr::plan::exec::reference;
     use std::sync::Arc;
 
-    let engine = engine(MaintenanceMode::Delta);
+    let engine = engine();
     let db = movies::generate(movies::MovieScale {
         persons: 300,
         movies: 240,

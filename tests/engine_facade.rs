@@ -325,35 +325,36 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
     bound.report("pinned_sessions_never_observe_concurrent_mutations");
 }
 
-/// `EngineBuilder::parallel_auto` makes auto-sized morsel parallelism the
-/// engine default while keeping any guard limits already set — and the
-/// answers stay identical to a serial engine's.
+/// `EngineBuilder::exec_options(ExecOptions::parallel_auto())` makes
+/// auto-sized morsel parallelism the engine default, `guard_limits` keeps
+/// it — and the answers stay identical to a serial engine's.
 #[test]
 fn builder_parallel_auto_sets_the_default_options() {
     let schema = DatabaseSchema::with_relations(&[("r", &["a", "b"])]).unwrap();
     let access = AccessSchema::new(vec![AccessConstraint::new("r", &["a"], &["b"], 64).unwrap()]);
-    let build = |auto: bool| {
-        let b = Engine::builder()
+    let build = |options: ExecOptions| {
+        Engine::builder()
             .schema(schema.clone())
             .access(access.clone())
             .bound(8)
+            .exec_options(options)
             .guard_limits(bqr::plan::GuardLimits {
                 deadline_ms: Some(60_000),
                 ..Default::default()
-            });
-        let b = if auto { b.parallel_auto() } else { b };
-        b.build().unwrap()
+            })
+            .build()
+            .unwrap()
     };
-    let engine = build(true);
+    let engine = build(ExecOptions::parallel_auto());
     let opts = engine.exec_options();
-    assert!(opts.parallel && opts.auto, "{opts:?}");
+    assert_eq!(opts.workers, bqr::plan::Workers::Auto, "{opts:?}");
     assert_eq!(
         opts.limits.deadline_ms,
         Some(60_000),
         "guard limits survive the switch"
     );
 
-    let serial = build(false);
+    let serial = build(ExecOptions::serial());
     let mut db = Database::empty(schema.clone());
     for i in 0..200i64 {
         db.insert("r", tuple![i % 5, i]).unwrap();

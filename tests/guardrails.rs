@@ -85,8 +85,8 @@ fn deadlines_trip_promptly_on_serial_and_sharded_drivers() {
         assert_eq!(
             err.exec_error(),
             Some(&ExecError::DeadlineExceeded { deadline_ms: 50 }),
-            "shards={:?}",
-            options.shards
+            "workers={:?}",
+            options.workers
         );
         // Prompt: the 50ms deadline must not degenerate into seconds of
         // post-deadline work (generous ceiling for loaded CI machines).

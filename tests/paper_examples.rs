@@ -13,6 +13,7 @@ use bqr_plan::builder::figure1_plan;
 use bqr_plan::{check_conformance, Conformance, PlanLanguage};
 use bqr_query::aequiv::cq_a_equivalent;
 use bqr_query::bounded_output::{cq_output, OutputBound};
+use bqr_query::eval::eval_cq;
 use bqr_query::parser::parse_cq;
 use bqr_query::{Budget, ViewSet};
 use bqr_workload::movies;
@@ -60,7 +61,7 @@ fn example_2_2_figure1_plan_is_11_bounded() {
     let cache = setting.views.materialize(&db).unwrap();
     let idb = IndexedDatabase::build(db.clone(), setting.access.clone()).unwrap();
     let out = bqr_plan::execute(&plan, &idb, &cache).unwrap();
-    let naive = bqr_query::eval::eval_cq(&movies::q0(), &db, None).unwrap();
+    let naive = eval_cq(&movies::q0(), &db, None).unwrap();
     assert_eq!(out.tuples, naive);
     assert!(out.stats.fetched_tuples <= 2 * n0);
     let bound = FetchBound::default();
@@ -223,7 +224,6 @@ fn golden_movie_example_answers_are_pinned() {
 fn golden_cdr_workload_answers_and_decisions_are_pinned() {
     use bqr_bench::checker_with_annotations;
     use bqr_data::{tuple, Tuple};
-    use bqr_query::eval::eval_cq;
     use bqr_workload::cdr;
 
     let scale = cdr::CdrScale {
@@ -343,10 +343,7 @@ fn golden_movie_answers_through_the_prepared_path() {
     let out = prepared.execute(&idb, &views).unwrap();
     bound.check(&out.stats, fig1_bound, &setting.access, &db);
     assert_eq!(out.tuples, vec![tuple![10], tuple![13]], "Vice joined");
-    assert_eq!(
-        out.tuples,
-        bqr_query::eval::eval_cq(&movies::q0(), &db, None).unwrap()
-    );
+    assert_eq!(out.tuples, eval_cq(&movies::q0(), &db, None).unwrap());
     assert_eq!(
         out,
         bqr_plan::execute(prepared.plan(), &idb, &views).unwrap()
@@ -369,7 +366,6 @@ fn golden_movie_answers_through_the_prepared_path() {
 fn golden_cdr_workload_through_the_prepared_path() {
     use bqr_bench::checker_with_annotations;
     use bqr_plan::{PipelineCache, PreparedPlan};
-    use bqr_query::eval::eval_cq;
     use bqr_workload::cdr;
     use std::sync::Arc;
 
@@ -476,10 +472,10 @@ fn golden_movie_answers_through_the_engine_facade() {
     let warm = engine.cache_stats();
     assert_eq!((warm.misses, warm.hits), (1, 2), "{warm:?}");
     // The facade answer equals the naive baseline on the original query.
-    assert_eq!(
-        session.evaluate(movies::q0()).unwrap().tuples,
-        vec![tuple![10]]
-    );
+    let naive = |session: &bqr_engine::Session<'_>| {
+        eval_cq(&movies::q0(), session.database(), Some(session.views())).unwrap()
+    };
+    assert_eq!(naive(&session), vec![tuple![10]]);
 
     // The update scenario: a new Universal/2014 movie, rated 5 and liked by
     // a NASA person, lands through `mutate` — views re-materialise, epochs
@@ -496,7 +492,7 @@ fn golden_movie_answers_through_the_engine_facade() {
     let out = fresh.execute("fig1").unwrap();
     held(&out, &fresh);
     assert_eq!(out.tuples, vec![tuple![10], tuple![13]], "Vice joined");
-    assert_eq!(out.tuples, fresh.evaluate(movies::q0()).unwrap().tuples);
+    assert_eq!(out.tuples, naive(&fresh));
     let updated = engine.cache_stats();
     assert_eq!((updated.misses, updated.hits), (1, 3), "{updated:?}");
     // The pre-update session still serves the pre-update answer.
@@ -540,10 +536,11 @@ fn golden_cdr_workload_through_the_engine_facade() {
             Ok(statement) => {
                 topped += 1;
                 assert_eq!(statement.name(), q.name);
-                let expected = session.evaluate(&q.query).unwrap();
+                let (db, views) = (session.database(), Some(session.views()));
+                let expected = eval_cq(&q.query, db, views).unwrap();
                 for _ in 0..2 {
                     let out = session.execute(q.name).unwrap();
-                    assert_eq!(out.tuples, expected.tuples, "{} drifted", q.name);
+                    assert_eq!(out.tuples, expected, "{} drifted", q.name);
                     let fetch_bound = engine.analyze(&q.query).unwrap().fetch_bound();
                     let access = &engine.setting().access;
                     bound.check(&out.stats, fetch_bound, access, session.database());
