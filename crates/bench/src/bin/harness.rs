@@ -14,7 +14,10 @@
 //! the retained tree-walking interpreter (`exec::reference`) on the movies,
 //! CDR and AGM-triangle plan workloads, measures sharded-parallel scaling at
 //! 1/2/4 shards, runs the **prepared** rows (the first execution on a freshly
-//! loaded instance, which interns what it reads, vs a warm execution), writes
+//! loaded instance, which interns what it reads, vs a warm execution) and
+//! the **index** rows (the CDR `calls` constraint index probed cold and hot,
+//! what it adds to a one-tuple write, and the four constraint indexes' heap,
+//! printed per constraint), writes
 //! `BENCH_plan.json` (`BENCH_PLAN_JSON` to override), and **exits non-zero**
 //! if the compiled executor is slower than the reference on the movies
 //! workload, if a warm execution is not at least 3× faster than the
@@ -133,16 +136,27 @@ fn hom_engine() {
 /// an ad-hoc CDR query of a seen shape costs more than half of one of a
 /// never-seen shape (`cdr_adhoc_seen_shape_10k`), when
 /// a delta-maintained single-tuple insert is not ≥ 5× faster than a full
-/// version rebuild on either write-path workload, or when guarded
-/// execution exceeds the unguarded baseline by more than 5%.
+/// version rebuild on either write-path workload, when the CDR constraint
+/// indexes hold more than 1.25× the ids of their rows on the heap or add
+/// more than 20 µs to a one-tuple `calls` write on a cloned version, or
+/// when guarded execution exceeds the unguarded baseline by more than 5%.
 fn plan_executor() {
     use bqr_bench::plan_bench;
 
     println!(
         "\n== plan: compiled pipeline vs exec::reference; parallel scaling at 1/2/4 shards; \
-         prepared cold vs warm; write path delta vs rebuild; guard overhead =="
+         prepared cold vs warm; write path delta vs rebuild; constraint index; guard overhead =="
     );
-    let (results, parallel, prepared, write_path, guard, guard_stats, json) = plan_bench::report();
+    let plan_bench::PlanReport {
+        results,
+        parallel,
+        prepared,
+        write_path,
+        index,
+        guard,
+        guard_stats,
+        json,
+    } = plan_bench::report();
     println!(
         "{:<28} {:>8} {:>14} {:>14} {:>9}",
         "case", "repeats", "reference-ms", "compiled-ms", "speedup"
@@ -197,6 +211,21 @@ fn plan_executor() {
             w.rebuild_ms,
             w.speedup()
         );
+    }
+    println!(
+        "{:<28} {:>12} {:>12} {:>12} {:>12}",
+        "index (CDR calls)", "cold-ns", "hot-ns", "fork-us", "heap-MB"
+    );
+    println!(
+        "{:<28} {:>12.1} {:>12.1} {:>12.2} {:>12.3}",
+        "cdr_calls",
+        index.probe_cold_ns,
+        index.probe_hot_ns,
+        index.write_fork_us,
+        index.heap_mb()
+    );
+    for (constraint, bytes) in &index.heap_bytes {
+        println!("  heap_bytes {constraint:<40} {bytes:>12}");
     }
     println!(
         "{:<28} {:>8} {:>14} {:>14} {:>9}",
@@ -309,6 +338,23 @@ fn plan_executor() {
             );
             std::process::exit(1);
         }
+    }
+    if index.heap_mb() > index.heap_max_mb() {
+        eprintln!(
+            "REGRESSION: the CDR constraint indexes hold {:.3} MB of heap, more than {}x the {:.3} MB of ids their rows hold",
+            index.heap_mb(),
+            plan_bench::INDEX_HEAP_MAX_RATIO,
+            index.row_id_bytes as f64 / 1e6
+        );
+        std::process::exit(1);
+    }
+    if index.write_fork_us > plan_bench::WRITE_FORK_MAX_US {
+        eprintln!(
+            "REGRESSION: the constraint indexes add {:.2} us (median) to a CDR version's clone, one calls insert and drop, more than {:.0} us",
+            index.write_fork_us,
+            plan_bench::WRITE_FORK_MAX_US
+        );
+        std::process::exit(1);
     }
     if guard.ratio() > plan_bench::GUARD_MAX_OVERHEAD {
         eprintln!(

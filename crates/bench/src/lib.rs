@@ -1523,21 +1523,167 @@ pub mod plan_bench {
         out
     }
 
+    /// The `index` rows, over the constraint indexes of the 10k-customer CDR
+    /// instance the write-path rows use.
+    #[derive(Debug, Clone)]
+    pub struct IndexResult {
+        /// Nanoseconds per probe of the `calls (caller, day)` index with
+        /// [`INDEX_PROBES`] random keys (`cdr_calls_probe_cold`); the median
+        /// of [`INDEX_ROUNDS`] rounds.
+        pub probe_cold_ns: f64,
+        /// The same with one key, over and over (`cdr_calls_probe_hot`).
+        pub probe_hot_ns: f64,
+        /// What the constraint indexes add to a version's clone, one `calls`
+        /// insert under a random key, and drop, in µs
+        /// (`cdr_calls_write_fork`): the median of the paired differences
+        /// with the same write to the same version without its indexes — the
+        /// one index shard the write copies, the patch, and their release.
+        pub write_fork_us: f64,
+        /// The median of that whole write on the indexed version, in µs:
+        /// the clone and drop of every chunk pointer, the storage chunk the
+        /// write copies, and the index fork.
+        pub write_us: f64,
+        /// [`bqr_data::InternedAccessIndex::heap_bytes`] per constraint, in
+        /// the access schema's order, beside the constraint's text.
+        pub heap_bytes: Vec<(String, usize)>,
+        /// The bytes of the ids the indexes' rows hold: rows × arity × 4.
+        pub row_id_bytes: usize,
+    }
+
+    impl IndexResult {
+        /// The four indexes' heap in MB (`cdr_index_heap_mb`).
+        pub fn heap_mb(&self) -> f64 {
+            let bytes: usize = self.heap_bytes.iter().map(|(_, b)| b).sum();
+            bytes as f64 / 1e6
+        }
+
+        /// The heap gate: [`INDEX_HEAP_MAX_RATIO`] × the rows' ids, in MB.
+        pub fn heap_max_mb(&self) -> f64 {
+            INDEX_HEAP_MAX_RATIO * self.row_id_bytes as f64 / 1e6
+        }
+    }
+
+    /// Random keys per cold-probe round, rounds per probe row, and forks
+    /// timed for `cdr_calls_write_fork`.
+    pub const INDEX_PROBES: usize = 100_000;
+    pub const INDEX_ROUNDS: usize = 5;
+    pub const INDEX_FORKS: usize = 2_000;
+
+    /// The constraint indexes' heap may be at most this many times the ids
+    /// their rows hold: the rest is keys, row offsets and shard headers.  A
+    /// deterministic gate — it fails on a layout that allocates per key or
+    /// per group again.
+    pub const INDEX_HEAP_MAX_RATIO: f64 = 1.25;
+
+    /// The ceiling on `cdr_calls_write_fork`, in µs: the index's part of a
+    /// write copies one shard, ≈ 46 KB on `calls` (≈ 240 µs when a shard
+    /// was a map of boxed groups).
+    pub const WRITE_FORK_MAX_US: f64 = 20.0;
+
+    /// The `index` rows (see [`IndexResult`]).
+    pub fn run_index() -> IndexResult {
+        use bqr_data::{tuple, Value, ValueId};
+
+        let scale = cdr::CdrScale {
+            customers: 10_000,
+            days: 14,
+            ..cdr::CdrScale::default()
+        };
+        let access = cdr::access_schema(&scale);
+        let db = cdr::generate(scale);
+        // The same version without indexes: it shares every storage chunk.
+        let bare = db.clone();
+        let idb = IndexedDatabase::build(db, access).expect("CDR");
+        let mut heap_bytes = Vec::new();
+        let mut row_id_bytes = 0;
+        for (i, c) in idb.access_schema().constraints().enumerate() {
+            let index = idb.index(i).expect("one index per constraint");
+            heap_bytes.push((c.to_string(), index.heap_bytes()));
+            row_id_bytes += index.total_rows() * index.arity() * size_of::<ValueId>();
+        }
+        let calls = idb.index(1).expect("CDR's second constraint is on calls");
+
+        // xorshift64: random keys without a dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as i64
+        };
+        let mut random_key = || [below(scale.customers), below(scale.days)];
+        let id = |v: i64| ValueId::intern(&Value::int(v));
+        let keys: Vec<ValueId> = (0..INDEX_PROBES)
+            .flat_map(|_| random_key().map(id))
+            .collect();
+        let hot = [keys[0], keys[1]].repeat(INDEX_PROBES);
+        let ns_per_probe = |keys: &[ValueId]| {
+            let mut rounds: Vec<f64> = (0..INDEX_ROUNDS)
+                .map(|_| {
+                    let t = Instant::now();
+                    let rows: usize = keys.chunks_exact(2).map(|k| calls.probe(k).len()).sum();
+                    std::hint::black_box(rows);
+                    t.elapsed().as_nanos() as f64 / INDEX_PROBES as f64
+                })
+                .collect();
+            rounds.sort_by(f64::total_cmp);
+            rounds[INDEX_ROUNDS / 2]
+        };
+        let (probe_cold_ns, probe_hot_ns) = (ns_per_probe(&keys), ns_per_probe(&hot));
+
+        // The same write to the bare and to the indexed version, alternately,
+        // so each pair sees the same machine.
+        let callee = 1_000_000; // no generated call has this callee
+        let mut writes = [Vec::new(), Vec::new()];
+        for _ in 0..INDEX_FORKS {
+            let [caller, day] = random_key();
+            let call = tuple![caller, day, callee, 42];
+            for (base, times) in [&bare, idb.database()].into_iter().zip(&mut writes) {
+                let t = Instant::now();
+                let mut version = base.clone();
+                version.insert("calls", call.clone()).expect("a new call");
+                drop(version);
+                times.push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        let median = |mut times: Vec<f64>| {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        };
+        let [bare_us, indexed_us] = writes;
+        let forks = indexed_us
+            .iter()
+            .zip(&bare_us)
+            .map(|(i, b)| i - b)
+            .collect();
+        IndexResult {
+            probe_cold_ns,
+            probe_hot_ns,
+            write_fork_us: median(forks),
+            write_us: median(indexed_us),
+            heap_bytes,
+            row_id_bytes,
+        }
+    }
+
+    /// Everything `harness plan` measures, and its JSON.
+    pub struct PlanReport {
+        pub results: Vec<PlanCaseResult>,
+        pub parallel: Vec<ParallelResult>,
+        pub prepared: Vec<PreparedResult>,
+        pub write_path: Vec<WritePathResult>,
+        pub index: IndexResult,
+        pub guard: GuardOverhead,
+        pub guard_stats: bqr_plan::GuardStats,
+        pub json: String,
+    }
+
     /// Run every case (serial comparison, 1/2/4-shard parallel rows on the
     /// largest workload, the prepared cold-vs-warm rows, the write-path
-    /// delta-vs-rebuild rows, and the guard-overhead comparison plus counter
-    /// exercise) and render the machine-readable report committed as
-    /// `BENCH_plan.json`.
-    #[allow(clippy::type_complexity)]
-    pub fn report() -> (
-        Vec<PlanCaseResult>,
-        Vec<ParallelResult>,
-        Vec<PreparedResult>,
-        Vec<WritePathResult>,
-        GuardOverhead,
-        bqr_plan::GuardStats,
-        String,
-    ) {
+    /// delta-vs-rebuild rows, the constraint-index rows, and the
+    /// guard-overhead comparison plus counter exercise) and render the
+    /// machine-readable report committed as `BENCH_plan.json`.
+    pub fn report() -> PlanReport {
         let cases = cases();
         let results: Vec<PlanCaseResult> = cases.iter().map(run_case).collect();
         let largest = cases
@@ -1629,10 +1775,31 @@ pub mod plan_bench {
                 if i + 1 < write_path.len() { "," } else { "" }
             ));
         }
+        let index = run_index();
+        json.push_str(&format!(
+            "  ],\n  \"index\": {{\n    \"rows\": [\n      {{\"name\": \"cdr_calls_probe_cold\", \"unit\": \"ns\", \"value\": {:.1}, \"keys\": {INDEX_PROBES}}},\n      {{\"name\": \"cdr_calls_probe_hot\", \"unit\": \"ns\", \"value\": {:.1}}},\n      {{\"name\": \"cdr_calls_write_fork\", \"unit\": \"us\", \"value\": {:.2}, \"max\": {WRITE_FORK_MAX_US:.1}, \"write_us\": {:.2}}},\n      {{\"name\": \"cdr_index_heap_mb\", \"unit\": \"MB\", \"value\": {:.3}, \"max\": {:.3}, \"row_ids_mb\": {:.3}}}\n    ],\n    \"heap_bytes\": [\n",
+            index.probe_cold_ns,
+            index.probe_hot_ns,
+            index.write_fork_us,
+            index.write_us,
+            index.heap_mb(),
+            index.heap_max_mb(),
+            index.row_id_bytes as f64 / 1e6,
+        ));
+        for (i, (constraint, bytes)) in index.heap_bytes.iter().enumerate() {
+            let comma = if i + 1 < index.heap_bytes.len() {
+                ","
+            } else {
+                ""
+            };
+            json.push_str(&format!(
+                "      {{\"constraint\": \"{constraint}\", \"bytes\": {bytes}}}{comma}\n"
+            ));
+        }
         let overhead = run_guard_overhead();
         let guard_stats = guard_stats_exercise();
         json.push_str(&format!(
-            "  ],\n  \"guard\": {{\n    \"overhead\": {{\"name\": \"{}\", \"repeats\": {}, \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"ratio\": {:.3}, \"max_ratio\": {:.2}}},\n    \"stats_exercise\": {{\"cancellations\": {}, \"deadline_trips\": {}, \"memory_trips\": {}, \"fetch_trips\": {}, \"panics_contained\": {}, \"serial_fallbacks\": {}}}\n  }}\n}}\n",
+            "    ]\n  }},\n  \"guard\": {{\n    \"overhead\": {{\"name\": \"{}\", \"repeats\": {}, \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"ratio\": {:.3}, \"max_ratio\": {:.2}}},\n    \"stats_exercise\": {{\"cancellations\": {}, \"deadline_trips\": {}, \"memory_trips\": {}, \"fetch_trips\": {}, \"panics_contained\": {}, \"serial_fallbacks\": {}}}\n  }}\n}}\n",
             overhead.name,
             overhead.repeats,
             overhead.disabled_ms,
@@ -1646,15 +1813,16 @@ pub mod plan_bench {
             guard_stats.panics_contained,
             guard_stats.serial_fallbacks,
         ));
-        (
+        PlanReport {
             results,
             parallel,
             prepared,
             write_path,
-            overhead,
+            index,
+            guard: overhead,
             guard_stats,
             json,
-        )
+        }
     }
 }
 

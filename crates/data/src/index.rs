@@ -3,11 +3,13 @@
 //! Each access constraint `R(X → Y, N)` comes with an index that, given an
 //! `X`-value `ā`, returns `D_{R:XY}(X = ā)` — the `X∪Y` projections of the
 //! tuples of `R` matching `ā` — in time `O(N)`.  [`InternedAccessIndex`] is
-//! the one hash index realising that contract, keyed and valued by interned
-//! ids only, and [`IndexedDatabase`] bundles a [`Database`] with one such
-//! index per constraint of an [`AccessSchema`], which is what bounded query
-//! plans execute against.  Each is one more index its [`Relation`] carries
-//! through every write, built like a keyed one ([`Relation::keyed_index`]).
+//! the one index realising that contract: keyed and valued by interned ids
+//! only, its keys hashed to one of 256 shards and binary-searched there, each
+//! shard three flat sorted arrays.  [`IndexedDatabase`] bundles a
+//! [`Database`] with one such index per constraint of an [`AccessSchema`],
+//! which is what bounded query plans execute against.  Each is one more
+//! index its [`Relation`] carries through every write, built like a keyed
+//! one ([`Relation::keyed_index`]).
 
 use crate::access::{AccessConstraint, AccessSchema};
 use crate::database::Database;
@@ -20,14 +22,26 @@ use crate::stats::FetchStats;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Fan-out of the sharded group maps: every index has this many shard
-/// slots, however small the relation, so a key's shard never moves between
-/// versions.  Only the slots some key lands in hold a map.
+/// Fan-out of the sharded groups: every index has this many shard slots,
+/// however small the relation, so a key's shard never moves between
+/// versions.  Only the slots some key lands in hold a shard.
 const SHARDS: usize = 256;
+
+/// Shard slots per page.  An index keeps its slots in `SHARDS / PAGE`
+/// copy-on-write pages, so the clone a write makes of an index copies 16
+/// page pointers, and the write forks one page of 16 slots — not 256 slot
+/// pointers, each a reference count on a cache line of its own.
+const PAGE: usize = 16;
+
+/// One page of shard slots.
+type Page = [Option<Arc<Shard>>; PAGE];
 
 /// The shard a key lives in.  Deterministic, so an index and every version
 /// patched from it agree on the placement.
@@ -37,10 +51,10 @@ fn shard_of<T: Hash>(key: &[T]) -> usize {
     (hasher.0 >> 32) as usize % SHARDS
 }
 
-/// A multiply-rotate hash: a few cycles per word where the maps' own SipHash
-/// takes tens of nanoseconds, which would double the cost of a probe.  It
-/// only spreads keys over shards — a skewed spread costs sharing, never
-/// correctness — so it need not resist crafted keys.
+/// A multiply-rotate hash: a few cycles per word where SipHash takes tens of
+/// nanoseconds, which would double the cost of a probe.  It only spreads
+/// keys over shards — a skewed spread costs sharing, never correctness — so
+/// it need not resist crafted keys.
 struct ShardHasher(u64);
 
 impl Hasher for ShardHasher {
@@ -67,20 +81,121 @@ impl Hasher for ShardHasher {
     }
 }
 
-/// One shard of an [`InternedAccessIndex`]: interned key → the group's
-/// rows, flat and row-major.
-type IdShard = HashMap<Vec<ValueId>, Box<[ValueId]>>;
+/// One shard of an [`InternedAccessIndex`]: the groups of the keys that hash
+/// here, in ascending key order, as three flat arrays — no allocation per
+/// key or per group, so copying a shard is three copies.
+#[derive(Debug, PartialEq, Eq)]
+struct Shard {
+    /// The keys, `key_len` ids each, ascending by id.
+    keys: Vec<ValueId>,
+    /// Row offsets into `rows`, one per key and a last one past the end:
+    /// key `i`'s group is rows `starts[i]..starts[i + 1]`.
+    starts: Vec<u32>,
+    /// The groups back to back, row-major, each one's rows in ascending id
+    /// order.
+    rows: Vec<ValueId>,
+}
 
-/// The source counts beside one [`IdShard`]: each row of its groups that
-/// more than one source tuple projects to, with that number (≥ 2).  A row a
-/// group holds and this map does not has exactly one source.
+/// The source counts beside one [`Shard`]: each row of its groups that more
+/// than one source tuple projects to, with that number (≥ 2).  A row a group
+/// holds and this map does not has exactly one source.
 type SourceShard = HashMap<Box<[ValueId]>, usize>;
 
-/// An id-native hash index: probing with an interned key returns the whole
-/// group under it as a flat row-major id slice, rows in ascending id order —
-/// a canonical order, so a patched index equals a rebuilt one.  One
-/// structure and one builder, over a layout, serve both things indexed
-/// this way:
+/// `old` with `at` replaced by `with`, allocated at exactly its new length.
+fn spliced<T: Copy>(old: &[T], at: Range<usize>, with: &[T]) -> Vec<T> {
+    [&old[..at.start], with, &old[at.end..]].concat()
+}
+
+/// One row into or out of a shard, as the splices that make it — with its
+/// key when the row is its group's first or last.
+struct Edit<'a> {
+    /// The key's position; `starts[..=at]` stay.
+    at: usize,
+    /// Where the old offsets resume, each shifted by one row: `at` when the
+    /// key enters, `at + 1` when it stays, `at + 2` when it leaves.
+    from: usize,
+    /// The ids of `keys` replaced, and their replacement; likewise `rows`.
+    keys: (Range<usize>, &'a [ValueId]),
+    rows: (Range<usize>, &'a [ValueId]),
+    /// A row enters (later offsets move up) or leaves (down).
+    insert: bool,
+}
+
+impl Edit<'_> {
+    fn shift(&self, start: u32) -> u32 {
+        if self.insert {
+            start + 1
+        } else {
+            start - 1
+        }
+    }
+}
+
+impl Shard {
+    /// A shard with room for exactly `keys` keys of `key_ids` ids in all,
+    /// and `row_ids` ids of rows.
+    fn with_capacity(key_ids: usize, keys: usize, row_ids: usize) -> Self {
+        let mut starts = Vec::with_capacity(keys + 1);
+        starts.push(0);
+        let (keys, rows) = (Vec::with_capacity(key_ids), Vec::with_capacity(row_ids));
+        Shard { keys, starts, rows }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Where `key` is, or would go, among the keys: a binary search.
+    fn find(&self, key: &[ValueId]) -> std::result::Result<usize, usize> {
+        let (k, mut lo, mut hi) = (key.len(), 0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.keys[mid * k..][..k].cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// Key `i`'s group, as a range of rows.
+    fn group(&self, i: usize) -> Range<usize> {
+        self.starts[i] as usize..self.starts[i + 1] as usize
+    }
+
+    /// This shard after `edit`, built at exactly its new size, for a shard
+    /// another version shares and keeps as it is.
+    fn edited(&self, edit: &Edit) -> Shard {
+        let (kept, shifted) = (&self.starts[..=edit.at], &self.starts[edit.from..]);
+        let mut starts = Vec::with_capacity(kept.len() + shifted.len());
+        starts.extend_from_slice(kept);
+        starts.extend(shifted.iter().map(|&s| edit.shift(s)));
+        let keys = spliced(&self.keys, edit.keys.0.clone(), edit.keys.1);
+        let rows = spliced(&self.rows, edit.rows.0.clone(), edit.rows.1);
+        Shard { keys, starts, rows }
+    }
+
+    /// Apply `edit` in place, to a shard this version owns.
+    fn edit(&mut self, edit: &Edit) {
+        let (keys, rows, at) = (&edit.keys, &edit.rows, edit.at);
+        self.keys.splice(keys.0.clone(), keys.1.iter().copied());
+        self.rows.splice(rows.0.clone(), rows.1.iter().copied());
+        match edit.from.cmp(&(at + 1)) {
+            Ordering::Less => self.starts.insert(at + 1, self.starts[at]),
+            Ordering::Greater => drop(self.starts.remove(at + 1)),
+            Ordering::Equal => {}
+        }
+        for start in &mut self.starts[at + 1..] {
+            *start = edit.shift(*start);
+        }
+    }
+}
+
+/// An id-native index: probing with an interned key returns the whole group
+/// under it as a flat row-major id slice, rows in ascending id order — a
+/// canonical order, so a patched index equals a rebuilt one.  One structure
+/// and one builder, over a layout, serve both things indexed this way:
 ///
 /// * an access constraint ([`IndexedDatabase::index`]): a row is a tuple's
 ///   `X ∪ Y` projection, its key the row's first `|X|` ids, a group
@@ -91,6 +206,12 @@ type SourceShard = HashMap<Box<[ValueId]>, usize>;
 ///   ([`Relation::keyed_index`]): a row is the whole tuple.  This is what
 ///   view maintenance probes, and the executor on a view extent.
 ///
+/// A key hashes to one of 256 shards, and a shard is three flat arrays —
+/// its keys in ascending id order, one row offset per key, and the groups
+/// back to back — so a probe is a hash and a binary search over ids, and
+/// the index is its ids plus four bytes per key, with no allocation per key
+/// or per group.
+///
 /// A group holds each projection once, however many source tuples project
 /// to it.  What keeps removals patchable is counted *beside* the groups, in
 /// a map sharded like them: a projection with several sources has an entry
@@ -99,18 +220,22 @@ type SourceShard = HashMap<Box<[ValueId]>, usize>;
 /// never sees the counts; and the map is empty wherever `X ∪ Y` covers the
 /// relation — every keyed index, since a relation's tuples are a set.
 ///
-/// Sharded by the hash of the interned key, so a successor version shares
-/// every shard its delta did not touch.
+/// Shards are copy-on-write: a successor version shares every shard its
+/// delta did not touch, and a write copies the one shard it touches (and
+/// the page of 16 slots that points to it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedAccessIndex {
     /// Ids per row — always ≥ 1 (constraints require a non-empty `Y`, keyed
     /// indexes a non-nullary relation).
     arity: usize,
-    /// `None` for a shard holding no group: a small relation's index
-    /// allocates only the shards its keys land in.  A shard a patch empties
-    /// goes back to `None`, so a patched index equals a rebuilt one.
-    shards: Vec<Option<Arc<IdShard>>>,
-    /// The source counts of `shards[i]`'s groups, copy-on-write like them,
+    /// Ids per key: `|X|`, or the number of key positions; 0 for `X = ∅`.
+    key_len: usize,
+    /// The shard slots, [`PAGE`] to a page: `None` for a shard holding no
+    /// group, so a small relation's index allocates only the shards its
+    /// keys land in.  A shard a patch empties goes back to `None`, so a
+    /// patched index equals a rebuilt one.
+    pages: [Arc<Page>; SHARDS / PAGE],
+    /// The source counts of shard `i`'s groups, copy-on-write like them,
     /// `None` where there are none — and behind one more `Arc`, so cloning
     /// an index whose counts no write moves (every keyed index, every
     /// constraint whose `X ∪ Y` covers its relation) copies one pointer for
@@ -126,13 +251,6 @@ pub struct InternedAccessIndex {
 /// if it is shared.
 fn make_mut<T: Clone + Default>(slot: &mut Option<Arc<T>>) -> &mut T {
     Arc::make_mut(slot.get_or_insert_with(Arc::default))
-}
-
-/// Give back a slot whose map a removal emptied.
-fn release_if_empty<K, V>(slot: &mut Option<Arc<HashMap<K, V>>>) {
-    if slot.as_ref().is_some_and(|map| map.is_empty()) {
-        *slot = None;
-    }
 }
 
 /// True when two slots are the same allocation, or both unallocated.
@@ -191,11 +309,13 @@ impl InternedAccessIndex {
     /// row of every stored id tuple — interned when it was inserted, so
     /// nothing is interned here — into a flat buffer; sorting the rows by
     /// key, then by row, cuts the buffer into key groups in ascending id
-    /// order with duplicate projections adjacent, so each key costs one key
-    /// and one group allocation, a row none, and a projection with several
-    /// sources one count.
+    /// order with duplicate projections adjacent.  So the groups arrive in
+    /// key order and each is appended to its shard's arrays as it comes —
+    /// sized exactly by a first pass that only counts — and a projection
+    /// with several sources costs one count.
     pub(crate) fn from_relation(relation: &Relation, layout: &Layout) -> Self {
         let (arity, key_in_row) = (layout.row.len(), &layout.key[..]);
+        let key_len = key_in_row.len();
         let mut flat = Vec::with_capacity(relation.len() * arity);
         for tuple in relation.iter() {
             flat.extend(layout.row.iter().map(|&p| tuple.ids()[p]));
@@ -207,67 +327,80 @@ impl InternedAccessIndex {
         });
         let same_key =
             |a: &&[ValueId], b: &&[ValueId]| key_of(a, key_in_row).eq(key_of(b, key_in_row));
-        let keys = rows.chunk_by(same_key).count();
-        let mut shards: Vec<Option<IdShard>> = vec![None; SHARDS];
-        let mut sources: Vec<Option<SourceShard>> = vec![None; SHARDS];
-        let mut total = 0;
+        let shard_of_group =
+            |group: &[&[ValueId]]| shard_of(&key_of(group[0], key_in_row).collect::<Vec<_>>());
+        let mut sizes = [(0, 0); SHARDS];
         for group in rows.chunk_by(same_key) {
-            let key: Vec<ValueId> = key_of(group[0], key_in_row).collect();
-            let shard = shard_of(&key);
-            let mut ids = Vec::with_capacity(group.len() * arity);
+            let size = &mut sizes[shard_of_group(group)];
+            *size = (size.0 + 1, size.1 + group.chunk_by(|a, b| a == b).count());
+        }
+        let mut shards: Vec<Shard> = sizes
+            .iter()
+            .map(|&(keys, rows)| Shard::with_capacity(keys * key_len, keys, rows * arity))
+            .collect();
+        let mut sources: Vec<Option<Arc<SourceShard>>> = vec![None; SHARDS];
+        let mut group_rows = Vec::new();
+        for group in rows.chunk_by(same_key) {
+            let shard = shard_of_group(group);
+            group_rows.clear();
             for copies in group.chunk_by(|a, b| a == b) {
-                ids.extend_from_slice(copies[0]);
+                group_rows.extend_from_slice(copies[0]);
                 if copies.len() > 1 {
-                    let counts = sources[shard].get_or_insert_with(SourceShard::new);
-                    counts.insert(copies[0].into(), copies.len());
+                    make_mut(&mut sources[shard]).insert(copies[0].into(), copies.len());
                 }
             }
-            total += ids.len() / arity;
-            let groups = shards[shard].get_or_insert_with(|| IdShard::with_capacity(keys / SHARDS));
-            groups.insert(key, ids.into());
+            let shard = &mut shards[shard];
+            shard.keys.extend(key_of(group[0], key_in_row));
+            shard.rows.extend_from_slice(&group_rows);
+            let rows = u32::try_from(shard.rows.len() / arity);
+            shard
+                .starts
+                .push(rows.expect("a shard holds fewer than 2^32 rows"));
         }
+        let (keys, rows) = sizes.iter().fold((0, 0), |(k, r), s| (k + s.0, r + s.1));
+        let mut slots: Vec<_> = shards
+            .into_iter()
+            .map(|s| (s.len() > 0).then(|| Arc::new(s)))
+            .collect();
+        let page = |p: usize| Arc::new(std::array::from_fn(|i| slots[p * PAGE + i].take()));
         InternedAccessIndex {
             arity,
-            shards: shards.into_iter().map(|s| s.map(Arc::new)).collect(),
-            sources: Arc::new(sources.into_iter().map(|s| s.map(Arc::new)).collect()),
+            key_len,
+            pages: std::array::from_fn(page),
+            sources: Arc::new(sources),
             keys,
-            rows: total,
+            rows,
         }
-    }
-
-    /// Replace (or, with `None`, drop) the group under `key`, forking the
-    /// one shard it lives in if that shard is still shared.
-    fn replace_group(&mut self, key: Vec<ValueId>, group: Option<Box<[ValueId]>>) {
-        let slot = &mut self.shards[shard_of(&key)];
-        let new_rows = group.as_ref().map(|rows| rows.len() / self.arity);
-        let old = match group {
-            Some(rows) => make_mut(slot).insert(key, rows),
-            None => {
-                let old = make_mut(slot).remove(&key);
-                release_if_empty(slot);
-                old
-            }
-        };
-        let old_rows = old.as_ref().map(|rows| rows.len() / self.arity);
-        self.rows = self.rows + new_rows.unwrap_or(0) - old_rows.unwrap_or(0);
-        self.keys = self.keys + usize::from(new_rows.is_some()) - usize::from(old_rows.is_some());
     }
 
     /// Count one more (`insert`) or one fewer source tuple projecting to
     /// `row` under `key`.  The row enters its group, in id order, with its
     /// first source and leaves with its last — the key with its last row;
     /// in between only its count beside the group moves; a removal of a row
-    /// the group does not hold changes nothing.  Forks at most one shard of
-    /// the groups or of the counts; `O(|group|)`.
+    /// the group does not hold changes nothing.  Copies at most one shard
+    /// of the groups or of the counts — at exactly its new size when
+    /// another version shares it, in place when this version owns it — so
+    /// `O(|shard|)`.
     pub(crate) fn patch(&mut self, key: Vec<ValueId>, row: &[ValueId], insert: bool) {
-        let shard = shard_of(&key);
-        let group: Vec<&[ValueId]> = self.probe(&key).chunks_exact(self.arity).collect();
+        let (arity, k, shard) = (self.arity, key.len(), shard_of(&key));
+        let held = self.slot(shard).as_deref();
+        let at = held.map_or(Err(0), |s| s.find(&key));
+        let group = match (held, at) {
+            (Some(s), Ok(at)) => s.group(at),
+            (Some(s), Err(at)) => s.starts[at] as usize..s.starts[at] as usize,
+            (None, _) => 0..0,
+        };
+        let rows = held.map_or(&[][..], |s| &s.rows[group.start * arity..group.end * arity]);
+        let found = rows
+            .chunks_exact(arity)
+            .collect::<Vec<_>>()
+            .binary_search(&row);
         let counts = self.sources[shard].as_deref();
         let count = counts.and_then(|c| c.get(row)).copied().unwrap_or(1);
-        let rows = match (group.binary_search(&row), insert) {
+        let (r, enters, leaves) = match (found, insert) {
             (Err(_), false) => return,
-            (Err(at), true) => [&group[..at], &[row], &group[at..]].concat(),
-            (Ok(at), false) if count == 1 => [&group[..at], &group[at + 1..]].concat(),
+            (Err(r), true) => (r, at.is_err(), false),
+            (Ok(r), false) if count == 1 => (r, false, group.len() == 1),
             (Ok(_), _) => {
                 // Another source projects to the row too: it stays put.
                 let count = if insert { count + 1 } else { count - 1 };
@@ -276,12 +409,44 @@ impl InternedAccessIndex {
                     1 => make_mut(slot).remove(row),
                     _ => make_mut(slot).insert(row.into(), count),
                 };
-                release_if_empty(slot);
+                if slot.as_ref().is_some_and(|counts| counts.is_empty()) {
+                    *slot = None;
+                }
                 return;
             }
         };
-        let group = (!rows.is_empty()).then(|| rows.concat().into());
-        self.replace_group(key, group);
+        let (at, row_at) = (at.unwrap_or_else(|at| at), (group.start + r) * arity);
+        let edit = Edit {
+            at,
+            from: at + 1 + usize::from(leaves) - usize::from(enters),
+            keys: (
+                at * k..(at + usize::from(leaves)) * k,
+                if enters { &key } else { &[] },
+            ),
+            rows: (
+                row_at..row_at + usize::from(!insert) * arity,
+                if insert { row } else { &[] },
+            ),
+            insert,
+        };
+        let slot = &mut Arc::make_mut(&mut self.pages[shard / PAGE])[shard % PAGE];
+        match slot.as_mut().and_then(Arc::get_mut) {
+            Some(owned) => owned.edit(&edit),
+            None => {
+                let empty = Shard::with_capacity(0, 0, 0);
+                *slot = Some(Arc::new(slot.as_deref().unwrap_or(&empty).edited(&edit)));
+            }
+        }
+        if slot.as_deref().is_some_and(|s| s.len() == 0) {
+            *slot = None;
+        }
+        self.rows = if insert { self.rows + 1 } else { self.rows - 1 };
+        self.keys = self.keys + usize::from(enters) - usize::from(leaves);
+    }
+
+    /// The slot of shard `shard`.
+    fn slot(&self, shard: usize) -> &Option<Arc<Shard>> {
+        &self.pages[shard / PAGE][shard % PAGE]
     }
 
     /// Arity of the returned rows (`|X ∪ Y|`, or the relation's arity).
@@ -290,14 +455,21 @@ impl InternedAccessIndex {
     }
 
     /// Retrieve the group under `key` as a flat id slice of `n · arity()`
-    /// ids (`n` tuples, in ascending id order).  Empty for absent keys.
+    /// ids (`n` tuples, in ascending id order).  Empty for absent keys, and
+    /// for a key of another length than the index's.
     pub fn probe(&self, key: &[ValueId]) -> &[ValueId] {
-        match self.shards[shard_of(key)]
-            .as_deref()
-            .and_then(|s| s.get(key))
-        {
-            Some(rows) => rows,
-            None => &[],
+        if key.len() != self.key_len {
+            return &[];
+        }
+        let Some(shard) = self.slot(shard_of(key)).as_deref() else {
+            return &[];
+        };
+        match shard.find(key) {
+            Ok(at) => {
+                let group = shard.group(at);
+                &shard.rows[group.start * self.arity..group.end * self.arity]
+            }
+            Err(_) => &[],
         }
     }
 
@@ -331,13 +503,39 @@ impl InternedAccessIndex {
         self.rows.div_ceil(self.keys.max(1)).max(1)
     }
 
+    /// The bytes this index holds on the heap: its ids (keys and rows), the
+    /// row offsets, the shard headers and slots, and the source counts —
+    /// their rows exactly, their hash maps estimated as one entry and one
+    /// control byte per unit of capacity.  Shards and counts a version
+    /// shares with another are counted in full by each.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = self.pages.iter().flat_map(|page| page.iter().flatten());
+        let shard = |s: &Shard| {
+            let ids = s.keys.capacity() + s.rows.capacity() + s.starts.capacity();
+            2 * size_of::<usize>() + size_of::<Shard>() + 4 * ids
+        };
+        let shards: usize = slots.map(|s| shard(s)).sum();
+        let entry = size_of::<(Box<[ValueId]>, usize)>() + 1;
+        let counts = |map: &SourceShard| {
+            2 * size_of::<usize>()
+                + size_of::<SourceShard>()
+                + map.capacity() * entry
+                + map.len() * self.arity * size_of::<ValueId>()
+        };
+        let sources: usize = self.sources.iter().flatten().map(|m| counts(m)).sum();
+        let pages = self.pages.len() * (2 * size_of::<usize>() + size_of::<Page>());
+        let counts = 2 * size_of::<usize>()
+            + self.sources.capacity() * size_of::<Option<Arc<SourceShard>>>();
+        pages + counts + shards + sources
+    }
+
     /// How many shards — groups and counts alike — are the same allocation
     /// as `other`'s in the same position, or unallocated in both (out of
     /// [`InternedAccessIndex::shard_count`]): what a patched version still
     /// shares with its predecessor.
     pub fn shared_shards(&self, other: &InternedAccessIndex) -> usize {
         let shared = |i: &usize| {
-            same_slot(&self.shards[*i], &other.shards[*i])
+            same_slot(self.slot(*i), other.slot(*i))
                 && same_slot(&self.sources[*i], &other.sources[*i])
         };
         (0..SHARDS).filter(shared).count()
@@ -345,15 +543,25 @@ impl InternedAccessIndex {
 
     /// The fixed number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        SHARDS
+    }
+
+    /// The keys shard `shard` holds, in its (ascending id) order — where
+    /// the groups sit, exposed for the differential tests.
+    pub fn shard_keys(&self, shard: usize) -> impl Iterator<Item = &[ValueId]> {
+        let held = (shard < SHARDS).then(|| self.slot(shard).as_deref());
+        let (held, k) = (held.flatten(), self.key_len);
+        let keys = held.map(|s| (0..s.len()).map(move |i| &s.keys[i * k..][..k]));
+        keys.into_iter().flatten()
     }
 
     /// Vectorised probe: look up a whole batch of keys (`n_keys` keys stored
     /// contiguously in `keys_flat`, each of `keys_flat.len() / n_keys` ids)
     /// and append every matching `X ∪ Y` row to `out`, recording each probe
     /// in `stats` exactly as `n_keys` successive [`InternedAccessIndex::probe`]
-    /// calls would — one `fetch_call` per key, one fetched tuple per matching
-    /// row, in batch order.  Returns the number of rows appended.
+    /// calls would — one `fetch_call` per key (also for `X = ∅`, whose every
+    /// key is the empty one), one fetched tuple per matching row, in batch
+    /// order.  Returns the number of rows appended.
     pub fn probe_batch(
         &self,
         keys_flat: &[ValueId],
@@ -362,25 +570,12 @@ impl InternedAccessIndex {
         stats: &mut FetchStats,
     ) -> usize {
         let before = out.len();
-        if n_keys == 0 {
-            return 0;
-        }
-        let key_len = keys_flat.len() / n_keys;
+        let key_len = keys_flat.len().checked_div(n_keys).unwrap_or(0);
         debug_assert_eq!(keys_flat.len(), key_len * n_keys);
-        if key_len == 0 {
-            // X = ∅: every "key" is the empty tuple; probe it once per key so
-            // the per-probe accounting matches the scalar path.
-            for _ in 0..n_keys {
-                let rows = self.probe(&[]);
-                stats.record_fetch(rows.len() / self.arity);
-                out.extend_from_slice(rows);
-            }
-        } else {
-            for key in keys_flat.chunks_exact(key_len) {
-                let rows = self.probe(key);
-                stats.record_fetch(rows.len() / self.arity);
-                out.extend_from_slice(rows);
-            }
+        for i in 0..n_keys {
+            let rows = self.probe(&keys_flat[i * key_len..(i + 1) * key_len]);
+            stats.record_fetch(rows.len() / self.arity);
+            out.extend_from_slice(rows);
         }
         (out.len() - before) / self.arity
     }
@@ -1068,6 +1263,37 @@ mod tests {
             .apply_delta(replaced.database().clone(), &log)
             .unwrap();
         assert!(same_index(&again, &replaced, 1));
+    }
+
+    #[test]
+    fn heap_bytes_counts_ids_offsets_headers_and_source_counts() {
+        // Slots: 16 pages of 16 shard pointers, each in an `Arc`, and 256
+        // count pointers in one more.
+        let slots = 16 * (16 + 16 * 8) + 16 + 256 * 8;
+        // One shard — an `Arc` (16) around three vectors (72) — per key.
+        let shard = |key_ids: usize, keys: usize, row_ids: usize| {
+            16 + 72 + 4 * (key_ids + keys + 1 + row_ids)
+        };
+
+        // `X = ∅`: the one (empty) key, two rows of one id.
+        let schema = DatabaseSchema::with_relations(&[("r01", &["a"])]).unwrap();
+        let mut db = Database::empty(schema);
+        db.insert("r01", tuple![0]).unwrap();
+        db.insert("r01", tuple![1]).unwrap();
+        let c = AccessConstraint::new("r01", &[], &["a"], 2).unwrap();
+        let idb = IndexedDatabase::build(db, AccessSchema::new(vec![c])).unwrap();
+        assert_eq!(shard(0, 1, 2), 104);
+        assert_eq!(idb.index(0).unwrap().heap_bytes(), slots + 104);
+
+        // `like(pid → id)`: one key, rows (1, 10) and (1, 11), and (1, 10)
+        // counted beside them — a map of capacity 3, one boxed row.
+        let (db, access) = likes();
+        let idb = IndexedDatabase::build(db, access).unwrap();
+        let index = idb.index(0).unwrap();
+        let entry = size_of::<(Box<[ValueId]>, usize)>() + 1;
+        let counts = 16 + size_of::<SourceShard>() + 3 * entry + 2 * 4;
+        assert_eq!(shard(1, 1, 4), 116);
+        assert_eq!(index.heap_bytes(), slots + 116 + counts);
     }
 
     #[test]

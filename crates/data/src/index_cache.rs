@@ -1,8 +1,8 @@
-//! Cached per-access-pattern hash indexes over relation versions.
+//! Cached per-access-pattern indexes over relation versions.
 //!
 //! Every hot path of the reproduction — homomorphism search, CQ containment
 //! (thousands of Chandra–Merlin tests against the same canonical instance),
-//! naive `Q(D)` evaluation — probes relations through a hash index keyed on
+//! naive `Q(D)` evaluation — probes relations through an index keyed on
 //! some subset of attribute positions.  Building such an index is `O(|R|)`;
 //! before this module existed it was rebuilt on *every* call, so a workload
 //! of repeated containment checks paid index construction thousands of times

@@ -138,9 +138,19 @@ impl Chunks {
             self.chunks.push(Arc::new(row.to_vec()));
             return;
         }
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk.extend_from_slice(row);
-        chunk[pos * arity..].rotate_right(arity);
+        let (slot, at) = (&mut self.chunks[ci], pos * arity);
+        let chunk = match Arc::get_mut(slot) {
+            Some(chunk) => {
+                chunk.splice(at..at, row.iter().copied());
+                chunk
+            }
+            // Shared with another version: the successor chunk is one copy,
+            // at exactly its new length — not a clone grown to twice that.
+            None => {
+                *slot = Arc::new([&slot[..at], row, &slot[at..]].concat());
+                Arc::make_mut(slot)
+            }
+        };
         let rows = rows_in(arity, chunk);
         if rows > CHUNK_MAX {
             let tail = chunk.split_off(rows / 2 * arity);
@@ -248,7 +258,7 @@ impl ExactSizeIterator for Iter<'_> {}
 /// semantics and deterministic (sorted) iteration order.
 ///
 /// Each instance carries an *epoch*: a globally unique stamp refreshed on
-/// every content mutation.  Derived structures (hash indexes, statistics) can
+/// every content mutation.  Derived structures (indexes, statistics) can
 /// therefore be cached under the epoch and are implicitly invalidated the
 /// moment the relation changes.  Clones share the epoch of their source —
 /// sound, because a clone has identical contents until it is itself mutated
@@ -421,9 +431,9 @@ impl Relation {
     }
 
     /// Take the indexes along across a write of `row`: it is made `present`
-    /// in, or absent from, every index this version inherited — one forked
-    /// shard each, so `O(#shards + |groups| / #shards)` per index, whether
-    /// or not anything is about to probe it.  Runs before the write touches
+    /// in, or absent from, every index this version inherited — one copied
+    /// shard each, so `O(|R| / #shards)` ids per index, whether or not
+    /// anything is about to probe it.  Runs before the write touches
     /// anything else, so a fault here leaves the instance as it was.
     ///
     /// An active [`crate::faults::sites::KEYED_CARRY`] `Error` fault drops
@@ -534,17 +544,19 @@ impl Relation {
         self.tuples.chunks.iter().filter(shared).count()
     }
 
-    /// The hash index of this version's tuples on `positions`: probing it
-    /// with the interned values of those positions returns every matching
-    /// tuple, whole, as flat id rows.  Built on the first request — one
-    /// `O(|R|)` pass over the stored id rows, interning nothing — and kept in the
-    /// version's own cell: every unmutated clone serves the same `Arc`, and
-    /// a mutated clone takes a patched copy along (see [`Relation`]), so a
-    /// relation is indexed once per key, not once per version.  View
-    /// maintenance probes base relations this way, and the plan executor a
-    /// view extent under an equi-join — its build side, kept instead of
-    /// rebuilt per read.  An index costs memory of the order of the relation
-    /// for as long as a version holds it, and one forked shard per write.
+    /// The index of this version's tuples on `positions`: probing it with
+    /// the interned values of those positions returns every matching tuple,
+    /// whole, as flat id rows — a hash to one of 256 shards and a binary
+    /// search over the shard's sorted keys ([`InternedAccessIndex`]).  Built
+    /// on the first request — one `O(|R|)` pass over the stored id rows,
+    /// interning nothing — and kept in the version's own cell: every
+    /// unmutated clone serves the same `Arc`, and a mutated clone takes a
+    /// patched copy along (see [`Relation`]), so a relation is indexed once
+    /// per key, not once per version.  View maintenance probes base
+    /// relations this way, and the plan executor a view extent under an
+    /// equi-join — its build side, kept instead of rebuilt per read.  An
+    /// index costs memory of the order of the relation for as long as a
+    /// version holds it, and one copied shard per write.
     ///
     /// Fails with [`DataError::IndexPositions`] for a position outside the
     /// schema, or any positions on a nullary relation; and with an injected

@@ -120,17 +120,19 @@
 //!   fixed by the view's syntax, each served by the relation version itself
 //!   — a binary-searched run of its sorted storage when the bound positions
 //!   lead the schema ([`data::Relation::prefix_range`]), otherwise a keyed
-//!   hash index ([`data::Relation::keyed_index`]) that the first write to
+//!   index ([`data::Relation::keyed_index`]) that the first write to
 //!   need it builds (`O(|R|)`, once) and every later write to the relation
 //!   carries forward.  Nothing is planned, compiled, interned or indexed per
 //!   write.  The same plans with no seed — a filtered scan, then probes —
 //!   materialise a view on attach.
 //! * **Indexes belong to their relation.**  An access constraint's index is
 //!   one more index the relation carries, beside its keyed ones, and every
-//!   `insert` / `remove` patches all of them — inserts *and* removals: the
-//!   group map is cut into shards by the hash of the key, a successor
-//!   shares every shard its writes do not land in, and groups are kept in
-//!   sorted order so a patched index is bit-identical to a rebuilt one.
+//!   `insert` / `remove` patches all of them — inserts *and* removals: keys
+//!   are spread over 256 shards by their hash, each shard three flat arrays
+//!   (its keys in ascending id order, one row offset per key, the groups
+//!   back to back), a successor shares every shard its writes do not land
+//!   in and copies the one each write does, and groups are kept in sorted
+//!   order so a patched index is bit-identical to a rebuilt one.
 //!   Each group entry carries a per-projection *source multiplicity*, so a
 //!   removed tuple decrements its entry and the entry only disappears when
 //!   no source tuple supports it any more.  Publishing a version takes the

@@ -39,7 +39,7 @@ use bqr::data::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// `fact` keys: 650 of them, four tuples each — five or more chunks, and
 /// groups in most of the 256 shards.
@@ -198,10 +198,11 @@ fn observe(idb: &IndexedDatabase) -> Observation {
 /// Every constraint index of `idb` against `model`, not against another
 /// index: the probe of every key is `D_{R:XY}(X = ā)` — the model's tuples
 /// matching `ā`, projected on `X ∪ Y`, deduplicated, in ascending id order —
-/// the index holds no other key, and its source counts are the model's
-/// counts above one.
+/// a key with a never-stored last id probes nothing, the index holds no
+/// other key, and its source counts are the model's counts above one.
 fn check_against_model(idb: &IndexedDatabase, model: &Model) {
-    for (i, c) in access().constraints().enumerate() {
+    let ghost = ValueId::lookup(&Value::int(-1)).unwrap();
+    for (i, c) in idb.access_schema().constraints().enumerate() {
         let schema = schema();
         let xy = schema
             .relation(c.relation())
@@ -218,10 +219,12 @@ fn check_against_model(idb: &IndexedDatabase, model: &Model) {
             groups.entry(&row[..c.x().len()]).or_default().extend(row);
         }
         let index = idb.index(i).unwrap();
-        for key in probe_keys(i) {
-            let key = [ValueId::intern(&key[0])];
-            let expected = groups.get(&key[..]).map_or(&[][..], Vec::as_slice);
-            assert_eq!(index.probe(&key), expected, "index {i}, key {key:?}");
+        for (key, expected) in &groups {
+            assert_eq!(index.probe(key), &expected[..], "index {i}, key {key:?}");
+            if let Some((_, rest)) = key.split_last() {
+                let absent = [rest, &[ghost]].concat();
+                assert!(index.probe(&absent).is_empty(), "index {i}, {absent:?}");
+            }
         }
         assert_eq!(index.distinct_keys(), groups.len(), "index {i}");
         assert_eq!(index.total_rows(), sources.len(), "index {i}");
@@ -474,13 +477,13 @@ proptest! {
 /// for, on the `fact` schema.
 const SMALL_KEYED: [&[usize]; 3] = [&[0], &[1], &[2, 0]];
 
-/// Every index of [`SMALL_KEYED`] `rel` carries against a rebuild over a
+/// Every index of `keyed` that `rel` carries against a rebuild over a
 /// freshly stored copy of `model`, and against `model` itself: each key's
 /// group is its tuples, whole, in ascending id order, and no other key is
 /// held.
-fn check_small_keyed(rel: &Relation, model: &BTreeSet<Tuple>) {
+fn check_small_keyed(rel: &Relation, model: &BTreeSet<Tuple>, keyed: &[&[usize]]) {
     let fresh = Relation::from_tuples(rel.schema().clone(), model.iter().cloned()).unwrap();
-    for positions in SMALL_KEYED {
+    for &positions in keyed {
         let carried = rel.keyed_index_if_built(positions).expect("carried");
         assert_eq!(
             *carried,
@@ -527,7 +530,7 @@ proptest! {
         ];
         for (rel, model) in &small {
             SMALL_KEYED.iter().for_each(|positions| drop(rel.keyed_index(positions).unwrap()));
-            check_small_keyed(rel, model);
+            check_small_keyed(rel, model, &SMALL_KEYED);
         }
         for (kind, k, d, v) in writes {
             for (rel, model) in &mut small {
@@ -545,12 +548,146 @@ proptest! {
                         prop_assert!(rel.remove(&t).unwrap() && model.remove(&t));
                     }
                 }
-                check_small_keyed(rel, model);
+                check_small_keyed(rel, model, &SMALL_KEYED);
                 for (positions, was) in SMALL_KEYED.iter().zip(&before) {
                     let now = rel.keyed_index_if_built(positions).expect("carried");
                     prop_assert!(now.shared_shards(was) >= now.shard_count() - 2);
                 }
             }
+        }
+    }
+}
+
+/// Constraints whose layouts a flat shard can get wrong: `X = ∅`, whose one
+/// key is empty and whose `v` projections collide — source counts move on
+/// almost every write — and a key listed out of column order.
+fn edge_access() -> AccessSchema {
+    AccessSchema::new(vec![
+        AccessConstraint::new("fact", &[], &["v"], 1_000).unwrap(),
+        AccessConstraint::new("fact", &["v", "k"], &["d"], 64).unwrap(),
+    ])
+}
+
+/// Keyed indexes of the same kinds: out of column order, a key that covers
+/// the whole row, and the empty key.
+const EDGE_KEYED: [&[usize]; 3] = [&[2, 0], &[0, 1, 2], &[]];
+
+/// Where the keys of the indexes [`empty_shard_ends`] can empty sit in
+/// `fact`: the `(v, k)` constraint's, then the first two of [`EDGE_KEYED`].
+const EDGE_KEY_POSITIONS: [&[usize]; 3] = [&[2, 0], &[2, 0], &[0, 1, 2]];
+
+/// 300 keys with six facts each, two per `(v, k)` group, indexed by
+/// [`edge_access`] and keyed on [`EDGE_KEYED`].
+fn edge_base() -> &'static (Model, IndexedDatabase) {
+    static BASE: OnceLock<(Model, IndexedDatabase)> = OnceLock::new();
+    minted();
+    BASE.get_or_init(|| {
+        let mut model = Model::new();
+        let fact = model.entry("fact").or_default();
+        for k in 0..300 {
+            for j in 0..6 {
+                fact.insert(tuple![k, (3 * k + j) % DAYS, j % 3]);
+            }
+        }
+        model.entry("dim").or_default().insert(tuple![0, "n0"]);
+        let idb = IndexedDatabase::build(store(&model), edge_access()).unwrap();
+        let fact = idb.database().relation("fact").unwrap();
+        EDGE_KEYED
+            .iter()
+            .for_each(|p| drop(fact.keyed_index(p).unwrap()));
+        (model, idb)
+    })
+}
+
+/// The index `which` names in `idb` ([`EDGE_KEY_POSITIONS`]).
+fn edge_index(idb: &IndexedDatabase, which: usize) -> Arc<InternedAccessIndex> {
+    let fact = idb.database().relation("fact").unwrap();
+    match which {
+        0 => Arc::new(idb.index(1).unwrap().clone()),
+        _ => fact.keyed_index_if_built(EDGE_KEYED[which - 1]).unwrap(),
+    }
+}
+
+/// Take out of `db` every fact under the first and under the last key of
+/// the first shard from `start` on that holds two keys or more, in `idb`'s
+/// index `which`: both groups leave, one at each end of the shard's
+/// arrays.  Returns the two keys.
+fn empty_shard_ends(
+    idb: &IndexedDatabase,
+    which: usize,
+    start: usize,
+    db: &mut Database,
+    model: &mut Model,
+) -> [Vec<ValueId>; 2] {
+    let index = edge_index(idb, which);
+    let shards = index.shard_count();
+    let keys = (0..shards)
+        .map(|i| index.shard_keys((start + i) % shards).collect::<Vec<_>>())
+        .find(|keys| keys.len() >= 2)
+        .expect("some shard holds two keys");
+    let ends = [keys[0].to_vec(), keys[keys.len() - 1].to_vec()];
+    let positions = EDGE_KEY_POSITIONS[which];
+    let under = |t: &Tuple, key: &[ValueId]| {
+        let ids = positions.iter().map(|&p| ValueId::lookup(&t[p]).unwrap());
+        ids.eq(key.iter().copied())
+    };
+    for key in &ends {
+        let group: Vec<Tuple> = model["fact"]
+            .iter()
+            .filter(|t| under(t, key))
+            .cloned()
+            .collect();
+        assert!(!group.is_empty(), "an indexed key has facts");
+        for t in &group {
+            assert!(db.remove("fact", t).unwrap());
+            model.get_mut("fact").unwrap().remove(t);
+        }
+    }
+    ends
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The layouts a flat shard can get wrong — `X = ∅`, keys out of column
+    /// order, a key that covers the whole row, colliding projections of a
+    /// non-covering `X ∪ Y` — carried through random writes and through
+    /// writes that empty the first and the last group of a shard: after
+    /// every write each index the version carries equals one built from a
+    /// fresh copy of its rows, and every probe reads like the model.
+    #[test]
+    fn edge_layouts_read_like_the_model_and_rebuilds(
+        script in prop::collection::vec(
+            ((0u32..10, 0i64..100_000, 0i64..1_000, 0i64..1_000), 0usize..4, 0usize..256),
+            1..8,
+        )
+    ) {
+        let (model, idb) = edge_base();
+        let (mut model, mut current) = (model.clone(), idb.clone());
+        for (op, which, start) in script {
+            let mut next = current.database().clone();
+            next.begin_delta_tracking();
+            let emptied = match which {
+                0 => {
+                    apply(op, &mut next, &mut model);
+                    None
+                }
+                _ => Some(empty_shard_ends(&current, which - 1, start, &mut next, &mut model)),
+            };
+            let log = next.take_delta(current.database());
+            let successor = current.apply_delta(next, &log).unwrap();
+            check_against_model(&successor, &model);
+            let oracle = IndexedDatabase::build(store(&model), edge_access()).unwrap();
+            for i in 0..2 {
+                prop_assert_eq!(successor.index(i).unwrap(), oracle.index(i).unwrap());
+            }
+            let fact = successor.database().relation("fact").unwrap();
+            check_small_keyed(fact, &model["fact"], &EDGE_KEYED);
+            for key in emptied.iter().flatten() {
+                let index = edge_index(&successor, which - 1);
+                prop_assert!(index.probe(key).is_empty(), "{:?} left", key);
+            }
+            current = successor;
         }
     }
 }
