@@ -1,8 +1,7 @@
 //! Criterion bench for plan execution: the compiled operator pipeline
 //! (interned ids, hash joins, id-native fetches) versus the retained
-//! tree-walking interpreter (`exec::reference`), plus sharded-parallel
-//! execution of the compiled pipeline.  The committed rows live in
-//! `BENCH_plan.json` (harness `plan` mode).
+//! tree-walking interpreter (`exec::reference`).  The committed rows live
+//! in `BENCH_plan.json` (harness `plan` mode).
 
 use bqr_bench::plan_bench;
 use bqr_plan::exec::{reference, ExecOptions, Pipeline};
@@ -21,33 +20,12 @@ fn bench_plan_executors(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("compiled", case.name), &case, |b, case| {
             let pipeline = Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-            let serial = ExecOptions::serial();
-            b.iter(|| pipeline.execute(&case.idb, &serial).unwrap())
+            let options = ExecOptions::default();
+            b.iter(|| pipeline.execute(&case.idb, &options).unwrap())
         });
     }
     group.finish();
 }
 
-/// Sharded-parallel scaling on the largest workload (the AGM triangle
-/// plan); bit-identical output is asserted by `tests/exec_diff.rs` and the
-/// plan-bench helpers, here only wall-clock is measured.
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let case = plan_bench::triangle_case(400, 1);
-    let pipeline = Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-    let mut group = c.benchmark_group("plan_exec_parallel");
-    group.sample_size(10);
-    for shards in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("triangle_agm_n400_plan", shards),
-            &shards,
-            |b, &shards| {
-                let options = ExecOptions::parallel(shards);
-                b.iter(|| pipeline.execute(&case.idb, &options).unwrap())
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_plan_executors, bench_parallel_scaling);
+criterion_group!(benches, bench_plan_executors);
 criterion_main!(benches);

@@ -12,9 +12,9 @@
 //!
 //! The `plan` mode benchmarks the compiled plan-execution pipeline against
 //! the retained tree-walking interpreter (`exec::reference`) on the movies,
-//! CDR and AGM-triangle plan workloads, measures sharded-parallel scaling at
-//! 1/2/4 shards, runs the **prepared** rows (the first execution on a freshly
-//! loaded instance, which interns what it reads, vs a warm execution) and
+//! CDR and AGM-triangle plan workloads, runs the **prepared** rows (the
+//! first execution on a freshly loaded instance, which interns what it
+//! reads, vs a warm execution) and
 //! the **index** rows (the CDR `calls` constraint index probed cold and hot,
 //! what it adds to a one-tuple write, and the four constraint indexes' heap,
 //! printed per constraint), writes
@@ -124,7 +124,7 @@ fn hom_engine() {
 }
 
 /// `plan` / `prepared` — the compiled plan-execution pipeline vs the
-/// tree-walking reference interpreter, parallel scaling, the prepared
+/// tree-walking reference interpreter, the prepared
 /// (first execution on a freshly loaded instance vs warm) rows, and the
 /// runtime-guard overhead comparison.  Emits `BENCH_plan.json` and fails (exit 1) when
 /// the compiled executor loses to the reference on the movies workload,
@@ -144,12 +144,10 @@ fn plan_executor() {
     use bqr_bench::plan_bench;
 
     println!(
-        "\n== plan: compiled pipeline vs exec::reference; parallel scaling at 1/2/4 shards; \
-         prepared cold vs warm; write path delta vs rebuild; constraint index; guard overhead =="
+        "\n== plan: compiled pipeline vs exec::reference; prepared cold vs warm; write path delta vs rebuild; constraint index; guard overhead =="
     );
     let plan_bench::PlanReport {
         results,
-        parallel,
         prepared,
         write_path,
         index,
@@ -169,16 +167,6 @@ fn plan_executor() {
             r.reference_ms,
             r.compiled_ms,
             r.speedup()
-        );
-    }
-    println!(
-        "{:<28} {:>8} {:>14} {:>14}",
-        "parallel", "shards", "ms", "scaling"
-    );
-    for p in &parallel {
-        println!(
-            "{:<28} {:>8} {:>14.2} {:>13.2}x",
-            p.name, p.shards, p.ms, p.scaling
         );
     }
     println!(
@@ -240,13 +228,11 @@ fn plan_executor() {
         guard.ratio()
     );
     println!(
-        "guard stats exercise: cancellations {}  deadline {}  memory {}  fetch {}  panics {}  fallbacks {}",
+        "guard stats exercise: cancellations {}  deadline {}  memory {}  fetch {}",
         guard_stats.cancellations,
         guard_stats.deadline_trips,
         guard_stats.memory_trips,
-        guard_stats.fetch_trips,
-        guard_stats.panics_contained,
-        guard_stats.serial_fallbacks
+        guard_stats.fetch_trips
     );
 
     let path = std::env::var("BENCH_PLAN_JSON").unwrap_or_else(|_| "BENCH_plan.json".to_string());

@@ -562,8 +562,7 @@ pub mod hom_bench {
 /// (interned ids, hash joins, id-native fetches) versus the retained
 /// tree-walking interpreter (`exec::reference`), on real plan executions —
 /// the movies rewriting of Fig. 1's shape, a CDR analytics rewriting, and an
-/// AGM-style triangle join over cached views — plus the sharded-parallel
-/// scaling rows (`ExecOptions`) on the largest workload.  Shared by
+/// AGM-style triangle join over cached views.  Shared by
 /// `benches/plan.rs` and the harness's `plan` mode, which persists the
 /// numbers to `BENCH_plan.json` and fails if the compiled executor is slower
 /// than the reference on the movies workload.
@@ -595,7 +594,7 @@ pub mod plan_bench {
         pub repeats: usize,
         /// The tree-walking interpreter (`exec::reference`).
         pub reference_ms: f64,
-        /// The compiled pipeline, serial.
+        /// The compiled pipeline.
         pub compiled_ms: f64,
     }
 
@@ -606,22 +605,11 @@ pub mod plan_bench {
         }
     }
 
-    /// One sharded-parallel measurement.
-    #[derive(Debug, Clone)]
-    pub struct ParallelResult {
-        pub name: &'static str,
-        pub shards: usize,
-        pub ms: f64,
-        /// serial-compiled ms / this ms.
-        pub scaling: f64,
-    }
-
     /// The AGM-style triangle instance of the `hom` benchmark, exposed as a
     /// *plan* over a cached edge view: `π[x,y,z] σ(join) (E × E × E)`.  The
     /// σ-over-× pattern compiles to two hash joins over a `Θ(n²)`
     /// intermediate — exactly the shape where the interpreter's
-    /// `BTreeSet<Tuple>` materialisation is the bottleneck, and the largest
-    /// workload for the parallel-scaling rows.
+    /// `BTreeSet<Tuple>` materialisation is the bottleneck.
     pub fn triangle_case(n: i64, repeats: usize) -> PlanCase {
         let schema = DatabaseSchema::with_relations(&[("e", &["src", "dst"])]).unwrap();
         let mut db = Database::empty(schema);
@@ -730,10 +718,10 @@ pub mod plan_bench {
     /// `repeats` times — the designed usage (compile once, run many), and
     /// the shape of a serving workload.
     pub fn run_case(case: &PlanCase) -> PlanCaseResult {
-        let serial = ExecOptions::serial();
+        let options = ExecOptions::default();
         let expected = reference::execute(&case.plan, &case.idb, &case.views).unwrap();
         let pipeline = Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-        let compiled = pipeline.execute(&case.idb, &serial).unwrap();
+        let compiled = pipeline.execute(&case.idb, &options).unwrap();
         assert_eq!(expected, compiled, "executors disagree on {}", case.name);
 
         let t = Instant::now();
@@ -745,7 +733,7 @@ pub mod plan_bench {
 
         let t = Instant::now();
         for _ in 0..case.repeats {
-            let out = pipeline.execute(&case.idb, &serial).unwrap();
+            let out = pipeline.execute(&case.idb, &options).unwrap();
             assert_eq!(out.tuples.len(), expected.tuples.len());
         }
         let compiled_ms = t.elapsed().as_secs_f64() * 1_000.0;
@@ -755,34 +743,6 @@ pub mod plan_bench {
             repeats: case.repeats,
             reference_ms,
             compiled_ms,
-        }
-    }
-
-    /// Run one case under `ExecOptions::parallel(shards)` through a
-    /// caller-compiled `pipeline`, asserting the output (tuples and stats)
-    /// is bit-identical to the caller's serial `expected` output.
-    pub fn run_parallel(
-        case: &PlanCase,
-        pipeline: &Pipeline,
-        expected: &bqr_plan::ExecOutput,
-        shards: usize,
-        serial_ms: f64,
-    ) -> ParallelResult {
-        let options = ExecOptions::parallel(shards);
-        let got = pipeline.execute(&case.idb, &options).unwrap();
-        assert_eq!(expected, &got, "parallel run diverged on {}", case.name);
-
-        let t = Instant::now();
-        for _ in 0..case.repeats {
-            let out = pipeline.execute(&case.idb, &options).unwrap();
-            assert_eq!(out.tuples.len(), expected.tuples.len());
-        }
-        let ms = t.elapsed().as_secs_f64() * 1_000.0;
-        ParallelResult {
-            name: case.name,
-            shards,
-            ms,
-            scaling: crate::guarded_ratio(serial_ms, ms),
         }
     }
 
@@ -830,8 +790,8 @@ pub mod plan_bench {
     pub fn run_guard_overhead() -> GuardOverhead {
         let case = movies_case();
         let pipeline = Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-        let disabled = ExecOptions::serial();
-        let enabled = ExecOptions::serial()
+        let disabled = ExecOptions::default();
+        let enabled = ExecOptions::default()
             .with_deadline_ms(3_600_000)
             .with_row_budget(usize::MAX / 2)
             .with_fetch_budget(usize::MAX / 2);
@@ -887,19 +847,19 @@ pub mod plan_bench {
             let err = session.execute_with("fig1", options).unwrap_err();
             assert!(err.exec_error().is_some_and(want), "{err:?}");
         };
-        expect_trip(&ExecOptions::serial().with_deadline_ms(0), |e| {
+        expect_trip(&ExecOptions::default().with_deadline_ms(0), |e| {
             matches!(e, ExecError::DeadlineExceeded { .. })
         });
-        expect_trip(&ExecOptions::serial().with_row_budget(0), |e| {
+        expect_trip(&ExecOptions::default().with_row_budget(0), |e| {
             matches!(e, ExecError::MemoryBudgetExceeded { .. })
         });
-        expect_trip(&ExecOptions::serial().with_fetch_budget(0), |e| {
+        expect_trip(&ExecOptions::default().with_fetch_budget(0), |e| {
             matches!(e, ExecError::FetchBudgetExceeded { .. })
         });
         let token = CancellationToken::new();
         token.cancel();
         let err = session
-            .execute_with_token("fig1", &ExecOptions::serial(), token)
+            .execute_with_token("fig1", &ExecOptions::default(), token)
             .unwrap_err();
         assert!(err.exec_error() == Some(&ExecError::Cancelled), "{err:?}");
         // And one clean execution: trips never wedge the statement.
@@ -1669,7 +1629,6 @@ pub mod plan_bench {
     /// Everything `harness plan` measures, and its JSON.
     pub struct PlanReport {
         pub results: Vec<PlanCaseResult>,
-        pub parallel: Vec<ParallelResult>,
         pub prepared: Vec<PreparedResult>,
         pub write_path: Vec<WritePathResult>,
         pub index: IndexResult,
@@ -1678,41 +1637,15 @@ pub mod plan_bench {
         pub json: String,
     }
 
-    /// Run every case (serial comparison, 1/2/4-shard parallel rows on the
-    /// largest workload, the prepared cold-vs-warm rows, the write-path
-    /// delta-vs-rebuild rows, the constraint-index rows, and the
-    /// guard-overhead comparison plus counter exercise) and render the
-    /// machine-readable report committed as `BENCH_plan.json`.
+    /// Run every case (the executor comparison, the prepared cold-vs-warm
+    /// rows, the write-path delta-vs-rebuild rows, the constraint-index
+    /// rows, and the guard-overhead comparison plus counter exercise) and
+    /// render the machine-readable report committed as `BENCH_plan.json`.
     pub fn report() -> PlanReport {
         let cases = cases();
         let results: Vec<PlanCaseResult> = cases.iter().map(run_case).collect();
-        let largest = cases
-            .iter()
-            .find(|c| c.name == "triangle_agm_n400_plan")
-            .expect("the triangle case is the scaling workload");
-        let serial_ms = results
-            .iter()
-            .find(|r| r.name == largest.name)
-            .unwrap()
-            .compiled_ms;
-        let pipeline = Pipeline::compile(&largest.plan, &largest.idb, &largest.views).unwrap();
-        let expected = pipeline
-            .execute(&largest.idb, &ExecOptions::serial())
-            .unwrap();
-        let parallel: Vec<ParallelResult> = [1usize, 2, 4]
-            .iter()
-            .map(|&s| run_parallel(largest, &pipeline, &expected, s, serial_ms))
-            .collect();
-
-        // Parallel scaling is bounded by the machine: record how many
-        // threads were actually available so flat rows on a single-core
-        // container read as a hardware limit, not an engine regression.
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut json = format!(
-            "{{\n  \"bench\": \"plan\",\n  \"unit\": \"ms\",\n  \"threads_available\": {threads},\n  \"cases\": [\n"
-        );
+        let mut json =
+            String::from("{\n  \"bench\": \"plan\",\n  \"unit\": \"ms\",\n  \"cases\": [\n");
         for (i, r) in results.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"name\": \"{}\", \"repeats\": {}, \"reference_ms\": {:.3}, \"compiled_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
@@ -1722,17 +1655,6 @@ pub mod plan_bench {
                 r.compiled_ms,
                 r.speedup(),
                 if i + 1 < results.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n  \"parallel\": [\n");
-        for (i, p) in parallel.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"shards\": {}, \"ms\": {:.3}, \"scaling\": {:.2}}}{}\n",
-                p.name,
-                p.shards,
-                p.ms,
-                p.scaling,
-                if i + 1 < parallel.len() { "," } else { "" }
             ));
         }
         // Reuse the CDR heaviest-template plan `cases()` already selected,
@@ -1799,7 +1721,7 @@ pub mod plan_bench {
         let overhead = run_guard_overhead();
         let guard_stats = guard_stats_exercise();
         json.push_str(&format!(
-            "    ]\n  }},\n  \"guard\": {{\n    \"overhead\": {{\"name\": \"{}\", \"repeats\": {}, \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"ratio\": {:.3}, \"max_ratio\": {:.2}}},\n    \"stats_exercise\": {{\"cancellations\": {}, \"deadline_trips\": {}, \"memory_trips\": {}, \"fetch_trips\": {}, \"panics_contained\": {}, \"serial_fallbacks\": {}}}\n  }}\n}}\n",
+            "    ]\n  }},\n  \"guard\": {{\n    \"overhead\": {{\"name\": \"{}\", \"repeats\": {}, \"disabled_ms\": {:.3}, \"enabled_ms\": {:.3}, \"ratio\": {:.3}, \"max_ratio\": {:.2}}},\n    \"stats_exercise\": {{\"cancellations\": {}, \"deadline_trips\": {}, \"memory_trips\": {}, \"fetch_trips\": {}}}\n  }}\n}}\n",
             overhead.name,
             overhead.repeats,
             overhead.disabled_ms,
@@ -1810,12 +1732,9 @@ pub mod plan_bench {
             guard_stats.deadline_trips,
             guard_stats.memory_trips,
             guard_stats.fetch_trips,
-            guard_stats.panics_contained,
-            guard_stats.serial_fallbacks,
         ));
         PlanReport {
             results,
-            parallel,
             prepared,
             write_path,
             index,
@@ -2353,37 +2272,8 @@ mod tests {
         }
     }
 
-    /// Parallel scaling needs parallel hardware *and* an otherwise idle
-    /// machine: asserted only when ≥ 4 threads exist, and `#[ignore]`d so
-    /// concurrently running sibling tests (libtest defaults to one thread
-    /// per core) cannot steal the cores mid-measurement and fail it
-    /// spuriously.  Run explicitly with `cargo test --release -p bqr-bench
-    /// -- --ignored` on a multicore machine; the in-container benchmark
-    /// machine is single-core, where the expected scaling is ~1.0×.
-    #[test]
-    #[ignore = "wall-clock scaling; run explicitly on an idle multicore machine"]
-    fn parallel_execution_scales_on_multicore_machines() {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if threads < 4 {
-            eprintln!("skipping scaling assertion: only {threads} thread(s) available");
-            return;
-        }
-        let case = plan_bench::triangle_case(400, 3);
-        let r = plan_bench::run_case(&case);
-        let pipeline = bqr_plan::Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-        let expected = pipeline
-            .execute(&case.idb, &bqr_plan::ExecOptions::serial())
-            .unwrap();
-        let p = plan_bench::run_parallel(&case, &pipeline, &expected, 4, r.compiled_ms);
-        assert!(
-            p.scaling > 1.5,
-            "expected >1.5x scaling at 4 shards on {threads} threads, got {:.2}x",
-            p.scaling
-        );
-    }
-
+    /// `run_case` asserts the compiled pipeline's output (tuples and
+    /// `FetchStats`) equals the reference interpreter's.
     #[test]
     fn plan_bench_executors_agree_and_parallel_is_identical() {
         // A reduced triangle instance keeps the debug-mode test fast; the
@@ -2392,13 +2282,6 @@ mod tests {
         let r = plan_bench::run_case(&case);
         assert!(r.reference_ms > 0.0 && r.compiled_ms > 0.0);
         assert!(r.speedup() > 0.0);
-        let pipeline = bqr_plan::Pipeline::compile(&case.plan, &case.idb, &case.views).unwrap();
-        let expected = pipeline
-            .execute(&case.idb, &bqr_plan::ExecOptions::serial())
-            .unwrap();
-        let p = plan_bench::run_parallel(&case, &pipeline, &expected, 4, r.compiled_ms);
-        assert_eq!(p.shards, 4);
-        assert!(p.ms > 0.0);
     }
 
     /// A reduced prepared case: cold rounds always miss (fresh epochs), warm

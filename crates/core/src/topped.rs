@@ -66,13 +66,12 @@ impl ToppedAnalysis {
     }
 
     /// Compile the constructed plan (when one exists) into `bqr-plan`'s
-    /// executor pipeline, ready for repeated — optionally sharded-parallel —
-    /// execution against `idb` and `views`.  This is the serving path: the
-    /// checker constructs the plan once, and the pipeline is obtained through
-    /// the process-wide [`bqr_plan::PipelineCache`] — compiled at most once
-    /// per `(plan shape, epoch)` pair, shared with every other prepared
-    /// consumer of a plan of that shape, and every query execution runs over
-    /// interned ids.
+    /// executor pipeline, ready for repeated execution against `idb` and
+    /// `views`.  This is the serving path: the checker constructs the plan
+    /// once, and the pipeline is obtained through the process-wide
+    /// [`bqr_plan::PipelineCache`] — compiled at most once per plan shape,
+    /// shared with every other prepared consumer of a plan of that shape,
+    /// and every query execution runs over interned ids.
     ///
     /// The returned pipeline is also *retained* in that cache (bounded by its
     /// LRU capacity), which is what a serving process wants; a one-shot
@@ -91,7 +90,7 @@ impl ToppedAnalysis {
             Some(p) => Ok(Some(p.pipeline(
                 idb,
                 views,
-                &bqr_plan::ExecOptions::serial(),
+                &bqr_plan::ExecOptions::default(),
             )?)),
             None => Ok(None),
         }
@@ -991,8 +990,8 @@ mod tests {
     }
 
     /// The constructed plan compiles into the executor pipeline and the
-    /// pipeline (serial and sharded-parallel) agrees with the one-shot
-    /// execute — the compile-once serving path.
+    /// pipeline agrees with the one-shot execute — the compile-once serving
+    /// path.
     #[test]
     fn topped_plans_compile_into_the_executor_pipeline() {
         let setting = RewritingSetting::new(movie_schema(), movie_access(100), v1_views(), 40);
@@ -1007,13 +1006,8 @@ mod tests {
         let pipeline = analysis.compile_plan(&idb, &cache).unwrap().unwrap();
         assert!(pipeline.describe().contains("fetch["));
         let one_shot = execute(analysis.plan.as_ref().unwrap(), &idb, &cache).unwrap();
-        for options in [
-            bqr_plan::ExecOptions::serial(),
-            bqr_plan::ExecOptions::parallel(4),
-        ] {
-            let out = pipeline.execute(&idb, &options).unwrap();
-            assert_eq!(out, one_shot);
-        }
+        let out = pipeline.execute(&idb, &bqr_plan::ExecOptions::default());
+        assert_eq!(out.unwrap(), one_shot);
         // The prepared handle serves the same answers and observably skips
         // recompilation on the warm path.
         let cache_handle = std::sync::Arc::new(bqr_plan::PipelineCache::new(8));

@@ -2,11 +2,11 @@
 //!
 //! Production code marks *injection sites* — points where the real world can
 //! fail (value interning, index build, keyed index build, cache insert,
-//! thread spawn, mutate closures) — by calling [`check`] with a site name from [`sites`].  Tests
-//! compiled with the `failpoints` cargo feature activate faults at those
-//! sites through a process-global registry (`inject` / `inject_times` /
-//! `clear`); `tests/chaos.rs` in the umbrella crate drives the full matrix
-//! under concurrent sessions.
+//! mutate closures) — by calling [`check`] with a site name from
+//! [`sites`].  Tests compiled with the `failpoints` cargo feature activate
+//! faults at those sites through a process-global registry (`inject` /
+//! `inject_times` / `clear`); `tests/chaos.rs` in the umbrella crate drives
+//! the full matrix under concurrent sessions.
 //!
 //! Without the feature (the default, and every production build) the whole
 //! registry is compiled out and [`check`] is an `#[inline(always)]` `Ok(())`
@@ -18,8 +18,8 @@
 //!   [`DataError::FaultInjected`], exercising the typed-error propagation
 //!   path (all-or-nothing mutate, errors-never-cached, …);
 //! * [`FaultKind::Panic`] — the site panics, exercising panic containment
-//!   and lock-poison recovery (`catch_unwind` around shard workers and
-//!   mutate closures, `PoisonError::into_inner` at every lock).
+//!   and lock-poison recovery (`catch_unwind` around mutate closures and
+//!   server flushes, `PoisonError::into_inner` at every lock).
 //!
 //! Because the registry is process-global, tests that activate faults must
 //! serialise themselves (the chaos suite holds one test-local mutex) and
@@ -55,13 +55,6 @@ pub mod sites {
     /// `bqr-plan`'s `PipelineCache` — registering a freshly compiled
     /// pipeline, with the cache lock held.
     pub const CACHE_INSERT: &str = "plan.cache.insert";
-    /// `bqr-plan`'s sharded executor — spawning one shard worker thread
-    /// (an active fault simulates spawn failure: the shard runs inline).
-    pub const THREAD_SPAWN: &str = "plan.exec.spawn";
-    /// `bqr-plan`'s morsel scheduler — dispatching a parallel morsel run
-    /// (an active fault degrades the whole operator to the serial path,
-    /// which must produce bit-identical answers).
-    pub const MORSEL_DISPATCH: &str = "plan.exec.morsel";
     /// `bqr-engine`'s `Engine::mutate` — inside the panic-contained region
     /// around the user closure.
     pub const MUTATE_CLOSURE: &str = "engine.mutate.closure";

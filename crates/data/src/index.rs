@@ -496,13 +496,6 @@ impl InternedAccessIndex {
         self.rows
     }
 
-    /// The mean group size, rounded up and never below 1 — the
-    /// cardinality statistic the executor's cost heuristics consume
-    /// (expected `|D_{R:XY}(X = ā)|` for a random indexed key).
-    pub fn avg_group_len(&self) -> usize {
-        self.rows.div_ceil(self.keys.max(1)).max(1)
-    }
-
     /// The bytes this index holds on the heap: its ids (keys and rows), the
     /// row offsets, the shard headers and slots, and the source counts —
     /// their rows exactly, their hash maps estimated as one entry and one
@@ -964,8 +957,7 @@ mod tests {
         assert_eq!(stats.fetch_calls, 1);
         assert_eq!(stats.fetched_tuples, 2);
         let index = idb.index(0).unwrap();
-        assert_eq!(index.total_rows(), 2);
-        assert_eq!(index.avg_group_len(), 2);
+        assert_eq!((index.total_rows(), index.distinct_keys()), (2, 1));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use bqr_core::{
 };
 use bqr_data::{AccessSchema, Database, DatabaseSchema, Value};
 use bqr_plan::{
-    panic_message, CacheStats, ExecOptions, GuardLimits, GuardMetrics, GuardStats, PipelineCache,
-    PlanLanguage, PreparedPlan,
+    panic_message, CacheStats, ExecOptions, GuardMetrics, GuardStats, PipelineCache, PlanLanguage,
+    PreparedPlan,
 };
 use bqr_query::parser::parse_ucq;
 use bqr_query::{Budget, ConjunctiveQuery, FoQuery, PlannerConfig, UnionQuery, ViewSet};
@@ -118,7 +118,7 @@ impl Default for EngineBuilder {
             bound_m: 64,
             budget: Budget::generous(),
             planner: PlannerConfig::default(),
-            options: ExecOptions::serial(),
+            options: ExecOptions::default(),
             cache_capacity: bqr_plan::prepared::DEFAULT_CACHE_CAPACITY,
             view_bounds: Vec::new(),
         }
@@ -156,19 +156,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Replace the default [`ExecOptions`] every execution runs under
+    /// Replace the default [`ExecOptions`] — the runtime limits (deadline,
+    /// intermediate-row budget, fetch cap) every execution runs under
     /// (override per call with the `*_with` methods).
     pub fn exec_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Set the default runtime [`GuardLimits`] (deadline, intermediate-row
-    /// budget, fetch cap) on the engine's default [`ExecOptions`] —
-    /// shorthand for `exec_options(options.with_…)`; override per call with
-    /// the `*_with` methods.
-    pub fn guard_limits(mut self, limits: GuardLimits) -> Self {
-        self.options.limits = limits;
         self
     }
 

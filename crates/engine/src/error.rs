@@ -96,7 +96,7 @@ impl Error {
     }
 
     /// The runtime-guardrail failure behind this error, when one fired
-    /// (deadline, cancellation, budget, contained worker panic) — `None` for
+    /// (deadline, cancellation, row or fetch budget) — `None` for
     /// every other failure mode.  Lets callers match "the query was stopped
     /// by a guardrail" without unwrapping the layered error structure.
     pub fn exec_error(&self) -> Option<&bqr_plan::ExecError> {

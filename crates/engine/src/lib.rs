@@ -32,7 +32,7 @@
 //! guardrails** ([`bqr_plan::guard`]): per-request deadlines, cancellation
 //! tokens, intermediate-row budgets and fetch caps set on
 //! [`bqr_plan::ExecOptions`] (or engine-wide via
-//! [`EngineBuilder::guard_limits`]), with trips surfacing as typed
+//! [`EngineBuilder::exec_options`]), with trips surfacing as typed
 //! [`Error::Execution`] values and counted in [`Engine::guard_stats`].
 //! Mutate-closure panics are contained ([`Error::MutationPanicked`]) and
 //! every engine lock recovers from poisoning, so a panicking request can

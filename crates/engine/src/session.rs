@@ -245,19 +245,12 @@ impl<'e> Session<'e> {
         let query = query.into_query()?;
         match self.engine.resolve(&query)? {
             Resolved::Shape(shape, params) => {
-                let options = self.engine.exec_options();
-                let guard = Guard::new(&options.limits)
+                let guard = Guard::new(&self.engine.exec_options().limits)
                     .with_metrics(Arc::clone(self.engine.guard_metrics()));
                 let bindings = shape.bindings(&params)?;
                 shape
                     .prepared
-                    .execute_guarded(
-                        self.version.idb(),
-                        self.version.views(),
-                        &options,
-                        &guard,
-                        &bindings,
-                    )
+                    .execute_guarded(self.version.idb(), self.version.views(), &guard, &bindings)
                     .map_err(|e| Error::execution(&query.to_string(), e))
             }
             checked => {

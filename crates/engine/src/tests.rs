@@ -231,9 +231,9 @@ fn panicking_mutations_are_contained_and_never_published() {
         .mutate(|db| db.insert("rating", tuple![99, 1]))
         .unwrap();
     assert_eq!(engine.database().size(), before.size() + 1);
-    let stats = engine.guard_stats();
     assert_eq!(
-        stats.panics_contained, 0,
+        engine.guard_stats(),
+        bqr_plan::GuardStats::default(),
         "mutate panics are not exec trips"
     );
 }
@@ -305,19 +305,28 @@ fn attach_rejects_foreign_schemas() {
 fn exec_options_thread_through() {
     let engine = Engine::builder()
         .setting(movies::setting(100, 40))
-        .exec_options(ExecOptions::parallel(2))
+        .exec_options(ExecOptions::default().with_row_budget(0))
         .build()
         .unwrap();
     engine.attach(movie_instance()).unwrap();
     engine.prepare("fig1", Q_XI).unwrap();
     let session = engine.session();
-    let parallel = session.execute("fig1").unwrap();
-    let serial = session
-        .execute_with("fig1", &ExecOptions::serial())
-        .unwrap();
-    assert_eq!(parallel, serial, "options never change the output");
+    // The engine's default options reach every execution that names none.
+    let strangled = |e: Error| {
+        let trip = e.exec_error().cloned();
+        matches!(
+            trip,
+            Some(bqr_plan::ExecError::MemoryBudgetExceeded { budget_rows: 0 })
+        )
+    };
+    assert!(strangled(session.execute("fig1").unwrap_err()));
     let stmt = engine.statement("fig1").unwrap();
-    assert_eq!(session.execute_statement(&stmt).unwrap(), parallel);
+    assert!(strangled(session.execute_statement(&stmt).unwrap_err()));
+    // Explicit options replace them.
+    let unlimited = session
+        .execute_with("fig1", &ExecOptions::default())
+        .unwrap();
+    assert!(!unlimited.tuples.is_empty());
 }
 
 #[test]

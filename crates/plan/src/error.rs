@@ -14,7 +14,9 @@ pub enum PlanError {
     Query(QueryError),
     /// A column index is out of range for a node's output arity.
     ColumnOutOfRange { column: usize, arity: usize },
-    /// A binary node combines children of different arities.
+    /// Two arities that must agree do not: a binary node's children, the
+    /// arity a plan records for a view and its extent's, or a shape's
+    /// constant slots and the constants an execution binds to them.
     ArityMismatch { left: usize, right: usize },
     /// A fetch node's key columns do not match its constraint's X attributes.
     FetchKeyMismatch { expected: usize, actual: usize },
@@ -29,11 +31,10 @@ pub enum PlanError {
 
 /// Runtime guardrail failures raised by the executor: the query was valid
 /// and the plan sound, but execution was stopped by a dynamic limit
-/// (see [`crate::guard`]) or a contained worker panic.
+/// (see [`crate::guard`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The execution's cancellation token was tripped (externally, or
-    /// internally because a sibling shard failed).
+    /// The execution's cancellation token was tripped.
     Cancelled,
     /// The wall-clock deadline elapsed mid-execution.
     DeadlineExceeded {
@@ -50,9 +51,6 @@ pub enum ExecError {
         /// The configured cap, in base tuples.
         budget_tuples: usize,
     },
-    /// A shard worker panicked; the panic was contained (siblings cancelled,
-    /// process intact) and its message captured here.
-    WorkerPanic(String),
 }
 
 impl fmt::Display for ExecError {
@@ -70,9 +68,6 @@ impl fmt::Display for ExecError {
                 f,
                 "execution exceeded its runtime fetch cap of {budget_tuples} tuples"
             ),
-            ExecError::WorkerPanic(msg) => {
-                write!(f, "a shard worker panicked (contained): {msg}")
-            }
         }
     }
 }
@@ -87,10 +82,9 @@ impl fmt::Display for PlanError {
             PlanError::ColumnOutOfRange { column, arity } => {
                 write!(f, "column {column} is out of range for arity {arity}")
             }
-            PlanError::ArityMismatch { left, right } => write!(
-                f,
-                "binary operator combines children of arities {left} and {right}"
-            ),
+            PlanError::ArityMismatch { left, right } => {
+                write!(f, "arities {left} and {right} do not match")
+            }
             PlanError::FetchKeyMismatch { expected, actual } => write!(
                 f,
                 "fetch key has {actual} columns but the constraint's X has {expected} attributes"
@@ -177,7 +171,6 @@ mod tests {
                 ExecError::FetchBudgetExceeded { budget_tuples: 99 },
                 "99 tuples",
             ),
-            (ExecError::WorkerPanic("boom".into()), "boom"),
         ];
         for (e, needle) in cases {
             assert!(

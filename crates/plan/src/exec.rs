@@ -75,19 +75,10 @@
 //! same cadence as the former per-row checkpoint mask, preserving PR 6's
 //! pre-charge semantics and overhead gate).
 //!
-//! # Parallelism
-//!
-//! [`execute_with`] takes [`ExecOptions`]: with more than one worker,
-//! data-parallel operators (select, project, view and hash-join probe,
-//! fetch probe, product) are driven by the morsel scheduler (the
-//! crate-private `morsel` module): worker threads pull fixed-size morsels of
-//! the input from a shared queue and results merge *in morsel order*.
-//! Because morsel boundaries are a pure function of `(rows, workers)` and
-//! every kernel is order-preserving, parallel execution produces
-//! bit-identical tables (and identical `FetchStats`) to serial execution.
-//! [`ExecOptions::parallel_auto`] picks the worker count per operator from
-//! its input cardinalities instead (see
-//! [`ExecOptions::auto_worker_count`]).
+//! Every operator runs its kernels in one loop on the calling thread: a
+//! bounded plan reads `|D_ξ|` tuples, a number set by the access schema and
+//! the plan rather than by `|D|`, so no operator has enough rows to split.
+//! [`execute_with`] takes [`ExecOptions`], the runtime limits.
 //!
 //! The original tree-walking interpreter (`BTreeSet<Tuple>` at every node)
 //! is retained verbatim as [`mod@reference`]: it is the oracle for the
@@ -96,7 +87,6 @@
 use crate::error::PlanError;
 use crate::guard::{Guard, GuardLimits};
 use crate::kernel;
-use crate::morsel::run_morsels;
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
 use bqr_data::{
@@ -123,102 +113,23 @@ impl ExecOutput {
     }
 }
 
-/// How many morsel workers a data-parallel operator runs on.  Operators
-/// with fewer than [`ExecOptions::PARALLEL_MIN_ROWS`] rows of estimated work
-/// run serially whatever this says — thread startup would dominate.  Output
-/// is bit-identical for every worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workers {
-    /// This many workers (clamped to ≥ 1); one is serial execution.
-    Fixed(usize),
-    /// As many as each operator's input cardinalities warrant
-    /// ([`ExecOptions::auto_worker_count`] over its work hint), capped at
-    /// the hardware thread count.
-    Auto,
-}
-
-/// Options controlling pipeline execution.  They say how operators are
-/// driven, never what a pipeline computes, so no cache looks at them: every
-/// option set executes the one compiled shape of a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Options controlling pipeline execution: its runtime limits.  They say
+/// when an execution stops, never what a pipeline computes, so no cache
+/// looks at them: every option set executes the one compiled shape of a plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecOptions {
-    /// How many morsel workers data-parallel operators run on.
-    pub workers: Workers,
     /// Runtime guardrails (deadline, intermediate-row budget, fetch cap).
     /// All disabled by default; see [`crate::guard`] for semantics.
     pub limits: GuardLimits,
 }
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            workers: Workers::Fixed(1),
-            limits: GuardLimits::none(),
-        }
-    }
-}
-
 impl ExecOptions {
-    /// Operators with less estimated work than this many rows run serially
-    /// under every [`Workers`] setting (spawning threads costs more than the
-    /// work saved).
-    pub const PARALLEL_MIN_ROWS: usize = 4096;
-
-    /// Serial execution (the default).
-    pub fn serial() -> Self {
-        ExecOptions::default()
-    }
-
-    /// Parallel execution over `workers` morsel-pulling workers.
-    pub fn parallel(workers: usize) -> Self {
-        ExecOptions {
-            workers: Workers::Fixed(workers.max(1)),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Parallel execution with an automatically chosen worker count: each
-    /// data-parallel operator sizes its worker pool from its own input
-    /// cardinalities (row counts, index group statistics) via
-    /// [`ExecOptions::auto_worker_count`], so small inputs stay serial and
-    /// large ones scale up to the hardware thread count without the caller
-    /// guessing a worker count.
-    pub fn parallel_auto() -> Self {
-        ExecOptions {
-            workers: Workers::Auto,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// The cost heuristic behind [`Workers::Auto`], as a pure function so
-    /// its choices are deterministic and unit-testable: one worker per
-    /// [`ExecOptions::PARALLEL_MIN_ROWS`] units of estimated work (the
-    /// cardinality-derived work hint operators already compute — input rows
-    /// for filters/projections, `probe_rows · avg_group` for joins,
-    /// `keys · expected_group` for fetches), clamped to `[1, max_workers]`.
-    /// A hint below the threshold therefore always yields 1 (serial),
-    /// matching the work-hint gate of fixed worker counts.
-    pub fn auto_worker_count(work_hint: usize, max_workers: usize) -> usize {
-        (work_hint / Self::PARALLEL_MIN_ROWS).clamp(1, max_workers.max(1))
-    }
-
-    /// How many morsel workers an operator with this estimated `work_hint`
-    /// should use under these options: 1 (serial) while the hint is below
-    /// [`ExecOptions::PARALLEL_MIN_ROWS`]; then the fixed count, or the
-    /// cardinality heuristic capped at the hardware thread count.
-    pub fn workers_for(&self, work_hint: usize) -> usize {
-        if work_hint < Self::PARALLEL_MIN_ROWS {
-            return 1;
-        }
-        match self.workers {
-            Workers::Fixed(workers) => workers.max(1),
-            Workers::Auto => Self::auto_worker_count(work_hint, hardware_workers()),
-        }
-    }
-
-    /// Set a wall-clock deadline (counted from when execution starts).
+    /// Set a wall-clock deadline (counted from when execution starts),
+    /// rounded up to whole milliseconds: a non-zero deadline never becomes
+    /// the 0 ms one that trips at the first check.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.limits.deadline_ms = Some(deadline.as_millis().try_into().unwrap_or(u64::MAX));
+        let ms = deadline.as_nanos().div_ceil(1_000_000);
+        self.limits.deadline_ms = Some(ms.try_into().unwrap_or(u64::MAX));
         self
     }
 
@@ -242,28 +153,17 @@ impl ExecOptions {
     }
 }
 
-/// The hardware thread count, resolved once per process (the cap for
-/// [`Workers::Auto`]'s per-operator worker counts).
-fn hardware_workers() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
 /// Execute a plan over `idb` (base data reachable only through constraint
-/// indices) and `views` (cached extents), serially.
+/// indices) and `views` (cached extents), with no limits.
 pub fn execute(
     plan: &QueryPlan,
     idb: &IndexedDatabase,
     views: &MaterializedViews,
 ) -> Result<ExecOutput> {
-    execute_with(plan, idb, views, &ExecOptions::serial())
+    execute_with(plan, idb, views, &ExecOptions::default())
 }
 
-/// [`execute`] under explicit [`ExecOptions`] (e.g. morsel-parallel).
+/// [`execute`] under explicit [`ExecOptions`] (a deadline, a row budget).
 pub fn execute_with(
     plan: &QueryPlan,
     idb: &IndexedDatabase,
@@ -338,8 +238,8 @@ enum Op {
     /// is a slot of [`CompiledShape::views`], bound per execution.
     ViewScan { extent: usize },
     /// Selection fused directly over a view extent: filters a flat copy of
-    /// the extent's id rows (morsel-partitioned under a parallel driver)
-    /// without building the unfiltered scan's table first.
+    /// the extent's id rows without building the unfiltered scan's table
+    /// first.
     ViewFilter { extent: usize, conds: Vec<IdCond> },
     /// `fetch(X ∈ input, R, Y)` through the id-native constraint index;
     /// `constraint` is a slot of [`CompiledShape::constraints`], bound per
@@ -571,16 +471,18 @@ impl Pipeline {
     /// [`Pipeline::execute`] under an externally constructed [`Guard`]
     /// (caller-held cancellation token, engine-lifetime metrics).  Guardrail
     /// trips surface as [`PlanError::Exec`] and are recorded in the guard's
-    /// metrics exactly once per execution.
+    /// metrics exactly once per execution.  The guard carries the limits, so
+    /// `_options` is unused; it is kept only because `benchmark/` passes it,
+    /// and the next `[benchmark]` PR drops it.
     pub fn execute_guarded(
         &self,
         idb: &IndexedDatabase,
-        options: &ExecOptions,
+        _options: &ExecOptions,
         guard: &Guard,
     ) -> Result<ExecOutput> {
         let extents: Vec<&Relation> = self.extents.iter().collect();
         self.shape
-            .execute_guarded(idb, options, guard, &self.consts, &extents)
+            .execute_guarded(idb, guard, &self.consts, &extents)
     }
 }
 
@@ -646,37 +548,33 @@ impl CompiledShape {
 
     /// Evaluate the shape over `idb` with `consts` bound to its constant
     /// slots (one id per slot, in [`PlanNode::constant_slots`] order) and
-    /// `extents` to its extent slots.  Guardrail trips are recorded in the
-    /// guard's metrics exactly once per execution.
+    /// `extents` to its extent slots.  Another number of constants than
+    /// slots is a [`PlanError::ArityMismatch`] (slots, constants).
+    /// Guardrail trips are recorded in the guard's metrics exactly once per
+    /// execution.
     pub(crate) fn execute_guarded(
         &self,
         idb: &IndexedDatabase,
-        options: &ExecOptions,
         guard: &Guard,
         consts: &[ValueId],
         extents: &[&Relation],
     ) -> Result<ExecOutput> {
-        assert_eq!(
-            consts.len(),
-            self.slots,
-            "a pipeline is executed with one constant per slot"
-        );
+        if consts.len() != self.slots {
+            return Err(PlanError::ArityMismatch {
+                left: self.slots,
+                right: consts.len(),
+            });
+        }
         let result = self
             .bind(idb, extents)
-            .and_then(|bound| self.run(options, guard, consts, &bound));
+            .and_then(|bound| self.run(guard, consts, &bound));
         if let Err(PlanError::Exec(e)) = &result {
             guard.record_trip(e);
         }
         result
     }
 
-    fn run(
-        &self,
-        options: &ExecOptions,
-        guard: &Guard,
-        consts: &[ValueId],
-        bound: &Bound,
-    ) -> Result<ExecOutput> {
+    fn run(&self, guard: &Guard, consts: &[ValueId], bound: &Bound) -> Result<ExecOutput> {
         let mut stats = FetchStats::new();
         let mut tables: Vec<IdTable> = Vec::with_capacity(self.ops.len());
         for (op, drops) in self.ops.iter().zip(&self.drops) {
@@ -703,7 +601,7 @@ impl CompiledShape {
                     stats.record_view_read(extent.len());
                     let data = id_rows(extent);
                     let rows = (extent.schema().arity(), extent.len(), &data[..]);
-                    eval_select(rows, conds, consts, options, guard)?
+                    eval_select(rows, conds, consts, guard)?
                 }
                 Op::Fetch {
                     input,
@@ -713,16 +611,14 @@ impl CompiledShape {
                     &tables[*input],
                     bound.indexes[*constraint],
                     key_cols,
-                    self.constraints[*constraint].n(),
                     &mut stats,
-                    options,
                     guard,
                 )?,
-                Op::Project { input, cols } => eval_project(&tables[*input], cols, options, guard)?,
+                Op::Project { input, cols } => eval_project(&tables[*input], cols, guard)?,
                 Op::Select { input, conds } => {
                     let input = &tables[*input];
                     let rows = (input.arity, input.rows, &input.data[..]);
-                    eval_select(rows, conds, consts, options, guard)?
+                    eval_select(rows, conds, consts, guard)?
                 }
                 Op::ViewProbe(probe) => eval_view_probe(
                     probe,
@@ -730,7 +626,6 @@ impl CompiledShape {
                     bound.extents[probe.extent],
                     consts,
                     &mut stats,
-                    options,
                     guard,
                 )?,
                 Op::HashJoin {
@@ -744,11 +639,10 @@ impl CompiledShape {
                     pairs,
                     residual,
                     consts,
-                    options,
                     guard,
                 )?,
                 Op::Product { left, right } => {
-                    eval_product(&tables[*left], &tables[*right], options, guard)?
+                    eval_product(&tables[*left], &tables[*right], guard)?
                 }
                 Op::Union { left, right } => eval_union(&tables[*left], &tables[*right], guard)?,
                 Op::Difference { left, right } => {
@@ -882,8 +776,7 @@ impl CompiledShape {
                 }
                 // A selection directly over a view leaf fuses into one
                 // extent-filtering operator: no table of the unfiltered scan
-                // is built or charged, and under a parallel driver the
-                // filter runs over the extent's morsels.
+                // is built or charged.
                 if let PlanNode::View { name, arity } = input.as_ref() {
                     Op::ViewFilter {
                         extent: self.extent_slot(name, *arity),
@@ -971,36 +864,20 @@ impl IdTable {
     }
 }
 
-/// Concatenate per-morsel flat outputs in morsel order — the merge step of
-/// the bit-identical-output guarantee.
-fn merge_flat(shards: Vec<Vec<ValueId>>) -> Vec<ValueId> {
-    let total: usize = shards.iter().map(Vec::len).sum();
-    let mut data = Vec::with_capacity(total);
-    for shard in shards {
-        data.extend(shard);
-    }
-    data
-}
-
 /// `fetch(X ∈ input, R, Y)` through `index`, the id-native index this
-/// execution bound the constraint to.  `bound` is the constraint's `N`, the
-/// per-key output ceiling — used to estimate the operator's work for the
-/// parallel driver.
+/// execution bound the constraint to.
 fn eval_fetch(
     input: &IdTable,
     index: &InternedAccessIndex,
     key_cols: &[usize],
-    bound: usize,
     stats: &mut FetchStats,
-    options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
     let arity = index.arity();
     // Global key dedup in first-seen order: each distinct X-value is fetched
-    // (and counted) exactly once, matching the interpreter — and making the
-    // accounting independent of morsel boundaries.  Keys are kept flat
-    // (`n_keys · klen` ids) for the batch probes below; single-column keys
-    // dedup through a bare-id set, never hashing a slice.
+    // (and counted) exactly once, matching the interpreter.  Keys are kept
+    // flat (`n_keys · klen` ids) for the batch probes below; single-column
+    // keys dedup through a bare-id set, never hashing a slice.
     let klen = key_cols.len();
     let mut keys_flat: Vec<ValueId> = Vec::new();
     let n_keys = if klen == 0 {
@@ -1042,51 +919,31 @@ fn eval_fetch(
         }
         keys_flat.len() / klen
     };
-    // Work hint from the index's own cardinality statistics: each key probes
-    // once and returns the mean group size (never more than the constraint's
-    // bound N), so an output-heavy fetch parallelises like an output-heavy
-    // join while a sparse index no longer over-provisions workers.
-    let expected_group = index.avg_group_len().min(bound.max(1));
-    let work_hint = n_keys.saturating_mul(expected_group);
-    let shard_results = run_morsels(n_keys, work_hint, options, guard, |range| {
-        let mut data = Vec::new();
-        let mut local = FetchStats::new();
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let before = local.fetched_tuples;
-            // One batch probe per BATCH_ROWS keys: the index extends `data`
-            // directly and records each probe's |D_ξ| into the morsel-local
-            // counters, exactly as the scalar path did per key.
-            index.probe_batch(
-                &keys_flat[start * klen..end * klen],
-                end - start,
-                &mut data,
-                &mut local,
-            );
-            // The runtime re-check of the paper's bound, charged per batch
-            // on the tuples actually pulled out of base data.
-            guard.charge_fetched(local.fetched_tuples - before)?;
-            start = end;
-        }
-        guard.charge_rows(data.len() / arity.max(1))?;
-        Ok((data, local))
-    })?;
     let mut data = Vec::new();
-    for (shard_data, shard_stats) in shard_results {
-        data.extend(shard_data);
-        stats.merge(&shard_stats);
+    let mut start = 0;
+    while start < n_keys {
+        guard.check()?;
+        let end = (start + kernel::BATCH_ROWS).min(n_keys);
+        let before = stats.fetched_tuples;
+        // One batch probe per BATCH_ROWS keys: the index extends `data`
+        // directly and records each probe's |D_ξ| into `stats`, exactly as
+        // the scalar path did per key.
+        index.probe_batch(
+            &keys_flat[start * klen..end * klen],
+            end - start,
+            &mut data,
+            stats,
+        );
+        // The runtime re-check of the paper's bound, charged per batch on
+        // the tuples actually pulled out of base data.
+        guard.charge_fetched(stats.fetched_tuples - before)?;
+        start = end;
     }
+    guard.charge_rows(data.len() / arity.max(1))?;
     Ok(IdTable::from_data(arity, 0, data))
 }
 
-fn eval_project(
-    input: &IdTable,
-    cols: &[usize],
-    options: &ExecOptions,
-    guard: &Guard,
-) -> Result<IdTable> {
+fn eval_project(input: &IdTable, cols: &[usize], guard: &Guard) -> Result<IdTable> {
     let arity = cols.len();
     if arity == 0 {
         guard.charge_rows(input.rows)?;
@@ -1097,24 +954,21 @@ fn eval_project(
         });
     }
     let in_arity = input.arity;
-    let shard_results = run_morsels(input.rows, input.rows, options, guard, |range| {
-        let mut data = Vec::with_capacity(range.len() * arity);
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            guard.charge_rows(end - start)?;
-            kernel::project(
-                &input.data[start * in_arity..end * in_arity],
-                in_arity,
-                cols,
-                &mut data,
-            );
-            start = end;
-        }
-        Ok(data)
-    })?;
-    Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
+    let mut data = Vec::with_capacity(input.rows * arity);
+    let mut start = 0;
+    while start < input.rows {
+        guard.check()?;
+        let end = (start + kernel::BATCH_ROWS).min(input.rows);
+        guard.charge_rows(end - start)?;
+        kernel::project(
+            &input.data[start * in_arity..end * in_arity],
+            in_arity,
+            cols,
+            &mut data,
+        );
+        start = end;
+    }
+    Ok(IdTable::from_data(arity, 0, data))
 }
 
 /// A relation's stored id rows, copied flat and row-major.
@@ -1133,7 +987,6 @@ fn eval_select(
     (arity, rows, data): (usize, usize, &[ValueId]),
     conds: &[IdCond],
     consts: &[ValueId],
-    options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
     if arity == 0 {
@@ -1142,22 +995,19 @@ fn eval_select(
         guard.charge_rows(rows)?;
         return Ok(IdTable::from_data(0, rows, Vec::new()));
     }
-    let shard_results = run_morsels(rows, rows, options, guard, |range| {
-        let mut out = Vec::new();
-        let mut sel: Vec<u32> = Vec::with_capacity(kernel::BATCH_ROWS);
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let batch = &data[start * arity..end * arity];
-            kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
-            guard.charge_rows(sel.len())?;
-            kernel::gather(batch, arity, end - start, &sel, &mut out);
-            start = end;
-        }
-        Ok(out)
-    })?;
-    Ok(IdTable::from_data(arity, 0, merge_flat(shard_results)))
+    let mut out = Vec::new();
+    let mut sel: Vec<u32> = Vec::with_capacity(kernel::BATCH_ROWS);
+    let mut start = 0;
+    while start < rows {
+        guard.check()?;
+        let end = (start + kernel::BATCH_ROWS).min(rows);
+        let batch = &data[start * arity..end * arity];
+        kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
+        guard.charge_rows(sel.len())?;
+        kernel::gather(batch, arity, end - start, &sel, &mut out);
+        start = end;
+    }
+    Ok(IdTable::from_data(arity, 0, out))
 }
 
 /// The probe phase of an equi-join, whatever holds the build side: `lookup`
@@ -1168,45 +1018,38 @@ fn probe_phase<'a, M: Iterator<Item = &'a [ValueId]>>(
     probe: &IdTable,
     (build_arity, probe_left): (usize, bool),
     (residual, consts): (&[IdCond], &[ValueId]),
-    work_hint: usize,
-    options: &ExecOptions,
     guard: &Guard,
-    lookup: impl Fn(&[ValueId], &mut Vec<ValueId>) -> M + Sync,
+    lookup: impl Fn(&[ValueId], &mut Vec<ValueId>) -> M,
 ) -> Result<(IdTable, usize)> {
     let out_arity = probe.arity + build_arity;
-    let shard_results = run_morsels(probe.rows, work_hint, options, guard, |range| {
-        let (mut data, mut matches) = (Vec::new(), 0);
-        let mut key: Vec<ValueId> = Vec::new();
-        let mut start = range.start;
-        while start < range.end {
-            guard.check()?;
-            let end = (start + kernel::BATCH_ROWS).min(range.end);
-            let before = data.len();
-            for i in start..end {
-                let row = probe.row(i);
-                for build_row in lookup(row, &mut key) {
-                    matches += 1;
-                    let (l_row, r_row) = match probe_left {
-                        true => (row, build_row),
-                        false => (build_row, row),
-                    };
-                    // Residual conditions roll back the append.
-                    let at = data.len();
-                    data.extend_from_slice(l_row);
-                    data.extend_from_slice(r_row);
-                    if !residual.iter().all(|c| c.holds(&data[at..], consts)) {
-                        data.truncate(at);
-                    }
+    let (mut data, mut matches) = (Vec::new(), 0);
+    let mut key: Vec<ValueId> = Vec::new();
+    let mut start = 0;
+    while start < probe.rows {
+        guard.check()?;
+        let end = (start + kernel::BATCH_ROWS).min(probe.rows);
+        let before = data.len();
+        for i in start..end {
+            let row = probe.row(i);
+            for build_row in lookup(row, &mut key) {
+                matches += 1;
+                let (l_row, r_row) = match probe_left {
+                    true => (row, build_row),
+                    false => (build_row, row),
+                };
+                // Residual conditions roll back the append.
+                let at = data.len();
+                data.extend_from_slice(l_row);
+                data.extend_from_slice(r_row);
+                if !residual.iter().all(|c| c.holds(&data[at..], consts)) {
+                    data.truncate(at);
                 }
             }
-            guard.charge_rows((data.len() - before) / out_arity)?;
-            start = end;
         }
-        Ok((data, matches))
-    })?;
-    let (data, matches): (Vec<_>, Vec<usize>) = shard_results.into_iter().unzip();
-    let table = IdTable::from_data(out_arity, 0, merge_flat(data));
-    Ok((table, matches.iter().sum()))
+        guard.charge_rows((data.len() - before) / out_arity)?;
+        start = end;
+    }
+    Ok((IdTable::from_data(out_arity, 0, data), matches))
 }
 
 /// `input ⋈ extent` without reading the extent: a probe phase over the build
@@ -1217,7 +1060,6 @@ fn eval_view_probe(
     extent: &Relation,
     consts: &[ValueId],
     stats: &mut FetchStats,
-    options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
     let view_arity = extent.schema().arity();
@@ -1236,7 +1078,6 @@ fn eval_view_probe(
     key_cols.sort_unstable();
     let positions: Vec<usize> = key_cols.iter().map(|k| k.0).collect();
     let index = extent.keyed_index(&positions)?;
-    let work_hint = input.rows.saturating_mul(index.avg_group_len());
     let sides = (view_arity, !probe.view_left);
     let conds = (&probe.residual[..], consts);
     let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
@@ -1248,7 +1089,7 @@ fn eval_view_probe(
         }
         group.chunks_exact(view_arity)
     };
-    let (table, read) = probe_phase(input, sides, conds, work_hint, options, guard, lookup)?;
+    let (table, read) = probe_phase(input, sides, conds, guard, lookup)?;
     stats.record_view_read(read);
     Ok(table)
 }
@@ -1259,7 +1100,6 @@ fn eval_hash_join(
     pairs: &[(usize, usize)],
     residual: &[IdCond],
     consts: &[ValueId],
-    options: &ExecOptions,
     guard: &Guard,
 ) -> Result<IdTable> {
     if left.rows == 0 || right.rows == 0 {
@@ -1276,10 +1116,6 @@ fn eval_hash_join(
     let cols = |&(l, r): &(usize, usize)| if build_left { (l, r) } else { (r, l) };
     let (build_cols, probe_cols): (Vec<usize>, Vec<usize>) = pairs.iter().map(cols).unzip();
     let table = kernel::JoinTable::build(&build.data, build.arity, build.rows, &build_cols, guard)?;
-    // Work hint: probing is at least one lookup per probe row, plus the
-    // output rows a fanning-out build side produces.
-    let avg_group = (build.rows / table.groups().max(1)).max(1);
-    let work_hint = probe.rows.saturating_mul(avg_group);
     let sides = (build.arity, !build_left);
     let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
         let matches = match &table {
@@ -1296,15 +1132,10 @@ fn eval_hash_join(
         matches.map(|&b| build.row(b as usize))
     };
     let conds = (residual, consts);
-    Ok(probe_phase(probe, sides, conds, work_hint, options, guard, lookup)?.0)
+    Ok(probe_phase(probe, sides, conds, guard, lookup)?.0)
 }
 
-fn eval_product(
-    left: &IdTable,
-    right: &IdTable,
-    options: &ExecOptions,
-    guard: &Guard,
-) -> Result<IdTable> {
+fn eval_product(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdTable> {
     let out_arity = left.arity + right.arity;
     let out_rows = left.rows.saturating_mul(right.rows);
     // Pre-charge the whole output *before* allocating: an adversarial
@@ -1318,33 +1149,22 @@ fn eval_product(
             data: Vec::new(),
         });
     }
-    let shard_results = run_morsels(left.rows, out_rows, options, guard, |range| {
-        // Cap the pre-allocation: an astronomically large product under a
-        // deadline (but no row budget) must not OOM on `with_capacity`
-        // before the first checkpoint fires.
-        const PREALLOC_CAP: usize = 1 << 22;
-        let exact = range
-            .len()
-            .saturating_mul(right.rows)
-            .saturating_mul(out_arity);
-        let mut data = Vec::with_capacity(exact.min(PREALLOC_CAP));
-        let mut emitted = 0usize;
-        for i in range {
-            let l_row = left.row(i);
-            for j in 0..right.rows {
-                guard.checkpoint(emitted)?;
-                emitted += 1;
-                data.extend_from_slice(l_row);
-                data.extend_from_slice(right.row(j));
-            }
+    // Cap the pre-allocation: an astronomically large product under a
+    // deadline (but no row budget) must not OOM on `with_capacity` before
+    // the first checkpoint fires.
+    const PREALLOC_CAP: usize = 1 << 22;
+    let mut data = Vec::with_capacity(out_rows.saturating_mul(out_arity).min(PREALLOC_CAP));
+    let mut emitted = 0usize;
+    for i in 0..left.rows {
+        let l_row = left.row(i);
+        for j in 0..right.rows {
+            guard.checkpoint(emitted)?;
+            emitted += 1;
+            data.extend_from_slice(l_row);
+            data.extend_from_slice(right.row(j));
         }
-        Ok(data)
-    })?;
-    Ok(IdTable::from_data(
-        out_arity,
-        out_rows,
-        merge_flat(shard_results),
-    ))
+    }
+    Ok(IdTable::from_data(out_arity, out_rows, data))
 }
 
 fn eval_union(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdTable> {
@@ -1378,7 +1198,7 @@ fn eval_difference(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdT
 
 /// Sort + dedup a table's rows (lexicographic on ids).  Intermediate order
 /// is only an engine-internal detail — the root materialisation re-sorts by
-/// `Value` — but it is deterministic, which keeps parallel runs bit-identical.
+/// `Value` — but it is deterministic.
 fn dedup_table(input: &IdTable, guard: &Guard) -> Result<IdTable> {
     guard.check()?;
     if input.arity == 0 {
@@ -1666,13 +1486,6 @@ mod tests {
             compiled.stats, interpreted.stats,
             "identical |D_ξ| accounting"
         );
-        // Parallel execution is bit-identical too.
-        for shards in [1usize, 2, 4] {
-            let parallel =
-                execute_with(&plan, &idb, &cache, &ExecOptions::parallel(shards)).unwrap();
-            assert_eq!(parallel.tuples, interpreted.tuples, "{shards} shards");
-            assert_eq!(parallel.stats, interpreted.stats, "{shards} shards");
-        }
     }
 
     #[test]
@@ -1784,7 +1597,7 @@ mod tests {
         assert!(text.contains("view-filter V1"), "{text}");
         assert!(!text.contains("view-scan"), "{text}");
         assert_eq!(pipeline.len(), 1, "one fused operator");
-        let out = pipeline.execute(&idb, &ExecOptions::serial()).unwrap();
+        let out = pipeline.execute(&idb, &ExecOptions::default()).unwrap();
         let interpreted = reference::execute(&plan, &idb, &cache).unwrap();
         assert_eq!(out, interpreted);
         assert_eq!(out.tuples, vec![tuple![10]]);
@@ -1798,7 +1611,7 @@ mod tests {
         let pipeline = Pipeline::compile(&unfused, &idb, &cache).unwrap();
         assert!(pipeline.describe().contains("view-scan V1"));
         assert_eq!(
-            pipeline.execute(&idb, &ExecOptions::serial()).unwrap(),
+            pipeline.execute(&idb, &ExecOptions::default()).unwrap(),
             interpreted
         );
     }
@@ -1935,7 +1748,7 @@ mod tests {
             for (plan, op) in [(scan, "view-scan"), (filter, "view-filter")] {
                 let pipeline = Pipeline::compile(&plan, &idb, &views).unwrap();
                 assert!(pipeline.describe().contains(op), "{}", pipeline.describe());
-                let out = pipeline.execute(&idb, &ExecOptions::serial()).unwrap();
+                let out = pipeline.execute(&idb, &ExecOptions::default()).unwrap();
                 assert_eq!(out.tuples.len(), rows, "{view} {op}");
                 assert_eq!(out.stats.view_tuples, rows, "{view} {op}");
                 assert_eq!(out, reference::execute(&plan, &idb, &views).unwrap());
@@ -1971,58 +1784,37 @@ mod tests {
         ));
     }
 
+    /// The default runs unlimited; each builder sets its one limit, and a
+    /// sub-millisecond deadline rounds up to a whole millisecond rather
+    /// than down to the 0 ms one that trips at the first check.
     #[test]
     fn exec_options_constructors() {
-        assert_eq!(ExecOptions::default(), ExecOptions::serial());
-        assert_eq!(ExecOptions::parallel(4).workers, Workers::Fixed(4));
+        assert_eq!(ExecOptions::default().limits, GuardLimits::none());
+        let limits = ExecOptions::default()
+            .with_deadline(Duration::from_millis(40))
+            .with_row_budget(7)
+            .with_fetch_budget(9)
+            .limits;
+        assert_eq!(limits.deadline_ms, Some(40));
+        assert_eq!(limits.max_intermediate_rows, Some(7));
+        assert_eq!(limits.max_fetched_tuples, Some(9));
+        let ms = |d: Duration| ExecOptions::default().with_deadline(d).limits.deadline_ms;
+        assert_eq!(ms(Duration::from_micros(500)), Some(1));
+        assert_eq!(ms(Duration::from_micros(1_001)), Some(2));
+        assert_eq!(ms(Duration::ZERO), Some(0));
+        assert_eq!(ms(Duration::MAX), Some(u64::MAX), "saturates");
         assert_eq!(
-            ExecOptions::parallel(0),
-            ExecOptions::serial(),
-            "clamped to ≥ 1"
+            ExecOptions::default()
+                .with_deadline_ms(3)
+                .limits
+                .deadline_ms,
+            Some(3)
         );
-        assert_eq!(ExecOptions::parallel(1), ExecOptions::serial());
-        assert_eq!(ExecOptions::parallel_auto().workers, Workers::Auto);
     }
 
-    /// The worker count per work hint, one row per constructor: below
-    /// `PARALLEL_MIN_ROWS` everything is serial, above it a fixed count is
-    /// that count and auto is one worker per `PARALLEL_MIN_ROWS` of work,
-    /// capped at the machine.
-    #[test]
-    fn workers_for_is_serial_below_the_threshold_and_the_chosen_count_above() {
-        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let hints = [0, 4_095, 4_096, 1_000_000];
-        let table = [
-            (ExecOptions::serial(), [1, 1, 1, 1]),
-            (ExecOptions::parallel(1), [1, 1, 1, 1]),
-            (ExecOptions::parallel(2), [1, 1, 2, 2]),
-            (ExecOptions::parallel(4), [1, 1, 4, 4]),
-            (ExecOptions::parallel_auto(), [1, 1, 1, 244.min(machine)]),
-        ];
-        for (options, expected) in table {
-            let got = hints.map(|hint| options.workers_for(hint));
-            assert_eq!(got, expected, "{options:?}");
-        }
-    }
-
-    /// The auto heuristic is a pure function of `(work_hint, max_workers)`:
-    /// one worker per `PARALLEL_MIN_ROWS` of estimated work, clamped to the
-    /// machine.  Deterministic by construction — pinned here so the chosen
-    /// counts never drift silently.
-    #[test]
-    fn auto_worker_count_is_deterministic_in_the_work_hint() {
-        let w = ExecOptions::auto_worker_count;
-        assert_eq!(w(0, 8), 1);
-        assert_eq!(w(4096, 8), 1);
-        assert_eq!(w(8192, 8), 2);
-        assert_eq!(w(3 * 4096 + 1, 8), 3, "floor of work / threshold");
-        assert_eq!(w(1 << 20, 8), 8, "clamped to the machine");
-        assert_eq!(w(1 << 20, 1), 1);
-        assert_eq!(w(usize::MAX, 0), 1, "zero max still yields one worker");
-    }
-
-    /// Sharded-parallel execution over an input large enough to cross the
-    /// parallel threshold is bit-identical to serial execution.
+    /// An input that spans several kernel batches (3 000 rows, a fan-in
+    /// join well past `BATCH_ROWS`) executes to the reference's answer and
+    /// `FetchStats`.
     #[test]
     fn parallel_execution_is_deterministic_over_large_inputs() {
         let schema = DatabaseSchema::with_relations(&[("edge", &["src", "dst"])]).unwrap();
@@ -2036,21 +1828,18 @@ mod tests {
             .unwrap();
         let cache = views.materialize(&db).unwrap();
         let idb = IndexedDatabase::build(db, AccessSchema::empty()).unwrap();
-        // E ⋈ E on dst = src: 3000 × fan-in join, well above the threshold.
+        // E ⋈ E on dst = src: 3000 probe rows, three kernel batches.
         let plan = Plan::view("E", 2)
             .join_eq(Plan::view("E", 2), &[(1, 0)])
             .project(vec![0, 3])
             .build()
             .unwrap();
-        let serial = execute(&plan, &idb, &cache).unwrap();
-        assert_eq!(serial, reference::execute(&plan, &idb, &cache).unwrap());
-        for shards in [2usize, 4, 8] {
-            let parallel =
-                execute_with(&plan, &idb, &cache, &ExecOptions::parallel(shards)).unwrap();
-            assert_eq!(parallel, serial, "{shards} shards");
-        }
-        // Auto worker selection changes only the scheduling, never the answer.
-        let auto = execute_with(&plan, &idb, &cache, &ExecOptions::parallel_auto()).unwrap();
-        assert_eq!(auto, serial, "auto worker count");
+        let out = execute(&plan, &idb, &cache).unwrap();
+        assert!(
+            out.stats.view_tuples > kernel::BATCH_ROWS,
+            "{:?}",
+            out.stats
+        );
+        assert_eq!(out, reference::execute(&plan, &idb, &cache).unwrap());
     }
 }

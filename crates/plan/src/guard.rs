@@ -27,8 +27,8 @@
 //! which case every check is a couple of relaxed atomic loads.
 //!
 //! [`GuardMetrics`] accumulates engine-lifetime counters ([`GuardStats`]) of
-//! trips, contained panics and serial fallbacks; `bqr-engine` owns one per
-//! engine and surfaces it as `engine.guard_stats()`.
+//! trips; `bqr-engine` owns one per engine and surfaces it as
+//! `engine.guard_stats()`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -96,8 +96,7 @@ impl GuardLimits {
 }
 
 /// The per-execution governor: checked cooperatively inside the hot operator
-/// loops and shared by reference across shard workers (it is `Sync`; the
-/// counters are atomics).
+/// loops (it is `Sync`; the counters are atomics).
 ///
 /// Construction resolves the deadline once; `check()` only reads the clock
 /// when a deadline is actually set, and then on one call in `CLOCK_STRIDE`:
@@ -106,10 +105,6 @@ impl GuardLimits {
 #[derive(Debug)]
 pub struct Guard {
     token: CancellationToken,
-    /// Internal abort flag: set when one shard worker fails so its siblings
-    /// stop at their next checkpoint.  Distinct from the caller's token so a
-    /// sibling-abort is never mistaken for an external cancellation.
-    aborted: AtomicBool,
     deadline: Option<Instant>,
     deadline_ms: u64,
     /// `check()` calls under a deadline so far (a sampling counter).
@@ -132,7 +127,6 @@ impl Guard {
     pub fn with_token(limits: &GuardLimits, token: CancellationToken) -> Self {
         Guard {
             token,
-            aborted: AtomicBool::new(false),
             deadline: limits
                 .deadline_ms
                 .map(|ms| Instant::now() + Duration::from_millis(ms)),
@@ -147,7 +141,7 @@ impl Guard {
     }
 
     /// Attach engine-lifetime metrics; trips recorded via [`record_trip`]
-    /// (and panics/fallbacks noted by the executor) accumulate there.
+    /// accumulate there.
     ///
     /// [`record_trip`]: Guard::record_trip
     pub fn with_metrics(mut self, metrics: Arc<GuardMetrics>) -> Self {
@@ -160,10 +154,10 @@ impl Guard {
         &self.token
     }
 
-    /// Fail fast if cancelled (externally or by a failed sibling shard) or
-    /// past the deadline.  The clock is only read when a deadline is set.
+    /// Fail fast if cancelled or past the deadline.  The clock is only read
+    /// when a deadline is set.
     pub fn check(&self) -> Result<(), ExecError> {
-        if self.aborted.load(Ordering::Acquire) || self.token.is_cancelled() {
+        if self.token.is_cancelled() {
             return Err(ExecError::Cancelled);
         }
         if let Some(deadline) = self.deadline {
@@ -191,7 +185,7 @@ impl Guard {
     }
 
     /// Charge `n` intermediate rows against the memory budget.  Call once
-    /// per materialised batch (per shard), not per row.
+    /// per materialised batch, not per row.
     pub fn charge_rows(&self, n: usize) -> Result<(), ExecError> {
         let Some(budget) = self.max_rows else {
             return Ok(());
@@ -219,31 +213,8 @@ impl Guard {
         Ok(())
     }
 
-    /// Abort this execution: sibling shards observe it at their next
-    /// checkpoint and return [`ExecError::Cancelled`].  Does not touch the
-    /// caller's token.
-    pub fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-    }
-
-    /// Note that a shard worker panicked and the panic was contained.
-    pub fn note_panic_contained(&self) {
-        if let Some(m) = &self.metrics {
-            m.panics_contained.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Note that parallel execution fell back to running a shard inline
-    /// because a worker thread could not be spawned.
-    pub fn note_serial_fallback(&self) {
-        if let Some(m) = &self.metrics {
-            m.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Record one tripped limit in the attached metrics.  Called once per
-    /// execution at the top level, so a limit tripped by several shards
-    /// counts once.
+    /// execution at the top level.
     pub fn record_trip(&self, err: &ExecError) {
         let Some(m) = &self.metrics else { return };
         match err {
@@ -253,8 +224,6 @@ impl Guard {
                 m.memory_trips.fetch_add(1, Ordering::Relaxed)
             }
             ExecError::FetchBudgetExceeded { .. } => m.fetch_trips.fetch_add(1, Ordering::Relaxed),
-            // Contained panics are counted where they are caught.
-            ExecError::WorkerPanic(_) => 0,
         };
     }
 }
@@ -267,8 +236,6 @@ pub struct GuardMetrics {
     deadline_trips: AtomicU64,
     memory_trips: AtomicU64,
     fetch_trips: AtomicU64,
-    panics_contained: AtomicU64,
-    serial_fallbacks: AtomicU64,
 }
 
 impl GuardMetrics {
@@ -285,8 +252,6 @@ impl GuardMetrics {
             deadline_trips: self.deadline_trips.load(Ordering::Relaxed),
             memory_trips: self.memory_trips.load(Ordering::Relaxed),
             fetch_trips: self.fetch_trips.load(Ordering::Relaxed),
-            panics_contained: self.panics_contained.load(Ordering::Relaxed),
-            serial_fallbacks: self.serial_fallbacks.load(Ordering::Relaxed),
         }
     }
 }
@@ -303,15 +268,11 @@ pub struct GuardStats {
     pub memory_trips: u64,
     /// Executions that returned [`ExecError::FetchBudgetExceeded`].
     pub fetch_trips: u64,
-    /// Shard-worker panics caught and converted to typed errors.
-    pub panics_contained: u64,
-    /// Shards run inline because a worker thread could not be spawned.
-    pub serial_fallbacks: u64,
 }
 
 /// Best-effort human-readable message from a caught panic payload (the
 /// value `std::panic::catch_unwind` returns in its `Err`).  Used by the
-/// executor's shard containment and the engine's mutate containment.
+/// engine's mutate containment.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -345,18 +306,6 @@ mod tests {
         token.cancel();
         assert_eq!(g.check(), Err(ExecError::Cancelled));
         assert!(g.token().is_cancelled());
-    }
-
-    #[test]
-    fn internal_abort_reads_as_cancellation_without_tripping_the_token() {
-        let token = CancellationToken::new();
-        let g = Guard::with_token(&GuardLimits::none(), token.clone());
-        g.abort();
-        assert_eq!(g.check(), Err(ExecError::Cancelled));
-        assert!(
-            !token.is_cancelled(),
-            "abort must not trip the caller token"
-        );
     }
 
     #[test]
@@ -422,17 +371,12 @@ mod tests {
         g.record_trip(&ExecError::DeadlineExceeded { deadline_ms: 50 });
         g.record_trip(&ExecError::MemoryBudgetExceeded { budget_rows: 1 });
         g.record_trip(&ExecError::FetchBudgetExceeded { budget_tuples: 1 });
-        g.record_trip(&ExecError::WorkerPanic("boom".into()));
-        g.note_panic_contained();
-        g.note_serial_fallback();
-        g.note_serial_fallback();
+        g.record_trip(&ExecError::FetchBudgetExceeded { budget_tuples: 2 });
         let stats = metrics.stats();
         assert_eq!(stats.cancellations, 1);
         assert_eq!(stats.deadline_trips, 1);
         assert_eq!(stats.memory_trips, 1);
-        assert_eq!(stats.fetch_trips, 1);
-        assert_eq!(stats.panics_contained, 1);
-        assert_eq!(stats.serial_fallbacks, 2);
+        assert_eq!(stats.fetch_trips, 2);
     }
 
     #[test]

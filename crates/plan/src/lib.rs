@@ -12,10 +12,10 @@
 //!   materialised views, with [`FetchStats`](bqr_data::FetchStats) accounting of `|D_ξ|`: plans are
 //!   compiled to a flat operator [`Pipeline`] over interned ids whose hot
 //!   operators run as vectorised batch kernels (selection vectors, batched
-//!   index probes, hash joins for the σ-over-× pattern), optionally spread
-//!   over morsel-driven worker threads via [`ExecOptions`]; the original
-//!   tree-walking interpreter is retained as [`exec::reference`] for
-//!   differential testing;
+//!   index probes, hash joins for the σ-over-× pattern) on the calling
+//!   thread, under the limits of [`ExecOptions`]; the original tree-walking
+//!   interpreter is retained as [`exec::reference`] for differential
+//!   testing;
 //! * [`fingerprint`] — canonical [`PlanFingerprint`]s of a plan's *shape*
 //!   (its structure, constants left out), the prepared-execution cache key;
 //! * [`prepared`] — the prepared-statement layer: a process-wide
@@ -31,7 +31,7 @@
 //! * [`guard`] — runtime guardrails: cooperative deadlines, cancellation
 //!   tokens, intermediate-row (memory) budgets and fetched-tuple caps
 //!   checked inside the hot operator loops, surfacing as typed
-//!   [`ExecError`]s, with panic containment across shard workers.
+//!   [`ExecError`]s.
 
 // The serving path must degrade with typed errors, never unwind: unwrap is
 // flagged crate-wide (tests opt back in locally).
@@ -45,14 +45,13 @@ pub mod exec;
 pub mod fingerprint;
 pub mod guard;
 mod kernel;
-mod morsel;
 pub mod node;
 pub mod prepared;
 pub mod to_query;
 
 pub use conform::{check_conformance, Conformance};
 pub use error::{ExecError, PlanError};
-pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline, Workers};
+pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline};
 pub use fingerprint::{fingerprint as plan_fingerprint, PlanFingerprint};
 pub use guard::{panic_message, CancellationToken, Guard, GuardLimits, GuardMetrics, GuardStats};
 pub use node::{PlanLanguage, PlanNode, QueryPlan, SelectCondition};

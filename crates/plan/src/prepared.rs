@@ -288,18 +288,19 @@ impl PreparedShape {
     /// externally constructed [`Guard`](crate::guard::Guard): looks the
     /// compiled shape up, binds the extents of `views` and the indexes of
     /// `idb`, and runs — bit-identical (tuples and stats) to compiling and
-    /// executing the closed plan those constants make.
+    /// executing the closed plan those constants make.  Another number of
+    /// `constants` than the shape has slots is a
+    /// [`PlanError::ArityMismatch`](crate::PlanError::ArityMismatch).
     pub fn execute_guarded(
         &self,
         idb: &IndexedDatabase,
         views: &MaterializedViews,
-        options: &ExecOptions,
         guard: &crate::guard::Guard,
         constants: &[ValueId],
     ) -> Result<ExecOutput> {
         let shape = self.compiled()?;
         let extents = shape.bind_extents(views)?;
-        shape.execute_guarded(idb, options, guard, constants, &extents)
+        shape.execute_guarded(idb, guard, constants, &extents)
     }
 }
 
@@ -384,9 +385,10 @@ impl PreparedPlan {
         Pipeline::bind(self.shape.compiled()?, constants, idb, views)
     }
 
-    /// Execute serially (the prepared counterpart of [`crate::execute`]).
+    /// Execute with no limits (the prepared counterpart of
+    /// [`crate::execute`]).
     pub fn execute(&self, idb: &IndexedDatabase, views: &MaterializedViews) -> Result<ExecOutput> {
-        self.execute_with(idb, views, &ExecOptions::serial())
+        self.execute_with(idb, views, &ExecOptions::default())
     }
 
     /// Execute under explicit [`ExecOptions`] (the prepared counterpart of
@@ -406,16 +408,18 @@ impl PreparedPlan {
     /// [`PreparedPlan::execute_with`] under an externally constructed
     /// [`Guard`](crate::guard::Guard) — the entry point for callers that
     /// share a cancellation token or engine-lifetime
-    /// [`GuardMetrics`](crate::guard::GuardMetrics) across executions.
+    /// [`GuardMetrics`](crate::guard::GuardMetrics) across executions.  The
+    /// guard carries the limits, so `_options` is unused; it is kept only
+    /// because `benchmark/` passes it, and the next `[benchmark]` PR drops it.
     pub fn execute_guarded(
         &self,
         idb: &IndexedDatabase,
         views: &MaterializedViews,
-        options: &ExecOptions,
+        _options: &ExecOptions,
         guard: &crate::guard::Guard,
     ) -> Result<ExecOutput> {
         self.shape
-            .execute_guarded(idb, views, options, guard, &self.constants)
+            .execute_guarded(idb, views, guard, &self.constants)
     }
 }
 
@@ -614,21 +618,14 @@ mod tests {
         let cache = Arc::new(PipelineCache::new(8));
         let prepared = PreparedPlan::with_cache(plan(), Arc::clone(&cache));
         let (idb, views) = instance(-1);
-        let serial = prepared
-            .execute_with(&idb, &views, &ExecOptions::serial())
+        let unlimited = prepared
+            .execute_with(&idb, &views, &ExecOptions::default())
             .unwrap();
-        let parallel = prepared
-            .execute_with(&idb, &views, &ExecOptions::parallel(4))
-            .unwrap();
-        let limited = prepared
-            .execute_with(
-                &idb,
-                &views,
-                &ExecOptions::serial().with_deadline_ms(60_000),
-            )
-            .unwrap();
-        assert_eq!(serial, parallel, "options never change the output");
-        assert_eq!(serial, limited);
+        let limited = ExecOptions::default()
+            .with_deadline_ms(60_000)
+            .with_row_budget(1 << 20);
+        let limited = prepared.execute_with(&idb, &views, &limited).unwrap();
+        assert_eq!(unlimited, limited, "options never change the output");
         assert_eq!(cache.stats().misses, 1, "options are not in the key");
         assert_eq!(cache.len(), 1);
     }
@@ -713,7 +710,7 @@ mod tests {
             for _ in 0..2 {
                 let e = prepared.execute(&idb, &views).unwrap_err();
                 assert_eq!(e.to_string(), unprepared.to_string(), "case {i}");
-                let e = prepared.pipeline(&idb, &views, &ExecOptions::serial());
+                let e = prepared.pipeline(&idb, &views, &ExecOptions::default());
                 assert_eq!(e.unwrap_err().to_string(), unprepared.to_string());
             }
             let fresh = crate::execute(prepared.plan(), &idb2, &views2).unwrap();

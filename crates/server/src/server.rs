@@ -44,7 +44,7 @@ impl Default for ServerConfig {
             max_outstanding_cost: 1 << 20,
             workers: 4,
             retry_after_ms: 1,
-            options: ExecOptions::serial(),
+            options: ExecOptions::default(),
         }
     }
 }

@@ -197,13 +197,12 @@
 //! Every execution runs under a [`Guard`](plan::Guard): set a wall-clock
 //! deadline, an intermediate-row budget, or a runtime fetch cap on
 //! [`ExecOptions`](plan::ExecOptions) (or engine-wide via
-//! [`EngineBuilder::guard_limits`]), and hand out a
+//! [`EngineBuilder::exec_options`]), and hand out a
 //! [`CancellationToken`](plan::CancellationToken) to cancel from another
 //! thread.  Trips surface as typed [`ExecError`](plan::ExecError)s inside
 //! [`Error::Execution`] — reachable via [`Error::exec_error`](engine::Error::exec_error) —
 //! and are counted per engine in [`Engine::guard_stats`].  A panicking
-//! shard worker aborts its query, not the process; a panicking mutate
-//! closure returns [`Error::MutationPanicked`]
+//! mutate closure returns [`Error::MutationPanicked`]
 //! and publishes nothing.  On success the [`FetchStats`](data::FetchStats)
 //! accounting is unchanged — guards only ever turn answers into errors,
 //! never alter answers.
@@ -229,14 +228,14 @@
 //! engine.prepare("ranks", "Q(r) :- rating(42, r)")?;
 //! let session = engine.session();
 //! // A zero-row budget trips before any intermediate result materialises.
-//! let strangled = ExecOptions::serial().with_row_budget(0);
+//! let strangled = ExecOptions::default().with_row_budget(0);
 //! let err = session.execute_with("ranks", &strangled).unwrap_err();
 //! assert!(matches!(
 //!     err.exec_error(),
 //!     Some(ExecError::MemoryBudgetExceeded { budget_rows: 0 })
 //! ));
 //! // The same engine keeps serving under sane limits.
-//! let sane = ExecOptions::serial().with_deadline_ms(10_000);
+//! let sane = ExecOptions::default().with_deadline_ms(10_000);
 //! assert_eq!(session.execute_with("ranks", &sane)?.tuples, vec![tuple![5]]);
 //! assert_eq!(engine.guard_stats().memory_trips, 1);
 //! # Ok(())
@@ -257,49 +256,11 @@
 //! charges happen once per batch, so the guardrails above cost the same as
 //! they did row-at-a-time.
 //!
-//! With [`ExecOptions::parallel`](plan::ExecOptions::parallel) (or
-//! [`parallel_auto`](plan::ExecOptions::parallel_auto), which sizes the
-//! worker pool per operator from its input cardinalities — either one also
-//! an engine default through [`EngineBuilder::exec_options`]), data-parallel
-//! operators are **morsel-driven**: worker threads pull fixed-size morsels
-//! of the input from a shared queue, so a slow morsel never idles the
-//! other workers behind a barrier.  Results always merge *in morsel
-//! order*; since morsel boundaries depend only on the row count and worker
-//! count and every kernel preserves input order, a parallel run is
-//! **bit-identical** — answer tuples *and*
-//! [`FetchStats`](data::FetchStats) — to the serial one:
-//!
-//! ```
-//! use bqr::{tuple, Engine};
-//! use bqr::data::{AccessConstraint, AccessSchema, Database, DatabaseSchema};
-//! use bqr::plan::ExecOptions;
-//!
-//! # fn main() -> bqr::Result<()> {
-//! # let schema = DatabaseSchema::with_relations(&[("rating", &["mid", "rank"])])
-//! #     .map_err(bqr::Error::Data)?;
-//! # let engine = Engine::builder()
-//! #     .schema(schema.clone())
-//! #     .access(AccessSchema::new(vec![
-//! #         AccessConstraint::new("rating", &["mid"], &["rank"], 64).unwrap(),
-//! #     ]))
-//! #     .bound(8)
-//! #     .build()?;
-//! # let mut db = Database::empty(schema);
-//! # for i in 0..50i64 {
-//! #     db.insert("rating", tuple![42, i]).map_err(bqr::Error::Data)?;
-//! # }
-//! # engine.attach(db)?;
-//! engine.prepare("ranks", "Q(r) :- rating(42, r)")?;
-//! let session = engine.session();
-//! let serial = session.execute_with("ranks", &ExecOptions::serial())?;
-//! for options in [ExecOptions::parallel(4), ExecOptions::parallel_auto()] {
-//!     let parallel = session.execute_with("ranks", &options)?;
-//!     // Bit-identical: same tuples, same |D_ξ| accounting.
-//!     assert_eq!(parallel, serial);
-//! }
-//! # Ok(())
-//! # }
-//! ```
+//! Every operator runs its batches in one loop on the calling thread.  A
+//! bounded plan reads `|D_ξ|` tuples, a number set by the access schema and
+//! the plan rather than by `|D|`, so no operator has enough rows to be
+//! worth splitting; concurrency is across requests (the server's worker
+//! pool), never inside one.
 //!
 //! # Query shapes: analyse and compile a question once
 //!

@@ -9,9 +9,8 @@
 use bqr::data::faults::{self, sites, FaultKind};
 use bqr::data::{tuple, DataError, Database, Relation, Tuple};
 use bqr::plan::ExecOptions;
-use bqr::query::parser::parse_cq;
 use bqr::workload::cdr::{self, CdrScale};
-use bqr::workload::movies::{self, MovieScale};
+use bqr::workload::movies;
 use bqr::{Engine, Error};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -157,112 +156,6 @@ fn cache_insert_panics_poison_nothing_observable() {
 }
 
 #[test]
-fn thread_spawn_failures_fall_back_to_serial_with_identical_answers() {
-    let _chaos = chaos_lock();
-    // A sharded self-join over the cached `VL` view, large enough to clear
-    // the parallel threshold.
-    let mut views = movies::views();
-    views
-        .add_cq("VL", parse_cq("VL(p, i) :- like(p, i, 'movie')").unwrap())
-        .unwrap();
-    let setting =
-        bqr::core::RewritingSetting::new(movies::schema(), movies::access_schema(100), views, 100);
-    let engine = Engine::builder()
-        .setting(setting)
-        .annotate_view_bound("VL", 6_000)
-        .build()
-        .unwrap();
-    engine
-        .attach(movies::generate(MovieScale {
-            persons: 2_000,
-            movies: 100,
-            n0: 100,
-            seed: 5,
-        }))
-        .unwrap();
-    engine
-        .prepare("selfjoin", "Q(a, x, y) :- VL(a, x), VL(a, y)")
-        .unwrap();
-
-    let session = engine.session();
-    let serial = session
-        .execute_with("selfjoin", &ExecOptions::serial())
-        .unwrap();
-
-    {
-        let _fp = faults::inject_guard(sites::THREAD_SPAWN, FaultKind::Error);
-        let degraded = session
-            .execute_with("selfjoin", &ExecOptions::parallel(4))
-            .unwrap();
-        assert_eq!(degraded, serial, "fallback changed the answer");
-        assert!(
-            engine.guard_stats().serial_fallbacks > 0,
-            "{:?}",
-            engine.guard_stats()
-        );
-    }
-    // Threads back: still identical.
-    let parallel = session
-        .execute_with("selfjoin", &ExecOptions::parallel(4))
-        .unwrap();
-    assert_eq!(parallel, serial);
-}
-
-#[test]
-fn morsel_dispatch_faults_degrade_the_operator_to_serial() {
-    let _chaos = chaos_lock();
-    // Same parallel self-join shape as the thread-spawn test, but the fault
-    // fires *before* any worker exists: the whole operator must fall back to
-    // the one-range serial path, with identical answers and a recorded
-    // serial fallback per degraded dispatch.
-    let mut views = movies::views();
-    views
-        .add_cq("VL", parse_cq("VL(p, i) :- like(p, i, 'movie')").unwrap())
-        .unwrap();
-    let setting =
-        bqr::core::RewritingSetting::new(movies::schema(), movies::access_schema(100), views, 100);
-    let engine = Engine::builder()
-        .setting(setting)
-        .annotate_view_bound("VL", 6_000)
-        .build()
-        .unwrap();
-    engine
-        .attach(movies::generate(MovieScale {
-            persons: 2_000,
-            movies: 100,
-            n0: 100,
-            seed: 5,
-        }))
-        .unwrap();
-    engine
-        .prepare("selfjoin", "Q(a, x, y) :- VL(a, x), VL(a, y)")
-        .unwrap();
-
-    let session = engine.session();
-    let serial = session
-        .execute_with("selfjoin", &ExecOptions::serial())
-        .unwrap();
-
-    {
-        let _fp = faults::inject_guard(sites::MORSEL_DISPATCH, FaultKind::Error);
-        let degraded = session
-            .execute_with("selfjoin", &ExecOptions::parallel(4))
-            .unwrap();
-        assert_eq!(degraded, serial, "serial degradation changed the answer");
-        assert!(
-            engine.guard_stats().serial_fallbacks > 0,
-            "{:?}",
-            engine.guard_stats()
-        );
-    }
-    // Fault cleared: the morsel path again agrees bit for bit.
-    let parallel = session
-        .execute_with("selfjoin", &ExecOptions::parallel(4))
-        .unwrap();
-    assert_eq!(parallel, serial);
-}
-
-#[test]
 fn mutate_closure_faults_are_all_or_nothing() {
     let _chaos = chaos_lock();
     let engine = fig1_engine();
@@ -376,11 +269,11 @@ fn concurrent_sessions_survive_a_fault_storm() {
         let barrier = &barrier;
         for reader in 0..READERS {
             scope.spawn(move || {
-                // One reader stresses the sharded driver, the rest serial.
+                // One reader runs under ample limits, the rest under none.
                 let options = if reader == 0 {
-                    ExecOptions::parallel(3)
+                    ExecOptions::default().with_row_budget(1 << 20)
                 } else {
-                    ExecOptions::serial()
+                    ExecOptions::default()
                 };
                 barrier.wait();
                 for _ in 0..ROUNDS {

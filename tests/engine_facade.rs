@@ -4,7 +4,7 @@
 //!   the facade **bit-identical** (answer tuples *and* `FetchStats`) to the
 //!   hand-threaded low-level stack (`RewritingSetting` → `ToppedChecker` →
 //!   `execute_with`) on ≥ 100 randomized settings — random chain queries,
-//!   view atoms, constants, instances, serial and sharded-parallel options,
+//!   view atoms, constants, instances, option sets with and without limits,
 //!   and a post-mutation re-comparison.
 //! * `pinned_sessions_never_observe_concurrent_mutations` races writer and
 //!   reader threads and asserts that a pinned session's reads are
@@ -158,9 +158,11 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
         engine.prepare("q", &query).unwrap();
         let session = engine.session();
         for options in [
-            ExecOptions::serial(),
-            ExecOptions::parallel(3),
-            ExecOptions::parallel_auto(),
+            ExecOptions::default(),
+            ExecOptions::default().with_deadline_ms(60_000),
+            ExecOptions::default()
+                .with_row_budget(1 << 20)
+                .with_fetch_budget(1 << 20),
         ] {
             let expected = bqr::plan::execute_with(&plan, &idb, &views, &options).unwrap();
             let got = session.execute_with("q", &options).unwrap();
@@ -173,7 +175,7 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
         bound.check(&adhoc.stats, high.fetch_bound(), &access, &db);
         assert_eq!(
             adhoc.tuples,
-            bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::serial())
+            bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::default())
                 .unwrap()
                 .tuples
         );
@@ -188,13 +190,14 @@ fn engine_agrees_with_the_low_level_stack_on_randomized_settings() {
             let views2 = setting.views.materialize(&db2).unwrap();
             let idb2 = IndexedDatabase::build(db2, access.clone()).unwrap();
             let expected =
-                bqr::plan::execute_with(&plan, &idb2, &views2, &ExecOptions::serial()).unwrap();
+                bqr::plan::execute_with(&plan, &idb2, &views2, &ExecOptions::default()).unwrap();
             let fresh = engine.session();
             let got = fresh.execute("q").unwrap();
             assert_eq!(got, expected, "post-mutation divergence on {query}");
             bound.check(&got.stats, high.fetch_bound(), &access, fresh.database());
             // The pre-mutation session still serves the pre-mutation answer.
-            let old = bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::serial()).unwrap();
+            let old =
+                bqr::plan::execute_with(&plan, &idb, &views, &ExecOptions::default()).unwrap();
             let got = session.execute("q").unwrap();
             assert_eq!(got, old);
             bound.check(&got.stats, high.fetch_bound(), &access, session.database());
@@ -325,11 +328,11 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
     bound.report("pinned_sessions_never_observe_concurrent_mutations");
 }
 
-/// `EngineBuilder::exec_options(ExecOptions::parallel_auto())` makes
-/// auto-sized morsel parallelism the engine default, `guard_limits` keeps
-/// it — and the answers stay identical to a serial engine's.
+/// `EngineBuilder::exec_options` sets the engine's default options — the
+/// one setter for its runtime limits — and an engine under ample limits
+/// answers exactly as one under none.
 #[test]
-fn builder_parallel_auto_sets_the_default_options() {
+fn builder_exec_options_sets_the_default_options() {
     let schema = DatabaseSchema::with_relations(&[("r", &["a", "b"])]).unwrap();
     let access = AccessSchema::new(vec![AccessConstraint::new("r", &["a"], &["b"], 64).unwrap()]);
     let build = |options: ExecOptions| {
@@ -338,32 +341,23 @@ fn builder_parallel_auto_sets_the_default_options() {
             .access(access.clone())
             .bound(8)
             .exec_options(options)
-            .guard_limits(bqr::plan::GuardLimits {
-                deadline_ms: Some(60_000),
-                ..Default::default()
-            })
             .build()
             .unwrap()
     };
-    let engine = build(ExecOptions::parallel_auto());
-    let opts = engine.exec_options();
-    assert_eq!(opts.workers, bqr::plan::Workers::Auto, "{opts:?}");
-    assert_eq!(
-        opts.limits.deadline_ms,
-        Some(60_000),
-        "guard limits survive the switch"
-    );
+    let limited = ExecOptions::default().with_deadline_ms(60_000);
+    let engine = build(limited);
+    assert_eq!(engine.exec_options(), limited);
 
-    let serial = build(ExecOptions::serial());
+    let unlimited = build(ExecOptions::default());
     let mut db = Database::empty(schema.clone());
     for i in 0..200i64 {
         db.insert("r", tuple![i % 5, i]).unwrap();
     }
     engine.attach(db.clone()).unwrap();
-    serial.attach(db).unwrap();
+    unlimited.attach(db).unwrap();
     let bound = FetchBound::default();
     let mut outputs = Vec::new();
-    for e in [&engine, &serial] {
+    for e in [&engine, &unlimited] {
         e.prepare("q", "Q(y) :- r(1, y)").unwrap();
         let (session, analysis) = (e.session(), e.analyze("Q(y) :- r(1, y)").unwrap());
         let out = session.execute("q").unwrap();
@@ -377,7 +371,7 @@ fn builder_parallel_auto_sets_the_default_options() {
     }
     assert_eq!(
         outputs[0], outputs[1],
-        "auto-parallel default changed an answer"
+        "the default limits changed an answer"
     );
-    bound.report("builder_parallel_auto_sets_the_default_options");
+    bound.report("builder_exec_options_sets_the_default_options");
 }

@@ -1,7 +1,5 @@
 //! Differential tests for the compiled plan-execution pipeline: randomized
-//! plans and instances, executed by the compiled pipeline (serial,
-//! morsel-parallel at fixed worker counts, and auto-sized — every
-//! `ExecOptions` shape) and by the retained
+//! plans and instances, executed by the compiled pipeline and by the retained
 //! tree-walking interpreter `exec::reference`, asserting **identical answer
 //! tuples and identical `FetchStats`** — the `|D_ξ|` accounting is part of
 //! the bounded-rewriting contract, not a side channel.
@@ -10,7 +8,7 @@ use bqr_data::{
     tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase, Value,
 };
 use bqr_plan::builder::Plan;
-use bqr_plan::exec::{execute_with, reference, ExecOptions, Pipeline};
+use bqr_plan::exec::{execute, reference, Pipeline};
 use bqr_plan::{PlanNode, QueryPlan, SelectCondition};
 use bqr_query::parser::parse_cq;
 use bqr_query::{MaterializedViews, ViewSet};
@@ -308,32 +306,14 @@ fn gen_plan(rng: &mut StdRng, depth: usize, shapes: &mut ProbeShapes) -> Plan {
     }
 }
 
-fn all_options() -> Vec<ExecOptions> {
-    vec![
-        ExecOptions::serial(),
-        ExecOptions::parallel(2),
-        ExecOptions::parallel(4),
-        ExecOptions::parallel_auto(),
-    ]
-}
-
 fn assert_equivalent(plan: &QueryPlan, idb: &IndexedDatabase, views: &MaterializedViews) {
     let expected = reference::execute(plan, idb, views).expect("generated plans execute");
-    for options in all_options() {
-        let got = execute_with(plan, idb, views, &options).expect("generated plans compile");
-        assert_eq!(
-            expected.tuples, got.tuples,
-            "answers diverge under {options:?} on\n{plan}"
-        );
-        assert_eq!(
-            expected.stats, got.stats,
-            "FetchStats diverge under {options:?} on\n{plan}"
-        );
-    }
+    let got = execute(plan, idb, views).expect("generated plans compile");
+    assert_eq!(expected.tuples, got.tuples, "answers diverge on\n{plan}");
+    assert_eq!(expected.stats, got.stats, "FetchStats diverge on\n{plan}");
 }
 
-/// ≥ 200 randomized plan/instance pairs, every `ExecOptions`, tuples and
-/// stats equal.
+/// ≥ 200 randomized plan/instance pairs, tuples and stats equal.
 #[test]
 fn compiled_pipeline_matches_reference_on_random_plans() {
     let mut rng = StdRng::seed_from_u64(0xB9_5EED);
@@ -373,9 +353,9 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
     }
 }
 
-/// A deterministic case large enough to cross the parallel threshold, so the
-/// morsel-parallel code path itself is exercised (random instances stay
-/// below it).
+/// A deterministic case whose operators span several kernel batches
+/// (`BATCH_ROWS` = 1 024 rows), so multi-batch probes, selections and
+/// dedups are exercised (random instances stay inside one batch).
 #[test]
 fn sharded_parallel_path_is_exercised_and_identical() {
     let schema = DatabaseSchema::with_relations(&[("e", &["x", "y"])]).unwrap();
@@ -396,8 +376,8 @@ fn sharded_parallel_path_is_exercised_and_identical() {
         .build()
         .unwrap();
     assert!(
-        cache.extent("E").unwrap().len() >= ExecOptions::PARALLEL_MIN_ROWS,
-        "the probe side must cross the parallel threshold"
+        cache.extent("E").unwrap().len() > 4 * 1_024,
+        "the probe side must span several kernel batches"
     );
     assert_equivalent(&plan, &idb, &cache);
 }

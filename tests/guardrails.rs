@@ -72,8 +72,8 @@ fn deadlines_trip_promptly_on_serial_and_sharded_drivers() {
     assert!(analysis.bounded(), "{:?}", analysis.reason());
 
     for options in [
-        ExecOptions::serial().with_deadline_ms(50),
-        ExecOptions::parallel(4).with_deadline_ms(50),
+        ExecOptions::default().with_deadline_ms(50),
+        ExecOptions::default().with_deadline(Duration::from_millis(50)),
     ] {
         let start = Instant::now();
         let err = analysis.execute_with(&options).unwrap_err();
@@ -85,8 +85,7 @@ fn deadlines_trip_promptly_on_serial_and_sharded_drivers() {
         assert_eq!(
             err.exec_error(),
             Some(&ExecError::DeadlineExceeded { deadline_ms: 50 }),
-            "workers={:?}",
-            options.workers
+            "{options:?}"
         );
         // Prompt: the 50ms deadline must not degenerate into seconds of
         // post-deadline work (generous ceiling for loaded CI machines).
@@ -119,7 +118,7 @@ fn cancellation_from_another_thread_stops_execution() {
     // through 24 000³ rows.
     let start = Instant::now();
     let err = session
-        .execute_with_token("adv", &ExecOptions::serial(), token)
+        .execute_with_token("adv", &ExecOptions::default(), token)
         .unwrap_err();
     let elapsed = start.elapsed();
     canceller.join().unwrap();
@@ -133,7 +132,7 @@ fn cancellation_from_another_thread_stops_execution() {
 fn row_budgets_trip_before_the_product_materialises() {
     let engine = adversarial_engine();
     let analysis = engine.analyze(Q_ADV).unwrap();
-    let options = ExecOptions::serial().with_row_budget(1_000_000);
+    let options = ExecOptions::default().with_row_budget(1_000_000);
     let start = Instant::now();
     let err = analysis.execute_with(&options).unwrap_err();
     // The product pre-charges its output cardinality, so the trip is
@@ -155,7 +154,7 @@ fn fetch_caps_bound_runtime_io() {
     // The Fig.-1 plan fetches movie/rating tuples; a zero cap trips on the
     // first fetch, and a generous cap leaves the answer untouched.
     let err = session
-        .execute_with("fig1", &ExecOptions::serial().with_fetch_budget(0))
+        .execute_with("fig1", &ExecOptions::default().with_fetch_budget(0))
         .unwrap_err();
     assert_eq!(
         err.exec_error(),
@@ -163,13 +162,13 @@ fn fetch_caps_bound_runtime_io() {
     );
     assert_eq!(engine.guard_stats().fetch_trips, 1);
     let ample = session
-        .execute_with("fig1", &ExecOptions::serial().with_fetch_budget(1_000_000))
+        .execute_with("fig1", &ExecOptions::default().with_fetch_budget(1_000_000))
         .unwrap();
     assert_eq!(ample, session.execute("fig1").unwrap());
 }
 
 #[test]
-fn engine_wide_guard_limits_apply_to_every_execution() {
+fn engine_wide_limits_apply_to_every_execution() {
     let mut views = movies::views();
     views
         .add_cq("VL", parse_cq("VL(p, i) :- like(p, i, 'movie')").unwrap())
@@ -179,11 +178,11 @@ fn engine_wide_guard_limits_apply_to_every_execution() {
     let engine = Engine::builder()
         .setting(setting)
         .annotate_view_bound("VL", LIKES)
-        .guard_limits(bqr::plan::GuardLimits {
-            deadline_ms: Some(50),
-            max_intermediate_rows: Some(2_000_000),
-            max_fetched_tuples: None,
-        })
+        .exec_options(
+            ExecOptions::default()
+                .with_deadline_ms(50)
+                .with_row_budget(2_000_000),
+        )
         .build()
         .unwrap();
     engine.attach(adversarial_instance()).unwrap();
@@ -262,4 +261,24 @@ fn a_panicking_mutation_leaves_the_facade_serving() {
     engine
         .mutate(|db| db.insert("rating", tuple![9_999, 5]))
         .unwrap();
+}
+
+/// A deadline under a millisecond rounds up to one, never down to the 0 ms
+/// deadline that trips at the first check of every execution.
+#[test]
+fn a_sub_millisecond_engine_deadline_still_serves() {
+    let options = ExecOptions::default().with_deadline(Duration::from_micros(500));
+    let engine = Engine::builder()
+        .setting(movies::setting(100, 40))
+        .exec_options(options)
+        .build()
+        .unwrap();
+    assert_eq!(engine.exec_options().limits.deadline_ms, Some(1));
+    let mut db = bqr::data::Database::empty(movies::schema());
+    db.insert("rating", tuple![1, 5]).unwrap();
+    engine.attach(db).unwrap();
+    // A microsecond read fits in the millisecond; a few tries absorb a
+    // descheduled thread, while a 0 ms deadline fails every one.
+    let served = (0..5).find_map(|_| engine.session().query("Q(r) :- rating(1, r)").ok());
+    assert_eq!(served.map(|out| out.tuples), Some(vec![tuple![5]]));
 }

@@ -13,10 +13,11 @@
 
 use bqr_data::{
     tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase, Value,
+    ValueId,
 };
 use bqr_plan::builder::Plan;
 use bqr_plan::exec::{reference, ExecOptions, Pipeline};
-use bqr_plan::{PipelineCache, PreparedPlan, QueryPlan};
+use bqr_plan::{Guard, GuardLimits, PipelineCache, PlanError, PreparedPlan, QueryPlan};
 use bqr_query::parser::parse_cq;
 use bqr_query::{MaterializedViews, ViewSet};
 use rand::rngs::StdRng;
@@ -230,19 +231,22 @@ fn gen_plan(rng: &mut StdRng, depth: usize) -> Plan {
     }
 }
 
-/// Execute `prepared` against the world through the cache — serial and
-/// sharded, twice each so both the miss and the hit path run — and hold
+/// Execute `prepared` against the world through the cache — with and
+/// without limits, twice each so both the miss and the hit path run — and hold
 /// every output bit-identical to a *fresh* compile-and-execute and to the
 /// reference interpreter at this exact moment.
 fn check(prepared: &PreparedPlan, world: &World) {
     let fresh = Pipeline::compile(prepared.plan(), &world.idb, &world.views)
         .expect("generated plans compile")
-        .execute(&world.idb, &ExecOptions::serial())
+        .execute(&world.idb, &ExecOptions::default())
         .expect("generated plans execute");
     let oracle = reference::execute(prepared.plan(), &world.idb, &world.views).unwrap();
     assert_eq!(fresh.tuples, oracle.tuples, "on\n{}", prepared.plan());
     assert_eq!(fresh.stats, oracle.stats, "on\n{}", prepared.plan());
-    for options in [ExecOptions::serial(), ExecOptions::parallel(2)] {
+    for options in [
+        ExecOptions::default(),
+        ExecOptions::default().with_row_budget(1 << 20),
+    ] {
         for round in 0..2 {
             let got = prepared
                 .execute_with(&world.idb, &world.views, &options)
@@ -265,7 +269,7 @@ fn check(prepared: &PreparedPlan, world: &World) {
 
 /// ≥ 200 randomized plans through one shared cache, interleaved with
 /// relation mutations that bump epochs; every cached execution (hit or
-/// miss, serial or sharded) is bit-identical to a fresh compile.
+/// miss, with limits or without) is bit-identical to a fresh compile.
 #[test]
 fn prepared_executions_match_fresh_compiles_under_mutation() {
     let mut rng = StdRng::seed_from_u64(0x00CA_C4E5_EED0);
@@ -399,6 +403,36 @@ fn a_mutation_recompiles_nothing_and_the_next_execution_sees_it() {
     assert!(fetched.tuples.contains(&tuple![3, 99]));
 }
 
+/// A shape run with another number of constants than it has slots is a
+/// typed error, not a panic — `PreparedShape::execute_guarded` is public.
+#[test]
+fn a_shape_run_with_the_wrong_number_of_constants_is_an_error() {
+    let world = World::random(&mut StdRng::seed_from_u64(7));
+    let plan = Plan::constant(vec![Value::int(3)])
+        .fetch(constraints()[0].clone(), vec![0])
+        .build()
+        .unwrap();
+    let prepared = PreparedPlan::with_cache(plan, Arc::new(PipelineCache::new(4)));
+    let guard = Guard::new(&GuardLimits::none());
+    let run = |constants: &[ValueId]| {
+        let (idb, views) = (&world.idb, &world.views);
+        prepared
+            .shape()
+            .execute_guarded(idb, views, &guard, constants)
+    };
+    let three = ValueId::intern(&Value::int(3));
+    for constants in [vec![], vec![three, three]] {
+        let err = run(&constants).unwrap_err();
+        let expected = PlanError::ArityMismatch {
+            left: 1,
+            right: constants.len(),
+        };
+        assert_eq!(err, expected);
+    }
+    let served = prepared.execute(&world.idb, &world.views).unwrap();
+    assert_eq!(run(&[three]).unwrap(), served);
+}
+
 /// One consistent version of the world, shared across threads: the runtime
 /// objects plus the per-plan expected outputs computed by the reference
 /// interpreter *for this version*.
@@ -509,9 +543,9 @@ fn concurrent_prepare_execute_mutate_is_never_stale() {
                     let version = Arc::clone(&current.read().unwrap());
                     let i = rng.gen_range(0..prepared.len());
                     let options = if rng.gen_bool(0.3) {
-                        ExecOptions::parallel(2)
+                        ExecOptions::default().with_row_budget(1 << 20)
                     } else {
-                        ExecOptions::serial()
+                        ExecOptions::default()
                     };
                     let got = prepared[i]
                         .execute_with(&version.idb, &version.views, &options)

@@ -10,7 +10,7 @@
 use bqr_core::topped::ToppedChecker;
 use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase};
 use bqr_plan::builder::Plan;
-use bqr_plan::exec::{execute_with, reference, ExecOptions};
+use bqr_plan::exec::{execute, execute_with, reference, ExecOptions};
 use bqr_plan::SelectCondition;
 use bqr_query::aequiv::cq_a_contained_in;
 use bqr_query::bounded_output::cq_output;
@@ -182,9 +182,8 @@ fn cond_pool() -> Vec<Vec<SelectCondition>> {
     ]
 }
 
-/// An empty extent flows through the whole batch pipeline (one empty morsel,
-/// empty selection vectors, nothing to dedup) identically under every
-/// `ExecOptions` shape.
+/// An empty extent flows through the whole batch pipeline (no batch, empty
+/// selection vectors, nothing to dedup) to the reference's empty answer.
 #[test]
 fn vectorised_pipeline_handles_empty_extents() {
     let (idb, cache) = view_instance(&[]);
@@ -196,29 +195,23 @@ fn vectorised_pipeline_handles_empty_extents() {
             .unwrap();
         let expected = reference::execute(&plan, &idb, &cache).unwrap();
         assert!(expected.tuples.is_empty());
-        for options in [
-            ExecOptions::serial(),
-            ExecOptions::parallel(4),
-            ExecOptions::parallel_auto(),
-        ] {
-            let got = execute_with(&plan, &idb, &cache, &options).unwrap();
-            assert_eq!(got, expected, "{options:?}");
-        }
+        assert_eq!(execute(&plan, &idb, &cache).unwrap(), expected);
     }
 }
 
 /// A one-row intermediate budget trips mid-batch — after the batch that
-/// crossed it, not at the end of the operator — with the same typed error on
-/// the serial and morsel-parallel drivers.
+/// crossed it, not at the end of the operator — with the typed error, with
+/// or without a deadline beside it.
 #[test]
 fn row_budget_trips_mid_batch_on_both_drivers() {
     let rows: Vec<(i64, i64)> = (0..6_000).map(|i| (i % 13, i)).collect();
     let (idb, cache) = view_instance(&rows);
     let plan = Plan::view("V", 2).project(vec![0, 1]).build().unwrap();
     for options in [
-        ExecOptions::serial().with_row_budget(1),
-        ExecOptions::parallel(4).with_row_budget(1),
-        ExecOptions::parallel_auto().with_row_budget(1),
+        ExecOptions::default().with_row_budget(1),
+        ExecOptions::default()
+            .with_row_budget(1)
+            .with_deadline_ms(60_000),
     ] {
         let err = execute_with(&plan, &idb, &cache, &options).unwrap_err();
         assert!(
@@ -237,10 +230,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomized select → project → dedup pipelines: duplicates land all
-    /// over (and straddle) batch and morsel boundaries, selection vectors
-    /// range from all-pass to all-fail, and inputs sometimes cross the
-    /// parallel threshold — every `ExecOptions` shape must agree with the
-    /// tree-walking reference on tuples *and* `FetchStats`.
+    /// over (and straddle) batch boundaries, selection vectors range from
+    /// all-pass to all-fail, and inputs sometimes span several batches —
+    /// the pipeline must agree with the tree-walking reference on tuples
+    /// *and* `FetchStats`.
     #[test]
     fn vectorised_kernels_agree_with_reference_on_random_tables(
         rows in prop::collection::vec((0i64..40, 0i64..40), 0..2_000),
@@ -248,9 +241,9 @@ proptest! {
         cidx in 0usize..7,
         keep_col in 0usize..2,
     ) {
-        // `dense` repeats the generated rows past the parallel threshold, so
-        // morsel-parallel runs see real multi-morsel inputs (and the dedup
-        // at the projection root sees duplicates straddling boundaries).
+        // `dense` repeats the generated rows past several kernel batches, so
+        // selection and projection run over multi-batch inputs (and the
+        // dedup at the projection root sees duplicates straddling batches).
         let mut all = rows;
         if dense == 1 {
             while !all.is_empty() && all.len() < 5_000 {
@@ -265,16 +258,9 @@ proptest! {
             .build()
             .unwrap();
         let expected = reference::execute(&plan, &idb, &cache).unwrap();
-        for options in [
-            ExecOptions::serial(),
-            ExecOptions::parallel(2),
-            ExecOptions::parallel(4),
-            ExecOptions::parallel_auto(),
-        ] {
-            let got = execute_with(&plan, &idb, &cache, &options).unwrap();
-            prop_assert_eq!(&got.tuples, &expected.tuples, "{:?}", options);
-            prop_assert_eq!(&got.stats, &expected.stats, "{:?}", options);
-        }
+        let got = execute(&plan, &idb, &cache).unwrap();
+        prop_assert_eq!(&got.tuples, &expected.tuples);
+        prop_assert_eq!(&got.stats, &expected.stats);
     }
 }
 

@@ -127,9 +127,8 @@ fn eight_clients_read_bit_identically_to_direct_sessions() {
             guards.deadline_trips,
             guards.memory_trips,
             guards.fetch_trips,
-            guards.panics_contained,
         ),
-        (0, 0, 0, 0, 0),
+        (0, 0, 0, 0),
         "no guardrail may trip under plain stress"
     );
 }

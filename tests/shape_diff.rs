@@ -351,7 +351,11 @@ impl Replica {
         let analysis = checker.analyze_cq(cq).unwrap();
         let plan = analysis.plan.filter(|_| analysis.topped)?;
         let pipeline = Pipeline::compile(&plan, &self.idb, &self.views).unwrap();
-        Some(pipeline.execute(&self.idb, &ExecOptions::serial()).unwrap())
+        Some(
+            pipeline
+                .execute(&self.idb, &ExecOptions::default())
+                .unwrap(),
+        )
     }
 }
 

@@ -132,8 +132,8 @@ fn base() -> &'static (Model, IndexedDatabase) {
 #[derive(Debug, PartialEq)]
 struct IndexView {
     index: InternedAccessIndex,
-    /// Distinct keys, rows, mean group length.
-    counters: (usize, usize, usize),
+    /// Distinct keys, rows.
+    counters: (usize, usize),
     /// Every probed key through `fetch`, through `fetch_ids` one key at a
     /// time, and through `fetch_ids_batch`.
     values: (Vec<Vec<Tuple>>, FetchStats),
@@ -181,11 +181,7 @@ fn observe(idb: &IndexedDatabase) -> Observation {
                 .unwrap();
             IndexView {
                 index: index.clone(),
-                counters: (
-                    index.distinct_keys(),
-                    index.total_rows(),
-                    index.avg_group_len(),
-                ),
+                counters: (index.distinct_keys(), index.total_rows()),
                 values,
                 scalar,
                 batch,
