@@ -13,12 +13,11 @@
 //! involved (Theorem 3.4).  The checker therefore returns a three-valued
 //! answer and takes a budget.
 
-use crate::node::{PlanNode, QueryPlan};
 use crate::to_query::node_to_ucq;
-use crate::Result;
 use bqr_data::{AccessSchema, DatabaseSchema};
+use bqr_plan::{PlanNode, QueryPlan};
 use bqr_query::bounded_output::{ucq_output, OutputBound};
-use bqr_query::{Budget, QueryError, UnionQuery, ViewSet};
+use bqr_query::{Budget, QueryError, Result, UnionQuery, ViewSet};
 
 /// Outcome of a conformance check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +101,7 @@ fn input_output_bound(
     let ucq = match node_to_ucq(input, schema, budget) {
         Ok(Some(ucq)) => ucq,
         Ok(None) => return Ok(BoundOutcome::Bounded(0)),
-        Err(crate::PlanError::Query(QueryError::UnsupportedFragment(msg))) => {
+        Err(QueryError::UnsupportedFragment(msg)) => {
             return Ok(BoundOutcome::Unknown(format!(
                 "cannot decide bounded output of a non-positive fetch input: {msg}"
             )))
@@ -119,7 +118,7 @@ fn input_output_bound(
                     "fetch input uses a non-CQ view: {msg}"
                 )))
             }
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
         }
     }
     let ucq = UnionQuery::new(unfolded)?;
@@ -129,15 +128,15 @@ fn input_output_bound(
         Err(QueryError::BudgetExceeded(what)) => Ok(BoundOutcome::Unknown(format!(
             "budget exceeded while {what}"
         ))),
-        Err(e) => Err(e.into()),
+        Err(e) => Err(e),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{figure1_plan, Plan};
     use bqr_data::AccessConstraint;
+    use bqr_plan::builder::{figure1_plan, Plan};
     use bqr_query::parser::parse_cq;
 
     fn movie_schema() -> DatabaseSchema {
@@ -206,6 +205,22 @@ mod tests {
         .unwrap();
         assert!(matches!(result, Conformance::Violation(_)));
         assert!(!result.is_conforming());
+        // A constant-driven fetch has bounded input, so only condition (1)
+        // can reject it.
+        let plan = Plan::constant(vec![42])
+            .fetch(phi2(), vec![0])
+            .build()
+            .unwrap();
+        let access = AccessSchema::new(vec![phi1(10)]);
+        let result = check_conformance(
+            &plan,
+            &access,
+            &movie_schema(),
+            &ViewSet::empty(),
+            &Budget::generous(),
+        )
+        .unwrap();
+        assert!(matches!(result, Conformance::Violation(_)), "{result:?}");
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! small instances of the paper's examples the procedure is exact, on larger
 //! ones it degrades to an explicit `Unknown`.
 
+use crate::conform::{check_conformance, Conformance};
 use crate::enumerate::{enumerate_plans, EnumerationOptions};
 use crate::problem::{Query, RewritingSetting, VbrpInstance};
 use crate::Result;
-use bqr_plan::{check_conformance, Conformance, PlanLanguage, QueryPlan};
+use bqr_plan::{PlanLanguage, QueryPlan};
 use bqr_query::aequiv::{ucq_a_contained_in_with, ucq_a_equivalent_with};
 use bqr_query::containment::ContainmentChecker;
 use bqr_query::{ConjunctiveQuery, QueryError, UnionQuery};
@@ -207,11 +208,12 @@ fn plan_as_unfolded_ucq(
     plan: &QueryPlan,
     setting: &RewritingSetting,
 ) -> Result<Option<UnionQuery>> {
-    let ucq = match bqr_plan::to_query::plan_to_ucq(plan, &setting.schema, &setting.budget) {
+    let ucq = match crate::to_query::plan_to_ucq(plan, &setting.schema, &setting.budget) {
         Ok(Some(u)) => u,
         Ok(None) => return Ok(None),
-        Err(bqr_plan::PlanError::Query(QueryError::UnsupportedFragment(_)))
-        | Err(bqr_plan::PlanError::Query(QueryError::BudgetExceeded(_))) => return Ok(None),
+        Err(QueryError::UnsupportedFragment(_)) | Err(QueryError::BudgetExceeded(_)) => {
+            return Ok(None)
+        }
         Err(e) => return Err(e.into()),
     };
     let mut disjuncts: Vec<ConjunctiveQuery> = Vec::with_capacity(ucq.len());

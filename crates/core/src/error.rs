@@ -20,9 +20,12 @@ use std::fmt;
 /// Errors produced by the rewriting-decision layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// An underlying plan-layer error (which itself wraps the query- and
-    /// data-layer errors).
+    /// An underlying plan-layer error (which itself wraps the data-layer
+    /// error).
     Plan(PlanError),
+    /// An underlying query-layer error: from the static analyses, and from
+    /// unfolding a plan into the query it expresses.
+    Query(QueryError),
     /// The procedure could not reach a decision — the analysis budget was
     /// exhausted or the query is outside the decidable fragment.  Carried as
     /// an *error* by the serving helpers so that "could not decide" is never
@@ -34,6 +37,7 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::Plan(e) => write!(f, "{e}"),
+            CoreError::Query(e) => write!(f, "{e}"),
             CoreError::Undecided(why) => write!(f, "the procedure could not decide: {why}"),
         }
     }
@@ -43,6 +47,7 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Plan(e) => Some(e),
+            CoreError::Query(e) => Some(e),
             CoreError::Undecided(_) => None,
         }
     }
@@ -56,7 +61,7 @@ impl From<PlanError> for CoreError {
 
 impl From<QueryError> for CoreError {
     fn from(e: QueryError) -> Self {
-        CoreError::Plan(PlanError::Query(e))
+        CoreError::Query(e)
     }
 }
 
@@ -79,7 +84,8 @@ mod tests {
         assert!(e.to_string().contains("could not decide"));
         assert!(Error::source(&e).is_none());
         let e: CoreError = QueryError::UnknownRelation("r".into()).into();
-        assert!(matches!(e, CoreError::Plan(PlanError::Query(_))));
+        assert!(matches!(e, CoreError::Query(_)));
+        assert!(Error::source(&e).is_some());
         let e: CoreError = DataError::UnknownRelation("r".into()).into();
         assert!(matches!(e, CoreError::Plan(PlanError::Data(_))));
     }

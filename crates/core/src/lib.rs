@@ -6,6 +6,10 @@
 //! views under an access schema.
 //!
 //! * [`problem`] — the `VBRP` problem statement (`R, M, A, Q, V`) and answers;
+//! * [`to_query`] — the query `Q_ξ` a plan expresses (Section 2), by
+//!   unfolding the plan into the calculus;
+//! * [`conform`] — conformance of a plan to an access schema: every fetch is
+//!   justified by a constraint and driven by a bounded input (Lemma 3.8);
 //! * [`enumerate`] — candidate-plan enumeration up to size `M` (the search
 //!   space of the exact procedures; worst-case exponential, budgeted);
 //! * [`decide`] — the exact decision procedure for `VBRP(L)` and the
@@ -24,6 +28,7 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod bounded_eval;
+pub mod conform;
 pub mod cross;
 pub mod decide;
 pub mod enumerate;
@@ -31,15 +36,17 @@ pub mod error;
 pub mod fd;
 pub mod problem;
 pub mod size_bounded;
+pub mod to_query;
 pub mod topped;
 
+pub use conform::{check_conformance, Conformance};
 pub use decide::{decide_vbrp, DecisionOutcome};
 pub use error::CoreError;
 pub use problem::{Query, RewritingSetting, VbrpInstance};
 pub use size_bounded::BoundedOutputOracle;
 pub use topped::{ToppedAnalysis, ToppedChecker};
 
-/// Convenience result alias.  [`CoreError`] wraps the plan-layer error
-/// (which itself wraps the query- and data-layer errors) and adds the
+/// Convenience result alias.  [`CoreError`] wraps the plan- and query-layer
+/// errors (the plan-layer one wraps the data-layer error) and adds the
 /// decision-layer outcome "could not decide".
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -7,10 +7,9 @@
 //! unfold them against a `ViewSet` when needed), and offers CQ / UCQ
 //! specialisations for plans in those fragments.
 
-use crate::node::{PlanNode, QueryPlan, SelectCondition};
-use crate::Result;
 use bqr_data::DatabaseSchema;
-use bqr_query::{Atom, Budget, ConjunctiveQuery, Fo, FoQuery, Term, UnionQuery};
+use bqr_plan::{PlanNode, QueryPlan, SelectCondition};
+use bqr_query::{Atom, Budget, ConjunctiveQuery, Fo, FoQuery, Result, Term, UnionQuery};
 
 /// Convert a plan into the FO query it expresses.  Output columns become the
 /// head variables `o0, ..., o{k-1}`.
@@ -25,12 +24,12 @@ pub fn node_to_fo(node: &PlanNode, schema: &DatabaseSchema) -> Result<FoQuery> {
     let mut counter = 0usize;
     let body = formula(node, &out_vars, schema, &mut counter)?;
     let head: Vec<Term> = out_vars.into_iter().map(Term::var).collect();
-    Ok(FoQuery::new(head, body)?)
+    FoQuery::new(head, body)
 }
 
 /// Convert a CQ-shaped plan into a conjunctive query (view atoms kept).
 pub fn plan_to_cq(plan: &QueryPlan, schema: &DatabaseSchema) -> Result<ConjunctiveQuery> {
-    Ok(plan_to_fo(plan, schema)?.to_cq()?)
+    plan_to_fo(plan, schema)?.to_cq()
 }
 
 /// Convert a positive plan into the union of conjunctive queries it
@@ -41,7 +40,7 @@ pub fn plan_to_ucq(
     schema: &DatabaseSchema,
     budget: &Budget,
 ) -> Result<Option<UnionQuery>> {
-    Ok(plan_to_fo(plan, schema)?.to_ucq(budget)?)
+    plan_to_fo(plan, schema)?.to_ucq(budget)
 }
 
 /// Convert a plan node (sub-plan) into the UCQ it expresses.
@@ -50,7 +49,7 @@ pub fn node_to_ucq(
     schema: &DatabaseSchema,
     budget: &Budget,
 ) -> Result<Option<UnionQuery>> {
-    Ok(node_to_fo(node, schema)?.to_ucq(budget)?)
+    node_to_fo(node, schema)?.to_ucq(budget)
 }
 
 fn fresh(counter: &mut usize) -> String {
@@ -181,8 +180,8 @@ fn condition_to_fo(cond: &SelectCondition, out_vars: &[String]) -> Fo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{figure1_plan, Plan};
     use bqr_data::{AccessConstraint, Value};
+    use bqr_plan::builder::{figure1_plan, Plan};
     use bqr_query::eval::{eval_cq, eval_fo};
     use bqr_query::parser::parse_cq;
     use bqr_query::{QueryLanguage, ViewSet};
@@ -268,7 +267,7 @@ mod tests {
         let idb = IndexedDatabase::build(db.clone(), access).unwrap();
 
         let plan = figure1_plan(&phi1(), &phi2()).unwrap();
-        let plan_answers = crate::exec::execute(&plan, &idb, &cache).unwrap().tuples;
+        let plan_answers = bqr_plan::execute(&plan, &idb, &cache).unwrap().tuples;
 
         let cq = plan_to_cq(&plan, &schema).unwrap();
         let query_answers = eval_cq(&cq, &db, Some(&cache)).unwrap();
@@ -338,7 +337,7 @@ mod tests {
             .project(vec![0])
             .build()
             .unwrap();
-        let out = crate::exec::execute(&plan, &idb, &cache).unwrap();
+        let out = bqr_plan::execute(&plan, &idb, &cache).unwrap();
         assert_eq!(out.tuples, vec![tuple![11]]);
 
         let fo = plan_to_fo(&plan, &schema).unwrap();

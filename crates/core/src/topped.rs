@@ -1064,7 +1064,7 @@ mod tests {
         assert!(out.stats.fetched_tuples <= 4);
 
         // The generated plan also conforms to A0.
-        let conf = bqr_plan::check_conformance(
+        let conf = crate::check_conformance(
             &plan,
             &setting.access,
             &setting.schema,

@@ -36,25 +36,13 @@ impl AccessConstraint {
                 "the Y attribute set of an access constraint must be non-empty".to_string(),
             ));
         }
-        let mut seen = BTreeSet::new();
-        for a in x.iter().chain(y.iter()) {
-            // X and Y may overlap in principle, but repeated names within one
-            // side are meaningless; reject them to catch typos early.
-            let _ = a;
-        }
-        for a in x {
-            if !seen.insert(*a) {
+        // X and Y may overlap in principle, but repeated names within one
+        // side are meaningless; reject them to catch typos early.
+        for (side, names) in [("X", x), ("Y", y)] {
+            let mut seen = BTreeSet::new();
+            if let Some(a) = names.iter().find(|a| !seen.insert(**a)) {
                 return Err(DataError::InvalidConstraint(format!(
-                    "attribute `{a}` repeated in X of constraint on `{}`",
-                    relation.into()
-                )));
-            }
-        }
-        let mut seen_y = BTreeSet::new();
-        for a in y {
-            if !seen_y.insert(*a) {
-                return Err(DataError::InvalidConstraint(format!(
-                    "attribute `{a}` repeated in Y of constraint on `{}`",
+                    "attribute `{a}` repeated in {side} of constraint on `{}`",
                     relation.into()
                 )));
             }

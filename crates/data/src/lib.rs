@@ -14,6 +14,9 @@
 //!   order; a relation version also answers sorted-prefix ranges and owns its
 //!   indexes — keyed ([`Relation::keyed_index`]) and access-constraint ones
 //!   alike — which every write to it patches: the one route a write takes;
+//! * [`MaterializedViews`] — the extents `V(D)` of a view set, one relation
+//!   per view: what a plan's view leaves read and what `bqr-query`
+//!   materialises and maintains;
 //! * [`AccessConstraint`], [`AccessSchema`] — access constraints
 //!   `R(X → Y, N)`: a cardinality bound combined with an index on `X` for
 //!   `XY`;
@@ -57,6 +60,7 @@ pub mod schema;
 pub mod stats;
 pub mod tuple;
 pub mod value;
+pub mod views;
 
 pub use access::{AccessConstraint, AccessSchema, ConstraintViolation};
 pub use database::{Database, DeltaCheckpoint};
@@ -70,6 +74,7 @@ pub use schema::{DatabaseSchema, RelationSchema};
 pub use stats::{FetchStats, RelationStats};
 pub use tuple::{Tuple, TupleRef};
 pub use value::Value;
+pub use views::MaterializedViews;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, DataError>;

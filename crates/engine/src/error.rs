@@ -189,6 +189,7 @@ impl From<CoreError> for Error {
     fn from(e: CoreError) -> Self {
         match e {
             CoreError::Plan(p) => Error::Plan(p),
+            CoreError::Query(q) => Error::Query(q),
             // Context-free conversion path; the facade's own call sites use
             // `Error::analysis` to attach the actual query.
             other => Error::Analysis {

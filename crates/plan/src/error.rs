@@ -1,17 +1,14 @@
-//! Error type for plan construction, execution and analysis.
+//! Error type for plan construction and execution.
 
 use bqr_data::DataError;
-use bqr_query::QueryError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building, executing or analysing query plans.
+/// Errors produced while building or executing query plans.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
     /// An underlying data-layer error.
     Data(DataError),
-    /// An underlying query-layer error.
-    Query(QueryError),
     /// A column index is out of range for a node's output arity.
     ColumnOutOfRange { column: usize, arity: usize },
     /// Two arities that must agree do not: a binary node's children, the
@@ -78,7 +75,6 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Data(e) => write!(f, "{e}"),
-            PlanError::Query(e) => write!(f, "{e}"),
             PlanError::ColumnOutOfRange { column, arity } => {
                 write!(f, "column {column} is out of range for arity {arity}")
             }
@@ -102,7 +98,6 @@ impl Error for PlanError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             PlanError::Data(e) => Some(e),
-            PlanError::Query(e) => Some(e),
             PlanError::Exec(e) => Some(e),
             _ => None,
         }
@@ -121,12 +116,6 @@ impl From<DataError> for PlanError {
     }
 }
 
-impl From<QueryError> for PlanError {
-    fn from(e: QueryError) -> Self {
-        PlanError::Query(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,8 +130,6 @@ mod tests {
         assert!(Error::source(&e).is_none());
         let e: PlanError = DataError::UnknownRelation("r".into()).into();
         assert!(Error::source(&e).is_some());
-        let e: PlanError = QueryError::UnknownRelation("r".into()).into();
-        assert!(e.to_string().contains('r'));
         assert!(PlanError::UnknownView("V".into()).to_string().contains('V'));
         assert!(PlanError::ArityMismatch { left: 1, right: 2 }
             .to_string()

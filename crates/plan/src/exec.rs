@@ -90,9 +90,9 @@ use crate::kernel;
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
 use bqr_data::{
-    AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, Relation, Tuple, ValueId,
+    AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, MaterializedViews,
+    Relation, Tuple, ValueId,
 };
-use bqr_query::MaterializedViews;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -1236,8 +1236,7 @@ fn materialize(root: &IdTable, guard: &Guard) -> Result<Vec<Tuple>> {
 pub mod reference {
     use super::{ExecOutput, PlanError, Result};
     use crate::node::{PlanNode, QueryPlan, SelectCondition};
-    use bqr_data::{FetchStats, IndexedDatabase, Tuple, Value};
-    use bqr_query::MaterializedViews;
+    use bqr_data::{FetchStats, IndexedDatabase, MaterializedViews, Tuple, Value};
     use std::collections::BTreeSet;
 
     /// Execute a plan with the reference interpreter.
@@ -1407,9 +1406,9 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::builder::{figure1_plan, Plan};
-    use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, Value};
-    use bqr_query::parser::parse_cq;
-    use bqr_query::ViewSet;
+    use bqr_data::{
+        tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, RelationSchema, Value,
+    };
 
     fn movie_schema() -> DatabaseSchema {
         DatabaseSchema::with_relations(&[
@@ -1446,17 +1445,14 @@ mod tests {
         db.insert("like", tuple![3, 11, "movie"]).unwrap();
         let access = AccessSchema::new(vec![phi1(), phi2()]);
 
-        let mut views = ViewSet::empty();
-        views
-            .add_cq(
-                "V1",
-                parse_cq(
-                    "V1(mid) :- person(xp, xn, 'NASA'), movie(mid, ym, z1, z2), like(xp, mid, 'movie')",
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        let cache = views.materialize(&db).unwrap();
+        // V1(mid) :- person(xp, xn, 'NASA'), movie(mid, ym, z1, z2),
+        // like(xp, mid, 'movie'): the NASA people 1 and 2 like movies 10, 12.
+        let v1 = RelationSchema::new("V1", &["c0"]).unwrap();
+        let mut cache = MaterializedViews::empty();
+        cache.insert(
+            "V1",
+            Relation::from_tuples(v1, vec![tuple![10], tuple![12]]).unwrap(),
+        );
         let idb = IndexedDatabase::build(db, access).unwrap();
         (idb, cache)
     }
@@ -1816,17 +1812,17 @@ mod tests {
     /// join well past `BATCH_ROWS`) executes to the reference's answer and
     /// `FetchStats`.
     #[test]
-    fn parallel_execution_is_deterministic_over_large_inputs() {
+    fn multi_batch_execution_matches_the_reference() {
         let schema = DatabaseSchema::with_relations(&[("edge", &["src", "dst"])]).unwrap();
         let mut db = Database::empty(schema);
         for i in 0..3000i64 {
             db.insert("edge", tuple![i % 300, i]).unwrap();
         }
-        let mut views = ViewSet::empty();
-        views
-            .add_cq("E", parse_cq("E(x, y) :- edge(x, y)").unwrap())
-            .unwrap();
-        let cache = views.materialize(&db).unwrap();
+        // E(x, y) :- edge(x, y).
+        let mut cache = MaterializedViews::empty();
+        let edges = db.relation("edge").unwrap().iter().map(|t| t.to_tuple());
+        let e = RelationSchema::new("E", &["c0", "c1"]).unwrap();
+        cache.insert("E", Relation::from_tuples(e, edges).unwrap());
         let idb = IndexedDatabase::build(db, AccessSchema::empty()).unwrap();
         // E ⋈ E on dst = src: 3000 probe rows, three kernel batches.
         let plan = Plan::view("E", 2)

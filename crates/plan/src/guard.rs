@@ -364,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_trips_panics_and_fallbacks() {
+    fn metrics_count_trips_by_kind() {
         let metrics = Arc::new(GuardMetrics::new());
         let g = Guard::new(&GuardLimits::none()).with_metrics(Arc::clone(&metrics));
         g.record_trip(&ExecError::Cancelled);

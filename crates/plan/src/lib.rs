@@ -6,6 +6,10 @@
 //! Y)` operator backed by an access constraint, and whose internal nodes are
 //! the relational operators `π, σ, ×, ∪, \, ρ`.
 //!
+//! The crate depends on `bqr-data` alone: executing a plan needs no query
+//! language.  The analyses of a plan — the query `Q_ξ` it expresses and its
+//! conformance to an access schema — are `bqr-core`'s.
+//!
 //! * [`PlanNode`] / [`QueryPlan`] — the tree representation, size measure,
 //!   Fig.-1-style pretty printing and the CQ/UCQ/∃FO+/FO plan classification;
 //! * [`exec`] — executing a plan over an [`IndexedDatabase`](bqr_data::IndexedDatabase) plus
@@ -24,10 +28,6 @@
 //!   versions, option sets and access schemas listing the same constraints
 //!   all share one — and the [`PreparedPlan`] handle that binds a plan's
 //!   constants and, per execution, the extents and indexes it is run on;
-//! * [`to_query`] — the query `Q_ξ` expressed by a plan (unfolding into the
-//!   calculus), used by the equivalence checks of `bqr-core`;
-//! * [`conform`] — conformance to an access schema: every fetch is justified
-//!   by a constraint and driven by a bounded input (Lemma 3.8);
 //! * [`guard`] — runtime guardrails: cooperative deadlines, cancellation
 //!   tokens, intermediate-row (memory) budgets and fetched-tuple caps
 //!   checked inside the hot operator loops, surfacing as typed
@@ -39,7 +39,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod builder;
-pub mod conform;
 pub mod error;
 pub mod exec;
 pub mod fingerprint;
@@ -47,9 +46,7 @@ pub mod guard;
 mod kernel;
 pub mod node;
 pub mod prepared;
-pub mod to_query;
 
-pub use conform::{check_conformance, Conformance};
 pub use error::{ExecError, PlanError};
 pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline};
 pub use fingerprint::{fingerprint as plan_fingerprint, PlanFingerprint};

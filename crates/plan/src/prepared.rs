@@ -52,8 +52,7 @@ use crate::exec::{intern_constants, CompiledShape, ExecOptions, ExecOutput, Pipe
 use crate::fingerprint::{fingerprint, PlanFingerprint};
 use crate::node::QueryPlan;
 use crate::Result;
-use bqr_data::{IndexedDatabase, Value, ValueId};
-use bqr_query::MaterializedViews;
+use bqr_data::{IndexedDatabase, MaterializedViews, Value, ValueId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -428,9 +427,9 @@ mod tests {
     use super::*;
     use crate::builder::Plan;
     use crate::error::PlanError;
-    use bqr_data::{tuple, AccessConstraint, Database, DatabaseSchema, Value};
-    use bqr_query::parser::parse_cq;
-    use bqr_query::ViewSet;
+    use bqr_data::{
+        tuple, AccessConstraint, Database, DatabaseSchema, Relation, RelationSchema, Tuple, Value,
+    };
 
     fn schema() -> DatabaseSchema {
         DatabaseSchema::with_relations(&[("r", &["a", "b"]), ("s", &["b", "c"])]).unwrap()
@@ -451,14 +450,19 @@ mod tests {
             // mutation is visible in the answer, not just in the epochs.
             db.insert("r", tuple![0, 4 + extra % 2]).unwrap();
         }
-        let mut views = ViewSet::empty();
-        views
-            .add_cq("S", parse_cq("S(x, y) :- s(x, y)").unwrap())
-            .unwrap();
-        let cache = views.materialize(&db).unwrap();
+        // S(x, y) :- s(x, y).
+        let mut cache = MaterializedViews::empty();
+        cache.insert("S", extent(&db, "S", &["c0", "c1"], |t| t));
         let idb =
             IndexedDatabase::build(db, bqr_data::AccessSchema::new(vec![constraint()])).unwrap();
         (idb, cache)
+    }
+
+    /// The extent of a view `name(attrs)` over `s`: each `s`-tuple through
+    /// `row`.
+    fn extent(db: &Database, name: &str, attrs: &[&str], row: fn(Tuple) -> Tuple) -> Relation {
+        let rows = db.relation("s").unwrap().iter().map(|t| row(t.to_tuple()));
+        Relation::from_tuples(RelationSchema::new(name, attrs).unwrap(), rows).unwrap()
     }
 
     fn plan() -> QueryPlan {
@@ -685,14 +689,12 @@ mod tests {
         ];
         // An environment in which all three resolve: a binary `NoSuchView`,
         // a ternary `S`, and `foreign` in the access schema.
-        let mut defs = ViewSet::empty();
-        for (name, def) in [
-            ("NoSuchView", "V(x, y) :- s(x, y)"),
-            ("S", "V(x, y, y) :- s(x, y)"),
-        ] {
-            defs.add_cq(name, parse_cq(def).unwrap()).unwrap();
-        }
-        let views2 = defs.materialize(idb.database()).unwrap();
+        // NoSuchView(x, y) :- s(x, y) and S(x, y, y) :- s(x, y).
+        let mut views2 = MaterializedViews::empty();
+        let db = idb.database();
+        views2.insert("NoSuchView", extent(db, "NoSuchView", &["c0", "c1"], |t| t));
+        let diagonal = |t: Tuple| Tuple::new(vec![t[0].clone(), t[1].clone(), t[1].clone()]);
+        views2.insert("S", extent(db, "S", &["c0", "c1", "c2"], diagonal));
         let access = bqr_data::AccessSchema::new(vec![foreign, constraint()]);
         let idb2 = IndexedDatabase::build(idb.database().clone(), access).unwrap();
         for (i, plan) in cases.into_iter().enumerate() {

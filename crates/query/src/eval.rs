@@ -30,9 +30,8 @@ use crate::fo::{Fo, FoQuery};
 use crate::hom::{Assignment, HomSearch};
 use crate::planner::PlannerConfig;
 use crate::ucq::UnionQuery;
-use crate::views::MaterializedViews;
 use crate::Result;
-use bqr_data::{Database, FetchStats, IndexCache, Relation, Tuple, Value};
+use bqr_data::{Database, FetchStats, IndexCache, MaterializedViews, Relation, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 

@@ -8,7 +8,9 @@
 //!   first-order AST [`Fo`] / [`FoQuery`] (relational algebra / FO), plus the
 //!   classification into the languages studied by the paper
 //!   ([`QueryLanguage`]);
-//! * [`ViewSet`] — named, L-definable views and their materialised extents;
+//! * [`ViewSet`] — named, L-definable views, materialised into and
+//!   maintained as the extents `bqr-data` holds ([`MaterializedViews`],
+//!   re-exported here);
 //! * tableau / canonical-instance machinery ([`canonical`]),
 //!   homomorphisms ([`hom`]) and classical containment ([`containment`]);
 //! * acyclicity via GYO reduction ([`acyclic`]);
@@ -52,13 +54,14 @@ pub mod views;
 pub(crate) mod testutil;
 
 pub use atom::{Atom, Term};
+pub use bqr_data::MaterializedViews;
 pub use budget::Budget;
 pub use cq::ConjunctiveQuery;
 pub use error::QueryError;
 pub use fo::{Fo, FoQuery, QueryLanguage};
 pub use planner::{JoinStrategy, PlannerConfig};
 pub use ucq::UnionQuery;
-pub use views::{MaterializedViews, ViewDefinition, ViewSet};
+pub use views::{ViewDefinition, ViewSet};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, QueryError>;

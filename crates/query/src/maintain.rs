@@ -76,10 +76,10 @@
 
 use crate::atom::{Atom, Term};
 use crate::cq::ConjunctiveQuery;
-use crate::views::{MaterializedViews, ViewDefinition, ViewSet};
+use crate::views::{ViewDefinition, ViewSet};
 use crate::Result;
 use bqr_data::delta::{DeltaLog, RelationDelta};
-use bqr_data::{Database, FetchStats, Relation, RelationSchema, Tuple, ValueId};
+use bqr_data::{Database, FetchStats, MaterializedViews, Relation, RelationSchema, Tuple, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maintain every extent of `views` across one mutation: `previous` are the

@@ -69,7 +69,7 @@ fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqr_data::tuple;
+    use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema};
     use bqr_engine::Engine;
     use bqr_workload::movies;
     use std::future::Future;
@@ -232,6 +232,52 @@ mod tests {
         server
             .mutate(|db| db.insert("rating", tuple![999_999, 5]).map(drop))
             .unwrap();
+    }
+
+    /// A cost class is the plan's fetch bound, and a constraint may bound
+    /// its fetches by `usize::MAX`.  Queued behind a held worker with a
+    /// cost-2 read admitted, such a read is over the budget: it is rejected,
+    /// the queued read still answers, and the budget it never held is free
+    /// for the next read.
+    #[test]
+    fn a_cost_class_of_usize_max_is_overloaded_and_frees_the_budget() {
+        let schema =
+            DatabaseSchema::with_relations(&[("r", &["x", "y"]), ("s", &["x", "y"])]).unwrap();
+        let access = AccessSchema::new(vec![
+            AccessConstraint::new("r", &["x"], &["y"], usize::MAX).unwrap(),
+            AccessConstraint::new("s", &["x"], &["y"], 2).unwrap(),
+        ]);
+        let engine = Engine::builder()
+            .schema(schema.clone())
+            .access(access)
+            .build()
+            .unwrap();
+        let mut db = Database::empty(schema);
+        db.insert("r", tuple![1, 2]).unwrap();
+        db.insert("s", tuple![1, 3]).unwrap();
+        engine.attach(db).unwrap();
+        let server = Server::with_config(engine, workers(1));
+        assert_eq!(
+            server.prepare("huge", "Q(y) :- r(1, y)").unwrap(),
+            usize::MAX
+        );
+        assert_eq!(server.prepare("small", "Q(y) :- s(1, y)").unwrap(), 2);
+
+        let (release, held) = hold_a_worker(&server);
+        let queued = server.submit("small");
+        match server.submit("huge").wait() {
+            Err(ServerError::Overloaded { .. }) => {}
+            other => panic!("expected Overloaded, got {other:?}"),
+        }
+        release.send(()).unwrap();
+        held.wait().unwrap();
+        assert_eq!(queued.wait().unwrap().output.tuples, vec![tuple![3]]);
+        server.drain();
+        let fresh = server.execute("small").unwrap();
+        assert_eq!(fresh.output.tuples, vec![tuple![3]]);
+        // Admitted: the held write and the two small reads.
+        let stats = server.stats();
+        assert_eq!((stats.admitted, stats.rejected), (3, 1));
     }
 
     #[test]

@@ -438,12 +438,16 @@ impl Inner {
             gate: Arc::clone(&self.gate),
             cost: 0,
         };
-        if taken >= self.config.max_concurrent {
+        // A cost class may be as large as `usize::MAX` (a constraint's bound
+        // is).  One over the whole budget is rejected before it is added, so
+        // the shared sum never wraps under a concurrent reader; the sum
+        // saturates for a budget near `usize::MAX`.
+        if taken >= self.config.max_concurrent || cost > self.config.max_outstanding_cost {
             return Err(self.overloaded());
         }
         let used = self.gate.outstanding_cost.fetch_add(cost, Ordering::AcqRel);
         admission.cost = cost;
-        if used + cost > self.config.max_outstanding_cost {
+        if used.saturating_add(cost) > self.config.max_outstanding_cost {
             return Err(self.overloaded());
         }
         self.metrics.admitted.fetch_add(1, Ordering::Relaxed);

@@ -400,15 +400,19 @@
 //! example walks the low-level API):
 //!
 //! * [`bqr_data`] (as [`data`]) — values, tuples, relations, access schemas,
-//!   epoch-stamped instances of interned id rows, indices;
+//!   epoch-stamped instances of interned id rows, indices, and the view
+//!   extents [`MaterializedViews`](data::MaterializedViews);
 //! * [`bqr_query`] (as [`query`]) — CQ/UCQ/FO ASTs, homomorphisms,
 //!   containment, `A`-equivalence, the chase, the cost-based join planner;
 //! * [`bqr_plan`] (as [`plan`]) — bounded query plans, the compiled operator
-//!   [`Pipeline`](plan::Pipeline), conformance, plan-shape fingerprints and
+//!   [`Pipeline`](plan::Pipeline), plan-shape fingerprints and
 //!   the shape-keyed [`PipelineCache`](plan::PipelineCache),
 //!   plus the runtime [`Guard`](plan::Guard) machinery;
 //! * [`bqr_core`] (as [`core`]) — the topped-query checker (effective
-//!   syntax) and the exact decision procedures for `VBRP`;
+//!   syntax), the exact decision procedures for `VBRP`, and the two analyses
+//!   of a plan they run: the query `Q_ξ` it expresses
+//!   ([`to_query`](core::to_query)) and its
+//!   [conformance](core::check_conformance) to `A`;
 //! * [`bqr_engine`] (as [`engine`]) — the [`Engine`] facade itself;
 //! * [`bqr_server`] (as [`server`]) — the async serving front (admission
 //!   control, read coalescing, write batching);

@@ -357,7 +357,7 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
 /// (`BATCH_ROWS` = 1 024 rows), so multi-batch probes, selections and
 /// dedups are exercised (random instances stay inside one batch).
 #[test]
-fn sharded_parallel_path_is_exercised_and_identical() {
+fn multi_batch_operators_match_the_reference() {
     let schema = DatabaseSchema::with_relations(&[("e", &["x", "y"])]).unwrap();
     let mut db = Database::empty(schema);
     for i in 0..6_000i64 {

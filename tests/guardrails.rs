@@ -62,7 +62,7 @@ fn adversarial_engine() -> Engine {
 }
 
 #[test]
-fn deadlines_trip_promptly_on_serial_and_sharded_drivers() {
+fn deadlines_trip_promptly_in_either_form() {
     let engine = adversarial_engine();
     let session = engine.session();
     let golden = session.execute("fig1").unwrap();

@@ -8,9 +8,10 @@ mod common;
 use bqr_core::decide::decide_vbrp;
 use bqr_core::problem::{RewritingSetting, VbrpInstance};
 use bqr_core::topped::ToppedChecker;
+use bqr_core::{check_conformance, Conformance};
 use bqr_data::{AccessConstraint, AccessSchema, DatabaseSchema, IndexedDatabase};
 use bqr_plan::builder::figure1_plan;
-use bqr_plan::{check_conformance, Conformance, PlanLanguage};
+use bqr_plan::PlanLanguage;
 use bqr_query::aequiv::cq_a_equivalent;
 use bqr_query::bounded_output::{cq_output, OutputBound};
 use bqr_query::eval::eval_cq;
@@ -112,7 +113,7 @@ fn example_2_3_expressed_query_is_a_equivalent_to_q0() {
     let n0 = 100;
     let setting = movies::setting(n0, 11);
     let plan = figure1_plan(&phi1(n0), &phi2()).unwrap();
-    let expressed = bqr_plan::to_query::plan_to_cq(&plan, &setting.schema).unwrap();
+    let expressed = bqr_core::to_query::plan_to_cq(&plan, &setting.schema).unwrap();
     let unfolded = setting.views.unfold_cq(&expressed).unwrap();
     assert!(cq_a_equivalent(
         &unfolded,

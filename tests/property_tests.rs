@@ -203,7 +203,7 @@ fn vectorised_pipeline_handles_empty_extents() {
 /// crossed it, not at the end of the operator — with the typed error, with
 /// or without a deadline beside it.
 #[test]
-fn row_budget_trips_mid_batch_on_both_drivers() {
+fn row_budget_trips_mid_batch_with_or_without_a_deadline() {
     let rows: Vec<(i64, i64)> = (0..6_000).map(|i| (i % 13, i)).collect();
     let (idb, cache) = view_instance(&rows);
     let plan = Plan::view("V", 2).project(vec![0, 1]).build().unwrap();
