@@ -114,25 +114,21 @@ fn bench_repeated_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// Planner cases: cyclic / skewed workloads evaluated under the PR 1
-/// fixed-order engine versus the cost-based planner (generic join for the
-/// triangle, selectivity-ordered probes for the chain).
-fn bench_planner_vs_fixed_order(c: &mut Criterion) {
-    use bqr_query::{JoinStrategy, PlannerConfig};
-
-    let mut group = c.benchmark_group("planner_vs_fixed_order");
+/// Planner cases: cyclic / skewed workloads evaluated by the pre-refactor
+/// reference engine versus the slot engine's cost-based atom order.
+fn bench_planner_vs_reference(c: &mut Criterion) {
+    let mut group = c.benchmark_group("planner_vs_reference");
     group.sample_size(10);
     for case in hom_bench::eval_cases() {
-        for (label, strategy) in [
-            ("fixed_order", JoinStrategy::Heuristic),
-            ("planner", JoinStrategy::Auto),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, case.name), &case, |b, case| {
-                let evaluator =
-                    Evaluator::new().with_planner(PlannerConfig::with_strategy(strategy));
-                b.iter(|| evaluator.eval_cq(&case.query, &case.db, None).unwrap())
-            });
-        }
+        group.bench_with_input(
+            BenchmarkId::new("reference", case.name),
+            &case,
+            |b, case| b.iter(|| hom_bench::reference_eval_cq(&case.query, &case.db)),
+        );
+        group.bench_with_input(BenchmarkId::new("planner", case.name), &case, |b, case| {
+            let evaluator = Evaluator::new();
+            b.iter(|| evaluator.eval_cq(&case.query, &case.db, None).unwrap())
+        });
     }
     group.finish();
 }
@@ -142,6 +138,6 @@ criterion_group!(
     bench_repeated_containment,
     bench_enumeration,
     bench_repeated_eval,
-    bench_planner_vs_fixed_order
+    bench_planner_vs_reference
 );
 criterion_main!(benches);

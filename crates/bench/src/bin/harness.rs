@@ -74,16 +74,16 @@ fn main() {
 }
 
 /// `hom` — slot-based engine + cached indexes vs the pre-refactor engine on
-/// repeated containment (the same query pair checked 1000×), plus the
-/// planner cases: cost-based / generic-join plans vs the PR 1 fixed-order
-/// slot engine on cyclic and skewed workloads.  Emits `BENCH_hom.json`.
+/// repeated containment (the same query pair checked 1000×) and on the
+/// planner cases: the cost-based atom order on cyclic and skewed
+/// workloads.  Emits `BENCH_hom.json`.
 fn hom_engine() {
     use bqr_bench::hom_bench;
 
     const REPEATS: usize = 1_000;
     println!(
         "\n== hom: slot engine vs pre-refactor engine ({REPEATS}× containment); \
-         planner vs PR 1 fixed order ({}× eval on *_agm_* / *_skew_* rows) ==",
+         planner vs pre-refactor engine ({}× eval on the cycle / *_skew_* rows) ==",
         hom_bench::EVAL_REPEATS
     );
     let (results, json) = hom_bench::report(REPEATS);

@@ -1,19 +1,19 @@
 //! The `hom` microbenchmark: the slot-based homomorphism engine with cached
-//! relation indexes versus the retained pre-refactor engine, on repeated
-//! containment checks (the dominant cost of the `A`-equivalence and exact
-//! VBRP procedures), plus the cyclic-workload cases where the cost-based
-//! planner's generic join is measured against the original fixed-order engine.
-//! Shared by `benches/hom.rs` and the harness's `hom` mode, which persists
-//! the numbers to `BENCH_hom.json`.
+//! relation indexes versus the retained pre-refactor engine
+//! (`hom::reference`), on repeated containment checks (the dominant cost of
+//! the `A`-equivalence and exact VBRP procedures) and on evaluation cases
+//! where the atom order matters (cyclic joins, a skewed chain).  Shared by
+//! `benches/hom.rs` and the harness's `hom` mode, which persists the numbers
+//! to `BENCH_hom.json`.
 
-use bqr_data::{Database, DatabaseSchema, Relation};
+use bqr_data::{Database, DatabaseSchema, Relation, Tuple};
 use bqr_query::atom::Term;
 use bqr_query::canonical::canonical_instance;
 use bqr_query::containment::ContainmentChecker;
 use bqr_query::eval::Evaluator;
-use bqr_query::hom::{reference, Assignment};
+use bqr_query::hom::{reference, Assignment, MatchLimit};
 use bqr_query::parser::parse_cq;
-use bqr_query::{ConjunctiveQuery, JoinStrategy, PlannerConfig};
+use bqr_query::ConjunctiveQuery;
 use bqr_workload::movies;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -152,12 +152,11 @@ pub fn run_case(case: &ContainmentCase, repeats: usize) -> CaseResult {
     }
 }
 
-/// One cyclic-evaluation case: a query over an adversarial graph where
-/// the atom-at-a-time engine is forced through a quadratic intermediate
-/// result while the generic join stays near-linear.  The baseline is the
-/// original fixed-order slot engine ([`JoinStrategy::Heuristic`]); the
-/// contender is the cost-based planner ([`JoinStrategy::Auto`], which
-/// picks generic join for these shapes).
+/// One evaluation case: a query over an adversarial instance where the
+/// atom order decides the intermediate results.  The baseline is the
+/// pre-refactor engine (`hom::reference`, its "most bound positions first"
+/// order, indexes rebuilt per call); the contender is an [`Evaluator`]
+/// (the cost-based atom order, indexes cached).
 pub struct EvalCase {
     pub name: &'static str,
     pub query: ConjunctiveQuery,
@@ -223,15 +222,11 @@ fn skewed_chain(n: i64) -> (ConjunctiveQuery, Database) {
 
 /// A skewed even cycle (C4): four relations closing a 4-cycle
 /// `e1 ⋈ e2 ⋈ e3 ⋈ e4`, where `e2` and `e4` fan out `n`-wide from every
-/// hub but only one successor continues the cycle.  Every atom-at-a-time
-/// order meets one of the heavy relations before both cycle-closing
-/// checks are available and wades through a `Θ(k·n)` intermediate; the
-/// degree-aware generic join seeds with the *opposite corners*
-/// `x0` and `x2` — pools of size `k` — and then eliminates `x1`/`x3`
-/// with two bound neighbours each, touching `Θ(k²)` pairs.  This is the
-/// C4 gap ROADMAP recorded from the first 4-cycle experiments: with only
-/// one bound neighbour per level (any connected order), generic join's
-/// intersections never prune.
+/// hub but only one successor continues the cycle.  An order that enters
+/// `e2` or `e4` from its hub side wades through a `Θ(k·n)` intermediate, as
+/// the reference engine's fixed order does; every dead end has a value of
+/// its own on the other side, so the statistics steer the cost-based order
+/// into `e4` from `x0` and it touches `Θ(k)` rows.
 fn skewed_c4(k: i64, fanout: i64) -> (ConjunctiveQuery, Database) {
     let schema = DatabaseSchema::with_relations(&[
         ("e1", &["a", "b"]),
@@ -260,10 +255,9 @@ fn skewed_c4(k: i64, fanout: i64) -> (ConjunctiveQuery, Database) {
     (query, db)
 }
 
-/// The planner evaluation cases of the `hom` benchmark: the cyclic
-/// (triangle) workload where generic join wins, the skewed 4-cycle where
-/// the degree-aware variable order makes even cycles prune, and the
-/// skewed chain where the selectivity cost model wins.
+/// The evaluation cases of the `hom` benchmark: the cyclic triangle and
+/// skewed 4-cycle, where every atom order enumerates a large intermediate,
+/// and the skewed chain, where the selectivity cost model wins.
 pub fn eval_cases() -> Vec<EvalCase> {
     let (chain_query, chain_db) = skewed_chain(20_000);
     let (c4_query, c4_db) = skewed_c4(50, 400);
@@ -286,24 +280,58 @@ pub fn eval_cases() -> Vec<EvalCase> {
     ]
 }
 
-/// Run one cyclic case `repeats`× under the fixed-order baseline and the
-/// planner, asserting both produce the same answers.  Warm caches on
-/// both sides: the comparison isolates join strategy, not caching.
+/// Evaluate a CQ with the pre-refactor engine: enumerate every
+/// homomorphism, project the head, sort and deduplicate (the answer form
+/// of [`Evaluator::eval_cq`]).
+pub fn reference_eval_cq(query: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
+    let relations: BTreeMap<String, &Relation> = query
+        .relation_names()
+        .into_iter()
+        .map(|name| {
+            let rel = db.relation(&name).expect("base relations only");
+            (name, rel)
+        })
+        .collect();
+    let matches = reference::enumerate_homomorphisms(
+        query.atoms(),
+        &relations,
+        &Assignment::new(),
+        MatchLimit::AtMost(usize::MAX),
+    )
+    .expect("benchmark searches succeed");
+    let mut answers: Vec<Tuple> = matches
+        .iter()
+        .map(|m| {
+            query
+                .head()
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => c.clone(),
+                    Term::Var(v) => m[v].clone(),
+                })
+                .collect()
+        })
+        .collect();
+    answers.sort();
+    answers.dedup();
+    answers
+}
+
+/// Run one evaluation case `repeats`× through the reference engine and the
+/// planned engine, asserting both produce the same answers.
 pub fn run_eval_case(case: &EvalCase, repeats: usize) -> CaseResult {
-    let fixed =
-        Evaluator::new().with_planner(PlannerConfig::with_strategy(JoinStrategy::Heuristic));
-    let planned = Evaluator::new().with_planner(PlannerConfig::with_strategy(JoinStrategy::Auto));
-    let expected = fixed.eval_cq(&case.query, &case.db, None).unwrap();
+    let planned = Evaluator::new();
+    let expected = reference_eval_cq(&case.query, &case.db);
     assert_eq!(
         expected,
         planned.eval_cq(&case.query, &case.db, None).unwrap(),
-        "strategies disagree on {}",
+        "engines disagree on {}",
         case.name
     );
 
     let t = Instant::now();
     for _ in 0..repeats {
-        let got = fixed.eval_cq(&case.query, &case.db, None).unwrap();
+        let got = reference_eval_cq(&case.query, &case.db);
         assert_eq!(got.len(), expected.len());
     }
     let baseline_ms = t.elapsed().as_secs_f64() * 1_000.0;
@@ -349,7 +377,7 @@ pub const COLD_ENUMERATION_MAX_RATIO: f64 = 5.0;
 /// reference engine, `slot_cached_ms` = cold slot engine (so the row's
 /// `speedup` is *below* 1 by design — it is a cost pin, not a win).
 pub fn run_cold_enumeration(repeats: usize) -> CaseResult {
-    use bqr_query::hom::{enumerate_homomorphisms, MatchLimit};
+    use bqr_query::hom::enumerate_homomorphisms;
 
     let db = movies::generate(movies::MovieScale {
         persons: 2_000,
@@ -390,11 +418,10 @@ pub fn run_cold_enumeration(repeats: usize) -> CaseResult {
 }
 
 /// Run every case and render the machine-readable report committed as
-/// `BENCH_hom.json`.  Containment rows compare the slot engine against
-/// the pre-refactor reference engine; the cyclic `*_agm_*` rows compare
-/// the cost-based planner (generic join) against the original fixed-order
-/// slot engine; the `cold_enumeration_movies` row pins the cold
-/// single-shot cost (see [`run_cold_enumeration`]).
+/// `BENCH_hom.json`.  Containment and evaluation rows compare the slot
+/// engine against the pre-refactor reference engine; the
+/// `cold_enumeration_movies` row pins the cold single-shot cost (see
+/// [`run_cold_enumeration`]).
 pub fn report(repeats: usize) -> (Vec<CaseResult>, String) {
     let mut results: Vec<CaseResult> = cases().iter().map(|c| run_case(c, repeats)).collect();
     results.extend(eval_cases().iter().map(|c| run_eval_case(c, EVAL_REPEATS)));

@@ -204,13 +204,15 @@ mod tests {
         assert!(r.baseline_ms > 0.0 && r.slot_cached_ms > 0.0);
     }
 
+    /// The baseline is `hom::reference`, whose atom order is the fixed
+    /// "most bound positions first" heuristic.
     #[test]
     fn planner_beats_fixed_order_on_cyclic_workloads() {
         for case in hom_bench::eval_cases() {
             let r = hom_bench::run_eval_case(&case, 2);
             assert!(
                 r.speedup() > 1.0,
-                "{}: planner ({:.2} ms) must beat the fixed-order engine ({:.2} ms)",
+                "{}: planner ({:.2} ms) must beat the reference engine ({:.2} ms)",
                 r.name,
                 r.slot_cached_ms,
                 r.baseline_ms

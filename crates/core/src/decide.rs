@@ -126,7 +126,7 @@ pub fn decide_vbrp(instance: &VbrpInstance, target: PlanLanguage) -> Result<Deci
     // One containment checker for the whole search: every candidate is
     // tested against the same query, so canonical instances and relation
     // indexes are shared across the loop.
-    let checker = ContainmentChecker::with_planner(&setting.schema, setting.planner);
+    let checker = ContainmentChecker::new(&setting.schema);
     for plan in candidates {
         if plan.arity() != instance.query.arity() {
             continue;
@@ -260,7 +260,7 @@ pub fn decide_acq_by_maximum_plan(
 
     // Step (1)–(3) of AlgMP: keep the conforming plans ξ with ξ ⊑_A Q.
     // The checker is shared across all phases of the algorithm.
-    let checker = ContainmentChecker::with_planner(&setting.schema, setting.planner);
+    let checker = ContainmentChecker::new(&setting.schema);
     let mut sound: Vec<(QueryPlan, UnionQuery)> = Vec::new();
     for plan in candidates {
         if plan.arity() != cq.arity() {

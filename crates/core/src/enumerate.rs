@@ -10,10 +10,8 @@
 //! reductions and examples (`M ≤ 8` or so); the *effective syntax* of
 //! [`crate::topped`] is the scalable path.
 //!
-//! Enumeration produces candidates only; the `A`-equivalence test each
-//! candidate then faces in [`crate::decide`] runs on the join planner
-//! configured by [`RewritingSetting::planner`], which is where cyclic
-//! candidate plans benefit from the generic-join strategy.
+//! Enumeration produces candidates only; each candidate then faces the
+//! `A`-equivalence test in [`crate::decide`].
 
 use crate::problem::RewritingSetting;
 use bqr_data::Value;

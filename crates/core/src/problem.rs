@@ -122,8 +122,9 @@ pub struct RewritingSetting {
     pub bound_m: usize,
     /// Budgets for the worst-case-exponential analyses.
     pub budget: Budget,
-    /// Join-planner configuration for every homomorphism search the
-    /// decision procedures run (containment, `A`-equivalence, evaluation).
+    /// Nothing to configure: every homomorphism search runs the one
+    /// cost-based atom order.  Kept only because the end-to-end benchmark
+    /// under `benchmark/` still reads it.
     pub planner: PlannerConfig,
 }
 
@@ -141,19 +142,13 @@ impl RewritingSetting {
             views,
             bound_m,
             budget: Budget::generous(),
-            planner: PlannerConfig::default(),
+            planner: PlannerConfig,
         }
     }
 
     /// Replace the analysis budget.
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Replace the join-planner configuration.
-    pub fn with_planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = planner;
         self
     }
 

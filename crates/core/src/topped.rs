@@ -24,7 +24,7 @@
 //! The checker itself never runs a homomorphism search (it is purely
 //! syntactic), but the plans it emits are verified against evaluation by the
 //! test suite, and the exact procedures it is compared with run containment
-//! through the join planner configured on [`RewritingSetting::planner`].
+//! through the homomorphism engine of `bqr-query::hom`.
 
 use crate::problem::RewritingSetting;
 use crate::size_bounded::BoundedOutputOracle;

@@ -14,7 +14,7 @@ use bqr_plan::{
     PreparedPlan,
 };
 use bqr_query::parser::parse_ucq;
-use bqr_query::{Budget, ConjunctiveQuery, FoQuery, PlannerConfig, UnionQuery, ViewSet};
+use bqr_query::{Budget, ConjunctiveQuery, FoQuery, UnionQuery, ViewSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -91,11 +91,10 @@ pub(crate) enum Resolved {
 
 /// Builder for an [`Engine`]; start from [`Engine::builder`].
 ///
-/// The rewriting parameters `(R, V, A, M)` plus the analysis budget and the
-/// join-planner configuration form the paper's [`RewritingSetting`]; on top
-/// of those the builder configures the *serving* side: default
-/// [`ExecOptions`], the pipeline-cache capacity, and per-view output-bound
-/// annotations for the topped checker's oracle.
+/// The rewriting parameters `(R, V, A, M)` plus the analysis budget form the
+/// paper's [`RewritingSetting`]; on top of those the builder configures the
+/// *serving* side: default [`ExecOptions`], the pipeline-cache capacity, and
+/// per-view output-bound annotations for the topped checker's oracle.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     schema: DatabaseSchema,
@@ -103,7 +102,6 @@ pub struct EngineBuilder {
     views: ViewSet,
     bound_m: usize,
     budget: Budget,
-    planner: PlannerConfig,
     options: ExecOptions,
     cache_capacity: usize,
     view_bounds: Vec<(String, usize)>,
@@ -117,7 +115,6 @@ impl Default for EngineBuilder {
             views: ViewSet::empty(),
             bound_m: 64,
             budget: Budget::generous(),
-            planner: PlannerConfig::default(),
             options: ExecOptions::default(),
             cache_capacity: bqr_plan::prepared::DEFAULT_CACHE_CAPACITY,
             view_bounds: Vec::new(),
@@ -179,7 +176,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Adopt all four rewriting parameters (and budget / planner) from an
+    /// Adopt all four rewriting parameters (and the budget) from an
     /// existing [`RewritingSetting`].
     pub fn setting(mut self, setting: RewritingSetting) -> Self {
         self.schema = setting.schema;
@@ -187,21 +184,14 @@ impl EngineBuilder {
         self.views = setting.views;
         self.bound_m = setting.bound_m;
         self.budget = setting.budget;
-        self.planner = setting.planner;
         self
     }
 
     /// Validate the configuration and build the engine (with an empty
     /// instance attached; see [`Engine::attach`]).
     pub fn build(self) -> Result<Engine> {
-        let setting = RewritingSetting {
-            schema: self.schema,
-            access: self.access,
-            views: self.views,
-            bound_m: self.bound_m,
-            budget: self.budget,
-            planner: self.planner,
-        };
+        let setting = RewritingSetting::new(self.schema, self.access, self.views, self.bound_m)
+            .with_budget(self.budget);
         setting
             .validate()
             .map_err(|e| Error::analysis("<engine configuration>", e))?;
@@ -288,7 +278,7 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The rewriting setting `(R, V, A, M)` plus budget and planner.
+    /// The rewriting setting `(R, V, A, M)` plus the budget.
     pub fn setting(&self) -> &RewritingSetting {
         &self.setting
     }
@@ -310,8 +300,8 @@ impl Engine {
     }
 
     /// A point-in-time snapshot of the engine-lifetime guardrail counters:
-    /// cancellations, deadline / budget trips, contained panics and serial
-    /// fallbacks — [`cache_stats`](Engine::cache_stats)' runtime-governance
+    /// cancellations, deadline trips, memory-budget trips and fetch-budget
+    /// trips — [`cache_stats`](Engine::cache_stats)' runtime-governance
     /// sibling.
     pub fn guard_stats(&self) -> GuardStats {
         self.guard_metrics.stats()

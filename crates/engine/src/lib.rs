@@ -6,7 +6,7 @@
 //! six hand-threaded types.  This crate folds it into one object:
 //!
 //! * [`Engine`] — owns the configuration ([`Engine::builder`]: views,
-//!   access schema, bound `M`, budget, planner, exec options, pipeline-cache
+//!   access schema, bound `M`, budget, exec options, pipeline-cache
 //!   capacity), the data ([`Engine::attach`] / [`Engine::mutate`]), and the
 //!   request lifecycle;
 //! * [`Engine::analyze`] — accepts a [`bqr_query::ConjunctiveQuery`], a

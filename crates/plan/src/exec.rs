@@ -408,7 +408,7 @@ impl Pipeline {
 
     /// A human-readable rendering of the compiled pipeline, one operator per
     /// line — the plan-level counterpart of the homomorphism engine's
-    /// `plan_summary()`.
+    /// `atom_order()`.
     pub fn describe(&self) -> String {
         let consts = &self.consts;
         let extent = |slot: usize| {

@@ -35,11 +35,9 @@ impl Hypergraph {
     }
 }
 
-/// The GYO reduction over arbitrary (`Ord`) vertex types.  The query
-/// hypergraph uses variable names; the join planner in [`crate::hom`] runs
-/// the same reduction over interned `u32` slots to detect cyclic probe
-/// structure after initially-bound variables have been stripped.
-pub fn gyo_residue_of<T: Ord + Clone>(
+/// The GYO reduction of [`Hypergraph::gyo_residue`], over any ordered
+/// vertex type.
+fn gyo_residue_of<T: Ord + Clone>(
     edges: impl IntoIterator<Item = BTreeSet<T>>,
 ) -> Vec<BTreeSet<T>> {
     let mut edges: Vec<BTreeSet<T>> = edges.into_iter().filter(|e| !e.is_empty()).collect();

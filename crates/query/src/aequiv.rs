@@ -9,12 +9,10 @@
 //! budgeted.
 //!
 //! Every containment test here runs on the planned slot engine of
-//! [`crate::hom`]: the [`ContainmentChecker`] carries a
-//! [`crate::planner::PlannerConfig`], so `A`-containment over cyclic
-//! element queries benefits from the generic-join strategy.  The one-shot
-//! functions below use the default (auto) planner; pass a checker built
-//! with [`ContainmentChecker::with_planner`] to the `*_with` variants to
-//! override it for a whole decision procedure.
+//! [`crate::hom`].  The one-shot functions below build a fresh
+//! [`ContainmentChecker`]; pass one to the `*_with` variants to share its
+//! memoised canonical instances and searches across a whole decision
+//! procedure.
 
 use crate::budget::Budget;
 use crate::containment::ContainmentChecker;

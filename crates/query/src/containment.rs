@@ -19,7 +19,6 @@ use crate::canonical::{canonical_instance, CanonicalInstance};
 use crate::cq::ConjunctiveQuery;
 use crate::error::QueryError;
 use crate::hom::{Assignment, HomSearch};
-use crate::planner::PlannerConfig;
 use crate::ucq::UnionQuery;
 use crate::Result;
 use bqr_data::{DatabaseSchema, IndexCache, Relation};
@@ -51,7 +50,6 @@ type SearchMemo = HashMap<ConjunctiveQuery, HashMap<ConjunctiveQuery, Option<Rc<
 pub struct ContainmentChecker<'s> {
     schema: &'s DatabaseSchema,
     cache: IndexCache,
-    planner: PlannerConfig,
     canonicals: RefCell<HashMap<ConjunctiveQuery, Rc<CanonicalInstance>>>,
     searches: RefCell<SearchMemo>,
 }
@@ -64,26 +62,19 @@ pub struct ContainmentChecker<'s> {
 static CONSTRUCTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl<'s> ContainmentChecker<'s> {
-    /// A checker with empty caches and the default (auto) join planner.
+    /// A checker with empty caches.
     pub fn new(schema: &'s DatabaseSchema) -> Self {
-        ContainmentChecker::with_planner(schema, PlannerConfig::default())
-    }
-
-    /// A checker whose homomorphism searches are planned under `planner`.
-    pub fn with_planner(schema: &'s DatabaseSchema, planner: PlannerConfig) -> Self {
         CONSTRUCTED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         ContainmentChecker {
             schema,
             cache: IndexCache::new(),
-            planner,
             canonicals: RefCell::new(HashMap::new()),
             searches: RefCell::new(HashMap::new()),
         }
     }
 
-    /// How many checkers this process has constructed so far (both
-    /// [`ContainmentChecker::new`] and [`ContainmentChecker::with_planner`]).
-    /// Diff two readings around a call to count its constructions.
+    /// How many checkers this process has constructed so far.  Diff two
+    /// readings around a call to count its constructions.
     pub fn constructed_count() -> u64 {
         CONSTRUCTED.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -251,12 +242,11 @@ impl<'s> ContainmentChecker<'s> {
                     .ok_or(QueryError::UnknownRelation(name))
             })
             .collect::<Result<_>>()?;
-        Ok(Some(Rc::new(HomSearch::compile_with(
+        Ok(Some(Rc::new(HomSearch::compile(
             q.atoms(),
             &relations,
             &initial,
             &self.cache,
-            &self.planner,
         )?)))
     }
 }

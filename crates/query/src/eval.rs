@@ -49,7 +49,6 @@ pub const DEFAULT_MAX_RESULTS: usize = 10_000_000;
 pub struct Evaluator {
     cache: IndexCache,
     max_results: Option<usize>,
-    planner: PlannerConfig,
 }
 
 impl Evaluator {
@@ -65,16 +64,11 @@ impl Evaluator {
         self
     }
 
-    /// Replace the join-planner configuration (default:
-    /// [`crate::planner::JoinStrategy::Auto`]).
-    pub fn with_planner(mut self, planner: PlannerConfig) -> Self {
-        self.planner = planner;
+    /// Returns the evaluator unchanged: there is one planner, and
+    /// [`PlannerConfig`] has nothing to set.  Kept only because the
+    /// end-to-end benchmark under `benchmark/` still calls it.
+    pub fn with_planner(self, _planner: PlannerConfig) -> Self {
         self
-    }
-
-    /// The configured planner.
-    pub fn planner(&self) -> PlannerConfig {
-        self.planner
     }
 
     /// The configured result budget.
@@ -96,13 +90,7 @@ impl Evaluator {
         views: Option<&MaterializedViews>,
     ) -> Result<Vec<Tuple>> {
         let relations = relation_map(cq.relation_names(), db, views)?;
-        let search = HomSearch::compile_with(
-            cq.atoms(),
-            &relations,
-            &Assignment::new(),
-            &self.cache,
-            &self.planner,
-        )?;
+        let search = HomSearch::compile(cq.atoms(), &relations, &Assignment::new(), &self.cache)?;
         let head = resolve_head(cq, &search);
         run_search(&search, &head, self.max_results())
     }

@@ -4,8 +4,8 @@
 //! This is the single engine behind CQ evaluation (enumerate all matches and
 //! project the head), the Chandra–Merlin containment test (match into a
 //! canonical instance) and the `A`-equivalence procedures.  The module
-//! compiles each query into a small *slot machine* chosen by the cost-based
-//! planner in [`crate::planner`]:
+//! compiles each query into a small *slot machine* whose atom order the
+//! cost-based planner in [`crate::planner`] picks:
 //!
 //! * **Variable slots** — a [`VarTable`] interns every variable name to a
 //!   dense `u32` slot; the partial assignment is a flat `Vec<Option<ValueId>>`
@@ -14,17 +14,12 @@
 //! * **Interned values** — every [`Value`] is interned once, when it is
 //!   inserted, and a relation stores dense [`ValueId`] rows, so the inner
 //!   loop compares and hashes plain `u32`s.
-//! * **Planned execution** — the planner picks between two compiled shapes.
-//!   For acyclic probe structure, a greedy *cost-based atom order* (estimated
-//!   probe fan-out `|R| / Π d_p` from the relation statistics, bushy in
-//!   effect because disconnected cheap atoms may be interleaved); for cyclic
-//!   structure (triangles, k-cycles — detected by the GYO reduction over
-//!   free slots), a *generic join*: variables are eliminated one at a time
-//!   and each candidate value must survive an intersection across every atom
-//!   containing the variable, which is worst-case optimal where any atom
-//!   order degenerates.  See [`crate::planner`] for the cost model and the
-//!   exact trigger conditions; [`JoinStrategy::Heuristic`] keeps the PR 1
-//!   "most bound positions first" order as the benchmark baseline.
+//! * **Planned atom order** — atoms are probed one at a time, in the
+//!   greedy *cost-based order* of [`crate::planner`] (estimated probe fan-out
+//!   `|R| / Π d_p` from the relation statistics, bushy in effect because
+//!   disconnected cheap atoms may be interleaved).  A variable repeated
+//!   within an atom is bound by its first occurrence and compared at the
+//!   others.
 //! * **Cached indexes** — each atom probes an
 //!   [`InternedAccessIndex`] of its relation's whole tuples, keyed on the
 //!   positions bound when the atom is reached; the indexes (and the
@@ -47,10 +42,10 @@
 
 use crate::atom::{Atom, Term};
 use crate::error::QueryError;
-use crate::planner::{self, AtomShape, JoinStrategy, PlannedExecution, PlannerConfig, TermShape};
+use crate::planner::{self, AtomShape, TermShape};
 use crate::Result;
 use bqr_data::{IndexCache, InternedAccessIndex, Relation, Value, ValueId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -115,15 +110,6 @@ enum KeyPart {
     Slot(u32),
 }
 
-/// One component of a generic-join membership key: like [`KeyPart`], plus
-/// the candidate value currently being tested.
-#[derive(Debug)]
-enum CheckPart {
-    Const(ValueId),
-    Slot(u32),
-    Candidate,
-}
-
 /// Per-position work left after an index probe: bind a fresh slot or check
 /// a slot bound earlier *within the same atom* (every other position is part
 /// of the probe key and therefore already guaranteed to match).
@@ -141,77 +127,6 @@ struct CompiledAtom {
     /// Slots bound by this atom, for backtracking.
     bind_slots: Vec<u32>,
     index: Rc<InternedAccessIndex>,
-}
-
-/// One atom's access paths at one generic-join level (one per atom that
-/// contains the level's variable).
-#[derive(Debug)]
-struct GjAtomAccess {
-    /// Index keyed on the context positions (constants, initially bound
-    /// variables, variables eliminated earlier): enumerates matching rows.
-    enum_index: Rc<InternedAccessIndex>,
-    enum_key: Vec<KeyPart>,
-    /// First position of the level's variable in the atom: where candidate
-    /// values are projected from.
-    value_pos: usize,
-    /// Index keyed on context positions *plus every position of the level's
-    /// variable*: a non-empty probe certifies the atom admits the candidate.
-    check_index: Rc<InternedAccessIndex>,
-    check_key: Vec<CheckPart>,
-    /// The variable occurs more than once in the atom, so even the
-    /// enumerating atom must re-check its own candidates.
-    self_check: bool,
-}
-
-/// One variable-elimination level of a generic join.
-#[derive(Debug)]
-struct GjLevel {
-    slot: u32,
-    atoms: Vec<GjAtomAccess>,
-}
-
-/// An atom with no free variables: a single existence probe run before the
-/// variable elimination starts.
-#[derive(Debug)]
-struct GjFilter {
-    index: Rc<InternedAccessIndex>,
-    key: Vec<KeyPart>,
-}
-
-/// Generic-join execution plan.
-#[derive(Debug)]
-struct GjPlan {
-    levels: Vec<GjLevel>,
-    filters: Vec<GjFilter>,
-}
-
-/// The compiled execution shape.
-#[derive(Debug)]
-enum Exec {
-    AtomOrder(Vec<CompiledAtom>),
-    GenericJoin(GjPlan),
-    /// Compilation proved the search empty: some query constant has never
-    /// been interned, so it occurs in no relation and no probe can match, or
-    /// a nullary atom's relation is empty.
-    Unsat,
-}
-
-/// Reusable scratch space for one generic-join run: the shared probe-key
-/// buffer plus one candidate buffer per elimination level, so the search
-/// tree performs no per-node heap allocation (matching the atom-order path).
-struct GjScratch {
-    key_buf: Vec<ValueId>,
-    candidates: Vec<Vec<ValueId>>,
-}
-
-/// A human-inspectable summary of the plan the engine compiled — used by the
-/// determinism tests and the benchmark labels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanSummary {
-    /// Atoms probed in this order (indexes into the input atom list).
-    AtomOrder(Vec<usize>),
-    /// Generic join eliminating these variables, in order.
-    GenericJoin(Vec<String>),
 }
 
 /// A view of one match during [`HomSearch::run`]: variable slots plus their
@@ -261,14 +176,19 @@ impl HomMatch<'_> {
 #[derive(Debug)]
 pub struct HomSearch {
     vars: VarTable,
-    exec: Exec,
+    /// The atoms in probe order; `None` when compilation proved the search
+    /// empty: some query constant has never been interned, so it occurs in
+    /// no relation and no probe can match, or a nullary atom's relation is
+    /// empty.
+    atoms: Option<Vec<CompiledAtom>>,
     /// Slot values fixed by the initial assignment.
     initial: Vec<(u32, ValueId)>,
-    summary: PlanSummary,
+    /// The planned atom order (indexes into the input atom list).
+    order: Vec<usize>,
 }
 
 impl HomSearch {
-    /// Compile the search with the default (auto) planner configuration.
+    /// Compile the search in the planner's cost-based atom order.
     /// Validates relation names and arities (the same errors the old engine
     /// reported) and builds or fetches the per-atom hash indexes through
     /// `cache`.
@@ -277,18 +197,6 @@ impl HomSearch {
         relations: &BTreeMap<String, &Relation>,
         initial: &Assignment,
         cache: &IndexCache,
-    ) -> Result<Self> {
-        HomSearch::compile_with(atoms, relations, initial, cache, &PlannerConfig::default())
-    }
-
-    /// [`compile`](HomSearch::compile) under an explicit planner
-    /// configuration.
-    pub fn compile_with(
-        atoms: &[Atom],
-        relations: &BTreeMap<String, &Relation>,
-        initial: &Assignment,
-        cache: &IndexCache,
-        config: &PlannerConfig,
     ) -> Result<Self> {
         for atom in atoms {
             let rel = relations
@@ -304,7 +212,7 @@ impl HomSearch {
         }
 
         // Slot numbering is declaration order (initial assignment first),
-        // independent of the plan the planner picks.
+        // independent of the atom order the planner picks.
         let mut vars = VarTable::default();
         let mut initial_slots = Vec::with_capacity(initial.len());
         for (name, value) in initial {
@@ -333,50 +241,13 @@ impl HomSearch {
             shapes.push(AtomShape { terms, stats });
         }
 
-        let planned = match config.strategy {
-            JoinStrategy::Heuristic => PlannedExecution::AtomOrder(order_atoms(atoms, initial)),
-            _ => planner::plan(&shapes, vars.len(), config),
-        };
-
-        let (exec, summary) = match planned {
-            PlannedExecution::AtomOrder(order) => {
-                let exec = match compile_atom_order(
-                    atoms,
-                    relations,
-                    cache,
-                    &mut vars,
-                    initial_len,
-                    &order,
-                ) {
-                    Some(compiled) => Exec::AtomOrder(compiled),
-                    None => Exec::Unsat,
-                };
-                (exec, PlanSummary::AtomOrder(order))
-            }
-            PlannedExecution::GenericJoin(var_order) => {
-                let exec = match compile_generic_join(
-                    atoms,
-                    relations,
-                    cache,
-                    &vars,
-                    initial_len,
-                    &var_order,
-                ) {
-                    Some(plan) => Exec::GenericJoin(plan),
-                    None => Exec::Unsat,
-                };
-                let names = var_order
-                    .iter()
-                    .map(|&s| vars.name(s).to_string())
-                    .collect();
-                (exec, PlanSummary::GenericJoin(names))
-            }
-        };
+        let order = planner::cost_based_order(&shapes, vars.len());
+        let compiled = compile_atom_order(atoms, relations, cache, &mut vars, initial_len, &order);
         Ok(HomSearch {
             vars,
-            exec,
+            atoms: compiled,
             initial: initial_slots,
-            summary,
+            order,
         })
     }
 
@@ -385,9 +256,10 @@ impl HomSearch {
         &self.vars
     }
 
-    /// What the planner compiled (for tests and benchmark labels).
-    pub fn plan_summary(&self) -> &PlanSummary {
-        &self.summary
+    /// The atom order the planner chose, as indexes into the input atom
+    /// list (the determinism tests compare it).
+    pub fn atom_order(&self) -> &[usize] {
+        &self.order
     }
 
     /// Run the search, invoking `visit` once per homomorphism.  Returning
@@ -402,30 +274,15 @@ impl HomSearch {
         &self,
         mut visit: impl FnMut(HomMatch<'_>) -> Result<ControlFlow<()>>,
     ) -> Result<ControlFlow<()>> {
+        let Some(atoms) = &self.atoms else {
+            return Ok(ControlFlow::Continue(()));
+        };
         let mut slots: Vec<Option<ValueId>> = vec![None; self.vars.len()];
         for (slot, value) in &self.initial {
             slots[*slot as usize] = Some(*value);
         }
-        match &self.exec {
-            Exec::AtomOrder(atoms) => {
-                let mut key_buf: Vec<ValueId> = Vec::new();
-                self.atom_search(atoms, 0, &mut slots, &mut key_buf, &mut |m| visit(m))
-            }
-            Exec::GenericJoin(plan) => {
-                let mut scratch = GjScratch {
-                    key_buf: Vec::new(),
-                    candidates: vec![Vec::new(); plan.levels.len()],
-                };
-                for filter in &plan.filters {
-                    build_key(&filter.key, &slots, &mut scratch.key_buf);
-                    if filter.index.probe(&scratch.key_buf).is_empty() {
-                        return Ok(ControlFlow::Continue(()));
-                    }
-                }
-                self.gj_search(plan, 0, &mut slots, &mut scratch, &mut |m| visit(m))
-            }
-            Exec::Unsat => Ok(ControlFlow::Continue(())),
-        }
+        let mut key_buf: Vec<ValueId> = Vec::new();
+        self.atom_search(atoms, 0, &mut slots, &mut key_buf, &mut |m| visit(m))
     }
 
     fn atom_search(
@@ -475,82 +332,6 @@ impl HomSearch {
         }
         Ok(ControlFlow::Continue(()))
     }
-
-    fn gj_search(
-        &self,
-        plan: &GjPlan,
-        level: usize,
-        slots: &mut Vec<Option<ValueId>>,
-        scratch: &mut GjScratch,
-        visit: &mut dyn FnMut(HomMatch<'_>) -> Result<ControlFlow<()>>,
-    ) -> Result<ControlFlow<()>> {
-        if level == plan.levels.len() {
-            return visit(HomMatch {
-                vars: &self.vars,
-                slots,
-            });
-        }
-        let lv = &plan.levels[level];
-
-        // Enumerate candidates from the atom with the fewest context
-        // matches (classic generic join: smallest set drives the
-        // intersection).
-        let mut best = 0usize;
-        let mut best_len = usize::MAX;
-        for (i, a) in lv.atoms.iter().enumerate() {
-            build_key(&a.enum_key, slots, &mut scratch.key_buf);
-            let n = a.enum_index.probe_len(&scratch.key_buf);
-            if n < best_len {
-                best_len = n;
-                best = i;
-                if n == 0 {
-                    return Ok(ControlFlow::Continue(()));
-                }
-            }
-        }
-        let driver = &lv.atoms[best];
-        build_key(&driver.enum_key, slots, &mut scratch.key_buf);
-        // This level's candidate buffer is taken out of the scratch for the
-        // duration of the loop (deeper levels use their own buffers) and put
-        // back before returning, so the whole search reuses one allocation
-        // per level.
-        let mut candidates = std::mem::take(&mut scratch.candidates[level]);
-        candidates.clear();
-        let rows = driver.enum_index.probe(&scratch.key_buf);
-        let rows = rows.chunks_exact(driver.enum_index.arity());
-        candidates.extend(rows.map(|row| row[driver.value_pos]));
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let mut flow = ControlFlow::Continue(());
-        'candidate: for &c in &candidates {
-            for (i, a) in lv.atoms.iter().enumerate() {
-                if i == best && !a.self_check {
-                    continue;
-                }
-                build_check_key(&a.check_key, slots, c, &mut scratch.key_buf);
-                if a.check_index.probe(&scratch.key_buf).is_empty() {
-                    continue 'candidate;
-                }
-            }
-            slots[lv.slot as usize] = Some(c);
-            let deeper = self.gj_search(plan, level + 1, slots, scratch, visit);
-            slots[lv.slot as usize] = None;
-            match deeper {
-                Ok(ControlFlow::Continue(())) => {}
-                Ok(ControlFlow::Break(())) => {
-                    flow = ControlFlow::Break(());
-                    break;
-                }
-                Err(e) => {
-                    scratch.candidates[level] = candidates;
-                    return Err(e);
-                }
-            }
-        }
-        scratch.candidates[level] = candidates;
-        Ok(flow)
-    }
 }
 
 fn build_key(recipe: &[KeyPart], slots: &[Option<ValueId>], out: &mut Vec<ValueId>) {
@@ -564,28 +345,6 @@ fn build_key(recipe: &[KeyPart], slots: &[Option<ValueId>], out: &mut Vec<ValueI
         });
     }
 }
-
-fn build_check_key(
-    recipe: &[CheckPart],
-    slots: &[Option<ValueId>],
-    candidate: ValueId,
-    out: &mut Vec<ValueId>,
-) {
-    out.clear();
-    for part in recipe {
-        out.push(match part {
-            CheckPart::Const(c) => *c,
-            CheckPart::Slot(s) => {
-                slots[*s as usize].expect("check-key slots are bound by construction")
-            }
-            CheckPart::Candidate => candidate,
-        });
-    }
-}
-
-/// Every atom passed [`HomSearch::compile_with`]'s arity check, and a
-/// nullary one is decided from [`Relation::is_empty`] without an index.
-const VALIDATED: &str = "a compiled atom's positions are its relation's";
 
 /// Compile atoms for atom-at-a-time execution in the given order.
 fn compile_atom_order(
@@ -630,9 +389,6 @@ fn compile_atom_order(
                 }
                 Term::Var(v) => {
                     let slot = vars.intern(v);
-                    if bound.len() <= slot as usize {
-                        bound.push(false);
-                    }
                     if bound[slot as usize] {
                         key_positions.push(pos);
                         key.push(KeyPart::Slot(slot));
@@ -650,8 +406,10 @@ fn compile_atom_order(
         for &slot in &bind_slots {
             bound[slot as usize] = true;
         }
+        // Every atom passed `HomSearch::compile`'s arity check, and a
+        // nullary one was decided above without an index.
         let index = cache.interned_index_for(relations[atom.relation()], &key_positions);
-        let index = index.expect(VALIDATED);
+        let index = index.expect("a compiled atom's positions are its relation's");
         compiled.push(CompiledAtom {
             key,
             ops,
@@ -662,120 +420,6 @@ fn compile_atom_order(
     Some(compiled)
 }
 
-/// Compile atoms for generic-join execution under the given variable order.
-fn compile_generic_join(
-    atoms: &[Atom],
-    relations: &BTreeMap<String, &Relation>,
-    cache: &IndexCache,
-    vars: &VarTable,
-    initial_len: usize,
-    var_order: &[u32],
-) -> Option<GjPlan> {
-    // Elimination level of each slot (`None` for initially bound slots).
-    let level_of = |slot: u32| -> Option<usize> { var_order.iter().position(|&s| s == slot) };
-    let is_free = |slot: u32| (slot as usize) >= initial_len;
-
-    let mut levels: Vec<GjLevel> = var_order
-        .iter()
-        .map(|&slot| GjLevel {
-            slot,
-            atoms: Vec::new(),
-        })
-        .collect();
-    let mut filters: Vec<GjFilter> = Vec::new();
-
-    for atom in atoms {
-        let rel = relations[atom.relation()];
-        if atom.arity() == 0 {
-            // A nullary atom holds exactly when its relation is non-empty.
-            if rel.is_empty() {
-                return None;
-            }
-            continue;
-        }
-        // Slot of each position, if it is a free variable.
-        let pos_slot: Vec<Option<u32>> = atom
-            .args()
-            .iter()
-            .map(|t| match t {
-                Term::Const(_) => None,
-                Term::Var(v) => {
-                    let slot = vars.slot(v).expect("all atom variables are interned");
-                    is_free(slot).then_some(slot)
-                }
-            })
-            .collect();
-        let free_levels: BTreeSet<usize> = pos_slot
-            .iter()
-            .flatten()
-            .map(|&s| level_of(s).expect("free slots appear in the variable order"))
-            .collect();
-
-        // A constant the pool has never seen occurs in no relation:
-        // unsatisfiable.
-        let base_part = |pos: usize| -> Option<KeyPart> {
-            match &atom.args()[pos] {
-                Term::Const(c) => Some(KeyPart::Const(ValueId::lookup(c)?)),
-                Term::Var(v) => Some(KeyPart::Slot(vars.slot(v).expect("interned"))),
-            }
-        };
-
-        if free_levels.is_empty() {
-            // No free variables: one existence probe over all positions.
-            let all: Vec<usize> = (0..atom.arity()).collect();
-            filters.push(GjFilter {
-                index: cache.interned_index_for(rel, &all).expect(VALIDATED),
-                key: all.iter().map(|&p| base_part(p)).collect::<Option<_>>()?,
-            });
-            continue;
-        }
-
-        for &level in &free_levels {
-            let v_slot = var_order[level];
-            // Context: constants, initially bound variables, and free
-            // variables eliminated at an earlier level.
-            let context: Vec<usize> = (0..atom.arity())
-                .filter(|&p| match pos_slot[p] {
-                    None => true,
-                    Some(s) => level_of(s).expect("free slot has a level") < level,
-                })
-                .collect();
-            let v_positions: Vec<usize> = (0..atom.arity())
-                .filter(|&p| pos_slot[p] == Some(v_slot))
-                .collect();
-            let mut check_positions: Vec<usize> =
-                context.iter().chain(v_positions.iter()).copied().collect();
-            check_positions.sort_unstable();
-            let check_key = check_positions
-                .iter()
-                .map(|&p| {
-                    if v_positions.contains(&p) {
-                        Some(CheckPart::Candidate)
-                    } else {
-                        match base_part(p)? {
-                            KeyPart::Const(c) => Some(CheckPart::Const(c)),
-                            KeyPart::Slot(s) => Some(CheckPart::Slot(s)),
-                        }
-                    }
-                })
-                .collect::<Option<_>>()?;
-            levels[level].atoms.push(GjAtomAccess {
-                enum_index: cache.interned_index_for(rel, &context).expect(VALIDATED),
-                enum_key: context
-                    .iter()
-                    .map(|&p| base_part(p))
-                    .collect::<Option<_>>()?,
-                value_pos: v_positions[0],
-                check_index: cache
-                    .interned_index_for(rel, &check_positions)
-                    .expect(VALIDATED),
-                check_key,
-                self_check: v_positions.len() > 1,
-            });
-        }
-    }
-    Some(GjPlan { levels, filters })
-}
 /// Enumerate homomorphisms from `atoms` into the relations provided by
 /// `relations` (one entry per distinct relation name used by the atoms),
 /// starting from an initial partial assignment.
@@ -845,46 +489,13 @@ pub fn has_homomorphism_cached(
     Ok(found)
 }
 
-/// Greedy join order: repeatedly pick the atom with the most bound positions
-/// (constants, already-selected variables, initially bound variables), using
-/// the smaller relation arity as a tie-break proxy.
-fn order_atoms(atoms: &[Atom], initial: &Assignment) -> Vec<usize> {
-    let mut remaining: BTreeSet<usize> = (0..atoms.len()).collect();
-    let mut bound: BTreeSet<String> = initial.keys().cloned().collect();
-    let mut order = Vec::with_capacity(atoms.len());
-    while !remaining.is_empty() {
-        let best = *remaining
-            .iter()
-            .max_by_key(|&&i| {
-                let atom = &atoms[i];
-                let bound_positions = atom
-                    .args()
-                    .iter()
-                    .filter(|t| match t {
-                        Term::Const(_) => true,
-                        Term::Var(v) => bound.contains(v),
-                    })
-                    .count();
-                // Prefer more bound positions, then fewer free variables.
-                (bound_positions * 100).saturating_sub(atom.variables().len())
-            })
-            .expect("remaining is non-empty");
-        remaining.remove(&best);
-        for v in atoms[best].variables() {
-            bound.insert(v);
-        }
-        order.push(best);
-    }
-    order
-}
-
 /// The pre-refactor `BTreeMap`-driven engine, kept as the oracle for the
 /// engine-equivalence property tests and as the baseline of the `hom`
 /// microbenchmarks.  Semantics are identical to the slot engine; performance
 /// is not: it allocates a fresh probe key per node, clones the whole map per
 /// match, and rebuilds its hash indexes on every call.
 pub mod reference {
-    use super::{order_atoms, Assignment, MatchLimit};
+    use super::{Assignment, MatchLimit};
     use crate::atom::{Atom, Term};
     use crate::error::QueryError;
     use crate::Result;
@@ -946,6 +557,39 @@ pub mod reference {
         initial: &Assignment,
     ) -> Result<bool> {
         Ok(!enumerate_homomorphisms(atoms, relations, initial, MatchLimit::First)?.is_empty())
+    }
+
+    /// Greedy join order: repeatedly pick the atom with the most bound positions
+    /// (constants, already-selected variables, initially bound variables), using
+    /// the smaller relation arity as a tie-break proxy.
+    fn order_atoms(atoms: &[Atom], initial: &Assignment) -> Vec<usize> {
+        let mut remaining: BTreeSet<usize> = (0..atoms.len()).collect();
+        let mut bound: BTreeSet<String> = initial.keys().cloned().collect();
+        let mut order = Vec::with_capacity(atoms.len());
+        while !remaining.is_empty() {
+            let best = *remaining
+                .iter()
+                .max_by_key(|&&i| {
+                    let atom = &atoms[i];
+                    let bound_positions = atom
+                        .args()
+                        .iter()
+                        .filter(|t| match t {
+                            Term::Const(_) => true,
+                            Term::Var(v) => bound.contains(v),
+                        })
+                        .count();
+                    // Prefer more bound positions, then fewer free variables.
+                    (bound_positions * 100).saturating_sub(atom.variables().len())
+                })
+                .expect("remaining is non-empty");
+            remaining.remove(&best);
+            for v in atoms[best].variables() {
+                bound.insert(v);
+            }
+            order.push(best);
+        }
+        order
     }
 
     /// A hash index over one atom's relation, keyed on the positions that are
@@ -1059,6 +703,7 @@ mod tests {
     use super::*;
     use crate::testutil::{movie_instance, va};
     use bqr_data::Value;
+    use std::collections::BTreeSet;
 
     fn relations(db: &bqr_data::Database) -> BTreeMap<String, &Relation> {
         db.relations().map(|r| (r.name().to_string(), r)).collect()
@@ -1296,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_queries_use_generic_join_and_agree_with_reference() {
+    fn cyclic_queries_agree_with_reference() {
         let db = graph_db();
         let rels = relations(&db);
         let triangle = vec![
@@ -1304,13 +949,6 @@ mod tests {
             va("e", &["y", "z"]),
             va("e", &["z", "x"]),
         ];
-        let cache = IndexCache::new();
-        let search = HomSearch::compile(&triangle, &rels, &Assignment::new(), &cache).unwrap();
-        assert!(
-            matches!(search.plan_summary(), PlanSummary::GenericJoin(_)),
-            "triangles are cyclic: {:?}",
-            search.plan_summary()
-        );
         let (slot, naive) = both_engines(&triangle, &rels, &Assignment::new());
         assert!(!slot.is_empty(), "the graph contains triangles");
         assert_eq!(slot, naive);
@@ -1331,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn generic_join_handles_repeated_variables_and_constant_atoms() {
+    fn repeated_variables_and_constant_atoms_agree_with_reference() {
         let db = graph_db();
         let rels = relations(&db);
         // Triangle plus a self-loop atom on one of its variables (repeated
@@ -1372,80 +1010,27 @@ mod tests {
         // interned: compilation proves emptiness without running a search,
         // and without minting a pool id for the constant.
         let ghost = Value::str("hom-test-never-interned-constant-3b1f");
-        for strategy in [JoinStrategy::CostBased, JoinStrategy::GenericJoin] {
-            let atoms = vec![
-                va("e", &["x", "y"]),
-                va("e", &["y", "z"]),
-                va("e", &["z", "x"]),
-                Atom::new("e", vec![Term::var("x"), Term::Const(ghost.clone())]),
-            ];
-            let cache = IndexCache::new();
-            let search = HomSearch::compile_with(
-                &atoms,
-                &rels,
-                &Assignment::new(),
-                &cache,
-                &PlannerConfig::with_strategy(strategy),
-            )
+        let atoms = vec![
+            va("e", &["x", "y"]),
+            va("e", &["y", "z"]),
+            va("e", &["z", "x"]),
+            Atom::new("e", vec![Term::var("x"), Term::Const(ghost.clone())]),
+        ];
+        let cache = IndexCache::new();
+        let search = HomSearch::compile(&atoms, &rels, &Assignment::new(), &cache).unwrap();
+        let mut n = 0usize;
+        search
+            .run(|_| {
+                n += 1;
+                ControlFlow::Continue(())
+            })
             .unwrap();
-            let mut n = 0usize;
-            search
-                .run(|_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                })
-                .unwrap();
-            assert_eq!(n, 0, "{strategy:?}");
-        }
+        assert_eq!(n, 0);
         assert_eq!(
             bqr_data::ValueId::lookup(&ghost),
             None,
             "compilation must not mint ids for unmatched constants"
         );
-    }
-
-    #[test]
-    fn planner_config_overrides_the_strategy() {
-        let db = graph_db();
-        let rels = relations(&db);
-        let triangle = vec![
-            va("e", &["x", "y"]),
-            va("e", &["y", "z"]),
-            va("e", &["z", "x"]),
-        ];
-        let cache = IndexCache::new();
-        for (strategy, expect_gj) in [
-            (JoinStrategy::CostBased, false),
-            (JoinStrategy::Heuristic, false),
-            (JoinStrategy::GenericJoin, true),
-            (JoinStrategy::Auto, true),
-        ] {
-            let search = HomSearch::compile_with(
-                &triangle,
-                &rels,
-                &Assignment::new(),
-                &cache,
-                &PlannerConfig::with_strategy(strategy),
-            )
-            .unwrap();
-            assert_eq!(
-                matches!(search.plan_summary(), PlanSummary::GenericJoin(_)),
-                expect_gj,
-                "{strategy:?}"
-            );
-            // Every strategy enumerates the same matches.
-            let mut n = 0usize;
-            search
-                .run(|_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                })
-                .unwrap();
-            assert_eq!(
-                n, 8,
-                "two 3-cycles (3 rotations each) plus two self-loop triangles"
-            );
-        }
     }
 
     #[test]
@@ -1460,13 +1045,13 @@ mod tests {
         let cache = IndexCache::new();
         let first = HomSearch::compile(&atoms, &rels, &Assignment::new(), &cache)
             .unwrap()
-            .plan_summary()
-            .clone();
+            .atom_order()
+            .to_vec();
         for _ in 0..5 {
             let again = HomSearch::compile(&atoms, &rels, &Assignment::new(), &cache)
                 .unwrap()
-                .plan_summary()
-                .clone();
+                .atom_order()
+                .to_vec();
             assert_eq!(again, first, "same query, same stats, same plan");
         }
     }

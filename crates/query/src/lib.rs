@@ -59,7 +59,7 @@ pub use budget::Budget;
 pub use cq::ConjunctiveQuery;
 pub use error::QueryError;
 pub use fo::{Fo, FoQuery, QueryLanguage};
-pub use planner::{JoinStrategy, PlannerConfig};
+pub use planner::PlannerConfig;
 pub use ucq::UnionQuery;
 pub use views::{ViewDefinition, ViewSet};
 

@@ -15,8 +15,8 @@
 //! k-cycles (triangles for `k = 3`) threaded through the first two attribute
 //! positions of randomly chosen relations, optionally decorated with
 //! self-join atoms and constants — precisely the shapes whose atom-at-a-time
-//! plans degenerate and whose generic-join plans must still agree with the
-//! reference engine.  [`generate_database`] produces random instances of a
+//! plans degenerate, and whose answers must still agree with the reference
+//! engine.  [`generate_database`] produces random instances of a
 //! schema so query/instance pairs can be drawn from the same seed space.
 
 use bqr_data::{Database, DatabaseSchema, Tuple, Value};

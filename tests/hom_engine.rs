@@ -214,8 +214,8 @@ proptest! {
     }
 }
 
-/// A nullary atom and an empty relation on both compiled shapes: beside a
-/// triangle (generic join) and beside a chain (atom order), alone, and with
+/// A nullary atom and an empty relation on both join shapes: beside a
+/// triangle (cyclic) and beside a chain (acyclic), alone, and with
 /// the nullary relation holding the empty tuple and not.
 #[test]
 fn nullary_and_empty_atoms_agree_with_reference_on_both_shapes() {

@@ -1,12 +1,12 @@
-//! Differential tests: the planned slot engine (cost-based atom orders and
-//! generic join) versus the retained `hom::reference` oracle, on randomized
+//! Differential tests: the planned slot engine (cost-based atom order)
+//! versus the retained `hom::reference` oracle, on randomized
 //! query/instance pairs.
 //!
 //! Three procedures are exercised, each on well over 200 randomized cases:
 //! CQ evaluation, classical containment, and `A`-containment.  The query
-//! pools mix the cyclic shapes that trigger generic join (triangles,
-//! k-cycles, self-joins with constants) with acyclic join trees, so both
-//! execution paths of the engine are covered, under every planner strategy.
+//! pools mix cyclic shapes (triangles, k-cycles, self-joins with constants)
+//! with acyclic join trees, plus a few atoms that repeat a variable before
+//! any other atom binds it (the search compares the repeated positions).
 
 use bqr_bench::hom_bench::reference_cq_contained_in;
 use bqr_data::{AccessConstraint, AccessSchema, Database, DatabaseSchema, Relation, Tuple};
@@ -14,10 +14,8 @@ use bqr_query::containment::ContainmentChecker;
 use bqr_query::element::element_queries;
 use bqr_query::eval::Evaluator;
 use bqr_query::hom::{reference, Assignment, MatchLimit};
-use bqr_query::{
-    Budget, ConjunctiveQuery, JoinStrategy, PlannerConfig, Term, UnionQuery, ViewDefinition,
-    ViewSet,
-};
+use bqr_query::parser::parse_cq;
+use bqr_query::{Budget, ConjunctiveQuery, Term, UnionQuery, ViewDefinition, ViewSet};
 use bqr_workload::random::{
     generate_cyclic_queries, generate_database, generate_queries, CyclicQueryConfig,
     RandomDatabaseConfig, RandomQueryConfig,
@@ -41,7 +39,8 @@ fn access() -> AccessSchema {
     ])
 }
 
-/// A pool mixing cyclic and acyclic queries, all of arity 1.
+/// A pool mixing cyclic and acyclic queries, all of arity 1, ending in
+/// queries with an atom that repeats a variable, the head's or another.
 fn query_pool(seed: u64, cyclic: usize, acyclic: usize) -> Vec<ConjunctiveQuery> {
     let schema = schema();
     let mut pool = Vec::new();
@@ -71,6 +70,16 @@ fn query_pool(seed: u64, cyclic: usize, acyclic: usize) -> Vec<ConjunctiveQuery>
         acyclic,
     ));
     pool.retain(|q| q.arity() == 1);
+    pool.extend(
+        [
+            "Q(x) :- e(x, x)",
+            "Q(x) :- r(x, x, x)",
+            "Q(y) :- s(y, y), e(x, y)",
+            "Q(x) :- e(x, y), e(z, z)",
+            "Q(x) :- e(x, y), e(y, z), e(z, x), e(z, z)",
+        ]
+        .map(|text| parse_cq(text).unwrap()),
+    );
     pool
 }
 
@@ -121,31 +130,22 @@ fn reference_eval(cq: &ConjunctiveQuery, db: &Database) -> BTreeSet<Tuple> {
         .collect()
 }
 
-const STRATEGIES: [JoinStrategy; 4] = [
-    JoinStrategy::Auto,
-    JoinStrategy::Heuristic,
-    JoinStrategy::CostBased,
-    JoinStrategy::GenericJoin,
-];
-
 #[test]
 fn evaluation_agrees_with_reference_on_randomized_cases() {
     let pool = query_pool(1, 20, 15);
     let dbs = instances(4);
     let mut cases = 0usize;
-    for strategy in STRATEGIES {
-        let evaluator = Evaluator::new().with_planner(PlannerConfig::with_strategy(strategy));
-        for db in &dbs {
-            for q in &pool {
-                let planned: BTreeSet<Tuple> = evaluator
-                    .eval_cq(q, db, None)
-                    .unwrap()
-                    .into_iter()
-                    .collect();
-                let naive = reference_eval(q, db);
-                assert_eq!(planned, naive, "eval mismatch ({strategy:?}) on {q}");
-                cases += 1;
-            }
+    let evaluator = Evaluator::new();
+    for db in &dbs {
+        for q in &pool {
+            let planned: BTreeSet<Tuple> = evaluator
+                .eval_cq(q, db, None)
+                .unwrap()
+                .into_iter()
+                .collect();
+            let naive = reference_eval(q, db);
+            assert_eq!(planned, naive, "eval mismatch on {q}");
+            cases += 1;
         }
     }
     // The view path, which plans nothing: each pool query as a one-view
@@ -177,19 +177,13 @@ fn containment_agrees_with_reference_on_randomized_pairs() {
     let schema = schema();
     let pool = query_pool(2, 10, 6);
     let mut cases = 0usize;
-    for strategy in [JoinStrategy::Auto, JoinStrategy::GenericJoin] {
-        let checker =
-            ContainmentChecker::with_planner(&schema, PlannerConfig::with_strategy(strategy));
-        for q1 in &pool {
-            for q2 in &pool {
-                let planned = checker.cq_contained_in(q1, q2).unwrap();
-                let oracle = reference_cq_contained_in(q1, q2, &schema);
-                assert_eq!(
-                    planned, oracle,
-                    "containment mismatch ({strategy:?}) on {q1} ⊆ {q2}"
-                );
-                cases += 1;
-            }
+    let checker = ContainmentChecker::new(&schema);
+    for q1 in &pool {
+        for q2 in &pool {
+            let planned = checker.cq_contained_in(q1, q2).unwrap();
+            let oracle = reference_cq_contained_in(q1, q2, &schema);
+            assert_eq!(planned, oracle, "containment mismatch on {q1} ⊆ {q2}");
+            cases += 1;
         }
     }
     assert!(cases >= 200, "only {cases} containment cases ran");
@@ -203,8 +197,7 @@ fn a_containment_agrees_with_reference_on_randomized_pairs() {
     let pool: Vec<_> = query_pool(3, 10, 8).into_iter().take(15).collect();
     assert!(pool.len() >= 15, "pool too small: {}", pool.len());
     let mut cases = 0usize;
-    let checker =
-        ContainmentChecker::with_planner(&schema, PlannerConfig::with_strategy(JoinStrategy::Auto));
+    let checker = ContainmentChecker::new(&schema);
     for q1 in &pool {
         // Element queries of q1, shared across all q2.
         let elements = element_queries(q1, &access, &schema, &budget).unwrap();

@@ -119,16 +119,16 @@ fn plans_and_result_orderings_are_deterministic_under_a_fixed_seed() {
             let cache = bqr_data::IndexCache::new();
             HomSearch::compile(q.atoms(), &relations, &Default::default(), &cache)
                 .unwrap()
-                .plan_summary()
-                .clone()
+                .atom_order()
+                .to_vec()
         };
         let reference_answers = eval_cq(q, &db, None).unwrap();
         for _ in 0..3 {
             let cache = bqr_data::IndexCache::new();
             let again = HomSearch::compile(q.atoms(), &relations, &Default::default(), &cache)
                 .unwrap()
-                .plan_summary()
-                .clone();
+                .atom_order()
+                .to_vec();
             assert_eq!(again, reference_plan, "plan drifted for {q}");
             assert_eq!(
                 eval_cq(q, &db, None).unwrap(),
