@@ -112,10 +112,8 @@ mod tests {
         let q = parse_cq("Q(r) :- movie(m, n, 'Universal', '2014'), rating(m, r)").unwrap();
         let analysis = boundedly_evaluable_cq(&setting, &q).unwrap();
         let cache = std::sync::Arc::new(bqr_plan::PipelineCache::new(4));
-        let prepared = analysis
-            .prepare_plan_with(std::sync::Arc::clone(&cache))
-            .unwrap()
-            .expect("the analysis carries a plan");
+        let plan = analysis.plan.expect("the analysis carries a plan");
+        let prepared = bqr_plan::PreparedPlan::with_cache(plan, std::sync::Arc::clone(&cache));
 
         let mut db = Database::empty(setting.schema.clone());
         db.insert("movie", tuple![10, "Lucy", "Universal", "2014"])

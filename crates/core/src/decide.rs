@@ -41,35 +41,6 @@ impl DecisionOutcome {
             _ => None,
         }
     }
-
-    /// The witness plan as a [`bqr_plan::PreparedPlan`] on the process-wide
-    /// pipeline cache — the exact procedures decide once, and the rewriting
-    /// they return is then executed many times over a slowly changing
-    /// instance; the prepared handle compiles it once and binds whichever
-    /// instance version an execution names.
-    ///
-    /// `Ok(Some(_))` for a decided rewriting, `Ok(None)` for a decided
-    /// *no*-rewriting, and `Err(CoreError::Undecided)` when the procedure
-    /// gave up ([`DecisionOutcome::Unknown`]) — an undecided outcome must
-    /// never be silently served as "no rewriting".
-    pub fn prepare(&self) -> crate::Result<Option<bqr_plan::PreparedPlan>> {
-        self.prepare_with(std::sync::Arc::clone(bqr_plan::PipelineCache::global()))
-    }
-
-    /// [`prepare`](DecisionOutcome::prepare) against a caller-owned cache.
-    pub fn prepare_with(
-        &self,
-        cache: std::sync::Arc<bqr_plan::PipelineCache>,
-    ) -> crate::Result<Option<bqr_plan::PreparedPlan>> {
-        match self {
-            DecisionOutcome::Rewriting(plan) => Ok(Some(bqr_plan::PreparedPlan::with_cache(
-                plan.clone(),
-                cache,
-            ))),
-            DecisionOutcome::NoRewriting => Ok(None),
-            DecisionOutcome::Unknown(why) => Err(crate::CoreError::Undecided(why.clone())),
-        }
-    }
 }
 
 /// Decide `VBRP(L)` exactly for a query in `∃FO+` (CQ, UCQ or positive FO),
@@ -391,14 +362,8 @@ mod tests {
         let q = parse_cq("Q(r) :- rating(42, r)").unwrap();
         let outcome = decide_vbrp(&VbrpInstance::new(setting, q), PlanLanguage::Cq).unwrap();
         let cache = std::sync::Arc::new(bqr_plan::PipelineCache::new(4));
-        let prepared = outcome
-            .prepare_with(std::sync::Arc::clone(&cache))
-            .unwrap()
-            .expect("a rewriting exists");
-        assert!(
-            outcome.prepare().unwrap().is_some(),
-            "global-cache handle too"
-        );
+        let plan = outcome.plan().expect("a rewriting exists").clone();
+        let prepared = bqr_plan::PreparedPlan::with_cache(plan, std::sync::Arc::clone(&cache));
 
         let mut db = Database::empty(rating_schema());
         db.insert("rating", tuple![42, 5]).unwrap();
@@ -415,11 +380,6 @@ mod tests {
         let out = prepared.execute(&idb2, &views).unwrap();
         assert_eq!(out.tuples, vec![tuple![5]], "the answer is epoch-correct");
         assert_eq!(cache.stats().misses, 1, "a new version recompiles nothing");
-        assert!(DecisionOutcome::NoRewriting.prepare().unwrap().is_none());
-        assert!(matches!(
-            DecisionOutcome::Unknown("budget".into()).prepare(),
-            Err(crate::CoreError::Undecided(_))
-        ));
     }
 
     /// The same query has no 2-node rewriting (const + fetch gives (mid, rank),

@@ -3,13 +3,10 @@
 //! Until PR 5 this crate borrowed `bqr_plan::PlanError` as its error type,
 //! which left no room for outcomes that are neither a plan-layer failure nor
 //! a decision: a budget-exhausted or out-of-fragment analysis surfaced as a
-//! `DecisionOutcome::Unknown` *value*, and the serving helpers
-//! ([`DecisionOutcome::prepare`], [`ToppedAnalysis::prepare_plan`]) flattened
-//! that into the same `None` as a genuine "no rewriting exists" — the silent
-//! footgun this type removes.
-//!
-//! [`DecisionOutcome::prepare`]: crate::decide::DecisionOutcome::prepare
-//! [`ToppedAnalysis::prepare_plan`]: crate::topped::ToppedAnalysis::prepare_plan
+//! `DecisionOutcome::Unknown` *value*, and the serving helpers of the time
+//! flattened that into the same `None` as a genuine "no rewriting exists" —
+//! the silent footgun [`CoreError::Undecided`] removes (the engine's
+//! `decide` refuses an undecided outcome with it).
 
 use bqr_data::DataError;
 use bqr_plan::PlanError;
@@ -28,8 +25,8 @@ pub enum CoreError {
     Query(QueryError),
     /// The procedure could not reach a decision — the analysis budget was
     /// exhausted or the query is outside the decidable fragment.  Carried as
-    /// an *error* by the serving helpers so that "could not decide" is never
-    /// mistaken for the decision "no rewriting exists".
+    /// an *error* by the serving facade (`Engine::decide`) so that "could not
+    /// decide" is never mistaken for the decision "no rewriting exists".
     Undecided(String),
 }
 

@@ -64,62 +64,6 @@ impl ToppedAnalysis {
             reason: Some(reason),
         }
     }
-
-    /// Compile the constructed plan (when one exists) into `bqr-plan`'s
-    /// executor pipeline, ready for repeated execution against `idb` and
-    /// `views`.  This is the serving path: the checker constructs the plan
-    /// once, and the pipeline is obtained through the process-wide
-    /// [`bqr_plan::PipelineCache`] — compiled at most once per plan shape,
-    /// shared with every other prepared consumer of a plan of that shape,
-    /// and every query execution runs over interned ids.
-    ///
-    /// The returned pipeline is also *retained* in that cache (bounded by its
-    /// LRU capacity), which is what a serving process wants; a one-shot
-    /// analysis pass that must not retain anything can call
-    /// [`bqr_plan::Pipeline::compile`] on [`ToppedAnalysis::plan`] directly.
-    ///
-    /// `Ok(None)` when the checker constructed no plan (the query was
-    /// rejected — see [`ToppedAnalysis::reason`]); a compile failure is a
-    /// genuine `Err`, never folded into `None`.
-    pub fn compile_plan(
-        &self,
-        idb: &bqr_data::IndexedDatabase,
-        views: &bqr_query::MaterializedViews,
-    ) -> crate::Result<Option<bqr_plan::Pipeline>> {
-        match self.prepare_plan()? {
-            Some(p) => Ok(Some(p.pipeline(
-                idb,
-                views,
-                &bqr_plan::ExecOptions::default(),
-            )?)),
-            None => Ok(None),
-        }
-    }
-
-    /// The constructed plan (when one exists) as a [`bqr_plan::PreparedPlan`]
-    /// handle on the process-wide pipeline cache: fingerprinted once here,
-    /// compiled lazily on first execution, re-validated by relation/view
-    /// epoch on every subsequent one.  The handle for repeated serving.
-    ///
-    /// `Ok(None)` when the checker constructed no plan; errors from the
-    /// serving layer propagate instead of degrading into `None` (the
-    /// historical footgun — callers could not tell "not topped" from "the
-    /// serving layer failed").
-    pub fn prepare_plan(&self) -> crate::Result<Option<bqr_plan::PreparedPlan>> {
-        self.prepare_plan_with(std::sync::Arc::clone(bqr_plan::PipelineCache::global()))
-    }
-
-    /// [`prepare_plan`](ToppedAnalysis::prepare_plan) against a caller-owned
-    /// cache (isolated counters / capacity).
-    pub fn prepare_plan_with(
-        &self,
-        cache: std::sync::Arc<bqr_plan::PipelineCache>,
-    ) -> crate::Result<Option<bqr_plan::PreparedPlan>> {
-        Ok(self
-            .plan
-            .clone()
-            .map(|plan| bqr_plan::PreparedPlan::with_cache(plan, cache)))
-    }
 }
 
 /// A partial plan labelled with the variables its columns hold, the key
@@ -1003,27 +947,21 @@ mod tests {
         let db = movie_instance();
         let cache = v1_views().materialize(&db).unwrap();
         let idb = IndexedDatabase::build(db, movie_access(100)).unwrap();
-        let pipeline = analysis.compile_plan(&idb, &cache).unwrap().unwrap();
-        assert!(pipeline.describe().contains("fetch["));
-        let one_shot = execute(analysis.plan.as_ref().unwrap(), &idb, &cache).unwrap();
-        let out = pipeline.execute(&idb, &bqr_plan::ExecOptions::default());
-        assert_eq!(out.unwrap(), one_shot);
+        let plan = analysis.plan.clone().unwrap();
+        let one_shot = execute(&plan, &idb, &cache).unwrap();
         // The prepared handle serves the same answers and observably skips
         // recompilation on the warm path.
         let cache_handle = std::sync::Arc::new(bqr_plan::PipelineCache::new(8));
-        let prepared = analysis
-            .prepare_plan_with(std::sync::Arc::clone(&cache_handle))
-            .unwrap()
-            .unwrap();
+        let prepared =
+            bqr_plan::PreparedPlan::with_cache(plan, std::sync::Arc::clone(&cache_handle));
         assert_eq!(prepared.execute(&idb, &cache).unwrap(), one_shot);
         assert_eq!(prepared.execute(&idb, &cache).unwrap(), one_shot);
         let stats = cache_handle.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
-        // A rejected analysis has no plan to compile or prepare — reported as
-        // `Ok(None)`, distinct from a serving-layer `Err`.
-        let rejected = ToppedAnalysis::rejected("no".into());
-        assert!(rejected.compile_plan(&idb, &cache).unwrap().is_none());
-        assert!(rejected.prepare_plan().unwrap().is_none());
+        let options = bqr_plan::ExecOptions::default();
+        let pipeline = prepared.pipeline(&idb, &cache, &options).unwrap();
+        assert!(pipeline.describe().contains("fetch["));
+        assert_eq!(pipeline.execute(&idb, &options).unwrap(), one_shot);
     }
 
     /// Q0 is NOT topped without the view: person/like cannot be fetched.

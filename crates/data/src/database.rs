@@ -252,18 +252,6 @@ impl Database {
         }
         dom
     }
-
-    /// Merge another database (over the same schema) into this one, unioning
-    /// relation instances.  Used to build the `T_Q ∪ D_K` instances of the
-    /// bounded-output characterisation (Lemma 3.6).
-    pub fn union_in_place(&mut self, other: &Database) -> Result<()> {
-        for rel in other.relations() {
-            for t in rel.iter() {
-                self.insert(rel.name(), t.to_tuple())?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A point-in-time capture of a tracked database's write state, produced by
@@ -361,16 +349,6 @@ mod tests {
         assert!(dom.contains(&Value::int(5)));
         assert!(dom.contains(&Value::int(1)));
         assert!(!dom.contains(&Value::str("Paramount")));
-    }
-
-    #[test]
-    fn union_in_place_merges() {
-        let mut a = movie_db();
-        let mut b = Database::empty(a.schema().clone());
-        b.insert("rating", tuple![9, 1]).unwrap();
-        b.insert("rating", tuple![1, 5]).unwrap(); // already in `a`
-        a.union_in_place(&b).unwrap();
-        assert_eq!(a.relation("rating").unwrap().len(), 3);
     }
 
     /// Rollback restores contents AND tracking state through every

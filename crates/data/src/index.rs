@@ -577,7 +577,10 @@ impl InternedAccessIndex {
 /// A database together with the indices of an access schema.  This is the
 /// runtime object bounded query plans execute against: views are cached
 /// separately (see `bqr-plan`), and base data is reachable *only* through
-/// [`IndexedDatabase::fetch_ids`] and its batched and `Value` forms.
+/// the constraint indexes: [`IndexedDatabase::index`], whose
+/// [`probe`](InternedAccessIndex::probe) and
+/// [`probe_batch`](InternedAccessIndex::probe_batch) the executor calls, and
+/// the `Value` form [`IndexedDatabase::fetch`].
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     db: Database,
@@ -663,7 +666,7 @@ impl IndexedDatabase {
         self.access.constraints().position(|c| c == constraint)
     }
 
-    /// The `Value` form of [`IndexedDatabase::fetch_ids`], for callers
+    /// `fetch(X ∈ S, R, Y)` for one `X`-value, in `Value`s, for callers
     /// outside the executor (`exec::reference`, tests): the key is looked
     /// up in the value pool — a value it never saw is in no group — and
     /// the group's rows are resolved, in the group's id order.  The same
@@ -680,39 +683,6 @@ impl IndexedDatabase {
         stats.record_fetch(rows.len() / index.arity());
         let resolve = |row: &[ValueId]| row.iter().map(|id| id.value()).collect();
         Ok(rows.chunks_exact(index.arity()).map(resolve).collect())
-    }
-
-    /// Execute a `fetch(X ∈ S, R, Y)` for a single interned `X`-value
-    /// through the index of the constraint at `constraint_idx`: the
-    /// matching `X ∪ Y` rows as a flat slice of `n · arity` ids, recording
-    /// `n` fetched tuples in `stats`.
-    pub fn fetch_ids(
-        &self,
-        constraint_idx: usize,
-        key: &[ValueId],
-        stats: &mut FetchStats,
-    ) -> Result<(&[ValueId], usize)> {
-        let index = self.index(constraint_idx)?;
-        let rows = index.probe(key);
-        stats.record_fetch(rows.len() / index.arity());
-        Ok((rows, index.arity()))
-    }
-
-    /// The vectorised form of [`IndexedDatabase::fetch_ids`]: probe the
-    /// constraint index with a whole batch of interned keys and append every
-    /// matching row to `out`, with per-key `FetchStats` accounting identical
-    /// to `n_keys` scalar fetches.  Returns `(rows_appended, arity)`.
-    pub fn fetch_ids_batch(
-        &self,
-        constraint_idx: usize,
-        keys_flat: &[ValueId],
-        n_keys: usize,
-        out: &mut Vec<ValueId>,
-        stats: &mut FetchStats,
-    ) -> Result<(usize, usize)> {
-        let index = self.index(constraint_idx)?;
-        let appended = index.probe_batch(keys_flat, n_keys, out, stats);
-        Ok((appended, index.arity()))
     }
 }
 
@@ -861,7 +831,14 @@ mod tests {
 
         let id_key = intern_key(&key);
         let mut id_stats = FetchStats::new();
-        let (rows, arity) = idb.fetch_ids(0, &id_key, &mut id_stats).unwrap();
+        let index = idb.index(0).unwrap();
+        let probe = |key: &[ValueId], stats: &mut FetchStats| {
+            let rows = index.probe(key);
+            stats.record_fetch(rows.len() / index.arity());
+            rows
+        };
+        let rows = probe(&id_key, &mut id_stats);
+        let arity = index.arity();
         assert_eq!(arity, 3, "studio, release, mid");
         // Same tuples, in the same group order, resolved out of the pool.
         let resolved: Vec<Tuple> = rows
@@ -875,22 +852,17 @@ mod tests {
         // Absent keys fetch zero tuples but still count the probe — on both
         // faces, also for a value the pool never saw.
         let ghost = [Value::str("MGM"), Value::str("never-interned-9c1e")];
-        let (rows, _) = idb
-            .fetch_ids(0, &intern_key(&ghost[..1]), &mut id_stats)
-            .unwrap();
-        assert!(rows.is_empty());
+        assert!(probe(&intern_key(&ghost[..1]), &mut id_stats).is_empty());
         assert_eq!(id_stats.fetch_calls, 2);
         assert_eq!(id_stats.fetched_tuples, 2);
         assert!(idb.fetch(0, &ghost, &mut stats).unwrap().is_empty());
         assert_eq!(ValueId::lookup(&ghost[1]), None, "fetch mints no id");
         assert_eq!((stats.fetch_calls, stats.fetched_tuples), (2, 2));
 
-        let index = idb.index(0).unwrap();
         assert_eq!(index.distinct_keys(), 2);
         assert_eq!(index.probe_len(&id_key), 2);
-        assert!(idb.index(9).is_err());
         assert!(matches!(
-            idb.fetch_ids(9, &[], &mut id_stats),
+            idb.index(9),
             Err(DataError::NoIndexForConstraint(_))
         ));
     }
@@ -908,36 +880,31 @@ mod tests {
         .map(|k| intern_key(k))
         .collect();
 
-        // Scalar reference: one fetch_ids per key, concatenated.
+        // Scalar reference: one probe per key, concatenated.
+        let index = idb.index(0).unwrap();
         let mut scalar_out = Vec::new();
         let mut scalar_stats = FetchStats::new();
         for key in &keys {
-            let (rows, _) = idb.fetch_ids(0, key, &mut scalar_stats).unwrap();
+            let rows = index.probe(key);
+            scalar_stats.record_fetch(rows.len() / index.arity());
             scalar_out.extend_from_slice(rows);
         }
 
         let flat: Vec<ValueId> = keys.iter().flatten().copied().collect();
         let mut batch_out = Vec::new();
         let mut batch_stats = FetchStats::new();
-        let (appended, arity) = idb
-            .fetch_ids_batch(0, &flat, keys.len(), &mut batch_out, &mut batch_stats)
-            .unwrap();
-        assert_eq!(arity, 3);
-        assert_eq!(appended * arity, batch_out.len());
+        let appended = index.probe_batch(&flat, keys.len(), &mut batch_out, &mut batch_stats);
+        assert_eq!(index.arity(), 3);
+        assert_eq!(appended * index.arity(), batch_out.len());
         assert_eq!(batch_out, scalar_out);
         assert_eq!(batch_stats, scalar_stats);
         assert_eq!(batch_stats.fetch_calls, 3, "absent keys still count");
 
         // Empty batch: no rows, no probes.
         let mut empty_stats = FetchStats::new();
-        let (none, _) = idb
-            .fetch_ids_batch(0, &[], 0, &mut Vec::new(), &mut empty_stats)
-            .unwrap();
+        let none = index.probe_batch(&[], 0, &mut Vec::new(), &mut empty_stats);
         assert_eq!(none, 0);
         assert_eq!(empty_stats, FetchStats::new());
-        assert!(idb
-            .fetch_ids_batch(9, &[], 0, &mut Vec::new(), &mut empty_stats)
-            .is_err());
     }
 
     #[test]
@@ -950,13 +917,11 @@ mod tests {
         let idb = IndexedDatabase::build(db, access).unwrap();
         let mut out = Vec::new();
         let mut stats = FetchStats::new();
-        let (rows, arity) = idb
-            .fetch_ids_batch(0, &[], 1, &mut out, &mut stats)
-            .unwrap();
-        assert_eq!((rows, arity), (2, 1));
+        let index = idb.index(0).unwrap();
+        let rows = index.probe_batch(&[], 1, &mut out, &mut stats);
+        assert_eq!((rows, index.arity()), (2, 1));
         assert_eq!(stats.fetch_calls, 1);
         assert_eq!(stats.fetched_tuples, 2);
-        let index = idb.index(0).unwrap();
         assert_eq!((index.total_rows(), index.distinct_keys()), (2, 1));
     }
 
@@ -1126,12 +1091,10 @@ mod tests {
             );
             assert_eq!(a, b);
             let id_key = intern_key(&key);
-            let (mut ia, mut ib) = (FetchStats::new(), FetchStats::new());
             assert_eq!(
-                patched.fetch_ids(1, &id_key, &mut ia).unwrap(),
-                rebuilt.fetch_ids(1, &id_key, &mut ib).unwrap()
+                patched.index(1).unwrap().probe(&id_key),
+                rebuilt.index(1).unwrap().probe(&id_key)
             );
-            assert_eq!(ia, ib);
         }
     }
 

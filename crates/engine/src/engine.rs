@@ -558,11 +558,10 @@ impl Engine {
     /// check behind [`analyze`](Engine::analyze) is sound but incomplete;
     /// this is the complete-but-expensive counterpart for small instances.
     ///
-    /// To serve the witness through *this* engine's cache (so it shows up in
+    /// To serve the witness through this engine's cache (so it shows up in
     /// [`cache_stats`](Engine::cache_stats) and respects the configured
-    /// capacity), hand it to
-    /// `outcome.prepare_with(Arc::clone(engine.cache()))` — the outcome's
-    /// bare `prepare()` registers on the process-global cache instead.
+    /// capacity), prepare it with
+    /// `PreparedPlan::with_cache(plan, Arc::clone(engine.cache()))`.
     ///
     /// An exhausted analysis [`Budget`](bqr_query::Budget) (or an input
     /// outside the decidable fragment) surfaces as [`Error::Analysis`]

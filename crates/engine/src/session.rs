@@ -108,13 +108,6 @@ impl PreparedStatement {
         self.plan.plan()
     }
 
-    /// The canonical fingerprint of the plan's shape (the plan half of the
-    /// pipeline-cache key; statements that differ only in constants share
-    /// it).
-    pub fn fingerprint(&self) -> bqr_plan::PlanFingerprint {
-        self.plan.fingerprint()
-    }
-
     pub(crate) fn prepared(&self) -> &PreparedPlan {
         &self.plan
     }

@@ -20,7 +20,7 @@
 //! does not look at the *order* of constants (`tests/shape_diff.rs` holds it
 //! to that, under order-reversing renamings), so the key does not either.
 //!
-//! Contrast the pipeline cache one layer down (`bqr_plan::fingerprint`),
+//! Contrast the pipeline cache one layer down (`bqr_plan::QueryPlan::shape`),
 //! where constants leave the key with no such argument: compilation never
 //! looks at a constant's value at all.
 

@@ -88,8 +88,8 @@ fn prepare_execute_and_cache_stats() {
     assert_eq!(statement.name(), "fig1");
     assert_eq!(engine.statement_names(), vec!["fig1".to_string()]);
     assert_eq!(
-        statement.fingerprint(),
-        engine.statement("fig1").unwrap().fingerprint()
+        statement.plan().shape(),
+        engine.statement("fig1").unwrap().plan().shape()
     );
 
     let session = engine.session();
@@ -348,13 +348,10 @@ fn decide_runs_the_exact_procedure() {
         .decide("Q(r) :- rating(42, r)", bqr_plan::PlanLanguage::Cq)
         .unwrap();
     assert!(outcome.has_rewriting());
-    // The witness serves through the typed prepare path (no more silent
-    // None), wired to *this* engine's cache so the compilation shows up in
-    // its counters.
-    let prepared = outcome
-        .prepare_with(std::sync::Arc::clone(engine.cache()))
-        .unwrap()
-        .expect("a rewriting exists");
+    // The witness serves through a handle on *this* engine's cache, so the
+    // compilation shows up in its counters.
+    let plan = outcome.plan().expect("a rewriting exists").clone();
+    let prepared = bqr_plan::PreparedPlan::with_cache(plan, std::sync::Arc::clone(engine.cache()));
     let mut db = Database::empty(engine.setting().schema.clone());
     db.insert("rating", tuple![42, 5]).unwrap();
     engine.attach(db).unwrap();
@@ -368,6 +365,38 @@ fn decide_runs_the_exact_procedure() {
         .unwrap();
     assert_eq!(out.tuples, vec![tuple![5]]);
     assert_eq!(engine.cache_stats().misses, 1, "compiled on this cache");
+}
+
+/// An undecided outcome is refused, never served as "no rewriting": a
+/// budget too small to enumerate the witness makes `decide` an
+/// `Error::Analysis` wrapping `CoreError::Undecided`.
+#[test]
+fn decide_refuses_an_undecided_outcome() {
+    let schema = DatabaseSchema::with_relations(&[("rating", &["mid", "rank"])]).unwrap();
+    let rating = AccessConstraint::new("rating", &["mid"], &["rank"], 1).unwrap();
+    let engine = Engine::builder()
+        .schema(schema)
+        .access(AccessSchema::new(vec![rating]))
+        .bound(3)
+        .budget(bqr_query::Budget {
+            max_candidate_plans: 1,
+            ..bqr_query::Budget::generous()
+        })
+        .build()
+        .unwrap();
+    let err = engine
+        .decide("Q(r) :- rating(42, r)", bqr_plan::PlanLanguage::Cq)
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            Error::Analysis {
+                source: bqr_core::CoreError::Undecided(_),
+                ..
+            }
+        ),
+        "{err:?}"
+    );
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! conformance to an access schema — are `bqr-core`'s.
 //!
 //! * [`PlanNode`] / [`QueryPlan`] — the tree representation, size measure,
-//!   Fig.-1-style pretty printing and the CQ/UCQ/∃FO+/FO plan classification;
+//!   Fig.-1-style pretty printing, the CQ/UCQ/∃FO+/FO plan classification
+//!   and a plan's [shape](QueryPlan::shape) (its structure, constants left
+//!   out), the prepared-execution cache key;
 //! * [`exec`] — executing a plan over an [`IndexedDatabase`](bqr_data::IndexedDatabase) plus
 //!   materialised views, with [`FetchStats`](bqr_data::FetchStats) accounting of `|D_ξ|`: plans are
 //!   compiled to a flat operator [`Pipeline`] over interned ids whose hot
@@ -20,13 +22,11 @@
 //!   thread, under the limits of [`ExecOptions`]; the original tree-walking
 //!   interpreter is retained as [`exec::reference`] for differential
 //!   testing;
-//! * [`fingerprint`] — canonical [`PlanFingerprint`]s of a plan's *shape*
-//!   (its structure, constants left out), the prepared-execution cache key;
-//! * [`prepared`] — the prepared-statement layer: a process-wide
-//!   [`PipelineCache`] keyed by shape fingerprint alone — a compiled
-//!   pipeline is plan syntax, so plans that differ only in constants, data
-//!   versions, option sets and access schemas listing the same constraints
-//!   all share one — and the [`PreparedPlan`] handle that binds a plan's
+//! * [`prepared`] — the prepared-statement layer: a [`PipelineCache`] keyed
+//!   by plan shape alone — a compiled pipeline is plan syntax, so plans that
+//!   differ only in constants, data versions, option sets and access schemas
+//!   listing the same constraints all share one — and the [`PreparedPlan`]
+//!   handle that binds a plan's
 //!   constants and, per execution, the extents and indexes it is run on;
 //! * [`guard`] — runtime guardrails: cooperative deadlines, cancellation
 //!   tokens, intermediate-row (memory) budgets and fetched-tuple caps
@@ -41,7 +41,6 @@
 pub mod builder;
 pub mod error;
 pub mod exec;
-pub mod fingerprint;
 pub mod guard;
 mod kernel;
 pub mod node;
@@ -49,7 +48,6 @@ pub mod prepared;
 
 pub use error::{ExecError, PlanError};
 pub use exec::{execute, execute_with, ExecOptions, ExecOutput, Pipeline};
-pub use fingerprint::{fingerprint as plan_fingerprint, PlanFingerprint};
 pub use guard::{panic_message, CancellationToken, Guard, GuardLimits, GuardMetrics, GuardStats};
 pub use node::{PlanLanguage, PlanNode, QueryPlan, SelectCondition};
 pub use prepared::{CacheStats, PipelineCache, PreparedPlan, PreparedShape};

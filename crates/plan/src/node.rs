@@ -7,7 +7,7 @@ use bqr_data::{AccessConstraint, Tuple, Value};
 use std::fmt;
 
 /// A selection condition on the columns of a node's output.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SelectCondition {
     /// Column equals a constant.
     ColEqConst(usize, Value),
@@ -68,7 +68,7 @@ impl fmt::Display for SelectCondition {
 }
 
 /// One node of a query plan tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PlanNode {
     /// A constant single-tuple relation `{c̄}`.
     Const(Tuple),
@@ -425,7 +425,7 @@ impl PlanNode {
 }
 
 /// A complete query plan: a validated plan tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QueryPlan {
     root: PlanNode,
 }
@@ -485,6 +485,46 @@ impl QueryPlan {
     pub fn fetches(&self) -> Vec<&PlanNode> {
         self.root.fetches()
     }
+
+    /// The plan's **shape**, the whole key of the
+    /// [`PipelineCache`](crate::prepared::PipelineCache): the plan with every
+    /// constant replaced by one fixed placeholder and every `ρ` node removed.
+    /// Plans with equal shapes compile to the same operators and share one
+    /// cached pipeline, each executing it with its own constants.
+    ///
+    /// * Constants leave the key with no further argument: a constant
+    ///   reaches a compiled pipeline only in a `Const` leaf or a
+    ///   `Col{Eq,Ne}Const` condition, and compilation never looks at its
+    ///   value.  Their number and places stay, so slots are per occurrence,
+    ///   numbered as in [`PlanNode::constant_slots`].  Contrast the engine's
+    ///   analysis memo (`bqr-engine`), whose key keeps which constants equal
+    ///   each other and the views', because the *checker* does look.
+    /// * `ρ` is transparent: with positional columns a renaming never
+    ///   changes the data, and the compiled executor erases it.  A `ρ` can
+    ///   block the σ-over-view fusion, but the two pipelines are
+    ///   execution-equivalent down to the `FetchStats` accounting, which
+    ///   `tests/prepared_cache.rs` holds them to.
+    pub fn shape(&self) -> QueryPlan {
+        fn erase_renames(node: &mut PlanNode) {
+            match node {
+                PlanNode::Rename { input } => {
+                    *node = std::mem::replace(&mut **input, PlanNode::Const(Tuple::default()));
+                    erase_renames(node);
+                }
+                PlanNode::Const(_) | PlanNode::View { .. } => {}
+                PlanNode::Fetch { input, .. }
+                | PlanNode::Project { input, .. }
+                | PlanNode::Select { input, .. } => erase_renames(input),
+                PlanNode::Product(a, b) | PlanNode::Union(a, b) | PlanNode::Difference(a, b) => {
+                    erase_renames(a);
+                    erase_renames(b);
+                }
+            }
+        }
+        let mut root = self.root.map_constants(&mut |_, _| Value::Bool(false));
+        erase_renames(&mut root);
+        QueryPlan { root }
+    }
 }
 
 impl fmt::Display for QueryPlan {
@@ -498,6 +538,7 @@ impl fmt::Display for QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::Plan;
     use bqr_data::tuple;
 
     fn constraint() -> AccessConstraint {
@@ -698,5 +739,96 @@ mod tests {
         assert_eq!(renamed.arity(), 2);
         assert_eq!(renamed.size(), 2);
         assert!(QueryPlan::new(renamed).is_ok());
+    }
+
+    fn phi() -> AccessConstraint {
+        AccessConstraint::new("movie", &["studio", "release"], &["mid"], 100).unwrap()
+    }
+
+    fn sample() -> QueryPlan {
+        Plan::constant(vec![Value::str("Universal"), Value::str("2014")])
+            .fetch(phi(), vec![0, 1])
+            .select_eq_const(2, 10)
+            .project(vec![2])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn equal_structure_equal_shape() {
+        let (a, b) = (sample(), sample());
+        assert_eq!(a.shape(), b.shape());
+        assert_eq!(a.shape(), a.clone().shape());
+        assert_eq!(a.shape().shape(), a.shape(), "a shape is its own shape");
+    }
+
+    #[test]
+    fn structural_differences_change_the_shape() {
+        let base = sample().shape();
+        let with = |constraint: AccessConstraint, keys: Vec<usize>, conds, columns| {
+            Plan::constant(vec![Value::str("Universal"), Value::str("2014")])
+                .fetch(constraint, keys)
+                .select(conds)
+                .project(columns)
+                .build()
+                .unwrap()
+                .shape()
+        };
+        let eq10 = || SelectCondition::ColEqConst(2, Value::int(10));
+        assert_eq!(base, with(phi(), vec![0, 1], vec![eq10()], vec![2]));
+        // One constant more is a different shape.
+        assert_ne!(base, with(phi(), vec![0, 1], vec![eq10(), eq10()], vec![2]));
+        // Equality against a constant and inequality against it differ.
+        let ne10 = SelectCondition::ColNeConst(2, Value::int(10));
+        assert_ne!(base, with(phi(), vec![0, 1], vec![ne10], vec![2]));
+        // Another constraint bound, other key columns, another projection.
+        let phi50 = AccessConstraint::new("movie", &["studio", "release"], &["mid"], 50).unwrap();
+        assert_ne!(base, with(phi50, vec![0, 1], vec![eq10()], vec![2]));
+        assert_ne!(base, with(phi(), vec![1, 0], vec![eq10()], vec![2]));
+        assert_ne!(base, with(phi(), vec![0, 1], vec![eq10()], vec![0]));
+        // Operators over the same leaves, and view names.
+        let view = |name: &str| Plan::view(name, 1);
+        let u = view("V").union(view("V")).build().unwrap().shape();
+        let d = view("V").difference(view("V")).build().unwrap().shape();
+        let w = view("V").union(view("W")).build().unwrap().shape();
+        assert!(u != d && u != w && d != w);
+    }
+
+    /// Constants are not part of the shape: whatever their values or sorts,
+    /// and however many of them coincide, plans that differ in nothing else
+    /// have one shape.
+    #[test]
+    fn constants_are_not_part_of_the_shape() {
+        let other = Plan::constant(vec![Value::str("WB"), Value::int(2015)])
+            .fetch(phi(), vec![0, 1])
+            .select_eq_const(2, "WB")
+            .project(vec![2])
+            .build()
+            .unwrap();
+        assert_eq!(sample().shape(), other.shape());
+        let int1 = Plan::constant(vec![Value::int(1)]).build().unwrap();
+        let bool1 = Plan::constant(vec![Value::bool(true)]).build().unwrap();
+        assert_eq!(int1.shape(), bool1.shape());
+        // The number of constants is.
+        let pair = Plan::constant(vec![Value::int(1), Value::int(1)])
+            .build()
+            .unwrap();
+        assert_ne!(int1.shape(), pair.shape());
+        assert_eq!(pair.shape().constant_slots().len(), 2);
+    }
+
+    #[test]
+    fn renames_are_transparent() {
+        let plain = Plan::view("V", 2).select_eq_cols(0, 1).build().unwrap();
+        let renamed = Plan::view("V", 2)
+            .rename()
+            .rename()
+            .select_eq_cols(0, 1)
+            .rename()
+            .build()
+            .unwrap();
+        assert_eq!(plain.shape(), renamed.shape());
+        assert_ne!(plain, renamed, "the trees themselves differ");
+        assert_eq!(renamed.shape().size(), 2, "no ρ is left");
     }
 }

@@ -1,4 +1,4 @@
-//! Prepared plan execution: a process-wide pipeline cache and the
+//! Prepared plan execution: a pipeline cache keyed by plan shape and the
 //! prepared-statement handle built on it.
 //!
 //! PR 3 compiles every plan into a flat [`Pipeline`], but a serving workload
@@ -10,24 +10,25 @@
 //! `D_ξ`; the compiled form keeps to that, so compiling is done once per
 //! shape and never again:
 //!
-//! * [`PipelineCache`] — a bounded, thread-safe map from
-//!   [`PlanFingerprint`] to compiled pipeline shapes, with LRU eviction and
-//!   observable hit / miss / eviction counters.  The fingerprint is of the
-//!   plan's **shape** — its structure, view names and access constraints
-//!   with the constants left out (see [`crate::fingerprint`] for why that
-//!   is sound with no further argument) — and it is the whole key.  There
-//!   is no data half because a compiled shape holds no data: constants,
-//!   view extents and constraint indexes are slots an execution fills
+//! * [`PipelineCache`] — a bounded, thread-safe map from a plan's
+//!   [shape](QueryPlan::shape) to its compiled pipeline, with LRU eviction
+//!   and observable hit / miss / eviction counters.  The shape — the plan's
+//!   structure, view names and access constraints with the constants left
+//!   out and `ρ` erased (see [`QueryPlan::shape`] for why that is sound with
+//!   no further argument) — is the whole key, and an exact one: two
+//!   different shapes never share a pipeline.  There is no data half
+//!   because a compiled shape holds no data: constants, view extents and
+//!   constraint indexes are slots an execution fills
 //!   (`crate::exec`), so one entry serves every plan of the shape, every
 //!   data version (any number of them side by side), every access schema
 //!   that lists the plan's constraints, in whatever order, and every
 //!   [`ExecOptions`].  Nothing a write publishes can make an entry stale,
 //!   so nothing is ever invalidated;
 //! * [`PreparedShape`] — everything a plan needs to execute except its
-//!   constants: the shape fingerprint, the cache, and a template plan to
-//!   compile from.  It executes with any binding of its constant slots,
-//!   which is how an ad-hoc query of a known shape runs without a plan tree
-//!   of its own;
+//!   constants: the shape key, the cache, and a template plan to compile
+//!   from.  It executes with any binding of its constant slots, which is
+//!   how an ad-hoc query of a known shape runs without a plan tree of its
+//!   own;
 //! * [`PreparedPlan`] — the handle for one closed plan: a shared
 //!   [`PreparedShape`] plus that plan's constants, interned once at
 //!   construction.  An [`execute`](PreparedPlan::execute) looks the shape
@@ -49,13 +50,52 @@
 //! [`FetchStats`]: bqr_data::FetchStats
 
 use crate::exec::{intern_constants, CompiledShape, ExecOptions, ExecOutput, Pipeline};
-use crate::fingerprint::{fingerprint, PlanFingerprint};
 use crate::node::QueryPlan;
 use crate::Result;
 use bqr_data::{IndexedDatabase, MaterializedViews, Value, ValueId};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
+
+/// A pipeline-cache key: a plan's [shape](QueryPlan::shape) with its hash,
+/// both computed once per [`PreparedShape`].  A lookup hashes the stored
+/// word and compares pointers before trees, so a hit through the
+/// `PreparedShape` that registered the entry (every statement of its query
+/// shape) never walks a tree.
+#[derive(Debug, Clone)]
+struct ShapeKey {
+    hash: u64,
+    shape: Arc<QueryPlan>,
+}
+
+impl ShapeKey {
+    fn of(plan: &QueryPlan) -> ShapeKey {
+        let shape = plan.shape();
+        let mut hasher = DefaultHasher::new();
+        shape.hash(&mut hasher);
+        ShapeKey {
+            hash: hasher.finish(),
+            shape: Arc::new(shape),
+        }
+    }
+}
+
+impl Hash for ShapeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for ShapeKey {
+    fn eq(&self, other: &ShapeKey) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+            || (self.hash == other.hash && self.shape == other.shape)
+    }
+}
+
+impl Eq for ShapeKey {}
 
 struct Entry {
     shape: Arc<CompiledShape>,
@@ -63,7 +103,7 @@ struct Entry {
 }
 
 struct Inner {
-    entries: HashMap<PlanFingerprint, Entry>,
+    entries: HashMap<ShapeKey, Entry>,
     tick: u64,
 }
 
@@ -89,15 +129,15 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A bounded, thread-safe cache of compiled pipeline shapes keyed by shape
-/// fingerprint.
+/// A bounded, thread-safe cache of compiled pipelines keyed by plan
+/// [shape](QueryPlan::shape).
 ///
 /// One cache instance can safely serve any number of [`PreparedPlan`]s and
-/// threads; [`PipelineCache::global`] is the process-wide default.
-/// Compilation happens **outside** the cache lock: a thread re-using a hot
-/// entry never waits behind another thread's compile, and two threads racing
-/// to compile the same key both succeed — the loser's pipeline is dropped in
-/// favour of the registered one.
+/// threads; a serving engine owns one.  Compilation happens **outside** the
+/// cache lock: a thread re-using a hot entry never waits behind another
+/// thread's compile, and two threads racing to compile the same key both
+/// succeed — the loser's pipeline is dropped in favour of the registered
+/// one.
 pub struct PipelineCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -117,12 +157,10 @@ impl std::fmt::Debug for PipelineCache {
     }
 }
 
-/// Default capacity of [`PipelineCache::global`]: generous for a serving
-/// process (hundreds of distinct statement shapes).  What it bounds is that
-/// many operator vectors — an entry pins no extent and no index.
+/// A default capacity: generous for a serving process (hundreds of distinct
+/// statement shapes).  What it bounds is that many operator vectors — an
+/// entry pins no extent and no index.
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-static GLOBAL: OnceLock<Arc<PipelineCache>> = OnceLock::new();
 
 impl PipelineCache {
     /// A cache holding at most `capacity` compiled pipelines (clamped ≥ 1).
@@ -138,12 +176,6 @@ impl PipelineCache {
             lookups: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide cache ([`DEFAULT_CACHE_CAPACITY`] entries), shared by
-    /// every [`PreparedPlan::new`] handle.
-    pub fn global() -> &'static Arc<PipelineCache> {
-        GLOBAL.get_or_init(|| Arc::new(PipelineCache::new(DEFAULT_CACHE_CAPACITY)))
     }
 
     /// Maximum number of cached pipelines.
@@ -194,7 +226,7 @@ impl PipelineCache {
     /// The cached shape for `key`, or `compile` it and register it.
     fn get_or_compile(
         &self,
-        key: PlanFingerprint,
+        key: &ShapeKey,
         compile: impl FnOnce() -> CompiledShape,
     ) -> Result<Arc<CompiledShape>> {
         {
@@ -202,7 +234,7 @@ impl PipelineCache {
             inner.tick += 1;
             let tick = inner.tick;
             self.lookups.fetch_add(1, Ordering::SeqCst);
-            if let Some(entry) = inner.entries.get_mut(&key) {
+            if let Some(entry) = inner.entries.get_mut(key) {
                 self.hits.fetch_add(1, Ordering::SeqCst);
                 entry.last_used = tick;
                 return Ok(Arc::clone(&entry.shape));
@@ -216,14 +248,14 @@ impl PipelineCache {
         // poisons this lock, which `lock_inner` must then recover from; an
         // Error kind verifies a failed registration is never cached.
         bqr_data::faults::check(bqr_data::faults::sites::CACHE_INSERT)?;
-        if let Some(existing) = inner.entries.get(&key) {
+        if let Some(existing) = inner.entries.get(key) {
             // Lost a benign compile race; share the registered shape.
             return Ok(Arc::clone(&existing.shape));
         }
         inner.tick += 1;
         let tick = inner.tick;
         inner.entries.insert(
-            key,
+            key.clone(),
             Entry {
                 shape: Arc::clone(&shape),
                 last_used: tick,
@@ -235,7 +267,7 @@ impl PipelineCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+                .map(|(k, _)| k.clone())
             else {
                 break;
             };
@@ -246,9 +278,9 @@ impl PipelineCache {
     }
 }
 
-/// A prepared plan *shape*: fingerprinted once, compiled once per lifetime
-/// of its cache entry — and executable with any constants bound to its
-/// slots, against any data version.  Every [`PreparedPlan`] is one of these
+/// A prepared plan *shape*: keyed once, compiled once per lifetime of its
+/// cache entry — and executable with any constants bound to its slots,
+/// against any data version.  Every [`PreparedPlan`] is one of these
 /// plus a binding; plans (and ad-hoc queries) that differ only in constants
 /// share one `Arc<PreparedShape>`, or at least one cache entry.
 #[derive(Debug)]
@@ -257,14 +289,14 @@ pub struct PreparedShape {
     /// [`PreparedPlan`] it was first prepared as).  Compilation does not look
     /// at its constants.
     template: Arc<QueryPlan>,
-    fingerprint: PlanFingerprint,
+    key: ShapeKey,
     cache: Arc<PipelineCache>,
 }
 
 impl PreparedShape {
     /// The closed plan with `constant(k, template's)` in slot `k`, as a
-    /// handle on this shape: no fingerprinting, and the plan has the shape
-    /// by construction.
+    /// handle on this shape: no new key, and the plan has the shape by
+    /// construction.
     pub fn bind(self: &Arc<Self>, constant: impl FnMut(usize, &Value) -> Value) -> PreparedPlan {
         let plan = self.template.map_constants(constant);
         PreparedPlan {
@@ -279,7 +311,7 @@ impl PreparedShape {
     /// evicted).
     fn compiled(&self) -> Result<Arc<CompiledShape>> {
         self.cache
-            .get_or_compile(self.fingerprint, || CompiledShape::compile(&self.template))
+            .get_or_compile(&self.key, || CompiledShape::compile(&self.template))
     }
 
     /// Execute the shape with `constants` in its slots (one interned id per
@@ -307,10 +339,10 @@ impl PreparedShape {
 /// interned once here and bound on every execution.
 ///
 /// ```text
-/// let prepared = PreparedPlan::new(plan);          // fingerprint once
+/// let prepared = PreparedPlan::with_cache(plan, cache.clone()); // key once
 /// prepared.execute(&idb, &views)?;                 // miss: compile + run
 /// prepared.execute(&idb, &views)?;                 // hit: run only
-/// PreparedPlan::new(same_plan_other_constants)     // same shape:
+/// PreparedPlan::with_cache(same_plan_other_constants, cache)  // same shape:
 ///     .execute(&idb, &views)?;                     // hit: run only
 /// /* mutate a relation the plan reads … rebuild idb/views … */
 /// prepared.execute(&idb2, &views2)?;               // hit: run on the new data
@@ -326,19 +358,14 @@ pub struct PreparedPlan {
 }
 
 impl PreparedPlan {
-    /// Prepare `plan` against the [global](PipelineCache::global) cache.
-    pub fn new(plan: QueryPlan) -> Self {
-        PreparedPlan::with_cache(plan, Arc::clone(PipelineCache::global()))
-    }
-
-    /// Prepare `plan` against a caller-owned cache (isolated counters; used
-    /// by the tests and by embedders that want per-tenant budgets).
+    /// Prepare `plan` against `cache` (a serving engine's own, or one a test
+    /// or an embedder owns for isolated counters and budgets).
     pub fn with_cache(plan: QueryPlan, cache: Arc<PipelineCache>) -> Self {
         let plan = Arc::new(plan);
         PreparedPlan {
             constants: intern_constants(&plan),
             shape: Arc::new(PreparedShape {
-                fingerprint: fingerprint(&plan),
+                key: ShapeKey::of(&plan),
                 template: Arc::clone(&plan),
                 cache,
             }),
@@ -354,11 +381,6 @@ impl PreparedPlan {
     /// The shape this plan executes through.
     pub fn shape(&self) -> &Arc<PreparedShape> {
         &self.shape
-    }
-
-    /// The fingerprint of the plan's shape (the pipeline-cache key).
-    pub fn fingerprint(&self) -> PlanFingerprint {
-        self.shape.fingerprint
     }
 
     /// The cache this handle compiles into.
@@ -490,9 +512,10 @@ mod tests {
         assert_eq!(stats.lookups, 2, "{stats:?}");
         assert_eq!(cache.len(), 1);
         // A structurally equal but separately constructed handle shares the
-        // cached pipeline (fingerprints, not identities).
+        // cached pipeline (shapes, not identities).
         let twin = PreparedPlan::with_cache(plan(), Arc::clone(&cache));
-        assert_eq!(twin.fingerprint(), prepared.fingerprint());
+        assert!(!Arc::ptr_eq(twin.shape(), prepared.shape()));
+        assert_eq!(twin.plan().shape(), prepared.plan().shape());
         assert_eq!(twin.execute(&idb, &views).unwrap(), fresh);
         assert_eq!(cache.stats().hits, 2);
     }
@@ -519,7 +542,7 @@ mod tests {
             let plan = with_key(k);
             let fresh = crate::execute(&plan, &idb, &views).unwrap();
             let own = PreparedPlan::with_cache(plan.clone(), Arc::clone(&cache));
-            assert_eq!(own.fingerprint(), zero.fingerprint());
+            assert_eq!(own.plan().shape(), zero.plan().shape());
             assert_eq!(own.execute(&idb, &views).unwrap(), fresh, "key {k}");
             // Pre-order: the σ above the join comes before the leaf under it.
             let slots = [Value::int(10 + k), Value::int(k)];
@@ -722,17 +745,5 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.misses, cache.len()), (3, 3), "one compile per shape");
-    }
-
-    #[test]
-    fn global_cache_is_shared() {
-        let a = PreparedPlan::new(plan());
-        let b = PreparedPlan::new(plan());
-        assert!(Arc::ptr_eq(&a.shape.cache, &b.shape.cache));
-        let (idb, views) = instance(-1);
-        let hits = a.cache().stats().hits;
-        a.execute(&idb, &views).unwrap();
-        b.execute(&idb, &views).unwrap();
-        assert!(b.cache().stats().hits > hits, "handles share entries");
     }
 }

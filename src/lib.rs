@@ -272,7 +272,7 @@
 //! them so, with no placeholder syntax to learn:
 //!
 //! * the **pipeline cache** is keyed by the plan's *shape* — its structure
-//!   with the constants left out ([`plan::fingerprint`](mod@plan::fingerprint)).
+//!   with the constants left out ([`QueryPlan::shape`](plan::QueryPlan::shape)).
 //!   Compiled operators hold constant *slots*; a statement executes the
 //!   shared operators with its own constants, interned once, bound to them.
 //!   Sixty-four statements asking one question about sixty-four customers
@@ -405,8 +405,8 @@
 //! * [`bqr_query`] (as [`query`]) — CQ/UCQ/FO ASTs, homomorphisms,
 //!   containment, `A`-equivalence, the chase, the cost-based join planner;
 //! * [`bqr_plan`] (as [`plan`]) — bounded query plans, the compiled operator
-//!   [`Pipeline`](plan::Pipeline), plan-shape fingerprints and
-//!   the shape-keyed [`PipelineCache`](plan::PipelineCache),
+//!   [`Pipeline`](plan::Pipeline), plan shapes and the shape-keyed
+//!   [`PipelineCache`](plan::PipelineCache),
 //!   plus the runtime [`Guard`](plan::Guard) machinery;
 //! * [`bqr_core`] (as [`core`]) — the topped-query checker (effective
 //!   syntax), the exact decision procedures for `VBRP`, and the two analyses

@@ -308,7 +308,7 @@ fn prepared_executions_match_fresh_compiles_under_mutation() {
     assert!(with_fetch >= 30, "only {with_fetch} plans fetched");
     let stats = cache.stats();
     assert!(stats.hits > 0, "{stats:?}");
-    let shapes: HashSet<_> = pool.iter().map(PreparedPlan::fingerprint).collect();
+    let shapes: HashSet<_> = pool.iter().map(|p| p.plan().shape()).collect();
     assert_eq!(
         (stats.misses, cache.len()),
         (shapes.len() as u64, shapes.len()),
@@ -318,7 +318,7 @@ fn prepared_executions_match_fresh_compiles_under_mutation() {
 }
 
 /// The plan-level twin of `tests/shape_diff.rs`: random plans that differ
-/// only in their constants are one shape — one fingerprint, one compile
+/// only in their constants are one shape — one cache key, one compile
 /// whichever variant comes first — and every variant
 /// still executes bit-identically to a fresh compile of *itself* and to the
 /// reference interpreter, before and after a mutation.  (The interpreter
@@ -352,7 +352,7 @@ fn constants_share_one_compiled_shape() {
         for round in 0..2 {
             let misses = cache.stats().misses;
             for variant in &variants {
-                assert_eq!(variant.fingerprint(), variants[0].fingerprint());
+                assert_eq!(variant.plan().shape(), variants[0].plan().shape());
                 check(variant, &world);
             }
             // One entry, compiled for the first variant's first execution

@@ -73,7 +73,9 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     let log = db.take_delta(prev.database());
     let next = prev.apply_delta(db, &log).unwrap();
     let mut stats = FetchStats::new();
-    next.fetch_ids(0, &key, &mut stats).unwrap();
+    next.index(0)
+        .unwrap()
+        .probe_batch(&key, 1, &mut Vec::new(), &mut stats);
 
     let (old, new) = (
         prev.database().relation("calls").unwrap(),
