@@ -35,8 +35,14 @@
 //! * **Dual sync/async entry**: [`Server::execute`]/[`Server::mutate`]
 //!   block; [`Server::submit`]/[`Server::submit_mutate`] return a
 //!   [`Pending`] that is a plain `Future`, pollable from any runtime.
-//!   Either way the work runs on the server's own worker pool (a job
-//!   queue, a condvar and a few threads); `execute` is `submit(..).wait()`.
+//!   Both share one admission-and-enqueue step and differ only in who
+//!   flushes a queue that was idle.  An async entry leaves it to the
+//!   server's own worker pool (a job queue, a condvar and a few threads),
+//!   so it never blocks.  A sync entry from the server's only recent
+//!   client runs the flush on its own thread, sparing a lone client two
+//!   thread hand-offs per request.  While other requests are admitted, or
+//!   other threads made the recent sync requests, it leaves the flush to
+//!   the pool too, where concurrent clients' reads coalesce.
 //!
 //! Failure injection: the serving front exposes two failpoint sites
 //! (`bqr_data::faults::sites::{SERVER_ACCEPT, BATCH_FLUSH}`).  An injected
@@ -392,6 +398,87 @@ mod tests {
         server.drain();
         let stats = server.stats();
         assert_eq!((stats.admitted, stats.completed), (6, 4));
+    }
+
+    /// A new server starts out calm, and one thread's sync requests keep
+    /// it calm: their flushes run on the calling thread — a write's closure
+    /// included — and `caller_flushes` counts them.  The async entry never
+    /// flushes on its caller.
+    #[test]
+    fn a_lone_sync_request_flushes_on_the_calling_thread() {
+        let server = movie_server(workers(2));
+        server.prepare("fig1", Q_XI).unwrap();
+        let golden = server.engine().session().execute("fig1").unwrap();
+
+        assert_eq!(server.execute("fig1").unwrap().output, golden);
+        assert_eq!(server.stats().caller_flushes, 1);
+
+        let caller = std::thread::current().id();
+        let (ran_on_tx, ran_on_rx) = mpsc::channel();
+        server
+            .mutate(move |db| {
+                ran_on_tx.send(std::thread::current().id()).unwrap();
+                db.insert("rating", tuple![999_996, 5]).map(drop)
+            })
+            .unwrap();
+        assert_eq!(ran_on_rx.recv().unwrap(), caller);
+        assert_eq!(server.stats().caller_flushes, 2);
+
+        assert_eq!(server.submit("fig1").wait().unwrap().output, golden);
+        server.drain();
+        let stats = server.stats();
+        assert_eq!((stats.caller_flushes, stats.completed), (2, 3));
+    }
+
+    /// A sync request that finds another request admitted leaves its flush
+    /// to the pool even though its own statement's queue is idle: with the
+    /// only worker held, it cannot return until the worker is released.
+    #[test]
+    fn a_sync_request_beside_another_admitted_one_goes_to_the_pool() {
+        let server = movie_server(workers(1));
+        server.prepare("fig1", Q_XI).unwrap();
+        let golden = server.engine().session().execute("fig1").unwrap();
+
+        let (release, held) = hold_a_worker(&server);
+        std::thread::scope(|scope| {
+            let (answer_tx, answer_rx) = mpsc::channel();
+            let server = &server;
+            scope.spawn(move || answer_tx.send(server.execute("fig1")).unwrap());
+            assert_eq!(
+                answer_rx.recv_timeout(std::time::Duration::from_millis(100)),
+                Err(mpsc::RecvTimeoutError::Timeout),
+                "served before the held worker was released"
+            );
+            release.send(()).unwrap();
+            held.wait().unwrap();
+            assert_eq!(answer_rx.recv().unwrap().unwrap().output, golden);
+        });
+        server.drain();
+        let stats = server.stats();
+        assert_eq!((stats.caller_flushes, stats.completed), (0, 2));
+    }
+
+    /// Two clients show even when their requests never overlap in flight:
+    /// after another thread's sync request, this thread's go to the pool
+    /// until `CALM` calm ones in a row have passed, reads and writes alike.
+    #[test]
+    fn a_sync_request_after_another_threads_goes_to_the_pool_for_a_while() {
+        let server = movie_server(workers(1));
+        server.prepare("fig1", Q_XI).unwrap();
+        let golden = server.engine().session().execute("fig1").unwrap();
+
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.execute("fig1").unwrap());
+        });
+        assert_eq!(server.stats().caller_flushes, 1);
+        for _ in 0..=crate::server::CALM {
+            assert_eq!(server.execute("fig1").unwrap().output, golden);
+        }
+        assert_eq!(server.stats().caller_flushes, 1, "served on the pool");
+        // A write: the pool's last read turn may not have ended yet, and a
+        // read that finds it running joins its queue instead.
+        server.mutate(|_db| Ok(())).unwrap();
+        assert_eq!(server.stats().caller_flushes, 2, "calm again");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The worker pool: a FIFO of boxed jobs under one mutex, a condvar, and a
 //! fixed set of threads.
 //!
-//! Everything the serving front runs on the pool is a blocking function —
-//! take a batch, execute it, fulfil its waiters — so there is nothing to
-//! poll and nothing to wake: a job is a `FnOnce`, run once to completion.
+//! What the serving front runs on the pool is a flush of the async entries,
+//! or of a sync entry with other clients about (a lone client's sync
+//! request flushes on its own thread instead).  A flush is a blocking
+//! function — take a batch, execute it, fulfil its waiters — so there is
+//! nothing to poll and nothing to wake: a job is a `FnOnce`, run once to
+//! completion.
 //! Panics are contained per job (the worker keeps serving), and
 //! [`Pool::close`] drops whatever is still queued without running it, so
 //! anything a dropped job owned — a [`Promise`](crate::slot::Promise), say —

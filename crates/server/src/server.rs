@@ -10,7 +10,7 @@ use bqr_engine::{Analysis, Engine, IntoQuery};
 use bqr_plan::{ExecOptions, ExecOutput};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -27,7 +27,8 @@ pub struct ServerConfig {
     /// bound on how many tuples the plan can touch — so this budget caps
     /// worst-case outstanding I/O, not request count.
     pub max_outstanding_cost: usize,
-    /// Worker threads in the pool that runs the flush jobs.
+    /// Worker threads in the pool that runs flushes: every async entry's,
+    /// and a sync entry's unless it comes from the only recent client.
     pub workers: usize,
     /// Back-off hint attached to [`ServerError::Overloaded`].
     pub retry_after_ms: u64,
@@ -181,6 +182,11 @@ struct Inner {
     statements: Mutex<HashMap<Arc<str>, Arc<Statement>>>,
     writes: Batcher<WriteRequest>,
     gate: Arc<Gate>,
+    /// The sync arrivals' recent past, read by [`Inner::sync_start`]: the
+    /// [`thread_token`] of the last one (0 before the first), and how many
+    /// calm ones came in a row, counted up to [`CALM`].
+    last_caller: AtomicUsize,
+    calm: AtomicU32,
     metrics: Metrics,
 }
 
@@ -202,8 +208,10 @@ struct Inner {
 ///
 /// Entry points are dual sync/async: [`Server::execute`]/[`Server::mutate`]
 /// block, [`Server::submit`]/[`Server::submit_mutate`] return a
-/// [`Pending`] that any executor can poll; either way the work runs on the
-/// server's own worker pool.
+/// [`Pending`] that any executor can poll.  An async entry's flush always
+/// runs on the server's own worker pool; a sync entry from the server's
+/// only recent client runs its flush on its own thread, which spares it two
+/// thread hand-offs, and otherwise leaves it to the pool like an async one.
 pub struct Server {
     inner: Arc<Inner>,
 }
@@ -223,6 +231,8 @@ impl Server {
             statements: Mutex::new(HashMap::new()),
             writes: Batcher::new(),
             gate: Arc::default(),
+            last_caller: AtomicUsize::new(0),
+            calm: AtomicU32::new(CALM),
             metrics: Metrics::default(),
         });
         Server { inner }
@@ -262,33 +272,19 @@ impl Server {
 
     /// Submit a read of prepared statement `name` (async entry).  Admission
     /// happens now — an overloaded server yields an already-fulfilled typed
-    /// error — and the answer arrives through the returned [`Pending`].
+    /// error — and the answer arrives through the returned [`Pending`],
+    /// flushed on the worker pool: this call never blocks.
     pub fn submit(&self, name: &str) -> Pending<Response> {
-        let admitted = || {
-            let inner = &self.inner;
-            inner.accept()?;
-            let statement = match inner.statement(name) {
-                Some(statement) => statement,
-                None => inner.register(name)?,
-            };
-            let admission = inner.admit(statement.cost())?;
-            let (promise, pending) = slot();
-            let request = ReadRequest {
-                promise,
-                admission,
-                start: Instant::now(),
-            };
-            if statement.reads.push(request) {
-                schedule(inner, Flush::Reads(statement));
-            }
-            Ok(pending)
-        };
-        admitted().unwrap_or_else(|e| ready(Err(e)))
+        self.inner.read(name, schedule)
     }
 
-    /// Execute prepared statement `name` (sync entry): submit and block.
+    /// Execute prepared statement `name` (sync entry) and block for the
+    /// answer.  When this thread is the server's only recent client, the
+    /// flush runs on the calling thread; otherwise the pool runs it, as for
+    /// [`Server::submit`].
     pub fn execute(&self, name: &str) -> ServerResult<Response> {
-        self.submit(name).wait()
+        let start = self.inner.sync_start();
+        self.inner.read(name, start).wait()
     }
 
     /// Submit a mutation closure (async entry).  The closure is applied —
@@ -296,36 +292,25 @@ impl Server {
     /// publish ran — in a single [`Engine::mutate_batch`] version publish,
     /// in arrival order; its slot in the batch is isolated (an erroring or
     /// panicking neighbour cannot fail it) and its effect is visible to
-    /// every read admitted after the returned [`Pending`] resolves.
+    /// every read admitted after the returned [`Pending`] resolves.  The
+    /// publish runs on the worker pool: this call never blocks.
     pub fn submit_mutate<F>(&self, op: F) -> Pending<()>
     where
         F: FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static,
     {
-        let admitted = || {
-            let inner = &self.inner;
-            inner.accept()?;
-            let admission = inner.admit(0)?;
-            let (promise, pending) = slot();
-            let request = WriteRequest {
-                op: Box::new(op),
-                promise,
-                admission,
-                start: Instant::now(),
-            };
-            if inner.writes.push(request) {
-                schedule(inner, Flush::Writes);
-            }
-            Ok(pending)
-        };
-        admitted().unwrap_or_else(|e| ready(Err(e)))
+        self.inner.write(Box::new(op), schedule)
     }
 
-    /// Apply a mutation closure (sync entry): submit and block.
+    /// Apply a mutation closure (sync entry) and block until it is
+    /// published, as [`Server::submit_mutate`] would.  When this thread is
+    /// the server's only recent client, the publish — the closure included
+    /// — runs on the calling thread; otherwise the pool runs it.
     pub fn mutate<F>(&self, op: F) -> ServerResult<()>
     where
         F: FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static,
     {
-        self.submit_mutate(op).wait()
+        let start = self.inner.sync_start();
+        self.inner.write(Box::new(op), start).wait()
     }
 
     /// Block until every admitted request has been fulfilled.
@@ -405,6 +390,100 @@ impl Inner {
         statement
     }
 
+    /// The admission-and-enqueue step of a read: `accept`, find or register
+    /// the statement, `admit` at its cost class, `slot`, `push`.  If the
+    /// push found the statement's queue idle, `start` runs its flush — the
+    /// only thing the sync and async entries do differently.
+    fn read(self: &Arc<Self>, name: &str, start: Start) -> Pending<Response> {
+        let queued = || {
+            self.accept()?;
+            let statement = match self.statement(name) {
+                Some(statement) => statement,
+                None => self.register(name)?,
+            };
+            let admission = self.admit(statement.cost())?;
+            let (promise, pending) = slot();
+            let request = ReadRequest {
+                promise,
+                admission,
+                start: Instant::now(),
+            };
+            let idle = statement.reads.push(request);
+            Ok((pending, idle.then(|| Flush::Reads(statement))))
+        };
+        self.dispatch(queued(), start)
+    }
+
+    /// The admission-and-enqueue step of a write, as [`Inner::read`]'s: a
+    /// write costs no fetch budget.
+    fn write(self: &Arc<Self>, op: WriteOp, start: Start) -> Pending<()> {
+        let queued = || {
+            self.accept()?;
+            let admission = self.admit(0)?;
+            let (promise, pending) = slot();
+            let request = WriteRequest {
+                op,
+                promise,
+                admission,
+                start: Instant::now(),
+            };
+            let idle = self.writes.push(request);
+            Ok((pending, idle.then_some(Flush::Writes)))
+        };
+        self.dispatch(queued(), start)
+    }
+
+    /// Hand back a queued request's pending answer once `start` has run
+    /// the flush its idle queue needs; a refused one's is already fulfilled
+    /// with the typed error.
+    fn dispatch<T>(
+        self: &Arc<Self>,
+        queued: ServerResult<(Pending<T>, Option<Flush>)>,
+        start: Start,
+    ) -> Pending<T> {
+        match queued {
+            Ok((pending, flush)) => {
+                if let Some(target) = flush {
+                    start(self, target);
+                }
+                pending
+            }
+            Err(e) => ready(Err(e)),
+        }
+    }
+
+    /// Who starts a sync arrival's flush.  The arrival is calm when no
+    /// request is admitted and the last sync arrival came from the same
+    /// thread (or there was none); it runs its flush itself ([`run_here`])
+    /// only after [`CALM`] calm arrivals in a row, and a new server starts
+    /// out calm.  Anything else goes to the pool ([`schedule`]).
+    ///
+    /// A lone closed-loop client is always calm: [`Inner::finish`] frees a
+    /// request's admission before its answer is handed back.  Several
+    /// clients are not, even when they share one core and run one after
+    /// another, each request a few microseconds and none overlapping
+    /// another in flight: the change of thread shows them.  They stay on
+    /// the pool, where a client waits for its answer and the others' reads
+    /// coalesce meanwhile.  The counts are read and written without a
+    /// lock; a stale one only changes which thread runs a flush, never
+    /// what the flush does (it takes its batch before it pins a session
+    /// either way).
+    fn sync_start(&self) -> Start {
+        let me = thread_token();
+        let last = self.last_caller.swap(me, Ordering::Relaxed);
+        let calm = self.gate.in_flight.load(Ordering::Acquire) == 0 && (last == me || last == 0);
+        if !calm {
+            self.calm.store(0, Ordering::Relaxed);
+            return schedule;
+        }
+        let run = self.calm.load(Ordering::Relaxed);
+        if run >= CALM {
+            return run_here;
+        }
+        self.calm.store(run + 1, Ordering::Relaxed);
+        schedule
+    }
+
     fn register(&self, name: &str) -> ServerResult<Arc<Statement>> {
         let prepared = self
             .engine
@@ -461,7 +540,10 @@ impl Inner {
         }
     }
 
-    /// A request is done: free its admission, count it, time it.
+    /// A request is done: free its admission, count it, time it.  The
+    /// admission goes before the caller's promise is fulfilled: a closed-loop
+    /// client's next request then never counts this one as in flight, so a
+    /// lone client's sync entries stay calm ([`Inner::sync_start`]).
     fn finish(&self, admission: Admission, start: Instant) {
         drop(admission);
         self.metrics.completed.fetch_add(1, Ordering::Relaxed);
@@ -506,28 +588,56 @@ enum Flush {
     Writes,
 }
 
+/// Who runs the flush a request's idle queue needs: [`schedule`] for the
+/// async entries, [`Inner::sync_start`]'s choice for the sync ones.
+type Start = fn(&Arc<Inner>, Flush);
+
 /// Enqueue, at the tail of the run queue, the one flush job `target`'s
-/// queue may have outstanding.  The job serves one batch and then ends its
-/// turn ([`Turn`]): a hot queue goes back behind the other jobs, so it
-/// cannot monopolise a worker.
+/// queue may have outstanding.  The job serves one [`turn`].
 fn schedule(inner: &Arc<Inner>, target: Flush) {
     let job_inner = Arc::clone(inner);
-    inner.pool.spawn(move || {
-        let _turn = Turn {
-            inner: &job_inner,
-            target: &target,
-        };
-        match &target {
-            Flush::Reads(statement) => flush_reads(&job_inner, statement),
-            Flush::Writes => flush_writes(&job_inner),
-        }
-    });
+    inner.pool.spawn(move || turn(&job_inner, target));
 }
 
-/// Ends a flush job's turn when it returns **or unwinds**: the queue goes
-/// idle, or — if requests arrived meanwhile — gets its next job.  A job
-/// that panics outside its `catch_unwind`s therefore cannot leave
-/// `scheduled` set with nothing scheduled.
+/// A sync entry's start when it is alone ([`Inner::sync_start`]): run the
+/// flush on the calling thread, panic-contained as a pool job is (a foreign
+/// waker of a neighbour that joined the batch must not unwind into the
+/// caller).
+fn run_here(inner: &Arc<Inner>, target: Flush) {
+    inner.metrics.caller_flushes.fetch_add(1, Ordering::Relaxed);
+    let _ = catch_unwind(AssertUnwindSafe(|| turn(inner, target)));
+}
+
+/// How many calm sync arrivals in a row ([`Inner::sync_start`]) a server
+/// must see before a sync entry flushes on its own thread again.
+pub(crate) const CALM: u32 = 64;
+
+/// A token for the calling thread: the address of a thread-local, distinct
+/// among live threads and never 0.
+fn thread_token() -> usize {
+    thread_local!(static TOKEN: u8 = const { 0 });
+    TOKEN.with(|token| token as *const u8 as usize)
+}
+
+/// Serve one batch of `target`'s queue, then end the turn ([`Turn`]): a hot
+/// queue goes back behind the other jobs, so it cannot monopolise a worker,
+/// nor keep a caller that runs its flush serving others.
+fn turn(inner: &Arc<Inner>, target: Flush) {
+    let _turn = Turn {
+        inner,
+        target: &target,
+    };
+    match &target {
+        Flush::Reads(statement) => flush_reads(inner, statement),
+        Flush::Writes => flush_writes(inner),
+    }
+}
+
+/// Ends a flush's turn when it returns **or unwinds**, on the pool or on a
+/// caller: the queue goes idle, or — if requests arrived meanwhile — gets
+/// its next job on the pool.  A flush that panics outside its
+/// `catch_unwind`s therefore cannot leave `scheduled` set with nothing
+/// scheduled.
 struct Turn<'a> {
     inner: &'a Arc<Inner>,
     target: &'a Flush,

@@ -1,5 +1,5 @@
-//! One-shot completion slots: how a flush job on the worker pool hands a
-//! response to whoever is waiting for it.
+//! One-shot completion slots: how a flush — on the worker pool or on a
+//! sync caller's thread — hands a response to whoever is waiting for it.
 //!
 //! A [`Slot`] is a single-producer/single-consumer rendezvous for one value.
 //! The producer side ([`Promise`]) is held by the server's batch flushers;

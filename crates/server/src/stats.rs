@@ -21,6 +21,7 @@ pub(crate) struct Metrics {
     pub(crate) coalesced_reads: AtomicU64,
     pub(crate) writes: AtomicU64,
     pub(crate) write_batches: AtomicU64,
+    pub(crate) caller_flushes: AtomicU64,
     pub(crate) shed: AtomicU64,
     pub(crate) latencies: Histogram,
 }
@@ -104,6 +105,7 @@ impl Metrics {
             coalesced_reads: self.coalesced_reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             write_batches: self.write_batches.load(Ordering::Relaxed),
+            caller_flushes: self.caller_flushes.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             p50_us,
             p99_us,
@@ -133,6 +135,10 @@ pub struct ServerStats {
     pub writes: u64,
     /// Write batches published.
     pub write_batches: u64,
+    /// Read and write flushes run on the thread of the sync entry that
+    /// submitted them (the server's only recent client) rather than on the
+    /// pool.
+    pub caller_flushes: u64,
     /// Requests shed by an injected `SERVER_ACCEPT`/`BATCH_FLUSH` fault
     /// (always with a typed error, never silently).
     pub shed: u64,

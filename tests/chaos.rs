@@ -1080,3 +1080,51 @@ fn batch_flush_panics_shed_writes_without_applying() {
     let stats = server.stats();
     assert_eq!((stats.shed, stats.writes), (1, 1), "{stats:?}");
 }
+
+/// A sync `mutate` on an idle server is the only request in flight, so its
+/// flush runs on the calling thread — and an injected `BATCH_FLUSH` fault
+/// there is contained exactly as on the pool: an error serialises the write
+/// and applies it, a panic sheds it with a typed error and applies nothing,
+/// and neither unwinds into the caller.  The next `mutate` and `execute`
+/// are served, and `drain()` returns.
+#[test]
+fn batch_flush_faults_in_a_caller_run_write_are_contained() {
+    use bqr::server::ServerError;
+
+    let _chaos = chaos_lock();
+    let server = fig1_server();
+    let insert = |id: i64| move |db: &mut Database| db.insert("rating", tuple![id, 1]).map(drop);
+    let rated = |id: i64| {
+        server
+            .engine()
+            .database()
+            .relation("rating")
+            .unwrap()
+            .contains(&tuple![id, 1])
+    };
+
+    faults::inject_times(sites::BATCH_FLUSH, FaultKind::Error, 1);
+    server.mutate(insert(950)).unwrap();
+    assert!(!faults::is_active(sites::BATCH_FLUSH), "consumed");
+    assert!(rated(950), "the serialised write was lost");
+    assert_eq!(server.stats().caller_flushes, 1);
+
+    faults::inject_times(sites::BATCH_FLUSH, FaultKind::Panic, 1);
+    let err = server.mutate(insert(951)).unwrap_err();
+    assert!(
+        matches!(&err, ServerError::Internal(msg) if msg.contains("batch.flush")),
+        "{err}"
+    );
+    assert!(!rated(951), "a shed write must not be applied");
+    assert_eq!(server.stats().caller_flushes, 2);
+
+    server.mutate(insert(952)).unwrap();
+    assert!(rated(952));
+    let golden = server.engine().session().execute("fig1").unwrap();
+    assert_eq!(server.execute("fig1").unwrap().output, golden);
+    server.drain();
+    let stats = server.stats();
+    assert_eq!(stats.caller_flushes, 4, "{stats:?}");
+    assert_eq!((stats.shed, stats.writes), (1, 2), "{stats:?}");
+    assert_eq!((stats.completed, stats.rejected), (4, 0), "{stats:?}");
+}
