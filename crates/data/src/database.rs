@@ -1,7 +1,7 @@
 //! Database instances: named collections of relation instances over a
 //! database schema.
 
-use crate::delta::{DeltaLog, RelationChange, RelationDelta};
+use crate::delta::DeltaLog;
 use crate::error::DataError;
 use crate::relation::Relation;
 use crate::schema::DatabaseSchema;
@@ -90,137 +90,76 @@ impl Database {
         }
     }
 
-    /// Stop delta tracking and return the net write set since
-    /// [`Database::begin_delta_tracking`], validated against `previous` —
-    /// the instance this one was cloned from before tracking began.
+    /// Stop delta tracking and return the net write set since `previous` —
+    /// the instance this one was cloned from before tracking began — one
+    /// exact delta per changed relation ([`Relation::take_delta`]).
     ///
     /// Per relation: an untouched epoch means untouched contents (epochs are
-    /// globally unique) and the relation stays out of the log.  A tracked
-    /// mutation whose recorded base epoch matches `previous` yields an exact
-    /// [`RelationChange::Delta`]; a net-empty one additionally restores the
-    /// previous epoch, so a do-undo closure leaves no observable trace.
-    /// Anything else — the instance was replaced wholesale and its history
-    /// lost — is recorded as [`RelationChange::Unknown`], unless the
-    /// replacement's contents equal the previous ones, in which case the
-    /// previous epoch is restored and nothing is logged.
+    /// globally unique) and the relation stays out of the log.  A relation
+    /// written in place reports the delta it recorded, `O(|Δ|)`; one assigned
+    /// wholesale is diffed against its previous version, `O(|R|)`.  A
+    /// relation whose delta comes out empty — a do-undo closure, a
+    /// replacement with equal contents — becomes its previous version again,
+    /// epoch included, so it leaves no observable trace.  A relation
+    /// `previous` lacks is diffed against an empty one.
     pub fn take_delta(&mut self, previous: &Database) -> DeltaLog {
         let mut log = DeltaLog::new();
         for (name, rel) in &mut self.relations {
-            let state = rel.end_delta_tracking();
-            let Some(prev_rel) = previous.relation(name) else {
-                log.record(name.clone(), RelationChange::Unknown);
-                continue;
+            let delta = match previous.relation(name) {
+                Some(prev) => rel.take_delta(prev),
+                None => rel.take_delta(&Relation::empty(rel.schema().clone())),
             };
-            let prev_epoch = prev_rel.epoch();
-            if rel.epoch() == prev_epoch {
-                continue;
-            }
-            match state {
-                Some((base_epoch, delta)) if base_epoch == prev_epoch => {
-                    if delta.is_empty() {
-                        // Net no-op: contents are back to exactly what they
-                        // were under the previous epoch.
-                        rel.revert_to(prev_rel);
-                    } else {
-                        log.record(name.clone(), RelationChange::Delta(delta));
-                    }
-                }
-                // History lost (wholesale replacement).  A content compare
-                // keeps a replace-with-equal-contents from re-stamping the
-                // epoch and invalidating downstream caches — but the O(|R|)
-                // tuple comparison runs only when cheaper evidence is
-                // inconclusive: a length mismatch proves inequality in O(1)
-                // and pointer-equal chunks prove equality in O(#chunks)
-                // (both inside `Relation::eq`).
-                _ => {
-                    if rel == prev_rel {
-                        rel.revert_to(prev_rel);
-                    } else {
-                        log.record(name.clone(), RelationChange::Unknown);
-                    }
+            log.record(name.clone(), delta);
+        }
+        log
+    }
+
+    /// The net write set since `previous` so far, with tracking kept on:
+    /// what [`Database::take_delta`] would return now, at the cost of copying
+    /// it — `O(|Δ|)`, never touching tuple storage, unless a relation was
+    /// assigned wholesale since the last checkpoint, which one diff pays
+    /// for.  Undo everything written after the capture with
+    /// [`Database::rollback_to`].  Batched mutation takes one before each
+    /// closure, to isolate a failing one without an `O(#chunks)`
+    /// [`Database::clone`] per closure (which would also keep every chunk
+    /// shared, so each closure's writes would fork their chunks anew).
+    pub fn delta_checkpoint(&mut self, previous: &Database) -> DeltaLog {
+        let mut log = DeltaLog::new();
+        for (name, rel) in &mut self.relations {
+            if let Some(prev) = previous.relation(name) {
+                if rel.epoch() != prev.epoch() {
+                    log.record(name.clone(), rel.delta_since(prev).clone());
                 }
             }
         }
         log
     }
 
-    /// Capture a cheap, invertible checkpoint of the current tracked write
-    /// state: each relation's epoch plus a copy of its net delta so far —
-    /// `O(|Δ|)` total, never touching tuple storage.  Undo everything
-    /// written after the capture with [`Database::rollback_to`].  Only
-    /// meaningful between [`Database::begin_delta_tracking`] and
-    /// [`Database::take_delta`]; batched mutation uses it to isolate one
-    /// failing closure without an `O(#chunks)` [`Database::clone`] per
-    /// closure (which would also keep every chunk shared, so each closure's
-    /// writes would fork their chunks anew).
-    pub fn delta_checkpoint(&self) -> DeltaCheckpoint {
-        DeltaCheckpoint {
-            states: self
+    /// Undo every write issued since `checkpoint` was taken against
+    /// `previous`: become `previous` again — its schema, relations and
+    /// epochs — and replay the checkpoint's delta through the ordinary
+    /// mutators, with tracking on.  `O(|Δ| at the checkpoint)` plus an
+    /// `O(#chunks)` clone, whatever the undone span did: writes in place, a
+    /// wholesale assignment or a change of schema alike.
+    pub fn rollback_to(&mut self, previous: &Database, checkpoint: &DeltaLog) {
+        *self = previous.clone();
+        self.begin_delta_tracking();
+        for (name, delta) in checkpoint.iter() {
+            let rel = self
                 .relations
-                .iter()
-                .map(|(name, rel)| {
-                    let tracked = rel
-                        .tracking_state()
-                        .map(|(base, delta)| (base, delta.clone()));
-                    (name.clone(), (rel.epoch(), tracked))
-                })
-                .collect(),
+                .get_mut(name)
+                .expect("a checkpoint names relations of the instance it was taken against");
+            // Every replayed tuple was stored in this relation before, so
+            // its arity fits and its values are interned: neither mutator
+            // can fail.
+            for t in &delta.removed {
+                rel.remove(t).expect("a stored tuple's arity fits");
+            }
+            for t in &delta.inserted {
+                rel.insert(t.clone())
+                    .expect("a stored tuple's values are interned");
+            }
         }
-    }
-
-    /// Undo every write issued since `checkpoint` by applying inverse
-    /// operations, restoring both relation contents and tracking state to
-    /// exactly what [`Database::delta_checkpoint`] captured — `O(|writes
-    /// since the checkpoint|)`.
-    ///
-    /// Fails with [`DataError::RollbackHistoryLost`] if a relation was
-    /// replaced wholesale since the checkpoint (its tracking state lost or
-    /// restarted), in which case the writes cannot be inverted; the database
-    /// is left with all rollbacks up to the offending relation applied, so
-    /// callers must treat the whole instance as unusable on error.
-    pub fn rollback_to(&mut self, checkpoint: &DeltaCheckpoint) -> Result<()> {
-        for (name, rel) in &mut self.relations {
-            let Some((epoch, saved)) = checkpoint.states.get(name) else {
-                return Err(DataError::RollbackHistoryLost(name.clone()));
-            };
-            if rel.epoch() == *epoch {
-                // Epochs are globally unique: an unchanged epoch proves the
-                // relation (contents and tracking) is untouched.
-                continue;
-            }
-            let Some(((_, now), (_, then))) = (rel.tracking_state().zip(saved.as_ref()))
-                .filter(|((base_now, _), (base_then, _))| base_now == base_then)
-            else {
-                return Err(DataError::RollbackHistoryLost(name.clone()));
-            };
-            let now = now.clone();
-            // The four ways a tuple's net-delta membership can have changed,
-            // each inverted through the ordinary mutators — whose
-            // cancellation arithmetic restores the tracked delta as a side
-            // effect of restoring the contents:
-            //   inserted now, not then → the span inserted a non-base tuple.
-            //   inserted then, not now → the span removed it again.
-            //   removed now, not then  → the span removed a base tuple.
-            //   removed then, not now  → the span re-inserted it.
-            for t in now.inserted.difference(&then.inserted) {
-                rel.remove(t)?;
-            }
-            for t in then.inserted.difference(&now.inserted) {
-                rel.insert(t.clone())?;
-            }
-            for t in now.removed.difference(&then.removed) {
-                rel.insert(t.clone())?;
-            }
-            for t in then.removed.difference(&now.removed) {
-                rel.remove(t)?;
-            }
-            debug_assert_eq!(
-                rel.tracking_state().map(|(_, d)| d),
-                Some(then),
-                "rollback must restore the tracked delta exactly"
-            );
-        }
-        Ok(())
     }
 
     /// Iterate over relation instances in name order.
@@ -252,17 +191,6 @@ impl Database {
         }
         dom
     }
-}
-
-/// A point-in-time capture of a tracked database's write state, produced by
-/// [`Database::delta_checkpoint`] and consumed by [`Database::rollback_to`].
-/// Holds per-relation epochs and net-delta copies only — `O(|Δ|)`, no tuple
-/// storage — so capturing one never causes a copy-on-write fork.
-#[derive(Debug, Clone)]
-pub struct DeltaCheckpoint {
-    /// Per relation: the epoch at capture, plus the live tracking state
-    /// (`base epoch`, net delta) if tracking was on.
-    states: BTreeMap<String, (u64, Option<(u64, RelationDelta)>)>,
 }
 
 impl fmt::Display for Database {
@@ -364,7 +292,7 @@ mod tests {
         db.insert("rating", tuple![3, 4]).unwrap();
         db.remove("rating", &tuple![1, 5]).unwrap();
         let golden = db.clone();
-        let checkpoint = db.delta_checkpoint();
+        let checkpoint = db.delta_checkpoint(&previous);
 
         // Post-checkpoint span, hitting all four inverse cases.
         db.insert("rating", tuple![4, 2]).unwrap(); // fresh insert
@@ -375,24 +303,25 @@ mod tests {
             .unwrap();
         assert_ne!(db, golden);
 
-        db.rollback_to(&checkpoint).unwrap();
+        db.rollback_to(&previous, &checkpoint);
         assert_eq!(db, golden, "contents restored");
         // The tracked delta is restored too: take_delta still reports the
         // pre-checkpoint span exactly, as if the rest never happened.
         let log = db.take_delta(&previous);
-        let delta = log.exact("rating").expect("rating has an exact delta");
+        let delta = log.get("rating").expect("rating changed");
         assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![3, 4]]);
         assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
-        assert!(log.exact("movie").is_none(), "movie rolled back to a no-op");
+        assert!(!log.touches("movie"), "movie rolled back to a no-op");
     }
 
     #[test]
     fn rollback_is_a_noop_when_nothing_changed() {
-        let mut db = movie_db();
+        let previous = movie_db();
+        let mut db = previous.clone();
         db.begin_delta_tracking();
         let epochs: Vec<u64> = db.epochs().map(|(_, e)| e).collect();
-        let checkpoint = db.delta_checkpoint();
-        db.rollback_to(&checkpoint).unwrap();
+        let checkpoint = db.delta_checkpoint(&previous);
+        db.rollback_to(&previous, &checkpoint);
         assert_eq!(
             epochs,
             db.epochs().map(|(_, e)| e).collect::<Vec<u64>>(),
@@ -400,22 +329,28 @@ mod tests {
         );
     }
 
+    /// A wholesale assignment since the checkpoint is undone like any other
+    /// write: the instance is reset and the checkpoint's delta replayed.
     #[test]
-    fn rollback_fails_typed_when_write_history_was_lost() {
-        let mut db = movie_db();
+    fn rollback_undoes_a_wholesale_replacement() {
+        let previous = movie_db();
+        let mut db = previous.clone();
         db.begin_delta_tracking();
-        let checkpoint = db.delta_checkpoint();
-        // Wholesale replacement: tracking state is lost for `rating`.
+        db.insert("rating", tuple![3, 4]).unwrap();
+        let golden = db.clone();
+        let checkpoint = db.delta_checkpoint(&previous);
         let replacement = Relation::from_tuples(
             db.relation("rating").unwrap().schema().clone(),
             [tuple![7, 7]],
         )
         .unwrap();
         *db.relation_mut("rating").unwrap() = replacement;
-        assert!(matches!(
-            db.rollback_to(&checkpoint),
-            Err(DataError::RollbackHistoryLost(rel)) if rel == "rating"
-        ));
+        db.rollback_to(&previous, &checkpoint);
+        assert_eq!(db, golden, "contents restored");
+        let log = db.take_delta(&previous);
+        let delta = log.get("rating").expect("rating changed");
+        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![3, 4]]);
+        assert!(delta.removed.is_empty());
     }
 
     #[test]
@@ -427,7 +362,7 @@ mod tests {
         db.remove("rating", &tuple![1, 5]).unwrap();
         let log = db.take_delta(&previous);
         assert!(!log.touches("movie"));
-        let d = log.exact("rating").unwrap();
+        let d = log.get("rating").unwrap();
         assert_eq!(d.inserted.iter().collect::<Vec<_>>(), [&tuple![3, 4]]);
         assert_eq!(d.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
         assert_eq!(
@@ -455,17 +390,27 @@ mod tests {
         );
     }
 
+    /// A relation assigned wholesale is diffed against its previous
+    /// version; a checkpoint keeps the diff as the tracking state, and later
+    /// writes record onto it.
     #[test]
-    fn wholesale_replacement_degrades_to_unknown() {
+    fn wholesale_replacement_yields_the_exact_diff() {
         let previous = movie_db();
         let mut db = previous.clone();
         db.begin_delta_tracking();
         let schema = previous.relation("rating").unwrap().schema().clone();
         *db.relation_mut("rating").unwrap() =
-            Relation::from_tuples(schema, vec![tuple![7, 7]]).unwrap();
+            Relation::from_tuples(schema, vec![tuple![7, 7], tuple![2, 3]]).unwrap();
+        let checkpoint = db.delta_checkpoint(&previous);
+        let diff = checkpoint.get("rating").expect("rating changed");
+        assert_eq!(diff.inserted.iter().collect::<Vec<_>>(), [&tuple![7, 7]]);
+        assert_eq!(diff.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
+        db.insert("rating", tuple![1, 5]).unwrap();
+        db.remove("rating", &tuple![2, 3]).unwrap();
         let log = db.take_delta(&previous);
-        assert!(log.is_unknown("rating"));
-        assert!(log.exact("rating").is_none());
+        let delta = log.get("rating").expect("rating changed");
+        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![7, 7]]);
+        assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![2, 3]]);
         assert!(!log.touches("movie"));
     }
 

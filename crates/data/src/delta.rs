@@ -1,13 +1,12 @@
 //! Per-relation write deltas captured during a mutation.
 //!
-//! A [`DeltaLog`] records, for every relation touched inside an
-//! `Engine::mutate` closure, *what* changed: either an exact
-//! [`RelationDelta`] (the net inserted and removed tuple sets, disjoint by
-//! construction) or [`RelationChange::Unknown`] when the relation was
-//! replaced wholesale and the per-tuple history is lost.  Downstream
-//! consumers — semi-naive view maintenance, in-place index patching — pay
-//! `O(|Δ|)` for exact deltas and fall back to `O(|R|)` re-derivation only
-//! for `Unknown` ones.
+//! A [`DeltaLog`] records, for every relation a mutation changed, *what*
+//! changed: an exact [`RelationDelta`], the net inserted and removed tuple
+//! sets, disjoint by construction.  Every delta is exact.  A relation
+//! written in place records its own as it goes, in `O(|Δ|)`; one the
+//! closure assigned wholesale is diffed against its previous version
+//! (`O(|R|)`, paid by that relation only).  Downstream consumers —
+//! semi-naive view maintenance, the publish — therefore have one path.
 
 use crate::tuple::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,24 +35,13 @@ impl RelationDelta {
     }
 }
 
-/// What happened to one relation during a mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RelationChange {
-    /// The exact net delta is known; `O(|Δ|)` maintenance applies.
-    Delta(RelationDelta),
-    /// The relation changed but the per-tuple history was lost (e.g. the
-    /// closure replaced the instance wholesale through `relation_mut`).
-    /// Consumers must re-derive anything depending on this relation.
-    Unknown,
-}
-
 /// The full write set of one mutation: every *changed* relation mapped to
-/// its [`RelationChange`].  Relations absent from the log are guaranteed
+/// its [`RelationDelta`].  Relations absent from the log are guaranteed
 /// untouched — their epochs (and therefore every epoch-keyed derived
 /// artifact) remain valid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaLog {
-    changes: BTreeMap<String, RelationChange>,
+    changes: BTreeMap<String, RelationDelta>,
 }
 
 impl DeltaLog {
@@ -62,15 +50,12 @@ impl DeltaLog {
         DeltaLog::default()
     }
 
-    /// Record the change of one relation.  Empty exact deltas are dropped —
-    /// a net no-op is indistinguishable from "untouched".
-    pub fn record(&mut self, relation: impl Into<String>, change: RelationChange) {
-        if let RelationChange::Delta(d) = &change {
-            if d.is_empty() {
-                return;
-            }
+    /// Record the delta of one relation.  Empty deltas are dropped — a net
+    /// no-op is indistinguishable from "untouched".
+    pub fn record(&mut self, relation: impl Into<String>, delta: RelationDelta) {
+        if !delta.is_empty() {
+            self.changes.insert(relation.into(), delta);
         }
-        self.changes.insert(relation.into(), change);
     }
 
     /// True when no relation changed at all.
@@ -78,45 +63,19 @@ impl DeltaLog {
         self.changes.is_empty()
     }
 
-    /// True when `relation` changed in any way.
+    /// True when `relation` changed.
     pub fn touches(&self, relation: &str) -> bool {
         self.changes.contains_key(relation)
     }
 
-    /// The exact delta for `relation`, if it changed and the per-tuple
-    /// history survived.  `None` means either untouched (see
-    /// [`DeltaLog::touches`]) or [`RelationChange::Unknown`].
-    pub fn exact(&self, relation: &str) -> Option<&RelationDelta> {
-        match self.changes.get(relation) {
-            Some(RelationChange::Delta(d)) => Some(d),
-            _ => None,
-        }
+    /// The delta of `relation`, if it changed.
+    pub fn get(&self, relation: &str) -> Option<&RelationDelta> {
+        self.changes.get(relation)
     }
 
-    /// True when `relation` changed but the exact delta was lost.
-    pub fn is_unknown(&self, relation: &str) -> bool {
-        matches!(self.changes.get(relation), Some(RelationChange::Unknown))
-    }
-
-    /// Iterate over the changed relations in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &RelationChange)> {
-        self.changes.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// Names of the changed relations, in name order.
-    pub fn relations(&self) -> impl Iterator<Item = &str> {
-        self.changes.keys().map(String::as_str)
-    }
-
-    /// Total `|Δ|` across all exact deltas (unknown changes count 0).
-    pub fn size(&self) -> usize {
-        self.changes
-            .values()
-            .map(|c| match c {
-                RelationChange::Delta(d) => d.len(),
-                RelationChange::Unknown => 0,
-            })
-            .sum()
+    /// Iterate over the changed relations and their deltas in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &RelationDelta)> {
+        self.changes.iter().map(|(n, d)| (n.as_str(), d))
     }
 }
 
@@ -128,23 +87,23 @@ mod tests {
     #[test]
     fn empty_exact_deltas_are_dropped() {
         let mut log = DeltaLog::new();
-        log.record("r", RelationChange::Delta(RelationDelta::default()));
+        log.record("r", RelationDelta::default());
         assert!(log.is_empty());
         assert!(!log.touches("r"));
     }
 
     #[test]
-    fn exact_and_unknown_are_distinguished() {
+    fn a_log_maps_each_changed_relation_to_its_delta() {
         let mut log = DeltaLog::new();
         let mut d = RelationDelta::default();
         d.inserted.insert(tuple![1]);
-        log.record("a", RelationChange::Delta(d.clone()));
-        log.record("b", RelationChange::Unknown);
+        log.record("a", d.clone());
+        d.removed.insert(tuple![2]);
+        log.record("b", d.clone());
         assert!(log.touches("a") && log.touches("b") && !log.touches("c"));
-        assert_eq!(log.exact("a"), Some(&d));
-        assert_eq!(log.exact("b"), None);
-        assert!(log.is_unknown("b") && !log.is_unknown("a"));
-        assert_eq!(log.size(), 1);
-        assert_eq!(log.relations().collect::<Vec<_>>(), vec!["a", "b"]);
+        assert_eq!(log.get("b"), Some(&d));
+        assert_eq!(log.get("c"), None);
+        let names: Vec<&str> = log.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["a", "b"]);
     }
 }

@@ -30,10 +30,6 @@ pub enum DataError {
     /// A fault injected at a named failpoint site (see [`crate::faults`];
     /// only ever produced by test builds with the `failpoints` feature).
     FaultInjected(String),
-    /// A rollback to a delta checkpoint found a relation whose write history
-    /// was lost since the checkpoint (wholesale replacement while tracking),
-    /// so the writes cannot be inverted.
-    RollbackHistoryLost(String),
     /// An index was asked for on positions the named relation does not
     /// have, or on a nullary relation, whose rows no index holds.
     IndexPositions(String, Vec<usize>),
@@ -77,12 +73,6 @@ impl fmt::Display for DataError {
             }
             DataError::FaultInjected(site) => {
                 write!(f, "injected fault at failpoint `{site}`")
-            }
-            DataError::RollbackHistoryLost(relation) => {
-                write!(
-                    f,
-                    "cannot roll back relation `{relation}`: its write history was lost since the checkpoint"
-                )
             }
             DataError::IndexPositions(relation, positions) => {
                 write!(

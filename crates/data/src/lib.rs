@@ -31,8 +31,10 @@
 //! * [`ValueId`] ([`intern`]) — dense `u32` value ids, minted when a value
 //!   is first stored, over the process-global pool that holds the one copy
 //!   of every value, so the join engines' hot loops never touch a [`Value`];
-//! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — per-relation write sets
-//!   captured during a mutation, the currency of `O(|Δ|)` view maintenance;
+//! * [`DeltaLog`], [`RelationDelta`] ([`delta`]) — the exact per-relation
+//!   write set of a mutation, the currency of `O(|Δ|)` view maintenance:
+//!   recorded by the writes themselves, or, for a relation assigned
+//!   wholesale, found by diffing it against its previous version;
 //! * [`FetchStats`] — I/O accounting: how many base tuples a plan fetched
 //!   (`|D_ξ|` in the paper) versus how many a full scan would touch — and
 //!   [`RelationStats`], the per-relation cardinality statistics consumed by
@@ -63,8 +65,8 @@ pub mod value;
 pub mod views;
 
 pub use access::{AccessConstraint, AccessSchema, ConstraintViolation};
-pub use database::{Database, DeltaCheckpoint};
-pub use delta::{DeltaLog, RelationChange, RelationDelta};
+pub use database::Database;
+pub use delta::{DeltaLog, RelationDelta};
 pub use error::DataError;
 pub use index::{IndexedDatabase, InternedAccessIndex};
 pub use index_cache::IndexCache;

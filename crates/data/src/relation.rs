@@ -295,8 +295,8 @@ pub struct Relation {
     schema: RelationSchema,
     tuples: Chunks,
     epoch: u64,
-    /// Present only between `begin_delta_tracking` / `end_delta_tracking`:
-    /// the net write set accumulated since tracking began.
+    /// Present only between `begin_delta_tracking` / `take_delta`: the net
+    /// write set accumulated since tracking began.
     tracking: Option<Box<DeltaState>>,
     /// The indexes of exactly these contents, by layout, each present once
     /// someone asked for it.  Shared by unmutated clones; a mutation takes a
@@ -484,8 +484,11 @@ impl Relation {
         Ok(())
     }
 
-    /// Begin recording the net write set of this instance.  Any previous
-    /// tracking state is discarded.
+    /// Begin recording the net write set of this instance: every
+    /// [`Relation::insert`] / `remove` from now on adds its tuple to it,
+    /// cancelling against earlier writes, until [`Relation::take_delta`].  Any previous tracking state is discarded.
+    /// Assigning the instance wholesale replaces its tracking too; the delta
+    /// is then found by a diff instead.
     pub fn begin_delta_tracking(&mut self) {
         self.tracking = Some(Box::new(DeltaState {
             base_epoch: self.epoch,
@@ -493,31 +496,70 @@ impl Relation {
         }));
     }
 
-    /// Stop recording and return `(base_epoch, net delta)` — the epoch the
-    /// relation had when tracking began plus everything that changed since.
-    /// Returns `None` if tracking state was lost, which happens exactly when
-    /// the instance was replaced wholesale (e.g. by assignment through
-    /// `Database::relation_mut`) rather than mutated in place.
-    pub fn end_delta_tracking(&mut self) -> Option<(u64, RelationDelta)> {
-        self.tracking.take().map(|s| (s.base_epoch, s.delta))
+    /// Stop recording and return the net write set since `previous`, the
+    /// version this one succeeds: the delta recorded since tracking began on
+    /// `previous`'s epoch, or — tracking missing or begun on another epoch,
+    /// as after a wholesale assignment — a diff of the two (`O(|R|)`).  An
+    /// empty delta makes this relation `previous` again: its epoch, its
+    /// storage and its indexes, so a do-undo or an equal replacement leaves
+    /// no trace.
+    pub fn take_delta(&mut self, previous: &Relation) -> RelationDelta {
+        if self.epoch == previous.epoch {
+            // Epochs are globally unique: the contents are `previous`'s.
+            self.tracking = None;
+            return RelationDelta::default();
+        }
+        self.delta_since(previous);
+        let delta = self.tracking.take().map(|s| s.delta).unwrap_or_default();
+        if delta.is_empty() {
+            *self = previous.clone();
+            self.tracking = None;
+        }
+        delta
     }
 
-    /// The live tracking state — `(base epoch, net delta so far)` — without
-    /// consuming it.  `None` when tracking is off or was lost to a wholesale
-    /// replacement.  This is what [`crate::Database::delta_checkpoint`]
-    /// captures to make a span of writes invertible.
-    pub fn tracking_state(&self) -> Option<(u64, &RelationDelta)> {
-        self.tracking.as_deref().map(|s| (s.base_epoch, &s.delta))
+    /// The net write set since `previous`, as [`Relation::take_delta`] finds
+    /// it, with tracking kept on: a diff becomes the tracking state, so later
+    /// writes record onto it in `O(|Δ|)` again.
+    pub(crate) fn delta_since(&mut self, previous: &Relation) -> &RelationDelta {
+        let base_epoch = previous.epoch;
+        if self
+            .tracking
+            .as_ref()
+            .is_none_or(|s| s.base_epoch != base_epoch)
+        {
+            let delta = self.diff(previous);
+            self.tracking = Some(Box::new(DeltaState { base_epoch, delta }));
+        }
+        &self.tracking.as_ref().expect("tracking was just set").delta
     }
 
-    /// Become `previous` again — its epoch, its storage, its indexes —
-    /// with tracking off.  Only sound when the caller can prove the contents are
-    /// identical to `previous`'s, e.g. after a tracked mutation whose net
-    /// delta came out empty; re-sharing the storage also frees whatever
-    /// chunks the cancelled writes forked.
-    pub(crate) fn revert_to(&mut self, previous: &Relation) {
-        *self = previous.clone();
-        self.tracking = None;
+    /// This relation against `previous` as a delta: one merge of the two
+    /// value-ordered row sequences, `O(|R|)` — or none at all when the two
+    /// share their storage.
+    fn diff(&self, previous: &Relation) -> RelationDelta {
+        let mut delta = RelationDelta::default();
+        if self.shares_storage(previous) {
+            return delta;
+        }
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let (mut new, mut old) = (self.iter().peekable(), previous.iter().peekable());
+        loop {
+            let order = match (new.peek(), old.peek()) {
+                (None, None) => return delta,
+                (Some(_), None) => Less,
+                (None, Some(_)) => Greater,
+                (Some(n), Some(o)) => n.cmp(o),
+            };
+            match order {
+                Less => delta.inserted.extend(new.next().map(|t| t.to_tuple())),
+                Greater => delta.removed.extend(old.next().map(|t| t.to_tuple())),
+                Equal => {
+                    new.next();
+                    old.next();
+                }
+            }
+        }
     }
 
     /// True when `self` and `other` are the very same storage: every chunk
@@ -923,7 +965,7 @@ mod tests {
     #[test]
     fn delta_tracking_records_the_net_write_set() {
         let mut r = rating();
-        let e0 = r.epoch();
+        let previous = r.clone();
         r.begin_delta_tracking();
         r.insert(tuple![9, 9]).unwrap();
         r.remove(&tuple![1, 5]).unwrap();
@@ -932,11 +974,10 @@ mod tests {
         r.remove(&tuple![7, 7]).unwrap();
         r.remove(&tuple![2, 4]).unwrap();
         r.insert(tuple![2, 4]).unwrap();
-        let (base, delta) = r.end_delta_tracking().unwrap();
-        assert_eq!(base, e0);
+        let delta = r.take_delta(&previous);
         assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![9, 9]]);
         assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
-        assert!(r.end_delta_tracking().is_none(), "tracking is one-shot");
+        assert!(r.tracking.is_none(), "tracking is one-shot");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bqr_core::{
     decide_vbrp, BoundedOutputOracle, DecisionOutcome, Query, RewritingSetting, ToppedAnalysis,
     ToppedChecker, VbrpInstance,
 };
-use bqr_data::{AccessSchema, Database, DatabaseSchema, Value};
+use bqr_data::{AccessSchema, Database, DatabaseSchema, Relation, Value};
 use bqr_plan::{
     panic_message, CacheStats, ExecOptions, GuardMetrics, GuardStats, PipelineCache, PlanLanguage,
     PreparedPlan,
@@ -327,12 +327,7 @@ impl Engine {
     /// a clone of [`database`](Engine::database) publishes the from-scratch
     /// version a [`mutate`](Engine::mutate) must agree with.
     pub fn attach(&self, db: Database) -> Result<()> {
-        if db.schema() != &self.setting.schema {
-            return Err(Error::SchemaMismatch(format!(
-                "expected the engine schema ({} relations)",
-                self.setting.schema.relations().count()
-            )));
-        }
+        self.check_schema(&db)?;
         let _serialised = self.writers.lock().unwrap_or_else(PoisonError::into_inner);
         let version = Arc::new(DataVersion::build(db, &self.setting)?);
         *self.data.write().unwrap_or_else(PoisonError::into_inner) = version;
@@ -372,10 +367,12 @@ impl Engine {
     ///
     /// This is [`mutate_batch`](Engine::mutate_batch) with one closure, so a
     /// failing closure has its writes undone before the (then empty) delta
-    /// is taken.  A closure that replaced a relation wholesale and then
-    /// failed cannot be undone: it reports
-    /// [`bqr_data::DataError::RollbackHistoryLost`] instead of its own error,
-    /// and publishes nothing either.
+    /// is taken.  A closure may assign a relation — or the whole instance —
+    /// wholesale: its delta is then found by diffing the relation against
+    /// the live one (`O(|R|)`), and the publish builds the replacement's
+    /// access indexes from its rows.  A closure that leaves the instance
+    /// with a schema other than the engine's fails with
+    /// [`Error::SchemaMismatch`] and publishes nothing.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> bqr_data::Result<R>) -> Result<R> {
         let outcome = self.mutate_batch([f])?.pop();
         outcome.expect("mutate_batch returns one outcome per closure")
@@ -388,21 +385,21 @@ impl Engine {
     /// amortisation the serving front's write batching rides on.
     ///
     /// Isolation is per closure, atomicity per batch: each closure runs
-    /// after an `O(|Δ|)` checkpoint of the tracked write state
-    /// ([`Database::delta_checkpoint`]), so a closure that errors or panics
-    /// has its writes undone by inverse operations without disturbing its
-    /// neighbours — its slot in the returned `Vec` carries the typed error,
-    /// every other closure's effect still publishes.  The combined net delta
-    /// becomes visible in a single version swap: readers never observe a
-    /// prefix of the batch.  An empty or net-no-op batch publishes nothing
-    /// (the usual no-op elision).
+    /// after an `O(|Δ|)` checkpoint of the batch's delta so far
+    /// ([`Database::delta_checkpoint`]), so a closure that errors, panics
+    /// or changes the schema ([`Error::SchemaMismatch`]) is undone — the
+    /// instance reset to the live version and the checkpoint replayed
+    /// ([`Database::rollback_to`]) — without disturbing its neighbours: its
+    /// slot in the returned `Vec` carries the typed error, every other
+    /// closure's effect still publishes.  The combined net delta becomes
+    /// visible in a single version swap: readers never observe a prefix of
+    /// the batch.  An empty or net-no-op batch publishes nothing (the usual
+    /// no-op elision).
     ///
-    /// The outer `Result` fails only when nothing was published at all:
-    /// version construction failed (an index build or view maintenance
-    /// error/panic — contained like a closure's, so it surfaces typed and
-    /// never as a half-applied version or a wedged writer), or a *failing*
-    /// closure had also replaced a relation wholesale — losing the write
-    /// history a rollback needs ([`bqr_data::DataError::RollbackHistoryLost`]).
+    /// The outer `Result` fails only when version construction failed (an
+    /// index build or view maintenance error/panic — contained like a
+    /// closure's, so it surfaces typed and never as a half-applied version
+    /// or a wedged writer); then nothing was published.
     /// [`mutate`](Engine::mutate) is this with one closure.
     pub fn mutate_batch<R, F>(
         &self,
@@ -417,13 +414,9 @@ impl Engine {
         db.begin_delta_tracking();
         let mut outcomes = Vec::new();
         for f in closures {
-            // Checkpoint before each closure: an O(|Δ|) capture of the
-            // tracked write state, NOT an O(#chunks) `Database::clone` per
-            // closure.  A failing closure's writes are undone by inverse
-            // operations; if that closure also replaced a
-            // relation wholesale (history lost, not invertible), the whole
-            // batch fails and nothing is published.
-            let checkpoint = db.delta_checkpoint();
+            // Checkpoint before each closure: an O(|Δ|) copy of the batch's
+            // delta so far, NOT an O(#chunks) `Database::clone` per closure.
+            let checkpoint = db.delta_checkpoint(prev.database());
             let out = catch_unwind(AssertUnwindSafe(|| {
                 bqr_data::faults::check(bqr_data::faults::sites::MUTATE_CLOSURE)?;
                 f(&mut db)
@@ -431,9 +424,10 @@ impl Engine {
             .map_err(|payload| Error::MutationPanicked {
                 message: panic_message(payload.as_ref()),
             })
-            .and_then(|r| r.map_err(Error::Data));
+            .and_then(|r| r.map_err(Error::Data))
+            .and_then(|r| self.check_schema(&db).map(|()| r));
             if out.is_err() {
-                db.rollback_to(&checkpoint).map_err(Error::Data)?;
+                db.rollback_to(prev.database(), &checkpoint);
             }
             outcomes.push(out);
         }
@@ -451,6 +445,21 @@ impl Engine {
         })??;
         *self.data.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(version);
         Ok(outcomes)
+    }
+
+    /// `db`'s schema, and that of each of its relation instances, is the
+    /// engine's: what [`attach`](Engine::attach) requires and every
+    /// [`mutate`](Engine::mutate) closure must leave.
+    fn check_schema(&self, db: &Database) -> Result<()> {
+        let schema = &self.setting.schema;
+        let relations = db.relations().map(Relation::schema);
+        if db.schema() == schema && relations.eq(schema.relations()) {
+            return Ok(());
+        }
+        Err(Error::SchemaMismatch(format!(
+            "expected the engine schema ({} relations)",
+            schema.relations().count()
+        )))
     }
 
     /// A clone of the currently attached instance.

@@ -5,7 +5,10 @@
 //! tests pin.
 
 use crate::{Engine, Error, IntoQuery};
-use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, FetchStats};
+use bqr_data::{
+    tuple, AccessConstraint, AccessSchema, DataError, Database, DatabaseSchema, FetchStats,
+    Relation,
+};
 use bqr_plan::ExecOptions;
 use bqr_query::eval::eval_cq_counting;
 use bqr_query::parser::parse_cq;
@@ -496,7 +499,7 @@ fn error_closures_on_large_instances_copy_no_relation() {
             for rel in snapshot.relations() {
                 assert!(db.relation(rel.name()).unwrap().shares_storage(rel));
             }
-            Err(bqr_data::DataError::UnknownRelation("injected".into()))
+            Err(DataError::UnknownRelation("injected".into()))
         })
         .unwrap_err();
     assert!(matches!(err, Error::Data(_)));
@@ -728,8 +731,8 @@ fn mutate_batch_isolates_failing_closures() {
 }
 
 /// `mutate` is `mutate_batch` of one closure: a closure that replaced a
-/// relation wholesale and then failed cannot be rolled back, reports the
-/// lost history instead of its own error, and publishes nothing.
+/// relation wholesale and then failed is rolled back like any other,
+/// reports its own error, and publishes nothing.
 #[test]
 fn a_failing_mutate_that_replaced_a_relation_reports_lost_history() {
     let engine = movie_engine();
@@ -738,16 +741,129 @@ fn a_failing_mutate_that_replaced_a_relation_reports_lost_history() {
     let err = engine
         .mutate(|db| {
             let rating = db.relation_mut("rating")?;
-            *rating = bqr_data::Relation::empty(rating.schema().clone());
+            *rating = Relation::empty(rating.schema().clone());
             db.insert("no_such_relation", tuple![0])
         })
         .unwrap_err();
     assert!(
-        matches!(&err, Error::Data(bqr_data::DataError::RollbackHistoryLost(r)) if r == "rating"),
+        matches!(&err, Error::Data(DataError::UnknownRelation(r)) if r == "no_such_relation"),
         "{err:?}"
     );
     assert_eq!(engine.database(), before, "nothing published");
     assert_eq!(engine.session().epochs(), epochs);
+}
+
+type Closure = Box<dyn FnOnce(&mut Database) -> bqr_data::Result<()>>;
+
+/// The live version is what attaching a clone of its database builds: the
+/// same extents, and the same answer to `Q_XI`, `FetchStats` included.
+fn assert_equals_a_fresh_attach(engine: &Engine) {
+    let twin = movie_engine();
+    twin.attach(engine.database()).unwrap();
+    let (live, fresh) = (engine.session(), twin.session());
+    assert_eq!(live.views(), fresh.views());
+    assert_eq!(live.query(Q_XI).unwrap(), fresh.query(Q_XI).unwrap());
+}
+
+/// Batch isolation around a wholesale assignment: the first closure
+/// replaces `rating` wholesale and publishes; the second writes `rating`
+/// and fails, and is undone back to the first one's effect.
+#[test]
+fn a_failing_closure_after_a_wholesale_assignment_is_undone_alone() {
+    let engine = movie_engine();
+    engine.attach(movie_instance()).unwrap();
+    let outcomes = engine
+        .mutate_batch([
+            Box::new(|db: &mut Database| {
+                let rating = db.relation_mut("rating")?;
+                let schema = rating.schema().clone();
+                *rating = Relation::from_tuples(schema, [tuple![10, 5], tuple![11, 5]])?;
+                Ok(())
+            }) as Closure,
+            Box::new(|db: &mut Database| {
+                db.insert("rating", tuple![12, 1])?;
+                db.remove("rating", &tuple![10, 5])?;
+                db.insert("no_such_relation", tuple![0]).map(drop)
+            }),
+        ])
+        .unwrap();
+    assert!(outcomes[0].is_ok());
+    assert!(
+        matches!(&outcomes[1], Err(Error::Data(DataError::UnknownRelation(r))) if r == "no_such_relation"),
+        "{:?}",
+        outcomes[1]
+    );
+    let rating: Vec<_> = engine
+        .database()
+        .relation("rating")
+        .unwrap()
+        .iter()
+        .map(|t| t.to_tuple())
+        .collect();
+    assert_eq!(rating, [tuple![10, 5], tuple![11, 5]]);
+    assert_equals_a_fresh_attach(&engine);
+}
+
+/// A closure that leaves the instance with another schema — without `like`,
+/// which `V1` reads, or with a `rating` of another arity — fails typed and
+/// is rolled back, whether or not it changed anything else; its neighbours
+/// still publish.
+#[test]
+fn a_closure_that_changes_the_schema_fails_and_its_neighbours_publish() {
+    let engine = movie_engine();
+    engine.attach(movie_instance()).unwrap();
+    let (before, epochs) = (engine.database(), engine.session().epochs());
+    let without_like = |db: &Database| -> bqr_data::Result<Database> {
+        let mut schema = DatabaseSchema::new();
+        for relation in db.schema().relations().filter(|r| r.name() != "like") {
+            schema.add_relation(relation.clone())?;
+        }
+        let mut copy = Database::empty(schema);
+        for relation in db.relations().filter(|r| r.name() != "like") {
+            *copy.relation_mut(relation.name())? = relation.clone();
+        }
+        Ok(copy)
+    };
+    let drop_like = move |db: &mut Database| {
+        *db = without_like(db)?;
+        Ok(())
+    };
+    let drop_like_and_rerate = move |db: &mut Database| {
+        *db = without_like(db)?;
+        db.remove("rating", &tuple![10, 5])?;
+        db.insert("rating", tuple![10, 4]).map(drop)
+    };
+    let narrow_rating = |db: &mut Database| {
+        let narrow = bqr_data::RelationSchema::new("rating", &["mid"])?;
+        *db.relation_mut("rating")? = Relation::from_tuples(narrow, [tuple![10]])?;
+        Ok(())
+    };
+    for err in [
+        engine.mutate(drop_like).unwrap_err(),
+        engine.mutate(drop_like_and_rerate).unwrap_err(),
+        engine.mutate(narrow_rating).unwrap_err(),
+    ] {
+        assert!(matches!(err, Error::SchemaMismatch(_)), "{err:?}");
+    }
+    assert_eq!(engine.database(), before, "nothing published");
+    assert_eq!(engine.session().epochs(), epochs);
+
+    let outcomes = engine
+        .mutate_batch([
+            Box::new(|db: &mut Database| db.insert("rating", tuple![20, 5]).map(drop)) as Closure,
+            Box::new(drop_like_and_rerate),
+            Box::new(|db: &mut Database| db.insert("rating", tuple![21, 5]).map(drop)),
+        ])
+        .unwrap();
+    assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+    assert!(matches!(outcomes[1], Err(Error::SchemaMismatch(_))));
+    let db = engine.database();
+    assert_eq!(db.schema(), before.schema());
+    assert_eq!(db.relation("like"), before.relation("like"));
+    let rating = db.relation("rating").unwrap();
+    assert!(rating.contains(&tuple![10, 5]) && !rating.contains(&tuple![10, 4]));
+    assert!(rating.contains(&tuple![20, 5]) && rating.contains(&tuple![21, 5]));
+    assert_equals_a_fresh_attach(&engine);
 }
 
 #[test]

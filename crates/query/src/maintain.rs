@@ -62,14 +62,16 @@
 //! `|D|` — for an acyclic body like `V1`'s, a handful of rows.
 //! [`maintain_counting`] reports the probes and rows as [`FetchStats`].
 //!
-//! Views whose definitions are genuinely FO, that read a relation whose
-//! delta was lost ([`bqr_data::RelationChange::Unknown`]), or that have no
-//! previous extent are re-materialised — *that view only*, a CQ or UCQ view
-//! by its seedless plans, an FO view through [`crate::eval::eval_fo`] — and
-//! even then the previous extent relation (with its epoch) is reused
-//! whenever the recomputed contents come out identical, so what is kept per
-//! epoch upstream — the extent's keyed indexes, the searches' cached
-//! indexes — is rebuilt only after genuine content changes.
+//! Every delta is exact — a relation the writer assigned wholesale arrives
+//! as its diff against the previous version — so a CQ or UCQ view with a
+//! previous extent is always maintained by its rules.  Only a view whose
+//! definition is genuinely FO, or that has no previous extent, is
+//! re-materialised — *that view only*, a CQ or UCQ view by its seedless
+//! plans, an FO view through [`crate::eval::eval_fo`] — and even then the
+//! previous extent relation (with its epoch) is reused whenever the
+//! recomputed contents come out identical, so what is kept per epoch
+//! upstream — the extent's keyed indexes, the searches' cached indexes — is
+//! rebuilt only after genuine content changes.
 //!
 //! Untouched extents are returned as clones of the previous ones: same
 //! contents, same epoch, shared storage.
@@ -86,7 +88,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// extents over `old_db`, and `new_db = old_db + delta`.  The result is
 /// bit-identical (contents *and*, for unchanged extents, epochs) to what
 /// `views.materialize(new_db)` would produce content-wise, at `O(|Δ|)` cost
-/// for exact deltas over CQ and UCQ views.
+/// for CQ and UCQ views.
 pub fn maintain(
     views: &ViewSet,
     previous: &MaterializedViews,
@@ -98,7 +100,7 @@ pub fn maintain(
     maintain_counting(views, previous, old_db, new_db, delta, &mut uncounted)
 }
 
-/// [`maintain`], accounting the work of the exact-delta path in `stats`:
+/// [`maintain`], accounting the work of the rule path in `stats`:
 /// every keyed or prefix probe a `DeltaPlan` issues is one `fetch_call`,
 /// every row it goes on to visit one fetched tuple, and every row visited by
 /// a step that had to scan one scanned tuple.  (Re-materialisations are not
@@ -115,20 +117,14 @@ pub fn maintain_counting(
     let mut out = MaterializedViews::empty();
     for (name, def) in views.iter() {
         let touched = def.relation_names().iter().any(|r| delta.touches(r));
-        let exact = def
-            .relation_names()
-            .iter()
-            .all(|r| !delta.touches(r) || delta.exact(r).is_some());
         let extent = match (rules(def), previous.extent(name)) {
             // Delta-relevance pre-check, shared by every definition kind:
             // a view reading only untouched relations keeps its extent
             // object without any evaluation.
             (_, Some(prev)) if !touched => prev.clone(),
-            (Some(rules), Some(prev)) if exact => {
-                maintain_rules(rules, prev, old_db, new_db, delta, stats)?
-            }
-            // An FO view, a lost (wholesale-replacement) delta, or no
-            // previous extent to start from: re-derive this one view.
+            (Some(rules), Some(prev)) => maintain_rules(rules, prev, old_db, new_db, delta, stats)?,
+            // An FO view, or no previous extent to start from: re-derive
+            // this one view.
             (_, prev) => rematerialize(name, def, new_db, prev)?,
         };
         out.insert(name, extent);
@@ -389,12 +385,12 @@ fn maintain_rules(
     for rule in rules {
         rule.validate(new_db.schema(), &BTreeMap::new())?;
         for (i, atom) in rule.atoms().iter().enumerate() {
-            let Some(exact) = delta.exact(atom.relation()) else {
+            let Some(seeds) = delta.get(atom.relation()) else {
                 continue;
             };
             let others = rule.atoms().iter().enumerate().filter(|(j, _)| *j != i);
             let others = others.map(|(_, other)| other).collect();
-            plans.push((DeltaPlan::new(rule, atom.args(), others)?, exact));
+            plans.push((DeltaPlan::new(rule, atom.args(), others)?, seeds));
         }
     }
 
@@ -403,11 +399,11 @@ fn maintain_rules(
     // each rule's whole body joined to the candidate as the head, and the
     // first derivation any rule finds settles it.
     let mut candidates: BTreeSet<Tuple> = BTreeSet::new();
-    for (plan, exact) in &plans {
-        if !exact.removed.is_empty() {
+    for (plan, seeds) in &plans {
+        if !seeds.removed.is_empty() {
             plan.index(new_db)?;
         }
-        for t in &exact.removed {
+        for t in &seeds.removed {
             plan.run(old_db, t, stats, &mut |head| {
                 candidates.insert(head);
                 Ok(true)
@@ -440,8 +436,8 @@ fn maintain_rules(
     // Insertion phase: every genuinely new view tuple has a derivation
     // through at least one inserted base tuple, so joining each rule's body
     // to each of them over the new instance covers exactly `ΔV⁺`.
-    for (plan, exact) in &plans {
-        for t in &exact.inserted {
+    for (plan, seeds) in &plans {
+        for t in &seeds.inserted {
             plan.run(new_db, t, stats, &mut |head| {
                 extent.insert(head)?;
                 Ok(true)
@@ -664,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_deltas_fall_back_to_per_view_rematerialisation() {
+    fn a_wholesale_replacement_is_maintained_from_its_diff() {
         let old = instance();
         let mut new = old.clone();
         new.begin_delta_tracking();
@@ -672,7 +668,9 @@ mod tests {
         *new.relation_mut("rating").unwrap() =
             Relation::from_tuples(schema, vec![tuple![10, 5], tuple![12, 5]]).unwrap();
         let log = new.take_delta(&old);
-        assert!(log.is_unknown("rating"));
+        let diff = log.get("rating").expect("rating changed");
+        assert_eq!(diff.inserted.iter().collect::<Vec<_>>(), [&tuple![12, 5]]);
+        assert_eq!(diff.removed.iter().collect::<Vec<_>>(), [&tuple![12, 4]]);
         check_against_full(&old, &new, &log);
     }
 

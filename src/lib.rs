@@ -137,15 +137,15 @@
 //!   removed tuple decrements its entry and the entry only disappears when
 //!   no source tuple supports it any more.  Publishing a version takes the
 //!   indexes its relations carry; it patches nothing.
-//! * **Wholesale replacement** (the closure *assigned* a relation, losing
-//!   tracking): the delta degrades to "unknown" for that relation —
-//!   affected views re-materialise through their seedless delta plans
-//!   (reusing the previous extent object when the contents come out
-//!   unchanged), the publish builds its access indexes from its rows, and
-//!   its keyed indexes are built again by whoever next asks.
-//!   Replacing a relation with equal contents is detected (unequal lengths
-//!   and pointer-equal storage answer without comparing a tuple) and
-//!   short-circuits to a no-op.
+//! * **Wholesale replacement** (the closure *assigned* a relation, and its
+//!   write tracking with it): the relation's delta is a diff against its
+//!   previous version, one `O(|R|)` merge of the two sorted row sequences,
+//!   so it is as exact as a tracked one and its views are maintained by
+//!   their rules like any others.  The publish builds the replacement's
+//!   access indexes from its rows, and its keyed indexes are built again by
+//!   whoever next asks.  A replacement with equal contents diffs to nothing
+//!   and publishes nothing.  A closure that changes the schema fails typed
+//!   and is rolled back.
 //! * **Non-CQ FO views** always re-materialise, through the naive
 //!   evaluator — only CQ/UCQ definitions have a sound semi-naive path.
 //!

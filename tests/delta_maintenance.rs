@@ -4,7 +4,7 @@
 //! delta maintenance, carried indexes) is driven through hundreds of
 //! randomized mutation sequences: single inserts, deletions of live tuples,
 //! no-op writes, do-undo pairs, multi-relation closures, failing closures,
-//! and wholesale relation replacement (the `Unknown`-delta fallback).  Each
+//! and wholesale relation replacement (whose delta is a diff).  Each
 //! script is replayed on a plain `Database` the test owns — the model, kept
 //! only where the closure succeeds — and a second engine attaches a clone
 //! of the model: `Engine::attach` builds the version from scratch, every
@@ -215,8 +215,10 @@ fn mutate_both(rng: &mut StdRng, h: &mut Harness) {
                 }
             }
         }
-        // Wholesale replacement → Unknown delta → per-view/index fallback.
+        // A removal, then a wholesale replacement that adds a tuple: the
+        // delta is a diff with both sides, and the access index is rebuilt.
         8 => {
+            script.push((1, "rating", present_tuple(rng, &current, "rating")));
             script.push((2, "rating", random_tuple(rng, "rating")));
         }
         // Failing closure after a write: must publish nothing on either side.
@@ -238,7 +240,8 @@ fn mutate_both(rng: &mut StdRng, h: &mut Harness) {
                 }
                 2 => {
                     // Rebuild the relation from scratch through
-                    // `relation_mut` assignment: tracking is lost.
+                    // `relation_mut` assignment: tracking is lost, so the
+                    // delta is a diff against the previous version.
                     let schema = db.relation(rel).unwrap().schema().clone();
                     let mut tuples: Vec<Tuple> = db
                         .relation(rel)

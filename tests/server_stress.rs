@@ -500,13 +500,23 @@ fn eight_clients_on_one_statement_coalesce() {
     assert!(stats.read_batches < stats.completed, "{stats:?}");
 }
 
-/// Group commit: 64 writes issued back-to-back from one thread publish in
-/// a handful of batches, applied in arrival order.
+/// Group commit: 64 writes queued while a publish runs share the next one,
+/// applied in arrival order.  The publish running meanwhile is a held write
+/// — one `submit_mutate` blocked in its closure until the 64 are queued — so
+/// the writes queue behind it by construction, whatever the host's load.
 #[test]
 fn a_burst_of_writes_commits_in_few_batches_in_arrival_order() {
     const BURST: usize = 64;
 
     let server = Server::with_config(movie_engine(), stress_config());
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    let held = server.submit_mutate(move |_db| {
+        started_tx.send(()).unwrap();
+        let _ = release_rx.recv();
+        Ok(())
+    });
+    started_rx.recv().unwrap();
     let order = Arc::new(Mutex::new(Vec::new()));
     let pendings: Vec<_> = (0..BURST)
         .map(|id| {
@@ -518,16 +528,18 @@ fn a_burst_of_writes_commits_in_few_batches_in_arrival_order() {
             })
         })
         .collect();
+    release_tx.send(()).unwrap();
+    held.wait().unwrap();
     for pending in pendings {
         pending.wait().unwrap();
     }
     server.drain();
     assert_eq!(*order.lock().unwrap(), (0..BURST).collect::<Vec<_>>());
     let stats = server.stats();
-    assert_eq!(stats.writes, BURST as u64);
+    assert_eq!(stats.writes, BURST as u64 + 1, "the held write counts too");
     assert!(
         (1..=8).contains(&stats.write_batches),
-        "64 back-to-back writes must share publishes: {stats:?}"
+        "64 writes queued behind a publish must share publishes: {stats:?}"
     );
 }
 
