@@ -703,7 +703,7 @@ fn run_write_case(
         engine
             .prepare("w", statement.clone())
             .expect("write-path statement is topped");
-        engine.execute("w").expect("warm serve");
+        engine.session().execute("w").expect("warm serve");
         for op in ops {
             let t = Instant::now();
             let published = if rebuild {
@@ -715,7 +715,7 @@ fn run_write_case(
             };
             published.expect("write-path mutation");
             if read_after {
-                engine.execute("w").expect("read after write");
+                engine.session().execute("w").expect("read after write");
             }
             if let Some(row) = op.row {
                 ms[row][slot] += t.elapsed().as_secs_f64() * 1_000.0;

@@ -4,9 +4,7 @@ use crate::engine::{Engine, Resolved};
 use crate::error::{Error, Result};
 use crate::session::DataVersion;
 use bqr_core::Query;
-use bqr_plan::{
-    CancellationToken, ExecOptions, ExecOutput, Guard, GuardMetrics, PreparedPlan, QueryPlan,
-};
+use bqr_plan::{CancellationToken, ExecOptions, ExecOutput, GuardMetrics, PreparedPlan, QueryPlan};
 use std::sync::Arc;
 
 /// The boundedness analysis of one query, pinned to the data version that
@@ -144,33 +142,23 @@ impl Analysis {
         Ok(pipeline.describe())
     }
 
-    /// Execute the constructed plan against the pinned data version (under
-    /// the engine's default options).  One-shot ad-hoc serving; register the
+    /// Execute the constructed plan against the pinned data version under
+    /// the engine's [`ExecOptions`].  One-shot ad-hoc serving; register the
     /// query with [`Engine::prepare`](crate::Engine::prepare) for repeated
     /// serving by name.
     pub fn execute(&self) -> Result<ExecOutput> {
-        self.execute_with(&self.options.clone())
+        self.execute_with(&self.options)
     }
 
     /// [`execute`](Analysis::execute) under explicit options.  Guardrail
     /// limits on the options are enforced, with trips recorded in the
     /// engine's [`guard_stats`](crate::Engine::guard_stats).
     pub fn execute_with(&self, options: &ExecOptions) -> Result<ExecOutput> {
-        self.execute_with_token(options, CancellationToken::new())
-    }
-
-    /// [`execute_with`](Analysis::execute_with) honouring a caller-held
-    /// [`CancellationToken`]: trip it from any thread and the execution
-    /// returns [`bqr_plan::ExecError::Cancelled`] at its next checkpoint.
-    pub fn execute_with_token(
-        &self,
-        options: &ExecOptions,
-        token: CancellationToken,
-    ) -> Result<ExecOutput> {
-        let guard =
-            Guard::with_token(&options.limits, token).with_metrics(Arc::clone(&self.guard_metrics));
-        self.prepared_plan()?
-            .execute_guarded(self.version.idb(), self.version.views(), options, &guard)
+        let plan = self.prepared_plan()?;
+        let token = CancellationToken::new();
+        let metrics = &self.guard_metrics;
+        self.version
+            .execute(plan.shape(), plan.constants(), options, token, metrics)
             .map_err(|e| Error::execution(&self.query.to_string(), e))
     }
 }

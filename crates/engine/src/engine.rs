@@ -616,12 +616,16 @@ impl Engine {
 
     /// Register an already-analysed query as a named prepared statement —
     /// the analyse-once half of the `analyze` → `prepare` flow (no second
-    /// checker run).
+    /// checker run).  The statement keeps the analysis's
+    /// [`fetch_bound`](Analysis::fetch_bound) as its price
+    /// ([`PreparedStatement::fetch_bound`]).
     pub fn prepare_from(&self, name: &str, analysis: &Analysis) -> Result<PreparedStatement> {
         let statement = PreparedStatement::new(
             name,
             analysis.query().clone(),
             analysis.prepared_plan()?.clone(),
+            // A plan always comes with its bound: the checker sets both.
+            analysis.fetch_bound().unwrap_or(usize::MAX),
         );
         self.statements
             .write()
@@ -659,13 +663,5 @@ impl Engine {
             .unwrap_or_else(PoisonError::into_inner)
             .remove(name)
             .is_some()
-    }
-
-    // ------------------------------------------------------------------
-    // One-shot conveniences (each opens a fresh single-use session).
-
-    /// Execute a named prepared statement against the current data version.
-    pub fn execute(&self, name: &str) -> Result<bqr_plan::ExecOutput> {
-        self.session().execute(name)
     }
 }

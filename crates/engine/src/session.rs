@@ -4,8 +4,10 @@ use crate::analysis::Analysis;
 use crate::engine::{Engine, IntoQuery, Resolved};
 use crate::error::{Error, Result};
 use bqr_core::{Query, RewritingSetting};
-use bqr_data::{Database, IndexedDatabase};
-use bqr_plan::{CancellationToken, ExecOptions, ExecOutput, Guard, PreparedPlan};
+use bqr_data::{Database, IndexedDatabase, ValueId};
+use bqr_plan::{
+    CancellationToken, ExecOptions, ExecOutput, Guard, GuardMetrics, PreparedPlan, PreparedShape,
+};
 use bqr_query::MaterializedViews;
 use std::sync::Arc;
 
@@ -67,29 +69,50 @@ impl DataVersion {
     pub(crate) fn views(&self) -> &MaterializedViews {
         &self.views
     }
+
+    /// Run a prepared plan — `shape` with `constants` in its slots — on this
+    /// version, under a guard built from `options`' limits, `token` and the
+    /// engine's guard counters `metrics`.  Every read the engine serves runs
+    /// here: by name, by handle, ad hoc, or through an [`Analysis`].
+    pub(crate) fn execute(
+        &self,
+        shape: &PreparedShape,
+        constants: &[ValueId],
+        options: &ExecOptions,
+        token: CancellationToken,
+        metrics: &Arc<GuardMetrics>,
+    ) -> bqr_plan::Result<ExecOutput> {
+        let guard = Guard::with_token(&options.limits, token).with_metrics(Arc::clone(metrics));
+        shape.execute_guarded(self.idb(), self.views(), &guard, constants)
+    }
 }
 
 /// A named prepared statement: a bounded rewriting registered on the
-/// engine's pipeline cache under a name.  The handle is five pointers — the
-/// name, the query, and the plan, its constants and its shape behind
-/// `Arc`s (the shape shared with every statement that differs from this one
-/// only in constants) — so cloning one, as every lookup by name does, copies
-/// nothing.  Executions go through [`Session`]s (or the [`Engine`] one-shot
-/// helpers), which bind the pinned version's extents and indexes to the
-/// shape's compiled pipeline on every call; no data change recompiles it.
+/// engine's pipeline cache under a name, with its price — the plan's fetch
+/// bound `|D_ξ|`.  The handle is five pointers and a number — the name, the
+/// query, and the plan, its constants and its shape behind `Arc`s (the shape
+/// shared with every statement that differs from this one only in
+/// constants) — so cloning one, as every lookup by name does, copies
+/// nothing.  Each registration builds its own handle: two handles are one
+/// registration exactly when their [`query`](PreparedStatement::query)s
+/// are one object.  Executions go through [`Session`]s, which bind the
+/// pinned version's extents and indexes to the shape's compiled pipeline on
+/// every call; no data change recompiles it.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     name: Arc<str>,
     query: Arc<Query>,
     plan: PreparedPlan,
+    fetch_bound: usize,
 }
 
 impl PreparedStatement {
-    pub(crate) fn new(name: &str, query: Query, plan: PreparedPlan) -> PreparedStatement {
+    pub(crate) fn new(name: &str, query: Query, plan: PreparedPlan, fetch_bound: usize) -> Self {
         PreparedStatement {
             name: Arc::from(name),
             query: Arc::new(query),
             plan,
+            fetch_bound,
         }
     }
 
@@ -108,8 +131,11 @@ impl PreparedStatement {
         self.plan.plan()
     }
 
-    pub(crate) fn prepared(&self) -> &PreparedPlan {
-        &self.plan
+    /// The worst-case number of base tuples the plan fetches (`|D_ξ|`, as
+    /// [`Analysis::fetch_bound`] reported when the statement was prepared):
+    /// the statement's price, data-independent.
+    pub fn fetch_bound(&self) -> usize {
+        self.fetch_bound
     }
 }
 
@@ -164,23 +190,18 @@ impl<'e> Session<'e> {
     }
 
     /// Execute a named prepared statement against the pinned version under
-    /// the engine's default [`ExecOptions`].
+    /// the engine's [`ExecOptions`], whose guard limits every execution path
+    /// enforces (trips count in [`guard_stats`](Engine::guard_stats)).
     pub fn execute(&self, name: &str) -> Result<ExecOutput> {
         self.execute_with(name, &self.engine.exec_options())
     }
 
     /// [`execute`](Session::execute) under explicit options.
     pub fn execute_with(&self, name: &str, options: &ExecOptions) -> Result<ExecOutput> {
-        let statement = self.engine.statement(name)?;
-        self.execute_statement_with(&statement, options)
+        self.execute_with_token(name, options, CancellationToken::new())
     }
 
-    /// Execute a [`PreparedStatement`] handle directly (no name lookup).
-    pub fn execute_statement(&self, statement: &PreparedStatement) -> Result<ExecOutput> {
-        self.execute_statement_with(statement, &self.engine.exec_options())
-    }
-
-    /// [`execute`](Session::execute) honouring a caller-held
+    /// [`execute_with`](Session::execute_with) honouring a caller-held
     /// [`CancellationToken`]: trip it from any thread and the execution
     /// stops at its next checkpoint with
     /// [`bqr_plan::ExecError::Cancelled`] wrapped in
@@ -192,34 +213,29 @@ impl<'e> Session<'e> {
         token: CancellationToken,
     ) -> Result<ExecOutput> {
         let statement = self.engine.statement(name)?;
-        self.execute_statement_guarded(&statement, options, token)
+        self.run(&statement, options, token)
     }
 
-    /// [`execute_statement`](Session::execute_statement) under explicit
-    /// options.
-    pub fn execute_statement_with(
-        &self,
-        statement: &PreparedStatement,
-        options: &ExecOptions,
-    ) -> Result<ExecOutput> {
-        self.execute_statement_guarded(statement, options, CancellationToken::new())
+    /// Execute a [`PreparedStatement`] handle directly under the engine's
+    /// [`ExecOptions`]: the statement as the handle holds it, with no name
+    /// lookup, whatever its name is registered as by now.
+    pub fn execute_statement(&self, statement: &PreparedStatement) -> Result<ExecOutput> {
+        let options = self.engine.exec_options();
+        self.run(statement, &options, CancellationToken::new())
     }
 
-    /// The fully general execution path: explicit options plus a caller-held
-    /// cancellation token, with guardrail limits from `options.limits`
-    /// enforced and trips recorded in the engine's
-    /// [`guard_stats`](Engine::guard_stats).
-    pub fn execute_statement_guarded(
+    /// Run `statement` on the pinned version ([`DataVersion::execute`]), its
+    /// errors naming the statement.
+    fn run(
         &self,
         statement: &PreparedStatement,
         options: &ExecOptions,
         token: CancellationToken,
     ) -> Result<ExecOutput> {
-        let guard = Guard::with_token(&options.limits, token)
-            .with_metrics(std::sync::Arc::clone(self.engine.guard_metrics()));
-        statement
-            .prepared()
-            .execute_guarded(self.version.idb(), self.version.views(), options, &guard)
+        let plan = &statement.plan;
+        let metrics = self.engine.guard_metrics();
+        self.version
+            .execute(plan.shape(), plan.constants(), options, token, metrics)
             .map_err(|e| Error::execution(statement.name(), e))
     }
 
@@ -238,12 +254,12 @@ impl<'e> Session<'e> {
         let query = query.into_query()?;
         match self.engine.resolve(&query)? {
             Resolved::Shape(shape, params) => {
-                let guard = Guard::new(&self.engine.exec_options().limits)
-                    .with_metrics(Arc::clone(self.engine.guard_metrics()));
                 let bindings = shape.bindings(&params)?;
-                shape
-                    .prepared
-                    .execute_guarded(self.version.idb(), self.version.views(), &guard, &bindings)
+                let options = self.engine.exec_options();
+                let token = CancellationToken::new();
+                let metrics = self.engine.guard_metrics();
+                self.version
+                    .execute(&shape.prepared, &bindings, &options, token, metrics)
                     .map_err(|e| Error::execution(&query.to_string(), e))
             }
             checked => {

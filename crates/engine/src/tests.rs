@@ -364,6 +364,7 @@ fn decide_runs_the_exact_procedure() {
             "rank_of_42",
             bqr_core::Query::Cq(parse_cq("Q(r) :- rating(42, r)").unwrap()),
             prepared,
+            1,
         ))
         .unwrap();
     assert_eq!(out.tuples, vec![tuple![5]]);

@@ -383,6 +383,12 @@ impl PreparedPlan {
         &self.shape
     }
 
+    /// This plan's constants, interned: what it binds to its shape's slots
+    /// ([`PreparedShape::execute_guarded`]).
+    pub fn constants(&self) -> &[ValueId] {
+        &self.constants
+    }
+
     /// The cache this handle compiles into.
     pub fn cache(&self) -> &PipelineCache {
         &self.shape.cache

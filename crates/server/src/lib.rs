@@ -8,13 +8,17 @@
 //!
 //! * **Admission control** ([`ServerConfig::max_concurrent`],
 //!   [`ServerConfig::max_outstanding_cost`]): a semaphore-style concurrency
-//!   cap plus per-statement *cost classes* derived from the plan's fetch
-//!   bound `|D_ξ|` (via `Analysis::fetch_bound`).  Over-budget submissions
-//!   fail fast with a typed [`ServerError::Overloaded`] carrying a
-//!   retry-after hint — never a wrong or partial answer.  Admitted reads
-//!   still run under the engine's guard limits
-//!   ([`ServerConfig::options`]), so deadlines and row/fetch budgets trip
-//!   cooperatively inside the pipeline.
+//!   cap plus a per-read *cost class*, the fetch bound `|D_ξ|` its
+//!   statement carries on the engine
+//!   ([`PreparedStatement::fetch_bound`](bqr_engine::PreparedStatement::fetch_bound)).
+//!   Over-budget submissions fail fast with a typed
+//!   [`ServerError::Overloaded`] carrying a retry-after hint — never a
+//!   wrong or partial answer.  Admitted reads still run under the engine's
+//!   guard limits
+//!   ([`EngineBuilder::exec_options`](bqr_engine::EngineBuilder::exec_options)),
+//!   so deadlines and row/fetch budgets trip cooperatively inside the
+//!   pipeline.  The server keeps no registry of its own: statements, their
+//!   prices and their limits are read from the engine.
 //! * **Read coalescing**, with no window to wait out: a read that finds its
 //!   statement idle is executed at once; reads for the same prepared
 //!   statement that arrive while an execution of it is in flight or queued
@@ -77,6 +81,7 @@ mod tests {
     use super::*;
     use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema};
     use bqr_engine::Engine;
+    use bqr_plan::{ExecError, ExecOptions};
     use bqr_workload::movies;
     use std::future::Future;
     use std::pin::pin;
@@ -144,7 +149,8 @@ mod tests {
         let server = movie_server(workers(2));
         let cost = server.prepare("fig1", Q_XI).unwrap();
         assert!(cost >= 1, "fetch-bound cost class");
-        assert_eq!(server.cost_class("fig1"), Some(cost));
+        let statement = server.engine().statement("fig1").unwrap();
+        assert_eq!(cost, statement.fetch_bound().max(1));
 
         let direct = server.engine().session().execute("fig1").unwrap();
         let served = server.execute("fig1").unwrap();
@@ -199,19 +205,78 @@ mod tests {
         assert!(matches!(failed, Err(ServerError::Engine(_))), "{failed:?}");
     }
 
+    /// The server reads each statement and its price from the engine at
+    /// admission: one prepared on the engine alone is served, a re-prepare
+    /// is priced anew, and a forgotten name is unknown before admission.
     #[test]
     fn statements_registered_lazily_and_unknown_names_are_typed() {
-        let server = movie_server(workers(2));
+        let server = movie_server(ServerConfig {
+            max_outstanding_cost: 1,
+            ..workers(2)
+        });
         server.engine().prepare("fig1", Q_XI).unwrap();
-        // Not registered on the server yet: first submission registers it.
-        assert_eq!(server.cost_class("fig1"), None);
-        assert!(server.execute("fig1").is_ok());
-        assert!(server.cost_class("fig1").is_some());
+        assert_eq!(server.prepare("q", "Q(r) :- rating(42, r)").unwrap(), 1);
+        let direct = server.engine().session().execute("q").unwrap();
+        assert_eq!(server.execute("q").unwrap().output, direct);
 
+        // Re-prepared on the engine behind the server's back: Q_ξ's fetch
+        // bound is over the budget of 1.
+        let qxi = server.engine().prepare("q", Q_XI).unwrap();
+        assert!(qxi.fetch_bound() > 1);
+        assert!(
+            matches!(server.execute("q"), Err(ServerError::Overloaded { .. })),
+            "admitted at the stale price"
+        );
+        // So is `fig1`, which the server never saw prepared.
+        assert!(matches!(
+            server.execute("fig1"),
+            Err(ServerError::Overloaded { .. })
+        ));
+
+        assert!(server.engine().forget("q"));
+        let admitted = server.stats().admitted;
+        match server.execute("q") {
+            Err(ServerError::UnknownStatement(name)) => assert_eq!(name, "q"),
+            other => panic!("expected UnknownStatement, got {other:?}"),
+        }
         match server.execute("no_such_statement") {
             Err(ServerError::UnknownStatement(name)) => assert_eq!(name, "no_such_statement"),
             other => panic!("expected UnknownStatement, got {other:?}"),
         }
+        assert_eq!(
+            server.stats().admitted,
+            admitted,
+            "refused before admission"
+        );
+    }
+
+    /// A served read runs under the engine's execution limits: with a row
+    /// budget of 0 it trips as a direct session execution does, and the
+    /// engine's guard counters record the trip.
+    #[test]
+    fn served_reads_run_under_the_engines_limits() {
+        let engine = Engine::builder()
+            .setting(movies::setting(100, 40))
+            .exec_options(ExecOptions::default().with_row_budget(0))
+            .build()
+            .unwrap();
+        engine
+            .attach(movies::generate(movies::MovieScale::default()))
+            .unwrap();
+        let server = Server::with_config(engine, workers(2));
+        server.prepare("fig1", Q_XI).unwrap();
+        let trips = server.engine().guard_stats().memory_trips;
+        match server.execute("fig1") {
+            Err(ServerError::Engine(e)) => assert!(
+                matches!(
+                    e.exec_error(),
+                    Some(ExecError::MemoryBudgetExceeded { budget_rows: 0 })
+                ),
+                "{e}"
+            ),
+            other => panic!("expected the engine's row budget to trip, got {other:?}"),
+        }
+        assert_eq!(server.engine().guard_stats().memory_trips, trips + 1);
     }
 
     #[test]
@@ -341,6 +406,32 @@ mod tests {
         assert_eq!((stats.read_batches, stats.coalesced_reads), (1, 5));
         assert_eq!((stats.write_batches, stats.writes), (2, 4));
         assert_eq!(stats.completed, 9);
+    }
+
+    /// A batch whose requests were admitted with two registrations of their
+    /// name — re-prepared between the two admissions — answers each request
+    /// with the statement it was admitted with, alone.
+    #[test]
+    fn a_batch_that_straddles_a_re_prepare_answers_each_with_its_own() {
+        let server = movie_server(workers(1));
+        server.prepare("q", Q_XI).unwrap();
+        let old = server.engine().session().execute("q").unwrap();
+
+        let (release, held) = hold_a_worker(&server);
+        let first = server.submit("q");
+        server.prepare("q", "Q(r) :- rating(424242, r)").unwrap();
+        let new = server.engine().session().execute("q").unwrap();
+        assert_ne!(old, new);
+        let second = server.submit("q");
+        release.send(()).unwrap();
+        held.wait().unwrap();
+
+        let (first, second) = (first.wait().unwrap(), second.wait().unwrap());
+        assert_eq!((first.output, first.coalesced), (old, 1));
+        assert_eq!((second.output, second.coalesced), (new, 1));
+        server.drain();
+        let stats = server.stats();
+        assert_eq!((stats.read_batches, stats.coalesced_reads), (1, 2));
     }
 
     /// A flush job that panics outside its `catch_unwind`s — here in a

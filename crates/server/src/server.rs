@@ -6,36 +6,34 @@ use crate::pool::Pool;
 use crate::slot::{ready, slot, Pending, Promise};
 use crate::stats::{Metrics, ServerStats};
 use bqr_data::{faults, Database};
-use bqr_engine::{Analysis, Engine, IntoQuery};
-use bqr_plan::{ExecOptions, ExecOutput};
+use bqr_engine::{Engine, IntoQuery, PreparedStatement};
+use bqr_plan::ExecOutput;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Tuning knobs for a [`Server`].  The defaults suit the test and bench
-/// workloads; production embedders size them from their own SLOs.
+/// Tuning knobs for a [`Server`]: admission caps and the pool (a served read
+/// runs under the engine's execution limits).  The defaults suit the test
+/// and bench workloads; production embedders size them from their own SLOs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Semaphore-style cap on requests (reads and writes) admitted and not
     /// yet fulfilled.  Beyond it, submission fails with
     /// [`ServerError::Overloaded`].
     pub max_concurrent: usize,
-    /// Cap on the summed *cost class* of admitted reads.  A statement's
-    /// cost class is its fetch bound `|D_ξ|` — the paper's data-independent
-    /// bound on how many tuples the plan can touch — so this budget caps
-    /// worst-case outstanding I/O, not request count.
+    /// Cap on the summed *cost class* of admitted reads.  A read's cost
+    /// class is its statement's fetch bound `|D_ξ|`
+    /// ([`PreparedStatement::fetch_bound`], at least 1) — the paper's
+    /// data-independent bound on how many tuples the plan can touch — so
+    /// this budget caps worst-case outstanding I/O, not request count.
     pub max_outstanding_cost: usize,
     /// Worker threads in the pool that runs flushes: every async entry's,
     /// and a sync entry's unless it comes from the only recent client.
     pub workers: usize,
     /// Back-off hint attached to [`ServerError::Overloaded`].
     pub retry_after_ms: u64,
-    /// Execution options (and through them the PR 6 guard limits) applied
-    /// to every admitted read: an admitted query still trips deadlines and
-    /// row/fetch budgets cooperatively.
-    pub options: ExecOptions,
 }
 
 impl Default for ServerConfig {
@@ -45,7 +43,6 @@ impl Default for ServerConfig {
             max_outstanding_cost: 1 << 20,
             workers: 4,
             retry_after_ms: 1,
-            options: ExecOptions::default(),
         }
     }
 }
@@ -110,19 +107,17 @@ impl<T> Batcher<T> {
     }
 }
 
+/// An admitted read: the statement as registered when it was admitted,
+/// and where its answer goes.
 struct ReadRequest {
+    statement: PreparedStatement,
     promise: Promise<Response>,
     admission: Admission,
     start: Instant,
 }
 
-/// A statement's registry entry: its admission cost class (the plan's
-/// fetch bound) and its coalescing queue, found with one map lookup.
-struct Statement {
-    name: Arc<str>,
-    cost: AtomicUsize,
-    reads: Batcher<ReadRequest>,
-}
+/// One statement name's coalescing queue.
+type Reads = Batcher<ReadRequest>;
 
 type WriteOp = Box<dyn FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static>;
 
@@ -177,9 +172,10 @@ struct Inner {
     engine: Arc<Engine>,
     config: ServerConfig,
     pool: Pool,
-    /// Registered statements; an entry is created by `prepare`/`register`
-    /// or lazily on first submission.
-    statements: Mutex<HashMap<Arc<str>, Arc<Statement>>>,
+    /// Each statement name's coalescing queue, created at the first
+    /// admission of a read of it.  The statements themselves, and their
+    /// prices, are the engine's.
+    reads: Mutex<HashMap<String, Arc<Reads>>>,
     writes: Batcher<WriteRequest>,
     gate: Arc<Gate>,
     /// The sync arrivals' recent past, read by [`Inner::sync_start`]: the
@@ -206,6 +202,14 @@ struct Inner {
 /// order.  Admission control rejects over-budget traffic with a typed
 /// [`ServerError::Overloaded`] before any work queues.
 ///
+/// The server keeps no copy of the engine's state: a read is admitted at
+/// the fetch bound of its statement as [`Engine::statement`] returns it
+/// then (an unknown name is [`ServerError::UnknownStatement`]), and runs
+/// under the engine's execution limits.  A coalesced batch answers with the
+/// statement as registered at the newest admission in the batch, which was
+/// live between each request's submit and its response: a batch whose
+/// requests were admitted with different registrations runs each alone.
+///
 /// Entry points are dual sync/async: [`Server::execute`]/[`Server::mutate`]
 /// block, [`Server::submit`]/[`Server::submit_mutate`] return a
 /// [`Pending`] that any executor can poll.  An async entry's flush always
@@ -228,7 +232,7 @@ impl Server {
             engine: engine.into(),
             pool: Pool::new(config.workers),
             config,
-            statements: Mutex::new(HashMap::new()),
+            reads: Mutex::new(HashMap::new()),
             writes: Batcher::new(),
             gate: Arc::default(),
             last_caller: AtomicUsize::new(0),
@@ -248,26 +252,13 @@ impl Server {
         self.inner.metrics.snapshot()
     }
 
-    /// Analyse and prepare `query` under `name` on the engine, and register
-    /// its admission cost class (the plan's fetch bound `|D_ξ|`).  Returns
-    /// the cost class.
+    /// Prepare `query` under `name` on the engine ([`Engine::prepare`]) and
+    /// return the cost class its reads are admitted at: the plan's fetch
+    /// bound `|D_ξ|`, at least 1.  A statement prepared on the engine
+    /// directly is served just the same.
     pub fn prepare<Q: IntoQuery>(&self, name: &str, query: Q) -> ServerResult<usize> {
-        let analysis = self.inner.engine.analyze(query)?;
-        self.inner.engine.prepare_from(name, &analysis)?;
-        Ok(self.inner.enrol(name, &analysis).cost())
-    }
-
-    /// Register an admission cost class for a statement already prepared on
-    /// the engine (re-deriving its fetch bound from its query).  Returns
-    /// the cost class.  Statements submitted without prior registration are
-    /// registered lazily on first use.
-    pub fn register(&self, name: &str) -> ServerResult<usize> {
-        self.inner.register(name).map(|statement| statement.cost())
-    }
-
-    /// The registered admission cost class of `name`, if any.
-    pub fn cost_class(&self, name: &str) -> Option<usize> {
-        self.inner.statement(name).map(|statement| statement.cost())
+        let statement = self.inner.engine.prepare(name, query)?;
+        Ok(statement.fetch_bound().max(1))
     }
 
     /// Submit a read of prepared statement `name` (async entry).  Admission
@@ -330,9 +321,9 @@ impl Drop for Server {
         // the flush jobs that were already running to serve theirs.
         let inner = &self.inner;
         inner.pool.close();
-        let statements: Vec<Arc<Statement>> = lock(&inner.statements).values().cloned().collect();
-        for statement in statements {
-            for request in statement.reads.take() {
+        let queues: Vec<Arc<Reads>> = lock(&inner.reads).values().cloned().collect();
+        for reads in queues {
+            for request in reads.take() {
                 drop(request.admission);
                 request.promise.fulfil(Err(ServerError::ShuttingDown));
             }
@@ -359,57 +350,41 @@ fn contained<T>(what: &str, call: impl FnOnce() -> bqr_engine::Result<T>) -> Ser
     }
 }
 
-impl Statement {
-    fn cost(&self) -> usize {
-        // A plain number: it publishes no other data.
-        self.cost.load(Ordering::Relaxed)
-    }
-}
-
 impl Inner {
-    fn statement(&self, name: &str) -> Option<Arc<Statement>> {
-        lock(&self.statements).get(name).cloned()
-    }
-
-    /// Create or update `name`'s registry entry from its analysis.
-    fn enrol(&self, name: &str, analysis: &Analysis) -> Arc<Statement> {
-        // The cost class: the plan's fetch bound `|D_ξ|`, at least 1.
-        let cost = analysis.fetch_bound().unwrap_or(1).max(1);
-        let mut statements = lock(&self.statements);
-        if let Some(statement) = statements.get(name) {
-            statement.cost.store(cost, Ordering::Relaxed);
-            return Arc::clone(statement);
+    /// `name`'s coalescing queue, created on first use.
+    fn reads(&self, name: &str) -> Arc<Reads> {
+        let mut queues = lock(&self.reads);
+        if let Some(reads) = queues.get(name) {
+            return Arc::clone(reads);
         }
-        let name: Arc<str> = Arc::from(name);
-        let statement = Arc::new(Statement {
-            name: Arc::clone(&name),
-            cost: AtomicUsize::new(cost),
-            reads: Batcher::new(),
-        });
-        statements.insert(name, Arc::clone(&statement));
-        statement
+        let reads = Arc::new(Batcher::new());
+        queues.insert(name.to_string(), Arc::clone(&reads));
+        reads
     }
 
-    /// The admission-and-enqueue step of a read: `accept`, find or register
-    /// the statement, `admit` at its cost class, `slot`, `push`.  If the
-    /// push found the statement's queue idle, `start` runs its flush — the
-    /// only thing the sync and async entries do differently.
+    /// The admission-and-enqueue step of a read: `accept`, look the
+    /// statement up on the engine, `admit` at its cost class, `slot`, and
+    /// `push` onto the name's queue.  If the push found the queue idle,
+    /// `start` runs its flush — the only thing the sync and async entries do
+    /// differently.
     fn read(self: &Arc<Self>, name: &str, start: Start) -> Pending<Response> {
         let queued = || {
             self.accept()?;
-            let statement = match self.statement(name) {
-                Some(statement) => statement,
-                None => self.register(name)?,
-            };
-            let admission = self.admit(statement.cost())?;
+            let statement = self
+                .engine
+                .statement(name)
+                .map_err(|_| ServerError::UnknownStatement(name.to_string()))?;
+            let admission = self.admit(statement.fetch_bound().max(1))?;
+            let reads = self.reads(name);
             let (promise, pending) = slot();
             let request = ReadRequest {
+                statement,
                 promise,
                 admission,
                 start: Instant::now(),
             };
-            let idle = statement.reads.push(request);
-            Ok((pending, idle.then(|| Flush::Reads(statement))))
+            let idle = reads.push(request);
+            Ok((pending, idle.then(|| Flush::Reads(reads))))
         };
         self.dispatch(queued(), start)
     }
@@ -482,15 +457,6 @@ impl Inner {
         }
         self.calm.store(run + 1, Ordering::Relaxed);
         schedule
-    }
-
-    fn register(&self, name: &str) -> ServerResult<Arc<Statement>> {
-        let prepared = self
-            .engine
-            .statement(name)
-            .map_err(|_| ServerError::UnknownStatement(name.to_string()))?;
-        let analysis = self.engine.analyze(prepared.query().clone())?;
-        Ok(self.enrol(name, &analysis))
     }
 
     /// The `SERVER_ACCEPT` failpoint: an injected fault sheds the
@@ -584,7 +550,7 @@ impl Inner {
 /// What a flush job serves.
 #[derive(Clone)]
 enum Flush {
-    Reads(Arc<Statement>),
+    Reads(Arc<Reads>),
     Writes,
 }
 
@@ -628,7 +594,7 @@ fn turn(inner: &Arc<Inner>, target: Flush) {
         target: &target,
     };
     match &target {
-        Flush::Reads(statement) => flush_reads(inner, statement),
+        Flush::Reads(reads) => flush_reads(inner, reads),
         Flush::Writes => flush_writes(inner),
     }
 }
@@ -646,7 +612,7 @@ struct Turn<'a> {
 impl Drop for Turn<'_> {
     fn drop(&mut self) {
         let more = match self.target {
-            Flush::Reads(statement) => statement.reads.end_turn(),
+            Flush::Reads(reads) => reads.end_turn(),
             Flush::Writes => self.inner.writes.end_turn(),
         };
         if more {
@@ -666,8 +632,16 @@ impl Drop for Turn<'_> {
 /// bit-identical to what its own unbatched `Session` execution on that
 /// version would produce — the stress test's history checker holds the
 /// server to exactly that.
-fn flush_reads(inner: &Inner, statement: &Statement) {
-    let batch = statement.reads.take();
+///
+/// Each request looked its statement up after it was submitted, so when
+/// every handle in the batch is one registration, that registration was
+/// live for each; a batch that straddles a re-prepare runs each request on
+/// its own handle instead, as the `BATCH_FLUSH` fault path does.
+fn flush_reads(inner: &Inner, reads: &Reads) {
+    let batch = reads.take();
+    let Some(newest) = batch.last() else {
+        return;
+    };
     let coalesced = batch.len();
     inner.metrics.read_batches.fetch_add(1, Ordering::Relaxed);
     if coalesced > 1 {
@@ -676,21 +650,30 @@ fn flush_reads(inner: &Inner, statement: &Statement) {
             .coalesced_reads
             .fetch_add(coalesced as u64, Ordering::Relaxed);
     }
-    let execute = |coalesced| {
+    let execute = |statement: &PreparedStatement, coalesced| {
         contained("serving a read", || {
-            let session = inner.engine.session();
-            session.execute_with(&statement.name, &inner.config.options)
+            inner.engine.session().execute_statement(statement)
         })
         .map(|output| Response { output, coalesced })
     };
+    // Handles of one registration share its query object.
+    let registered = newest.statement.query();
+    let one_registration = batch
+        .iter()
+        .all(|request| std::ptr::eq(request.statement.query(), registered));
     match failpoint(faults::sites::BATCH_FLUSH) {
-        Ok(Ok(())) => inner.finish_reads(batch, execute(coalesced)),
-        // Injected flush fault: degrade the batch to serialised per-request
-        // execution.  Every request is still answered (exactly once) by its
-        // own full-fidelity session execution.
-        Ok(Err(_)) => {
+        Ok(Ok(())) if one_registration => {
+            let result = execute(&newest.statement, coalesced);
+            inner.finish_reads(batch, result);
+        }
+        // Injected flush fault, or a batch that straddles a re-prepare:
+        // serialised per-request execution.  Every request is still
+        // answered (exactly once) by its own full-fidelity session
+        // execution.
+        Ok(_) => {
             for request in batch {
-                inner.finish_read(request, execute(1));
+                let result = execute(&request.statement, 1);
+                inner.finish_read(request, result);
             }
         }
         // Injected flush panic: shed the whole batch with typed errors.

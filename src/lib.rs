@@ -338,9 +338,12 @@
 //! [`FetchStats`](data::FetchStats)), and write batching through
 //! [`Engine::mutate_batch`] (writes that arrive during a publish commit
 //! together in the next, in arrival order, with per-closure isolation).
-//! There is no batch window to tune.  [`server::Server::execute`] blocks;
+//! There is no batch window to tune.  [`server::Server::execute`] blocks,
+//! and runs its flush on the calling thread when it comes from the server's
+//! only recent client (on the server's worker pool otherwise);
 //! [`server::Server::submit`] returns a [`server::Pending`] that is a plain
-//! `Future`; either way the work runs on the server's worker pool:
+//! `Future`, always flushed on the pool.  Statements, their prices and the
+//! execution limits a served read runs under are the engine's:
 //!
 //! ```
 //! use bqr::{tuple, Engine};
@@ -367,8 +370,8 @@
 //!         ..ServerConfig::default()
 //!     },
 //! );
-//! // Analyse + register: the returned cost class is the statement's fetch
-//! // bound, the currency of admission control.
+//! // Prepare on the engine: the returned cost class is the statement's
+//! // fetch bound, the currency of admission control.
 //! let cost = server.prepare("ranks", "Q(r) :- rating(42, r)")?;
 //! assert!(cost >= 1);
 //!

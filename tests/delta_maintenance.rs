@@ -565,7 +565,7 @@ fn served_answers_track_deletions_of_answer_tuples() {
     }
     h.attach(db);
     assert_eq!(
-        h.engine.execute("qxi").unwrap().tuples,
+        h.engine.session().execute("qxi").unwrap().tuples,
         vec![tuple![10], tuple![11], tuple![12]]
     );
 
@@ -575,7 +575,10 @@ fn served_answers_track_deletions_of_answer_tuples() {
     })
     .unwrap();
     check_agreement(&h);
-    assert_eq!(h.engine.execute("qxi").unwrap().tuples, vec![tuple![10]]);
+    assert_eq!(
+        h.engine.session().execute("qxi").unwrap().tuples,
+        vec![tuple![10]]
+    );
 }
 
 /// A UCQ union tuple derivable by two disjuncts must survive the deletion
@@ -652,7 +655,7 @@ fn replacing_a_relation_with_equal_contents_publishes_nothing() {
     }
     assert!(db.relation("rating").unwrap().chunk_count() > 4);
     engine.attach(db).unwrap();
-    engine.execute("qxi").unwrap();
+    engine.session().execute("qxi").unwrap();
     let epochs = engine.session().epochs();
     let misses = engine.cache_stats().misses;
 
@@ -679,7 +682,7 @@ fn replacing_a_relation_with_equal_contents_publishes_nothing() {
             .unwrap();
         assert_eq!(engine.session().epochs(), epochs, "`{name}` was re-stamped");
     }
-    engine.execute("qxi").unwrap();
+    engine.session().execute("qxi").unwrap();
     assert_eq!(engine.cache_stats().misses, misses, "nothing recompiled");
 }
 

@@ -238,7 +238,7 @@ fn pinned_sessions_never_observe_concurrent_mutations() {
     engine.prepare("fan_out", "Q(y) :- r(1, y)").unwrap();
     // Compile before the storm: readers racing on the first execution may
     // each count a (benign) miss, and the count below is exact.
-    engine.execute("fan_out").unwrap();
+    engine.session().execute("fan_out").unwrap();
     let (bound, fan_out) = (
         FetchBound::default(),
         engine.analyze("Q(y) :- r(1, y)").unwrap(),
