@@ -2,9 +2,8 @@
 //! relation indexes versus the retained pre-refactor engine
 //! (`hom::reference`), on repeated containment checks (the dominant cost of
 //! the `A`-equivalence and exact VBRP procedures) and on evaluation cases
-//! where the atom order matters (cyclic joins, a skewed chain).  Shared by
-//! `benches/hom.rs` and the harness's `hom` mode, which persists the numbers
-//! to `BENCH_hom.json`.
+//! where the atom order matters (cyclic joins, a skewed chain).  Run by the
+//! harness's `hom` mode, which persists the numbers to `BENCH_hom.json`.
 
 use bqr_data::{Database, DatabaseSchema, Relation, Tuple};
 use bqr_query::atom::Term;

@@ -1,10 +1,10 @@
 //! # bqr-bench — experiment harness
 //!
-//! The library half of the benchmark crate: shared measurement helpers used
-//! both by the `harness` binary (which prints the experiment tables, writes
-//! the committed `BENCH_hom.json`, `BENCH_plan.json` and `BENCH_serve.json`
-//! reports, and whose figures the ROADMAP tables quote) and by the
-//! Criterion benches.  Each of the three committed reports has its module:
+//! The library half of the benchmark crate: the measurement helpers of the
+//! `harness` binary, which prints the experiment tables, writes the
+//! committed `BENCH_hom.json`, `BENCH_plan.json` and `BENCH_serve.json`
+//! reports, and whose figures the ROADMAP tables quote.  Each of the three
+//! committed reports has its module:
 //! [`hom_bench`], [`plan_bench`] and [`serve_bench`].
 
 pub mod hom_bench;

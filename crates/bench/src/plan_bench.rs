@@ -2,10 +2,9 @@
 //! (interned ids, hash joins, id-native fetches) versus the retained
 //! tree-walking interpreter (`exec::reference`), on real plan executions —
 //! the movies rewriting of Fig. 1's shape, a CDR analytics rewriting, and an
-//! AGM-style triangle join over cached views.  Shared by
-//! `benches/plan.rs` and the harness's `plan` mode, which persists the
-//! numbers to `BENCH_plan.json` and fails if the compiled executor is slower
-//! than the reference on the movies workload.
+//! AGM-style triangle join over cached views.  Run by the harness's `plan`
+//! mode, which persists the numbers to `BENCH_plan.json` and fails if the
+//! compiled executor is slower than the reference on the movies workload.
 
 use crate::{checker_with_annotations, plan_for, prepare};
 use bqr_data::{Database, DatabaseSchema, IndexedDatabase};
@@ -212,16 +211,17 @@ impl GuardOverhead {
 pub const GUARD_MAX_OVERHEAD: f64 = 1.05;
 
 /// The committed `movies_qxi_8k` time of the row-at-a-time executor this
-/// repo shipped before the vectorised kernels (ms per `repeats`-batch of
-/// 100, from `BENCH_plan.json` at that commit).  The baseline of the
-/// vectorisation gate below — a fixed number, not a re-measurement, so
-/// the gate cannot drift with the code it checks.
+/// repo shipped before its operators ran in 1 024-row batches (ms per
+/// `repeats`-batch of 100, from `BENCH_plan.json` at that commit), when the
+/// plan still scanned and filtered all 8 k rows of `V1`.  The baseline of
+/// the gate below — a fixed number, not a re-measurement, so the gate
+/// cannot drift with the code it checks.
 pub const ROW_AT_A_TIME_MOVIES_MS: f64 = 11.8;
 
-/// The vectorisation gate the harness enforces: the batch-kernel
-/// executor must beat [`ROW_AT_A_TIME_MOVIES_MS`] on `movies_qxi_8k` by
-/// at least this factor, or the `plan` mode exits non-zero.
-pub const VECTORISED_MIN_SPEEDUP: f64 = 1.2;
+/// The executor gate the harness enforces: the compiled executor must
+/// beat [`ROW_AT_A_TIME_MOVIES_MS`] on `movies_qxi_8k` by at least this
+/// factor, or the `plan` mode exits non-zero.
+pub const EXECUTOR_MIN_SPEEDUP: f64 = 1.2;
 
 /// Measure [`GuardOverhead`] on `movies_qxi_8k`.  Both configurations
 /// are run in alternating rounds and the best batch per configuration is

@@ -547,40 +547,14 @@ impl InternedAccessIndex {
         let keys = held.map(|s| (0..s.len()).map(move |i| &s.keys[i * k..][..k]));
         keys.into_iter().flatten()
     }
-
-    /// Vectorised probe: look up a whole batch of keys (`n_keys` keys stored
-    /// contiguously in `keys_flat`, each of `keys_flat.len() / n_keys` ids)
-    /// and append every matching `X ∪ Y` row to `out`, recording each probe
-    /// in `stats` exactly as `n_keys` successive [`InternedAccessIndex::probe`]
-    /// calls would — one `fetch_call` per key (also for `X = ∅`, whose every
-    /// key is the empty one), one fetched tuple per matching row, in batch
-    /// order.  Returns the number of rows appended.
-    pub fn probe_batch(
-        &self,
-        keys_flat: &[ValueId],
-        n_keys: usize,
-        out: &mut Vec<ValueId>,
-        stats: &mut FetchStats,
-    ) -> usize {
-        let before = out.len();
-        let key_len = keys_flat.len().checked_div(n_keys).unwrap_or(0);
-        debug_assert_eq!(keys_flat.len(), key_len * n_keys);
-        for i in 0..n_keys {
-            let rows = self.probe(&keys_flat[i * key_len..(i + 1) * key_len]);
-            stats.record_fetch(rows.len() / self.arity);
-            out.extend_from_slice(rows);
-        }
-        (out.len() - before) / self.arity
-    }
 }
 
 /// A database together with the indices of an access schema.  This is the
 /// runtime object bounded query plans execute against: views are cached
 /// separately (see `bqr-plan`), and base data is reachable *only* through
 /// the constraint indexes: [`IndexedDatabase::index`], whose
-/// [`probe`](InternedAccessIndex::probe) and
-/// [`probe_batch`](InternedAccessIndex::probe_batch) the executor calls, and
-/// the `Value` form [`IndexedDatabase::fetch`].
+/// [`probe`](InternedAccessIndex::probe) the executor's fetch calls once per
+/// distinct key, and the `Value` form [`IndexedDatabase::fetch`].
 #[derive(Debug, Clone)]
 pub struct IndexedDatabase {
     db: Database,
@@ -868,60 +842,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_probe_matches_scalar_probes_to_the_tuple() {
-        let (db, access) = movie_db();
-        let idb = IndexedDatabase::build(db, access).unwrap();
-        let keys: Vec<Vec<ValueId>> = [
-            [Value::str("Universal"), Value::str("2014")],
-            [Value::str("MGM"), Value::str("1950")],
-            [Value::str("WB"), Value::str("2013")],
-        ]
-        .iter()
-        .map(|k| intern_key(k))
-        .collect();
-
-        // Scalar reference: one probe per key, concatenated.
-        let index = idb.index(0).unwrap();
-        let mut scalar_out = Vec::new();
-        let mut scalar_stats = FetchStats::new();
-        for key in &keys {
-            let rows = index.probe(key);
-            scalar_stats.record_fetch(rows.len() / index.arity());
-            scalar_out.extend_from_slice(rows);
-        }
-
-        let flat: Vec<ValueId> = keys.iter().flatten().copied().collect();
-        let mut batch_out = Vec::new();
-        let mut batch_stats = FetchStats::new();
-        let appended = index.probe_batch(&flat, keys.len(), &mut batch_out, &mut batch_stats);
-        assert_eq!(index.arity(), 3);
-        assert_eq!(appended * index.arity(), batch_out.len());
-        assert_eq!(batch_out, scalar_out);
-        assert_eq!(batch_stats, scalar_stats);
-        assert_eq!(batch_stats.fetch_calls, 3, "absent keys still count");
-
-        // Empty batch: no rows, no probes.
-        let mut empty_stats = FetchStats::new();
-        let none = index.probe_batch(&[], 0, &mut Vec::new(), &mut empty_stats);
-        assert_eq!(none, 0);
-        assert_eq!(empty_stats, FetchStats::new());
-    }
-
-    #[test]
-    fn batch_probe_with_empty_key_arity() {
+    fn probe_with_empty_key_arity() {
         let schema = DatabaseSchema::with_relations(&[("r01", &["a"])]).unwrap();
         let mut db = Database::empty(schema);
         db.insert("r01", tuple![0]).unwrap();
         db.insert("r01", tuple![1]).unwrap();
         let access = AccessSchema::new(vec![AccessConstraint::new("r01", &[], &["a"], 2).unwrap()]);
         let idb = IndexedDatabase::build(db, access).unwrap();
-        let mut out = Vec::new();
-        let mut stats = FetchStats::new();
         let index = idb.index(0).unwrap();
-        let rows = index.probe_batch(&[], 1, &mut out, &mut stats);
-        assert_eq!((rows, index.arity()), (2, 1));
-        assert_eq!(stats.fetch_calls, 1);
-        assert_eq!(stats.fetched_tuples, 2);
+        // X = ∅: the one key is the empty one, and it holds every row.
+        assert_eq!((index.probe(&[]).len(), index.arity()), (2, 1));
+        assert_eq!(index.probe_len(&[]), 2);
+        let mut stats = FetchStats::new();
+        assert_eq!(idb.fetch(0, &[], &mut stats).unwrap().len(), 2);
+        assert_eq!((stats.fetch_calls, stats.fetched_tuples), (1, 2));
         assert_eq!((index.total_rows(), index.distinct_keys()), (2, 1));
     }
 

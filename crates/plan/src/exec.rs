@@ -11,8 +11,9 @@
 //!
 //! [`execute`] compiles the plan tree into a flat [`Pipeline`] of operators
 //! (fetch, view scan, view probe, hash join, select, project, product,
-//! union, difference, dedup) and evaluates them in dependency order over
-//! columns of dense [`ValueId`]s:
+//! union, difference), one per plan node — a rename compiles to nothing and
+//! a σ-over-× join to one join operator — and evaluates them in dependency
+//! order over columns of dense [`ValueId`]s:
 //!
 //! * a view extent under an equi-join is never read whole: the other
 //!   operand's rows probe the keyed index the extent itself holds on the
@@ -64,20 +65,17 @@
 //! loop, index-free) implement exactly these semantics and
 //! `tests/exec_diff.rs` holds them equal on randomized plans.
 //!
-//! # Vectorised kernels
+//! # Operator loops
 //!
-//! The hot operators — selection, view filtering and probing, projection,
-//! hash-join build/probe, fetch probing, dedup — run as batch kernels
-//! (the crate-private `kernel` module, `BATCH_ROWS` = 1024 rows at a time)
-//! with selection-vector passing: a filter never copies a row until every
-//! condition has voted, probes hash bare `ValueId`s for single-column join
-//! keys, and guard checks/row-budget charges happen once per batch (the
-//! same cadence as the former per-row checkpoint mask, preserving PR 6's
-//! pre-charge semantics and overhead gate).
-//!
-//! Every operator runs its kernels in one loop on the calling thread: a
-//! bounded plan reads `|D_ξ|` tuples, a number set by the access schema and
-//! the plan rather than by `|D|`, so no operator has enough rows to split.
+//! Every operator is one loop over its whole input on the calling thread:
+//! a bounded plan reads `|D_ξ|` tuples, a number set by the access schema
+//! and the plan rather than by `|D|`, so no operator has enough rows to
+//! batch or split.  Every [`CHECK_INTERVAL`] input rows the loop checks the
+//! guard and charges the rows (and fetched tuples) it emitted since the
+//! last charge, and it charges the rest at its end.  A σ condition is
+//! evaluated by `IdCond::holds` and nothing else.  π and ∪ sort and dedup
+//! their output, so every intermediate table is set-like, as the
+//! interpreter's `BTreeSet`s are; a fetch dedups its keys across rows.
 //! [`execute_with`] takes [`ExecOptions`], the runtime limits.
 //!
 //! The original tree-walking interpreter (`BTreeSet<Tuple>` at every node)
@@ -85,15 +83,14 @@
 //! differential tests and the baseline of the plan benchmarks.
 
 use crate::error::PlanError;
-use crate::guard::{Guard, GuardLimits};
-use crate::kernel;
+use crate::guard::{Guard, GuardLimits, CHECK_INTERVAL};
 use crate::node::{PlanNode, QueryPlan, SelectCondition};
 use crate::Result;
 use bqr_data::{
     AccessConstraint, FetchStats, IndexedDatabase, InternedAccessIndex, MaterializedViews,
     Relation, Tuple, ValueId,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -237,10 +234,6 @@ enum Op {
     /// Scan of a cached view extent, copying its stored id rows; `extent`
     /// is a slot of [`CompiledShape::views`], bound per execution.
     ViewScan { extent: usize },
-    /// Selection fused directly over a view extent: filters a flat copy of
-    /// the extent's id rows without building the unfiltered scan's table
-    /// first.
-    ViewFilter { extent: usize, conds: Vec<IdCond> },
     /// `fetch(X ∈ input, R, Y)` through the id-native constraint index;
     /// `constraint` is a slot of [`CompiledShape::constraints`], bound per
     /// execution to that constraint's index in the database executed on.
@@ -249,7 +242,7 @@ enum Op {
         constraint: usize,
         key_cols: Vec<usize>,
     },
-    /// Projection onto columns.
+    /// Projection onto columns, deduplicated.
     Project { input: usize, cols: Vec<usize> },
     /// Selection by a conjunction of conditions.
     Select { input: usize, conds: Vec<IdCond> },
@@ -265,21 +258,18 @@ enum Op {
     },
     /// Cartesian product.
     Product { left: usize, right: usize },
-    /// Concatenation (set union once deduplicated).
+    /// Set union: concatenation, deduplicated.
     Union { left: usize, right: usize },
     /// Set difference.
     Difference { left: usize, right: usize },
-    /// Sort + dedup, inserted after duplicate-introducing operators so every
-    /// intermediate table stays set-like (matching the interpreter's
-    /// `BTreeSet` semantics without its per-tuple cost).
-    Dedup { input: usize },
 }
 
 /// [`Op::ViewProbe`], the σ-over-× pattern with a view leaf as an operand:
 /// every row of `input` probes the extent's own keyed index on the joined
 /// view columns — a hash join's build side, kept across executions and
 /// versions.  `pairs`, `residual` and the `left ++ right` output are as for
-/// [`Op::HashJoin`]; the view is the left operand iff `view_left`.
+/// [`Op::HashJoin`]; the view is the left operand iff `view_left`.  The
+/// key layout is a function of `pairs` alone, computed at compile time.
 #[derive(Debug)]
 struct ViewProbe {
     input: usize,
@@ -287,6 +277,48 @@ struct ViewProbe {
     pairs: Vec<(usize, usize)>,
     view_left: bool,
     residual: Vec<IdCond>,
+    /// The probed index's key positions in the view: one per distinct
+    /// joined view column, ascending, so every join on the same columns
+    /// shares one index.
+    positions: Vec<usize>,
+    /// The input column each key position is read from.
+    key_cols: Vec<usize>,
+    /// Input column pairs that must agree, or the row has no match: a
+    /// further input column equated with an already keyed view column,
+    /// beside that key's input column.
+    agree: Vec<(usize, usize)>,
+}
+
+impl ViewProbe {
+    fn new(
+        input: usize,
+        extent: usize,
+        pairs: Vec<(usize, usize)>,
+        view_left: bool,
+        residual: Vec<IdCond>,
+    ) -> Self {
+        let mut keys: Vec<(usize, usize)> = Vec::new();
+        let mut agree = Vec::new();
+        for &(l, r) in &pairs {
+            let (v, c) = if view_left { (l, r) } else { (r, l) };
+            match keys.iter().find(|k| k.0 == v) {
+                Some(&(_, first)) => agree.push((first, c)),
+                None => keys.push((v, c)),
+            }
+        }
+        keys.sort_unstable();
+        let (positions, key_cols) = keys.into_iter().unzip();
+        ViewProbe {
+            input,
+            extent,
+            pairs,
+            view_left,
+            residual,
+            positions,
+            key_cols,
+            agree,
+        }
+    }
 }
 
 /// A plan *shape* compiled to a flat operator pipeline: plan syntax and
@@ -420,14 +452,6 @@ impl Pipeline {
             let line = match op {
                 Op::Const { arity, .. } => format!("const/{arity}"),
                 Op::ViewScan { extent: slot } => format!("view-scan {}", extent(*slot)),
-                Op::ViewFilter {
-                    extent: slot,
-                    conds,
-                } => format!(
-                    "view-filter {} σ[{}]",
-                    extent(*slot),
-                    describe_conds(conds, consts)
-                ),
                 Op::Fetch {
                     input,
                     constraint,
@@ -450,7 +474,6 @@ impl Pipeline {
                 Op::Product { left, right } => format!("× %{left} %{right}"),
                 Op::Union { left, right } => format!("∪ %{left} %{right}"),
                 Op::Difference { left, right } => format!("\\ %{left} %{right}"),
-                Op::Dedup { input } => format!("dedup %{input}"),
             };
             out.push_str(&format!("%{i} = {line}\n"));
         }
@@ -594,15 +617,6 @@ impl CompiledShape {
                     guard.charge_rows(extent.len())?;
                     IdTable::from_data(extent.schema().arity(), extent.len(), id_rows(extent))
                 }
-                Op::ViewFilter { extent, conds } => {
-                    let extent = bound.extents[*extent];
-                    // Pinned semantics: the full extent counts as read, then
-                    // the filter runs over its rows.
-                    stats.record_view_read(extent.len());
-                    let data = id_rows(extent);
-                    let rows = (extent.schema().arity(), extent.len(), &data[..]);
-                    eval_select(rows, conds, consts, guard)?
-                }
                 Op::Fetch {
                     input,
                     constraint,
@@ -615,11 +629,7 @@ impl CompiledShape {
                     guard,
                 )?,
                 Op::Project { input, cols } => eval_project(&tables[*input], cols, guard)?,
-                Op::Select { input, conds } => {
-                    let input = &tables[*input];
-                    let rows = (input.arity, input.rows, &input.data[..]);
-                    eval_select(rows, conds, consts, guard)?
-                }
+                Op::Select { input, conds } => eval_select(&tables[*input], conds, consts, guard)?,
                 Op::ViewProbe(probe) => eval_view_probe(
                     probe,
                     &tables[probe.input],
@@ -648,7 +658,6 @@ impl CompiledShape {
                 Op::Difference { left, right } => {
                     eval_difference(&tables[*left], &tables[*right], guard)?
                 }
-                Op::Dedup { input } => dedup_table(&tables[*input], guard)?,
             };
             tables.push(table);
             for &input in drops {
@@ -670,12 +679,11 @@ impl CompiledShape {
         for (i, op) in self.ops.iter().enumerate() {
             let mut mark = |input: usize| last[input] = i;
             match op {
-                Op::Const { .. } | Op::ViewScan { .. } | Op::ViewFilter { .. } => {}
+                Op::Const { .. } | Op::ViewScan { .. } => {}
                 Op::Fetch { input, .. }
                 | Op::Project { input, .. }
                 | Op::Select { input, .. }
-                | Op::ViewProbe(ViewProbe { input, .. })
-                | Op::Dedup { input } => mark(*input),
+                | Op::ViewProbe(ViewProbe { input, .. }) => mark(*input),
                 Op::HashJoin { left, right, .. }
                 | Op::Product { left, right }
                 | Op::Union { left, right }
@@ -722,13 +730,10 @@ impl CompiledShape {
                 constraint: slot_of(&mut self.constraints, constraint),
                 key_cols: key_columns.clone(),
             },
-            PlanNode::Project { input, columns } => {
-                let input = self.compile_node(input);
-                let cols = columns.clone();
-                let project = push(&mut self.ops, Op::Project { input, cols });
-                // Projection introduces duplicates; keep the table set-like.
-                Op::Dedup { input: project }
-            }
+            PlanNode::Project { input, columns } => Op::Project {
+                input: self.compile_node(input),
+                cols: columns.clone(),
+            },
             PlanNode::Select { input, conditions } => {
                 let mut conds: Vec<IdCond> = conditions
                     .iter()
@@ -757,13 +762,12 @@ impl CompiledShape {
                         let view_left = view_leaf(b).is_none();
                         let (view, other) = if view_left { (a, b) } else { (b, a) };
                         let join = match view_leaf(view) {
-                            Some((name, arity)) => Op::ViewProbe(ViewProbe {
-                                input: self.compile_node(other),
-                                extent: self.extent_slot(name, arity),
-                                pairs,
-                                view_left,
-                                residual: conds,
-                            }),
+                            Some((name, arity)) => {
+                                let input = self.compile_node(other);
+                                let extent = self.extent_slot(name, arity);
+                                let probe = ViewProbe::new(input, extent, pairs, view_left, conds);
+                                Op::ViewProbe(probe)
+                            }
                             None => Op::HashJoin {
                                 left: self.compile_node(a),
                                 right: self.compile_node(b),
@@ -774,19 +778,9 @@ impl CompiledShape {
                         return push(&mut self.ops, join);
                     }
                 }
-                // A selection directly over a view leaf fuses into one
-                // extent-filtering operator: no table of the unfiltered scan
-                // is built or charged.
-                if let PlanNode::View { name, arity } = input.as_ref() {
-                    Op::ViewFilter {
-                        extent: self.extent_slot(name, *arity),
-                        conds,
-                    }
-                } else {
-                    Op::Select {
-                        input: self.compile_node(input),
-                        conds,
-                    }
+                Op::Select {
+                    input: self.compile_node(input),
+                    conds,
                 }
             }
             PlanNode::Rename { input } => return self.compile_node(input),
@@ -794,12 +788,10 @@ impl CompiledShape {
                 left: self.compile_node(a),
                 right: self.compile_node(b),
             },
-            PlanNode::Union(a, b) => {
-                let left = self.compile_node(a);
-                let right = self.compile_node(b);
-                let union = push(&mut self.ops, Op::Union { left, right });
-                Op::Dedup { input: union }
-            }
+            PlanNode::Union(a, b) => Op::Union {
+                left: self.compile_node(a),
+                right: self.compile_node(b),
+            },
             PlanNode::Difference(a, b) => Op::Difference {
                 left: self.compile_node(a),
                 right: self.compile_node(b),
@@ -864,8 +856,48 @@ impl IdTable {
     }
 }
 
+/// An operator loop's guard cadence: at every [`CHECK_INTERVAL`]-th input
+/// row a check and a charge of the output rows emitted since the last
+/// charge, and at the end ([`Meter::charge`]) a charge of the rest.
+struct Meter<'g> {
+    guard: &'g Guard,
+    /// The output's arity, at least 1: a nullary output has no ids to count.
+    width: usize,
+    /// The output ids charged so far.
+    charged: usize,
+}
+
+impl<'g> Meter<'g> {
+    fn new(guard: &'g Guard, arity: usize) -> Self {
+        Meter {
+            guard,
+            width: arity.max(1),
+            charged: 0,
+        }
+    }
+
+    /// At input row `i`, with `out` the operator's output so far.
+    fn tick(&mut self, i: usize, out: &[ValueId]) -> Result<()> {
+        if i.is_multiple_of(CHECK_INTERVAL) {
+            self.guard.check()?;
+            self.charge(out)?;
+        }
+        Ok(())
+    }
+
+    /// Charge the rows of `out` not charged yet.
+    fn charge(&mut self, out: &[ValueId]) -> Result<()> {
+        self.guard
+            .charge_rows((out.len() - self.charged) / self.width)?;
+        self.charged = out.len();
+        Ok(())
+    }
+}
+
 /// `fetch(X ∈ input, R, Y)` through `index`, the id-native index this
-/// execution bound the constraint to.
+/// execution bound the constraint to.  Each distinct `X`-value is probed,
+/// and counted, once — at its first row, as the interpreter does; a
+/// single-column key is deduplicated through a bare-id set.
 fn eval_fetch(
     input: &IdTable,
     index: &InternedAccessIndex,
@@ -874,101 +906,52 @@ fn eval_fetch(
     guard: &Guard,
 ) -> Result<IdTable> {
     let arity = index.arity();
-    // Global key dedup in first-seen order: each distinct X-value is fetched
-    // (and counted) exactly once, matching the interpreter.  Keys are kept
-    // flat (`n_keys · klen` ids) for the batch probes below; single-column
-    // keys dedup through a bare-id set, never hashing a slice.
-    let klen = key_cols.len();
-    let mut keys_flat: Vec<ValueId> = Vec::new();
-    let n_keys = if klen == 0 {
-        // X = ∅: the one key is the empty tuple (when any input row exists).
-        usize::from(input.rows > 0)
-    } else if klen == 1 {
-        let c = key_cols[0];
-        let mut seen: HashSet<ValueId> = HashSet::new();
-        let mut i = 0;
-        while i < input.rows {
-            guard.check()?;
-            let end = (i + kernel::BATCH_ROWS).min(input.rows);
-            while i < end {
-                let k = input.data[i * input.arity + c];
-                if seen.insert(k) {
-                    keys_flat.push(k);
-                }
-                i += 1;
-            }
+    let mut meter = Meter::new(guard, arity);
+    let mut charged = stats.fetched_tuples;
+    let (mut single, mut seen) = (HashSet::new(), HashSet::new());
+    let (mut key, mut data) = (Vec::with_capacity(key_cols.len()), Vec::new());
+    for i in 0..input.rows {
+        if i.is_multiple_of(CHECK_INTERVAL) {
+            // The runtime re-check of the paper's bound, on the tuples
+            // actually pulled out of base data.
+            guard.charge_fetched(stats.fetched_tuples - charged)?;
+            charged = stats.fetched_tuples;
         }
-        keys_flat.len()
-    } else {
-        let mut seen: HashSet<Vec<ValueId>> = HashSet::new();
-        let mut key: Vec<ValueId> = Vec::with_capacity(klen);
-        let mut i = 0;
-        while i < input.rows {
-            guard.check()?;
-            let end = (i + kernel::BATCH_ROWS).min(input.rows);
-            while i < end {
-                let row = input.row(i);
-                key.clear();
-                key.extend(key_cols.iter().map(|&c| row[c]));
-                if !seen.contains(&key) {
-                    seen.insert(key.clone());
-                    keys_flat.extend_from_slice(&key);
-                }
-                i += 1;
-            }
+        meter.tick(i, &data)?;
+        let row = input.row(i);
+        key.clear();
+        key.extend(key_cols.iter().map(|&c| row[c]));
+        let fresh = match key[..] {
+            [id] => single.insert(id),
+            _ => !seen.contains(&key) && seen.insert(key.clone()),
+        };
+        if fresh {
+            let rows = index.probe(&key);
+            stats.record_fetch(rows.len() / arity);
+            data.extend_from_slice(rows);
         }
-        keys_flat.len() / klen
-    };
-    let mut data = Vec::new();
-    let mut start = 0;
-    while start < n_keys {
-        guard.check()?;
-        let end = (start + kernel::BATCH_ROWS).min(n_keys);
-        let before = stats.fetched_tuples;
-        // One batch probe per BATCH_ROWS keys: the index extends `data`
-        // directly and records each probe's |D_ξ| into `stats`, exactly as
-        // the scalar path did per key.
-        index.probe_batch(
-            &keys_flat[start * klen..end * klen],
-            end - start,
-            &mut data,
-            stats,
-        );
-        // The runtime re-check of the paper's bound, charged per batch on
-        // the tuples actually pulled out of base data.
-        guard.charge_fetched(stats.fetched_tuples - before)?;
-        start = end;
     }
-    guard.charge_rows(data.len() / arity.max(1))?;
+    guard.charge_fetched(stats.fetched_tuples - charged)?;
+    meter.charge(&data)?;
     Ok(IdTable::from_data(arity, 0, data))
 }
 
+/// π onto `cols`, deduplicated: charged as a projection of every row, then
+/// as the dedup's survivors.
 fn eval_project(input: &IdTable, cols: &[usize], guard: &Guard) -> Result<IdTable> {
     let arity = cols.len();
     if arity == 0 {
         guard.charge_rows(input.rows)?;
-        return Ok(IdTable {
-            arity: 0,
-            rows: input.rows,
-            data: Vec::new(),
-        });
+        return Ok(IdTable::from_data(0, input.rows.min(1), Vec::new()));
     }
-    let in_arity = input.arity;
+    let mut meter = Meter::new(guard, arity);
     let mut data = Vec::with_capacity(input.rows * arity);
-    let mut start = 0;
-    while start < input.rows {
-        guard.check()?;
-        let end = (start + kernel::BATCH_ROWS).min(input.rows);
-        guard.charge_rows(end - start)?;
-        kernel::project(
-            &input.data[start * in_arity..end * in_arity],
-            in_arity,
-            cols,
-            &mut data,
-        );
-        start = end;
+    for (i, row) in input.data.chunks_exact(input.arity).enumerate() {
+        meter.tick(i, &data)?;
+        data.extend(cols.iter().map(|&c| row[c]));
     }
-    Ok(IdTable::from_data(arity, 0, data))
+    meter.charge(&data)?;
+    dedup(data, arity, guard)
 }
 
 /// A relation's stored id rows, copied flat and row-major.
@@ -980,34 +963,29 @@ fn id_rows(relation: &Relation) -> Vec<ValueId> {
     data
 }
 
-/// Selection over `rows` rows of `arity` ids, flat and row-major — an
-/// intermediate table's, or (σ fused over a view leaf) an extent's rows
-/// copied flat, filtered in place of building the unfiltered scan first.
+/// σ: the rows of `input` on which every condition holds.
 fn eval_select(
-    (arity, rows, data): (usize, usize, &[ValueId]),
+    input: &IdTable,
     conds: &[IdCond],
     consts: &[ValueId],
     guard: &Guard,
 ) -> Result<IdTable> {
-    if arity == 0 {
+    if input.arity == 0 {
         // Conditions reference columns, so a nullary select has none and
         // passes everything through.
-        guard.charge_rows(rows)?;
-        return Ok(IdTable::from_data(0, rows, Vec::new()));
+        guard.charge_rows(input.rows)?;
+        return Ok(IdTable::from_data(0, input.rows, Vec::new()));
     }
-    let mut out = Vec::new();
-    let mut sel: Vec<u32> = Vec::with_capacity(kernel::BATCH_ROWS);
-    let mut start = 0;
-    while start < rows {
-        guard.check()?;
-        let end = (start + kernel::BATCH_ROWS).min(rows);
-        let batch = &data[start * arity..end * arity];
-        kernel::filter(conds, consts, batch, arity, end - start, &mut sel);
-        guard.charge_rows(sel.len())?;
-        kernel::gather(batch, arity, end - start, &sel, &mut out);
-        start = end;
+    let mut meter = Meter::new(guard, input.arity);
+    let mut data = Vec::new();
+    for (i, row) in input.data.chunks_exact(input.arity).enumerate() {
+        meter.tick(i, &data)?;
+        if conds.iter().all(|c| c.holds(row, consts)) {
+            data.extend_from_slice(row);
+        }
     }
-    Ok(IdTable::from_data(arity, 0, out))
+    meter.charge(&data)?;
+    Ok(IdTable::from_data(input.arity, 0, data))
 }
 
 /// The probe phase of an equi-join, whatever holds the build side: `lookup`
@@ -1022,33 +1000,27 @@ fn probe_phase<'a, M: Iterator<Item = &'a [ValueId]>>(
     lookup: impl Fn(&[ValueId], &mut Vec<ValueId>) -> M,
 ) -> Result<(IdTable, usize)> {
     let out_arity = probe.arity + build_arity;
+    let mut meter = Meter::new(guard, out_arity);
     let (mut data, mut matches) = (Vec::new(), 0);
     let mut key: Vec<ValueId> = Vec::new();
-    let mut start = 0;
-    while start < probe.rows {
-        guard.check()?;
-        let end = (start + kernel::BATCH_ROWS).min(probe.rows);
-        let before = data.len();
-        for i in start..end {
-            let row = probe.row(i);
-            for build_row in lookup(row, &mut key) {
-                matches += 1;
-                let (l_row, r_row) = match probe_left {
-                    true => (row, build_row),
-                    false => (build_row, row),
-                };
-                // Residual conditions roll back the append.
-                let at = data.len();
-                data.extend_from_slice(l_row);
-                data.extend_from_slice(r_row);
-                if !residual.iter().all(|c| c.holds(&data[at..], consts)) {
-                    data.truncate(at);
-                }
+    for (i, row) in probe.data.chunks_exact(probe.arity).enumerate() {
+        meter.tick(i, &data)?;
+        for build_row in lookup(row, &mut key) {
+            matches += 1;
+            let (l_row, r_row) = match probe_left {
+                true => (row, build_row),
+                false => (build_row, row),
+            };
+            // Residual conditions roll back the append.
+            let at = data.len();
+            data.extend_from_slice(l_row);
+            data.extend_from_slice(r_row);
+            if !residual.iter().all(|c| c.holds(&data[at..], consts)) {
+                data.truncate(at);
             }
         }
-        guard.charge_rows((data.len() - before) / out_arity)?;
-        start = end;
     }
+    meter.charge(&data)?;
     Ok((IdTable::from_data(out_arity, 0, data), matches))
 }
 
@@ -1063,28 +1035,14 @@ fn eval_view_probe(
     guard: &Guard,
 ) -> Result<IdTable> {
     let view_arity = extent.schema().arity();
-    // One key position per distinct view column, ascending, so every join on
-    // the same columns shares one index; a further input column equated with
-    // the same view column must agree with the first, or the row has no match.
-    let mut key_cols: Vec<(usize, usize)> = Vec::new();
-    let mut agree: Vec<(usize, usize)> = Vec::new();
-    for &(l, r) in &probe.pairs {
-        let (v, c) = if probe.view_left { (l, r) } else { (r, l) };
-        match key_cols.iter().find(|k| k.0 == v) {
-            Some(&(_, first)) => agree.push((first, c)),
-            None => key_cols.push((v, c)),
-        }
-    }
-    key_cols.sort_unstable();
-    let positions: Vec<usize> = key_cols.iter().map(|k| k.0).collect();
-    let index = extent.keyed_index(&positions)?;
+    let index = extent.keyed_index(&probe.positions)?;
     let sides = (view_arity, !probe.view_left);
     let conds = (&probe.residual[..], consts);
     let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
         let mut group: &[ValueId] = &[];
-        if agree.iter().all(|&(a, b)| row[a] == row[b]) {
+        if probe.agree.iter().all(|&(a, b)| row[a] == row[b]) {
             key.clear();
-            key.extend(key_cols.iter().map(|&(_, c)| row[c]));
+            key.extend(probe.key_cols.iter().map(|&c| row[c]));
             group = index.probe(key);
         }
         group.chunks_exact(view_arity)
@@ -1092,6 +1050,49 @@ fn eval_view_probe(
     let (table, read) = probe_phase(input, sides, conds, guard, lookup)?;
     stats.record_view_read(read);
     Ok(table)
+}
+
+/// The build side of a hash join: join key → build-row indices.  A
+/// single-column key, the key of every hash join of the CDR templates, is
+/// a bare id; only a wider key pays for a key vector per row.
+enum JoinTable {
+    Single(HashMap<ValueId, Vec<u32>>),
+    Multi(HashMap<Vec<ValueId>, Vec<u32>>),
+}
+
+impl JoinTable {
+    fn build(table: &IdTable, key_cols: &[usize], guard: &Guard) -> Result<JoinTable> {
+        let (mut single, mut multi) = (HashMap::new(), HashMap::new());
+        for i in 0..table.rows {
+            guard.checkpoint(i)?;
+            let row = table.row(i);
+            match *key_cols {
+                [col] => single.entry(row[col]).or_insert_with(Vec::new),
+                _ => multi
+                    .entry(key_cols.iter().map(|&c| row[c]).collect())
+                    .or_insert_with(Vec::new),
+            }
+            .push(i as u32);
+        }
+        Ok(match *key_cols {
+            [_] => JoinTable::Single(single),
+            _ => JoinTable::Multi(multi),
+        })
+    }
+
+    /// The build rows whose key is `row`'s at `cols`; a multi-column key is
+    /// gathered into `key`.
+    fn get(&self, row: &[ValueId], cols: &[usize], key: &mut Vec<ValueId>) -> &[u32] {
+        let rows = match self {
+            JoinTable::Single(map) => map.get(&row[cols[0]]),
+            JoinTable::Multi(map) => {
+                key.clear();
+                key.extend(cols.iter().map(|&c| row[c]));
+                map.get(key)
+            }
+        };
+        rows.map_or(&[], Vec::as_slice)
+    }
 }
 
 fn eval_hash_join(
@@ -1115,20 +1116,10 @@ fn eval_hash_join(
     };
     let cols = |&(l, r): &(usize, usize)| if build_left { (l, r) } else { (r, l) };
     let (build_cols, probe_cols): (Vec<usize>, Vec<usize>) = pairs.iter().map(cols).unzip();
-    let table = kernel::JoinTable::build(&build.data, build.arity, build.rows, &build_cols, guard)?;
+    let table = JoinTable::build(build, &build_cols, guard)?;
     let sides = (build.arity, !build_left);
     let lookup = |row: &[ValueId], key: &mut Vec<ValueId>| {
-        let matches = match &table {
-            // Single-column key: probe the map with a bare id — no key
-            // vector, the dominant join shape.
-            kernel::JoinTable::Single(map) => map.get(&row[probe_cols[0]]),
-            kernel::JoinTable::Multi(map) => {
-                key.clear();
-                key.extend(probe_cols.iter().map(|&c| row[c]));
-                map.get(key)
-            }
-        };
-        let matches = matches.into_iter().flatten();
+        let matches = table.get(row, &probe_cols, key).iter();
         matches.map(|&b| build.row(b as usize))
     };
     let conds = (residual, consts);
@@ -1167,12 +1158,18 @@ fn eval_product(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdTabl
     Ok(IdTable::from_data(out_arity, out_rows, data))
 }
 
+/// ∪, deduplicated: charged as the concatenation of both inputs, then as
+/// the dedup's survivors.
 fn eval_union(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdTable> {
-    guard.check()?;
-    guard.charge_rows(left.rows + right.rows)?;
-    let mut data = left.data.clone();
+    let rows = left.rows + right.rows;
+    guard.charge_rows(rows)?;
+    if left.arity == 0 {
+        return Ok(IdTable::from_data(0, rows.min(1), Vec::new()));
+    }
+    let mut data = Vec::with_capacity(left.data.len() + right.data.len());
+    data.extend_from_slice(&left.data);
     data.extend_from_slice(&right.data);
-    Ok(IdTable::from_data(left.arity, left.rows + right.rows, data))
+    dedup(data, left.arity, guard)
 }
 
 fn eval_difference(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdTable> {
@@ -1184,33 +1181,37 @@ fn eval_difference(left: &IdTable, right: &IdTable, guard: &Guard) -> Result<IdT
         });
     }
     let exclude: HashSet<&[ValueId]> = (0..right.rows).map(|i| right.row(i)).collect();
+    let mut meter = Meter::new(guard, left.arity);
     let mut data = Vec::new();
-    for i in 0..left.rows {
-        guard.checkpoint(i)?;
-        let row = left.row(i);
+    for (i, row) in left.data.chunks_exact(left.arity).enumerate() {
+        meter.tick(i, &data)?;
         if !exclude.contains(row) {
             data.extend_from_slice(row);
         }
     }
-    guard.charge_rows(data.len() / left.arity)?;
+    meter.charge(&data)?;
     Ok(IdTable::from_data(left.arity, 0, data))
 }
 
-/// Sort + dedup a table's rows (lexicographic on ids).  Intermediate order
-/// is only an engine-internal detail — the root materialisation re-sorts by
-/// `Value` — but it is deterministic.
-fn dedup_table(input: &IdTable, guard: &Guard) -> Result<IdTable> {
-    guard.check()?;
-    if input.arity == 0 {
-        return Ok(IdTable {
-            arity: 0,
-            rows: input.rows.min(1),
-            data: Vec::new(),
-        });
+/// Sort and dedup the rows of `data`, `arity ≥ 1` ids each (lexicographic
+/// on ids), charging the rows that remain.  Intermediate order is only an
+/// engine-internal detail — the root materialisation re-sorts by `Value` —
+/// but it is deterministic.  Arity-1 rows, as `Q_ξ`'s are, sort as bare
+/// ids, with no per-row slice.
+fn dedup(mut data: Vec<ValueId>, arity: usize, guard: &Guard) -> Result<IdTable> {
+    if arity == 1 {
+        data.sort_unstable();
+        data.dedup();
+    } else {
+        data = {
+            let mut rows: Vec<&[ValueId]> = data.chunks_exact(arity).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows.concat()
+        };
     }
-    let data = kernel::dedup(input.data.clone(), input.arity);
-    guard.charge_rows(data.len() / input.arity)?;
-    Ok(IdTable::from_data(input.arity, 0, data))
+    guard.charge_rows(data.len() / arity)?;
+    Ok(IdTable::from_data(arity, 0, data))
 }
 
 /// Resolve the root table back to sorted, duplicate-free `Tuple`s — the only
@@ -1581,35 +1582,33 @@ mod tests {
         }
     }
 
-    /// σ directly over a view leaf fuses into one extent-filtering
-    /// operator (no intermediate scan), with unchanged semantics and the
-    /// pinned view-read accounting.
+    /// σ over a view leaf is a selection over the leaf's scan, one
+    /// operator per plan node, with the pinned view-read accounting; the
+    /// scan charges the extent rows it copies, so a row budget between the
+    /// survivors and the extent's size trips.
     #[test]
-    fn select_over_view_fuses_into_view_filter() {
+    fn select_over_view_scans_then_selects() {
         let (idb, cache) = setup();
         let plan = Plan::view("V1", 1).select_eq_const(0, 10).build().unwrap();
         let pipeline = Pipeline::compile(&plan, &idb, &cache).unwrap();
         let text = pipeline.describe();
-        assert!(text.contains("view-filter V1"), "{text}");
-        assert!(!text.contains("view-scan"), "{text}");
-        assert_eq!(pipeline.len(), 1, "one fused operator");
+        assert!(text.contains("%0 = view-scan V1 [2 rows]"), "{text}");
+        assert!(text.contains("%1 = σ[#0 = id:"), "{text}");
+        assert_eq!(pipeline.len(), plan.size(), "one operator per plan node");
         let out = pipeline.execute(&idb, &ExecOptions::default()).unwrap();
-        let interpreted = reference::execute(&plan, &idb, &cache).unwrap();
-        assert_eq!(out, interpreted);
+        assert_eq!(out, reference::execute(&plan, &idb, &cache).unwrap());
         assert_eq!(out.tuples, vec![tuple![10]]);
-        // A rename in between blocks the fusion (matching the interpreter's
-        // node-by-node evaluation structure).
-        let unfused = Plan::view("V1", 1)
-            .rename()
-            .select_eq_const(0, 10)
-            .build()
-            .unwrap();
-        let pipeline = Pipeline::compile(&unfused, &idb, &cache).unwrap();
-        assert!(pipeline.describe().contains("view-scan V1"));
-        assert_eq!(
-            pipeline.execute(&idb, &ExecOptions::default()).unwrap(),
-            interpreted
-        );
+        assert_eq!(out.stats.view_tuples, 2, "the whole extent is read");
+
+        let survivors = ExecOptions::default().with_row_budget(1);
+        assert!(matches!(
+            pipeline.execute(&idb, &survivors),
+            Err(PlanError::Exec(crate::ExecError::MemoryBudgetExceeded {
+                budget_rows: 1
+            }))
+        ));
+        let extent_and_survivors = ExecOptions::default().with_row_budget(3);
+        assert_eq!(pipeline.execute(&idb, &extent_and_survivors).unwrap(), out);
     }
 
     #[test]
@@ -1741,7 +1740,7 @@ mod tests {
             };
             let scan = Plan::view(view, arity).build().unwrap();
             let filter = Plan::view(view, arity).select(conds).build().unwrap();
-            for (plan, op) in [(scan, "view-scan"), (filter, "view-filter")] {
+            for (plan, op) in [(scan, "view-scan"), (filter, "σ[")] {
                 let pipeline = Pipeline::compile(&plan, &idb, &views).unwrap();
                 assert!(pipeline.describe().contains(op), "{}", pipeline.describe());
                 let out = pipeline.execute(&idb, &ExecOptions::default()).unwrap();
@@ -1808,9 +1807,60 @@ mod tests {
         );
     }
 
-    /// An input that spans several kernel batches (3 000 rows, a fan-in
-    /// join well past `BATCH_ROWS`) executes to the reference's answer and
-    /// `FetchStats`.
+    fn ids(vals: &[i64]) -> Vec<ValueId> {
+        vals.iter()
+            .map(|&v| ValueId::intern(&Value::int(v)))
+            .collect()
+    }
+
+    #[test]
+    fn join_table_single_key_specialisation_agrees_with_multi() {
+        let guard = Guard::new(&GuardLimits::none());
+        let table = IdTable::from_data(2, 0, ids(&[1, 10, 2, 20, 1, 30]));
+        let single = JoinTable::build(&table, &[0], &guard).unwrap();
+        assert!(matches!(&single, JoinTable::Single(map) if map.len() == 2));
+        let multi = JoinTable::build(&table, &[0, 1], &guard).unwrap();
+        assert!(matches!(&multi, JoinTable::Multi(map) if map.len() == 3));
+        let mut key = Vec::new();
+        let mut get = |table: &JoinTable, row: &[i64], cols: &[usize]| {
+            table.get(&ids(row), cols, &mut key).to_vec()
+        };
+        assert_eq!(
+            get(&single, &[1, 0], &[0]),
+            [0, 2],
+            "build rows in input order"
+        );
+        assert_eq!(get(&single, &[0, 2], &[1]), [1]);
+        assert_eq!(get(&single, &[3], &[0]), [] as [u32; 0]);
+        assert_eq!(get(&multi, &[1, 30], &[0, 1]), [2]);
+        assert_eq!(get(&multi, &[10, 1], &[1, 0]), [0]);
+        assert_eq!(get(&multi, &[1, 20], &[0, 1]), [] as [u32; 0]);
+    }
+
+    #[test]
+    fn dedup_arity_one_fast_path_matches_slice_path() {
+        let guard = Guard::new(&GuardLimits::none());
+        let vals: Vec<i64> = (0..5000).map(|i| i % 97).collect();
+        let narrow = dedup(ids(&vals), 1, &guard).unwrap();
+        // The same ids as rows of arity 2 (each id beside itself) take the
+        // slice path and must come out in the same order.
+        let pairs: Vec<i64> = vals.iter().flat_map(|&v| [v, v]).collect();
+        let wide = dedup(ids(&pairs), 2, &guard).unwrap();
+        assert_eq!((narrow.rows, wide.rows), (97, 97));
+        let first: Vec<ValueId> = (0..97).map(|i| wide.row(i)[0]).collect();
+        assert_eq!(narrow.data, first);
+        assert_eq!(
+            dedup(ids(&[3, 4, 1, 2, 3, 4, 1, 2]), 2, &guard)
+                .unwrap()
+                .rows,
+            2
+        );
+        assert_eq!(dedup(Vec::new(), 2, &guard).unwrap().rows, 0);
+    }
+
+    /// An input that spans several guard intervals (3 000 rows, a fan-in
+    /// join well past `CHECK_INTERVAL`) executes to the reference's answer
+    /// and `FetchStats`.
     #[test]
     fn multi_batch_execution_matches_the_reference() {
         let schema = DatabaseSchema::with_relations(&[("edge", &["src", "dst"])]).unwrap();
@@ -1824,18 +1874,14 @@ mod tests {
         let e = RelationSchema::new("E", &["c0", "c1"]).unwrap();
         cache.insert("E", Relation::from_tuples(e, edges).unwrap());
         let idb = IndexedDatabase::build(db, AccessSchema::empty()).unwrap();
-        // E ⋈ E on dst = src: 3000 probe rows, three kernel batches.
+        // E ⋈ E on dst = src: 3000 probe rows, three guard intervals.
         let plan = Plan::view("E", 2)
             .join_eq(Plan::view("E", 2), &[(1, 0)])
             .project(vec![0, 3])
             .build()
             .unwrap();
         let out = execute(&plan, &idb, &cache).unwrap();
-        assert!(
-            out.stats.view_tuples > kernel::BATCH_ROWS,
-            "{:?}",
-            out.stats
-        );
+        assert!(out.stats.view_tuples > CHECK_INTERVAL, "{:?}", out.stats);
         assert_eq!(out, reference::execute(&plan, &idb, &cache).unwrap());
     }
 }

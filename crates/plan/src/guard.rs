@@ -100,7 +100,7 @@ impl GuardLimits {
 ///
 /// Construction resolves the deadline once; `check()` only reads the clock
 /// when a deadline is actually set, and then on one call in `CLOCK_STRIDE`:
-/// checks are at most a batch of rows apart and deadlines are milliseconds,
+/// checks are at most [`CHECK_INTERVAL`] rows apart and deadlines are milliseconds,
 /// while clock reads were most of the guard's cost on a microsecond plan.
 #[derive(Debug)]
 pub struct Guard {
@@ -185,7 +185,7 @@ impl Guard {
     }
 
     /// Charge `n` intermediate rows against the memory budget.  Call once
-    /// per materialised batch, not per row.
+    /// per [`CHECK_INTERVAL`] rows of a loop and at its end, not per row.
     pub fn charge_rows(&self, n: usize) -> Result<(), ExecError> {
         let Some(budget) = self.max_rows else {
             return Ok(());

@@ -16,10 +16,10 @@
 //!   out), the prepared-execution cache key;
 //! * [`exec`] — executing a plan over an [`IndexedDatabase`](bqr_data::IndexedDatabase) plus
 //!   materialised views, with [`FetchStats`](bqr_data::FetchStats) accounting of `|D_ξ|`: plans are
-//!   compiled to a flat operator [`Pipeline`] over interned ids whose hot
-//!   operators run as vectorised batch kernels (selection vectors, batched
-//!   index probes, hash joins for the σ-over-× pattern) on the calling
-//!   thread, under the limits of [`ExecOptions`]; the original tree-walking
+//!   compiled to a flat [`Pipeline`] over interned ids, one operator per
+//!   plan node (a view probe or a hash join for the σ-over-× pattern), each
+//!   one loop over its input on the calling thread, under the limits of
+//!   [`ExecOptions`]; the original tree-walking
 //!   interpreter is retained as [`exec::reference`] for differential
 //!   testing;
 //! * [`prepared`] — the prepared-statement layer: a [`PipelineCache`] keyed
@@ -42,7 +42,6 @@ pub mod builder;
 pub mod error;
 pub mod exec;
 pub mod guard;
-mod kernel;
 pub mod node;
 pub mod prepared;
 

@@ -22,9 +22,8 @@
 //! * **Read coalescing**, with no window to wait out: a read that finds its
 //!   statement idle is executed at once; reads for the same prepared
 //!   statement that arrive while an execution of it is in flight or queued
-//!   share the next **one** pipeline execution — whose fetch operators
-//!   dedup probe keys and drive `InternedAccessIndex::probe_batch` in one
-//!   vectorised pass — and every request receives that execution's exact
+//!   share the next **one** pipeline execution — whose fetches probe each
+//!   distinct key once — and every request receives that execution's exact
 //!   tuples and [`FetchStats`](bqr_data::FetchStats), bit-identical to an
 //!   unbatched [`Session`](bqr_engine::Session) execution on the same
 //!   version.  Batches are size one when the server is idle and grow
@@ -570,6 +569,60 @@ mod tests {
         // read that finds it running joins its queue instead.
         server.mutate(|_db| Ok(())).unwrap();
         assert_eq!(server.stats().caller_flushes, 2, "calm again");
+    }
+
+    /// The queue map forgets the names the engine forgot: a thousand
+    /// fresh names, each prepared, served and forgotten, leave a handful of
+    /// queues behind, not a thousand; a live name keeps its queue.
+    #[test]
+    fn forgotten_statements_leave_no_read_queue_behind() {
+        let server = movie_server(workers(2));
+        server.prepare("fig1", Q_XI).unwrap();
+        let expected = server.execute("fig1").unwrap().output;
+        for i in 0..1_000 {
+            let name = format!("fresh{i}");
+            server.prepare(&name, Q_XI).unwrap();
+            let answer = match i % 2 {
+                0 => server.execute(&name),
+                _ => block_on(server.submit(&name)),
+            };
+            assert_eq!(answer.unwrap().output, expected);
+            assert!(server.engine().forget(&name));
+        }
+        // A sweep keeps `fig1` and the queues a flush job still holds (at
+        // most one per worker), and the map grows to twice that before the
+        // next one.
+        assert!(server.read_queues() <= 6, "{} queues", server.read_queues());
+        assert_eq!(server.execute("fig1").unwrap().output, expected);
+    }
+
+    /// A sweep of the queue map keeps a forgotten name's queue while it
+    /// holds a request, so teardown still fails that request with the
+    /// typed error (a dropped queue would abandon it instead).
+    #[test]
+    fn a_queue_holding_a_request_outlives_its_forgotten_name() {
+        let server = movie_server(workers(1));
+        server.prepare("gone", Q_XI).unwrap();
+        let (release, held) = hold_a_worker(&server);
+        let queued = server.submit("gone");
+        assert!(server.engine().forget("gone"));
+        let fresh: Vec<_> = (0..8)
+            .map(|i| {
+                let name = format!("fresh{i}");
+                server.prepare(&name, Q_XI).unwrap();
+                server.submit(&name)
+            })
+            .collect();
+        assert_eq!(server.read_queues(), 9, "every queue holds a request");
+        std::thread::scope(|scope| {
+            scope.spawn(move || drop(server));
+            assert_eq!(queued.wait(), Err(ServerError::ShuttingDown));
+            for pending in fresh {
+                assert_eq!(pending.wait(), Err(ServerError::ShuttingDown));
+            }
+            release.send(()).unwrap();
+        });
+        held.wait().unwrap();
     }
 
     #[test]

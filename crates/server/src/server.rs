@@ -119,6 +119,14 @@ struct ReadRequest {
 /// One statement name's coalescing queue.
 type Reads = Batcher<ReadRequest>;
 
+/// The read queues by statement name, and how many the map held after its
+/// last sweep ([`Inner::reads`]).
+#[derive(Default)]
+struct ReadQueues {
+    by_name: HashMap<String, Arc<Reads>>,
+    swept: usize,
+}
+
 type WriteOp = Box<dyn FnOnce(&mut Database) -> bqr_data::Result<()> + Send + 'static>;
 
 /// What is left of a write request once its closure went to the engine.
@@ -175,7 +183,7 @@ struct Inner {
     /// Each statement name's coalescing queue, created at the first
     /// admission of a read of it.  The statements themselves, and their
     /// prices, are the engine's.
-    reads: Mutex<HashMap<String, Arc<Reads>>>,
+    reads: Mutex<ReadQueues>,
     writes: Batcher<WriteRequest>,
     gate: Arc<Gate>,
     /// The sync arrivals' recent past, read by [`Inner::sync_start`]: the
@@ -193,10 +201,8 @@ struct Inner {
 /// is no window to wait out.  A read that finds its statement idle is
 /// executed at once; reads for the same prepared statement that arrive
 /// while an execution of it is in flight or queued are coalesced into
-/// **one** pipeline execution (whose fetch operators already dedup probe
-/// keys and drive [`bqr_data::InternedAccessIndex::probe_batch`] in one
-/// vectorised pass), and
-/// every coalesced request receives that execution's exact tuples and
+/// **one** pipeline execution (whose fetches probe each distinct key once),
+/// and every coalesced request receives that execution's exact tuples and
 /// `FetchStats`.  Writes that arrive while a publish runs are committed
 /// together by the next [`Engine::mutate_batch`] (group commit), in arrival
 /// order.  Admission control rejects over-budget traffic with a typed
@@ -232,7 +238,7 @@ impl Server {
             engine: engine.into(),
             pool: Pool::new(config.workers),
             config,
-            reads: Mutex::new(HashMap::new()),
+            reads: Mutex::default(),
             writes: Batcher::new(),
             gate: Arc::default(),
             last_caller: AtomicUsize::new(0),
@@ -304,6 +310,12 @@ impl Server {
         self.inner.write(Box::new(op), start).wait()
     }
 
+    /// How many statement names have a read queue.
+    #[cfg(test)]
+    pub(crate) fn read_queues(&self) -> usize {
+        lock(&self.inner.reads).by_name.len()
+    }
+
     /// Block until every admitted request has been fulfilled.
     pub fn drain(&self) {
         let gate = &self.inner.gate;
@@ -321,7 +333,7 @@ impl Drop for Server {
         // the flush jobs that were already running to serve theirs.
         let inner = &self.inner;
         inner.pool.close();
-        let queues: Vec<Arc<Reads>> = lock(&inner.reads).values().cloned().collect();
+        let queues: Vec<Arc<Reads>> = lock(&inner.reads).by_name.values().cloned().collect();
         for reads in queues {
             for request in reads.take() {
                 drop(request.admission);
@@ -352,13 +364,27 @@ fn contained<T>(what: &str, call: impl FnOnce() -> bqr_engine::Result<T>) -> Ser
 
 impl Inner {
     /// `name`'s coalescing queue, created on first use.
+    ///
+    /// Creating one is also when the map forgets what the engine forgot:
+    /// once the map has doubled since its last sweep, the queues of names
+    /// [`Engine::statement`] no longer knows are dropped — each only if the
+    /// map holds its one handle.  A queue that holds a request also has a
+    /// flush job queued or running, which holds another handle, and so does
+    /// a reader between taking the queue and pushing onto it; those are
+    /// kept, so [`Server`]'s drop still finds every queued request.
     fn reads(&self, name: &str) -> Arc<Reads> {
         let mut queues = lock(&self.reads);
-        if let Some(reads) = queues.get(name) {
+        if let Some(reads) = queues.by_name.get(name) {
             return Arc::clone(reads);
         }
+        if queues.by_name.len() >= 2 * queues.swept {
+            queues.by_name.retain(|name, reads| {
+                Arc::strong_count(reads) > 1 || self.engine.statement(name).is_ok()
+            });
+            queues.swept = queues.by_name.len();
+        }
         let reads = Arc::new(Batcher::new());
-        queues.insert(name.to_string(), Arc::clone(&reads));
+        queues.by_name.insert(name.to_string(), Arc::clone(&reads));
         reads
     }
 

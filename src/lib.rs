@@ -248,19 +248,16 @@
 //! ids.  A view under an equi-join is not scanned: the rows fetched so far
 //! probe the keyed index its extent carries from version to version, so a
 //! read is bounded in `|V(D)|` as it is in `|D|` (`FetchStats::view_tuples`
-//! counts the rows those probes return).  The pipeline's hot operators —
-//! selection, view filtering and probing, projection, hash-join build/probe,
-//! fetch probing, dedup — run as **vectorised batch kernels**: 1024-row batches, with a filter first
-//! voting every condition into a *selection vector* (row indices) and only
-//! then copying the survivors out in one pass.  Guard checks and row-budget
-//! charges happen once per batch, so the guardrails above cost the same as
-//! they did row-at-a-time.
-//!
-//! Every operator runs its batches in one loop on the calling thread.  A
-//! bounded plan reads `|D_ξ|` tuples, a number set by the access schema and
-//! the plan rather than by `|D|`, so no operator has enough rows to be
-//! worth splitting; concurrency is across requests (the server's worker
-//! pool), never inside one.
+//! counts the rows those probes return).  A plan node compiles to one
+//! operator — fetch, view scan, view probe, hash join, selection,
+//! projection, product, union or difference — and every operator is one
+//! loop over its input on the calling thread.  A bounded plan reads `|D_ξ|`
+//! tuples, a number set by the access schema and the plan rather than by
+//! `|D|`, so no operator has enough rows to be worth batching or
+//! splitting; concurrency is across requests (the server's worker pool),
+//! never inside one.  Guard checks and row-budget charges happen once per
+//! 1 024 input rows of a loop and at its end, so the guardrails above cost
+//! next to nothing.
 //!
 //! # Query shapes: analyse and compile a question once
 //!

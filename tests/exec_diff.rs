@@ -353,9 +353,10 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
     }
 }
 
-/// A deterministic case whose operators span several kernel batches
-/// (`BATCH_ROWS` = 1 024 rows), so multi-batch probes, selections and
-/// dedups are exercised (random instances stay inside one batch).
+/// A deterministic case whose operators span several guard intervals
+/// (`CHECK_INTERVAL` = 1 024 rows), so probes, selections and dedups that
+/// check and charge the guard more than once are exercised (random
+/// instances stay inside one interval).
 #[test]
 fn multi_batch_operators_match_the_reference() {
     let schema = DatabaseSchema::with_relations(&[("e", &["x", "y"])]).unwrap();
@@ -377,7 +378,7 @@ fn multi_batch_operators_match_the_reference() {
         .unwrap();
     assert!(
         cache.extent("E").unwrap().len() > 4 * 1_024,
-        "the probe side must span several kernel batches"
+        "the probe side must span several guard intervals"
     );
     assert_equivalent(&plan, &idb, &cache);
 }

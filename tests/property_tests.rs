@@ -7,11 +7,12 @@
 //! the query and the relation statistics, and every evaluation result is
 //! sorted, so a fixed seed pins the whole execution.
 
+use bqr_core::problem::RewritingSetting;
 use bqr_core::topped::ToppedChecker;
 use bqr_data::{tuple, AccessConstraint, AccessSchema, Database, DatabaseSchema, IndexedDatabase};
 use bqr_plan::builder::Plan;
 use bqr_plan::exec::{execute, execute_with, reference, ExecOptions};
-use bqr_plan::SelectCondition;
+use bqr_plan::{Pipeline, SelectCondition};
 use bqr_query::aequiv::cq_a_contained_in;
 use bqr_query::bounded_output::cq_output;
 use bqr_query::containment::cq_contained_in;
@@ -62,17 +63,17 @@ fn db_strategy(n: usize) -> impl Strategy<Value = Database> {
 
 /// A small pool of random conjunctive queries over the schema.
 fn query_pool() -> Vec<bqr_query::ConjunctiveQuery> {
-    generate_queries(
-        &small_schema(),
-        &RandomQueryConfig {
-            atoms: 2,
-            constant_probability: 0.4,
-            constants: (0..4).map(bqr_data::Value::int).collect(),
-            head_variables: 1,
-            seed: 2024,
-        },
-        12,
-    )
+    generate_queries(&small_schema(), &query_config(), 12)
+}
+
+fn query_config() -> RandomQueryConfig {
+    RandomQueryConfig {
+        atoms: 2,
+        constant_probability: 0.4,
+        constants: (0..4).map(bqr_data::Value::int).collect(),
+        head_variables: 1,
+        seed: 2024,
+    }
 }
 
 /// Plans and result orderings are deterministic under a fixed seed: the
@@ -169,12 +170,12 @@ fn cond_pool() -> Vec<Vec<SelectCondition>> {
         vec![SelectCondition::ColNeConst(1, bqr_data::Value::int(7))],
         vec![SelectCondition::ColEqCol(0, 1)],
         vec![SelectCondition::ColNeCol(0, 1)],
-        // Conjunction: the second condition compacts the selection vector.
+        // Conjunction: a row must pass both.
         vec![
             SelectCondition::ColNeCol(0, 1),
             SelectCondition::ColNeConst(0, bqr_data::Value::int(0)),
         ],
-        // Contradiction: an all-fail selection vector in every batch.
+        // Contradiction: no row passes.
         vec![
             SelectCondition::ColEqConst(0, bqr_data::Value::int(1)),
             SelectCondition::ColNeConst(0, bqr_data::Value::int(1)),
@@ -182,10 +183,10 @@ fn cond_pool() -> Vec<Vec<SelectCondition>> {
     ]
 }
 
-/// An empty extent flows through the whole batch pipeline (no batch, empty
-/// selection vectors, nothing to dedup) to the reference's empty answer.
+/// An empty extent flows through the whole pipeline (no row to select,
+/// nothing to dedup) to the reference's empty answer.
 #[test]
-fn vectorised_pipeline_handles_empty_extents() {
+fn pipeline_handles_empty_extents() {
     let (idb, cache) = view_instance(&[]);
     for conds in cond_pool() {
         let plan = Plan::view("V", 2)
@@ -199,9 +200,8 @@ fn vectorised_pipeline_handles_empty_extents() {
     }
 }
 
-/// A one-row intermediate budget trips mid-batch — after the batch that
-/// crossed it, not at the end of the operator — with the typed error, with
-/// or without a deadline beside it.
+/// A one-row intermediate budget trips on a 6 000-row plan with the typed
+/// error, with or without a deadline beside it.
 #[test]
 fn row_budget_trips_mid_batch_with_or_without_a_deadline() {
     let rows: Vec<(i64, i64)> = (0..6_000).map(|i| (i % 13, i)).collect();
@@ -226,24 +226,56 @@ fn row_budget_trips_mid_batch_with_or_without_a_deadline() {
     }
 }
 
+/// One operator per plan node: no plan the checker makes for a random pool
+/// of three-atom queries (the pool's generator, 200 queries) compiles to
+/// more operators than the plan has nodes (a rename compiles to none, a
+/// σ-over-× join to one).
+#[test]
+fn pipelines_have_at_most_one_operator_per_plan_node() {
+    let access = small_access(2);
+    let setting = RewritingSetting::new(small_schema(), access.clone(), ViewSet::empty(), 200);
+    let checker = ToppedChecker::new(&setting);
+    let idb = IndexedDatabase::build(Database::empty(small_schema()), access).unwrap();
+    let views = bqr_query::MaterializedViews::empty();
+    let pool = RandomQueryConfig {
+        atoms: 3,
+        ..query_config()
+    };
+    let mut plans = 0;
+    for q in generate_queries(&small_schema(), &pool, 200) {
+        let Some(plan) = checker.analyze_cq(&q).unwrap().plan else {
+            continue;
+        };
+        let pipeline = Pipeline::compile(&plan, &idb, &views).unwrap();
+        let text = pipeline.describe();
+        assert!(pipeline.len() <= plan.size(), "{plan}\n{text}");
+        plans += 1;
+    }
+    assert!(
+        plans >= 30,
+        "only {plans} of the pool's queries have a plan"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized select → project → dedup pipelines: duplicates land all
-    /// over (and straddle) batch boundaries, selection vectors range from
-    /// all-pass to all-fail, and inputs sometimes span several batches —
-    /// the pipeline must agree with the tree-walking reference on tuples
-    /// *and* `FetchStats`.
+    /// Randomized select → project pipelines: duplicates land all over
+    /// (and straddle) guard intervals, selections range from all-pass to
+    /// all-fail, and inputs sometimes span several intervals — the pipeline
+    /// must agree with the tree-walking reference on tuples *and*
+    /// `FetchStats`.
     #[test]
-    fn vectorised_kernels_agree_with_reference_on_random_tables(
+    fn select_project_pipelines_agree_with_reference_on_random_tables(
         rows in prop::collection::vec((0i64..40, 0i64..40), 0..2_000),
         dense in 0usize..2,
         cidx in 0usize..7,
         keep_col in 0usize..2,
     ) {
-        // `dense` repeats the generated rows past several kernel batches, so
-        // selection and projection run over multi-batch inputs (and the
-        // dedup at the projection root sees duplicates straddling batches).
+        // `dense` repeats the generated rows past several guard intervals,
+        // so selection and projection run over inputs the guard is checked
+        // and charged in several times (and the projection's dedup sees
+        // duplicates straddling intervals).
         let mut all = rows;
         if dense == 1 {
             while !all.is_empty() && all.len() < 5_000 {

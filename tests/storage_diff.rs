@@ -9,8 +9,8 @@
 //! by `IndexedDatabase::apply_delta` must read **bit for bit** like an
 //! `IndexedDatabase::build` over freshly stored copies of the same contents:
 //! iteration order, every index (groups, their order, source counts and
-//! statistics), every `fetch` answer and every `probe` / `probe_batch` of
-//! its index, with their `FetchStats`, and every keyed index the written relations carried
+//! statistics), every `fetch` answer and every `probe` of its index, with
+//! their `FetchStats`, and every keyed index the written relations carried
 //! along.  And the predecessor version must still read exactly as it did
 //! before the write: copy-on-write may share, never leak.  Keyed indexes
 //! are also grown from an empty and a one-tuple relation and shrunk back,
@@ -134,12 +134,10 @@ struct IndexView {
     index: InternedAccessIndex,
     /// Distinct keys, rows.
     counters: (usize, usize),
-    /// Every probed key through `fetch`, through the index's `probe` one key
-    /// at a time (as the executor's view probes call it), and through its
-    /// `probe_batch` (as the executor's fetches call it).
+    /// Every probed key through `fetch`, and through the index's `probe`
+    /// one key at a time, as the executor's fetches and view probes call it.
     values: (Vec<Vec<Tuple>>, FetchStats),
     scalar: (Vec<ValueId>, FetchStats),
-    batch: (Vec<ValueId>, FetchStats),
 }
 
 #[derive(Debug, PartialEq)]
@@ -178,14 +176,11 @@ fn observe(idb: &IndexedDatabase) -> Observation {
                 scalar.1.record_fetch(rows.len() / index.arity());
                 scalar.0.extend_from_slice(rows);
             }
-            let mut batch = (Vec::new(), FetchStats::new());
-            index.probe_batch(&keys, keys.len(), &mut batch.0, &mut batch.1);
             IndexView {
                 index: index.clone(),
                 counters: (index.distinct_keys(), index.total_rows()),
                 values,
                 scalar,
-                batch,
             }
         })
         .collect();

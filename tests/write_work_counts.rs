@@ -72,21 +72,19 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     assert!(changed);
     let log = db.take_delta(prev.database());
     let next = prev.apply_delta(db, &log).unwrap();
-    let mut stats = FetchStats::new();
-    next.index(0)
-        .unwrap()
-        .probe_batch(&key, 1, &mut Vec::new(), &mut stats);
+    let index = next.index(0).unwrap();
+    let fetched = index.probe(&key).len() / index.arity();
 
     let (old, new) = (
         prev.database().relation("calls").unwrap(),
         next.database().relation("calls").unwrap(),
     );
-    let (old_index, new_index) = (prev.index(0).unwrap(), next.index(0).unwrap());
+    let (old_index, new_index) = (prev.index(0).unwrap(), index);
     let work = Work {
         chunks_forked: new.chunk_count() - new.shared_chunks(old),
         shards_forked: new_index.shard_count() - new_index.shared_shards(old_index),
         values_interned: ValueId::pool_len() - pool,
-        fetched: stats.fetched_tuples,
+        fetched,
     };
     (next, work)
 }
