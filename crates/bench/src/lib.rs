@@ -252,6 +252,7 @@ mod tests {
         assert_eq!(r.cold_rounds, 2);
         assert_eq!(r.warm_repeats, 3);
         assert!(r.cold_ms > 0.0 && r.warm_ms > 0.0);
+        assert!(r.warm_excess_ms.is_some());
         assert!(r.speedup() > 0.0);
     }
 

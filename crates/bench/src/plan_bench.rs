@@ -319,7 +319,7 @@ pub struct PreparedCase {
     pub rebuild: Box<dyn Fn() -> (IndexedDatabase, MaterializedViews)>,
     /// How many cold rounds (each on a freshly loaded instance).
     pub cold_rounds: usize,
-    /// How many warm executions on the last instance.
+    /// How many warm executions follow each cold one, on its instance.
     pub warm_repeats: usize,
 }
 
@@ -329,16 +329,24 @@ pub struct PreparedResult {
     pub name: &'static str,
     pub cold_rounds: usize,
     pub warm_repeats: usize,
-    /// Milliseconds per *cold* prepared execution: first execution on a
-    /// freshly loaded instance — the keyed index of a probed extent (the constraint indexes come built with the
+    /// Milliseconds per *cold* prepared execution, the median of the
+    /// rounds: first execution on a freshly loaded instance — the keyed index of a probed extent (the constraint indexes come built with the
     /// instance), then the run itself.  Only the first
     /// round also compiles the pipeline (a few µs): a compiled shape
     /// holds no data, so a reloaded instance is a cache hit like any
     /// other and "cold" means the *data* is cold.
     pub cold_ms: f64,
-    /// Milliseconds per *warm* prepared execution: everything the run
-    /// reads is already interned.
+    /// Milliseconds per *warm* prepared execution, the median of all of
+    /// them: everything the run reads is already interned and indexed.
     pub warm_ms: f64,
+    /// The median over the cold rounds of the round's median warm
+    /// execution minus its cold one, in ms.  A warm run does strictly less
+    /// work than a cold one, so a positive excess is a measurement or
+    /// caching bug; pairing each round's warm runs with the cold one just
+    /// before them keeps the host's drift out of the difference.  `None`
+    /// on a row without rounds (`cdr_adhoc_seen_shape_10k`, whose cold and
+    /// warm sides are different queries, one timed batch each).
+    pub warm_excess_ms: Option<f64>,
     /// The pipeline cache's counters at the end of the run, so bench
     /// output shows the cache behaviour behind the timings (one miss —
     /// the first cold round — and a hit for every other execution).
@@ -390,7 +398,7 @@ fn prepared_cases_with(cdr_plan: Option<QueryPlan>) -> Vec<PreparedCase> {
             });
             prepare(&setting, db)
         }),
-        cold_rounds: 3,
+        cold_rounds: 5,
         warm_repeats: 100,
     });
 
@@ -425,15 +433,15 @@ fn prepared_cases_with(cdr_plan: Option<QueryPlan>) -> Vec<PreparedCase> {
         name: "cdr_heaviest_topped_10k",
         plan,
         rebuild: Box::new(move || prepare(&setting, cdr::generate(scale))),
-        cold_rounds: 2,
+        cold_rounds: 5,
         warm_repeats: 100,
     });
 
     // AGM triangle over the cached edge view.  This case runs a Θ(n²)
-    // join either way, so cold and warm are close and noisy; the warm
-    // loop needs enough repeats for the best-of-batches minimum below to
-    // stabilise (5 repeats once produced a warm mean *slower* than cold
-    // — pure scheduler noise, not a cache problem).
+    // join either way: a cold execution's extra work (first touch of the
+    // fresh instance, the edge view's two keyed indexes) is ≈ 0.5 ms of
+    // ≈ 25, so the warm excess needs 25 paired rounds to stay below 0 on a
+    // busy host.
     let triangle = triangle_case(400, 0);
     out.push(PreparedCase {
         name: "triangle_agm_n400_plan",
@@ -442,72 +450,65 @@ fn prepared_cases_with(cdr_plan: Option<QueryPlan>) -> Vec<PreparedCase> {
             let c = triangle_case(400, 0);
             (c.idb, c.views)
         }),
-        cold_rounds: 3,
-        warm_repeats: 20,
+        cold_rounds: 25,
+        warm_repeats: 5,
     });
     out
 }
 
-/// How many timed warm batches [`run_prepared`] runs; the fastest batch
-/// is reported.  Warm executions repeat one computation, so their true cost
-/// is the *minimum* — any excess over it is scheduler noise, which a
-/// single mean happily books against the warm side (the source of a
-/// nonsense warm-slower-than-cold row this report once committed).
-pub const WARM_BATCHES: usize = 3;
+/// The median of `times` (the upper one of an even count).
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
 
-/// Run one prepared case: `cold_rounds` first-executions on freshly
-/// loaded instances (each verified against the reference interpreter;
-/// the first compiles the shape, the others re-use it on data nothing
-/// has interned yet), then `warm_repeats` executions on the last
-/// instance.  The cache counters are asserted: one compile per case,
-/// however many instances it is executed on.
+/// Run one prepared case: `cold_rounds` rounds, each a first execution on
+/// a freshly loaded instance followed by `warm_repeats` executions on the
+/// same instance, each timed alone (the first round compiles the shape,
+/// the others re-use it on data nothing has indexed yet).  Every output's
+/// cardinality is checked, and each round's cold and last warm output are
+/// verified against the reference interpreter, all outside the timers.
+/// The cache counters are asserted: one compile per case, however many
+/// instances it is executed on.
 pub fn run_prepared(case: &PreparedCase) -> PreparedResult {
     use bqr_plan::{PipelineCache, PreparedPlan};
     use std::sync::Arc;
 
     let cache = Arc::new(PipelineCache::new(16));
     let prepared = PreparedPlan::with_cache(case.plan.clone(), Arc::clone(&cache));
-    let mut cold_total_ms = 0.0;
-    let mut last: Option<(IndexedDatabase, MaterializedViews, bqr_plan::ExecOutput)> = None;
+    let (mut cold_ms, mut warm_ms, mut excess_ms) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..case.cold_rounds {
         let (idb, views) = (case.rebuild)();
-        let t = Instant::now();
-        let out = prepared.execute(&idb, &views).expect("prepared execution");
-        cold_total_ms += t.elapsed().as_secs_f64() * 1_000.0;
+        let timed = || {
+            let t = Instant::now();
+            let out = prepared.execute(&idb, &views).expect("prepared execution");
+            (t.elapsed().as_secs_f64() * 1_000.0, out)
+        };
+        let (cold, out) = timed();
+        let mut round = Vec::with_capacity(case.warm_repeats);
+        let mut again = None;
+        for _ in 0..case.warm_repeats {
+            let (ms, warm) = timed();
+            assert_eq!(warm.tuples.len(), out.tuples.len());
+            round.push(ms);
+            again = Some(warm);
+        }
         let oracle = reference::execute(&case.plan, &idb, &views).unwrap();
         assert_eq!(out, oracle, "cold prepared run diverged on {}", case.name);
-        last = Some((idb, views, out));
+        assert_eq!(
+            again.as_ref(),
+            Some(&oracle),
+            "warm prepared run diverged on {}",
+            case.name
+        );
+        cold_ms.push(cold);
+        excess_ms.push(median(round.clone()) - cold);
+        warm_ms.extend(round);
     }
-    let (idb, views, expected) = last.expect("at least one cold round");
-
-    // Timed warm loop: cardinality check only, mirroring the cold rounds
-    // (which verify against the oracle *outside* their timer), so the
-    // cold/warm comparison is symmetric.  [`WARM_BATCHES`] batches, best
-    // batch kept — the same noise discipline as `run_guard_overhead`.
-    let mut warm_best_ms = f64::INFINITY;
-    for _ in 0..WARM_BATCHES {
-        let t = Instant::now();
-        for _ in 0..case.warm_repeats {
-            let out = prepared.execute(&idb, &views).expect("warm execution");
-            assert_eq!(out.tuples.len(), expected.tuples.len());
-        }
-        let ms = t.elapsed().as_secs_f64() * 1_000.0;
-        if ms < warm_best_ms {
-            warm_best_ms = ms;
-        }
-    }
-    // One more warm execution, fully verified (tuples and stats) outside
-    // the timer: a warm hit serving the wrong pipeline must fail the
-    // benchmark, not just skew it.
-    let verify = prepared.execute(&idb, &views).expect("warm verification");
-    assert_eq!(verify, expected, "warm run diverged on {}", case.name);
     let stats = cache.stats();
     assert_eq!(
         (stats.misses, stats.hits),
-        (
-            1,
-            (case.cold_rounds + WARM_BATCHES * case.warm_repeats) as u64
-        ),
+        (1, (case.cold_rounds * (1 + case.warm_repeats) - 1) as u64),
         "only the first cold round compiles on {}",
         case.name
     );
@@ -517,8 +518,9 @@ pub fn run_prepared(case: &PreparedCase) -> PreparedResult {
         name: case.name,
         cold_rounds: case.cold_rounds,
         warm_repeats: case.warm_repeats,
-        cold_ms: cold_total_ms / case.cold_rounds as f64,
-        warm_ms: warm_best_ms / case.warm_repeats as f64,
+        cold_ms: median(cold_ms),
+        warm_ms: median(warm_ms),
+        warm_excess_ms: Some(median(excess_ms)),
         cache: stats,
     }
 }
@@ -600,6 +602,7 @@ pub fn run_adhoc_seen_shape() -> PreparedResult {
         warm_repeats: QUERIES,
         cold_ms,
         warm_ms,
+        warm_excess_ms: None,
         cache,
     }
 }
@@ -1046,10 +1049,6 @@ pub fn run_index() -> IndexResult {
             times.push(t.elapsed().as_secs_f64() * 1e6);
         }
     }
-    let median = |mut times: Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
     let [bare_us, indexed_us] = writes;
     let forks = indexed_us
         .iter()
@@ -1110,12 +1109,14 @@ pub fn report() -> PlanReport {
     json.push_str("  ],\n  \"prepared\": [\n");
     for (i, p) in prepared.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cold_rounds\": {}, \"warm_repeats\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.4}, \"speedup\": {:.1}, \"cache\": {{\"hits\": {}, \"misses\": {}}}}}{}\n",
+            "    {{\"name\": \"{}\", \"cold_rounds\": {}, \"warm_repeats\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.4}, \"warm_excess_ms\": {}, \"speedup\": {:.1}, \"cache\": {{\"hits\": {}, \"misses\": {}}}}}{}\n",
             p.name,
             p.cold_rounds,
             p.warm_repeats,
             p.cold_ms,
             p.warm_ms,
+            p.warm_excess_ms
+                .map_or_else(|| "null".to_string(), |ms| format!("{ms:.4}")),
             p.speedup(),
             p.cache.hits,
             p.cache.misses,

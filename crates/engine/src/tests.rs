@@ -123,6 +123,23 @@ fn prepare_execute_and_cache_stats() {
     let plan = engine.analyze(Q_XI).unwrap();
     let explanation = plan.explain().unwrap();
     assert!(explanation.contains("fetch["), "{explanation}");
+    // 13 operators: the identity π onto the constant key `(studio,
+    // release)` compiles to nothing, and every π left drops a column — of
+    // a movie fetch (3 columns), a V1 probe (2) and a σ over a rating
+    // fetch (2).
+    let operators: Vec<&str> = explanation.lines().filter(|l| l.starts_with('%')).collect();
+    assert_eq!(operators.len(), 13, "{explanation}");
+    let projections: Vec<&str> = operators
+        .iter()
+        .filter_map(|l| l.split_once(" = π").map(|(_, p)| p))
+        .collect();
+    assert_eq!(
+        projections,
+        ["[2] %6", "[0] %8", "[0] %11"],
+        "{explanation}"
+    );
+    assert!(explanation.contains("%6 = σ[") && explanation.contains("%11 = σ["));
+    assert!(explanation.contains("%8 = view-probe V1"), "{explanation}");
 
     // Ad-hoc execution without registering a name.
     assert_eq!(session.query(Q_XI).unwrap().tuples, vec![tuple![10]]);

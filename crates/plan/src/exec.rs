@@ -11,9 +11,10 @@
 //!
 //! [`execute`] compiles the plan tree into a flat [`Pipeline`] of operators
 //! (fetch, view scan, view probe, hash join, select, project, product,
-//! union, difference), one per plan node — a rename compiles to nothing and
-//! a σ-over-× join to one join operator — and evaluates them in dependency
-//! order over columns of dense [`ValueId`]s:
+//! union, difference), one per plan node — a rename and a π onto all of its
+//! input's columns in order compile to nothing, and a σ-over-× join to one
+//! join operator — and evaluates them in dependency order over columns of
+//! dense [`ValueId`]s:
 //!
 //! * a view extent under an equi-join is never read whole: the other
 //!   operand's rows probe the keyed index the extent itself holds on the
@@ -73,10 +74,24 @@
 //! batch or split.  Every [`CHECK_INTERVAL`] input rows the loop checks the
 //! guard and charges the rows (and fetched tuples) it emitted since the
 //! last charge, and it charges the rest at its end.  A σ condition is
-//! evaluated by `IdCond::holds` and nothing else.  π and ∪ sort and dedup
-//! their output, so every intermediate table is set-like, as the
-//! interpreter's `BTreeSet`s are; a fetch dedups its keys across rows.
-//! [`execute_with`] takes [`ExecOptions`], the runtime limits.
+//! evaluated by `IdCond::holds` and nothing else.
+//!
+//! Every operator's output is a set, as the interpreter's `BTreeSet`s are
+//! (a nullary table holds at most one row):
+//!
+//! * a constant is one row, and a view scan copies a relation's rows;
+//! * π and ∪ sort and dedup their output;
+//! * σ and \ keep a subset of their left input;
+//! * a fetch returns the disjoint groups of distinct keys, each a set of
+//!   `X ∪ Y` rows that differ from every other group's in `X`;
+//! * a view probe, a hash join and × pair distinct rows with distinct rows.
+//!
+//! The pipeline relies on it twice: a π onto all of its input's columns in
+//! order compiles to nothing, and a fetch keyed on a permutation of all its
+//! input's columns probes every row, its keys distinct already (any other
+//! fetch dedups its keys through a seen-set).  A debug build asserts the
+//! invariant after every operator.  [`execute_with`] takes [`ExecOptions`],
+//! the runtime limits.
 //!
 //! The original tree-walking interpreter (`BTreeSet<Tuple>` at every node)
 //! is retained verbatim as [`mod@reference`]: it is the oracle for the
@@ -237,10 +252,13 @@ enum Op {
     /// `fetch(X ∈ input, R, Y)` through the id-native constraint index;
     /// `constraint` is a slot of [`CompiledShape::constraints`], bound per
     /// execution to that constraint's index in the database executed on.
+    /// `whole_rows` when `key_cols` is a permutation of all the input's
+    /// columns: the input is a set, so its keys are already distinct.
     Fetch {
         input: usize,
         constraint: usize,
         key_cols: Vec<usize>,
+        whole_rows: bool,
     },
     /// Projection onto columns, deduplicated.
     Project { input: usize, cols: Vec<usize> },
@@ -456,6 +474,7 @@ impl Pipeline {
                     input,
                     constraint,
                     key_cols,
+                    ..
                 } => format!(
                     "fetch[{}] keys {key_cols:?} of %{input}",
                     self.shape.constraints[*constraint]
@@ -621,10 +640,12 @@ impl CompiledShape {
                     input,
                     constraint,
                     key_cols,
+                    whole_rows,
                 } => eval_fetch(
                     &tables[*input],
                     bound.indexes[*constraint],
                     key_cols,
+                    *whole_rows,
                     &mut stats,
                     guard,
                 )?,
@@ -659,6 +680,7 @@ impl CompiledShape {
                     eval_difference(&tables[*left], &tables[*right], guard)?
                 }
             };
+            debug_assert!(table.is_set(), "{op:?} emitted a duplicate row");
             tables.push(table);
             for &input in drops {
                 tables[input] = IdTable::default();
@@ -729,11 +751,21 @@ impl CompiledShape {
                 input: self.compile_node(input),
                 constraint: slot_of(&mut self.constraints, constraint),
                 key_cols: key_columns.clone(),
+                whole_rows: key_columns.len() == input.arity()
+                    && (0..input.arity()).all(|c| key_columns.contains(&c)),
             },
-            PlanNode::Project { input, columns } => Op::Project {
-                input: self.compile_node(input),
-                cols: columns.clone(),
-            },
+            // A π onto every column of its input, in order, is its input:
+            // every table is already a set (see "Operator loops").
+            PlanNode::Project { input, columns } => {
+                let from = self.compile_node(input);
+                if columns.iter().copied().eq(0..input.arity()) {
+                    return from;
+                }
+                Op::Project {
+                    input: from,
+                    cols: columns.clone(),
+                }
+            }
             PlanNode::Select { input, conditions } => {
                 let mut conds: Vec<IdCond> = conditions
                     .iter()
@@ -848,6 +880,18 @@ impl IdTable {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
 
+    /// No two rows are equal — the invariant every operator keeps (a
+    /// nullary table holds at most one row).
+    fn is_set(&self) -> bool {
+        if self.arity == 0 {
+            return self.rows <= 1;
+        }
+        let mut rows: Vec<&[ValueId]> = self.data.chunks_exact(self.arity).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.len() == self.rows
+    }
+
     fn from_data(arity: usize, rows_hint: usize, data: Vec<ValueId>) -> IdTable {
         // A nullary table has no data to derive the row count from; the
         // caller's hint is authoritative there.
@@ -896,19 +940,21 @@ impl<'g> Meter<'g> {
 
 /// `fetch(X ∈ input, R, Y)` through `index`, the id-native index this
 /// execution bound the constraint to.  Each distinct `X`-value is probed,
-/// and counted, once — at its first row, as the interpreter does; a
-/// single-column key is deduplicated through a bare-id set.
+/// and counted, once — at its first row, as the interpreter does.  A key
+/// of `whole_rows` is distinct per row already; any other is deduplicated
+/// through a seen-set.
 fn eval_fetch(
     input: &IdTable,
     index: &InternedAccessIndex,
     key_cols: &[usize],
+    whole_rows: bool,
     stats: &mut FetchStats,
     guard: &Guard,
 ) -> Result<IdTable> {
     let arity = index.arity();
     let mut meter = Meter::new(guard, arity);
     let mut charged = stats.fetched_tuples;
-    let (mut single, mut seen) = (HashSet::new(), HashSet::new());
+    let mut seen = HashSet::new();
     let (mut key, mut data) = (Vec::with_capacity(key_cols.len()), Vec::new());
     for i in 0..input.rows {
         if i.is_multiple_of(CHECK_INTERVAL) {
@@ -921,10 +967,7 @@ fn eval_fetch(
         let row = input.row(i);
         key.clear();
         key.extend(key_cols.iter().map(|&c| row[c]));
-        let fresh = match key[..] {
-            [id] => single.insert(id),
-            _ => !seen.contains(&key) && seen.insert(key.clone()),
-        };
+        let fresh = whole_rows || (!seen.contains(&key) && seen.insert(key.clone()));
         if fresh {
             let rows = index.probe(&key);
             stats.record_fetch(rows.len() / arity);
@@ -976,16 +1019,26 @@ fn eval_select(
         guard.charge_rows(input.rows)?;
         return Ok(IdTable::from_data(0, input.rows, Vec::new()));
     }
-    let mut meter = Meter::new(guard, input.arity);
+    let width = input.arity;
+    let mut meter = Meter::new(guard, width);
     let mut data = Vec::new();
-    for (i, row) in input.data.chunks_exact(input.arity).enumerate() {
+    // Rows `run..i` passed and are not copied yet: a run is copied whole
+    // when a row fails, and before every tick, so the meter sees them all.
+    let mut run = 0;
+    for (i, row) in input.data.chunks_exact(width).enumerate() {
+        if i.is_multiple_of(CHECK_INTERVAL) {
+            data.extend_from_slice(&input.data[run * width..i * width]);
+            run = i;
+        }
         meter.tick(i, &data)?;
-        if conds.iter().all(|c| c.holds(row, consts)) {
-            data.extend_from_slice(row);
+        if !conds.iter().all(|c| c.holds(row, consts)) {
+            data.extend_from_slice(&input.data[run * width..i * width]);
+            run = i + 1;
         }
     }
+    data.extend_from_slice(&input.data[run * width..]);
     meter.charge(&data)?;
-    Ok(IdTable::from_data(input.arity, 0, data))
+    Ok(IdTable::from_data(width, 0, data))
 }
 
 /// The probe phase of an equi-join, whatever holds the build side: `lookup`
@@ -1514,6 +1567,21 @@ mod tests {
         let plan = mids().join_eq(mids(), &[(0, 0)]).build().unwrap();
         let text = Pipeline::compile(&plan, &idb, &cache).unwrap().describe();
         assert_eq!(text.matches("hash-join").count(), 1, "{text}");
+    }
+
+    /// A π onto every column of its input, in order, compiles to nothing,
+    /// as a rename does; a permuting π is an operator.
+    #[test]
+    fn an_identity_projection_compiles_to_nothing() {
+        let (idb, cache) = setup();
+        let pair = || Plan::constant(vec![10, 12]).union(Plan::constant(vec![11, 12]));
+        for (cols, operators) in [(vec![0, 1], 3), (vec![1, 0], 4)] {
+            let plan = pair().project(cols).build().unwrap();
+            let pipeline = Pipeline::compile(&plan, &idb, &cache).unwrap();
+            assert_eq!(pipeline.len(), operators, "{}", pipeline.describe());
+            let out = pipeline.execute(&idb, &ExecOptions::default()).unwrap();
+            assert_eq!(out, reference::execute(&plan, &idb, &cache).unwrap());
+        }
     }
 
     /// Pinned `FetchStats` semantics: a scanned or filtered view leaf records

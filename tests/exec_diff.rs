@@ -319,6 +319,7 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
     let mut rng = StdRng::seed_from_u64(0xB9_5EED);
     let mut executed = 0usize;
     let mut with_fetch = 0usize;
+    let mut subset_fetches = 0usize;
     let mut with_join = 0usize;
     let mut shapes = ProbeShapes::default();
     let mut attempts = 0usize;
@@ -339,12 +340,24 @@ fn compiled_pipeline_matches_reference_on_random_plans() {
         if !plan.fetches().is_empty() {
             with_fetch += 1;
         }
+        // A fetch keyed on fewer columns than its input's must dedup its
+        // keys itself; one keyed on whole rows relies on the input being a
+        // set.  Both paths are held to the reference.
+        let keys_a_subset = |node: &&PlanNode| {
+            matches!(node, PlanNode::Fetch { input, key_columns, .. }
+                if key_columns.len() < input.arity())
+        };
+        subset_fetches += plan.fetches().into_iter().filter(keys_a_subset).count();
         if format!("{plan}").contains('×') {
             with_join += 1;
         }
     }
     // The generator must actually exercise the interesting operators.
     assert!(with_fetch >= 30, "only {with_fetch} plans fetched");
+    assert!(
+        subset_fetches >= 30,
+        "only {subset_fetches} fetches keyed on a strict subset of their input's columns"
+    );
     assert!(with_join >= 30, "only {with_join} plans joined");
     // … and every shape of the view probe, several times each.
     for shape in PROBE_SHAPES {
