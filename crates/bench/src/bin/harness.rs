@@ -21,9 +21,10 @@
 //! `BENCH_plan.json` (`BENCH_PLAN_JSON` to override), and **exits non-zero**
 //! if the compiled executor is slower than the reference on the movies
 //! workload, if a warm execution is not at least 3× faster than the
-//! first one on a freshly loaded instance there, or if an ad-hoc query of a seen shape
-//! costs more than half of one of a never-seen shape on CDR — CI runs it
-//! as a regression gate.
+//! first one on a freshly loaded instance there, if an ad-hoc query of a seen shape
+//! costs more than half of one of a never-seen shape on CDR, or if a
+//! one-tuple `calls` write to a cloned CDR version (clone, insert, drop)
+//! takes more than 20 µs — CI runs it as a regression gate.
 //! `prepared` is an alias for `plan` (the prepared rows are part of the same
 //! report file).
 //!
@@ -32,8 +33,10 @@
 //! client threads submitting, waiting, and resubmitting), plus the CDR write
 //! burst (`Engine::mutate_batch` vs serial `mutate`).  It writes
 //! `BENCH_serve.json` (`BENCH_SERVE_JSON` to override) and **exits non-zero**
-//! when a row's p99 exceeds its absolute gate (`p99_gate_us`), or when the
-//! batched write burst is not ≥ 2× faster than serial single-mutate commits.
+//! when a row's p99 exceeds its absolute gate (`p99_gate_us`), when the
+//! batched write burst is not ≥ 2× faster than serial single-mutate commits,
+//! or when a batched burst of 1 024 writes costs more than 2× as much per
+//! write as one of 64.
 
 use bqr_bench::{checker_with_annotations, compare, plan_for, prepare};
 use bqr_core::bounded_eval::boundedly_evaluable_cq;
@@ -203,15 +206,16 @@ fn plan_executor() {
         );
     }
     println!(
-        "{:<28} {:>12} {:>12} {:>12} {:>12}",
-        "index (CDR calls)", "cold-ns", "hot-ns", "fork-us", "heap-MB"
+        "{:<28} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "index (CDR calls)", "cold-ns", "hot-ns", "fork-us", "write-us", "heap-MB"
     );
     println!(
-        "{:<28} {:>12.1} {:>12.1} {:>12.2} {:>12.3}",
+        "{:<28} {:>12.1} {:>12.1} {:>12.2} {:>12.2} {:>12.3}",
         "cdr_calls",
         index.probe_cold_ns,
         index.probe_hot_ns,
         index.write_fork_us,
+        index.write_us,
         index.heap_mb()
     );
     for (constraint, bytes) in &index.heap_bytes {
@@ -343,6 +347,14 @@ fn plan_executor() {
         );
         std::process::exit(1);
     }
+    if index.write_us > plan_bench::WRITE_MAX_US {
+        eprintln!(
+            "REGRESSION: a CDR version's clone, one calls insert and drop take {:.2} us (median), more than {:.0} us",
+            index.write_us,
+            plan_bench::WRITE_MAX_US
+        );
+        std::process::exit(1);
+    }
     if guard.ratio() > plan_bench::GUARD_MAX_OVERHEAD {
         eprintln!(
             "REGRESSION: guarded execution ({:.2} ms) exceeds the unguarded baseline ({:.2} ms) by more than {:.0}% on the movies workload",
@@ -357,16 +369,18 @@ fn plan_executor() {
 /// `serve` — the closed-loop serving harness: three concurrent-client
 /// workloads over `bqr-server` plus the CDR write burst.  Emits
 /// `BENCH_serve.json` and fails (exit 1) when a row's p99 exceeds its
-/// `p99_gate_us` (see [`bqr_bench::serve_bench::CDR_MIXED_P99_GATE_US`]), or when the
+/// `p99_gate_us` (see [`bqr_bench::serve_bench::CDR_MIXED_P99_GATE_US`]), when the
 /// batched write burst is not
-/// [`bqr_bench::serve_bench::BATCHED_WRITE_MIN_SPEEDUP`]× faster than serial commits.
+/// [`bqr_bench::serve_bench::BATCHED_WRITE_MIN_SPEEDUP`]× faster than serial commits,
+/// or when the large burst costs more than
+/// [`bqr_bench::serve_bench::BATCHED_PER_OP_MAX_GROWTH`]× as much per write.
 fn serve_front() {
     use bqr_bench::serve_bench;
 
     println!(
         "\n== serve: closed-loop clients over bqr-server; write burst mutate_batch vs serial =="
     );
-    let (results, burst, json) = serve_bench::report();
+    let (results, [burst, large], json) = serve_bench::report();
     println!(
         "{:<22} {:>7} {:>9} {:>7} {:>10} {:>11} {:>8} {:>8} {:>8} {:>9}",
         "workload",
@@ -395,14 +409,17 @@ fn serve_front() {
             r.p99_gate_us
         );
     }
-    println!(
-        "write burst: {} ops {}  serial {:.2} ms  batched {:.2} ms  speedup {:.1}x",
-        burst.name,
-        burst.ops,
-        burst.serial_ms,
-        burst.batched_ms,
-        burst.speedup()
-    );
+    for b in [&burst, &large] {
+        println!(
+            "write burst: {} ops {}  serial {:.2} ms  batched {:.2} ms ({:.2} us/op)  speedup {:.1}x",
+            b.name,
+            b.ops,
+            b.serial_ms,
+            b.batched_ms,
+            b.batched_us_per_op(),
+            b.speedup()
+        );
+    }
 
     let path = std::env::var("BENCH_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".to_string());
     std::fs::write(&path, json).expect("write BENCH_serve.json");
@@ -423,6 +440,18 @@ fn serve_front() {
             burst.batched_ms,
             serve_bench::BATCHED_WRITE_MIN_SPEEDUP,
             burst.serial_ms
+        );
+        std::process::exit(1);
+    }
+    let per_op_max = serve_bench::BATCHED_PER_OP_MAX_GROWTH * burst.batched_us_per_op();
+    if large.batched_us_per_op() > per_op_max {
+        eprintln!(
+            "REGRESSION: a batched burst of {} writes costs {:.2} us per write, more than {}x the {:.2} us of a burst of {}",
+            large.ops,
+            large.batched_us_per_op(),
+            serve_bench::BATCHED_PER_OP_MAX_GROWTH,
+            burst.batched_us_per_op(),
+            burst.ops
         );
         std::process::exit(1);
     }

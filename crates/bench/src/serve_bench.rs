@@ -76,6 +76,13 @@ pub const CDR_MIXED_P99_GATE_US: u64 = 38_910;
 /// same closures through serial `mutate` calls (one publish each).
 pub const BATCHED_WRITE_MIN_SPEEDUP: f64 = 2.0;
 
+/// The batch-linearity gate: a burst of [`LARGE_BURST_OPS`] closures
+/// through one `mutate_batch` may cost at most this many times as much per
+/// closure as the [`BURST_OPS`] burst.  When each closure's isolation
+/// copied the batch's delta so far, a batch was quadratic: 7.0 µs per
+/// closure at 64, 41.4 µs at 1 024.
+pub const BATCHED_PER_OP_MAX_GROWTH: f64 = 2.0;
+
 /// Scale knobs, so the committed rows and the reduced debug-mode tests
 /// share one code path.
 pub struct ServeScale {
@@ -329,6 +336,23 @@ impl WriteBurstResult {
     pub fn speedup(&self) -> f64 {
         crate::guarded_ratio(self.serial_ms, self.batched_ms)
     }
+
+    /// What one closure of the batched burst cost, in µs.
+    pub fn batched_us_per_op(&self) -> f64 {
+        self.batched_ms * 1_000.0 / self.ops.max(1) as f64
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"name\": \"{}\", \"ops\": {}, \"serial_ms\": {:.3}, \"batched_ms\": {:.3}, \"batched_us_per_op\": {:.2}, \"speedup\": {:.1}",
+            self.name,
+            self.ops,
+            self.serial_ms,
+            self.batched_ms,
+            self.batched_us_per_op(),
+            self.speedup(),
+        )
+    }
 }
 
 /// The CDR write burst: insert `ops` fresh premium customers through
@@ -411,11 +435,20 @@ pub fn run_write_burst(scale: &ServeScale, ops: usize) -> WriteBurstResult {
 /// How many writes the committed burst row commits per side.
 pub const BURST_OPS: usize = 64;
 
-/// Run every workload plus the write burst and render the
-/// machine-readable report committed as `BENCH_serve.json`.
-pub fn report() -> (Vec<ServeResult>, WriteBurstResult, String) {
+/// How many the large burst row commits per side: enough for a per-closure
+/// cost that grows with the batch to show against [`BURST_OPS`].
+pub const LARGE_BURST_OPS: usize = 1_024;
+
+/// Run every workload plus the two write bursts ([`BURST_OPS`] and
+/// [`LARGE_BURST_OPS`] closures) and render the machine-readable report
+/// committed as `BENCH_serve.json`.
+pub fn report() -> (Vec<ServeResult>, [WriteBurstResult; 2], String) {
     let results: Vec<ServeResult> = cases().iter().map(run_case).collect();
     let burst = run_write_burst(&committed_scale(), BURST_OPS);
+    let large = WriteBurstResult {
+        name: "cdr_write_burst_premium_1024",
+        ..run_write_burst(&committed_scale(), LARGE_BURST_OPS)
+    };
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -440,13 +473,11 @@ pub fn report() -> (Vec<ServeResult>, WriteBurstResult, String) {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"write_burst\": {{\"name\": \"{}\", \"ops\": {}, \"serial_ms\": {:.3}, \"batched_ms\": {:.3}, \"speedup\": {:.1}, \"min_speedup\": {:.1}}}\n}}\n",
-        burst.name,
-        burst.ops,
-        burst.serial_ms,
-        burst.batched_ms,
-        burst.speedup(),
+        "  ],\n  \"write_burst\": {}, \"min_speedup\": {:.1}}},\n  \"write_burst_large\": {}, \"max_batched_us_per_op\": {:.2}}}\n}}\n",
+        burst.json(),
         BATCHED_WRITE_MIN_SPEEDUP,
+        large.json(),
+        BATCHED_PER_OP_MAX_GROWTH * burst.batched_us_per_op(),
     ));
-    (results, burst, json)
+    (results, [burst, large], json)
 }

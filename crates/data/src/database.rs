@@ -109,55 +109,25 @@ impl Database {
                 Some(prev) => rel.take_delta(prev),
                 None => rel.take_delta(&Relation::empty(rel.schema().clone())),
             };
-            log.record(name.clone(), delta);
+            if !delta.is_empty() {
+                log.record(name.clone(), delta);
+            }
         }
         log
     }
 
-    /// The net write set since `previous` so far, with tracking kept on:
-    /// what [`Database::take_delta`] would return now, at the cost of copying
-    /// it — `O(|Δ|)`, never touching tuple storage, unless a relation was
-    /// assigned wholesale since the last checkpoint, which one diff pays
-    /// for.  Undo everything written after the capture with
-    /// [`Database::rollback_to`].  Batched mutation takes one before each
-    /// closure, to isolate a failing one without an `O(#chunks)`
-    /// [`Database::clone`] per closure (which would also keep every chunk
-    /// shared, so each closure's writes would fork their chunks anew).
-    pub fn delta_checkpoint(&mut self, previous: &Database) -> DeltaLog {
-        let mut log = DeltaLog::new();
+    /// Make every relation `log` does not touch `previous`'s version again,
+    /// epoch included.  With `log` the net write set since `previous`, built
+    /// up over several [`Database::take_delta`]s ([`DeltaLog::merge`]),
+    /// writes that net to nothing across them leave no trace, as they leave
+    /// none within one.  `O(#relations)`.
+    pub fn reset_untouched(&mut self, previous: &Database, log: &DeltaLog) {
         for (name, rel) in &mut self.relations {
-            if let Some(prev) = previous.relation(name) {
-                if rel.epoch() != prev.epoch() {
-                    log.record(name.clone(), rel.delta_since(prev).clone());
+            match previous.relation(name) {
+                Some(prev) if !log.touches(name) && rel.epoch() != prev.epoch() => {
+                    *rel = prev.clone();
                 }
-            }
-        }
-        log
-    }
-
-    /// Undo every write issued since `checkpoint` was taken against
-    /// `previous`: become `previous` again — its schema, relations and
-    /// epochs — and replay the checkpoint's delta through the ordinary
-    /// mutators, with tracking on.  `O(|Δ| at the checkpoint)` plus an
-    /// `O(#chunks)` clone, whatever the undone span did: writes in place, a
-    /// wholesale assignment or a change of schema alike.
-    pub fn rollback_to(&mut self, previous: &Database, checkpoint: &DeltaLog) {
-        *self = previous.clone();
-        self.begin_delta_tracking();
-        for (name, delta) in checkpoint.iter() {
-            let rel = self
-                .relations
-                .get_mut(name)
-                .expect("a checkpoint names relations of the instance it was taken against");
-            // Every replayed tuple was stored in this relation before, so
-            // its arity fits and its values are interned: neither mutator
-            // can fail.
-            for t in &delta.removed {
-                rel.remove(t).expect("a stored tuple's arity fits");
-            }
-            for t in &delta.inserted {
-                rel.insert(t.clone())
-                    .expect("a stored tuple's values are interned");
+                _ => {}
             }
         }
     }
@@ -279,78 +249,40 @@ mod tests {
         assert!(!dom.contains(&Value::str("Paramount")));
     }
 
-    /// Rollback restores contents AND tracking state through every
-    /// cancellation case: a fresh insert, a removal of a base tuple, the
-    /// re-removal of a pre-checkpoint insert, and the re-insert of a
-    /// pre-checkpoint removal.
+    /// Writes split over two tracked spans, some undoing others: the
+    /// merged log is the net change across both, and a relation it nets to
+    /// nothing on becomes its previous version again.
     #[test]
-    fn rollback_to_checkpoint_inverts_the_span_exactly() {
+    fn merged_spans_net_out_and_reset_leaves_no_trace() {
         let previous = movie_db();
         let mut db = previous.clone();
         db.begin_delta_tracking();
-        // Pre-checkpoint span: one insert, one removal of a base tuple.
         db.insert("rating", tuple![3, 4]).unwrap();
         db.remove("rating", &tuple![1, 5]).unwrap();
-        let golden = db.clone();
-        let checkpoint = db.delta_checkpoint(&previous);
-
-        // Post-checkpoint span, hitting all four inverse cases.
-        db.insert("rating", tuple![4, 2]).unwrap(); // fresh insert
-        db.remove("rating", &tuple![2, 3]).unwrap(); // remove a base tuple
-        db.remove("rating", &tuple![3, 4]).unwrap(); // undo a tracked insert
-        db.insert("rating", tuple![1, 5]).unwrap(); // undo a tracked removal
         db.insert("movie", tuple![9, "Split", "Universal", "2016"])
             .unwrap();
-        assert_ne!(db, golden);
-
-        db.rollback_to(&previous, &checkpoint);
-        assert_eq!(db, golden, "contents restored");
-        // The tracked delta is restored too: take_delta still reports the
-        // pre-checkpoint span exactly, as if the rest never happened.
-        let log = db.take_delta(&previous);
-        let delta = log.get("rating").expect("rating changed");
-        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![3, 4]]);
-        assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
-        assert!(!log.touches("movie"), "movie rolled back to a no-op");
-    }
-
-    #[test]
-    fn rollback_is_a_noop_when_nothing_changed() {
-        let previous = movie_db();
-        let mut db = previous.clone();
+        let mut log = db.take_delta(&previous);
+        let middle = db.clone();
         db.begin_delta_tracking();
-        let epochs: Vec<u64> = db.epochs().map(|(_, e)| e).collect();
-        let checkpoint = db.delta_checkpoint(&previous);
-        db.rollback_to(&previous, &checkpoint);
-        assert_eq!(
-            epochs,
-            db.epochs().map(|(_, e)| e).collect::<Vec<u64>>(),
-            "untouched relations keep their epochs"
+        db.insert("rating", tuple![4, 2]).unwrap(); // fresh insert
+        db.remove("rating", &tuple![2, 3]).unwrap(); // remove a base tuple
+        db.remove("rating", &tuple![3, 4]).unwrap(); // undo an earlier insert
+        db.insert("rating", tuple![1, 5]).unwrap(); // undo an earlier removal
+        db.remove("movie", &tuple![9, "Split", "Universal", "2016"])
+            .unwrap();
+        log.merge(db.take_delta(&middle));
+        let delta = log.get("rating").expect("rating changed");
+        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![4, 2]]);
+        assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![2, 3]]);
+        assert!(!log.touches("movie"), "movie netted to a no-op");
+        let movie = |db: &Database| db.relation("movie").unwrap().epoch();
+        assert_ne!(movie(&db), movie(&previous));
+        db.reset_untouched(&previous, &log);
+        assert_eq!(movie(&db), movie(&previous), "movie is previous's again");
+        assert_ne!(
+            db.relation("rating").unwrap().epoch(),
+            previous.relation("rating").unwrap().epoch()
         );
-    }
-
-    /// A wholesale assignment since the checkpoint is undone like any other
-    /// write: the instance is reset and the checkpoint's delta replayed.
-    #[test]
-    fn rollback_undoes_a_wholesale_replacement() {
-        let previous = movie_db();
-        let mut db = previous.clone();
-        db.begin_delta_tracking();
-        db.insert("rating", tuple![3, 4]).unwrap();
-        let golden = db.clone();
-        let checkpoint = db.delta_checkpoint(&previous);
-        let replacement = Relation::from_tuples(
-            db.relation("rating").unwrap().schema().clone(),
-            [tuple![7, 7]],
-        )
-        .unwrap();
-        *db.relation_mut("rating").unwrap() = replacement;
-        db.rollback_to(&previous, &checkpoint);
-        assert_eq!(db, golden, "contents restored");
-        let log = db.take_delta(&previous);
-        let delta = log.get("rating").expect("rating changed");
-        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![3, 4]]);
-        assert!(delta.removed.is_empty());
     }
 
     #[test]
@@ -391,8 +323,7 @@ mod tests {
     }
 
     /// A relation assigned wholesale is diffed against its previous
-    /// version; a checkpoint keeps the diff as the tracking state, and later
-    /// writes record onto it.
+    /// version, writes after the assignment included.
     #[test]
     fn wholesale_replacement_yields_the_exact_diff() {
         let previous = movie_db();
@@ -401,10 +332,6 @@ mod tests {
         let schema = previous.relation("rating").unwrap().schema().clone();
         *db.relation_mut("rating").unwrap() =
             Relation::from_tuples(schema, vec![tuple![7, 7], tuple![2, 3]]).unwrap();
-        let checkpoint = db.delta_checkpoint(&previous);
-        let diff = checkpoint.get("rating").expect("rating changed");
-        assert_eq!(diff.inserted.iter().collect::<Vec<_>>(), [&tuple![7, 7]]);
-        assert_eq!(diff.removed.iter().collect::<Vec<_>>(), [&tuple![1, 5]]);
         db.insert("rating", tuple![1, 5]).unwrap();
         db.remove("rating", &tuple![2, 3]).unwrap();
         let log = db.take_delta(&previous);

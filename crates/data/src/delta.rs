@@ -33,6 +33,19 @@ impl RelationDelta {
     pub fn len(&self) -> usize {
         self.inserted.len() + self.removed.len()
     }
+
+    /// Add a later write of `tuple` — made `present`, or absent — to the
+    /// net change.  A write that undoes an earlier one cancels out, so the
+    /// delta always satisfies inserted = new∖old, removed = old∖new.
+    pub fn record(&mut self, tuple: Tuple, present: bool) {
+        let (undone, done) = match present {
+            true => (&mut self.removed, &mut self.inserted),
+            false => (&mut self.inserted, &mut self.removed),
+        };
+        if !undone.remove(&tuple) {
+            done.insert(tuple);
+        }
+    }
 }
 
 /// The full write set of one mutation: every *changed* relation mapped to
@@ -71,6 +84,23 @@ impl DeltaLog {
     /// The delta of `relation`, if it changed.
     pub fn get(&self, relation: &str) -> Option<&RelationDelta> {
         self.changes.get(relation)
+    }
+
+    /// Fold in the net write set of a later mutation, tuple by tuple with
+    /// [`RelationDelta::record`]'s cancel rule: the log then holds the net
+    /// change across both.  A relation whose change nets to nothing leaves
+    /// the log.
+    pub fn merge(&mut self, later: DeltaLog) {
+        for (relation, delta) in later.changes {
+            let mut net = self.changes.remove(&relation).unwrap_or_default();
+            for t in delta.inserted {
+                net.record(t, true);
+            }
+            for t in delta.removed {
+                net.record(t, false);
+            }
+            self.record(relation, net);
+        }
     }
 
     /// Iterate over the changed relations and their deltas in name order.

@@ -60,6 +60,7 @@ pub mod intern;
 pub mod relation;
 pub mod schema;
 pub mod stats;
+mod tree;
 pub mod tuple;
 pub mod value;
 pub mod views;

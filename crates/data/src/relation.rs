@@ -5,10 +5,11 @@ use crate::error::DataError;
 use crate::index::{InternedAccessIndex, Layout};
 use crate::intern::ValueId;
 use crate::schema::RelationSchema;
+use crate::tree::{Leaves, Tree};
 use crate::tuple::{cmp_rows, Tuple, TupleRef};
 use crate::value::Value;
 use crate::Result;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -23,207 +24,11 @@ fn fresh_epoch() -> u64 {
     NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Most tuples one storage chunk holds; an insert into a full chunk splits
-/// it in two.
-const CHUNK_MAX: usize = 512;
-
-/// A chunk that shrinks below this is folded into a neighbour when the pair
-/// fits one chunk.  A quarter of [`CHUNK_MAX`], so a freshly split chunk is
-/// far from merging again and a freshly merged one far from splitting.
-const CHUNK_MIN: usize = CHUNK_MAX / 4;
-
-/// One run of consecutive tuples, sorted, never empty: row-major, `arity`
-/// interned ids per tuple.
-type Chunk = Arc<Vec<ValueId>>;
-
-/// The tuple set of a [`Relation`]: sorted runs of at most [`CHUNK_MAX`]
-/// id rows, each behind its own `Arc`.  Cloning copies one pointer per
-/// chunk, a write forks only the chunk it lands in (plus a neighbour when
-/// chunks merge), and dropping a version frees only the chunks no other
-/// version still shares.
-///
-/// Rows are kept in the lexicographic order of their *values*, compared
-/// through the pool ([`cmp_rows`]), not of their ids: the order a relation
-/// iterates in is the order of its tuples, whatever order their values
-/// happened to be interned in.
-#[derive(Debug, Clone)]
-struct Chunks {
-    chunks: Vec<Chunk>,
-    len: usize,
-    arity: usize,
-}
-
-/// Rows in a chunk of `arity`-wide rows.  A nullary relation holds at most
-/// the empty tuple, in a chunk of no ids.
-fn rows_in(arity: usize, chunk: &[ValueId]) -> usize {
-    chunk.len().checked_div(arity).unwrap_or(1)
-}
-
-impl Chunks {
-    fn new(arity: usize) -> Self {
-        Chunks {
-            chunks: Vec::new(),
-            len: 0,
-            arity,
-        }
-    }
-
-    fn rows(&self, chunk: &[ValueId]) -> usize {
-        rows_in(self.arity, chunk)
-    }
-
-    /// Row `i` of `chunk`.
-    fn row<'c>(&self, chunk: &'c [ValueId], i: usize) -> &'c [ValueId] {
-        &chunk[i * self.arity..(i + 1) * self.arity]
-    }
-
-    /// The first row of `chunk` for which `below` is false — `below` being
-    /// true on a prefix of the rows.
-    fn partition_rows(&self, chunk: &[ValueId], below: impl Fn(&[ValueId]) -> bool) -> usize {
-        let (mut lo, mut hi) = (0, self.rows(chunk));
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match below(self.row(chunk, mid)) {
-                true => lo = mid + 1,
-                false => hi = mid,
-            }
-        }
-        lo
-    }
-
-    /// The chunk `row` belongs to, and its position in that chunk: `Ok`
-    /// when present, `Err` with the insertion point when absent.
-    fn locate(&self, row: &[ValueId]) -> (usize, std::result::Result<usize, usize>) {
-        // The last chunk starting at or before the row (the first chunk for
-        // a row smaller than everything stored).
-        let ci = self
-            .chunks
-            .partition_point(|c| cmp_rows(self.row(c, 0), row).is_le())
-            .saturating_sub(1);
-        let Some(chunk) = self.chunks.get(ci) else {
-            return (0, Err(0));
-        };
-        let pos = self.partition_rows(chunk, |r| cmp_rows(r, row).is_lt());
-        let found = pos < self.rows(chunk) && self.row(chunk, pos) == row;
-        (ci, if found { Ok(pos) } else { Err(pos) })
-    }
-
-    /// The position of the first row whose leading ids are not below
-    /// `prefix` — where the run of rows starting with `prefix` begins, if
-    /// there is one.  Two binary searches, like [`Chunks::locate`].
-    fn lower_bound(&self, prefix: &[ValueId]) -> (usize, usize) {
-        let below = |r: &[ValueId]| cmp_rows(&r[..prefix.len()], prefix).is_lt();
-        // The run may start in the tail of the last chunk whose head is
-        // still below the prefix.
-        let ci = self
-            .chunks
-            .partition_point(|c| below(self.row(c, 0)))
-            .saturating_sub(1);
-        let pos = self
-            .chunks
-            .get(ci)
-            .map_or(0, |c| self.partition_rows(c, below));
-        (ci, pos)
-    }
-
-    /// Insert an absent row at the position [`Chunks::locate`] reported.
-    fn insert_at(&mut self, ci: usize, pos: usize, row: &[ValueId]) {
-        self.len += 1;
-        let arity = self.arity;
-        // Appending past a full last chunk (or into no chunk at all) starts
-        // a new one instead of splitting, so sorted loads fill their chunks
-        // completely.
-        let past_full = |chunk: &Chunk| pos == rows_in(arity, chunk) && pos >= CHUNK_MAX;
-        if ci + 1 >= self.chunks.len() && self.chunks.last().is_none_or(past_full) {
-            self.chunks.push(Arc::new(row.to_vec()));
-            return;
-        }
-        let (slot, at) = (&mut self.chunks[ci], pos * arity);
-        let chunk = match Arc::get_mut(slot) {
-            Some(chunk) => {
-                chunk.splice(at..at, row.iter().copied());
-                chunk
-            }
-            // Shared with another version: the successor chunk is one copy,
-            // at exactly its new length — not a clone grown to twice that.
-            None => {
-                *slot = Arc::new([&slot[..at], row, &slot[at..]].concat());
-                Arc::make_mut(slot)
-            }
-        };
-        let rows = rows_in(arity, chunk);
-        if rows > CHUNK_MAX {
-            let tail = chunk.split_off(rows / 2 * arity);
-            chunk.shrink_to(CHUNK_MAX * arity);
-            self.chunks.insert(ci + 1, Arc::new(tail));
-        }
-    }
-
-    /// Remove the row at a position [`Chunks::locate`] reported as `Ok`.
-    fn remove_at(&mut self, ci: usize, pos: usize) {
-        self.len -= 1;
-        let arity = self.arity;
-        if self.rows(&self.chunks[ci]) == 1 {
-            self.chunks.remove(ci);
-            return;
-        }
-        let chunk = Arc::make_mut(&mut self.chunks[ci]);
-        chunk.drain(pos * arity..(pos + 1) * arity);
-        if rows_in(arity, chunk) >= CHUNK_MIN {
-            return;
-        }
-        let neighbour = if ci + 1 < self.chunks.len() {
-            ci + 1
-        } else if ci > 0 {
-            ci - 1
-        } else {
-            return;
-        };
-        if self.rows(&self.chunks[ci]) + self.rows(&self.chunks[neighbour]) > CHUNK_MAX {
-            return;
-        }
-        let tail = self.chunks.remove(ci.max(neighbour));
-        Arc::make_mut(&mut self.chunks[ci.min(neighbour)]).extend_from_slice(&tail);
-    }
-
-    fn iter(&self) -> Iter<'_> {
-        Iter {
-            chunks: self.chunks.iter(),
-            current: &[],
-            arity: self.arity,
-            remaining: self.len,
-        }
-    }
-
-    /// Every stored id, row-major and in order.
-    fn ids(&self) -> impl Iterator<Item = &ValueId> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
-    }
-
-    /// True when both sets are the very same chunks, pointer for pointer.
-    fn same_chunks(&self, other: &Chunks) -> bool {
-        self.chunks.len() == other.chunks.len()
-            && self
-                .chunks
-                .iter()
-                .zip(&other.chunks)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
-    }
-}
-
-impl PartialEq for Chunks {
-    /// By content: equal sets compare equal however their insert histories
-    /// happened to cut them into chunks.  Ids compare as their values do.
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && (self.same_chunks(other) || self.ids().eq(other.ids()))
-    }
-}
-
 /// Iterator over a relation's tuples in sorted order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    chunks: std::slice::Iter<'a, Chunk>,
-    /// The rows of the current chunk not yet yielded.
+    leaves: Leaves<'a>,
+    /// The rows of the current leaf not yet yielded.
     current: &'a [ValueId],
     arity: usize,
     remaining: usize,
@@ -236,10 +41,10 @@ impl<'a> Iterator for Iter<'a> {
         if self.remaining == 0 {
             return None;
         }
-        // Chunks are never empty, and a nullary relation's one tuple is
-        // the empty row, which needs no chunk to read from.
+        // Leaves are never empty, and a nullary relation's one tuple is
+        // the empty row, which needs no leaf to read from.
         if self.current.is_empty() && self.arity > 0 {
-            self.current = self.chunks.next()?.as_slice();
+            self.current = self.leaves.next()?;
         }
         self.remaining -= 1;
         let (row, rest) = self.current.split_at(self.arity);
@@ -273,13 +78,15 @@ impl ExactSizeIterator for Iter<'_> {}
 /// [`Tuple`]s would give; reading them yields [`TupleRef`]s, which index
 /// to `&Value` through the pool.
 ///
-/// Tuple storage is structurally shared: the sorted set is cut into chunks
-/// of at most 512 rows, each behind its own [`Arc`].  Cloning a relation
-/// (and hence a whole [`crate::Database`]) copies `O(#chunks)` pointers and
-/// no tuple; a genuine write to a shared instance copies the one chunk it
-/// lands in (`O(log |R|)` to find it, at most two chunks when an underfull
-/// chunk merges with its neighbour), never the relation; dropping a version
-/// frees only the chunks it did not share.
+/// Tuple storage is structurally shared: the sorted set is a persistent
+/// B+-tree whose leaves are chunks of at most 512 rows, every node behind
+/// its own [`Arc`].  Cloning a relation (and hence a whole
+/// [`crate::Database`]) is one reference count on the tree, whatever its
+/// size, and copies no tuple; a genuine write to a shared instance copies
+/// the nodes on its root-to-leaf path — `O(log |R|)` inner nodes of a few
+/// dozen children, and the one chunk it lands in, plus at most one node per
+/// level when chunks split or merge — never the relation; dropping a
+/// version frees only the nodes it did not share.
 ///
 /// A relation owns its indexes, one per layout: keyed indexes
 /// ([`Relation::keyed_index`]) and the access-constraint indexes
@@ -289,15 +96,15 @@ impl ExactSizeIterator for Iter<'_> {}
 /// an index); a net no-op write re-shares its predecessor's cell; a relation
 /// replaced wholesale brings its own; a `KEYED_CARRY` `Error` empties it.
 /// Unmutated clones share the cell.  Nothing else copies a relation: a
-/// reader that wants its rows reads the chunks ([`Relation::id_chunks`]).
+/// reader that wants its rows reads the leaves ([`Relation::id_chunks`]).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
-    tuples: Chunks,
+    tuples: Tree,
     epoch: u64,
     /// Present only between `begin_delta_tracking` / `take_delta`: the net
     /// write set accumulated since tracking began.
-    tracking: Option<Box<DeltaState>>,
+    tracking: Option<DeltaState>,
     /// The indexes of exactly these contents, by layout, each present once
     /// someone asked for it.  Shared by unmutated clones; a mutation takes a
     /// patched copy along.
@@ -327,7 +134,7 @@ impl Relation {
     /// An empty instance of the given schema.
     pub fn empty(schema: RelationSchema) -> Self {
         Relation {
-            tuples: Chunks::new(schema.arity()),
+            tuples: Tree::new(schema.arity()),
             schema,
             epoch: fresh_epoch(),
             tracking: None,
@@ -366,12 +173,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len
+        self.tuples.len()
     }
 
     /// True if the instance is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.len == 0
+        self.tuples.len() == 0
     }
 
     /// Insert a tuple; returns `true` if it was not already present.  This
@@ -386,18 +193,14 @@ impl Relation {
             .collect::<Result<Vec<_>>>()?;
         // The membership test comes first so a no-op insert neither copies
         // shared storage nor re-stamps the epoch.
-        let (chunk, Err(pos)) = self.tuples.locate(&row) else {
+        if self.tuples.contains(&row) {
             return Ok(false);
-        };
-        self.carry_indexes(&row, true);
-        if let Some(state) = self.tracking.as_deref_mut() {
-            // An insert that undoes a tracked removal cancels out: the net
-            // delta always satisfies inserted = new∖old, removed = old∖new.
-            if !state.delta.removed.remove(&tuple) {
-                state.delta.inserted.insert(tuple.clone());
-            }
         }
-        self.tuples.insert_at(chunk, pos, &row);
+        self.carry_indexes(&row, true);
+        if let Some(state) = self.tracking.as_mut() {
+            state.delta.record(tuple, true);
+        }
+        self.tuples.insert(&row);
         self.epoch = fresh_epoch();
         Ok(true)
     }
@@ -405,19 +208,17 @@ impl Relation {
     /// Remove a tuple; returns `true` if it was present.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         self.check_arity(tuple)?;
-        let Some(row) = self.lookup_row(tuple) else {
-            return Ok(false);
-        };
-        let (chunk, Ok(pos)) = self.tuples.locate(&row) else {
+        let Some(row) = self
+            .lookup_row(tuple)
+            .filter(|row| self.tuples.contains(row))
+        else {
             return Ok(false);
         };
         self.carry_indexes(&row, false);
-        if let Some(state) = self.tracking.as_deref_mut() {
-            if !state.delta.inserted.remove(tuple) {
-                state.delta.removed.insert(tuple.clone());
-            }
+        if let Some(state) = self.tracking.as_mut() {
+            state.delta.record(tuple.clone(), false);
         }
-        self.tuples.remove_at(chunk, pos);
+        self.tuples.remove(&row);
         self.epoch = fresh_epoch();
         Ok(true)
     }
@@ -490,10 +291,10 @@ impl Relation {
     /// Assigning the instance wholesale replaces its tracking too; the delta
     /// is then found by a diff instead.
     pub fn begin_delta_tracking(&mut self) {
-        self.tracking = Some(Box::new(DeltaState {
+        self.tracking = Some(DeltaState {
             base_epoch: self.epoch,
             delta: RelationDelta::default(),
-        }));
+        });
     }
 
     /// Stop recording and return the net write set since `previous`, the
@@ -504,34 +305,20 @@ impl Relation {
     /// storage and its indexes, so a do-undo or an equal replacement leaves
     /// no trace.
     pub fn take_delta(&mut self, previous: &Relation) -> RelationDelta {
+        let tracked = self.tracking.take();
         if self.epoch == previous.epoch {
             // Epochs are globally unique: the contents are `previous`'s.
-            self.tracking = None;
             return RelationDelta::default();
         }
-        self.delta_since(previous);
-        let delta = self.tracking.take().map(|s| s.delta).unwrap_or_default();
+        let delta = match tracked.filter(|s| s.base_epoch == previous.epoch) {
+            Some(state) => state.delta,
+            None => self.diff(previous),
+        };
         if delta.is_empty() {
             *self = previous.clone();
             self.tracking = None;
         }
         delta
-    }
-
-    /// The net write set since `previous`, as [`Relation::take_delta`] finds
-    /// it, with tracking kept on: a diff becomes the tracking state, so later
-    /// writes record onto it in `O(|Δ|)` again.
-    pub(crate) fn delta_since(&mut self, previous: &Relation) -> &RelationDelta {
-        let base_epoch = previous.epoch;
-        if self
-            .tracking
-            .as_ref()
-            .is_none_or(|s| s.base_epoch != base_epoch)
-        {
-            let delta = self.diff(previous);
-            self.tracking = Some(Box::new(DeltaState { base_epoch, delta }));
-        }
-        &self.tracking.as_ref().expect("tracking was just set").delta
     }
 
     /// This relation against `previous` as a delta: one merge of the two
@@ -562,28 +349,32 @@ impl Relation {
         }
     }
 
-    /// True when `self` and `other` are the very same storage: every chunk
-    /// pointer-equal (copy-on-write has not forked a single one apart).
-    /// Shared storage implies identical contents; the converse does not
-    /// hold.  `O(#chunks)`, no tuple is compared.
+    /// True when `self` and `other` are the very same storage: one tree,
+    /// which copy-on-write has not forked apart.  Shared storage implies
+    /// identical contents; the converse does not hold.  One pointer
+    /// comparison; no tuple is compared.
     pub fn shares_storage(&self, other: &Relation) -> bool {
-        self.tuples.same_chunks(&other.tuples)
+        self.tuples.shares(&other.tuples)
     }
 
-    /// Number of storage chunks.
+    /// Number of storage chunks: the leaves of the tree.
     pub fn chunk_count(&self) -> usize {
-        self.tuples.chunks.len()
+        self.tuples.leaves().count()
     }
 
-    /// How many of this relation's chunks are the same allocation as a
-    /// chunk of `other` — [`Relation::shares_storage`] generalised to
-    /// partial sharing: `chunk_count() - shared_chunks(&previous)` is the
-    /// number of chunks the writes since `previous` forked or created.
-    pub fn shared_chunks(&self, other: &Relation) -> usize {
-        let theirs: HashSet<*const Vec<ValueId>> =
-            other.tuples.chunks.iter().map(Arc::as_ptr).collect();
-        let shared = |c: &&Chunk| theirs.contains(&Arc::as_ptr(c));
-        self.tuples.chunks.iter().filter(shared).count()
+    /// Levels of the storage tree, its root to its leaves: 1 while the
+    /// relation fits one chunk, 0 when it is empty.
+    pub fn storage_height(&self) -> usize {
+        self.tuples.height()
+    }
+
+    /// How many nodes of this relation's storage tree — inner nodes and
+    /// chunks alike — are not nodes of `other`'s:
+    /// [`Relation::shares_storage`] generalised to partial sharing.  Against
+    /// `previous`, the number of nodes the writes since `previous` copied
+    /// or made; 0 for an unwritten clone.
+    pub fn unshared_nodes(&self, other: &Relation) -> usize {
+        self.tuples.unshared_nodes(&other.tuples)
     }
 
     /// The index of this version's tuples on `positions`: probing it with
@@ -648,13 +439,18 @@ impl Relation {
     /// a value the pool has never seen is in no relation.
     pub fn contains(&self, tuple: &Tuple) -> bool {
         let row = self.lookup_row(tuple);
-        row.is_some_and(|row| self.tuples.locate(&row).1.is_ok())
+        row.is_some_and(|row| self.tuples.contains(&row))
     }
 
     /// Iterate over the tuples in sorted (value) order, each a [`TupleRef`]
     /// borrowing its stored id row.
     pub fn iter(&self) -> Iter<'_> {
-        self.tuples.iter()
+        Iter {
+            leaves: self.tuples.leaves(),
+            current: &[],
+            arity: self.schema.arity(),
+            remaining: self.len(),
+        }
     }
 
     /// The stored id rows chunk by chunk, row-major and in iteration order —
@@ -662,33 +458,32 @@ impl Relation {
     /// the empty tuple has one chunk of no ids, so count rows with
     /// [`Relation::len`], not from the ids.
     pub fn id_chunks(&self) -> impl Iterator<Item = &[ValueId]> {
-        self.tuples.chunks.iter().map(|chunk| chunk.as_slice())
+        self.tuples.leaves()
     }
 
     /// The tuples whose first `prefix.len()` fields are the interned values
     /// `prefix`, in sorted order: a contiguous run of the sorted storage,
-    /// found by binary search (`O(log |R|)`) and walked (`O(matches)`) — an
-    /// index on every leading run of attributes that costs no memory and no
-    /// maintenance.  The empty prefix yields the whole relation; a prefix
-    /// longer than the arity yields nothing.
+    /// found by one binary search per tree level (`O(log |R|)`) and walked
+    /// (`O(matches)`) — an index on every leading run of attributes that
+    /// costs no memory and no maintenance.  The empty prefix yields the
+    /// whole relation; a prefix longer than the arity yields nothing.
     pub fn prefix_range<'r: 'p, 'p>(
         &'r self,
         prefix: &'p [ValueId],
     ) -> impl Iterator<Item = TupleRef<'r>> + 'p {
-        let (ci, pos) = match prefix.len() <= self.schema.arity() {
-            true => self.tuples.lower_bound(prefix),
-            false => (self.tuples.chunks.len(), 0),
+        let arity = self.schema.arity();
+        let (head, rest) = match prefix.len() <= arity {
+            true => self
+                .tuples
+                .seek(|r| cmp_rows(&r[..prefix.len()], prefix).is_lt()),
+            false => (&[][..], Leaves::default()),
         };
-        let arity = self.tuples.arity;
-        let chunks = self.tuples.chunks.get(ci..).unwrap_or_default();
-        let skip = move |(i, chunk): (usize, &'r Chunk)| {
-            let from = if i == 0 { pos * arity } else { 0 };
-            let rows = chunk[from..].chunks_exact(arity.max(1));
-            // A nullary relation's one tuple is the empty row.
-            let empty = (arity == 0).then_some(&[][..]);
-            rows.chain(empty).map(TupleRef::new)
-        };
-        let from_bound = chunks.iter().enumerate().flat_map(skip);
+        let rows = std::iter::once(head)
+            .chain(rest)
+            .flat_map(move |leaf| leaf.chunks_exact(arity.max(1)));
+        // A nullary relation's one tuple is the empty row.
+        let unit = (arity == 0 && prefix.is_empty() && self.len() == 1).then_some(&[][..]);
+        let from_bound = rows.chain(unit).map(TupleRef::new);
         from_bound.take_while(move |t| t.ids().starts_with(prefix))
     }
 
@@ -741,6 +536,7 @@ impl<'a> IntoIterator for &'a Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::CHUNK_MAX;
     use crate::tuple;
 
     fn rating() -> Relation {
@@ -887,12 +683,11 @@ mod tests {
         Relation::from_tuples(schema, values.into_iter().map(|v| tuple![v])).unwrap()
     }
 
-    /// Chunks are sorted, non-empty, within bounds, and add up to `len`.
+    /// The tree is well formed, and its chunks add up to `len`.
     fn check_chunks(r: &Relation) {
-        let rows = |c: &Chunk| r.tuples.rows(c);
-        let chunks = &r.tuples.chunks;
-        assert!(chunks.iter().all(|c| !c.is_empty() && rows(c) <= CHUNK_MAX));
-        assert_eq!(chunks.iter().map(rows).sum::<usize>(), r.len());
+        r.tuples.check();
+        let ids: usize = r.id_chunks().map(<[ValueId]>::len).sum();
+        assert_eq!(ids, r.len() * r.schema().arity());
         assert!(r.iter().zip(r.iter().skip(1)).all(|(a, b)| a < b));
         assert_eq!(r.iter().len(), r.len());
     }
@@ -904,7 +699,7 @@ mod tests {
         let up = numbers(0..3000);
         let down = numbers((0..3000).rev());
         assert_ne!(up.chunk_count(), down.chunk_count());
-        assert_eq!(up.shared_chunks(&down), 0);
+        assert_eq!(up.unshared_nodes(&down), up.chunk_count() + 1, "and a root");
         assert_eq!(up, down);
         assert!(up.iter().eq(down.iter()));
         let mut other = down.clone();
@@ -950,16 +745,66 @@ mod tests {
         let base = numbers((0..20_000).map(|v| v * 2));
         let frozen: Vec<Tuple> = base.iter().map(|t| t.to_tuple()).collect();
         let mut next = base.clone();
-        assert_eq!(next.shared_chunks(&base), base.chunk_count());
+        assert_eq!(next.unshared_nodes(&base), 0);
+        // 40 full chunks: a root over two inner nodes, of 16 and 24.
+        assert_eq!(base.storage_height(), 3);
         next.insert(tuple![10_001]).unwrap();
         assert!(!next.shares_storage(&base));
-        assert!(next.chunk_count() - next.shared_chunks(&base) <= 2, "split");
+        // The path of three, and the new half of the full chunk.
+        assert_eq!(next.unshared_nodes(&base), 4);
+        // The other inner node, and the chunk under it.
         next.remove(&tuple![30_000]).unwrap();
-        assert!(next.chunk_count() - next.shared_chunks(&base) <= 4);
+        assert_eq!(next.unshared_nodes(&base), 6);
         // The predecessor reads exactly as before.
         assert!(base.iter().map(TupleRef::to_tuple).eq(frozen));
         assert!(!base.contains(&tuple![10_001]) && base.contains(&tuple![30_000]));
         check_chunks(&next);
+    }
+
+    /// Random inserts and removals, then a random drain, with a version
+    /// kept every few thousand writes: the tree stays well formed through
+    /// chunk and inner-node splits and merges and a root that gains and
+    /// gives up levels, and every kept version reads as it did.
+    #[test]
+    fn random_writes_keep_every_version_a_well_formed_tree() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as i64
+        };
+        let mut r = numbers([]);
+        let mut model = BTreeSet::new();
+        let mut kept = Vec::new();
+        let mut heights = BTreeSet::new();
+        for step in 0..80_000u32 {
+            let v = below(40_000);
+            match model.insert(v) {
+                true => assert!(r.insert(tuple![v]).unwrap()),
+                false => assert!(r.remove(&tuple![v]).unwrap() && model.remove(&v)),
+            }
+            if step.is_multiple_of(4_000) {
+                check_chunks(&r);
+                kept.push((r.clone(), model.clone()));
+            }
+            heights.insert(r.storage_height());
+        }
+        let mut live: Vec<i64> = model.iter().copied().collect();
+        while !live.is_empty() {
+            let v = live.swap_remove(below(live.len() as u64) as usize);
+            assert!(r.remove(&tuple![v]).unwrap());
+            if live.len().is_multiple_of(2_000) {
+                check_chunks(&r);
+            }
+        }
+        assert!(r.is_empty() && r.storage_height() == 0);
+        assert_eq!(heights.last(), Some(&3), "{heights:?}");
+        for (version, model) in &kept {
+            check_chunks(version);
+            let ints = version.iter().map(|t| t[0].clone());
+            assert!(ints.eq(model.iter().map(|&v| Value::int(v))));
+        }
     }
 
     #[test]

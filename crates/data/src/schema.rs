@@ -12,7 +12,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RelationSchema {
     name: Arc<str>,
-    attributes: Vec<Arc<str>>,
+    attributes: Arc<[Arc<str>]>,
 }
 
 impl RelationSchema {

@@ -336,9 +336,10 @@ impl Engine {
 
     /// Mutate the current instance through a closure and publish the result
     /// as a fresh version.  The closure sees a copy-on-write clone of the
-    /// live instance (`O(#chunks)` pointer copies; a write copies the one
-    /// ≤ 512-tuple chunk it lands in), and its per-relation write delta is
-    /// captured as it runs; the next version is then built from it without
+    /// live instance (one reference count per relation; a write copies the
+    /// nodes on its path through the relation's storage tree, the one
+    /// ≤ 512-tuple chunk it lands in included), and its per-relation write
+    /// delta is captured as it runs; the next version is then built from it without
     /// an `O(|R|)` step: view extents are maintained semi-naively — each Δ
     /// tuple joined to the rest of its view by a fixed chain of keyed
     /// probes into the relations' sorted storage and keyed indexes
@@ -384,17 +385,19 @@ impl Engine {
     /// run once for the whole batch instead of once per closure — the
     /// amortisation the serving front's write batching rides on.
     ///
-    /// Isolation is per closure, atomicity per batch: each closure runs
-    /// after an `O(|Δ|)` checkpoint of the batch's delta so far
-    /// ([`Database::delta_checkpoint`]), so a closure that errors, panics
-    /// or changes the schema ([`Error::SchemaMismatch`]) is undone — the
-    /// instance reset to the live version and the checkpoint replayed
-    /// ([`Database::rollback_to`]) — without disturbing its neighbours: its
-    /// slot in the returned `Vec` carries the typed error, every other
-    /// closure's effect still publishes.  The combined net delta becomes
-    /// visible in a single version swap: readers never observe a prefix of
-    /// the batch.  An empty or net-no-op batch publishes nothing (the usual
-    /// no-op elision).
+    /// Isolation is per closure, atomicity per batch: each closure runs on
+    /// a fork of the batch's instance so far (one reference count per
+    /// relation), so a closure that errors, panics or changes the schema
+    /// ([`Error::SchemaMismatch`]) is undone — the instance set back to that
+    /// fork — without disturbing its neighbours: its slot in the returned
+    /// `Vec` carries the typed error, every other closure's effect still
+    /// publishes.  Each successful closure's own delta is folded into the
+    /// batch's ([`DeltaLog::merge`](bqr_data::DeltaLog::merge)), so a batch
+    /// costs the sum of its closures, and a relation the batch leaves as it
+    /// found it becomes the live version's again, epoch included.  The
+    /// combined net delta becomes visible in a single version swap: readers
+    /// never observe a prefix of the batch.  An empty or net-no-op batch
+    /// publishes nothing (the usual no-op elision).
     ///
     /// The outer `Result` fails only when version construction failed (an
     /// index build or view maintenance error/panic — contained like a
@@ -411,12 +414,11 @@ impl Engine {
         let _serialised = self.writers.lock().unwrap_or_else(PoisonError::into_inner);
         let prev = Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner));
         let mut db = prev.database().clone();
-        db.begin_delta_tracking();
+        let mut delta = bqr_data::DeltaLog::new();
         let mut outcomes = Vec::new();
         for f in closures {
-            // Checkpoint before each closure: an O(|Δ|) copy of the batch's
-            // delta so far, NOT an O(#chunks) `Database::clone` per closure.
-            let checkpoint = db.delta_checkpoint(prev.database());
+            let before = db.clone();
+            db.begin_delta_tracking();
             let out = catch_unwind(AssertUnwindSafe(|| {
                 bqr_data::faults::check(bqr_data::faults::sites::MUTATE_CLOSURE)?;
                 f(&mut db)
@@ -426,17 +428,18 @@ impl Engine {
             })
             .and_then(|r| r.map_err(Error::Data))
             .and_then(|r| self.check_schema(&db).map(|()| r));
-            if out.is_err() {
-                db.rollback_to(prev.database(), &checkpoint);
+            match out {
+                Ok(_) => delta.merge(db.take_delta(&before)),
+                Err(_) => db = before,
             }
             outcomes.push(out);
         }
-        let delta = db.take_delta(prev.database());
         if delta.is_empty() {
             // No-op elision: nothing changed, so the current version — and
             // every epoch and index keyed off it — is still exact.
             return Ok(outcomes);
         }
+        db.reset_untouched(prev.database(), &delta);
         let version = catch_unwind(AssertUnwindSafe(|| {
             DataVersion::apply_delta(&prev, db, &delta, &self.setting)
         }))

@@ -904,3 +904,27 @@ fn empty_or_noop_batches_publish_nothing() {
     assert!(outcomes.iter().all(Result::is_ok));
     assert_eq!(engine.session().epochs(), epochs, "nothing published");
 }
+
+/// A relation a batch leaves as it found it keeps its epoch, though the
+/// batch publishes another relation's change: the closures' own deltas
+/// cancel across the batch, as one closure's writes cancel within it.
+#[test]
+fn a_relation_a_batch_nets_out_on_keeps_its_epoch() {
+    let engine = movie_engine();
+    engine.attach(movie_instance()).unwrap();
+    let epoch = |name: &str| engine.session().database().relation(name).unwrap().epoch();
+    let (rating, movie) = (epoch("rating"), epoch("movie"));
+    let outcomes = engine
+        .mutate_batch(vec![
+            |db: &mut Database| db.insert("rating", tuple![30, 1]).map(drop),
+            |db: &mut Database| {
+                db.insert("movie", tuple![30, "Her", "Warner", "2013"])
+                    .map(drop)
+            },
+            |db: &mut Database| db.remove("rating", &tuple![30, 1]).map(drop),
+        ])
+        .unwrap();
+    assert!(outcomes.iter().all(Result::is_ok));
+    assert_eq!(epoch("rating"), rating, "rating is the live version's");
+    assert_ne!(epoch("movie"), movie);
+}

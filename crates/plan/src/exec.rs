@@ -380,7 +380,7 @@ struct Bound<'a> {
 ///
 /// Compile once with [`Pipeline::compile`], inspect with
 /// [`Pipeline::describe`], run with [`Pipeline::execute`].  A pipeline reads
-/// the extents it was made with (clones — chunk pointers — that share the
+/// the extents it was made with (clones — one reference each — that share the
 /// version's rows and keyed indexes); its fetches are resolved, by
 /// constraint content, against whichever `idb` an execution names — any
 /// database whose access schema has the plan's constraints will do.

@@ -99,13 +99,14 @@
 //! do-undo closure leaves no trace), and version construction dispatches on
 //! what the delta looks like, per relation and per view.  What each step
 //! costs, for a relation `R` with `G` index groups of at most `N` entries
-//! (chunks hold ≤ 512 tuples, indexes have 256 shards):
+//! (a relation's storage is a B+-tree of chunks of ≤ 512 tuples under
+//! inner nodes of ≤ 32 children, indexes have 256 shards):
 //!
 //! | step | cost |
 //! |---|---|
-//! | clone the instance for the closure | `O(#chunks)` pointer copies, no tuple |
-//! | one `insert` / `remove` | one pool lookup per value (an insert mints an id for a value never seen, the only interning a write does), `O(log \|R\|)` to find the chunk, one chunk of ids copied on its first write (two when chunks merge) |
-//! | drop the superseded version | `O(#chunks)` pointer drops, frees only the chunks it did not share |
+//! | clone the instance for the closure | one reference count per relation, no tuple |
+//! | one `insert` / `remove` | one pool lookup per value (an insert mints an id for a value never seen, the only interning a write does), `O(log \|R\|)` to find the chunk, the tree path to it and the chunk's ids copied on its first write (a node more per level that splits or merges) |
+//! | drop the superseded version | frees only the tree nodes it did not share: the path the write copied |
 //! | every index the relation holds — its access constraints' (built on attach) and its keyed ones (built by the first view maintenance, or for a view extent the first read joining the view, to ask) | carried by the `insert` / `remove` itself, per index: `256` pointer copies on the version's first write, one forked shard, `O(G / 256)`, plus the written group; nothing is looked up again or interned |
 //! | CQ / UCQ view extents | per Δ tuple, a fixed chain of keyed probes: `O(Σ matches)`, see below |
 //!

@@ -661,7 +661,7 @@ fn replacing_a_relation_with_equal_contents_publishes_nothing() {
 
     type Replace = fn(&Relation) -> Relation;
     let replacements: [(&str, Replace); 3] = [
-        // Shared storage: every chunk pointer-equal, nothing to compare.
+        // Shared storage: one storage tree, nothing to compare.
         ("rating", |r| r.clone()),
         // Same set, loaded in reverse: other chunk boundaries.
         ("rating", |r| {

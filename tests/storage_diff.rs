@@ -753,3 +753,146 @@ fn prefix_ranges_read_like_filters_at_every_chunk_edge() {
     assert_eq!(empty.prefix_range(&ids(&[Value::int(0)])).count(), 0);
     assert_eq!(empty.prefix_range(&[]).count(), 0);
 }
+
+/// Values of the pairs [`versions_of_versions_read_like_their_models`]
+/// stores: `a` in `0..PAIR_KEYS`, `b` in `0..8`.
+const PAIR_KEYS: i64 = 1_900;
+
+/// One version of the family and its model.
+type Pairs = (Relation, BTreeSet<(i64, i64)>);
+
+/// Every pair with an even `b`, loaded in order: 7 600 rows in 15 full
+/// chunks under one root.
+fn pair_base() -> &'static Pairs {
+    static BASE: OnceLock<Pairs> = OnceLock::new();
+    minted();
+    BASE.get_or_init(|| {
+        let schema = DatabaseSchema::with_relations(&[("pair", &["a", "b"])]).unwrap();
+        let model: BTreeSet<(i64, i64)> = (0..PAIR_KEYS)
+            .flat_map(|a| (0..8).step_by(2).map(move |b| (a, b)))
+            .collect();
+        let tuples = model.iter().map(|&(a, b)| tuple![a, b]);
+        let rel = Relation::from_tuples(schema.relation("pair").unwrap().clone(), tuples).unwrap();
+        assert_eq!(rel.storage_height(), 2);
+        (rel, model)
+    })
+}
+
+/// Insert, or remove, every pair with `a` in `keys` and a `b` of the given
+/// parity (2: either), in the relation and its model alike.
+fn write_pairs(
+    (rel, model): &mut Pairs,
+    keys: std::ops::Range<i64>,
+    parity: i64,
+    insert: bool,
+) -> Result<(), TestCaseError> {
+    for a in keys.start..keys.end.min(PAIR_KEYS) {
+        for b in (0..8).filter(|b| parity == 2 || b % 2 == parity) {
+            let (stored, modelled) = match insert {
+                true => (rel.insert(tuple![a, b]).unwrap(), model.insert((a, b))),
+                false => (rel.remove(&tuple![a, b]).unwrap(), model.remove(&(a, b))),
+            };
+            prop_assert_eq!(stored, modelled, "({}, {}) made present: {}", a, b, insert);
+        }
+    }
+    Ok(())
+}
+
+/// One version against its model, through every way a reader sees the
+/// storage: `len`, `iter`, the concatenated `id_chunks`, `contains` of
+/// present and absent pairs, and `prefix_range` on no field, one and two.
+fn check_pairs((rel, model): &Pairs, ids: &[ValueId]) -> Result<(), TestCaseError> {
+    let row = |&(a, b): &(i64, i64)| [ids[a as usize], ids[b as usize]];
+    prop_assert_eq!(rel.len(), model.len());
+    prop_assert!(rel
+        .iter()
+        .map(|t| t.ids().to_vec())
+        .eq(model.iter().map(|p| row(p).to_vec())));
+    let stored = rel.id_chunks().flatten().copied();
+    prop_assert!(stored.eq(model.iter().flat_map(row)), "id_chunks");
+    prop_assert!(rel.prefix_range(&[]).eq(rel.iter()));
+    for a in (0..PAIR_KEYS + 3).step_by(31) {
+        let ranged: Vec<Vec<ValueId>> = rel
+            .prefix_range(&[ids[a as usize]])
+            .map(|t| t.ids().to_vec())
+            .collect();
+        let expected: Vec<Vec<ValueId>> = model
+            .range((a, 0)..(a + 1, 0))
+            .map(|p| row(p).to_vec())
+            .collect();
+        prop_assert_eq!(&ranged, &expected, "prefix {}", a);
+        for b in [a % 8, (a + 1) % 8] {
+            let whole = rel
+                .prefix_range(&[ids[a as usize], ids[b as usize]])
+                .count();
+            prop_assert_eq!(whole, usize::from(model.contains(&(a, b))));
+            prop_assert_eq!(rel.contains(&tuple![a, b]), model.contains(&(a, b)));
+        }
+    }
+    Ok(())
+}
+
+/// `(kind, version, first key, keys, parity of b)`: the kind is a fork
+/// (0), an insert (1, 2) or a removal (3).
+type FamilyStep = (u32, usize, i64, i64, i64);
+
+fn family_steps() -> impl Strategy<Value = Vec<FamilyStep>> {
+    let step = ((0u32..4, 0usize..64), (0i64..PAIR_KEYS, 1i64..160, 0i64..3));
+    let step = step.prop_map(|((kind, at), (first, keys, parity))| (kind, at, first, keys, parity));
+    prop::collection::vec(step, 6..14)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A family of versions — forks of forks, each taken from a random
+    /// earlier version — written to at random, each write a run of up to
+    /// 1 280 pairs: enough to split and merge chunks, and the inner nodes
+    /// above them.  After every step every version reads like its own
+    /// model, and two versions compare equal exactly when their models do;
+    /// at the end each equals a fresh load of its model, a tree of another
+    /// shape.  A write that changed a node another version shares, or left
+    /// a separator behind, shows in some version's reads.
+    #[test]
+    fn versions_of_versions_read_like_their_models(script in family_steps()) {
+        minted();
+        let ids: Vec<ValueId> = (0..PAIR_KEYS + 3)
+            .map(|v| ValueId::lookup(&Value::int(v)).unwrap())
+            .collect();
+        let base = pair_base();
+        let mut family = vec![base.clone(), base.clone()];
+        // Every odd pair into the second: its chunks split until the root
+        // does.
+        write_pairs(&mut family[1], 0..PAIR_KEYS, 1, true)?;
+        prop_assert_eq!(family[1].0.storage_height(), 3);
+        for (kind, which, first, keys, parity) in script {
+            let at = which % family.len();
+            match kind {
+                0 => family.push(family[at].clone()),
+                _ => write_pairs(&mut family[at], first..first + keys, parity, kind < 3)?,
+            }
+            for version in &family {
+                check_pairs(version, &ids)?;
+            }
+            for (i, (a, model_a)) in family.iter().enumerate() {
+                for (b, model_b) in &family[i + 1..] {
+                    prop_assert_eq!(a == b, model_a == model_b);
+                }
+            }
+        }
+        // Empty the middle of the tallest version: chunks merge, inner
+        // nodes merge, the root gives up a level.
+        let tallest = (0..family.len()).max_by_key(|&i| family[i].0.storage_height()).unwrap();
+        let height = family[tallest].0.storage_height();
+        write_pairs(&mut family[tallest], 100..PAIR_KEYS - 100, 2, false)?;
+        prop_assert!(family[tallest].0.storage_height() < height);
+        for version @ (rel, model) in &family {
+            check_pairs(version, &ids)?;
+            let tuples = model.iter().map(|&(a, b)| tuple![a, b]);
+            let fresh = Relation::from_tuples(rel.schema().clone(), tuples).unwrap();
+            prop_assert!(*rel == fresh);
+        }
+        prop_assert!(base.0.iter().len() == base.1.len());
+        check_pairs(base, &ids)?;
+    }
+}

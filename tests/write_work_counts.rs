@@ -1,10 +1,14 @@
-//! How much a one-tuple write *does*, counted, not timed: chunks and shards
-//! forked, values interned (a write to a large indexed relation); probes
-//! issued and rows visited by view maintenance (a write under a three-way
-//! join view).  The counts must be small and must not depend on `|R|` — the
-//! same at 10 k and at 100 k tuples, at 2 k and at 20 k persons.  And what
-//! deriving read structures from stored rows interns: nothing, because a
-//! relation stores the ids its inserts interned.
+//! How much a fork and a one-tuple write *do*, counted, not timed: nodes of
+//! the storage tree and index shards copied, values interned (a write to a
+//! large indexed relation); probes issued and rows visited by view
+//! maintenance (a write under a three-way join view).  A fork copies no
+//! node.  A write copies its root-to-leaf path — the tree's height, which
+//! grows with `log |R|` by design — and at most two nodes beyond it, when a
+//! full chunk and the full inner node above it split.  Every other count
+//! must be small and must not depend on `|R|` — the same at 10 k and at
+//! 100 k tuples (and at 1 M in a release build), at 2 k and at 20 k
+//! persons.  And what deriving read structures from stored rows interns:
+//! nothing, because a relation stores the ids its inserts interned.
 //!
 //! The tests take turns ([`ALONE`]), so nothing else in the process interns
 //! values while the pool-size deltas are taken.
@@ -30,7 +34,9 @@ const ARITY: usize = 4;
 /// What one write (and the first fetch after it) cost.
 #[derive(Debug, PartialEq)]
 struct Work {
-    chunks_forked: usize,
+    /// Storage-tree nodes the write copied or made beyond its path from
+    /// the root to the chunk it lands in.
+    nodes_beyond_path: usize,
     /// Of the one `calls` index: groups and source counts alike.
     shards_forked: usize,
     values_interned: usize,
@@ -63,6 +69,10 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     let key = [ValueId::intern(&t[0]), ValueId::intern(&t[1])];
     let pool = ValueId::pool_len();
     let mut db = prev.database().clone();
+    assert_eq!(
+        db.relation("calls").unwrap().unshared_nodes(calls_of(prev)),
+        0
+    );
     db.begin_delta_tracking();
     let changed = if insert {
         db.insert("calls", t.clone()).unwrap()
@@ -75,13 +85,12 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     let index = next.index(0).unwrap();
     let fetched = index.probe(&key).len() / index.arity();
 
-    let (old, new) = (
-        prev.database().relation("calls").unwrap(),
-        next.database().relation("calls").unwrap(),
-    );
+    let (old, new) = (calls_of(prev), calls_of(&next));
     let (old_index, new_index) = (prev.index(0).unwrap(), index);
+    let copied = new.unshared_nodes(old);
+    assert!(copied >= new.storage_height(), "a write copies its path");
     let work = Work {
-        chunks_forked: new.chunk_count() - new.shared_chunks(old),
+        nodes_beyond_path: copied - new.storage_height(),
         shards_forked: new_index.shard_count() - new_index.shared_shards(old_index),
         values_interned: ValueId::pool_len() - pool,
         fetched,
@@ -89,13 +98,21 @@ fn write(prev: &IndexedDatabase, t: &Tuple, insert: bool) -> (IndexedDatabase, W
     (next, work)
 }
 
+fn calls_of(idb: &IndexedDatabase) -> &bqr::data::Relation {
+    idb.database().relation("calls").unwrap()
+}
+
 #[test]
 fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
     let _alone = ALONE.lock().unwrap_or_else(PoisonError::into_inner);
     let mut per_size = Vec::new();
-    for tuples in [10_000usize, 100_000] {
+    let mut sizes = vec![10_000usize, 100_000];
+    if !cfg!(debug_assertions) {
+        sizes.push(1_000_000);
+    }
+    for tuples in sizes {
         let v0 = calls(tuples);
-        assert!(v0.database().relation("calls").unwrap().chunk_count() >= tuples / 512);
+        assert!(calls_of(&v0).chunk_count() >= tuples / 512);
         // A ninth call in a live group in the middle of the relation, with
         // a callee and a duration no one has seen: then take it out again.
         let middle = (tuples / N / 2) as i64;
@@ -105,21 +122,37 @@ fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
             -(tuples as i64),
             -(tuples as i64) - 1
         ];
-        let (v1, inserted) = write(&v0, &t, true);
+        // A sorted load fills every chunk, so the first insert splits one,
+        // and the full inner node above it when there is one: what it
+        // copies beyond its path depends on where the chunk sits, not on
+        // |R|.  The removal and the insert after it find room.
+        let (v1, split) = write(&v0, &t, true);
         let (v2, removed) = write(&v1, &t, false);
+        let (v3, inserted) = write(&v2, &t, true);
         assert_eq!(v2.database(), v0.database());
+        assert_eq!(v3.database(), v1.database());
 
-        for work in [&inserted, &removed] {
-            assert!(work.chunks_forked <= 2, "{work:?}");
+        assert!(split.nodes_beyond_path <= 2, "{split:?}");
+        for work in [&split, &removed, &inserted] {
             assert_eq!(work.shards_forked, 1, "{work:?}");
             assert!(work.values_interned <= N * ARITY, "{work:?}");
         }
-        assert_eq!((inserted.fetched, removed.fetched), (N + 1, N));
-        assert_eq!(inserted.values_interned, 2, "the two unseen values");
-        assert_eq!(removed.values_interned, 0);
-        per_size.push((inserted, removed));
+        assert_eq!(
+            (removed.nodes_beyond_path, inserted.nodes_beyond_path),
+            (0, 0)
+        );
+        assert_eq!(
+            (split.fetched, removed.fetched, inserted.fetched),
+            (N + 1, N, N + 1)
+        );
+        assert_eq!(split.values_interned, 2, "the two unseen values");
+        assert_eq!(removed.values_interned + inserted.values_interned, 0);
+        per_size.push((removed, inserted));
     }
-    assert_eq!(per_size[0], per_size[1], "work depends on |Δ|, not on |R|");
+    assert!(
+        per_size.windows(2).all(|w| w[0] == w[1]),
+        "work depends on |Δ|, not on |R|: {per_size:?}"
+    );
 }
 
 /// What one `like` write under `V1` cost, maintenance included.
@@ -128,7 +161,9 @@ struct ViewWork {
     probes: usize,
     rows: usize,
     scanned: usize,
-    chunks_forked: usize,
+    /// Storage-tree nodes of `like` the write copied or made beyond its
+    /// root-to-chunk path.
+    nodes_beyond_path: usize,
     /// Shards of `like` by (`id`, `type`) the write forked; `None` when the
     /// version written to did not hold that index.
     keyed_shards_forked: Option<usize>,
@@ -182,7 +217,7 @@ fn write_like(views: &ViewSet, prev: &Version, t: &Tuple, insert: bool) -> (Vers
         probes: stats.fetch_calls,
         rows: stats.fetched_tuples,
         scanned: stats.scanned_tuples,
-        chunks_forked: new.chunk_count() - new.shared_chunks(old),
+        nodes_beyond_path: new.unshared_nodes(old) - new.storage_height(),
         keyed_shards_forked,
         v1_moved: extent(prev) != extent(&next),
     };
@@ -246,7 +281,7 @@ fn a_like_write_under_v1_probes_the_same_few_rows_at_any_size() {
         assert!(v.views.extent("V1").unwrap().contains(&tuple![fresh]));
 
         for work in [&sole_in, &sole_out, &second_in, &second_out] {
-            assert!(work.chunks_forked <= 2, "{work:?}");
+            assert!(work.nodes_beyond_path <= 2, "{work:?}");
             // Carried by the insert, which never probes it, and found
             // carried — not rebuilt — by the removal right after.
             assert!(work.keyed_shards_forked.is_some_and(|n| n <= 1), "{work:?}");
