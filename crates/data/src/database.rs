@@ -116,11 +116,58 @@ impl Database {
         log
     }
 
+    /// Stop delta tracking and fold the writes made since it began into
+    /// `log`, the net write set since `previous` as it stood then; `start`
+    /// is this instance's [`Database::epochs`] at that moment, in order.
+    ///
+    /// Per relation: one still at its start epoch was not written.  One
+    /// written in place folds in the delta it recorded
+    /// ([`DeltaLog::fold`]), `O(|Δ|)` of this span.  One assigned
+    /// wholesale has its entry replaced by a diff against `previous`,
+    /// `O(|R|)`.  So spans taken one after another on one instance — a
+    /// batch of mutations — cost the sum of their writes, and none forks
+    /// the instance.  A relation `previous` lacks is diffed against an
+    /// empty one.
+    pub fn fold_delta(&mut self, start: &[u64], previous: &Database, log: &mut DeltaLog) {
+        for (i, (name, rel)) in self.relations.iter_mut().enumerate() {
+            let start = start.get(i).copied();
+            let tracked = rel.take_tracked(start);
+            if start == Some(rel.epoch()) {
+                continue;
+            }
+            match (tracked, previous.relation(name)) {
+                (Some(delta), _) => log.fold(name, delta),
+                (None, Some(prev)) => log.record(name.as_str(), rel.diff(prev)),
+                (None, None) => {
+                    let empty = Relation::empty(rel.schema().clone());
+                    log.record(name.as_str(), rel.diff(&empty));
+                }
+            }
+        }
+    }
+
+    /// Write `log` into this instance through the ordinary mutators: each
+    /// relation's removals, then its insertions, `O(|Δ|)`.  Applied to the
+    /// instance `log` was taken against, it rebuilds the instance `log` led
+    /// to, with fresh epochs on the relations it names.
+    pub fn apply(&mut self, log: &DeltaLog) -> Result<()> {
+        for (name, delta) in log.iter() {
+            let rel = self.relation_mut(name)?;
+            for t in &delta.removed {
+                rel.remove(t)?;
+            }
+            for t in &delta.inserted {
+                rel.insert(t.clone())?;
+            }
+        }
+        Ok(())
+    }
+
     /// Make every relation `log` does not touch `previous`'s version again,
     /// epoch included.  With `log` the net write set since `previous`, built
-    /// up over several [`Database::take_delta`]s ([`DeltaLog::merge`]),
-    /// writes that net to nothing across them leave no trace, as they leave
-    /// none within one.  `O(#relations)`.
+    /// up over several spans ([`Database::fold_delta`]), writes that net to
+    /// nothing across them leave no trace, as they leave none within one.
+    /// `O(#relations)`.
     pub fn reset_untouched(&mut self, previous: &Database, log: &DeltaLog) {
         for (name, rel) in &mut self.relations {
             match previous.relation(name) {
@@ -249,32 +296,59 @@ mod tests {
         assert!(!dom.contains(&Value::str("Paramount")));
     }
 
-    /// Writes split over two tracked spans, some undoing others: the
-    /// merged log is the net change across both, and a relation it nets to
-    /// nothing on becomes its previous version again.
+    /// Writes split over three tracked spans on one instance, some undoing
+    /// others and one assigning a relation wholesale: the folded log is
+    /// the net change across them, replaying it on the previous instance
+    /// rebuilds this one, and a relation it nets to nothing on becomes its
+    /// previous version again.
     #[test]
-    fn merged_spans_net_out_and_reset_leaves_no_trace() {
+    fn folded_spans_net_out_and_reset_leaves_no_trace() {
         let previous = movie_db();
         let mut db = previous.clone();
-        db.begin_delta_tracking();
-        db.insert("rating", tuple![3, 4]).unwrap();
-        db.remove("rating", &tuple![1, 5]).unwrap();
-        db.insert("movie", tuple![9, "Split", "Universal", "2016"])
-            .unwrap();
-        let mut log = db.take_delta(&previous);
-        let middle = db.clone();
-        db.begin_delta_tracking();
-        db.insert("rating", tuple![4, 2]).unwrap(); // fresh insert
-        db.remove("rating", &tuple![2, 3]).unwrap(); // remove a base tuple
-        db.remove("rating", &tuple![3, 4]).unwrap(); // undo an earlier insert
-        db.insert("rating", tuple![1, 5]).unwrap(); // undo an earlier removal
-        db.remove("movie", &tuple![9, "Split", "Universal", "2016"])
-            .unwrap();
-        log.merge(db.take_delta(&middle));
+        let mut log = DeltaLog::new();
+        let span = |db: &mut Database, log: &mut DeltaLog, writes: &dyn Fn(&mut Database)| {
+            let start: Vec<u64> = db.epochs().map(|(_, e)| e).collect();
+            db.begin_delta_tracking();
+            writes(db);
+            db.fold_delta(&start, &previous, log);
+        };
+        span(&mut db, &mut log, &|db| {
+            db.insert("rating", tuple![3, 4]).unwrap();
+            db.remove("rating", &tuple![1, 5]).unwrap();
+            db.insert("movie", tuple![9, "Split", "Universal", "2016"])
+                .unwrap();
+        });
+        span(&mut db, &mut log, &|db| {
+            db.insert("rating", tuple![4, 2]).unwrap(); // fresh insert
+            db.remove("rating", &tuple![2, 3]).unwrap(); // remove a base tuple
+            db.remove("rating", &tuple![3, 4]).unwrap(); // undo an earlier insert
+            db.insert("rating", tuple![1, 5]).unwrap(); // undo an earlier removal
+            db.remove("movie", &tuple![9, "Split", "Universal", "2016"])
+                .unwrap();
+        });
         let delta = log.get("rating").expect("rating changed");
         assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), [&tuple![4, 2]]);
         assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![2, 3]]);
         assert!(!log.touches("movie"), "movie netted to a no-op");
+
+        // A wholesale assignment — of a copy re-tracked after a write, so
+        // its own record misses that write — is diffed against `previous`.
+        span(&mut db, &mut log, &|db| {
+            db.insert("rating", tuple![5, 5]).unwrap();
+            let mut copy = db.relation("rating").unwrap().clone();
+            copy.begin_delta_tracking();
+            copy.insert(tuple![6, 6]).unwrap();
+            *db.relation_mut("rating").unwrap() = copy;
+        });
+        let delta = log.get("rating").expect("rating changed");
+        let inserted = [&tuple![4, 2], &tuple![5, 5], &tuple![6, 6]];
+        assert_eq!(delta.inserted.iter().collect::<Vec<_>>(), inserted);
+        assert_eq!(delta.removed.iter().collect::<Vec<_>>(), [&tuple![2, 3]]);
+
+        let mut replayed = previous.clone();
+        replayed.apply(&log).unwrap();
+        assert_eq!(replayed, db);
+
         let movie = |db: &Database| db.relation("movie").unwrap().epoch();
         assert_ne!(movie(&db), movie(&previous));
         db.reset_untouched(&previous, &log);

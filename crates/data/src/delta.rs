@@ -63,11 +63,15 @@ impl DeltaLog {
         DeltaLog::default()
     }
 
-    /// Record the delta of one relation.  Empty deltas are dropped — a net
-    /// no-op is indistinguishable from "untouched".
+    /// Record the delta of one relation, replacing any earlier one.  An
+    /// empty delta leaves the relation out — a net no-op is
+    /// indistinguishable from "untouched".
     pub fn record(&mut self, relation: impl Into<String>, delta: RelationDelta) {
-        if !delta.is_empty() {
-            self.changes.insert(relation.into(), delta);
+        let relation = relation.into();
+        if delta.is_empty() {
+            self.changes.remove(&relation);
+        } else {
+            self.changes.insert(relation, delta);
         }
     }
 
@@ -86,20 +90,22 @@ impl DeltaLog {
         self.changes.get(relation)
     }
 
-    /// Fold in the net write set of a later mutation, tuple by tuple with
-    /// [`RelationDelta::record`]'s cancel rule: the log then holds the net
-    /// change across both.  A relation whose change nets to nothing leaves
-    /// the log.
-    pub fn merge(&mut self, later: DeltaLog) {
-        for (relation, delta) in later.changes {
-            let mut net = self.changes.remove(&relation).unwrap_or_default();
-            for t in delta.inserted {
-                net.record(t, true);
-            }
-            for t in delta.removed {
-                net.record(t, false);
-            }
-            self.record(relation, net);
+    /// Fold a later change of `relation` into its entry, tuple by tuple
+    /// with [`RelationDelta::record`]'s cancel rule: the entry then holds
+    /// the net change across both, and leaves the log when that is
+    /// nothing.  A relation the log does not hold yet takes `later` whole.
+    pub fn fold(&mut self, relation: &str, later: RelationDelta) {
+        let Some(net) = self.changes.get_mut(relation) else {
+            return self.record(relation, later);
+        };
+        for t in later.inserted {
+            net.record(t, true);
+        }
+        for t in later.removed {
+            net.record(t, false);
+        }
+        if net.is_empty() {
+            self.changes.remove(relation);
         }
     }
 
@@ -120,6 +126,31 @@ mod tests {
         log.record("r", RelationDelta::default());
         assert!(log.is_empty());
         assert!(!log.touches("r"));
+    }
+
+    #[test]
+    fn folding_nets_out_and_an_empty_record_drops_the_entry() {
+        let mut log = DeltaLog::new();
+        let mut first = RelationDelta::default();
+        first.inserted.insert(tuple![1]);
+        first.removed.insert(tuple![2]);
+        log.fold("r", first.clone());
+        assert_eq!(log.get("r"), Some(&first), "taken whole");
+        let mut later = RelationDelta::default();
+        later.removed.insert(tuple![1]);
+        later.inserted.insert(tuple![3]);
+        log.fold("r", later);
+        let net = log.get("r").unwrap();
+        assert_eq!(net.inserted.iter().collect::<Vec<_>>(), [&tuple![3]]);
+        assert_eq!(net.removed.iter().collect::<Vec<_>>(), [&tuple![2]]);
+        let mut undo = RelationDelta::default();
+        undo.removed.insert(tuple![3]);
+        undo.inserted.insert(tuple![2]);
+        log.fold("r", undo);
+        assert!(!log.touches("r"), "netted to nothing");
+        log.fold("r", first);
+        log.record("r", RelationDelta::default());
+        assert!(log.is_empty());
     }
 
     #[test]

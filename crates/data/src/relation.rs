@@ -305,15 +305,12 @@ impl Relation {
     /// storage and its indexes, so a do-undo or an equal replacement leaves
     /// no trace.
     pub fn take_delta(&mut self, previous: &Relation) -> RelationDelta {
-        let tracked = self.tracking.take();
+        let tracked = self.take_tracked(Some(previous.epoch));
         if self.epoch == previous.epoch {
             // Epochs are globally unique: the contents are `previous`'s.
             return RelationDelta::default();
         }
-        let delta = match tracked.filter(|s| s.base_epoch == previous.epoch) {
-            Some(state) => state.delta,
-            None => self.diff(previous),
-        };
+        let delta = tracked.unwrap_or_else(|| self.diff(previous));
         if delta.is_empty() {
             *self = previous.clone();
             self.tracking = None;
@@ -321,10 +318,19 @@ impl Relation {
         delta
     }
 
+    /// Stop recording and return what was recorded, when tracking began at
+    /// the epoch `start`: then it is the exact net write set since the
+    /// version that held `start`.  `None` when tracking is missing or began
+    /// at another epoch, as after a wholesale assignment.
+    pub(crate) fn take_tracked(&mut self, start: Option<u64>) -> Option<RelationDelta> {
+        let tracked = self.tracking.take()?;
+        (Some(tracked.base_epoch) == start).then_some(tracked.delta)
+    }
+
     /// This relation against `previous` as a delta: one merge of the two
     /// value-ordered row sequences, `O(|R|)` — or none at all when the two
     /// share their storage.
-    fn diff(&self, previous: &Relation) -> RelationDelta {
+    pub(crate) fn diff(&self, previous: &Relation) -> RelationDelta {
         let mut delta = RelationDelta::default();
         if self.shares_storage(previous) {
             return delta;

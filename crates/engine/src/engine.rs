@@ -385,24 +385,28 @@ impl Engine {
     /// run once for the whole batch instead of once per closure — the
     /// amortisation the serving front's write batching rides on.
     ///
-    /// Isolation is per closure, atomicity per batch: each closure runs on
-    /// a fork of the batch's instance so far (one reference count per
-    /// relation), so a closure that errors, panics or changes the schema
-    /// ([`Error::SchemaMismatch`]) is undone — the instance set back to that
-    /// fork — without disturbing its neighbours: its slot in the returned
-    /// `Vec` carries the typed error, every other closure's effect still
-    /// publishes.  Each successful closure's own delta is folded into the
-    /// batch's ([`DeltaLog::merge`](bqr_data::DeltaLog::merge)), so a batch
-    /// costs the sum of its closures, and a relation the batch leaves as it
-    /// found it becomes the live version's again, epoch included.  The
-    /// combined net delta becomes visible in a single version swap: readers
-    /// never observe a prefix of the batch.  An empty or net-no-op batch
-    /// publishes nothing (the usual no-op elision).
+    /// The closures run one after another on one fork of the live instance,
+    /// each with its own delta tracked; a successful closure's delta is
+    /// folded into the batch's ([`Database::fold_delta`]), so a batch costs
+    /// the sum of its closures' writes — a chunk a closure copied is its
+    /// batch's own for every later closure — and a relation the batch
+    /// leaves as it found it becomes the live version's again, epoch
+    /// included.  Isolation is per closure, atomicity per batch: a closure
+    /// that errors, panics or changes the schema ([`Error::SchemaMismatch`])
+    /// is undone — the instance reset to the live one and the batch's delta
+    /// so far replayed ([`Database::apply`]), `O(|Δ|)` paid only on failure
+    /// — without disturbing its neighbours: its slot in the returned `Vec`
+    /// carries the typed error, every other closure's effect still
+    /// publishes.  The combined net delta becomes visible in a single
+    /// version swap: readers never observe a prefix of the batch.  An empty
+    /// or net-no-op batch publishes nothing (the usual no-op elision).
     ///
     /// The outer `Result` fails only when version construction failed (an
     /// index build or view maintenance error/panic — contained like a
     /// closure's, so it surfaces typed and never as a half-applied version
-    /// or a wedged writer); then nothing was published.
+    /// or a wedged writer), or when replaying the delta after a failed
+    /// closure did, which rewrites only tuples the instance already stored;
+    /// then nothing was published.
     /// [`mutate`](Engine::mutate) is this with one closure.
     pub fn mutate_batch<R, F>(
         &self,
@@ -415,9 +419,10 @@ impl Engine {
         let prev = Arc::clone(&self.data.read().unwrap_or_else(PoisonError::into_inner));
         let mut db = prev.database().clone();
         let mut delta = bqr_data::DeltaLog::new();
-        let mut outcomes = Vec::new();
+        let (mut outcomes, mut start) = (Vec::new(), Vec::new());
         for f in closures {
-            let before = db.clone();
+            start.clear();
+            start.extend(db.epochs().map(|(_, epoch)| epoch));
             db.begin_delta_tracking();
             let out = catch_unwind(AssertUnwindSafe(|| {
                 bqr_data::faults::check(bqr_data::faults::sites::MUTATE_CLOSURE)?;
@@ -429,8 +434,11 @@ impl Engine {
             .and_then(|r| r.map_err(Error::Data))
             .and_then(|r| self.check_schema(&db).map(|()| r));
             match out {
-                Ok(_) => delta.merge(db.take_delta(&before)),
-                Err(_) => db = before,
+                Ok(_) => db.fold_delta(&start, prev.database(), &mut delta),
+                Err(_) => {
+                    db = prev.database().clone();
+                    db.apply(&delta).map_err(Error::Data)?;
+                }
             }
             outcomes.push(out);
         }

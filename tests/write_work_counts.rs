@@ -122,17 +122,18 @@ fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
             -(tuples as i64),
             -(tuples as i64) - 1
         ];
-        // A sorted load fills every chunk, so the first insert splits one,
-        // and the full inner node above it when there is one: what it
-        // copies beyond its path depends on where the chunk sits, not on
-        // |R|.  The removal and the insert after it find room.
+        // A sorted load fills every chunk, so the first insert splits one:
+        // the one node it makes beyond its path is the chunk's new right
+        // half.  Inner nodes split in halves, so the one above it, in the
+        // middle of the relation, has room at every size.  The removal and
+        // the insert after it find room.
         let (v1, split) = write(&v0, &t, true);
         let (v2, removed) = write(&v1, &t, false);
         let (v3, inserted) = write(&v2, &t, true);
         assert_eq!(v2.database(), v0.database());
         assert_eq!(v3.database(), v1.database());
 
-        assert!(split.nodes_beyond_path <= 2, "{split:?}");
+        assert_eq!(split.nodes_beyond_path, 1, "{split:?}");
         for work in [&split, &removed, &inserted] {
             assert_eq!(work.shards_forked, 1, "{work:?}");
             assert!(work.values_interned <= N * ARITY, "{work:?}");
@@ -147,7 +148,7 @@ fn a_one_tuple_write_does_the_same_small_work_at_any_size() {
         );
         assert_eq!(split.values_interned, 2, "the two unseen values");
         assert_eq!(removed.values_interned + inserted.values_interned, 0);
-        per_size.push((removed, inserted));
+        per_size.push((split, removed, inserted));
     }
     assert!(
         per_size.windows(2).all(|w| w[0] == w[1]),
